@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full examples lint wire-golden chaos chaos-load
+.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full bench-build examples lint wire-golden chaos chaos-load
 
 # ci mirrors .github/workflows/ci.yml: a missing package, vet
 # regression, lint finding, race, broken example, broken benchmark, or
 # chaos regression can never land silently again.
-ci: build vet lint race examples bench-smoke chaos chaos-load
+ci: build vet lint race examples bench-smoke bench-build chaos chaos-load
 
 # lint builds the repo's own analyzer suite (cmd/distcfdvet: keyjoin,
 # ctxflow, poolpair, wirecompat) and runs it over every package via the
@@ -58,15 +58,15 @@ chaos:
 # chaos-load is the overload companion to chaos: the admission, drain,
 # deadline and backpressure suites under the race detector — 32
 # concurrent Detect sessions against draining and overloaded sites,
-# retry-after-vs-deadline budgeting, the drain RPC over loopback TCP,
-# and the v6-peer fallback. Same seed convention as chaos: printed
+# retry-after-vs-deadline budgeting, and the drain RPC over loopback
+# TCP. Same seed convention as chaos: printed
 # before the run, replayed exactly with
 #   DISTCFD_CHAOS_SEED=<seed> make chaos-load
 chaos-load:
 	@seed=$${DISTCFD_CHAOS_SEED:-$$(date +%s)}; \
 	echo "== chaos-load (DISTCFD_CHAOS_SEED=$$seed)"; \
 	DISTCFD_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-		-run 'ChaosLoad|Admission|Overload|Drain|Deadline|SleepCtx|Breaker|EnvelopeRetryAfter|EnvelopeParamFree|V6Fallback|WorkCtx|Ping' \
+		-run 'ChaosLoad|Admission|Overload|Drain|Deadline|SleepCtx|Breaker|EnvelopeRetryAfter|EnvelopeParamFree|WorkCtx|Ping' \
 		./internal/core/ ./internal/remote/ ./internal/faulty/
 
 build:
@@ -102,6 +102,13 @@ bench-smoke:
 	@cat bin/bench-smoke.txt
 
 bench: bench-smoke
+
+# bench-build vets and tests the benchmark program. bench/ is a module
+# of its own (BENCHMARK.json builds it from there), so the root
+# `go build ./...` and `go test ./...` never see it: without this
+# target a core or remote API change breaks the benchmark silently.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compare runs bench-smoke's suite on HEAD and on the merge-base
 # with origin/main and reports per-benchmark deltas (benchstat when

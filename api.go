@@ -16,9 +16,8 @@ import (
 // clustering, σ block specs, pattern mining, pattern-schema
 // projections) and returns a long-lived Detector that serves any
 // number of concurrent Detect / DetectOne calls, each re-evaluating
-// only data-dependent state under its caller's context. It replaces
-// the positional (algo, Options, clustered) surface with functional
-// options; the old entry points remain as deprecated wrappers.
+// only data-dependent state under its caller's context, configured by
+// functional options.
 
 // config collects the functional options of Compile.
 type config struct {
@@ -89,8 +88,9 @@ func WithMineTheta(theta float64) Option { return func(c *config) { c.opt.MineTh
 func WithSigmaAnalysis(mode SigmaMode) Option { return func(c *config) { c.opt.Sigma = mode } }
 
 // WithClustering controls whether CFDs whose LHS attribute sets are
-// related by containment are merged into shared-σ clusters
-// (ClustDetect, the default) or processed independently (SeqDetect).
+// related by containment are merged into shared-σ clusters (the
+// paper's clustered strategy, the default) or processed independently
+// (its sequential strategy).
 func WithClustering(on bool) Option { return func(c *config) { c.clustered = on } }
 
 // WithFailurePolicy selects how Detect calls respond to site failures:
@@ -169,7 +169,7 @@ type Detector struct {
 	plan *core.Plan
 
 	mu      sync.Mutex
-	singles map[int]*core.SinglePlan // lazily compiled per-CFD plans
+	singles map[int]*core.Plan // one-CFD plans behind DetectOne, made on first use
 }
 
 // Compile performs all Σ-side work for detecting cfds over the
@@ -222,7 +222,7 @@ func CompileContext(ctx context.Context, cl *Cluster, cfds []*CFD, opts ...Optio
 		cfg:     cfg,
 		cfds:    cfds,
 		plan:    plan,
-		singles: make(map[int]*core.SinglePlan),
+		singles: make(map[int]*core.Plan),
 	}, nil
 }
 
@@ -292,7 +292,7 @@ func (r *Result) Patterns(name string) *Relation {
 	return nil
 }
 
-func fromSetResult(sr *core.SetResult) *Result {
+func fromResult(sr *core.Result) *Result {
 	return &Result{
 		CFDs:               sr.CFDs,
 		PerCFD:             sr.PerCFD,
@@ -323,7 +323,7 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromSetResult(sr), nil
+	return fromResult(sr), nil
 }
 
 // Apply routes a delta — inserted tuples plus deletes addressed by
@@ -360,7 +360,7 @@ func (d *Detector) DetectIncremental(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromSetResult(sr), nil
+	return fromResult(sr), nil
 }
 
 // DetectDelta applies per-site deltas and runs one incremental round —
@@ -370,12 +370,12 @@ func (d *Detector) DetectDelta(ctx context.Context, deltas map[int]Delta) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return fromSetResult(sr), nil
+	return fromResult(sr), nil
 }
 
-// DetectOne runs a single named CFD of the compiled set, reusing the
-// compiled artifacts (and, for CFDs the set plan processes as
-// singleton clusters, the very same per-CFD plan).
+// DetectOne runs a single named CFD of the compiled set as a plan of
+// one, reusing the compiled artifacts (for CFDs the set plan processes
+// as units of their own, the very same compiled unit).
 func (d *Detector) DetectOne(ctx context.Context, name string) (*Result, error) {
 	idx := -1
 	for i, c := range d.cfds {
@@ -400,20 +400,7 @@ func (d *Detector) DetectOne(ctx context.Context, name string) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		CFDs:          []*CFD{one.CFD},
-		PerCFD:        []*Relation{one.Patterns},
-		Clusters:      [][]int{{0}},
-		Shipment:      one.Metrics.Snapshot(),
-		ShippedTuples: one.ShippedTuples,
-		ModeledTime:   one.ModeledTime,
-		WallTime:      one.WallTime,
-		Partial:       one.Partial,
-		ExcludedSites: one.ExcludedSites,
-		Coverage:      one.Coverage,
-		Retries:       one.Retries,
-		Faults:        one.Faults,
-	}, nil
+	return fromResult(one), nil
 }
 
 // Health reports the per-site circuit-breaker states of the underlying
@@ -461,16 +448,13 @@ func (d *Detector) Resume(site int) {
 	}
 }
 
-func (d *Detector) singlePlan(ctx context.Context, idx int) (*core.SinglePlan, error) {
-	if sp := d.plan.SinglePlanFor(idx); sp != nil {
-		return sp, nil
-	}
+func (d *Detector) singlePlan(ctx context.Context, idx int) (*core.Plan, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if sp, ok := d.singles[idx]; ok {
 		return sp, nil
 	}
-	sp, err := core.CompileSingle(ctx, d.cl, d.cfds[idx], d.cfg.algo, d.cfg.opt)
+	sp, err := d.plan.Single(ctx, idx)
 	if err != nil {
 		return nil, err
 	}

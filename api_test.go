@@ -5,7 +5,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"distcfd/internal/core"
+	"distcfd/internal/faulty"
+	"distcfd/internal/relation"
 	"distcfd/internal/workload"
 )
 
@@ -48,7 +52,7 @@ func samePatternSets(t *testing.T, label string, got, want []*Relation) {
 // across repeated and concurrent Detect calls.
 func TestCompileDetectMatchesOneShot(t *testing.T) {
 	cl, rules := compileTestCluster(t)
-	want, err := DetectSet(cl, rules, PatDetectRT, Options{}, true)
+	want, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func TestDetectorDetectOne(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, rule := range rules {
-		want, err := Detect(cl, rule, PatDetectS, Options{})
+		want, err := core.DetectOnce(context.Background(), cl, []*CFD{rule}, PatDetectS, core.Options{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +115,10 @@ func TestDetectorDetectOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.PerCFD[0].SameTuples(want.Patterns) {
+		if !res.PerCFD[0].SameTuples(want.PerCFD[0]) {
 			t.Errorf("%s: DetectOne differs from one-shot Detect", rule.Name)
 		}
-		if got := res.Patterns(rule.Name); got == nil || !got.SameTuples(want.Patterns) {
+		if got := res.Patterns(rule.Name); got == nil || !got.SameTuples(want.PerCFD[0]) {
 			t.Errorf("%s: Result.Patterns lookup failed", rule.Name)
 		}
 	}
@@ -128,7 +132,7 @@ func TestDetectorDetectOne(t *testing.T) {
 // violation sets (they tune strategy and placement, never answers).
 func TestDetectorOptions(t *testing.T) {
 	cl, rules := compileTestCluster(t)
-	want, err := DetectSet(cl, rules, PatDetectRT, Options{}, true)
+	want, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,5 +328,80 @@ func TestDetectorAdmissionDrain(t *testing.T) {
 	}
 	if err := bare.Drain(ctx, 0); err == nil || !strings.Contains(err.Error(), "no admission controller") {
 		t.Fatalf("a session without WithAdmissionPolicy has no drain surface: %v", err)
+	}
+}
+
+// TestDetectOneDegradePartial: DetectOne is a plan of one, so under
+// FailDegrade it takes the set plan's "exclusion set grew ⇒ re-run
+// every unit" loop. With one site dead from its first call (the crash
+// plan of core's TestChaosDegradePartial) each rule's partial answer
+// must equal a clean DetectOne over only the reachable fragments, name
+// the dead site, report the reachable coverage, and leave no deposit
+// behind — for a rule the set plan runs as a unit of its own and for
+// members of a merged cluster alike.
+func TestDetectOneDegradePartial(t *testing.T) {
+	const down = 2
+	data := workload.Cust(workload.CustConfig{N: 1_500, Seed: 4, ErrRate: 0.05})
+	h, err := PartitionUniform(data, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := make([]*core.Site, h.N())
+	sites := make([]core.SiteAPI, h.N())
+	for i, frag := range h.Fragments {
+		bare[i] = core.NewSite(i, frag, relation.True())
+		sites[i] = bare[i]
+	}
+	// CrashAt 1 with no rebuild: dead from the first call on.
+	sites[down] = faulty.Wrap(bare[down], faulty.Plan{CrashAt: 1})
+	cl, err := core.NewCluster(h.Schema, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcl, err := NewCluster(&Horizontal{Schema: h.Schema, Fragments: h.Fragments[:down]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := append(workload.CustOverlappingCFDs(16, 8), workload.CustStreetCFD())
+	opts := []Option{WithAlgorithm(PatDetectS), WithWorkers(1), WithFailurePolicy(FailDegrade),
+		WithRetryPolicy(RetryPolicy{BaseDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond})}
+	det, err := Compile(cl, rules, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Compile(rcl, rules, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reachable := h.Fragments[0].Len() + h.Fragments[1].Len()
+	wantCov := float64(reachable) / float64(data.Len())
+	ctx := context.Background()
+	for _, rule := range rules {
+		res, err := det.DetectOne(ctx, rule.Name)
+		if err != nil {
+			t.Fatalf("%s: degraded DetectOne failed outright: %v", rule.Name, err)
+		}
+		want, err := clean.DetectOne(ctx, rule.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.PerCFD[0].SameTuples(want.PerCFD[0]) {
+			t.Errorf("%s: degraded patterns differ from the reachable-only run\n got  %v\n want %v",
+				rule.Name, res.PerCFD[0], want.PerCFD[0])
+		}
+		if !res.Partial || len(res.ExcludedSites) != 1 || res.ExcludedSites[0] != down {
+			t.Errorf("%s: Partial=%v ExcludedSites=%v, want true [%d]", rule.Name, res.Partial, res.ExcludedSites, down)
+		}
+		if res.Coverage < wantCov-1e-9 || res.Coverage > wantCov+1e-9 {
+			t.Errorf("%s: Coverage = %v, want %v", rule.Name, res.Coverage, wantCov)
+		}
+		if want.Partial || want.Coverage != 1 {
+			t.Errorf("%s: clean run reports Partial=%v Coverage=%v", rule.Name, want.Partial, want.Coverage)
+		}
+		for i, s := range bare {
+			if n := s.PendingDeposits(); n != 0 {
+				t.Errorf("%s: site %d still buffers %d deposit tasks", rule.Name, i, n)
+			}
+		}
 	}
 }

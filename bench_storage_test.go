@@ -9,6 +9,7 @@ package distcfd
 // projected X-columns of touched blocks materialize).
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime/debug"
@@ -58,10 +59,10 @@ func BenchmarkOutOfCore(b *testing.B) {
 		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
 			dirs, stats := buildOutOfCoreDirs(b, n)
 			b.Run("ship=packed", func(b *testing.B) {
-				benchOutOfCore(b, dirs, stats, core.Options{})
+				benchOutOfCore(b, dirs, stats, core.Options{Workers: 1})
 			})
 			b.Run("ship=v5", func(b *testing.B) {
-				benchOutOfCore(b, dirs, stats, core.Options{NoPackedShip: true})
+				benchOutOfCore(b, dirs, stats, core.Options{Workers: 1, NoPackedShip: true})
 			})
 		})
 	}
@@ -141,7 +142,7 @@ func benchOutOfCore(b *testing.B, dirs []string, stats colstore.Stats, opt core.
 	b.ResetTimer()
 	var shipped int64
 	for i := 0; i < b.N; i++ {
-		res, err := core.ClustDetect(cl, rules, core.PatDetectS, opt)
+		res, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectS, opt, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,12 +215,12 @@ func TestOutOfCoreDetectEquivalence(t *testing.T) {
 	}
 
 	rules := outOfCoreRules()
-	detect := func(sites []core.SiteAPI) *core.SetResult {
+	detect := func(sites []core.SiteAPI) *core.Result {
 		cl, err := core.NewCluster(h.Schema, sites)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.ClustDetect(cl, rules, core.PatDetectS, core.Options{})
+		res, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectS, core.Options{Workers: 1}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

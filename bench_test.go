@@ -209,11 +209,11 @@ func BenchmarkAblationMiningShipment(b *testing.B) {
 	var plain, mined int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := core.DetectSingle(cl, rule, core.PatDetectS, core.Options{})
+		p, err := core.DetectOnce(context.Background(), cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := core.DetectSingle(cl, rule, core.PatDetectS, core.Options{MineTheta: 0.1})
+		m, err := core.DetectOnce(context.Background(), cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{MineTheta: 0.1}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,9 +318,9 @@ func multiCFDBenchRules() []*cfd.CFD {
 
 // BenchmarkMultiCFDSeqVsPar compares the three multi-CFD paths on a
 // set of disjoint-LHS CFDs (no containment, so every CFD is its own
-// cluster): SeqDetect processes them one by one, ClustDetect finds
+// cluster): the sequential strategy processes them one by one, the clustered strategy finds
 // only singleton clusters and degenerates to the same schedule, and
-// ParDetect overlaps the independent clusters across its worker pool.
+// the parallel run overlaps the independent clusters across its worker pool.
 // All three produce identical violation sets; the bench isolates the
 // wall-clock effect of the concurrency.
 func BenchmarkMultiCFDSeqVsPar(b *testing.B) {
@@ -337,7 +337,7 @@ func BenchmarkMultiCFDSeqVsPar(b *testing.B) {
 	b.Run("SeqDetect", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SeqDetect(cl, rules, core.PatDetectRT, core.Options{}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectRT, core.Options{Workers: 1}, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -345,7 +345,7 @@ func BenchmarkMultiCFDSeqVsPar(b *testing.B) {
 	b.Run("ClustDetect", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ClustDetect(cl, rules, core.PatDetectRT, core.Options{}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectRT, core.Options{Workers: 1}, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -354,7 +354,7 @@ func BenchmarkMultiCFDSeqVsPar(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// Through the facade, as applications call it.
-			if _, err := DetectSetParallel(cl, rules, PatDetectRT, Options{}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{}, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -362,7 +362,7 @@ func BenchmarkMultiCFDSeqVsPar(b *testing.B) {
 	b.Run("ParDetect-8workers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DetectSetParallel(cl, rules, PatDetectRT, Options{Workers: 8}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{Workers: 8}, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -371,7 +371,7 @@ func BenchmarkMultiCFDSeqVsPar(b *testing.B) {
 
 // BenchmarkMultiCFDSeqVsParRemote is the same comparison against sites
 // served over loopback TCP, where per-phase RPC round-trips dominate:
-// ParDetect overlaps the independent clusters' network waits, so it
+// the parallel run overlaps the independent clusters' network waits, so it
 // wins even when cores are scarce (on multicore it additionally
 // overlaps the coordinator checks, like the in-process bench).
 func BenchmarkMultiCFDSeqVsParRemote(b *testing.B) {
@@ -403,7 +403,7 @@ func BenchmarkMultiCFDSeqVsParRemote(b *testing.B) {
 	b.Run("SeqDetect", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.SeqDetect(cl, rules, core.PatDetectRT, core.Options{}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectRT, core.Options{Workers: 1}, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -411,7 +411,7 @@ func BenchmarkMultiCFDSeqVsParRemote(b *testing.B) {
 	b.Run("ParDetect-6workers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DetectSetParallel(cl, rules, PatDetectRT, Options{Workers: 6}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{Workers: 6}, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -446,7 +446,7 @@ func BenchmarkDetectorServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantSet, err := DetectSet(cl, rules, PatDetectRT, Options{}, true)
+	wantSet, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{Workers: 1}, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func BenchmarkDetectorServe(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DetectSet(cl, rules, PatDetectRT, Options{}, true); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, rules, PatDetectRT, core.Options{Workers: 1}, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -498,7 +498,7 @@ func BenchmarkDetectorServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wantMine, err := DetectSet(clx, fd, PatDetectS, Options{MineTheta: 0.1}, true)
+	wantMine, err := core.DetectOnce(context.Background(), clx, fd, PatDetectS, core.Options{Workers: 1, MineTheta: 0.1}, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func BenchmarkDetectorServe(b *testing.B) {
 	b.Run("oneshot-mined", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DetectSet(clx, fd, PatDetectS, Options{MineTheta: 0.1}, true); err != nil {
+			if _, err := core.DetectOnce(context.Background(), clx, fd, PatDetectS, core.Options{Workers: 1, MineTheta: 0.1}, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -557,7 +557,7 @@ func BenchmarkRPCOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DetectSingle(cl, rule, core.PatDetectS, core.Options{}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -585,7 +585,7 @@ func BenchmarkRPCOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DetectSingle(cl, rule, core.PatDetectS, core.Options{}); err != nil {
+			if _, err := core.DetectOnce(context.Background(), cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -162,19 +162,9 @@ func main() {
 		})
 		api = adm
 	}
-	defer func() {
-		inner := api
-		for {
-			w, ok := inner.(interface{ Inner() core.SiteAPI })
-			if !ok {
-				break
-			}
-			inner = w.Inner()
-		}
-		if c, ok := inner.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}()
+	if c, ok := api.(interface{ Close() error }); ok {
+		defer c.Close()
+	}
 
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {

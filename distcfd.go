@@ -36,9 +36,7 @@
 //
 // The facade additionally re-exports the stable types of the internal
 // packages via aliases and adds convenience constructors, so
-// applications only import this package. The pre-session entry points
-// (Detect, DetectSet, DetectSetParallel) remain as deprecated
-// wrappers over the compiled path.
+// applications only import this package.
 //
 // See the examples/ directory for complete programs and DESIGN.md for
 // the paper-to-package map.
@@ -129,14 +127,8 @@ type (
 	Site = core.Site
 	// Algorithm selects CTRDetect / PatDetectS / PatDetectRT.
 	Algorithm = core.Algorithm
-	// Options tunes a detection run (cost model, mining threshold).
-	Options = core.Options
 	// SigmaMode selects the compile-time Σ analysis level.
 	SigmaMode = core.SigmaMode
-	// SingleResult reports a single-CFD run.
-	SingleResult = core.SingleResult
-	// SetResult reports a multi-CFD run.
-	SetResult = core.SetResult
 	// FailurePolicy selects how a run responds to site failures
 	// (FailFast, FailRetry, FailDegrade — see WithFailurePolicy).
 	FailurePolicy = core.FailurePolicy
@@ -278,41 +270,6 @@ func NewRemoteCluster(addrs []string) (*Cluster, error) {
 		return nil, err
 	}
 	return core.NewCluster(schema, sites)
-}
-
-// Detect finds Vioπ(φ, D) over the cluster with the chosen algorithm.
-//
-// Deprecated: Detect compiles and runs in one shot, repeating the
-// constraint-side work on every call. Use Compile with WithAlgorithm
-// and serve repeated traffic through Detector.Detect / DetectOne; this
-// wrapper remains for the full SingleResult (Vio, Spec, Coordinators).
-func Detect(cl *Cluster, c *CFD, algo Algorithm, opt Options) (*SingleResult, error) {
-	return core.DetectSingle(cl, c, algo, opt)
-}
-
-// DetectSet finds Vioπ for a CFD set; clustered=true merges CFDs with
-// LHS containment (ClustDetect), otherwise they run one by one
-// (SeqDetect).
-//
-// Deprecated: use Compile (WithClustering selects the strategy) and
-// Detector.Detect, which reuse the compiled plan across calls and
-// accept a context.
-func DetectSet(cl *Cluster, cs []*CFD, algo Algorithm, opt Options, clustered bool) (*SetResult, error) {
-	if clustered {
-		return core.ClustDetect(cl, cs, algo, opt)
-	}
-	return core.SeqDetect(cl, cs, algo, opt)
-}
-
-// DetectSetParallel finds Vioπ for a CFD set like DetectSet with
-// clustering, but processes independent CFD clusters concurrently
-// across a worker pool bounded by Options.Workers (0 = GOMAXPROCS).
-// The violation sets are identical to DetectSet's; only wall-clock
-// time differs.
-//
-// Deprecated: use Compile with WithWorkers and Detector.Detect.
-func DetectSetParallel(cl *Cluster, cs []*CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	return core.ParDetect(cl, cs, algo, opt)
 }
 
 // DetectCentral finds the violation patterns of a CFD in an

@@ -2,9 +2,11 @@ package distcfd
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"distcfd/internal/core"
 	"distcfd/internal/workload"
 )
 
@@ -39,14 +41,14 @@ phi3: [CC, AC] -> [city] : (44, 131 || EDI), (01, 908 || MH)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(cl, rules[0], PatDetectRT, Options{})
+	res, err := core.DetectOnce(context.Background(), cl, []*CFD{rules[0]}, PatDetectRT, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Patterns.Len() != 2 {
-		t.Errorf("phi1 patterns = %d, want 2", res.Patterns.Len())
+	if res.PerCFD[0].Len() != 2 {
+		t.Errorf("phi1 patterns = %d, want 2", res.PerCFD[0].Len())
 	}
-	set, err := DetectSet(cl, rules, PatDetectS, Options{}, true)
+	set, err := core.DetectOnce(context.Background(), cl, rules, PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

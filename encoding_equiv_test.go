@@ -8,6 +8,7 @@ package distcfd
 // 0x1f key separator of the row path.
 
 import (
+	"context"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -148,7 +149,7 @@ func TestEncodedSigmaMatchesRowPath(t *testing.T) {
 // detector against freshly built (never-encoded) fragments: the lazy
 // per-column construction races only if its synchronization is broken,
 // which `go test -race` turns into a failure. Results are compared
-// against SeqDetect for equality of patterns, shipment and modeled
+// against the sequential strategy for equality of patterns, shipment and modeled
 // time.
 func TestEncodedLazyBuildUnderParDetect(t *testing.T) {
 	data := workload.Cust(workload.CustConfig{N: 6_000, Seed: 3, ErrRate: 0.01})
@@ -169,11 +170,11 @@ func TestEncodedLazyBuildUnderParDetect(t *testing.T) {
 		}
 		return cl
 	}
-	seq, err := core.SeqDetect(freshCluster(), rules, core.PatDetectRT, core.Options{})
+	seq, err := core.DetectOnce(context.Background(), freshCluster(), rules, core.PatDetectRT, core.Options{Workers: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := DetectSetParallel(freshCluster(), rules, PatDetectRT, Options{Workers: 8})
+	par, err := core.DetectOnce(context.Background(), freshCluster(), rules, PatDetectRT, core.Options{Workers: 8}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

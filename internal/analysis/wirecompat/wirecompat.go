@@ -13,16 +13,12 @@
 // hash; gob identifies fields by name and encodes concrete types, so
 // any of those changing changes what travels.
 //
-// Two wire-v6 caveats the fingerprint cannot see. First, the packed
-// payload (WirePackedRelation) ships raw []byte sections in the
-// colstore chunk codec: a layout change to that codec (EncodeChunk /
+// One wire-v6 caveat the fingerprint cannot see: the packed payload
+// (WirePackedRelation) ships raw []byte sections in the colstore chunk
+// codec, so a layout change to that codec (EncodeChunk /
 // EncodeDictSection) changes what travels without touching any Wire*
-// struct, so it must bump WireVersion AND colstore.FormatVersion by
-// hand — the codec's doc comment restates this from its side. Second,
-// the client carries a sanctioned legacy fallback (legacyServiceName):
-// only the current service name feeds the hash, deliberately — the
-// legacy surface is pinned by the previous release's own golden, and
-// ToWireLegacy must keep producing exactly the v5 field set for it.
+// struct and must bump WireVersion AND colstore.FormatVersion by hand —
+// the codec's doc comment restates this from its side.
 package wirecompat
 
 import (

@@ -129,7 +129,7 @@ func TestPipelineAbortsDepositsOnDetectFailure(t *testing.T) {
 	// shipping deposits batches at several of them before detection,
 	// and site 0's failure leaves unconsumed buffers to the abort path.
 	rule := workload.CustPatternCFD(16)
-	_, err = DetectSingle(cl, rule, PatDetectS, Options{})
+	_, err = detectOne(context.Background(), cl, rule, PatDetectS, Options{})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("expected the injected failure, got %v", err)
 	}
@@ -150,7 +150,7 @@ func TestPipelineAbortsDepositsOnDetectFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DetectSingle(cl2, rule, PatDetectS, Options{}); err != nil {
+	if _, err := detectOne(context.Background(), cl2, rule, PatDetectS, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range bare {
@@ -207,7 +207,7 @@ func TestDetectCancelDuringShippingDrainsDeposits(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := workload.CustPatternCFD(16)
-	_, err = DetectSingleCtx(ctx, cl, rule, PatDetectS, Options{})
+	_, err = detectOne(ctx, cl, rule, PatDetectS, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -221,7 +221,7 @@ func TestDetectCancelDuringShippingDrainsDeposits(t *testing.T) {
 	}
 	// The compiled plan stays serviceable after a cancelled run: the
 	// same cluster detects cleanly under a live context.
-	sp, err := CompileSingle(context.Background(), cl, rule, PatDetectS, Options{})
+	sp, err := compileOne(context.Background(), cl, rule, PatDetectS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

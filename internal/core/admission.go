@@ -5,10 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"distcfd/internal/cfd"
-	"distcfd/internal/mining"
-	"distcfd/internal/relation"
 )
 
 // Admission control. A site under the paper's protocol accepts every
@@ -26,7 +22,8 @@ import (
 // Liveness stays orthogonal to load: Ping, the identity accessors and
 // the cleanup messages (Abort, Cancel, DropSession) bypass admission —
 // an overloaded or draining site is alive, must answer health probes,
-// and must keep releasing deposit buffers.
+// and must keep releasing deposit buffers. The forwarding itself is
+// Intercept's; this file is only the gate.
 
 // AdmissionPolicy bounds concurrent work at one site. The zero value
 // of any field selects its default.
@@ -86,6 +83,7 @@ type Drainer interface {
 // Admission is the admission-controlled view of a site. Wrap every
 // serving site with WithAdmission; it is safe for concurrent use.
 type Admission struct {
+	Intercept
 	inner  SiteAPI
 	policy AdmissionPolicy
 	sem    chan struct{}
@@ -101,7 +99,9 @@ type Admission struct {
 // (zero fields take defaults).
 func WithAdmission(s SiteAPI, policy AdmissionPolicy) *Admission {
 	p := policy.withDefaults()
-	return &Admission{inner: s, policy: p, sem: make(chan struct{}, p.MaxConcurrent)}
+	a := &Admission{inner: s, policy: p, sem: make(chan struct{}, p.MaxConcurrent)}
+	a.Intercept = NewIntercept(a.Inner, a.admit)
+	return a
 }
 
 // Inner returns the wrapped site (tests and metrics look behind the
@@ -208,14 +208,19 @@ func (a *Admission) release() {
 	<-a.sem
 }
 
-// do runs one admitted work call.
-func (a *Admission) do(ctx context.Context, fn func(SiteAPI) error) error {
+// admit is the Intercept hook: every work call runs admitted. Ping is
+// let through — liveness is orthogonal to load, an overloaded or
+// draining site answers its health probe.
+func (a *Admission) admit(ctx context.Context, method string, call func(SiteAPI) error) error {
+	if method == "Ping" {
+		return call(a.inner)
+	}
 	release, err := a.acquire(ctx)
 	if err != nil {
 		return err
 	}
 	defer release()
-	return fn(a.inner)
+	return call(a.inner)
 }
 
 // Drain implements Drainer: new work is rejected with CodeDraining
@@ -262,153 +267,7 @@ func (a *Admission) Draining() bool {
 	a.mu.Lock()
 	d := a.draining
 	a.mu.Unlock()
-	if d {
-		return true
-	}
-	if ds, ok := a.inner.(interface{ Draining() bool }); ok {
-		return ds.Draining()
-	}
-	return false
-}
-
-// ID passes through (identity bypasses admission).
-func (a *Admission) ID() int { return a.inner.ID() }
-
-// NumTuples passes through.
-func (a *Admission) NumTuples() (int, error) { return a.inner.NumTuples() }
-
-// Predicate passes through.
-func (a *Admission) Predicate() (relation.Predicate, error) { return a.inner.Predicate() }
-
-// Ping passes through: liveness is orthogonal to load — an overloaded
-// or draining site answers its health probe.
-func (a *Admission) Ping(ctx context.Context) error { return a.inner.Ping(ctx) }
-
-// Abort passes through (cleanup must run during drain).
-func (a *Admission) Abort(taskKey string) error { return a.inner.Abort(taskKey) }
-
-// Cancel passes through (cleanup must run during drain).
-func (a *Admission) Cancel(taskKey string) error { return a.inner.Cancel(taskKey) }
-
-// DropSession passes through (cleanup must run during drain).
-func (a *Admission) DropSession(session string) error { return a.inner.DropSession(session) }
-
-// SigmaStats is admitted work.
-func (a *Admission) SigmaStats(ctx context.Context, spec *BlockSpec) (out []int, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.SigmaStats(ctx, spec); return err })
-	return out, err
-}
-
-// ExtractBlock is admitted work.
-func (a *Admission) ExtractBlock(ctx context.Context, spec *BlockSpec, l int, attrs []string) (out *relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.ExtractBlock(ctx, spec, l, attrs); return err })
-	return out, err
-}
-
-// ExtractMatching is admitted work.
-func (a *Admission) ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []string) (out *relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.ExtractMatching(ctx, spec, attrs); return err })
-	return out, err
-}
-
-// ExtractBlocksBatch is admitted work.
-func (a *Admission) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int) (out map[int]*relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.ExtractBlocksBatch(ctx, spec, attrs, wanted); return err })
-	return out, err
-}
-
-// Deposit is admitted work.
-func (a *Admission) Deposit(ctx context.Context, task string, batch *relation.Relation, nonce string) error {
-	return a.do(ctx, func(in SiteAPI) error { return in.Deposit(ctx, task, batch, nonce) })
-}
-
-// DetectTask is admitted work.
-func (a *Admission) DetectTask(ctx context.Context, task string, local LocalInput, cfds []*cfd.CFD) (out []*relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.DetectTask(ctx, task, local, cfds); return err })
-	return out, err
-}
-
-// DetectAssignedSingle is admitted work.
-func (a *Admission) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, c *cfd.CFD) (out *relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error {
-		out, err = in.DetectAssignedSingle(ctx, taskPrefix, spec, blocks, c)
-		return err
-	})
-	return out, err
-}
-
-// DetectAssignedSet is admitted work.
-func (a *Admission) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD) (out []*relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error {
-		out, err = in.DetectAssignedSet(ctx, taskPrefix, spec, blocks, cfds)
-		return err
-	})
-	return out, err
-}
-
-// DetectConstantsLocal is admitted work.
-func (a *Admission) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (out *relation.Relation, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.DetectConstantsLocal(ctx, c); return err })
-	return out, err
-}
-
-// MineFrequent is admitted work.
-func (a *Admission) MineFrequent(ctx context.Context, x []string, theta float64) (out []mining.Pattern, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.MineFrequent(ctx, x, theta); return err })
-	return out, err
-}
-
-// ApplyDelta is admitted work.
-func (a *Admission) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (out DeltaInfo, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.ApplyDelta(ctx, d, nonce); return err })
-	return out, err
-}
-
-// ExtractDeltaBlocks is admitted work.
-func (a *Admission) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (out *DeltaBlocks, err error) {
-	err = a.do(ctx, func(in SiteAPI) error {
-		out, err = in.ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen)
-		return err
-	})
-	return out, err
-}
-
-// FoldDetect is admitted work.
-func (a *Admission) FoldDetect(ctx context.Context, args FoldArgs) (out *FoldReply, err error) {
-	err = a.do(ctx, func(in SiteAPI) error { out, err = in.FoldDetect(ctx, args); return err })
-	return out, err
-}
-
-// DetectParallelism forwards to the inner site when it has the knob.
-func (a *Admission) DetectParallelism() int {
-	if p, ok := a.inner.(interface{ DetectParallelism() int }); ok {
-		return p.DetectParallelism()
-	}
-	return 0
-}
-
-// SetDetectParallelism forwards to the inner site when it has the knob.
-func (a *Admission) SetDetectParallelism(n int) {
-	if p, ok := a.inner.(interface{ SetDetectParallelism(int) }); ok {
-		p.SetDetectParallelism(n)
-	}
-}
-
-// PendingDeposits forwards the leak-detection counter.
-func (a *Admission) PendingDeposits() int {
-	if p, ok := a.inner.(interface{ PendingDeposits() int }); ok {
-		return p.PendingDeposits()
-	}
-	return 0
-}
-
-// Close forwards to the inner site when it holds resources (a
-// store-backed site's mapping and WAL handle).
-func (a *Admission) Close() error {
-	if c, ok := a.inner.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
+	return d || a.Intercept.Draining()
 }
 
 var (

@@ -72,7 +72,7 @@ func chaosCluster(t *testing.T, dataSeed int64, wrap func(i int, s *core.Site) c
 	return cl, bare
 }
 
-func identicalViolations(t *testing.T, label string, got, want *core.SetResult) {
+func identicalViolations(t *testing.T, label string, got, want *core.Result) {
 	t.Helper()
 	for ci := range want.PerCFD {
 		g, w := got.PerCFD[ci], want.PerCFD[ci]
@@ -106,7 +106,7 @@ func TestChaosRetryEquivalence(t *testing.T) {
 	var totalRetries int64
 	for _, seed := range []int64{3, 5, 9} {
 		baseline, bare := chaosCluster(t, seed, func(_ int, s *core.Site) core.SiteAPI { return s })
-		want, err := core.ClustDetect(baseline, chaosCFDs(), core.PatDetectS, core.Options{})
+		want, err := core.DetectOnce(context.Background(), baseline, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +118,7 @@ func TestChaosRetryEquivalence(t *testing.T) {
 		faulted, fbare := chaosCluster(t, seed, func(i int, s *core.Site) core.SiteAPI {
 			return faulty.Wrap(s, faulty.Plan{Seed: base + seed*31 + int64(i), Rate: 0.10})
 		})
-		got, err := core.ClustDetect(faulted, chaosCFDs(), core.PatDetectS,
-			core.Options{Failure: core.FailRetry, Retry: fastRetry})
+		got, err := core.DetectOnce(context.Background(), faulted, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry, Retry: fastRetry}, true)
 		if err != nil {
 			t.Fatalf("seed %d: faulted run failed: %v", seed, err)
 		}
@@ -172,8 +171,7 @@ func TestChaosDegradePartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.ClustDetect(cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailDegrade, Retry: fastRetry})
+	res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade, Retry: fastRetry}, true)
 	if err != nil {
 		t.Fatalf("degraded run failed outright: %v", err)
 	}
@@ -198,7 +196,7 @@ func TestChaosDegradePartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.ClustDetect(rcl, chaosCFDs(), core.PatDetectS, core.Options{})
+	want, err := core.DetectOnce(context.Background(), rcl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +281,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 				// The outcome depends on class × policy (an error under
 				// FailFast, recovery or a partial answer otherwise); the
 				// deposit invariant must hold either way.
-				res, err := core.ClustDetect(cl, chaosCFDs(), core.PatDetectS,
-					core.Options{Failure: pol, Retry: fastRetry})
+				res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: pol, Retry: fastRetry}, true)
 				if err == nil && res == nil {
 					t.Fatal("nil result without error")
 				}
@@ -321,8 +318,7 @@ func TestChaosBreakerOpensOnDeadSite(t *testing.T) {
 	// traffic.
 	retry := fastRetry
 	retry.Attempts = 6
-	_, err := core.ClustDetect(cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailDegrade, Retry: retry})
+	_, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade, Retry: retry}, true)
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
@@ -388,7 +384,7 @@ func TestChaosStoreRestartByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.ClustDetect(memCl, chaosCFDs(), core.PatDetectS, core.Options{})
+	want, err := core.DetectOnce(context.Background(), memCl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,8 +426,7 @@ func TestChaosStoreRestartByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.ClustDetect(cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailRetry, Retry: fastRetry})
+	got, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry, Retry: fastRetry}, true)
 	if err != nil {
 		t.Fatalf("store-backed run failed: %v", err)
 	}
@@ -455,7 +450,7 @@ func TestChaosStoreRestartByteIdentical(t *testing.T) {
 // transient faults like stale state — invalidate and reseed — and its
 // figures stay byte-identical to the fault-free incremental run.
 func TestChaosIncrementalRetry(t *testing.T) {
-	run := func(wrap func(i int, s *core.Site) core.SiteAPI, opt core.Options) (*core.SetResult, []*core.Site) {
+	run := func(wrap func(i int, s *core.Site) core.SiteAPI, opt core.Options) (*core.Result, []*core.Site) {
 		cl, bare := chaosCluster(t, 6, wrap)
 		p, err := core.CompileSet(context.Background(), cl, chaosCFDs(), core.PatDetectS, opt, true)
 		if err != nil {

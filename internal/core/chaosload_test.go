@@ -84,7 +84,7 @@ func TestChaosLoadConcurrentDetects(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*core.SetResult, runs)
+	results := make([]*core.Result, runs)
 	errs := make([]error, runs)
 	times := make([]time.Duration, runs)
 	for r := 0; r < runs; r++ {
@@ -159,7 +159,7 @@ func TestChaosLoadConcurrentDetects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.ClustDetect(clean, chaosCFDs(), core.PatDetectS, core.Options{})
+	want, err := core.DetectOnce(context.Background(), clean, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestChaosLoadConcurrentDetects(t *testing.T) {
 func TestChaosLoadOverloadEquivalence(t *testing.T) {
 	base := chaosSeed(t)
 	baseline, _ := chaosCluster(t, 5, func(_ int, s *core.Site) core.SiteAPI { return s })
-	want, err := core.ClustDetect(baseline, chaosCFDs(), core.PatDetectS, core.Options{})
+	want, err := core.DetectOnce(context.Background(), baseline, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,7 @@ func TestChaosLoadOverloadEquivalence(t *testing.T) {
 			OverloadRetryAfter: 200 * time.Microsecond,
 		})
 	})
-	got, err := core.ClustDetect(cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailRetry, Retry: fastRetry})
+	got, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry, Retry: fastRetry}, true)
 	if err != nil {
 		t.Fatalf("overloaded run failed: %v", err)
 	}
@@ -279,8 +278,7 @@ func TestChaosLoadDrainDegrade(t *testing.T) {
 				}
 				return s
 			})
-			res, err := core.ClustDetect(cl, chaosCFDs(), core.PatDetectS,
-				core.Options{Failure: core.FailDegrade, Retry: fastRetry})
+			res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade, Retry: fastRetry}, true)
 			if err != nil {
 				t.Fatalf("degraded run failed outright: %v", err)
 			}
@@ -310,7 +308,7 @@ func TestChaosLoadDrainDegrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.ClustDetect(rcl, chaosCFDs(), core.PatDetectS, core.Options{})
+			want, err := core.DetectOnce(context.Background(), rcl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1}, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"distcfd/internal/cfd"
 	"distcfd/internal/dist"
 	"distcfd/internal/relation"
 )
@@ -46,10 +45,6 @@ type unitInc struct {
 	delsSinceSeed int
 }
 
-func newUnitInc(k, n int) *unitInc {
-	return &unitInc{sticky: make([]int, k), foldedGen: make([]int64, n)}
-}
-
 // invalidate abandons the session after a failed round: deposits are
 // drained (and late arrivals tombstoned), coordinator states dropped,
 // and the next round reseeds under a fresh key.
@@ -62,58 +57,17 @@ func (st *unitInc) invalidate(cl *Cluster) {
 	st.seeded = false
 }
 
-// incPipeOut mirrors pipelineOut for the incremental pipeline.
-type incPipeOut struct {
-	coords []int
-	parts  [][]*relation.Relation
-}
+// foldDeltas is the movement half of an incremental round, after
+// assignBlocks computed the statistics and assignment exactly as a
+// fresh run would: fresh-equivalent shipment accounting into m's
+// regular channel, delta movement on the delta channel, folds at the
+// sticky coordinators. A stale-state failure retries once with a full
+// reseed; any error leaves the session invalidated (zero retained
+// deposits) and the next call reseeds.
+func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, prunedSite []bool, lstat [][]int, coords []int,
+	fragSizes []int, st *unitInc) ([][]*relation.Relation, error) {
 
-// runIncrementalPipeline executes one incremental round of the σ-block
-// pipeline over an already-built spec: fresh-equivalent accounting
-// into m's regular channel, delta movement on the delta channel, folds
-// at the sticky coordinators. A stale-state failure retries once with
-// a full reseed; any error leaves the session invalidated (zero
-// retained deposits) and the next call reseeds.
-func runIncrementalPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *BlockSpec, detectCFDs []*cfd.CFD,
-	restrictSingle bool, algo Algorithm, opt Options, m *dist.Metrics, fragSizes []int, st *unitInc) (*incPipeOut, error) {
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prunedSite, prunedBlock := pruneMatrix(cl.preds, spec)
-
-	// Local statistics, as a fresh run computes them — the sites serve
-	// the maintained σ entries, so this is O(K) per site after deltas.
-	lstat := make([][]int, cl.N())
-	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
-		if prunedSite[i] {
-			lstat[i] = make([]int, spec.K())
-			return nil
-		}
-		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
-			s, err := cl.sites[i].SigmaStats(ctx, spec)
-			if err != nil {
-				return err
-			}
-			for l := range s {
-				if prunedBlock[i][l] {
-					s[l] = 0
-				}
-			}
-			lstat[i] = s
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cl.N(); i++ {
-		if !prunedSite[i] {
-			cl.broadcastControl(m, i, int64(8*spec.K()))
-		}
-	}
-
-	coords := assign(algo, lstat, fragSizes, opt.Cost, fs.eligible())
-
+	cl := u.cl
 	// Fresh-equivalent shipment accounting: exactly the blocks a fresh
 	// run would move, charged as tuple counts (payload bytes live on
 	// the delta channel — they are what actually crossed the wire).
@@ -146,10 +100,10 @@ func runIncrementalPipeline(ctx context.Context, cl *Cluster, fs *faultState, sp
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		attemptM := dist.NewMetrics(cl.N())
-		parts, err = st.dataRound(ctx, cl, fs, spec, detectCFDs, restrictSingle, attemptM, prunedSite, coords, fragSizes, opt)
+		parts, err = st.dataRound(ctx, u, fs, attemptM, prunedSite, coords, fragSizes)
 		if err == nil {
 			m.Merge(attemptM)
-			return &incPipeOut{coords: coords, parts: parts}, nil
+			return parts, nil
 		}
 		st.invalidate(cl)
 		if ctx.Err() != nil {
@@ -166,9 +120,10 @@ func runIncrementalPipeline(ctx context.Context, cl *Cluster, fs *faultState, sp
 // dataRound runs the movement-and-fold half of one round: extraction
 // of delta (or, seeding, full) blocks at every site, shipping to the
 // sticky coordinators, folding, and watermark commit.
-func (st *unitInc) dataRound(ctx context.Context, cl *Cluster, fs *faultState, spec *BlockSpec, detectCFDs []*cfd.CFD,
-	restrictSingle bool, m *dist.Metrics, prunedSite []bool, freshCoords []int, fragSizes []int, opt Options) ([][]*relation.Relation, error) {
+func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *dist.Metrics,
+	prunedSite []bool, freshCoords []int, fragSizes []int) ([][]*relation.Relation, error) {
 
+	cl, spec, detectCFDs, opt := u.cl, u.spec, u.views, u.opt
 	attrs := taskAttrs(spec, detectCFDs)
 	n := cl.N()
 	seeding := !st.seeded
@@ -297,7 +252,7 @@ func (st *unitInc) dataRound(ctx context.Context, cl *Cluster, fs *faultState, s
 				Spec:           spec,
 				Blocks:         bySite[j],
 				CFDs:           detectCFDs,
-				RestrictSingle: restrictSingle,
+				RestrictSingle: u.restrict,
 				Seed:           seeding,
 				FromGen:        st.foldedGen[j],
 			})
@@ -328,87 +283,39 @@ func (st *unitInc) dataRound(ctx context.Context, cl *Cluster, fs *faultState, s
 	return parts, nil
 }
 
-// DetectIncremental runs the compiled single-CFD plan against the
-// cluster's current data, serving from retained delta state: only
-// tuples that changed since the previous call (per the sites' delta
-// logs) are σ-routed and shipped, and the sticky coordinators fold
-// them into retained group states. The reported Patterns, Vio,
-// ShippedTuples, CheckSizes, and ModeledTime are byte-identical to a
-// fresh sp.Detect on the same data (property-tested); what actually
-// moved is reported in DeltaShippedTuples/DeltaShippedBytes. The first
-// call — and any call after an error, a site restart, or a
-// delete-heavy history — transparently reseeds with one full shipment.
+// DetectIncremental runs the compiled plan against the cluster's
+// current data, serving from retained delta state: only tuples that
+// changed since the previous call (per the sites' delta logs) are
+// σ-routed and shipped, and the sticky coordinators fold them into
+// retained group states. The violation sets, ShippedTuples, per-unit
+// CheckSizes and ModeledTime are byte-identical to a fresh p.Detect on
+// the same data (property-tested); what actually moved is reported in
+// DeltaShippedTuples/DeltaShippedBytes. The first call — and any call
+// after an error, a site restart, or a delete-heavy history —
+// transparently reseeds with one full shipment.
 //
-// Calls serialize on the plan's incremental session; mutation of the
+// The incremental path retries transient failures (per call, then per
+// round via reseed) but never excludes sites: a sticky coordinator's
+// retained state is the whole point, so FailDegrade behaves like
+// FailRetry here.
+//
+// Calls serialize on the plan's incremental sessions; mutation of the
 // fragments (ApplyDelta) must not overlap a call, the usual
 // single-writer rule.
-func (sp *SinglePlan) DetectIncremental(ctx context.Context) (*SingleResult, error) {
-	sp.incMu.Lock()
-	defer sp.incMu.Unlock()
-	return sp.detectIncrementalLocked(ctx)
+func (p *Plan) DetectIncremental(ctx context.Context) (*Result, error) {
+	p.incMu.Lock()
+	defer p.incMu.Unlock()
+	return p.detectIncrementalLocked(ctx)
 }
 
-func (sp *SinglePlan) detectIncrementalLocked(ctx context.Context) (*SingleResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opt := sp.opt
-	cl := sp.cl
-	start := time.Now()
-	m := dist.NewMetrics(cl.N())
-	// The incremental path retries transient failures (per call, then
-	// per round via reseed) but never excludes sites: a sticky
-	// coordinator's retained state is the whole point, so FailDegrade
-	// behaves like FailRetry here.
-	fs := newFaultState(cl.N(), opt)
-	res := &SingleResult{
-		CFD:           sp.c,
-		Algorithm:     sp.algo,
-		Metrics:       m,
-		Spec:          sp.spec,
-		MinedPatterns: sp.mined,
-		Incremental:   true,
-	}
-
-	fragSizes, err := cl.fragmentSizes()
+func (p *Plan) detectIncrementalLocked(ctx context.Context) (*Result, error) {
+	fs := newFaultState(p.cl.N(), p.opt)
+	res, err := p.pass(ctx, fs, time.Now(), true)
 	if err != nil {
 		return nil, err
 	}
-	constParts, err := detectConstantsEverywhere(ctx, cl, fs, sp.c)
-	if err != nil {
-		return nil, err
-	}
-	if sp.view == nil {
-		res.Patterns = mergeDistinct(sp.patternSchema, constParts)
-		res.LocalOnly = true
-		fin, err := finishSingle(cl, res, opt, fragSizes, start)
-		if err != nil {
-			return nil, err
-		}
-		sp.finishFailure(fin, fs)
-		return fin, nil
-	}
-	for _, cb := range sp.control {
-		cl.broadcastControl(m, cb.from, cb.bytes)
-	}
-	if sp.inc == nil {
-		sp.inc = newUnitInc(sp.spec.K(), cl.N())
-	}
-	out, err := runIncrementalPipeline(ctx, cl, fs, sp.spec, []*cfd.CFD{sp.view}, true, sp.algo, opt, m, fragSizes, sp.inc)
-	if err != nil {
-		return nil, err
-	}
-	res.Coordinators = out.coords
-	res.LocalOnly = m.TotalTuples() == 0
-	res.Patterns = mergeDistinct(sp.patternSchema, append(constParts, out.parts[0]...))
-	res.DeltaShippedTuples = m.DeltaTuples()
-	res.DeltaShippedBytes = m.DeltaBytes()
-	fin, err := finishSingle(cl, res, opt, fragSizes, start)
-	if err != nil {
-		return nil, err
-	}
-	sp.finishFailure(fin, fs)
-	return fin, nil
+	p.finishFailure(res, fs)
+	return res, nil
 }
 
 // DetectDelta applies the given per-site deltas and runs one
@@ -418,134 +325,7 @@ func (sp *SinglePlan) detectIncrementalLocked(ctx context.Context) (*SingleResul
 // of racing mutation against a running round. (Mutating the cluster
 // from elsewhere while any detection runs remains unsupported, as for
 // all mutation.)
-func (sp *SinglePlan) DetectDelta(ctx context.Context, deltas map[int]relation.Delta) (*SingleResult, error) {
-	sp.incMu.Lock()
-	defer sp.incMu.Unlock()
-	if err := applyDeltas(ctx, sp.cl, deltas); err != nil {
-		return nil, err
-	}
-	return sp.detectIncrementalLocked(ctx)
-}
-
-// detectIncremental mirrors clusterPlan.detect for an incremental
-// round; the accounting formulas are identical, reading the
-// fresh-equivalent channel of the round's metrics.
-func (cp *clusterPlan) detectIncremental(ctx context.Context) ([]*relation.Relation, float64, *dist.Metrics, error) {
-	cl := cp.cl
-	m := dist.NewMetrics(cl.N())
-	fs := newFaultState(cl.N(), cp.opt) // no exclusions on this path; see SinglePlan
-	fragSizes, err := cl.fragmentSizes()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	constParts := make([][]*relation.Relation, len(cp.group))
-	for ci, c := range cp.group {
-		parts, err := detectConstantsEverywhere(ctx, cl, fs, c)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		constParts[ci] = parts
-	}
-	out := make([]*relation.Relation, len(cp.group))
-	for ci := range cp.group {
-		out[ci] = mergeDistinct(cp.schemas[ci], constParts[ci])
-	}
-	modeled := 0.0
-	if cp.spec != nil {
-		if cp.inc == nil {
-			cp.inc = newUnitInc(cp.spec.K(), cl.N())
-		}
-		pipe, err := runIncrementalPipeline(ctx, cl, fs, cp.spec, cp.views, false, cp.algo, cp.opt, m, fragSizes, cp.inc)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		for vi, ci := range cp.viewIdx {
-			out[ci] = mergeDistinct(out[ci].Schema(), append([]*relation.Relation{out[ci]}, pipe.parts[vi]...))
-		}
-		checkSizes := make([]int, cl.N())
-		for i := range checkSizes {
-			checkSizes[i] = fragSizes[i] + int(m.ReceivedBy(i))
-		}
-		modeled = cp.opt.Cost.ResponseTime(m, checkSizes)
-	} else {
-		modeled = cp.opt.Cost.ResponseTime(m, fragSizes)
-	}
-	for ci, c := range cp.group {
-		if err := out[ci].SortBy(c.X...); err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	fs.stamp(m)
-	return out, modeled, m, nil
-}
-
-func (u *planUnit) detectIncremental(ctx context.Context) ([]*relation.Relation, float64, *dist.Metrics, error) {
-	if u.single != nil {
-		one, err := u.single.DetectIncremental(ctx)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("core: cfd %s: %w", u.single.c.Name, err)
-		}
-		return []*relation.Relation{one.Patterns}, one.ModeledTime, one.Metrics, nil
-	}
-	return u.multi.detectIncremental(ctx)
-}
-
-// DetectIncremental runs the compiled set plan from retained delta
-// state, unit by unit in deterministic cluster order (incremental
-// rounds mutate per-unit session state, so Options.Workers does not
-// apply). The violation sets, ShippedTuples, and ModeledTime equal a
-// fresh p.Detect on the same data; DeltaShippedTuples/Bytes report the
-// actual wire traffic.
-func (p *Plan) DetectIncremental(ctx context.Context) (*SetResult, error) {
-	p.incMu.Lock()
-	defer p.incMu.Unlock()
-	return p.detectIncrementalLocked(ctx)
-}
-
-func (p *Plan) detectIncrementalLocked(ctx context.Context) (*SetResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	total := dist.NewMetrics(p.cl.N())
-	res := &SetResult{
-		CFDs:        p.cfds,
-		Metrics:     total,
-		PerCFD:      make([]*relation.Relation, len(p.cfds)),
-		Clusters:    p.clusters,
-		Incremental: true,
-		Coverage:    1,
-	}
-	unitModeled := make([]float64, len(p.units))
-	unitMetrics := make([]*dist.Metrics, len(p.units))
-	for gi, u := range p.units {
-		pats, modeled, m, err := u.detectIncremental(ctx)
-		if err != nil {
-			return nil, err
-		}
-		total.Merge(m)
-		unitModeled[gi], unitMetrics[gi] = modeled, m
-		for i, idx := range p.clusters[gi] {
-			res.PerCFD[idx] = pats[i]
-		}
-	}
-	p.fillAliases(res, unitMetrics)
-	res.ModeledTime = p.modeledSum(unitModeled)
-	res.ShippedTuples = total.TotalTuples()
-	res.DeltaShippedTuples = total.DeltaTuples()
-	res.DeltaShippedBytes = total.DeltaBytes()
-	// Units stamp their own fault states into their metrics; Merge
-	// carried them here, so the set totals fall out of the sum.
-	res.Retries = total.TotalRetries()
-	res.Faults = total.TotalFaults()
-	res.WallTime = time.Since(start)
-	return res, nil
-}
-
-// DetectDelta applies per-site deltas and runs one incremental round.
-// The apply happens under the plan's incremental lock; see
-// SinglePlan.DetectDelta for the serialization contract.
-func (p *Plan) DetectDelta(ctx context.Context, deltas map[int]relation.Delta) (*SetResult, error) {
+func (p *Plan) DetectDelta(ctx context.Context, deltas map[int]relation.Delta) (*Result, error) {
 	p.incMu.Lock()
 	defer p.incMu.Unlock()
 	if err := applyDeltas(ctx, p.cl, deltas); err != nil {

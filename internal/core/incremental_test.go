@@ -41,31 +41,7 @@ func cloneCluster(t *testing.T, cl *Cluster) *Cluster {
 	return virgin
 }
 
-func assertSingleEquiv(t *testing.T, label string, inc, fresh, virgin *SingleResult) {
-	t.Helper()
-	if !inc.Incremental {
-		t.Fatalf("%s: incremental run not marked Incremental", label)
-	}
-	if got, want := inc.Patterns.String(), fresh.Patterns.String(); got != want {
-		t.Fatalf("%s: incremental patterns diverge from fresh plan Detect:\nincremental:\n%s\nfresh:\n%s", label, got, want)
-	}
-	if got, want := inc.Patterns.String(), virgin.Patterns.String(); got != want {
-		t.Fatalf("%s: incremental patterns diverge from virgin cluster:\nincremental:\n%s\nvirgin:\n%s", label, got, want)
-	}
-	if inc.ShippedTuples != fresh.ShippedTuples || inc.ShippedTuples != virgin.ShippedTuples {
-		t.Fatalf("%s: ShippedTuples inc=%d fresh=%d virgin=%d",
-			label, inc.ShippedTuples, fresh.ShippedTuples, virgin.ShippedTuples)
-	}
-	if inc.ModeledTime != fresh.ModeledTime || inc.ModeledTime != virgin.ModeledTime {
-		t.Fatalf("%s: ModeledTime inc=%v fresh=%v virgin=%v",
-			label, inc.ModeledTime, fresh.ModeledTime, virgin.ModeledTime)
-	}
-	if got, want := inc.Vio.String(), fresh.Vio.String(); got != want {
-		t.Fatalf("%s: Vio diverges:\n%s\nvs\n%s", label, got, want)
-	}
-}
-
-func assertSetEquiv(t *testing.T, label string, inc, fresh, virgin *SetResult) {
+func assertIncEquiv(t *testing.T, label string, inc, fresh, virgin *Result) {
 	t.Helper()
 	if !inc.Incremental {
 		t.Fatalf("%s: incremental run not marked Incremental", label)
@@ -160,7 +136,7 @@ func TestSingleIncrementalEquivalenceEMP(t *testing.T) {
 					} else {
 						cl = uniformCluster(t, 4, 11)
 					}
-					sp, err := CompileSingle(ctx, cl, rule, algo, Options{})
+					sp, err := compileOne(ctx, cl, rule, algo, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -175,7 +151,7 @@ func TestSingleIncrementalEquivalenceEMP(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						vsp, err := CompileSingle(ctx, cloneCluster(t, cl), rule, algo, Options{})
+						vsp, err := compileOne(ctx, cloneCluster(t, cl), rule, algo, Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -183,7 +159,7 @@ func TestSingleIncrementalEquivalenceEMP(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						assertSingleEquiv(t, fmt.Sprintf("%s step %d", label, step), inc, fresh, virgin)
+						assertIncEquiv(t, fmt.Sprintf("%s step %d", label, step), inc, fresh, virgin)
 					}
 				})
 			}
@@ -229,7 +205,7 @@ func TestSetIncrementalEquivalenceEMP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSetEquiv(t, fmt.Sprintf("step %d", step), inc, fresh, virgin)
+				assertIncEquiv(t, fmt.Sprintf("step %d", step), inc, fresh, virgin)
 			}
 		})
 	}
@@ -302,7 +278,7 @@ func TestIncrementalEquivalenceWorkloads(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertSetEquiv(t, fmt.Sprintf("%s step %d", w.name, step), inc, fresh, virgin)
+					assertIncEquiv(t, fmt.Sprintf("%s step %d", w.name, step), inc, fresh, virgin)
 					if step > 0 && inc.ShippedTuples > 0 && inc.DeltaShippedTuples >= inc.ShippedTuples {
 						t.Fatalf("step %d: delta channel (%d) shipped no less than full recompute (%d)",
 							step, inc.DeltaShippedTuples, inc.ShippedTuples)
@@ -382,13 +358,13 @@ func TestIncrementalShipsLessAt1Percent(t *testing.T) {
 // back to a full fold and keep the equivalence.
 func TestIncrementalFallbacks(t *testing.T) {
 	ctx := context.Background()
-	check := func(t *testing.T, cl *Cluster, sp *SinglePlan) {
+	check := func(t *testing.T, cl *Cluster, sp *Plan) {
 		t.Helper()
 		inc, err := sp.DetectIncremental(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vsp, err := CompileSingle(ctx, cloneCluster(t, cl), sp.CFD(), PatDetectS, Options{})
+		vsp, err := compileOne(ctx, cloneCluster(t, cl), sp.CFDs()[0], PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,12 +376,12 @@ func TestIncrementalFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSingleEquiv(t, "fallback", inc, fresh, virgin)
+		assertIncEquiv(t, "fallback", inc, fresh, virgin)
 	}
 
 	t.Run("foreign-mutation", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 7)
-		sp, err := CompileSingle(ctx, cl, phi1, PatDetectS, Options{})
+		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,11 +401,11 @@ func TestIncrementalFallbacks(t *testing.T) {
 	// and silently serves pre-mutation violations.
 	t.Run("foreign-mutation-second-session", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 7)
-		spA, err := CompileSingle(ctx, cl, phi1, PatDetectS, Options{})
+		spA, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spB, err := CompileSingle(ctx, cl, phi1, PatDetectS, Options{})
+		spB, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +432,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 	// tuple (they fold only the log suffix).
 	t.Run("foreign-mutation-then-applydelta", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 7)
-		sp, err := CompileSingle(ctx, cl, phi1, PatDetectS, Options{})
+		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +450,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 
 	t.Run("delete-ratio", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 8)
-		sp, err := CompileSingle(ctx, cl, phi1, PatDetectS, Options{DeltaFallbackRatio: 0.05})
+		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{DeltaFallbackRatio: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,7 +466,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 
 	t.Run("log-trimmed", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 9)
-		sp, err := CompileSingle(ctx, cl, phi1, PatDetectS, Options{})
+		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,7 +547,7 @@ func TestIncrementalCancelDuringShippingDrainsDeposits(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := workload.CustPatternCFD(16)
-	sp, err := CompileSingle(context.Background(), cl, rule, PatDetectS, Options{})
+	sp, err := compileOne(context.Background(), cl, rule, PatDetectS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +574,7 @@ func TestIncrementalCancelDuringShippingDrainsDeposits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Patterns.String() != fresh.Patterns.String() ||
+	if inc.PerCFD[0].String() != fresh.PerCFD[0].String() ||
 		inc.ShippedTuples != fresh.ShippedTuples || inc.ModeledTime != fresh.ModeledTime {
 		t.Fatal("post-cancel incremental round diverges from fresh Detect")
 	}

@@ -1,111 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"distcfd/internal/cfd"
-)
-
-// The multi-CFD entry points are one-shot forms of the compiled plan:
-// each compiles with CompileSet and runs once. They differ only in
-// clustering and worker count; the execution engine (Plan.Detect) is
-// shared, so the three schedules cannot diverge.
-
-// SeqDetect detects violations of a CFD set by processing the CFDs one
-// by one with the chosen single-CFD algorithm (Section IV-C). The
-// paper pipelines the per-CFD phases so no site idles; the modeled
-// response time reported here is the sum of the per-CFD modeled times,
-// an upper bound on the pipelined schedule that is consistent across
-// algorithms and therefore comparable (Exp-5/Exp-6 compare SeqDetect
-// and ClustDetect under the same accounting).
-//
-// SeqDetect may ship the same tuple several times — once per CFD that
-// matches it — which is exactly the inefficiency ClustDetect removes.
-//
-// Deprecated: compile once with CompileSet(clustered=false) and serve
-// through Plan.Detect / DetectIncremental; this wrapper recompiles per
-// call. It remains for tests and the ablation-5 comparisons.
-func SeqDetect(cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	//distcfd:ctxflow-ok — deprecated context-free wrapper; callers own no context
-	return SeqDetectCtx(context.Background(), cl, cfds, algo, opt)
-}
-
-// SeqDetectCtx is SeqDetect under a context.
-func SeqDetectCtx(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	if len(cfds) == 0 {
-		return nil, fmt.Errorf("core: SeqDetect with no CFDs")
-	}
-	opt = opt.withDefaults()
-	opt.Workers = 1
-	p, err := CompileSet(ctx, cl, cfds, algo, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	return p.Detect(ctx)
-}
-
-// ClustDetect detects violations of a CFD set by first clustering CFDs
-// whose LHS attribute sets are related by containment (X ⊆ X′ or
-// X′ ⊆ X, Section IV-C), then processing each cluster with a single
-// σ-partitioning over the shared attributes W = ∩ LHS: tuples are
-// shipped once per cluster — projected onto the union of the cluster's
-// attributes — instead of once per CFD, and each coordinator checks
-// every member CFD inside its blocks.
-//
-// Deprecated: compile once with CompileSet(clustered=true) and serve
-// through Plan.Detect / DetectIncremental; this wrapper recompiles per
-// call. It remains for tests and the ablation-5 comparisons.
-func ClustDetect(cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	//distcfd:ctxflow-ok — deprecated context-free wrapper; callers own no context
-	return ClustDetectCtx(context.Background(), cl, cfds, algo, opt)
-}
-
-// ClustDetectCtx is ClustDetect under a context.
-func ClustDetectCtx(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	if len(cfds) == 0 {
-		return nil, fmt.Errorf("core: ClustDetect with no CFDs")
-	}
-	opt = opt.withDefaults()
-	opt.Workers = 1
-	p, err := CompileSet(ctx, cl, cfds, algo, opt, true)
-	if err != nil {
-		return nil, err
-	}
-	return p.Detect(ctx)
-}
-
-// ParDetect detects violations of a CFD set with ClustDetect's
-// clustering but processes the clusters concurrently across a worker
-// pool bounded by Options.Workers. Clusters produced by clusterByLHS
-// are independent — they share no σ-partitioning, deposit keys are
-// cluster-unique (newTask), and every Site/Metrics operation is
-// internally synchronized — so the per-cluster work of ClustDetect can
-// overlap without changing any answer: the violation sets are
-// identical to SeqDetect's and ClustDetect's, and per-worker metrics
-// and modeled times are merged in deterministic cluster order, keeping
-// ModeledTime and the Metrics totals equal to ClustDetect's. Only
-// WallTime shrinks.
-//
-// Deprecated: compile once with CompileSet and Options.Workers, then
-// serve through Plan.Detect; this wrapper recompiles per call. It
-// remains for tests and the ablation-7 comparisons.
-func ParDetect(cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	//distcfd:ctxflow-ok — deprecated context-free wrapper; callers own no context
-	return ParDetectCtx(context.Background(), cl, cfds, algo, opt)
-}
-
-// ParDetectCtx is ParDetect under a context.
-func ParDetectCtx(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options) (*SetResult, error) {
-	if len(cfds) == 0 {
-		return nil, fmt.Errorf("core: ParDetect with no CFDs")
-	}
-	p, err := CompileSet(ctx, cl, cfds, algo, opt, true)
-	if err != nil {
-		return nil, err
-	}
-	return p.Detect(ctx)
-}
+import "distcfd/internal/cfd"
 
 // clusterByLHS groups CFD indices with union-find, merging two CFDs
 // when one's LHS attribute set contains the other's (the paper's

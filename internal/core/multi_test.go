@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestSeqAndClustAgreeWithOracle(t *testing.T) {
 	cl := fig1bCluster(t)
 	cfds := []*cfd.CFD{phi1, phi2, phi3}
 
-	seq, err := SeqDetect(cl, cfds, PatDetectS, Options{})
+	seq, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu, err := ClustDetect(cl, cfds, PatDetectS, Options{})
+	clu, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func overlappingCFDs() []*cfd.CFD {
 func TestClustDetectClustersOverlappingCFDs(t *testing.T) {
 	cl := fig1bCluster(t)
 	cfds := overlappingCFDs()
-	res, err := ClustDetect(cl, cfds, PatDetectS, Options{})
+	res, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestClustDetectClustersOverlappingCFDs(t *testing.T) {
 	}
 }
 
-// TestClustShipsNoMoreThanSeq: for overlapping CFDs, ClustDetect ships
+// TestClustShipsNoMoreThanSeq: for overlapping CFDs, the clustered strategy ships
 // each tuple once per cluster instead of once per CFD.
 func TestClustShipsNoMoreThanSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -100,11 +101,11 @@ func TestClustShipsNoMoreThanSeq(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := SeqDetect(cl, cfds, PatDetectS, Options{})
+		seq, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 1}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clu, err := ClustDetect(cl, cfds, PatDetectS, Options{})
+		clu, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 1}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestClustShipsNoMoreThanSeq(t *testing.T) {
 	}
 }
 
-// TestClustRandomizedOracle drives ClustDetect across random CFD sets,
+// TestClustRandomizedOracle drives the clustered strategy across random CFD sets,
 // including non-clusterable mixes.
 func TestClustRandomizedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -151,7 +152,7 @@ func TestClustRandomizedOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, algo := range []Algorithm{PatDetectS, PatDetectRT} {
-			clu, err := ClustDetect(cl, cfds, algo, Options{})
+			clu, err := DetectOnce(context.Background(), cl, cfds, algo, Options{Workers: 1}, true)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -172,10 +173,10 @@ func TestClustRandomizedOracle(t *testing.T) {
 
 func TestSeqDetectEmptyInput(t *testing.T) {
 	cl := fig1bCluster(t)
-	if _, err := SeqDetect(cl, nil, PatDetectS, Options{}); err == nil {
+	if _, err := DetectOnce(context.Background(), cl, nil, PatDetectS, Options{Workers: 1}, false); err == nil {
 		t.Error("expected error for empty CFD set")
 	}
-	if _, err := ClustDetect(cl, nil, PatDetectS, Options{}); err == nil {
+	if _, err := DetectOnce(context.Background(), cl, nil, PatDetectS, Options{Workers: 1}, true); err == nil {
 		t.Error("expected error for empty CFD set")
 	}
 }
@@ -183,9 +184,13 @@ func TestSeqDetectEmptyInput(t *testing.T) {
 func TestSetResultBookkeeping(t *testing.T) {
 	cl := fig1bCluster(t)
 	cfds := overlappingCFDs()
-	for _, run := range []func() (*SetResult, error){
-		func() (*SetResult, error) { return SeqDetect(cl, cfds, PatDetectRT, Options{}) },
-		func() (*SetResult, error) { return ClustDetect(cl, cfds, PatDetectRT, Options{}) },
+	for _, run := range []func() (*Result, error){
+		func() (*Result, error) {
+			return DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, false)
+		},
+		func() (*Result, error) {
+			return DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, true)
+		},
 	} {
 		res, err := run()
 		if err != nil {

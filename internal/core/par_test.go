@@ -25,9 +25,10 @@ func identicalRelations(a, b *relation.Relation) bool {
 }
 
 // TestParDetectIdenticalToSeqAndClust: on random relations, random CFD
-// sets, and random partitionings, ParDetect's violation sets are
-// byte-identical (tuples and order) to SeqDetect's and ClustDetect's,
-// and its shipment/time accounting equals ClustDetect's.
+// sets, and random partitionings, the violation sets of a clustered
+// plan run across a worker pool are byte-identical (tuples and order)
+// to the serial sequential and serial clustered runs', and its
+// shipment/time accounting equals the serial clustered run's.
 func TestParDetectIdenticalToSeqAndClust(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 12; trial++ {
@@ -47,34 +48,34 @@ func TestParDetectIdenticalToSeqAndClust(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			seq, err := SeqDetect(cl, cfds, PatDetectRT, Options{})
+			seq, err := DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			clu, err := ClustDetect(cl, cfds, PatDetectRT, Options{})
+			clu, err := DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := ParDetect(cl, cfds, PatDetectRT, Options{Workers: workers})
+			par, err := DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: workers}, true)
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
 			for ci := range cfds {
 				if !identicalRelations(par.PerCFD[ci], seq.PerCFD[ci]) {
-					t.Fatalf("trial %d workers %d cfd %d: ParDetect != SeqDetect\n par %v\n seq %v",
+					t.Fatalf("trial %d workers %d cfd %d: parallel != sequential\n par %v\n seq %v",
 						trial, workers, ci, par.PerCFD[ci], seq.PerCFD[ci])
 				}
 				if !identicalRelations(par.PerCFD[ci], clu.PerCFD[ci]) {
-					t.Fatalf("trial %d workers %d cfd %d: ParDetect != ClustDetect",
+					t.Fatalf("trial %d workers %d cfd %d: parallel != serial clustered",
 						trial, workers, ci)
 				}
 			}
 			if par.ShippedTuples != clu.ShippedTuples {
-				t.Errorf("trial %d workers %d: shipment %d != ClustDetect's %d",
+				t.Errorf("trial %d workers %d: shipment %d != serial clustered %d",
 					trial, workers, par.ShippedTuples, clu.ShippedTuples)
 			}
 			if par.ModeledTime != clu.ModeledTime {
-				t.Errorf("trial %d workers %d: modeled %v != ClustDetect's %v",
+				t.Errorf("trial %d workers %d: modeled %v != serial clustered %v",
 					trial, workers, par.ModeledTime, clu.ModeledTime)
 			}
 			if len(par.Clusters) != len(clu.Clusters) {
@@ -87,7 +88,7 @@ func TestParDetectIdenticalToSeqAndClust(t *testing.T) {
 func TestParDetectBookkeeping(t *testing.T) {
 	cl := fig1bCluster(t)
 	cfds := []*cfd.CFD{phi1, phi2, phi3}
-	res, err := ParDetect(cl, cfds, PatDetectS, Options{})
+	res, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestParDetectBookkeeping(t *testing.T) {
 
 func TestParDetectEmptyInput(t *testing.T) {
 	cl := fig1bCluster(t)
-	if _, err := ParDetect(cl, nil, PatDetectS, Options{}); err == nil {
+	if _, err := DetectOnce(context.Background(), cl, nil, PatDetectS, Options{}, true); err == nil {
 		t.Error("expected error for empty CFD set")
 	}
 }
@@ -138,11 +139,11 @@ func TestParDetectManyIndependentCFDs(t *testing.T) {
 			{LHS: []string{cfd.Wildcard}, RHS: []string{cfd.Wildcard}},
 		}))
 	}
-	seq, err := SeqDetect(cl, cfds, PatDetectS, Options{})
+	seq, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ParDetect(cl, cfds, PatDetectS, Options{Workers: 3})
+	par, err := DetectOnce(context.Background(), cl, cfds, PatDetectS, Options{Workers: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestIntraUnitParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ClustDetect(cl, cfds, PatDetectRT, Options{})
+	serial, err := DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

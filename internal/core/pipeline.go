@@ -8,42 +8,134 @@ import (
 	"distcfd/internal/relation"
 )
 
-// pipelineOut carries the products of the shared σ-block pipeline:
-// statistics, the coordinator assignment, and per-CFD, per-site
-// violation-pattern relations.
-type pipelineOut struct {
-	lstat  [][]int
-	coords []int
-	// parts[ci][j] holds the X-patterns of detectCFDs[ci] found at
-	// coordinator site j (nil when j coordinated no blocks).
-	parts [][]*relation.Relation
-}
-
-// runBlockPipeline executes the common phases of Section IV-B/IV-C
-// over an already-built σ spec:
+// run executes one attempt of the unit — the pipeline of Section IV-B,
+// which Section IV-C runs once per cluster:
 //
-//  1. Fi ∧ Fφ pruning,
-//  2. parallel local statistics + exchange (control traffic),
-//  3. coordinator assignment per the algorithm's policy,
-//  4. parallel shipping of non-local blocks (each tuple at most once),
-//  5. parallel detection at the coordinators.
+//  1. constant units of every member, locally at every site (Prop. 5),
+//  2. Fi ∧ Fφ pruning, parallel local statistics + exchange (control
+//     traffic), coordinator assignment per the algorithm's policy
+//     (assignBlocks),
+//  3. movement and detection: a fresh run (st == nil) ships every
+//     non-local σ-block to its coordinator and detects there
+//     (shipAndDetect); an incremental round charges those shipments to
+//     the accounting and moves only deltas into the session's retained
+//     state (foldDeltas, incremental.go).
 //
-// The context is checked at every phase boundary and inside the
-// shipping loop; once shipping has begun, any failure or cancellation
-// cancels the task at every site (drain + tombstone), so a run the
-// driver gave up on cannot leave deposits behind — not even a batch
-// that was still in flight when the driver stopped waiting.
-//
-// With restrictSingle, detectCFDs must be a single CFD and each block
-// checks only its own pattern row (Lemma 6); otherwise every CFD's
-// full tableau is checked inside each block (the ClustDetect
-// coordinator step).
-func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *BlockSpec, detectCFDs []*cfd.CFD, restrictSingle bool,
-	algo Algorithm, opt Options, m *dist.Metrics, fragSizes []int) (*pipelineOut, error) {
-
+// intraWorkers is the row-shard budget each coordinator check may use
+// (the plan's split of Options.Workers).
+func (u *unit) run(ctx context.Context, intraWorkers int, fs *faultState, st *unitInc) (*unitOut, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	cl := u.cl
+	ctx = WithDetectResources(ctx, u.kern, intraWorkers)
+	m := dist.NewMetrics(cl.N())
+	fragSizes, err := cl.fragmentSizes()
+	if err != nil {
+		return nil, err
+	}
+
+	pats := make([]*relation.Relation, len(u.group))
+	for ci, c := range u.group {
+		parts, err := detectConstantsEverywhere(ctx, cl, fs, c)
+		if err != nil {
+			return nil, err
+		}
+		pats[ci] = mergeDistinct(u.schemas[ci], parts)
+	}
+
+	out := &unitOut{pats: pats, m: m, report: UnitReport{Spec: u.spec, MinedPatterns: u.mined, LocalOnly: true}}
+	if u.spec != nil {
+		for _, cb := range u.control {
+			cl.broadcastControl(m, cb.from, cb.bytes)
+		}
+		prunedSite, lstat, coords, err := u.assignBlocks(ctx, fs, m, fragSizes)
+		if err != nil {
+			return nil, err
+		}
+		var parts [][]*relation.Relation
+		if st == nil {
+			parts, err = u.shipAndDetect(ctx, fs, m, prunedSite, lstat, coords)
+		} else {
+			parts, err = u.foldDeltas(ctx, fs, m, prunedSite, lstat, coords, fragSizes, st)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for vi, ci := range u.viewIdx {
+			pats[ci] = mergeDistinct(u.schemas[ci], append([]*relation.Relation{pats[ci]}, parts[vi]...))
+		}
+		out.report.Coordinators = coords
+		out.report.LocalOnly = m.TotalTuples() == 0
+	}
+	for ci, c := range u.group {
+		if err := pats[ci].SortBy(c.X...); err != nil {
+			return nil, err
+		}
+	}
+	checkSizes := make([]int, cl.N())
+	for i := range checkSizes {
+		checkSizes[i] = fragSizes[i] + int(m.ReceivedBy(i))
+	}
+	out.report.CheckSizes = checkSizes
+	out.modeled = u.opt.Cost.ResponseTime(m, checkSizes)
+	return out, nil
+}
+
+// detectConstantsEverywhere runs the Proposition 5 local check of c's
+// constant units at every site in parallel. Excluded sites contribute
+// nothing — their fragment is unreachable.
+func detectConstantsEverywhere(ctx context.Context, cl *Cluster, fs *faultState, c *cfd.CFD) ([]*relation.Relation, error) {
+	parts := make([]*relation.Relation, cl.N())
+	err := cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
+		if fs.isExcluded(i) {
+			return nil
+		}
+		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
+			pats, err := cl.sites[i].DetectConstantsLocal(ctx, c)
+			if err != nil {
+				return err
+			}
+			parts[i] = pats
+			return nil
+		})
+	})
+	return parts, err
+}
+
+// pruneMatrix evaluates Fi ∧ Fφ satisfiability for every site and
+// pattern (Section IV-A). prunedSite[i] is true when site i is pruned
+// for every pattern; prunedBlock[i][l] prunes individual pairs.
+func pruneMatrix(preds []relation.Predicate, spec *BlockSpec) (prunedSite []bool, prunedBlock [][]bool) {
+	n := len(preds)
+	prunedSite = make([]bool, n)
+	prunedBlock = make([][]bool, n)
+	for i := 0; i < n; i++ {
+		prunedBlock[i] = make([]bool, spec.K())
+		if preds[i].IsTrue() {
+			continue // unknown predicate: nothing provable
+		}
+		all := true
+		for l := 0; l < spec.K(); l++ {
+			if !preds[i].ConsistentWith(spec.PatternPredicate(l)) {
+				prunedBlock[i][l] = true
+			} else {
+				all = false
+			}
+		}
+		prunedSite[i] = all
+	}
+	return prunedSite, prunedBlock
+}
+
+// assignBlocks is the data-dependent preamble every run of the σ-block
+// pipeline shares: pruning, per-site block statistics (served from the
+// sites' maintained σ entries, so O(K) per site after deltas), the
+// statistics exchange charged to m's control plane, and the
+// coordinator assignment. lstat[i][l] = |H_i^l| with pruned pairs
+// zeroed; coords[l] is block l's coordinator (-1 = empty block).
+func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics, fragSizes []int) (prunedSite []bool, lstat [][]int, coords []int, err error) {
+	cl, spec := u.cl, u.spec
 	prunedSite, prunedBlock := pruneMatrix(cl.preds, spec)
 	// A degraded run treats excluded sites like fully pruned ones — no
 	// statistics, no shipping, nothing received — except that pruning
@@ -54,8 +146,7 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 		}
 	}
 
-	// Local statistics in parallel.
-	lstat := make([][]int, cl.N())
+	lstat = make([][]int, cl.N())
 	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
 		if prunedSite[i] {
 			lstat[i] = make([]int, spec.K())
@@ -75,7 +166,7 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 			return nil
 		})
 	}); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	// Statistics exchange: involved sites broadcast their lstat vector.
 	for i := 0; i < cl.N(); i++ {
@@ -83,14 +174,27 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 			cl.broadcastControl(m, i, int64(8*spec.K()))
 		}
 	}
+	return prunedSite, lstat, assign(u.algo, lstat, fragSizes, u.opt.Cost, fs.eligible()), nil
+}
 
-	coords := assign(algo, lstat, fragSizes, opt.Cost, fs.eligible())
-
+// shipAndDetect is the movement half of a fresh run: parallel shipping
+// of non-local blocks (each tuple at most once) and parallel detection
+// at the coordinators. It returns parts[vi][j], the X-patterns of
+// u.views[vi] found at coordinator site j (nil when j coordinated no
+// blocks).
+//
+// The context is checked at every phase boundary and inside the
+// shipping loop; once shipping has begun, any failure or cancellation
+// cancels the task at every site (drain + tombstone), so a run the
+// driver gave up on cannot leave deposits behind — not even a batch
+// that was still in flight when the driver stopped waiting.
+func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metrics, prunedSite []bool, lstat [][]int, coords []int) ([][]*relation.Relation, error) {
+	cl, spec := u.cl, u.spec
 	// Shipping. From here on the run owns deposit buffers at other
 	// sites: every exit that abandons the run must cancel the task
 	// (drain + tombstone), or repeated failed runs against long-lived
 	// sites grow memory without bound — task keys are never reused.
-	attrs := taskAttrs(spec, detectCFDs)
+	attrs := taskAttrs(spec, u.views)
 	task := cl.newTask("blocks")
 	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
 		if prunedSite[i] {
@@ -117,7 +221,7 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if opt.NoPackedShip {
+			if u.opt.NoPackedShip {
 				batches[l].DropPacked()
 			}
 			if err := cl.ship(ctx, fs, m, i, coords[l], BlockTask(task, l), batches[l]); err != nil {
@@ -136,9 +240,9 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 
 	// Detection at the coordinators.
 	bySite := blocksBySite(coords, cl.N())
-	parts := make([][]*relation.Relation, len(detectCFDs))
-	for ci := range parts {
-		parts[ci] = make([]*relation.Relation, cl.N())
+	parts := make([][]*relation.Relation, len(u.views))
+	for vi := range parts {
+		parts[vi] = make([]*relation.Relation, cl.N())
 	}
 	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) error {
 		if len(bySite[j]) == 0 {
@@ -148,20 +252,20 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 		// retries it only while failures provably happened before
 		// execution; anything murkier escalates to a unit re-run.
 		return cl.callSite(ctx, fs, j, false, func(ctx context.Context) error {
-			if restrictSingle {
-				pats, err := cl.sites[j].DetectAssignedSingle(ctx, task, spec, bySite[j], detectCFDs[0])
+			if u.restrict {
+				pats, err := cl.sites[j].DetectAssignedSingle(ctx, task, spec, bySite[j], u.views[0])
 				if err != nil {
 					return err
 				}
 				parts[0][j] = pats
 				return nil
 			}
-			perCFD, err := cl.sites[j].DetectAssignedSet(ctx, task, spec, bySite[j], detectCFDs)
+			perCFD, err := cl.sites[j].DetectAssignedSet(ctx, task, spec, bySite[j], u.views)
 			if err != nil {
 				return err
 			}
-			for ci := range detectCFDs {
-				parts[ci][j] = perCFD[ci]
+			for vi := range u.views {
+				parts[vi][j] = perCFD[vi]
 			}
 			return nil
 		})
@@ -171,5 +275,5 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 		cl.cancelTask(task)
 		return nil, err
 	}
-	return &pipelineOut{lstat: lstat, coords: coords, parts: parts}, nil
+	return parts, nil
 }

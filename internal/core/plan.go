@@ -15,106 +15,106 @@ import (
 	"distcfd/internal/relation"
 )
 
-// This file is the plan-once/detect-many layer: CompileSingle and
-// CompileSet perform every Σ-side computation of Section IV exactly
-// once — CFD validation against the cluster schema, constant/variable
-// normalization, LHS-containment clustering, σ block-spec construction
-// (including the Section IV-B mining preprocessing), and the violation
-// pattern schema projections — and return an immutable plan whose
-// Detect method re-evaluates only data-dependent state. Plans are safe
-// for concurrent Detect calls: each run owns its Metrics and task
-// keys, and the sites' fingerprint-keyed caches serve the repeated
-// fragment-side routing. The legacy one-shot entry points
-// (DetectSingle, SeqDetect, ClustDetect, ParDetect) are thin wrappers
-// that compile and immediately run.
+// This file is the plan-once/detect-many layer: CompileSet performs
+// every Σ-side computation of Section IV exactly once — CFD validation
+// against the cluster schema, constant/variable normalization,
+// LHS-containment clustering, σ block-spec construction (including the
+// Section IV-B mining preprocessing), and the violation pattern schema
+// projections — and returns a plan whose Detect method re-evaluates
+// only data-dependent state. Plans are safe for concurrent Detect
+// calls: each run owns its Metrics and task keys, and the sites'
+// fingerprint-keyed caches serve the repeated fragment-side routing.
 
 // controlReplay is one recorded control-plane broadcast of the compile
 // phase (the mined-pattern exchange), replayed into every run's
-// metrics so a compiled run reports byte-identical traffic to the
-// one-shot path it replaced.
+// metrics: the exchange happened once, but every run the paper's
+// algorithm makes would have paid for it.
 type controlReplay struct {
 	from  int
 	bytes int64
 }
 
-// SinglePlan is the compiled form of a single-CFD detection: the
-// validated CFD, its violation-pattern schema, its variable view, and
-// the σ-partitioning spec (mined when the options ask for it), ready
-// to run any number of times.
-type SinglePlan struct {
+// unit is the compiled form of one independently runnable piece of a
+// plan: ≥1 member CFDs related by LHS containment, their variable
+// views, one σ spec over W = ∩ LHS shared by those views, and the
+// per-member pattern schemas. Section IV-C defines multi-CFD detection
+// as the single-CFD pipeline run per cluster, so a lone CFD is simply a
+// unit of one. Units are immutable after compilation.
+type unit struct {
 	cl   *Cluster
 	algo Algorithm
 	opt  Options
-	c    *cfd.CFD
+	kern *engine.Kernel // the owning plan's detection scratch pool
 
-	// kern pools the detection kernel's scratch across this plan's
-	// runs: concurrent Detect calls share (and return) one set of
-	// buffers instead of reallocating per call. Plans compiled inside a
-	// set share the set plan's kernel.
-	kern *engine.Kernel
-
-	patternSchema *relation.Schema
-	view          *cfd.CFD // nil: constant-only, checked locally
-	spec          *BlockSpec
-	mined         int
-	control       []controlReplay
-
-	// Incremental session state (incremental.go): the one mutable part
-	// of a plan, guarded by incMu — DetectIncremental calls serialize,
-	// plain Detect stays lock-free and concurrent.
-	incMu sync.Mutex
-	inc   *unitInc
+	group   []*cfd.CFD
+	schemas []*relation.Schema
+	views   []*cfd.CFD
+	viewIdx []int
+	spec    *BlockSpec // nil when every member is constant-only
+	// restrict selects the Lemma 6 coordinator check: with exactly one
+	// variable view the spec's patterns are that view's tableau rows, so
+	// each block checks only its own row. Derived, never set.
+	restrict bool
+	// The mined spec of a lone all-wildcard CFD (Options.MineTheta) and
+	// the pattern exchange it cost at compile time.
+	mined   int
+	control []controlReplay
 }
 
-// CompileSingle validates c against the cluster and compiles its
-// detection plan under the chosen algorithm and options. When mining
-// applies (MineTheta > 0, multi-site, all-wildcard LHS) the sites are
-// mined here, once; the resulting spec and the pattern-exchange
-// control traffic are captured in the plan.
-func CompileSingle(ctx context.Context, cl *Cluster, c *cfd.CFD, algo Algorithm, opt Options) (*SinglePlan, error) {
-	opt = opt.withDefaults()
-	if err := c.Validate(cl.schema); err != nil {
-		return nil, err
+func compileUnit(ctx context.Context, cl *Cluster, group []*cfd.CFD, algo Algorithm, opt Options, kern *engine.Kernel) (*unit, error) {
+	u := &unit{cl: cl, algo: algo, opt: opt, kern: kern, group: group}
+	for ci, c := range group {
+		if err := c.Validate(cl.schema); err != nil {
+			return nil, fmt.Errorf("core: cfd %s: %w", c.Name, err)
+		}
+		ps, err := cl.schema.Project("viopi_"+c.Name, c.X)
+		if err != nil {
+			return nil, fmt.Errorf("core: cfd %s: %w", c.Name, err)
+		}
+		u.schemas = append(u.schemas, ps)
+		if v, ok := c.VariableView(); ok {
+			u.views = append(u.views, v)
+			u.viewIdx = append(u.viewIdx, ci)
+		}
 	}
-	ps, err := cl.schema.Project("viopi_"+c.Name, c.X)
+	u.restrict = len(u.views) == 1
+	var err error
+	switch {
+	case len(u.views) == 0:
+	case len(group) == 1:
+		u.spec, u.mined, u.control, err = compileSpec(ctx, cl, u.views[0], opt)
+	default:
+		w := sharedLHS(u.views)
+		if len(w) == 0 {
+			return nil, fmt.Errorf("core: cluster with empty shared LHS — clusterByLHS should prevent this")
+		}
+		u.spec, err = projectedSpec(w, u.views)
+	}
 	if err != nil {
 		return nil, err
 	}
-	sp := &SinglePlan{cl: cl, algo: algo, opt: opt, c: c, patternSchema: ps, kern: &engine.Kernel{}}
-	view, hasVariable := c.VariableView()
-	if !hasVariable {
-		return sp, nil
-	}
-	sp.view = view
-	spec, mined, control, err := compileSpec(ctx, cl, view, opt)
-	if err != nil {
-		return nil, err
-	}
-	sp.spec, sp.mined, sp.control = spec, mined, control
-	return sp, nil
+	return u, nil
 }
 
-// CFD returns the compiled dependency.
-func (sp *SinglePlan) CFD() *cfd.CFD { return sp.c }
+// unitOut is what one unit run reports: per-member patterns (aligned
+// with the group), the modeled time, the run's metrics and the
+// per-unit detail.
+type unitOut struct {
+	pats    []*relation.Relation
+	modeled float64
+	m       *dist.Metrics
+	report  UnitReport
+}
 
-// Detect runs the compiled plan once, re-evaluating all
-// data-dependent state (fragment sizes, constant units, σ routing,
-// shipping, coordinator checks) under ctx. Cancellation mid-run
-// cancels the task at every site, so no deposit outlives the run.
-// Standalone single-CFD plans have one unit, so the whole worker
-// budget goes to intra-unit row sharding at the coordinators.
-//
-// Under an active failure policy (Options.Failure), site failures a
-// per-call retry could not absorb re-run the whole attempt — a failed
-// attempt cancels its task and discards its metrics, so the attempt
-// that succeeds is exactly a clean run.
-func (sp *SinglePlan) Detect(ctx context.Context) (*SingleResult, error) {
-	fs := newFaultState(sp.cl.N(), sp.opt)
+// detect runs one unit under the run's shared fault state: each
+// attempt is a fresh pipeline with fresh metrics (failed attempts
+// cancel their tasks and report nothing), re-run per the policy until
+// it succeeds or the unit budget is spent.
+func (u *unit) detect(ctx context.Context, intraWorkers int, fs *faultState) (*unitOut, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := sp.detect(ctx, sp.opt.Workers, fs)
+		out, err := u.run(ctx, intraWorkers, fs, nil)
 		if err == nil {
-			sp.finishFailure(res, fs)
-			return res, nil
+			return out, nil
 		}
 		if retry, rerr := fs.unitFailure(ctx, attempt, err); !retry {
 			return nil, rerr
@@ -122,228 +122,17 @@ func (sp *SinglePlan) Detect(ctx context.Context) (*SingleResult, error) {
 	}
 }
 
-// finishFailure stamps the run's fault channel and degraded-result
-// fields onto a completed result. Called once per faultState, at the
-// top-level entry that created it.
-func (sp *SinglePlan) finishFailure(res *SingleResult, fs *faultState) {
-	fs.stamp(res.Metrics)
-	res.Retries, res.Faults = fs.totals()
-	res.ExcludedSites = fs.excludedSites()
-	res.Partial = len(res.ExcludedSites) > 0
-	if res.Partial {
-		if sizes, err := sp.cl.fragmentSizes(); err == nil {
-			res.Coverage = fs.coverage(sizes)
-		}
-	}
-}
-
-// detect runs one attempt of the plan with an explicit intra-unit
-// worker budget (the set plan's split when the plan runs as a
-// singleton unit) under the run's shared fault state.
-func (sp *SinglePlan) detect(ctx context.Context, intraWorkers int, fs *faultState) (*SingleResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx = WithDetectResources(ctx, sp.kern, intraWorkers)
-	opt := sp.opt
-	cl := sp.cl
-	start := time.Now()
-	m := dist.NewMetrics(cl.N())
-	res := &SingleResult{
-		CFD:           sp.c,
-		Algorithm:     sp.algo,
-		Metrics:       m,
-		Spec:          sp.spec,
-		MinedPatterns: sp.mined,
-	}
-
-	fragSizes, err := cl.fragmentSizes()
-	if err != nil {
-		return nil, err
-	}
-
-	// Constant units, locally at every site in parallel (Prop. 5).
-	constParts, err := detectConstantsEverywhere(ctx, cl, fs, sp.c)
-	if err != nil {
-		return nil, err
-	}
-
-	if sp.view == nil {
-		res.Patterns = mergeDistinct(sp.patternSchema, constParts)
-		res.LocalOnly = true
-		return finishSingle(cl, res, opt, fragSizes, start)
-	}
-
-	// Replay the compile phase's mined-pattern exchange so the run's
-	// control matrices match what the one-shot path recorded.
-	for _, cb := range sp.control {
-		cl.broadcastControl(m, cb.from, cb.bytes)
-	}
-
-	out, err := runBlockPipeline(ctx, cl, fs, sp.spec, []*cfd.CFD{sp.view}, true, sp.algo, opt, m, fragSizes)
-	if err != nil {
-		return nil, err
-	}
-	res.Coordinators = out.coords
-	res.LocalOnly = m.TotalTuples() == 0
-	res.Patterns = mergeDistinct(sp.patternSchema, append(constParts, out.parts[0]...))
-	return finishSingle(cl, res, opt, fragSizes, start)
-}
-
-// clusterPlan is the compiled form of one multi-CFD cluster (≥2
-// members sharing LHS containment): the members, their variable views,
-// the shared σ spec over W = ∩ LHS, and the per-member pattern
-// schemas.
-type clusterPlan struct {
-	cl   *Cluster
-	algo Algorithm
-	opt  Options
-	kern *engine.Kernel // the owning Plan's scratch pool
-
-	group   []*cfd.CFD
-	schemas []*relation.Schema
-	views   []*cfd.CFD
-	viewIdx []int
-	spec    *BlockSpec // nil when every member is constant-only
-
-	// Incremental session state; Plan.DetectIncremental serializes all
-	// units under the plan-level lock, so no per-cluster lock is needed.
-	inc *unitInc
-}
-
-func compileCluster(cl *Cluster, group []*cfd.CFD, algo Algorithm, opt Options) (*clusterPlan, error) {
-	cp := &clusterPlan{cl: cl, algo: algo, opt: opt, group: group}
-	for _, c := range group {
-		if err := c.Validate(cl.schema); err != nil {
-			return nil, err
-		}
-		ps, err := cl.schema.Project("viopi_"+c.Name, c.X)
-		if err != nil {
-			return nil, err
-		}
-		cp.schemas = append(cp.schemas, ps)
-	}
-	for ci, c := range group {
-		if v, ok := c.VariableView(); ok {
-			cp.views = append(cp.views, v)
-			cp.viewIdx = append(cp.viewIdx, ci)
-		}
-	}
-	if len(cp.views) > 0 {
-		w := sharedLHS(cp.views)
-		if len(w) == 0 {
-			return nil, fmt.Errorf("core: cluster with empty shared LHS — clusterByLHS should prevent this")
-		}
-		spec, err := projectedSpec(w, cp.views)
-		if err != nil {
-			return nil, err
-		}
-		cp.spec = spec
-	}
-	return cp, nil
-}
-
-// detect runs one compiled cluster: per-member patterns (aligned with
-// the group), the modeled time, and the cluster's metrics.
-// intraWorkers is the row-shard budget each coordinator check may use
-// (the set plan's split of Options.Workers).
-func (cp *clusterPlan) detect(ctx context.Context, intraWorkers int, fs *faultState) ([]*relation.Relation, float64, *dist.Metrics, error) {
-	cl := cp.cl
-	ctx = WithDetectResources(ctx, cp.kern, intraWorkers)
-	m := dist.NewMetrics(cl.N())
-	fragSizes, err := cl.fragmentSizes()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-
-	// Constant units of every member, locally (Prop. 5).
-	constParts := make([][]*relation.Relation, len(cp.group))
-	for ci, c := range cp.group {
-		parts, err := detectConstantsEverywhere(ctx, cl, fs, c)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		constParts[ci] = parts
-	}
-
-	out := make([]*relation.Relation, len(cp.group))
-	for ci := range cp.group {
-		out[ci] = mergeDistinct(cp.schemas[ci], constParts[ci])
-	}
-
-	modeled := 0.0
-	if cp.spec != nil {
-		pipe, err := runBlockPipeline(ctx, cl, fs, cp.spec, cp.views, false, cp.algo, cp.opt, m, fragSizes)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		for vi, ci := range cp.viewIdx {
-			merged := mergeDistinct(out[ci].Schema(), append([]*relation.Relation{out[ci]}, pipe.parts[vi]...))
-			out[ci] = merged
-		}
-		checkSizes := make([]int, cl.N())
-		for i := range checkSizes {
-			checkSizes[i] = fragSizes[i] + int(m.ReceivedBy(i))
-		}
-		modeled = cp.opt.Cost.ResponseTime(m, checkSizes)
-	} else {
-		modeled = cp.opt.Cost.ResponseTime(m, fragSizes)
-	}
-	for ci, c := range cp.group {
-		if err := out[ci].SortBy(c.X...); err != nil {
-			return nil, 0, nil, err
-		}
-	}
-	return out, modeled, m, nil
-}
-
-// planUnit is one independently runnable piece of a set plan: a
-// singleton CFD (processed exactly like DetectSingle) or a compiled
-// multi-member cluster.
-type planUnit struct {
-	members []int
-	single  *SinglePlan
-	multi   *clusterPlan
-}
-
-// detect runs one unit under the set run's shared fault state: each
-// attempt is a fresh pipeline with fresh metrics (failed attempts
-// cancel their tasks and report nothing), re-run per the policy until
-// it succeeds or the unit budget is spent.
-func (u *planUnit) detect(ctx context.Context, intraWorkers int, fs *faultState) ([]*relation.Relation, float64, *dist.Metrics, error) {
-	for attempt := 0; ; attempt++ {
-		pats, modeled, m, err := u.detectOnce(ctx, intraWorkers, fs)
-		if err == nil {
-			return pats, modeled, m, nil
-		}
-		if retry, rerr := fs.unitFailure(ctx, attempt, err); !retry {
-			return nil, 0, nil, rerr
-		}
-	}
-}
-
-func (u *planUnit) detectOnce(ctx context.Context, intraWorkers int, fs *faultState) ([]*relation.Relation, float64, *dist.Metrics, error) {
-	if u.single != nil {
-		one, err := u.single.detect(ctx, intraWorkers, fs)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("core: cfd %s: %w", u.single.c.Name, err)
-		}
-		return []*relation.Relation{one.Patterns}, one.ModeledTime, one.Metrics, nil
-	}
-	return u.multi.detect(ctx, intraWorkers, fs)
-}
-
-// Plan is the compiled form of a multi-CFD detection request over a
-// cluster: the CFD set, its clustering, and one compiled unit per
-// cluster. A Plan is immutable after compilation and safe for
-// concurrent Detect calls.
+// Plan is the compiled form of a detection request over a cluster: the
+// CFD set, its clustering, and one compiled unit per cluster. Apart
+// from the incremental sessions (guarded by incMu) a Plan is immutable
+// after compilation and safe for concurrent Detect calls.
 type Plan struct {
 	cl       *Cluster
 	algo     Algorithm
 	opt      Options
 	cfds     []*cfd.CFD
 	clusters [][]int
-	units    []*planUnit
+	units    []*unit        // aligned with clusters
 	kern     *engine.Kernel // plan-wide detection scratch pool
 
 	// Σ analysis artifacts (Options.Sigma): the static-analysis report
@@ -352,16 +141,20 @@ type Plan struct {
 	sigma   *cfd.SigmaReport
 	aliases []sigmaAlias
 
-	// incMu serializes DetectIncremental rounds (they mutate the
-	// per-unit sessions); Detect stays lock-free and concurrent.
+	// incMu serializes DetectIncremental rounds, which mutate the
+	// per-unit sessions in inc (aligned with units); Detect stays
+	// lock-free and concurrent.
 	incMu sync.Mutex
+	inc   []unitInc
 }
 
 // CompileSet compiles the detection plan for a CFD set. With clustered
 // true, CFDs whose LHS attribute sets are related by containment are
-// merged into shared-σ clusters (the ClustDetect strategy); otherwise
-// every CFD is its own unit (the SeqDetect strategy). All Σ-side work
-// — validation, clustering, spec construction, mining — happens here.
+// merged into shared-σ units (the paper's clustered strategy, §IV-C);
+// otherwise every CFD is its own unit (the sequential strategy). All
+// Σ-side work — validation, clustering, spec construction, mining —
+// happens here; when mining applies (MineTheta > 0, multi-site, a lone
+// all-wildcard CFD) the sites are mined here, once.
 func CompileSet(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options, clustered bool) (*Plan, error) {
 	if len(cfds) == 0 {
 		return nil, fmt.Errorf("core: compile with no CFDs")
@@ -391,31 +184,30 @@ func CompileSet(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorith
 		}
 	}
 	p := &Plan{cl: cl, algo: algo, opt: opt, cfds: cfds, clusters: clusters, kern: &engine.Kernel{},
-		sigma: sigmaReport, aliases: aliases}
+		sigma: sigmaReport, aliases: aliases, inc: make([]unitInc, len(clusters))}
 	for _, members := range clusters {
-		u := &planUnit{members: members}
-		if len(members) == 1 {
-			sp, err := CompileSingle(ctx, cl, cfds[members[0]], algo, opt)
-			if err != nil {
-				return nil, fmt.Errorf("core: cfd %s: %w", cfds[members[0]].Name, err)
-			}
-			sp.kern = p.kern // units of one plan share its scratch pool
-			u.single = sp
-		} else {
-			group := make([]*cfd.CFD, len(members))
-			for i, idx := range members {
-				group[i] = cfds[idx]
-			}
-			cp, err := compileCluster(cl, group, algo, opt)
-			if err != nil {
-				return nil, err
-			}
-			cp.kern = p.kern
-			u.multi = cp
+		group := make([]*cfd.CFD, len(members))
+		for i, idx := range members {
+			group[i] = cfds[idx]
+		}
+		u, err := compileUnit(ctx, cl, group, algo, opt, p.kern)
+		if err != nil {
+			return nil, err
 		}
 		p.units = append(p.units, u)
 	}
 	return p, nil
+}
+
+// DetectOnce compiles cfds and runs the plan once: the one-shot form
+// for experiments, examples and tests. Anything serving repeated
+// traffic compiles once and calls Detect / DetectIncremental.
+func DetectOnce(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options, clustered bool) (*Result, error) {
+	p, err := CompileSet(ctx, cl, cfds, algo, opt, clustered)
+	if err != nil {
+		return nil, err
+	}
+	return p.Detect(ctx)
 }
 
 // CFDs returns the compiled dependency set.
@@ -430,16 +222,24 @@ func (p *Plan) Clusters() [][]int { return p.clusters }
 // the plan was compiled with Options.SigmaOff.
 func (p *Plan) SigmaReport() *cfd.SigmaReport { return p.sigma }
 
-// SinglePlanFor returns the compiled single-CFD plan of cfds[i] when
-// the set plan processes it as a singleton unit (always, when compiled
-// without clustering), or nil when it is part of a merged cluster.
-func (p *Plan) SinglePlanFor(i int) *SinglePlan {
-	for _, u := range p.units {
-		if u.single != nil && u.members[0] == i {
-			return u.single
+// Single returns a one-CFD plan for cfds[i] under this plan's
+// algorithm and options. When the plan already processes cfds[i] as a
+// unit of its own, the compiled unit is shared — no second mining
+// pass; otherwise (a member of a merged cluster, or a pruned alias)
+// it is compiled here.
+func (p *Plan) Single(ctx context.Context, i int) (*Plan, error) {
+	one := p.cfds[i : i+1 : i+1]
+	var u *unit
+	if gi := p.unitOf(i); gi >= 0 && len(p.clusters[gi]) == 1 {
+		u = p.units[gi]
+	} else {
+		var err error
+		if u, err = compileUnit(ctx, p.cl, one, p.algo, p.opt, p.kern); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return &Plan{cl: p.cl, algo: p.algo, opt: p.opt, cfds: one, clusters: [][]int{{0}},
+		units: []*unit{u}, kern: p.kern, inc: make([]unitInc, 1)}, nil
 }
 
 // errParCanceled marks units a parallel run skipped after another unit
@@ -466,27 +266,31 @@ func splitWorkers(budget, units int) (clusterWorkers, intraWorkers int) {
 	return clusterWorkers, intraWorkers
 }
 
-// Detect runs the compiled plan once. Options.Workers is split
-// between the two levels of parallelism instead of fighting over
-// cores: up to len(units) workers process independent CFD clusters
-// concurrently, and the remainder of the budget shards the per-row
-// work inside each coordinator check (intra-unit row sharding). With
-// many clusters the budget goes to cluster overlap, exactly as
-// before; with one big merged cluster — the common shape after
-// shared-σ clustering — the whole budget drops into the kernel.
-// Results are merged in deterministic cluster order, so the violation
-// sets, shipment totals, and modeled time are identical at every
-// worker count. Cancellation mid-run stops pending units and cancels
-// in-flight tasks at every site.
-func (p *Plan) Detect(ctx context.Context) (*SetResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Detect runs the compiled plan once, re-evaluating all data-dependent
+// state (fragment sizes, constant units, σ routing, shipping,
+// coordinator checks) under ctx. Options.Workers is split between the
+// two levels of parallelism instead of fighting over cores: up to
+// len(units) workers process independent units concurrently, and the
+// remainder of the budget shards the per-row work inside each
+// coordinator check (intra-unit row sharding). With many units the
+// budget goes to unit overlap; with one unit — a lone CFD, or the
+// common shape after shared-σ clustering — the whole budget drops into
+// the kernel. Results are merged in deterministic cluster order, so
+// the violation sets, shipment totals, and modeled time are identical
+// at every worker count. Cancellation mid-run stops pending units and
+// cancels in-flight tasks at every site, so no deposit outlives the
+// run.
+//
+// Under an active failure policy (Options.Failure), site failures a
+// per-call retry could not absorb re-run the failed unit — a failed
+// attempt cancels its task and discards its metrics, so the attempt
+// that succeeds is exactly a clean run.
+func (p *Plan) Detect(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	fs := newFaultState(p.cl.N(), p.opt)
 	for {
 		excludedBefore := fs.excludedCount()
-		res, err := p.detectPass(ctx, fs, start)
+		res, err := p.pass(ctx, fs, start, false)
 		if err != nil {
 			return nil, err
 		}
@@ -504,8 +308,8 @@ func (p *Plan) Detect(ctx context.Context) (*SetResult, error) {
 }
 
 // finishFailure stamps the fault channel and the degraded-result
-// fields onto a completed set result (once per run).
-func (p *Plan) finishFailure(res *SetResult, fs *faultState) {
+// fields onto a completed result (once per run).
+func (p *Plan) finishFailure(res *Result, fs *faultState) {
 	fs.stamp(res.Metrics)
 	res.Retries, res.Faults = fs.totals()
 	res.ExcludedSites = fs.excludedSites()
@@ -518,25 +322,33 @@ func (p *Plan) finishFailure(res *SetResult, fs *faultState) {
 	}
 }
 
-// detectPass runs every unit once (with per-unit retries under the
-// shared fault state) and assembles a SetResult.
-func (p *Plan) detectPass(ctx context.Context, fs *faultState, start time.Time) (*SetResult, error) {
-	type unitOut struct {
-		pats    []*relation.Relation
-		modeled float64
-		m       *dist.Metrics
-		err     error
+// pass runs every unit once and assembles a Result. A fresh pass
+// retries each unit under the shared fault state and may overlap
+// units; an incremental pass runs them in deterministic cluster order
+// against the plan's retained sessions (rounds mutate per-unit session
+// state, so Options.Workers does not apply, and recovery is the
+// round-level reseed inside the unit).
+func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, incremental bool) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	outs := make([]unitOut, len(p.units))
+	outs := make([]*unitOut, len(p.units))
+	errs := make([]error, len(p.units))
 	clusterWorkers, intraWorkers := splitWorkers(p.opt.Workers, len(p.units))
 
-	if clusterWorkers <= 1 {
+	if incremental {
 		for gi, u := range p.units {
-			pats, modeled, m, err := u.detect(ctx, intraWorkers, fs)
-			if err != nil {
+			var err error
+			if outs[gi], err = u.run(ctx, intraWorkers, fs, &p.inc[gi]); err != nil {
 				return nil, err
 			}
-			outs[gi] = unitOut{pats: pats, modeled: modeled, m: m}
+		}
+	} else if clusterWorkers <= 1 {
+		for gi, u := range p.units {
+			var err error
+			if outs[gi], err = u.detect(ctx, intraWorkers, fs); err != nil {
+				return nil, err
+			}
 		}
 	} else {
 		sem := make(chan struct{}, clusterWorkers)
@@ -544,7 +356,7 @@ func (p *Plan) detectPass(ctx context.Context, fs *faultState, start time.Time) 
 		var failed atomic.Bool
 		for gi, u := range p.units {
 			wg.Add(1)
-			go func(gi int, u *planUnit) {
+			go func(gi int, u *unit) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
@@ -552,20 +364,19 @@ func (p *Plan) detectPass(ctx context.Context, fs *faultState, start time.Time) 
 				// died, units that have not started yet are skipped instead
 				// of shipping tuples the caller will discard.
 				if failed.Load() || ctx.Err() != nil {
-					outs[gi].err = errParCanceled
+					errs[gi] = errParCanceled
 					return
 				}
-				pats, modeled, m, err := u.detect(ctx, intraWorkers, fs)
-				if err != nil {
+				outs[gi], errs[gi] = u.detect(ctx, intraWorkers, fs)
+				if errs[gi] != nil {
 					failed.Store(true)
 				}
-				outs[gi] = unitOut{pats: pats, modeled: modeled, m: m, err: err}
 			}(gi, u)
 		}
 		wg.Wait()
-		for _, out := range outs {
-			if out.err != nil && !errors.Is(out.err, errParCanceled) {
-				return nil, out.err
+		for _, err := range errs {
+			if err != nil && !errors.Is(err, errParCanceled) {
+				return nil, err
 			}
 		}
 		if err := ctx.Err(); err != nil {
@@ -574,18 +385,20 @@ func (p *Plan) detectPass(ctx context.Context, fs *faultState, start time.Time) 
 	}
 
 	total := dist.NewMetrics(p.cl.N())
-	res := &SetResult{
-		CFDs:     p.cfds,
-		Metrics:  total,
-		PerCFD:   make([]*relation.Relation, len(p.cfds)),
-		Clusters: p.clusters,
-		Coverage: 1,
+	res := &Result{
+		CFDs:        p.cfds,
+		Metrics:     total,
+		PerCFD:      make([]*relation.Relation, len(p.cfds)),
+		Clusters:    p.clusters,
+		Units:       make([]UnitReport, len(p.units)),
+		Incremental: incremental,
 	}
 	unitModeled := make([]float64, len(outs))
 	unitMetrics := make([]*dist.Metrics, len(outs))
 	for gi, out := range outs {
 		total.Merge(out.m)
 		unitModeled[gi], unitMetrics[gi] = out.modeled, out.m
+		res.Units[gi] = out.report
 		for i, idx := range p.clusters[gi] {
 			res.PerCFD[idx] = out.pats[i]
 		}
@@ -593,8 +406,21 @@ func (p *Plan) detectPass(ctx context.Context, fs *faultState, start time.Time) 
 	p.fillAliases(res, unitMetrics)
 	res.ModeledTime = p.modeledSum(unitModeled)
 	res.ShippedTuples = total.TotalTuples()
+	res.DeltaShippedTuples = total.DeltaTuples()
+	res.DeltaShippedBytes = total.DeltaBytes()
 	res.WallTime = time.Since(start)
 	return res, nil
+}
+
+func allWildcardLHS(c *cfd.CFD) bool {
+	for _, tp := range c.Tp {
+		for _, v := range tp.LHS {
+			if v != cfd.Wildcard {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // compileSpec derives the σ-partitioning for a variable view. When

@@ -13,8 +13,8 @@ import (
 // TestPlanDetectManyIdenticalToOneShot is the plan-reuse property: on
 // random relations, CFD sets, and partitionings, a plan compiled once
 // and detected many times — sequentially and concurrently — returns
-// violation sets byte-identical (tuples and order) to fresh one-shot
-// SeqDetect/ClustDetect runs, with equal shipment totals and modeled
+// violation sets byte-identical (tuples and order) to fresh serial
+// compile-and-run-once calls, with equal shipment totals and modeled
 // time on every call. Run under -race this also pins that a Plan and
 // the sites' serving caches tolerate concurrent Detect traffic.
 func TestPlanDetectManyIdenticalToOneShot(t *testing.T) {
@@ -37,15 +37,9 @@ func TestPlanDetectManyIdenticalToOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, clustered := range []bool{false, true} {
-			oneShot := func() *SetResult {
+			oneShot := func() *Result {
 				t.Helper()
-				var res *SetResult
-				var err error
-				if clustered {
-					res, err = ClustDetect(cl, cfds, PatDetectRT, Options{})
-				} else {
-					res, err = SeqDetect(cl, cfds, PatDetectRT, Options{})
-				}
+				res, err := DetectOnce(ctx, cl, cfds, PatDetectRT, Options{Workers: 1}, clustered)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,7 +51,7 @@ func TestPlanDetectManyIdenticalToOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check := func(label string, got *SetResult) {
+			check := func(label string, got *Result) {
 				t.Helper()
 				for ci := range cfds {
 					if !identicalRelations(got.PerCFD[ci], want.PerCFD[ci]) {
@@ -90,7 +84,7 @@ func TestPlanDetectManyIdenticalToOneShot(t *testing.T) {
 			// Concurrent reuse: one plan serving parallel callers, while
 			// one-shot runs hit the same sites' caches from the side.
 			var wg sync.WaitGroup
-			results := make([]*SetResult, 4)
+			results := make([]*Result, 4)
 			errs := make([]error, 4)
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
@@ -112,34 +106,43 @@ func TestPlanDetectManyIdenticalToOneShot(t *testing.T) {
 	}
 }
 
-// TestPlanSinglePlanFor pins the DetectOne fast path: singleton units
-// of a set plan are reachable as SinglePlans, members of merged
-// clusters are not.
-func TestPlanSinglePlanFor(t *testing.T) {
+// TestPlanSingle pins the DetectOne path: a CFD the set plan already
+// runs as a unit of its own is served by that very compiled unit (no
+// second mining pass), a member of a merged cluster gets a unit
+// compiled for it, and either way the one-CFD plan reports what
+// compiling the CFD alone reports.
+func TestPlanSingle(t *testing.T) {
+	ctx := context.Background()
 	cl := fig1bCluster(t)
-	// phi1 ([CC, zip]) and phi3 ([CC, AC]) are separate; adding a [CC]
-	// rule merges with both under containment — splitForNonEmptyW keeps
-	// them together via the shared W = {CC}.
-	cfds := []*cfd.CFD{phi1, phi2, phi3}
-	p, err := CompileSet(context.Background(), cl, cfds, PatDetectS, Options{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfds {
-		sp := p.SinglePlanFor(i)
-		if sp == nil {
-			t.Fatalf("unclustered plan: cfd %d has no single plan", i)
-		}
-		one, err := sp.Detect(context.Background())
+	cfds := []*cfd.CFD{phi1, phi2, phi3, cfd.MustParse(`phi4: [CC] -> [city] : (01 || _)`)}
+	for _, clustered := range []bool{false, true} {
+		p, err := CompileSet(ctx, cl, cfds, PatDetectS, Options{MineTheta: 0.1}, clustered)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DetectSingle(cl, cfds[i], PatDetectS, Options{})
-		if err != nil {
-			t.Fatal(err)
+		if clustered && len(p.Clusters()) != 1 {
+			t.Fatalf("fixture did not merge into one cluster: %v", p.Clusters())
 		}
-		if !identicalRelations(one.Patterns, want.Patterns) {
-			t.Errorf("cfd %d: single-plan patterns differ from one-shot", i)
+		for i, c := range cfds {
+			sp, err := p.Single(ctx, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared := sp.units[0] == p.units[min(i, len(p.units)-1)]; shared == clustered {
+				t.Errorf("clustered=%v cfd %d: shares the set plan's unit = %v", clustered, i, shared)
+			}
+			one, err := flattenOne(sp.Detect(ctx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := detectOne(ctx, cl, c, PatDetectS, Options{MineTheta: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !identicalRelations(one.Patterns, want.Patterns) || one.ShippedTuples != want.ShippedTuples ||
+				one.ModeledTime != want.ModeledTime || one.MinedPatterns != want.MinedPatterns {
+				t.Errorf("clustered=%v cfd %d: one-CFD plan differs from compiling the CFD alone", clustered, i)
+			}
 		}
 	}
 }
@@ -162,16 +165,16 @@ func TestPlanMiningCompiledOnce(t *testing.T) {
 		{LHS: []string{cfd.Wildcard, cfd.Wildcard}, RHS: []string{cfd.Wildcard}},
 	})
 	opt := Options{MineTheta: 0.1}
-	want, err := DetectSingle(cl, fd, PatDetectS, opt)
+	want, err := detectOne(context.Background(), cl, fd, PatDetectS, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := CompileSingle(context.Background(), cl, fd, PatDetectS, opt)
+	sp, err := compileOne(context.Background(), cl, fd, PatDetectS, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
-		got, err := sp.Detect(context.Background())
+		got, err := flattenOne(sp.Detect(context.Background()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -125,7 +126,7 @@ func TestPropertyProposition5(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, algo := range []Algorithm{CTRDetect, PatDetectS, PatDetectRT} {
-			res, err := DetectSingle(cl, c, algo, Options{})
+			res, err := detectOne(context.Background(), cl, c, algo, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestPropertyDetectionPartitionInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := DetectSingle(cl, c, PatDetectRT, Options{})
+			res, err := detectOne(context.Background(), cl, c, PatDetectRT, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestPropertyCheckSizesConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := DetectSingle(cl, randomTestCFD(rng), PatDetectS, Options{})
+		res, err := detectOne(context.Background(), cl, randomTestCFD(rng), PatDetectS, Options{})
 		if err != nil {
 			return false
 		}

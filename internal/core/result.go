@@ -54,7 +54,6 @@ type Options struct {
 	// level overlap (up to one worker per independent CFD cluster) and
 	// intra-unit row sharding inside the detection kernel, so a single
 	// merged cluster still uses the whole budget (see splitWorkers).
-	// SeqDetect and ClustDetect pin it to 1 (strictly serial).
 	Workers int
 	// Sigma selects the compile-time Σ analysis level: SigmaOff (the
 	// zero value) compiles the rule set as given; SigmaCheck fails
@@ -99,38 +98,48 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// SingleResult reports one single-CFD detection run.
-type SingleResult struct {
-	// CFD is the dependency checked.
-	CFD *cfd.CFD
-	// Algorithm that produced this result.
-	Algorithm Algorithm
-	// Patterns is Vioπ(φ,D) as distinct X-tuples.
-	Patterns *relation.Relation
-	// Vio is Vioπ(φ,D) padded to the full schema R (Section II-C).
-	Vio *relation.Relation
-	// Spec is the σ-partitioning used for the variable part (nil when
-	// the CFD is constant-only and was checked locally).
+// UnitReport is the per-unit detail of a run: one entry per plan unit
+// (a set of ≥1 CFDs sharing one σ-partitioning), aligned with
+// Result.Clusters.
+type UnitReport struct {
+	// Spec is the σ-partitioning used for the unit's variable part (nil
+	// when every member is constant-only and was checked locally).
 	Spec *BlockSpec
 	// Coordinators holds the coordinator site per block (-1 = empty
 	// block, no coordinator needed). For CTRDetect all entries agree.
 	Coordinators []int
-	// Metrics records every shipment of the run.
-	Metrics *dist.Metrics
-	// ShippedTuples is |M|, the total tuple shipments.
-	ShippedTuples int64
 	// CheckSizes[i] = |D'_i| = |Di| + tuples received by site i.
 	CheckSizes []int
-	// ModeledTime is cost(D, Σ, M) under Options.Cost.
-	ModeledTime float64
-	// WallTime is the measured wall-clock of the in-process run.
-	WallTime time.Duration
-	// LocalOnly reports that no shipment was needed (Proposition 5
-	// and/or Fi ∧ Fφ pruning).
-	LocalOnly bool
 	// MinedPatterns counts pattern tuples contributed by the mining
 	// preprocessing (0 when mining was off or not applicable).
 	MinedPatterns int
+	// LocalOnly reports that no shipment was needed (Proposition 5
+	// and/or Fi ∧ Fφ pruning).
+	LocalOnly bool
+}
+
+// Result reports one detection run over a compiled CFD set; a single
+// CFD is a set of one.
+type Result struct {
+	// CFDs are the dependencies checked.
+	CFDs []*cfd.CFD
+	// PerCFD holds Vioπ(φ,D) per CFD as distinct X-tuples, aligned with
+	// CFDs (PadPatterns gives the paper's full-schema form).
+	PerCFD []*relation.Relation
+	// Metrics aggregates all shipments of the run.
+	Metrics *dist.Metrics
+	// ShippedTuples is the total |M| across all CFDs.
+	ShippedTuples int64
+	// ModeledTime is cost(D, Σ, M) under Options.Cost, summed over the
+	// units.
+	ModeledTime float64
+	// WallTime is the measured wall-clock of the whole run.
+	WallTime time.Duration
+	// Clusters lists the CFD index groups processed together — one
+	// group per CFD when compiled without clustering.
+	Clusters [][]int
+	// Units is the per-unit detail, aligned with Clusters.
+	Units []UnitReport
 	// Incremental reports that the run served from retained delta
 	// state: Metrics/ShippedTuples/ModeledTime then hold the modeled
 	// full-recompute equivalent (byte-identical to a fresh Detect on
@@ -156,40 +165,10 @@ type SingleResult struct {
 	Faults  int64
 }
 
-// SetResult reports a multi-CFD detection run (SeqDetect/ClustDetect).
-type SetResult struct {
-	// CFDs are the dependencies checked.
-	CFDs []*cfd.CFD
-	// PerCFD holds Vioπ per CFD as distinct X-tuples, aligned with CFDs.
-	PerCFD []*relation.Relation
-	// Metrics aggregates all shipments of the run.
-	Metrics *dist.Metrics
-	// ShippedTuples is the total |M| across all CFDs.
-	ShippedTuples int64
-	// ModeledTime sums the per-phase modeled response times.
-	ModeledTime float64
-	// WallTime is the measured wall-clock of the whole run.
-	WallTime time.Duration
-	// Clusters lists, for ClustDetect, the CFD index groups processed
-	// together; for SeqDetect each CFD is its own cluster.
-	Clusters [][]int
-	// Incremental marks a run served from retained delta state; see
-	// SingleResult.Incremental for the accounting contract.
-	Incremental        bool
-	DeltaShippedTuples int64
-	DeltaShippedBytes  int64
-	// Partial / ExcludedSites / Coverage / Retries / Faults carry the
-	// degraded-result contract; see the SingleResult fields.
-	Partial       bool
-	ExcludedSites []int
-	Coverage      float64
-	Retries       int64
-	Faults        int64
-}
-
-// padPatterns converts an X-tuple pattern relation into the Vioπ form:
-// an instance of the full schema with nulls outside X.
-func padPatterns(schema *relation.Schema, x []string, pats *relation.Relation) (*relation.Relation, error) {
+// PadPatterns converts an X-tuple pattern relation into the paper's
+// Vioπ form (Section II-C): an instance of the full schema with nulls
+// outside X.
+func PadPatterns(schema *relation.Schema, x []string, pats *relation.Relation) (*relation.Relation, error) {
 	xi, err := schema.Indices(x)
 	if err != nil {
 		return nil, err

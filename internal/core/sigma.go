@@ -1,10 +1,10 @@
 // Package core implements the paper's contribution: the distributed
 // CFD violation detection algorithms of Section IV — CTRDetect,
-// PatDetectS and PatDetectRT for a single CFD, SeqDetect and
-// ClustDetect for CFD sets — together with the local-validation rules
-// (constant CFDs, Fi ∧ Fφ pruning), the σ tuple-partitioning function
-// of Lemma 6, per-site statistics exchange, and the frequent-pattern
-// mining preprocessing step for wildcard-heavy CFDs.
+// PatDetectS and PatDetectRT for a single CFD, the sequential and the
+// clustered strategy for CFD sets — together with the local-validation
+// rules (constant CFDs, Fi ∧ Fφ pruning), the σ tuple-partitioning
+// function of Lemma 6, per-site statistics exchange, and the
+// frequent-pattern mining preprocessing step for wildcard-heavy CFDs.
 package core
 
 import (

@@ -131,7 +131,7 @@ func (p *Plan) unitOf(idx int) int {
 // analyzeSigma), so every representative is a singleton unit whose
 // metrics are exactly what the duplicate's own unit would have
 // recorded; the guard below is belt and suspenders.
-func (p *Plan) fillAliases(res *SetResult, unitMetrics []*dist.Metrics) {
+func (p *Plan) fillAliases(res *Result, unitMetrics []*dist.Metrics) {
 	for _, al := range p.aliases {
 		rep := res.PerCFD[al.rep]
 		out := relation.New(al.schema)

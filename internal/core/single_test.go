@@ -18,7 +18,7 @@ import (
 // from S1 and t5 from S3).
 func TestExample5CTRDetect(t *testing.T) {
 	cl := fig1bCluster(t)
-	res, err := DetectSingle(cl, phi1, CTRDetect, Options{})
+	res, err := detectOne(context.Background(), cl, phi1, CTRDetect, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestExample5CTRDetect(t *testing.T) {
 // are S2 for (44, _) and S1 for (31, _); total shipment drops to 3.
 func TestExample6PatDetectS(t *testing.T) {
 	cl := fig1bCluster(t)
-	res, err := DetectSingle(cl, phi1, PatDetectS, Options{})
+	res, err := detectOne(context.Background(), cl, phi1, PatDetectS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExample6PatDetectS(t *testing.T) {
 func TestExample4ConstantLocal(t *testing.T) {
 	cl := fig1bCluster(t)
 	for _, algo := range []Algorithm{CTRDetect, PatDetectS, PatDetectRT} {
-		res, err := DetectSingle(cl, phi3, algo, Options{})
+		res, err := detectOne(context.Background(), cl, phi3, algo, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestPhi2FDSatisfied(t *testing.T) {
 	} {
 		cl := mk()
 		for _, algo := range []Algorithm{CTRDetect, PatDetectS, PatDetectRT} {
-			res, err := DetectSingle(cl, phi2, algo, Options{})
+			res, err := detectOne(context.Background(), cl, phi2, algo, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestAllAlgorithmsAgreeWithOracle(t *testing.T) {
 		}
 		want := oraclePatterns(t, d, c, vio)
 		for _, algo := range []Algorithm{CTRDetect, PatDetectS, PatDetectRT} {
-			res, err := DetectSingle(cl, c, algo, Options{})
+			res, err := detectOne(context.Background(), cl, c, algo, Options{})
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, algo, err)
 			}
@@ -193,7 +193,7 @@ func TestShipOnceInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, algo := range []Algorithm{CTRDetect, PatDetectS, PatDetectRT} {
-			res, err := DetectSingle(cl, c, algo, Options{})
+			res, err := detectOne(context.Background(), cl, c, algo, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,11 +237,11 @@ func TestPatShipmentNeverWorseThanCTR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr, err := DetectSingle(cl, c, CTRDetect, Options{})
+		ctr, err := detectOne(context.Background(), cl, c, CTRDetect, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pats, err := DetectSingle(cl, c, PatDetectS, Options{})
+		pats, err := detectOne(context.Background(), cl, c, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestPredicatePruningAvoidsShipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DetectSingle(cl, phi1, PatDetectS, Options{})
+	res, err := detectOne(context.Background(), cl, phi1, PatDetectS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +325,11 @@ func TestMiningReducesShipment(t *testing.T) {
 	}
 	fd := cfd.MustParse(`fd: [a] -> [b]`)
 
-	plain, err := DetectSingle(cl, fd, PatDetectS, Options{})
+	plain, err := detectOne(context.Background(), cl, fd, PatDetectS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mined, err := DetectSingle(cl, fd, PatDetectS, Options{MineTheta: 0.5})
+	mined, err := detectOne(context.Background(), cl, fd, PatDetectS, Options{MineTheta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,12 +363,12 @@ func TestMiningPreservesCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := DetectSingle(cl, fd, PatDetectS, Options{})
+		plain, err := detectOne(context.Background(), cl, fd, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, theta := range []float64{0.05, 0.2, 0.8} {
-			mined, err := DetectSingle(cl, fd, PatDetectS, Options{MineTheta: theta})
+			mined, err := detectOne(context.Background(), cl, fd, PatDetectS, Options{MineTheta: theta})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +382,7 @@ func TestMiningPreservesCorrectness(t *testing.T) {
 // TestSingleSiteCluster: with one site everything is local.
 func TestSingleSiteCluster(t *testing.T) {
 	cl := uniformCluster(t, 1, -1)
-	res, err := DetectSingle(cl, phi1, PatDetectRT, Options{})
+	res, err := detectOne(context.Background(), cl, phi1, PatDetectRT, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestSingleSiteCluster(t *testing.T) {
 // TestResultBookkeeping sanity-checks the auxiliary result fields.
 func TestResultBookkeeping(t *testing.T) {
 	cl := fig1bCluster(t)
-	res, err := DetectSingle(cl, phi1, PatDetectRT, Options{})
+	res, err := detectOne(context.Background(), cl, phi1, PatDetectRT, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,16 +420,20 @@ func TestResultBookkeeping(t *testing.T) {
 		t.Errorf("received total %d != shipped %d", total, res.ShippedTuples)
 	}
 	// Vio is the padded form of Patterns.
-	if res.Vio.Len() != res.Patterns.Len() {
-		t.Errorf("padded Vio %d rows vs %d patterns", res.Vio.Len(), res.Patterns.Len())
+	vio, err := PadPatterns(cl.Schema(), phi1.X, res.Patterns)
+	if err != nil {
+		t.Fatal(err)
 	}
-	name := res.Vio.Schema().MustIndex("name")
-	for _, tu := range res.Vio.Tuples() {
+	if vio.Len() != res.Patterns.Len() {
+		t.Errorf("padded Vio %d rows vs %d patterns", vio.Len(), res.Patterns.Len())
+	}
+	name := vio.Schema().MustIndex("name")
+	for _, tu := range vio.Tuples() {
 		if tu[name] != relation.Null {
 			t.Errorf("non-X attribute not null: %v", tu)
 		}
 	}
-	if res.Vio.Schema().Arity() != cl.Schema().Arity() {
+	if vio.Schema().Arity() != cl.Schema().Arity() {
 		t.Error("Vio schema should be the full relation schema")
 	}
 }
@@ -438,7 +442,7 @@ func TestResultBookkeeping(t *testing.T) {
 func TestDetectSingleValidation(t *testing.T) {
 	cl := fig1bCluster(t)
 	bad := cfd.MustParse(`[missing] -> [city]`)
-	if _, err := DetectSingle(cl, bad, PatDetectS, Options{}); err == nil {
+	if _, err := detectOne(context.Background(), cl, bad, PatDetectS, Options{}); err == nil {
 		t.Error("expected schema validation error")
 	}
 }

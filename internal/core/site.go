@@ -496,10 +496,32 @@ func (s *Site) fullBlocks(spec *BlockSpec, attrs []string, blocks []int, name st
 }
 
 // DetectAssignedSingle runs the per-pattern coordinator step of
-// PatDetectS/PatDetectRT for all blocks assigned to this site.
+// PatDetectS/PatDetectRT for all blocks assigned to this site: each
+// block checks only its own pattern row (Lemma 6).
 func (s *Site) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error) {
+	out, err := s.detectAssigned(ctx, taskPrefix, spec, blocks, []*cfd.CFD{c}, true)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// DetectAssignedSet runs the coordinator step of a merged cluster:
+// each CFD's full tableau is checked inside every assigned block.
+func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
+	if len(cfds) == 0 {
+		return nil, fmt.Errorf("core: site %d: DetectAssignedSet with no CFDs", s.id)
+	}
+	return s.detectAssigned(ctx, taskPrefix, spec, blocks, cfds, false)
+}
+
+// detectAssigned is the coordinator step behind both RPCs: for every
+// assigned block, the local block plus its deposits is checked against
+// each CFD — restricted to the block's own pattern row when restrict
+// is set (the caller then passes the one CFD the spec was built from).
+func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD, restrict bool) ([]*relation.Relation, error) {
 	kern, kopts := s.detectResources(ctx)
-	attrs := taskAttrs(spec, []*cfd.CFD{c})
+	attrs := taskAttrs(spec, cfds)
 	// Project one block at a time instead of materializing every
 	// assigned block up front: the peak footprint is one block plus the
 	// routing indices, which is what lets a store-backed site check a
@@ -509,57 +531,12 @@ func (s *Site) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec
 		return nil, err
 	}
 	shipName := s.frag.Schema().Name() + "_ship"
-	ps, err := s.frag.Schema().Project("viopi_"+c.Name, c.X)
+	out, err := emptyPatternRelations(s.frag.Schema(), cfds)
 	if err != nil {
 		return nil, err
 	}
-	union := relation.New(ps)
-	seen := map[string]struct{}{}
-	for _, l := range blocks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		local, err := s.frag.ProjectRows(shipName, attrs, rowsOf(rowsByBlock[l]))
-		if err != nil {
-			return nil, err
-		}
-		merged, err := mergeWithDeposits(local, s.takeDeposits(BlockTask(taskPrefix, l)))
-		if err != nil {
-			return nil, err
-		}
-		restricted := spec.RestrictCFD(c, l)
-		pats, err := kern.ViolationPatterns(merged, restricted, kopts)
-		if err != nil {
-			return nil, err
-		}
-		appendDistinct(union, pats, seen)
-	}
-	return union, nil
-}
-
-// DetectAssignedSet runs the ClustDetect coordinator step: each CFD's
-// full tableau is checked inside every assigned block.
-func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
-	if len(cfds) == 0 {
-		return nil, fmt.Errorf("core: site %d: DetectAssignedSet with no CFDs", s.id)
-	}
-	kern, kopts := s.detectResources(ctx)
-	attrs := taskAttrs(spec, cfds)
-	// Block-at-a-time projection, as in DetectAssignedSingle: peak
-	// memory is one block, not the whole matched set.
-	rowsByBlock, err := s.blockRows(spec, blocks)
-	if err != nil {
-		return nil, err
-	}
-	shipName := s.frag.Schema().Name() + "_ship"
-	out := make([]*relation.Relation, len(cfds))
 	seens := make([]map[string]struct{}, len(cfds))
-	for i, c := range cfds {
-		ps, err := s.frag.Schema().Project("viopi_"+c.Name, c.X)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = relation.New(ps)
+	for i := range seens {
 		seens[i] = map[string]struct{}{}
 	}
 	for _, l := range blocks {
@@ -575,6 +552,9 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 			return nil, err
 		}
 		for ci, c := range cfds {
+			if restrict {
+				c = spec.RestrictCFD(c, l)
+			}
 			pats, err := kern.ViolationPatterns(merged, c, kopts)
 			if err != nil {
 				return nil, err

@@ -89,10 +89,9 @@ type FoldArgs struct {
 	// Blocks lists every block this site coordinates for the session.
 	Blocks []int
 	// CFDs are the dependencies checked inside each block. With
-	// RestrictSingle (the single-CFD pipeline), CFDs holds exactly one
-	// entry and each block checks the Lemma 6 restriction of it;
-	// otherwise every CFD's full tableau is checked per block (the
-	// ClustDetect coordinator step).
+	// RestrictSingle (a unit with exactly one variable view), CFDs holds
+	// exactly one entry and each block checks the Lemma 6 restriction of
+	// it; otherwise every CFD's full tableau is checked per block.
 	CFDs           []*cfd.CFD
 	RestrictSingle bool
 	// Seed resets the session's states and folds the full local blocks

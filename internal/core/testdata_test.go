@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -39,6 +40,31 @@ var (
 	phi2 = cfd.MustParse(`phi2: [CC, title] -> [salary]`)
 	phi3 = cfd.MustParse(`phi3: [CC, AC] -> [city] : (44, 131 || EDI), (01, 908 || MH)`)
 )
+
+// oneResult flattens a one-CFD run for assertions: the run's Result,
+// its only unit's detail, and the CFD's violation patterns.
+type oneResult struct {
+	*Result
+	UnitReport
+	Patterns *relation.Relation
+}
+
+func flattenOne(res *Result, err error) (*oneResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &oneResult{Result: res, UnitReport: res.Units[0], Patterns: res.PerCFD[0]}, nil
+}
+
+// compileOne compiles c as a plan of one.
+func compileOne(ctx context.Context, cl *Cluster, c *cfd.CFD, algo Algorithm, opt Options) (*Plan, error) {
+	return CompileSet(ctx, cl, []*cfd.CFD{c}, algo, opt, false)
+}
+
+// detectOne compiles c as a plan of one and runs it once.
+func detectOne(ctx context.Context, cl *Cluster, c *cfd.CFD, algo Algorithm, opt Options) (*oneResult, error) {
+	return flattenOne(DetectOnce(ctx, cl, []*cfd.CFD{c}, algo, opt, false))
+}
 
 // fig1bCluster builds the Fig. 1(b) horizontal partition as an
 // in-process cluster: fragment order is DH1 (MTS) = S0, DH2 (DMTS) =

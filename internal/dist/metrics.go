@@ -7,7 +7,7 @@
 // A *Metrics is shared by the parallel phases of the algorithms —
 // every site records its shipments from its own goroutine — so all
 // recording and reading is internally synchronized and a *Metrics may
-// also be merged across concurrently running detections (ParDetect).
+// also be merged across concurrently running units of one detection.
 package dist
 
 import (

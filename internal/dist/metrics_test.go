@@ -192,7 +192,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 // TestMetricsConcurrentRecording drives ShipTuples / Control / readers
 // from many goroutines; run with -race this is the regression test for
 // the metrics being shared across the parallel site phases and across
-// ParDetect workers.
+// parallel unit workers.
 func TestMetricsConcurrentRecording(t *testing.T) {
 	const sites, workers, per = 4, 8, 500
 	m := NewMetrics(sites)

@@ -136,10 +136,10 @@ func TestExp5ClustBeatsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, clu := s.Col("SeqDetect"), s.Col("ClustDetect")
+	seq, clu := s.Col("sequential"), s.Col("clustered")
 	for i := range seq {
 		if clu[i] > seq[i] {
-			t.Errorf("ClustDetect shipped more at %v sites: %v > %v", s.XS[i], clu[i], seq[i])
+			t.Errorf("clustered shipped more at %v sites: %v > %v", s.XS[i], clu[i], seq[i])
 		}
 	}
 	// The gap is substantial (paper: ≥100K tuples at full scale).
@@ -151,10 +151,10 @@ func TestExp5ClustBeatsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqT, cluT := g.Col("SeqDetect"), g.Col("ClustDetect")
+	seqT, cluT := g.Col("sequential"), g.Col("clustered")
 	for i := range seqT {
 		if cluT[i] > seqT[i]*1.05 {
-			t.Errorf("ClustDetect slower at %v sites: %v > %v", g.XS[i], cluT[i], seqT[i])
+			t.Errorf("clustered slower at %v sites: %v > %v", g.XS[i], cluT[i], seqT[i])
 		}
 	}
 }
@@ -164,14 +164,14 @@ func TestExp6ClustBeatsSeqAcrossSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, clu := s.Col("SeqDetect"), s.Col("ClustDetect")
+	seq, clu := s.Col("sequential"), s.Col("clustered")
 	for i := range seq {
 		if clu[i] > seq[i]*1.05 {
-			t.Errorf("ClustDetect slower at %v tuples", s.XS[i])
+			t.Errorf("clustered slower at %v tuples", s.XS[i])
 		}
 	}
 	if last(seq) <= seq[0] {
-		t.Errorf("SeqDetect not growing with |D|: %v", seq)
+		t.Errorf("sequential not growing with |D|: %v", seq)
 	}
 }
 

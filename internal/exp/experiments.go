@@ -23,6 +23,12 @@ func clusterFor(d *relation.Relation, sites int, seed int64) (*core.Cluster, err
 	return core.FromHorizontal(h)
 }
 
+// detectOnce compiles and runs one detection for a figure's data point.
+func detectOnce(cl *core.Cluster, cfds []*cfd.CFD, algo core.Algorithm, opt core.Options, clustered bool) (*core.Result, error) {
+	//distcfd:ctxflow-ok — CLI experiment harness; no caller context exists
+	return core.DetectOnce(context.Background(), cl, cfds, algo, opt, clustered)
+}
+
 // Exp1Cust reproduces Fig 3(a): response time vs #sites on cust8 for
 // the three single-CFD algorithms (CFD: 4 attributes, 255 patterns).
 func Exp1Cust(cfg Config) (*Series, error) {
@@ -57,7 +63,7 @@ func sweepSitesSingle(cfg Config, d *relation.Relation, rule *cfd.CFD, figure, t
 		}
 		row := make([]float64, 0, 3)
 		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectS, core.PatDetectRT} {
-			res, err := core.DetectSingle(cl, rule, algo, core.Options{Cost: cfg.Cost})
+			res, err := detectOnce(cl, []*cfd.CFD{rule}, algo, core.Options{Cost: cfg.Cost}, false)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +100,7 @@ func Exp2(cfg Config) (*Series, error) {
 		}
 		row := make([]float64, 0, 2)
 		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectRT} {
-			res, err := core.DetectSingle(cl, rule, algo, core.Options{Cost: cfg.Cost})
+			res, err := detectOnce(cl, []*cfd.CFD{rule}, algo, core.Options{Cost: cfg.Cost}, false)
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +132,7 @@ func Exp3(cfg Config) (*Series, error) {
 		rule := workload.CustPatternCFD(k)
 		row := make([]float64, 0, 2)
 		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectRT} {
-			res, err := core.DetectSingle(cl, rule, algo, core.Options{Cost: cfg.Cost})
+			res, err := detectOnce(cl, []*cfd.CFD{rule}, algo, core.Options{Cost: cfg.Cost}, false)
 			if err != nil {
 				return nil, err
 			}
@@ -165,13 +171,12 @@ func Exp4(cfg Config) (*Series, error) {
 		Unit:    "tuples shipped",
 		Columns: []string{"PatDetectS", "PatDetectS+mining"},
 	}
-	plain, err := core.DetectSingle(cl, rule, core.PatDetectS, core.Options{Cost: cfg.Cost})
+	plain, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{Cost: cfg.Cost}, false)
 	if err != nil {
 		return nil, err
 	}
 	for _, theta := range []float64{0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
-		mined, err := core.DetectSingle(cl, rule, core.PatDetectS,
-			core.Options{Cost: cfg.Cost, MineTheta: theta})
+		mined, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{Cost: cfg.Cost, MineTheta: theta}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -181,27 +186,28 @@ func Exp4(cfg Config) (*Series, error) {
 	return s, nil
 }
 
-// exp5Sweep runs SeqDetect vs ClustDetect across the site sweep,
+// exp5Sweep runs the sequential (one unit per CFD) against the
+// clustered (shared-σ units) strategy of §IV-C across the site sweep,
 // reporting the chosen metric.
 func exp5Sweep(cfg Config, d *relation.Relation, cfds []*cfd.CFD, figure, title, unit string,
-	metric func(*core.SetResult) float64) (*Series, error) {
+	metric func(*core.Result) float64) (*Series, error) {
 	s := &Series{
 		Figure:  figure,
 		Title:   title,
 		XLabel:  "sites",
 		Unit:    unit,
-		Columns: []string{"SeqDetect", "ClustDetect"},
+		Columns: []string{"sequential", "clustered"},
 	}
 	for _, n := range siteSweep {
 		cl, err := clusterFor(d, n, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		seq, err := core.SeqDetect(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost})
+		seq, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, false)
 		if err != nil {
 			return nil, err
 		}
-		clu, err := core.ClustDetect(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost})
+		clu, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +224,7 @@ func Exp5ShipXref(cfg Config) (*Series, error) {
 	d := workload.XRef(workload.XRefConfig{N: cfg.size(SizeXref8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
 	return exp5Sweep(cfg, d, []*cfd.CFD{workload.XRefCFD(), workload.XRefCFD2()},
 		"Fig 3(f)", "Exp-5: shipment with |S|, multiple CFDs (xref8)", "tuples shipped",
-		func(r *core.SetResult) float64 { return float64(r.ShippedTuples) })
+		func(r *core.Result) float64 { return float64(r.ShippedTuples) })
 }
 
 // Exp5TimeXref reproduces Fig 3(g): response time vs #sites (xref8).
@@ -228,7 +234,7 @@ func Exp5TimeXref(cfg Config) (*Series, error) {
 	return exp5Sweep(cfg, d, []*cfd.CFD{workload.XRefCFD(), workload.XRefCFD2()},
 		"Fig 3(g)", "Exp-5: scalability with |S|, multiple CFDs (xref8)",
 		"modeled response time cost(D,Σ,M)",
-		func(r *core.SetResult) float64 { return r.ModeledTime })
+		func(r *core.Result) float64 { return r.ModeledTime })
 }
 
 // Exp5TimeCust reproduces Fig 3(h): response time vs #sites (cust8).
@@ -238,7 +244,7 @@ func Exp5TimeCust(cfg Config) (*Series, error) {
 	return exp5Sweep(cfg, d, workload.CustOverlappingCFDs(255, 128),
 		"Fig 3(h)", "Exp-5: scalability with |S|, multiple CFDs (cust8)",
 		"modeled response time cost(D,Σ,M)",
-		func(r *core.SetResult) float64 { return r.ModeledTime })
+		func(r *core.Result) float64 { return r.ModeledTime })
 }
 
 // Exp6 reproduces Fig 3(i): response time vs |D| (cust16, 8 sites)
@@ -252,7 +258,7 @@ func Exp6(cfg Config) (*Series, error) {
 		Title:   "Exp-6: scalability with |D|, multiple CFDs (cust16, 8 sites)",
 		XLabel:  "tuples",
 		Unit:    "modeled response time cost(D,Σ,M)",
-		Columns: []string{"SeqDetect", "ClustDetect"},
+		Columns: []string{"sequential", "clustered"},
 	}
 	for pct := 10; pct <= 100; pct += 10 {
 		n := full.Len() * pct / 100
@@ -264,11 +270,11 @@ func Exp6(cfg Config) (*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq, err := core.SeqDetect(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost})
+		seq, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, false)
 		if err != nil {
 			return nil, err
 		}
-		clu, err := core.ClustDetect(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost})
+		clu, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, true)
 		if err != nil {
 			return nil, err
 		}

@@ -22,10 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"distcfd/internal/cfd"
 	"distcfd/internal/core"
-	"distcfd/internal/mining"
-	"distcfd/internal/relation"
 )
 
 // Plan is a deterministic, seedable fault schedule. The zero value
@@ -210,8 +207,9 @@ func (f *Fault) PreExecution() bool { return true }
 // Everything else draws from the full plan. Safe for concurrent use
 // (-race clean); note that under concurrency the interleaving decides
 // which call a rate-draw fault lands on, while the number of draws
-// stays deterministic.
+// stays deterministic. The forwarding itself is core.Intercept's.
 type Site struct {
+	core.Intercept
 	plan    Plan
 	rebuild func() core.SiteAPI
 
@@ -228,7 +226,9 @@ type Site struct {
 // (there is nothing to rebuild it from); CrashAt therefore holds it
 // down for good — the shape the degraded-result tests want.
 func Wrap(s core.SiteAPI, plan Plan) *Site {
-	return &Site{plan: plan, inner: s, rng: rand.New(rand.NewSource(plan.Seed)), perM: make(map[string]int)}
+	w := &Site{plan: plan, inner: s, rng: rand.New(rand.NewSource(plan.Seed)), perM: make(map[string]int)}
+	w.Intercept = core.NewIntercept(w.Inner, w.call)
+	return w
 }
 
 // WrapRestartable is Wrap plus crash recovery: after a crash and
@@ -316,7 +316,9 @@ func (s *Site) before(method string) (core.SiteAPI, time.Duration, error) {
 	return s.inner, lat, nil
 }
 
-func (s *Site) call(method string, fn func(core.SiteAPI) error) error {
+// call is the core.Intercept hook: every context-taking method is
+// charged against the plan, then runs on the current inner site.
+func (s *Site) call(_ context.Context, method string, fn func(core.SiteAPI) error) error {
 	inner, lat, err := s.before(method)
 	if err != nil {
 		return err
@@ -325,147 +327,6 @@ func (s *Site) call(method string, fn func(core.SiteAPI) error) error {
 		time.Sleep(lat)
 	}
 	return fn(inner)
-}
-
-// ID passes through (identity is never faulted).
-func (s *Site) ID() int { return s.Inner().ID() }
-
-// NumTuples passes through.
-func (s *Site) NumTuples() (int, error) { return s.Inner().NumTuples() }
-
-// Predicate passes through.
-func (s *Site) Predicate() (relation.Predicate, error) { return s.Inner().Predicate() }
-
-// Ping draws from the plan's crash and scheduled faults only: a
-// crashed site must look crashed to the health probe, but rate and
-// overload faults never hit Ping — the probe of a loaded-but-alive
-// site succeeds while its work calls fail, which is the flap regime
-// the breaker tests pin (fault the probe explicitly with err=Ping@n).
-func (s *Site) Ping(ctx context.Context) error {
-	return s.call("Ping", func(in core.SiteAPI) error { return in.Ping(ctx) })
-}
-
-// SigmaStats forwards under the plan.
-func (s *Site) SigmaStats(ctx context.Context, spec *core.BlockSpec) (out []int, err error) {
-	err = s.call("SigmaStats", func(in core.SiteAPI) error { out, err = in.SigmaStats(ctx, spec); return err })
-	return out, err
-}
-
-// ExtractBlock forwards under the plan.
-func (s *Site) ExtractBlock(ctx context.Context, spec *core.BlockSpec, l int, attrs []string) (out *relation.Relation, err error) {
-	err = s.call("ExtractBlock", func(in core.SiteAPI) error { out, err = in.ExtractBlock(ctx, spec, l, attrs); return err })
-	return out, err
-}
-
-// ExtractMatching forwards under the plan.
-func (s *Site) ExtractMatching(ctx context.Context, spec *core.BlockSpec, attrs []string) (out *relation.Relation, err error) {
-	err = s.call("ExtractMatching", func(in core.SiteAPI) error { out, err = in.ExtractMatching(ctx, spec, attrs); return err })
-	return out, err
-}
-
-// ExtractBlocksBatch forwards under the plan.
-func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int) (out map[int]*relation.Relation, err error) {
-	err = s.call("ExtractBlocksBatch", func(in core.SiteAPI) error {
-		out, err = in.ExtractBlocksBatch(ctx, spec, attrs, wanted)
-		return err
-	})
-	return out, err
-}
-
-// Deposit forwards under the plan.
-func (s *Site) Deposit(ctx context.Context, task string, batch *relation.Relation, nonce string) error {
-	return s.call("Deposit", func(in core.SiteAPI) error { return in.Deposit(ctx, task, batch, nonce) })
-}
-
-// Abort passes through unfaulted (cleanup).
-func (s *Site) Abort(taskKey string) error { return s.Inner().Abort(taskKey) }
-
-// Cancel passes through unfaulted (cleanup).
-func (s *Site) Cancel(taskKey string) error { return s.Inner().Cancel(taskKey) }
-
-// DetectTask forwards under the plan.
-func (s *Site) DetectTask(ctx context.Context, task string, local core.LocalInput, cfds []*cfd.CFD) (out []*relation.Relation, err error) {
-	err = s.call("DetectTask", func(in core.SiteAPI) error { out, err = in.DetectTask(ctx, task, local, cfds); return err })
-	return out, err
-}
-
-// DetectAssignedSingle forwards under the plan.
-func (s *Site) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, c *cfd.CFD) (out *relation.Relation, err error) {
-	err = s.call("DetectAssignedSingle", func(in core.SiteAPI) error {
-		out, err = in.DetectAssignedSingle(ctx, taskPrefix, spec, blocks, c)
-		return err
-	})
-	return out, err
-}
-
-// DetectAssignedSet forwards under the plan.
-func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, cfds []*cfd.CFD) (out []*relation.Relation, err error) {
-	err = s.call("DetectAssignedSet", func(in core.SiteAPI) error {
-		out, err = in.DetectAssignedSet(ctx, taskPrefix, spec, blocks, cfds)
-		return err
-	})
-	return out, err
-}
-
-// DetectConstantsLocal forwards under the plan.
-func (s *Site) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (out *relation.Relation, err error) {
-	err = s.call("DetectConstantsLocal", func(in core.SiteAPI) error { out, err = in.DetectConstantsLocal(ctx, c); return err })
-	return out, err
-}
-
-// MineFrequent forwards under the plan.
-func (s *Site) MineFrequent(ctx context.Context, x []string, theta float64) (out []mining.Pattern, err error) {
-	err = s.call("MineFrequent", func(in core.SiteAPI) error { out, err = in.MineFrequent(ctx, x, theta); return err })
-	return out, err
-}
-
-// ApplyDelta forwards under the plan.
-func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (out core.DeltaInfo, err error) {
-	err = s.call("ApplyDelta", func(in core.SiteAPI) error { out, err = in.ApplyDelta(ctx, d, nonce); return err })
-	return out, err
-}
-
-// ExtractDeltaBlocks forwards under the plan.
-func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int, fromGen int64) (out *core.DeltaBlocks, err error) {
-	err = s.call("ExtractDeltaBlocks", func(in core.SiteAPI) error {
-		out, err = in.ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen)
-		return err
-	})
-	return out, err
-}
-
-// FoldDetect forwards under the plan.
-func (s *Site) FoldDetect(ctx context.Context, args core.FoldArgs) (out *core.FoldReply, err error) {
-	err = s.call("FoldDetect", func(in core.SiteAPI) error { out, err = in.FoldDetect(ctx, args); return err })
-	return out, err
-}
-
-// DropSession passes through unfaulted (cleanup).
-func (s *Site) DropSession(session string) error { return s.Inner().DropSession(session) }
-
-// DetectParallelism forwards to the inner site when it has the knob
-// (so ServeAPIContext configures a wrapped *core.Site as usual).
-func (s *Site) DetectParallelism() int {
-	if p, ok := s.Inner().(interface{ DetectParallelism() int }); ok {
-		return p.DetectParallelism()
-	}
-	return 0
-}
-
-// SetDetectParallelism forwards to the inner site when it has the knob.
-func (s *Site) SetDetectParallelism(n int) {
-	if p, ok := s.Inner().(interface{ SetDetectParallelism(int) }); ok {
-		p.SetDetectParallelism(n)
-	}
-}
-
-// PendingDeposits forwards to the inner site when it exposes the
-// leak-detection counter (tests assert it is zero after faults).
-func (s *Site) PendingDeposits() int {
-	if p, ok := s.Inner().(interface{ PendingDeposits() int }); ok {
-		return p.PendingDeposits()
-	}
-	return 0
 }
 
 var _ core.SiteAPI = (*Site)(nil)

@@ -356,3 +356,71 @@ func TestFaultErrorMessage(t *testing.T) {
 		t.Errorf("Error() = %q, want %q", f.Error(), want)
 	}
 }
+
+// recordingSite is an innermost site that records what reaches the
+// optional surfaces a site may expose beside core.SiteAPI.
+type recordingSite struct {
+	*core.Site
+	timeout  time.Duration
+	closed   int
+	draining bool
+}
+
+func (r *recordingSite) SetCallTimeout(d time.Duration) { r.timeout = d }
+func (r *recordingSite) Close() error                   { r.closed++; return nil }
+func (r *recordingSite) Draining() bool                 { return r.draining }
+
+// TestWrappersForwardOptionalSurfaces: wrapping a site — in an
+// admission controller, a fault plan, or both — must not hide the
+// optional surfaces callers type-assert for: WithTimeout's
+// SetCallTimeout, Close, the HealthDetail drain signal, the no-leak
+// PendingDeposits counter and the serving-side parallelism knob all
+// reach the innermost site.
+func TestWrappersForwardOptionalSurfaces(t *testing.T) {
+	wraps := map[string]func(core.SiteAPI) core.SiteAPI{
+		"admission": func(s core.SiteAPI) core.SiteAPI { return core.WithAdmission(s, core.AdmissionPolicy{}) },
+		"faulty":    func(s core.SiteAPI) core.SiteAPI { return Wrap(s, Plan{}) },
+		"admission(faulty)": func(s core.SiteAPI) core.SiteAPI {
+			return core.WithAdmission(Wrap(s, Plan{}), core.AdmissionPolicy{})
+		},
+		"faulty(admission)": func(s core.SiteAPI) core.SiteAPI {
+			return Wrap(core.WithAdmission(s, core.AdmissionPolicy{}), Plan{})
+		},
+	}
+	for name, wrap := range wraps {
+		t.Run(name, func(t *testing.T) {
+			inner := &recordingSite{Site: core.NewSite(0, workload.EMPData(), relation.True())}
+			w := wrap(inner)
+
+			w.(interface{ SetCallTimeout(time.Duration) }).SetCallTimeout(3 * time.Second)
+			if inner.timeout != 3*time.Second {
+				t.Errorf("SetCallTimeout did not reach the site: %v", inner.timeout)
+			}
+			if err := w.(interface{ Close() error }).Close(); err != nil || inner.closed != 1 {
+				t.Errorf("Close reached the site %d time(s), err %v", inner.closed, err)
+			}
+			drain := w.(interface{ Draining() bool })
+			if drain.Draining() {
+				t.Error("Draining true before the site drains")
+			}
+			inner.draining = true
+			if !drain.Draining() {
+				t.Error("the site's drain signal is hidden by the wrapper")
+			}
+			if err := inner.Deposit(context.Background(), "t/b0", workload.EMPData(), ""); err != nil {
+				t.Fatal(err)
+			}
+			if n := w.(interface{ PendingDeposits() int }).PendingDeposits(); n != 1 {
+				t.Errorf("PendingDeposits = %d, want the site's 1", n)
+			}
+			par := w.(interface {
+				DetectParallelism() int
+				SetDetectParallelism(int)
+			})
+			par.SetDetectParallelism(5)
+			if inner.DetectParallelism() != 5 || par.DetectParallelism() != 5 {
+				t.Errorf("parallelism knob: site %d, wrapper %d, want 5", inner.DetectParallelism(), par.DetectParallelism())
+			}
+		})
+	}
+}

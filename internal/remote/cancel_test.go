@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"distcfd/internal/cfd"
 	"distcfd/internal/core"
 	"distcfd/internal/partition"
 	"distcfd/internal/relation"
@@ -63,7 +64,7 @@ func TestRemoteDetectCancelDrainsDeposits(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := workload.CustPatternCFD(16)
-	_, err = core.DetectSingleCtx(ctx, cl, rule, core.PatDetectS, core.Options{})
+	_, err = core.DetectOnce(ctx, cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
@@ -76,7 +77,7 @@ func TestRemoteDetectCancelDrainsDeposits(t *testing.T) {
 		}
 	}
 	// The cluster stays serviceable over the same connections.
-	if _, err := core.DetectSingle(cl, rule, core.PatDetectS, core.Options{}); err != nil {
+	if _, err := core.DetectOnce(context.Background(), cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range served {

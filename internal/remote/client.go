@@ -88,13 +88,6 @@ type RemoteSite struct {
 	broken  bool
 	gen     uint64 // bumps per successful redial; stale failures ignore
 	closed  bool
-	// svc is the rpc service name the handshake negotiated and level
-	// its wire version ("SiteV7"/7, or an older pair after the chain
-	// fallback); legacy marks a v5 link, under which deposits must use
-	// the v5 wire forms. All re-negotiate on every redial.
-	svc    string
-	level  int
-	legacy bool
 }
 
 var _ core.SiteAPI = (*RemoteSite)(nil)
@@ -116,7 +109,7 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 	var schema *relation.Schema
 	sites := make([]core.SiteAPI, len(addrs))
 	for i, addr := range addrs {
-		client, conn, info, svc, err := dialSite(addr, i, cfg)
+		client, conn, info, err := dialSite(addr, i, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -128,8 +121,7 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 			}
 			schema = s
 		}
-		rs := &RemoteSite{id: i, addr: addr, cfg: cfg, client: client, conn: conn, pred: info.Pred, size: info.NumTuples,
-			svc: svc, level: serviceVersion(svc), legacy: svc == legacyServiceName}
+		rs := &RemoteSite{id: i, addr: addr, cfg: cfg, client: client, conn: conn, pred: info.Pred, size: info.NumTuples}
 		rs.timeout.Store(int64(cfg.CallTimeout))
 		sites[i] = rs
 	}
@@ -139,7 +131,7 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 // dialSite connects and handshakes with bounded retries: transient
 // connect/handshake failures back off and try again, handshake
 // rejections (version skew, wrong ID) fail at once.
-func dialSite(addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *InfoReply, string, error) {
+func dialSite(addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *InfoReply, error) {
 	dialTimeout := cfg.DialTimeout
 	if dialTimeout <= 0 {
 		dialTimeout = DefaultDialTimeout
@@ -158,90 +150,65 @@ func dialSite(addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *Info
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		client, conn, info, svc, err := dialOnce(addr, id, dialTimeout)
+		client, conn, info, err := dialOnce(addr, id, dialTimeout)
 		if err == nil {
-			return client, conn, info, svc, nil
+			return client, conn, info, nil
 		}
 		last = err
 		if _, permanent := err.(permanentDialError); permanent {
 			break
 		}
 	}
-	return nil, nil, nil, "", last
+	return nil, nil, nil, last
 }
 
 // isNoService reports a server reply saying the requested rpc service
-// is not registered — the signal that the peer speaks an older protocol
-// (its service name carries its version).
+// is not registered: the peer serves another protocol version (its
+// service name carries the version).
 func isNoService(err error) bool {
 	_, ok := err.(rpc.ServerError)
 	return ok && strings.Contains(err.Error(), "can't find service")
 }
 
-// handshakeChain lists the protocols this driver can speak, newest
-// first. dialOnce walks it on can't-find-service replies, so one
-// connection negotiates the newest level the peer serves.
-var handshakeChain = []string{serviceName, prevServiceName, legacyServiceName}
-
-// serviceVersion maps a negotiated service name back to its wire
-// version (the name carries it: "SiteV7" → 7).
-func serviceVersion(svc string) int {
-	switch svc {
-	case prevServiceName:
-		return PrevWireVersion
-	case legacyServiceName:
-		return LegacyWireVersion
-	default:
-		return WireVersion
-	}
+// skewError is the permanent handshake rejection for a peer on another
+// wire version. It always names both sides' versions: rollout skew
+// must be diagnosable from either side's logs alone.
+func skewError(addr, peer string) error {
+	return permanentDialError{fmt.Errorf("remote: version skew: site at %s speaks %s, this driver speaks wire version %d — restart the site with a matching cfdsite build",
+		addr, peer, WireVersion)}
 }
 
-func dialOnce(addr string, id int, dialTimeout time.Duration) (*rpc.Client, net.Conn, *InfoReply, string, error) {
+func dialOnce(addr string, id int, dialTimeout time.Duration) (*rpc.Client, net.Conn, *InfoReply, error) {
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		return nil, nil, nil, "", fmt.Errorf("remote: dialing site %d at %s: %w", id, addr, err)
+		return nil, nil, nil, fmt.Errorf("remote: dialing site %d at %s: %w", id, addr, err)
 	}
 	// The handshake runs under the dial budget too: a server that
 	// accepts but never answers Info must not hang the driver.
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	client := rpc.NewClient(conn)
 	var info InfoReply
-	var svc string
-	for i, s := range handshakeChain {
-		// A can't-find-service reply means the connection itself is
-		// healthy and the site just predates this service name, so the
-		// next handshake runs on the same connection; success pins the
-		// proxy to the negotiated surface.
-		svc = s
-		info = InfoReply{}
-		err = client.Call(svc+".Info", struct{}{}, &info)
-		if err == nil || !isNoService(err) || i == len(handshakeChain)-1 {
-			break
-		}
-	}
-	if err != nil {
+	if err := client.Call(serviceName+".Info", struct{}{}, &info); err != nil {
 		client.Close()
-		return nil, nil, nil, "", fmt.Errorf("remote: handshake with %s: %w", addr, err)
+		if isNoService(err) {
+			return nil, nil, nil, skewError(addr, fmt.Sprintf("another wire version (it does not serve %s)", serviceName))
+		}
+		return nil, nil, nil, fmt.Errorf("remote: handshake with %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	wantVersion := serviceVersion(svc)
-	if info.Version != wantVersion {
+	if info.Version != WireVersion {
 		client.Close()
-		// Always name both peers' versions: rollout skew (a v6 bump
-		// while v5 sites still run, or the reverse) must be
-		// diagnosable from either side's logs alone.
 		peer := fmt.Sprintf("wire version %d", info.Version)
 		if info.Version == 0 {
 			peer = "wire version 1 (or an unversioned pre-handshake build)"
 		}
-		return nil, nil, nil, "", permanentDialError{fmt.Errorf("remote: version skew: site at %s speaks %s, this driver speaks wire version %d — restart the site with a matching cfdsite build",
-			addr, peer, WireVersion)}
+		return nil, nil, nil, skewError(addr, peer)
 	}
 	if info.ID != id {
 		client.Close()
-		return nil, nil, nil, "", permanentDialError{fmt.Errorf("remote: site at %s reports ID %d, expected %d", addr, info.ID, id)}
+		return nil, nil, nil, permanentDialError{fmt.Errorf("remote: site at %s reports ID %d, expected %d", addr, info.ID, id)}
 	}
-	return client, conn, &info, svc, nil
+	return client, conn, &info, nil
 }
 
 // SetCallTimeout changes the per-RPC I/O budget (0 disables it). Safe
@@ -250,41 +217,20 @@ func dialOnce(addr string, id int, dialTimeout time.Duration) (*rpc.Client, net.
 func (r *RemoteSite) SetCallTimeout(d time.Duration) { r.timeout.Store(int64(d)) }
 
 // deadlineNano flattens ctx's deadline into the absolute unix-nano
-// budget stamp every work Args struct carries at wire v7 — the site
-// re-derives a context from it and abandons work the driver already
-// gave up on. Zero when ctx has no deadline, or when the negotiated
-// level predates the field: older peers must never be sent v7 fields
-// (gob would drop them silently, but the contract is that a v6 peer
-// never sees them at all).
-func (r *RemoteSite) deadlineNano(ctx context.Context) int64 {
-	r.mu.Lock()
-	lvl := r.level
-	r.mu.Unlock()
-	if lvl < WireVersion {
-		return 0
-	}
+// budget stamp every work Args struct carries — the site re-derives a
+// context from it and abandons work the driver already gave up on.
+// Zero when ctx has no deadline.
+func deadlineNano(ctx context.Context) int64 {
 	if dl, ok := ctx.Deadline(); ok {
 		return dl.UnixNano()
 	}
 	return 0
 }
 
-// Level returns the negotiated wire version of the current connection
-// (it can change across a redial).
-func (r *RemoteSite) Level() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.level
-}
-
-// Drain asks the site to retire gracefully (wire v7): stop admitting
-// work, finish what's in flight. The site must serve an admission
-// controller (cfdsite -admit); peers negotiated below v7 cannot be
-// drained over the wire.
+// Drain asks the site to retire gracefully: stop admitting work,
+// finish what's in flight. The site must serve an admission controller
+// (cfdsite -admit).
 func (r *RemoteSite) Drain(ctx context.Context) error {
-	if r.Level() < WireVersion {
-		return fmt.Errorf("remote: site %d speaks wire version %d; Drain needs %d", r.id, r.Level(), WireVersion)
-	}
 	if err := r.callCtx(ctx, "Drain", DrainArgs{}, &DrainReply{}); err != nil {
 		return err
 	}
@@ -292,11 +238,8 @@ func (r *RemoteSite) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Resume re-opens admission at the site after a drain (wire v7).
+// Resume re-opens admission at the site after a drain.
 func (r *RemoteSite) Resume() {
-	if r.Level() < WireVersion {
-		return
-	}
 	//distcfd:ctxflow-ok — operator rollback, not request work: runs without a driver context
 	if err := r.callCtx(context.Background(), "Drain", DrainArgs{Resume: true}, &DrainReply{}); err == nil {
 		r.drainSeen.Store(false)
@@ -313,11 +256,11 @@ func (r *RemoteSite) Draining() bool { return r.drainSeen.Load() }
 // concurrent callers single-flight behind one attempt and all see the
 // fresh connection. A redial failure is a pre-execution unavailable
 // error — nothing was sent, so even non-idempotent calls may retry it.
-func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, string, error) {
+func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, nil, 0, "", &core.CodedError{
+		return nil, nil, 0, &core.CodedError{
 			Code:        core.CodeUnavailable,
 			Msg:         fmt.Sprintf("remote: site %d: client closed", r.id),
 			NotExecuted: true,
@@ -325,11 +268,11 @@ func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, s
 	}
 	if r.broken {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, "", err
+			return nil, nil, 0, err
 		}
-		client, conn, info, svc, err := dialSite(r.addr, r.id, r.cfg)
+		client, conn, info, err := dialSite(r.addr, r.id, r.cfg)
 		if err != nil {
-			return nil, nil, 0, "", &core.CodedError{
+			return nil, nil, 0, &core.CodedError{
 				Code:        core.CodeUnavailable,
 				Msg:         fmt.Sprintf("remote: site %d: redial: %v", r.id, err),
 				NotExecuted: true,
@@ -339,11 +282,8 @@ func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, s
 		r.client, r.conn = client, conn
 		// The re-handshake refreshes the cached fragment state: a
 		// restarted site may hold different data, and a stale size would
-		// skew CheckSizes and coverage accounting. The protocol
-		// negotiation refreshes too — a site restarted on a different
-		// build may have changed surface.
+		// skew CheckSizes and coverage accounting.
 		r.pred, r.size = info.Pred, info.NumTuples
-		r.svc, r.level, r.legacy = svc, serviceVersion(svc), svc == legacyServiceName
 		r.broken = false
 		r.pending = 0
 		r.gen++
@@ -351,7 +291,7 @@ func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, s
 		// the old one advertised no longer applies.
 		r.drainSeen.Store(false)
 	}
-	return r.client, r.conn, r.gen, r.svc, nil
+	return r.client, r.conn, r.gen, nil
 }
 
 // markBroken retires the connection a failed call used. The generation
@@ -413,9 +353,8 @@ func (r *RemoteSite) endCall(conn net.Conn) {
 }
 
 // callCtx performs one RPC under ctx and the per-call timeout. method
-// is the bare method name; the negotiated service name (which carries
-// the protocol version, and may change across a redial) is prepended
-// after the connection is live. On cancellation or timeout the wait is
+// is the bare method name; the service name (which carries the
+// protocol version) is prepended. On cancellation or timeout the wait is
 // abandoned: a goroutine reaps the call's completion so the connection
 // deadline is released if the response eventually arrives, and the
 // conn deadline reaps the connection if it never does. Server-reported
@@ -426,11 +365,11 @@ func (r *RemoteSite) callCtx(ctx context.Context, method string, args, reply any
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	client, conn, gen, svc, err := r.live(ctx)
+	client, conn, gen, err := r.live(ctx)
 	if err != nil {
 		return err
 	}
-	method = svc + "." + method
+	method = serviceName + "." + method
 	d := time.Duration(r.timeout.Load())
 	r.beginCall(conn, d)
 	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
@@ -514,14 +453,14 @@ func (r *RemoteSite) Ping(ctx context.Context) error {
 // SigmaStats forwards to the remote site.
 func (r *RemoteSite) SigmaStats(ctx context.Context, spec *core.BlockSpec) ([]int, error) {
 	var reply []int
-	err := r.callCtx(ctx, "SigmaStats", SpecArgs{Spec: spec, Deadline: r.deadlineNano(ctx)}, &reply)
+	err := r.callCtx(ctx, "SigmaStats", SpecArgs{Spec: spec, Deadline: deadlineNano(ctx)}, &reply)
 	return reply, err
 }
 
 // ExtractBlock forwards to the remote site.
 func (r *RemoteSite) ExtractBlock(ctx context.Context, spec *core.BlockSpec, l int, attrs []string) (*relation.Relation, error) {
 	var reply WireRelation
-	if err := r.callCtx(ctx, "ExtractBlock", ExtractArgs{Spec: spec, Attrs: attrs, Block: l, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+	if err := r.callCtx(ctx, "ExtractBlock", ExtractArgs{Spec: spec, Attrs: attrs, Block: l, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	return FromWire(&reply)
@@ -530,7 +469,7 @@ func (r *RemoteSite) ExtractBlock(ctx context.Context, spec *core.BlockSpec, l i
 // ExtractMatching forwards to the remote site.
 func (r *RemoteSite) ExtractMatching(ctx context.Context, spec *core.BlockSpec, attrs []string) (*relation.Relation, error) {
 	var reply WireRelation
-	if err := r.callCtx(ctx, "ExtractMatching", ExtractArgs{Spec: spec, Attrs: attrs, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+	if err := r.callCtx(ctx, "ExtractMatching", ExtractArgs{Spec: spec, Attrs: attrs, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	return FromWire(&reply)
@@ -540,7 +479,7 @@ func (r *RemoteSite) ExtractMatching(ctx context.Context, spec *core.BlockSpec, 
 func (r *RemoteSite) ExtractBlocksBatch(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int) (map[int]*relation.Relation, error) {
 	var reply map[int]*WireRelation
 	if err := r.callCtx(ctx, "ExtractBlocksBatch",
-		ExtractArgs{Spec: spec, Attrs: attrs, Wanted: wanted, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+		ExtractArgs{Spec: spec, Attrs: attrs, Wanted: wanted, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	out := make(map[int]*relation.Relation, len(reply))
@@ -556,19 +495,9 @@ func (r *RemoteSite) ExtractBlocksBatch(ctx context.Context, spec *core.BlockSpe
 
 // Deposit forwards a shipped batch to the remote site. The nonce rides
 // along (wire v5) so a retried shipment whose first attempt did land
-// is dropped by the site instead of double-buffering. On a connection
-// negotiated down to a v5 peer the batch is encoded with ToWireLegacy:
-// gob drops fields the peer does not know, so a packed payload sent to
-// a v5 site would silently decode as an empty relation.
+// is dropped by the site instead of double-buffering.
 func (r *RemoteSite) Deposit(ctx context.Context, task string, batch *relation.Relation, nonce string) error {
-	r.mu.Lock()
-	legacy := r.legacy
-	r.mu.Unlock()
-	w := ToWire(batch)
-	if legacy {
-		w = ToWireLegacy(batch)
-	}
-	return r.callCtx(ctx, "Deposit", DepositArgs{Task: task, Batch: w, Nonce: nonce, Deadline: r.deadlineNano(ctx)}, &struct{}{})
+	return r.callCtx(ctx, "Deposit", DepositArgs{Task: task, Batch: ToWire(batch), Nonce: nonce, Deadline: deadlineNano(ctx)}, &struct{}{})
 }
 
 // Abort forwards the failed-run deposit cleanup to the remote site.
@@ -591,7 +520,7 @@ func (r *RemoteSite) Cancel(taskKey string) error {
 func (r *RemoteSite) DetectTask(ctx context.Context, task string, local core.LocalInput, cfds []*cfd.CFD) ([]*relation.Relation, error) {
 	var reply []*WireRelation
 	if err := r.callCtx(ctx, "DetectTask",
-		DetectTaskArgs{Task: task, Local: local, CFDs: cfds, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+		DetectTaskArgs{Task: task, Local: local, CFDs: cfds, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	return fromWireSlice(reply)
@@ -601,7 +530,7 @@ func (r *RemoteSite) DetectTask(ctx context.Context, task string, local core.Loc
 func (r *RemoteSite) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error) {
 	var reply WireRelation
 	if err := r.callCtx(ctx, "DetectAssignedSingle",
-		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	return FromWire(&reply)
@@ -611,7 +540,7 @@ func (r *RemoteSite) DetectAssignedSingle(ctx context.Context, taskPrefix string
 func (r *RemoteSite) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
 	var reply []*WireRelation
 	if err := r.callCtx(ctx, "DetectAssignedSet",
-		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	return fromWireSlice(reply)
@@ -620,7 +549,7 @@ func (r *RemoteSite) DetectAssignedSet(ctx context.Context, taskPrefix string, s
 // DetectConstantsLocal forwards to the remote site.
 func (r *RemoteSite) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.Relation, error) {
 	var reply WireRelation
-	if err := r.callCtx(ctx, "DetectConstantsLocal", ConstantsArgs{CFD: c, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+	if err := r.callCtx(ctx, "DetectConstantsLocal", ConstantsArgs{CFD: c, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	return FromWire(&reply)
@@ -632,7 +561,7 @@ func (r *RemoteSite) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*rel
 // this driver.
 func (r *RemoteSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (core.DeltaInfo, error) {
 	var reply ApplyDeltaReply
-	if err := r.callCtx(ctx, "ApplyDelta", ApplyDeltaArgs{Delta: DeltaToWire(d), Nonce: nonce, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+	if err := r.callCtx(ctx, "ApplyDelta", ApplyDeltaArgs{Delta: DeltaToWire(d), Nonce: nonce, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return core.DeltaInfo{}, err
 	}
 	r.mu.Lock()
@@ -645,7 +574,7 @@ func (r *RemoteSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce str
 func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int, fromGen int64) (*core.DeltaBlocks, error) {
 	var reply DeltaBlocksReply
 	if err := r.callCtx(ctx, "ExtractDeltaBlocks",
-		DeltaBlocksArgs{Spec: spec, Attrs: attrs, Wanted: wanted, FromGen: fromGen, Deadline: r.deadlineNano(ctx)}, &reply); err != nil {
+		DeltaBlocksArgs{Spec: spec, Attrs: attrs, Wanted: wanted, FromGen: fromGen, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	out := &core.DeltaBlocks{
@@ -683,7 +612,7 @@ func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.
 		RestrictSingle: args.RestrictSingle,
 		Seed:           args.Seed,
 		FromGen:        args.FromGen,
-		Deadline:       r.deadlineNano(ctx),
+		Deadline:       deadlineNano(ctx),
 	}, &reply); err != nil {
 		return nil, err
 	}
@@ -704,16 +633,24 @@ func (r *RemoteSite) DropSession(session string) error {
 // MineFrequent forwards to the remote site.
 func (r *RemoteSite) MineFrequent(ctx context.Context, x []string, theta float64) ([]mining.Pattern, error) {
 	var reply []mining.Pattern
-	err := r.callCtx(ctx, "MineFrequent", MineArgs{X: x, Theta: theta, Deadline: r.deadlineNano(ctx)}, &reply)
+	err := r.callCtx(ctx, "MineFrequent", MineArgs{X: x, Theta: theta, Deadline: deadlineNano(ctx)}, &reply)
 	return reply, err
 }
 
-// Close releases the connection and disables redial.
+// Close releases the connection and disables redial. It is idempotent,
+// and closing a proxy whose connection a transport failure already
+// retired (markBroken closed that client) is not an error.
 func (r *RemoteSite) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return nil
+	}
 	r.closed = true
-	return r.client.Close()
+	if err := r.client.Close(); err != nil && err != rpc.ErrShutdown {
+		return err
+	}
+	return nil
 }
 
 func fromWireSlice(ws []*WireRelation) ([]*relation.Relation, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -268,6 +269,44 @@ func TestRedialAfterConnReset(t *testing.T) {
 	}
 }
 
+// TestCloseAfterTransportFailure: a transport failure already closed
+// the rpc client (markBroken), so shutting the proxy down afterwards is
+// a correct shutdown, not a "connection is shut down" error; Close is
+// idempotent, and a closed proxy fails later calls typed.
+func TestCloseAfterTransportFailure(t *testing.T) {
+	data := workload.EMPData()
+	base, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	lis := faulty.WrapListener(base, faulty.Plan{ConnResetEvery: 1, ConnResetOps: 60})
+	go func() {
+		_ = ServeAPIContext(context.Background(), lis, core.NewSite(0, data, relation.True()), data.Schema())
+	}()
+	sites, _, err := Dial([]string{base.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sites[0].(*RemoteSite)
+	broke := false
+	for i := 0; i < 80 && !broke; i++ {
+		broke = r.Ping(context.Background()) != nil
+	}
+	if !broke {
+		t.Fatal("no connection ever reset — the fault injection did not bite")
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.Close(); err != nil {
+			t.Errorf("Close #%d after a transport failure = %v, want nil", i+1, err)
+		}
+	}
+	err = r.Ping(context.Background())
+	if core.ErrCodeOf(err) != core.CodeUnavailable || !strings.Contains(err.Error(), "client closed") {
+		t.Errorf("call on a closed proxy = %v, want the typed client-closed unavailable error", err)
+	}
+}
+
 // TestRemoteChaosDetectEquivalence is the end-to-end chaos run over
 // real TCP: server-side injected call faults plus periodic connection
 // resets, a FailRetry driver, and the invariant that the answer —
@@ -310,14 +349,12 @@ func TestRemoteChaosDetectEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfds := workload.EMPCFDs()
-	want, err := core.ClustDetect(localCl, cfds, core.PatDetectS, core.Options{})
+	want, err := core.DetectOnce(context.Background(), localCl, cfds, core.PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.ClustDetect(remoteCl, cfds, core.PatDetectS, core.Options{
-		Failure: core.FailRetry,
-		Retry:   core.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond},
-	})
+	got, err := core.DetectOnce(context.Background(), remoteCl, cfds, core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry,
+		Retry: core.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}}, true)
 	if err != nil {
 		t.Fatalf("chaos detect over TCP failed: %v", err)
 	}

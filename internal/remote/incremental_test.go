@@ -134,7 +134,7 @@ func TestRemoteIncrementalCancelMidDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := workload.CustPatternCFD(16)
-	sp, err := core.CompileSingle(context.Background(), cl, rule, core.PatDetectS, core.Options{})
+	sp, err := core.CompileSet(context.Background(), cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRemoteIncrementalCancelMidDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Patterns.String() != fresh.Patterns.String() ||
+	if inc.PerCFD[0].String() != fresh.PerCFD[0].String() ||
 		inc.ShippedTuples != fresh.ShippedTuples || inc.ModeledTime != fresh.ModeledTime {
 		t.Fatal("post-cancel incremental round diverges from fresh Detect over TCP")
 	}

@@ -1,15 +1,17 @@
 // Overload and drain across the wire: the v7 envelope's retry-after
 // param, the per-task deadline stamp, the Drain RPC end to end, and
-// the v6-peer fallback that must never see any of them.
+// the loud one-shot rejection of a peer on another wire version.
 package remote
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/rpc"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,7 +108,7 @@ func TestWorkCtxDeadlineStamp(t *testing.T) {
 
 // recordingSiteService answers the handshake at the given version and
 // records every DepositArgs it receives — the fixture for pinning what
-// a driver actually stamps on the wire at each negotiated level.
+// a driver actually stamps on the wire.
 type recordingSiteService struct {
 	schema   *relation.Schema
 	version  int
@@ -140,8 +142,9 @@ func (s *recordingSiteService) recorded(t *testing.T, i int) DepositArgs {
 }
 
 // startRecordingSite serves svc under the given rpc service name on a
-// loopback listener and returns its address.
-func startRecordingSite(t *testing.T, rpcName string, svc *recordingSiteService) string {
+// loopback listener and returns its address and a count of the
+// connections it accepted.
+func startRecordingSite(t *testing.T, rpcName string, svc *recordingSiteService) (string, *atomic.Int32) {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -152,33 +155,32 @@ func startRecordingSite(t *testing.T, rpcName string, svc *recordingSiteService)
 	if err := srv.RegisterName(rpcName, svc); err != nil {
 		t.Fatal(err)
 	}
+	accepts := new(atomic.Int32)
 	go func() {
 		for {
 			conn, err := lis.Accept()
 			if err != nil {
 				return
 			}
+			accepts.Add(1)
 			go srv.ServeConn(conn)
 		}
 	}()
-	return lis.Addr().String()
+	return lis.Addr().String(), accepts
 }
 
-// TestDeadlineStampedAtV7 pins the client half: against a v7 peer the
-// driver's context deadline crosses the wire as the absolute per-task
+// TestDeadlineStampedAtV7 pins the client half: the driver's context
+// deadline crosses the wire as the absolute per-task
 // stamp, and a deadline-free context stamps zero.
 func TestDeadlineStampedAtV7(t *testing.T) {
 	svc := &recordingSiteService{schema: workload.CustSchema(), version: WireVersion}
-	addr := startRecordingSite(t, serviceName, svc)
+	addr, _ := startRecordingSite(t, serviceName, svc)
 	sites, _, err := Dial([]string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := sites[0].(*RemoteSite)
 	defer r.Close()
-	if r.Level() != WireVersion {
-		t.Fatalf("negotiated level %d, want %d", r.Level(), WireVersion)
-	}
 
 	batch := workload.Cust(workload.CustConfig{N: 20, Seed: 2})
 	dl := time.Now().Add(time.Minute)
@@ -199,56 +201,30 @@ func TestDeadlineStampedAtV7(t *testing.T) {
 	}
 }
 
-// --- v6-peer interop ---
+// --- version skew ---
 
-// TestV6FallbackInterop pins the sanctioned downgrade for the v7
-// additions: against a site that serves only SiteV6, the handshake
-// falls back one step, packed σ-block payloads still ship (they are a
-// v6 feature), the Deadline field is never stamped (a v6 peer has no
-// workCtx to honor it), and the Drain surface fails typed instead of
-// sending an RPC the peer cannot answer.
-func TestV6FallbackInterop(t *testing.T) {
-	svc := &recordingSiteService{schema: workload.CustSchema(), version: PrevWireVersion}
-	addr := startRecordingSite(t, prevServiceName, svc)
-	sites, schema, err := Dial([]string{addr})
-	if err != nil {
-		t.Fatalf("dial with v6 fallback: %v", err)
+// TestDialRejectsOtherServiceName: a peer that serves another protocol
+// version answers the Info probe with can't-find-service. That is
+// version skew, which no retry can fix — one connect attempt, then a
+// permanent error naming both sides — not a transient handshake
+// failure to back off and re-dial.
+func TestDialRejectsOtherServiceName(t *testing.T) {
+	svc := &recordingSiteService{schema: workload.CustSchema(), version: WireVersion - 1}
+	addr, accepts := startRecordingSite(t, "SiteV6", svc)
+	_, _, err := DialWithConfig([]string{addr}, DialConfig{DialAttempts: 3, DialBackoff: time.Millisecond})
+	if err == nil {
+		t.Fatal("dialing a site on another service name must fail")
 	}
-	if !schema.Equal(workload.CustSchema()) {
-		t.Fatal("fallback handshake lost the schema")
+	if _, permanent := err.(permanentDialError); !permanent {
+		t.Errorf("want a permanent dial error, got %T: %v", err, err)
 	}
-	r := sites[0].(*RemoteSite)
-	defer r.Close()
-	if r.Level() != PrevWireVersion {
-		t.Fatalf("negotiated level %d, want %d", r.Level(), PrevWireVersion)
+	for _, want := range []string{"version skew", serviceName, fmt.Sprintf("wire version %d", WireVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("skew error should mention %q: %v", want, err)
+		}
 	}
-
-	batch := workload.Cust(workload.CustConfig{N: 2000, Seed: 3})
-	attachPacked(t, batch)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := r.Deposit(ctx, "job/b0", batch, ""); err != nil {
-		t.Fatal(err)
-	}
-	got := svc.recorded(t, 0)
-	if got.Deadline != 0 {
-		t.Errorf("v6 peer saw a deadline stamp %d; the field is v7-only", got.Deadline)
-	}
-	if got.Batch.Packed == nil {
-		t.Error("packed payloads are v6 — the one-step fallback must keep them")
-	}
-
-	if err := r.Drain(ctx); err == nil {
-		t.Fatal("Drain against a v6 peer must fail typed, not send the RPC")
-	} else if !strings.Contains(err.Error(), "wire version") {
-		t.Errorf("Drain rejection should name the wire versions: %v", err)
-	}
-	if r.Draining() {
-		t.Error("a refused Drain must not latch the drain state")
-	}
-	r.Resume() // must be a no-op below v7, not an RPC the peer rejects
-	if r.Draining() {
-		t.Error("Resume below v7 must leave the state alone")
+	if n := accepts.Load(); n != 1 {
+		t.Errorf("site saw %d connect attempts, want exactly 1", n)
 	}
 }
 
@@ -280,9 +256,6 @@ func drainFixture(t *testing.T, wrap bool) (*RemoteSite, *core.Admission) {
 	}
 	r := sites[0].(*RemoteSite)
 	t.Cleanup(func() { r.Close() })
-	if r.Level() != WireVersion {
-		t.Fatalf("negotiated level %d, want %d", r.Level(), WireVersion)
-	}
 	return r, adm
 }
 

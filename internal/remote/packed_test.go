@@ -3,8 +3,6 @@ package remote
 import (
 	"context"
 	"net"
-	"net/rpc"
-	"sync"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -39,7 +37,7 @@ func attachPacked(t *testing.T, r *relation.Relation) {
 // TestWirePackedRoundTrip pins the v6 form end to end: a relation
 // carrying a packed payload that models smaller than both v5 forms
 // ships as WirePackedRelation, round-trips tuple for tuple, and stays
-// chunk-backed on the receiver; ToWireLegacy never emits it.
+// chunk-backed on the receiver.
 func TestWirePackedRoundTrip(t *testing.T) {
 	d := workload.Cust(workload.CustConfig{N: 5000, Seed: 7})
 	attachPacked(t, d)
@@ -67,106 +65,11 @@ func TestWirePackedRoundTrip(t *testing.T) {
 		t.Error("packed round trip lost data")
 	}
 
-	wl := ToWireLegacy(d)
-	if wl.Packed != nil {
-		t.Fatal("ToWireLegacy must never emit the packed form")
-	}
-	backL, err := FromWire(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !backL.SameTuples(d) {
-		t.Error("legacy round trip lost data")
-	}
-
 	// Corrupt packed payloads must be rejected at FromWire.
 	bad := *w
 	bad.Packed = &WirePackedRelation{Rows: w.Packed.Rows, ChunkRows: w.Packed.ChunkRows}
 	if _, err := FromWire(&bad); err == nil {
 		t.Error("column-free packed payload for a non-empty schema should fail")
-	}
-}
-
-// legacySiteService mimics a v5 cfdsite: it answers only under the
-// legacy service name and records the Deposit payloads it receives.
-type legacySiteService struct {
-	schema   *relation.Schema
-	mu       sync.Mutex
-	deposits []*WireRelation
-}
-
-func (s *legacySiteService) Info(_ struct{}, reply *InfoReply) error {
-	reply.ID = 0
-	reply.Pred = relation.True()
-	reply.Schema = SchemaToWire(s.schema)
-	reply.Version = LegacyWireVersion
-	return nil
-}
-
-func (s *legacySiteService) Deposit(args DepositArgs, _ *struct{}) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deposits = append(s.deposits, args.Batch)
-	return nil
-}
-
-// TestLegacyFallbackNeverShipsPacked pins the sanctioned downgrade: a
-// v6 driver dialing a site that serves only SiteV5 falls back to the
-// legacy surface, and deposits to it travel without the Packed field —
-// gob on the old peer would silently drop it and decode an empty
-// relation.
-func TestLegacyFallbackNeverShipsPacked(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	svc := &legacySiteService{schema: workload.CustSchema()}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(legacyServiceName, svc); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-
-	sites, schema, err := Dial([]string{lis.Addr().String()})
-	if err != nil {
-		t.Fatalf("dial with legacy fallback: %v", err)
-	}
-	if !schema.Equal(workload.CustSchema()) {
-		t.Fatal("fallback handshake lost the schema")
-	}
-
-	batch := workload.Cust(workload.CustConfig{N: 2000, Seed: 3})
-	attachPacked(t, batch)
-	if w := ToWire(batch); w.Packed == nil {
-		t.Fatal("precondition: batch should prefer the packed form on a v6 link")
-	}
-	if err := sites[0].Deposit(context.Background(), "job/b0", batch, ""); err != nil {
-		t.Fatal(err)
-	}
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	if len(svc.deposits) != 1 {
-		t.Fatalf("legacy site recorded %d deposits, want 1", len(svc.deposits))
-	}
-	got := svc.deposits[0]
-	if got.Packed != nil {
-		t.Fatal("deposit on a legacy connection carried the Packed field")
-	}
-	back, err := FromWire(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.SameTuples(batch) {
-		t.Error("legacy-form deposit lost data")
 	}
 }
 
@@ -214,7 +117,7 @@ func TestRemotePackedShipEquivalence(t *testing.T) {
 	addrs := startStoreSites(t, h)
 	rules := []*cfd.CFD{workload.CustPatternCFD(64), workload.CustStreetCFD()}
 
-	run := func(opt core.Options) *core.SetResult {
+	run := func(opt core.Options) *core.Result {
 		sites, schema, err := Dial(addrs)
 		if err != nil {
 			t.Fatal(err)
@@ -223,7 +126,8 @@ func TestRemotePackedShipEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.ClustDetect(cl, rules, core.PatDetectS, opt)
+		opt.Workers = 1
+		res, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectS, opt, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,17 +176,17 @@ func TestRemoteClusterMatchesLocal(t *testing.T) {
 	}
 	for _, rule := range workload.EMPCFDs() {
 		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectS, core.PatDetectRT} {
-			remote, err := core.DetectSingle(remoteCl, rule, algo, core.Options{})
+			remote, err := core.DetectOnce(context.Background(), remoteCl, []*cfd.CFD{rule}, algo, core.Options{}, false)
 			if err != nil {
 				t.Fatalf("%s/%v remote: %v", rule.Name, algo, err)
 			}
-			local, err := core.DetectSingle(localCl, rule, algo, core.Options{})
+			local, err := core.DetectOnce(context.Background(), localCl, []*cfd.CFD{rule}, algo, core.Options{}, false)
 			if err != nil {
 				t.Fatalf("%s/%v local: %v", rule.Name, algo, err)
 			}
-			if !remote.Patterns.SameTuples(local.Patterns) {
+			if !remote.PerCFD[0].SameTuples(local.PerCFD[0]) {
 				t.Errorf("%s/%v: remote patterns differ\nremote %v\nlocal %v",
-					rule.Name, algo, remote.Patterns, local.Patterns)
+					rule.Name, algo, remote.PerCFD[0], local.PerCFD[0])
 			}
 			if remote.ShippedTuples != local.ShippedTuples {
 				t.Errorf("%s/%v: shipment %d != %d", rule.Name, algo,
@@ -212,11 +212,11 @@ func TestRemoteMultiCFD(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfds := workload.EMPCFDs()
-	seq, err := core.SeqDetect(cl, cfds, core.PatDetectS, core.Options{})
+	seq, err := core.DetectOnce(context.Background(), cl, cfds, core.PatDetectS, core.Options{Workers: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu, err := core.ClustDetect(cl, cfds, core.PatDetectS, core.Options{})
+	clu, err := core.DetectOnce(context.Background(), cl, cfds, core.PatDetectS, core.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +255,11 @@ func TestRemoteMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.DetectSingle(cl, workload.XRefMiningFD(), core.PatDetectS,
-		core.Options{MineTheta: 0.1})
+	res, err := core.DetectOnce(context.Background(), cl, []*cfd.CFD{workload.XRefMiningFD()}, core.PatDetectS, core.Options{MineTheta: 0.1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MinedPatterns == 0 {
+	if res.Units[0].MinedPatterns == 0 {
 		t.Error("remote mining found no patterns at θ=0.1")
 	}
 }

@@ -338,7 +338,7 @@ func (s *SiteService) DetectAssignedSingle(args DetectAssignedArgs, reply *WireR
 	return nil
 }
 
-// DetectAssignedSet runs the ClustDetect coordinator step.
+// DetectAssignedSet runs the coordinator step of a merged cluster.
 func (s *SiteService) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
 	ctx, cancel := s.workCtx(args.Deadline)
 	defer cancel()

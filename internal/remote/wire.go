@@ -44,35 +44,12 @@ import (
 // EITHER direction dies on the first call with a can't-find-service
 // error: an old driver against a new site (which the InfoReply check
 // alone could never catch — that check runs in the new driver) and a
-// new driver against an old site both fail loudly instead of silently
-// exchanging partially-decoded payloads. The one sanctioned fallback
-// is client-side: a driver whose Info probe draws a can't-find-service
-// reply walks the handshake chain (SiteV7 → SiteV6 → SiteV5) on the
-// same connection and drives the site at the negotiated level —
-// deadline stamps, Drain and envelope params only at v7 (gob drops
-// unknown fields silently, so a v6 peer must never be sent v7 fields
-// it would ignore and never honor), packed payloads at v6 and above,
-// and on a v5 link deposits always travel in the legacy forms
-// (ToWireLegacy), because a packed payload sent to a v5 site would
-// decode as an empty relation.
+// new driver against an old site both fail loudly, once, instead of
+// silently exchanging partially-decoded payloads. One version plus
+// wire.golden is the whole compatibility story.
 const WireVersion = 7
 
 const serviceName = "SiteV7"
-
-// PrevWireVersion is the immediately preceding protocol (packed
-// shipping, no deadline/drain surface); prevServiceName is its rpc
-// service name. A peer negotiated here gets packed payloads but never
-// sees the v7 envelope fields.
-const PrevWireVersion = 6
-
-const prevServiceName = "SiteV6"
-
-// LegacyWireVersion is the oldest protocol the client can fall back
-// to; legacyServiceName is its rpc service name. Deposits on such a
-// link always use the v5 wire forms.
-const LegacyWireVersion = 5
-
-const legacyServiceName = "SiteV5"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
 // carries exactly one of two payloads: the row form (Tuples), or the
@@ -94,9 +71,7 @@ type WireRelation struct {
 	Cols  [][]uint32
 	Rows  int
 	// Packed form (wire v6): dictionary sections and chunk payloads in
-	// the colstore codec, shipped byte-for-byte. Never set on a
-	// connection negotiated down to a v5 peer — gob would silently drop
-	// the field and the peer would decode an empty relation.
+	// the colstore codec, shipped byte-for-byte.
 	Packed *WirePackedRelation
 }
 
@@ -137,17 +112,6 @@ func ToWire(r *relation.Relation) *WireRelation {
 			}
 			return w
 		}
-	}
-	return ToWireLegacy(r)
-}
-
-// ToWireLegacy converts a relation for transport using only the wire
-// v5 forms (row or dictionary-encoded columnar) — required on
-// connections negotiated down to a v5 peer, where a Packed field would
-// be silently dropped by gob.
-func ToWireLegacy(r *relation.Relation) *WireRelation {
-	if r == nil {
-		return nil
 	}
 	w := &WireRelation{
 		Name:  r.Schema().Name(),

@@ -140,7 +140,8 @@ func CustStreetCFD() *cfd.CFD {
 }
 
 // CustOverlappingCFDs returns the Exp-5/6 pair: the second CFD's LHS
-// is a strict subset of the first's, so ClustDetect merges them.
+// is a strict subset of the first's, so clustered compilation merges
+// them into one unit.
 func CustOverlappingCFDs(k1, k2 int) []*cfd.CFD {
 	first := CustPatternCFD(k1)
 	if k2 <= 0 || k2 > len(custCCs)*custACsPerCC {

@@ -45,7 +45,7 @@ func openStoreSites(t *testing.T, h *partition.Horizontal) []core.SiteAPI {
 
 // assertSameDetection pins the full equivalence contract between a
 // packed-shipping run and its NoPackedShip control.
-func assertSameDetection(t *testing.T, tag string, packed, plain *core.SetResult) {
+func assertSameDetection(t *testing.T, tag string, packed, plain *core.Result) {
 	t.Helper()
 	for ci := range plain.PerCFD {
 		g, w := packed.PerCFD[ci], plain.PerCFD[ci]
@@ -77,12 +77,12 @@ func TestPackedShipEquivalence(t *testing.T) {
 	}
 	sites := openStoreSites(t, h)
 	rules := outOfCoreRules()
-	run := func(opt core.Options) *core.SetResult {
+	run := func(opt core.Options) *core.Result {
 		cl, err := core.NewCluster(h.Schema, sites)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.ClustDetect(cl, rules, core.PatDetectS, opt)
+		res, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectS, opt, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestPackedShipEquivalenceIncremental(t *testing.T) {
 
 	ctx := context.Background()
 	rules := outOfCoreRules()
-	run := func(opt core.Options) []*core.SetResult {
+	run := func(opt core.Options) []*core.Result {
 		sites := openStoreSites(t, h)
 		cl, err := core.NewCluster(h.Schema, sites)
 		if err != nil {
@@ -152,7 +152,7 @@ func TestPackedShipEquivalenceIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := []*core.SetResult{seed}
+		out := []*core.Result{seed}
 		for _, m := range deltas {
 			res, err := p.DetectDelta(ctx, m)
 			if err != nil {
@@ -195,7 +195,7 @@ func TestPackedShipEquivalenceDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules := outOfCoreRules()
-	run := func(opt core.Options) *core.SetResult {
+	run := func(opt core.Options) *core.Result {
 		sites := openStoreSites(t, h)
 		sites[down] = faulty.Wrap(sites[down], faulty.Plan{CrashAt: 1})
 		cl, err := core.NewCluster(h.Schema, sites)
@@ -204,7 +204,8 @@ func TestPackedShipEquivalenceDegraded(t *testing.T) {
 		}
 		opt.Failure = core.FailDegrade
 		opt.Retry = packedEquivRetry
-		res, err := core.ClustDetect(cl, rules, core.PatDetectS, opt)
+		opt.Workers = 1
+		res, err := core.DetectOnce(context.Background(), cl, rules, core.PatDetectS, opt, true)
 		if err != nil {
 			t.Fatalf("degraded run failed outright: %v", err)
 		}
