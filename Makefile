@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full bench-build examples lint wire-golden chaos chaos-load
+.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full bench-build examples lint wire-golden chaos chaos-load fuzz-smoke
 
 # ci mirrors .github/workflows/ci.yml: a missing package, vet
-# regression, lint finding, race, broken example, broken benchmark, or
-# chaos regression can never land silently again.
-ci: build vet lint race examples bench-smoke bench-build chaos chaos-load
+# regression, lint finding, race, broken example, broken benchmark,
+# chaos regression, or fuzz crasher can never land silently again.
+ci: build vet lint race examples bench-smoke bench-build chaos chaos-load fuzz-smoke
 
 # lint builds the repo's own analyzer suite (cmd/distcfdvet: keyjoin,
-# ctxflow, poolpair, wirecompat) and runs it over every package via the
-# vet -vettool protocol. Findings are suppressed per line with a
+# ctxflow, poolpair, wirecompat, mmapclose) and runs it over every
+# package via the vet -vettool protocol. Findings are suppressed per line with a
 # //distcfd:<analyzer>-ok comment. staticcheck and govulncheck run too
 # when installed, but are gated so the target works on a bare
 # toolchain.
@@ -68,6 +68,17 @@ chaos-load:
 	DISTCFD_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
 		-run 'ChaosLoad|Admission|Overload|Drain|Deadline|SleepCtx|Breaker|EnvelopeRetryAfter|EnvelopeParamFree|WorkCtx|Ping' \
 		./internal/core/ ./internal/remote/ ./internal/faulty/
+
+# fuzz-smoke actually fuzzes every fuzz target for a fixed 10 s
+# each — `go test` alone only replays the checked-in seed corpora. The
+# toolchain fuzzes one target per invocation, hence the loop. A crasher
+# is written under the package's testdata/fuzz/<target>/ and fails the
+# target; commit that file with the fix so it replays forever after.
+fuzz-smoke:
+	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/remote:FuzzWirePacked; do \
+		echo "== fuzz $${t#*:} (10s)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
+	done
 
 build:
 	$(GO) build ./...

@@ -72,6 +72,10 @@ func BenchmarkFig3gExp5TimeXref(b *testing.B)     { benchFigure(b, exp.Exp5TimeX
 func BenchmarkFig3hExp5TimeCust(b *testing.B)     { benchFigure(b, exp.Exp5TimeCust) }
 func BenchmarkFig3iExp6CustScale(b *testing.B)    { benchFigure(b, exp.Exp6) }
 
+// kern is the detection kernel the root package's benchmarks and
+// equivalence tests call the check primitive through.
+var kern engine.Kernel
+
 // BenchmarkCentralDetect measures the local `check` primitive — the
 // hash-group-by detector standing in for the SQL technique of [2] —
 // in tuples per second.
@@ -81,7 +85,7 @@ func BenchmarkCentralDetect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Detect(data, rule); err != nil {
+		if _, err := kern.DetectSet(data, []*cfd.CFD{rule}, engine.Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +138,7 @@ func BenchmarkAblationSigmaIndex(b *testing.B) {
 // against dictionary-interned IDs on a relation encoded from scratch
 // every iteration. The detect tier compares the full check(D, Σ)
 // primitive end to end: engine.DetectRows (the row-oriented string-key
-// reference) against engine.Detect (the columnar dictionary-encoded
+// reference) against engine.Kernel.DetectSet (the columnar dictionary-encoded
 // default; its per-column vectors are cached on the relation, as in
 // the real pipeline).
 func BenchmarkAblationEncoding(b *testing.B) {
@@ -184,7 +188,7 @@ func BenchmarkAblationEncoding(b *testing.B) {
 	b.Run("detect-encoded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.DetectSet(data, rules); err != nil {
+			if _, err := kern.DetectSet(data, rules, engine.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 package distcfd
 
 // Cross-representation equivalence: the dictionary-encoded execution
-// path (engine.Detect/DetectSet, BlockSpec.AssignAll) must agree, bit
+// path (engine.Kernel.DetectSet, BlockSpec.AssignAll) must agree, bit
 // for bit, with the row-oriented string-key path (engine.DetectRows /
 // per-tuple BlockSpec.Assign) and with the naive oracle, over the
 // repo's three workloads plus adversarial values sitting next to the
@@ -62,7 +62,7 @@ func TestEncodedDetectMatchesRowPath(t *testing.T) {
 	for _, sample := range equivSamples(t) {
 		t.Run(sample.name, func(t *testing.T) {
 			for _, c := range sample.cfds {
-				encoded, err := engine.Detect(sample.d, c)
+				encoded, err := kern.DetectSet(sample.d, []*cfd.CFD{c}, engine.Opts{})
 				if err != nil {
 					t.Fatalf("%s: encoded: %v", c.Name, err)
 				}
@@ -85,7 +85,7 @@ func TestEncodedDetectMatchesRowPath(t *testing.T) {
 					}
 				}
 			}
-			encSet, err := engine.DetectSet(sample.d, sample.cfds)
+			encSet, err := kern.DetectSet(sample.d, sample.cfds, engine.Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

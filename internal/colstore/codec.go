@@ -247,6 +247,61 @@ func (it *RunIter) Decode(dst []uint32) error {
 	return nil
 }
 
+// bounds returns the smallest and largest ID of the current run without
+// storing any: what checkChunk holds against the chunk's shipped
+// bounds. The max/min updates compile branch-free.
+func (it *RunIter) bounds() (lo, hi uint32) {
+	if it.rle {
+		return it.id, it.id
+	}
+	width := it.width // 0 reads no bytes: every ID is 0
+	lo = ^uint32(0)
+	var acc uint64
+	var nacc uint
+	src := it.run
+	mask := uint32(1)<<width - 1
+	for k := 0; k < it.count; k++ {
+		for nacc < width {
+			acc |= uint64(src[0]) << nacc
+			src = src[1:]
+			nacc += 8
+		}
+		v := uint32(acc) & mask
+		lo, hi = min(lo, v), max(hi, v)
+		acc >>= width
+		nacc -= width
+	}
+	return lo, hi
+}
+
+// checkChunk verifies a chunk payload that arrived from a peer, without
+// decoding it anywhere: the runs are well-formed, cover exactly rows
+// rows, and hold no ID outside [minID, maxID]. After it passes,
+// DecodeChunk over the same payload cannot fail and cannot produce an
+// ID the bounds do not announce.
+func checkChunk(payload []byte, rows int, minID, maxID uint32) error {
+	it, err := Runs(payload)
+	if err != nil {
+		return err
+	}
+	n := 0
+	for it.Next() {
+		if n += it.Count(); n > rows {
+			return fmt.Errorf("colstore: chunk run overflows its %d-row span", rows)
+		}
+		if lo, hi := it.bounds(); lo < minID || hi > maxID {
+			return fmt.Errorf("colstore: chunk holds IDs [%d, %d] outside its bounds [%d, %d]", lo, hi, minID, maxID)
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	if n != rows {
+		return fmt.Errorf("colstore: chunk holds %d rows, its span has %d", n, rows)
+	}
+	return nil
+}
+
 // EncodeDictSection appends one column's dictionary section — the
 // distinct values in ID order, each length-prefixed, after a uvarint
 // count — to dst. It is the writer's on-file dict layout and the wire

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -493,5 +494,62 @@ func TestReadAfterCloseErrors(t *testing.T) {
 	}
 	if _, err := f.Dict(0); err == nil {
 		t.Fatal("Dict after Close succeeded")
+	}
+}
+
+// TestNewPackedVerifiesForeignParts pins the adoption check: NewPacked
+// is where bytes this process did not write become storage, so a part
+// that would fail (or mislead) a later decode is an error there. Each
+// case edits a valid one-column, two-chunk payload.
+func TestNewPackedVerifiesForeignParts(t *testing.T) {
+	valid := func() PackedColumn {
+		c0, mn0, mx0 := EncodeChunk(nil, []uint32{0, 1, 2, 1})
+		c1, mn1, mx1 := EncodeChunk(nil, []uint32{3, 4, 4})
+		return PackedColumn{
+			Dict:   EncodeDictSection(nil, []string{"a", "b", "c", "d", "e"}),
+			Chunks: [][]byte{c0, c1},
+			MinIDs: []uint32{mn0, mn1},
+			MaxIDs: []uint32{mx0, mx1},
+		}
+	}
+	if _, err := NewPacked(7, 4, []PackedColumn{valid()}); err != nil {
+		t.Fatalf("valid payload rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		edit func(c *PackedColumn) (rows, chunkRows int)
+	}{
+		{"max bound past the dictionary", func(c *PackedColumn) (int, int) { c.MaxIDs[1] = 5; return 7, 4 }},
+		// Width 3 admits IDs up to 7; the bound says 4 and the dictionary
+		// has 5 values, so only a look at the IDs themselves catches a 6.
+		{"id above its shipped max", func(c *PackedColumn) (int, int) {
+			c.Chunks[1], _, _ = EncodeChunk(nil, []uint32{3, 6, 4})
+			return 7, 4
+		}},
+		// A min bound above the chunk's real minimum would let a constant
+		// scan σ-skip a chunk that holds the constant.
+		{"min bound above the contents", func(c *PackedColumn) (int, int) { c.MinIDs[0] = 1; return 7, 4 }},
+		{"chunk shorter than its span", func(c *PackedColumn) (int, int) {
+			c.Chunks[0], _, _ = EncodeChunk(nil, []uint32{0, 1, 2})
+			return 7, 4
+		}},
+		{"chunk longer than its span", func(c *PackedColumn) (int, int) {
+			c.Chunks[1], _, _ = EncodeChunk(nil, []uint32{3, 4, 4, 4})
+			return 7, 4
+		}},
+		{"width byte out of range", func(c *PackedColumn) (int, int) { c.Chunks[0] = []byte{0xff, 0xff, 0xff}; return 7, 4 }},
+		{"dictionary truncated", func(c *PackedColumn) (int, int) { c.Dict = []byte{0xff}; return 7, 4 }},
+		{"dictionary duplicate", func(c *PackedColumn) (int, int) {
+			c.Dict = EncodeDictSection(nil, []string{"a", "b", "c", "d", "a"})
+			return 7, 4
+		}},
+		{"row count that overflows the chunk arithmetic", func(c *PackedColumn) (int, int) { return math.MaxInt, math.MaxInt }},
+	}
+	for _, tc := range cases {
+		c := valid()
+		rows, chunkRows := tc.edit(&c)
+		if _, err := NewPacked(rows, chunkRows, []PackedColumn{c}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -62,10 +62,16 @@ type PackedColumn struct {
 	MinIDs, MaxIDs []uint32
 }
 
-// NewPacked assembles a Packed from per-column parts. Every column
-// must have ceil(rows/chunkRows) chunks with matching bounds slices;
-// payloads themselves are validated lazily when a read first decodes
-// them (a malformed chunk surfaces as a read error, never a panic).
+// NewPacked assembles a Packed from per-column parts — the adoption
+// point of bytes this process did not write (a wire receive), so
+// everything a later read would trust is verified here, once: every
+// column has ceil(rows/chunkRows) chunks with matching bounds slices,
+// every dictionary section decodes, and every chunk payload is
+// well-formed, covers exactly its span, and holds only IDs inside its
+// shipped [min, max] bounds, which in turn fit the dictionary. A Packed
+// that NewPacked returned cannot fail a decode or hand out an ID its
+// dictionary lacks; a malformed part is an error here, never a panic
+// later.
 func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("colstore: NewPacked with %d rows", rows)
@@ -75,7 +81,7 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 		if chunkRows <= 0 {
 			return nil, fmt.Errorf("colstore: NewPacked with chunkRows %d for %d rows", chunkRows, rows)
 		}
-		numChunks = (rows + chunkRows - 1) / chunkRows
+		numChunks = (rows-1)/chunkRows + 1 // overflow-free: rows is the peer's word
 	}
 	p := &Packed{rows: rows, chunkRows: chunkRows, cols: make([]packedCol, len(cols))}
 	for j, c := range cols {
@@ -85,6 +91,20 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 		}
 		p.cols[j] = packedCol{dictSec: c.Dict, chunks: c.Chunks, minID: c.MinIDs, maxID: c.MaxIDs}
 		p.size += packedColSize(c.Dict, c.Chunks)
+		dict, err := p.Dict(j)
+		if err != nil {
+			return nil, err
+		}
+		for k, payload := range c.Chunks {
+			lo, hi := p.ChunkSpan(j, k)
+			if int64(c.MaxIDs[k]) >= int64(dict.Len()) {
+				return nil, fmt.Errorf("colstore: packed column %d chunk %d: max ID %d outside dictionary of %d values",
+					j, k, c.MaxIDs[k], dict.Len())
+			}
+			if err := checkChunk(payload, hi-lo, c.MinIDs[k], c.MaxIDs[k]); err != nil {
+				return nil, fmt.Errorf("colstore: packed column %d chunk %d: %w", j, k, err)
+			}
+		}
 	}
 	return p, nil
 }

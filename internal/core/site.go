@@ -578,7 +578,7 @@ func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*re
 	if local.Len() == 0 && len(deps) == 1 {
 		// One shipped part and nothing local: check the deposit directly.
 		// A wire v6 deposit then stays in its packed-backed form — the
-		// kernel streams its chunks through the reader path without ever
+		// kernel streams its chunks as a column source without ever
 		// materializing columns. (Concat of a single empty-plus-one pair
 		// would produce the same rows under fresh dense dicts; the kernel
 		// output is value-determined, so both forms check identically.)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -10,7 +12,8 @@ import (
 	"distcfd/internal/relation"
 )
 
-// The fast detector. For each normalized unit (X→A, tp):
+// The fast detector — the paper's check(D, Σ). For each normalized unit
+// (X→A, tp):
 //
 //   - constant unit: one scan; t violates iff t[X] ≍ tp[X] ∧ t[A]≠tp[A]
 //     (the Qc query of [2]);
@@ -18,18 +21,18 @@ import (
 //     tuple of a group with >1 distinct A-value violates (the Qv
 //     GROUP BY … HAVING COUNT(DISTINCT A)>1 query of [2]).
 //
-// Both scans run on the relation's columnar dictionary-encoded view
-// (relation.Encoded): pattern constants are resolved to column IDs
-// once per unit, matching is fixed-width integer comparison, the
-// variable group-by keys on dense group IDs through the map-free fold
-// of fold.go, and violations accumulate in a row-indexed bitset —
-// sorted output falls out of iteration order, with no per-call map or
-// sort. The per-row loops can additionally be sharded across an
-// intra-unit worker budget (see kernel.go); per-shard group states
-// merge associatively, so the parallel kernel is byte-identical to the
-// serial one. DetectRows (rows.go) keeps the string-key reference
-// path. Semantics match internal/cfd.NaiveViolations, which serves as
-// the test oracle.
+// There is one kernel. It runs on dictionary-encoded column IDs handed
+// out span by span by a column source (source.go): pattern constants
+// are resolved to column IDs once per unit, matching is fixed-width
+// integer comparison, the variable group-by keys on dense group IDs
+// through the map-free fold of fold.go, and violations accumulate in a
+// row-indexed bitset — sorted output falls out of iteration order, with
+// no per-call map or sort. Over a materialized relation the per-row
+// loops can additionally be sharded across an intra-unit worker budget;
+// per-shard group states merge associatively, so the parallel kernel is
+// byte-identical to the serial one. DetectRows (rows.go) keeps the
+// string-key reference path. Semantics match
+// internal/cfd.NaiveViolations, which serves as the test oracle.
 
 // noGroup marks rows excluded from a variable unit's grouping (pattern
 // mismatch). Group IDs are dense, bounded by the row count, so the
@@ -43,10 +46,12 @@ const noGroup = math.MaxUint32
 // scratch (the PR-3 serving-cache reset policy).
 const scratchShrinkRows = 1 << 21
 
-// detectScratch carries the reusable buffers of one detection call so
-// consecutive units (and CFDs, for DetectSet) do not reallocate them.
-// Scratches are pooled per Kernel and reused across Detect calls.
+// detectScratch carries the column source and the reusable buffers of
+// one detection call so consecutive units (and CFDs) do not reallocate
+// them. Scratches are pooled per Kernel and reused across calls.
 type detectScratch struct {
+	src source
+
 	gids  []uint32 // per-row group id, noGroup when unmatched
 	state []uint8  // per-group: 0 unseen, 1 single A, 2 mixed
 	first []uint32 // per-group first A id (valid when state≥1)
@@ -55,59 +60,76 @@ type detectScratch struct {
 	// Violation bitset: bit i set ⇔ row i violates. Shared across the
 	// units (and CFDs) of one call; ascending iteration replaces the
 	// old map[int]struct{} + sort.Ints.
-	bits  []uint64
-	nbits int
+	bits []uint64
 
 	// Flat per-extra-shard group states of the intra-unit parallel
 	// path: shard s ∈ [1, workers) uses rows [(s-1)·num, s·num).
 	shardState []uint8
 	shardFirst []uint32
+	shardErrs  []error
 
-	// Streaming column buffers of the reader path (reader.go): one flat
-	// backing array sliced into per-column chunk windows.
+	// Decode buffers of a streaming source: one flat backing array
+	// sliced into per-column span windows.
 	readFlat  []uint32
 	readBufsV [][]uint32
 }
 
-func (sc *detectScratch) groupBufs(num int) (state []uint8, first []uint32) {
-	if cap(sc.state) < num {
-		sc.state = make([]uint8, num)
-		sc.first = make([]uint32, num)
-	} else {
-		sc.state = sc.state[:num]
-		sc.first = sc.first[:num]
-		clear(sc.state)
+// sized returns buf with length n, reallocating when its capacity falls
+// short; what it holds is unspecified until the caller clears or fills it.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
+}
+
+// groupBufs returns the per-group state (cleared) and first-A buffers.
+func (sc *detectScratch) groupBufs(num int) (state []uint8, first []uint32) {
+	sc.state, sc.first = sized(sc.state, num), sized(sc.first, num)
+	clear(sc.state)
 	return sc.state, sc.first
 }
 
 // shardBufs returns cleared flat state/first buffers for extra shards.
 func (sc *detectScratch) shardBufs(extra, num int) ([]uint8, []uint32) {
-	n := extra * num
-	if cap(sc.shardState) < n {
-		sc.shardState = make([]uint8, n)
-		sc.shardFirst = make([]uint32, n)
-	} else {
-		sc.shardState = sc.shardState[:n]
-		sc.shardFirst = sc.shardFirst[:n]
-		clear(sc.shardState)
-	}
+	sc.shardState, sc.shardFirst = sized(sc.shardState, extra*num), sized(sc.shardFirst, extra*num)
+	clear(sc.shardState)
 	return sc.shardState, sc.shardFirst
+}
+
+// readBufs returns n decode buffers of rows capacity each, reusing the
+// scratch's flat backing array. A materialized source asks for rows = 0:
+// its windows are the columns themselves.
+func (sc *detectScratch) readBufs(n, rows int) [][]uint32 {
+	sc.readFlat = sized(sc.readFlat, n*rows)
+	sc.readBufsV = sized(sc.readBufsV, n)
+	for i := range sc.readBufsV {
+		sc.readBufsV[i] = sc.readFlat[i*rows : (i+1)*rows]
+	}
+	return sc.readBufsV
 }
 
 // resetBits sizes and clears the violation bitset for rows rows.
 func (sc *detectScratch) resetBits(rows int) {
-	n := (rows + 63) >> 6
-	if cap(sc.bits) < n {
-		sc.bits = make([]uint64, n)
-	} else {
-		sc.bits = sc.bits[:n]
-		clear(sc.bits)
-	}
-	sc.nbits = rows
+	sc.bits = sized(sc.bits, (rows+63)>>6)
+	clear(sc.bits)
 }
 
 func (sc *detectScratch) mark(i int) { sc.bits[i>>6] |= 1 << (uint(i) & 63) }
+
+// nextSet returns the first violating row in [i, hi), or −1.
+func (sc *detectScratch) nextSet(i, hi int) int {
+	for i < hi {
+		if w := sc.bits[i>>6] >> (uint(i) & 63); w != 0 {
+			if i += bits.TrailingZeros64(w); i < hi {
+				return i
+			}
+			return -1
+		}
+		i = (i | 63) + 1
+	}
+	return -1
+}
 
 // violations materializes the bitset as ascending row indices (nil
 // when empty, matching the historical sortedKeys output).
@@ -155,170 +177,287 @@ func (sc *detectScratch) shrink() {
 		sc.readFlat = nil
 		sc.readBufsV = nil
 	}
+	if cap(sc.src.spans) > scratchShrinkRows>>6 {
+		sc.src.spans = nil
+	}
 	sc.fold.shrink()
 }
 
-// DetectUnit returns the violation indices of one normalized CFD in d,
-// in ascending order.
-func DetectUnit(d *relation.Relation, n *cfd.Normalized) ([]int, error) {
-	sc := defaultKernel.get()
-	defer defaultKernel.put(sc)
-	sc.resetBits(d.Encoded().Rows())
-	if err := sc.detectUnit(d, n, 1); err != nil {
-		return nil, err
+// run binds the scratch to r and marks Vio(Σ, r) in the violation
+// bitset: every normalized unit of every CFD through the one kernel.
+func (sc *detectScratch) run(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD, o Opts) error {
+	if err := sc.src.bind(r); err != nil {
+		return err
 	}
-	return sc.violations(), nil
+	sc.resetBits(sc.src.rows)
+	for _, c := range cs {
+		if err := c.Validate(schema); err != nil {
+			return err
+		}
+		for _, n := range c.Normalize() {
+			if err := sc.detectUnit(schema, n, o.Workers); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// detectUnit checks one normalized unit of a CFD against d, marking
-// violating rows in the scratch bitset (which the caller has sized via
-// resetBits). workers > 1 shards the per-row loops; the fold steps of
+// each runs fn over the bound source: span by span on the calling
+// goroutine when w ≤ 1, and — only ever for a materialized source,
+// whose single span is cut into row shards — through fan otherwise.
+func (sc *detectScratch) each(w int, fn func(shard int, sp rowSpan) error) error {
+	if w > 1 {
+		return sc.fan(w, sc.src.rows, fn)
+	}
+	for _, sp := range sc.src.spans {
+		if err := fn(0, sp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fan cuts [0, n) into w contiguous shards whose boundaries are
+// multiples of 64 — two shards never share a word of the violation
+// bitset — and runs fn on each concurrently; shard tells fn which
+// per-shard state is its own.
+func (sc *detectScratch) fan(w, n int, fn func(shard int, sp rowSpan) error) error {
+	sc.shardErrs = sized(sc.shardErrs, w)
+	errs := sc.shardErrs
+	per := ((n+w-1)/w + 63) &^ 63 // w·per ≥ n: the last shard ends at n
+	var wg sync.WaitGroup
+	for s := 0; s < w; s++ {
+		sp := rowSpan{lo: min(s*per, n), hi: min((s+1)*per, n), chunk: -1}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = fn(s, sp)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// constCol is one resolved constant of a pattern: the column and the ID
+// the pattern's constant interned to.
+type constCol struct {
+	col int
+	id  uint32
+}
+
+func matchConsts(consts []constCol, wins [][]uint32, i int) bool {
+	for ci, c := range consts {
+		if wins[ci][i] != c.id {
+			return false
+		}
+	}
+	return true
+}
+
+// detectUnit checks one normalized unit of a CFD against the bound
+// source, marking violating rows in the scratch bitset. workers > 1
+// shards the per-row loops of a materialized source; the fold steps of
 // multi-wildcard groupings stay serial (interning is order-dependent),
 // and per-shard group states merge through the unseen/single/mixed
 // lattice, so the result is identical at every worker count.
-func (sc *detectScratch) detectUnit(d *relation.Relation, n *cfd.Normalized, workers int) error {
-	xi, err := d.Schema().Indices(n.X)
+func (sc *detectScratch) detectUnit(schema *relation.Schema, n *cfd.Normalized, workers int) error {
+	src := &sc.src
+	xi, err := schema.Indices(n.X)
 	if err != nil {
 		return err
 	}
-	aIdxs, err := d.Schema().Indices([]string{n.A})
-	if err != nil {
-		return err
+	aCol, ok := schema.Index(n.A)
+	if !ok {
+		return fmt.Errorf("engine: schema %q has no attribute %q", schema.Name(), n.A)
 	}
-	e := d.Encoded()
-	rows := e.Rows()
-	if rows == 0 {
+	if src.rows == 0 {
 		return nil
 	}
-	workers = shardCount(workers, rows)
 
 	// Resolve the pattern's constants against each column's dictionary;
 	// a constant the fragment never interned matches no tuple at all.
 	var consts []constCol
-	var varCols [][]uint32
+	var varCols []int
 	for j, p := range n.TpX {
 		if p == cfd.Wildcard {
-			col, _ := e.Column(xi[j])
-			varCols = append(varCols, col)
+			varCols = append(varCols, xi[j])
 			continue
 		}
-		col, dict := e.Column(xi[j])
-		id, ok := dict.Lookup(p)
+		id, ok := src.r.ColumnDict(xi[j]).Lookup(p)
 		if !ok {
 			return nil
 		}
-		consts = append(consts, constCol{col: col, id: id})
+		consts = append(consts, constCol{col: xi[j], id: id})
 	}
-	acol, adict := e.Column(aIdxs[0])
-
+	w := src.shards(workers)
 	if n.IsConstant() {
-		aID, aOK := adict.Lookup(n.TpA)
-		runShards(workers, rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if matchConsts(consts, i) && (!aOK || acol[i] != aID) {
-					sc.mark(i)
-				}
-			}
-		})
-		return nil
+		return sc.scanConstant(consts, aCol, n.TpA, w)
 	}
+	num, err := sc.groupRows(consts, varCols, w)
+	if err != nil {
+		return err
+	}
+	return sc.markMixed(num, aCol, w)
+}
 
-	// Variable unit. Among tuples matching the constants, the constant
-	// positions are all equal, so grouping by the wildcard positions
-	// alone partitions exactly like grouping by the full X projection.
-	if cap(sc.gids) < rows {
-		sc.gids = make([]uint32, rows)
-	}
-	gids := sc.gids[:rows]
-	num := 0
-	switch len(varCols) {
-	case 0:
-		// All-constant LHS with a variable RHS: one group.
-		runShards(workers, rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if matchConsts(consts, i) {
-					gids[i] = 0
-				} else {
-					gids[i] = noGroup
-				}
-			}
-		})
-		num = 1
-	default:
-		first := varCols[0]
-		runShards(workers, rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if matchConsts(consts, i) {
-					gids[i] = first[i]
-				} else {
-					gids[i] = noGroup
-				}
-			}
-		})
-		num = dictLenFor(e, xi, n.TpX)
-		for j, col := range varCols[1:] {
-			num = foldColumn(gids, col, num, varColCard(e, xi, n.TpX, j+1), &sc.fold)
+// scanConstant is the Qc scan: rows matching every constant whose A is
+// not the pattern's. Spans that cannot hold a match are skipped before
+// (or part-way through) decoding — see constWindows.
+func (sc *detectScratch) scanConstant(consts []constCol, aCol int, tpA string, w int) error {
+	src := &sc.src
+	aID, aOK := src.r.ColumnDict(aCol).Lookup(tpA)
+	bufs := sc.readBufs(len(consts)+1, src.spanMax)
+	return sc.each(w, func(_ int, sp rowSpan) error {
+		var stack [4][]uint32
+		wins, ok, err := src.constWindows(consts, sp, bufs, stack[:0])
+		if err != nil || !ok {
+			return err
 		}
-	}
+		acol, err := src.window(aCol, sp, bufs[len(consts)])
+		if err != nil {
+			return err
+		}
+		for i, a := range acol {
+			if matchConsts(consts, wins, i) && (!aOK || a != aID) {
+				sc.mark(sp.lo + i)
+			}
+		}
+		return nil
+	})
+}
 
+// groupRows fills sc.gids with each row's dense group ID under the
+// unit's X pattern (noGroup for rows the constants exclude) and returns
+// the group count. Among tuples matching the constants, the constant
+// positions are all equal, so grouping by the wildcard positions alone
+// partitions exactly like grouping by the full X projection.
+func (sc *detectScratch) groupRows(consts []constCol, varCols []int, w int) (int, error) {
+	src := &sc.src
+	sc.gids = sized(sc.gids, src.rows)
+	gids := sc.gids
+	bufs := sc.readBufs(len(consts)+1, src.spanMax)
+	err := sc.each(w, func(_ int, sp rowSpan) error {
+		g := gids[sp.lo:sp.hi]
+		if len(consts) == 0 {
+			// The first variable column IS the initial grouping, read
+			// straight into the group-ID vector: a constant-free LHS
+			// does no per-row work here at all.
+			return src.r.ReadColumn(varCols[0], sp.lo, g)
+		}
+		var stack [4][]uint32
+		wins, ok, err := src.constWindows(consts, sp, bufs, stack[:0])
+		if err != nil {
+			return err
+		}
+		if !ok {
+			for i := range g {
+				g[i] = noGroup // no row of sp can match
+			}
+			return nil
+		}
+		// A streaming source decodes the first variable column into g
+		// itself, so g[i] = first[i] below leaves a matching row's ID
+		// where it already is; an all-constant LHS is one group, 0.
+		first := g
+		if len(varCols) == 0 {
+			clear(g)
+		} else if first, err = src.window(varCols[0], sp, g); err != nil {
+			return err
+		}
+		for i := range g {
+			if matchConsts(consts, wins, i) {
+				g[i] = first[i]
+			} else {
+				g[i] = noGroup
+			}
+		}
+		return nil
+	})
+	if err != nil || len(varCols) == 0 {
+		return 1, err
+	}
+	// Fold the remaining variable columns in, streaming: the interning
+	// counter persists across feeds, so a chunked source interns the
+	// same composites to the same dense IDs as one whole-column pass.
+	num := src.r.ColumnDict(varCols[0]).Len()
+	for _, col := range varCols[1:] {
+		sc.fold.begin(num, src.r.ColumnDict(col).Len(), src.rows)
+		for _, sp := range src.spans {
+			win, err := src.window(col, sp, bufs[0])
+			if err != nil {
+				return 0, err
+			}
+			sc.fold.feed(gids[sp.lo:sp.hi], win)
+		}
+		num = sc.fold.count()
+	}
+	return num, nil
+}
+
+// markMixed is the HAVING COUNT(DISTINCT A) > 1 half of Qv: it walks
+// the num groups of sc.gids through the unseen/single/mixed state
+// machine on column aCol and marks every row of a mixed group.
+func (sc *detectScratch) markMixed(num, aCol, w int) error {
+	src := &sc.src
+	gids := sc.gids[:src.rows]
 	state, firstA := sc.groupBufs(num)
-	if workers <= 1 {
-		for i := 0; i < rows; i++ {
-			g := gids[i]
+	// Shard 0 accumulates into the merge target directly; extra shards
+	// into their own slices of the flat buffers.
+	shardState, shardFirst := sc.shardBufs(w-1, num)
+	bufs := sc.readBufs(1, src.spanMax)
+	// A streamed column arrives run-length decoded, so repeats of one
+	// (group, A) update are common enough to be worth remembering; over
+	// materialized columns the memo only costs.
+	runs := src.enc == nil
+	err := sc.each(w, func(s int, sp rowSpan) error {
+		st, fa := state, firstA
+		if s > 0 {
+			st = shardState[(s-1)*num : s*num]
+			fa = shardFirst[(s-1)*num : s*num]
+		}
+		acol, err := src.window(aCol, sp, bufs[0])
+		if err != nil {
+			return err
+		}
+		lastG, lastV := uint32(noGroup), uint32(0)
+		for i, g := range gids[sp.lo:sp.hi] {
 			if g == noGroup {
 				continue
 			}
-			switch state[g] {
+			v := acol[i]
+			if g == lastG && v == lastV {
+				// The state machine is idempotent under repeats, so a
+				// run costs one transition.
+				continue
+			}
+			if runs {
+				lastG, lastV = g, v
+			}
+			switch st[g] {
 			case 0:
-				state[g] = 1
-				firstA[g] = acol[i]
+				st[g] = 1
+				fa[g] = v
 			case 1:
-				if acol[i] != firstA[g] {
-					state[g] = 2
+				if v != fa[g] {
+					st[g] = 2
 				}
 			}
 		}
-	} else {
-		// Shard 0 accumulates into the merge target directly; extra
-		// shards into their own slices of the flat buffers.
-		shardState, shardFirst := sc.shardBufs(workers-1, num)
-		bounds := shardBounds(workers, rows)
-		var wg sync.WaitGroup
-		for s := 0; s < workers; s++ {
-			st, fa := state, firstA
-			if s > 0 {
-				st = shardState[(s-1)*num : s*num]
-				fa = shardFirst[(s-1)*num : s*num]
-			}
-			wg.Add(1)
-			go func(lo, hi int, st []uint8, fa []uint32) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					g := gids[i]
-					if g == noGroup {
-						continue
-					}
-					switch st[g] {
-					case 0:
-						st[g] = 1
-						fa[g] = acol[i]
-					case 1:
-						if acol[i] != fa[g] {
-							st[g] = 2
-						}
-					}
-				}
-			}(bounds[s], bounds[s+1], st, fa)
-		}
-		wg.Wait()
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if w > 1 {
 		// Merge: unseen/single/mixed is a join-semilattice (unseen ⊑
 		// single(a) ⊑ mixed, single(a) ⊔ single(b≠a) = mixed), so
 		// shard order cannot matter. Sharded over the group space.
-		runShards(workers, num, func(glo, ghi int) {
-			for s := 0; s < workers-1; s++ {
+		err := sc.fan(w, num, func(_ int, groups rowSpan) error {
+			for s := 0; s < w-1; s++ {
 				st := shardState[s*num : (s+1)*num]
 				fa := shardFirst[s*num : (s+1)*num]
-				for g := glo; g < ghi; g++ {
+				for g := groups.lo; g < groups.hi; g++ {
 					if st[g] == 0 || state[g] == 2 {
 						continue
 					}
@@ -331,133 +470,81 @@ func (sc *detectScratch) detectUnit(d *relation.Relation, n *cfd.Normalized, wor
 					}
 				}
 			}
+			return nil
 		})
+		if err != nil {
+			return err
+		}
 	}
-	runShards(workers, rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	return sc.each(w, func(_ int, sp rowSpan) error {
+		for i := sp.lo; i < sp.hi; i++ {
 			if g := gids[i]; g != noGroup && state[g] == 2 {
 				sc.mark(i)
 			}
 		}
+		return nil
 	})
-	return nil
-}
-
-// constCol is one resolved constant of a pattern: the column vector and
-// the ID the pattern's constant interned to.
-type constCol struct {
-	col []uint32
-	id  uint32
-}
-
-func matchConsts(consts []constCol, i int) bool {
-	for _, c := range consts {
-		if c.col[i] != c.id {
-			return false
-		}
-	}
-	return true
-}
-
-// dictLenFor returns the dictionary size of the first wildcard column,
-// the group-ID bound when that column alone keys the grouping.
-func dictLenFor(e *relation.Encoded, xi []int, tpx []string) int {
-	for j, p := range tpx {
-		if p == cfd.Wildcard {
-			_, dict := e.Column(xi[j])
-			return dict.Len()
-		}
-	}
-	return 1
-}
-
-// varColCard returns the dictionary cardinality of the k-th wildcard
-// column (0-based among wildcards) — the fold's colID bound.
-func varColCard(e *relation.Encoded, xi []int, tpx []string, k int) int {
-	seen := 0
-	for j, p := range tpx {
-		if p != cfd.Wildcard {
-			continue
-		}
-		if seen == k {
-			_, dict := e.Column(xi[j])
-			return dict.Len()
-		}
-		seen++
-	}
-	return 1
-}
-
-// Detect returns Vio(φ, d) as sorted tuple indices.
-func Detect(d *relation.Relation, c *cfd.CFD) ([]int, error) {
-	return defaultKernel.Detect(d, c, Opts{})
-}
-
-// DetectSet returns Vio(Σ, d) as sorted tuple indices.
-func DetectSet(d *relation.Relation, cs []*cfd.CFD) ([]int, error) {
-	return defaultKernel.DetectSet(d, cs, Opts{})
-}
-
-// DetectPi returns Vioπ(φ, d): distinct violating X-patterns
-// null-padded to d's schema.
-func DetectPi(d *relation.Relation, c *cfd.CFD) (*relation.Relation, error) {
-	vio, err := Detect(d, c)
-	if err != nil {
-		return nil, err
-	}
-	return cfd.VioPi(d, c, vio)
-}
-
-// ViolationPatterns returns the distinct violating X-patterns of φ in d
-// as bare X-tuples (no null padding); the compact wire form shipped
-// back from coordinator sites.
-func ViolationPatterns(d *relation.Relation, c *cfd.CFD) (*relation.Relation, error) {
-	return defaultKernel.ViolationPatterns(d, c, Opts{})
 }
 
 // violationPatterns extracts the distinct X-patterns of the rows set in
-// sc.bits. The seen-set keys on the rows' encoded column IDs
-// (uvarint-encoded per component, so the fixed component count makes
-// the key unambiguous) — value-exact, since rows of one relation share
-// its dictionaries — and a string key plus the pattern tuple are
-// materialized only for emitted patterns, never per violating row.
-func (sc *detectScratch) violationPatterns(d *relation.Relation, c *cfd.CFD) (*relation.Relation, error) {
-	xi, err := d.Schema().Indices(c.X)
+// sc.bits, decoding only the spans that hold set bits. The seen-set
+// keys on the rows' encoded column IDs (uvarint-encoded per component,
+// so the fixed component count makes the key unambiguous) — value-exact,
+// since rows of one source share its dictionaries — rows are visited
+// ascending, and a pattern tuple is materialized only for emitted
+// patterns, never per violating row.
+func (sc *detectScratch) violationPatterns(schema *relation.Schema, c *cfd.CFD) (*relation.Relation, error) {
+	src := &sc.src
+	xi, err := schema.Indices(c.X)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := d.Schema().Project("viopi_"+c.Name, c.X)
+	ps, err := schema.Project("viopi_"+c.Name, c.X)
 	if err != nil {
 		return nil, err
 	}
 	out := relation.New(ps)
-	e := d.Encoded()
-	cols := make([][]uint32, len(xi))
-	var seen map[string]struct{}
-	key := make([]byte, 0, 8*len(xi))
-	for wi, w := range sc.bits {
-		if w == 0 {
+	var (
+		seen  map[string]struct{}
+		key   []byte
+		bufs  [][]uint32
+		wins  [][]uint32
+		dicts []*relation.Dict
+	)
+	for _, sp := range src.spans {
+		i := sc.nextSet(sp.lo, sp.hi)
+		if i < 0 {
 			continue
 		}
 		if seen == nil {
 			seen = make(map[string]struct{}, 16)
+			key = make([]byte, 0, 8*len(xi))
+			bufs = sc.readBufs(len(xi), src.spanMax)
+			wins = make([][]uint32, len(xi))
+			dicts = make([]*relation.Dict, len(xi))
 			for j, col := range xi {
-				cols[j], _ = e.Column(col)
+				dicts[j] = src.r.ColumnDict(col)
 			}
 		}
-		base := wi << 6
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
+		for j, col := range xi {
+			if wins[j], err = src.window(col, sp, bufs[j]); err != nil {
+				return nil, err
+			}
+		}
+		for ; i >= 0; i = sc.nextSet(i+1, sp.hi) {
 			key = key[:0]
-			for _, col := range cols {
-				key = binary.AppendUvarint(key, uint64(col[i]))
+			for _, win := range wins {
+				key = binary.AppendUvarint(key, uint64(win[i-sp.lo]))
 			}
 			if _, dup := seen[string(key)]; dup {
 				continue
 			}
 			seen[string(key)] = struct{}{}
-			out.MustAppend(d.Tuple(i).Project(xi))
+			pat := make(relation.Tuple, len(xi))
+			for j, win := range wins {
+				pat[j] = dicts[j].Val(win[i-sp.lo])
+			}
+			out.MustAppend(pat)
 		}
 	}
 	return out, nil

@@ -47,15 +47,15 @@ func TestDetectMatchesPaperExample(t *testing.T) {
 		{phi3, []int{1, 2, 5}},
 	}
 	for _, tc := range cases {
-		got, err := Detect(d, tc.c)
+		got, err := detectOne(d, tc.c, Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.c.Name, err)
 		}
 		if !equalInts(got, tc.want) {
-			t.Errorf("%s: Detect = %v, want %v", tc.c.Name, got, tc.want)
+			t.Errorf("%s: DetectSet = %v, want %v", tc.c.Name, got, tc.want)
 		}
 	}
-	all, err := DetectSet(d, []*cfd.CFD{phi1, phi2, phi3})
+	all, err := defaultKernel.DetectSet(d, []*cfd.CFD{phi1, phi2, phi3}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDetectAgreesWithNaiveOracleRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Detect(d, c)
+		got, err := detectOne(d, c, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestDetectUnitConstantAndVariable(t *testing.T) {
 	d := empD0()
 	consts, _ := phi3.SplitConstantVariable()
 	// ψ1 = (CC=44, AC=131 ⇒ city=EDI): violated by t2, t3.
-	got, err := DetectUnit(d, consts[0])
+	got, err := detectUnits(d.Encoded(), d.Schema(), consts[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDetectUnitConstantAndVariable(t *testing.T) {
 		t.Errorf("ψ1 violations = %v, want [1 2]", got)
 	}
 	_, vars := phi1.SplitConstantVariable()
-	got2, err := DetectUnit(d, vars[0]) // (44, _ ‖ _)
+	got2, err := detectUnits(d.Encoded(), d.Schema(), vars[:1]) // (44, _ ‖ _)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,17 +147,21 @@ func TestDetectUnitConstantAndVariable(t *testing.T) {
 func TestDetectErrorsOnBadCFD(t *testing.T) {
 	d := empD0()
 	bad := cfd.MustParse(`[nope] -> [city]`)
-	if _, err := Detect(d, bad); err == nil {
+	if _, err := detectOne(d, bad, Opts{}); err == nil {
 		t.Error("expected validation error")
 	}
-	if _, err := DetectSet(d, []*cfd.CFD{bad}); err == nil {
-		t.Error("expected validation error from DetectSet")
+	if _, err := ViolationPatterns(d, bad); err == nil {
+		t.Error("expected validation error from ViolationPatterns")
 	}
 }
 
 func TestDetectPiAndPatterns(t *testing.T) {
 	d := empD0()
-	pi, err := DetectPi(d, phi1)
+	vio, err := detectOne(d, phi1, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, err := cfd.VioPi(d, phi1, vio) // Vioπ(φ, d): X-patterns null-padded to d's schema
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ const (
 // number of feed calls over consecutive row ranges: the interning
 // counter persists across feeds, so streaming a column chunk by chunk
 // from packed storage interns the same composites to the same dense
-// IDs as one whole-column pass — the reader path's folds are
+// IDs as one whole-column pass — a streamed source's folds are
 // byte-identical to the in-memory ones. foldColumn wraps the pair for
 // single-shot callers.
 type foldStage struct {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -12,10 +11,11 @@ import (
 
 // FuzzKernel feeds random schemas, tuples, and CFDs — wildcard/
 // constant mixes, tableau rows, and values containing (or adjacent to)
-// the historical \x1f separator — through the vectorized kernel at
-// several worker counts and cross-checks every draw against the
-// row-oriented string-key reference path (DetectRows) plus a
-// value-exact pattern oracle. The seed corpus under
+// the historical \x1f separator — through the kernel over every kind of
+// column source at several worker counts (checkAllSources), and
+// cross-checks every draw against the row-oriented string-key reference
+// path (DetectRows), the naive oracle, and a value-exact pattern
+// oracle. The seed corpus under
 // testdata/fuzz/FuzzKernel is checked in, so every `go test` run
 // replays it deterministically.
 func FuzzKernel(f *testing.F) {
@@ -30,56 +30,7 @@ func FuzzKernel(f *testing.F) {
 		if d == nil {
 			t.Skip()
 		}
-		want, err := DetectRows(d, c)
-		if err != nil {
-			t.Fatalf("reference path rejected a constructed case: %v", err)
-		}
-		naive, err := cfd.NaiveViolations(d, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(want, naive) {
-			t.Fatalf("rows-path %v != naive oracle %v", want, naive)
-		}
-		for _, w := range []int{1, 2, 4} {
-			var k Kernel
-			got, err := k.Detect(d, c, Opts{Workers: w})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if !equalInts(got, want) {
-				t.Fatalf("workers=%d: kernel %v != rows-path %v\nrelation: %v\ncfd: %v", w, got, want, d, c)
-			}
-		}
-		// Pattern oracle: distinct violating X projections of the
-		// reference indices, value-exact (length-prefixed keys), in
-		// ascending row order — what ViolationPatterns must emit.
-		pats, err := ViolationPatterns(d, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xi, err := d.Schema().Indices(c.X)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPats := relation.New(pats.Schema())
-		seen := map[string]struct{}{}
-		for _, i := range want {
-			tup := d.Tuple(i)
-			var key []byte
-			for _, j := range xi {
-				key = binary.AppendUvarint(key, uint64(len(tup[j])))
-				key = append(key, tup[j]...)
-			}
-			if _, dup := seen[string(key)]; dup {
-				continue
-			}
-			seen[string(key)] = struct{}{}
-			wantPats.MustAppend(tup.Project(xi))
-		}
-		if !pats.SameTuples(wantPats) {
-			t.Fatalf("patterns %v != oracle %v\ncfd: %v", pats, wantPats, c)
-		}
+		checkAllSources(t, d, c)
 	})
 }
 

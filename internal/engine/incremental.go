@@ -30,7 +30,7 @@ import (
 // This is the coordinator-retained "group-by" of the delta-aware
 // pipeline (DESIGN.md, incremental detection): each coordinator keeps
 // one IncrementalState per (CFD, σ-block) and folds only shipped delta
-// blocks into it. The one-shot engine.Detect/DetectRows paths remain
+// blocks into it. The one-shot Kernel.DetectSet/DetectRows paths remain
 // as the full-recompute and row-path ablation baselines (ablation 11).
 type IncrementalState struct {
 	c     *cfd.CFD

@@ -8,28 +8,28 @@ import (
 )
 
 // Kernel is the serving form of the detection kernel: a scratch pool
-// shared by any number of concurrent Detect/DetectSet/
+// shared by any number of concurrent DetectSet/DetectSetReader/
 // ViolationPatterns calls, so a long-lived caller (a compiled
 // core.Plan, a site serving RPC traffic) stops reallocating the
-// per-call buffers — group-ID vectors, group states, fold tables, and
-// the violation bitset. The zero value is ready to use. Scratches
-// returned to the pool are shrunk past a retention bound, so one huge
-// unit cannot inflate the pool forever.
+// per-call buffers — group-ID vectors, group states, fold tables,
+// decode windows, and the violation bitset. The zero value is ready to
+// use. Scratches returned to the pool are shrunk past a retention
+// bound, so one huge unit cannot inflate the pool forever.
 type Kernel struct {
 	pool sync.Pool
 }
 
-// defaultKernel serves the package-level convenience entry points
-// (Detect, DetectSet, ViolationPatterns, DetectUnit).
+// defaultKernel serves the package-level ViolationPatterns.
 var defaultKernel Kernel
 
 // Opts tune one kernel call.
 type Opts struct {
 	// Workers shards the per-row loops of each unit across this many
-	// goroutines (the intra-unit parallelism of one check). ≤ 1 runs
-	// serially. Results are byte-identical at every setting; small
-	// inputs fall back to fewer shards so the fan-out never costs more
-	// than it saves.
+	// goroutines (the intra-unit parallelism of one check) when the rows
+	// are materialized columns; a relation streamed off packed chunks is
+	// checked serially whatever the budget. ≤ 1 runs serially. Results
+	// are byte-identical at every setting; small inputs fall back to
+	// fewer shards so the fan-out never costs more than it saves.
 	Workers int
 }
 
@@ -42,132 +42,49 @@ func (k *Kernel) get() *detectScratch {
 }
 
 func (k *Kernel) put(sc *detectScratch) {
+	sc.src = source{spans: sc.src.spans[:0]} // drop what a pooled scratch must not keep alive
 	sc.shrink()
 	k.pool.Put(sc)
 }
 
-// Detect returns Vio(φ, d) as sorted tuple indices.
-//
-// A relation whose rows live as a packed payload (a wire v6 receive,
-// see relation.FromPackedReader) routes to the streaming reader path:
-// serial — Opts.Workers does not apply — but byte-identical at every
-// setting, with per-chunk ID-bound skipping, and it never forces the
-// columns to materialize. The same dispatch applies to DetectSet and
-// ViolationPatterns.
-func (k *Kernel) Detect(d *relation.Relation, c *cfd.CFD, o Opts) ([]int, error) {
-	if br := d.BackingReader(); br != nil {
-		return k.DetectReader(br, d.Schema(), c)
-	}
-	if err := c.Validate(d.Schema()); err != nil {
-		return nil, err
-	}
-	sc := k.get()
-	defer k.put(sc)
-	sc.resetBits(d.Encoded().Rows())
-	for _, n := range c.Normalize() {
-		if err := sc.detectUnit(d, n, o.Workers); err != nil {
-			return nil, err
-		}
-	}
-	return sc.violations(), nil
+// DetectSet returns Vio(Σ, d) as sorted tuple indices. A relation whose
+// rows live as a packed payload (see relation.FromPackedReader) is
+// streamed off its chunks, never forced to materialize.
+func (k *Kernel) DetectSet(d *relation.Relation, cs []*cfd.CFD, o Opts) ([]int, error) {
+	return k.detect(storage(d), d.Schema(), cs, o)
 }
 
-// DetectSet returns Vio(Σ, d) as sorted tuple indices.
-func (k *Kernel) DetectSet(d *relation.Relation, cs []*cfd.CFD, o Opts) ([]int, error) {
-	if br := d.BackingReader(); br != nil {
-		return k.DetectSetReader(br, d.Schema(), cs)
-	}
+// DetectSetReader returns Vio(Σ, r) as sorted row indices for any
+// source of dictionary-encoded columns — a colstore fragment on disk,
+// a packed payload — without materializing tuples or whole columns.
+func (k *Kernel) DetectSetReader(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD) ([]int, error) {
+	return k.detect(r, schema, cs, Opts{})
+}
+
+func (k *Kernel) detect(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD, o Opts) ([]int, error) {
 	sc := k.get()
 	defer k.put(sc)
-	sc.resetBits(d.Encoded().Rows())
-	for _, c := range cs {
-		if err := c.Validate(d.Schema()); err != nil {
-			return nil, err
-		}
-		for _, n := range c.Normalize() {
-			if err := sc.detectUnit(d, n, o.Workers); err != nil {
-				return nil, err
-			}
-		}
+	if err := sc.run(r, schema, cs, o); err != nil {
+		return nil, err
 	}
 	return sc.violations(), nil
 }
 
 // ViolationPatterns returns the distinct violating X-patterns of φ in
-// d as bare X-tuples — the coordinator-side check primitive.
+// d as bare X-tuples (no null padding), in ascending order of their
+// first violating row — the coordinator-side check primitive and the
+// compact form coordinators ship back.
 func (k *Kernel) ViolationPatterns(d *relation.Relation, c *cfd.CFD, o Opts) (*relation.Relation, error) {
-	if br := d.BackingReader(); br != nil {
-		return k.ViolationPatternsReader(br, d.Schema(), c)
-	}
-	if err := c.Validate(d.Schema()); err != nil {
-		return nil, err
-	}
 	sc := k.get()
 	defer k.put(sc)
-	sc.resetBits(d.Encoded().Rows())
-	for _, n := range c.Normalize() {
-		if err := sc.detectUnit(d, n, o.Workers); err != nil {
-			return nil, err
-		}
+	if err := sc.run(storage(d), d.Schema(), []*cfd.CFD{c}, o); err != nil {
+		return nil, err
 	}
-	return sc.violationPatterns(d, c)
+	return sc.violationPatterns(d.Schema(), c)
 }
 
-// minShardRows is the smallest per-shard row count worth a goroutine:
-// below it the fan-out overhead exceeds the scan itself.
-const minShardRows = 4096
-
-// shardCount clamps the requested worker budget to what rows can
-// usefully feed.
-func shardCount(workers, rows int) int {
-	if workers <= 1 {
-		return 1
-	}
-	if max := (rows + minShardRows - 1) / minShardRows; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		return 1
-	}
-	return workers
-}
-
-// shardBounds splits [0, rows) into w contiguous shards whose
-// boundaries are multiples of 64, so two shards never share a word of
-// the violation bitset.
-func shardBounds(w, rows int) []int {
-	bounds := make([]int, w+1)
-	per := (rows/w + 63) &^ 63
-	for s := 1; s < w; s++ {
-		b := s * per
-		if b > rows {
-			b = rows
-		}
-		bounds[s] = b
-	}
-	bounds[w] = rows
-	return bounds
-}
-
-// runShards runs fn over w 64-aligned contiguous shards of [0, n),
-// concurrently when w > 1.
-func runShards(w, n int, fn func(lo, hi int)) {
-	if w <= 1 || n == 0 {
-		fn(0, n)
-		return
-	}
-	bounds := shardBounds(w, n)
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+// ViolationPatterns is Kernel.ViolationPatterns on a shared default
+// kernel, serial.
+func ViolationPatterns(d *relation.Relation, c *cfd.CFD) (*relation.Relation, error) {
+	return defaultKernel.ViolationPatterns(d, c, Opts{})
 }

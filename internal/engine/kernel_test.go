@@ -46,7 +46,7 @@ func TestKernelParallelMatchesSerial(t *testing.T) {
 		d := randomRelation(rng, rows)
 		for _, c := range kernelTestCFDs() {
 			var serial Kernel
-			want, err := serial.Detect(d, c, Opts{Workers: 1})
+			want, err := serial.DetectSet(d, []*cfd.CFD{c}, Opts{Workers: 1})
 			if err != nil {
 				t.Fatalf("rows=%d %s: %v", rows, c.Name, err)
 			}
@@ -56,7 +56,7 @@ func TestKernelParallelMatchesSerial(t *testing.T) {
 			}
 			for _, w := range []int{2, 3, 4, 8} {
 				var k Kernel
-				got, err := k.Detect(d, c, Opts{Workers: w})
+				got, err := k.DetectSet(d, []*cfd.CFD{c}, Opts{Workers: w})
 				if err != nil {
 					t.Fatalf("rows=%d %s workers=%d: %v", rows, c.Name, w, err)
 				}
@@ -89,7 +89,7 @@ func TestKernelScratchReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := k.Detect(d, c, Opts{Workers: 1 + rng.Intn(4)})
+			got, err := k.DetectSet(d, []*cfd.CFD{c}, Opts{Workers: 1 + rng.Intn(4)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,12 +262,12 @@ func TestViolationPatternsSeparatorExact(t *testing.T) {
 		[]string{"x", "y\x1fz", "2"},
 	)
 	c := cfd.MustParse(`sep: [a, b] -> [c]`)
-	vio, err := Detect(d, c)
+	vio, err := detectOne(d, c, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalInts(vio, []int{0, 1, 2, 3}) {
-		t.Fatalf("Detect = %v, want all four rows", vio)
+		t.Fatalf("DetectSet = %v, want all four rows", vio)
 	}
 	pats, err := ViolationPatterns(d, c)
 	if err != nil {

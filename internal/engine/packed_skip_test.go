@@ -70,7 +70,7 @@ var packedSkipSchema = relation.MustSchema("R", []string{"a", "b"})
 func TestPackedConstantSkipsAllChunks(t *testing.T) {
 	cp := gappedPacked(t)
 	c := cfd.MustParse(`z: [a] -> [b] : (gap || b0)`)
-	got, err := DetectReader(cp, packedSkipSchema, c)
+	got, err := detectReader(cp, packedSkipSchema, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPackedConstantSkipsExcludedChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cfd.MustParse(`z2: [a] -> [b] : (a3 || b0)`)
-	got, err := Detect(d, c)
+	got, err := detectOne(d, c, Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,29 +3,11 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"distcfd/internal/cfd"
-	"distcfd/internal/colstore"
 	"distcfd/internal/relation"
 )
-
-// openFragment persists r and opens it as a packed fragment.
-func openFragment(t *testing.T, r *relation.Relation) *colstore.Fragment {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), colstore.FragmentFile)
-	if _, err := colstore.WriteRelation(path, r); err != nil {
-		t.Fatal(err)
-	}
-	f, err := colstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	return f
-}
 
 func TestDetectReaderMatchesPaperExample(t *testing.T) {
 	d := empD0()
@@ -40,23 +22,23 @@ func TestDetectReaderMatchesPaperExample(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// Over the packed fragment and, as a second reader, the
-		// in-memory encoded view through the same streaming path.
-		got, err := DetectReader(f, f.Schema(), tc.c)
+		// in-memory encoded view through the same entry point.
+		got, err := detectReader(f, f.Schema(), tc.c)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.c.Name, err)
 		}
 		if !equalInts(got, tc.want) {
-			t.Errorf("%s: DetectReader(fragment) = %v, want %v", tc.c.Name, got, tc.want)
+			t.Errorf("%s: DetectSetReader(fragment) = %v, want %v", tc.c.Name, got, tc.want)
 		}
-		got2, err := DetectReader(d.Encoded(), d.Schema(), tc.c)
+		got2, err := detectReader(d.Encoded(), d.Schema(), tc.c)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.c.Name, err)
 		}
 		if !equalInts(got2, tc.want) {
-			t.Errorf("%s: DetectReader(encoded) = %v, want %v", tc.c.Name, got2, tc.want)
+			t.Errorf("%s: DetectSetReader(encoded) = %v, want %v", tc.c.Name, got2, tc.want)
 		}
 	}
-	all, err := DetectSetReader(f, f.Schema(), []*cfd.CFD{phi1, phi2, phi3})
+	all, err := defaultKernel.DetectSetReader(f, f.Schema(), []*cfd.CFD{phi1, phi2, phi3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +48,22 @@ func TestDetectReaderMatchesPaperExample(t *testing.T) {
 }
 
 // TestReaderEquivalenceRandomized pins the tentpole property: detection
-// over packed segments is byte-identical to detection over the
-// materialized relation — same violating rows, same extracted patterns
-// in the same order — across random relations and CFDs. Relations span
-// multiple chunks so the streaming fold crosses chunk boundaries.
+// is byte-identical whatever the column source — same violating rows,
+// same extracted patterns in the same order — across random relations
+// and CFDs, every draw through the whole equivalence table
+// (checkAllSources). Draws alternate between small relations, which the
+// quadratic oracle also judges, and relations spanning several
+// DefaultChunkRows chunks, so the streaming fold crosses chunk
+// boundaries and the materialized kinds actually row-shard.
 func TestReaderEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := relation.MustSchema("R", []string{"a", "b", "c", "d"})
 	domains := []int{3, 4, 2, 3}
 	for trial := 0; trial < 12; trial++ {
-		n := 1 + rng.Intn(3*8192)
+		n := 1 + rng.Intn(naiveOracleRows)
+		if trial%2 == 1 {
+			n = 8192 + rng.Intn(2*8192)
+		}
 		d := relation.New(s)
 		for i := 0; i < n; i++ {
 			row := make(relation.Tuple, 4)
@@ -84,32 +72,8 @@ func TestReaderEquivalenceRandomized(t *testing.T) {
 			}
 			d.MustAppend(row)
 		}
-		f := openFragment(t, d)
 		for k := 0; k < 5; k++ {
-			c := randomCFD(rng)
-			want, err := Detect(d, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DetectReader(f, f.Schema(), c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalInts(got, want) {
-				t.Fatalf("trial %d: DetectReader disagrees with Detect for %s:\n got %v\nwant %v", trial, c, got, want)
-			}
-			wantPats, err := ViolationPatterns(d, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotPats, err := ViolationPatternsReader(f, f.Schema(), c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotPats.Tuples(), wantPats.Tuples()) {
-				t.Fatalf("trial %d: patterns disagree for %s:\n got %v\nwant %v",
-					trial, c, gotPats.Tuples(), wantPats.Tuples())
-			}
+			checkAllSources(t, d, randomCFD(rng))
 		}
 	}
 }
@@ -131,11 +95,11 @@ func TestReaderHighCardinalityFold(t *testing.T) {
 	}
 	c := cfd.MustParse(`hc: [a, b] -> [c]`)
 	f := openFragment(t, d)
-	want, err := Detect(d, c)
+	want, err := detectOne(d, c, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DetectReader(f, f.Schema(), c)
+	got, err := detectReader(f, f.Schema(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,27 +108,23 @@ func TestReaderHighCardinalityFold(t *testing.T) {
 	}
 }
 
-// TestConstantReaderSkipsAndMatches pins the constant-only entry point
-// against the full detector restricted to constant units.
+// TestConstantReaderSkipsAndMatches pins the constant units alone —
+// the site-local Proposition 5 phase — streamed off a fragment against
+// the same units over the materialized relation.
 func TestConstantReaderSkipsAndMatches(t *testing.T) {
 	d := empD0()
 	f := openFragment(t, d)
 	consts, _ := phi3.SplitConstantVariable()
-	sc := defaultKernel.get()
-	defer defaultKernel.put(sc)
-	sc.resetBits(d.Encoded().Rows())
-	for _, n := range consts {
-		if err := sc.detectUnit(d, n, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := sc.violations()
-	got, err := ConstantViolationRowsReader(f, f.Schema(), phi3)
+	want, err := detectUnits(d.Encoded(), d.Schema(), consts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalInts(got, want) {
-		t.Fatalf("constant reader = %v, want %v", got, want)
+	got, err := detectUnits(f, f.Schema(), consts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalInts(got, want) || !equalInts(got, []int{1, 2, 5}) {
+		t.Fatalf("constant units over the fragment = %v, materialized = %v, want [1 2 5]", got, want)
 	}
 }
 
@@ -172,7 +132,7 @@ func TestReaderEmptyRelation(t *testing.T) {
 	s := relation.MustSchema("R", []string{"a", "b", "c", "d"})
 	d := relation.New(s)
 	f := openFragment(t, d)
-	got, err := DetectReader(f, f.Schema(), phi2Like())
+	got, err := detectReader(f, f.Schema(), phi2Like())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,10 +90,11 @@ func (r *Relation) BackingReader() ColumnReader {
 // the wire v6 receive path. The result is doubly lazy: columns decode
 // from the payload's chunks only when a consumer leaves the reader
 // seam, and tuples materialize only if something leaves ID space.
-// Structural shape is validated here; chunk payloads are opaque until
-// decoded, so a corrupt chunk surfaces as an error (reader paths) or
-// a panic (Column materialization, mirroring ColumnDict's posture on
-// storage corruption).
+// Only the arity is checked here: pr is trusted as storage, so a chunk
+// that fails to decode later surfaces as an error (the kernel's streamed reads) or a
+// panic (Column materialization, mirroring ColumnDict's posture on
+// storage corruption). Whoever adopts bytes it did not write verifies
+// them first — colstore.NewPacked does, for the wire.
 func FromPackedReader(s *Schema, pr PackedColumnReader) (*Relation, error) {
 	if pr.NumColumns() != s.Arity() {
 		return nil, fmt.Errorf("relation: packed payload has %d columns, schema %s wants %d",

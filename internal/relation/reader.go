@@ -52,7 +52,7 @@ func (e *Encoded) ColumnDict(i int) *Dict {
 
 // ReadColumn copies column i's IDs for rows [lo, lo+len(dst)) into
 // dst. Engine code holding a concrete *Encoded should use Column and
-// skip the copy; this exists so the reader path has one shape.
+// skip the copy; this is the one shape every ColumnReader shares.
 func (e *Encoded) ReadColumn(i, lo int, dst []uint32) error {
 	col, _ := e.Column(i)
 	if lo < 0 || lo+len(dst) > len(col) {

@@ -79,6 +79,13 @@ type RemoteSite struct {
 	// fresh process). HealthDetail reads it without a probe.
 	drainSeen atomic.Bool
 
+	// redial is the one-slot semaphore that single-flights reconnects.
+	// The dial itself runs outside mu — it can take the whole dial
+	// budget, and Close, NumTuples, Predicate and markBroken must not
+	// queue behind it — and a caller waits for the slot only as long as
+	// its own context allows.
+	redial chan struct{}
+
 	mu      sync.Mutex
 	client  *rpc.Client
 	conn    net.Conn
@@ -109,7 +116,8 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 	var schema *relation.Schema
 	sites := make([]core.SiteAPI, len(addrs))
 	for i, addr := range addrs {
-		client, conn, info, err := dialSite(addr, i, cfg)
+		//distcfd:ctxflow-ok — cluster construction: the context-free Dial API roots at Background
+		client, conn, info, err := dialSite(context.Background(), addr, i, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -121,7 +129,8 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 			}
 			schema = s
 		}
-		rs := &RemoteSite{id: i, addr: addr, cfg: cfg, client: client, conn: conn, pred: info.Pred, size: info.NumTuples}
+		rs := &RemoteSite{id: i, addr: addr, cfg: cfg, redial: make(chan struct{}, 1),
+			client: client, conn: conn, pred: info.Pred, size: info.NumTuples}
 		rs.timeout.Store(int64(cfg.CallTimeout))
 		sites[i] = rs
 	}
@@ -130,8 +139,10 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 
 // dialSite connects and handshakes with bounded retries: transient
 // connect/handshake failures back off and try again, handshake
-// rejections (version skew, wrong ID) fail at once.
-func dialSite(addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *InfoReply, error) {
+// rejections (version skew, wrong ID) fail at once. ctx bounds the
+// whole of it — connect, handshake and the backoff waits — so a redial
+// on behalf of a call never outlives that call's deadline.
+func dialSite(ctx context.Context, addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *InfoReply, error) {
 	dialTimeout := cfg.DialTimeout
 	if dialTimeout <= 0 {
 		dialTimeout = DefaultDialTimeout
@@ -147,10 +158,14 @@ func dialSite(addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *Info
 	var last error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			time.Sleep(backoff)
+			select {
+			case <-time.After(backoff):
+			case <-ctx.Done():
+				return nil, nil, nil, ctx.Err()
+			}
 			backoff *= 2
 		}
-		client, conn, info, err := dialOnce(addr, id, dialTimeout)
+		client, conn, info, err := dialOnce(ctx, addr, id, dialTimeout)
 		if err == nil {
 			return client, conn, info, nil
 		}
@@ -178,17 +193,25 @@ func skewError(addr, peer string) error {
 		addr, peer, WireVersion)}
 }
 
-func dialOnce(addr string, id int, dialTimeout time.Duration) (*rpc.Client, net.Conn, *InfoReply, error) {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+func dialOnce(ctx context.Context, addr string, id int, dialTimeout time.Duration) (*rpc.Client, net.Conn, *InfoReply, error) {
+	conn, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("remote: dialing site %d at %s: %w", id, addr, err)
 	}
-	// The handshake runs under the dial budget too: a server that
-	// accepts but never answers Info must not hang the driver.
+	// The handshake runs under the dial budget too — a server that
+	// accepts but never answers Info must not hang the driver — and
+	// under ctx: whichever ends first closes the connection.
 	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	client := rpc.NewClient(conn)
 	var info InfoReply
-	if err := client.Call(serviceName+".Info", struct{}{}, &info); err != nil {
+	call := client.Go(serviceName+".Info", struct{}{}, &info, make(chan *rpc.Call, 1))
+	select {
+	case <-call.Done:
+		err = call.Error
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	if err != nil {
 		client.Close()
 		if isNoService(err) {
 			return nil, nil, nil, skewError(addr, fmt.Sprintf("another wire version (it does not serve %s)", serviceName))
@@ -252,46 +275,73 @@ func (r *RemoteSite) Resume() {
 func (r *RemoteSite) Draining() bool { return r.drainSeen.Load() }
 
 // live returns the current connection, redialing first when a prior
-// failure broke it. The redial runs under the proxy's lock, so
-// concurrent callers single-flight behind one attempt and all see the
-// fresh connection. A redial failure is a pre-execution unavailable
-// error — nothing was sent, so even non-idempotent calls may retry it.
+// failure broke it. Concurrent callers single-flight behind one redial
+// (the redial slot) and all see the fresh connection; the dial runs
+// under the caller's ctx and outside the proxy's lock. A redial failure
+// is a pre-execution unavailable error — nothing was sent, so even
+// non-idempotent calls may retry it.
 func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	if client, conn, gen, broken, err := r.current(); !broken {
+		return client, conn, gen, err
+	}
+	select {
+	case r.redial <- struct{}{}:
+		defer func() { <-r.redial }()
+	case <-ctx.Done():
+		return nil, nil, 0, ctx.Err()
+	}
+	// Whoever held the slot before may have reconnected already.
+	if client, conn, gen, broken, err := r.current(); !broken {
+		return client, conn, gen, err
+	}
+	client, conn, info, err := dialSite(ctx, r.addr, r.id, r.cfg)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, nil, 0, ctx.Err()
+		}
 		return nil, nil, 0, &core.CodedError{
 			Code:        core.CodeUnavailable,
-			Msg:         fmt.Sprintf("remote: site %d: client closed", r.id),
+			Msg:         fmt.Sprintf("remote: site %d: redial: %v", r.id, err),
 			NotExecuted: true,
 		}
 	}
-	if r.broken {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, err
-		}
-		client, conn, info, err := dialSite(r.addr, r.id, r.cfg)
-		if err != nil {
-			return nil, nil, 0, &core.CodedError{
-				Code:        core.CodeUnavailable,
-				Msg:         fmt.Sprintf("remote: site %d: redial: %v", r.id, err),
-				NotExecuted: true,
-			}
-		}
-		r.client.Close()
-		r.client, r.conn = client, conn
-		// The re-handshake refreshes the cached fragment state: a
-		// restarted site may hold different data, and a stale size would
-		// skew CheckSizes and coverage accounting.
-		r.pred, r.size = info.Pred, info.NumTuples
-		r.broken = false
-		r.pending = 0
-		r.gen++
-		// A reconnected site is a fresh process: whatever drain state
-		// the old one advertised no longer applies.
-		r.drainSeen.Store(false)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		client.Close()
+		return nil, nil, 0, r.closedErr()
 	}
+	r.client, r.conn = client, conn
+	// The re-handshake refreshes the cached fragment state: a
+	// restarted site may hold different data, and a stale size would
+	// skew CheckSizes and coverage accounting.
+	r.pred, r.size = info.Pred, info.NumTuples
+	r.broken = false
+	r.pending = 0
+	r.gen++
+	// A reconnected site is a fresh process: whatever drain state
+	// the old one advertised no longer applies.
+	r.drainSeen.Store(false)
 	return r.client, r.conn, r.gen, nil
+}
+
+// current returns the connection as it stands — broken reports that
+// it needs a redial first — or the closed-proxy error.
+func (r *RemoteSite) current() (_ *rpc.Client, _ net.Conn, gen uint64, broken bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil, nil, 0, false, r.closedErr()
+	}
+	return r.client, r.conn, r.gen, r.broken, nil
+}
+
+func (r *RemoteSite) closedErr() error {
+	return &core.CodedError{
+		Code:        core.CodeUnavailable,
+		Msg:         fmt.Sprintf("remote: site %d: client closed", r.id),
+		NotExecuted: true,
+	}
 }
 
 // markBroken retires the connection a failed call used. The generation

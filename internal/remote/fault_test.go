@@ -7,6 +7,7 @@ import (
 	"net/rpc"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -374,4 +375,114 @@ func TestRemoteChaosDetectEquivalence(t *testing.T) {
 			t.Errorf("site %d still buffers %d deposit tasks", i, n)
 		}
 	}
+}
+
+// TestRedialHonorsCallerContext pins the redial to its caller: against
+// a listener that accepts and never answers the handshake, a call with
+// a 100 ms deadline through a broken proxy comes back with
+// DeadlineExceeded well inside the 3 × 10 s + backoff the dial budget
+// alone would allow, the proxy's lock is not held across the dial —
+// NumTuples and Close return at once while it is in progress — and once
+// the listener serves again a later call redials normally.
+func TestRedialHonorsCallerContext(t *testing.T) {
+	data := workload.EMPData()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName(serviceName, NewSiteService(core.NewSite(0, data, relation.True()), data.Schema())); err != nil {
+		t.Fatal(err)
+	}
+	var blackhole atomic.Bool
+	var held []net.Conn
+	var heldMu sync.Mutex
+	t.Cleanup(func() {
+		heldMu.Lock()
+		defer heldMu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			if blackhole.Load() {
+				heldMu.Lock()
+				held = append(held, conn) // accepted, never answered
+				heldMu.Unlock()
+				continue
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+
+	const bound = 500 * time.Millisecond
+	within := func(what string, fn func()) {
+		t.Helper()
+		start := time.Now()
+		fn()
+		if d := time.Since(start); d > bound {
+			t.Errorf("%s took %v, want under %v", what, d, bound)
+		}
+	}
+	brokenProxy := func() *RemoteSite {
+		t.Helper()
+		blackhole.Store(false)
+		sites, _, err := Dial([]string{lis.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sites[0].(*RemoteSite)
+		_, _, gen, _, _ := r.current()
+		r.markBroken(gen)
+		blackhole.Store(true)
+		return r
+	}
+	pingWithDeadline := func(r *RemoteSite) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		return r.Ping(ctx)
+	}
+
+	t.Run("deadline-bounds-redial", func(t *testing.T) {
+		r := brokenProxy()
+		defer r.Close()
+		within("the call", func() {
+			if err := pingWithDeadline(r); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("call through a black-holed redial = %v, want DeadlineExceeded", err)
+			}
+		})
+		blackhole.Store(false)
+		if err := r.Ping(context.Background()); err != nil {
+			t.Fatalf("ping once the listener serves again: %v", err)
+		}
+	})
+
+	t.Run("lock-free-during-redial", func(t *testing.T) {
+		r := brokenProxy()
+		done := make(chan error, 1)
+		go func() { done <- pingWithDeadline(r) }()
+		time.Sleep(20 * time.Millisecond) // let the redial get under way
+		within("NumTuples during the redial", func() {
+			if n, _ := r.NumTuples(); n != data.Len() {
+				t.Errorf("NumTuples = %d, want %d", n, data.Len())
+			}
+		})
+		within("Close during the redial", func() {
+			if err := r.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
+		if err := <-done; err == nil {
+			t.Error("the in-flight call succeeded against a black hole")
+		}
+		if err := r.Ping(context.Background()); core.ErrCodeOf(err) != core.CodeUnavailable {
+			t.Errorf("call on the closed proxy = %v, want the client-closed unavailable error", err)
+		}
+	})
 }

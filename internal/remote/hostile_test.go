@@ -1,0 +1,354 @@
+package remote
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"net/rpc"
+	"reflect"
+	"testing"
+
+	"distcfd/internal/cfd"
+	"distcfd/internal/colstore"
+	"distcfd/internal/core"
+	"distcfd/internal/dist"
+	"distcfd/internal/engine"
+	"distcfd/internal/relation"
+)
+
+// Peer-supplied packed bytes: a WirePackedRelation is adopted as a
+// relation's storage, so whatever FromWire lets through is decoded
+// later by code with no error channel (Encoded.Column, PayloadSizes)
+// inside handlers net/rpc does not recover. These tests pin the trust
+// boundary: malformed payloads are a plain error at FromWire, on the
+// site that receives a Deposit and on the driver that relays an
+// extract — never a panic downstream.
+
+var hostileSchema = relation.MustSchema("R_ship", []string{"a", "b"})
+
+var hostileCFD = cfd.MustParse(`h: [a] -> [b]`)
+
+// hostileBase is the valid payload every case starts from: 100 rows,
+// two columns (a cycles through 10 values, b through 3, so [a] -> [b]
+// is violated), packed at 32 rows per chunk — four chunks a column.
+func hostileBase(t testing.TB) (*relation.Relation, *WireRelation) {
+	t.Helper()
+	d := relation.New(hostileSchema)
+	for i := 0; i < 100; i++ {
+		d.MustAppend(relation.Tuple{fmt.Sprintf("a%d", i%10), fmt.Sprintf("b%d", i%3)})
+	}
+	const chunkRows = 32
+	e := d.Encoded()
+	w := &WireRelation{
+		Name: hostileSchema.Name(), Attrs: hostileSchema.Attrs(), Rows: d.Len(),
+		Packed: &WirePackedRelation{Rows: d.Len(), ChunkRows: chunkRows},
+	}
+	for j := 0; j < e.Arity(); j++ {
+		col, dict := e.Column(j)
+		wc := WirePackedColumn{Dict: colstore.EncodeDictSection(nil, dict.Vals())}
+		for lo := 0; lo < len(col); lo += chunkRows {
+			chunk, mn, mx := colstore.EncodeChunk(nil, col[lo:min(lo+chunkRows, len(col))])
+			wc.Chunks = append(wc.Chunks, chunk)
+			wc.MinIDs = append(wc.MinIDs, mn)
+			wc.MaxIDs = append(wc.MaxIDs, mx)
+		}
+		w.Packed.Cols = append(w.Packed.Cols, wc)
+	}
+	return d, w
+}
+
+// hostileCases are the three confirmed crashers, as edits of the base.
+var hostileCases = []struct {
+	name   string
+	mutate func(*WireRelation)
+}{
+	// Chunks hold IDs up to 9; under a 2-value dictionary the kernel (or
+	// PayloadSizes) would index out of range.
+	{"dict-shorter-than-ids", func(w *WireRelation) {
+		w.Packed.Cols[0].Dict = colstore.EncodeDictSection(nil, []string{"a0", "a1"})
+	}},
+	// A chunk whose width byte is 255 cannot decode: Encoded.Column would
+	// panic inside relation.Concat.
+	{"garbage-chunk", func(w *WireRelation) {
+		w.Packed.Cols[1].Chunks[0] = []byte{0xff, 0xff, 0xff}
+	}},
+	// A truncated dictionary section: ColumnDict would panic.
+	{"truncated-dict", func(w *WireRelation) {
+		w.Packed.Cols[0].Dict = []byte{0xff}
+	}},
+}
+
+// TestHostilePackedDepositRejected drives each crasher through a live
+// loopback server: the Deposit RPC carrying it returns an error, the
+// server keeps serving — a valid deposit then detects normally over
+// the same listener — and nothing stays buffered after Cancel.
+func TestHostilePackedDepositRejected(t *testing.T) {
+	base, _ := hostileBase(t)
+	frag := relation.New(relation.MustSchema("R", []string{"a", "b"}))
+	frag.MustAppend(relation.Tuple{"a0", "b9"})
+	site := core.NewSite(0, frag, relation.True())
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = ServeAPIContext(ctx, lis, site, frag.Schema()) }()
+
+	raw, err := rpc.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	sites, _, err := Dial([]string{lis.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sites[0].(*RemoteSite).Close()
+	spec, err := core.NewBlockSpec([]string{"a"}, [][]string{{cfd.Wildcard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range hostileCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, w := hostileBase(t)
+			tc.mutate(w)
+			task := "hostile-" + tc.name
+			err := raw.Call(serviceName+".Deposit", DepositArgs{Task: core.BlockTask(task, 0), Batch: w}, &struct{}{})
+			if err == nil {
+				t.Fatal("malformed packed deposit was accepted")
+			}
+			if core.ErrCodeOf(decodeError(err)) != "" {
+				t.Errorf("rejection should be a plain, non-transient error, got %v", err)
+			}
+			// The server is still up, and the rejected batch left nothing
+			// behind: detection over the block sees the local row alone.
+			pats, err := sites[0].DetectAssignedSet(context.Background(), task, spec, []int{0}, []*cfd.CFD{hostileCFD})
+			if err != nil {
+				t.Fatalf("server stopped serving after the rejected deposit: %v", err)
+			}
+			if pats[0].Len() != 0 {
+				t.Errorf("rejected deposit leaked into detection: %v", pats[0])
+			}
+			if err := sites[0].Cancel(task); err != nil {
+				t.Fatal(err)
+			}
+			if n := site.PendingDeposits(); n != 0 {
+				t.Errorf("%d deposit tasks buffered after Cancel", n)
+			}
+		})
+	}
+
+	// Control: the unmutated payload is adopted, merged with the local
+	// row, and detected.
+	_, w := hostileBase(t)
+	if err := raw.Call(serviceName+".Deposit", DepositArgs{Task: core.BlockTask("valid", 0), Batch: w}, &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	pats, err := sites[0].DetectAssignedSet(context.Background(), "valid", spec, []int{0}, []*cfd.CFD{hostileCFD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.ViolationPatterns(base, hostileCFD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pats[0].SameTuples(want) || want.Len() == 0 {
+		t.Errorf("valid deposit detected %v, want %v", pats[0], want)
+	}
+}
+
+// hostileService is a peer whose extracts are malformed: everything
+// else is the real service.
+type hostileService struct {
+	*SiteService
+	reply *WireRelation
+}
+
+func (h hostileService) ExtractBlocksBatch(_ ExtractArgs, reply *map[int]*WireRelation) error {
+	*reply = map[int]*WireRelation{0: h.reply}
+	return nil
+}
+
+// TestHostilePackedRelayRejected is the driver side: an
+// ExtractBlocksBatch reply carrying a malformed payload must come back
+// from the proxy as an error — were it adopted, the driver would die in
+// dist.RelationBytes (PayloadSizes has no error channel) the moment it
+// charged the shipment.
+func TestHostilePackedRelayRejected(t *testing.T) {
+	frag := relation.New(relation.MustSchema("R", []string{"a", "b"}))
+	site := core.NewSite(0, frag, relation.True())
+	spec, err := core.NewBlockSpec([]string{"a"}, [][]string{{cfd.Wildcard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range hostileCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, w := hostileBase(t)
+			tc.mutate(w)
+			srv := rpc.NewServer()
+			svc := hostileService{SiteService: NewSiteService(site, frag.Schema()), reply: w}
+			if err := srv.RegisterName(serviceName, svc); err != nil {
+				t.Fatal(err)
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			go func() {
+				for {
+					conn, err := lis.Accept()
+					if err != nil {
+						return
+					}
+					go srv.ServeConn(conn)
+				}
+			}()
+			sites, _, err := Dial([]string{lis.Addr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sites[0].(*RemoteSite).Close()
+			if _, err := sites[0].ExtractBlocksBatch(context.Background(), spec, []string{"a", "b"}, []int{0}); err == nil {
+				t.Fatal("malformed packed extract was adopted by the driver")
+			}
+			if err := sites[0].Ping(context.Background()); err != nil {
+				t.Errorf("proxy unusable after the rejected reply: %v", err)
+			}
+		})
+	}
+}
+
+// applyWireEdits mutates w by a byte-coded edit script, four bytes an
+// edit (op, target, x, y): the vocabulary FuzzWirePacked explores and
+// its checked-in seeds are written in. target picks a column and one
+// of its chunks; positions wrap, so every script applies to any
+// payload with at least one column.
+func applyWireEdits(w *WireRelation, script []byte) {
+	p := w.Packed
+	for ; len(script) >= 4 && len(p.Cols) > 0; script = script[4:] {
+		op, target, x, y := script[0], int(script[1]), script[2], script[3]
+		c := &p.Cols[target%len(p.Cols)]
+		k := -1
+		if len(c.Chunks) > 0 {
+			k = (target / len(p.Cols)) % len(c.Chunks)
+		}
+		word := uint32(x) | uint32(y)<<8
+		switch op % 12 {
+		case 0: // flip bits of one dictionary byte
+			if len(c.Dict) > 0 {
+				c.Dict = append([]byte(nil), c.Dict...)
+				c.Dict[int(x)%len(c.Dict)] ^= y | 1
+			}
+		case 1: // flip bits of one chunk byte
+			if k >= 0 && len(c.Chunks[k]) > 0 {
+				c.Chunks[k] = append([]byte(nil), c.Chunks[k]...)
+				c.Chunks[k][int(x)%len(c.Chunks[k])] ^= y | 1
+			}
+		case 2: // keep only the dictionary's first x values
+			if vals, err := colstore.DecodeDictSection(c.Dict); err == nil {
+				c.Dict = colstore.EncodeDictSection(nil, vals[:min(int(x), len(vals))])
+			}
+		case 3: // overwrite a chunk with three bytes
+			if k >= 0 {
+				c.Chunks[k] = []byte{x, y, y}
+			}
+		case 4: // overwrite the dictionary section with one byte
+			c.Dict = []byte{x}
+		case 5:
+			if k >= 0 && k < len(c.MinIDs) {
+				c.MinIDs[k] = word
+			}
+		case 6:
+			if k >= 0 && k < len(c.MaxIDs) {
+				c.MaxIDs[k] = word
+			}
+		case 7: // row counts stay small: decompression bombs are out of scope
+			p.Rows, w.Rows = int(word), int(word)
+		case 8:
+			p.ChunkRows = int(x)
+		case 9: // truncate a chunk
+			if k >= 0 {
+				c.Chunks[k] = c.Chunks[k][:int(x)%(len(c.Chunks[k])+1)]
+			}
+		case 10: // drop the last chunk (and, by y's parity, its bounds)
+			if n := len(c.Chunks); n > 0 {
+				c.Chunks = c.Chunks[:n-1]
+				if y%2 == 0 {
+					c.MinIDs, c.MaxIDs = c.MinIDs[:n-1], c.MaxIDs[:n-1]
+				}
+			}
+		case 11: // drop a column
+			p.Cols = p.Cols[:len(p.Cols)-1]
+		}
+	}
+}
+
+// FuzzWirePacked mutates the bytes of a valid WirePackedRelation —
+// dictionary sections, chunk payloads, MinIDs/MaxIDs, Rows, ChunkRows,
+// chunk and column counts — and holds everything downstream of
+// FromWire to the trust boundary: either FromWire rejects the payload,
+// or the adopted relation is safe to stream (Kernel.ViolationPatterns
+// over the packed chunks), to materialize (relation.Concat) and to
+// charge (dist.RelationBytes), and streaming and materialized detection
+// agree with each other and with the row-path reference over the
+// payload's own tuples — and with the unmutated answer whenever the
+// edit left the tuples intact. Nothing may panic. The seed corpus under
+// testdata/fuzz/FuzzWirePacked holds the three confirmed crashers.
+func FuzzWirePacked(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 2, 0})       // dict-shorter-than-ids
+	f.Add([]byte{3, 1, 0xff, 0xff}) // garbage-chunk
+	f.Add([]byte{4, 0, 0xff, 0})    // truncated-dict
+	f.Add([]byte{6, 0, 200, 0})     // bounds past the dictionary
+	f.Add([]byte{1, 0, 1, 0x0e, 5, 2, 3, 0})
+	f.Add([]byte{7, 0, 99, 0, 8, 0, 33, 0})
+	base, _ := hostileBase(f)
+	wantPats, err := engine.ViolationPatterns(base, hostileCFD)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		_, w := hostileBase(t)
+		applyWireEdits(w, script)
+		rel, err := FromWire(w)
+		if err != nil {
+			return
+		}
+		var k engine.Kernel
+		streamed, err := k.ViolationPatterns(rel, hostileCFD, engine.Opts{})
+		if err != nil {
+			t.Fatalf("adopted payload failed to stream: %v", err)
+		}
+		flat, err := relation.Concat(rel)
+		if err != nil {
+			t.Fatalf("adopted payload failed to materialize: %v", err)
+		}
+		if n := dist.RelationBytes(rel); n < 0 {
+			t.Fatalf("RelationBytes = %d", n)
+		}
+		materialized, err := k.ViolationPatterns(flat, hostileCFD, engine.Opts{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(streamed.Tuples(), materialized.Tuples()) {
+			t.Fatalf("streamed patterns %v != materialized %v", streamed.Tuples(), materialized.Tuples())
+		}
+		rows, err := k.DetectSet(rel, []*cfd.CFD{hostileCFD}, engine.Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := engine.DetectRows(flat, hostileCFD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, ref) {
+			t.Fatalf("streamed rows %v != row-path reference %v", rows, ref)
+		}
+		if flat.SameTuples(base) && !streamed.SameTuples(wantPats) {
+			t.Fatalf("tuples intact but patterns %v != unmutated %v", streamed, wantPats)
+		}
+	})
+}

@@ -152,7 +152,14 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 // FromWire rebuilds the relation from any wire form. A packed payload
 // is adopted as the relation's backing reader — columns stay in chunk
 // form until (unless) something materializes them; the detection kernel
-// streams them directly.
+// streams them directly. This is where peer bytes enter, on a site
+// (Deposit) and on the driver (a relayed extract), and everything
+// downstream decodes without an error channel inside handlers net/rpc
+// does not recover — so every form is verified here, once: the packed
+// form by colstore.NewPacked (dictionary sections, chunk structure,
+// every ID inside its chunk's bounds and its dictionary), the dict+ID
+// form by relation.FromColumns. A malformed payload is a plain,
+// non-transient error.
 func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w == nil {
 		return nil, nil

@@ -10,6 +10,8 @@ import (
 	"distcfd/internal/relation"
 )
 
+var kern engine.Kernel
+
 func TestEMPFixtures(t *testing.T) {
 	d := EMPData()
 	if d.Len() != 10 {
@@ -67,11 +69,11 @@ func TestCustViolationRateTracksErrRate(t *testing.T) {
 	clean := Cust(CustConfig{N: n, Seed: 1, ErrRate: 1e-12})
 	dirty := Cust(CustConfig{N: n, Seed: 1, ErrRate: 0.05})
 	rule := CustPatternCFD(255)
-	vioClean, err := engine.Detect(clean, rule)
+	vioClean, err := kern.DetectSet(clean, []*cfd.CFD{rule}, engine.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vioDirty, err := engine.Detect(dirty, rule)
+	vioDirty, err := kern.DetectSet(dirty, []*cfd.CFD{rule}, engine.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestCustStreetCFD(t *testing.T) {
 		t.Errorf("patterns = %d, want 16", len(c.Tp))
 	}
 	d := Cust(CustConfig{N: 2000, Seed: 3, ErrRate: 0.05})
-	vio, err := engine.Detect(d, c)
+	vio, err := kern.DetectSet(d, []*cfd.CFD{c}, engine.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestXRefGenerator(t *testing.T) {
 	if len(XRefCFD2().Tp) != 26 {
 		t.Errorf("xref2 patterns = %d, want 26", len(XRefCFD2().Tp))
 	}
-	vio, err := engine.Detect(d, XRefCFD())
+	vio, err := kern.DetectSet(d, []*cfd.CFD{XRefCFD()}, engine.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestXRefGenerator(t *testing.T) {
 		t.Error("no xref1 violations in dirty data")
 	}
 	clean := XRef(XRefConfig{N: 3000, Seed: 11, ErrRate: 1e-12})
-	vio, err = engine.Detect(clean, XRefCFD())
+	vio, err = kern.DetectSet(clean, []*cfd.CFD{XRefCFD()}, engine.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
