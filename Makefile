@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full bench-build examples lint wire-golden chaos chaos-load fuzz-smoke
+.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full bench-build examples lint wire-golden chaos chaos-load fuzz-smoke loc
 
 # ci mirrors .github/workflows/ci.yml: a missing package, vet
 # regression, lint finding, race, broken example, broken benchmark,
 # chaos regression, or fuzz crasher can never land silently again.
-ci: build vet lint race examples bench-smoke bench-build chaos chaos-load fuzz-smoke
+ci: build vet lint race examples bench-smoke bench-build chaos chaos-load fuzz-smoke loc
 
 # lint builds the repo's own analyzer suite (cmd/distcfdvet: keyjoin,
 # ctxflow, poolpair, wirecompat, mmapclose) and runs it over every
@@ -140,3 +140,12 @@ bench-full:
 # land in BENCH_storage.json by hand after a run.
 bench-storage-full:
 	DISTCFD_SCALE=10 $(GO) test -run '^$$' -bench '^BenchmarkOutOfCore$$/^tuples=100000000$$' -benchtime 1x -timeout 0 .
+
+# loc prints the non-test Go line count of every package outside
+# bench/ — the figure ROADMAP's state paragraph and the simplicity
+# acceptance criteria quote — and the total. ci ends with it, so every
+# green run records the numbers.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2

@@ -391,7 +391,7 @@ func BenchmarkMultiCFDSeqVsParRemote(b *testing.B) {
 			b.Fatal(err)
 		}
 		site := core.NewSite(i, frag, relation.True())
-		go func() { _ = remote.Serve(lis, site, h.Schema) }()
+		go func() { _ = remote.ServeAPIContext(context.Background(), lis, site, h.Schema) }()
 		defer lis.Close()
 		addrs[i] = lis.Addr().String()
 	}
@@ -574,7 +574,7 @@ func BenchmarkRPCOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			site := core.NewSite(i, frag, relation.True())
-			go func() { _ = remote.Serve(lis, site, h.Schema) }()
+			go func() { _ = remote.ServeAPIContext(context.Background(), lis, site, h.Schema) }()
 			defer lis.Close()
 			addrs[i] = lis.Addr().String()
 		}

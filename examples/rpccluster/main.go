@@ -28,7 +28,9 @@ func main() {
 	}
 
 	// One TCP server per fragment (what `cfdsite -data fragN.csv -id N`
-	// does from the command line).
+	// does from the command line); cancelling serving shuts them down.
+	serving, stop := context.WithCancel(context.Background())
+	defer stop()
 	addrs := make([]string, part.N())
 	for i, frag := range part.Fragments {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,7 +38,7 @@ func main() {
 			log.Fatal(err)
 		}
 		site := core.NewSite(i, frag, part.Predicates[i])
-		go func() { _ = remote.Serve(lis, site, part.Schema) }()
+		go func() { _ = remote.ServeAPIContext(serving, lis, site, part.Schema) }()
 		addrs[i] = lis.Addr().String()
 		fmt.Printf("site %d: %d tuples on %s (%v)\n", i, frag.Len(), addrs[i], part.Predicates[i])
 	}

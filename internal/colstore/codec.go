@@ -44,12 +44,7 @@ const maxRunRows = 1 << 30
 func EncodeChunk(dst []byte, vals []uint32) (out []byte, minID, maxID uint32) {
 	minID, maxID = vals[0], vals[0]
 	for _, v := range vals[1:] {
-		if v < minID {
-			minID = v
-		}
-		if v > maxID {
-			maxID = v
-		}
+		minID, maxID = min(minID, v), max(maxID, v)
 	}
 	width := uint(bits.Len32(maxID))
 	dst = append(dst, byte(width))
@@ -217,19 +212,10 @@ func (it *RunIter) Err() error { return it.err }
 // Decode unpacks the current bit-packed run into dst, which must be
 // sized to Count. Calling it on an RLE run is a programming error.
 func (it *RunIter) Decode(dst []uint32) error {
-	if it.rle {
-		return fmt.Errorf("colstore: Decode on an RLE run")
+	if it.rle || len(dst) != it.count {
+		return fmt.Errorf("colstore: Decode dst has %d rows, run has %d (RLE: %t)", len(dst), it.count, it.rle)
 	}
-	if len(dst) != it.count {
-		return fmt.Errorf("colstore: Decode dst has %d rows, run has %d", len(dst), it.count)
-	}
-	width := it.width
-	if width == 0 {
-		for k := range dst {
-			dst[k] = 0
-		}
-		return nil
-	}
+	width := it.width // 0 reads no bytes: every ID is 0
 	var acc uint64
 	var nacc uint
 	src := it.run
@@ -245,6 +231,36 @@ func (it *RunIter) Decode(dst []uint32) error {
 		nacc -= width
 	}
 	return nil
+}
+
+// at returns the k-th ID of the current bit-packed run.
+func (it *RunIter) at(k int) uint32 {
+	bit := uint(k) * it.width
+	var b [8]byte
+	copy(b[:], it.run[bit/8:])
+	return uint32(binary.LittleEndian.Uint64(b[:])>>(bit%8)) & uint32(uint64(1)<<it.width-1)
+}
+
+// chunkAt returns row i of one chunk payload and decodes nothing else:
+// RLE runs and whole packed runs before it are stepped over by header.
+func chunkAt(payload []byte, i int) (uint32, error) {
+	it, err := Runs(payload)
+	if err != nil {
+		return 0, err
+	}
+	for it.Next() {
+		if i < it.count {
+			if it.rle {
+				return it.id, nil
+			}
+			return it.at(i), nil
+		}
+		i -= it.count
+	}
+	if it.err != nil {
+		return 0, it.err
+	}
+	return 0, fmt.Errorf("colstore: chunk ends %d rows before the one read", i+1)
 }
 
 // bounds returns the smallest and largest ID of the current run without
@@ -318,12 +334,25 @@ func EncodeDictSection(dst []byte, vals []string) []byte {
 // DecodeDictSection parses one column's dictionary section, rejecting
 // trailing bytes.
 func DecodeDictSection(b []byte) ([]string, error) {
-	vals, rest, err := decodeDict(b)
-	if err != nil {
-		return nil, err
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || n > uint64(len(b)) {
+		return nil, fmt.Errorf("dict count truncated")
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("colstore: %d trailing bytes in dict section", len(rest))
+	b = b[sz:]
+	var vals []string
+	if n > 0 {
+		vals = make([]string, 0, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		l, sz := binary.Uvarint(b)
+		if sz <= 0 || uint64(len(b)-sz) < l {
+			return nil, fmt.Errorf("dict value truncated")
+		}
+		vals = append(vals, string(b[sz:sz+int(l)]))
+		b = b[sz+int(l):]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("colstore: %d trailing bytes in dict section", len(b))
 	}
 	return vals, nil
 }

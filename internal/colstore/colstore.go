@@ -7,6 +7,8 @@
 //
 //	[schema section][dict 0 … n-1][column segment 0 … n-1][segment table][footer]
 //
+// where
+//
 //   - the schema section records the relation name, attributes and key;
 //   - each column has its own dictionary section — the distinct
 //     values in first-occurrence order, so loaded dictionaries assign
@@ -34,6 +36,13 @@
 // dictionary and column segment on first access — a flipped byte
 // surfaces as an error, never as a silently wrong answer.
 //
+// The stored form is also the shipped form, and one reader serves both
+// (column.go): a column is its dictionary-section bytes, chunk payload
+// slices and per-chunk ID bounds. A Fragment is a file header over
+// columns whose slices alias the mapping; a Packed (packed.go) holds
+// them directly — shared from a fragment, re-encoded from a row
+// selection, or adopted off the wire and verified whole.
+//
 // Writes are crash-safe by construction: the writer streams into a
 // temporary file in the target directory and renames it into place
 // only after a successful sync, so an interrupted write leaves either
@@ -42,9 +51,7 @@
 // (crash mid-append) is detected and truncated on replay.
 package colstore
 
-import (
-	"hash/fnv"
-)
+import "hash/fnv"
 
 // Format constants.
 const (

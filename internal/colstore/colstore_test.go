@@ -191,7 +191,7 @@ func TestRoundTripSingleValueRLE(t *testing.T) {
 	if perRow := float64(st.BytesOnDisk) / float64(rows); perRow > 0.1 {
 		t.Fatalf("single-value column costs %.2f bytes/row on disk", perRow)
 	}
-	lo, hi := f.ColumnIDBounds(0)
+	lo, hi := f.ChunkIDBounds(0, 0)
 	if lo != 0 || hi != 0 {
 		t.Fatalf("ID bounds [%d,%d], want [0,0]", lo, hi)
 	}
@@ -344,9 +344,6 @@ func TestDeltaLogReplayAndTornTail(t *testing.T) {
 	if !reflect.DeepEqual(replayed, deltas) {
 		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", replayed, deltas)
 	}
-	if l2.Entries() != len(deltas) {
-		t.Fatalf("entries = %d", l2.Entries())
-	}
 	// Appending after replay continues the log.
 	extra := relation.Delta{Inserts: []relation.Tuple{{"d", "3"}}}
 	if err := l2.Append(extra); err != nil {
@@ -495,6 +492,39 @@ func TestReadAfterCloseErrors(t *testing.T) {
 	if _, err := f.Dict(0); err == nil {
 		t.Fatal("Dict after Close succeeded")
 	}
+	// Column 1 is untouched: every reader method reports the closed
+	// mapping on its own, whichever is asked first — the ones without
+	// an error channel by the documented neutral answer, ColumnDict by
+	// its documented panic.
+	if _, err := f.ColumnChunks(1); err == nil {
+		t.Fatal("ColumnChunks after Close succeeded")
+	}
+	if _, err := f.ChunkPayload(1, 0); err == nil {
+		t.Fatal("ChunkPayload after Close succeeded")
+	}
+	if _, err := f.NewRowReader().ID(1, 0); err == nil {
+		t.Fatal("RowReader.ID after Close succeeded")
+	}
+	if _, err := f.PackBase([]int{1}); err == nil {
+		t.Fatal("PackBase after Close succeeded")
+	}
+	if lo, hi := f.ChunkSpan(1, 0); lo != 0 || hi != 0 {
+		t.Fatalf("ChunkSpan after Close = [%d,%d), want empty", lo, hi)
+	}
+	if mn, mx := f.ChunkIDBounds(1, 0); mn != 0 || mx != math.MaxUint32 {
+		t.Fatalf("ChunkIDBounds after Close = [%d,%d], want nothing ruled out", mn, mx)
+	}
+	if n := f.PackedSize(); n != 0 {
+		t.Fatalf("PackedSize after Close = %d", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ColumnDict after Close did not panic")
+			}
+		}()
+		f.ColumnDict(1)
+	}()
 }
 
 // TestNewPackedVerifiesForeignParts pins the adoption check: NewPacked

@@ -20,11 +20,8 @@ import (
 // reports the site stale and reseeds, exactly as for any other lost
 // suffix.
 type DeltaLog struct {
-	f       *os.File
-	path    string
-	arity   int
-	entries int
-	buf     []byte
+	f   *os.File
+	buf []byte
 }
 
 const deltaRecHeader = 4 + 8
@@ -76,33 +73,24 @@ func OpenDeltaLog(path string, arity int) (*DeltaLog, []relation.Delta, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &DeltaLog{f: f, path: path, arity: arity, entries: len(deltas)}, deltas, nil
+	return &DeltaLog{f: f}, deltas, nil
 }
 
 // Append writes one delta record and syncs it to disk before
 // returning, so an acknowledged delta survives a crash.
 func (l *DeltaLog) Append(d relation.Delta) error {
-	payload := encodeDelta(l.buf[:0], d)
-	l.buf = payload
-	var hdr [deltaRecHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[4:], checksum(payload))
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("colstore: appending delta: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
+	rec := encodeDelta(append(l.buf[:0], make([]byte, deltaRecHeader)...), d)
+	l.buf = rec
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-deltaRecHeader))
+	binary.LittleEndian.PutUint64(rec[4:], checksum(rec[deltaRecHeader:]))
+	if _, err := l.f.Write(rec); err != nil { // one write: header and payload tear together
 		return fmt.Errorf("colstore: appending delta: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("colstore: syncing delta log: %w", err)
 	}
-	l.entries++
 	return nil
 }
-
-// Entries returns the number of records in the log (replayed plus
-// appended).
-func (l *DeltaLog) Entries() int { return l.entries }
 
 // Close closes the log file.
 func (l *DeltaLog) Close() error { return l.f.Close() }

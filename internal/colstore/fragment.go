@@ -9,8 +9,9 @@ import (
 	"distcfd/internal/relation"
 )
 
-// Fragment is an open persisted fragment: one read-only mapping of the
-// file plus the decoded schema and segment table. Column data and
+// Fragment is an open persisted fragment: a file header — footer,
+// segment table, schema, the mapping's lifetime, the section checksums
+// — over the same packed columns a Packed holds. Column data and
 // dictionaries stay packed in the mapping; ReadColumn decodes only the
 // chunks a scan visits, and each column's dictionary is verified and
 // decoded on its first access, so reads over a few low-cardinality
@@ -24,45 +25,14 @@ type Fragment struct {
 	data   []byte
 	unmap  func([]byte) error
 	schema *relation.Schema
-	rows   int
-	dicts  []lazyDict
-	stats  Stats
-
-	segs []colSegment
+	columns
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// colSegment is one column's segment: its table entry plus the chunk
-// directory, parsed (and the payload checksummed) on first access.
-type colSegment struct {
-	entry tableEntry
-
-	once       sync.Once
-	verifyErr  error
-	chunkRows  int
-	dir        []chunkMeta
-	chunkOffs  []uint64 // absolute file offset of each chunk payload
-	payloadOff uint64
-}
-
-// lazyDict is one column's dictionary section, checksummed and decoded
-// on first access.
-type lazyDict struct {
-	entry tableEntry
-
-	once sync.Once
-	d    *relation.Dict
-	err  error
-}
-
-// Fragment is the storage-side implementation of the engine's reader
-// seam.
-var (
-	_ relation.ColumnReader        = (*Fragment)(nil)
-	_ relation.ChunkedColumnReader = (*Fragment)(nil)
-)
+// Fragment is the storage side of the engine's chunk reader seam.
+var _ relation.PackedColumnReader = (*Fragment)(nil)
 
 // Open maps the fragment file at path and verifies its footer, table,
 // and schema. Dictionaries and column segments are checksum-verified
@@ -129,9 +99,7 @@ func parseFragment(path string, data []byte, unmap func([]byte) error) (*Fragmen
 		entries[i] = tableEntry{
 			off:    binary.LittleEndian.Uint64(e),
 			length: binary.LittleEndian.Uint64(e[8:]),
-			minID:  binary.LittleEndian.Uint32(e[16:]),
-			maxID:  binary.LittleEndian.Uint32(e[20:]),
-			sum:    binary.LittleEndian.Uint64(e[24:]),
+			sum:    binary.LittleEndian.Uint64(e[24:]), // [16:24) segment-wide ID bounds: no reader
 		}
 		if entries[i].off > body || entries[i].length > body-entries[i].off {
 			return nil, fmt.Errorf("colstore: %s: segment %d out of bounds", path, i)
@@ -139,16 +107,18 @@ func parseFragment(path string, data []byte, unmap func([]byte) error) (*Fragmen
 	}
 
 	f := &Fragment{
-		path:  path,
-		data:  data,
-		unmap: unmap,
-		rows:  int(rows),
-		dicts: make([]lazyDict, arity),
-		segs:  make([]colSegment, arity),
+		path:    path,
+		data:    data,
+		unmap:   unmap,
+		columns: columns{rows: int(rows), cols: make([]*column, arity)},
 	}
-	for j := range f.segs {
-		f.dicts[j].entry = entries[1+j]
-		f.segs[j].entry = entries[1+arity+j]
+	for j := range f.cols {
+		f.cols[j] = &column{
+			PackedColumn: PackedColumn{Dict: f.section(entries[1+j])},
+			rows:         f.rows,
+			name:         fmt.Sprintf("%s: column %d", path, j),
+			file:         &backing{f: f, dictSum: entries[1+j].sum, seg: entries[1+arity+j]},
+		}
 	}
 
 	sb := f.section(entries[0])
@@ -164,7 +134,6 @@ func parseFragment(path string, data []byte, unmap func([]byte) error) (*Fragmen
 			path, schema.Arity(), arity)
 	}
 	f.schema = schema
-	f.stats = Stats{Rows: int(rows), BytesOnDisk: int64(len(data))}
 	return f, nil
 }
 
@@ -174,65 +143,6 @@ func (f *Fragment) section(e tableEntry) []byte {
 
 // Schema returns the fragment's schema.
 func (f *Fragment) Schema() *relation.Schema { return f.schema }
-
-// Rows returns the persisted row count.
-func (f *Fragment) Rows() int { return f.rows }
-
-// NumColumns returns the fragment's arity.
-func (f *Fragment) NumColumns() int { return len(f.segs) }
-
-// BytesOnDisk returns the fragment file's size.
-func (f *Fragment) BytesOnDisk() int64 { return f.stats.BytesOnDisk }
-
-// Dict returns column i's dictionary, verifying its section checksum
-// and decoding it on the first call. Fragment dictionaries are flat
-// (no overlay chain) and may gain overlay generations via
-// relation.Chain without touching the file.
-func (f *Fragment) Dict(i int) (*relation.Dict, error) {
-	ld := &f.dicts[i]
-	ld.once.Do(func() {
-		f.mu.Lock()
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
-			ld.err = fmt.Errorf("colstore: read after Close on %s", f.path)
-			return
-		}
-		b := f.section(ld.entry)
-		if checksum(b) != ld.entry.sum {
-			ld.err = fmt.Errorf("colstore: %s: dict %d checksum mismatch", f.path, i)
-			return
-		}
-		vals, rest, err := decodeDict(b)
-		if err != nil {
-			ld.err = fmt.Errorf("colstore: %s: dict %d: %w", f.path, i, err)
-			return
-		}
-		if len(rest) != 0 {
-			ld.err = fmt.Errorf("colstore: %s: dict %d: %d trailing bytes", f.path, i, len(rest))
-			return
-		}
-		d, err := relation.NewDictFromVals(vals)
-		if err != nil {
-			ld.err = fmt.Errorf("colstore: %s: dict %d: %w", f.path, i, err)
-			return
-		}
-		ld.d = d
-	})
-	return ld.d, ld.err
-}
-
-// ColumnDict is the relation.ColumnReader form of Dict. The interface
-// leaves no error channel, so ColumnDict panics if the dictionary
-// fails verification (disk corruption, or a read after Close); callers
-// that must degrade gracefully use Dict.
-func (f *Fragment) ColumnDict(i int) *relation.Dict {
-	d, err := f.Dict(i)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
 
 // Close releases the file mapping. Close is idempotent.
 func (f *Fragment) Close() error {
@@ -250,155 +160,56 @@ func (f *Fragment) Close() error {
 	return nil
 }
 
-// verify checksums column i's segment and parses its chunk directory,
-// once.
-func (f *Fragment) verify(i int) error {
-	s := &f.segs[i]
-	s.once.Do(func() {
-		f.mu.Lock()
-		closed := f.closed
-		f.mu.Unlock()
-		if closed {
-			s.verifyErr = fmt.Errorf("colstore: read after Close on %s", f.path)
-			return
-		}
-		b := f.section(s.entry)
-		if checksum(b) != s.entry.sum {
-			s.verifyErr = fmt.Errorf("colstore: %s: column %d segment checksum mismatch", f.path, i)
-			return
-		}
-		if len(b) < 8 {
-			s.verifyErr = fmt.Errorf("colstore: %s: column %d segment truncated", f.path, i)
-			return
-		}
-		s.chunkRows = int(binary.LittleEndian.Uint32(b))
-		numChunks := int(binary.LittleEndian.Uint32(b[4:]))
-		if s.chunkRows <= 0 && numChunks > 0 {
-			s.verifyErr = fmt.Errorf("colstore: %s: column %d chunkRows %d", f.path, i, s.chunkRows)
-			return
-		}
-		want := (f.rows + max(s.chunkRows, 1) - 1) / max(s.chunkRows, 1)
-		if numChunks != want {
-			s.verifyErr = fmt.Errorf("colstore: %s: column %d has %d chunks, want %d for %d rows",
-				f.path, i, numChunks, want, f.rows)
-			return
-		}
-		dirLen := numChunks * 12
-		if len(b) < 8+dirLen {
-			s.verifyErr = fmt.Errorf("colstore: %s: column %d chunk directory truncated", f.path, i)
-			return
-		}
-		s.dir = make([]chunkMeta, numChunks)
-		s.chunkOffs = make([]uint64, numChunks)
-		s.payloadOff = s.entry.off + uint64(8+dirLen)
-		off := s.payloadOff
-		total := s.entry.off + s.entry.length
-		for k := range s.dir {
-			d := b[8+k*12:]
-			s.dir[k] = chunkMeta{
-				length: binary.LittleEndian.Uint32(d),
-				minID:  binary.LittleEndian.Uint32(d[4:]),
-				maxID:  binary.LittleEndian.Uint32(d[8:]),
-			}
-			s.chunkOffs[k] = off
-			off += uint64(s.dir[k].length)
-		}
-		if off != total {
-			s.verifyErr = fmt.Errorf("colstore: %s: column %d chunk lengths sum to %d, segment holds %d",
-				f.path, i, off-s.payloadOff, total-s.payloadOff)
-		}
-	})
-	return s.verifyErr
-}
-
-// ColumnChunks returns the number of chunks in column i's segment.
-func (f *Fragment) ColumnChunks(i int) (int, error) {
-	if err := f.verify(i); err != nil {
-		return 0, err
-	}
-	return len(f.segs[i].dir), nil
-}
-
-// ChunkSpan returns the row range [lo, hi) chunk k of column i covers.
-func (f *Fragment) ChunkSpan(i, k int) (lo, hi int) {
-	cr := f.segs[i].chunkRows
-	lo = k * cr
-	hi = lo + cr
-	if hi > f.rows {
-		hi = f.rows
-	}
-	return lo, hi
-}
-
-// ChunkIDBounds returns the min and max ID in chunk k of column i —
-// the σ-block skipping analog: a scan for a constant ID outside
-// [min, max] can skip the chunk without decoding it.
-func (f *Fragment) ChunkIDBounds(i, k int) (minID, maxID uint32) {
-	m := f.segs[i].dir[k]
-	return m.minID, m.maxID
-}
-
-// ColumnIDBounds returns the min and max ID across column i's whole
-// segment (zero for an empty column).
-func (f *Fragment) ColumnIDBounds(i int) (minID, maxID uint32) {
-	return f.segs[i].entry.minID, f.segs[i].entry.maxID
-}
-
-// ReadColumn decodes column i's IDs for rows [lo, lo+len(dst)) into
-// dst. The first call on a column verifies the segment checksum.
-func (f *Fragment) ReadColumn(i, lo int, dst []uint32) error {
-	if err := f.verify(i); err != nil {
-		return err
-	}
-	if lo < 0 || lo+len(dst) > f.rows {
-		return fmt.Errorf("colstore: ReadColumn rows [%d,%d) out of range [0,%d)", lo, lo+len(dst), f.rows)
-	}
-	if len(dst) == 0 {
-		return nil
-	}
-	s := &f.segs[i]
-	cr := s.chunkRows
-	var scratch []uint32
-	for len(dst) > 0 {
-		k := lo / cr
-		clo, chi := f.ChunkSpan(i, k)
-		payload := f.data[s.chunkOffs[k] : s.chunkOffs[k]+uint64(s.dir[k].length)]
-		n := chi - lo
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if lo == clo && n == chi-clo {
-			if err := DecodeChunk(payload, dst[:n]); err != nil {
-				return err
-			}
-		} else {
-			if scratch == nil {
-				scratch = make([]uint32, cr)
-			}
-			if err := DecodeChunk(payload, scratch[:chi-clo]); err != nil {
-				return err
-			}
-			copy(dst[:n], scratch[lo-clo:lo-clo+n])
-		}
-		dst = dst[n:]
-		lo += n
+// checkOpen guards the first touch of mapped bytes.
+func (f *Fragment) checkOpen() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return fmt.Errorf("colstore: read after Close on %s", f.path)
 	}
 	return nil
 }
 
-// ReadChunk decodes exactly chunk k of column i into dst, which must
-// be sized to the chunk's span.
-func (f *Fragment) ReadChunk(i, k int, dst []uint32) error {
-	if err := f.verify(i); err != nil {
-		return err
+// loadSegment verifies segment bytes b against the table entry and
+// fills the column's chunk side from its directory:
+//
+//	u32 chunkRows | u32 numChunks | numChunks × (u32 length, minID, maxID) | payloads
+func (c *column) loadSegment(b []byte) error {
+	if checksum(b) != c.file.seg.sum {
+		return fmt.Errorf("colstore: %s: segment checksum mismatch", c.name)
 	}
-	s := &f.segs[i]
-	clo, chi := f.ChunkSpan(i, k)
-	if len(dst) != chi-clo {
-		return fmt.Errorf("colstore: ReadChunk dst has %d rows, chunk %d spans %d", len(dst), k, chi-clo)
+	if len(b) < 8 {
+		return fmt.Errorf("colstore: %s: segment truncated", c.name)
 	}
-	payload := f.data[s.chunkOffs[k] : s.chunkOffs[k]+uint64(s.dir[k].length)]
-	return DecodeChunk(payload, dst)
+	c.chunkRows = int(binary.LittleEndian.Uint32(b))
+	numChunks := int(binary.LittleEndian.Uint32(b[4:]))
+	if c.chunkRows <= 0 && numChunks > 0 {
+		return fmt.Errorf("colstore: %s: chunkRows %d", c.name, c.chunkRows)
+	}
+	if want := (c.rows + max(c.chunkRows, 1) - 1) / max(c.chunkRows, 1); numChunks != want {
+		return fmt.Errorf("colstore: %s: %d chunks, want %d for %d rows", c.name, numChunks, want, c.rows)
+	}
+	if len(b) < 8+numChunks*12 {
+		return fmt.Errorf("colstore: %s: chunk directory truncated", c.name)
+	}
+	dir, payload := b[8:8+numChunks*12], b[8+numChunks*12:]
+	c.Chunks = make([][]byte, numChunks)
+	c.MinIDs = make([]uint32, numChunks)
+	c.MaxIDs = make([]uint32, numChunks)
+	for k := range c.Chunks {
+		d := dir[k*12:]
+		n := uint64(binary.LittleEndian.Uint32(d))
+		if n > uint64(len(payload)) {
+			return fmt.Errorf("colstore: %s: chunk %d overruns the segment", c.name, k)
+		}
+		c.Chunks[k], payload = payload[:n:n], payload[n:]
+		c.MinIDs[k] = binary.LittleEndian.Uint32(d[4:])
+		c.MaxIDs[k] = binary.LittleEndian.Uint32(d[8:])
+	}
+	if len(payload) != 0 {
+		return fmt.Errorf("colstore: %s: %d segment bytes past the last chunk", c.name, len(payload))
+	}
+	return nil
 }
 
 // RowReader decodes single rows through a per-column one-chunk cache —
@@ -406,41 +217,54 @@ func (f *Fragment) ReadChunk(i, k int, dst []uint32) error {
 // row projections. Not safe for concurrent use; create one per
 // goroutine.
 type RowReader struct {
-	f     *Fragment
-	bufs  [][]uint32
-	chunk []int
+	f    *Fragment
+	bufs [][]uint32
+	cur  []cursor
 }
+
+// cursor is one column's read position: the chunk decoded into bufs and
+// the chunk the last reads found undecoded. A chunk is decoded once
+// pointReads reads in a row land in it — each one before is a chunkAt —
+// so sparse reads (the rows a delta deletes) never decode 8192 IDs for one.
+type cursor struct{ chunk, last, reads int }
+
+const pointReads = 8
 
 // NewRowReader returns a fresh row reader over f.
 func (f *Fragment) NewRowReader() *RowReader {
 	n := f.NumColumns()
-	r := &RowReader{f: f, bufs: make([][]uint32, n), chunk: make([]int, n)}
-	for i := range r.chunk {
-		r.chunk[i] = -1
+	r := &RowReader{f: f, bufs: make([][]uint32, n), cur: make([]cursor, n)}
+	for i := range r.cur {
+		r.cur[i] = cursor{chunk: -1, last: -1}
 	}
 	return r
 }
 
 // ID returns the dictionary ID at (row, col).
 func (r *RowReader) ID(col, row int) (uint32, error) {
-	f := r.f
-	if err := f.verify(col); err != nil {
+	c, err := r.f.col(col)
+	if err != nil {
 		return 0, err
 	}
-	cr := f.segs[col].chunkRows
-	k := row / cr
-	if r.chunk[col] != k {
-		clo, chi := f.ChunkSpan(col, k)
-		if cap(r.bufs[col]) < chi-clo {
-			r.bufs[col] = make([]uint32, cr)
+	k := row / c.chunkRows
+	if cu := &r.cur[col]; cu.chunk != k {
+		if cu.last != k {
+			cu.last, cu.reads = k, 0
 		}
-		r.bufs[col] = r.bufs[col][:chi-clo]
-		if err := f.ReadChunk(col, k, r.bufs[col]); err != nil {
+		if cu.reads++; cu.reads < pointReads {
+			return chunkAt(c.Chunks[k], row%c.chunkRows)
+		}
+		lo, hi := c.chunkSpan(k)
+		if cap(r.bufs[col]) < hi-lo {
+			r.bufs[col] = make([]uint32, c.chunkRows)
+		}
+		r.bufs[col] = r.bufs[col][:hi-lo]
+		if err := DecodeChunk(c.Chunks[k], r.bufs[col]); err != nil {
 			return 0, err
 		}
-		r.chunk[col] = k
+		cu.chunk = k
 	}
-	return r.bufs[col][row%f.segs[col].chunkRows], nil
+	return r.bufs[col][row%c.chunkRows], nil
 }
 
 // Value returns the string value at (row, col).
@@ -518,27 +342,4 @@ func decodeSchema(b []byte) (*relation.Schema, error) {
 		return nil, fmt.Errorf("%d trailing bytes in schema section", len(b))
 	}
 	return relation.NewSchema(name, attrs, key...)
-}
-
-// decodeDict parses one column's dictionary section, returning the
-// values and the remaining bytes.
-func decodeDict(b []byte) ([]string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("dict count truncated")
-	}
-	b = b[sz:]
-	var vals []string
-	if n > 0 {
-		vals = make([]string, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return nil, nil, fmt.Errorf("dict value truncated")
-		}
-		vals = append(vals, string(b[sz:sz+int(l)]))
-		b = b[sz+int(l):]
-	}
-	return vals, b, nil
 }

@@ -11,7 +11,8 @@ import (
 //
 //  1. as an ID vector (4 bytes LE per ID): EncodeChunk → DecodeChunk
 //     must round-trip exactly, the reported min/max must bound the IDs,
-//     and a Runs walk must agree with DecodeChunk row for row;
+//     a Runs walk must agree with DecodeChunk row for row, and so
+//     must a chunkAt point read of every row;
 //  2. as an adversarial chunk payload fed straight to Runs/DecodeChunk —
 //     wire v6 ships payloads verbatim, so arbitrary bytes must error
 //     cleanly, never panic or over-allocate;
@@ -88,6 +89,9 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 		if got[i] != ids[i] {
 			t.Fatalf("round trip: row %d = %d, want %d", i, got[i], ids[i])
 		}
+		if v, err := chunkAt(payload, i); err != nil || v != ids[i] {
+			t.Fatalf("chunkAt row %d = %d, %v; want %d", i, v, err, ids[i])
+		}
 	}
 	// A Runs walk over the same payload must reproduce the decode:
 	// RLE runs by their (count, id), packed runs via Decode.
@@ -134,7 +138,18 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 func fuzzAdversarialPayload(t *testing.T, data []byte) {
 	// Must never panic; errors are the expected outcome for garbage.
 	dst := make([]uint32, 256)
-	_ = DecodeChunk(data, dst)
+	if DecodeChunk(data, dst) == nil {
+		for i, want := range dst {
+			if v, err := chunkAt(data, i); err != nil || v != want {
+				t.Fatalf("chunkAt row %d = %d, %v; DecodeChunk says %d", i, v, err, want)
+			}
+		}
+		if _, err := chunkAt(data, len(dst)); err == nil {
+			t.Fatal("chunkAt read a row past the chunk's last")
+		}
+	} else {
+		_, _ = chunkAt(data, 255)
+	}
 	it, err := Runs(data)
 	if err != nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"os"
@@ -186,10 +187,7 @@ func (w *Writer) cleanup() {
 type sectionWriter struct {
 	w   *bufio.Writer
 	off uint64
-	h   interface {
-		io.Writer
-		Sum64() uint64
-	}
+	h   hash.Hash64
 }
 
 func (sw *sectionWriter) begin()      { sw.h = fnv.New64a() }
@@ -273,12 +271,10 @@ func (w *Writer) assemble() (Stats, error) {
 			hb = binary.LittleEndian.AppendUint32(hb, m.length)
 			hb = binary.LittleEndian.AppendUint32(hb, m.minID)
 			hb = binary.LittleEndian.AppendUint32(hb, m.maxID)
-			if k == 0 || m.minID < segMin {
+			if k == 0 {
 				segMin = m.minID
 			}
-			if m.maxID > segMax {
-				segMax = m.maxID
-			}
+			segMin, segMax = min(segMin, m.minID), max(segMax, m.maxID)
 		}
 		if _, err := sw.Write(hb); err != nil {
 			return Stats{}, err

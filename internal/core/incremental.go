@@ -31,10 +31,17 @@ import (
 // The first round (and any round the sites report stale state for —
 // trimmed log, evicted session, foreign mutation) seeds: full blocks
 // ship once as one big insert delta, rebuilding the retained state;
-// a delete-heavy history (Options.DeltaFallbackRatio) reseeds too.
+// a delete-heavy history (deltaFallbackRatio) reseeds too.
 // Sticky coordinators may drift from what the current statistics
 // would choose; that changes which site folds a block, never the
 // violation union or the reported (fresh-equivalent) accounting.
+
+// deltaFallbackRatio bounds incremental serving: when the deletes
+// accumulated since the last full fold exceed this fraction of the
+// current instance size, a round falls back to a full reseed (retained
+// group states shrink by tombstoned counts, but a mostly-rewritten
+// instance is cheaper to rebuild than to fold).
+const deltaFallbackRatio = 0.5
 
 // unitInc is the retained driver state of one plan unit's session.
 type unitInc struct {
@@ -174,7 +181,7 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 					dels += rep.TotalDel
 				}
 			}
-			if float64(dels) > opt.DeltaFallbackRatio*float64(total) {
+			if float64(dels) > deltaFallbackRatio*float64(total) {
 				seeding = true
 			} else {
 				st.delsSinceSeed = dels

@@ -450,18 +450,40 @@ func TestIncrementalFallbacks(t *testing.T) {
 
 	t.Run("delete-ratio", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 8)
-		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{DeltaFallbackRatio: 0.05})
+		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sp.DetectIncremental(ctx); err != nil {
 			t.Fatal(err)
 		}
-		// Delete a third of site 0 — far past the 5% ratio.
+		seeded := sp.inc[0].session
+		// One delete in ten tuples is under deltaFallbackRatio: the round
+		// folds into the seeded session.
 		if _, err := cl.ApplyDelta(ctx, 0, relation.Delta{Deletes: []int{0}}); err != nil {
 			t.Fatal(err)
 		}
 		check(t, cl, sp)
+		if sp.inc[0].session != seeded {
+			t.Fatal("a delete under the fallback ratio reseeded")
+		}
+		// Deleting everything outside CC 31 — more than half the
+		// instance — is past it: the round reseeds under a fresh key.
+		for i := 0; i < cl.N(); i++ {
+			var d relation.Delta
+			for k, tup := range cl.Site(i).(*Site).Fragment().Tuples() {
+				if tup[3] != "31" {
+					d.Deletes = append(d.Deletes, k)
+				}
+			}
+			if _, err := cl.ApplyDelta(ctx, i, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(t, cl, sp)
+		if sp.inc[0].session == seeded {
+			t.Fatal("a delete-heavy round did not reseed")
+		}
 	})
 
 	t.Run("log-trimmed", func(t *testing.T) {

@@ -76,13 +76,6 @@ type Options struct {
 	// byte-identical either way — packing changes only the byte
 	// accounting and the wire encoding — which the equivalence tests pin.
 	NoPackedShip bool
-	// DeltaFallbackRatio bounds incremental serving: when the deletes
-	// accumulated since the last full fold exceed this fraction of the
-	// current instance size, DetectIncremental falls back to a full
-	// reseed (retained group states shrink by tombstoned counts, but a
-	// mostly-rewritten instance is cheaper to rebuild than to fold).
-	// 0 selects the default of 0.5.
-	DeltaFallbackRatio float64
 }
 
 func (o Options) withDefaults() Options {
@@ -91,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.DeltaFallbackRatio <= 0 {
-		o.DeltaFallbackRatio = 0.5
 	}
 	return o
 }

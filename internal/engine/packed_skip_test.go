@@ -8,24 +8,24 @@ import (
 	"distcfd/internal/relation"
 )
 
-// countingPacked wraps a Packed and counts the calls that cost decode
-// work: ReadColumn (scratch decode of a whole chunk) and ChunkPayload
-// (handing a raw payload to the fold/scan). Bounds probes
+// countingPacked wraps a packed reader and counts the calls that cost
+// decode work: ReadColumn (scratch decode of a whole chunk) and
+// ChunkPayload (handing a raw payload to the fold/scan). Bounds probes
 // (ChunkIDBounds, ChunkSpan) stay free.
 type countingPacked struct {
-	*colstore.Packed
+	relation.PackedColumnReader
 	reads    int
 	payloads int
 }
 
 func (c *countingPacked) ReadColumn(i, lo int, dst []uint32) error {
 	c.reads++
-	return c.Packed.ReadColumn(i, lo, dst)
+	return c.PackedColumnReader.ReadColumn(i, lo, dst)
 }
 
 func (c *countingPacked) ChunkPayload(i, k int) ([]byte, error) {
 	c.payloads++
-	return c.Packed.ChunkPayload(i, k)
+	return c.PackedColumnReader.ChunkPayload(i, k)
 }
 
 // gappedPacked hand-builds a 4-row, 2-chunk packed relation over
@@ -58,7 +58,7 @@ func gappedPacked(t *testing.T) *countingPacked {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &countingPacked{Packed: p}
+	return &countingPacked{PackedColumnReader: p}
 }
 
 var packedSkipSchema = relation.MustSchema("R", []string{"a", "b"})
@@ -105,5 +105,41 @@ func TestPackedConstantSkipsExcludedChunk(t *testing.T) {
 	if cp.payloads != 1 || cp.reads != 1 {
 		t.Fatalf("decoded %d payloads and %d columns, want 1 and 1 (chunk 0 σ-skipped)",
 			cp.payloads, cp.reads)
+	}
+}
+
+// TestFragmentConstantSkipsOnNonFirstColumn pins the same σ-skip on a
+// store fragment, for a constant on a column other than the one the
+// source was bound by: "late" occurs only in chunk 1 of column b, so
+// chunk 0 is ruled out by b's bounds alone and exactly one payload (b,
+// chunk 1) and one column window (c, chunk 1) are decoded. A fragment
+// that answered chunk 0's span before loading b's directory decoded
+// chunk 0 as well.
+func TestFragmentConstantSkipsOnNonFirstColumn(t *testing.T) {
+	rows := 2 * colstore.DefaultChunkRows
+	ts := make([]relation.Tuple, rows)
+	for i := range ts {
+		b := "early"
+		if i >= colstore.DefaultChunkRows {
+			b = "late"
+		}
+		ts[i] = relation.Tuple{"a", b, "c"}
+	}
+	ts[rows-1][2] = "odd"
+	s := relation.MustSchema("R", []string{"a", "b", "c"})
+	d, err := relation.FromTuples(s, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &countingPacked{PackedColumnReader: openFragment(t, d)}
+	got, err := detectReader(cp, s, cfd.MustParse(`z: [b] -> [c] : (late || c)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != rows-1 {
+		t.Fatalf("violations = %v, want [%d]", got, rows-1)
+	}
+	if cp.payloads != 1 || cp.reads != 1 {
+		t.Fatalf("decoded %d payloads and %d columns, want 1 and 1 (chunk 0 σ-skipped)", cp.payloads, cp.reads)
 	}
 }

@@ -10,44 +10,39 @@ import (
 
 // The column source: where the IDs of one kernel call live, and the
 // only thing the kernel knows about storage. A source is a list of row
-// spans plus window, which hands back one column's IDs for one span:
+// spans plus window, which hands back one column's IDs for one span.
+// There are two kinds:
 //
 //   - a materialized *relation.Encoded is one whole-column span whose
 //     windows are the columns' own slices — zero copy, nothing
 //     allocated — and the only kind of source the kernel row-shards
 //     (a sub-range of the span is a sub-slice of the column);
-//   - any other relation.ColumnReader — a colstore fragment on disk, a
-//     packed payload adopted off the wire — streams: its chunks are the
-//     spans (fixed readerChunkRows spans when it is unchunked) and
-//     window decodes into the pooled scratch, so the only full-length
-//     allocations are the group-ID vector and the violation bitset
-//     (≈4.1 bytes/row) and detection over an mmap'd fragment keeps
-//     resident memory far below the data size. Streaming is serial: the
-//     spans share one set of decode buffers.
+//   - packed chunks, a relation.PackedColumnReader — a colstore
+//     fragment on disk, a packed payload adopted off the wire — stream:
+//     the reader's chunks are the spans and window decodes into the
+//     pooled scratch, so the only full-length allocations are the
+//     group-ID vector and the violation bitset (≈4.1 bytes/row) and
+//     detection over an mmap'd fragment keeps resident memory far below
+//     the data size. Streaming is serial: the spans share one set of
+//     decode buffers.
 //
-// What a chunked or packed reader adds — ID bounds that rule a chunk
-// out for a constant, run-length payloads that resolve a run with one
-// comparison — the kernel consults through the source, and only when
-// the source has it. The fold interns composites in row order whatever
-// the span layout, so violations and extracted X-patterns are
-// byte-identical across every source kind and worker count; the
-// equivalence table in source_test.go pins that.
-
-// readerChunkRows sizes the spans of readers that do not expose their
-// own chunking.
-const readerChunkRows = 8192
+// What packed chunks add — ID bounds that rule a chunk out for a
+// constant, run-length payloads that resolve a run with one comparison
+// — the kernel consults through the source. The fold interns composites
+// in row order whatever the span layout, so violations and extracted
+// X-patterns are byte-identical across both kinds and every worker
+// count; the equivalence table in source_test.go pins that.
 
 // rowSpan is one row range of a source; chunk is the reader's chunk
-// index (−1 when the span is not a reader chunk).
+// index (−1 for the whole-column span of a materialized source).
 type rowSpan struct {
 	lo, hi, chunk int
 }
 
 type source struct {
 	r    relation.ColumnReader
-	enc  *relation.Encoded            // r, when it is materialized
-	cc   relation.ChunkedColumnReader // r's per-chunk ID bounds, when it has them
-	pp   relation.PackedColumnReader  // r's raw chunk payloads, when it has them
+	enc  *relation.Encoded           // r, when it is materialized, or
+	pk   relation.PackedColumnReader // r, when it is packed chunks
 	rows int
 
 	spans   []rowSpan
@@ -70,29 +65,26 @@ func storage(d *relation.Relation) relation.ColumnReader {
 // asks again.
 func (src *source) bind(r relation.ColumnReader) error {
 	*src = source{r: r, rows: r.Rows(), spans: src.spans[:0]}
-	if e, ok := r.(*relation.Encoded); ok {
-		src.enc = e
+	switch r := r.(type) {
+	case *relation.Encoded:
+		src.enc = r
 		src.spans = append(src.spans, rowSpan{lo: 0, hi: src.rows, chunk: -1})
-		return nil
-	}
-	if cc, ok := r.(relation.ChunkedColumnReader); ok && r.NumColumns() > 0 {
-		n, err := cc.ColumnChunks(0)
+	case relation.PackedColumnReader:
+		src.pk = r
+		if r.NumColumns() == 0 {
+			return nil // no column to chunk by, and none to read
+		}
+		n, err := r.ColumnChunks(0)
 		if err != nil {
 			return err
 		}
-		src.cc = cc
-		src.pp, _ = r.(relation.PackedColumnReader)
 		for k := 0; k < n; k++ {
-			lo, hi := cc.ChunkSpan(0, k)
+			lo, hi := r.ChunkSpan(0, k)
 			src.spans = append(src.spans, rowSpan{lo: lo, hi: hi, chunk: k})
+			src.spanMax = max(src.spanMax, hi-lo)
 		}
-	} else {
-		for lo := 0; lo < src.rows; lo += readerChunkRows {
-			src.spans = append(src.spans, rowSpan{lo: lo, hi: min(lo+readerChunkRows, src.rows), chunk: -1})
-		}
-	}
-	for _, sp := range src.spans {
-		src.spanMax = max(src.spanMax, sp.hi-sp.lo)
+	default:
+		return fmt.Errorf("engine: column reader %T is neither materialized nor packed chunks", r)
 	}
 	return nil
 }
@@ -128,10 +120,10 @@ func (src *source) window(col int, sp rowSpan, buf []uint32) ([]uint32, error) {
 // the precondition for trusting that chunk's ID bounds or scanning its
 // payload (uniform chunking makes it hold for every column).
 func (src *source) aligned(col int, sp rowSpan) bool {
-	if src.cc == nil || sp.chunk < 0 {
+	if src.pk == nil {
 		return false
 	}
-	lo, hi := src.cc.ChunkSpan(col, sp.chunk)
+	lo, hi := src.pk.ChunkSpan(col, sp.chunk)
 	return lo == sp.lo && hi == sp.hi
 }
 
@@ -144,16 +136,16 @@ func (src *source) aligned(col int, sp rowSpan) bool {
 func (src *source) constWindows(consts []constCol, sp rowSpan, bufs, wins [][]uint32) (_ [][]uint32, ok bool, err error) {
 	for _, c := range consts {
 		if src.aligned(c.col, sp) {
-			if minID, maxID := src.cc.ChunkIDBounds(c.col, sp.chunk); c.id < minID || c.id > maxID {
+			if minID, maxID := src.pk.ChunkIDBounds(c.col, sp.chunk); c.id < minID || c.id > maxID {
 				return nil, false, nil
 			}
 		}
 	}
 	for ci, c := range consts {
 		var win []uint32
-		if ci == 0 && src.pp != nil && src.aligned(c.col, sp) {
+		if ci == 0 && src.aligned(c.col, sp) {
 			win = bufs[0][:sp.hi-sp.lo]
-			hit, err := constFirstScan(src.pp, sp, c.col, c.id, win)
+			hit, err := constFirstScan(src.pk, sp, c.col, c.id, win)
 			if err != nil || !hit {
 				return nil, false, err
 			}

@@ -121,7 +121,8 @@ type sourceKind struct {
 
 // sourceKinds renders d as every kind of column source the kernel
 // reads: the tuple-built encoded view, shipped dict+ID columns, packed
-// payloads at several chunk sizes, and a fragment file on disk.
+// payloads at several chunk sizes, and a fragment file on disk — as a
+// bare reader and adopted as a relation's packed storage.
 func sourceKinds(t testing.TB, d *relation.Relation) []sourceKind {
 	t.Helper()
 	dicts, cols := d.Encoded().CompactColumns()
@@ -136,7 +137,14 @@ func sourceKinds(t testing.TB, d *relation.Relation) []sourceKind {
 	for _, cr := range []int{7, 64, colstore.DefaultChunkRows} {
 		kinds = append(kinds, sourceKind{name: fmt.Sprintf("packed/%d", cr), rel: packAt(t, d, cr)})
 	}
-	return append(kinds, sourceKind{name: "fragment", r: openFragment(t, d)})
+	frag := openFragment(t, d)
+	fragRel, err := relation.FromPackedReader(d.Schema(), frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(kinds,
+		sourceKind{name: "fragment", r: frag},
+		sourceKind{name: "fragment/packed", rel: fragRel})
 }
 
 // naiveOracleRows bounds the relations the quadratic oracle is asked

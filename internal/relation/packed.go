@@ -5,15 +5,25 @@ import (
 	"sync"
 )
 
-// PackedColumnReader is the packed-payload seam: a chunked reader
-// whose chunks additionally exist as raw encoded bytes (the colstore
-// chunk codec), so shippers can put the stored form on the wire
-// verbatim and receivers can detect over it without materializing
-// columns. PackedSize is the payload's modeled wire size; it is what
-// the shipment accounting charges when packed shipping beats the
-// dict+ID form.
+// PackedColumnReader is the packed-column seam: a ColumnReader whose
+// storage is chunks of raw encoded bytes (the colstore chunk codec)
+// with per-chunk ID bounds, so constant scans stream chunk by chunk and
+// skip chunks that cannot contain a wanted ID, shippers put the stored
+// form on the wire verbatim, and receivers detect over it without
+// materializing columns. Chunk boundaries should be uniform across
+// columns (one chunking for the whole relation); consumers verify spans
+// before relying on a chunk's bounds for skipping, so a non-uniform
+// implementation is merely slower, not wrong. PackedSize is the
+// payload's modeled wire size; it is what the shipment accounting
+// charges when packed shipping beats the dict+ID form.
 type PackedColumnReader interface {
-	ChunkedColumnReader
+	ColumnReader
+	// ColumnChunks returns the chunk count of column i.
+	ColumnChunks(i int) (int, error)
+	// ChunkSpan returns the row range [lo, hi) chunk k covers.
+	ChunkSpan(i, k int) (lo, hi int)
+	// ChunkIDBounds returns the min and max ID present in chunk k.
+	ChunkIDBounds(i, k int) (minID, maxID uint32)
 	// ChunkPayload returns chunk k of column i's raw encoded bytes.
 	ChunkPayload(i, k int) ([]byte, error)
 	// PackedSize returns the payload's modeled wire size.

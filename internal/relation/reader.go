@@ -4,10 +4,11 @@ import "fmt"
 
 // ColumnReader is the engine's storage seam: anything that can hand
 // out dictionary-encoded column IDs row-range by row-range. The
-// in-memory Encoded view satisfies it trivially; colstore fragments
-// satisfy it by decoding packed chunks on demand, which is what lets
-// the fold/detect kernels run over data that never materializes as
-// []Tuple.
+// in-memory Encoded view satisfies it trivially; everything else is a
+// PackedColumnReader (packed.go) — a colstore fragment on disk, a
+// payload adopted off the wire — which decodes packed chunks on
+// demand: that is what lets the fold/detect kernels run over data that
+// never materializes as []Tuple.
 //
 // Implementations must be safe for concurrent readers.
 type ColumnReader interface {
@@ -20,23 +21,6 @@ type ColumnReader interface {
 	// ReadColumn fills dst with column i's IDs for rows
 	// [lo, lo+len(dst)).
 	ReadColumn(i, lo int, dst []uint32) error
-}
-
-// ChunkedColumnReader is a ColumnReader whose storage is chunked with
-// per-chunk ID bounds — the hooks constant scans use to stream in
-// chunk-sized pieces and to skip chunks that cannot contain a wanted
-// ID. Chunk boundaries should be uniform across columns (one chunking
-// for the whole relation); consumers verify spans before relying on a
-// chunk's bounds for skipping, so a non-uniform implementation is
-// merely slower, not wrong.
-type ChunkedColumnReader interface {
-	ColumnReader
-	// ColumnChunks returns the chunk count of column i.
-	ColumnChunks(i int) (int, error)
-	// ChunkSpan returns the row range [lo, hi) chunk k covers.
-	ChunkSpan(i, k int) (lo, hi int)
-	// ChunkIDBounds returns the min and max ID present in chunk k.
-	ChunkIDBounds(i, k int) (minID, maxID uint32)
 }
 
 // NumColumns returns the arity; with ColumnDict and ReadColumn it

@@ -103,7 +103,7 @@ func TestDialRetryEventualServer(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = Serve(lis2, core.NewSite(0, data, relation.True()), data.Schema())
+		_ = ServeAPIContext(context.Background(), lis2, core.NewSite(0, data, relation.True()), data.Schema())
 	}()
 	sites, _, err := DialWithConfig([]string{addr},
 		DialConfig{DialAttempts: 8, DialBackoff: 75 * time.Millisecond})
@@ -127,7 +127,9 @@ func TestDialRetryStopsOnPermanentError(t *testing.T) {
 	}
 	defer lis.Close()
 	s := relation.MustSchema("T", []string{"a"})
-	go func() { _ = Serve(lis, core.NewSite(5, relation.New(s), relation.True()), s) }()
+	go func() {
+		_ = ServeAPIContext(context.Background(), lis, core.NewSite(5, relation.New(s), relation.True()), s)
+	}()
 	start := time.Now()
 	_, _, err = DialWithConfig([]string{lis.Addr().String()},
 		DialConfig{DialAttempts: 6, DialBackoff: 400 * time.Millisecond})
@@ -211,7 +213,9 @@ func TestRedialAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("could not rebind %s: %v", addr, err)
 	}
-	go func() { _ = Serve(lis2, core.NewSite(0, smaller, relation.True()), data.Schema()) }()
+	go func() {
+		_ = ServeAPIContext(context.Background(), lis2, core.NewSite(0, smaller, relation.True()), data.Schema())
+	}()
 	t.Cleanup(func() { lis2.Close() })
 
 	// The first call on the severed connection fails — transport errors
@@ -392,7 +396,7 @@ func TestRedialHonorsCallerContext(t *testing.T) {
 	}
 	defer lis.Close()
 	srv := rpc.NewServer()
-	if err := srv.RegisterName(serviceName, NewSiteService(core.NewSite(0, data, relation.True()), data.Schema())); err != nil {
+	if err := srv.RegisterName(serviceName, NewSiteServiceContext(context.Background(), core.NewSite(0, data, relation.True()), data.Schema())); err != nil {
 		t.Fatal(err)
 	}
 	var blackhole atomic.Bool

@@ -188,7 +188,7 @@ func TestHostilePackedRelayRejected(t *testing.T) {
 			_, w := hostileBase(t)
 			tc.mutate(w)
 			srv := rpc.NewServer()
-			svc := hostileService{SiteService: NewSiteService(site, frag.Schema()), reply: w}
+			svc := hostileService{SiteService: NewSiteServiceContext(context.Background(), site, frag.Schema()), reply: w}
 			if err := srv.RegisterName(serviceName, svc); err != nil {
 				t.Fatal(err)
 			}

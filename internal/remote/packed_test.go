@@ -96,7 +96,7 @@ func startStoreSites(t *testing.T, h *partition.Horizontal) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = Serve(lis, site, h.Schema) }()
+		go func() { _ = ServeAPIContext(context.Background(), lis, site, h.Schema) }()
 		t.Cleanup(func() { lis.Close() })
 		addrs[i] = lis.Addr().String()
 	}

@@ -32,7 +32,7 @@ func startSites(t *testing.T, h *partition.Horizontal) ([]string, []*core.Site) 
 		}
 		site := core.NewSite(i, h.Fragments[i], pred)
 		served[i] = site
-		go func() { _ = Serve(lis, site, h.Schema) }()
+		go func() { _ = ServeAPIContext(context.Background(), lis, site, h.Schema) }()
 		t.Cleanup(func() { lis.Close() })
 		addrs[i] = lis.Addr().String()
 	}
@@ -320,7 +320,7 @@ func TestDialErrors(t *testing.T) {
 	defer lis.Close()
 	s := relation.MustSchema("T", []string{"a"})
 	site := core.NewSite(5, relation.New(s), relation.True())
-	go func() { _ = Serve(lis, site, s) }()
+	go func() { _ = ServeAPIContext(context.Background(), lis, site, s) }()
 	if _, _, err := Dial([]string{lis.Addr().String()}); err == nil {
 		t.Error("ID mismatch should fail the handshake")
 	}

@@ -34,31 +34,10 @@ type SiteService struct {
 	baseCtx context.Context
 }
 
-// NewSiteService wraps a site for serving with no lifetime context
-// (handlers never cancel). Prefer NewSiteServiceContext.
-func NewSiteService(site core.SiteAPI, schema *relation.Schema) *SiteService {
-	//distcfd:ctxflow-ok — server boundary: context-free constructor roots at Background
-	return NewSiteServiceContext(context.Background(), site, schema)
-}
-
 // NewSiteServiceContext wraps a site for serving; ctx bounds every
 // handler's site work.
 func NewSiteServiceContext(ctx context.Context, site core.SiteAPI, schema *relation.Schema) *SiteService {
 	return &SiteService{site: site, schema: schema, baseCtx: ctx}
-}
-
-// Serve registers the service and accepts connections until the
-// listener closes. It blocks. Prefer ServeContext, which also stops
-// accepting and cancels in-flight handlers on context cancellation.
-func Serve(lis net.Listener, site *core.Site, schema *relation.Schema) error {
-	//distcfd:ctxflow-ok — server boundary: context-free loop for operators without a shutdown signal
-	return ServeContext(context.Background(), lis, site, schema)
-}
-
-// ServeContext is Serve for a concrete core.Site under a lifetime
-// context; it delegates to ServeAPIContext.
-func ServeContext(ctx context.Context, lis net.Listener, site *core.Site, schema *relation.Schema) error {
-	return ServeAPIContext(ctx, lis, site, schema)
 }
 
 // ServeAPIContext registers the service for any core.SiteAPI and

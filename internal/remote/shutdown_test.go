@@ -14,7 +14,7 @@ import (
 )
 
 // TestServeContextShutdown pins the graceful-shutdown contract of the
-// per-server base context: cancelling it returns ServeContext(nil),
+// per-server base context: cancelling it returns ServeAPIContext(nil),
 // closes the listener to new connections, and kills site work on
 // connections that are still open — a shutting-down cfdsite stops
 // doing detection work whose driver will never hear the answer.
@@ -27,7 +27,7 @@ func TestServeContextShutdown(t *testing.T) {
 	site := core.NewSite(0, data, relation.True())
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- ServeContext(ctx, lis, site, data.Schema()) }()
+	go func() { served <- ServeAPIContext(ctx, lis, site, data.Schema()) }()
 
 	sites, _, err := Dial([]string{lis.Addr().String()})
 	if err != nil {
@@ -43,10 +43,10 @@ func TestServeContextShutdown(t *testing.T) {
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Errorf("ServeContext after cancel = %v, want nil", err)
+			t.Errorf("ServeAPIContext after cancel = %v, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeContext did not return after cancel")
+		t.Fatal("ServeAPIContext did not return after cancel")
 	}
 
 	// The established connection is still served, but handler site work
@@ -76,13 +76,13 @@ func TestServeContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	done := make(chan error, 1)
-	go func() { done <- ServeContext(ctx, lis, site, data.Schema()) }()
+	go func() { done <- ServeAPIContext(ctx, lis, site, data.Schema()) }()
 	select {
 	case err := <-done:
 		if err != nil && !errors.Is(err, net.ErrClosed) {
-			t.Errorf("ServeContext with dead ctx = %v, want nil", err)
+			t.Errorf("ServeAPIContext with dead ctx = %v, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ServeContext with a pre-cancelled ctx hung")
+		t.Fatal("ServeAPIContext with a pre-cancelled ctx hung")
 	}
 }

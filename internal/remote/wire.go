@@ -100,7 +100,8 @@ func ToWire(r *relation.Relation) *WireRelation {
 	if r == nil {
 		return nil
 	}
-	raw, enc := r.Encoded().PayloadSizes()
+	e := r.Encoded()
+	raw, enc := e.PayloadSizes()
 	if pr, err := r.PackedPayload(); err == nil && pr != nil {
 		if p, ok := pr.(*colstore.Packed); ok && p.PackedSize() < min(raw, enc) {
 			w := &WireRelation{
@@ -118,8 +119,7 @@ func ToWire(r *relation.Relation) *WireRelation {
 		Attrs: r.Schema().Attrs(),
 		Key:   r.Schema().Key(),
 	}
-	e := r.Encoded()
-	if raw, enc := e.PayloadSizes(); enc < raw {
+	if enc < raw {
 		w.Rows = r.Len()
 		w.Dicts, w.Cols = e.CompactColumns()
 		return w
