@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-storage-full bench-build examples lint wire-golden chaos chaos-load fuzz-smoke loc
+.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-pairs bench-storage-full bench-build examples lint wire-golden chaos chaos-load fuzz-smoke loc
 
 # ci mirrors .github/workflows/ci.yml: a missing package, vet
 # regression, lint finding, race, broken example, broken benchmark,
@@ -129,6 +129,18 @@ bench-build:
 # BenchmarkOutOfCore fails the target, and CI runs it blocking.
 bench-compare:
 	@sh scripts/bench_compare.sh
+
+# bench-pairs is the procedure a performance claim is judged by: N
+# alternating pairs of the repository benchmark (BENCHMARK.json's own
+# command) between the checkout at BASE — a `git clone` or `git archive`
+# copy of the parent commit — and this one, reporting per end-to-end
+# metric each side's median and quartiles, the pairs won and the failed
+# operations. `make bench-pairs BASE=/path/to/parent W=bulk-store-tcp
+# N=10`; SEED=7 in the environment picks another input seed.
+W ?= bulk-store-tcp
+N ?= 10
+bench-pairs:
+	@sh scripts/bench_pairs.sh "$(BASE)" "$(W)" "$(N)"
 
 bench-full:
 	DISTCFD_SCALE=1.0 $(GO) test -run '^$$' -bench . .

@@ -33,10 +33,13 @@ type siteFragment interface {
 	// AssignAll computes σ for every tuple under spec: the block index
 	// per tuple (-1 = unmatched) and the per-block counts.
 	AssignAll(spec *BlockSpec) (assign []int, counts []int, err error)
-	// ProjectRows materializes the selected rows projected onto attrs,
-	// sharing the fragment's dictionaries (IDs stay valid, merely
-	// sparse) so downstream checks keep the fragment's interning.
-	ProjectRows(name string, attrs []string, rows []int) (*relation.Relation, error)
+	// ProjectBlocks materializes each row list of blocks (rows in list
+	// order) projected onto attrs, sharing the fragment's dictionaries
+	// (IDs stay valid, merely sparse) so downstream checks keep the
+	// fragment's interning. It takes a whole batch so that a store
+	// fragment can decode each chunk once for all of it; the result is
+	// parallel to blocks, an empty list yielding an empty relation.
+	ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error)
 	// Scan streams every tuple in row order. The callback must not
 	// retain t — implementations may reuse the buffer between calls
 	// (the strings themselves are stable).
@@ -84,8 +87,18 @@ func (m memFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
 	return spec.AssignAll(m.r)
 }
 
-func (m memFrag) ProjectRows(name string, attrs []string, rows []int) (*relation.Relation, error) {
-	return m.r.ProjectRows(name, attrs, rows)
+func (m memFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) (out []*relation.Relation, err error) {
+	out = make([]*relation.Relation, len(blocks))
+	for b, idx := range blocks {
+		rows := make([]int, len(idx))
+		for k, i := range idx {
+			rows[k] = int(i)
+		}
+		if out[b], err = m.r.ProjectRows(name, attrs, rows); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func (m memFrag) Scan(fn func(relation.Tuple) error) error {

@@ -365,19 +365,13 @@ func (s *Site) SigmaStats(ctx context.Context, spec *BlockSpec) ([]int, error) {
 	return append([]int(nil), ent.counts...), nil
 }
 
-// ExtractBlock returns σ-block l projected onto attrs.
+// ExtractBlock returns σ-block l projected onto attrs: a batch of one.
 func (s *Site) ExtractBlock(ctx context.Context, spec *BlockSpec, l int, attrs []string) (*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if l < 0 || l >= spec.K() {
-		return nil, fmt.Errorf("core: site %d: block %d out of range [0,%d)", s.id, l, spec.K())
-	}
-	ent, err := s.assignAll(spec)
+	out, err := s.ExtractBlocksBatch(ctx, spec, attrs, []int{l})
 	if err != nil {
 		return nil, err
 	}
-	return s.projectSelected(ent.assign, func(b int) bool { return b == l }, attrs)
+	return out[l], nil
 }
 
 // ExtractMatching returns all σ-assigned tuples projected onto attrs.
@@ -389,19 +383,19 @@ func (s *Site) ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []str
 	if err != nil {
 		return nil, err
 	}
-	return s.projectSelected(ent.assign, func(b int) bool { return b >= 0 }, attrs)
-}
-
-func (s *Site) projectSelected(assign []int, keep func(int) bool, attrs []string) (*relation.Relation, error) {
-	var rows []int
+	var rows []int32
 	for i, n := 0, s.frag.Len(); i < n; i++ {
-		if keep(assign[i]) {
-			rows = append(rows, i)
+		if ent.assign[i] >= 0 {
+			rows = append(rows, int32(i))
 		}
 	}
-	// ProjectRows shares the fragment's dictionaries, so shipping and
+	// The projection shares the fragment's dictionaries, so shipping and
 	// coordinator checks keep the fragment's interning.
-	return s.frag.ProjectRows(s.frag.Schema().Name()+"_ship", attrs, rows)
+	out, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_ship", attrs, [][]int32{rows})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // BlockTask derives the deposit key for block l of a run. Injective
@@ -421,78 +415,82 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 }
 
 // blockRows σ-routes the fragment once (via the maintained cache) and
-// returns the row indices of every requested block — the cheap half of
-// an extraction (ints, not materialized tuples), shared by the batch
-// extraction and the coordinator's block-at-a-time detection. The
-// per-block slices share one exactly-sized int32 array (counted, then
-// filled), so routing a fragment of n rows costs 4n bytes with no
-// append churn — the footprint that bounds out-of-core detection.
-func (s *Site) blockRows(spec *BlockSpec, blocks []int) (map[int][]int32, error) {
+// returns, parallel to blocks, the ascending row indices of every
+// requested block — the cheap half of an extraction (ints, not
+// materialized tuples), shared by the batch extraction and the
+// coordinator's detection. The lists share one int32 array sized from
+// the entry's maintained per-block counts, so routing a fragment of n
+// rows costs 4n bytes and one pass — the footprint that bounds
+// out-of-core detection. A block listed twice gets the same list twice.
+func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
 	ent, err := s.assignAll(spec)
 	if err != nil {
 		return nil, err
 	}
-	slot := make([]int, spec.K()) // 0 = block not requested, else 1+position
+	slot := make([]int, spec.K()) // 0 = block not requested, else 1+first position
+	offs := make([]int, len(blocks)+1)
 	for bi, l := range blocks {
 		if l < 0 || l >= spec.K() {
 			return nil, fmt.Errorf("core: site %d: block %d out of range [0,%d)", s.id, l, spec.K())
 		}
-		slot[l] = bi + 1
-	}
-	n := s.frag.Len()
-	counts := make([]int, len(blocks))
-	for i := 0; i < n; i++ {
-		if a := ent.assign[i]; a >= 0 && a < len(slot) && slot[a] != 0 {
-			counts[slot[a]-1]++
+		offs[bi+1] = offs[bi]
+		if slot[l] == 0 {
+			slot[l] = bi + 1
+			offs[bi+1] += ent.counts[l]
 		}
 	}
-	offs := make([]int, len(blocks)+1)
-	for bi, c := range counts {
-		offs[bi+1] = offs[bi] + c
-	}
 	flat := make([]int32, offs[len(blocks)])
-	next := make([]int, len(blocks))
-	copy(next, offs)
-	for i := 0; i < n; i++ {
+	next := append([]int(nil), offs[:len(blocks)]...)
+	for i, n := 0, s.frag.Len(); i < n; i++ {
 		if a := ent.assign[i]; a >= 0 && a < len(slot) && slot[a] != 0 {
 			bi := slot[a] - 1
 			flat[next[bi]] = int32(i)
 			next[bi]++
 		}
 	}
-	rowsByBlock := make(map[int][]int32, len(blocks))
+	rows := make([][]int32, len(blocks))
 	for bi, l := range blocks {
-		rowsByBlock[l] = flat[offs[bi]:offs[bi+1]:offs[bi+1]]
+		first := slot[l] - 1
+		rows[bi] = flat[offs[first]:offs[first+1]:offs[first+1]]
 	}
-	return rowsByBlock, nil
-}
-
-// rowsOf widens one block's routed rows for the projection seam.
-func rowsOf(idx []int32) []int {
-	rows := make([]int, len(idx))
-	for i, r := range idx {
-		rows[i] = int(r)
-	}
-	return rows
+	return rows, nil
 }
 
 // fullBlocks returns every requested block projected onto attrs, empty
 // blocks included as empty relations — the one-shot extraction behind
 // ExtractBlocksBatch and the incremental surface's seed paths.
 func (s *Site) fullBlocks(spec *BlockSpec, attrs []string, blocks []int, name string) (map[int]*relation.Relation, error) {
-	rowsByBlock, err := s.blockRows(spec, blocks)
+	rows, err := s.blockRows(spec, blocks)
+	if err != nil {
+		return nil, err
+	}
+	rels, err := s.frag.ProjectBlocks(name, attrs, rows)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[int]*relation.Relation, len(blocks))
-	for _, l := range blocks {
-		r, err := s.frag.ProjectRows(name, attrs, rowsOf(rowsByBlock[l]))
-		if err != nil {
-			return nil, err
-		}
-		out[l] = r
+	for bi, l := range blocks {
+		out[l] = rels[bi]
 	}
 	return out, nil
+}
+
+// gatherBatchRows is the row budget of one projection batch of
+// detectAssigned: large enough that a site's assigned share is one or a
+// few chunk passes, small enough (≈ 4 MiB per projected column) that a
+// batch of a fragment far bigger than RAM stays resident.
+const gatherBatchRows = 1 << 20
+
+// batchEnd returns the end of the batch that starts at block lo: the
+// longest run of consecutive blocks whose rows fit the budget. A block
+// above the budget is a batch of its own; empty blocks stay in line.
+func batchEnd(rows [][]int32, lo, budget int) int {
+	hi, n := lo+1, len(rows[lo])
+	for hi < len(rows) && n+len(rows[hi]) <= budget {
+		n += len(rows[hi])
+		hi++
+	}
+	return hi
 }
 
 // DetectAssignedSingle runs the per-pattern coordinator step of
@@ -522,11 +520,13 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD, restrict bool) ([]*relation.Relation, error) {
 	kern, kopts := s.detectResources(ctx)
 	attrs := taskAttrs(spec, cfds)
-	// Project one block at a time instead of materializing every
-	// assigned block up front: the peak footprint is one block plus the
-	// routing indices, which is what lets a store-backed site check a
-	// fragment far bigger than RAM.
-	rowsByBlock, err := s.blockRows(spec, blocks)
+	// Project the assigned blocks in consecutive batches under a fixed
+	// row budget instead of materializing them all up front: each batch is
+	// one chunk-ordered gather, and the peak footprint is one batch plus
+	// the 4n-byte routing indices however many blocks the site
+	// coordinates, which is what lets a store-backed site check a fragment
+	// far bigger than RAM.
+	rows, err := s.blockRows(spec, blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -539,27 +539,30 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 	for i := range seens {
 		seens[i] = map[string]struct{}{}
 	}
-	for _, l := range blocks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		local, err := s.frag.ProjectRows(shipName, attrs, rowsOf(rowsByBlock[l]))
+	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
+		hi = batchEnd(rows, lo, gatherBatchRows)
+		locals, err := s.frag.ProjectBlocks(shipName, attrs, rows[lo:hi])
 		if err != nil {
 			return nil, err
 		}
-		merged, err := mergeWithDeposits(local, s.takeDeposits(BlockTask(taskPrefix, l)))
-		if err != nil {
-			return nil, err
-		}
-		for ci, c := range cfds {
-			if restrict {
-				c = spec.RestrictCFD(c, l)
+		for bi, l := range blocks[lo:hi] {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			pats, err := kern.ViolationPatterns(merged, c, kopts)
+			merged, err := mergeWithDeposits(locals[bi], s.takeDeposits(BlockTask(taskPrefix, l)))
 			if err != nil {
 				return nil, err
 			}
-			appendDistinct(out[ci], pats, seens[ci])
+			for ci, c := range cfds {
+				if restrict {
+					c = spec.RestrictCFD(c, l)
+				}
+				pats, err := kern.ViolationPatterns(merged, c, kopts)
+				if err != nil {
+					return nil, err
+				}
+				appendDistinct(out[ci], pats, seens[ci])
+			}
 		}
 	}
 	return out, nil

@@ -342,3 +342,165 @@ func TestStoreSitePredicateStillEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// gatherRows is the fixture size of the gather tests: four full chunks
+// and a short fifth, so lists can miss chunks, straddle them and end in
+// a partial one.
+const gatherRows = 4*colstore.DefaultChunkRows + 2232
+
+// packedBytes flattens a packed payload to what the wire would carry.
+func packedBytes(t *testing.T, pr relation.PackedColumnReader) [][]byte {
+	t.Helper()
+	p, ok := pr.(*colstore.Packed)
+	if !ok {
+		t.Fatalf("packed payload is a %T", pr)
+	}
+	var out [][]byte
+	for j := 0; j < p.NumColumns(); j++ {
+		c := p.Column(j)
+		out = append(out, c.Dict)
+		out = append(out, c.Chunks...)
+	}
+	return out
+}
+
+// TestGatherMatchesProjectRows pins the batch projection of a store
+// fragment against relation.ProjectRows on its in-memory mirror, block
+// by block, in every overlay state: same rows in the same order, the
+// fragment's own dictionaries shared by every block, and the packed
+// provider a per-block projection attached — PackBase (the mapping's
+// own bytes) for the in-order full selection, PackColumns otherwise,
+// none once a tail or a view exists.
+func TestGatherMatchesProjectRows(t *testing.T) {
+	ctx := context.Background()
+	attrs := []string{"b", "id", "d"}
+	insert := func(n int) relation.Delta {
+		var d relation.Delta
+		for i := 0; i < n; i++ {
+			d.Inserts = append(d.Inserts, relation.Tuple{
+				"n" + string(rune('a'+i%26)) + string(rune('a'+i/26)), "a1", "b" + string(rune('0'+i%5)), "c0", "dX"})
+		}
+		return d
+	}
+	remove := relation.Delta{Deletes: []int{3, colstore.DefaultChunkRows, 2*colstore.DefaultChunkRows + 17, gatherRows - 1}}
+	for _, tc := range []struct {
+		name   string
+		deltas []relation.Delta
+	}{
+		{"fresh", nil},
+		{"tail", []relation.Delta{insert(40)}},
+		{"view", []relation.Delta{remove}},
+		{"tail+view", []relation.Delta{insert(40), remove, insert(3)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frag := randomRelation(rand.New(rand.NewSource(5)), gatherRows)
+			mem := NewSite(0, frag.Clone(), relation.True())
+			store, _ := openStoreSiteFor(t, 0, frag, relation.True())
+			for _, d := range tc.deltas {
+				if _, err := mem.ApplyDelta(ctx, d, ""); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := store.ApplyDelta(ctx, d, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sf := store.frag.(*storeFrag)
+			n := sf.Len()
+			if n != mem.memR.Len() {
+				t.Fatalf("store holds %d rows, mirror %d", n, mem.memR.Len())
+			}
+			all := make([]int32, n)
+			var sigma, gaps, sparse []int32
+			for i := range all {
+				all[i] = int32(i)
+				if i%7 == 3 {
+					sigma = append(sigma, int32(i))
+				}
+				if k := i / colstore.DefaultChunkRows; k == 0 || k == 3 {
+					gaps = append(gaps, int32(i)) // misses chunks 1, 2 and 4 entirely
+				}
+				if i%colstore.DefaultChunkRows < 3 {
+					sparse = append(sparse, int32(i)) // fewer than pointReads rows per chunk
+				}
+			}
+			blocks := [][]int32{
+				sigma, {}, gaps, sparse, all,
+				{int32(n - 1), 5, 20000, 5, 3, int32(n - 1)}, // the seam sorts what a caller did not
+				all[colstore.DefaultChunkRows : 2*colstore.DefaultChunkRows],
+			}
+			got, err := sf.ProjectBlocks("p", attrs, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, _ := sf.schema.Indices(attrs)
+			for b, rows := range blocks {
+				wide := make([]int, len(rows))
+				for k, i := range rows {
+					wide[k] = int(i)
+				}
+				want, err := mem.memR.ProjectRows("p", attrs, wide)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[b].Len() != len(rows) {
+					t.Fatalf("block %d: %d rows, want %d", b, got[b].Len(), len(rows))
+				}
+				sameRelation(t, tc.name, got[b], want)
+				for j, c := range idx {
+					if d, _ := sf.ovDict(c); got[b].Encoded().ColumnDict(j) != d {
+						t.Fatalf("block %d column %d does not share the fragment's dictionary", b, j)
+					}
+				}
+				pr, err := got[b].PackedPayload()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tc.deltas) > 0 {
+					if pr != nil {
+						t.Fatalf("block %d: packed provider attached over an overlay", b)
+					}
+					continue
+				}
+				var ref relation.PackedColumnReader
+				if b == 4 { // the whole fragment in order ships the stored bytes
+					ref, err = sf.frag.PackBase(idx)
+				} else {
+					e := want.Encoded()
+					dicts, cols := make([]*relation.Dict, len(idx)), make([][]uint32, len(idx))
+					for j := range idx {
+						cols[j], dicts[j] = e.Column(j)
+					}
+					ref, err = colstore.PackColumns(dicts, cols, len(rows))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				gb, wb := packedBytes(t, pr), packedBytes(t, ref)
+				if !reflect.DeepEqual(gb, wb) {
+					t.Fatalf("block %d: packed payload differs from the per-block projection's", b)
+				}
+				if b == 4 && &gb[1][0] != &wb[1][0] {
+					t.Fatalf("full in-order block re-encoded its chunks instead of taking PackBase")
+				}
+			}
+
+			// Unsorted and duplicate entries in wanted, through the site.
+			spec := storeTestSpec(t)
+			wanted := []int{2, 0, 2, 1, 0}
+			gotB, err := store.ExtractBlocksBatch(ctx, spec, attrs, wanted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB, err := mem.ExtractBlocksBatch(ctx, spec, attrs, wanted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotB) != 3 {
+				t.Fatalf("ExtractBlocksBatch returned %d blocks, want 3", len(gotB))
+			}
+			for l := range wantB {
+				sameRelation(t, "wanted with duplicates", gotB[l], wantB[l])
+			}
+		})
+	}
+}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"distcfd/internal/colstore"
@@ -25,7 +27,10 @@ import (
 // serving caches (σ-entries, constant-unit states) are maintained
 // under exactly those assumptions.
 type storeFrag struct {
-	frag     *colstore.Fragment
+	frag *colstore.Fragment
+	// rd is frag as the chunk reader the gather (ProjectBlocks) decodes
+	// through; tests wrap it to count the reads.
+	rd       relation.PackedColumnReader
 	wal      *colstore.DeltaLog
 	schema   *relation.Schema
 	baseRows int
@@ -69,6 +74,7 @@ func openStoreFrag(dir string) (*storeFrag, int, error) {
 	arity := frag.NumColumns()
 	f := &storeFrag{
 		frag:     frag,
+		rd:       frag,
 		schema:   frag.Schema(),
 		baseRows: frag.Rows(),
 		ovDicts:  make([]*relation.Dict, arity),
@@ -179,7 +185,14 @@ func (f *storeFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
 	return assign, counts, nil
 }
 
-func (f *storeFrag) ProjectRows(name string, attrs []string, rows []int) (*relation.Relation, error) {
+// ProjectBlocks gathers the whole batch in one chunk-ordered pass per
+// projected column: the column's chunks are walked once in ascending
+// order, a chunk is decoded only if some block has a row in it, and its
+// hits are scattered into every block's column through one cursor per
+// block. Each (column, chunk) is thus decoded at most once per call,
+// with or without a view; a RowReader pass per block decoded it once
+// per block.
+func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
 	idx, err := f.schema.Indices(attrs)
 	if err != nil {
 		return nil, err
@@ -188,59 +201,105 @@ func (f *storeFrag) ProjectRows(name string, attrs []string, rows []int) (*relat
 	if err != nil {
 		return nil, err
 	}
-	base := uint32(f.baseRows)
+	// refs[b] are block b's storage refs in row order; ord[b] lists its
+	// positions by ascending ref and stays nil while the refs already
+	// ascend strictly (every routed list of a fragment without a view).
+	needBase := false
+	refs, ord := make([][]uint32, len(blocks)), make([][]int32, len(blocks))
+	for b, rows := range blocks {
+		r, asc := make([]uint32, len(rows)), true
+		for k, i := range rows {
+			r[k] = f.ref(int(i))
+			asc = asc && (k == 0 || r[k] > r[k-1])
+			needBase = needBase || r[k] < uint32(f.baseRows)
+		}
+		if refs[b] = r; !asc {
+			ord[b] = make([]int32, len(r))
+			for k := range r {
+				ord[b][k] = int32(k)
+			}
+			slices.SortFunc(ord[b], func(x, y int32) int { return cmp.Compare(r[x], r[y]) })
+		}
+	}
 	dicts := make([]*relation.Dict, len(idx))
-	cols := make([][]uint32, len(idx))
-	rr := f.frag.NewRowReader()
+	cols := make([][][]uint32, len(blocks)) // cols[b][j]
+	for b := range cols {
+		cols[b] = make([][]uint32, len(idx))
+	}
+	cur, buf := make([]int, len(blocks)), []uint32(nil)
 	for j, c := range idx {
 		if dicts[j], err = f.ovDict(c); err != nil {
 			return nil, err
 		}
-		col := make([]uint32, len(rows))
-		for k, i := range rows {
-			if ref := f.ref(i); ref < base {
-				id, err := rr.ID(c, int(ref))
-				if err != nil {
-					return nil, err
-				}
-				col[k] = id
-			} else {
-				col[k] = f.tailIDs[c][ref-base]
+		chunks := 0
+		if needBase { // a column no base row is read from is never paged in
+			if chunks, err = f.rd.ColumnChunks(c); err != nil {
+				return nil, err
 			}
 		}
-		cols[j] = col
-	}
-	out, err := relation.FromSharedColumns(ps, dicts, cols, len(rows))
-	if err != nil {
-		return nil, err
-	}
-	// A pure-base extract (no overlay rows, no view indirection) can ship
-	// in packed form — wire v6. The provider defers the packing until a
-	// shipping decision actually wants it, so local detection never pays:
-	// a full-fragment selection slices dict sections and chunk payloads
-	// straight off the mmap; a scattered σ-block selection re-encodes the
-	// gathered IDs under compact first-occurrence dictionaries.
-	if f.view == nil && len(f.tail) == 0 {
-		full := len(rows) == f.baseRows
-		if full {
-			for k, i := range rows {
-				if i != k {
-					full = false
-					break
+		for b, r := range refs {
+			cols[b][j], cur[b] = make([]uint32, len(r)), 0
+		}
+		for k := 0; k <= chunks; k++ {
+			// Past the last chunk comes the overlay tail: IDs already.
+			lo, hi, ids := f.baseRows, f.baseRows+len(f.tail), f.tailIDs[c]
+			if k < chunks {
+				lo, hi = f.rd.ChunkSpan(c, k)
+				ids = nil // decoded once some block has a row in it
+			}
+			n := hi - lo
+			for b, r := range refs {
+				col, o, i := cols[b][j], ord[b], cur[b]
+				if k < chunks && ids == nil && o == nil && i+n <= len(r) && r[i] == uint32(lo) && r[i+n-1] == uint32(hi-1) {
+					// The block's next rows are the whole chunk in order:
+					// decode straight into its column.
+					ids, cur[b] = col[i:i+n], i+n
+					if err := f.rd.ReadColumn(c, lo, ids); err != nil {
+						return nil, err
+					}
+					continue
 				}
+				for ; i < len(r); i++ {
+					p := i
+					if o != nil {
+						p = int(o[i])
+					}
+					if r[p] >= uint32(hi) {
+						break
+					}
+					if ids == nil {
+						buf = slices.Grow(buf[:0], n)[:n]
+						ids = buf
+						if err := f.rd.ReadColumn(c, lo, ids); err != nil {
+							return nil, err
+						}
+					}
+					col[p] = ids[r[p]-uint32(lo)]
+				}
+				cur[b] = i
 			}
 		}
-		frag := f.frag
-		if full {
-			out.SetPackedProvider(func() (relation.PackedColumnReader, error) {
-				return frag.PackBase(idx)
-			})
-		} else {
-			n := len(rows)
-			out.SetPackedProvider(func() (relation.PackedColumnReader, error) {
-				return colstore.PackColumns(dicts, cols, n)
-			})
+	}
+	out := make([]*relation.Relation, len(blocks))
+	for b, r := range refs {
+		if out[b], err = relation.FromSharedColumns(ps, dicts, cols[b], len(r)); err != nil {
+			return nil, err
 		}
+		if f.view != nil || len(f.tail) != 0 {
+			continue
+		}
+		// A pure-base extract (no overlay rows, no view indirection) can ship
+		// in packed form — wire v6. The provider defers the packing until a
+		// shipping decision actually wants it, so local detection never pays:
+		// a full-fragment selection slices dict sections and chunk payloads
+		// straight off the mmap; a scattered σ-block selection re-encodes the
+		// gathered IDs under compact first-occurrence dictionaries.
+		frag, bcols, n := f.frag, cols[b], len(r)
+		pack := func() (relation.PackedColumnReader, error) { return colstore.PackColumns(dicts, bcols, n) }
+		if ord[b] == nil && n == f.baseRows { // ascending and complete: rows 0..n-1
+			pack = func() (relation.PackedColumnReader, error) { return frag.PackBase(idx) }
+		}
+		out[b].SetPackedProvider(pack)
 	}
 	return out, nil
 }
@@ -344,15 +403,15 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 // the mining lattice walks) and mines it; relative supports are
 // unchanged because the projection keeps every row.
 func (f *storeFrag) Mine(x []string, theta float64) ([]mining.Pattern, error) {
-	rows := make([]int, f.Len())
+	rows := make([]int32, f.Len())
 	for i := range rows {
-		rows[i] = i
+		rows[i] = int32(i)
 	}
-	proj, err := f.ProjectRows(f.schema.Name()+"_mine", x, rows)
+	proj, err := f.ProjectBlocks(f.schema.Name()+"_mine", x, [][]int32{rows})
 	if err != nil {
 		return nil, err
 	}
-	return mining.ClosedPatternsWithSupport(proj, x, theta)
+	return mining.ClosedPatternsWithSupport(proj[0], x, theta)
 }
 
 func (f *storeFrag) Close() error {
