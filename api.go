@@ -120,11 +120,11 @@ func WithFailurePolicy(p FailurePolicy) Option { return func(c *config) { c.opt.
 // selects the defaults; it has no effect under FailFast.
 func WithRetryPolicy(rp RetryPolicy) Option { return func(c *config) { c.opt.Retry = rp } }
 
-// WithPackedShipping toggles the packed σ-block shipment form (wire
-// v6): store-backed extracts that can serve their column chunks
-// directly ship them bit-packed/RLE-compressed instead of as dict+ID
-// vectors. On by default; disabling it forces every shipment into the
-// v5 forms. The switch changes only the wire encoding and the byte
+// WithPackedShipping toggles the packed σ-block shipment form:
+// store-backed extracts that can serve their column chunks directly
+// ship them bit-packed/RLE-compressed instead of as dict+ID vectors.
+// On by default; disabling it forces every shipment into the row or
+// dict+ID form. The switch changes only the wire encoding and the byte
 // accounting (Metrics.TotalBytes) — violations, shipped-tuple counts,
 // and modeled time are identical either way, because the paper's cost
 // model bills tuples.

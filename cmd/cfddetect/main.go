@@ -58,12 +58,12 @@ func main() {
 		remote    = flag.String("remote", "", "comma-separated cfdsite addresses (overrides -data/-sites)")
 		seed      = flag.Int64("seed", 1, "partitioning seed")
 		timeout   = flag.Duration("timeout", 0, "per-RPC I/O timeout against remote sites (0 = none)")
-		deadline  = flag.Duration("deadline", 0, "overall wall-clock budget for the detection run; propagates to wire-v7 sites as an absolute per-task deadline so they abandon work the driver gave up on (0 = none)")
+		deadline  = flag.Duration("deadline", 0, "overall wall-clock budget for the detection run; propagates to remote sites as an absolute per-task deadline so they abandon work the driver gave up on (0 = none)")
 		follow    = flag.Bool("follow", false, "after the initial detection, consume a JSON delta stream from stdin and re-detect incrementally per delta")
 		lint      = flag.Bool("lint", false, "statically analyze the rule set (consistency, implied rules, duplicates) and exit; no data needed")
 		sigmaMode = flag.String("sigma", "off", "compile-time Σ analysis: off | check (fail fast on inconsistent Σ) | prune (also collapse duplicate CFDs)")
 		policy    = flag.String("policy", "fast", "site-failure policy: fast (fail on first error) | retry (retry transients with backoff) | degrade (retry, then exclude dead sites and complete partially; partial runs exit 3)")
-		noPacked  = flag.Bool("no-packed-ship", false, "force σ-block shipments into the wire-v5 dict+ID form (disables the packed chunk form; affects only bytes on the wire, never the violations)")
+		noPacked  = flag.Bool("no-packed-ship", false, "force σ-block shipments into the dict+ID form (disables the packed chunk form; affects only bytes on the wire, never the violations)")
 	)
 	flag.Parse()
 

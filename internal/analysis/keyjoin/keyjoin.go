@@ -1,10 +1,10 @@
-// Package keyjoin flags separator-joined string keys — the bug class
-// this repo has now shipped twice (PR 3: fingerprint collisions from
-// "\x1f"-joined spec fields; PR 5: phantom groups from "\x1f"-joined
-// group keys). Joining values with a separator is injective only while
+// Package keyjoin flags separator-joined string keys — a bug class
+// this repo has shipped in two shapes: fingerprint collisions from
+// "\x1f"-joined spec fields, and phantom groups from "\x1f"-joined
+// group keys. Joining values with a separator is injective only while
 // no value contains the separator; a length-prefixed encoding
-// (uvarint(len) + bytes, as relation.Tuple.Key and cfd.Fingerprint now
-// use) is injective unconditionally.
+// (uvarint(len) + bytes, as relation.Tuple.Key and cfd.Fingerprint use)
+// is injective unconditionally.
 //
 // Four patterns are flagged:
 //

@@ -13,7 +13,7 @@
 // hash; gob identifies fields by name and encodes concrete types, so
 // any of those changing changes what travels.
 //
-// One wire-v6 caveat the fingerprint cannot see: the packed payload
+// One caveat the fingerprint cannot see: the packed payload
 // (WirePackedRelation) ships raw []byte sections in the colstore chunk
 // codec, so a layout change to that codec (EncodeChunk /
 // EncodeDictSection) changes what travels without touching any Wire*

@@ -22,7 +22,7 @@ import (
 // mmap'd file without copying anything but the IDs themselves.
 //
 // EncodeChunk, DecodeChunk, and Runs are the codec's stable seam: the
-// wire layer ships chunk payloads verbatim (remote wire v6), and the
+// wire layer ships chunk payloads verbatim (remote.WirePackedRelation), and the
 // engine's fold/constant-scan paths consume payloads run by run, so
 // any layout change here is a wire format change and needs a
 // remote.WireVersion bump alongside the colstore FormatVersion bump.
@@ -33,7 +33,7 @@ const minRLERun = 8
 
 // maxRunRows caps one run's row count — far above any real chunk
 // (writer chunks are thousands of rows), low enough that count*width
-// arithmetic cannot overflow. Payloads arrive off the wire in v6, so a
+// arithmetic cannot overflow. Payloads arrive off the wire, so a
 // header past the cap is rejected as malformed rather than trusted
 // into a slice bound.
 const maxRunRows = 1 << 30
@@ -320,8 +320,8 @@ func checkChunk(payload []byte, rows int, minID, maxID uint32) error {
 
 // EncodeDictSection appends one column's dictionary section — the
 // distinct values in ID order, each length-prefixed, after a uvarint
-// count — to dst. It is the writer's on-file dict layout and the wire
-// v6 per-column dictionary form; DecodeDictSection inverts it.
+// count — to dst. It is the writer's on-file dict layout and the wire's
+// per-column dictionary form; DecodeDictSection inverts it.
 func EncodeDictSection(dst []byte, vals []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vals)))
 	for _, v := range vals {

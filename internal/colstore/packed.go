@@ -7,7 +7,7 @@ import (
 )
 
 // Packed is a packed relation payload: per-column dictionary sections
-// plus raw chunk payloads with per-chunk ID bounds — the unit wire v6
+// plus raw chunk payloads with per-chunk ID bounds — the unit the wire
 // ships and receivers detect over. Fragment.PackBase builds one by
 // sharing a store fragment's own columns (a whole-fragment extract: the
 // bytes that cross the wire are the bytes on disk), PackColumns by
@@ -168,7 +168,7 @@ func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, er
 // compactRemap interns source-dictionary IDs into a dense
 // first-occurrence ID space, the same order relation.Encoded assigns
 // when building columns in memory — which is what keeps packed and
-// v5-shipped blocks byte-comparable downstream.
+// dict+ID-shipped blocks byte-comparable downstream.
 type compactRemap struct {
 	src   *relation.Dict
 	table []uint32          // src ID -> compact ID, ^0 when unseen

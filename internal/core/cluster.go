@@ -148,47 +148,29 @@ func (cl *Cluster) parallelCtx(ctx context.Context, fn func(ctx context.Context,
 	return nil
 }
 
-// ship moves a batch from site `from` to site `to` under the task key,
-// recording it in metrics. Shipping to self is a no-op the algorithms
-// never request; it is rejected to catch bugs. The deposit carries a
-// fresh nonce minted above the retry loop, so a retried deposit whose
-// first attempt did land (lost response, not lost request) dedups at
-// the site instead of double-counting.
-func (cl *Cluster) ship(ctx context.Context, fs *faultState, m *dist.Metrics, from, to int, task string, batch *relation.Relation) error {
+// ship moves a batch — a σ-block, or a delta block's inserts or delete
+// records — from site `from` to site `to` under the task key, and
+// records it on the metrics channel the caller names: m.ShipTuples for
+// a fresh run's blocks, m.ShipDelta for the incremental data plane
+// (kept apart from the modeled full-recompute matrices the regular
+// channel carries on incremental runs). Shipping to self is a no-op the
+// algorithms never request; it is rejected to catch bugs. The deposit
+// carries a fresh nonce minted here, above the failure hook's retry
+// loop, so a retried deposit whose first attempt did land (lost
+// response, not lost request) dedups at the site instead of
+// double-counting.
+func (cl *Cluster) ship(ctx context.Context, fs *faultState, record func(from, to, n int, payloadBytes int64),
+	from, to int, task string, batch *relation.Relation) error {
 	if from == to {
 		return fmt.Errorf("core: site %d shipping to itself", from)
-	}
-	if batch.Len() == 0 {
-		return nil
-	}
-	nonce := cl.newTask("dep")
-	if err := cl.callSite(ctx, fs, to, true, func(ctx context.Context) error {
-		return cl.sites[to].Deposit(ctx, task, batch, nonce)
-	}); err != nil {
-		return err
-	}
-	m.ShipTuples(from, to, batch.Len(), dist.RelationBytes(batch))
-	return nil
-}
-
-// shipDelta moves a delta block (inserts or delete records) to a
-// coordinator, recorded on the metrics' delta channel — the
-// incremental data plane, kept apart from the modeled full-recompute
-// matrices the regular channel carries on incremental runs.
-func (cl *Cluster) shipDelta(ctx context.Context, fs *faultState, m *dist.Metrics, from, to int, task string, batch *relation.Relation) error {
-	if from == to {
-		return fmt.Errorf("core: site %d delta-shipping to itself", from)
 	}
 	if batch == nil || batch.Len() == 0 {
 		return nil
 	}
-	nonce := cl.newTask("dep")
-	if err := cl.callSite(ctx, fs, to, true, func(ctx context.Context) error {
-		return cl.sites[to].Deposit(ctx, task, batch, nonce)
-	}); err != nil {
+	if err := fs.sites[to].Deposit(ctx, task, batch, cl.newTask("dep")); err != nil {
 		return err
 	}
-	m.ShipDelta(from, to, batch.Len(), dist.RelationBytes(batch))
+	record(from, to, batch.Len(), dist.RelationBytes(batch))
 	return nil
 }
 

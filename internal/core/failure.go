@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,8 +29,7 @@ import (
 type FailurePolicy int
 
 const (
-	// FailFast aborts the run on the first site error (the zero value:
-	// the behavior of every release before the fault-tolerance layer).
+	// FailFast aborts the run on the first site error (the zero value).
 	FailFast FailurePolicy = iota
 	// FailRetry absorbs transient site failures with bounded retries and
 	// keeps the complete-answer contract: the run either reports exactly
@@ -107,7 +107,8 @@ func (rp RetryPolicy) backoff(n int) time.Duration {
 }
 
 // ErrCode is a machine-readable error class that survives the trip
-// through net/rpc's string-typed errors (the wire-v5 error envelope).
+// through net/rpc's string-typed errors (the remote layer's error
+// envelope).
 type ErrCode string
 
 const (
@@ -140,7 +141,7 @@ type CodedError struct {
 	NotExecuted bool
 	// RetryAfter is the site's backpressure hint (CodeOverloaded): do
 	// not retry this site sooner. Zero means no hint. The remote layer
-	// carries it in the wire-v7 error envelope.
+	// carries it in the error envelope.
 	RetryAfter time.Duration
 }
 
@@ -248,8 +249,8 @@ const (
 )
 
 // breaker is one site's circuit breaker. Only runs under an active
-// failure policy feed it; FailFast runs never touch breakers, so
-// their call path is byte-for-byte the pre-fault-tolerance one.
+// failure policy feed it; a FailFast run calls the sites directly and
+// never touches a breaker.
 type breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
@@ -326,13 +327,18 @@ func (b *breaker) currentState() BreakerState {
 }
 
 // faultState is the per-run fault-handling state one Detect call
-// threads through all of its units: the policy, the per-site exclusion
-// mask (shared, monotone), and the retry/fault counters stamped once
-// into the final metrics. A nil *faultState (or FailFast) disables the
-// whole layer.
+// threads through all of its units: the policy, the run's view of the
+// sites, the per-site exclusion mask (shared, monotone), and the
+// retry/fault counters stamped once into the final metrics.
 type faultState struct {
 	policy FailurePolicy
 	retry  RetryPolicy
+	// sites is what the pipeline calls: the cluster's own slice under
+	// FailFast — no wrapper, no extra call, no allocation — otherwise one
+	// Intercept per site whose hook is around. Cleanup (Cancel,
+	// DropSession) bypasses it: cleanup must reach a site the run gave up
+	// on.
+	sites []SiteAPI
 
 	mu       sync.Mutex
 	excluded []bool
@@ -340,23 +346,30 @@ type faultState struct {
 	faults   []int64
 }
 
-func newFaultState(n int, opt Options) *faultState {
-	return &faultState{
+func newFaultState(cl *Cluster, opt Options) *faultState {
+	n := cl.N()
+	fs := &faultState{
 		policy:   opt.Failure,
 		retry:    opt.Retry.withDefaults(),
+		sites:    cl.sites,
 		excluded: make([]bool, n),
 		retries:  make([]int64, n),
 		faults:   make([]int64, n),
 	}
+	if fs.active() {
+		fs.sites = make([]SiteAPI, n)
+		for i := range fs.sites {
+			w := NewIntercept(func() SiteAPI { return cl.sites[i] }, fs.around(cl, i))
+			fs.sites[i] = &w
+		}
+	}
+	return fs
 }
 
 // active reports whether the fault-tolerance layer is on.
-func (fs *faultState) active() bool { return fs != nil && fs.policy != FailFast }
+func (fs *faultState) active() bool { return fs.policy != FailFast }
 
 func (fs *faultState) isExcluded(i int) bool {
-	if fs == nil {
-		return false
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.excluded[i]
@@ -373,25 +386,7 @@ func (fs *faultState) exclude(i int) bool {
 	return true
 }
 
-func (fs *faultState) excludedCount() int {
-	if fs == nil {
-		return 0
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n := 0
-	for _, x := range fs.excluded {
-		if x {
-			n++
-		}
-	}
-	return n
-}
-
 func (fs *faultState) excludedSites() []int {
-	if fs == nil {
-		return nil
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	var out []int
@@ -404,22 +399,12 @@ func (fs *faultState) excludedSites() []int {
 }
 
 // eligible returns the coordinator-eligibility mask for assignment:
-// nil while nothing is excluded, so fault-free runs take the exact
-// pre-fault-tolerance assignment path.
+// nil while nothing is excluded, so a fault-free run's assignment never
+// consults a mask.
 func (fs *faultState) eligible() []bool {
-	if fs == nil {
-		return nil
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	any := false
-	for _, x := range fs.excluded {
-		if x {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !slices.Contains(fs.excluded, true) {
 		return nil
 	}
 	el := make([]bool, len(fs.excluded))
@@ -429,15 +414,11 @@ func (fs *faultState) eligible() []bool {
 	return el
 }
 
-func (fs *faultState) countRetry(i int) {
+// count bumps site i's entry of one of the run's counters (fs.retries
+// or fs.faults).
+func (fs *faultState) count(counter []int64, i int) {
 	fs.mu.Lock()
-	fs.retries[i]++
-	fs.mu.Unlock()
-}
-
-func (fs *faultState) countFault(i int) {
-	fs.mu.Lock()
-	fs.faults[i]++
+	counter[i]++
 	fs.mu.Unlock()
 }
 
@@ -446,9 +427,6 @@ func (fs *faultState) countFault(i int) {
 // created it, after the final metrics are assembled — unit metrics
 // merge into run totals, so stamping per unit would double-count.
 func (fs *faultState) stamp(m *dist.Metrics) {
-	if fs == nil || m == nil {
-		return
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for i := range fs.retries {
@@ -459,9 +437,6 @@ func (fs *faultState) stamp(m *dist.Metrics) {
 }
 
 func (fs *faultState) totals() (retries, faults int64) {
-	if fs == nil {
-		return 0, 0
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for i := range fs.retries {
@@ -489,7 +464,7 @@ func (fs *faultState) unitFailure(ctx context.Context, attempt int, err error) (
 	if fs.policy == FailDegrade {
 		var sf *SiteFailure
 		if errors.As(err, &sf) && fs.exclude(sf.Site) {
-			if fs.excludedCount() >= len(fs.excluded) {
+			if len(fs.excludedSites()) >= len(fs.excluded) {
 				return false, fmt.Errorf("core: every site excluded: %w", err)
 			}
 			return true, nil
@@ -542,94 +517,88 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// callSite invokes one site operation under the run's failure policy:
-// per-call retries with capped exponential backoff and jitter for
-// transient failures, circuit-breaker gating, and site attribution of
-// the final error. idem marks operations safe to re-issue even when a
-// failed attempt may have executed — pure reads, and the nonce-deduped
-// mutations (Deposit/ApplyDelta); non-idempotent operations (the
-// Detect* family, which consumes deposits) are retried only while
-// failures provably happened before execution. With a nil or FailFast
-// fs this is exactly a plain call.
-func (cl *Cluster) callSite(ctx context.Context, fs *faultState, site int, idem bool, fn func(context.Context) error) error {
-	if !fs.active() {
-		return fn(ctx)
-	}
-	if fs.isExcluded(site) {
-		return &SiteFailure{Site: site, Err: errSiteExcluded}
-	}
-	rp := fs.retry
-	b := &cl.breakers[site]
-	var last error
-	var floor time.Duration // backpressure floor on the next backoff (retry-after hint)
-	for attempt := 0; attempt < rp.Attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			fs.countRetry(site)
-			d := rp.backoff(attempt)
-			if d < floor {
-				d = floor
-			}
-			if err := sleepCtx(ctx, d); err != nil {
-				return err
-			}
-		}
-		floor = 0
-		if err := b.admit(ctx, site, cl.sites[site]); err != nil {
-			fs.countFault(site)
-			last = err
-			continue
-		}
-		err := fn(ctx)
-		if err == nil {
-			b.observe(true)
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		if !isTransient(err) {
-			return err
-		}
-		switch ErrCodeOf(err) {
-		case CodeOverloaded:
-			// The site answered — it is alive, just saturated. Keep the
-			// breaker out of it (an overloaded site must not look dead)
-			// and honor its backpressure hint before the next attempt.
-			fs.countFault(site)
-			last = err
-			floor = retryAfterOf(err)
-			continue
-		case CodeDraining:
-			// Draining won't pass within this call's budget; escalate
-			// immediately so FailDegrade reroutes the assignment via the
-			// eligible mask instead of hammering a retiring site.
-			fs.countFault(site)
-			last = err
-			return &SiteFailure{Site: site, Err: last}
-		}
-		b.observe(false)
-		fs.countFault(site)
-		last = err
-		if !idem && !preExecution(err) {
-			// The call may have executed; a blind re-issue could
-			// double-consume deposits. Escalate to the unit level.
-			break
-		}
-	}
-	return &SiteFailure{Site: site, Err: last}
+// reissue classifies every context-taking SiteAPI method: true when a
+// call may be re-issued although a failed attempt may have executed —
+// pure reads, and the nonce-deduped mutations — false when it consumes
+// deposits or mutates retained state, so a blind re-issue could
+// double-consume. This is the one place that decision lives; a method
+// missing here is treated as false, and TestEverySiteMethodClassified
+// fails until it is added.
+var reissue = map[string]bool{
+	"Ping": true, "SigmaStats": true, "MineFrequent": true, "DetectConstantsLocal": true,
+	"ExtractBlock": true, "ExtractMatching": true, "ExtractBlocksBatch": true, "ExtractDeltaBlocks": true,
+	"Deposit": true, "ApplyDelta": true, // at-most-once by nonce
+
+	"DetectTask":           false,
+	"DetectAssignedSingle": false,
+	"DetectAssignedSet":    false,
+	"FoldDetect":           false,
 }
 
-// Health reports every site's current breaker state. Sites a run never
-// had trouble with report BreakerClosed.
-func (cl *Cluster) Health() []BreakerState {
-	out := make([]BreakerState, len(cl.breakers))
-	for i := range cl.breakers {
-		out[i] = cl.breakers[i].currentState()
+// around is the failure policy as an Intercept hook over site i: every
+// call the pipeline makes through fs.sites runs under per-call retries
+// with capped exponential backoff and jitter for transient failures,
+// circuit-breaker gating, and site attribution of the final error. A
+// method reissue does not clear is retried only while failures provably
+// happened before execution; anything murkier escalates to a unit
+// re-run.
+func (fs *faultState) around(cl *Cluster, site int) func(context.Context, string, func(SiteAPI) error) error {
+	return func(ctx context.Context, method string, call func(SiteAPI) error) error {
+		if fs.isExcluded(site) {
+			return &SiteFailure{Site: site, Err: errSiteExcluded}
+		}
+		rp := fs.retry
+		b := &cl.breakers[site]
+		var last error
+		var floor time.Duration // backpressure floor on the next backoff (retry-after hint)
+		for attempt := 0; attempt < rp.Attempts; attempt++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if attempt > 0 {
+				fs.count(fs.retries, site)
+				if err := sleepCtx(ctx, max(rp.backoff(attempt), floor)); err != nil {
+					return err
+				}
+			}
+			floor = 0
+			if err := b.admit(ctx, site, cl.sites[site]); err != nil {
+				fs.count(fs.faults, site)
+				last = err
+				continue
+			}
+			err := call(cl.sites[site])
+			if err == nil {
+				b.observe(true)
+				return nil
+			}
+			if ctx.Err() != nil || !isTransient(err) {
+				return err
+			}
+			fs.count(fs.faults, site)
+			last = err
+			switch ErrCodeOf(err) {
+			case CodeOverloaded:
+				// The site answered — it is alive, just saturated. Keep the
+				// breaker out of it (an overloaded site must not look dead)
+				// and honor its backpressure hint before the next attempt.
+				floor = retryAfterOf(err)
+				continue
+			case CodeDraining:
+				// Draining won't pass within this call's budget; escalate
+				// immediately so FailDegrade reroutes the assignment via the
+				// eligible mask instead of hammering a retiring site.
+				return &SiteFailure{Site: site, Err: last}
+			}
+			b.observe(false)
+			if !reissue[method] && !preExecution(err) {
+				// The call may have executed; a blind re-issue could
+				// double-consume deposits. Escalate to the unit level.
+				break
+			}
+		}
+		return &SiteFailure{Site: site, Err: last}
 	}
-	return out
 }
 
 // SiteHealth is one site's health snapshot: the circuit-breaker state
@@ -655,6 +624,17 @@ func (cl *Cluster) HealthDetail() []SiteHealth {
 		if d, ok := cl.sites[i].(drainStatus); ok {
 			out[i].Draining = d.Draining()
 		}
+	}
+	return out
+}
+
+// Health reports every site's current breaker state: HealthDetail
+// without the drain flag. Sites a run never had trouble with report
+// BreakerClosed.
+func (cl *Cluster) Health() []BreakerState {
+	out := make([]BreakerState, len(cl.breakers))
+	for i, h := range cl.HealthDetail() {
+		out[i] = h.Breaker
 	}
 	return out
 }

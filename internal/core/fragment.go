@@ -22,8 +22,8 @@ type siteFragment interface {
 	Len() int
 	// Version returns a comparable token identifying the fragment's
 	// current content state. The token changes on every mutation and is
-	// stable between mutations — the serving caches key on it exactly
-	// as they used to key on the *relation.Encoded identity.
+	// stable between mutations — the serving caches key on it (for a
+	// memory-backed fragment it is the *relation.Encoded identity).
 	Version() any
 	// VersionIfBuilt returns the current token without forcing any
 	// state to be built, or nil when no token exists yet (an in-memory

@@ -137,7 +137,7 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 	replies := make([]*DeltaBlocks, n)
 
 	extract := func(sticky []int, fromGen func(int) int64) error {
-		return cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
+		return cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
 			if prunedSite[i] {
 				return nil
 			}
@@ -147,14 +147,8 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 					wanted = append(wanted, l)
 				}
 			}
-			return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
-				rep, err := cl.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen(i))
-				if err != nil {
-					return err
-				}
-				replies[i] = rep
-				return nil
-			})
+			replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen(i))
+			return err
 		})
 	}
 
@@ -209,26 +203,20 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		if rep == nil {
 			return nil
 		}
-		for l, batch := range rep.Ins {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if opt.NoPackedShip {
-				batch.DropPacked()
-			}
-			if err := cl.shipDelta(ctx, fs, m, i, st.sticky[l], BlockTask(st.session, l)+"/ins", batch); err != nil {
-				return err
-			}
-		}
-		for l, batch := range rep.Del {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if opt.NoPackedShip {
-				batch.DropPacked()
-			}
-			if err := cl.shipDelta(ctx, fs, m, i, st.sticky[l], BlockTask(st.session, l)+"/del", batch); err != nil {
-				return err
+		for _, part := range []struct {
+			suffix string
+			blocks map[int]*relation.Relation
+		}{{"/ins", rep.Ins}, {"/del", rep.Del}} {
+			for l, batch := range part.blocks {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				if opt.NoPackedShip {
+					batch.DropPacked()
+				}
+				if err := cl.ship(ctx, fs, m.ShipDelta, i, st.sticky[l], BlockTask(st.session, l)+part.suffix, batch); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -250,28 +238,26 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		if len(bySite[j]) == 0 {
 			return nil
 		}
-		// Folding consumes deposits and mutates the session's retained
-		// states: not idempotent, so only provably-unexecuted failures
-		// retry in place; the rest reseed via the round-level retry.
-		return cl.callSite(ctx, fs, j, false, func(ctx context.Context) error {
-			rep, err := cl.sites[j].FoldDetect(ctx, FoldArgs{
-				Session:        st.session,
-				Spec:           spec,
-				Blocks:         bySite[j],
-				CFDs:           detectCFDs,
-				RestrictSingle: u.restrict,
-				Seed:           seeding,
-				FromGen:        st.foldedGen[j],
-			})
-			if err != nil {
-				return err
-			}
-			for ci := range detectCFDs {
-				parts[ci][j] = rep.Patterns[ci]
-			}
-			foldGen[j] = rep.ToGen
-			return nil
+		// A fold the failure hook could not absorb (reissue: FoldDetect
+		// consumes deposits and mutates the session's retained states)
+		// reseeds via the round-level retry.
+		rep, err := fs.sites[j].FoldDetect(ctx, FoldArgs{
+			Session:        st.session,
+			Spec:           spec,
+			Blocks:         bySite[j],
+			CFDs:           detectCFDs,
+			RestrictSingle: u.restrict,
+			Seed:           seeding,
+			FromGen:        st.foldedGen[j],
 		})
+		if err != nil {
+			return err
+		}
+		for ci := range detectCFDs {
+			parts[ci][j] = rep.Patterns[ci]
+		}
+		foldGen[j] = rep.ToGen
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -316,7 +302,7 @@ func (p *Plan) DetectIncremental(ctx context.Context) (*Result, error) {
 }
 
 func (p *Plan) detectIncrementalLocked(ctx context.Context) (*Result, error) {
-	fs := newFaultState(p.cl.N(), p.opt)
+	fs := newFaultState(p.cl, p.opt)
 	res, err := p.pass(ctx, fs, time.Now(), true)
 	if err != nil {
 		return nil, err

@@ -63,8 +63,8 @@ func TestDepositNonceEviction(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	_, remembered := s.nonces["first"]
-	memo := len(s.nonces)
+	_, remembered := s.nonces.get("first")
+	memo := len(s.nonces.m)
 	s.mu.Unlock()
 	if remembered {
 		t.Error("oldest nonce should have been evicted")

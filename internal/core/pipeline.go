@@ -87,18 +87,12 @@ func (u *unit) run(ctx context.Context, intraWorkers int, fs *faultState, st *un
 // nothing — their fragment is unreachable.
 func detectConstantsEverywhere(ctx context.Context, cl *Cluster, fs *faultState, c *cfd.CFD) ([]*relation.Relation, error) {
 	parts := make([]*relation.Relation, cl.N())
-	err := cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
+	err := cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
 		if fs.isExcluded(i) {
 			return nil
 		}
-		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
-			pats, err := cl.sites[i].DetectConstantsLocal(ctx, c)
-			if err != nil {
-				return err
-			}
-			parts[i] = pats
-			return nil
-		})
+		parts[i], err = fs.sites[i].DetectConstantsLocal(ctx, c)
+		return err
 	})
 	return parts, err
 }
@@ -152,19 +146,17 @@ func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics
 			lstat[i] = make([]int, spec.K())
 			return nil
 		}
-		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
-			s, err := cl.sites[i].SigmaStats(ctx, spec)
-			if err != nil {
-				return err
+		s, err := fs.sites[i].SigmaStats(ctx, spec)
+		if err != nil {
+			return err
+		}
+		for l := range s {
+			if prunedBlock[i][l] {
+				s[l] = 0
 			}
-			for l := range s {
-				if prunedBlock[i][l] {
-					s[l] = 0
-				}
-			}
-			lstat[i] = s
-			return nil
-		})
+		}
+		lstat[i] = s
+		return nil
 	}); err != nil {
 		return nil, nil, nil, err
 	}
@@ -209,12 +201,8 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 		if len(wanted) == 0 {
 			return nil
 		}
-		var batches map[int]*relation.Relation
-		if err := cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
-			var err error
-			batches, err = cl.sites[i].ExtractBlocksBatch(ctx, spec, attrs, wanted)
-			return err
-		}); err != nil {
+		batches, err := fs.sites[i].ExtractBlocksBatch(ctx, spec, attrs, wanted)
+		if err != nil {
 			return err
 		}
 		for _, l := range wanted {
@@ -224,7 +212,7 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 			if u.opt.NoPackedShip {
 				batches[l].DropPacked()
 			}
-			if err := cl.ship(ctx, fs, m, i, coords[l], BlockTask(task, l), batches[l]); err != nil {
+			if err := cl.ship(ctx, fs, m.ShipTuples, i, coords[l], BlockTask(task, l), batches[l]); err != nil {
 				return err
 			}
 		}
@@ -244,31 +232,22 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 	for vi := range parts {
 		parts[vi] = make([]*relation.Relation, cl.N())
 	}
-	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) error {
+	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) (err error) {
 		if len(bySite[j]) == 0 {
 			return nil
 		}
-		// Detection consumes deposits, so it is not idempotent: callSite
-		// retries it only while failures provably happened before
-		// execution; anything murkier escalates to a unit re-run.
-		return cl.callSite(ctx, fs, j, false, func(ctx context.Context) error {
-			if u.restrict {
-				pats, err := cl.sites[j].DetectAssignedSingle(ctx, task, spec, bySite[j], u.views[0])
-				if err != nil {
-					return err
-				}
-				parts[0][j] = pats
-				return nil
-			}
-			perCFD, err := cl.sites[j].DetectAssignedSet(ctx, task, spec, bySite[j], u.views)
-			if err != nil {
-				return err
-			}
-			for vi := range u.views {
-				parts[vi][j] = perCFD[vi]
-			}
-			return nil
-		})
+		if u.restrict {
+			parts[0][j], err = fs.sites[j].DetectAssignedSingle(ctx, task, spec, bySite[j], u.views[0])
+			return err
+		}
+		perCFD, err := fs.sites[j].DetectAssignedSet(ctx, task, spec, bySite[j], u.views)
+		if err != nil {
+			return err
+		}
+		for vi := range u.views {
+			parts[vi][j] = perCFD[vi]
+		}
+		return nil
 	}); err != nil {
 		// Coordinators consume deposits as they detect; a partial
 		// failure leaves the other coordinators' buffers behind.

@@ -287,9 +287,9 @@ func splitWorkers(budget, units int) (clusterWorkers, intraWorkers int) {
 // that succeeds is exactly a clean run.
 func (p *Plan) Detect(ctx context.Context) (*Result, error) {
 	start := time.Now()
-	fs := newFaultState(p.cl.N(), p.opt)
+	fs := newFaultState(p.cl, p.opt)
 	for {
-		excludedBefore := fs.excludedCount()
+		excludedBefore := len(fs.excludedSites())
 		res, err := p.pass(ctx, fs, start, false)
 		if err != nil {
 			return nil, err
@@ -300,7 +300,7 @@ func (p *Plan) Detect(ctx context.Context) (*Result, error) {
 		// stable reachable-fragment set. Exclusions only grow and are
 		// bounded by the site count, so this terminates; a fault-free
 		// run is always a single pass.
-		if fs.excludedCount() == excludedBefore {
+		if len(fs.excludedSites()) == excludedBefore {
 			p.finishFailure(res, fs)
 			return res, nil
 		}

@@ -69,10 +69,10 @@ type Options struct {
 	// Retry bounds retry/backoff under FailRetry and FailDegrade; zero
 	// fields select defaults.
 	Retry RetryPolicy
-	// NoPackedShip disables the wire v6 packed shipping form: extracted
-	// batches drop any attached packed payload before shipping, so they
-	// travel (and are billed by dist.RelationBytes) in the v5 dict+ID
-	// columnar form. Violations, ShippedTuples, and ModeledTime are
+	// NoPackedShip disables the packed shipping form: extracted batches
+	// drop any attached packed payload before shipping, so they travel
+	// (and are billed by dist.RelationBytes) in the row or dict+ID
+	// form. Violations, ShippedTuples, and ModeledTime are
 	// byte-identical either way — packing changes only the byte
 	// accounting and the wire encoding — which the equivalence tests pin.
 	NoPackedShip bool
@@ -181,26 +181,6 @@ func PadPatterns(schema *relation.Schema, x []string, pats *relation.Relation) (
 // the given schema, dropping duplicates, preserving first-seen order.
 func mergeDistinct(schema *relation.Schema, parts []*relation.Relation) *relation.Relation {
 	out := relation.New(schema)
-	seen := map[string]struct{}{}
-	var all []int
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if all == nil {
-			all = make([]int, schema.Arity())
-			for i := range all {
-				all[i] = i
-			}
-		}
-		for _, t := range p.Tuples() {
-			k := t.Key(all)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out.MustAppend(t)
-		}
-	}
+	appendDistinct(out, map[string]struct{}{}, parts...)
 	return out
 }

@@ -156,6 +156,37 @@ const (
 	deltaNonceCap = 128
 )
 
+// fifo is a string-keyed memo bounded by first-in-first-out eviction:
+// once it holds cap keys, recording a new one forgets the oldest. The
+// site's three at-most-once memos (cancel tombstones, deposit nonces,
+// ApplyDelta replies) are each one, under the lock of the state they
+// guard.
+type fifo[V any] struct {
+	cap int
+	m   map[string]V
+	log []string // keys in insertion order
+}
+
+func newFifo[V any](cap int) fifo[V] { return fifo[V]{cap: cap, m: make(map[string]V)} }
+
+func (f *fifo[V]) get(k string) (V, bool) {
+	v, ok := f.m[k]
+	return v, ok
+}
+
+// put records k → v; a key already held keeps its place in the
+// eviction order.
+func (f *fifo[V]) put(k string, v V) {
+	if _, held := f.m[k]; !held {
+		if len(f.log) >= f.cap {
+			delete(f.m, f.log[0])
+			f.log = f.log[1:]
+		}
+		f.log = append(f.log, k)
+	}
+	f.m[k] = v
+}
+
 // sigmaEntry is one cached σ-routing of the fragment: the per-tuple
 // block assignment and per-block counts for a spec fingerprint.
 // Readers share entries; between detection runs ApplyDelta maintains
@@ -225,10 +256,8 @@ type Site struct {
 
 	mu        sync.Mutex
 	deposits  map[string][]*relation.Relation
-	cancelled map[string]struct{}
-	cancelLog []string // insertion order, for bounded eviction
-	nonces    map[string]struct{}
-	nonceLog  []string // insertion order, for bounded eviction
+	cancelled fifo[struct{}] // tombstoned task keys
+	nonces    fifo[struct{}] // deposit nonces already buffered
 
 	// The cache-identity fields below hold the fragment's version token
 	// (see siteFragment.Version) — the *relation.Encoded identity for
@@ -252,8 +281,7 @@ type Site struct {
 	encAtGen  any
 	// deltaNonces remembers recent ApplyDelta replies by nonce so a
 	// retransmitted apply returns the original DeltaInfo (at-most-once).
-	deltaNonces   map[string]DeltaInfo
-	deltaNonceLog []string
+	deltaNonces fifo[DeltaInfo]
 
 	sessMu   sync.Mutex
 	sessions map[string]*foldSession
@@ -561,7 +589,7 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 				if err != nil {
 					return nil, err
 				}
-				appendDistinct(out[ci], pats, seens[ci])
+				appendDistinct(out[ci], seens[ci], pats)
 			}
 		}
 	}
@@ -572,15 +600,14 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 // Concat derives the merged relation's encoded columns from the parts'
 // (the local extract and every deposit arrive already encoded), so the
 // coordinator's check stays in ID space end-to-end. Arity mismatches
-// between local and shipped projections surface here, as they did when
-// the batches were appended.
+// between local and shipped projections surface here.
 func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*relation.Relation, error) {
 	if len(deps) == 0 {
 		return local, nil
 	}
 	if local.Len() == 0 && len(deps) == 1 {
 		// One shipped part and nothing local: check the deposit directly.
-		// A wire v6 deposit then stays in its packed-backed form — the
+		// A packed deposit then stays in its packed-backed form — the
 		// kernel streams its chunks as a column source without ever
 		// materializing columns. (Concat of a single empty-plus-one pair
 		// would produce the same rows under fresh dense dicts; the kernel
@@ -593,19 +620,26 @@ func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*re
 	return relation.Concat(parts...)
 }
 
-// appendDistinct appends pats rows not already recorded in seen.
-func appendDistinct(dst, pats *relation.Relation, seen map[string]struct{}) {
-	all := make([]int, pats.Schema().Arity())
+// appendDistinct appends to dst, in first-seen order, the rows of parts
+// not already recorded in seen — the one union of X-tuple relations.
+// Nil parts (sites that contributed nothing) are skipped.
+func appendDistinct(dst *relation.Relation, seen map[string]struct{}, parts ...*relation.Relation) {
+	all := make([]int, dst.Schema().Arity())
 	for i := range all {
 		all[i] = i
 	}
-	for _, t := range pats.Tuples() {
-		k := t.Key(all)
-		if _, dup := seen[k]; dup {
+	for _, p := range parts {
+		if p == nil {
 			continue
 		}
-		seen[k] = struct{}{}
-		dst.MustAppend(t)
+		for _, t := range p.Tuples() {
+			k := t.Key(all)
+			if _, dup := seen[k]; dup {
+				continue
+			}
+			seen[k] = struct{}{}
+			dst.MustAppend(t)
+		}
 	}
 }
 
@@ -627,22 +661,17 @@ func (s *Site) Deposit(ctx context.Context, task string, batch *relation.Relatio
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dead := s.cancelled[task]; dead {
+	if _, dead := s.cancelled.get(task); dead {
 		return nil
 	}
-	if _, dead := s.cancelled[taskBase(task)]; dead {
+	if _, dead := s.cancelled.get(taskBase(task)); dead {
 		return nil
 	}
 	if nonce != "" {
-		if _, dup := s.nonces[nonce]; dup {
+		if _, dup := s.nonces.get(nonce); dup {
 			return nil
 		}
-		if len(s.nonceLog) >= nonceCap {
-			delete(s.nonces, s.nonceLog[0])
-			s.nonceLog = s.nonceLog[1:]
-		}
-		s.nonces[nonce] = struct{}{}
-		s.nonceLog = append(s.nonceLog, nonce)
+		s.nonces.put(nonce, struct{}{})
 	}
 	s.deposits[task] = append(s.deposits[task], batch)
 	return nil
@@ -681,14 +710,7 @@ func (s *Site) Cancel(taskKey string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drainLocked(taskKey)
-	if _, ok := s.cancelled[taskKey]; !ok {
-		if len(s.cancelLog) >= cancelledCap {
-			delete(s.cancelled, s.cancelLog[0])
-			s.cancelLog = s.cancelLog[1:]
-		}
-		s.cancelled[taskKey] = struct{}{}
-		s.cancelLog = append(s.cancelLog, taskKey)
-	}
+	s.cancelled.put(taskKey, struct{}{})
 	return nil
 }
 

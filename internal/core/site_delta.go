@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/engine"
@@ -18,9 +17,9 @@ import (
 // per-(CFD, block) group states (engine.IncrementalState) that delta
 // blocks are folded into. ApplyDelta additionally maintains the
 // serving caches of plan-once/detect-many (σ-routing entries, the
-// constant-unit matched sets) generation by generation, replacing the
-// former "any mutation ⇒ wholesale reset" with an O(|Δ|) refresh, so a
-// fresh full Detect after deltas is cheap too.
+// constant-unit matched sets) generation by generation — an O(|Δ|)
+// refresh rather than a reset — so a fresh full Detect after deltas is
+// cheap too.
 
 // Bounds. A driver that falls further behind than the log keeps (or
 // whose session was evicted) gets a stale error and reseeds.
@@ -29,30 +28,21 @@ const (
 	sessionsCap = 32
 )
 
-// staleMarker survives the trip through net/rpc's string-typed errors,
-// so IsStaleIncremental works on both sides of the wire.
-const staleMarker = "incremental state stale"
-
 // ErrStaleIncremental reports that a site cannot serve an incremental
 // request from retained state — the delta log was trimmed past the
 // driver's watermark, the session's fold states were evicted, or the
 // fragment was mutated behind the log's back (a non-delta mutation).
 // The driver recovers by reseeding: one full shipment rebuilds the
 // retained state, and subsequent rounds are incremental again.
-var ErrStaleIncremental = errors.New("core: " + staleMarker + " — full reseed required")
+var ErrStaleIncremental = errors.New("core: incremental state stale — full reseed required")
 
 // IsStaleIncremental reports whether err is the stale-state signal:
-// either the typed CodeStale carried by the wire-v5 error envelope, or
-// — the fallback for pre-v5 peers and in-process errors — a message
-// containing the stale marker (net/rpc flattens errors to strings).
+// ErrStaleIncremental in its chain (every in-process producer wraps
+// it), or the typed CodeStale the remote layer's error envelope
+// carries across the wire. The message text is never consulted — a
+// site error that merely quotes the phrase is not a reason to reseed.
 func IsStaleIncremental(err error) bool {
-	if err == nil {
-		return false
-	}
-	if ErrCodeOf(err) == CodeStale {
-		return true
-	}
-	return strings.Contains(err.Error(), staleMarker)
+	return errors.Is(err, ErrStaleIncremental) || ErrCodeOf(err) == CodeStale
 }
 
 // DeltaInfo reports the site state after an ApplyDelta.
@@ -141,7 +131,7 @@ func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
 	if nonce != "" {
-		if info, dup := s.deltaNonces[nonce]; dup {
+		if info, dup := s.deltaNonces.get(nonce); dup {
 			return info, nil
 		}
 	}
@@ -180,15 +170,7 @@ func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (
 	s.encAtGen = post
 	info := DeltaInfo{Gen: s.gen, NumTuples: s.frag.Len()}
 	if nonce != "" {
-		if s.deltaNonces == nil {
-			s.deltaNonces = make(map[string]DeltaInfo)
-		}
-		if len(s.deltaNonceLog) >= deltaNonceCap {
-			delete(s.deltaNonces, s.deltaNonceLog[0])
-			s.deltaNonceLog = s.deltaNonceLog[1:]
-		}
-		s.deltaNonces[nonce] = info
-		s.deltaNonceLog = append(s.deltaNonceLog, nonce)
+		s.deltaNonces.put(nonce, info)
 	}
 	return info, nil
 }

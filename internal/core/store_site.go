@@ -7,13 +7,14 @@ import (
 // newSiteWith wires a Site around any siteFragment.
 func newSiteWith(id int, frag siteFragment, pred relation.Predicate) *Site {
 	return &Site{
-		id:        id,
-		frag:      frag,
-		pred:      pred,
-		deposits:  make(map[string][]*relation.Relation),
-		cancelled: make(map[string]struct{}),
-		nonces:    make(map[string]struct{}),
-		sessions:  make(map[string]*foldSession),
+		id:          id,
+		frag:        frag,
+		pred:        pred,
+		deposits:    make(map[string][]*relation.Relation),
+		cancelled:   newFifo[struct{}](cancelledCap),
+		nonces:      newFifo[struct{}](nonceCap),
+		deltaNonces: newFifo[DeltaInfo](deltaNonceCap),
+		sessions:    make(map[string]*foldSession),
 	}
 }
 

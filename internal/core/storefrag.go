@@ -289,7 +289,7 @@ func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32)
 			continue
 		}
 		// A pure-base extract (no overlay rows, no view indirection) can ship
-		// in packed form — wire v6. The provider defers the packing until a
+		// in packed form. The provider defers the packing until a
 		// shipping decision actually wants it, so local detection never pays:
 		// a full-fragment selection slices dict sections and chunk payloads
 		// straight off the mmap; a scattered σ-block selection re-encodes the

@@ -376,26 +376,57 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// RelationBytes estimates the wire payload of shipping a relation as
-// the smallest of its wire forms — the row form (value bytes plus one
-// separator byte per value), the columnar dictionary-encoded form
-// (per-column dictionary payload plus four bytes per cell ID), and,
-// when the relation carries a packed payload, the wire v6 packed form
-// (dictionary sections plus bit-packed/RLE chunk bytes plus eight
-// bounds bytes per chunk) — matching the form remote.ToWire actually
-// puts on the wire. The charge is identical in-process and over RPC:
-// both bill the sender's relation through this one function. Schema
-// metadata is not charged — the task key identifies it.
-func RelationBytes(r *relation.Relation) int64 {
+// WireForm names one of the three encodings a relation can take on the
+// wire.
+type WireForm int
+
+const (
+	// RowForm ships one string slice per tuple: value bytes plus one
+	// separator byte per value.
+	RowForm WireForm = iota
+	// ColumnForm ships per-column dictionaries plus four bytes per cell
+	// ID.
+	ColumnForm
+	// PackedForm ships the colstore payload verbatim: dictionary sections
+	// plus bit-packed/RLE chunk bytes plus eight bounds bytes per chunk.
+	PackedForm
+)
+
+// ChooseWireForm decides how a relation ships and what the shipment is
+// billed: the smallest of its wire forms and that form's modeled size
+// (ties go to the row form, then dict+ID). It is the only place the
+// forms are compared — remote.ToWire emits the form it names and
+// RelationBytes charges the size it returns, in-process and over RPC
+// alike. A relation whose storage is itself a packed payload (one
+// adopted off the wire, verified on adoption) ships as that payload: the
+// sender already made this choice on the same values, so the relaying
+// driver neither decodes a column nor measures it again. Schema metadata
+// is not charged — the task key identifies it.
+func ChooseWireForm(r *relation.Relation) (WireForm, int64) {
 	if r == nil {
-		return 0
+		return RowForm, 0
+	}
+	if pr, ok := r.BackingReader().(relation.PackedColumnReader); ok {
+		return PackedForm, pr.PackedSize()
 	}
 	raw, encoded := r.Encoded().PayloadSizes()
-	best := min(raw, encoded)
-	if pr, err := r.PackedPayload(); err == nil && pr != nil {
-		best = min(best, pr.PackedSize())
+	form, best := RowForm, raw
+	if encoded < raw {
+		form, best = ColumnForm, encoded
 	}
-	return best
+	if pr, err := r.PackedPayload(); err == nil && pr != nil {
+		if packed := pr.PackedSize(); packed < best {
+			form, best = PackedForm, packed
+		}
+	}
+	return form, best
+}
+
+// RelationBytes is the modeled wire payload of shipping r: the size of
+// the form ChooseWireForm picks.
+func RelationBytes(r *relation.Relation) int64 {
+	_, n := ChooseWireForm(r)
+	return n
 }
 
 func sum64(xs []int64) int64 {

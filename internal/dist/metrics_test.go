@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"distcfd/internal/colstore"
 	"distcfd/internal/relation"
 )
 
@@ -242,6 +243,58 @@ func TestRelationBytes(t *testing.T) {
 	// (2+1)+(1+1) + (0+1)+(4+1) = 11
 	if got := RelationBytes(r); got != 11 {
 		t.Errorf("RelationBytes = %d, want 11", got)
+	}
+}
+
+// countingPacked counts the column decodes a consumer asks of a packed
+// payload.
+type countingPacked struct {
+	relation.PackedColumnReader
+	reads int
+}
+
+func (c *countingPacked) ReadColumn(i, lo int, dst []uint32) error {
+	c.reads++
+	return c.PackedColumnReader.ReadColumn(i, lo, dst)
+}
+
+// TestRelationBytesDoesNotDecodePackedStorage pins the relay's bill: a
+// relation whose storage is a packed payload is charged that payload's
+// size without one column being decoded; once the payload is detached
+// (DropPacked) it is measured — and so decoded — like any other.
+func TestRelationBytesDoesNotDecodePackedStorage(t *testing.T) {
+	s := relation.MustSchema("R", []string{"a", "b"})
+	src := relation.New(s)
+	for i := 0; i < 1000; i++ {
+		src.MustAppend(relation.Tuple{"a", string(rune('b' + i%3))})
+	}
+	cols := make([][]uint32, 2)
+	dicts := make([]*relation.Dict, 2)
+	for j := range cols {
+		cols[j], dicts[j] = src.Encoded().Column(j)
+	}
+	p, err := colstore.PackColumns(dicts, cols, src.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &countingPacked{PackedColumnReader: p}
+	backed, err := relation.FromPackedReader(s, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	form, n := ChooseWireForm(backed)
+	if form != PackedForm || n != p.PackedSize() || RelationBytes(backed) != n {
+		t.Errorf("packed storage billed as form %d, %d bytes; want the payload's own %d", form, n, p.PackedSize())
+	}
+	if cp.reads != 0 {
+		t.Errorf("billing a packed payload decoded %d column(s)", cp.reads)
+	}
+	backed.DropPacked()
+	if form, n := ChooseWireForm(backed); form == PackedForm || n != RelationBytes(src) {
+		t.Errorf("after DropPacked: form %d, %d bytes; want the tuple-built relation's %d", form, n, RelationBytes(src))
+	}
+	if cp.reads == 0 {
+		t.Error("after DropPacked the columns must be measured, which decodes them")
 	}
 }
 

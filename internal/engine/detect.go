@@ -43,7 +43,7 @@ const noGroup = math.MaxUint32
 // bits, shard states) a pooled scratch may retain: past it the buffers
 // are dropped wholesale when the scratch returns to its pool, so one
 // huge unit cannot permanently inflate a long-lived compiled plan's
-// scratch (the PR-3 serving-cache reset policy).
+// scratch (the same wholesale reset the sites' serving caches use).
 const scratchShrinkRows = 1 << 21
 
 // detectScratch carries the column source and the reusable buffers of
@@ -132,7 +132,7 @@ func (sc *detectScratch) nextSet(i, hi int) int {
 }
 
 // violations materializes the bitset as ascending row indices (nil
-// when empty, matching the historical sortedKeys output).
+// when empty).
 func (sc *detectScratch) violations() []int {
 	n := 0
 	for _, w := range sc.bits {

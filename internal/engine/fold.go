@@ -1,12 +1,11 @@
 package engine
 
 // The shared composite-key fold of the execution engine: merging the
-// next key column into a running vector of dense group IDs. It used to
-// run through a Go map (`map[uint64]uint32`), which charges a hash,
-// a bucket walk, and amortized rehash allocations per row — on the
-// check(D, Σ) hot path that the paper's cost model bills at every site
-// on every round. The fold now picks between two map-free tiers per
-// call:
+// next key column into a running vector of dense group IDs. A Go map
+// (`map[uint64]uint32`) would charge a hash, a bucket walk, and
+// amortized rehash allocations per row — on the check(D, Σ) hot path
+// that the paper's cost model bills at every site on every round — so
+// the fold picks between two map-free tiers per call:
 //
 //   - direct indexing: the composite key space is num_groups × the
 //     folded column's dictionary cardinality, both known up front; when
@@ -18,9 +17,9 @@ package engine
 //     the load factor stays ≤ ½.
 //
 // Both tiers intern each distinct (gid, colID) composite to a fresh
-// dense ID exactly like the map did — no truncation, distinct
-// composites never collide — so group counts and memberships are
-// byte-identical to the historical fold. detect.go, GroupBy, and the
+// dense ID exactly as a map keyed on the composite would — no
+// truncation, distinct composites never collide — so group counts and
+// memberships do not depend on the tier. detect.go, GroupBy, and the
 // join index all fold through this one implementation.
 
 const (
@@ -30,7 +29,7 @@ const (
 
 	// foldShrinkEntries bounds the capacity a reusable foldStage may
 	// retain between uses: past it the buffers are dropped wholesale
-	// (the PR-3 serving-cache policy), so one huge unit cannot
+	// (like the sites' serving caches), so one huge unit cannot
 	// permanently inflate a long-lived compiled plan's scratch.
 	foldShrinkEntries = 1 << 20
 )

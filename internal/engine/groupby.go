@@ -42,7 +42,7 @@ func GroupBy(d *relation.Relation, attrs []string) (*Groups, error) {
 	// First-seen order, one key string materialized per distinct group
 	// ID. Distinct ID groups whose string keys collide (multi-attribute
 	// keys with values containing the \x1f separator) are merged under
-	// the shared key, matching the historical string-key semantics.
+	// the shared key: GroupBy's contract is keyed by that string.
 	slotByGid := make([]int32, num)
 	for i := range slotByGid {
 		slotByGid[i] = -1

@@ -13,8 +13,8 @@ import (
 // view (detect.go); this form is kept as the baseline of DESIGN.md
 // ablation 8 and as the second leg of the cross-representation
 // equivalence tests (including the kernel fuzz target), so its keys
-// are the length-prefixed exact form of incremental.go rather than the
-// historical \x1f-join: the fuzzer found X projections like
+// are the length-prefixed exact form of incremental.go rather than a
+// \x1f-join: the fuzzer found X projections like
 // ("b\x1f", "") and ("b", "\x1f") whose joined keys collide, which
 // merged distinct groups and reported phantom violations the exact
 // encoded path (and cfd.NaiveViolations) correctly rejects.

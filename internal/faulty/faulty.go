@@ -60,7 +60,7 @@ type Plan struct {
 	ConnResetEvery int
 	ConnResetOps   int
 
-	// Overload fault classes (the wire-v7 robustness surface). These
+	// Overload fault classes. These
 	// inject typed admission rejections rather than *Fault transport
 	// failures, exercising the coordinator's backpressure handling:
 	// OverloadEvery > 0 rejects every OverloadEvery-th work call with a

@@ -76,7 +76,7 @@ func (r *Relation) PackedPayload() (PackedColumnReader, error) {
 }
 
 // DropPacked detaches any packed payload or provider, forcing every
-// downstream shipper and accountant back onto the v5 dict+ID form.
+// downstream shipper and accountant back onto the row or dict+ID form.
 // It is the Options.NoPackedShip hook and the explicit form of what
 // mutation does implicitly.
 func (r *Relation) DropPacked() {
@@ -97,7 +97,7 @@ func (r *Relation) BackingReader() ColumnReader {
 }
 
 // FromPackedReader adopts a packed payload as a relation's storage —
-// the wire v6 receive path. The result is doubly lazy: columns decode
+// the wire's packed receive path. The result is doubly lazy: columns decode
 // from the payload's chunks only when a consumer leaves the reader
 // seam, and tuples materialize only if something leaves ID space.
 // Only the arity is checked here: pr is trusted as storage, so a chunk

@@ -28,7 +28,7 @@ type Relation struct {
 	lazy *lazyTuples
 	enc  atomic.Pointer[Encoded]
 	// packed, when non-nil, attaches a packed chunk payload (or a
-	// deferred builder for one) to the relation — the wire v6 shipping
+	// deferred builder for one) to the relation — the packed shipping
 	// form. See packed.go; mutation detaches it alongside the encoded
 	// view.
 	packed atomic.Pointer[packedState]

@@ -17,8 +17,8 @@ import (
 )
 
 // DefaultDialTimeout bounds the TCP connect plus handshake of each
-// site when DialConfig leaves DialTimeout zero. The pre-timeout client
-// blocked indefinitely on a hung or black-holed address.
+// site when DialConfig leaves DialTimeout zero: without a bound a hung
+// or black-holed address blocks the driver indefinitely.
 const DefaultDialTimeout = 10 * time.Second
 
 // DefaultDialAttempts is how many connect attempts a dial (or a
@@ -490,8 +490,8 @@ func (r *RemoteSite) Predicate() (relation.Predicate, error) {
 	return r.pred, nil
 }
 
-// Ping is the health probe (wire v5): it round-trips the connection
-// and the server's handler queue without touching fragment data. The
+// Ping is the health probe: it round-trips the connection and the
+// server's handler queue without touching fragment data. The
 // circuit breaker's half-open state uses it to test a site before
 // re-admitting real traffic; since it flows through callCtx it also
 // triggers a redial of a broken connection, which is exactly the
@@ -544,7 +544,7 @@ func (r *RemoteSite) ExtractBlocksBatch(ctx context.Context, spec *core.BlockSpe
 }
 
 // Deposit forwards a shipped batch to the remote site. The nonce rides
-// along (wire v5) so a retried shipment whose first attempt did land
+// along so a retried shipment whose first attempt did land
 // is dropped by the site instead of double-buffering.
 func (r *RemoteSite) Deposit(ctx context.Context, task string, batch *relation.Relation, nonce string) error {
 	return r.callCtx(ctx, "Deposit", DepositArgs{Task: task, Batch: ToWire(batch), Nonce: nonce, Deadline: deadlineNano(ctx)}, &struct{}{})
@@ -605,7 +605,7 @@ func (r *RemoteSite) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*rel
 	return FromWire(&reply)
 }
 
-// ApplyDelta forwards a fragment delta (wire v4; nonce since v5). The
+// ApplyDelta forwards a fragment delta and its apply-once nonce. The
 // proxy's cached fragment size is refreshed from the reply, so
 // NumTuples tracks the mutated fragment as long as deltas flow through
 // this driver.
@@ -620,7 +620,7 @@ func (r *RemoteSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce str
 	return core.DeltaInfo{Gen: reply.Gen, NumTuples: reply.NumTuples}, nil
 }
 
-// ExtractDeltaBlocks forwards to the remote site (wire v4).
+// ExtractDeltaBlocks forwards to the remote site.
 func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int, fromGen int64) (*core.DeltaBlocks, error) {
 	var reply DeltaBlocksReply
 	if err := r.callCtx(ctx, "ExtractDeltaBlocks",
@@ -651,7 +651,7 @@ func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpe
 	return out, nil
 }
 
-// FoldDetect forwards to the remote site (wire v4).
+// FoldDetect forwards to the remote site.
 func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
 	var reply FoldReply
 	if err := r.callCtx(ctx, "FoldDetect", FoldArgs{

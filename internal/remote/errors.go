@@ -13,26 +13,21 @@ import (
 // net/rpc flattens every handler error to a string before it crosses
 // the wire, so typed errors (core.CodedError, ErrStaleIncremental)
 // would arrive as bare text and force the client into string matching.
-// Wire v5 instead carries a machine-readable envelope in the string
+// The wire instead carries a machine-readable envelope in the string
 // itself: "[distcfd:<code>] <message>". The server side encodes it
 // (encodeError), the client side parses it back into a CodedError
-// (decodeError). A v4 peer that predates the envelope sends plain
-// strings; the client passes those through untouched and
-// core.IsStaleIncremental falls back to its marker-substring check, so
-// mixed-version clusters keep working during a rollout.
+// (decodeError); an error without an envelope is a plain application
+// error and is classified by nothing.
 //
-// Wire v7 extends the envelope with optional comma-separated params
-// after the code: "[distcfd:overloaded,retry-after=50ms] <message>"
-// carries the site's backpressure hint. Params are only ever emitted
-// alongside the codes introduced at v7 (overloaded, draining), so a
-// pre-v7 peer never sees an envelope it cannot parse exactly; a v7
-// client facing a param-free envelope just reads a zero hint.
+// Optional comma-separated params follow the code:
+// "[distcfd:overloaded,retry-after=50ms] <message>" carries the site's
+// backpressure hint. A param-free envelope reads as a zero hint.
 
 // codePrefix opens the wire error envelope.
 const codePrefix = "[distcfd:"
 
-// retryAfterParam is the wire-v7 envelope param carrying the
-// backpressure hint of an overloaded site.
+// retryAfterParam is the envelope param carrying the backpressure hint
+// of an overloaded site.
 const retryAfterParam = "retry-after="
 
 // encodeError wraps a handler error in the wire code envelope when it
@@ -63,8 +58,8 @@ func encodeError(err error) error {
 }
 
 // decodeError rebuilds the typed error from a server-reported RPC
-// error. Non-enveloped errors (old peers, plain application errors)
-// pass through unchanged.
+// error. Non-enveloped errors (plain application errors) pass through
+// unchanged.
 func decodeError(err error) error {
 	if err == nil {
 		return nil

@@ -35,21 +35,58 @@ func TestErrorEnvelopeTypedStale(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeStringFallback pins the v4-peer path: an old site
-// returns the bare stale message with no envelope; decode passes it
-// through untouched and the substring fallback still classifies it.
-func TestErrorEnvelopeStringFallback(t *testing.T) {
-	old := rpc.ServerError(core.ErrStaleIncremental.Error())
-	dec := decodeError(old)
-	if dec != old {
+// TestErrorEnvelopeNoStringFallback: a server error without an envelope
+// passes through decode untouched and is classified by nothing — not
+// even when its text is the stale error's own message. Staleness
+// crosses the wire as CodeStale or not at all.
+func TestErrorEnvelopeNoStringFallback(t *testing.T) {
+	bare := rpc.ServerError(core.ErrStaleIncremental.Error())
+	dec := decodeError(bare)
+	if dec != bare {
 		t.Errorf("un-enveloped server error must pass through unchanged, got %v", dec)
 	}
-	if !core.IsStaleIncremental(dec) {
-		t.Error("string fallback failed: pre-v5 stale error not recognized")
+	if core.IsStaleIncremental(dec) {
+		t.Error("a bare message must not be classified stale by its text")
 	}
 	var ce *core.CodedError
 	if errors.As(dec, &ce) {
-		t.Error("fallback path must not invent a typed error")
+		t.Error("decode must not invent a typed error")
+	}
+}
+
+// TestEncodeErrorStaleIsTyped: encodeError envelopes CodeStale for the
+// errors that wrap core.ErrStaleIncremental and for nothing else — a
+// plain site error whose message quotes the stale phrase (a predicate
+// violation at a site whose fragment predicate constant is that
+// phrase) travels as the plain error it is.
+func TestEncodeErrorStaleIsTyped(t *testing.T) {
+	ctx := context.Background()
+	const phrase = "incremental state stale"
+	schema := workload.EMPSchema()
+	s := core.NewSite(0, relation.New(schema), relation.And(relation.Eq("city", phrase)))
+	_, err := s.ApplyDelta(ctx, relation.Delta{Inserts: workload.EMPData().Tuples()[:1]}, "")
+	if err == nil || !strings.Contains(err.Error(), phrase) {
+		t.Fatalf("fixture: want a predicate-violation error quoting the phrase, got %v", err)
+	}
+	if enc := encodeError(err); enc != err {
+		t.Errorf("a plain error quoting the phrase was enveloped: %v", enc)
+	}
+	dec := decodeError(rpc.ServerError(encodeError(err).Error()))
+	if core.IsStaleIncremental(dec) || core.ErrCodeOf(dec) != "" {
+		t.Errorf("the quoting error reads as stale on the driver side: %v", dec)
+	}
+
+	spec, err := core.SpecFromCFD(workload.EMPCFDs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, real := s.ExtractDeltaBlocks(ctx, spec, spec.X, []int{0}, 99)
+	if !errors.Is(real, core.ErrStaleIncremental) {
+		t.Fatalf("fixture: want a wrapped ErrStaleIncremental, got %v", real)
+	}
+	dec = decodeError(rpc.ServerError(encodeError(real).Error()))
+	if core.ErrCodeOf(dec) != core.CodeStale || !core.IsStaleIncremental(dec) {
+		t.Errorf("a real stale error lost its type across the envelope: %v", dec)
 	}
 }
 

@@ -17,18 +17,8 @@ import (
 // columns, the way a store-backed extract would.
 func attachPacked(t *testing.T, r *relation.Relation) {
 	t.Helper()
-	e := r.Encoded()
+	dicts, cols := allColumns(r)
 	n := r.Len()
-	nc := e.NumColumns()
-	dicts := make([]*relation.Dict, nc)
-	cols := make([][]uint32, nc)
-	for j := 0; j < nc; j++ {
-		dicts[j] = e.ColumnDict(j)
-		cols[j] = make([]uint32, n)
-		if err := e.ReadColumn(j, 0, cols[j]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	r.SetPackedProvider(func() (relation.PackedColumnReader, error) {
 		return colstore.PackColumns(dicts, cols, n)
 	})

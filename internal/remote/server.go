@@ -112,17 +112,16 @@ func (s *SiteService) Info(_ struct{}, reply *InfoReply) error {
 	return nil
 }
 
-// Ping is the health probe (wire v5): a round trip through the
-// connection and the handler queue, no fragment work.
+// Ping is the health probe: a round trip through the connection and the
+// handler queue, no fragment work.
 func (s *SiteService) Ping(_ struct{}, _ *struct{}) error {
 	return encodeError(s.site.Ping(s.baseCtx))
 }
 
 // workCtx derives one handler's context: the server's lifetime context
-// bounded by the driver's absolute per-task deadline stamp (wire v7),
-// so the site abandons work the driver already gave up on. A zero
-// stamp (no driver deadline, or a pre-v7 peer whose Args never carry
-// the field) serves under baseCtx alone; an already-elapsed stamp
+// bounded by the driver's absolute per-task deadline stamp, so the site
+// abandons work the driver already gave up on. A zero stamp (no driver
+// deadline) serves under baseCtx alone; an already-elapsed stamp
 // cancels before the site work starts.
 func (s *SiteService) workCtx(deadlineNano int64) (context.Context, context.CancelFunc) {
 	if deadlineNano == 0 {
@@ -131,8 +130,34 @@ func (s *SiteService) workCtx(deadlineNano int64) (context.Context, context.Canc
 	return context.WithDeadline(s.baseCtx, time.Unix(0, deadlineNano))
 }
 
-// DrainArgs drives the drain state machine (wire v7). Resume=false
-// asks the site to retire gracefully: stop admitting work, finish
+// work is the frame every work handler runs its site call in: the
+// handler's context derived from the driver's deadline stamp, released
+// on return, and the site's error enveloped for the wire.
+func (s *SiteService) work(deadlineNano int64, fn func(ctx context.Context) error) error {
+	ctx, cancel := s.workCtx(deadlineNano)
+	defer cancel()
+	return encodeError(fn(ctx))
+}
+
+// toWireSlice and toWireMap convert a handler's relations for the
+// reply.
+func toWireSlice(rs []*relation.Relation) []*WireRelation {
+	out := make([]*WireRelation, len(rs))
+	for i, r := range rs {
+		out[i] = ToWire(r)
+	}
+	return out
+}
+
+func toWireMap(rs map[int]*relation.Relation) map[int]*WireRelation {
+	out := make(map[int]*WireRelation, len(rs))
+	for l, r := range rs {
+		out[l] = ToWire(r)
+	}
+	return out
+}
+
+// DrainArgs drives the drain state machine. Resume=false asks the site to retire gracefully: stop admitting work, finish
 // in-flight tasks (bounded by the site's DrainTimeout). Resume=true
 // re-opens admission (operator rollback).
 type DrainArgs struct {
@@ -144,8 +169,7 @@ type DrainReply struct {
 	Draining bool
 }
 
-// Drain enters or leaves the drain state (wire v7). The served site
-// must expose the drain surface (core.Drainer — the admission wrapper
+// Drain enters or leaves the drain state. The served site must expose the drain surface (core.Drainer — the admission wrapper
 // does); a site served without one rejects the call.
 func (s *SiteService) Drain(args DrainArgs, reply *DrainReply) error {
 	d, ok := s.site.(core.Drainer)
@@ -162,9 +186,9 @@ func (s *SiteService) Drain(args DrainArgs, reply *DrainReply) error {
 	return encodeError(err)
 }
 
-// SpecArgs carries a σ spec. Deadline (wire v7; zero = none) is the
-// driver's absolute per-task budget as unix nanoseconds — every work
-// Args struct carries the same stamp.
+// SpecArgs carries a σ spec. Deadline (zero = none) is the driver's
+// absolute per-task budget as unix nanoseconds — every work Args struct
+// carries the same stamp.
 type SpecArgs struct {
 	Spec     *core.BlockSpec
 	Deadline int64
@@ -172,14 +196,10 @@ type SpecArgs struct {
 
 // SigmaStats returns lstat for the spec.
 func (s *SiteService) SigmaStats(args SpecArgs, reply *[]int) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	stats, err := s.site.SigmaStats(ctx, args.Spec)
-	if err != nil {
-		return encodeError(err)
-	}
-	*reply = stats
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) (err error) {
+		*reply, err = s.site.SigmaStats(ctx, args.Spec)
+		return err
+	})
 }
 
 // ExtractArgs selects blocks and projection attributes.
@@ -193,48 +213,39 @@ type ExtractArgs struct {
 
 // ExtractBlock returns one σ-block.
 func (s *SiteService) ExtractBlock(args ExtractArgs, reply *WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	r, err := s.site.ExtractBlock(ctx, args.Spec, args.Block, args.Attrs)
-	if err != nil {
-		return encodeError(err)
-	}
-	*reply = *ToWire(r)
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		r, err := s.site.ExtractBlock(ctx, args.Spec, args.Block, args.Attrs)
+		if err == nil {
+			*reply = *ToWire(r)
+		}
+		return err
+	})
 }
 
 // ExtractMatching returns all matching tuples.
 func (s *SiteService) ExtractMatching(args ExtractArgs, reply *WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	r, err := s.site.ExtractMatching(ctx, args.Spec, args.Attrs)
-	if err != nil {
-		return encodeError(err)
-	}
-	*reply = *ToWire(r)
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		r, err := s.site.ExtractMatching(ctx, args.Spec, args.Attrs)
+		if err == nil {
+			*reply = *ToWire(r)
+		}
+		return err
+	})
 }
 
 // ExtractBlocksBatch returns several blocks in one pass.
 func (s *SiteService) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	batches, err := s.site.ExtractBlocksBatch(ctx, args.Spec, args.Attrs, args.Wanted)
-	if err != nil {
-		return encodeError(err)
-	}
-	out := make(map[int]*WireRelation, len(batches))
-	for l, r := range batches {
-		out[l] = ToWire(r)
-	}
-	*reply = out
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		batches, err := s.site.ExtractBlocksBatch(ctx, args.Spec, args.Attrs, args.Wanted)
+		if err == nil {
+			*reply = toWireMap(batches)
+		}
+		return err
+	})
 }
 
-// DepositArgs carries a shipped batch. Nonce (wire v5) keys the site's
-// at-most-once dedup; empty disables it. Gob omits unknown fields, so
-// the added field is compatible in both directions across v4 peers —
-// the version handshake rejects the pairing anyway.
+// DepositArgs carries a shipped batch. Nonce keys the site's
+// at-most-once dedup; empty disables it.
 type DepositArgs struct {
 	Task     string
 	Batch    *WireRelation
@@ -248,9 +259,9 @@ func (s *SiteService) Deposit(args DepositArgs, _ *struct{}) error {
 	if err != nil {
 		return encodeError(err)
 	}
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	return encodeError(s.site.Deposit(ctx, args.Task, r, args.Nonce))
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		return s.site.Deposit(ctx, args.Task, r, args.Nonce)
+	})
 }
 
 // AbortArgs names the task whose deposits to drain.
@@ -263,8 +274,8 @@ func (s *SiteService) Abort(args AbortArgs, _ *struct{}) error {
 	return encodeError(s.site.Abort(args.Task))
 }
 
-// Cancel is the per-task cancel message (wire version 3): it drains
-// the task's deposit buffers like Abort and tombstones the key, so a
+// Cancel is the per-task cancel message: it drains the task's deposit
+// buffers like Abort and tombstones the key, so a
 // Deposit that was still in flight when the driver cancelled is
 // dropped on arrival instead of leaking in this long-lived process.
 func (s *SiteService) Cancel(args AbortArgs, _ *struct{}) error {
@@ -281,18 +292,13 @@ type DetectTaskArgs struct {
 
 // DetectTask runs detection for the task.
 func (s *SiteService) DetectTask(args DetectTaskArgs, reply *[]*WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	pats, err := s.site.DetectTask(ctx, args.Task, args.Local, args.CFDs)
-	if err != nil {
-		return encodeError(err)
-	}
-	out := make([]*WireRelation, len(pats))
-	for i, p := range pats {
-		out[i] = ToWire(p)
-	}
-	*reply = out
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		pats, err := s.site.DetectTask(ctx, args.Task, args.Local, args.CFDs)
+		if err == nil {
+			*reply = toWireSlice(pats)
+		}
+		return err
+	})
 }
 
 // DetectAssignedArgs parameterizes the per-pattern coordinator steps.
@@ -307,30 +313,24 @@ type DetectAssignedArgs struct {
 
 // DetectAssignedSingle runs the PatDetect coordinator step.
 func (s *SiteService) DetectAssignedSingle(args DetectAssignedArgs, reply *WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	pats, err := s.site.DetectAssignedSingle(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFD)
-	if err != nil {
-		return encodeError(err)
-	}
-	*reply = *ToWire(pats)
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		pats, err := s.site.DetectAssignedSingle(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFD)
+		if err == nil {
+			*reply = *ToWire(pats)
+		}
+		return err
+	})
 }
 
 // DetectAssignedSet runs the coordinator step of a merged cluster.
 func (s *SiteService) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	pats, err := s.site.DetectAssignedSet(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFDs)
-	if err != nil {
-		return encodeError(err)
-	}
-	out := make([]*WireRelation, len(pats))
-	for i, p := range pats {
-		out[i] = ToWire(p)
-	}
-	*reply = out
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		pats, err := s.site.DetectAssignedSet(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFDs)
+		if err == nil {
+			*reply = toWireSlice(pats)
+		}
+		return err
+	})
 }
 
 // ConstantsArgs carries the CFD whose constant units to check.
@@ -341,18 +341,17 @@ type ConstantsArgs struct {
 
 // DetectConstantsLocal checks constant units locally (Prop. 5).
 func (s *SiteService) DetectConstantsLocal(args ConstantsArgs, reply *WireRelation) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	pats, err := s.site.DetectConstantsLocal(ctx, args.CFD)
-	if err != nil {
-		return encodeError(err)
-	}
-	*reply = *ToWire(pats)
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		pats, err := s.site.DetectConstantsLocal(ctx, args.CFD)
+		if err == nil {
+			*reply = *ToWire(pats)
+		}
+		return err
+	})
 }
 
-// ApplyDeltaArgs carries one fragment delta (wire v4; Nonce since v5,
-// keying the site's apply-once memo — empty disables it).
+// ApplyDeltaArgs carries one fragment delta; Nonce keys the site's
+// apply-once memo (empty disables it).
 type ApplyDeltaArgs struct {
 	Delta    WireDelta
 	Nonce    string
@@ -366,17 +365,13 @@ type ApplyDeltaReply struct {
 }
 
 // ApplyDelta applies a delta to the local fragment, maintaining the
-// serving caches and the delta log (wire v4).
+// serving caches and the delta log.
 func (s *SiteService) ApplyDelta(args ApplyDeltaArgs, reply *ApplyDeltaReply) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	info, err := s.site.ApplyDelta(ctx, DeltaFromWire(args.Delta), args.Nonce)
-	if err != nil {
-		return encodeError(err)
-	}
-	reply.Gen = info.Gen
-	reply.NumTuples = info.NumTuples
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		info, err := s.site.ApplyDelta(ctx, DeltaFromWire(args.Delta), args.Nonce)
+		reply.Gen, reply.NumTuples = info.Gen, info.NumTuples
+		return err
+	})
 }
 
 // DeltaBlocksArgs selects the σ-routed delta view of the log suffix.
@@ -396,25 +391,16 @@ type DeltaBlocksReply struct {
 	Ins, Del           map[int]*WireRelation
 }
 
-// ExtractDeltaBlocks returns the σ-routed delta blocks (wire v4).
+// ExtractDeltaBlocks returns the σ-routed delta blocks.
 func (s *SiteService) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlocksReply) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	db, err := s.site.ExtractDeltaBlocks(ctx, args.Spec, args.Attrs, args.Wanted, args.FromGen)
-	if err != nil {
-		return encodeError(err)
-	}
-	reply.ToGen = db.ToGen
-	reply.TotalIns, reply.TotalDel = db.TotalIns, db.TotalDel
-	reply.Ins = make(map[int]*WireRelation, len(db.Ins))
-	for l, r := range db.Ins {
-		reply.Ins[l] = ToWire(r)
-	}
-	reply.Del = make(map[int]*WireRelation, len(db.Del))
-	for l, r := range db.Del {
-		reply.Del[l] = ToWire(r)
-	}
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		db, err := s.site.ExtractDeltaBlocks(ctx, args.Spec, args.Attrs, args.Wanted, args.FromGen)
+		if err == nil {
+			*reply = DeltaBlocksReply{ToGen: db.ToGen, TotalIns: db.TotalIns, TotalDel: db.TotalDel,
+				Ins: toWireMap(db.Ins), Del: toWireMap(db.Del)}
+		}
+		return err
+	})
 }
 
 // FoldArgs mirrors core.FoldArgs over the wire.
@@ -435,28 +421,23 @@ type FoldReply struct {
 	ToGen    int64
 }
 
-// FoldDetect runs the coordinator's incremental step (wire v4).
+// FoldDetect runs the coordinator's incremental step.
 func (s *SiteService) FoldDetect(args FoldArgs, reply *FoldReply) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	rep, err := s.site.FoldDetect(ctx, core.FoldArgs{
-		Session:        args.Session,
-		Spec:           args.Spec,
-		Blocks:         args.Blocks,
-		CFDs:           args.CFDs,
-		RestrictSingle: args.RestrictSingle,
-		Seed:           args.Seed,
-		FromGen:        args.FromGen,
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		rep, err := s.site.FoldDetect(ctx, core.FoldArgs{
+			Session:        args.Session,
+			Spec:           args.Spec,
+			Blocks:         args.Blocks,
+			CFDs:           args.CFDs,
+			RestrictSingle: args.RestrictSingle,
+			Seed:           args.Seed,
+			FromGen:        args.FromGen,
+		})
+		if err == nil {
+			*reply = FoldReply{Patterns: toWireSlice(rep.Patterns), ToGen: rep.ToGen}
+		}
+		return err
 	})
-	if err != nil {
-		return encodeError(err)
-	}
-	reply.ToGen = rep.ToGen
-	reply.Patterns = make([]*WireRelation, len(rep.Patterns))
-	for i, p := range rep.Patterns {
-		reply.Patterns[i] = ToWire(p)
-	}
-	return nil
 }
 
 // SessionArgs names an incremental session.
@@ -464,7 +445,7 @@ type SessionArgs struct {
 	Session string
 }
 
-// DropSession releases a session's retained fold states (wire v4).
+// DropSession releases a session's retained fold states.
 func (s *SiteService) DropSession(args SessionArgs, _ *struct{}) error {
 	return encodeError(s.site.DropSession(args.Session))
 }
@@ -478,12 +459,8 @@ type MineArgs struct {
 
 // MineFrequent mines closed frequent patterns at the site.
 func (s *SiteService) MineFrequent(args MineArgs, reply *[]mining.Pattern) error {
-	ctx, cancel := s.workCtx(args.Deadline)
-	defer cancel()
-	ps, err := s.site.MineFrequent(ctx, args.X, args.Theta)
-	if err != nil {
-		return encodeError(err)
-	}
-	*reply = ps
-	return nil
+	return s.work(args.Deadline, func(ctx context.Context) (err error) {
+		*reply, err = s.site.MineFrequent(ctx, args.X, args.Theta)
+		return err
+	})
 }

@@ -11,54 +11,32 @@ import (
 	"fmt"
 
 	"distcfd/internal/colstore"
+	"distcfd/internal/dist"
 	"distcfd/internal/relation"
 )
 
 // WireVersion is the wire-protocol version, checked at the Dial
 // handshake. Gob silently drops fields the peer does not know, so a
-// version skew would not error on its own — it would silently decode
-// columnar payloads as empty relations and lose violations. Version 1
-// was the row-only protocol; version 2 added the columnar form and
-// Abort; version 3 added the per-task Cancel message (drain +
-// tombstone, so a deposit in flight across a driver cancellation
-// cannot leak at the site); version 4 added the incremental surface —
-// ApplyDelta, ExtractDeltaBlocks (delta-encoded payloads: only the
-// changed tuples' projections travel), FoldDetect and DropSession;
-// version 5 added the fault-tolerance surface — the Ping health probe,
-// at-most-once nonces on Deposit and ApplyDelta (so a retried shipment
-// cannot double-buffer at the site), and the typed error envelope
-// ("[distcfd:<code>] msg") that carries core.ErrCode across net/rpc's
-// string-flattened errors; version 6 added the packed relation form —
-// WirePackedRelation ships a batch as per-column dictionary sections
-// plus raw bit-packed/RLE chunk payloads (the colstore chunk codec,
-// now a stable cross-layer seam) with per-chunk ID bounds, chosen by
-// ToWire when it models smaller than both v5 forms; version 7 added
-// the overload-robustness surface — an absolute per-task deadline
-// stamp on every work Args struct (the driver's ctx deadline crossing
-// the wire, so a site abandons work the driver already gave up on),
-// the Drain RPC (graceful retirement: finish in-flight, reject new),
-// and the envelope params carrying retry-after hints for the typed
-// overloaded/draining rejections.
-//
-// The rpc service name carries the version too ("SiteV7"), so skew in
-// EITHER direction dies on the first call with a can't-find-service
-// error: an old driver against a new site (which the InfoReply check
-// alone could never catch — that check runs in the new driver) and a
-// new driver against an old site both fail loudly, once, instead of
-// silently exchanging partially-decoded payloads. One version plus
+// version skew would not error on its own — it would decode columnar
+// payloads as empty relations and lose violations. There is one
+// protocol level: the rpc service name carries the version too, so skew
+// in either direction dies on the first call with a can't-find-service
+// error — an old driver against a new site (which the InfoReply check
+// alone could never catch: that check runs in the new driver) and a new
+// driver against an old site both fail loudly, once. One version plus
 // wire.golden is the whole compatibility story.
 const WireVersion = 7
 
 const serviceName = "SiteV7"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
-// carries exactly one of two payloads: the row form (Tuples), or the
+// carries exactly one of three payloads: the row form (Tuples), the
 // columnar dictionary-encoded form (Dicts + Cols + Rows) — per-column
 // dictionaries with fixed-width ID vectors, which is what repetitive
-// detection shipments compress well under. ToWire picks whichever
-// models smaller on the wire (relation.Encoded.PayloadSizes), the same
-// quantity dist.RelationBytes charges, so the shipment metrics match
-// the shipped bytes.
+// detection shipments compress well under — or the packed form
+// (Packed). dist.ChooseWireForm picks whichever models smallest on the
+// wire and dist.RelationBytes charges that size, so the shipment
+// metrics match the shipped bytes.
 type WireRelation struct {
 	Name  string
 	Attrs []string
@@ -70,12 +48,12 @@ type WireRelation struct {
 	Dicts [][]string
 	Cols  [][]uint32
 	Rows  int
-	// Packed form (wire v6): dictionary sections and chunk payloads in
-	// the colstore codec, shipped byte-for-byte.
+	// Packed form: dictionary sections and chunk payloads in the
+	// colstore codec, shipped byte-for-byte.
 	Packed *WirePackedRelation
 }
 
-// WirePackedRelation is the v6 packed payload of a WireRelation.
+// WirePackedRelation is the packed payload of a WireRelation.
 type WirePackedRelation struct {
 	Rows      int
 	ChunkRows int
@@ -93,35 +71,27 @@ type WirePackedColumn struct {
 	MaxIDs []uint32
 }
 
-// ToWire converts a relation for transport, choosing the smallest of
-// the row, dictionary-encoded, and (when the relation carries one)
-// packed forms — the same choice dist.RelationBytes charges.
+// ToWire converts a relation for transport in the form
+// dist.ChooseWireForm names — the form dist.RelationBytes bills.
 func ToWire(r *relation.Relation) *WireRelation {
 	if r == nil {
 		return nil
 	}
-	e := r.Encoded()
-	raw, enc := e.PayloadSizes()
-	if pr, err := r.PackedPayload(); err == nil && pr != nil {
-		if p, ok := pr.(*colstore.Packed); ok && p.PackedSize() < min(raw, enc) {
-			w := &WireRelation{
-				Name:   r.Schema().Name(),
-				Attrs:  r.Schema().Attrs(),
-				Key:    r.Schema().Key(),
-				Rows:   r.Len(),
-				Packed: packedToWire(p),
-			}
+	w := &WireRelation{Name: r.Schema().Name(), Attrs: r.Schema().Attrs(), Key: r.Schema().Key()}
+	form, _ := dist.ChooseWireForm(r)
+	if form == dist.PackedForm {
+		// The packed wire form is the colstore codec byte for byte; a
+		// payload in any other representation ships dict+ID.
+		pr, _ := r.PackedPayload()
+		if p, ok := pr.(*colstore.Packed); ok {
+			w.Rows, w.Packed = r.Len(), packedToWire(p)
 			return w
 		}
+		form = dist.ColumnForm
 	}
-	w := &WireRelation{
-		Name:  r.Schema().Name(),
-		Attrs: r.Schema().Attrs(),
-		Key:   r.Schema().Key(),
-	}
-	if enc < raw {
+	if form == dist.ColumnForm {
 		w.Rows = r.Len()
-		w.Dicts, w.Cols = e.CompactColumns()
+		w.Dicts, w.Cols = r.Encoded().CompactColumns()
 		return w
 	}
 	w.Tuples = make([][]string, r.Len())
