@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke bench-full bench-compare bench-pairs bench-storage-full bench-build examples lint wire-golden chaos chaos-load fuzz-smoke loc loc-check
+.PHONY: ci build vet test race bench-smoke bench-compare bench-pairs bench-build examples lint wire-golden chaos chaos-load fuzz-smoke loc loc-check
 
 # ci mirrors .github/workflows/ci.yml: a missing package, vet
 # regression, lint finding, race, broken example, broken benchmark,
@@ -75,7 +75,7 @@ chaos-load:
 # is written under the package's testdata/fuzz/<target>/ and fails the
 # target; commit that file with the fix so it replays forever after.
 fuzz-smoke:
-	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/remote:FuzzWirePacked; do \
+	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked; do \
 		echo "== fuzz $${t#*:} (10s)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
 	done
@@ -92,27 +92,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench-smoke runs every benchmark once (all benchmarks live in the
-# root package, BenchmarkIncrementalDetect included) so benchmark code
-# cannot rot; the output is kept in bin/bench-smoke.txt — a git-ignored
-# path, so a local run can never leave tracked-file drift — and CI
-# uploads it as an artifact so every run's numbers are retrievable. The
-# kernel bench is additionally run at GOMAXPROCS=1 and GOMAXPROCS=4 so
-# the intra-unit row-sharding scaling (or, on a single hardware thread,
-# its overhead) is visible regardless of the runner's core count.
-# bench is its alias, and bench-full runs at the paper's dataset
-# sizes.
+# bench-smoke runs the per-package benchmarks — the ablations that price
+# a design decision the repository benchmark cannot see, each beside the
+# code it measures — once, so benchmark code cannot rot. Numbers that
+# count come from bench/ (bench-compare, bench-pairs), not from here.
 bench-smoke:
-	@mkdir -p bin
-	@rm -f bin/bench-smoke.txt
-	@$(GO) test -run '^$$' -bench . -benchtime 1x . > bin/bench-smoke.txt 2>&1 || { cat bin/bench-smoke.txt; exit 1; }
-	@echo "== BenchmarkKernel @ GOMAXPROCS=1" >> bin/bench-smoke.txt
-	@GOMAXPROCS=1 $(GO) test -run '^$$' -bench '^BenchmarkKernel$$' -benchtime 1x . >> bin/bench-smoke.txt 2>&1 || { cat bin/bench-smoke.txt; exit 1; }
-	@echo "== BenchmarkKernel @ GOMAXPROCS=4" >> bin/bench-smoke.txt
-	@GOMAXPROCS=4 $(GO) test -run '^$$' -bench '^BenchmarkKernel$$' -benchtime 1x . >> bin/bench-smoke.txt 2>&1 || { cat bin/bench-smoke.txt; exit 1; }
-	@cat bin/bench-smoke.txt
-
-bench: bench-smoke
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-build vets and tests the benchmark program. bench/ is a module
 # of its own (BENCHMARK.json builds it from there), so the root
@@ -121,14 +106,24 @@ bench: bench-smoke
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-compare runs bench-smoke's suite on HEAD and on the merge-base
-# with origin/main and reports per-benchmark deltas (benchstat when
-# installed, plain diff otherwise). Timing deltas are advisory — 1x
-# runs on shared runners are too noisy to gate on — but allocs/op is
-# deterministic, so a >10% allocs/op regression on BenchmarkKernel or
-# BenchmarkOutOfCore fails the target, and CI runs it blocking.
+# bench-compare is the repository benchmark against itself: a detached
+# worktree of the merge-base with origin/main (HEAD~1 without that
+# remote; BASE_REF overrides) and this tree each run the whole set at
+# fixed operation counts, and `bench -compare` judges the two result
+# files with BENCHMARK.json's bounds — eight end-to-end metrics on four
+# workloads. Only a `regressed` row (a failed operation on this side is
+# one) fails the target, and CI runs it blocking. About 5 min on 2 vCPUs.
 bench-compare:
-	@sh scripts/bench_compare.sh
+	@set -e; base=$${BASE_REF:-$$(git merge-base HEAD origin/main 2>/dev/null || git rev-parse HEAD~1)}; \
+	if git diff --quiet "$$base" --; then echo "bench-compare: this tree is the baseline ($$base); nothing to compare"; exit 0; fi; \
+	wt=$$(mktemp -d); trap 'git worktree remove --force "$$wt" >/dev/null 2>&1 || true; rm -rf "$$wt"' EXIT; \
+	git worktree add --detach -q "$$wt" "$$base"; \
+	rm -rf .bench_build/compare; \
+	echo "== bench-compare: baseline $$(git rev-parse --short "$$base")"; \
+	(cd "$$wt" && bash bench/run.sh -scale 0.25 -seconds 0 -out .bench_build/compare); \
+	echo "== bench-compare: this tree"; \
+	bash bench/run.sh -scale 0.25 -seconds 0 -out .bench_build/compare; \
+	bash bench/run.sh -compare "$$wt"/.bench_build/compare/set-*.json .bench_build/compare/set-*.json
 
 # bench-pairs is the procedure a performance claim is judged by: N
 # alternating pairs of the repository benchmark (BENCHMARK.json's own
@@ -141,17 +136,6 @@ W ?= bulk-store-tcp
 N ?= 10
 bench-pairs:
 	@sh scripts/bench_pairs.sh "$(BASE)" "$(W)" "$(N)"
-
-bench-full:
-	DISTCFD_SCALE=1.0 $(GO) test -run '^$$' -bench . .
-
-# bench-storage-full is the 10⁸-tuple out-of-core run (DISTCFD_SCALE=10
-# puts the headline BenchmarkOutOfCore size at 100M tuples round-robined
-# across 4 store sites). Opt-in: it writes tens of GB under TMPDIR and
-# runs for tens of minutes; point TMPDIR at a disk with room. Results
-# land in BENCH_storage.json by hand after a run.
-bench-storage-full:
-	DISTCFD_SCALE=10 $(GO) test -run '^$$' -bench '^BenchmarkOutOfCore$$/^tuples=100000000$$' -benchtime 1x -timeout 0 .
 
 # loc prints the non-test Go line count of every package outside
 # bench/ — the figure ROADMAP's state paragraph and the simplicity
@@ -168,7 +152,7 @@ loc:
 # exceed LOC_CEILING. A PR that shrinks the sum lowers the ceiling to
 # its own result in the same commit, so the target can only be
 # approached.
-LOC_CEILING = 7571
+LOC_CEILING = 7560
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
 		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } \

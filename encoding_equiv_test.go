@@ -58,6 +58,9 @@ func equivSamples(tb testing.TB) []struct {
 	}
 }
 
+// kern is the detection kernel the encoded side calls check through.
+var kern engine.Kernel
+
 func TestEncodedDetectMatchesRowPath(t *testing.T) {
 	for _, sample := range equivSamples(t) {
 		t.Run(sample.name, func(t *testing.T) {

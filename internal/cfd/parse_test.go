@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -144,4 +145,19 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("not a cfd")
+}
+
+// BenchmarkParseRules measures the rule-file parser on a 50-rule file.
+func BenchmarkParseRules(b *testing.B) {
+	var text strings.Builder
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&text, "r%d: [CC, AC, zip] -> [city] : (44, %02d, _ || _), (31, %02d, _ || _)\n", i, i, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rules, err := ParseSet(strings.NewReader(text.String())); err != nil || len(rules) != 50 {
+			b.Fatalf("parsed %d rules, err %v", len(rules), err)
+		}
+	}
 }

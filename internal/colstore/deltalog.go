@@ -20,8 +20,19 @@ import (
 // reports the site stale and reseeds, exactly as for any other lost
 // suffix.
 type DeltaLog struct {
-	f   *os.File
-	buf []byte
+	f      logFile
+	buf    []byte
+	acked  int64 // file length up to the last acknowledged record
+	broken error // a failed append could not be rolled back
+}
+
+// logFile is *os.File, narrowed so a test can fail the n-th write or sync.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
 }
 
 const deltaRecHeader = 4 + 8
@@ -73,23 +84,37 @@ func OpenDeltaLog(path string, arity int) (*DeltaLog, []relation.Delta, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &DeltaLog{f: f}, deltas, nil
+	return &DeltaLog{f: f, acked: int64(good)}, deltas, nil
 }
 
 // Append writes one delta record and syncs it to disk before
-// returning, so an acknowledged delta survives a crash.
+// returning, so an acknowledged delta survives a crash. A failed append
+// is cut back out: torn, it would hide every later record from replay;
+// intact, it would replay a delta its caller was told failed (and retries).
 func (l *DeltaLog) Append(d relation.Delta) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	rec := encodeDelta(append(l.buf[:0], make([]byte, deltaRecHeader)...), d)
 	l.buf = rec
 	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-deltaRecHeader))
 	binary.LittleEndian.PutUint64(rec[4:], checksum(rec[deltaRecHeader:]))
-	if _, err := l.f.Write(rec); err != nil { // one write: header and payload tear together
-		return fmt.Errorf("colstore: appending delta: %w", err)
+	_, err := l.f.Write(rec) // one write: header and payload tear together
+	if err == nil {
+		err = l.f.Sync()
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("colstore: syncing delta log: %w", err)
+	if err == nil {
+		l.acked += int64(len(rec))
+		return nil
 	}
-	return nil
+	rerr := l.f.Truncate(l.acked)
+	if rerr == nil {
+		_, rerr = l.f.Seek(l.acked, 0)
+	}
+	if rerr != nil {
+		l.broken = fmt.Errorf("colstore: delta log refuses appends: rolling back a failed one: %v", rerr)
+	}
+	return fmt.Errorf("colstore: appending delta: %w", err)
 }
 
 // Close closes the log file.

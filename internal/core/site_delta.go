@@ -238,13 +238,6 @@ func (s *Site) maintainConsts(pre, post any, removed, ins []relation.Tuple) {
 	s.constEnc = post
 }
 
-// deltaConsistent reports whether the delta log still describes the
-// fragment: false after a non-delta mutation (Append/SortBy), which
-// the log cannot see.
-func (s *Site) deltaConsistent() bool {
-	return s.encAtGen != nil && s.encAtGen == s.frag.VersionIfBuilt()
-}
-
 // reanchorLocked re-anchors the delta log on the fragment's current
 // state at a seed. If the fragment was mutated outside ApplyDelta, the
 // log and every retained fold state at this site are blind to the
@@ -311,13 +304,6 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 		return out, nil
 	}
 	out := &DeltaBlocks{ToGen: s.gen, Ins: map[int]*relation.Relation{}, Del: map[int]*relation.Relation{}}
-	if !s.deltaConsistent() {
-		return nil, fmt.Errorf("%w (site %d: fragment mutated outside ApplyDelta)", ErrStaleIncremental, s.id)
-	}
-	if fromGen < s.dlogStart || fromGen > s.gen {
-		return nil, fmt.Errorf("%w (site %d: asked from generation %d, log covers (%d,%d])",
-			ErrStaleIncremental, s.id, fromGen, s.dlogStart, s.gen)
-	}
 	ins, del, totIns, totDel, err := s.routeLogSuffix(spec, attrs, wanted, fromGen)
 	if err != nil {
 		return nil, err
@@ -327,8 +313,18 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 }
 
 // routeLogSuffix σ-routes every logged tuple after fromGen and
-// projects the ones landing in a wanted block. Callers hold deltaMu.
+// projects the ones landing in a wanted block. It is where a suffix the
+// log cannot serve reads as stale: the log no longer describes the
+// fragment (a non-delta mutation — Append/SortBy — it cannot see), or
+// fromGen lies outside (dlogStart, gen]. Callers hold deltaMu.
 func (s *Site) routeLogSuffix(spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (ins, del map[int]*relation.Relation, totIns, totDel int, err error) {
+	if s.encAtGen == nil || s.encAtGen != s.frag.VersionIfBuilt() {
+		return nil, nil, 0, 0, fmt.Errorf("%w (site %d: fragment mutated outside ApplyDelta)", ErrStaleIncremental, s.id)
+	}
+	if fromGen < s.dlogStart || fromGen > s.gen {
+		return nil, nil, 0, 0, fmt.Errorf("%w (site %d: asked from generation %d, log covers (%d,%d])",
+			ErrStaleIncremental, s.id, fromGen, s.dlogStart, s.gen)
+	}
 	schema := s.frag.Schema()
 	xi, err := schema.Indices(spec.X)
 	if err != nil {
@@ -430,13 +426,6 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 			return nil, err
 		}
 	} else {
-		if !s.deltaConsistent() {
-			return nil, fmt.Errorf("%w (site %d: fragment mutated outside ApplyDelta)", ErrStaleIncremental, s.id)
-		}
-		if args.FromGen < s.dlogStart || args.FromGen > s.gen {
-			return nil, fmt.Errorf("%w (site %d: fold from generation %d, log covers (%d,%d])",
-				ErrStaleIncremental, s.id, args.FromGen, s.dlogStart, s.gen)
-		}
 		localIns, localDel, _, _, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
 		if err != nil {
 			return nil, err

@@ -10,7 +10,7 @@ import (
 // groups, column cardinality 64 (num·card = 256K composites, inside
 // the direct budget): the historical map[uint64]uint32 interner, the
 // direct-index tier, and the open-addressing tier. DESIGN.md ablation
-// 12 records the numbers.
+// 12 says how foldColumn picks between the last two.
 func BenchmarkFoldTiers(b *testing.B) {
 	const rows, num, card = 200_000, 4096, 64
 	rng := rand.New(rand.NewSource(1))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"distcfd/internal/relation"
+	"distcfd/internal/workload"
 )
 
 func mkRel(t *testing.T, rows ...[]string) *relation.Relation {
@@ -363,4 +364,17 @@ func render(ps [][]string) string {
 		parts[i] = "(" + strings.Join(p, ",") + ")"
 	}
 	return strings.Join(parts, " ")
+}
+
+// BenchmarkClosedPatternMining measures the miner itself, on the Exp-4
+// relation the Section IV-B preprocessing mines.
+func BenchmarkClosedPatternMining(b *testing.B) {
+	data := workload.XRefHuman(100_000, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ClosedPatterns(data, []string{"external_db", "info_type"}, 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -391,12 +391,12 @@ func (r *RemoteSite) endCall(conn net.Conn) {
 	r.mu.Lock()
 	if conn == r.conn {
 		r.pending--
-		if d := time.Duration(r.timeout.Load()); d > 0 {
-			if r.pending == 0 {
-				_ = conn.SetDeadline(time.Time{})
-			} else {
-				_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
-			}
+		if r.pending == 0 {
+			// Whatever the timeout reads now: SetCallTimeout(0) may have
+			// landed after beginCall armed this deadline.
+			_ = conn.SetDeadline(time.Time{})
+		} else if d := time.Duration(r.timeout.Load()); d > 0 {
+			_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
 		}
 	}
 	r.mu.Unlock()

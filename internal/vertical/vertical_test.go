@@ -450,3 +450,21 @@ func TestProposition7BothDirections(t *testing.T) {
 		t.Errorf("refined partition still shipped %d tuples", res.ShippedTuples)
 	}
 }
+
+// BenchmarkVerticalRefinement measures exact vs greedy refinement on
+// the Example 7 instance.
+func BenchmarkVerticalRefinement(b *testing.B) {
+	sigma, frags := sigma0(), example1Fragments()
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ExactMinimumRefinement(sigma, frags, 20); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("greedy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = GreedyRefinement(sigma, frags)
+		}
+	})
+}

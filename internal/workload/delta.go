@@ -78,12 +78,6 @@ func XRefDeltaStream(frag *relation.Relation, cfg DeltaConfig) *DeltaStream {
 // Len returns the mirrored fragment's current size.
 func (ds *DeltaStream) Len() int { return ds.mirror.Len() }
 
-// SetMix adjusts the per-step insert/update/delete counts mid-stream
-// (benchmarks sweep |ΔD| against one warm stream).
-func (ds *DeltaStream) SetMix(inserts, updates, deletes int) {
-	ds.cfg.Inserts, ds.cfg.Updates, ds.cfg.Deletes = inserts, updates, deletes
-}
-
 // Next emits the next delta of the stream and folds it into the
 // mirror. The returned delta's delete indices address the fragment as
 // it stood before this call — apply deltas in emission order.

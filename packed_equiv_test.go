@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"distcfd/internal/cfd"
 	"distcfd/internal/colstore"
 	"distcfd/internal/core"
 	"distcfd/internal/faulty"
@@ -21,6 +22,12 @@ import (
 )
 
 var packedEquivRetry = core.RetryPolicy{BaseDelay: 50_000, MaxDelay: 500_000} // 50µs, 500µs
+
+// outOfCoreRules is the CUST rule pair the store-backed suites detect
+// with: one σ-partitioned variable CFD and the street rule.
+func outOfCoreRules() []*cfd.CFD {
+	return []*cfd.CFD{workload.CustPatternCFD(64), workload.CustStreetCFD()}
+}
 
 // openStoreSites persists each fragment into its own store directory
 // and opens store-backed sites over them — the configuration whose
@@ -44,7 +51,8 @@ func openStoreSites(t *testing.T, h *partition.Horizontal) []core.SiteAPI {
 }
 
 // assertSameDetection pins the full equivalence contract between a
-// packed-shipping run and its NoPackedShip control.
+// packed-shipping run over store sites and its control (NoPackedShip,
+// or the same fragments held in memory).
 func assertSameDetection(t *testing.T, tag string, packed, plain *core.Result) {
 	t.Helper()
 	for ci := range plain.PerCFD {
@@ -64,6 +72,34 @@ func assertSameDetection(t *testing.T, tag string, packed, plain *core.Result) {
 	if packed.ModeledTime != plain.ModeledTime {
 		t.Errorf("%s: ModeledTime packed %v, plain %v", tag, packed.ModeledTime, plain.ModeledTime)
 	}
+}
+
+// TestOutOfCoreDetectEquivalence: the same CUST instance partitioned
+// across three sites, once in memory and once as store directories,
+// must produce byte-identical violation patterns (in order), shipment
+// totals and modeled time.
+func TestOutOfCoreDetectEquivalence(t *testing.T) {
+	data := workload.Cust(workload.CustConfig{N: 20_000, Seed: 42, ErrRate: 0.01})
+	h, err := partition.Uniform(data, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memSites := make([]core.SiteAPI, h.N())
+	for i, frag := range h.Fragments {
+		memSites[i] = core.NewSite(i, frag, relation.True())
+	}
+	detect := func(sites []core.SiteAPI) *core.Result {
+		cl, err := core.NewCluster(h.Schema, sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.DetectOnce(context.Background(), cl, outOfCoreRules(), core.PatDetectS, core.Options{Workers: 1}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	assertSameDetection(t, "store vs memory", detect(openStoreSites(t, h)), detect(memSites))
 }
 
 // TestPackedShipEquivalence: a clustered run over store-backed sites
