@@ -75,7 +75,8 @@ chaos-load:
 # is written under the package's testdata/fuzz/<target>/ and fails the
 # target; commit that file with the fix so it replays forever after.
 fuzz-smoke:
-	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked; do \
+	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked \
+			internal/cfd:FuzzParseRules internal/remote:FuzzErrorEnvelope; do \
 		echo "== fuzz $${t#*:} (10s)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
 	done
@@ -151,9 +152,10 @@ loc:
 # internal/remote + internal/faulty, as `make loc` counts them, may not
 # exceed LOC_CEILING. A PR that shrinks the sum lowers the ceiling to
 # its own result in the same commit, so the target can only be
-# approached.
-LOC_CEILING = 7560
+# approached. The total non-test count outside bench/ is printed beside
+# it for the record; it is not gated.
+LOC_CEILING = 7440
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
-		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } \
-		END { printf "core + remote + faulty: %d non-test lines (ceiling %d)\n", n, max; exit (n > max) }'
+		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } $$2 == "total" { t = $$1 } \
+		END { printf "core + remote + faulty: %d non-test lines (ceiling %d); total outside bench/: %d\n", n, max, t; exit (n > max) }'

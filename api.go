@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"distcfd/internal/core"
 	"distcfd/internal/remote"
@@ -24,7 +23,6 @@ type config struct {
 	algo      Algorithm
 	opt       core.Options
 	clustered bool
-	timeout   *time.Duration        // nil: leave the sites' budgets untouched
 	admission *core.AdmissionPolicy // nil: no admission wrapping
 }
 
@@ -130,17 +128,6 @@ func WithRetryPolicy(rp RetryPolicy) Option { return func(c *config) { c.opt.Ret
 // model bills tuples.
 func WithPackedShipping(on bool) Option { return func(c *config) { c.opt.NoPackedShip = !on } }
 
-// WithTimeout sets the per-RPC I/O budget applied to every remote site
-// of the cluster: a site that does not answer a call within d is
-// treated as failed instead of blocking the run forever. It has no
-// effect on in-process sites. The budget lives on the cluster's
-// connections, so it is shared by everything using the cluster;
-// WithTimeout(0) explicitly clears it, and Compile calls without the
-// option leave the current budget untouched. Deadlines for a whole
-// detection run are the caller's business — pass a
-// context.WithTimeout/WithDeadline ctx to Detect.
-func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = &d } }
-
 // WithAdmissionPolicy interposes an admission controller in front of
 // every site of the cluster: at most MaxConcurrent work calls execute
 // per site at once, a bounded queue absorbs short bursts, and a call
@@ -148,9 +135,9 @@ func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = 
 // retry-after hint the WithFailurePolicy backoff honors — so an
 // oversubscribed cluster sheds load predictably instead of queueing
 // without bound. The controller also gives each site the graceful
-// drain surface (see Drainer and Detector.HealthDetail). Like
-// WithTimeout, the wrapper installs on the cluster itself and is
-// shared by everything using the cluster; sites that already carry a
+// drain surface (see Drainer and Detector.HealthDetail). The wrapper
+// installs on the cluster itself and is shared by everything using the
+// cluster; sites that already carry a
 // controller are left untouched. Remote sites normally run their
 // controller on the serving side (cfdsite -admit); applying the option
 // to a remote cluster bounds the driver's outstanding calls per
@@ -198,13 +185,6 @@ func CompileContext(ctx context.Context, cl *Cluster, cfds []*CFD, opts ...Optio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.timeout != nil {
-		for i := 0; i < cl.N(); i++ {
-			if s, ok := cl.Site(i).(interface{ SetCallTimeout(time.Duration) }); ok {
-				s.SetCallTimeout(*cfg.timeout)
-			}
-		}
-	}
 	if cfg.admission != nil {
 		cl.WrapSites(func(_ int, s core.SiteAPI) core.SiteAPI {
 			if _, ok := s.(*core.Admission); ok {
@@ -233,98 +213,13 @@ func (d *Detector) CFDs() []*CFD { return d.cfds }
 // the session was compiled without WithSigmaAnalysis.
 func (d *Detector) SigmaReport() *SigmaReport { return d.plan.SigmaReport() }
 
-// Result is the unified report of a Detect or DetectOne call.
-type Result struct {
-	// CFDs are the dependencies this run checked (the full compiled
-	// set for Detect, a single entry for DetectOne).
-	CFDs []*CFD
-	// PerCFD holds Vioπ per CFD as distinct X-tuples, aligned with CFDs.
-	PerCFD []*Relation
-	// Clusters lists the CFD index groups processed together.
-	Clusters [][]int
-	// Shipment is the run's per-site-pair shipment and control report.
-	Shipment ShipmentReport
-	// ShippedTuples is |M|, the total tuple shipments of the run.
-	ShippedTuples int64
-	// ModeledTime is cost(D, Σ, M) under the compiled cost model.
-	ModeledTime float64
-	// WallTime is the measured wall-clock of the run.
-	WallTime time.Duration
-	// Incremental marks a DetectIncremental run. Its ShippedTuples,
-	// ModeledTime, and Shipment's regular tuple matrices then report
-	// the modeled full-recompute equivalent — identical to what a
-	// fresh Detect on the same data would report, so serving-mode
-	// changes never bend the figures — while DeltaShippedTuples and
-	// DeltaShippedBytes (and Shipment's delta matrices) count what the
-	// round actually put on the wire: the changed tuples only. Payload
-	// bytes exist only for data that is materialized, so on
-	// incremental runs the regular Bytes matrices stay zero and byte
-	// accounting lives entirely on the delta channel.
-	Incremental        bool
-	DeltaShippedTuples int64
-	DeltaShippedBytes  int64
-	// Partial marks a run that completed degraded (WithFailurePolicy
-	// FailDegrade) after excluding unreachable sites. Every violation
-	// reported by a partial run is a true violation of the reachable
-	// data; violations only witnessed by excluded fragments are missing.
-	Partial bool
-	// ExcludedSites lists the site IDs a degraded run dropped.
-	ExcludedSites []int
-	// Coverage is the fraction of cluster tuples the run actually
-	// examined: 1 for a complete run, reachable/total for a partial one.
-	Coverage float64
-	// Retries counts calls that were re-issued after a transient
-	// failure; Faults counts the failures observed. Both stay zero on a
-	// fault-free run — retry work is charged here and to the Shipment
-	// fault channels, never to ShippedTuples or ModeledTime.
-	Retries int64
-	Faults  int64
-}
-
-// Patterns returns the violating X-patterns of the named CFD, or nil
-// when the run did not include it.
-func (r *Result) Patterns(name string) *Relation {
-	for i, c := range r.CFDs {
-		if c.Name == name {
-			return r.PerCFD[i]
-		}
-	}
-	return nil
-}
-
-func fromResult(sr *core.Result) *Result {
-	return &Result{
-		CFDs:               sr.CFDs,
-		PerCFD:             sr.PerCFD,
-		Clusters:           sr.Clusters,
-		Shipment:           sr.Metrics.Snapshot(),
-		ShippedTuples:      sr.ShippedTuples,
-		ModeledTime:        sr.ModeledTime,
-		WallTime:           sr.WallTime,
-		Incremental:        sr.Incremental,
-		DeltaShippedTuples: sr.DeltaShippedTuples,
-		DeltaShippedBytes:  sr.DeltaShippedBytes,
-		Partial:            sr.Partial,
-		ExcludedSites:      sr.ExcludedSites,
-		Coverage:           sr.Coverage,
-		Retries:            sr.Retries,
-		Faults:             sr.Faults,
-	}
-}
-
 // Detect runs the compiled session once over the cluster's current
 // data, re-evaluating only data-dependent state (fragment sizes,
 // constant units, σ routing, shipping, coordinator checks). The
 // context cancels the run end to end: a cancelled or deadline-exceeded
 // Detect stops pending phases, and every site drains — and tombstones
 // — the run's deposit buffers, so no shipped batch outlives the call.
-func (d *Detector) Detect(ctx context.Context) (*Result, error) {
-	sr, err := d.plan.Detect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return fromResult(sr), nil
-}
+func (d *Detector) Detect(ctx context.Context) (*Result, error) { return d.plan.Detect(ctx) }
 
 // Apply routes a delta — inserted tuples plus deletes addressed by
 // row index in the site's current fragment — to one site of the
@@ -334,11 +229,7 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 // must not overlap a running Detect/DetectIncremental on the same
 // cluster — the usual single-writer rule for mutation.
 func (d *Detector) Apply(ctx context.Context, site int, delta Delta) (Generation, error) {
-	info, err := d.cl.ApplyDelta(ctx, site, delta)
-	if err != nil {
-		return Generation{}, err
-	}
-	return Generation{Gen: info.Gen, NumTuples: info.NumTuples}, nil
+	return d.cl.ApplyDelta(ctx, site, delta)
 }
 
 // DetectIncremental runs the compiled session against the cluster's
@@ -356,21 +247,13 @@ func (d *Detector) Apply(ctx context.Context, site int, delta Delta) (Generation
 // transparently reseeds with one full shipment. Calls serialize with
 // each other; Detect calls may interleave freely between rounds.
 func (d *Detector) DetectIncremental(ctx context.Context) (*Result, error) {
-	sr, err := d.plan.DetectIncremental(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return fromResult(sr), nil
+	return d.plan.DetectIncremental(ctx)
 }
 
 // DetectDelta applies per-site deltas and runs one incremental round —
 // the ΔD-in, changes-out serving shape of a follow-the-stream caller.
 func (d *Detector) DetectDelta(ctx context.Context, deltas map[int]Delta) (*Result, error) {
-	sr, err := d.plan.DetectDelta(ctx, deltas)
-	if err != nil {
-		return nil, err
-	}
-	return fromResult(sr), nil
+	return d.plan.DetectDelta(ctx, deltas)
 }
 
 // DetectOne runs a single named CFD of the compiled set as a plan of
@@ -396,11 +279,7 @@ func (d *Detector) DetectOne(ctx context.Context, name string) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	one, err := sp.Detect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return fromResult(one), nil
+	return sp.Detect(ctx)
 }
 
 // Health reports the per-site circuit-breaker states of the underlying
@@ -471,7 +350,12 @@ func NewLocalCluster(d *Relation) (*Cluster, error) {
 }
 
 // DialConfig tunes the client side of the wire: the per-site dial and
-// handshake budget and the per-RPC I/O timeout.
+// handshake budget and CallTimeout, the per-RPC I/O budget — a site
+// that does not answer a call within it is treated as failed instead of
+// blocking the run forever. The budget is fixed at dial for the life of
+// the cluster's connections; a deadline for a whole detection run is the
+// caller's business — pass a context.WithTimeout/WithDeadline ctx to
+// Detect.
 type DialConfig = remote.DialConfig
 
 // NewRemoteClusterConfig is NewRemoteCluster with explicit dial and

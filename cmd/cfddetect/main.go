@@ -181,7 +181,6 @@ func main() {
 		distcfd.WithClustering(*clustered),
 		distcfd.WithWorkers(workers),
 		distcfd.WithMineTheta(*mineTheta),
-		distcfd.WithTimeout(*timeout),
 		distcfd.WithSigmaAnalysis(sigma),
 		distcfd.WithFailurePolicy(failure),
 		distcfd.WithPackedShipping(!*noPacked),

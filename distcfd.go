@@ -72,13 +72,6 @@ type (
 	Delta = relation.Delta
 )
 
-// Generation reports a site's state after Detector.Apply: the fragment
-// generation (one per applied delta) and the new fragment size.
-type Generation struct {
-	Gen       int64
-	NumTuples int
-}
-
 // Dependencies.
 type (
 	// CFD is a conditional functional dependency (X → Y, Tp).
@@ -127,6 +120,14 @@ type (
 	Site = core.Site
 	// Algorithm selects CTRDetect / PatDetectS / PatDetectRT.
 	Algorithm = core.Algorithm
+	// Result is the report of a Detect, DetectIncremental, DetectDelta or
+	// DetectOne call (the full compiled set, or a single entry for
+	// DetectOne).
+	Result = core.Result
+	// Generation reports a site's state after Detector.Apply: the
+	// fragment generation (one per applied delta) and the new fragment
+	// size.
+	Generation = core.DeltaInfo
 	// SigmaMode selects the compile-time Σ analysis level.
 	SigmaMode = core.SigmaMode
 	// FailurePolicy selects how a run responds to site failures

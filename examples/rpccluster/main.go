@@ -43,19 +43,20 @@ func main() {
 		fmt.Printf("site %d: %d tuples on %s (%v)\n", i, frag.Len(), addrs[i], part.Predicates[i])
 	}
 
+	// CallTimeout bounds every RPC so a wedged site fails the run
+	// instead of hanging it; it is set once, at dial.
 	cluster, err := distcfd.NewRemoteClusterConfig(addrs, distcfd.DialConfig{
 		DialTimeout: 5 * time.Second,
+		CallTimeout: 10 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
 
-	// Compile once over the remote cluster; WithTimeout bounds every
-	// RPC so a wedged site fails the run instead of hanging it.
+	// Compile once over the remote cluster.
 	det, err := distcfd.Compile(cluster, workload.EMPCFDs(),
-		distcfd.WithAlgorithm(distcfd.PatDetectS),
-		distcfd.WithTimeout(10*time.Second))
+		distcfd.WithAlgorithm(distcfd.PatDetectS))
 	if err != nil {
 		log.Fatal(err)
 	}

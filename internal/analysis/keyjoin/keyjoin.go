@@ -3,7 +3,7 @@
 // "\x1f"-joined spec fields, and phantom groups from "\x1f"-joined
 // group keys. Joining values with a separator is injective only while
 // no value contains the separator; a length-prefixed encoding
-// (uvarint(len) + bytes, as relation.Tuple.Key and cfd.Fingerprint use)
+// (uvarint(len) + bytes — relation.AppendKey, which every key builds on)
 // is injective unconditionally.
 //
 // Four patterns are flagged:

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"distcfd/internal/relation"
 )
 
 // Static analysis of a CFD set Σ (Fan et al., TODS 2008, via the chase
@@ -204,15 +206,9 @@ func InconsistencyWitness(sigma []*Normalized) *Witness {
 // different σ block orders, so they are not accounting-equivalent.
 func contentKey(c *CFD) string {
 	var b []byte
-	app := func(v string) {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
 	appList := func(vs []string) {
 		b = binary.AppendUvarint(b, uint64(len(vs)))
-		for _, v := range vs {
-			app(v)
-		}
+		b = relation.AppendKey(b, vs...)
 	}
 	appList(c.X)
 	appList(c.Y)

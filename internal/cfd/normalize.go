@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"sort"
 	"strings"
+
+	"distcfd/internal/relation"
 )
 
 // Normalized is a CFD in the normal form of Section IV-A: a single RHS
@@ -54,21 +56,11 @@ func (n *Normalized) LHSWildcards() int {
 // their Keys are equal (Parent and PatternIndex are provenance, not
 // identity).
 func (n *Normalized) Key() string {
-	var b []byte
-	app := func(v string) {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	b = binary.AppendUvarint(b, uint64(len(n.X)))
-	for _, v := range n.X {
-		app(v)
-	}
-	app(n.A)
-	for _, v := range n.TpX {
-		app(v)
-	}
-	app(n.TpA)
-	return string(b)
+	b := binary.AppendUvarint(nil, uint64(len(n.X)))
+	b = relation.AppendKey(b, n.X...)
+	b = relation.AppendKey(b, n.A)
+	b = relation.AppendKey(b, n.TpX...)
+	return string(relation.AppendKey(b, n.TpA))
 }
 
 // String renders the normalized CFD.

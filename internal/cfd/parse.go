@@ -17,9 +17,14 @@ import (
 //
 // The "name:" prefix is optional. A CFD without a tableau is a
 // traditional FD (a single all-wildcard pattern). Values containing
-// commas, pipes, parentheses or leading/trailing spaces must be
-// double-quoted; `_` is the wildcard (quoting does not escape it: the
-// underscore is reserved and cannot occur as a data constant in rules).
+// commas, pipes, parentheses, '#' or leading/trailing spaces must be
+// double-quoted; inside quotes `\"` is a literal quote and `\\` a
+// literal backslash. `_` is the wildcard (quoting does not escape it:
+// the underscore is reserved and cannot occur as a data constant in
+// rules).
+// Rule and attribute names are taken verbatim and cannot contain a
+// double quote: only values are quoted, and the comment scanner relies
+// on it to tell a '#' inside a value from the start of a comment.
 
 // Parse parses a single CFD definition.
 func Parse(s string) (*CFD, error) {
@@ -31,6 +36,9 @@ func Parse(s string) (*CFD, error) {
 			name = strings.TrimSpace(s[:i])
 			s = strings.TrimSpace(s[i+1:])
 		}
+	}
+	if strings.Contains(name, `"`) {
+		return nil, fmt.Errorf("cfd %q: rule name contains a double quote", name)
 	}
 	lhs, rest, err := parseBracketList(s)
 	if err != nil {
@@ -101,7 +109,7 @@ func ParseSet(r io.Reader) ([]*CFD, error) {
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 && !insideQuote(line, i) {
+		if i := indexUnquoted(line, "#"); i >= 0 {
 			line = line[:i]
 		}
 		trimmed := strings.TrimSpace(line)
@@ -166,21 +174,35 @@ func quoteVal(v string) string {
 	if v == Wildcard {
 		return Wildcard
 	}
-	if v == "" || v == "_" || strings.ContainsAny(v, ",()|\"[]:") ||
+	if v == "" || v == "_" || strings.ContainsAny(v, ",()|\"[]:#") ||
 		strings.TrimSpace(v) != v {
-		return `"` + strings.ReplaceAll(v, `"`, `\"`) + `"`
+		return `"` + quoteEscaper.Replace(v) + `"`
 	}
 	return v
 }
 
-func insideQuote(s string, pos int) bool {
-	in := false
-	for i := 0; i < pos && i < len(s); i++ {
-		if s[i] == '"' && (i == 0 || s[i-1] != '\\') {
-			in = !in
+// quoteEscaper escapes a value for double quotes; parseValues inverts it.
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+// indexUnquoted returns the index of the first occurrence of sub in s
+// that starts outside a double-quoted value, or -1. Inside quotes a
+// backslash escapes the next byte, so an escaped quote does not close
+// the value; an unterminated quote runs to the end of s.
+func indexUnquoted(s, sub string) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			for i++; i < len(s) && s[i] != '"'; i++ {
+				if s[i] == '\\' {
+					i++
+				}
+			}
+			continue
+		}
+		if strings.HasPrefix(s[i:], sub) {
+			return i
 		}
 	}
-	return in
+	return -1
 }
 
 // parseBracketList parses "[a, b, c]..." returning the names and the
@@ -197,8 +219,8 @@ func parseBracketList(s string) ([]string, string, error) {
 	var names []string
 	for _, part := range strings.Split(inner, ",") {
 		p := strings.TrimSpace(part)
-		if p == "" {
-			return nil, "", fmt.Errorf("empty attribute name in %q", inner)
+		if p == "" || strings.Contains(p, `"`) {
+			return nil, "", fmt.Errorf("empty or quoted attribute name in %q", inner)
 		}
 		names = append(names, p)
 	}
@@ -213,7 +235,7 @@ func parseTableau(s string, nx, ny int) ([]PatternTuple, error) {
 		if !strings.HasPrefix(rest, "(") {
 			return nil, fmt.Errorf("expected '(' at %q", truncate(rest))
 		}
-		end := matchingParen(rest)
+		end := indexUnquoted(rest, ")")
 		if end < 0 {
 			return nil, fmt.Errorf("missing ')' in %q", truncate(rest))
 		}
@@ -236,19 +258,6 @@ func parseTableau(s string, nx, ny int) ([]PatternTuple, error) {
 		return nil, fmt.Errorf("empty pattern tableau")
 	}
 	return out, nil
-}
-
-func matchingParen(s string) int {
-	inQuote := false
-	for i := 1; i < len(s); i++ {
-		switch {
-		case s[i] == '"' && s[i-1] != '\\':
-			inQuote = !inQuote
-		case s[i] == ')' && !inQuote:
-			return i
-		}
-	}
-	return -1
 }
 
 func parsePattern(inner string, nx, ny int) (PatternTuple, error) {
@@ -276,21 +285,14 @@ func parsePattern(inner string, nx, ny int) (PatternTuple, error) {
 // splitTopLevel splits s on sep occurrences outside double quotes.
 func splitTopLevel(s, sep string) []string {
 	var parts []string
-	inQuote := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' && (i == 0 || s[i-1] != '\\') {
-			inQuote = !inQuote
-			continue
+	for {
+		i := indexUnquoted(s, sep)
+		if i < 0 {
+			return append(parts, s)
 		}
-		if !inQuote && strings.HasPrefix(s[i:], sep) {
-			parts = append(parts, s[start:i])
-			i += len(sep) - 1
-			start = i + 1
-		}
+		parts = append(parts, s[:i])
+		s = s[i+len(sep):]
 	}
-	parts = append(parts, s[start:])
-	return parts
 }
 
 func parseValues(s string) ([]string, error) {
@@ -302,9 +304,9 @@ func parseValues(s string) ([]string, error) {
 			i := 1
 			var b strings.Builder
 			for ; i < len(rest); i++ {
-				if rest[i] == '\\' && i+1 < len(rest) && rest[i+1] == '"' {
-					b.WriteByte('"')
+				if rest[i] == '\\' && i+1 < len(rest) && (rest[i+1] == '"' || rest[i+1] == '\\') {
 					i++
+					b.WriteByte(rest[i])
 					continue
 				}
 				if rest[i] == '"' {

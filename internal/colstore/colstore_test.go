@@ -527,6 +527,13 @@ func TestReadAfterCloseErrors(t *testing.T) {
 	}()
 }
 
+// oneRunColumn makes c a single chunk of n rows, all ID 0.
+func oneRunColumn(c *PackedColumn, n int) (rows, chunkRows int) {
+	chunk, mn, mx := EncodeChunk(nil, make([]uint32, n))
+	*c = PackedColumn{Dict: EncodeDictSection(nil, []string{"a"}), Chunks: [][]byte{chunk}, MinIDs: []uint32{mn}, MaxIDs: []uint32{mx}}
+	return n, n
+}
+
 // TestNewPackedVerifiesForeignParts pins the adoption check: NewPacked
 // is where bytes this process did not write become storage, so a part
 // that would fail (or mislead) a later decode is an error there. Each
@@ -574,6 +581,14 @@ func TestNewPackedVerifiesForeignParts(t *testing.T) {
 			return 7, 4
 		}},
 		{"row count that overflows the chunk arithmetic", func(c *PackedColumn) (int, int) { return math.MaxInt, math.MaxInt }},
+		// One well-formed run a row past the cap: it verifies in O(1), so
+		// only the cap keeps its decode cost tied to what was shipped.
+		{"chunk rows above MaxChunkRows", func(c *PackedColumn) (int, int) { return oneRunColumn(c, MaxChunkRows+1) }},
+	}
+	var atCap PackedColumn
+	oneRunColumn(&atCap, MaxChunkRows)
+	if _, err := NewPacked(MaxChunkRows, MaxChunkRows, []PackedColumn{atCap}); err != nil {
+		t.Errorf("chunk of exactly MaxChunkRows rows rejected: %v", err)
 	}
 	for _, tc := range cases {
 		c := valid()

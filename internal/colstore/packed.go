@@ -28,8 +28,9 @@ var _ relation.PackedColumnReader = (*Packed)(nil)
 
 // NewPacked assembles a Packed from per-column parts — the adoption
 // point of bytes this process did not write (a wire receive), so
-// everything a later read would trust is verified here, once: every
-// column has ceil(rows/chunkRows) chunks with matching bounds slices,
+// everything a later read would trust is verified here, once:
+// chunkRows is at most MaxChunkRows, every column has
+// ceil(rows/chunkRows) chunks with matching bounds slices,
 // every dictionary section decodes, and every chunk payload is
 // well-formed, covers exactly its span, and holds only IDs inside its
 // shipped [min, max] bounds, which in turn fit the dictionary. A Packed
@@ -42,8 +43,8 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 	}
 	numChunks := 0
 	if rows > 0 {
-		if chunkRows <= 0 {
-			return nil, fmt.Errorf("colstore: NewPacked with chunkRows %d for %d rows", chunkRows, rows)
+		if chunkRows <= 0 || chunkRows > MaxChunkRows {
+			return nil, fmt.Errorf("colstore: NewPacked with chunkRows %d for %d rows (want 1..%d)", chunkRows, rows, MaxChunkRows)
 		}
 		numChunks = (rows-1)/chunkRows + 1 // overflow-free: rows is the peer's word
 	}

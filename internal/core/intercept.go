@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/mining"
@@ -147,13 +146,6 @@ func (w *Intercept) PendingDeposits() int {
 		return p.PendingDeposits()
 	}
 	return 0
-}
-
-// SetCallTimeout forwards the per-RPC I/O budget of a remote proxy.
-func (w *Intercept) SetCallTimeout(d time.Duration) {
-	if s, ok := w.site().(interface{ SetCallTimeout(time.Duration) }); ok {
-		s.SetCallTimeout(d)
-	}
 }
 
 // Draining forwards the site's drain state (see Cluster.HealthDetail).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -242,10 +241,6 @@ func (p *Plan) Single(ctx context.Context, i int) (*Plan, error) {
 		units: []*unit{u}, kern: p.kern, inc: make([]unitInc, 1)}, nil
 }
 
-// errParCanceled marks units a parallel run skipped after another unit
-// failed; it never escapes Detect.
-var errParCanceled = errors.New("core: cluster skipped after earlier failure")
-
 // splitWorkers divides a run's worker budget between cluster-level
 // overlap and intra-unit row sharding: clusters can use at most one
 // worker each (they are whole pipelines), so the level-1 pool is
@@ -308,9 +303,11 @@ func (p *Plan) Detect(ctx context.Context) (*Result, error) {
 }
 
 // finishFailure stamps the fault channel and the degraded-result
-// fields onto a completed result (once per run).
+// fields onto a completed result and snapshots its metrics (once per
+// run).
 func (p *Plan) finishFailure(res *Result, fs *faultState) {
 	fs.stamp(res.Metrics)
+	res.Shipment = res.Metrics.Snapshot()
 	res.Retries, res.Faults = fs.totals()
 	res.ExcludedSites = fs.excludedSites()
 	res.Partial = len(res.ExcludedSites) > 0
@@ -343,39 +340,31 @@ func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, increm
 				return nil, err
 			}
 		}
-	} else if clusterWorkers <= 1 {
-		for gi, u := range p.units {
-			var err error
-			if outs[gi], err = u.detect(ctx, intraWorkers, fs); err != nil {
-				return nil, err
-			}
-		}
 	} else {
+		// A bounded pool started in cluster order — a pool of one is the
+		// strictly serial schedule. Fail fast: once any unit has errored
+		// or the context has died, units not yet started never start,
+		// instead of shipping tuples the caller will discard.
 		sem := make(chan struct{}, clusterWorkers)
 		var wg sync.WaitGroup
 		var failed atomic.Bool
 		for gi, u := range p.units {
+			sem <- struct{}{}
+			if failed.Load() || ctx.Err() != nil {
+				break
+			}
 			wg.Add(1)
 			go func(gi int, u *unit) {
 				defer wg.Done()
-				sem <- struct{}{}
 				defer func() { <-sem }()
-				// Fail fast: once any unit has errored or the context has
-				// died, units that have not started yet are skipped instead
-				// of shipping tuples the caller will discard.
-				if failed.Load() || ctx.Err() != nil {
-					errs[gi] = errParCanceled
-					return
-				}
-				outs[gi], errs[gi] = u.detect(ctx, intraWorkers, fs)
-				if errs[gi] != nil {
+				if outs[gi], errs[gi] = u.detect(ctx, intraWorkers, fs); errs[gi] != nil {
 					failed.Store(true)
 				}
 			}(gi, u)
 		}
 		wg.Wait()
 		for _, err := range errs {
-			if err != nil && !errors.Is(err, errParCanceled) {
+			if err != nil {
 				return nil, err
 			}
 		}

@@ -109,15 +109,20 @@ type UnitReport struct {
 }
 
 // Result reports one detection run over a compiled CFD set; a single
-// CFD is a set of one.
+// CFD is a set of one. It is the one result type of the module: the
+// public facade re-exports it as distcfd.Result.
 type Result struct {
 	// CFDs are the dependencies checked.
 	CFDs []*cfd.CFD
 	// PerCFD holds Vioπ(φ,D) per CFD as distinct X-tuples, aligned with
 	// CFDs (PadPatterns gives the paper's full-schema form).
 	PerCFD []*relation.Relation
-	// Metrics aggregates all shipments of the run.
-	Metrics *dist.Metrics
+	// Metrics aggregates all shipments of the run; Shipment is its
+	// point-in-time copy (per-site-pair shipment and control matrices
+	// plus totals), taken once when the run completes and safe to read
+	// and render without synchronization.
+	Metrics  *dist.Metrics
+	Shipment dist.Report
 	// ShippedTuples is the total |M| across all CFDs.
 	ShippedTuples int64
 	// ModeledTime is cost(D, Σ, M) under Options.Cost, summed over the
@@ -130,18 +135,24 @@ type Result struct {
 	Clusters [][]int
 	// Units is the per-unit detail, aligned with Clusters.
 	Units []UnitReport
-	// Incremental reports that the run served from retained delta
-	// state: Metrics/ShippedTuples/ModeledTime then hold the modeled
-	// full-recompute equivalent (byte-identical to a fresh Detect on
-	// the same data), while DeltaShippedTuples/DeltaShippedBytes count
-	// what actually crossed the wire.
+	// Incremental marks a DetectIncremental run. Its ShippedTuples,
+	// ModeledTime and the regular tuple matrices of Metrics/Shipment
+	// then report the modeled full-recompute equivalent — identical to
+	// what a fresh Detect on the same data would report, so serving-mode
+	// changes never bend the figures — while DeltaShippedTuples and
+	// DeltaShippedBytes (and the delta matrices) count what the round
+	// actually put on the wire: the changed tuples only. Payload bytes
+	// exist only for data that is materialized, so on incremental runs
+	// the regular Bytes matrices stay zero and byte accounting lives
+	// entirely on the delta channel.
 	Incremental        bool
 	DeltaShippedTuples int64
 	DeltaShippedBytes  int64
-	// Partial marks a degraded run: one or more sites stayed down after
-	// retries and were excluded, so the result covers only the
-	// reachable fragments. Every reported violation is still a true
-	// violation of the reachable data.
+	// Partial marks a degraded run (FailDegrade): one or more sites
+	// stayed down after retries and were excluded, so the result covers
+	// only the reachable fragments. Every reported violation is still a
+	// true violation of the reachable data; violations only witnessed by
+	// excluded fragments are missing.
 	Partial bool
 	// ExcludedSites lists the excluded sites (nil when complete).
 	ExcludedSites []int
@@ -149,10 +160,23 @@ type Result struct {
 	// complete run, reachable/total on a degraded one.
 	Coverage float64
 	// Retries / Faults total the fault channel: retried site calls and
-	// failed attempts. Zero on fault-free runs; under FailRetry, every
-	// other field is byte-identical to a fault-free run's.
+	// failed attempts. Zero on fault-free runs — retry work is charged
+	// here and to the Metrics fault channels, never to ShippedTuples or
+	// ModeledTime, so under FailRetry every other field is byte-identical
+	// to a fault-free run's.
 	Retries int64
 	Faults  int64
+}
+
+// Patterns returns the violating X-patterns of the named CFD, or nil
+// when the run did not include it.
+func (r *Result) Patterns(name string) *relation.Relation {
+	for i, c := range r.CFDs {
+		if c.Name == name {
+			return r.PerCFD[i]
+		}
+	}
+	return nil
 }
 
 // PadPatterns converts an X-tuple pattern relation into the paper's

@@ -36,7 +36,8 @@ type BlockSpec struct {
 }
 
 // maskGroup indexes all patterns sharing a wildcard mask: the constant
-// positions and a hash from the constants at those positions to the
+// positions (within X) and a hash from the constants at those positions
+// — as strings for Assign, as packed column IDs for AssignAll — to the
 // smallest (most specific, first-match) pattern index. σ then costs
 // one lookup per distinct mask instead of a scan over all patterns.
 type maskGroup struct {
@@ -48,21 +49,7 @@ type maskGroup struct {
 // patterns by generality (Section IV-B) with a deterministic
 // tiebreaker.
 func NewBlockSpec(x []string, patterns [][]string) (*BlockSpec, error) {
-	if len(x) == 0 {
-		return nil, fmt.Errorf("core: block spec with empty X")
-	}
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("core: block spec with no patterns")
-	}
-	for i, p := range patterns {
-		if len(p) != len(x) {
-			return nil, fmt.Errorf("core: pattern %d arity %d, want %d", i, len(p), len(x))
-		}
-	}
-	sorted := make([][]string, len(patterns))
-	for i, p := range patterns {
-		sorted[i] = append([]string(nil), p...)
-	}
+	sorted := append([][]string(nil), patterns...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		wi, wj := countWildcards(sorted[i]), countWildcards(sorted[j])
 		if wi != wj {
@@ -71,26 +58,17 @@ func NewBlockSpec(x []string, patterns [][]string) (*BlockSpec, error) {
 		//distcfd:keyjoin-ok — comparator only; ordering needs no injectivity
 		return strings.Join(sorted[i], "\x1f") < strings.Join(sorted[j], "\x1f")
 	})
-	// Deduplicate identical patterns (they would form empty blocks).
-	dedup := sorted[:0]
-	seen := map[string]bool{}
-	for _, p := range sorted {
-		k := packVals(p)
-		if !seen[k] {
-			seen[k] = true
-			dedup = append(dedup, p)
-		}
-	}
-	return &BlockSpec{X: append([]string(nil), x...), Patterns: dedup}, nil
+	return NewBlockSpecOrdered(x, sorted)
 }
 
 // NewBlockSpecOrdered builds a spec keeping the caller's pattern
-// order (deduplicated), for callers that already computed a
-// deterministic better-than-generality order — the ranked mined
-// patterns of the Section IV-B preprocessing. The order must still be
-// consistent with σ's first-match semantics at every site, which holds
-// because the order is a pure function of the (deterministically
-// merged) pattern list.
+// order, for callers that already computed a deterministic
+// better-than-generality order — the ranked mined patterns of the
+// Section IV-B preprocessing. The order must still be consistent with
+// σ's first-match semantics at every site, which holds because the
+// order is a pure function of the (deterministically merged) pattern
+// list. Identical patterns are deduplicated (they would form empty
+// blocks).
 func NewBlockSpecOrdered(x []string, patterns [][]string) (*BlockSpec, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("core: block spec with empty X")
@@ -100,11 +78,13 @@ func NewBlockSpecOrdered(x []string, patterns [][]string) (*BlockSpec, error) {
 	}
 	var dedup [][]string
 	seen := map[string]bool{}
-	for i, p := range patterns {
+	for _, p := range patterns {
 		if len(p) != len(x) {
-			return nil, fmt.Errorf("core: pattern %d arity %d, want %d", i, len(p), len(x))
+			return nil, fmt.Errorf("core: pattern %q has arity %d, want %d", p, len(p), len(x))
 		}
-		k := packVals(p)
+		// Separator joins are banned as keys (distcfdvet keyjoin): they
+		// collide as soon as a data value contains the separator.
+		k := string(relation.AppendKey(nil, p...))
 		if !seen[k] {
 			seen[k] = true
 			dedup = append(dedup, append([]string(nil), p...))
@@ -120,23 +100,6 @@ func SpecFromCFD(c *cfd.CFD) (*BlockSpec, error) {
 		pats[i] = tp.LHS
 	}
 	return NewBlockSpec(c.X, pats)
-}
-
-// packVals encodes a value vector injectively for map keys: uvarint
-// length before each value. One value stays identity — already
-// injective, and the common single-attribute-X case stays allocation
-// free. Separator joins are banned here (distcfdvet keyjoin): they
-// collide as soon as a data value contains the separator.
-func packVals(vals []string) string {
-	if len(vals) == 1 {
-		return vals[0]
-	}
-	var b []byte
-	for _, v := range vals {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	return string(b)
 }
 
 func countWildcards(p []string) int {
@@ -162,20 +125,11 @@ func (s *BlockSpec) K() int { return len(s.Patterns) }
 // work) can never make two different specs collide.
 func (s *BlockSpec) Fingerprint() string {
 	s.fpOnce.Do(func() {
-		var b []byte
-		app := func(v string) {
-			b = binary.AppendUvarint(b, uint64(len(v)))
-			b = append(b, v...)
-		}
-		b = binary.AppendUvarint(b, uint64(len(s.X)))
-		for _, a := range s.X {
-			app(a)
-		}
+		b := binary.AppendUvarint(nil, uint64(len(s.X)))
+		b = relation.AppendKey(b, s.X...)
 		// Rows all have arity len(X), so no per-row framing is needed.
 		for _, p := range s.Patterns {
-			for _, v := range p {
-				app(v)
-			}
+			b = relation.AppendKey(b, p...)
 		}
 		s.fp = string(b)
 	})
@@ -186,30 +140,28 @@ func (s *BlockSpec) Fingerprint() string {
 // aligned with s.X: the first (most specific) matching pattern index,
 // or -1. Uses a per-wildcard-mask hash index built on first use.
 func (s *BlockSpec) Assign(xvals []string) int {
-	s.idxOnce.Do(s.buildIndex)
+	s.idxOnce.Do(func() {
+		s.idx = s.maskGroups(func(p []string, positions []int) (string, bool) {
+			return relation.Tuple(p).Key(positions), true
+		})
+	})
 	best := -1
 	for _, g := range s.idx {
-		var key string
-		if len(g.positions) == 1 {
-			key = xvals[g.positions[0]]
-		} else {
-			var b []byte
-			for _, p := range g.positions {
-				b = binary.AppendUvarint(b, uint64(len(xvals[p])))
-				b = append(b, xvals[p]...)
-			}
-			key = string(b)
-		}
-		if l, ok := g.lookup[key]; ok && (best == -1 || l < best) {
+		if l, ok := g.lookup[relation.Tuple(xvals).Key(g.positions)]; ok && (best == -1 || l < best) {
 			best = l
 		}
 	}
 	return best
 }
 
-func (s *BlockSpec) buildIndex() {
-	groups := map[string]*maskGroup{}
-	var order []string
+// maskGroups builds the σ index: one group per distinct wildcard mask,
+// in first-seen order, each mapping key(p, positions) — an injective
+// encoding of pattern p's constants at the mask's positions — to the
+// smallest pattern index carrying it. A pattern whose key reports false
+// can match nothing the caller will probe with and is left out.
+func (s *BlockSpec) maskGroups(key func(p []string, positions []int) (string, bool)) []maskGroup {
+	var out []maskGroup
+	at := map[string]int{} // wildcard mask → position in out
 	var mk []byte
 	for l, p := range s.Patterns {
 		var positions []int
@@ -220,78 +172,19 @@ func (s *BlockSpec) buildIndex() {
 				mk = binary.AppendUvarint(mk, uint64(i))
 			}
 		}
-		maskKey := string(mk)
-		g, ok := groups[maskKey]
+		k, ok := key(p, positions)
 		if !ok {
-			g = &maskGroup{positions: positions, lookup: map[string]int{}}
-			groups[maskKey] = g
-			order = append(order, maskKey)
-		}
-		parts := make([]string, len(positions))
-		for i, pos := range positions {
-			parts[i] = p[pos]
-		}
-		key := packVals(parts)
-		if _, seen := g.lookup[key]; !seen {
-			g.lookup[key] = l // patterns are sorted: first wins
-		}
-	}
-	for _, k := range order {
-		s.idx = append(s.idx, *groups[k])
-	}
-}
-
-// encMaskGroup is a per-fragment compilation of one wildcard mask: the
-// constant positions (within s.X) and a hash from the packed column-ID
-// key at those positions to the smallest matching pattern index.
-// Patterns whose constants the fragment's dictionaries never interned
-// are dropped — they cannot match any local tuple.
-type encMaskGroup struct {
-	positions []int
-	lookup    map[string]int
-}
-
-// compileForEncoded resolves every pattern's constants against the
-// fragment's per-column dictionaries (aligned with s.X), yielding
-// integer-keyed mask groups.
-func (s *BlockSpec) compileForEncoded(dicts []*relation.Dict) []encMaskGroup {
-	groups := map[string]*encMaskGroup{}
-	var order []string
-	var mk, kb []byte
-	for l, p := range s.Patterns {
-		var positions []int
-		mk, kb = mk[:0], kb[:0]
-		resolved := true
-		for i, v := range p {
-			if v == cfd.Wildcard {
-				continue
-			}
-			positions = append(positions, i)
-			mk = binary.AppendUvarint(mk, uint64(i))
-			id, ok := dicts[i].Lookup(v)
-			if !ok {
-				resolved = false
-				break
-			}
-			kb = binary.LittleEndian.AppendUint32(kb, id)
-		}
-		if !resolved {
 			continue
 		}
-		maskKey := string(mk)
-		g, ok := groups[maskKey]
-		if !ok {
-			g = &encMaskGroup{positions: positions, lookup: map[string]int{}}
-			groups[maskKey] = g
-			order = append(order, maskKey)
+		gi, seen := at[string(mk)]
+		if !seen {
+			gi = len(out)
+			at[string(mk)] = gi
+			out = append(out, maskGroup{positions: positions, lookup: map[string]int{}})
 		}
-		if _, seen := g.lookup[string(kb)]; !seen {
-			g.lookup[string(kb)] = l // patterns are sorted: first wins
+		if _, dup := out[gi].lookup[k]; !dup {
+			out[gi].lookup[k] = l // patterns are sorted: first wins
 		}
-	}
-	out := make([]encMaskGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *groups[k])
 	}
 	return out
 }
@@ -330,7 +223,21 @@ func (s *BlockSpec) AssignAll(frag *relation.Relation) ([]int, []int, error) {
 // which reads its columns out of packed segments instead of an Encoded
 // view.
 func (s *BlockSpec) assignColumns(cols [][]uint32, dicts []*relation.Dict, assign []int, counts []int) {
-	egs := s.compileForEncoded(dicts)
+	// Per fragment, the index is keyed by the packed column IDs of each
+	// pattern's constants in the fragment's dictionaries (aligned with
+	// s.X); a pattern with a constant they never interned cannot match
+	// any local tuple.
+	egs := s.maskGroups(func(p []string, positions []int) (string, bool) {
+		kb := make([]byte, 0, 4*len(positions))
+		for _, i := range positions {
+			id, ok := dicts[i].Lookup(p[i])
+			if !ok {
+				return "", false
+			}
+			kb = binary.LittleEndian.AppendUint32(kb, id)
+		}
+		return string(kb), true
+	})
 	var kb []byte
 	for i := range assign {
 		best := -1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/engine"
@@ -138,15 +139,14 @@ type SiteAPI interface {
 	DropSession(session string) error
 }
 
-// Cache bounds: both per-site caches are reset wholesale when they
-// exceed their cap, so churn from one-shot callers (every call a fresh
-// spec) cannot grow a long-lived site without bound. Compiled plans
-// and wire-decoded specs have stable fingerprints, so serving traffic
-// stays far below the caps.
 const (
-	sigmaCacheCap = 128
-	constCacheCap = 128
-	cancelledCap  = 1024
+	// servingCacheCap bounds each of the site's serving caches: one is
+	// reset wholesale when it reaches the cap, so churn from one-shot
+	// callers (every call a fresh spec) cannot grow a long-lived site
+	// without bound. Compiled plans and wire-decoded specs have stable
+	// fingerprints, so serving traffic stays far below it.
+	servingCacheCap = 128
+	cancelledCap    = 1024
 	// nonceCap bounds the seen-deposit-nonce set (FIFO eviction, like
 	// cancelled tombstones); deltaNonceCap bounds the remembered
 	// ApplyDelta replies. Nonces are minted per attempt group and never
@@ -185,6 +185,78 @@ func (f *fifo[V]) put(k string, v V) {
 		f.log = append(f.log, k)
 	}
 	f.m[k] = v
+}
+
+// servingCache is the site's versioned serving cache, stated once for
+// the σ-routings and the constant-unit states: entries are keyed by
+// content fingerprint and valid for exactly one fragment version token
+// (see siteFragment.Version — the *relation.Encoded identity for
+// memory-backed sites, an opaque per-mutation token for store-backed
+// ones). A probe against another version starts an empty generation;
+// ApplyDelta rolls a generation forward instead (maintain).
+type servingCache[V any] struct {
+	mu  sync.Mutex
+	ver any
+	m   map[string]V
+}
+
+func (c *servingCache[V]) reset(ver any) { c.m, c.ver = make(map[string]V), ver }
+
+// lookup probes for key against fragment version ver: one lock, one map
+// probe. A miss is built by the caller outside the lock — concurrent
+// misses on different keys (independent clusters of a parallel run)
+// must not serialize — and handed to store.
+func (c *servingCache[V]) lookup(ver any, key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ver != ver {
+		c.reset(ver)
+	}
+	v, ok := c.m[key]
+	return v, ok
+}
+
+// store records the entry a lookup miss built and returns the entry to
+// use: v itself, or the one a racing builder of the same key stored
+// first (they are identical). A fragment mutated during the build gets
+// the consistent v back without poisoning the fresh generation.
+func (c *servingCache[V]) store(ver any, key string, v V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ver != ver {
+		return v
+	}
+	if prev, ok := c.m[key]; ok {
+		return prev
+	}
+	if len(c.m) >= servingCacheCap {
+		c.reset(ver)
+	}
+	c.m[key] = v
+	return v
+}
+
+// maintain carries the cache across one delta pre → post: entries
+// anchored at the pre-delta version are each rolled forward (roll
+// reporting false abandons them all), a cache already stale — a
+// non-delta mutation interleaved — is dropped instead.
+func (c *servingCache[V]) maintain(pre, post any, roll func(V) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) == 0 {
+		return
+	}
+	if c.ver == nil || c.ver != pre {
+		c.reset(nil)
+		return
+	}
+	for _, v := range c.m {
+		if !roll(v) {
+			c.reset(nil)
+			return
+		}
+	}
+	c.ver = post
 }
 
 // sigmaEntry is one cached σ-routing of the fragment: the per-tuple
@@ -259,17 +331,8 @@ type Site struct {
 	cancelled fifo[struct{}] // tombstoned task keys
 	nonces    fifo[struct{}] // deposit nonces already buffered
 
-	// The cache-identity fields below hold the fragment's version token
-	// (see siteFragment.Version) — the *relation.Encoded identity for
-	// memory-backed sites, an opaque per-mutation token for store-backed
-	// ones.
-	sigMu  sync.Mutex
-	sigEnc any
-	sigma  map[string]*sigmaEntry
-
-	constMu  sync.Mutex
-	constEnc any
-	consts   map[string]*constEntry
+	sigma  servingCache[*sigmaEntry] // by BlockSpec.Fingerprint
+	consts servingCache[*constEntry] // by cfdFingerprint
 
 	// Incremental serving state (see site_delta.go): the fragment
 	// generation, the bounded delta log, the fragment version the
@@ -342,43 +405,15 @@ func (s *Site) PendingDeposits() int {
 // routed against the current fragment state. The returned entry is
 // shared and read-only.
 func (s *Site) assignAll(spec *BlockSpec) (*sigmaEntry, error) {
-	e := s.frag.Version()
-	fp := spec.Fingerprint()
-	s.sigMu.Lock()
-	if s.sigEnc != e {
-		s.sigma = make(map[string]*sigmaEntry)
-		s.sigEnc = e
-	}
-	if ent, ok := s.sigma[fp]; ok {
-		s.sigMu.Unlock()
+	ver, fp := s.frag.Version(), spec.Fingerprint()
+	if ent, ok := s.sigma.lookup(ver, fp); ok {
 		return ent, nil
 	}
-	s.sigMu.Unlock()
-
-	// Compute outside the lock: concurrent misses on different specs
-	// (independent clusters of a parallel run) must not serialize. Two
-	// goroutines racing on the same spec compute identical entries, so
-	// whichever stores first wins.
 	assign, counts, err := s.frag.AssignAll(spec)
 	if err != nil {
 		return nil, err
 	}
-	ent := &sigmaEntry{spec: spec, assign: assign, counts: counts}
-	s.sigMu.Lock()
-	defer s.sigMu.Unlock()
-	if s.sigEnc != e {
-		// Fragment mutated while routing: hand back the (consistent)
-		// result but do not poison the fresh cache generation.
-		return ent, nil
-	}
-	if prev, ok := s.sigma[fp]; ok {
-		return prev, nil
-	}
-	if len(s.sigma) >= sigmaCacheCap {
-		s.sigma = make(map[string]*sigmaEntry)
-	}
-	s.sigma[fp] = ent
-	return ent, nil
+	return s.sigma.store(ver, fp, &sigmaEntry{spec: spec, assign: assign, counts: counts}), nil
 }
 
 // SigmaStats computes lstat[l] = |H_i^l| per pattern.
@@ -787,10 +822,11 @@ func (s *Site) DetectTask(ctx context.Context, task string, local LocalInput, cf
 // constEntry pairs a maintained constant-unit state with its last
 // extracted result: the extraction is invalidated (out = nil) whenever
 // a delta folds into the state, so a warm repeated rule still costs
-// one cache probe, as the plan-once/detect-many path always did.
+// one cache probe, as the plan-once/detect-many path always did. The
+// state itself is only touched under the cache's lock.
 type constEntry struct {
 	st  *engine.IncrementalState
-	out *relation.Relation
+	out atomic.Pointer[relation.Relation]
 }
 
 // DetectConstantsLocal checks c's constant units against the local
@@ -806,37 +842,17 @@ func (s *Site) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e := s.frag.Version()
-	fp := cfdFingerprint(c)
-	s.constMu.Lock()
-	if s.constEnc != e {
-		s.consts = make(map[string]*constEntry)
-		s.constEnc = e
-	}
-	ent, ok := s.consts[fp]
-	if ok && ent.out != nil {
-		s.constMu.Unlock()
-		return ent.out, nil
-	}
-	s.constMu.Unlock()
+	ver, fp := s.frag.Version(), cfdFingerprint(c)
+	ent, ok := s.consts.lookup(ver, fp)
 	if !ok {
 		built, err := s.buildConstState(c)
 		if err != nil {
 			return nil, err
 		}
-		ent = &constEntry{st: built}
-		s.constMu.Lock()
-		if s.constEnc == e {
-			if prev, dup := s.consts[fp]; dup {
-				ent = prev
-			} else {
-				if len(s.consts) >= constCacheCap {
-					s.consts = make(map[string]*constEntry)
-				}
-				s.consts[fp] = ent
-			}
-		}
-		s.constMu.Unlock()
+		ent = s.consts.store(ver, fp, &constEntry{st: built})
+	}
+	if out := ent.out.Load(); out != nil {
+		return out, nil
 	}
 	ps, err := s.frag.Schema().Project("viopi_"+c.Name, c.X)
 	if err != nil {
@@ -846,16 +862,16 @@ func (s *Site) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.
 	// Extraction runs under the lock: the state's maps must not be read
 	// while ApplyDelta folds a delta into them, and concurrent callers
 	// of the same entry should share one extraction.
-	s.constMu.Lock()
-	defer s.constMu.Unlock()
-	if ent.out != nil {
-		return ent.out, nil
+	s.consts.mu.Lock()
+	defer s.consts.mu.Unlock()
+	if prev := ent.out.Load(); prev != nil {
+		return prev, nil
 	}
 	ent.st.Patterns(out, map[string]struct{}{})
 	if err := out.SortBy(c.X...); err != nil {
 		return nil, err
 	}
-	ent.out = out
+	ent.out.Store(out)
 	return out, nil
 }
 
@@ -894,28 +910,15 @@ func (s *Site) MineFrequent(ctx context.Context, x []string, theta float64) ([]m
 // length-prefixed, so values that themselves contain separators cannot
 // make two different CFDs share a constants-cache entry.
 func cfdFingerprint(c *cfd.CFD) string {
-	var b []byte
-	app := func(v string) {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	app(c.Name)
+	b := relation.AppendKey(nil, c.Name)
 	b = binary.AppendUvarint(b, uint64(len(c.X)))
-	for _, a := range c.X {
-		app(a)
-	}
+	b = relation.AppendKey(b, c.X...)
 	b = binary.AppendUvarint(b, uint64(len(c.Y)))
-	for _, a := range c.Y {
-		app(a)
-	}
+	b = relation.AppendKey(b, c.Y...)
 	b = binary.AppendUvarint(b, uint64(len(c.Tp)))
 	for _, tp := range c.Tp {
-		for _, v := range tp.LHS {
-			app(v)
-		}
-		for _, v := range tp.RHS {
-			app(v)
-		}
+		b = relation.AppendKey(b, tp.LHS...)
+		b = relation.AppendKey(b, tp.RHS...)
 	}
 	return string(b)
 }

@@ -183,59 +183,33 @@ func (s *Site) Generation() int64 {
 }
 
 // maintainSigma rolls every cached σ-routing entry forward across one
-// delta when the cache matches the pre-delta view; a cache already
-// stale (non-delta mutation interleaved) is dropped instead.
+// delta (see servingCache.maintain).
 func (s *Site) maintainSigma(pre, post any, delIdx []int, ins []relation.Tuple) {
-	s.sigMu.Lock()
-	defer s.sigMu.Unlock()
-	if len(s.sigma) == 0 {
-		return
-	}
-	if s.sigEnc == nil || s.sigEnc != pre {
-		s.sigma = make(map[string]*sigmaEntry)
-		s.sigEnc = nil
-		return
-	}
-	for _, ent := range s.sigma {
+	s.sigma.maintain(pre, post, func(ent *sigmaEntry) bool {
+		// The lookup cannot fail for entries built against this schema;
+		// if it does, reset rather than serve wrong routing.
 		xi, err := s.frag.Schema().Indices(ent.spec.X)
-		if err != nil {
-			// Cannot happen for entries built against this schema;
-			// degrade to a reset rather than serve wrong routing.
-			s.sigma = make(map[string]*sigmaEntry)
-			s.sigEnc = nil
-			return
+		if err == nil {
+			ent.applyDelta(delIdx, ins, xi)
 		}
-		ent.applyDelta(delIdx, ins, xi)
-	}
-	s.sigEnc = post
+		return err == nil
+	})
 }
 
-// maintainConsts folds one delta into every cached constant-unit state
-// when the cache matches the pre-delta view.
+// maintainConsts folds one delta into every cached constant-unit state.
 func (s *Site) maintainConsts(pre, post any, removed, ins []relation.Tuple) {
-	s.constMu.Lock()
-	defer s.constMu.Unlock()
-	if len(s.consts) == 0 {
-		return
-	}
-	if s.constEnc == nil || s.constEnc != pre {
-		s.consts = make(map[string]*constEntry)
-		s.constEnc = nil
-		return
-	}
-	for _, ent := range s.consts {
-		ent.out = nil // the cached extraction no longer matches
-		if !ent.st.HasUnits() {
-			continue
+	s.consts.maintain(pre, post, func(ent *constEntry) bool {
+		ent.out.Store(nil) // the cached extraction no longer matches
+		if ent.st.HasUnits() {
+			for _, t := range removed {
+				ent.st.Delete(t)
+			}
+			for _, t := range ins {
+				ent.st.Insert(t)
+			}
 		}
-		for _, t := range removed {
-			ent.st.Delete(t)
-		}
-		for _, t := range ins {
-			ent.st.Insert(t)
-		}
-	}
-	s.constEnc = post
+		return true
+	})
 }
 
 // reanchorLocked re-anchors the delta log on the fragment's current

@@ -18,39 +18,50 @@ import (
 	"distcfd/internal/relation"
 )
 
-// Metrics accumulates the data movement of one detection run over an
-// n-site cluster: a per-(from, to) matrix of tuple shipments with
-// their payload sizes, plus control-plane traffic (statistics and
-// mined-pattern broadcasts), which the paper accounts separately from
-// tuple shipment. The zero value is unusable; call NewMetrics.
-type Metrics struct {
-	mu sync.Mutex
-	n  int
-	// Flat [from*n+to] matrices.
-	tuples   []int64
-	bytes    []int64
-	ctlMsgs  []int64
-	ctlBytes []int64
-	// Delta channel: the tuples an incremental run actually put on the
-	// wire (delta blocks — inserts plus delete records), kept apart
-	// from the tuples matrix, which an incremental run fills with the
-	// modeled full-recompute equivalent so ShippedTuples and
-	// ModeledTime stay comparable across serving modes. Equivalent
-	// *bytes* would require materializing the unshipped blocks, so the
-	// regular bytes matrix stays zero on incremental runs and byte
-	// accounting lives on this channel. The ΔD-scaling figures plot
-	// this channel.
-	deltaTuples []int64
-	deltaBytes  []int64
-	// Fault-tolerance channel: per-site counters of retried calls and
-	// failed call attempts, kept apart from every shipment matrix. A
+// channel names one counter vector of a Metrics. The pair channels are
+// flat [from*n+to] matrices and come in (count, payload bytes) pairs,
+// the count first.
+type channel int
+
+const (
+	// Fault-tolerance channel (per site, not per pair): retried calls
+	// and failed call attempts, kept apart from every shipment matrix. A
 	// retried call re-ships nothing the accounting sees — the data and
 	// control planes record only what the successful attempt moved — so
 	// a faulted run under the Retry policy reports byte-identical
 	// shipment figures to a fault-free run, with the turbulence visible
 	// only here.
-	retries []int64
-	faults  []int64
+	chRetries channel = iota
+	chFaults
+	// Control plane (pair channels start here): statistics and
+	// mined-pattern broadcasts, which the paper accounts separately from
+	// tuple shipment.
+	chCtlMsgs
+	chCtlBytes
+	// Data plane (everything from here on; see MergeData): tuple
+	// shipments with their payload sizes.
+	chTuples
+	chBytes
+	// Delta channel: the tuples an incremental run actually put on the
+	// wire (delta blocks — inserts plus delete records), kept apart
+	// from chTuples, which an incremental run fills with the modeled
+	// full-recompute equivalent so ShippedTuples and ModeledTime stay
+	// comparable across serving modes. Equivalent *bytes* would require
+	// materializing the unshipped blocks, so chBytes stays zero on
+	// incremental runs and byte accounting lives on this channel. The
+	// ΔD-scaling figures plot this channel.
+	chDeltaTuples
+	chDeltaBytes
+	numChannels
+)
+
+// Metrics accumulates the data movement of one detection run over an
+// n-site cluster, one counter vector per channel. The zero value is
+// unusable; call NewMetrics.
+type Metrics struct {
+	mu sync.Mutex
+	n  int
+	ch [numChannels][]int64
 }
 
 // NewMetrics creates metrics for an n-site cluster. n may be zero (an
@@ -59,17 +70,15 @@ func NewMetrics(n int) *Metrics {
 	if n < 0 {
 		panic(fmt.Sprintf("dist: NewMetrics with %d sites", n))
 	}
-	return &Metrics{
-		n:           n,
-		tuples:      make([]int64, n*n),
-		bytes:       make([]int64, n*n),
-		ctlMsgs:     make([]int64, n*n),
-		ctlBytes:    make([]int64, n*n),
-		deltaTuples: make([]int64, n*n),
-		deltaBytes:  make([]int64, n*n),
-		retries:     make([]int64, n),
-		faults:      make([]int64, n),
+	m := &Metrics{n: n}
+	for ch := range m.ch {
+		size := n * n
+		if channel(ch) < chCtlMsgs {
+			size = n
+		}
+		m.ch[ch] = make([]int64, size)
 	}
+	return m
 }
 
 // Sites returns the number of sites the metrics were created for.
@@ -82,14 +91,20 @@ func (m *Metrics) idx(from, to int) int {
 	return from*m.n + to
 }
 
+// record adds one (count, payload bytes) observation for the site pair
+// to the channel pair starting at ch.
+func (m *Metrics) record(ch channel, from, to int, count, payloadBytes int64) {
+	i := m.idx(from, to)
+	m.mu.Lock()
+	m.ch[ch][i] += count
+	m.ch[ch+1][i] += payloadBytes
+	m.mu.Unlock()
+}
+
 // ShipTuples records site `from` shipping n tuples totalling
 // payloadBytes to site `to` (data plane). Safe for concurrent use.
 func (m *Metrics) ShipTuples(from, to, n int, payloadBytes int64) {
-	i := m.idx(from, to)
-	m.mu.Lock()
-	m.tuples[i] += int64(n)
-	m.bytes[i] += payloadBytes
-	m.mu.Unlock()
+	m.record(chTuples, from, to, int64(n), payloadBytes)
 }
 
 // Control records one control-plane message of payloadBytes from site
@@ -97,22 +112,14 @@ func (m *Metrics) ShipTuples(from, to, n int, payloadBytes int64) {
 // is kept out of the tuple counts: the paper's cost model treats it as
 // negligible, but the accounting is reported. Safe for concurrent use.
 func (m *Metrics) Control(from, to int, payloadBytes int64) {
-	i := m.idx(from, to)
-	m.mu.Lock()
-	m.ctlMsgs[i]++
-	m.ctlBytes[i] += payloadBytes
-	m.mu.Unlock()
+	m.record(chCtlMsgs, from, to, 1, payloadBytes)
 }
 
 // ShipDelta records site `from` shipping a delta block of n tuples
 // (inserts or delete records) totalling payloadBytes to site `to` on
 // the incremental data plane. Safe for concurrent use.
 func (m *Metrics) ShipDelta(from, to, n int, payloadBytes int64) {
-	i := m.idx(from, to)
-	m.mu.Lock()
-	m.deltaTuples[i] += int64(n)
-	m.deltaBytes[i] += payloadBytes
-	m.mu.Unlock()
+	m.record(chDeltaTuples, from, to, int64(n), payloadBytes)
 }
 
 // AddFaultStats charges retried calls and failed call attempts against
@@ -122,38 +129,41 @@ func (m *Metrics) AddFaultStats(site int, retries, faults int64) {
 		panic(fmt.Sprintf("dist: site %d out of range [0,%d)", site, m.n))
 	}
 	m.mu.Lock()
-	m.retries[site] += retries
-	m.faults[site] += faults
+	m.ch[chRetries][site] += retries
+	m.ch[chFaults][site] += faults
 	m.mu.Unlock()
 }
 
-// TotalRetries returns the total retried site calls of the run.
-func (m *Metrics) TotalRetries() int64 {
+// total sums one counter vector under the lock.
+func (m *Metrics) total(xs []int64) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return sum64(m.retries)
+	return sum64(xs)
 }
+
+// TotalRetries returns the total retried site calls of the run.
+func (m *Metrics) TotalRetries() int64 { return m.total(m.ch[chRetries]) }
 
 // TotalFaults returns the total failed site-call attempts of the run.
-func (m *Metrics) TotalFaults() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.faults)
-}
+func (m *Metrics) TotalFaults() int64 { return m.total(m.ch[chFaults]) }
 
 // DeltaTuples returns the total tuples shipped on the delta channel.
-func (m *Metrics) DeltaTuples() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.deltaTuples)
-}
+func (m *Metrics) DeltaTuples() int64 { return m.total(m.ch[chDeltaTuples]) }
 
 // DeltaBytes returns the total delta-channel payload bytes.
-func (m *Metrics) DeltaBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.deltaBytes)
-}
+func (m *Metrics) DeltaBytes() int64 { return m.total(m.ch[chDeltaBytes]) }
+
+// TotalTuples returns |M|, the total tuple shipments of the run.
+func (m *Metrics) TotalTuples() int64 { return m.total(m.ch[chTuples]) }
+
+// TotalBytes returns the total data-plane payload bytes.
+func (m *Metrics) TotalBytes() int64 { return m.total(m.ch[chBytes]) }
+
+// ControlMessages returns the total control-plane message count.
+func (m *Metrics) ControlMessages() int64 { return m.total(m.ch[chCtlMsgs]) }
+
+// ControlBytes returns the total control-plane payload bytes.
+func (m *Metrics) ControlBytes() int64 { return m.total(m.ch[chCtlBytes]) }
 
 // ReceivedBy returns the number of tuples shipped to site i.
 func (m *Metrics) ReceivedBy(i int) int64 {
@@ -162,7 +172,7 @@ func (m *Metrics) ReceivedBy(i int) int64 {
 	defer m.mu.Unlock()
 	var sum int64
 	for from := 0; from < m.n; from++ {
-		sum += m.tuples[from*m.n+i]
+		sum += m.ch[chTuples][from*m.n+i]
 	}
 	return sum
 }
@@ -170,13 +180,7 @@ func (m *Metrics) ReceivedBy(i int) int64 {
 // SentBy returns the number of tuples site i shipped away.
 func (m *Metrics) SentBy(i int) int64 {
 	m.idx(i, i)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum int64
-	for to := 0; to < m.n; to++ {
-		sum += m.tuples[i*m.n+to]
-	}
-	return sum
+	return m.total(m.ch[chTuples][i*m.n : (i+1)*m.n])
 }
 
 // SentBySite returns the per-site sent-tuple vector (the paper's |Mi|),
@@ -185,73 +189,16 @@ func (m *Metrics) SentBySite() []int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]int64, m.n)
-	for from := 0; from < m.n; from++ {
-		var sum int64
-		for to := 0; to < m.n; to++ {
-			sum += m.tuples[from*m.n+to]
-		}
-		out[from] = sum
+	for from := range out {
+		out[from] = sum64(m.ch[chTuples][from*m.n : (from+1)*m.n])
 	}
 	return out
 }
 
-// TotalTuples returns |M|, the total tuple shipments of the run.
-func (m *Metrics) TotalTuples() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.tuples)
-}
-
-// TotalBytes returns the total data-plane payload bytes.
-func (m *Metrics) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.bytes)
-}
-
-// ControlMessages returns the total control-plane message count.
-func (m *Metrics) ControlMessages() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.ctlMsgs)
-}
-
-// ControlBytes returns the total control-plane payload bytes.
-func (m *Metrics) ControlBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sum64(m.ctlBytes)
-}
-
 // Merge adds o's counters into m. Both metrics must cover the same
-// number of sites. o is snapshotted first, so merging never holds two
-// locks at once and o may still be recording.
-func (m *Metrics) Merge(o *Metrics) {
-	if o == nil {
-		return
-	}
-	if o.n != m.n {
-		panic(fmt.Sprintf("dist: merging metrics over %d sites into %d", o.n, m.n))
-	}
-	s := o.Snapshot()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for from := 0; from < m.n; from++ {
-		for to := 0; to < m.n; to++ {
-			i := from*m.n + to
-			m.tuples[i] += s.Tuples[from][to]
-			m.bytes[i] += s.Bytes[from][to]
-			m.ctlMsgs[i] += s.CtlMsgs[from][to]
-			m.ctlBytes[i] += s.CtlBytes[from][to]
-			m.deltaTuples[i] += s.DeltaTuples[from][to]
-			m.deltaBytes[i] += s.DeltaBytes[from][to]
-		}
-	}
-	for i := 0; i < m.n; i++ {
-		m.retries[i] += s.Retries[i]
-		m.faults[i] += s.Faults[i]
-	}
-}
+// number of sites. o's lock nests inside m's, so o may still be
+// recording; merges must not form a cycle.
+func (m *Metrics) Merge(o *Metrics) { m.merge(o, 0) }
 
 // MergeData adds o's data-plane counters (tuples, payload bytes, and
 // both delta channels) into m, leaving m's control plane untouched.
@@ -262,23 +209,23 @@ func (m *Metrics) Merge(o *Metrics) {
 // pattern exchange, lstat vectors) is charged only for the work that
 // actually happened, so pruned plans report strictly fewer control
 // bytes.
-func (m *Metrics) MergeData(o *Metrics) {
+func (m *Metrics) MergeData(o *Metrics) { m.merge(o, chTuples) }
+
+// merge adds o's channels from first on into m; a nil o is a no-op.
+func (m *Metrics) merge(o *Metrics, first channel) {
 	if o == nil {
 		return
 	}
 	if o.n != m.n {
 		panic(fmt.Sprintf("dist: merging metrics over %d sites into %d", o.n, m.n))
 	}
-	s := o.Snapshot()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for from := 0; from < m.n; from++ {
-		for to := 0; to < m.n; to++ {
-			i := from*m.n + to
-			m.tuples[i] += s.Tuples[from][to]
-			m.bytes[i] += s.Bytes[from][to]
-			m.deltaTuples[i] += s.DeltaTuples[from][to]
-			m.deltaBytes[i] += s.DeltaBytes[from][to]
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for ch := first; ch < numChannels; ch++ {
+		for i, v := range o.ch[ch] {
+			m.ch[ch][i] += v
 		}
 	}
 }
@@ -327,22 +274,22 @@ func (m *Metrics) Snapshot() Report {
 	defer m.mu.Unlock()
 	r := Report{
 		Sites:            m.n,
-		Tuples:           square(m.tuples, m.n),
-		Bytes:            square(m.bytes, m.n),
-		CtlMsgs:          square(m.ctlMsgs, m.n),
-		CtlBytes:         square(m.ctlBytes, m.n),
-		DeltaTuples:      square(m.deltaTuples, m.n),
-		DeltaBytes:       square(m.deltaBytes, m.n),
-		TotalTuples:      sum64(m.tuples),
-		TotalBytes:       sum64(m.bytes),
-		ControlMessages:  sum64(m.ctlMsgs),
-		ControlBytes:     sum64(m.ctlBytes),
-		TotalDeltaTuples: sum64(m.deltaTuples),
-		TotalDeltaBytes:  sum64(m.deltaBytes),
-		Retries:          append([]int64(nil), m.retries...),
-		Faults:           append([]int64(nil), m.faults...),
-		TotalRetries:     sum64(m.retries),
-		TotalFaults:      sum64(m.faults),
+		Tuples:           square(m.ch[chTuples], m.n),
+		Bytes:            square(m.ch[chBytes], m.n),
+		CtlMsgs:          square(m.ch[chCtlMsgs], m.n),
+		CtlBytes:         square(m.ch[chCtlBytes], m.n),
+		DeltaTuples:      square(m.ch[chDeltaTuples], m.n),
+		DeltaBytes:       square(m.ch[chDeltaBytes], m.n),
+		TotalTuples:      sum64(m.ch[chTuples]),
+		TotalBytes:       sum64(m.ch[chBytes]),
+		ControlMessages:  sum64(m.ch[chCtlMsgs]),
+		ControlBytes:     sum64(m.ch[chCtlBytes]),
+		TotalDeltaTuples: sum64(m.ch[chDeltaTuples]),
+		TotalDeltaBytes:  sum64(m.ch[chDeltaBytes]),
+		Retries:          append([]int64(nil), m.ch[chRetries]...),
+		Faults:           append([]int64(nil), m.ch[chFaults]...),
+		TotalRetries:     sum64(m.ch[chRetries]),
+		TotalFaults:      sum64(m.ch[chFaults]),
 	}
 	return r
 }

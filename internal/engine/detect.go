@@ -1,3 +1,8 @@
+// Package engine is a small relational execution engine: hash join and
+// semijoin over in-memory relations, plus the fast CFD violation
+// detector that plays the role of the SQL-based detection queries of
+// Fan et al. [2] — the `check(D, Σ)` step the paper's cost model
+// charges at every site.
 package engine
 
 import (

@@ -63,44 +63,3 @@ func TestJoinWithSparseDictionaryRight(t *testing.T) {
 		t.Errorf("composite SemiJoin = %v, want only the 'b' tuple", sj2)
 	}
 }
-
-// TestGroupByKeyCollisionSeparated pins the length-prefixed key
-// semantics: tuples whose attribute values differ must land in
-// DIFFERENT groups even when their old \x1f-joined keys collided
-// (("x\x1fy","z") vs ("x","y\x1fz") both joined to "x\x1fy\x1fz" —
-// the phantom-group bug class of PR 5), and every row stays reachable
-// through Members.
-func TestGroupByKeyCollisionSeparated(t *testing.T) {
-	d := relation.MustFromRows(
-		relation.MustSchema("T", []string{"a", "b", "c"}),
-		[]string{"x\x1fy", "z", "p"},
-		[]string{"x", "y\x1fz", "q"},
-		[]string{"x\x1fy", "z", "r"},
-	)
-	g, err := GroupBy(d, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("GroupBy found %d groups, want 2 distinct groups", g.Len())
-	}
-	members := g.Members(d.Tuple(0).Key([]int{0, 1}))
-	if len(members) != 2 {
-		t.Errorf("(x\\x1fy, z) group has members %v, want rows 0 and 2", members)
-	}
-	if solo := g.Members(d.Tuple(1).Key([]int{0, 1})); len(solo) != 1 || solo[0] != 1 {
-		t.Errorf("(x, y\\x1fz) group has members %v, want just row 1", solo)
-	}
-	total := 0
-	g.Each(func(_ string, m []int) bool { total += len(m); return true })
-	if total != d.Len() {
-		t.Errorf("groups cover %d rows, want %d — rows went unreachable", total, d.Len())
-	}
-	dc, err := g.DistinctCount(d, "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dc[d.Tuple(0).Key([]int{0, 1})] != 2 {
-		t.Errorf("DistinctCount = %v, want 2 distinct c-values in the (x\\x1fy, z) group", dc)
-	}
-}

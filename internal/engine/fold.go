@@ -19,8 +19,8 @@ package engine
 // Both tiers intern each distinct (gid, colID) composite to a fresh
 // dense ID exactly as a map keyed on the composite would — no
 // truncation, distinct composites never collide — so group counts and
-// memberships do not depend on the tier. detect.go, GroupBy, and the
-// join index all fold through this one implementation.
+// memberships do not depend on the tier. detect.go and the join index
+// both fold through this one implementation.
 
 const (
 	// directFoldBudget is the hard cap on the direct tier's table

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"distcfd/internal/cfd"
@@ -130,7 +129,7 @@ func (u *unitState) fold(t relation.Tuple, sign int) {
 		}
 	}
 	if u.groups != nil {
-		k := exactKey(t, u.xi)
+		k := t.Key(u.xi)
 		g := u.groups[k]
 		if g == nil {
 			if sign < 0 {
@@ -153,7 +152,7 @@ func (u *unitState) fold(t relation.Tuple, sign int) {
 	if t[u.ai] == u.n.TpA {
 		return
 	}
-	k := exactKey(t, u.xi)
+	k := t.Key(u.xi)
 	v := u.viols[k]
 	if v == nil {
 		if sign < 0 {
@@ -214,24 +213,6 @@ func (st *IncrementalState) Violations() bool {
 		}
 	}
 	return false
-}
-
-// exactKey builds a collision-free grouping key from the values at
-// idx: every component is length-prefixed, so values containing the
-// 0x1f separator (or any other bytes) cannot merge two distinct
-// groups — the incremental counterpart of the ID-exact grouping the
-// encoded one-shot path uses.
-func exactKey(t relation.Tuple, idx []int) string {
-	var n int
-	for _, j := range idx {
-		n += len(t[j]) + binary.MaxVarintLen32
-	}
-	b := make([]byte, 0, n)
-	for _, j := range idx {
-		b = binary.AppendUvarint(b, uint64(len(t[j])))
-		b = append(b, t[j]...)
-	}
-	return string(b)
 }
 
 // FoldRelation folds every tuple of r (Insert with insert=true, Delete

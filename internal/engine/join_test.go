@@ -6,50 +6,6 @@ import (
 	"distcfd/internal/relation"
 )
 
-func TestGroupBy(t *testing.T) {
-	s := relation.MustSchema("T", []string{"a", "b"})
-	d := relation.MustFromRows(s,
-		[]string{"x", "1"}, []string{"x", "2"}, []string{"y", "1"}, []string{"x", "1"},
-	)
-	g, err := GroupBy(d, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("groups = %d, want 2", g.Len())
-	}
-	if got := g.Members("x"); len(got) != 3 {
-		t.Errorf("group x = %v", got)
-	}
-	order := []string{}
-	g.Each(func(k string, m []int) bool {
-		order = append(order, k)
-		return true
-	})
-	if order[0] != "x" || order[1] != "y" {
-		t.Errorf("group order = %v, want first-seen", order)
-	}
-	// Early stop.
-	count := 0
-	g.Each(func(k string, m []int) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("Each did not stop early: %d", count)
-	}
-	dc, err := g.DistinctCount(d, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dc["x"] != 2 || dc["y"] != 1 {
-		t.Errorf("DistinctCount = %v", dc)
-	}
-	if _, err := GroupBy(d, []string{"zz"}); err == nil {
-		t.Error("expected error for unknown attribute")
-	}
-	if _, err := g.DistinctCount(d, "zz"); err == nil {
-		t.Error("expected error for unknown attribute")
-	}
-}
-
 func TestJoinReconstructsVerticalPartition(t *testing.T) {
 	// EMP split as in Example 1: DV1 (name/title/address), DV2 (phone),
 	// DV3 (salary); the join on id must reconstruct D0.

@@ -79,7 +79,7 @@ func detectUnitIntoRows(d *relation.Relation, n *cfd.Normalized, bad map[int]str
 		if !matchesAt(t, xi, n.TpX) {
 			continue
 		}
-		k := exactKey(t, xi)
+		k := t.Key(xi)
 		groups[k] = append(groups[k], i)
 		v := t[aIdx]
 		if fv, ok := firstVal[k]; !ok {

@@ -361,19 +361,17 @@ func TestFaultErrorMessage(t *testing.T) {
 // optional surfaces a site may expose beside core.SiteAPI.
 type recordingSite struct {
 	*core.Site
-	timeout  time.Duration
 	closed   int
 	draining bool
 }
 
-func (r *recordingSite) SetCallTimeout(d time.Duration) { r.timeout = d }
-func (r *recordingSite) Close() error                   { r.closed++; return nil }
-func (r *recordingSite) Draining() bool                 { return r.draining }
+func (r *recordingSite) Close() error   { r.closed++; return nil }
+func (r *recordingSite) Draining() bool { return r.draining }
 
 // TestWrappersForwardOptionalSurfaces: wrapping a site — in an
 // admission controller, a fault plan, or both — must not hide the
-// optional surfaces callers type-assert for: WithTimeout's
-// SetCallTimeout, Close, the HealthDetail drain signal, the no-leak
+// optional surfaces callers type-assert for: Close, the HealthDetail
+// drain signal, the no-leak
 // PendingDeposits counter and the serving-side parallelism knob all
 // reach the innermost site.
 func TestWrappersForwardOptionalSurfaces(t *testing.T) {
@@ -392,10 +390,6 @@ func TestWrappersForwardOptionalSurfaces(t *testing.T) {
 			inner := &recordingSite{Site: core.NewSite(0, workload.EMPData(), relation.True())}
 			w := wrap(inner)
 
-			w.(interface{ SetCallTimeout(time.Duration) }).SetCallTimeout(3 * time.Second)
-			if inner.timeout != 3*time.Second {
-				t.Errorf("SetCallTimeout did not reach the site: %v", inner.timeout)
-			}
 			if err := w.(interface{ Close() error }).Close(); err != nil || inner.closed != 1 {
 				t.Errorf("Close reached the site %d time(s), err %v", inner.closed, err)
 			}

@@ -46,22 +46,14 @@ func (s itemset) key() string {
 	var b []byte
 	for _, it := range s {
 		b = binary.AppendUvarint(b, uint64(it.pos))
-		b = binary.AppendUvarint(b, uint64(len(it.val)))
-		b = append(b, it.val...)
+		b = relation.AppendKey(b, it.val)
 	}
 	return string(b)
 }
 
 // patternKey encodes a pattern vector injectively for dedup maps (the
 // positions are implicit in the order, so lengths alone frame it).
-func patternKey(p []string) string {
-	var b []byte
-	for _, v := range p {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	return string(b)
-}
+func patternKey(p []string) string { return string(relation.AppendKey(nil, p...)) }
 
 // Pattern is a mined LHS pattern with its relative support at the
 // mining site. RelSupport drives the merge ranking: among patterns of

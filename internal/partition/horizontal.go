@@ -142,23 +142,24 @@ func ByPredicates(d *relation.Relation, preds []relation.Predicate) (*Horizontal
 // attr, with predicates attr = v; the Fig. 1(b) style of partitioning
 // (EMP grouped by title).
 func ByAttribute(d *relation.Relation, attr string) (*Horizontal, error) {
-	groups, err := engine.GroupBy(d, []string{attr})
+	idx, err := d.Schema().Indices([]string{attr})
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]string, 0, groups.Len())
-	groups.Each(func(k string, _ []int) bool {
-		vals = append(vals, k)
-		return true
-	})
+	byVal := map[string]*relation.Relation{}
+	var vals []string
+	for _, t := range d.Tuples() {
+		v := t[idx[0]]
+		if byVal[v] == nil {
+			byVal[v] = relation.New(d.Schema())
+			vals = append(vals, v)
+		}
+		byVal[v].MustAppend(t)
+	}
 	sort.Strings(vals)
 	h := &Horizontal{Schema: d.Schema()}
 	for _, v := range vals {
-		frag := relation.New(d.Schema())
-		for _, i := range groups.Members(v) {
-			frag.MustAppend(d.Tuple(i))
-		}
-		h.Fragments = append(h.Fragments, frag)
+		h.Fragments = append(h.Fragments, byVal[v])
 		h.Predicates = append(h.Predicates, relation.And(relation.Eq(attr, v)))
 	}
 	return h, nil

@@ -36,34 +36,42 @@ func (t Tuple) Project(idx []int) Tuple {
 	return out
 }
 
+// AppendKey appends the injective map-key encoding of vals to b: each
+// value is framed by its uvarint length, so the encoding of a vector is
+// unambiguous for arbitrary values — separator-joined keys collide as
+// soon as a value contains the separator, which real data is free to do
+// (distcfdvet's keyjoin analyzer bans them). Every grouping key,
+// dedup key and content fingerprint in the module is built from it.
+func AppendKey(b []byte, vals ...string) []byte {
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	return b
+}
+
 // Key encodes the values at the given positions into a single string
-// key suitable for map grouping. The encoding is length-prefixed
-// (uvarint length before each value), so it is injective for arbitrary
-// values — separator-joined keys collide as soon as a value contains
-// the separator, which real data is free to do.
+// key suitable for map grouping (see AppendKey): injective for
+// arbitrary values among keys built over the same positions.
 func (t Tuple) Key(idx []int) string {
 	if len(idx) == 1 {
 		// One value needs no framing: identity is already injective.
 		return t[idx[0]]
 	}
-	var b []byte
+	var n int
 	for _, j := range idx {
-		b = binary.AppendUvarint(b, uint64(len(t[j])))
-		b = append(b, t[j]...)
+		n += len(t[j]) + binary.MaxVarintLen32
+	}
+	b := make([]byte, 0, n)
+	for _, j := range idx {
+		b = AppendKey(b, t[j])
 	}
 	return string(b)
 }
 
 // canon is the full-width Key: an injective encoding of the whole
 // tuple, for multiset comparison.
-func (t Tuple) canon() string {
-	var b []byte
-	for _, v := range t {
-		b = binary.AppendUvarint(b, uint64(len(v)))
-		b = append(b, v...)
-	}
-	return string(b)
-}
+func (t Tuple) canon() string { return string(AppendKey(nil, t...)) }
 
 // String renders the tuple as (v1, v2, ...).
 func (t Tuple) String() string {

@@ -248,46 +248,3 @@ func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 		t.Fatalf("connection died while idle under a call timeout: %v", err)
 	}
 }
-
-// TestTimeoutClearedMidCallConnectionSurvives is the same contract when
-// SetCallTimeout(0) lands while a call is in flight (WithTimeout(0) at
-// a second Compile over a shared cluster): the deadline that call armed
-// must still be disarmed when it completes.
-func TestTimeoutClearedMidCallConnectionSurvives(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	site := core.NewSite(0, workload.EMPData(), relation.True())
-	entered, gate := make(chan struct{}), make(chan struct{})
-	var first sync.Once
-	held := core.NewIntercept(func() core.SiteAPI { return site },
-		func(_ context.Context, method string, call func(core.SiteAPI) error) error {
-			if method == "Ping" {
-				first.Do(func() { close(entered); <-gate }) // the first Ping stays in flight
-			}
-			return call(site)
-		})
-	go func() { _ = ServeAPIContext(context.Background(), lis, &held, workload.EMPSchema()) }()
-	const timeout = 100 * time.Millisecond
-	sites, _, err := DialWithConfig([]string{lis.Addr().String()}, DialConfig{CallTimeout: timeout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := sites[0].(*RemoteSite)
-	ctx := context.Background()
-	done := make(chan error, 1)
-	go func() { done <- rs.Ping(ctx) }()
-	<-entered
-	rs.SetCallTimeout(0)
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// Idle past the deadline the first call armed.
-	time.Sleep(timeout + deadlineGrace + 200*time.Millisecond)
-	if err := rs.Ping(ctx); err != nil {
-		t.Fatalf("connection died while idle after its call timeout was cleared: %v", err)
-	}
-}

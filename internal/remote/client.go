@@ -69,9 +69,7 @@ type DialConfig struct {
 type RemoteSite struct {
 	id   int
 	addr string
-	cfg  DialConfig
-
-	timeout atomic.Int64 // per-call budget in nanoseconds; 0 = none
+	cfg  DialConfig // cfg.CallTimeout is the per-call budget; 0 = none
 
 	// drainSeen latches the last drain signal observed on the wire: a
 	// CodeDraining rejection, or this client's own Drain call. Cleared
@@ -129,10 +127,8 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 			}
 			schema = s
 		}
-		rs := &RemoteSite{id: i, addr: addr, cfg: cfg, redial: make(chan struct{}, 1),
+		sites[i] = &RemoteSite{id: i, addr: addr, cfg: cfg, redial: make(chan struct{}, 1),
 			client: client, conn: conn, pred: info.Pred, size: info.NumTuples}
-		rs.timeout.Store(int64(cfg.CallTimeout))
-		sites[i] = rs
 	}
 	return sites, schema, nil
 }
@@ -233,11 +229,6 @@ func dialOnce(ctx context.Context, addr string, id int, dialTimeout time.Duratio
 	}
 	return client, conn, &info, nil
 }
-
-// SetCallTimeout changes the per-RPC I/O budget (0 disables it). Safe
-// to call concurrently with in-flight calls; it applies from the next
-// call on.
-func (r *RemoteSite) SetCallTimeout(d time.Duration) { r.timeout.Store(int64(d)) }
 
 // deadlineNano flattens ctx's deadline into the absolute unix-nano
 // budget stamp every work Args struct carries — the site re-derives a
@@ -372,11 +363,11 @@ const deadlineGrace = 500 * time.Millisecond
 // budget (plus grace) instead of never. conn is the connection the
 // call was issued on; if a redial replaced it in the meantime the
 // bookkeeping is skipped — the old connection is already closed.
-func (r *RemoteSite) beginCall(conn net.Conn, d time.Duration) {
+func (r *RemoteSite) beginCall(conn net.Conn) {
 	r.mu.Lock()
 	if conn == r.conn {
 		r.pending++
-		if d > 0 {
+		if d := r.cfg.CallTimeout; d > 0 {
 			_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
 		}
 	}
@@ -391,12 +382,12 @@ func (r *RemoteSite) endCall(conn net.Conn) {
 	r.mu.Lock()
 	if conn == r.conn {
 		r.pending--
-		if r.pending == 0 {
-			// Whatever the timeout reads now: SetCallTimeout(0) may have
-			// landed after beginCall armed this deadline.
-			_ = conn.SetDeadline(time.Time{})
-		} else if d := time.Duration(r.timeout.Load()); d > 0 {
-			_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
+		if d := r.cfg.CallTimeout; d > 0 {
+			if r.pending == 0 {
+				_ = conn.SetDeadline(time.Time{})
+			} else {
+				_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
+			}
 		}
 	}
 	r.mu.Unlock()
@@ -420,8 +411,8 @@ func (r *RemoteSite) callCtx(ctx context.Context, method string, args, reply any
 		return err
 	}
 	method = serviceName + "." + method
-	d := time.Duration(r.timeout.Load())
-	r.beginCall(conn, d)
+	d := r.cfg.CallTimeout
+	r.beginCall(conn)
 	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
 	var timer <-chan time.Time
 	if d > 0 {

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -57,7 +58,22 @@ func hostileBase(t testing.TB) (*relation.Relation, *WireRelation) {
 	return d, w
 }
 
-// hostileCases are the three confirmed crashers, as edits of the base.
+// rleBomb rewrites w into the smallest payload announcing the most
+// rows: Rows = ChunkRows = 1<<30 and, per column, one chunk holding a
+// single run-length run of ID 0. Every chunk is well-formed and covers
+// its span, so only the chunkRows cap stands between these ~60 bytes
+// and a 4 GiB-per-column decode.
+func rleBomb(w *WireRelation) {
+	const rows = 1 << 30
+	w.Rows, w.Packed.Rows, w.Packed.ChunkRows = rows, rows, rows
+	run := binary.AppendUvarint(binary.AppendUvarint([]byte{0}, rows<<1|1), 0)
+	for j := range w.Packed.Cols {
+		c := &w.Packed.Cols[j]
+		c.Chunks, c.MinIDs, c.MaxIDs = [][]byte{run}, []uint32{0}, []uint32{0}
+	}
+}
+
+// hostileCases are the confirmed crashers, as edits of the base.
 var hostileCases = []struct {
 	name   string
 	mutate func(*WireRelation)
@@ -76,6 +92,9 @@ var hostileCases = []struct {
 	{"truncated-dict", func(w *WireRelation) {
 		w.Packed.Cols[0].Dict = []byte{0xff}
 	}},
+	// Verifies chunk by chunk, then dies (or takes the machine with it)
+	// allocating the first materialized column.
+	{"rle-bomb", rleBomb},
 }
 
 // TestHostilePackedDepositRejected drives each crasher through a live
@@ -236,7 +255,7 @@ func applyWireEdits(w *WireRelation, script []byte) {
 			k = (target / len(p.Cols)) % len(c.Chunks)
 		}
 		word := uint32(x) | uint32(y)<<8
-		switch op % 12 {
+		switch op % 13 {
 		case 0: // flip bits of one dictionary byte
 			if len(c.Dict) > 0 {
 				c.Dict = append([]byte(nil), c.Dict...)
@@ -265,7 +284,7 @@ func applyWireEdits(w *WireRelation, script []byte) {
 			if k >= 0 && k < len(c.MaxIDs) {
 				c.MaxIDs[k] = word
 			}
-		case 7: // row counts stay small: decompression bombs are out of scope
+		case 7: // row counts stay small: the one bomb in scope is op 12
 			p.Rows, w.Rows = int(word), int(word)
 		case 8:
 			p.ChunkRows = int(x)
@@ -282,6 +301,8 @@ func applyWireEdits(w *WireRelation, script []byte) {
 			}
 		case 11: // drop a column
 			p.Cols = p.Cols[:len(p.Cols)-1]
+		case 12:
+			rleBomb(w)
 		}
 	}
 }
@@ -296,7 +317,7 @@ func applyWireEdits(w *WireRelation, script []byte) {
 // agree with each other and with the row-path reference over the
 // payload's own tuples — and with the unmutated answer whenever the
 // edit left the tuples intact. Nothing may panic. The seed corpus under
-// testdata/fuzz/FuzzWirePacked holds the three confirmed crashers.
+// testdata/fuzz/FuzzWirePacked holds the confirmed crashers.
 func FuzzWirePacked(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 0})       // dict-shorter-than-ids
@@ -305,6 +326,7 @@ func FuzzWirePacked(f *testing.F) {
 	f.Add([]byte{6, 0, 200, 0})     // bounds past the dictionary
 	f.Add([]byte{1, 0, 1, 0x0e, 5, 2, 3, 0})
 	f.Add([]byte{7, 0, 99, 0, 8, 0, 33, 0})
+	f.Add([]byte{12, 0, 0, 0}) // rle-bomb
 	base, _ := hostileBase(f)
 	wantPats, err := engine.ViolationPatterns(base, hostileCFD)
 	if err != nil {
