@@ -62,27 +62,18 @@ func WithCostModel(cm CostModel) Option { return func(c *config) { c.opt.Cost = 
 func WithMineTheta(theta float64) Option { return func(c *config) { c.opt.MineTheta = theta } }
 
 // WithSigmaAnalysis selects the compile-time static analysis of the
-// rule set (Fan et al., TODS 2008, via the tableau chase):
+// rule set (Fan et al., TODS 2008, via the tableau chase). SigmaCheck
+// makes Compile fail fast with a witness-bearing *InconsistentError
+// when Σ is unsatisfiable — the error names the attribute forced to
+// two distinct constants, the rule that forced it, and the chase
+// bindings — instead of planning, mining, and shipping for a rule set
+// every non-empty instance violates. The full report (implied units,
+// irreducible cover, duplicates) is retained on the Detector (see
+// Detector.SigmaReport); Σ still compiles and runs exactly as given, a
+// duplicate CFD being named in the report for the user to delete from
+// the rule file.
 //
-//   - SigmaCheck makes Compile fail fast with a witness-bearing
-//     *InconsistentError when Σ is unsatisfiable — the error names the
-//     attribute forced to two distinct constants, the rule that forced
-//     it, and the chase bindings — instead of planning, mining, and
-//     shipping for a rule set every non-empty instance violates. The
-//     full report (implied units, irreducible cover, duplicates) is
-//     retained on the Detector (see Detector.SigmaReport).
-//   - SigmaPrune is SigmaCheck plus duplicate collapse: CFDs identical
-//     up to their name compile to a single unit, so their mining,
-//     σ-routing, and shipment work happens once. The collapsed copies
-//     are served as aliases: their violation sets, ShippedTuples, and
-//     ModeledTime are byte-identical to the unpruned plan's, while the
-//     control plane — which records work that actually happened —
-//     ships strictly fewer bytes when duplicates carried their own
-//     mining exchange. Collapse applies under WithClustering(false);
-//     clustered plans already share σ work across a duplicate group,
-//     so SigmaPrune only checks and reports there.
-//
-// The default is SigmaOff: Σ compiles as given.
+// The default is SigmaOff: no analysis.
 func WithSigmaAnalysis(mode SigmaMode) Option { return func(c *config) { c.opt.Sigma = mode } }
 
 // WithClustering controls whether CFDs whose LHS attribute sets are

@@ -26,8 +26,7 @@
 //	cfddetect -rules cust.cfd -lint
 //
 // The same analysis gates a detection run via -sigma check (fail fast
-// on inconsistent Σ) or -sigma prune (also collapse duplicate rules
-// into one compiled unit).
+// on inconsistent Σ).
 package main
 
 import (
@@ -61,7 +60,7 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "overall wall-clock budget for the detection run; propagates to remote sites as an absolute per-task deadline so they abandon work the driver gave up on (0 = none)")
 		follow    = flag.Bool("follow", false, "after the initial detection, consume a JSON delta stream from stdin and re-detect incrementally per delta")
 		lint      = flag.Bool("lint", false, "statically analyze the rule set (consistency, implied rules, duplicates) and exit; no data needed")
-		sigmaMode = flag.String("sigma", "off", "compile-time Σ analysis: off | check (fail fast on inconsistent Σ) | prune (also collapse duplicate CFDs)")
+		sigmaMode = flag.String("sigma", "off", "compile-time Σ analysis: off | check (fail fast on inconsistent Σ)")
 		policy    = flag.String("policy", "fast", "site-failure policy: fast (fail on first error) | retry (retry transients with backoff) | degrade (retry, then exclude dead sites and complete partially; partial runs exit 3)")
 		noPacked  = flag.Bool("no-packed-ship", false, "force σ-block shipments into the dict+ID form (disables the packed chunk form; affects only bytes on the wire, never the violations)")
 	)
@@ -69,9 +68,6 @@ func main() {
 
 	if *parallel < -1 {
 		fatalf("-parallel must be -1 (GOMAXPROCS), 0 (off), or a worker count")
-	}
-	if *parallel != 0 && !*clustered {
-		fatalf("-parallel always merges overlapping CFDs; it cannot be combined with -cluster=false")
 	}
 	if *rulesPath == "" {
 		fatalf("-rules is required")
@@ -103,10 +99,8 @@ func main() {
 		sigma = distcfd.SigmaOff
 	case "check":
 		sigma = distcfd.SigmaCheck
-	case "prune":
-		sigma = distcfd.SigmaPrune
 	default:
-		fatalf("unknown -sigma mode %q (off | check | prune)", *sigmaMode)
+		fatalf("unknown -sigma mode %q (off | check)", *sigmaMode)
 	}
 
 	var failure distcfd.FailurePolicy
@@ -275,7 +269,10 @@ func followDeltas(ctx context.Context, det *distcfd.Detector, rules []*distcfd.C
 			dl.Site, len(d.Inserts), len(d.Deletes), strings.Join(counts, " "),
 			res.DeltaShippedTuples, res.DeltaShippedBytes, res.ShippedTuples)
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %v", line+1, err)
+	}
+	return nil
 }
 
 func displayName(name string, i int) string {

@@ -12,27 +12,21 @@ import (
 	"distcfd/internal/workload"
 )
 
-// TestCLIEndToEnd builds the binaries and drives the documented
-// workflow: generate data, detect violations, both centralized and
-// distributed.
-func TestCLIEndToEnd(t *testing.T) {
+// cliFixture builds cfddetect and writes the EMP data and two
+// overlapping-LHS rules beside it.
+func cliFixture(t *testing.T) (detect, dataPath, rulesPath string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	build := func(pkg, name string) string {
-		out := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", out, pkg)
-		cmd.Dir = "../.."
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", pkg, err, b)
-		}
-		return out
+	detect = filepath.Join(dir, "cfddetect")
+	cmd := exec.Command("go", "build", "-o", detect, "./cmd/cfddetect")
+	cmd.Dir = "../.."
+	if b, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("building cfddetect: %v\n%s", err, b)
 	}
-	detect := build("./cmd/cfddetect", "cfddetect")
-
-	// Write the EMP data and rules.
-	dataPath := filepath.Join(dir, "emp.csv")
+	dataPath = filepath.Join(dir, "emp.csv")
 	f, err := os.Create(dataPath)
 	if err != nil {
 		t.Fatal(err)
@@ -41,13 +35,20 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	rulesPath := filepath.Join(dir, "emp.cfd")
+	rulesPath = filepath.Join(dir, "emp.cfd")
 	rules := `phi1: [CC, zip] -> [street] : (44, _ || _), (31, _ || _)
 phi3: [CC, AC] -> [city] : (44, 131 || EDI), (01, 908 || MH)
 `
 	if err := os.WriteFile(rulesPath, []byte(rules), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return detect, dataPath, rulesPath
+}
+
+// TestCLIEndToEnd builds the binary and drives the documented
+// workflow: detect violations, both centralized and distributed.
+func TestCLIEndToEnd(t *testing.T) {
+	detect, dataPath, rulesPath := cliFixture(t)
 
 	for _, sites := range []string{"1", "3"} {
 		var out bytes.Buffer
@@ -79,36 +80,40 @@ phi3: [CC, AC] -> [city] : (44, 131 || EDI), (01, 908 || MH)
 	if err := exec.Command(detect, "-data", dataPath, "-rules", rulesPath, "-algo", "bogus").Run(); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
+	b, err := exec.Command(detect, "-data", dataPath, "-rules", rulesPath, "-sigma", "prune").CombinedOutput()
+	if err == nil || !strings.Contains(string(b), "off | check") {
+		t.Errorf("-sigma prune = %v, want exit 1 naming the modes:\n%s", err, b)
+	}
+}
+
+// TestCLIParallelUnclustered: -cluster=false makes every rule its own
+// unit and -parallel only sizes the pool the units run on, so the two
+// combine and the output does not depend on the worker count.
+func TestCLIParallelUnclustered(t *testing.T) {
+	detect, dataPath, rulesPath := cliFixture(t)
+	run := func(parallel string) string {
+		b, err := exec.Command(detect, "-data", dataPath, "-rules", rulesPath, "-key", "id",
+			"-sites", "3", "-algo", "pats", "-cluster=false", "-parallel", parallel).CombinedOutput()
+		if err != nil {
+			t.Fatalf("cfddetect -cluster=false -parallel %s: %v\n%s", parallel, err, b)
+		}
+		// The summary line ends in the run's wall time.
+		text, _, ok := strings.Cut(string(b), "; wall ")
+		if !ok {
+			t.Fatalf("no summary line:\n%s", b)
+		}
+		return text
+	}
+	if serial, pooled := run("0"), run("4"); pooled != serial {
+		t.Errorf("-parallel 4 printed\n%s\nwant what -parallel 0 prints\n%s", pooled, serial)
+	}
 }
 
 // TestCLIFollowDeltaStream drives -follow end to end: an initial
 // detection, then JSON deltas on stdin, each answered with an
 // incremental re-detection that ships only the delta.
 func TestCLIFollowDeltaStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "cfddetect")
-	cmd := exec.Command("go", "build", "-o", out, "./cmd/cfddetect")
-	cmd.Dir = "../.."
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, b)
-	}
-	dataPath := filepath.Join(dir, "emp.csv")
-	f, err := os.Create(dataPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := relation.WriteCSV(f, workload.EMPData()); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	rulesPath := filepath.Join(dir, "emp.cfd")
-	if err := os.WriteFile(rulesPath, []byte(
-		"phi1: [CC, zip] -> [street] : (44, _ || _), (31, _ || _)\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	out, dataPath, rulesPath := cliFixture(t)
 	// Two deltas: a fresh violation pair at site 0, then its removal.
 	stdin := strings.Join([]string{
 		`# a comment line is skipped`,

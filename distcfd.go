@@ -201,10 +201,6 @@ const (
 	// SigmaCheck fails compilation fast on an inconsistent Σ with a
 	// witness-bearing *InconsistentError.
 	SigmaCheck = core.SigmaCheck
-	// SigmaPrune is SigmaCheck plus duplicate collapse: CFDs identical
-	// up to their name compile to one unit and are served as aliases
-	// with identical violations and equivalence-pinned accounting.
-	SigmaPrune = core.SigmaPrune
 )
 
 // NewSchema builds a schema; key attributes are optional.

@@ -96,8 +96,8 @@ type SigmaReport struct {
 	Cover []int
 	// Duplicates groups input CFD indices that are identical up to
 	// their Name (same X, Y, and pattern tableau, verbatim). Each
-	// group has ≥ 2 members and is sorted; these are the
-	// violation-equivalent CFDs Options.SigmaPrune collapses.
+	// group has ≥ 2 members and is sorted; the members are
+	// violation-equivalent, so all but one can be deleted from Σ.
 	Duplicates [][]int
 }
 

@@ -36,18 +36,6 @@ func (p PatternTuple) Clone() PatternTuple {
 	}
 }
 
-// LHSWildcards counts wildcards in the LHS; the σ partitioning function
-// of Section IV-B sorts pattern tuples by this "generality" measure.
-func (p PatternTuple) LHSWildcards() int {
-	n := 0
-	for _, v := range p.LHS {
-		if v == Wildcard {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders the pattern as (l1, l2 ‖ r1).
 func (p PatternTuple) String() string {
 	return "(" + strings.Join(p.LHS, ", ") + " || " + strings.Join(p.RHS, ", ") + ")"

@@ -210,17 +210,6 @@ func TestReduceConstant(t *testing.T) {
 	}
 }
 
-func TestSplitConstantVariable(t *testing.T) {
-	consts, vars := phi3().SplitConstantVariable()
-	if len(consts) != 2 || len(vars) != 0 {
-		t.Errorf("phi3 split = %d const, %d var; want 2, 0", len(consts), len(vars))
-	}
-	consts1, vars1 := phi1().SplitConstantVariable()
-	if len(consts1) != 0 || len(vars1) != 2 {
-		t.Errorf("phi1 split = %d const, %d var; want 0, 2", len(consts1), len(vars1))
-	}
-}
-
 func TestVariableView(t *testing.T) {
 	if _, ok := phi3().VariableView(); ok {
 		t.Error("phi3 is all-constant; no variable view expected")
@@ -236,23 +225,6 @@ func TestVariableView(t *testing.T) {
 	v2, ok := mixed.VariableView()
 	if !ok || len(v2.Tp) != 1 || v2.Tp[0].LHS[0] != "2" {
 		t.Errorf("mixed variable view = %v, %v", v2, ok)
-	}
-}
-
-func TestSortPatternsByGenerality(t *testing.T) {
-	c := MustNew("s", []string{"a", "b"}, []string{"c"}, []PatternTuple{
-		{LHS: []string{"_", "_"}, RHS: []string{"_"}},
-		{LHS: []string{"1", "_"}, RHS: []string{"_"}},
-		{LHS: []string{"1", "2"}, RHS: []string{"_"}},
-	})
-	sorted := c.SortPatternsByGenerality()
-	wild := func(p PatternTuple) int { return p.LHSWildcards() }
-	if wild(sorted.Tp[0]) != 0 || wild(sorted.Tp[1]) != 1 || wild(sorted.Tp[2]) != 2 {
-		t.Errorf("sort order wrong: %v", sorted.Tp)
-	}
-	// Original untouched.
-	if wild(c.Tp[0]) != 2 {
-		t.Error("SortPatternsByGenerality mutated receiver")
 	}
 }
 

@@ -18,11 +18,6 @@ func (f FD) String() string {
 	return strings.Join(f.X, ",") + " -> " + strings.Join(f.Y, ",")
 }
 
-// EmbeddedFD returns the FD X → Y embedded in the CFD (Section II-A).
-func (c *CFD) EmbeddedFD() FD {
-	return FD{X: append([]string(nil), c.X...), Y: append([]string(nil), c.Y...)}
-}
-
 // AttrSet is a set of attribute names.
 type AttrSet map[string]struct{}
 
@@ -101,58 +96,4 @@ func Closure(x []string, fds []FD) AttrSet {
 // ImpliesFD reports whether fds ⊨ f, via attribute closure.
 func ImpliesFD(fds []FD, f FD) bool {
 	return Closure(f.X, fds).HasAll(f.Y)
-}
-
-// ProjectFDs computes the projection π_Z(F): a cover of all FDs X → A
-// with X ∪ {A} ⊆ Z implied by fds. This is the classical (worst-case
-// exponential in |Z|) subset-closure algorithm; it is only invoked on
-// the small per-fragment attribute sets of vertical partitions.
-// The returned cover lists, for every non-empty X ⊆ Z, the FD
-// X → (X⁺ ∩ Z) \ X when the right side is non-empty, skipping subsets
-// whose closure adds nothing.
-func ProjectFDs(fds []FD, z []string) []FD {
-	var out []FD
-	n := len(z)
-	if n == 0 {
-		return nil
-	}
-	if n > 20 {
-		// Safety valve: 2^20 subsets is the supported ceiling; vertical
-		// fragments in this library are far smaller.
-		panic("cfd: ProjectFDs called with more than 20 attributes")
-	}
-	for mask := 1; mask < (1 << n); mask++ {
-		var x []string
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				x = append(x, z[i])
-			}
-		}
-		cl := Closure(x, fds)
-		var y []string
-		for _, a := range z {
-			if cl.Has(a) && !NewAttrSet(x...).Has(a) {
-				y = append(y, a)
-			}
-		}
-		if len(y) > 0 {
-			out = append(out, FD{X: x, Y: y})
-		}
-	}
-	return out
-}
-
-// EquivalentFDSets reports whether two FD sets imply each other.
-func EquivalentFDSets(a, b []FD) bool {
-	for _, f := range a {
-		if !ImpliesFD(b, f) {
-			return false
-		}
-	}
-	for _, f := range b {
-		if !ImpliesFD(a, f) {
-			return false
-		}
-	}
-	return true
 }

@@ -31,16 +31,6 @@ func Implies(sigma []*Normalized, phi *Normalized) bool {
 	return tb.Concludes(phi)
 }
 
-// ImpliesSet reports whether sigma implies every member of gamma.
-func ImpliesSet(sigma, gamma []*Normalized) bool {
-	for _, g := range gamma {
-		if !Implies(sigma, g) {
-			return false
-		}
-	}
-	return true
-}
-
 // Tableau is a chase state over nTuples generic tuples: every
 // (tuple, attribute) cell is a variable; cells are merged into
 // equivalence classes (equality constraints) and classes may be bound

@@ -55,34 +55,6 @@ func TestImpliesFD(t *testing.T) {
 	}
 }
 
-func TestProjectFDs(t *testing.T) {
-	fds := []FD{
-		{X: []string{"A"}, Y: []string{"B"}},
-		{X: []string{"B"}, Y: []string{"C"}},
-	}
-	// Projecting onto {A, C} must preserve the transitive A→C.
-	proj := ProjectFDs(fds, []string{"A", "C"})
-	if !ImpliesFD(proj, FD{X: []string{"A"}, Y: []string{"C"}}) {
-		t.Errorf("projection lost A→C: %v", proj)
-	}
-	// ...and must not invent C→A.
-	if ImpliesFD(proj, FD{X: []string{"C"}, Y: []string{"A"}}) {
-		t.Errorf("projection invented C→A: %v", proj)
-	}
-}
-
-func TestEquivalentFDSets(t *testing.T) {
-	a := []FD{{X: []string{"A"}, Y: []string{"B", "C"}}}
-	b := []FD{{X: []string{"A"}, Y: []string{"B"}}, {X: []string{"A"}, Y: []string{"C"}}}
-	if !EquivalentFDSets(a, b) {
-		t.Error("split RHS should be equivalent")
-	}
-	c := []FD{{X: []string{"A"}, Y: []string{"B"}}}
-	if EquivalentFDSets(a, c) {
-		t.Error("dropping A→C is not equivalent")
-	}
-}
-
 func TestImpliesFDTransitivityViaChase(t *testing.T) {
 	sigma := []*Normalized{fd([]string{"A"}, "B"), fd([]string{"B"}, "C")}
 	if !Implies(sigma, fd([]string{"A"}, "C")) {

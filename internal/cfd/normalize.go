@@ -2,7 +2,6 @@ package cfd
 
 import (
 	"encoding/binary"
-	"sort"
 	"strings"
 
 	"distcfd/internal/relation"
@@ -131,19 +130,6 @@ func (n *Normalized) ReduceConstant() *Normalized {
 	}
 }
 
-// SplitConstantVariable normalizes the CFD and partitions the result
-// into constant CFDs (reduced to wildcard-free form) and variable CFDs.
-func (c *CFD) SplitConstantVariable() (constant, variable []*Normalized) {
-	for _, n := range c.Normalize() {
-		if n.IsConstant() {
-			constant = append(constant, n.ReduceConstant())
-		} else {
-			variable = append(variable, n)
-		}
-	}
-	return constant, variable
-}
-
 // VariableView returns the CFD restricted to pattern rows and RHS
 // entries that are variable (wildcard RHS), regrouped per pattern row:
 // the per-pattern detection algorithms of Section IV-B operate on this
@@ -168,22 +154,4 @@ func (c *CFD) VariableView() (view *CFD, ok bool) {
 		return nil, false
 	}
 	return &CFD{Name: c.Name, X: c.X, Y: c.Y, Tp: rows}, true
-}
-
-// SortPatternsByGenerality orders the tableau rows so that rows with
-// fewer LHS wildcards come first (Section IV-B: "sort Tp as
-// (t¹p,…,tᵏp) such that if i<j then tⁱp has a less or equal number of
-// wildcards"). Ties are broken lexicographically on the LHS pattern for
-// determinism across sites, which the σ function requires.
-func (c *CFD) SortPatternsByGenerality() *CFD {
-	out := c.Clone()
-	sort.SliceStable(out.Tp, func(i, j int) bool {
-		wi, wj := out.Tp[i].LHSWildcards(), out.Tp[j].LHSWildcards()
-		if wi != wj {
-			return wi < wj
-		}
-		//distcfd:keyjoin-ok — comparator only; ordering needs no injectivity
-		return strings.Join(out.Tp[i].LHS, "\x1f") < strings.Join(out.Tp[j].LHS, "\x1f")
-	})
-	return out
 }

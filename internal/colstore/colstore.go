@@ -64,12 +64,12 @@ const (
 	// DefaultChunkRows is the writer's rows-per-chunk; readers take the
 	// value from the file, so it can change without a version bump.
 	DefaultChunkRows = 8192
-	// MaxChunkRows is the largest rows-per-chunk NewPacked adopts from a
-	// peer. A run-length chunk verifies in O(1) however many rows it
-	// claims, so without a cap a few bytes could announce a chunk that
-	// costs gigabytes to decode; with it, decode work stays proportional
-	// to the number of chunks that actually arrived. Every writer emits
-	// DefaultChunkRows.
+	// MaxChunkRows is the largest rows-per-chunk a reader adopts, from a
+	// peer (NewPacked) or a file (loadSegment). A run-length chunk
+	// verifies in O(1) however many rows it claims, so without a cap a
+	// few bytes could announce a chunk that costs gigabytes to decode;
+	// with it, decode work stays proportional to the number of chunks
+	// that actually arrived. Every writer emits DefaultChunkRows.
 	MaxChunkRows = 1 << 16
 
 	// FragmentFile and DeltaLogFile are the well-known names inside a

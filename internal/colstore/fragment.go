@@ -183,8 +183,8 @@ func (c *column) loadSegment(b []byte) error {
 	}
 	c.chunkRows = int(binary.LittleEndian.Uint32(b))
 	numChunks := int(binary.LittleEndian.Uint32(b[4:]))
-	if c.chunkRows <= 0 && numChunks > 0 {
-		return fmt.Errorf("colstore: %s: chunkRows %d", c.name, c.chunkRows)
+	if c.chunkRows <= 0 && numChunks > 0 || c.chunkRows > MaxChunkRows {
+		return fmt.Errorf("colstore: %s: chunkRows %d (want 1..%d)", c.name, c.chunkRows, MaxChunkRows)
 	}
 	if want := (c.rows + max(c.chunkRows, 1) - 1) / max(c.chunkRows, 1); numChunks != want {
 		return fmt.Errorf("colstore: %s: %d chunks, want %d for %d rows", c.name, numChunks, want, c.rows)

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -186,4 +187,58 @@ func fuzzDictSection(t *testing.T, data []byte) {
 	// an unbounded allocation (the count is validated against the
 	// section's length before allocating).
 	_, _ = DecodeDictSection(data)
+}
+
+// FuzzFragmentOpen hands parseFragment arbitrary bytes as a
+// fragment.col — footer, segment table, schema — then asks every column
+// for its dictionary and one ReadColumn. Each input runs twice: as it
+// is, and resealed, because a corrupted file fails a checksum but a
+// hostile one carries checksums that hold, and only then do the schema,
+// dictionary, chunk-directory and chunk decoders see the bytes. Error
+// or success; never a panic, a read outside the buffer, or an
+// allocation the file's own size does not pay for. The seeds are in
+// testdata/fuzz/FuzzFragmentOpen.
+func FuzzFragmentOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzOpenAndRead(data)
+		fuzzOpenAndRead(reseal(data))
+	})
+}
+
+func fuzzOpenAndRead(data []byte) {
+	fr, err := parseFragment("fuzz", data, nil)
+	if err != nil {
+		return
+	}
+	defer fr.Close()
+	// The footer's row count is the file's word; the read is sized here.
+	dst := make([]uint32, min(fr.Rows(), 2*DefaultChunkRows))
+	for j := 0; j < fr.NumColumns(); j++ {
+		_, _ = fr.Dict(j)
+		_ = fr.ReadColumn(j, 0, dst)
+	}
+}
+
+// reseal returns data with the checksum of every section its segment
+// table reaches, then the table's own, recomputed in place.
+func reseal(data []byte) []byte {
+	out := bytes.Clone(data)
+	if len(out) < footerSize {
+		return out
+	}
+	ft := out[len(out)-footerSize:]
+	body := uint64(len(out) - footerSize)
+	inBody := func(off, n uint64) bool { return off <= body && n <= body-off }
+	off, n := binary.LittleEndian.Uint64(ft[24:]), binary.LittleEndian.Uint64(ft[32:])
+	if !inBody(off, n) {
+		return out
+	}
+	table := out[off : off+n]
+	for e := table; len(e) >= tableEntrySize; e = e[tableEntrySize:] {
+		if so, sn := binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint64(e[8:]); inBody(so, sn) {
+			binary.LittleEndian.PutUint64(e[24:], checksum(out[so:so+sn]))
+		}
+	}
+	binary.LittleEndian.PutUint64(ft[40:], checksum(table))
+	return out
 }

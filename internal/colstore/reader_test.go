@@ -236,3 +236,31 @@ func TestCorruptColumnSurfacesOnFirstAccess(t *testing.T) {
 		f.Close()
 	}
 }
+
+// TestSegmentChunkRowsCapped: a file is bytes this process may not have
+// written, so a segment announcing more rows per chunk than any writer
+// emits is refused at its first read, as NewPacked refuses a peer's —
+// a partial read of such a chunk would allocate all of it.
+func TestSegmentChunkRowsCapped(t *testing.T) {
+	r := randomRelation(t, rand.New(rand.NewSource(5)), 20, 2)
+	path := filepath.Join(t.TempDir(), FragmentFile)
+	if _, err := WriteRelation(path, r); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs, _ := sectionOffsets(data)
+	binary.LittleEndian.PutUint32(data[offs[1+2]:], MaxChunkRows+1) // column 0's segment header
+	f, err := parseFragment(path, reseal(data), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadColumn(0, 0, make([]uint32, 1)); err == nil || !strings.Contains(err.Error(), "chunkRows") {
+		t.Fatalf("ReadColumn over a %d-row chunk: %v, want a chunkRows error", MaxChunkRows+1, err)
+	}
+	if err := f.ReadColumn(1, 0, make([]uint32, 1)); err != nil {
+		t.Fatalf("the untouched column: %v", err)
+	}
+}

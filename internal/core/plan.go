@@ -134,11 +134,9 @@ type Plan struct {
 	units    []*unit        // aligned with clusters
 	kern     *engine.Kernel // plan-wide detection scratch pool
 
-	// Σ analysis artifacts (Options.Sigma): the static-analysis report
-	// and the duplicate CFDs compiled away as aliases of their
-	// representative. Both nil/empty under SigmaOff.
-	sigma   *cfd.SigmaReport
-	aliases []sigmaAlias
+	// sigma is the static Σ-analysis report (Options.Sigma); nil under
+	// SigmaOff.
+	sigma *cfd.SigmaReport
 
 	// incMu serializes DetectIncremental rounds, which mutate the
 	// per-unit sessions in inc (aligned with units); Detect stays
@@ -159,31 +157,21 @@ func CompileSet(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorith
 		return nil, fmt.Errorf("core: compile with no CFDs")
 	}
 	opt = opt.withDefaults()
-	sigmaReport, active, aliases, err := analyzeSigma(cl, cfds, opt.Sigma, clustered)
+	sigmaReport, err := analyzeSigma(cfds, opt.Sigma)
 	if err != nil {
 		return nil, err
 	}
 	var clusters [][]int
 	if clustered {
-		sub := make([]*cfd.CFD, len(active))
-		for i, idx := range active {
-			sub[i] = cfds[idx]
-		}
-		for _, g := range clusterByLHS(sub) {
-			mapped := make([]int, len(g))
-			for j, si := range g {
-				mapped[j] = active[si]
-			}
-			clusters = append(clusters, mapped)
-		}
+		clusters = clusterByLHS(cfds)
 	} else {
-		clusters = make([][]int, len(active))
-		for i, idx := range active {
-			clusters[i] = []int{idx}
+		clusters = make([][]int, len(cfds))
+		for i := range cfds {
+			clusters[i] = []int{i}
 		}
 	}
 	p := &Plan{cl: cl, algo: algo, opt: opt, cfds: cfds, clusters: clusters, kern: &engine.Kernel{},
-		sigma: sigmaReport, aliases: aliases, inc: make([]unitInc, len(clusters))}
+		sigma: sigmaReport, inc: make([]unitInc, len(clusters))}
 	for _, members := range clusters {
 		group := make([]*cfd.CFD, len(members))
 		for i, idx := range members {
@@ -212,9 +200,7 @@ func DetectOnce(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorith
 // CFDs returns the compiled dependency set.
 func (p *Plan) CFDs() []*cfd.CFD { return p.cfds }
 
-// Clusters returns the CFD index groups processed together. Under
-// Options.SigmaPrune, CFDs collapsed as duplicates appear in no group
-// — they are served as aliases of their representative.
+// Clusters returns the CFD index groups processed together.
 func (p *Plan) Clusters() [][]int { return p.clusters }
 
 // SigmaReport returns the compile-time Σ analysis report, or nil when
@@ -224,14 +210,16 @@ func (p *Plan) SigmaReport() *cfd.SigmaReport { return p.sigma }
 // Single returns a one-CFD plan for cfds[i] under this plan's
 // algorithm and options. When the plan already processes cfds[i] as a
 // unit of its own, the compiled unit is shared — no second mining
-// pass; otherwise (a member of a merged cluster, or a pruned alias)
-// it is compiled here.
+// pass; otherwise (a member of a merged cluster) it is compiled here.
 func (p *Plan) Single(ctx context.Context, i int) (*Plan, error) {
 	one := p.cfds[i : i+1 : i+1]
 	var u *unit
-	if gi := p.unitOf(i); gi >= 0 && len(p.clusters[gi]) == 1 {
-		u = p.units[gi]
-	} else {
+	for gi, members := range p.clusters {
+		if len(members) == 1 && members[0] == i {
+			u = p.units[gi]
+		}
+	}
+	if u == nil {
 		var err error
 		if u, err = compileUnit(ctx, p.cl, one, p.algo, p.opt, p.kern); err != nil {
 			return nil, err
@@ -382,18 +370,21 @@ func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, increm
 		Units:       make([]UnitReport, len(p.units)),
 		Incremental: incremental,
 	}
-	unitModeled := make([]float64, len(outs))
-	unitMetrics := make([]*dist.Metrics, len(outs))
+	// ModeledTime adds the units up in first-member index order, which
+	// is not cluster order once splitForNonEmptyW has regrouped: at
+	// holds each unit's modeled time at its first member, 0 elsewhere.
+	at := make([]float64, len(p.cfds))
 	for gi, out := range outs {
 		total.Merge(out.m)
-		unitModeled[gi], unitMetrics[gi] = out.modeled, out.m
+		at[p.clusters[gi][0]] = out.modeled
 		res.Units[gi] = out.report
 		for i, idx := range p.clusters[gi] {
 			res.PerCFD[idx] = out.pats[i]
 		}
 	}
-	p.fillAliases(res, unitMetrics)
-	res.ModeledTime = p.modeledSum(unitModeled)
+	for _, t := range at {
+		res.ModeledTime += t
+	}
 	res.ShippedTuples = total.TotalTuples()
 	res.DeltaShippedTuples = total.DeltaTuples()
 	res.DeltaShippedBytes = total.DeltaBytes()

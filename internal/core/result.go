@@ -58,8 +58,7 @@ type Options struct {
 	// Sigma selects the compile-time Σ analysis level: SigmaOff (the
 	// zero value) compiles the rule set as given; SigmaCheck fails
 	// compilation fast on an inconsistent Σ with a witness-bearing
-	// error; SigmaPrune additionally collapses duplicate CFDs into one
-	// compiled unit with equivalence-pinned accounting.
+	// error and keeps the analysis report on the plan.
 	Sigma SigmaMode
 	// Failure selects how the run responds to site failures: FailFast
 	// (the zero value) aborts on the first error, FailRetry absorbs
@@ -115,7 +114,7 @@ type Result struct {
 	// CFDs are the dependencies checked.
 	CFDs []*cfd.CFD
 	// PerCFD holds Vioπ(φ,D) per CFD as distinct X-tuples, aligned with
-	// CFDs (PadPatterns gives the paper's full-schema form).
+	// CFDs.
 	PerCFD []*relation.Relation
 	// Metrics aggregates all shipments of the run; Shipment is its
 	// point-in-time copy (per-site-pair shipment and control matrices
@@ -177,28 +176,6 @@ func (r *Result) Patterns(name string) *relation.Relation {
 		}
 	}
 	return nil
-}
-
-// PadPatterns converts an X-tuple pattern relation into the paper's
-// Vioπ form (Section II-C): an instance of the full schema with nulls
-// outside X.
-func PadPatterns(schema *relation.Schema, x []string, pats *relation.Relation) (*relation.Relation, error) {
-	xi, err := schema.Indices(x)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(schema)
-	for _, t := range pats.Tuples() {
-		row := make(relation.Tuple, schema.Arity())
-		for j := range row {
-			row[j] = relation.Null
-		}
-		for j, col := range xi {
-			row[col] = t[j]
-		}
-		out.MustAppend(row)
-	}
-	return out, nil
 }
 
 // mergeDistinct unions X-tuple relations into a fresh relation with

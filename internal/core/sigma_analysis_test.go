@@ -28,12 +28,6 @@ func clusterOver(t *testing.T, data *relation.Relation, sites, seed int) *Cluste
 	return cl
 }
 
-func renamed(c *cfd.CFD, name string) *cfd.CFD {
-	d := c.Clone()
-	d.Name = name
-	return d
-}
-
 func TestCompileSetInconsistentSigma(t *testing.T) {
 	data := workload.Cust(workload.CustConfig{N: 200, Seed: 3, ErrRate: 0})
 	cl := clusterOver(t, data, 2, 1)
@@ -59,162 +53,33 @@ func TestCompileSetInconsistentSigma(t *testing.T) {
 	}
 }
 
-// sigmaCases are the seeded CUST/XREF redundant-Σ workloads of the
-// pruning ablation: each rule set carries a duplicated pattern CFD and
-// a duplicated all-wildcard FD (the mining shape, so duplicates cost
-// real control traffic when compiled unpruned and unclustered).
-func sigmaCases(t *testing.T) []struct {
-	name  string
-	data  *relation.Relation
-	rules []*cfd.CFD
-} {
-	t.Helper()
-	custFD, err := cfd.NewFD("cust_m1", []string{"CC", "AC"}, []string{"city"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	custBase := workload.CustPatternCFD(12)
-	xrefBase := workload.XRefCFD()
-	return []struct {
-		name  string
-		data  *relation.Relation
-		rules []*cfd.CFD
-	}{
-		{
-			name: "cust",
-			data: workload.Cust(workload.CustConfig{N: 2_000, Seed: 7, ErrRate: 0.05}),
-			rules: []*cfd.CFD{
-				custBase,
-				renamed(custBase, "cust_dup"),
-				workload.CustStreetCFD(),
-				custFD,
-				renamed(custFD, "cust_m2"),
-			},
-		},
-		{
-			name: "xref",
-			data: workload.XRef(workload.XRefConfig{N: 2_000, Seed: 7, ErrRate: 0.02}),
-			rules: []*cfd.CFD{
-				xrefBase,
-				renamed(xrefBase, "xref_dup"),
-				workload.XRefCFD2(),
-				workload.XRefMiningFD(),
-				renamed(workload.XRefMiningFD(), "xref_fd2"),
-			},
-		},
-	}
-}
-
-// TestSigmaPruneEquivalence is the pruning property test: compiled
-// with SigmaPrune, the redundant-Σ workloads must produce byte-
-// identical violation sets, ShippedTuples, and ModeledTime to the
-// unpruned plan — while shipping strictly fewer control bytes in the
-// unclustered mining shape, where each duplicate otherwise pays its
-// own pattern-exchange and pipeline control traffic.
-func TestSigmaPruneEquivalence(t *testing.T) {
+// TestCompileSetSigmaCheckReportsDuplicates pins what SigmaCheck does
+// with a consistent Σ that carries a copy: the report names the group
+// and the plan still compiles every CFD as given.
+func TestCompileSetSigmaCheckReportsDuplicates(t *testing.T) {
+	data := workload.Cust(workload.CustConfig{N: 200, Seed: 3, ErrRate: 0})
+	cl := clusterOver(t, data, 2, 1)
+	base := workload.CustPatternCFD(12)
+	dup := base.Clone()
+	dup.Name = "cust_dup"
+	rules := []*cfd.CFD{base, dup, workload.CustStreetCFD()}
 	ctx := context.Background()
-	for _, tc := range sigmaCases(t) {
-		for _, clustered := range []bool{false, true} {
-			name := tc.name + "/clustered=false"
-			if clustered {
-				name = tc.name + "/clustered=true"
-			}
-			t.Run(name, func(t *testing.T) {
-				cl := clusterOver(t, tc.data, 3, 1)
-				opt := Options{MineTheta: 0.2, Workers: 1}
-				plain, err := CompileSet(ctx, cl, tc.rules, PatDetectS, opt, clustered)
-				if err != nil {
-					t.Fatal(err)
-				}
-				optP := opt
-				optP.Sigma = SigmaPrune
-				pruned, err := CompileSet(ctx, cl, tc.rules, PatDetectS, optP, clustered)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pruned.SigmaReport() == nil || len(pruned.SigmaReport().Duplicates) != 2 {
-					t.Fatalf("pruned plan's Σ report = %+v, want 2 duplicate groups", pruned.SigmaReport())
-				}
-				if !clustered && len(pruned.Clusters()) >= len(plain.Clusters()) {
-					t.Errorf("pruning kept %d units vs %d unpruned", len(pruned.Clusters()), len(plain.Clusters()))
-				}
-				if clustered && len(pruned.Clusters()) != len(plain.Clusters()) {
-					// Clustered plans share σ work across duplicates already;
-					// SigmaPrune is check-and-report there.
-					t.Errorf("clustered pruning changed the unit structure: %d vs %d units",
-						len(pruned.Clusters()), len(plain.Clusters()))
-				}
-
-				want, err := plain.Detect(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := pruned.Detect(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, c := range tc.rules {
-					if !got.PerCFD[i].SameTuples(want.PerCFD[i]) {
-						t.Errorf("cfd %s: pruned violations differ (%d vs %d tuples)",
-							c.Name, got.PerCFD[i].Len(), want.PerCFD[i].Len())
-					}
-				}
-				if got.ShippedTuples != want.ShippedTuples {
-					t.Errorf("ShippedTuples: pruned %d, unpruned %d", got.ShippedTuples, want.ShippedTuples)
-				}
-				if got.ModeledTime != want.ModeledTime {
-					t.Errorf("ModeledTime: pruned %v, unpruned %v (must be byte-identical)",
-						got.ModeledTime, want.ModeledTime)
-				}
-				gotCtl := got.Metrics.ControlBytes()
-				wantCtl := want.Metrics.ControlBytes()
-				if !clustered && gotCtl >= wantCtl {
-					t.Errorf("control bytes: pruned %d, unpruned %d — pruning must ship strictly fewer", gotCtl, wantCtl)
-				}
-				if gotCtl > wantCtl {
-					t.Errorf("control bytes grew under pruning: %d vs %d", gotCtl, wantCtl)
-				}
-			})
-		}
-	}
-}
-
-// TestSigmaPruneIncrementalEquivalence pins the serving-mode cross:
-// an incremental round over a pruned plan reports the same pinned
-// accounting and violations as a fresh unpruned Detect on the same
-// data.
-func TestSigmaPruneIncrementalEquivalence(t *testing.T) {
-	ctx := context.Background()
-	tc := sigmaCases(t)[0]
-	cl := clusterOver(t, tc.data, 3, 1)
-	opt := Options{MineTheta: 0.2, Workers: 1}
-	plain, err := CompileSet(ctx, cl, tc.rules, PatDetectS, opt, false)
+	p, err := CompileSet(ctx, cl, rules, PatDetectS, Options{Sigma: SigmaCheck}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optP := opt
-	optP.Sigma = SigmaPrune
-	pruned, err := CompileSet(ctx, cl, tc.rules, PatDetectS, optP, false)
+	rep := p.SigmaReport()
+	if rep == nil || len(rep.Duplicates) != 1 || len(rep.Duplicates[0]) != 2 {
+		t.Fatalf("Σ report = %+v, want one duplicate group of two", rep)
+	}
+	if len(p.Clusters()) != len(rules) {
+		t.Errorf("SigmaCheck compiled %d units for %d CFDs", len(p.Clusters()), len(rules))
+	}
+	off, err := CompileSet(ctx, cl, rules, PatDetectS, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plain.Detect(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pruned.DetectIncremental(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range tc.rules {
-		if !got.PerCFD[i].SameTuples(want.PerCFD[i]) {
-			t.Errorf("cfd %s: incremental pruned violations differ", c.Name)
-		}
-	}
-	if got.ShippedTuples != want.ShippedTuples {
-		t.Errorf("ShippedTuples: incremental pruned %d, unpruned %d", got.ShippedTuples, want.ShippedTuples)
-	}
-	if got.ModeledTime != want.ModeledTime {
-		t.Errorf("ModeledTime: incremental pruned %v, unpruned %v", got.ModeledTime, want.ModeledTime)
+	if off.SigmaReport() != nil {
+		t.Errorf("SigmaOff retained a report: %+v", off.SigmaReport())
 	}
 }

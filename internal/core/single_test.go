@@ -419,23 +419,6 @@ func TestResultBookkeeping(t *testing.T) {
 	if int64(total) != res.ShippedTuples {
 		t.Errorf("received total %d != shipped %d", total, res.ShippedTuples)
 	}
-	// Vio is the padded form of Patterns.
-	vio, err := PadPatterns(cl.Schema(), phi1.X, res.Patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vio.Len() != res.Patterns.Len() {
-		t.Errorf("padded Vio %d rows vs %d patterns", vio.Len(), res.Patterns.Len())
-	}
-	name := vio.Schema().MustIndex("name")
-	for _, tu := range vio.Tuples() {
-		if tu[name] != relation.Null {
-			t.Errorf("non-X attribute not null: %v", tu)
-		}
-	}
-	if vio.Schema().Arity() != cl.Schema().Arity() {
-		t.Error("Vio schema should be the full relation schema")
-	}
 }
 
 // TestDetectSingleValidation rejects CFDs off-schema.

@@ -321,6 +321,46 @@ func TestStoreSiteDeltasAndRecovery(t *testing.T) {
 	}
 }
 
+// TestStoreFragGrowsDictsOnlyForUnseenValues pins that the store
+// overlay follows relation.Dict.InternInserts: an insert of known
+// values leaves every column reading through its base dictionary, and
+// an unseen value chains an overlay on that column alone.
+func TestStoreFragGrowsDictsOnlyForUnseenValues(t *testing.T) {
+	s := relation.MustSchema("R", []string{"a", "b"})
+	dir := t.TempDir()
+	if _, err := colstore.WriteRelationDir(dir, relation.MustFromRows(s, []string{"a0", "b0"}, []string{"a1", "b1"})); err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := openStoreFrag(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	grown := func() []bool {
+		out := make([]bool, len(f.ovDicts))
+		for j, d := range f.ovDicts {
+			base, err := f.frag.Dict(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[j] = d != base
+		}
+		return out
+	}
+	if _, err := f.Apply(relation.Delta{Inserts: []relation.Tuple{{"a1", "b0"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := grown(); !reflect.DeepEqual(got, []bool{false, false}) {
+		t.Fatalf("known values chained overlays: %v", got)
+	}
+	if _, err := f.Apply(relation.Delta{Inserts: []relation.Tuple{{"a0", "b2"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := grown(); !reflect.DeepEqual(got, []bool{false, true}) {
+		t.Fatalf("overlays after an unseen b value: %v, want column b alone", got)
+	}
+}
+
 // TestStoreSitePredicateStillEnforced pins that a store-backed site
 // rejects delta inserts violating its fragment predicate, like any
 // site must (Di = σFi(D) is a detection invariant).

@@ -23,9 +23,9 @@ import (
 //
 // The overlay replicates relation.Apply's semantics precisely —
 // swap-with-last deletes, inserts appended, dictionaries grown by
-// chaining a fresh frozen-parent overlay per delta — because the
-// serving caches (σ-entries, constant-unit states) are maintained
-// under exactly those assumptions.
+// relation.Dict.InternInserts — because the serving caches (σ-entries,
+// constant-unit states) are maintained under exactly those
+// assumptions.
 type storeFrag struct {
 	frag *colstore.Fragment
 	// rd is frag as the chunk reader the gather (ProjectBlocks) decodes
@@ -35,12 +35,11 @@ type storeFrag struct {
 	schema   *relation.Schema
 	baseRows int
 
-	// ovDicts[j] is nil until an insert grows column j's dictionary —
-	// until then reads use the fragment's lazily-decoded base dict via
+	// ovDicts[j] is nil until the first insert-carrying Apply — until
+	// then reads use the fragment's lazily-decoded base dict via
 	// ovDict, so dictionaries of columns no rule touches are never
-	// materialized. Each Apply carrying inserts chains a fresh overlay
-	// before interning, so extracts sharing a previous layer never
-	// observe a mutation.
+	// materialized. Apply grows it by relation.Dict.InternInserts, so
+	// extracts sharing a previous layer never observe a mutation.
 	ovDicts []*relation.Dict
 	tail    []relation.Tuple
 	tailIDs [][]uint32
@@ -377,19 +376,20 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 		}
 	}
 	if len(d.Inserts) > 0 {
-		for j := range f.ovDicts {
-			base, err := f.ovDict(j)
-			if err != nil {
+		// Every base dictionary decodes before any column grows, so a
+		// decode error leaves the overlay as it was.
+		dicts := make([]*relation.Dict, len(f.ovDicts))
+		for j := range dicts {
+			if dicts[j], err = f.ovDict(j); err != nil {
 				return nil, err
 			}
-			f.ovDicts[j] = relation.Chain(base)
+		}
+		for j, dict := range dicts {
+			f.ovDicts[j], f.tailIDs[j] = dict.InternInserts(f.tailIDs[j], d.Inserts, j)
 		}
 		for _, t := range d.Inserts {
 			ref := uint32(f.baseRows + len(f.tail))
 			f.tail = append(f.tail, t)
-			for j := range f.ovDicts {
-				f.tailIDs[j] = append(f.tailIDs[j], f.ovDicts[j].ID(t[j]))
-			}
 			if f.view != nil {
 				f.view = append(f.view, ref)
 			}

@@ -38,8 +38,7 @@ const (
 	// tuple shipment.
 	chCtlMsgs
 	chCtlBytes
-	// Data plane (everything from here on; see MergeData): tuple
-	// shipments with their payload sizes.
+	// Data plane: tuple shipments with their payload sizes.
 	chTuples
 	chBytes
 	// Delta channel: the tuples an incremental run actually put on the
@@ -177,12 +176,6 @@ func (m *Metrics) ReceivedBy(i int) int64 {
 	return sum
 }
 
-// SentBy returns the number of tuples site i shipped away.
-func (m *Metrics) SentBy(i int) int64 {
-	m.idx(i, i)
-	return m.total(m.ch[chTuples][i*m.n : (i+1)*m.n])
-}
-
 // SentBySite returns the per-site sent-tuple vector (the paper's |Mi|),
 // the quantity the response-time model charges transfer time for.
 func (m *Metrics) SentBySite() []int64 {
@@ -195,24 +188,10 @@ func (m *Metrics) SentBySite() []int64 {
 	return out
 }
 
-// Merge adds o's counters into m. Both metrics must cover the same
-// number of sites. o's lock nests inside m's, so o may still be
-// recording; merges must not form a cycle.
-func (m *Metrics) Merge(o *Metrics) { m.merge(o, 0) }
-
-// MergeData adds o's data-plane counters (tuples, payload bytes, and
-// both delta channels) into m, leaving m's control plane untouched.
-// This is the Σ-pruning replay channel: a plan that collapsed a
-// duplicate CFD merges the representative's data metrics once per
-// collapsed duplicate — the shipment accounting a run over the
-// unpruned set would have recorded — while the control plane (mining
-// pattern exchange, lstat vectors) is charged only for the work that
-// actually happened, so pruned plans report strictly fewer control
-// bytes.
-func (m *Metrics) MergeData(o *Metrics) { m.merge(o, chTuples) }
-
-// merge adds o's channels from first on into m; a nil o is a no-op.
-func (m *Metrics) merge(o *Metrics, first channel) {
+// Merge adds o's counters into m; a nil o is a no-op. Both metrics
+// must cover the same number of sites. o's lock nests inside m's, so o
+// may still be recording; merges must not form a cycle.
+func (m *Metrics) Merge(o *Metrics) {
 	if o == nil {
 		return
 	}
@@ -223,7 +202,7 @@ func (m *Metrics) merge(o *Metrics, first channel) {
 	defer m.mu.Unlock()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for ch := first; ch < numChannels; ch++ {
+	for ch := range o.ch {
 		for i, v := range o.ch[ch] {
 			m.ch[ch][i] += v
 		}

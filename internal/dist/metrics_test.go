@@ -74,28 +74,23 @@ func TestMetricsShipAndQuery(t *testing.T) {
 			if got := m.TotalBytes(); got != tt.wantBytes {
 				t.Errorf("TotalBytes = %d, want %d", got, tt.wantBytes)
 			}
+			sent := m.SentBySite()
 			var recvSum, sentSum int64
 			for i := 0; i < tt.sites; i++ {
 				if got := m.ReceivedBy(i); got != tt.wantReceived[i] {
 					t.Errorf("ReceivedBy(%d) = %d, want %d", i, got, tt.wantReceived[i])
 				}
-				if got := m.SentBy(i); got != tt.wantSent[i] {
-					t.Errorf("SentBy(%d) = %d, want %d", i, got, tt.wantSent[i])
+				if sent[i] != tt.wantSent[i] {
+					t.Errorf("SentBySite[%d] = %d, want %d", i, sent[i], tt.wantSent[i])
 				}
 				recvSum += m.ReceivedBy(i)
-				sentSum += m.SentBy(i)
+				sentSum += sent[i]
 			}
 			// Conservation: every shipped tuple is sent once and
 			// received once.
 			if recvSum != m.TotalTuples() || sentSum != m.TotalTuples() {
 				t.Errorf("conservation broken: recv %d sent %d total %d",
 					recvSum, sentSum, m.TotalTuples())
-			}
-			sent := m.SentBySite()
-			for i := range sent {
-				if sent[i] != tt.wantSent[i] {
-					t.Errorf("SentBySite[%d] = %d, want %d", i, sent[i], tt.wantSent[i])
-				}
 			}
 		})
 	}

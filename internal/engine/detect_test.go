@@ -125,7 +125,7 @@ func randomCFD(rng *rand.Rand) *cfd.CFD {
 
 func TestDetectUnitConstantAndVariable(t *testing.T) {
 	d := empD0()
-	consts, _ := phi3.SplitConstantVariable()
+	consts := phi3.Normalize() // both rows are constant units
 	// ψ1 = (CC=44, AC=131 ⇒ city=EDI): violated by t2, t3.
 	got, err := detectUnits(d.Encoded(), d.Schema(), consts[:1])
 	if err != nil {
@@ -134,7 +134,8 @@ func TestDetectUnitConstantAndVariable(t *testing.T) {
 	if !equalInts(got, []int{1, 2}) {
 		t.Errorf("ψ1 violations = %v, want [1 2]", got)
 	}
-	_, vars := phi1.SplitConstantVariable()
+	// Both of phi1's rows are variable units.
+	vars := phi1.Normalize()
 	got2, err := detectUnits(d.Encoded(), d.Schema(), vars[:1]) // (44, _ ‖ _)
 	if err != nil {
 		t.Fatal(err)

@@ -199,22 +199,6 @@ func (st *IncrementalState) Patterns(dst *relation.Relation, seen map[string]str
 	}
 }
 
-// Violations reports whether any unit currently violates (cheap
-// emptiness probe for fallback heuristics).
-func (st *IncrementalState) Violations() bool {
-	for _, u := range st.units {
-		for _, g := range u.groups {
-			if len(g.perA) >= 2 {
-				return true
-			}
-		}
-		if len(u.viols) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // FoldRelation folds every tuple of r (Insert with insert=true, Delete
 // otherwise); a nil relation is a no-op. Arity must match the schema
 // the state was built over.

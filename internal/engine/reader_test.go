@@ -114,7 +114,7 @@ func TestReaderHighCardinalityFold(t *testing.T) {
 func TestConstantReaderSkipsAndMatches(t *testing.T) {
 	d := empD0()
 	f := openFragment(t, d)
-	consts, _ := phi3.SplitConstantVariable()
+	consts := phi3.Normalize() // both rows are constant units
 	want, err := detectUnits(d.Encoded(), d.Schema(), consts)
 	if err != nil {
 		t.Fatal(err)

@@ -29,119 +29,159 @@ func detectOnce(cl *core.Cluster, cfds []*cfd.CFD, algo core.Algorithm, opt core
 	return core.DetectOnce(context.Background(), cl, cfds, algo, opt, clustered)
 }
 
+// metric is what a panel reads off each run, with the unit it plots in.
+type metric struct {
+	unit string
+	of   func(*core.Result) float64
+}
+
+var (
+	modeledTime = metric{"modeled response time cost(D,Σ,M)", func(r *core.Result) float64 { return r.ModeledTime }}
+	shipped     = metric{"tuples shipped", func(r *core.Result) float64 { return float64(r.ShippedTuples) }}
+)
+
+// column is one plotted line: an algorithm under the sequential (one
+// unit per CFD) or the clustered (shared-σ units, §IV-C) strategy.
+type column struct {
+	name      string
+	algo      core.Algorithm
+	clustered bool
+}
+
+func algoColumns(algos ...core.Algorithm) []column {
+	cols := make([]column, len(algos))
+	for i, a := range algos {
+		cols[i] = column{name: a.String(), algo: a}
+	}
+	return cols
+}
+
+var (
+	allAlgos       = algoColumns(core.CTRDetect, core.PatDetectS, core.PatDetectRT)
+	ctrVsRT        = algoColumns(core.CTRDetect, core.PatDetectRT)
+	seqVsClustered = []column{{"sequential", core.PatDetectRT, false}, {"clustered", core.PatDetectRT, true}}
+)
+
+// panel is one Figure 3 sweep: at every x a cluster and a rule set,
+// every column run over them, one metric read off each run.
+type panel struct {
+	figure, title, xLabel string
+	xs                    []int
+	at                    func(x int) (*core.Cluster, []*cfd.CFD, error)
+	columns               []column
+	metric                metric
+}
+
+// sweep runs the panel. Workers is pinned to 1: the figures are modeled
+// quantities, identical at every worker count.
+func sweep(cfg Config, p panel) (*Series, error) {
+	s := &Series{Figure: p.figure, Title: p.title, XLabel: p.xLabel, Unit: p.metric.unit}
+	for _, c := range p.columns {
+		s.Columns = append(s.Columns, c.name)
+	}
+	for _, x := range p.xs {
+		cl, rules, err := p.at(x)
+		if err != nil {
+			return nil, err
+		}
+		row := make([]float64, len(p.columns))
+		for j, c := range p.columns {
+			res, err := detectOnce(cl, rules, c.algo, core.Options{Cost: cfg.Cost, Workers: 1}, c.clustered)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = p.metric.of(res)
+		}
+		s.XS = append(s.XS, float64(x))
+		s.Rows = append(s.Rows, row)
+	}
+	return s, nil
+}
+
+// overSites is the x axis of the |S| panels: d uniformly partitioned
+// over x sites, the rules fixed.
+func overSites(cfg Config, d *relation.Relation, rules ...*cfd.CFD) func(int) (*core.Cluster, []*cfd.CFD, error) {
+	return func(n int) (*core.Cluster, []*cfd.CFD, error) {
+		cl, err := clusterFor(d, n, cfg.Seed)
+		return cl, rules, err
+	}
+}
+
+// overSizes is the x axis of the |D| panels: the first x tuples of
+// full over 8 sites for x at 10%–100% of it, the rules fixed.
+func overSizes(cfg Config, full *relation.Relation, rules ...*cfd.CFD) ([]int, func(int) (*core.Cluster, []*cfd.CFD, error)) {
+	var xs []int
+	for pct := 10; pct <= 100; pct += 10 {
+		xs = append(xs, full.Len()*pct/100)
+	}
+	return xs, func(n int) (*core.Cluster, []*cfd.CFD, error) {
+		part, err := relation.FromTuples(full.Schema(), full.Tuples()[:n])
+		if err != nil {
+			return nil, nil, err
+		}
+		cl, err := clusterFor(part, 8, cfg.Seed)
+		return cl, rules, err
+	}
+}
+
+func cust(cfg Config, base int) *relation.Relation {
+	return workload.Cust(workload.CustConfig{N: cfg.size(base), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
+}
+
+func xref8(cfg Config) *relation.Relation {
+	return workload.XRef(workload.XRefConfig{N: cfg.size(SizeXref8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
+}
+
 // Exp1Cust reproduces Fig 3(a): response time vs #sites on cust8 for
 // the three single-CFD algorithms (CFD: 4 attributes, 255 patterns).
 func Exp1Cust(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.Cust(workload.CustConfig{N: cfg.size(SizeCust8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	rule := workload.CustPatternCFD(255)
-	return sweepSitesSingle(cfg, d, rule,
-		"Fig 3(a)", "Exp-1: scalability with |S| (cust8), CFD with 255 patterns")
+	return sweep(cfg, panel{
+		figure: "Fig 3(a)", title: "Exp-1: scalability with |S| (cust8), CFD with 255 patterns",
+		xLabel: "sites", xs: siteSweep, at: overSites(cfg, cust(cfg, SizeCust8), workload.CustPatternCFD(255)),
+		columns: allAlgos, metric: modeledTime,
+	})
 }
 
 // Exp1Xref reproduces Fig 3(b): the same sweep on xref8 (CFD: 5
 // attributes, 11 patterns).
 func Exp1Xref(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.XRef(workload.XRefConfig{N: cfg.size(SizeXref8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	return sweepSitesSingle(cfg, d, workload.XRefCFD(),
-		"Fig 3(b)", "Exp-1: scalability with |S| (xref8), CFD with 11 patterns")
-}
-
-func sweepSitesSingle(cfg Config, d *relation.Relation, rule *cfd.CFD, figure, title string) (*Series, error) {
-	s := &Series{
-		Figure:  figure,
-		Title:   title,
-		XLabel:  "sites",
-		Unit:    "modeled response time cost(D,Σ,M)",
-		Columns: []string{"CTRDetect", "PatDetectS", "PatDetectRT"},
-	}
-	for _, n := range siteSweep {
-		cl, err := clusterFor(d, n, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, 3)
-		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectS, core.PatDetectRT} {
-			res, err := detectOnce(cl, []*cfd.CFD{rule}, algo, core.Options{Cost: cfg.Cost}, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.ModeledTime)
-		}
-		s.XS = append(s.XS, float64(n))
-		s.Rows = append(s.Rows, row)
-	}
-	return s, nil
+	return sweep(cfg, panel{
+		figure: "Fig 3(b)", title: "Exp-1: scalability with |S| (xref8), CFD with 11 patterns",
+		xLabel: "sites", xs: siteSweep, at: overSites(cfg, xref8(cfg), workload.XRefCFD()),
+		columns: allAlgos, metric: modeledTime,
+	})
 }
 
 // Exp2 reproduces Fig 3(c): response time vs |D| (10%–100% of cust16
 // across 8 sites) for CTRDetect and PatDetectRT.
 func Exp2(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	full := workload.Cust(workload.CustConfig{N: cfg.size(SizeCust16), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	rule := workload.CustPatternCFD(255)
-	s := &Series{
-		Figure:  "Fig 3(c)",
-		Title:   "Exp-2: scalability with |D| (cust16, 8 sites)",
-		XLabel:  "tuples",
-		Unit:    "modeled response time cost(D,Σ,M)",
-		Columns: []string{"CTRDetect", "PatDetectRT"},
-	}
-	for pct := 10; pct <= 100; pct += 10 {
-		n := full.Len() * pct / 100
-		part, err := relation.FromTuples(full.Schema(), full.Tuples()[:n])
-		if err != nil {
-			return nil, err
-		}
-		cl, err := clusterFor(part, 8, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, 0, 2)
-		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectRT} {
-			res, err := detectOnce(cl, []*cfd.CFD{rule}, algo, core.Options{Cost: cfg.Cost}, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.ModeledTime)
-		}
-		s.XS = append(s.XS, float64(n))
-		s.Rows = append(s.Rows, row)
-	}
-	return s, nil
+	xs, at := overSizes(cfg, cust(cfg, SizeCust16), workload.CustPatternCFD(255))
+	return sweep(cfg, panel{
+		figure: "Fig 3(c)", title: "Exp-2: scalability with |D| (cust16, 8 sites)",
+		xLabel: "tuples", xs: xs, at: at,
+		columns: ctrVsRT, metric: modeledTime,
+	})
 }
 
 // Exp3 reproduces Fig 3(d): response time vs pattern tableau size
 // (cust8, 8 sites) for CTRDetect and PatDetectRT.
 func Exp3(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.Cust(workload.CustConfig{N: cfg.size(SizeCust8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	cl, err := clusterFor(d, 8, cfg.Seed)
+	cl, err := clusterFor(cust(cfg, SizeCust8), 8, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	s := &Series{
-		Figure:  "Fig 3(d)",
-		Title:   "Exp-3: scalability with |Tp| (cust8, 8 sites)",
-		XLabel:  "patterns",
-		Unit:    "modeled response time cost(D,Σ,M)",
-		Columns: []string{"CTRDetect", "PatDetectRT"},
-	}
-	for _, k := range []int{50, 100, 150, 200, 250} {
-		rule := workload.CustPatternCFD(k)
-		row := make([]float64, 0, 2)
-		for _, algo := range []core.Algorithm{core.CTRDetect, core.PatDetectRT} {
-			res, err := detectOnce(cl, []*cfd.CFD{rule}, algo, core.Options{Cost: cfg.Cost}, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.ModeledTime)
-		}
-		s.XS = append(s.XS, float64(k))
-		s.Rows = append(s.Rows, row)
-	}
-	return s, nil
+	return sweep(cfg, panel{
+		figure: "Fig 3(d)", title: "Exp-3: scalability with |Tp| (cust8, 8 sites)",
+		xLabel: "patterns", xs: []int{50, 100, 150, 200, 250},
+		at: func(k int) (*core.Cluster, []*cfd.CFD, error) {
+			return cl, []*cfd.CFD{workload.CustPatternCFD(k)}, nil
+		},
+		columns: ctrVsRT, metric: modeledTime,
+	})
 }
 
 // Exp4 reproduces Fig 3(e): total data shipment vs mining frequency
@@ -168,7 +208,7 @@ func Exp4(cfg Config) (*Series, error) {
 		Figure:  "Fig 3(e)",
 		Title:   "Exp-4: impact of mining on shipment (xrefH, FD, 7 fragments)",
 		XLabel:  "theta",
-		Unit:    "tuples shipped",
+		Unit:    shipped.unit,
 		Columns: []string{"PatDetectS", "PatDetectS+mining"},
 	}
 	plain, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{Cost: cfg.Cost}, false)
@@ -186,102 +226,47 @@ func Exp4(cfg Config) (*Series, error) {
 	return s, nil
 }
 
-// exp5Sweep runs the sequential (one unit per CFD) against the
-// clustered (shared-σ units) strategy of §IV-C across the site sweep,
-// reporting the chosen metric.
-func exp5Sweep(cfg Config, d *relation.Relation, cfds []*cfd.CFD, figure, title, unit string,
-	metric func(*core.Result) float64) (*Series, error) {
-	s := &Series{
-		Figure:  figure,
-		Title:   title,
-		XLabel:  "sites",
-		Unit:    unit,
-		Columns: []string{"sequential", "clustered"},
-	}
-	for _, n := range siteSweep {
-		cl, err := clusterFor(d, n, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		seq, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, false)
-		if err != nil {
-			return nil, err
-		}
-		clu, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, true)
-		if err != nil {
-			return nil, err
-		}
-		s.XS = append(s.XS, float64(n))
-		s.Rows = append(s.Rows, []float64{metric(seq), metric(clu)})
-	}
-	return s, nil
-}
-
 // Exp5ShipXref reproduces Fig 3(f): tuples shipped vs #sites for the
-// two overlapping XREF CFDs.
+// two overlapping XREF CFDs, sequential against clustered.
 func Exp5ShipXref(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.XRef(workload.XRefConfig{N: cfg.size(SizeXref8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	return exp5Sweep(cfg, d, []*cfd.CFD{workload.XRefCFD(), workload.XRefCFD2()},
-		"Fig 3(f)", "Exp-5: shipment with |S|, multiple CFDs (xref8)", "tuples shipped",
-		func(r *core.Result) float64 { return float64(r.ShippedTuples) })
+	return sweep(cfg, panel{
+		figure: "Fig 3(f)", title: "Exp-5: shipment with |S|, multiple CFDs (xref8)",
+		xLabel: "sites", xs: siteSweep, at: overSites(cfg, xref8(cfg), workload.XRefCFD(), workload.XRefCFD2()),
+		columns: seqVsClustered, metric: shipped,
+	})
 }
 
 // Exp5TimeXref reproduces Fig 3(g): response time vs #sites (xref8).
 func Exp5TimeXref(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.XRef(workload.XRefConfig{N: cfg.size(SizeXref8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	return exp5Sweep(cfg, d, []*cfd.CFD{workload.XRefCFD(), workload.XRefCFD2()},
-		"Fig 3(g)", "Exp-5: scalability with |S|, multiple CFDs (xref8)",
-		"modeled response time cost(D,Σ,M)",
-		func(r *core.Result) float64 { return r.ModeledTime })
+	return sweep(cfg, panel{
+		figure: "Fig 3(g)", title: "Exp-5: scalability with |S|, multiple CFDs (xref8)",
+		xLabel: "sites", xs: siteSweep, at: overSites(cfg, xref8(cfg), workload.XRefCFD(), workload.XRefCFD2()),
+		columns: seqVsClustered, metric: modeledTime,
+	})
 }
 
 // Exp5TimeCust reproduces Fig 3(h): response time vs #sites (cust8).
 func Exp5TimeCust(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.Cust(workload.CustConfig{N: cfg.size(SizeCust8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	return exp5Sweep(cfg, d, workload.CustOverlappingCFDs(255, 128),
-		"Fig 3(h)", "Exp-5: scalability with |S|, multiple CFDs (cust8)",
-		"modeled response time cost(D,Σ,M)",
-		func(r *core.Result) float64 { return r.ModeledTime })
+	return sweep(cfg, panel{
+		figure: "Fig 3(h)", title: "Exp-5: scalability with |S|, multiple CFDs (cust8)",
+		xLabel: "sites", xs: siteSweep, at: overSites(cfg, cust(cfg, SizeCust8), workload.CustOverlappingCFDs(255, 128)...),
+		columns: seqVsClustered, metric: modeledTime,
+	})
 }
 
 // Exp6 reproduces Fig 3(i): response time vs |D| (cust16, 8 sites)
 // for the multi-CFD algorithms.
 func Exp6(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	full := workload.Cust(workload.CustConfig{N: cfg.size(SizeCust16), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
-	cfds := workload.CustOverlappingCFDs(255, 128)
-	s := &Series{
-		Figure:  "Fig 3(i)",
-		Title:   "Exp-6: scalability with |D|, multiple CFDs (cust16, 8 sites)",
-		XLabel:  "tuples",
-		Unit:    "modeled response time cost(D,Σ,M)",
-		Columns: []string{"sequential", "clustered"},
-	}
-	for pct := 10; pct <= 100; pct += 10 {
-		n := full.Len() * pct / 100
-		part, err := relation.FromTuples(full.Schema(), full.Tuples()[:n])
-		if err != nil {
-			return nil, err
-		}
-		cl, err := clusterFor(part, 8, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		seq, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, false)
-		if err != nil {
-			return nil, err
-		}
-		clu, err := detectOnce(cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost, Workers: 1}, true)
-		if err != nil {
-			return nil, err
-		}
-		s.XS = append(s.XS, float64(n))
-		s.Rows = append(s.Rows, []float64{seq.ModeledTime, clu.ModeledTime})
-	}
-	return s, nil
+	xs, at := overSizes(cfg, cust(cfg, SizeCust16), workload.CustOverlappingCFDs(255, 128)...)
+	return sweep(cfg, panel{
+		figure: "Fig 3(i)", title: "Exp-6: scalability with |D|, multiple CFDs (cust16, 8 sites)",
+		xLabel: "tuples", xs: xs, at: at,
+		columns: seqVsClustered, metric: modeledTime,
+	})
 }
 
 // ExpIncremental is the beyond-the-paper panel of the incremental
@@ -293,7 +278,7 @@ func Exp6(cfg Config) (*Series, error) {
 // cluster — so the two lines share one ground truth.
 func ExpIncremental(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	d := workload.Cust(workload.CustConfig{N: cfg.size(SizeCust8), Seed: cfg.Seed, ErrRate: cfg.ErrRate})
+	d := cust(cfg, SizeCust8)
 	cfds := workload.CustOverlappingCFDs(128, 64)
 	s := &Series{
 		Figure:  "Inc",

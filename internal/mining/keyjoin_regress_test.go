@@ -27,22 +27,6 @@ func TestItemsetKeyInjective(t *testing.T) {
 	}
 }
 
-func TestMergePatternsSeparatorValues(t *testing.T) {
-	// Both patterns joined to "b\x1f\x1f" under the old key: the
-	// second was dropped as a duplicate.
-	p1 := []string{"b\x1f", ""}
-	p2 := []string{"b", "\x1f"}
-	out := MergePatterns([][]string{p1}, [][]string{p2})
-	if len(out) != 2 {
-		t.Fatalf("MergePatterns deduped distinct patterns: got %d, want 2", len(out))
-	}
-	// True duplicates still dedup.
-	out = MergePatterns([][]string{p1}, [][]string{append([]string(nil), p1...)})
-	if len(out) != 1 {
-		t.Errorf("MergePatterns kept a true duplicate: got %d, want 1", len(out))
-	}
-}
-
 func TestMergeRankedSeparatorValues(t *testing.T) {
 	p1 := Pattern{Vals: []string{"b\x1f", ""}, RelSupport: 0.9}
 	p2 := Pattern{Vals: []string{"b", "\x1f"}, RelSupport: 0.5}

@@ -65,27 +65,13 @@ type Pattern struct {
 	RelSupport float64
 }
 
-// ClosedPatterns mines the closed frequent LHS patterns of the
-// fragment over attributes x with relative support threshold theta ∈
-// (0, 1]. The returned patterns are vectors aligned with x (constants
-// or Wildcard), sorted by descending constant count then
-// lexicographically — the generality order σ wants. The all-wildcard
-// pattern is never returned (callers append it as the catch-all row).
-func ClosedPatterns(frag *relation.Relation, x []string, theta float64) ([][]string, error) {
-	ps, err := ClosedPatternsWithSupport(frag, x, theta)
-	if err != nil || len(ps) == 0 {
-		return nil, err
-	}
-	out := make([][]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Vals
-	}
-	SortPatterns(out)
-	return out, nil
-}
-
-// ClosedPatternsWithSupport is ClosedPatterns keeping the per-pattern
-// relative support.
+// ClosedPatternsWithSupport mines the closed frequent LHS patterns of
+// the fragment over attributes x with relative support threshold theta
+// ∈ (0, 1]. The returned patterns are vectors aligned with x
+// (constants or Wildcard) with their relative support, sorted by
+// descending constant count then lexicographically — the generality
+// order σ wants. The all-wildcard pattern is never returned (callers
+// append it as the catch-all row).
 func ClosedPatternsWithSupport(frag *relation.Relation, x []string, theta float64) ([]Pattern, error) {
 	if theta <= 0 || theta > 1 {
 		return nil, fmt.Errorf("mining: theta must be in (0,1], got %v", theta)
@@ -279,20 +265,6 @@ func sortItemsets(sets []itemset) {
 	sort.Slice(sets, func(i, j int) bool { return sets[i].key() < sets[j].key() })
 }
 
-// SortPatterns orders pattern vectors by ascending wildcard count
-// (most specific first), then lexicographically — the deterministic
-// generality order used everywhere.
-func SortPatterns(ps [][]string) {
-	sort.SliceStable(ps, func(i, j int) bool {
-		wi, wj := wildcards(ps[i]), wildcards(ps[j])
-		if wi != wj {
-			return wi < wj
-		}
-		//distcfd:keyjoin-ok — comparator only; ordering needs no injectivity
-		return strings.Join(ps[i], "\x1f") < strings.Join(ps[j], "\x1f")
-	})
-}
-
 func wildcards(p []string) int {
 	n := 0
 	for _, v := range p {
@@ -301,24 +273,6 @@ func wildcards(p []string) int {
 		}
 	}
 	return n
-}
-
-// MergePatterns unions per-site pattern lists, deduplicating and
-// re-sorting; the cross-site merge step of the mining preprocessing.
-func MergePatterns(lists ...[][]string) [][]string {
-	seen := map[string]bool{}
-	var out [][]string
-	for _, l := range lists {
-		for _, p := range l {
-			k := patternKey(p)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, append([]string(nil), p...))
-			}
-		}
-	}
-	SortPatterns(out)
-	return out
 }
 
 // MergeRanked unions per-site mined patterns keeping, for each

@@ -27,15 +27,15 @@ func TestClosedPatternsBasic(t *testing.T) {
 		[]string{"y", "2", "p"},
 		[]string{"z", "3", "q"},
 	)
-	ps, err := ClosedPatterns(d, []string{"a", "b"}, 0.5)
+	ps, err := ClosedPatternsWithSupport(d, []string{"a", "b"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ps) != 1 {
 		t.Fatalf("patterns = %v, want exactly the closed (x,1)", render(ps))
 	}
-	if ps[0][0] != "x" || ps[0][1] != "1" {
-		t.Errorf("pattern = %v, want [x 1]", ps[0])
+	if ps[0].Vals[0] != "x" || ps[0].Vals[1] != "1" {
+		t.Errorf("pattern = %v, want [x 1]", ps[0].Vals)
 	}
 }
 
@@ -49,16 +49,16 @@ func TestClosedPatternsKeepsDistinctSupports(t *testing.T) {
 		[]string{"x", "3", "p"},
 		[]string{"y", "9", "p"},
 	)
-	ps, err := ClosedPatterns(d, []string{"a", "b"}, 0.5)
+	ps, err := ClosedPatternsWithSupport(d, []string{"a", "b"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hasX, hasX1 bool
 	for _, p := range ps {
-		if p[0] == "x" && p[1] == Wildcard {
+		if p.Vals[0] == "x" && p.Vals[1] == Wildcard {
 			hasX = true
 		}
-		if p[0] == "x" && p[1] == "1" {
+		if p.Vals[0] == "x" && p.Vals[1] == "1" {
 			hasX1 = true
 		}
 	}
@@ -75,15 +75,15 @@ func TestClosedPatternsThreshold(t *testing.T) {
 		[]string{"z", "4", "s"},
 	)
 	// theta=0.5 → minSup=2 → only a=x qualifies.
-	ps, err := ClosedPatterns(d, []string{"a"}, 0.5)
+	ps, err := ClosedPatternsWithSupport(d, []string{"a"}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != 1 || ps[0][0] != "x" {
+	if len(ps) != 1 || ps[0].Vals[0] != "x" {
 		t.Errorf("patterns = %v", render(ps))
 	}
 	// theta=0.9 → minSup=4 → nothing.
-	ps, err = ClosedPatterns(d, []string{"a"}, 0.9)
+	ps, err = ClosedPatternsWithSupport(d, []string{"a"}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,28 +92,28 @@ func TestClosedPatternsThreshold(t *testing.T) {
 	}
 	// theta=1.0 over a constant column keeps it.
 	d2 := mkRel(t, []string{"k", "1", "p"}, []string{"k", "2", "q"})
-	ps, err = ClosedPatterns(d2, []string{"a"}, 1.0)
+	ps, err = ClosedPatternsWithSupport(d2, []string{"a"}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != 1 || ps[0][0] != "k" {
+	if len(ps) != 1 || ps[0].Vals[0] != "k" {
 		t.Errorf("patterns = %v, want [[k]]", render(ps))
 	}
 }
 
 func TestClosedPatternsValidation(t *testing.T) {
 	d := mkRel(t, []string{"x", "1", "p"})
-	if _, err := ClosedPatterns(d, []string{"a"}, 0); err == nil {
+	if _, err := ClosedPatternsWithSupport(d, []string{"a"}, 0); err == nil {
 		t.Error("theta=0 accepted")
 	}
-	if _, err := ClosedPatterns(d, []string{"a"}, 1.5); err == nil {
+	if _, err := ClosedPatternsWithSupport(d, []string{"a"}, 1.5); err == nil {
 		t.Error("theta>1 accepted")
 	}
-	if _, err := ClosedPatterns(d, []string{"zz"}, 0.5); err == nil {
+	if _, err := ClosedPatternsWithSupport(d, []string{"zz"}, 0.5); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 	empty := relation.New(relation.MustSchema("E", []string{"a"}))
-	ps, err := ClosedPatterns(empty, []string{"a"}, 0.5)
+	ps, err := ClosedPatternsWithSupport(empty, []string{"a"}, 0.5)
 	if err != nil || ps != nil {
 		t.Errorf("empty relation: %v, %v", ps, err)
 	}
@@ -134,7 +134,7 @@ func TestSupportSemantics(t *testing.T) {
 		})
 	}
 	theta := 0.2
-	ps, err := ClosedPatterns(d, []string{"a", "b", "c"}, theta)
+	ps, err := ClosedPatternsWithSupport(d, []string{"a", "b", "c"}, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSupportSemantics(t *testing.T) {
 		sup := 0
 		for _, tu := range d.Tuples() {
 			match := true
-			for j, v := range p {
+			for j, v := range p.Vals {
 				if v != Wildcard && tu[j] != v {
 					match = false
 					break
@@ -157,13 +157,13 @@ func TestSupportSemantics(t *testing.T) {
 			}
 		}
 		if sup < minSup {
-			t.Errorf("pattern %v has support %d < %d", p, sup, minSup)
+			t.Errorf("pattern %v has support %d < %d", p.Vals, sup, minSup)
 		}
 	}
 	// No all-wildcard row.
 	for _, p := range ps {
 		allWild := true
-		for _, v := range p {
+		for _, v := range p.Vals {
 			if v != Wildcard {
 				allWild = false
 			}
@@ -189,7 +189,7 @@ func TestClosednessExhaustive(t *testing.T) {
 			})
 		}
 		theta := 0.25
-		got, err := ClosedPatterns(d, []string{"a", "b"}, theta)
+		got, err := ClosedPatternsWithSupport(d, []string{"a", "b"}, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestClosednessExhaustive(t *testing.T) {
 }
 
 // bruteClosed enumerates all patterns over 2 attributes explicitly.
-func bruteClosed(d *relation.Relation, theta float64) [][]string {
+func bruteClosed(d *relation.Relation, theta float64) []Pattern {
 	n := d.Len()
 	minSup := int(theta * float64(n))
 	if float64(minSup) < theta*float64(n) {
@@ -234,7 +234,7 @@ func bruteClosed(d *relation.Relation, theta float64) [][]string {
 		}
 		return c
 	}
-	var out [][]string
+	var out []Pattern
 	for _, p := range cands {
 		s := sup(p)
 		if s < minSup {
@@ -248,10 +248,9 @@ func bruteClosed(d *relation.Relation, theta float64) [][]string {
 			}
 		}
 		if closed {
-			out = append(out, p)
+			out = append(out, Pattern{Vals: p})
 		}
 	}
-	SortPatterns(out)
 	return out
 }
 
@@ -270,33 +269,43 @@ func moreSpecific(q, p []string) bool {
 	return strict
 }
 
+// TestSortPatterns pins the generality order mined patterns come out
+// in: ascending wildcard count, then lexicographic.
 func TestSortPatterns(t *testing.T) {
-	ps := [][]string{
-		{Wildcard, Wildcard, "z"},
-		{"a", "b", "c"},
-		{Wildcard, "b", "c"},
+	d := mkRel(t,
+		[]string{"x", "1", "p"},
+		[]string{"x", "1", "p"},
+		[]string{"x", "2", "p"},
+		[]string{"y", "2", "p"},
+		[]string{"y", "2", "q"},
+		[]string{"y", "3", "q"},
+	)
+	ps, err := ClosedPatternsWithSupport(d, []string{"a", "b"}, 0.3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SortPatterns(ps)
-	if wildcards(ps[0]) != 0 || wildcards(ps[1]) != 1 || wildcards(ps[2]) != 2 {
-		t.Errorf("order = %v", render(ps))
+	if got, want := render(ps), "(x,1) (y,2) (_,2) (x,_) (y,_)"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
 	}
 }
 
+// TestMergePatterns: the cross-site merge unions the per-site lists,
+// dedups, puts specific patterns first and copies what it keeps.
 func TestMergePatterns(t *testing.T) {
-	a := [][]string{{"x", Wildcard}, {"x", "1"}}
-	b := [][]string{{"x", "1"}, {"y", Wildcard}}
-	m := MergePatterns(a, b)
+	a := []Pattern{{Vals: []string{"x", Wildcard}}, {Vals: []string{"x", "1"}}}
+	b := []Pattern{{Vals: []string{"x", "1"}}, {Vals: []string{"y", Wildcard}}}
+	m := MergeRanked(a, b)
 	if len(m) != 3 {
 		t.Fatalf("merged = %v", render(m))
 	}
 	// Specific first.
-	if m[0][1] != "1" {
+	if m[0].Vals[1] != "1" {
 		t.Errorf("order = %v", render(m))
 	}
 	// Mutation safety: merged patterns are copies.
-	m[0][0] = "mut"
-	if a[1][0] == "mut" || b[0][0] == "mut" {
-		t.Error("MergePatterns aliased inputs")
+	m[0].Vals[0] = "mut"
+	if a[1].Vals[0] == "mut" || b[0].Vals[0] == "mut" {
+		t.Error("MergeRanked aliased inputs")
 	}
 }
 
@@ -341,11 +350,11 @@ func TestClosedPatternsWithSupportValues(t *testing.T) {
 	}
 }
 
-func samePatternSet(a, b [][]string) bool {
+func samePatternSet(a, b []Pattern) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	key := func(p []string) string { return strings.Join(p, "|") }
+	key := func(p Pattern) string { return strings.Join(p.Vals, "|") }
 	m := map[string]bool{}
 	for _, p := range a {
 		m[key(p)] = true
@@ -358,10 +367,10 @@ func samePatternSet(a, b [][]string) bool {
 	return true
 }
 
-func render(ps [][]string) string {
+func render(ps []Pattern) string {
 	parts := make([]string, len(ps))
 	for i, p := range ps {
-		parts[i] = "(" + strings.Join(p, ",") + ")"
+		parts[i] = "(" + strings.Join(p.Vals, ",") + ")"
 	}
 	return strings.Join(parts, " ")
 }
@@ -373,7 +382,7 @@ func BenchmarkClosedPatternMining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ClosedPatterns(data, []string{"external_db", "info_type"}, 0.1); err != nil {
+		if _, err := ClosedPatternsWithSupport(data, []string{"external_db", "info_type"}, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}

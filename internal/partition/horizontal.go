@@ -27,15 +27,6 @@ type Horizontal struct {
 // N returns the number of fragments.
 func (h *Horizontal) N() int { return len(h.Fragments) }
 
-// TotalLen returns the total number of tuples across fragments.
-func (h *Horizontal) TotalLen() int {
-	n := 0
-	for _, f := range h.Fragments {
-		n += f.Len()
-	}
-	return n
-}
-
 // Reconstruct returns ∪ᵢ Dᵢ.
 func (h *Horizontal) Reconstruct() (*relation.Relation, error) {
 	return engine.Union(h.Schema.Name(), h.Fragments...)
@@ -192,39 +183,4 @@ func Uniform(d *relation.Relation, n int, seed int64) (*Horizontal, error) {
 		h.Fragments[pos%n].MustAppend(d.Tuple(i))
 	}
 	return h, nil
-}
-
-// ByHash partitions d into n fragments by a hash of the given
-// attributes; co-locates equal keys, the classic hash fragmentation of
-// distributed DBMSs. Predicates are unknown (always-true).
-func ByHash(d *relation.Relation, attrs []string, n int) (*Horizontal, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("partition: n must be positive, got %d", n)
-	}
-	idx, err := d.Schema().Indices(attrs)
-	if err != nil {
-		return nil, err
-	}
-	h := &Horizontal{Schema: d.Schema()}
-	for i := 0; i < n; i++ {
-		h.Fragments = append(h.Fragments, relation.New(d.Schema()))
-		h.Predicates = append(h.Predicates, relation.True())
-	}
-	for _, t := range d.Tuples() {
-		h.Fragments[fnv32(t.Key(idx))%uint32(n)].MustAppend(t)
-	}
-	return h, nil
-}
-
-func fnv32(s string) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime
-	}
-	return h
 }

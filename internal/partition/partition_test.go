@@ -132,34 +132,6 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestByHash(t *testing.T) {
-	d := empD0()
-	h, err := ByHash(d, []string{"CC"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Verify(d); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-	// Co-location: tuples with equal CC land in the same fragment.
-	cc := d.Schema().MustIndex("CC")
-	loc := map[string]int{}
-	for i, f := range h.Fragments {
-		for _, tu := range f.Tuples() {
-			if prev, ok := loc[tu[cc]]; ok && prev != i {
-				t.Errorf("CC=%s split across fragments %d and %d", tu[cc], prev, i)
-			}
-			loc[tu[cc]] = i
-		}
-	}
-	if _, err := ByHash(d, []string{"nope"}, 2); err == nil {
-		t.Error("expected error for unknown attribute")
-	}
-	if _, err := ByHash(d, []string{"CC"}, 0); err == nil {
-		t.Error("expected error for n=0")
-	}
-}
-
 func TestVerifyCatchesDuplicates(t *testing.T) {
 	d := empD0()
 	h, err := Uniform(d, 2, -1)

@@ -51,38 +51,3 @@ func ReadCSV(rd io.Reader, name string, key ...string) (*Relation, error) {
 	}
 	return rel, nil
 }
-
-// ReadCSVInto reads CSV data (with header) into a relation of an
-// existing schema; the header must list exactly the schema's attributes
-// in order.
-func ReadCSVInto(rd io.Reader, schema *Schema) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
-	}
-	if len(header) != schema.Arity() {
-		return nil, fmt.Errorf("relation: CSV header arity %d does not match schema %s arity %d",
-			len(header), schema.Name(), schema.Arity())
-	}
-	for i, a := range schema.Attrs() {
-		if header[i] != a {
-			return nil, fmt.Errorf("relation: CSV header column %d is %q, schema %s expects %q",
-				i, header[i], schema.Name(), a)
-		}
-	}
-	rel := New(schema)
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("relation: reading CSV row: %w", err)
-		}
-		if err := rel.Append(Tuple(rec)); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}

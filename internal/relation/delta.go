@@ -22,9 +22,6 @@ type Delta struct {
 	Deletes []int
 }
 
-// IsEmpty reports whether the delta changes nothing.
-func (d Delta) IsEmpty() bool { return len(d.Inserts) == 0 && len(d.Deletes) == 0 }
-
 // NormalizeDeletes validates delete indices against a relation of n
 // rows and returns them sorted descending — the order in which
 // swap-with-last deletion processes them, shared by Relation.Apply and

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -118,6 +119,38 @@ func TestApplyDictionaryGrowthAcrossGenerations(t *testing.T) {
 	dicts, cols := e.CompactColumns()
 	if len(dicts[0]) != 41 || len(cols[0]) != 41 {
 		t.Fatalf("compacted column %d values / %d rows, want 41/41", len(dicts[0]), len(cols[0]))
+	}
+}
+
+// TestInternInserts pins the copy-on-write rule both Encoded.applyDelta
+// and the store-backed overlay grow a column by: known values reuse
+// the frozen dictionary as it is, the first unseen value chains one
+// overlay for the whole batch, and the frozen layer is never written.
+func TestInternInserts(t *testing.T) {
+	d := NewDict()
+	d.ID("a")
+	d.ID("b")
+	same, ids := d.InternInserts([]uint32{9}, []Tuple{{"-", "b"}, {"-", "a"}}, 1)
+	if same != d || !reflect.DeepEqual(ids, []uint32{9, 1, 0}) {
+		t.Fatalf("known values: dict changed=%v ids=%v, want the same dict and [9 1 0]", same != d, ids)
+	}
+	grown, ids := d.InternInserts(nil, []Tuple{{"a"}, {"c"}, {"d"}, {"c"}}, 0)
+	if grown == d || grown.depth != 1 || grown.parent != d {
+		t.Fatalf("unseen values: depth %d over parent %p, want one overlay over %p", grown.depth, grown.parent, d)
+	}
+	if !reflect.DeepEqual(ids, []uint32{0, 2, 3, 2}) {
+		t.Fatalf("ids = %v, want [0 2 3 2]", ids)
+	}
+	if d.Len() != 2 {
+		t.Fatalf("frozen layer grew to %d values", d.Len())
+	}
+	// A long stream over known values never deepens the chain.
+	cur := grown
+	for g := 0; g < 3*maxChainDepth; g++ {
+		cur, _ = cur.InternInserts(nil, []Tuple{{"c"}, {"a"}}, 0)
+	}
+	if cur != grown {
+		t.Fatalf("known-value deltas re-chained: depth %d", cur.depth)
 	}
 }
 

@@ -79,9 +79,6 @@ func (d *Dict) flatten() *Dict {
 	return out
 }
 
-// Depth returns the overlay chain depth (0 for a root dictionary).
-func (d *Dict) Depth() int { return d.depth }
-
 // ID returns the identifier for v, interning it on first sight. On a
 // chained dictionary the value is interned into the top layer; lower
 // layers are read, never written.
@@ -132,17 +129,25 @@ func (d *Dict) Vals() []string {
 	return out
 }
 
-// EncodeColumn interns one column of the relation, returning the ID
-// vector aligned with the relation's tuples.
-func (d *Dict) EncodeColumn(r *Relation, attr string) ([]uint32, error) {
-	i, err := r.Schema().Indices([]string{attr})
-	if err != nil {
-		return nil, err
+// InternInserts is the one rule for growing a built column's
+// dictionary under a delta. d is frozen — readers of the previous
+// generation share it — so a value it already holds reuses its ID, and
+// the first unseen value chains a fresh overlay over d (see Chain) that
+// interns it and every later one. Column col of ins is appended to ids;
+// the dictionary returned is what the column reads through from now
+// on: d itself when the inserts brought nothing new, so a stream of
+// deltas over known values never deepens the chain.
+func (d *Dict) InternInserts(ids []uint32, ins []Tuple, col int) (*Dict, []uint32) {
+	cur := d
+	for _, t := range ins {
+		id, ok := cur.Lookup(t[col])
+		if !ok {
+			if cur == d {
+				cur = Chain(d)
+			}
+			id = cur.ID(t[col])
+		}
+		ids = append(ids, id)
 	}
-	col := i[0]
-	out := make([]uint32, r.Len())
-	for j, t := range r.Tuples() {
-		out[j] = d.ID(t[col])
-	}
-	return out, nil
+	return cur, ids
 }

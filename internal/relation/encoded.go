@@ -74,10 +74,9 @@ func (e *Encoded) Gen() uint64 { return e.gen }
 // applyDelta derives the next-generation view after a delta: built
 // columns are carried forward — swap-compacted under the same deletes
 // the tuple slice saw, then extended with the inserted rows' IDs —
-// and unbuilt columns stay lazy. Inserted values that the column's
-// dictionary has not seen intern into a fresh overlay chained over the
-// frozen previous layer (see Chain), so nothing reachable from the
-// previous generation is ever mutated: readers of the old view keep a
+// and unbuilt columns stay lazy. Dictionaries grow by
+// Dict.InternInserts, so nothing reachable from the previous
+// generation is ever mutated: readers of the old view keep a
 // consistent pre-delta snapshot while this one is constructed.
 func (e *Encoded) applyDelta(newTuples []Tuple, delIdx []int, ins []Tuple) *Encoded {
 	ne := newEncoded(newTuples, e.arity)
@@ -105,25 +104,10 @@ func (e *Encoded) applyDelta(newTuples []Tuple, delIdx []int, ins []Tuple) *Enco
 			// dictionary entry remains; the wire form must recompact.
 			dn = false
 		}
-		if len(ins) > 0 {
-			overlay := dict
-			chained := false
-			for _, t := range ins {
-				id, ok := overlay.Lookup(t[i])
-				if !ok {
-					if !chained {
-						overlay = Chain(dict)
-						chained = true
-					}
-					id = overlay.ID(t[i])
-				}
-				// Appending may write into spare capacity shared with the
-				// previous generation — beyond its length, which its
-				// readers never index — or reallocate; both are safe.
-				col = append(col, id)
-			}
-			dict = overlay
-		}
+		// Appending may write into spare capacity shared with the
+		// previous generation — beyond its length, which its readers
+		// never index — or reallocate; both are safe.
+		dict, col = dict.InternInserts(col, ins, i)
 		ne.cols[i], ne.dicts[i], ne.dense[i] = col, dict, dn
 	}
 	return ne

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -194,23 +193,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	if !got.Schema().Equal(r.Schema()) {
 		t.Errorf("schema after round trip = %v", got.Schema())
 	}
-	got2, err := ReadCSVInto(bytes.NewReader(buf.Bytes()), r.Schema())
-	if err != nil {
-		t.Fatalf("ReadCSVInto: %v", err)
-	}
-	if !r.SameTuples(got2) {
-		t.Error("ReadCSVInto lost tuples")
-	}
-}
-
-func TestReadCSVIntoHeaderMismatch(t *testing.T) {
-	s := MustSchema("T", []string{"a", "b"})
-	if _, err := ReadCSVInto(strings.NewReader("x,y\n1,2\n"), s); err == nil {
-		t.Error("expected header mismatch error")
-	}
-	if _, err := ReadCSVInto(strings.NewReader("a\n1\n"), s); err == nil {
-		t.Error("expected arity mismatch error")
-	}
 }
 
 func TestDict(t *testing.T) {
@@ -234,24 +216,6 @@ func TestDict(t *testing.T) {
 	}
 	if id, ok := d.Lookup("beta"); !ok || id != b {
 		t.Error("Lookup(beta) wrong")
-	}
-}
-
-func TestDictEncodeColumn(t *testing.T) {
-	r := smallRel(t)
-	d := NewDict()
-	col, err := d.EncodeColumn(r, "b")
-	if err != nil {
-		t.Fatalf("EncodeColumn: %v", err)
-	}
-	if len(col) != r.Len() {
-		t.Fatalf("column length %d, want %d", len(col), r.Len())
-	}
-	if col[0] != col[1] || col[2] != col[3] || col[0] == col[2] {
-		t.Errorf("encoding did not preserve equality structure: %v", col)
-	}
-	if _, err := d.EncodeColumn(r, "zz"); err == nil {
-		t.Error("expected error for unknown attribute")
 	}
 }
 

@@ -7,7 +7,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -165,20 +164,6 @@ func (s *Schema) Equal(o *Schema) bool {
 	return true
 }
 
-// SameAttrs reports whether two schemas carry the same attribute set,
-// ignoring order, name and keys.
-func (s *Schema) SameAttrs(o *Schema) bool {
-	if s.Arity() != o.Arity() {
-		return false
-	}
-	for _, a := range s.attrs {
-		if !o.HasAttr(a) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema as NAME(a, b, c) with key attributes starred.
 func (s *Schema) String() string {
 	var b strings.Builder
@@ -198,12 +183,4 @@ func (s *Schema) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// SortedAttrs returns the attribute names in lexicographic order,
-// useful for deterministic iteration in reports and tests.
-func (s *Schema) SortedAttrs() []string {
-	out := append([]string(nil), s.attrs...)
-	sort.Strings(out)
-	return out
 }

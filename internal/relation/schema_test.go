@@ -111,7 +111,7 @@ func TestSchemaProject(t *testing.T) {
 	}
 }
 
-func TestSchemaEqualAndSameAttrs(t *testing.T) {
+func TestSchemaEqual(t *testing.T) {
 	a := MustSchema("R", []string{"x", "y"}, "x")
 	b := MustSchema("R", []string{"x", "y"}, "x")
 	c := MustSchema("R", []string{"y", "x"}, "x")
@@ -121,13 +121,6 @@ func TestSchemaEqualAndSameAttrs(t *testing.T) {
 	if a.Equal(c) {
 		t.Error("different attribute order should not be Equal")
 	}
-	if !a.SameAttrs(c) {
-		t.Error("same attribute sets should be SameAttrs")
-	}
-	d := MustSchema("R", []string{"x", "z"})
-	if a.SameAttrs(d) {
-		t.Error("different attribute sets should not be SameAttrs")
-	}
 }
 
 func TestSchemaString(t *testing.T) {
@@ -135,17 +128,5 @@ func TestSchemaString(t *testing.T) {
 	str := s.String()
 	if !strings.Contains(str, "a*") || !strings.Contains(str, "R(") {
 		t.Errorf("String = %q", str)
-	}
-}
-
-func TestSortedAttrs(t *testing.T) {
-	s := MustSchema("R", []string{"c", "a", "b"})
-	got := s.SortedAttrs()
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedAttrs = %v", got)
-	}
-	// original untouched
-	if s.Attrs()[0] != "c" {
-		t.Error("SortedAttrs mutated the schema")
 	}
 }
