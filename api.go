@@ -105,8 +105,8 @@ func WithClustering(on bool) Option { return func(c *config) { c.clustered = on 
 func WithFailurePolicy(p FailurePolicy) Option { return func(c *config) { c.opt.Failure = p } }
 
 // WithRetryPolicy bounds the retry behavior of WithFailurePolicy: call
-// attempts, unit-level attempts, and the backoff window. The zero value
-// selects the defaults; it has no effect under FailFast.
+// attempts and the backoff window. The zero value selects the
+// defaults; it has no effect under FailFast.
 func WithRetryPolicy(rp RetryPolicy) Option { return func(c *config) { c.opt.Retry = rp } }
 
 // WithPackedShipping toggles the packed σ-block shipment form:
@@ -114,7 +114,7 @@ func WithRetryPolicy(rp RetryPolicy) Option { return func(c *config) { c.opt.Ret
 // ship them bit-packed/RLE-compressed instead of as dict+ID vectors.
 // On by default; disabling it forces every shipment into the row or
 // dict+ID form. The switch changes only the wire encoding and the byte
-// accounting (Metrics.TotalBytes) — violations, shipped-tuple counts,
+// accounting (Shipment.TotalBytes) — violations, shipped-tuple counts,
 // and modeled time are identical either way, because the paper's cost
 // model bills tuples.
 func WithPackedShipping(on bool) Option { return func(c *config) { c.opt.NoPackedShip = !on } }
@@ -142,7 +142,6 @@ func WithAdmissionPolicy(p AdmissionPolicy) Option { return func(c *config) { c.
 // the data-dependent work.
 type Detector struct {
 	cl   *Cluster
-	cfg  config
 	cfds []*CFD
 	plan *core.Plan
 
@@ -190,7 +189,6 @@ func CompileContext(ctx context.Context, cl *Cluster, cfds []*CFD, opts ...Optio
 	}
 	return &Detector{
 		cl:      cl,
-		cfg:     cfg,
 		cfds:    cfds,
 		plan:    plan,
 		singles: make(map[int]*core.Plan),

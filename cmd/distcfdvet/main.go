@@ -9,8 +9,7 @@
 //	go vet -vettool=$(pwd)/bin/distcfdvet ./...
 //
 // or just `make lint`. The suite: keyjoin (collision-prone separator
-// keys), ctxflow (fresh context roots inside internal/), poolpair
-// (sync.Pool Get/Put pairing in internal/engine), mmapclose
+// keys), ctxflow (fresh context roots inside internal/), mmapclose
 // (colstore.Open handles Closed on all paths), wirecompat (wire
 // structs pinned to internal/remote/wire.golden).
 //
@@ -41,14 +40,12 @@ import (
 	"distcfd/internal/analysis/ctxflow"
 	"distcfd/internal/analysis/keyjoin"
 	"distcfd/internal/analysis/mmapclose"
-	"distcfd/internal/analysis/poolpair"
 	"distcfd/internal/analysis/wirecompat"
 )
 
 var analyzers = []*analysis.Analyzer{
 	keyjoin.Analyzer,
 	ctxflow.Analyzer,
-	poolpair.Analyzer,
 	mmapclose.Analyzer,
 	wirecompat.Analyzer,
 }

@@ -151,9 +151,7 @@ type (
 	SiteHealth = core.SiteHealth
 	// CostModel is the paper's response-time model cost(D,Σ,M).
 	CostModel = dist.CostModel
-	// Metrics records tuple shipments.
-	Metrics = dist.Metrics
-	// ShipmentReport is a point-in-time copy of a Metrics (per-site-pair
+	// ShipmentReport is a run's shipment accounting (per-site-pair
 	// shipment and control matrices plus totals), safe to read and
 	// render without synchronization.
 	ShipmentReport = dist.Report

@@ -25,7 +25,7 @@ import (
 // Run type-checks the fixture directory dir as package path pkgPath,
 // applies a, and reports mismatches against the fixtures' want
 // comments as test errors. pkgPath matters: path-gated analyzers
-// (ctxflow, poolpair, wirecompat) decide applicability from it.
+// (ctxflow, wirecompat) decide applicability from it.
 // It returns the diagnostics for any extra assertions.
 func Run(t *testing.T, a *analysis.Analyzer, pkgPath, dir string) []analysis.Diagnostic {
 	t.Helper()

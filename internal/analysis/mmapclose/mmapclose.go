@@ -7,7 +7,7 @@
 // until process exit, which is exactly the resource a
 // bigger-than-RAM site cannot afford to bleed.
 //
-// The check is a per-function approximation in the poolpair mold, not
+// The check is a per-function approximation (one syntactic pass), not
 // a CFG analysis. A function that opens passes when it defers a Close
 // on the handle, or when the handle escapes — returned to the caller,
 // stored into a struct, or passed to another call — because each of

@@ -180,9 +180,17 @@ func AnalyzeSigma(cs []*CFD) *SigmaReport {
 	return r
 }
 
-// InconsistencyWitness chases Σ on the single free tuple (see
-// ConsistentSet) and returns the contradiction witness, or nil when Σ
-// is consistent.
+// InconsistencyWitness chases Σ on the single free tuple and returns
+// the contradiction witness, or nil when Σ is consistent: satisfiable
+// by some non-empty instance. Under the infinite-domain assumption a
+// single generic tuple suffices: values can always be chosen to avoid
+// every LHS constant, so only rules whose LHS pattern is forced onto
+// the free tuple (all-wildcard LHS chains) can conflict — exactly what
+// the chase detects as a contradiction. (With finite domains CFD
+// satisfiability is NP-complete, Fan et al. TODS 2008; out of scope
+// here.) Detection over an inconsistent Σ is still well-defined —
+// every matching tuple violates — but callers usually want to reject
+// such rule sets upfront.
 func InconsistencyWitness(sigma []*Normalized) *Witness {
 	universe := NewAttrSet()
 	for _, s := range sigma {

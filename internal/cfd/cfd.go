@@ -139,13 +139,6 @@ func (c *CFD) Validate(s *relation.Schema) error {
 	return nil
 }
 
-// Attrs returns X ∪ Y in X-then-Y order.
-func (c *CFD) Attrs() []string {
-	out := make([]string, 0, len(c.X)+len(c.Y))
-	out = append(out, c.X...)
-	return append(out, c.Y...)
-}
-
 // IsFD reports whether the CFD is a traditional FD: a single pattern
 // tuple consisting of wildcards only.
 func (c *CFD) IsFD() bool {
@@ -163,20 +156,6 @@ func (c *CFD) IsFD() bool {
 		}
 	}
 	return true
-}
-
-// Clone deep-copies the CFD.
-func (c *CFD) Clone() *CFD {
-	tp := make([]PatternTuple, len(c.Tp))
-	for i, p := range c.Tp {
-		tp[i] = p.Clone()
-	}
-	return &CFD{
-		Name: c.Name,
-		X:    append([]string(nil), c.X...),
-		Y:    append([]string(nil), c.Y...),
-		Tp:   tp,
-	}
 }
 
 // String renders the CFD as name: ([X] -> [Y], {patterns}).
@@ -218,18 +197,4 @@ func MatchAll(values, pattern []string) bool {
 		}
 	}
 	return true
-}
-
-// PatternPredicate builds Fφ for one pattern tuple: the conjunction of
-// B = b for every constant b in the pattern's LHS (Section IV-A). The
-// returned predicate is used for the Fi ∧ Fφ consistency pruning test.
-func (c *CFD) PatternPredicate(i int) relation.Predicate {
-	tp := c.Tp[i]
-	var atoms []relation.Atom
-	for j, v := range tp.LHS {
-		if v != Wildcard {
-			atoms = append(atoms, relation.Eq(c.X[j], v))
-		}
-	}
-	return relation.And(atoms...)
 }

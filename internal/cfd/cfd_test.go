@@ -190,26 +190,6 @@ func TestNormalizeDeduplicates(t *testing.T) {
 	}
 }
 
-func TestReduceConstant(t *testing.T) {
-	n := &Normalized{
-		X:   []string{"CC", "zip", "AC"},
-		A:   "city",
-		TpX: []string{"44", "_", "131"},
-		TpA: "EDI",
-	}
-	r := n.ReduceConstant()
-	if len(r.X) != 2 || r.X[0] != "CC" || r.X[1] != "AC" {
-		t.Errorf("reduced X = %v, want [CC AC]", r.X)
-	}
-	if r.LHSWildcards() != 0 {
-		t.Error("reduced constant CFD still has wildcards")
-	}
-	v := &Normalized{X: []string{"a"}, A: "b", TpX: []string{"_"}, TpA: Wildcard}
-	if v.ReduceConstant() != v {
-		t.Error("variable CFD must be returned unchanged")
-	}
-}
-
 func TestVariableView(t *testing.T) {
 	if _, ok := phi3().VariableView(); ok {
 		t.Error("phi3 is all-constant; no variable view expected")
@@ -228,24 +208,6 @@ func TestVariableView(t *testing.T) {
 	}
 }
 
-func TestPatternPredicate(t *testing.T) {
-	p := phi3().PatternPredicate(0)
-	s := empSchema()
-	match := relation.Tuple{"9", "x", "MTS", "44", "131", "1", "s", "c", "z", "10k"}
-	miss := relation.Tuple{"9", "x", "MTS", "44", "20", "1", "s", "c", "z", "10k"}
-	if !p.Eval(s, match) {
-		t.Error("tuple with CC=44, AC=131 should satisfy Fφ")
-	}
-	if p.Eval(s, miss) {
-		t.Error("tuple with AC=20 should not satisfy Fφ")
-	}
-	// Wildcards contribute no atoms.
-	p1 := phi1().PatternPredicate(0)
-	if len(p1.Atoms) != 1 {
-		t.Errorf("phi1 pattern 0 predicate = %v, want single CC atom", p1)
-	}
-}
-
 func TestCFDStringAndClone(t *testing.T) {
 	c := phi3()
 	s := c.String()
@@ -254,22 +216,9 @@ func TestCFDStringAndClone(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
-	cl := c.Clone()
-	cl.Tp[0].LHS[0] = "99"
+	cl := c.Tp[0].Clone()
+	cl.LHS[0] = "99"
 	if c.Tp[0].LHS[0] == "99" {
 		t.Error("Clone shares pattern storage")
-	}
-}
-
-func TestAttrs(t *testing.T) {
-	got := phi1().Attrs()
-	want := []string{"CC", "zip", "street"}
-	if len(got) != len(want) {
-		t.Fatalf("Attrs = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Attrs[%d] = %q, want %q", i, got[i], want[i])
-		}
 	}
 }

@@ -319,20 +319,6 @@ func (c *Tableau) pairAgreesOnX(t1, t2 int, s *Normalized) bool {
 	return true
 }
 
-// ConsistentSet reports whether the normalized CFD set is satisfiable
-// by some non-empty instance. Under the infinite-domain assumption a
-// single generic tuple suffices: values can always be chosen to avoid
-// every LHS constant, so only rules whose LHS pattern is forced onto
-// the free tuple (all-wildcard LHS chains) can conflict — exactly what
-// the chase detects as a contradiction. (With finite domains CFD
-// satisfiability is NP-complete, Fan et al. TODS 2008; out of scope
-// here.) Detection over an inconsistent Σ is still well-defined —
-// every matching tuple violates — but callers usually want to reject
-// such rule sets upfront.
-func ConsistentSet(sigma []*Normalized) bool {
-	return InconsistencyWitness(sigma) == nil
-}
-
 // NormalizeSet flattens a CFD set into normalized form, deduplicated.
 func NormalizeSet(cs []*CFD) []*Normalized {
 	var out []*Normalized

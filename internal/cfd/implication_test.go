@@ -195,13 +195,14 @@ func TestChaseAgreesWithClosureOnFDs(t *testing.T) {
 }
 
 func TestConsistentSet(t *testing.T) {
+	consistent := func(sigma []*Normalized) bool { return InconsistencyWitness(sigma) == nil }
 	// Conflicting all-wildcard constant rules: every tuple must have
 	// B = b1 and B = b2 — unsatisfiable.
 	clash := []*Normalized{
 		constCFD([]string{"A"}, []string{"_"}, "B", "b1"),
 		constCFD([]string{"A"}, []string{"_"}, "B", "b2"),
 	}
-	if ConsistentSet(clash) {
+	if consistent(clash) {
 		t.Error("clashing wildcard constants should be inconsistent")
 	}
 	// The same constants guarded by (different) LHS constants are fine:
@@ -210,7 +211,7 @@ func TestConsistentSet(t *testing.T) {
 		constCFD([]string{"A"}, []string{"a1"}, "B", "b1"),
 		constCFD([]string{"A"}, []string{"a2"}, "B", "b2"),
 	}
-	if !ConsistentSet(guarded) {
+	if !consistent(guarded) {
 		t.Error("guarded constants should be consistent")
 	}
 	// Transitive wildcard chain into a clash.
@@ -219,11 +220,11 @@ func TestConsistentSet(t *testing.T) {
 		constCFD([]string{"B"}, []string{"b"}, "C", "c1"),
 		constCFD([]string{"B"}, []string{"b"}, "C", "c2"),
 	}
-	if ConsistentSet(chain) {
+	if consistent(chain) {
 		t.Error("chained clash should be inconsistent")
 	}
 	// FDs alone are always consistent; empty set trivially so.
-	if !ConsistentSet([]*Normalized{fd([]string{"A"}, "B")}) || !ConsistentSet(nil) {
+	if !consistent([]*Normalized{fd([]string{"A"}, "B")}) || !consistent(nil) {
 		t.Error("FDs / empty set must be consistent")
 	}
 }

@@ -32,10 +32,10 @@ func TestNormalizedKeyInjective(t *testing.T) {
 }
 
 func TestNormalizedKeyEqualForIdenticalUnits(t *testing.T) {
-	a := &Normalized{Parent: "p1", PatternIndex: 0, X: []string{"cc", "ac"}, A: "city", TpX: []string{"44", "_"}, TpA: "_"}
-	b := &Normalized{Parent: "p2", PatternIndex: 3, X: []string{"cc", "ac"}, A: "city", TpX: []string{"44", "_"}, TpA: "_"}
+	a := &Normalized{Parent: "p1", X: []string{"cc", "ac"}, A: "city", TpX: []string{"44", "_"}, TpA: "_"}
+	b := &Normalized{Parent: "p2", X: []string{"cc", "ac"}, A: "city", TpX: []string{"44", "_"}, TpA: "_"}
 	if a.Key() != b.Key() {
-		t.Error("Key must ignore provenance (Parent, PatternIndex)")
+		t.Error("Key must ignore provenance (Parent)")
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 type Normalized struct {
 	// Parent names the CFD this normalized unit came from.
 	Parent string
-	// PatternIndex is the row of the parent tableau this unit encodes.
-	PatternIndex int
 	// X is the LHS attribute list.
 	X []string
 	// A is the single RHS attribute.
@@ -36,24 +34,12 @@ func (n *Normalized) IsConstant() bool { return n.TpA != Wildcard }
 // IsVariable reports whether tp[A] is the wildcard.
 func (n *Normalized) IsVariable() bool { return n.TpA == Wildcard }
 
-// LHSWildcards counts wildcards in TpX.
-func (n *Normalized) LHSWildcards() int {
-	c := 0
-	for _, v := range n.TpX {
-		if v == Wildcard {
-			c++
-		}
-	}
-	return c
-}
-
 // Key is a canonical identity string for deduplication: a
 // length-prefixed encoding of (X, A, TpX, TpA), injective for
 // arbitrary attribute names and pattern constants — the old
 // ","/"||"-join fused distinct units whose values contained the
 // separators. Two Normalized units are semantically identical iff
-// their Keys are equal (Parent and PatternIndex are provenance, not
-// identity).
+// their Keys are equal (Parent is provenance, not identity).
 func (n *Normalized) Key() string {
 	b := binary.AppendUvarint(nil, uint64(len(n.X)))
 	b = relation.AppendKey(b, n.X...)
@@ -68,32 +54,19 @@ func (n *Normalized) String() string {
 		", (" + strings.Join(n.TpX, ", ") + " || " + n.TpA + "))"
 }
 
-// Clone deep-copies the normalized CFD.
-func (n *Normalized) Clone() *Normalized {
-	return &Normalized{
-		Parent:       n.Parent,
-		PatternIndex: n.PatternIndex,
-		X:            append([]string(nil), n.X...),
-		A:            n.A,
-		TpX:          append([]string(nil), n.TpX...),
-		TpA:          n.TpA,
-	}
-}
-
 // Normalize splits the CFD into its equivalent set of Normalized CFDs:
 // one per (pattern tuple, Y attribute) pair, deduplicated.
 func (c *CFD) Normalize() []*Normalized {
 	var out []*Normalized
 	seen := map[string]bool{}
-	for pi, tp := range c.Tp {
+	for _, tp := range c.Tp {
 		for yi, a := range c.Y {
 			n := &Normalized{
-				Parent:       c.Name,
-				PatternIndex: pi,
-				X:            c.X,
-				A:            a,
-				TpX:          tp.LHS,
-				TpA:          tp.RHS[yi],
+				Parent: c.Name,
+				X:      c.X,
+				A:      a,
+				TpX:    tp.LHS,
+				TpA:    tp.RHS[yi],
 			}
 			if k := n.Key(); !seen[k] {
 				seen[k] = true
@@ -102,32 +75,6 @@ func (c *CFD) Normalize() []*Normalized {
 		}
 	}
 	return out
-}
-
-// ReduceConstant rewrites a constant CFD into the equivalent constant
-// CFD with no wildcard in the pattern tuple ([2], cited in Section
-// IV-A): LHS attributes whose pattern entry is the wildcard impose no
-// condition when the RHS is a constant, so they are dropped. Variable
-// CFDs are returned unchanged.
-func (n *Normalized) ReduceConstant() *Normalized {
-	if !n.IsConstant() {
-		return n
-	}
-	var xs, ps []string
-	for i, v := range n.TpX {
-		if v != Wildcard {
-			xs = append(xs, n.X[i])
-			ps = append(ps, v)
-		}
-	}
-	return &Normalized{
-		Parent:       n.Parent,
-		PatternIndex: n.PatternIndex,
-		X:            xs,
-		A:            n.A,
-		TpX:          ps,
-		TpA:          n.TpA,
-	}
 }
 
 // VariableView returns the CFD restricted to pattern rows and RHS

@@ -277,6 +277,12 @@ func (r *RowReader) Value(col, row int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// A file's chunks are checksummed, not checked against its
+	// dictionary the way NewPacked checks a peer's: the ID is the
+	// file's word until here.
+	if int64(id) >= int64(d.Len()) {
+		return "", fmt.Errorf("colstore: %s: row %d holds ID %d outside the dictionary of %d values", r.f.cols[col].name, row, id, d.Len())
+	}
 	return d.Val(id), nil
 }
 

@@ -191,7 +191,9 @@ func fuzzDictSection(t *testing.T, data []byte) {
 
 // FuzzFragmentOpen hands parseFragment arbitrary bytes as a
 // fragment.col — footer, segment table, schema — then asks every column
-// for its dictionary and one ReadColumn. Each input runs twice: as it
+// for its dictionary and one ReadColumn, and a row reader for the first
+// rows and the last as values (the IDs mapped through the dictionaries).
+// Each input runs twice: as it
 // is, and resealed, because a corrupted file fails a checksum but a
 // hostile one carries checksums that hold, and only then do the schema,
 // dictionary, chunk-directory and chunk decoders see the bytes. Error
@@ -216,6 +218,13 @@ func fuzzOpenAndRead(data []byte) {
 	for j := 0; j < fr.NumColumns(); j++ {
 		_, _ = fr.Dict(j)
 		_ = fr.ReadColumn(j, 0, dst)
+	}
+	rr := fr.NewRowReader()
+	for row := 0; row < min(fr.Rows(), 2*pointReads); row++ {
+		_, _ = rr.Row(row, nil)
+	}
+	if fr.Rows() > 0 {
+		_, _ = rr.Row(fr.Rows()-1, nil)
 	}
 }
 

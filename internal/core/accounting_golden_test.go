@@ -156,7 +156,7 @@ type accountingRecord struct {
 	perCFD  []*relation.Relation
 	shipped int64
 	modeled float64
-	metrics *dist.Metrics
+	ship    dist.Report
 	// Per-unit detail, recorded for the one-CFD modes only.
 	unit                    bool
 	coords, checkSizes      []int
@@ -193,7 +193,7 @@ func (r *accountingRun) detect(t *testing.T, incremental bool) accountingRecord 
 	}
 	rec := accountingRecord{
 		cfds: res.CFDs, perCFD: res.PerCFD,
-		shipped: res.ShippedTuples, modeled: res.ModeledTime, metrics: res.Metrics,
+		shipped: res.ShippedTuples, modeled: res.ModeledTime, ship: res.Shipment,
 		deltaTuples: res.DeltaShippedTuples, deltaBytes: res.DeltaShippedBytes,
 	}
 	if r.alone {
@@ -226,7 +226,7 @@ func writeAccounting(buf *bytes.Buffer, label string, rec accountingRecord) {
 	if rec.unit {
 		fmt.Fprintf(buf, "unit: coords=%v check=%v mined=%d local=%v\n", rec.coords, rec.checkSizes, rec.mined, rec.localOnly)
 	}
-	s := rec.metrics.Snapshot()
+	s := rec.ship
 	fmt.Fprintf(buf, "ship: tuples=%d bytes=%d ctlmsgs=%d ctlbytes=%d delta=%d/%d result-delta=%d/%d\n",
 		s.TotalTuples, s.TotalBytes, s.ControlMessages, s.ControlBytes, s.TotalDeltaTuples, s.TotalDeltaBytes,
 		rec.deltaTuples, rec.deltaBytes)

@@ -42,11 +42,18 @@ func chaosSeed(t *testing.T) int64 {
 	return n
 }
 
+// chaosCFDs is the fault suites' rule set. Every rule carries one
+// constant unit beside its variable ones, so a run still issues the
+// Proposition 5 local step for each of them — a run skips it for a rule
+// without a constant unit — and the call ordinals the fault plans below
+// count (CrashAt, DrainAfter) land where they were chosen to.
 func chaosCFDs() []*cfd.CFD {
+	k16 := workload.CustPatternCFD(16)
+	k16.Tp = append(k16.Tp, cfd.PatternTuple{LHS: []string{"01", "0100", cfd.Wildcard}, RHS: []string{"city_01_0100"}})
 	return []*cfd.CFD{
-		workload.CustPatternCFD(16),
-		cfd.MustParse(`i2: [name] -> [phn]`),
-		cfd.MustParse(`i4: [street, city] -> [zip]`),
+		k16,
+		cfd.MustParse(`i2: [name] -> [phn] : (_ || _), (name00042 || 0000042)`),
+		cfd.MustParse(`i4: [street, city] -> [zip] : (_, _ || _), (street_01_000, city_01_0100 || zip_01_000)`),
 	}
 }
 

@@ -85,9 +85,6 @@ func (cl *Cluster) Schema() *relation.Schema { return cl.schema }
 // Site returns site i.
 func (cl *Cluster) Site(i int) SiteAPI { return cl.sites[i] }
 
-// Predicates returns the fragment predicates (cached).
-func (cl *Cluster) Predicates() []relation.Predicate { return cl.preds }
-
 // WrapSites replaces every site with wrap(i, site) — the interposition
 // hook WithAdmissionPolicy uses to put an admission controller in
 // front of each site. A nil return keeps the site as-is. It must run

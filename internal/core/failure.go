@@ -61,10 +61,6 @@ type RetryPolicy struct {
 	// Attempts is the per-call attempt budget, first try included.
 	// Default 4.
 	Attempts int
-	// UnitAttempts bounds whole-pipeline re-runs after a failure that
-	// per-call retries could not absorb (a non-idempotent call that may
-	// have executed, or an exhausted call budget). Default 3.
-	UnitAttempts int
 	// BaseDelay is the backoff before the first retry, doubling per
 	// attempt up to MaxDelay, with jitter. Default 2ms.
 	BaseDelay time.Duration
@@ -72,12 +68,14 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
+// unitAttempts bounds whole-pipeline re-runs after a failure that
+// per-call retries could not absorb (a non-idempotent call that may
+// have executed, or an exhausted call budget).
+const unitAttempts = 3
+
 func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.Attempts <= 0 {
 		rp.Attempts = 4
-	}
-	if rp.UnitAttempts <= 0 {
-		rp.UnitAttempts = 3
 	}
 	if rp.BaseDelay <= 0 {
 		rp.BaseDelay = 2 * time.Millisecond
@@ -453,10 +451,10 @@ var errSiteExcluded = &CodedError{Code: CodeUnavailable, Msg: "core: site exclud
 
 // unitFailure decides whether a failed pipeline attempt is re-run:
 // FailFast never retries; FailRetry re-runs transient failures up to
-// UnitAttempts; FailDegrade additionally excludes the site a
+// unitAttempts; FailDegrade additionally excludes the site a
 // SiteFailure blames — a newly excluded site grants a free re-run
 // (each site can take an attempt down at most once), so the bound is
-// UnitAttempts plus the number of sites that actually died.
+// unitAttempts plus the number of sites that actually died.
 func (fs *faultState) unitFailure(ctx context.Context, attempt int, err error) (bool, error) {
 	if !fs.active() || ctx.Err() != nil || !isTransient(err) {
 		return false, err
@@ -470,7 +468,7 @@ func (fs *faultState) unitFailure(ctx context.Context, attempt int, err error) (
 			return true, nil
 		}
 	}
-	if attempt+1 >= fs.retry.UnitAttempts {
+	if attempt+1 >= unitAttempts {
 		return false, err
 	}
 	if sleepCtx(ctx, fs.retry.backoff(attempt+1)) != nil {

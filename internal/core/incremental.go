@@ -99,9 +99,7 @@ func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, 
 	// FailRetry here.)
 	attempts := 2
 	if fs.active() {
-		if ua := fs.retry.withDefaults().UnitAttempts; ua > attempts {
-			attempts = ua
-		}
+		attempts = unitAttempts
 	}
 	var parts [][]*relation.Relation
 	var err error
@@ -303,11 +301,11 @@ func (p *Plan) DetectIncremental(ctx context.Context) (*Result, error) {
 
 func (p *Plan) detectIncrementalLocked(ctx context.Context) (*Result, error) {
 	fs := newFaultState(p.cl, p.opt)
-	res, err := p.pass(ctx, fs, time.Now(), true)
+	res, total, err := p.pass(ctx, fs, time.Now(), true)
 	if err != nil {
 		return nil, err
 	}
-	p.finishFailure(res, fs)
+	p.finishFailure(res, total, fs)
 	return res, nil
 }
 

@@ -32,7 +32,7 @@ func cloneCluster(t *testing.T, cl *Cluster) *Cluster {
 		if !ok {
 			t.Fatalf("site %d does not expose its fragment", i)
 		}
-		sites[i] = NewSite(i, base.Fragment().Clone(), cl.Predicates()[i])
+		sites[i] = NewSite(i, base.Fragment().Clone(), cl.preds[i])
 	}
 	virgin, err := NewCluster(cl.Schema(), sites)
 	if err != nil {
@@ -183,8 +183,8 @@ func TestSetIncrementalEquivalenceEMP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if clustered && len(p.Clusters()) >= len(cfds) {
-				t.Fatalf("fixture did not merge any clusters: %v", p.Clusters())
+			if clustered && len(p.clusters) >= len(cfds) {
+				t.Fatalf("fixture did not merge any clusters: %v", p.clusters)
 			}
 			rng := rand.New(rand.NewSource(9))
 			idSeq := 500
@@ -364,7 +364,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vsp, err := compileOne(ctx, cloneCluster(t, cl), sp.CFDs()[0], PatDetectS, Options{})
+		vsp, err := compileOne(ctx, cloneCluster(t, cl), sp.cfds[0], PatDetectS, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,7 +199,7 @@ func TestSetResultBookkeeping(t *testing.T) {
 		if res.ModeledTime <= 0 || res.WallTime <= 0 {
 			t.Error("times should be positive")
 		}
-		if res.ShippedTuples != res.Metrics.TotalTuples() {
+		if res.ShippedTuples != res.Shipment.TotalTuples {
 			t.Error("shipped tuples mismatch with metrics")
 		}
 		if len(res.PerCFD) != len(cfds) {

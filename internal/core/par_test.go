@@ -95,7 +95,7 @@ func TestParDetectBookkeeping(t *testing.T) {
 	if res.ModeledTime <= 0 || res.WallTime <= 0 {
 		t.Error("times should be positive")
 	}
-	if res.ShippedTuples != res.Metrics.TotalTuples() {
+	if res.ShippedTuples != res.Shipment.TotalTuples {
 		t.Error("shipped tuples mismatch with metrics")
 	}
 	wantPatterns(t, "par phi1", res.PerCFD[0], "44\x1fEH4 8LE", "31\x1f1012 WR")

@@ -11,7 +11,8 @@ import (
 // run executes one attempt of the unit — the pipeline of Section IV-B,
 // which Section IV-C runs once per cluster:
 //
-//  1. constant units of every member, locally at every site (Prop. 5),
+//  1. constant units of every member that has one, locally at every
+//     site (Prop. 5),
 //  2. Fi ∧ Fφ pruning, parallel local statistics + exchange (control
 //     traffic), coordinator assignment per the algorithm's policy
 //     (assignBlocks),
@@ -37,9 +38,11 @@ func (u *unit) run(ctx context.Context, intraWorkers int, fs *faultState, st *un
 
 	pats := make([]*relation.Relation, len(u.group))
 	for ci, c := range u.group {
-		parts, err := detectConstantsEverywhere(ctx, cl, fs, c)
-		if err != nil {
-			return nil, err
+		var parts []*relation.Relation
+		if u.constant[ci] {
+			if parts, err = detectConstantsEverywhere(ctx, cl, fs, c); err != nil {
+				return nil, err
+			}
 		}
 		pats[ci] = mergeDistinct(u.schemas[ci], parts)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,9 +48,13 @@ type unit struct {
 
 	group   []*cfd.CFD
 	schemas []*relation.Schema
-	views   []*cfd.CFD
-	viewIdx []int
-	spec    *BlockSpec // nil when every member is constant-only
+	// constant marks the members with a constant unit: the only ones
+	// the Proposition 5 local step can return anything for, so the only
+	// ones a run asks the sites about.
+	constant []bool
+	views    []*cfd.CFD
+	viewIdx  []int
+	spec     *BlockSpec // nil when every member is constant-only
 	// restrict selects the Lemma 6 coordinator check: with exactly one
 	// variable view the spec's patterns are that view's tableau rows, so
 	// each block checks only its own row. Derived, never set.
@@ -71,6 +76,7 @@ func compileUnit(ctx context.Context, cl *Cluster, group []*cfd.CFD, algo Algori
 			return nil, fmt.Errorf("core: cfd %s: %w", c.Name, err)
 		}
 		u.schemas = append(u.schemas, ps)
+		u.constant = append(u.constant, slices.ContainsFunc(c.Normalize(), (*cfd.Normalized).IsConstant))
 		if v, ok := c.VariableView(); ok {
 			u.views = append(u.views, v)
 			u.viewIdx = append(u.viewIdx, ci)
@@ -197,12 +203,6 @@ func DetectOnce(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorith
 	return p.Detect(ctx)
 }
 
-// CFDs returns the compiled dependency set.
-func (p *Plan) CFDs() []*cfd.CFD { return p.cfds }
-
-// Clusters returns the CFD index groups processed together.
-func (p *Plan) Clusters() [][]int { return p.clusters }
-
 // SigmaReport returns the compile-time Σ analysis report, or nil when
 // the plan was compiled with Options.SigmaOff.
 func (p *Plan) SigmaReport() *cfd.SigmaReport { return p.sigma }
@@ -273,7 +273,7 @@ func (p *Plan) Detect(ctx context.Context) (*Result, error) {
 	fs := newFaultState(p.cl, p.opt)
 	for {
 		excludedBefore := len(fs.excludedSites())
-		res, err := p.pass(ctx, fs, start, false)
+		res, total, err := p.pass(ctx, fs, start, false)
 		if err != nil {
 			return nil, err
 		}
@@ -284,18 +284,18 @@ func (p *Plan) Detect(ctx context.Context) (*Result, error) {
 		// bounded by the site count, so this terminates; a fault-free
 		// run is always a single pass.
 		if len(fs.excludedSites()) == excludedBefore {
-			p.finishFailure(res, fs)
+			p.finishFailure(res, total, fs)
 			return res, nil
 		}
 	}
 }
 
 // finishFailure stamps the fault channel and the degraded-result
-// fields onto a completed result and snapshots its metrics (once per
-// run).
-func (p *Plan) finishFailure(res *Result, fs *faultState) {
-	fs.stamp(res.Metrics)
-	res.Shipment = res.Metrics.Snapshot()
+// fields onto a completed result and snapshots the run's metrics (once
+// per run).
+func (p *Plan) finishFailure(res *Result, total *dist.Metrics, fs *faultState) {
+	fs.stamp(total)
+	res.Shipment = total.Snapshot()
 	res.Retries, res.Faults = fs.totals()
 	res.ExcludedSites = fs.excludedSites()
 	res.Partial = len(res.ExcludedSites) > 0
@@ -307,15 +307,16 @@ func (p *Plan) finishFailure(res *Result, fs *faultState) {
 	}
 }
 
-// pass runs every unit once and assembles a Result. A fresh pass
+// pass runs every unit once and assembles a Result beside the run's
+// merged metrics, which finishFailure snapshots. A fresh pass
 // retries each unit under the shared fault state and may overlap
 // units; an incremental pass runs them in deterministic cluster order
 // against the plan's retained sessions (rounds mutate per-unit session
 // state, so Options.Workers does not apply, and recovery is the
 // round-level reseed inside the unit).
-func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, incremental bool) (*Result, error) {
+func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, incremental bool) (*Result, *dist.Metrics, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	outs := make([]*unitOut, len(p.units))
 	errs := make([]error, len(p.units))
@@ -325,7 +326,7 @@ func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, increm
 		for gi, u := range p.units {
 			var err error
 			if outs[gi], err = u.run(ctx, intraWorkers, fs, &p.inc[gi]); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	} else {
@@ -353,18 +354,17 @@ func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, increm
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
 	total := dist.NewMetrics(p.cl.N())
 	res := &Result{
 		CFDs:        p.cfds,
-		Metrics:     total,
 		PerCFD:      make([]*relation.Relation, len(p.cfds)),
 		Clusters:    p.clusters,
 		Units:       make([]UnitReport, len(p.units)),
@@ -389,7 +389,7 @@ func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, increm
 	res.DeltaShippedTuples = total.DeltaTuples()
 	res.DeltaShippedBytes = total.DeltaBytes()
 	res.WallTime = time.Since(start)
-	return res, nil
+	return res, total, nil
 }
 
 func allWildcardLHS(c *cfd.CFD) bool {

@@ -120,8 +120,8 @@ func TestPlanSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if clustered && len(p.Clusters()) != 1 {
-			t.Fatalf("fixture did not merge into one cluster: %v", p.Clusters())
+		if clustered && len(p.clusters) != 1 {
+			t.Fatalf("fixture did not merge into one cluster: %v", p.clusters)
 		}
 		for i, c := range cfds {
 			sp, err := p.Single(ctx, i)
@@ -188,10 +188,66 @@ func TestPlanMiningCompiledOnce(t *testing.T) {
 			t.Errorf("run %d: accounting differs: shipped %d/%d modeled %v/%v",
 				k, got.ShippedTuples, want.ShippedTuples, got.ModeledTime, want.ModeledTime)
 		}
-		gs, ws := got.Metrics.Snapshot(), want.Metrics.Snapshot()
+		gs, ws := got.Shipment, want.Shipment
 		if gs.ControlBytes != ws.ControlBytes {
 			t.Errorf("run %d: control traffic %d != one-shot %d (mining exchange not replayed?)",
 				k, gs.ControlBytes, ws.ControlBytes)
 		}
+	}
+}
+
+// TestRunSkipsConstantsForVariableOnlyRule pins what compileUnit
+// decides: the Proposition 5 local step is issued — once per site —
+// only for a rule that has a constant unit; a rule whose units are all
+// variable could only get empty relations back, so no site is asked.
+func TestRunSkipsConstantsForVariableOnlyRule(t *testing.T) {
+	mixed := cfd.MustParse(`mixed: [CC, AC] -> [city] : (44, 131 || EDI), (_, _ || _)`)
+	for _, tc := range []struct {
+		name      string
+		rules     []*cfd.CFD
+		clustered bool
+		perSite   int
+	}{
+		{"variable-only", []*cfd.CFD{phi1, phi2}, false, 0},
+		{"variable-only-clustered", []*cfd.CFD{phi1, phi2}, true, 0},
+		{"constant-only", []*cfd.CFD{phi3}, false, 1},
+		{"mixed-tableau", []*cfd.CFD{mixed}, false, 1},
+		{"one-of-three", []*cfd.CFD{phi1, phi2, phi3}, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := uniformCluster(t, 3, 5)
+			var mu sync.Mutex
+			calls := make([]map[string]int, cl.N())
+			cl.WrapSites(func(i int, s SiteAPI) SiteAPI {
+				calls[i] = map[string]int{}
+				w := NewIntercept(func() SiteAPI { return s }, func(_ context.Context, method string, call func(SiteAPI) error) error {
+					mu.Lock()
+					calls[i][method]++
+					mu.Unlock()
+					return call(s)
+				})
+				return &w
+			})
+			ctx := context.Background()
+			res, err := DetectOnce(ctx, cl, tc.rules, PatDetectS, Options{}, tc.clustered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range calls {
+				if got := c["DetectConstantsLocal"]; got != tc.perSite {
+					t.Errorf("site %d: %d DetectConstantsLocal calls, want %d (all calls: %v)", i, got, tc.perSite, c)
+				}
+			}
+			// Skipping the step changes nothing a caller reads.
+			want, err := DetectOnce(ctx, uniformCluster(t, 1, 5), tc.rules, PatDetectS, Options{}, tc.clustered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := range tc.rules {
+				if !res.PerCFD[ci].SameTuples(want.PerCFD[ci]) {
+					t.Errorf("%s: %v, a single-site run finds %v", tc.rules[ci].Name, res.PerCFD[ci], want.PerCFD[ci])
+				}
+			}
+		})
 	}
 }

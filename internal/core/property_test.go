@@ -196,8 +196,10 @@ func TestPropertyCheckSizesConsistent(t *testing.T) {
 			return false
 		}
 		var received int64
-		for i := 0; i < cl.N(); i++ {
-			received += res.Metrics.ReceivedBy(i)
+		for _, row := range res.Shipment.Tuples {
+			for _, n := range row {
+				received += n
+			}
 		}
 		return received == res.ShippedTuples
 	}

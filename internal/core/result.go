@@ -116,11 +116,9 @@ type Result struct {
 	// PerCFD holds Vioπ(φ,D) per CFD as distinct X-tuples, aligned with
 	// CFDs.
 	PerCFD []*relation.Relation
-	// Metrics aggregates all shipments of the run; Shipment is its
-	// point-in-time copy (per-site-pair shipment and control matrices
-	// plus totals), taken once when the run completes and safe to read
-	// and render without synchronization.
-	Metrics  *dist.Metrics
+	// Shipment is the run's shipment accounting (per-site-pair shipment
+	// and control matrices plus totals), snapshotted once when the run
+	// completes and safe to read and render without synchronization.
 	Shipment dist.Report
 	// ShippedTuples is the total |M| across all CFDs.
 	ShippedTuples int64
@@ -135,7 +133,7 @@ type Result struct {
 	// Units is the per-unit detail, aligned with Clusters.
 	Units []UnitReport
 	// Incremental marks a DetectIncremental run. Its ShippedTuples,
-	// ModeledTime and the regular tuple matrices of Metrics/Shipment
+	// ModeledTime and the regular tuple matrices of Shipment
 	// then report the modeled full-recompute equivalent — identical to
 	// what a fresh Detect on the same data would report, so serving-mode
 	// changes never bend the figures — while DeltaShippedTuples and
@@ -160,7 +158,7 @@ type Result struct {
 	Coverage float64
 	// Retries / Faults total the fault channel: retried site calls and
 	// failed attempts. Zero on fault-free runs — retry work is charged
-	// here and to the Metrics fault channels, never to ShippedTuples or
+	// here and to Shipment's fault channels, never to ShippedTuples or
 	// ModeledTime, so under FailRetry every other field is byte-identical
 	// to a fault-free run's.
 	Retries int64

@@ -60,9 +60,9 @@ func TestCompileSetSigmaCheckReportsDuplicates(t *testing.T) {
 	data := workload.Cust(workload.CustConfig{N: 200, Seed: 3, ErrRate: 0})
 	cl := clusterOver(t, data, 2, 1)
 	base := workload.CustPatternCFD(12)
-	dup := base.Clone()
+	dup := *base
 	dup.Name = "cust_dup"
-	rules := []*cfd.CFD{base, dup, workload.CustStreetCFD()}
+	rules := []*cfd.CFD{base, &dup, workload.CustStreetCFD()}
 	ctx := context.Background()
 	p, err := CompileSet(ctx, cl, rules, PatDetectS, Options{Sigma: SigmaCheck}, false)
 	if err != nil {
@@ -72,8 +72,8 @@ func TestCompileSetSigmaCheckReportsDuplicates(t *testing.T) {
 	if rep == nil || len(rep.Duplicates) != 1 || len(rep.Duplicates[0]) != 2 {
 		t.Fatalf("Σ report = %+v, want one duplicate group of two", rep)
 	}
-	if len(p.Clusters()) != len(rules) {
-		t.Errorf("SigmaCheck compiled %d units for %d CFDs", len(p.Clusters()), len(rules))
+	if len(p.clusters) != len(rules) {
+		t.Errorf("SigmaCheck compiled %d units for %d CFDs", len(p.clusters), len(rules))
 	}
 	off, err := CompileSet(ctx, cl, rules, PatDetectS, Options{}, false)
 	if err != nil {

@@ -279,9 +279,9 @@ func TestPredicatePruningAvoidsShipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prunedSite, _ := pruneMatrix(cl.Predicates(), spec)
+	prunedSite, _ := pruneMatrix(cl.preds, spec)
 	cc01 := -1
-	for i, p := range cl.Predicates() {
+	for i, p := range cl.preds {
 		if strings.Contains(p.String(), "CC = 01") {
 			cc01 = i
 		}

@@ -80,9 +80,6 @@ func NewMetrics(n int) *Metrics {
 	return m
 }
 
-// Sites returns the number of sites the metrics were created for.
-func (m *Metrics) Sites() int { return m.n }
-
 func (m *Metrics) idx(from, to int) int {
 	if from < 0 || from >= m.n || to < 0 || to >= m.n {
 		panic(fmt.Sprintf("dist: site pair (%d,%d) out of range [0,%d)", from, to, m.n))
@@ -140,12 +137,6 @@ func (m *Metrics) total(xs []int64) int64 {
 	return sum64(xs)
 }
 
-// TotalRetries returns the total retried site calls of the run.
-func (m *Metrics) TotalRetries() int64 { return m.total(m.ch[chRetries]) }
-
-// TotalFaults returns the total failed site-call attempts of the run.
-func (m *Metrics) TotalFaults() int64 { return m.total(m.ch[chFaults]) }
-
 // DeltaTuples returns the total tuples shipped on the delta channel.
 func (m *Metrics) DeltaTuples() int64 { return m.total(m.ch[chDeltaTuples]) }
 
@@ -154,15 +145,6 @@ func (m *Metrics) DeltaBytes() int64 { return m.total(m.ch[chDeltaBytes]) }
 
 // TotalTuples returns |M|, the total tuple shipments of the run.
 func (m *Metrics) TotalTuples() int64 { return m.total(m.ch[chTuples]) }
-
-// TotalBytes returns the total data-plane payload bytes.
-func (m *Metrics) TotalBytes() int64 { return m.total(m.ch[chBytes]) }
-
-// ControlMessages returns the total control-plane message count.
-func (m *Metrics) ControlMessages() int64 { return m.total(m.ch[chCtlMsgs]) }
-
-// ControlBytes returns the total control-plane payload bytes.
-func (m *Metrics) ControlBytes() int64 { return m.total(m.ch[chCtlBytes]) }
 
 // ReceivedBy returns the number of tuples shipped to site i.
 func (m *Metrics) ReceivedBy(i int) int64 {

@@ -62,8 +62,8 @@ func TestMetricsShipAndQuery(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			m := NewMetrics(tt.sites)
-			if m.Sites() != tt.sites {
-				t.Fatalf("Sites = %d, want %d", m.Sites(), tt.sites)
+			if got := m.Snapshot().Sites; got != tt.sites {
+				t.Fatalf("Sites = %d, want %d", got, tt.sites)
 			}
 			for _, s := range tt.ships {
 				m.ShipTuples(s.from, s.to, s.n, s.bytes)
@@ -71,7 +71,7 @@ func TestMetricsShipAndQuery(t *testing.T) {
 			if got := m.TotalTuples(); got != tt.wantTotal {
 				t.Errorf("TotalTuples = %d, want %d", got, tt.wantTotal)
 			}
-			if got := m.TotalBytes(); got != tt.wantBytes {
+			if got := m.Snapshot().TotalBytes; got != tt.wantBytes {
 				t.Errorf("TotalBytes = %d, want %d", got, tt.wantBytes)
 			}
 			sent := m.SentBySite()
@@ -98,15 +98,12 @@ func TestMetricsShipAndQuery(t *testing.T) {
 
 func TestMetricsZeroSites(t *testing.T) {
 	m := NewMetrics(0)
-	if m.Sites() != 0 || m.TotalTuples() != 0 || m.TotalBytes() != 0 {
-		t.Error("zero-site metrics should be empty")
-	}
 	if got := len(m.SentBySite()); got != 0 {
 		t.Errorf("SentBySite length = %d", got)
 	}
 	m.Merge(NewMetrics(0)) // must not panic
 	r := m.Snapshot()
-	if r.Sites != 0 || r.TotalTuples != 0 {
+	if r.Sites != 0 || r.TotalTuples != 0 || r.TotalBytes != 0 {
 		t.Errorf("snapshot of empty metrics: %+v", r)
 	}
 }
@@ -128,11 +125,12 @@ func TestMetricsControlSeparateFromTuples(t *testing.T) {
 	if m.TotalTuples() != 0 {
 		t.Error("control traffic must not count as tuple shipment")
 	}
-	if got := m.ControlMessages(); got != 3 {
-		t.Errorf("ControlMessages = %d, want 3", got)
+	r := m.Snapshot()
+	if r.ControlMessages != 3 {
+		t.Errorf("ControlMessages = %d, want 3", r.ControlMessages)
 	}
-	if got := m.ControlBytes(); got != 208 {
-		t.Errorf("ControlBytes = %d, want 208", got)
+	if r.ControlBytes != 208 {
+		t.Errorf("ControlBytes = %d, want 208", r.ControlBytes)
 	}
 }
 
@@ -151,11 +149,8 @@ func TestMetricsMerge(t *testing.T) {
 	if got := a.ReceivedBy(1); got != 7 {
 		t.Errorf("merged ReceivedBy(1) = %d, want 7", got)
 	}
-	if got := a.TotalBytes(); got != 80 {
-		t.Errorf("merged TotalBytes = %d, want 80", got)
-	}
-	if got := a.ControlMessages(); got != 1 {
-		t.Errorf("merged ControlMessages = %d, want 1", got)
+	if r := a.Snapshot(); r.TotalBytes != 80 || r.ControlMessages != 1 {
+		t.Errorf("merged TotalBytes = %d, ControlMessages = %d, want 80 and 1", r.TotalBytes, r.ControlMessages)
 	}
 	// b is untouched.
 	if b.TotalTuples() != 5 {
@@ -224,7 +219,7 @@ func TestMetricsConcurrentRecording(t *testing.T) {
 	if got := m.TotalTuples(); got != workers*per {
 		t.Errorf("lost updates: TotalTuples = %d, want %d", got, workers*per)
 	}
-	if got := m.ControlMessages(); got != workers*per {
+	if got := m.Snapshot().ControlMessages; got != workers*per {
 		t.Errorf("lost control updates: %d, want %d", got, workers*per)
 	}
 }

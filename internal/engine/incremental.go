@@ -32,7 +32,6 @@ import (
 // blocks into it. The one-shot Kernel.DetectSet/DetectRows paths remain
 // as the full-recompute and row-path ablation baselines (ablation 11).
 type IncrementalState struct {
-	c     *cfd.CFD
 	units []*unitState
 }
 
@@ -66,7 +65,7 @@ type constViol struct {
 // relation schema at a site). With constantOnly, only c's constant
 // units are tracked — the Proposition 5 local serving state.
 func NewIncrementalState(s *relation.Schema, c *cfd.CFD, constantOnly bool) (*IncrementalState, error) {
-	st := &IncrementalState{c: c}
+	st := &IncrementalState{}
 	for _, n := range c.Normalize() {
 		if constantOnly && !n.IsConstant() {
 			continue
@@ -97,9 +96,6 @@ func NewIncrementalState(s *relation.Schema, c *cfd.CFD, constantOnly bool) (*In
 	}
 	return st, nil
 }
-
-// CFD returns the dependency the state tracks.
-func (st *IncrementalState) CFD() *cfd.CFD { return st.c }
 
 // HasUnits reports whether any unit is tracked (false e.g. for a
 // constant-only state of a purely variable CFD); unit-less states need

@@ -33,18 +33,24 @@ type Opts struct {
 	Workers int
 }
 
-func (k *Kernel) get() *detectScratch {
-	//distcfd:poolpair-ok — hand-off wrapper; every caller pairs `sc := k.get(); defer k.put(sc)`
-	if sc, ok := k.pool.Get().(*detectScratch); ok {
-		return sc
+// check is the one place a scratch leaves and re-enters the pool: it
+// marks Vio(Σ, r) in a pooled scratch, hands the scratch to read and
+// puts it back however run or read end. What read returns must not
+// alias the scratch.
+func (k *Kernel) check(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD, o Opts, read func(*detectScratch) error) error {
+	sc, ok := k.pool.Get().(*detectScratch)
+	if !ok {
+		sc = &detectScratch{}
 	}
-	return &detectScratch{}
-}
-
-func (k *Kernel) put(sc *detectScratch) {
-	sc.src = source{spans: sc.src.spans[:0]} // drop what a pooled scratch must not keep alive
-	sc.shrink()
-	k.pool.Put(sc)
+	defer func() {
+		sc.src = source{spans: sc.src.spans[:0]} // drop what a pooled scratch must not keep alive
+		sc.shrink()
+		k.pool.Put(sc)
+	}()
+	if err := sc.run(r, schema, cs, o); err != nil {
+		return err
+	}
+	return read(sc)
 }
 
 // DetectSet returns Vio(Σ, d) as sorted tuple indices. A relation whose
@@ -61,26 +67,24 @@ func (k *Kernel) DetectSetReader(r relation.ColumnReader, schema *relation.Schem
 	return k.detect(r, schema, cs, Opts{})
 }
 
-func (k *Kernel) detect(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD, o Opts) ([]int, error) {
-	sc := k.get()
-	defer k.put(sc)
-	if err := sc.run(r, schema, cs, o); err != nil {
-		return nil, err
-	}
-	return sc.violations(), nil
+func (k *Kernel) detect(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD, o Opts) (rows []int, err error) {
+	err = k.check(r, schema, cs, o, func(sc *detectScratch) error {
+		rows = sc.violations()
+		return nil
+	})
+	return rows, err
 }
 
 // ViolationPatterns returns the distinct violating X-patterns of φ in
 // d as bare X-tuples (no null padding), in ascending order of their
 // first violating row — the coordinator-side check primitive and the
 // compact form coordinators ship back.
-func (k *Kernel) ViolationPatterns(d *relation.Relation, c *cfd.CFD, o Opts) (*relation.Relation, error) {
-	sc := k.get()
-	defer k.put(sc)
-	if err := sc.run(storage(d), d.Schema(), []*cfd.CFD{c}, o); err != nil {
-		return nil, err
-	}
-	return sc.violationPatterns(d.Schema(), c)
+func (k *Kernel) ViolationPatterns(d *relation.Relation, c *cfd.CFD, o Opts) (pats *relation.Relation, err error) {
+	err = k.check(storage(d), d.Schema(), []*cfd.CFD{c}, o, func(sc *detectScratch) (err error) {
+		pats, err = sc.violationPatterns(d.Schema(), c)
+		return err
+	})
+	return pats, err
 }
 
 // ViolationPatterns is Kernel.ViolationPatterns on a shared default

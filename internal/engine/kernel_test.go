@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -96,6 +97,42 @@ func TestKernelScratchReuse(t *testing.T) {
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d %s: %v != rows-path %v", trial, c.Name, got, want)
 			}
+		}
+	}
+}
+
+// TestKernelFailedRunReturnsScratch pins the pairing Kernel.check holds
+// by construction: a run the scratch rejects (a CFD over an attribute
+// the schema lacks) and a read that fails both put the scratch back, and
+// back unbound. sync.Pool may drop a Put (the race detector drops one
+// in four), hence the attempts.
+func TestKernelFailedRunReturnsScratch(t *testing.T) {
+	d := randomRelation(rand.New(rand.NewSource(3)), 50)
+	bad := []*cfd.CFD{cfd.MustParse(`bad: [a, nope] -> [c]`)}
+	readErr := errors.New("read failed")
+	fails := map[string]func(k *Kernel) error{
+		"run": func(k *Kernel) error {
+			_, err := k.DetectSet(d, bad, Opts{})
+			return err
+		},
+		"read": func(k *Kernel) error {
+			return k.check(storage(d), d.Schema(), kernelTestCFDs(), Opts{}, func(*detectScratch) error { return readErr })
+		},
+	}
+	for name, fail := range fails {
+		var k Kernel
+		var sc *detectScratch
+		for attempt := 0; attempt < 32 && sc == nil; attempt++ {
+			if err := fail(&k); err == nil {
+				t.Fatalf("%s: the call was built to fail", name)
+			}
+			sc, _ = k.pool.Get().(*detectScratch)
+		}
+		if sc == nil {
+			t.Fatalf("%s: a failed call never returned its scratch to the pool", name)
+		}
+		if sc.src.r != nil || len(sc.src.spans) != 0 {
+			t.Errorf("%s: the pooled scratch still holds its source", name)
 		}
 	}
 }

@@ -30,20 +30,18 @@ func detectReader(r relation.ColumnReader, schema *relation.Schema, c *cfd.CFD) 
 
 // patternsReader is Kernel.ViolationPatterns for a bare reader, which
 // has no exported form: non-test callers always hold a Relation.
-func patternsReader(r relation.ColumnReader, schema *relation.Schema, c *cfd.CFD) (*relation.Relation, error) {
-	sc := defaultKernel.get()
-	defer defaultKernel.put(sc)
-	if err := sc.run(r, schema, []*cfd.CFD{c}, Opts{}); err != nil {
-		return nil, err
-	}
-	return sc.violationPatterns(schema, c)
+func patternsReader(r relation.ColumnReader, schema *relation.Schema, c *cfd.CFD) (pats *relation.Relation, err error) {
+	err = defaultKernel.check(r, schema, []*cfd.CFD{c}, Opts{}, func(sc *detectScratch) (err error) {
+		pats, err = sc.violationPatterns(schema, c)
+		return err
+	})
+	return pats, err
 }
 
-// detectUnits marks the given normalized units over r and returns the
-// violating rows.
+// detectUnits marks the given normalized units over r in a fresh
+// scratch and returns the violating rows.
 func detectUnits(r relation.ColumnReader, schema *relation.Schema, units []*cfd.Normalized) ([]int, error) {
-	sc := defaultKernel.get()
-	defer defaultKernel.put(sc)
+	sc := &detectScratch{}
 	if err := sc.src.bind(r); err != nil {
 		return nil, err
 	}

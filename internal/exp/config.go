@@ -116,17 +116,3 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// Col returns the values of the named column.
-func (s *Series) Col(name string) []float64 {
-	for j, c := range s.Columns {
-		if c == name {
-			out := make([]float64, len(s.Rows))
-			for i := range s.Rows {
-				out[i] = s.Rows[i][j]
-			}
-			return out
-		}
-	}
-	return nil
-}

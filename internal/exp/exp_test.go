@@ -14,15 +14,28 @@ func tiny() Config {
 
 func last(xs []float64) float64 { return xs[len(xs)-1] }
 
+// columns transposes a series for the shape checks: column name →
+// values down the X axis.
+func columns(s *Series) map[string][]float64 {
+	out := make(map[string][]float64, len(s.Columns))
+	for _, row := range s.Rows {
+		for j, v := range row {
+			out[s.Columns[j]] = append(out[s.Columns[j]], v)
+		}
+	}
+	return out
+}
+
 func TestExp1CustShapes(t *testing.T) {
 	s, err := Exp1Cust(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := columns(s)
 	if len(s.XS) != 7 || len(s.Columns) != 3 {
 		t.Fatalf("series shape: %d × %d", len(s.XS), len(s.Columns))
 	}
-	ctr, rt := s.Col("CTRDetect"), s.Col("PatDetectRT")
+	ctr, rt := c["CTRDetect"], c["PatDetectRT"]
 	// Paper: response time decreases as |S| grows.
 	if last(ctr) >= ctr[0] {
 		t.Errorf("CTRDetect did not decrease with sites: %v", ctr)
@@ -44,7 +57,8 @@ func TestExp1XrefShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr, rt := s.Col("CTRDetect"), s.Col("PatDetectRT")
+	c := columns(s)
+	ctr, rt := c["CTRDetect"], c["PatDetectRT"]
 	if last(ctr) >= ctr[0] || last(rt) >= rt[0] {
 		t.Errorf("times did not decrease: ctr=%v rt=%v", ctr, rt)
 	}
@@ -55,8 +69,9 @@ func TestExp2LinearInData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := columns(s)
 	for _, col := range []string{"CTRDetect", "PatDetectRT"} {
-		v := s.Col(col)
+		v := c[col]
 		// Monotone growth.
 		for i := 1; i < len(v); i++ {
 			if v[i] < v[i-1]*0.95 {
@@ -71,9 +86,9 @@ func TestExp2LinearInData(t *testing.T) {
 		}
 	}
 	// PatDetectRT at least 2x faster at the largest size (paper).
-	if last(s.Col("CTRDetect")) < 1.5*last(s.Col("PatDetectRT")) {
+	if last(c["CTRDetect"]) < 1.5*last(c["PatDetectRT"]) {
 		t.Errorf("CTR/PatRT gap too small at max |D|: %v vs %v",
-			last(s.Col("CTRDetect")), last(s.Col("PatDetectRT")))
+			last(c["CTRDetect"]), last(c["PatDetectRT"]))
 	}
 }
 
@@ -82,13 +97,14 @@ func TestExp3GrowsWithTableau(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := columns(s)
 	for _, col := range []string{"CTRDetect", "PatDetectRT"} {
-		v := s.Col(col)
+		v := c[col]
 		if last(v) <= v[0] {
 			t.Errorf("%s did not grow with |Tp|: %v", col, v)
 		}
 	}
-	ctr, rt := s.Col("CTRDetect"), s.Col("PatDetectRT")
+	ctr, rt := c["CTRDetect"], c["PatDetectRT"]
 	for i := range ctr {
 		if rt[i] > ctr[i] {
 			t.Errorf("PatDetectRT above CTRDetect at k=%v", s.XS[i])
@@ -101,7 +117,8 @@ func TestExp4MiningReducesShipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, mined := s.Col("PatDetectS"), s.Col("PatDetectS+mining")
+	c := columns(s)
+	plain, mined := c["PatDetectS"], c["PatDetectS+mining"]
 	// Plain is a flat baseline (no θ dependence).
 	for i := 1; i < len(plain); i++ {
 		if plain[i] != plain[0] {
@@ -136,7 +153,8 @@ func TestExp5ClustBeatsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, clu := s.Col("sequential"), s.Col("clustered")
+	c := columns(s)
+	seq, clu := c["sequential"], c["clustered"]
 	for i := range seq {
 		if clu[i] > seq[i] {
 			t.Errorf("clustered shipped more at %v sites: %v > %v", s.XS[i], clu[i], seq[i])
@@ -151,7 +169,8 @@ func TestExp5ClustBeatsSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqT, cluT := g.Col("sequential"), g.Col("clustered")
+	gc := columns(g)
+	seqT, cluT := gc["sequential"], gc["clustered"]
 	for i := range seqT {
 		if cluT[i] > seqT[i]*1.05 {
 			t.Errorf("clustered slower at %v sites: %v > %v", g.XS[i], cluT[i], seqT[i])
@@ -164,7 +183,8 @@ func TestExp6ClustBeatsSeqAcrossSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, clu := s.Col("sequential"), s.Col("clustered")
+	c := columns(s)
+	seq, clu := c["sequential"], c["clustered"]
 	for i := range seq {
 		if clu[i] > seq[i]*1.05 {
 			t.Errorf("clustered slower at %v tuples", s.XS[i])
@@ -189,9 +209,6 @@ func TestSeriesPrint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Print missing %q:\n%s", want, out)
 		}
-	}
-	if s.Col("missing") != nil {
-		t.Error("Col of unknown column should be nil")
 	}
 }
 
@@ -236,10 +253,11 @@ func TestExpIncrementalShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := columns(s)
 	if len(s.XS) != 5 || len(s.Columns) != 2 {
 		t.Fatalf("series shape: %d × %d", len(s.XS), len(s.Columns))
 	}
-	inc, full := s.Col("incremental (delta channel)"), s.Col("full recompute")
+	inc, full := c["incremental (delta channel)"], c["full recompute"]
 	// The delta channel undercuts the full recompute at every fraction
 	// and by ≥5× at the smallest ones (the acceptance floor is at 1%).
 	for i := range s.XS {

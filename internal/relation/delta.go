@@ -54,17 +54,16 @@ func NormalizeDeletes(deletes []int, n int) ([]int, error) {
 // Unlike Append/SortBy, Apply maintains the cached columnar view
 // instead of invalidating it: built columns are extended (and, under
 // deletes, compacted by the same swaps), dictionaries grow by chaining
-// a fresh overlay over the frozen previous layer, and the view's
-// generation counter advances. Insert-only deltas cost O(|Δ|); a delta
-// with deletes additionally pays one O(|D|) memcpy of the tuple slice
-// and each built column — the price of never mutating memory the
-// previous generation's readers can reach — which is far below the
-// re-encode/re-route/re-ship work the maintained view avoids. Readers holding the previous Encoded
-// keep a consistent pre-delta snapshot — Apply never mutates memory a
-// previous generation can reach — so concurrent readers that access
-// the relation through Encoded() are safe during Apply. Direct
-// Tuples()/Tuple() access still requires external synchronization with
-// any mutation, as before.
+// a fresh overlay over the frozen previous layer. Insert-only deltas
+// cost O(|Δ|); a delta with deletes additionally pays one O(|D|) memcpy
+// of the tuple slice and each built column — the price of never
+// mutating memory the previous generation's readers can reach — which
+// is far below the re-encode/re-route/re-ship work the maintained view
+// avoids. Readers holding the previous Encoded keep a consistent
+// pre-delta snapshot — Apply never mutates memory a previous generation
+// can reach — so concurrent readers that access the relation through
+// Encoded() are safe during Apply. Direct Tuples()/Tuple() access still
+// requires external synchronization with any mutation, as before.
 func (r *Relation) Apply(d Delta) ([]Tuple, error) {
 	for i, t := range d.Inserts {
 		if len(t) != r.schema.Arity() {

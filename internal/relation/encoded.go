@@ -37,11 +37,6 @@ type Encoded struct {
 	// of the tuple fallback, so a received packed block materializes
 	// only the columns something actually reads.
 	reader ColumnReader
-	// gen counts the delta generations behind this view: Apply derives
-	// generation g+1 from generation g instead of invalidating, so
-	// serving caches can tell "same data, maintained" from "unrelated
-	// rebuild" (a fresh lazily-built view starts again at 0).
-	gen uint64
 
 	mu    sync.RWMutex
 	cols  [][]uint32
@@ -67,10 +62,6 @@ func newEncoded(tuples []Tuple, arity int) *Encoded {
 // Rows returns the number of rows in the view.
 func (e *Encoded) Rows() int { return e.rows }
 
-// Gen returns the view's delta generation (0 for a freshly built view,
-// incremented every time Relation.Apply derives the next one).
-func (e *Encoded) Gen() uint64 { return e.gen }
-
 // applyDelta derives the next-generation view after a delta: built
 // columns are carried forward — swap-compacted under the same deletes
 // the tuple slice saw, then extended with the inserted rows' IDs —
@@ -80,7 +71,6 @@ func (e *Encoded) Gen() uint64 { return e.gen }
 // consistent pre-delta snapshot while this one is constructed.
 func (e *Encoded) applyDelta(newTuples []Tuple, delIdx []int, ins []Tuple) *Encoded {
 	ne := newEncoded(newTuples, e.arity)
-	ne.gen = e.gen + 1
 	e.mu.RLock()
 	cols := append([][]uint32(nil), e.cols...)
 	dicts := append([]*Dict(nil), e.dicts...)

@@ -106,12 +106,6 @@ func (p Predicate) Eval(s *Schema, t Tuple) bool {
 	return true
 }
 
-// Func returns a closure evaluating p against schema s, for use with
-// Relation.Select.
-func (p Predicate) Func(s *Schema) func(Tuple) bool {
-	return func(t Tuple) bool { return p.Eval(s, t) }
-}
-
 // ConsistentWith reports whether the conjunction p ∧ q is satisfiable,
 // treating every attribute domain as infinite. This implements the
 // partitioning-condition test of Section IV-A: when the fragment

@@ -31,9 +31,6 @@ func TestPredicateEval(t *testing.T) {
 		if got := c.p.Eval(s, c.t); got != c.want {
 			t.Errorf("%s: Eval = %v, want %v", c.name, got, c.want)
 		}
-		if got := c.p.Func(s)(c.t); got != c.want {
-			t.Errorf("%s: Func = %v, want %v", c.name, got, c.want)
-		}
 	}
 }
 

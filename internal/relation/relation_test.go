@@ -190,7 +190,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if !r.SameTuples(got) {
 		t.Error("CSV round trip lost tuples")
 	}
-	if !got.Schema().Equal(r.Schema()) {
+	if got.Schema().String() != r.Schema().String() {
 		t.Errorf("schema after round trip = %v", got.Schema())
 	}
 }

@@ -100,16 +100,6 @@ func (s *Schema) HasAttr(a string) bool {
 	return ok
 }
 
-// HasAll reports whether every attribute in attrs belongs to the schema.
-func (s *Schema) HasAll(attrs []string) bool {
-	for _, a := range attrs {
-		if !s.HasAttr(a) {
-			return false
-		}
-	}
-	return true
-}
-
 // Indices maps a list of attribute names to their positions.
 func (s *Schema) Indices(attrs []string) ([]int, error) {
 	out := make([]int, len(attrs))
@@ -140,28 +130,6 @@ func (s *Schema) Project(name string, attrs []string) (*Schema, error) {
 		}
 	}
 	return NewSchema(name, attrs, key...)
-}
-
-// Equal reports whether two schemas have the same name, attributes
-// (order-sensitive) and keys.
-func (s *Schema) Equal(o *Schema) bool {
-	if s == o {
-		return true
-	}
-	if s == nil || o == nil || s.name != o.name || len(s.attrs) != len(o.attrs) || len(s.key) != len(o.key) {
-		return false
-	}
-	for i := range s.attrs {
-		if s.attrs[i] != o.attrs[i] {
-			return false
-		}
-	}
-	for i := range s.key {
-		if s.key[i] != o.key[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the schema as NAME(a, b, c) with key attributes starred.

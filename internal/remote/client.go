@@ -72,9 +72,10 @@ type RemoteSite struct {
 	cfg  DialConfig // cfg.CallTimeout is the per-call budget; 0 = none
 
 	// drainSeen latches the last drain signal observed on the wire: a
-	// CodeDraining rejection, or this client's own Drain call. Cleared
-	// by Resume and by a successful redial (a reconnected site is a
-	// fresh process). HealthDetail reads it without a probe.
+	// CodeDraining rejection, or the state the site reported in reply to
+	// this client's own Drain / Resume call. Cleared by a successful
+	// redial (a reconnected site is a fresh process). HealthDetail reads
+	// it without a probe.
 	drainSeen atomic.Bool
 
 	// redial is the one-slot semaphore that single-flights reconnects.
@@ -245,24 +246,27 @@ func deadlineNano(ctx context.Context) int64 {
 // finish what's in flight. The site must serve an admission controller
 // (cfdsite -admit).
 func (r *RemoteSite) Drain(ctx context.Context) error {
-	if err := r.callCtx(ctx, "Drain", DrainArgs{}, &DrainReply{}); err != nil {
+	var reply DrainReply
+	if err := r.callCtx(ctx, "Drain", DrainArgs{}, &reply); err != nil {
 		return err
 	}
-	r.drainSeen.Store(true)
+	r.drainSeen.Store(reply.Draining)
 	return nil
 }
 
 // Resume re-opens admission at the site after a drain.
 func (r *RemoteSite) Resume() {
+	var reply DrainReply
 	//distcfd:ctxflow-ok — operator rollback, not request work: runs without a driver context
-	if err := r.callCtx(context.Background(), "Drain", DrainArgs{Resume: true}, &DrainReply{}); err == nil {
-		r.drainSeen.Store(false)
+	if err := r.callCtx(context.Background(), "Drain", DrainArgs{Resume: true}, &reply); err == nil {
+		r.drainSeen.Store(reply.Draining)
 	}
 }
 
 // Draining reports the last drain signal seen on this connection — a
-// CodeDraining rejection or this client's own Drain call — without
-// probing the site. Cleared by Resume and by reconnection.
+// CodeDraining rejection or the site's reply to this client's own
+// Drain / Resume call — without probing the site. Cleared by
+// reconnection.
 func (r *RemoteSite) Draining() bool { return r.drainSeen.Load() }
 
 // live returns the current connection, redialing first when a prior

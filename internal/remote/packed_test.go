@@ -51,7 +51,7 @@ func TestWirePackedRoundTrip(t *testing.T) {
 	if pr, err := back.PackedPayload(); err != nil || pr == nil {
 		t.Errorf("adopted payload should re-ship packed (pr=%v err=%v)", pr, err)
 	}
-	if !back.SameTuples(d) || !back.Schema().Equal(d.Schema()) {
+	if !back.SameTuples(d) || back.Schema().String() != d.Schema().String() {
 		t.Error("packed round trip lost data")
 	}
 
@@ -138,7 +138,7 @@ func TestRemotePackedShipEquivalence(t *testing.T) {
 	if packed.ModeledTime != plain.ModeledTime {
 		t.Errorf("ModeledTime: packed %v, v5 %v", packed.ModeledTime, plain.ModeledTime)
 	}
-	pb, vb := packed.Metrics.TotalBytes(), plain.Metrics.TotalBytes()
+	pb, vb := packed.Shipment.TotalBytes, plain.Shipment.TotalBytes
 	if pb >= vb {
 		t.Errorf("packed shipping moved %d bytes, v5 %d — packed should be strictly smaller", pb, vb)
 	}

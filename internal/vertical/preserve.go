@@ -154,27 +154,3 @@ func intersectSorted(frag, universe []string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// LocallyCheckable returns, for each CFD in Σ, whether some single
-// fragment carries all its attributes — the syntactic condition under
-// which Vio(φ, Di) is defined (Section II-C). A CFD can be preserved
-// via implied dependencies without being syntactically embedded;
-// this reports the simpler, per-CFD condition.
-func LocallyCheckable(cs []*cfd.CFD, fragments [][]string) []bool {
-	out := make([]bool, len(cs))
-	for i, c := range cs {
-		out[i] = fragmentFor(c, fragments) >= 0
-	}
-	return out
-}
-
-func fragmentFor(c *cfd.CFD, fragments [][]string) int {
-	need := append(append([]string(nil), c.X...), c.Y...)
-	for fi, frag := range fragments {
-		set := cfd.NewAttrSet(frag...)
-		if set.HasAll(need) {
-			return fi
-		}
-	}
-	return -1
-}

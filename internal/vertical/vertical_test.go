@@ -234,25 +234,38 @@ func TestGreedyRefinementAlreadyPreserving(t *testing.T) {
 	}
 }
 
+// --- detection over vertical partitions ---
+
+// TestLocallyCheckable: a CFD is checked without shipment exactly when
+// one fragment carries all its attributes (Section II-C) — none of
+// Example 1's, every one after the refinement.
 func TestLocallyCheckable(t *testing.T) {
-	got := LocallyCheckable([]*cfd.CFD{phi1, phi2, phi3}, example1Fragments())
-	for i, want := range []bool{false, false, false} {
-		if got[i] != want {
-			t.Errorf("cfd %d locally checkable = %v, want %v", i, got[i], want)
-		}
+	cs := []*cfd.CFD{phi1, phi2, phi3}
+	res, err := Detect(vPartition(t), cs, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	refined := example1Fragments()
-	refined[0] = append(refined[0], "CC", "salary")
-	refined[1] = append(refined[1], "city")
-	got = LocallyCheckable([]*cfd.CFD{phi1, phi2, phi3}, refined)
-	for i, want := range []bool{true, true, true} {
-		if got[i] != want {
-			t.Errorf("refined cfd %d locally checkable = %v, want %v", i, got[i], want)
+	refined, err := partition.VerticalByAttrs(empD0(), [][]string{
+		{"name", "title", "street", "city", "zip", "CC", "salary"},
+		{"CC", "AC", "phn", "city"},
+		{"salary"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resRefined, err := Detect(refined, cs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cs {
+		if res.Local[i] {
+			t.Errorf("%s locally checkable over Example 1's fragments", c.Name)
+		}
+		if !resRefined.Local[i] {
+			t.Errorf("refined %s not locally checkable", c.Name)
 		}
 	}
 }
-
-// --- detection over vertical partitions ---
 
 func vPartition(t *testing.T) *partition.Vertical {
 	t.Helper()
@@ -415,11 +428,7 @@ func TestProposition7BothDirections(t *testing.T) {
 		t.Fatal("setup: partition should not preserve")
 	}
 	// Direction 1 (not preserved → some instance not locally checkable)
-	// is witnessed by construction in the paper; here we confirm the
-	// diagnostic: phi2 cannot be evaluated in any fragment.
-	if fragmentFor(phi2, frags) != -1 {
-		t.Error("phi2 unexpectedly embedded")
-	}
+	// is witnessed by construction in the paper.
 	// Direction 2: after the refinement, every CFD is embedded, so
 	// every violation is caught locally — verified by running the
 	// fragment-local detector and comparing with the oracle.

@@ -75,9 +75,6 @@ func XRefDeltaStream(frag *relation.Relation, cfg DeltaConfig) *DeltaStream {
 	return ds
 }
 
-// Len returns the mirrored fragment's current size.
-func (ds *DeltaStream) Len() int { return ds.mirror.Len() }
-
 // Next emits the next delta of the stream and folds it into the
 // mirror. The returned delta's delete indices address the fragment as
 // it stood before this call — apply deltas in emission order.

@@ -255,8 +255,8 @@ func TestDeltaStreams(t *testing.T) {
 				if _, err := frag.Apply(d); err != nil {
 					t.Fatalf("step %d: emitted delta invalid for its fragment: %v", step, err)
 				}
-				if frag.Len() != ds.Len() {
-					t.Fatalf("step %d: mirror has %d rows, fragment %d", step, ds.Len(), frag.Len())
+				if frag.Len() != ds.mirror.Len() {
+					t.Fatalf("step %d: mirror has %d rows, fragment %d", step, ds.mirror.Len(), frag.Len())
 				}
 			}
 			// Inserted rows match the bulk generator's schema.
