@@ -76,7 +76,8 @@ chaos-load:
 # target; commit that file with the fix so it replays forever after.
 fuzz-smoke:
 	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked \
-			internal/cfd:FuzzParseRules internal/remote:FuzzErrorEnvelope internal/colstore:FuzzFragmentOpen cmd/cfddetect:FuzzFollowLine; do \
+			internal/cfd:FuzzParseRules internal/remote:FuzzErrorEnvelope internal/colstore:FuzzFragmentOpen cmd/cfddetect:FuzzFollowLine \
+			internal/relation:FuzzDictChain; do \
 		echo "== fuzz $${t#*:} (10s)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
 	done

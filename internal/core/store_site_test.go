@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -321,6 +326,98 @@ func TestStoreSiteDeltasAndRecovery(t *testing.T) {
 	}
 }
 
+// TestStoreSiteReplayKeepsIDs pins ID stability across dictionary
+// merges and WAL replay: after far more insert-carrying deltas than
+// relation's chain depth bound (8), each bringing a fresh value to
+// every column, a reopened store site gives every value of every
+// column the ID the live site gives it, and both sites' σ statistics
+// and assigned detection — served from ID-keyed caches on the live
+// site — match the in-memory site's.
+func TestStoreSiteReplayKeepsIDs(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(41))
+	frag := randomRelation(rng, 200)
+	mem := NewSite(0, frag.Clone(), relation.True())
+	store, dir := openStoreSiteFor(t, 0, frag, relation.True())
+	spec := storeTestSpec(t)
+	blocks := []int{0, 1, 2}
+	c := cfd.MustParse(`st: [a, b] -> [c] : (_, _ || _), (a0, _ || c0)`)
+	for _, s := range []*Site{mem, store} {
+		if _, err := s.SigmaStats(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const deltas = 100
+	for g := 0; g < deltas; g++ {
+		d := relation.Delta{Inserts: []relation.Tuple{{
+			fmt.Sprintf("n%d", g), fmt.Sprintf("a-%d", g), fmt.Sprintf("b-%d", g), fmt.Sprintf("c-%d", g), fmt.Sprintf("d-%d", g)}}}
+		n, _ := mem.NumTuples()
+		d.Deletes = randomDelta(rng, n, g).Deletes
+		d.Inserts = append(d.Inserts, randomDelta(rng, n, 1000+g).Inserts...)
+		for _, s := range []*Site{mem, store} {
+			if _, err := s.ApplyDelta(ctx, d, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Replay the same directory beside the live site, so the two can be
+	// compared value by value.
+	revived, err := OpenStoreSite(0, dir, relation.True())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer revived.Close()
+	if got := revived.Generation(); got != deltas {
+		t.Fatalf("recovered generation %d, want %d", got, deltas)
+	}
+	live, back := store.frag.(*storeFrag), revived.frag.(*storeFrag)
+	for j := range live.ovDicts {
+		ld, err := live.ovDict(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd, err := back.ovDict(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ld.Len() != bd.Len() {
+			t.Fatalf("column %d: %d values live, %d replayed", j, ld.Len(), bd.Len())
+		}
+		for id := 0; id < ld.Len(); id++ {
+			if lv, bv := ld.Val(uint32(id)), bd.Val(uint32(id)); lv != bv {
+				t.Fatalf("column %d id %d: %q live, %q replayed", j, id, lv, bv)
+			}
+		}
+	}
+
+	wantStats, err := mem.SigmaStats(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantD, err := mem.DetectAssignedSingle(ctx, "t", spec, blocks, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		name string
+		site *Site
+	}{{"live", store}, {"replayed", revived}} {
+		gotStats, err := s.site.SigmaStats(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("%s SigmaStats %v, mem %v", s.name, gotStats, wantStats)
+		}
+		gotD, err := s.site.DetectAssignedSingle(ctx, "t", spec, blocks, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRelation(t, s.name+" DetectAssignedSingle", gotD, wantD)
+	}
+}
+
 // TestStoreFragGrowsDictsOnlyForUnseenValues pins that the store
 // overlay follows relation.Dict.InternInserts: an insert of known
 // values leaves every column reading through its base dictionary, and
@@ -358,6 +455,89 @@ func TestStoreFragGrowsDictsOnlyForUnseenValues(t *testing.T) {
 	}
 	if got := grown(); !reflect.DeepEqual(got, []bool{false, true}) {
 		t.Fatalf("overlays after an unseen b value: %v, want column b alone", got)
+	}
+}
+
+// TestStoreFragApplyFailsBeforeLogging pins that a delta the overlay
+// cannot apply is never logged: with one byte flipped inside a column
+// segment (a delete reads the damaged rows) or inside a dictionary (an
+// insert decodes it), Apply fails with the fragment, its version and
+// delta.log exactly as they were, and a reopen replays nothing.
+func TestStoreFragApplyFailsBeforeLogging(t *testing.T) {
+	const sentinel = "d-sentinel-value"
+	for _, tc := range []struct {
+		name  string
+		delta relation.Delta
+		// needle returns bytes of the fragment file to damage.
+		needle func(*colstore.Fragment) ([]byte, error)
+	}{
+		{"delete reads a corrupt segment", relation.Delta{Deletes: []int{7, 2}},
+			func(fr *colstore.Fragment) ([]byte, error) { return fr.ChunkPayload(0, 0) }},
+		{"insert decodes a corrupt dictionary", relation.Delta{Inserts: []relation.Tuple{{"900", "a0", "b0", "c0", "d0"}}},
+			func(*colstore.Fragment) ([]byte, error) { return []byte(sentinel), nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frag := randomRelation(rand.New(rand.NewSource(8)), 300)
+			frag.MustAppend(relation.Tuple{"300", "a0", "b0", "c0", sentinel})
+			dir := t.TempDir()
+			if _, err := colstore.WriteRelationDir(dir, frag); err != nil {
+				t.Fatal(err)
+			}
+			clean, err := colstore.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			needle, err := tc.needle(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, colstore.FragmentFile)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := bytes.Index(file, needle)
+			clean.Close()
+			if off < 0 {
+				t.Fatal("needle not found in the fragment file")
+			}
+			file[off+len(needle)/2] ^= 0x40
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			f, gen, err := openStoreFrag(dir)
+			if err != nil {
+				t.Fatalf("opening must not checksum segments or dictionaries: %v", err)
+			}
+			logPath := filepath.Join(dir, colstore.DeltaLogFile)
+			logSize := func() int64 {
+				st, err := os.Stat(logPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.Size()
+			}
+			n, ver, size := f.Len(), f.Version(), logSize()
+			if _, err := f.Apply(tc.delta); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("Apply over the damaged byte: got %v, want a checksum error", err)
+			}
+			if f.Len() != n || f.Version() != ver || logSize() != size || f.view != nil {
+				t.Fatalf("failed Apply changed the fragment: len %d→%d, version changed %v, delta.log %d→%d bytes, view %v",
+					n, f.Len(), f.Version() != ver, size, logSize(), f.view != nil)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, regen, err := openStoreFrag(dir)
+			if err != nil {
+				t.Fatalf("reopen replayed the failed delta: %v", err)
+			}
+			defer re.Close()
+			if gen != 0 || regen != 0 {
+				t.Fatalf("generations %d at open, %d at reopen; want 0 and 0", gen, regen)
+			}
+		})
 	}
 }
 

@@ -346,54 +346,54 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Durability first: once the WAL holds the delta, a crash at any
-	// later point replays it; a WAL failure leaves the overlay (and the
-	// caller's generation counter) untouched.
+	// Everything that can fail — reading the removed rows, decoding the
+	// base dictionaries, the WAL append — runs first, and nothing after
+	// the append can: a delta is logged if and only if it is applied, and
+	// a crash after the append replays it. Descending swap-with-last
+	// deletion never moves a row it has yet to delete, so the removed
+	// rows read as they stand.
+	var removed []relation.Tuple
+	if len(delIdx) > 0 {
+		rr := f.frag.NewRowReader()
+		removed = make([]relation.Tuple, len(delIdx))
+		for k, di := range delIdx {
+			if removed[k], err = f.tupleAt(rr, di); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var dicts []*relation.Dict
+	if len(d.Inserts) > 0 {
+		dicts = make([]*relation.Dict, len(f.ovDicts))
+	}
+	for j := range dicts {
+		if dicts[j], err = f.ovDict(j); err != nil {
+			return nil, err
+		}
+	}
 	if f.wal != nil {
 		if err := f.wal.Append(d); err != nil {
 			return nil, err
 		}
 	}
-	var removed []relation.Tuple
-	if len(delIdx) > 0 {
-		if f.view == nil {
-			f.view = make([]uint32, f.Len())
-			for i := range f.view {
-				f.view[i] = uint32(i)
-			}
-		}
-		rr := f.frag.NewRowReader()
-		removed = make([]relation.Tuple, 0, len(delIdx))
-		for _, di := range delIdx {
-			t, err := f.tupleAt(rr, di)
-			if err != nil {
-				return nil, err
-			}
-			removed = append(removed, t)
-			last := len(f.view) - 1
-			f.view[di] = f.view[last]
-			f.view = f.view[:last]
+	if len(delIdx) > 0 && f.view == nil {
+		f.view = make([]uint32, f.Len())
+		for i := range f.view {
+			f.view[i] = uint32(i)
 		}
 	}
-	if len(d.Inserts) > 0 {
-		// Every base dictionary decodes before any column grows, so a
-		// decode error leaves the overlay as it was.
-		dicts := make([]*relation.Dict, len(f.ovDicts))
-		for j := range dicts {
-			if dicts[j], err = f.ovDict(j); err != nil {
-				return nil, err
-			}
+	for _, di := range delIdx {
+		last := len(f.view) - 1
+		f.view[di], f.view = f.view[last], f.view[:last]
+	}
+	for j, dict := range dicts {
+		f.ovDicts[j], f.tailIDs[j] = dict.InternInserts(f.tailIDs[j], d.Inserts, j)
+	}
+	for _, t := range d.Inserts {
+		if f.view != nil {
+			f.view = append(f.view, uint32(f.baseRows+len(f.tail)))
 		}
-		for j, dict := range dicts {
-			f.ovDicts[j], f.tailIDs[j] = dict.InternInserts(f.tailIDs[j], d.Inserts, j)
-		}
-		for _, t := range d.Inserts {
-			ref := uint32(f.baseRows + len(f.tail))
-			f.tail = append(f.tail, t)
-			if f.view != nil {
-				f.view = append(f.view, ref)
-			}
-		}
+		f.tail = append(f.tail, t)
 	}
 	f.ver.Store(&storeVersion{gen: f.ver.Load().gen + 1})
 	return removed, nil

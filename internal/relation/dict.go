@@ -26,10 +26,20 @@ type Dict struct {
 	vals   []string
 }
 
-// maxChainDepth bounds overlay chains: Chain flattens the parent into
-// a fresh root once the chain gets this deep, so Val/Lookup stay O(1)
-// amortized under arbitrarily long delta sequences.
+// maxChainDepth bounds overlay chains: once a chain is this deep,
+// Chain merges its top layers into one before chaining again, so
+// Val/Lookup walk at most maxChainDepth+1 maps under arbitrarily long
+// delta sequences.
 const maxChainDepth = 8
+
+// mergeRatio is the geometric step of that merge: it swallows layers
+// from the top down and stops at the first overlay at least mergeRatio
+// times what it has gathered, so the overlays below the top stay
+// roughly geometric in size and a merge copies what recent generations
+// added, not the history. N values interned over 10⁴ generations copy
+// a few times N in all (TestChainKeepsRoot bounds it by 2·N·⌈log₂ N⌉);
+// flattening every maxChainDepth generations copied the root each time.
+const mergeRatio = 2
 
 // NewDict creates an empty root dictionary.
 func NewDict() *Dict {
@@ -54,11 +64,13 @@ func NewDictFromVals(vals []string) (*Dict, error) {
 // must be frozen — never interned into again — which holds for every
 // built column's dictionary. New values intern into the overlay with
 // IDs continuing where the parent chain ends; parent IDs stay valid.
-// Deep chains are flattened so lookups never degrade past
-// maxChainDepth layers.
+// A chain already maxChainDepth deep first has its top layers merged
+// into one fresh layer (see merge), so lookups never degrade past
+// maxChainDepth layers and the root is copied only once the overlays
+// outgrow it.
 func Chain(parent *Dict) *Dict {
 	if parent.depth+1 > maxChainDepth {
-		parent = parent.flatten()
+		parent = parent.merge()
 	}
 	return &Dict{
 		parent: parent,
@@ -68,13 +80,30 @@ func Chain(parent *Dict) *Dict {
 	}
 }
 
-// flatten copies the whole chain into a single fresh root, leaving
-// every source layer untouched.
-func (d *Dict) flatten() *Dict {
-	vals := d.Vals()
-	out := &Dict{ids: make(map[string]uint32, len(vals)), vals: vals}
-	for i, v := range vals {
-		out.ids[v] = uint32(i)
+// merge copies the top layers of d's chain into one fresh layer in
+// their place, leaving every source layer untouched. It walks down from
+// d and takes at least two layers; it keeps the first overlay at least
+// mergeRatio times the merged size, and the root unless the overlays
+// together outgrow it — then the whole chain flattens into a fresh
+// root.
+func (d *Dict) merge() *Dict {
+	low, n := d, len(d.vals)
+	for next := d.parent; next != nil; next = next.parent {
+		keep := low != d && len(next.vals) >= mergeRatio*n
+		if next.parent == nil {
+			keep = len(next.vals) >= n
+		}
+		if keep {
+			break
+		}
+		low, n = next, n+len(next.vals)
+	}
+	out := &Dict{parent: low.parent, base: low.base, depth: low.depth, ids: make(map[string]uint32, n), vals: make([]string, n)}
+	for e := d; e != low.parent; e = e.parent {
+		copy(out.vals[e.base-low.base:], e.vals)
+	}
+	for i, v := range out.vals {
+		out.ids[v] = low.base + uint32(i)
 	}
 	return out
 }
