@@ -77,7 +77,7 @@ chaos-load:
 fuzz-smoke:
 	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked \
 			internal/cfd:FuzzParseRules internal/remote:FuzzErrorEnvelope internal/colstore:FuzzFragmentOpen cmd/cfddetect:FuzzFollowLine \
-			internal/relation:FuzzDictChain; do \
+			internal/relation:FuzzDictChain internal/core:FuzzSiteArgs; do \
 		echo "== fuzz $${t#*:} (10s)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
 	done
@@ -155,7 +155,7 @@ loc:
 # its own result in the same commit, so the target can only be
 # approached. The total non-test count outside bench/ is printed beside
 # it for the record; it is not gated.
-LOC_CEILING = 7282
+LOC_CEILING = 7280
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
 		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } $$2 == "total" { t = $$1 } \

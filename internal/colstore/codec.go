@@ -21,9 +21,8 @@ import (
 // caller's destination buffers, so the decode path can run over an
 // mmap'd file without copying anything but the IDs themselves.
 //
-// EncodeChunk, DecodeChunk, and Runs are the codec's stable seam: the
-// wire layer ships chunk payloads verbatim (remote.WirePackedRelation), and the
-// engine's fold/constant-scan paths consume payloads run by run, so
+// EncodeChunk and DecodeChunk are the codec's stable seam: the wire
+// layer ships chunk payloads verbatim (remote.WirePackedRelation), so
 // any layout change here is a wire format change and needs a
 // remote.WireVersion bump alongside the colstore FormatVersion bump.
 
@@ -95,7 +94,7 @@ func EncodeChunk(dst []byte, vals []uint32) (out []byte, minID, maxID uint32) {
 // the caller has already checksum-verified the segment, so an error
 // here means a format bug or version skew, not silent data loss.
 func DecodeChunk(payload []byte, dst []uint32) error {
-	it, err := Runs(payload)
+	it, err := chunkRuns(payload)
 	if err != nil {
 		return err
 	}
@@ -124,12 +123,12 @@ func DecodeChunk(payload []byte, dst []uint32) error {
 	return nil
 }
 
-// RunIter iterates the runs of one chunk payload without decoding
+// runIter iterates the runs of one chunk payload without decoding
 // them: RLE runs surface as (count, id) pairs, bit-packed runs as a
-// count plus an on-demand Decode. This is what lets a scan skip a
-// whole non-matching RLE run — or a fold weight one — without ever
-// materializing the rows.
-type RunIter struct {
+// count plus an on-demand Decode. This is what lets a point read or a
+// peer's payload check step over whole runs without materializing the
+// rows.
+type runIter struct {
 	width uint
 	rest  []byte
 	run   []byte // current bit-packed run's bytes
@@ -140,23 +139,23 @@ type RunIter struct {
 	err   error
 }
 
-// Runs opens a run iterator over one chunk payload. The payload's
+// chunkRuns opens a run iterator over one chunk payload. The payload's
 // leading width byte is validated here; malformed runs surface from
 // Next via Err.
-func Runs(payload []byte) (RunIter, error) {
+func chunkRuns(payload []byte) (runIter, error) {
 	if len(payload) < 1 {
-		return RunIter{}, fmt.Errorf("colstore: chunk payload truncated (no width byte)")
+		return runIter{}, fmt.Errorf("colstore: chunk payload truncated (no width byte)")
 	}
 	width := uint(payload[0])
 	if width > 32 {
-		return RunIter{}, fmt.Errorf("colstore: chunk width %d out of range", width)
+		return runIter{}, fmt.Errorf("colstore: chunk width %d out of range", width)
 	}
-	return RunIter{width: width, rest: payload[1:]}, nil
+	return runIter{width: width, rest: payload[1:]}, nil
 }
 
 // Next advances to the next run, returning false at the end of the
 // payload or on a malformed run (check Err to tell the two apart).
-func (it *RunIter) Next() bool {
+func (it *runIter) Next() bool {
 	if it.err != nil || len(it.rest) == 0 {
 		return false
 	}
@@ -195,23 +194,23 @@ func (it *RunIter) Next() bool {
 }
 
 // Count returns the current run's row count.
-func (it *RunIter) Count() int { return it.count }
+func (it *runIter) Count() int { return it.count }
 
 // RLE reports whether the current run is an RLE run.
-func (it *RunIter) RLE() bool { return it.rle }
+func (it *runIter) RLE() bool { return it.rle }
 
 // ID returns the current RLE run's repeated ID (zero for packed runs).
-func (it *RunIter) ID() uint32 { return it.id }
+func (it *runIter) ID() uint32 { return it.id }
 
 // Err returns the first malformed-run error, or nil. A fully-consumed
 // payload with leftover bytes is not representable per run, so callers
 // decoding a whole chunk also check the decoded row total (DecodeChunk
 // does).
-func (it *RunIter) Err() error { return it.err }
+func (it *runIter) Err() error { return it.err }
 
 // Decode unpacks the current bit-packed run into dst, which must be
 // sized to Count. Calling it on an RLE run is a programming error.
-func (it *RunIter) Decode(dst []uint32) error {
+func (it *runIter) Decode(dst []uint32) error {
 	if it.rle || len(dst) != it.count {
 		return fmt.Errorf("colstore: Decode dst has %d rows, run has %d (RLE: %t)", len(dst), it.count, it.rle)
 	}
@@ -234,7 +233,7 @@ func (it *RunIter) Decode(dst []uint32) error {
 }
 
 // at returns the k-th ID of the current bit-packed run.
-func (it *RunIter) at(k int) uint32 {
+func (it *runIter) at(k int) uint32 {
 	bit := uint(k) * it.width
 	var b [8]byte
 	copy(b[:], it.run[bit/8:])
@@ -244,7 +243,7 @@ func (it *RunIter) at(k int) uint32 {
 // chunkAt returns row i of one chunk payload and decodes nothing else:
 // RLE runs and whole packed runs before it are stepped over by header.
 func chunkAt(payload []byte, i int) (uint32, error) {
-	it, err := Runs(payload)
+	it, err := chunkRuns(payload)
 	if err != nil {
 		return 0, err
 	}
@@ -266,7 +265,7 @@ func chunkAt(payload []byte, i int) (uint32, error) {
 // bounds returns the smallest and largest ID of the current run without
 // storing any: what checkChunk holds against the chunk's shipped
 // bounds. The max/min updates compile branch-free.
-func (it *RunIter) bounds() (lo, hi uint32) {
+func (it *runIter) bounds() (lo, hi uint32) {
 	if it.rle {
 		return it.id, it.id
 	}
@@ -296,7 +295,7 @@ func (it *RunIter) bounds() (lo, hi uint32) {
 // DecodeChunk over the same payload cannot fail and cannot produce an
 // ID the bounds do not announce.
 func checkChunk(payload []byte, rows int, minID, maxID uint32) error {
-	it, err := Runs(payload)
+	it, err := chunkRuns(payload)
 	if err != nil {
 		return err
 	}

@@ -18,8 +18,8 @@
 //   - a column segment is a run of fixed-row chunks, each chunk a mix
 //     of RLE runs (repeated IDs) and bit-packed runs at the minimal
 //     width for the chunk's ID range, with a per-chunk directory of
-//     byte length and min/max ID so scans can skip chunks that cannot
-//     contain a wanted constant (the σ-block skipping analog);
+//     byte length and min/max ID, which a peer's shipped payload is
+//     verified against (NewPacked);
 //   - the segment table records each section's offset, length, min/max
 //     ID, and FNV-1a checksum;
 //   - the fixed-size footer at the end of the file carries the magic,

@@ -188,9 +188,8 @@ func TestRoundTripSingleValueRLE(t *testing.T) {
 	if perRow := float64(st.BytesOnDisk) / float64(rows); perRow > 0.1 {
 		t.Fatalf("single-value column costs %.2f bytes/row on disk", perRow)
 	}
-	lo, hi := f.ChunkIDBounds(0, 0)
-	if lo != 0 || hi != 0 {
-		t.Fatalf("ID bounds [%d,%d], want [0,0]", lo, hi)
+	if c := packedColumn(t, f, 0); c.MinIDs[0] != 0 || c.MaxIDs[0] != 0 {
+		t.Fatalf("ID bounds [%d,%d], want [0,0]", c.MinIDs[0], c.MaxIDs[0])
 	}
 }
 
@@ -425,8 +424,8 @@ func TestWriterAbortLeavesNoTemps(t *testing.T) {
 
 func TestChunkIDBoundsSkipping(t *testing.T) {
 	// First chunk holds low IDs, second chunk introduces a late value:
-	// its absence from chunk 0's bounds is what constant scans use to
-	// skip decoding.
+	// the bounds a fragment records are per chunk, so chunk 0's exclude
+	// it.
 	schema := mustSchema(t, "skip", []string{"a"})
 	rows := 2 * DefaultChunkRows
 	ts := make([]relation.Tuple, rows)
@@ -450,11 +449,12 @@ func TestChunkIDBoundsSkipping(t *testing.T) {
 	if !ok {
 		t.Fatal("late value missing from dict")
 	}
-	if _, maxID := f.ChunkIDBounds(0, 0); lateID <= maxID {
-		t.Fatalf("late ID %d within chunk 0 bounds (max %d): skipping impossible", lateID, maxID)
+	c := packedColumn(t, f, 0)
+	if lateID <= c.MaxIDs[0] {
+		t.Fatalf("late ID %d within chunk 0 bounds (max %d)", lateID, c.MaxIDs[0])
 	}
-	if minID, maxID := f.ChunkIDBounds(0, 1); lateID < minID || lateID > maxID {
-		t.Fatalf("late ID %d outside chunk 1 bounds [%d,%d]", lateID, minID, maxID)
+	if lateID < c.MinIDs[1] || lateID > c.MaxIDs[1] {
+		t.Fatalf("late ID %d outside chunk 1 bounds [%d,%d]", lateID, c.MinIDs[1], c.MaxIDs[1])
 	}
 }
 
@@ -489,9 +489,6 @@ func TestReadAfterCloseErrors(t *testing.T) {
 	if _, err := f.ColumnChunks(1); err == nil {
 		t.Fatal("ColumnChunks after Close succeeded")
 	}
-	if _, err := f.ChunkPayload(1, 0); err == nil {
-		t.Fatal("ChunkPayload after Close succeeded")
-	}
 	if _, err := f.NewRowReader().ID(1, 0); err == nil {
 		t.Fatal("RowReader.ID after Close succeeded")
 	}
@@ -500,9 +497,6 @@ func TestReadAfterCloseErrors(t *testing.T) {
 	}
 	if lo, hi := f.ChunkSpan(1, 0); lo != 0 || hi != 0 {
 		t.Fatalf("ChunkSpan after Close = [%d,%d), want empty", lo, hi)
-	}
-	if mn, mx := f.ChunkIDBounds(1, 0); mn != 0 || mx != math.MaxUint32 {
-		t.Fatalf("ChunkIDBounds after Close = [%d,%d], want nothing ruled out", mn, mx)
 	}
 	if n := f.PackedSize(); n != 0 {
 		t.Fatalf("PackedSize after Close = %d", n)

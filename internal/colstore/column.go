@@ -173,28 +173,6 @@ func (cs *columns) ChunkSpan(i, k int) (lo, hi int) {
 	return c.chunkSpan(k)
 }
 
-// ChunkIDBounds returns the min and max ID in chunk k of column i —
-// the σ-block skipping analog: a scan for a constant ID outside
-// [min, max] can skip the chunk without decoding it. A column that
-// fails verification rules nothing out.
-func (cs *columns) ChunkIDBounds(i, k int) (minID, maxID uint32) {
-	c, err := cs.col(i)
-	if err != nil {
-		return 0, ^uint32(0)
-	}
-	return c.MinIDs[k], c.MaxIDs[k]
-}
-
-// ChunkPayload returns chunk k of column i's raw encoded bytes (for a
-// fragment file they alias the mapping).
-func (cs *columns) ChunkPayload(i, k int) ([]byte, error) {
-	c, err := cs.col(i)
-	if err != nil {
-		return nil, err
-	}
-	return c.Chunks[k], nil
-}
-
 // PackedSize returns the modeled wire size of all columns — dictionary
 // sections, chunk payloads, 8 bounds bytes per chunk — which
 // dist.RelationBytes charges when packed shipping wins. On a Fragment it

@@ -12,9 +12,9 @@ import (
 //
 //  1. as an ID vector (4 bytes LE per ID): EncodeChunk → DecodeChunk
 //     must round-trip exactly, the reported min/max must bound the IDs,
-//     a Runs walk must agree with DecodeChunk row for row, and so
+//     a chunkRuns walk must agree with DecodeChunk row for row, and so
 //     must a chunkAt point read of every row;
-//  2. as an adversarial chunk payload fed straight to Runs/DecodeChunk —
+//  2. as an adversarial chunk payload fed straight to chunkRuns/DecodeChunk —
 //     wire v6 ships payloads verbatim, so arbitrary bytes must error
 //     cleanly, never panic or over-allocate;
 //  3. as a \x1f-joined value list: EncodeDictSection → DecodeDictSection
@@ -94,11 +94,11 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 			t.Fatalf("chunkAt row %d = %d, %v; want %d", i, v, err, ids[i])
 		}
 	}
-	// A Runs walk over the same payload must reproduce the decode:
+	// A chunkRuns walk over the same payload must reproduce the decode:
 	// RLE runs by their (count, id), packed runs via Decode.
-	it, err := Runs(payload)
+	it, err := chunkRuns(payload)
 	if err != nil {
-		t.Fatalf("Runs(EncodeChunk): %v", err)
+		t.Fatalf("chunkRuns(EncodeChunk): %v", err)
 	}
 	row := 0
 	for it.Next() {
@@ -129,10 +129,10 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 		row += cnt
 	}
 	if err := it.Err(); err != nil {
-		t.Fatalf("Runs walk: %v", err)
+		t.Fatalf("chunkRuns walk: %v", err)
 	}
 	if row != n {
-		t.Fatalf("Runs walked %d rows, want %d", row, n)
+		t.Fatalf("chunkRuns walked %d rows, want %d", row, n)
 	}
 }
 
@@ -151,7 +151,7 @@ func fuzzAdversarialPayload(t *testing.T, data []byte) {
 	} else {
 		_, _ = chunkAt(data, 255)
 	}
-	it, err := Runs(data)
+	it, err := chunkRuns(data)
 	if err != nil {
 		return
 	}

@@ -15,10 +15,8 @@ import (
 // against fresh first-occurrence dictionaries, NewPacked by adopting a
 // peer's parts.
 //
-// A receiver detects over shipped chunks directly: per-chunk min/max
-// bounds keep working for constant-scan skipping, and nothing
-// materializes as []uint32 columns unless a consumer asks. Safe for
-// concurrent readers.
+// A receiver keeps shipped chunks as they arrived: a column decodes
+// only when a consumer reads it. Safe for concurrent readers.
 type Packed struct {
 	columns
 	chunkRows int

@@ -48,6 +48,20 @@ func packedKinds(t *testing.T, r *relation.Relation) map[string]relation.PackedC
 	}
 }
 
+// packedColumn returns column j's parts: Packed.Column, through a
+// one-column PackBase for a fragment file.
+func packedColumn(t *testing.T, pr relation.PackedColumnReader, j int) PackedColumn {
+	t.Helper()
+	if f, ok := pr.(*Fragment); ok {
+		p, err := f.PackBase([]int{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Column(0)
+	}
+	return pr.(*Packed).Column(j)
+}
+
 // TestReadersAgree pins that there is one packed column behind every
 // container: the same data read through a file Fragment, PackBase,
 // PackColumns and a NewPacked round trip answers every reader method
@@ -81,11 +95,12 @@ func TestReadersAgree(t *testing.T) {
 					t.Fatalf("%s: ChunkSpan(%d,%d) = [%d,%d)", name, j, k, lo, hi)
 				}
 				want, wantMin, wantMax := EncodeChunk(nil, col[lo:hi])
-				if mn, mx := pr.ChunkIDBounds(j, k); mn != wantMin || mx != wantMax {
-					t.Fatalf("%s: ChunkIDBounds(%d,%d) = [%d,%d], want [%d,%d]", name, j, k, mn, mx, wantMin, wantMax)
+				pc := packedColumn(t, pr, j)
+				if mn, mx := pc.MinIDs[k], pc.MaxIDs[k]; mn != wantMin || mx != wantMax {
+					t.Fatalf("%s: column %d chunk %d bounds [%d,%d], want [%d,%d]", name, j, k, mn, mx, wantMin, wantMax)
 				}
-				if got, err := pr.ChunkPayload(j, k); err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("%s: ChunkPayload(%d,%d) differs (err %v)", name, j, k, err)
+				if !bytes.Equal(pc.Chunks[k], want) {
+					t.Fatalf("%s: column %d chunk %d payload differs", name, j, k)
 				}
 				size += int64(len(want)) + 8
 			}
@@ -109,25 +124,25 @@ func TestReadersAgree(t *testing.T) {
 }
 
 // TestChunkBoundsOnUntouchedColumn is the regression test for a
-// Fragment answering ChunkSpan and ChunkIDBounds from a chunk directory
-// it had not parsed yet: on a freshly opened file the first question
-// about a column other than the one already read got span (0, 0) —
-// which silently disabled chunk skipping for it — or an index panic.
+// Fragment answering ChunkSpan and chunk ID bounds from a chunk
+// directory it had not parsed yet: on a freshly opened file the first
+// question about a column other than the one already read got span
+// (0, 0) or an index panic.
 func TestChunkBoundsOnUntouchedColumn(t *testing.T) {
 	r := randomRelation(t, rand.New(rand.NewSource(5)), DefaultChunkRows+10, 2)
 	col, _ := r.Encoded().Column(1)
 	_, wantMin, wantMax := EncodeChunk(nil, col[:DefaultChunkRows])
 
 	f, _ := writeOpen(t, r)
-	if _, err := f.ColumnChunks(0); err != nil { // what binding a source does
+	if _, err := f.ColumnChunks(0); err != nil {
 		t.Fatal(err)
 	}
 	if lo, hi := f.ChunkSpan(1, 0); lo != 0 || hi != DefaultChunkRows {
 		t.Fatalf("ChunkSpan(1,0) on an untouched column = [%d,%d), want [0,%d)", lo, hi, DefaultChunkRows)
 	}
 	f, _ = writeOpen(t, r)
-	if mn, mx := f.ChunkIDBounds(1, 0); mn != wantMin || mx != wantMax {
-		t.Fatalf("ChunkIDBounds(1,0) on an untouched column = [%d,%d], want [%d,%d]", mn, mx, wantMin, wantMax)
+	if c := packedColumn(t, f, 1); c.MinIDs[0] != wantMin || c.MaxIDs[0] != wantMax {
+		t.Fatalf("chunk 0 bounds on an untouched column = [%d,%d], want [%d,%d]", c.MinIDs[0], c.MaxIDs[0], wantMin, wantMax)
 	}
 }
 

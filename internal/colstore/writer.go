@@ -46,7 +46,7 @@ type Writer struct {
 }
 
 // chunkMeta is one chunk's directory entry: encoded byte length and
-// the chunk's ID range (for constant-scan skipping).
+// the chunk's ID range (shipped with the chunk and verified on receipt).
 type chunkMeta struct {
 	length, minID, maxID uint32
 }

@@ -168,10 +168,11 @@ func TestGatherSurfacesCorruptSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad, _ := clean.Schema().Index("id")
-	payload, err := clean.ChunkPayload(bad, 2)
+	packed, err := clean.PackBase([]int{bad})
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := packed.Column(0).Chunks[2]
 	path := filepath.Join(dir, colstore.FragmentFile)
 	file, err := os.ReadFile(path)
 	if err != nil {

@@ -10,6 +10,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -70,18 +71,9 @@ func NewBlockSpec(x []string, patterns [][]string) (*BlockSpec, error) {
 // list. Identical patterns are deduplicated (they would form empty
 // blocks).
 func NewBlockSpecOrdered(x []string, patterns [][]string) (*BlockSpec, error) {
-	if len(x) == 0 {
-		return nil, fmt.Errorf("core: block spec with empty X")
-	}
-	if len(patterns) == 0 {
-		return nil, fmt.Errorf("core: block spec with no patterns")
-	}
 	var dedup [][]string
 	seen := map[string]bool{}
 	for _, p := range patterns {
-		if len(p) != len(x) {
-			return nil, fmt.Errorf("core: pattern %q has arity %d, want %d", p, len(p), len(x))
-		}
 		// Separator joins are banned as keys (distcfdvet keyjoin): they
 		// collide as soon as a data value contains the separator.
 		k := string(relation.AppendKey(nil, p...))
@@ -90,7 +82,32 @@ func NewBlockSpecOrdered(x []string, patterns [][]string) (*BlockSpec, error) {
 			dedup = append(dedup, append([]string(nil), p...))
 		}
 	}
-	return &BlockSpec{X: append([]string(nil), x...), Patterns: dedup}, nil
+	s := &BlockSpec{X: append([]string(nil), x...), Patterns: dedup}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// check is the one check of a spec and block list: a non-empty X and
+// at least one pattern, each of arity |X|, and every block in [0, K).
+// Constructors build by it; a site applies it to a spec and blocks it
+// did not build before routing with them.
+func (s *BlockSpec) check(blocks ...int) error {
+	if s == nil || len(s.X) == 0 || len(s.Patterns) == 0 {
+		return fmt.Errorf("core: block spec needs a non-empty X and a pattern")
+	}
+	for _, p := range s.Patterns {
+		if len(p) != len(s.X) {
+			return fmt.Errorf("core: pattern %q has arity %d, want %d", p, len(p), len(s.X))
+		}
+	}
+	for _, l := range blocks {
+		if l < 0 || l >= s.K() {
+			return fmt.Errorf("core: block %d out of range [0,%d)", l, s.K())
+		}
+	}
+	return nil
 }
 
 // SpecFromCFD builds the BlockSpec of a CFD's pattern tableau.
@@ -279,7 +296,7 @@ func (s *BlockSpec) PatternPredicate(l int) relation.Predicate {
 func (s *BlockSpec) RestrictCFD(c *cfd.CFD, l int) *cfd.CFD {
 	var rows []cfd.PatternTuple
 	for _, tp := range c.Tp {
-		if sameStrings(tp.LHS, s.Patterns[l]) {
+		if slices.Equal(tp.LHS, s.Patterns[l]) {
 			rows = append(rows, tp)
 		}
 	}
@@ -294,16 +311,4 @@ func (s *BlockSpec) RestrictCFD(c *cfd.CFD, l int) *cfd.CFD {
 	// per (block, run) was a measurable share of the serving path's
 	// allocations.
 	return &cfd.CFD{Name: c.Name, X: c.X, Y: c.Y, Tp: rows}
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -402,9 +402,15 @@ func (s *Site) PendingDeposits() int {
 
 // assignAll returns the fragment's σ-routing under spec, serving it
 // from the per-site cache when the same spec content was already
-// routed against the current fragment state. The returned entry is
-// shared and read-only.
-func (s *Site) assignAll(spec *BlockSpec) (*sigmaEntry, error) {
+// routed against the current fragment state, after checking spec and
+// the blocks the caller will read. The returned entry is shared and
+// read-only.
+func (s *Site) assignAll(spec *BlockSpec, blocks ...int) (*sigmaEntry, error) {
+	// Before the cache: a malformed spec can share a well-formed one's
+	// fingerprint.
+	if err := spec.check(blocks...); err != nil {
+		return nil, err
+	}
 	ver, fp := s.frag.Version(), spec.Fingerprint()
 	if ent, ok := s.sigma.lookup(ver, fp); ok {
 		return ent, nil
@@ -486,16 +492,13 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 // rows costs 4n bytes and one pass — the footprint that bounds
 // out-of-core detection. A block listed twice gets the same list twice.
 func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
-	ent, err := s.assignAll(spec)
+	ent, err := s.assignAll(spec, blocks...)
 	if err != nil {
 		return nil, err
 	}
 	slot := make([]int, spec.K()) // 0 = block not requested, else 1+first position
 	offs := make([]int, len(blocks)+1)
 	for bi, l := range blocks {
-		if l < 0 || l >= spec.K() {
-			return nil, fmt.Errorf("core: site %d: block %d out of range [0,%d)", s.id, l, spec.K())
-		}
 		offs[bi+1] = offs[bi]
 		if slot[l] == 0 {
 			slot[l] = bi + 1
@@ -582,7 +585,6 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 // is set (the caller then passes the one CFD the spec was built from).
 func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD, restrict bool) ([]*relation.Relation, error) {
 	kern, kopts := s.detectResources(ctx)
-	attrs := taskAttrs(spec, cfds)
 	// Project the assigned blocks in consecutive batches under a fixed
 	// row budget instead of materializing them all up front: each batch is
 	// one chunk-ordered gather, and the peak footprint is one batch plus
@@ -593,6 +595,7 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 	if err != nil {
 		return nil, err
 	}
+	attrs := taskAttrs(spec, cfds)
 	shipName := s.frag.Schema().Name() + "_ship"
 	out, err := emptyPatternRelations(s.frag.Schema(), cfds)
 	if err != nil {
@@ -641,12 +644,10 @@ func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*re
 		return local, nil
 	}
 	if local.Len() == 0 && len(deps) == 1 {
-		// One shipped part and nothing local: check the deposit directly.
-		// A packed deposit then stays in its packed-backed form — the
-		// kernel streams its chunks as a column source without ever
-		// materializing columns. (Concat of a single empty-plus-one pair
-		// would produce the same rows under fresh dense dicts; the kernel
-		// output is value-determined, so both forms check identically.)
+		// One shipped part and nothing local: no Concat needed, the
+		// kernel checks the deposit as it arrived. (Concat would produce
+		// the same rows under fresh dense dicts; the kernel output is
+		// value-determined, so both forms check identically.)
 		return deps[0], nil
 	}
 	parts := make([]*relation.Relation, 0, len(deps)+1)
@@ -795,13 +796,6 @@ func (s *Site) DetectTask(ctx context.Context, task string, local LocalInput, cf
 	parts = append(parts, s.takeDeposits(task)...)
 	if len(parts) == 0 {
 		return emptyPatternRelations(s.frag.Schema(), cfds)
-	}
-	working := parts[0]
-	for _, p := range parts[1:] {
-		if p.Schema().Arity() != working.Schema().Arity() {
-			return nil, fmt.Errorf("core: site %d: task %q mixes arities %d and %d",
-				s.id, task, working.Schema().Arity(), p.Schema().Arity())
-		}
 	}
 	merged, err := relation.Concat(parts...)
 	if err != nil {

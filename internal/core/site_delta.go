@@ -253,13 +253,11 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := spec.check(wanted...); err != nil {
+		return nil, err
+	}
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
-	for _, l := range wanted {
-		if l < 0 || l >= spec.K() {
-			return nil, fmt.Errorf("core: site %d: delta block %d out of range [0,%d)", s.id, l, spec.K())
-		}
-	}
 	if fromGen < 0 {
 		// Seed: re-anchor the log (fencing out every stale session if
 		// the fragment was mutated behind it), then ship the full
@@ -277,13 +275,11 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 		}
 		return out, nil
 	}
-	out := &DeltaBlocks{ToGen: s.gen, Ins: map[int]*relation.Relation{}, Del: map[int]*relation.Relation{}}
 	ins, del, totIns, totDel, err := s.routeLogSuffix(spec, attrs, wanted, fromGen)
 	if err != nil {
 		return nil, err
 	}
-	out.Ins, out.Del, out.TotalIns, out.TotalDel = ins, del, totIns, totDel
-	return out, nil
+	return &DeltaBlocks{ToGen: s.gen, Ins: ins, Del: del, TotalIns: totIns, TotalDel: totDel}, nil
 }
 
 // routeLogSuffix σ-routes every logged tuple after fromGen and
@@ -370,6 +366,9 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	}
 	if args.RestrictSingle && len(args.CFDs) != 1 {
 		return nil, fmt.Errorf("core: site %d: RestrictSingle with %d CFDs", s.id, len(args.CFDs))
+	}
+	if err := args.Spec.check(args.Blocks...); err != nil {
+		return nil, err
 	}
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()

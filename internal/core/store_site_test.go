@@ -472,7 +472,13 @@ func TestStoreFragApplyFailsBeforeLogging(t *testing.T) {
 		needle func(*colstore.Fragment) ([]byte, error)
 	}{
 		{"delete reads a corrupt segment", relation.Delta{Deletes: []int{7, 2}},
-			func(fr *colstore.Fragment) ([]byte, error) { return fr.ChunkPayload(0, 0) }},
+			func(fr *colstore.Fragment) ([]byte, error) {
+				p, err := fr.PackBase([]int{0})
+				if err != nil {
+					return nil, err
+				}
+				return p.Column(0).Chunks[0], nil
+			}},
 		{"insert decodes a corrupt dictionary", relation.Delta{Inserts: []relation.Tuple{{"900", "a0", "b0", "c0", "d0"}}},
 			func(*colstore.Fragment) ([]byte, error) { return []byte(sentinel), nil }},
 	} {

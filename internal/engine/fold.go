@@ -19,8 +19,9 @@ package engine
 // Both tiers intern each distinct (gid, colID) composite to a fresh
 // dense ID exactly as a map keyed on the composite would — no
 // truncation, distinct composites never collide — so group counts and
-// memberships do not depend on the tier. detect.go and the join index
-// both fold through this one implementation.
+// memberships do not depend on the tier. A fold takes one whole column
+// in one call, foldColumn; detect.go and the join index both fold
+// through it.
 
 const (
 	// directFoldBudget is the hard cap on the direct tier's table
@@ -38,14 +39,6 @@ const (
 // scratch it is reused (and rezeroed) across folds; the join index
 // retains one per extra key column so probes can replay the fold
 // lookup-only.
-//
-// A fold runs as begin (pick tier, clear tables) followed by any
-// number of feed calls over consecutive row ranges: the interning
-// counter persists across feeds, so streaming a column chunk by chunk
-// from packed storage interns the same composites to the same dense
-// IDs as one whole-column pass — a streamed source's folds are
-// byte-identical to the in-memory ones. foldColumn wraps the pair for
-// single-shot callers.
 type foldStage struct {
 	// Direct tier: key = gid·width + colID, table[key] = id+1 (0 =
 	// absent). width > 0 marks the tier in use.
@@ -57,9 +50,6 @@ type foldStage struct {
 	keys []uint64
 	vals []uint32
 	mask uint64
-
-	// next counts interned composites across the feeds of one fold.
-	next uint32
 }
 
 // hashFold spreads a composite key over the table. The multiplier is
@@ -113,66 +103,29 @@ func (st *foldStage) shrink() {
 // interning relation's row count, so the noGroup sentinel
 // (math.MaxUint32) can never occur as a real ID.
 func foldColumn(gids, col []uint32, num, card int, st *foldStage) int {
-	st.begin(num, card, len(gids))
-	st.feed(gids, col)
-	return st.count()
-}
-
-// begin starts a fold: num bounds the incoming distinct gids, card the
-// folded column's ID space, totalRows the total rows the coming feed
-// calls will cover (the open tier's insertion bound).
-func (st *foldStage) begin(num, card, totalRows int) {
-	st.next = 0
 	if prod := uint64(num) * uint64(card); num > 0 && card > 0 &&
-		prod <= directFoldBudget && prod <= uint64(8*totalRows+1024) {
-		size := int(prod)
-		if cap(st.table) < size {
-			st.table = make([]uint32, size)
-		} else {
-			st.table = st.table[:size]
-			clear(st.table)
-		}
-		st.width = uint64(card)
-		return
+		prod <= directFoldBudget && prod <= uint64(8*len(gids)+1024) {
+		return st.foldDirect(gids, col, num, card)
 	}
-	// ≤ totalRows entries can be inserted; double for load factor ≤ ½.
-	slots := 16
-	for slots < 2*totalRows {
-		slots <<= 1
-	}
-	if cap(st.vals) < slots {
-		st.keys = make([]uint64, slots)
-		st.vals = make([]uint32, slots)
-	} else {
-		st.keys = st.keys[:slots]
-		st.vals = st.vals[:slots]
-		clear(st.vals)
-	}
-	st.width = 0
-	st.mask = uint64(slots - 1)
+	return st.foldOpen(gids, col)
 }
 
-// feed merges one consecutive row range: every (gids[i], col[i])
-// composite is interned to a dense ID continuing the fold's counter,
-// rows whose gid is the noGroup sentinel stay excluded.
-func (st *foldStage) feed(gids, col []uint32) {
-	if st.width > 0 {
-		st.feedDirect(gids, col)
+// foldDirect is foldColumn's direct tier, over a num·card table.
+func (st *foldStage) foldDirect(gids, col []uint32, num, card int) int {
+	size := num * card
+	if cap(st.table) < size {
+		st.table = make([]uint32, size)
 	} else {
-		st.feedOpen(gids, col)
+		st.table = st.table[:size]
+		clear(st.table)
 	}
-}
-
-// count returns the composites interned so far.
-func (st *foldStage) count() int { return int(st.next) }
-
-func (st *foldStage) feedDirect(gids, col []uint32) {
+	st.width = uint64(card)
 	table, width := st.table, st.width
-	next := st.next
-	// Consecutive rows with the same (gid, colID) composite resolve to
-	// the same dense ID, so an RLE run streamed off packed storage costs
-	// one table access plus per-row compares. Interning is unaffected: a
-	// repeat never interns a fresh ID.
+	next := uint32(0)
+	// Consecutive rows with the same (gid, colID) composite — runs in a
+	// sorted or low-cardinality column — resolve to the same dense ID, so
+	// a run costs one table access plus per-row compares. Interning is
+	// unaffected: a repeat never interns a fresh ID.
 	lastG, lastC, lastV := uint32(noGroup), uint32(0), uint32(0)
 	for i, g := range gids {
 		if g == noGroup {
@@ -193,13 +146,29 @@ func (st *foldStage) feedDirect(gids, col []uint32) {
 		gids[i] = v - 1
 		lastG, lastC, lastV = g, c, v-1
 	}
-	st.next = next
+	return int(next)
 }
 
-func (st *foldStage) feedOpen(gids, col []uint32) {
+// foldOpen is foldColumn's open-addressing tier.
+func (st *foldStage) foldOpen(gids, col []uint32) int {
+	// ≤ len(gids) entries can be inserted; double for load factor ≤ ½.
+	slots := 16
+	for slots < 2*len(gids) {
+		slots <<= 1
+	}
+	if cap(st.vals) < slots {
+		st.keys = make([]uint64, slots)
+		st.vals = make([]uint32, slots)
+	} else {
+		st.keys = st.keys[:slots]
+		st.vals = st.vals[:slots]
+		clear(st.vals)
+	}
+	st.width = 0
+	st.mask = uint64(slots - 1)
 	keys, vals, mask := st.keys, st.vals, st.mask
-	next := st.next
-	// Same run memo as feedDirect: a repeated composite skips the hash
+	next := uint32(0)
+	// Same run memo as foldDirect: a repeated composite skips the hash
 	// and probe entirely.
 	lastG, lastC, lastV := uint32(noGroup), uint32(0), uint32(0)
 	for i, g := range gids {
@@ -231,5 +200,5 @@ func (st *foldStage) feedOpen(gids, col []uint32) {
 		}
 		lastV = gids[i]
 	}
-	st.next = next
+	return int(next)
 }

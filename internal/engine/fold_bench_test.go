@@ -46,8 +46,7 @@ func BenchmarkFoldTiers(b *testing.B) {
 		var st foldStage
 		for i := 0; i < b.N; i++ {
 			copy(gids, base)
-			st.begin(num, int(card), directFoldBudget)
-			st.feed(gids, col)
+			st.foldDirect(gids, col, num, card)
 		}
 	})
 	b.Run("open", func(b *testing.B) {
@@ -55,8 +54,7 @@ func BenchmarkFoldTiers(b *testing.B) {
 		var st foldStage
 		for i := 0; i < b.N; i++ {
 			copy(gids, base)
-			st.begin(0, 0, len(gids))
-			st.feed(gids, col)
+			st.foldOpen(gids, col)
 		}
 	})
 }

@@ -65,6 +65,9 @@ type constViol struct {
 // relation schema at a site). With constantOnly, only c's constant
 // units are tracked — the Proposition 5 local serving state.
 func NewIncrementalState(s *relation.Schema, c *cfd.CFD, constantOnly bool) (*IncrementalState, error) {
+	if err := c.Validate(s); err != nil {
+		return nil, err
+	}
 	st := &IncrementalState{}
 	for _, n := range c.Normalize() {
 		if constantOnly && !n.IsConstant() {

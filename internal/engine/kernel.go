@@ -11,8 +11,8 @@ import (
 // shared by any number of concurrent DetectSet/DetectSetReader/
 // ViolationPatterns calls, so a long-lived caller (a compiled
 // core.Plan, a site serving RPC traffic) stops reallocating the
-// per-call buffers — group-ID vectors, group states, fold tables,
-// decode windows, and the violation bitset. The zero value is ready to
+// per-call buffers — group-ID vectors, group states, fold tables and
+// the violation bitset. The zero value is ready to
 // use. Scratches returned to the pool are shrunk past a retention
 // bound, so one huge unit cannot inflate the pool forever.
 type Kernel struct {
@@ -25,11 +25,10 @@ var defaultKernel Kernel
 // Opts tune one kernel call.
 type Opts struct {
 	// Workers shards the per-row loops of each unit across this many
-	// goroutines (the intra-unit parallelism of one check) when the rows
-	// are materialized columns; a relation streamed off packed chunks is
-	// checked serially whatever the budget. ≤ 1 runs serially. Results
-	// are byte-identical at every setting; small inputs fall back to
-	// fewer shards so the fan-out never costs more than it saves.
+	// goroutines (the intra-unit parallelism of one check), whatever the
+	// column source. ≤ 1 runs serially. Results are byte-identical at
+	// every setting; small inputs fall back to fewer shards so the
+	// fan-out never costs more than it saves.
 	Workers int
 }
 
@@ -43,7 +42,7 @@ func (k *Kernel) check(r relation.ColumnReader, schema *relation.Schema, cs []*c
 		sc = &detectScratch{}
 	}
 	defer func() {
-		sc.src = source{spans: sc.src.spans[:0]} // drop what a pooled scratch must not keep alive
+		sc.src = source{} // drop what a pooled scratch must not keep alive
 		sc.shrink()
 		k.pool.Put(sc)
 	}()
@@ -54,15 +53,17 @@ func (k *Kernel) check(r relation.ColumnReader, schema *relation.Schema, cs []*c
 }
 
 // DetectSet returns Vio(Σ, d) as sorted tuple indices. A relation whose
-// rows live as a packed payload (see relation.FromPackedReader) is
-// streamed off its chunks, never forced to materialize.
+// rows live as a packed payload (see relation.FromPackedReader) has
+// each column a unit reads decoded once, where a corrupt chunk is an
+// error; its tuples never materialize.
 func (k *Kernel) DetectSet(d *relation.Relation, cs []*cfd.CFD, o Opts) ([]int, error) {
 	return k.detect(storage(d), d.Schema(), cs, o)
 }
 
 // DetectSetReader returns Vio(Σ, r) as sorted row indices for any
 // source of dictionary-encoded columns — a colstore fragment on disk,
-// a packed payload — without materializing tuples or whole columns.
+// a packed payload — serially, decoding only the columns its units read
+// and never materializing tuples.
 func (k *Kernel) DetectSetReader(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD) ([]int, error) {
 	return k.detect(r, schema, cs, Opts{})
 }

@@ -131,7 +131,7 @@ func TestKernelFailedRunReturnsScratch(t *testing.T) {
 		if sc == nil {
 			t.Fatalf("%s: a failed call never returned its scratch to the pool", name)
 		}
-		if sc.src.r != nil || len(sc.src.spans) != 0 {
+		if sc.src.r != nil || sc.src.cols != nil {
 			t.Errorf("%s: the pooled scratch still holds its source", name)
 		}
 	}
@@ -178,34 +178,10 @@ func TestFoldTiersAgree(t *testing.T) {
 
 		direct := append([]uint32(nil), gids...)
 		var st1 foldStage
-		st1.begin(num, card, directFoldBudget) // prod ≤ 8·totalRows ⇒ direct tier
-		if st1.width == 0 {
-			t.Fatalf("trial %d: expected direct tier for num=%d card=%d", trial, num, card)
-		}
-		st1.feed(direct, col)
-		nd := st1.count()
+		nd := st1.foldDirect(direct, col, num, card)
 		open := append([]uint32(nil), gids...)
 		var st2 foldStage
-		st2.begin(0, 0, len(open)) // zero card forces the open tier
-		st2.feed(open, col)
-		no := st2.count()
-
-		// Streaming feeds over consecutive halves must intern exactly
-		// like the single-shot pass.
-		halves := append([]uint32(nil), gids...)
-		var st3 foldStage
-		st3.begin(0, 0, len(halves))
-		mid := len(halves) / 2
-		st3.feed(halves[:mid], col[:mid])
-		st3.feed(halves[mid:], col[mid:])
-		if st3.count() != int(refNext) {
-			t.Fatalf("trial %d: streamed count %d, ref %d", trial, st3.count(), refNext)
-		}
-		for i := range ref {
-			if halves[i] != ref[i] {
-				t.Fatalf("trial %d row %d: streamed=%d ref=%d", trial, i, halves[i], ref[i])
-			}
-		}
+		no := st2.foldOpen(open, col)
 
 		if nd != int(refNext) || no != int(refNext) {
 			t.Fatalf("trial %d: counts direct=%d open=%d ref=%d", trial, nd, no, refNext)

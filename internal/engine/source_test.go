@@ -42,9 +42,7 @@ func patternsReader(r relation.ColumnReader, schema *relation.Schema, c *cfd.CFD
 // scratch and returns the violating rows.
 func detectUnits(r relation.ColumnReader, schema *relation.Schema, units []*cfd.Normalized) ([]int, error) {
 	sc := &detectScratch{}
-	if err := sc.src.bind(r); err != nil {
-		return nil, err
-	}
+	sc.src.bind(r)
 	sc.resetBits(r.Rows())
 	for _, n := range units {
 		if err := sc.detectUnit(schema, n, 1); err != nil {

@@ -6,26 +6,20 @@ import (
 )
 
 // PackedColumnReader is the packed-column seam: a ColumnReader whose
-// storage is chunks of raw encoded bytes (the colstore chunk codec)
-// with per-chunk ID bounds, so constant scans stream chunk by chunk and
-// skip chunks that cannot contain a wanted ID, shippers put the stored
-// form on the wire verbatim, and receivers detect over it without
-// materializing columns. Chunk boundaries should be uniform across
-// columns (one chunking for the whole relation); consumers verify spans
-// before relying on a chunk's bounds for skipping, so a non-uniform
-// implementation is merely slower, not wrong. PackedSize is the
-// payload's modeled wire size; it is what the shipment accounting
-// charges when packed shipping beats the dict+ID form.
+// storage is chunks of raw encoded bytes (the colstore chunk codec), so
+// shippers put the stored form on the wire verbatim, a store-backed
+// site gathers rows chunk by chunk, and receivers keep a payload as a
+// relation's storage without materializing it. Chunk boundaries are
+// uniform across columns (one chunking for the whole relation).
+// PackedSize is the payload's modeled wire size; it is what the
+// shipment accounting charges when packed shipping beats the dict+ID
+// form.
 type PackedColumnReader interface {
 	ColumnReader
 	// ColumnChunks returns the chunk count of column i.
 	ColumnChunks(i int) (int, error)
 	// ChunkSpan returns the row range [lo, hi) chunk k covers.
 	ChunkSpan(i, k int) (lo, hi int)
-	// ChunkIDBounds returns the min and max ID present in chunk k.
-	ChunkIDBounds(i, k int) (minID, maxID uint32)
-	// ChunkPayload returns chunk k of column i's raw encoded bytes.
-	ChunkPayload(i, k int) ([]byte, error)
 	// PackedSize returns the payload's modeled wire size.
 	PackedSize() int64
 }
@@ -43,7 +37,8 @@ type packedState struct {
 	done     bool
 	// backing marks a relation whose row storage is the packed reader
 	// itself (FromPackedReader): the encoded view decodes columns from
-	// it on demand, and the detect kernels may stream straight off it.
+	// it on demand, and the detect kernel reads it through its error
+	// channel.
 	backing bool
 }
 
@@ -85,9 +80,9 @@ func (r *Relation) DropPacked() {
 
 // BackingReader returns the packed reader that stores r's rows, or
 // nil when r's rows live as tuples or materialized columns. Only
-// relations built by FromPackedReader have one; the detect kernels
-// use it to stream over shipped chunks (with per-chunk skipping)
-// instead of forcing column materialization.
+// relations built by FromPackedReader have one; the detect kernel
+// decodes the columns it reads through it, where a corrupt chunk is an
+// error rather than Column materialization's panic.
 func (r *Relation) BackingReader() ColumnReader {
 	ps := r.packed.Load()
 	if ps == nil || !ps.backing {
@@ -101,8 +96,8 @@ func (r *Relation) BackingReader() ColumnReader {
 // from the payload's chunks only when a consumer leaves the reader
 // seam, and tuples materialize only if something leaves ID space.
 // Only the arity is checked here: pr is trusted as storage, so a chunk
-// that fails to decode later surfaces as an error (the kernel's streamed reads) or a
-// panic (Column materialization, mirroring ColumnDict's posture on
+// that fails to decode later surfaces as an error (the kernel's reads)
+// or a panic (Column materialization, mirroring ColumnDict's posture on
 // storage corruption). Whoever adopts bytes it did not write verifies
 // them first — colstore.NewPacked does, for the wire.
 func FromPackedReader(s *Schema, pr PackedColumnReader) (*Relation, error) {

@@ -4,11 +4,12 @@ import "fmt"
 
 // ColumnReader is the engine's storage seam: anything that can hand
 // out dictionary-encoded column IDs row-range by row-range. The
-// in-memory Encoded view satisfies it trivially; everything else is a
-// PackedColumnReader (packed.go) — a colstore fragment on disk, a
-// payload adopted off the wire — which decodes packed chunks on
-// demand: that is what lets the fold/detect kernels run over data that
-// never materializes as []Tuple.
+// in-memory Encoded view satisfies it trivially (the kernel reads its
+// column slices directly); everything else is a PackedColumnReader
+// (packed.go) — a colstore fragment on disk, a payload adopted off the
+// wire — whose columns the kernel decodes whole through ReadColumn:
+// that is what lets detection run over data that never materializes
+// as []Tuple.
 //
 // Implementations must be safe for concurrent readers.
 type ColumnReader interface {

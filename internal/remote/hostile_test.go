@@ -178,6 +178,46 @@ func TestHostilePackedDepositRejected(t *testing.T) {
 	}
 }
 
+// TestHostileSpecRejected: a σ spec whose pattern is longer than its X
+// killed the serving process from inside SigmaStats. The served site
+// now answers it with a plain error and goes on serving.
+func TestHostileSpecRejected(t *testing.T) {
+	frag := relation.MustFromRows(relation.MustSchema("R", []string{"a", "b"}), []string{"a0", "b0"})
+	site := core.NewSite(0, frag, relation.True())
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = ServeAPIContext(ctx, lis, site, frag.Schema()) }()
+	raw, err := rpc.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	bad := &core.BlockSpec{X: []string{"a"}, Patterns: [][]string{{"a0", "b0"}}}
+	var stats []int
+	err = raw.Call(serviceName+".SigmaStats", SpecArgs{Spec: bad}, &stats)
+	if err == nil {
+		t.Fatal("malformed spec accepted")
+	}
+	if core.ErrCodeOf(decodeError(err)) != "" {
+		t.Errorf("rejection should be a plain, non-transient error, got %v", err)
+	}
+	good, err := core.NewBlockSpec([]string{"a"}, [][]string{{"a0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Call(serviceName+".SigmaStats", SpecArgs{Spec: good}, &stats); err != nil {
+		t.Fatalf("server stopped serving after the rejected spec: %v", err)
+	}
+	if !reflect.DeepEqual(stats, []int{1}) {
+		t.Errorf("stats = %v, want [1]", stats)
+	}
+}
+
 // hostileService is a peer whose extracts are malformed: everything
 // else is the real service.
 type hostileService struct {
@@ -311,12 +351,12 @@ func applyWireEdits(w *WireRelation, script []byte) {
 // dictionary sections, chunk payloads, MinIDs/MaxIDs, Rows, ChunkRows,
 // chunk and column counts — and holds everything downstream of
 // FromWire to the trust boundary: either FromWire rejects the payload,
-// or the adopted relation is safe to stream (Kernel.ViolationPatterns
-// over the packed chunks), to materialize (relation.Concat) and to
-// charge (dist.RelationBytes), and streaming and materialized detection
-// agree with each other and with the row-path reference over the
-// payload's own tuples — and with the unmutated answer whenever the
-// edit left the tuples intact. Nothing may panic. The seed corpus under
+// or the adopted relation is safe to check (Kernel.ViolationPatterns
+// decoding the packed chunks), to materialize (relation.Concat) and to
+// charge (dist.RelationBytes), and detection over the payload and over
+// its materialized copy agree with each other and with the row-path
+// reference over the payload's own tuples — and with the unmutated
+// answer whenever the edit left the tuples intact. Nothing may panic. The seed corpus under
 // testdata/fuzz/FuzzWirePacked holds the confirmed crashers.
 func FuzzWirePacked(f *testing.F) {
 	f.Add([]byte{})
@@ -340,9 +380,9 @@ func FuzzWirePacked(f *testing.F) {
 			return
 		}
 		var k engine.Kernel
-		streamed, err := k.ViolationPatterns(rel, hostileCFD, engine.Opts{})
+		packed, err := k.ViolationPatterns(rel, hostileCFD, engine.Opts{})
 		if err != nil {
-			t.Fatalf("adopted payload failed to stream: %v", err)
+			t.Fatalf("adopted payload failed to check: %v", err)
 		}
 		flat, err := relation.Concat(rel)
 		if err != nil {
@@ -355,8 +395,8 @@ func FuzzWirePacked(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(streamed.Tuples(), materialized.Tuples()) {
-			t.Fatalf("streamed patterns %v != materialized %v", streamed.Tuples(), materialized.Tuples())
+		if !reflect.DeepEqual(packed.Tuples(), materialized.Tuples()) {
+			t.Fatalf("packed patterns %v != materialized %v", packed.Tuples(), materialized.Tuples())
 		}
 		rows, err := k.DetectSet(rel, []*cfd.CFD{hostileCFD}, engine.Opts{})
 		if err != nil {
@@ -367,10 +407,10 @@ func FuzzWirePacked(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rows, ref) {
-			t.Fatalf("streamed rows %v != row-path reference %v", rows, ref)
+			t.Fatalf("packed rows %v != row-path reference %v", rows, ref)
 		}
-		if flat.SameTuples(base) && !streamed.SameTuples(wantPats) {
-			t.Fatalf("tuples intact but patterns %v != unmutated %v", streamed, wantPats)
+		if flat.SameTuples(base) && !packed.SameTuples(wantPats) {
+			t.Fatalf("tuples intact but patterns %v != unmutated %v", packed, wantPats)
 		}
 	})
 }

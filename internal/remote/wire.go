@@ -62,8 +62,8 @@ type WirePackedRelation struct {
 
 // WirePackedColumn carries one column: its dictionary section (the
 // colstore uvarint-framed value list) and its chunk payloads (the
-// colstore chunk codec) with per-chunk ID bounds, so the receiver can
-// σ-skip chunks without decoding them.
+// colstore chunk codec) with per-chunk ID bounds, which the receiver
+// verifies every chunk against (colstore.NewPacked).
 type WirePackedColumn struct {
 	Dict   []byte
 	Chunks [][]byte
