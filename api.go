@@ -49,10 +49,6 @@ func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algo = a } }
 // wall-clock time changes.
 func WithWorkers(n int) Option { return func(c *config) { c.opt.Workers = n } }
 
-// WithCostModel replaces the calibrated response-time model used for
-// coordinator placement (PatDetectRT) and the reported modeled time.
-func WithCostModel(cm CostModel) Option { return func(c *config) { c.opt.Cost = cm } }
-
 // WithMineTheta enables the Section IV-B mining preprocessing for CFDs
 // whose variable patterns are all-wildcard (traditional FDs): at
 // compile time each site mines closed frequent LHS patterns with
@@ -103,11 +99,6 @@ func WithClustering(on bool) Option { return func(c *config) { c.clustered = on 
 // the retained coordinator state); under FailDegrade it behaves like
 // FailRetry.
 func WithFailurePolicy(p FailurePolicy) Option { return func(c *config) { c.opt.Failure = p } }
-
-// WithRetryPolicy bounds the retry behavior of WithFailurePolicy: call
-// attempts and the backoff window. The zero value selects the
-// defaults; it has no effect under FailFast.
-func WithRetryPolicy(rp RetryPolicy) Option { return func(c *config) { c.opt.Retry = rp } }
 
 // WithPackedShipping toggles the packed σ-block shipment form:
 // store-backed extracts that can serve their column chunks directly
@@ -232,8 +223,9 @@ func (d *Detector) Apply(ctx context.Context, site int, delta Delta) (Generation
 // |ΔD| rather than |D|.
 //
 // The first call (and any call after an error, a site restart, a
-// delete-heavy history, or a fragment mutated outside Apply)
-// transparently reseeds with one full shipment. Calls serialize with
+// trimmed delta log, or a fragment mutated outside Apply)
+// transparently reseeds with one full shipment; however many deletes a
+// session folds, it does not reseed for them. Calls serialize with
 // each other; Detect calls may interleave freely between rounds.
 func (d *Detector) DetectIncremental(ctx context.Context) (*Result, error) {
 	return d.plan.DetectIncremental(ctx)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"distcfd/internal/core"
 	"distcfd/internal/faulty"
@@ -141,7 +140,7 @@ func TestDetectorOptions(t *testing.T) {
 		{WithAlgorithm(CTRDetect)},
 		{WithAlgorithm(PatDetectS), WithWorkers(1)},
 		{WithClustering(false), WithWorkers(4)},
-		{WithCostModel(DefaultCostModel()), WithMineTheta(0.2)},
+		{WithMineTheta(0.2)},
 	} {
 		det, err := Compile(cl, rules, opts...)
 		if err != nil {
@@ -363,8 +362,7 @@ func TestDetectOneDegradePartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules := append(workload.CustOverlappingCFDs(16, 8), workload.CustStreetCFD())
-	opts := []Option{WithAlgorithm(PatDetectS), WithWorkers(1), WithFailurePolicy(FailDegrade),
-		WithRetryPolicy(RetryPolicy{BaseDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond})}
+	opts := []Option{WithAlgorithm(PatDetectS), WithWorkers(1), WithFailurePolicy(FailDegrade)}
 	det, err := Compile(cl, rules, opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -133,8 +133,6 @@ type (
 	// FailurePolicy selects how a run responds to site failures
 	// (FailFast, FailRetry, FailDegrade — see WithFailurePolicy).
 	FailurePolicy = core.FailurePolicy
-	// RetryPolicy bounds retries under FailRetry/FailDegrade.
-	RetryPolicy = core.RetryPolicy
 	// BreakerState is a per-site circuit-breaker state (see
 	// Detector.Health).
 	BreakerState = core.BreakerState
@@ -149,8 +147,6 @@ type (
 	// SiteHealth is one site's health snapshot (breaker state + drain
 	// status; see Detector.HealthDetail).
 	SiteHealth = core.SiteHealth
-	// CostModel is the paper's response-time model cost(D,Σ,M).
-	CostModel = dist.CostModel
 	// ShipmentReport is a run's shipment accounting (per-site-pair
 	// shipment and control matrices plus totals), safe to read and
 	// render without synchronization.
@@ -269,7 +265,7 @@ func NewRemoteCluster(addrs []string) (*Cluster, error) {
 
 // DetectCentral finds the violation patterns of a CFD in an
 // unpartitioned relation (the SQL technique of [2]), honoring any
-// functional options (algorithm, cost model, mining threshold).
+// functional options (algorithm, mining threshold).
 // Callers detecting repeatedly should Compile over NewLocalCluster
 // once instead of paying the session setup per call.
 func DetectCentral(d *Relation, c *CFD, opts ...Option) (*Relation, error) {
@@ -324,7 +320,3 @@ func GreedyRefinement(cs []*CFD, fragments [][]string) Augmentation {
 func DetectVertical(v *Vertical, cs []*CFD, opt VerticalOptions) (*VerticalResult, error) {
 	return vertical.Detect(v, cs, opt)
 }
-
-// DefaultCostModel returns the calibrated response-time model used by
-// the experiment harness.
-func DefaultCostModel() CostModel { return dist.DefaultCostModel() }

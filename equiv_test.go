@@ -158,8 +158,7 @@ func (fix *equivFixture) compile(t *testing.T, c equivCell, degrade bool) *Detec
 	t.Helper()
 	opts := []Option{WithAlgorithm(PatDetectS), WithWorkers(c.workers), WithPackedShipping(c.packed)}
 	if degrade {
-		opts = append(opts, WithFailurePolicy(FailDegrade),
-			WithRetryPolicy(RetryPolicy{BaseDelay: 50_000, MaxDelay: 500_000})) // 50µs, 500µs
+		opts = append(opts, WithFailurePolicy(FailDegrade))
 	}
 	det, err := Compile(fix.cluster(t, c, degrade), fix.rules, opts...)
 	if err != nil {

@@ -262,15 +262,14 @@ func chunkAt(payload []byte, i int) (uint32, error) {
 	return 0, fmt.Errorf("colstore: chunk ends %d rows before the one read", i+1)
 }
 
-// bounds returns the smallest and largest ID of the current run without
-// storing any: what checkChunk holds against the chunk's shipped
-// bounds. The max/min updates compile branch-free.
-func (it *runIter) bounds() (lo, hi uint32) {
+// max returns the largest ID of the current run without storing any:
+// what checkChunk holds against the column's dictionary. The update
+// compiles branch-free.
+func (it *runIter) max() (hi uint32) {
 	if it.rle {
-		return it.id, it.id
+		return it.id
 	}
 	width := it.width // 0 reads no bytes: every ID is 0
-	lo = ^uint32(0)
 	var acc uint64
 	var nacc uint
 	src := it.run
@@ -281,20 +280,19 @@ func (it *runIter) bounds() (lo, hi uint32) {
 			src = src[1:]
 			nacc += 8
 		}
-		v := uint32(acc) & mask
-		lo, hi = min(lo, v), max(hi, v)
+		hi = max(hi, uint32(acc)&mask)
 		acc >>= width
 		nacc -= width
 	}
-	return lo, hi
+	return hi
 }
 
 // checkChunk verifies a chunk payload that arrived from a peer, without
 // decoding it anywhere: the runs are well-formed, cover exactly rows
-// rows, and hold no ID outside [minID, maxID]. After it passes,
-// DecodeChunk over the same payload cannot fail and cannot produce an
-// ID the bounds do not announce.
-func checkChunk(payload []byte, rows int, minID, maxID uint32) error {
+// rows, and hold no ID at or past dictLen. After it passes, DecodeChunk
+// over the same payload cannot fail and cannot produce an ID the
+// column's dictionary lacks.
+func checkChunk(payload []byte, rows, dictLen int) error {
 	it, err := chunkRuns(payload)
 	if err != nil {
 		return err
@@ -304,8 +302,8 @@ func checkChunk(payload []byte, rows int, minID, maxID uint32) error {
 		if n += it.Count(); n > rows {
 			return fmt.Errorf("colstore: chunk run overflows its %d-row span", rows)
 		}
-		if lo, hi := it.bounds(); lo < minID || hi > maxID {
-			return fmt.Errorf("colstore: chunk holds IDs [%d, %d] outside its bounds [%d, %d]", lo, hi, minID, maxID)
+		if hi := it.max(); int64(hi) >= int64(dictLen) {
+			return fmt.Errorf("colstore: chunk holds ID %d outside the dictionary of %d values", hi, dictLen)
 		}
 	}
 	if err := it.Err(); err != nil {

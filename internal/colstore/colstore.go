@@ -17,11 +17,10 @@
 //     flattened at persist time: the writer interns fresh);
 //   - a column segment is a run of fixed-row chunks, each chunk a mix
 //     of RLE runs (repeated IDs) and bit-packed runs at the minimal
-//     width for the chunk's ID range, with a per-chunk directory of
-//     byte length and min/max ID, which a peer's shipped payload is
-//     verified against (NewPacked);
-//   - the segment table records each section's offset, length, min/max
-//     ID, and FNV-1a checksum;
+//     width for the chunk's largest ID, behind a directory of each
+//     chunk's byte length;
+//   - the segment table records each section's offset, length and
+//     FNV-1a checksum;
 //   - the fixed-size footer at the end of the file carries the magic,
 //     format version, row count, and the table's position + checksum.
 //
@@ -37,8 +36,8 @@
 // surfaces as an error, never as a silently wrong answer.
 //
 // The stored form is also the shipped form, and one reader serves both
-// (column.go): a column is its dictionary-section bytes, chunk payload
-// slices and per-chunk ID bounds. A Fragment is a file header over
+// (column.go): a column is its dictionary-section bytes and chunk
+// payload slices. A Fragment is a file header over
 // columns whose slices alias the mapping; a Packed (packed.go) holds
 // them directly — shared from a fragment, re-encoded from a row
 // selection, or adopted off the wire and verified whole.
@@ -59,8 +58,10 @@ const (
 	Magic = "DCFDCOL1"
 	// FormatVersion is bumped on any incompatible layout change.
 	// Version 2 split the single dict section into one section per
-	// column so dictionaries verify and decode independently.
-	FormatVersion = 2
+	// column so dictionaries verify and decode independently; version 3
+	// dropped the per-chunk and per-segment ID bounds (a chunk is checked
+	// against its column's dictionary instead).
+	FormatVersion = 3
 	// DefaultChunkRows is the writer's rows-per-chunk; readers take the
 	// value from the file, so it can change without a version bump.
 	DefaultChunkRows = 8192

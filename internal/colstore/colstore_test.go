@@ -188,8 +188,8 @@ func TestRoundTripSingleValueRLE(t *testing.T) {
 	if perRow := float64(st.BytesOnDisk) / float64(rows); perRow > 0.1 {
 		t.Fatalf("single-value column costs %.2f bytes/row on disk", perRow)
 	}
-	if c := packedColumn(t, f, 0); c.MinIDs[0] != 0 || c.MaxIDs[0] != 0 {
-		t.Fatalf("ID bounds [%d,%d], want [0,0]", c.MinIDs[0], c.MaxIDs[0])
+	if c := packedColumn(t, f, 0); c.Chunks[0][0] != 0 {
+		t.Fatalf("chunk width %d, want 0", c.Chunks[0][0])
 	}
 }
 
@@ -422,42 +422,6 @@ func TestWriterAbortLeavesNoTemps(t *testing.T) {
 	}
 }
 
-func TestChunkIDBoundsSkipping(t *testing.T) {
-	// First chunk holds low IDs, second chunk introduces a late value:
-	// the bounds a fragment records are per chunk, so chunk 0's exclude
-	// it.
-	schema := mustSchema(t, "skip", []string{"a"})
-	rows := 2 * DefaultChunkRows
-	ts := make([]relation.Tuple, rows)
-	for i := range ts {
-		if i < DefaultChunkRows {
-			ts[i] = relation.Tuple{fmt.Sprintf("early%d", i%4)}
-		} else {
-			ts[i] = relation.Tuple{"late"}
-		}
-	}
-	r, err := relation.FromTuples(schema, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := writeOpen(t, r)
-	n, err := f.ColumnChunks(0)
-	if err != nil || n != 2 {
-		t.Fatalf("chunks = %d, err %v", n, err)
-	}
-	lateID, ok := f.ColumnDict(0).Lookup("late")
-	if !ok {
-		t.Fatal("late value missing from dict")
-	}
-	c := packedColumn(t, f, 0)
-	if lateID <= c.MaxIDs[0] {
-		t.Fatalf("late ID %d within chunk 0 bounds (max %d)", lateID, c.MaxIDs[0])
-	}
-	if lateID < c.MinIDs[1] || lateID > c.MaxIDs[1] {
-		t.Fatalf("late ID %d outside chunk 1 bounds [%d,%d]", lateID, c.MinIDs[1], c.MaxIDs[1])
-	}
-}
-
 func TestReadAfterCloseErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := randomRelation(t, rng, 100, 2)
@@ -513,8 +477,8 @@ func TestReadAfterCloseErrors(t *testing.T) {
 
 // oneRunColumn makes c a single chunk of n rows, all ID 0.
 func oneRunColumn(c *PackedColumn, n int) (rows, chunkRows int) {
-	chunk, mn, mx := EncodeChunk(nil, make([]uint32, n))
-	*c = PackedColumn{Dict: EncodeDictSection(nil, []string{"a"}), Chunks: [][]byte{chunk}, MinIDs: []uint32{mn}, MaxIDs: []uint32{mx}}
+	chunk, _, _ := EncodeChunk(nil, make([]uint32, n))
+	*c = PackedColumn{Dict: EncodeDictSection(nil, []string{"a"}), Chunks: [][]byte{chunk}}
 	return n, n
 }
 
@@ -524,13 +488,11 @@ func oneRunColumn(c *PackedColumn, n int) (rows, chunkRows int) {
 // case edits a valid one-column, two-chunk payload.
 func TestNewPackedVerifiesForeignParts(t *testing.T) {
 	valid := func() PackedColumn {
-		c0, mn0, mx0 := EncodeChunk(nil, []uint32{0, 1, 2, 1})
-		c1, mn1, mx1 := EncodeChunk(nil, []uint32{3, 4, 4})
+		c0, _, _ := EncodeChunk(nil, []uint32{0, 1, 2, 1})
+		c1, _, _ := EncodeChunk(nil, []uint32{3, 4, 4})
 		return PackedColumn{
 			Dict:   EncodeDictSection(nil, []string{"a", "b", "c", "d", "e"}),
 			Chunks: [][]byte{c0, c1},
-			MinIDs: []uint32{mn0, mn1},
-			MaxIDs: []uint32{mx0, mx1},
 		}
 	}
 	if _, err := NewPacked(7, 4, []PackedColumn{valid()}); err != nil {
@@ -540,16 +502,13 @@ func TestNewPackedVerifiesForeignParts(t *testing.T) {
 		name string
 		edit func(c *PackedColumn) (rows, chunkRows int)
 	}{
-		{"max bound past the dictionary", func(c *PackedColumn) (int, int) { c.MaxIDs[1] = 5; return 7, 4 }},
-		// Width 3 admits IDs up to 7; the bound says 4 and the dictionary
-		// has 5 values, so only a look at the IDs themselves catches a 6.
-		{"id above its shipped max", func(c *PackedColumn) (int, int) {
+		// Width 3 admits IDs up to 7 and the dictionary has 5 values, so
+		// only a look at the IDs themselves catches a 6.
+		{"id past the dictionary", func(c *PackedColumn) (int, int) {
 			c.Chunks[1], _, _ = EncodeChunk(nil, []uint32{3, 6, 4})
 			return 7, 4
 		}},
-		// A min bound above the chunk's real minimum would let a constant
-		// scan σ-skip a chunk that holds the constant.
-		{"min bound above the contents", func(c *PackedColumn) (int, int) { c.MinIDs[0] = 1; return 7, 4 }},
+		{"column missing a chunk", func(c *PackedColumn) (int, int) { c.Chunks = c.Chunks[:1]; return 7, 4 }},
 		{"chunk shorter than its span", func(c *PackedColumn) (int, int) {
 			c.Chunks[0], _, _ = EncodeChunk(nil, []uint32{0, 1, 2})
 			return 7, 4

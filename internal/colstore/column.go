@@ -15,8 +15,6 @@ type PackedColumn struct {
 	Dict []byte
 	// Chunks holds the raw chunk payloads in row order.
 	Chunks [][]byte
-	// MinIDs and MaxIDs are the per-chunk ID bounds, parallel to Chunks.
-	MinIDs, MaxIDs []uint32
 }
 
 // column is the one packed column every reader goes through, wherever
@@ -174,14 +172,14 @@ func (cs *columns) ChunkSpan(i, k int) (lo, hi int) {
 }
 
 // PackedSize returns the modeled wire size of all columns — dictionary
-// sections, chunk payloads, 8 bounds bytes per chunk — which
+// sections and chunk payloads — which
 // dist.RelationBytes charges when packed shipping wins. On a Fragment it
 // loads (and so pages in) every column segment.
 func (cs *columns) PackedSize() int64 {
 	var n int64
 	for i := range cs.cols {
 		if c, err := cs.col(i); err == nil { // else the read that follows reports it
-			n += int64(len(c.Dict)) + 8*int64(len(c.Chunks))
+			n += int64(len(c.Dict))
 			for _, p := range c.Chunks {
 				n += int64(len(p))
 			}

@@ -99,7 +99,7 @@ func parseFragment(path string, data []byte, unmap func([]byte) error) (*Fragmen
 		entries[i] = tableEntry{
 			off:    binary.LittleEndian.Uint64(e),
 			length: binary.LittleEndian.Uint64(e[8:]),
-			sum:    binary.LittleEndian.Uint64(e[24:]), // [16:24) segment-wide ID bounds: no reader
+			sum:    binary.LittleEndian.Uint64(e[16:]),
 		}
 		if entries[i].off > body || entries[i].length > body-entries[i].off {
 			return nil, fmt.Errorf("colstore: %s: segment %d out of bounds", path, i)
@@ -173,7 +173,7 @@ func (f *Fragment) checkOpen() error {
 // loadSegment verifies segment bytes b against the table entry and
 // fills the column's chunk side from its directory:
 //
-//	u32 chunkRows | u32 numChunks | numChunks × (u32 length, minID, maxID) | payloads
+//	u32 chunkRows | u32 numChunks | numChunks × u32 length | payloads
 func (c *column) loadSegment(b []byte) error {
 	if checksum(b) != c.file.seg.sum {
 		return fmt.Errorf("colstore: %s: segment checksum mismatch", c.name)
@@ -189,22 +189,17 @@ func (c *column) loadSegment(b []byte) error {
 	if want := (c.rows + max(c.chunkRows, 1) - 1) / max(c.chunkRows, 1); numChunks != want {
 		return fmt.Errorf("colstore: %s: %d chunks, want %d for %d rows", c.name, numChunks, want, c.rows)
 	}
-	if len(b) < 8+numChunks*12 {
+	if len(b) < 8+numChunks*4 {
 		return fmt.Errorf("colstore: %s: chunk directory truncated", c.name)
 	}
-	dir, payload := b[8:8+numChunks*12], b[8+numChunks*12:]
+	dir, payload := b[8:8+numChunks*4], b[8+numChunks*4:]
 	c.Chunks = make([][]byte, numChunks)
-	c.MinIDs = make([]uint32, numChunks)
-	c.MaxIDs = make([]uint32, numChunks)
 	for k := range c.Chunks {
-		d := dir[k*12:]
-		n := uint64(binary.LittleEndian.Uint32(d))
+		n := uint64(binary.LittleEndian.Uint32(dir[k*4:]))
 		if n > uint64(len(payload)) {
 			return fmt.Errorf("colstore: %s: chunk %d overruns the segment", c.name, k)
 		}
 		c.Chunks[k], payload = payload[:n:n], payload[n:]
-		c.MinIDs[k] = binary.LittleEndian.Uint32(d[4:])
-		c.MaxIDs[k] = binary.LittleEndian.Uint32(d[8:])
 	}
 	if len(payload) != 0 {
 		return fmt.Errorf("colstore: %s: %d segment bytes past the last chunk", c.name, len(payload))

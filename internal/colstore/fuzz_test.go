@@ -15,7 +15,7 @@ import (
 //     a chunkRuns walk must agree with DecodeChunk row for row, and so
 //     must a chunkAt point read of every row;
 //  2. as an adversarial chunk payload fed straight to chunkRuns/DecodeChunk —
-//     wire v6 ships payloads verbatim, so arbitrary bytes must error
+//     the wire ships payloads verbatim, so arbitrary bytes must error
 //     cleanly, never panic or over-allocate;
 //  3. as a \x1f-joined value list: EncodeDictSection → DecodeDictSection
 //     must round-trip, and the raw bytes fed to DecodeDictSection must
@@ -245,7 +245,7 @@ func reseal(data []byte) []byte {
 	table := out[off : off+n]
 	for e := table; len(e) >= tableEntrySize; e = e[tableEntrySize:] {
 		if so, sn := binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint64(e[8:]); inBody(so, sn) {
-			binary.LittleEndian.PutUint64(e[24:], checksum(out[so:so+sn]))
+			binary.LittleEndian.PutUint64(e[16:], checksum(out[so:so+sn]))
 		}
 	}
 	binary.LittleEndian.PutUint64(ft[40:], checksum(table))

@@ -7,8 +7,8 @@ import (
 )
 
 // Packed is a packed relation payload: per-column dictionary sections
-// plus raw chunk payloads with per-chunk ID bounds — the unit the wire
-// ships and receivers detect over. Fragment.PackBase builds one by
+// plus raw chunk payloads — the unit the wire ships and receivers
+// detect over. Fragment.PackBase builds one by
 // sharing a store fragment's own columns (a whole-fragment extract: the
 // bytes that cross the wire are the bytes on disk), PackColumns by
 // re-encoding a scattered row selection (the usual σ-block extract)
@@ -28,13 +28,11 @@ var _ relation.PackedColumnReader = (*Packed)(nil)
 // point of bytes this process did not write (a wire receive), so
 // everything a later read would trust is verified here, once:
 // chunkRows is at most MaxChunkRows, every column has
-// ceil(rows/chunkRows) chunks with matching bounds slices,
-// every dictionary section decodes, and every chunk payload is
-// well-formed, covers exactly its span, and holds only IDs inside its
-// shipped [min, max] bounds, which in turn fit the dictionary. A Packed
-// that NewPacked returned cannot fail a decode or hand out an ID its
-// dictionary lacks; a malformed part is an error here, never a panic
-// later.
+// ceil(rows/chunkRows) chunks, every dictionary section decodes, and
+// every chunk payload is well-formed, covers exactly its span, and
+// holds only IDs its dictionary has. A Packed that NewPacked returned
+// cannot fail a decode or hand out an ID its dictionary lacks; a
+// malformed part is an error here, never a panic later.
 func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 	if rows < 0 {
 		return nil, fmt.Errorf("colstore: NewPacked with %d rows", rows)
@@ -48,9 +46,8 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 	}
 	p := newPacked(rows, chunkRows, len(cols))
 	for j, parts := range cols {
-		if len(parts.Chunks) != numChunks || len(parts.MinIDs) != numChunks || len(parts.MaxIDs) != numChunks {
-			return nil, fmt.Errorf("colstore: NewPacked column %d has %d/%d/%d chunks, want %d",
-				j, len(parts.Chunks), len(parts.MinIDs), len(parts.MaxIDs), numChunks)
+		if len(parts.Chunks) != numChunks {
+			return nil, fmt.Errorf("colstore: NewPacked column %d has %d chunks, want %d", j, len(parts.Chunks), numChunks)
 		}
 		c := p.cols[j]
 		c.PackedColumn = parts
@@ -60,11 +57,7 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 		}
 		for k, payload := range c.Chunks {
 			lo, hi := c.chunkSpan(k)
-			if int64(c.MaxIDs[k]) >= int64(dict.Len()) {
-				return nil, fmt.Errorf("colstore: packed column %d chunk %d: max ID %d outside dictionary of %d values",
-					j, k, c.MaxIDs[k], dict.Len())
-			}
-			if err := checkChunk(payload, hi-lo, c.MinIDs[k], c.MaxIDs[k]); err != nil {
+			if err := checkChunk(payload, hi-lo, dict.Len()); err != nil {
 				return nil, fmt.Errorf("colstore: packed column %d chunk %d: %w", j, k, err)
 			}
 		}
@@ -142,18 +135,13 @@ func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, er
 		offs = offs[:0]
 		pc := &p.cols[j].PackedColumn
 		pc.Chunks = make([][]byte, 0, numChunks)
-		pc.MinIDs = make([]uint32, 0, numChunks)
-		pc.MaxIDs = make([]uint32, 0, numChunks)
 		for base := 0; base < rows; base += chunkRows {
 			n := min(chunkRows, rows-base)
 			for i := 0; i < n; i++ {
 				buf[i] = rm.id(col[base+i])
 			}
 			offs = append(offs, len(enc))
-			var mn, mx uint32
-			enc, mn, mx = EncodeChunk(enc, buf[:n])
-			pc.MinIDs = append(pc.MinIDs, mn)
-			pc.MaxIDs = append(pc.MaxIDs, mx)
+			enc, _, _ = EncodeChunk(enc, buf[:n])
 		}
 		offs = append(offs, len(enc))
 		for k := 0; k < numChunks; k++ {

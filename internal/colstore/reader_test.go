@@ -94,15 +94,11 @@ func TestReadersAgree(t *testing.T) {
 				if lo != k*cr || hi != min(lo+cr, enc.Rows()) {
 					t.Fatalf("%s: ChunkSpan(%d,%d) = [%d,%d)", name, j, k, lo, hi)
 				}
-				want, wantMin, wantMax := EncodeChunk(nil, col[lo:hi])
-				pc := packedColumn(t, pr, j)
-				if mn, mx := pc.MinIDs[k], pc.MaxIDs[k]; mn != wantMin || mx != wantMax {
-					t.Fatalf("%s: column %d chunk %d bounds [%d,%d], want [%d,%d]", name, j, k, mn, mx, wantMin, wantMax)
-				}
-				if !bytes.Equal(pc.Chunks[k], want) {
+				want, _, _ := EncodeChunk(nil, col[lo:hi])
+				if !bytes.Equal(packedColumn(t, pr, j).Chunks[k], want) {
 					t.Fatalf("%s: column %d chunk %d payload differs", name, j, k)
 				}
-				size += int64(len(want)) + 8
+				size += int64(len(want))
 			}
 			for _, rg := range ranges {
 				got := make([]uint32, rg[1]-rg[0])
@@ -124,14 +120,14 @@ func TestReadersAgree(t *testing.T) {
 }
 
 // TestChunkBoundsOnUntouchedColumn is the regression test for a
-// Fragment answering ChunkSpan and chunk ID bounds from a chunk
+// Fragment answering ChunkSpan and chunk payloads from a chunk
 // directory it had not parsed yet: on a freshly opened file the first
 // question about a column other than the one already read got span
 // (0, 0) or an index panic.
 func TestChunkBoundsOnUntouchedColumn(t *testing.T) {
 	r := randomRelation(t, rand.New(rand.NewSource(5)), DefaultChunkRows+10, 2)
 	col, _ := r.Encoded().Column(1)
-	_, wantMin, wantMax := EncodeChunk(nil, col[:DefaultChunkRows])
+	want, _, _ := EncodeChunk(nil, col[:DefaultChunkRows])
 
 	f, _ := writeOpen(t, r)
 	if _, err := f.ColumnChunks(0); err != nil {
@@ -141,8 +137,8 @@ func TestChunkBoundsOnUntouchedColumn(t *testing.T) {
 		t.Fatalf("ChunkSpan(1,0) on an untouched column = [%d,%d), want [0,%d)", lo, hi, DefaultChunkRows)
 	}
 	f, _ = writeOpen(t, r)
-	if c := packedColumn(t, f, 1); c.MinIDs[0] != wantMin || c.MaxIDs[0] != wantMax {
-		t.Fatalf("chunk 0 bounds on an untouched column = [%d,%d], want [%d,%d]", c.MinIDs[0], c.MaxIDs[0], wantMin, wantMax)
+	if c := packedColumn(t, f, 1); !bytes.Equal(c.Chunks[0], want) {
+		t.Fatal("chunk 0 of an untouched column differs from its encoding")
 	}
 }
 

@@ -36,19 +36,13 @@ type Writer struct {
 	dicts  []*relation.Dict
 	chunks [][]uint32
 	spills []*os.File
-	metas  [][]chunkMeta
+	lens   [][]uint32 // per column, each chunk's encoded length
 
 	rows     int
 	rawBytes int64
 	encBuf   []byte
 	finished bool
 	closed   bool
-}
-
-// chunkMeta is one chunk's directory entry: encoded byte length and
-// the chunk's ID range (shipped with the chunk and verified on receipt).
-type chunkMeta struct {
-	length, minID, maxID uint32
 }
 
 // Stats reports a finished fragment.
@@ -72,7 +66,7 @@ func Create(path string, schema *relation.Schema) (*Writer, error) {
 		dicts:     make([]*relation.Dict, schema.Arity()),
 		chunks:    make([][]uint32, schema.Arity()),
 		spills:    make([]*os.File, schema.Arity()),
-		metas:     make([][]chunkMeta, schema.Arity()),
+		lens:      make([][]uint32, schema.Arity()),
 	}
 	dir := filepath.Dir(path)
 	for j := range w.dicts {
@@ -121,12 +115,12 @@ func (w *Writer) Append(t relation.Tuple) error {
 }
 
 func (w *Writer) flushChunk(j int) error {
-	buf, minID, maxID := EncodeChunk(w.encBuf[:0], w.chunks[j])
+	buf, _, _ := EncodeChunk(w.encBuf[:0], w.chunks[j])
 	w.encBuf = buf
 	if _, err := w.spills[j].Write(buf); err != nil {
 		return fmt.Errorf("colstore: spilling column %d: %w", j, err)
 	}
-	w.metas[j] = append(w.metas[j], chunkMeta{length: uint32(len(buf)), minID: minID, maxID: maxID})
+	w.lens[j] = append(w.lens[j], uint32(len(buf)))
 	w.chunks[j] = w.chunks[j][:0]
 	return nil
 }
@@ -177,7 +171,7 @@ func (w *Writer) cleanup() {
 	// alive by a deferred Close must not pin them.
 	w.dicts = nil
 	w.chunks = nil
-	w.metas = nil
+	w.lens = nil
 	w.encBuf = nil
 	w.closed = true
 }
@@ -203,20 +197,16 @@ func (sw *sectionWriter) Write(p []byte) (int, error) {
 
 // tableEntry is one section's record in the segment table.
 type tableEntry struct {
-	off, length  uint64
-	minID, maxID uint32
-	sum          uint64
+	off, length, sum uint64
 }
 
 func (e tableEntry) append(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, e.off)
 	b = binary.LittleEndian.AppendUint64(b, e.length)
-	b = binary.LittleEndian.AppendUint32(b, e.minID)
-	b = binary.LittleEndian.AppendUint32(b, e.maxID)
 	return binary.LittleEndian.AppendUint64(b, e.sum)
 }
 
-const tableEntrySize = 8 + 8 + 4 + 4 + 8
+const tableEntrySize = 8 + 8 + 8
 
 // assemble writes the final file next to w.path and renames it over.
 func (w *Writer) assemble() (Stats, error) {
@@ -262,19 +252,11 @@ func (w *Writer) assemble() (Stats, error) {
 	for j := range w.dicts {
 		sw.begin()
 		start = sw.off
-		metas := w.metas[j]
 		hb = hb[:0]
 		hb = binary.LittleEndian.AppendUint32(hb, uint32(w.chunkRows))
-		hb = binary.LittleEndian.AppendUint32(hb, uint32(len(metas)))
-		segMin, segMax := uint32(0), uint32(0)
-		for k, m := range metas {
-			hb = binary.LittleEndian.AppendUint32(hb, m.length)
-			hb = binary.LittleEndian.AppendUint32(hb, m.minID)
-			hb = binary.LittleEndian.AppendUint32(hb, m.maxID)
-			if k == 0 {
-				segMin = m.minID
-			}
-			segMin, segMax = min(segMin, m.minID), max(segMax, m.maxID)
+		hb = binary.LittleEndian.AppendUint32(hb, uint32(len(w.lens[j])))
+		for _, n := range w.lens[j] {
+			hb = binary.LittleEndian.AppendUint32(hb, n)
 		}
 		if _, err := sw.Write(hb); err != nil {
 			return Stats{}, err
@@ -285,10 +267,7 @@ func (w *Writer) assemble() (Stats, error) {
 		if _, err := io.Copy(sw, w.spills[j]); err != nil {
 			return Stats{}, fmt.Errorf("colstore: copying spill %d: %w", j, err)
 		}
-		entries = append(entries, tableEntry{
-			off: start, length: sw.off - start,
-			minID: segMin, maxID: segMax, sum: sw.sum(),
-		})
+		entries = append(entries, tableEntry{off: start, length: sw.off - start, sum: sw.sum()})
 	}
 
 	// Segment table + footer.

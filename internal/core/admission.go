@@ -35,11 +35,9 @@ type AdmissionPolicy struct {
 	// arriving past the queue is rejected immediately. Default 16.
 	MaxQueue int
 	// MaxWait bounds how long a queued call waits for a slot before it
-	// is rejected as overloaded. Default 50ms.
+	// is rejected as overloaded; it is also the retry-after hint an
+	// Overloaded rejection carries. Default 50ms.
 	MaxWait time.Duration
-	// RetryAfter is the backpressure hint stamped into Overloaded
-	// rejections. Default MaxWait.
-	RetryAfter time.Duration
 	// DrainTimeout bounds Drain(): in-flight work still running when it
 	// elapses is abandoned to its own context. Default 5s.
 	DrainTimeout time.Duration
@@ -54,9 +52,6 @@ func (p AdmissionPolicy) withDefaults() AdmissionPolicy {
 	}
 	if p.MaxWait <= 0 {
 		p.MaxWait = 50 * time.Millisecond
-	}
-	if p.RetryAfter <= 0 {
-		p.RetryAfter = p.MaxWait
 	}
 	if p.DrainTimeout <= 0 {
 		p.DrainTimeout = 5 * time.Second
@@ -140,9 +135,9 @@ func (a *Admission) overloadedErr(queued bool) error {
 	}
 	return &CodedError{
 		Code:        CodeOverloaded,
-		Msg:         fmt.Sprintf("core: site %d overloaded (%s), retry after %v", a.inner.ID(), why, a.policy.RetryAfter),
+		Msg:         fmt.Sprintf("core: site %d overloaded (%s), retry after %v", a.inner.ID(), why, a.policy.MaxWait),
 		NotExecuted: true,
-		RetryAfter:  a.policy.RetryAfter,
+		RetryAfter:  a.policy.MaxWait,
 	}
 }
 

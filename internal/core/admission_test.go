@@ -63,7 +63,7 @@ func TestAdmissionDefaults(t *testing.T) {
 	adm, _, _ := admissionFixture(t, core.AdmissionPolicy{})
 	p := adm.Policy()
 	if p.MaxConcurrent != 8 || p.MaxQueue != 16 || p.MaxWait != 50*time.Millisecond ||
-		p.RetryAfter != p.MaxWait || p.DrainTimeout != 5*time.Second {
+		p.DrainTimeout != 5*time.Second {
 		t.Fatalf("unexpected defaulted policy: %+v", p)
 	}
 }
@@ -73,7 +73,7 @@ func TestAdmissionDefaults(t *testing.T) {
 // the typed overloaded error carrying the retry-after hint.
 func TestAdmissionQueueFullRejects(t *testing.T) {
 	adm, g, batch := admissionFixture(t, core.AdmissionPolicy{
-		MaxConcurrent: 1, MaxQueue: 1, MaxWait: time.Minute, RetryAfter: 7 * time.Millisecond,
+		MaxConcurrent: 1, MaxQueue: 1, MaxWait: time.Minute,
 	})
 	ctx := context.Background()
 	done1 := make(chan error, 1)
@@ -90,7 +90,7 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 		t.Fatalf("queue-full rejection = %v, want CodeOverloaded", err)
 	}
 	var ce *core.CodedError
-	if !errors.As(err, &ce) || !ce.NotExecuted || ce.RetryAfter != 7*time.Millisecond {
+	if !errors.As(err, &ce) || !ce.NotExecuted || ce.RetryAfter != time.Minute {
 		t.Fatalf("overloaded error not typed for retry: %+v", ce)
 	}
 	if d := time.Since(start); d > 10*time.Second {

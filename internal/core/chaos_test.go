@@ -20,10 +20,6 @@ import (
 	"distcfd/internal/workload"
 )
 
-// fastRetry keeps the chaos runs quick: the backoff window shrinks to
-// microseconds while the attempt budgets stay at their defaults.
-var fastRetry = core.RetryPolicy{BaseDelay: 50_000, MaxDelay: 500_000} // 50µs, 500µs
-
 // chaosSeed returns the base fault seed for this run: DISTCFD_CHAOS_SEED
 // when set (make chaos randomizes and logs it, so any failure replays
 // with the same seed), 0 otherwise. It offsets only the *fault-plan*
@@ -125,7 +121,7 @@ func TestChaosRetryEquivalence(t *testing.T) {
 		faulted, fbare := chaosCluster(t, seed, func(i int, s *core.Site) core.SiteAPI {
 			return faulty.Wrap(s, faulty.Plan{Seed: base + seed*31 + int64(i), Rate: 0.10})
 		})
-		got, err := core.DetectOnce(context.Background(), faulted, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry, Retry: fastRetry}, true)
+		got, err := core.DetectOnce(context.Background(), faulted, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry}, true)
 		if err != nil {
 			t.Fatalf("seed %d: faulted run failed: %v", seed, err)
 		}
@@ -178,7 +174,7 @@ func TestChaosDegradePartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade, Retry: fastRetry}, true)
+	res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade}, true)
 	if err != nil {
 		t.Fatalf("degraded run failed outright: %v", err)
 	}
@@ -288,7 +284,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 				// The outcome depends on class × policy (an error under
 				// FailFast, recovery or a partial answer otherwise); the
 				// deposit invariant must hold either way.
-				res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: pol, Retry: fastRetry}, true)
+				res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: pol}, true)
 				if err == nil && res == nil {
 					t.Fatal("nil result without error")
 				}
@@ -319,15 +315,14 @@ func TestChaosBreakerOpensOnDeadSite(t *testing.T) {
 			t.Fatalf("fresh cluster reports %v, want all closed", st)
 		}
 	}
-	// Six attempts per call: the dead site racks up more consecutive
-	// failures than the breaker threshold within a single call's retry
-	// schedule, so the trip is observable before exclusion stops the
-	// traffic.
-	retry := fastRetry
-	retry.Attempts = 6
-	_, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade, Retry: retry}, true)
-	if err != nil {
-		t.Fatalf("degraded run failed: %v", err)
+	// Four attempts per call stay under the breaker threshold, so the
+	// first degraded run only excludes the dead site; its failures stay
+	// on the cluster's breaker, and the second run's first call to the
+	// site trips it.
+	for run := 0; run < 2; run++ {
+		if _, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade}, true); err != nil {
+			t.Fatalf("degraded run %d failed: %v", run, err)
+		}
 	}
 	health := cl.Health()
 	if health[1] == core.BreakerClosed {
@@ -433,7 +428,7 @@ func TestChaosStoreRestartByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry, Retry: fastRetry}, true)
+	got, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry}, true)
 	if err != nil {
 		t.Fatalf("store-backed run failed: %v", err)
 	}
@@ -478,7 +473,7 @@ func TestChaosIncrementalRetry(t *testing.T) {
 	// reseeds, so every faulted round repeats from the top.
 	got, bare := run(func(i int, s *core.Site) core.SiteAPI {
 		return faulty.Wrap(s, faulty.Plan{Seed: base + int64(i) + 1, Rate: 0.05})
-	}, core.Options{Failure: core.FailRetry, Retry: fastRetry})
+	}, core.Options{Failure: core.FailRetry})
 	identicalViolations(t, "incremental", got, want)
 	if got.ShippedTuples != want.ShippedTuples || got.ModeledTime != want.ModeledTime {
 		t.Errorf("incremental figures bent under faults: %d/%v vs %d/%v",

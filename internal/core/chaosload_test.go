@@ -57,11 +57,10 @@ func TestChaosLoadConcurrentDetects(t *testing.T) {
 	cl, bare, h := loadCluster(t, 11, 900, func(i int, s *core.Site) core.SiteAPI { return s })
 
 	// Site 0: capacity far below 32 concurrent sessions' demand, a
-	// near-zero wait budget, and a tiny retry-after hint — saturation
-	// turns into typed overloaded rejections, not queueing.
+	// near-zero wait budget (and so retry-after hint) — saturation turns
+	// into typed overloaded rejections, not queueing.
 	adm0 := core.WithAdmission(bare[0], core.AdmissionPolicy{
-		MaxConcurrent: 2, MaxQueue: 2, MaxWait: 2 * time.Millisecond,
-		RetryAfter: 500 * time.Microsecond, DrainTimeout: 2 * time.Second,
+		MaxConcurrent: 2, MaxQueue: 2, MaxWait: 2 * time.Millisecond, DrainTimeout: 2 * time.Second,
 	})
 	// Site 1: roomy, but drained once traffic is in full flight.
 	adm1 := core.WithAdmission(bare[1], core.AdmissionPolicy{
@@ -78,7 +77,7 @@ func TestChaosLoadConcurrentDetects(t *testing.T) {
 	})
 
 	p, err := core.CompileSet(context.Background(), cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailDegrade, Retry: fastRetry}, true)
+		core.Options{Failure: core.FailDegrade}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestChaosLoadOverloadEquivalence(t *testing.T) {
 			OverloadRetryAfter: 200 * time.Microsecond,
 		})
 	})
-	got, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry, Retry: fastRetry}, true)
+	got, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry}, true)
 	if err != nil {
 		t.Fatalf("overloaded run failed: %v", err)
 	}
@@ -232,7 +231,7 @@ func TestChaosLoadOverloadEquivalence(t *testing.T) {
 func TestChaosLoadRetryAfterBeyondDeadline(t *testing.T) {
 	cl, _, _ := loadCluster(t, 3, 300, func(_ int, s *core.Site) core.SiteAPI { return s })
 	p, err := core.CompileSet(context.Background(), cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailRetry, Retry: fastRetry}, true)
+		core.Options{Failure: core.FailRetry}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +277,7 @@ func TestChaosLoadDrainDegrade(t *testing.T) {
 				}
 				return s
 			})
-			res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade, Retry: fastRetry}, true)
+			res, err := core.DetectOnce(context.Background(), cl, chaosCFDs(), core.PatDetectS, core.Options{Workers: 1, Failure: core.FailDegrade}, true)
 			if err != nil {
 				t.Fatalf("degraded run failed outright: %v", err)
 			}
@@ -337,7 +336,7 @@ func TestChaosLoadDrainDuringIncremental(t *testing.T) {
 		return adms[i]
 	})
 	p, err := core.CompileSet(ctx, cl, chaosCFDs(), core.PatDetectS,
-		core.Options{Failure: core.FailRetry, Retry: fastRetry}, true)
+		core.Options{Failure: core.FailRetry}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,48 +55,31 @@ func (p FailurePolicy) String() string {
 	}
 }
 
-// RetryPolicy bounds retry behavior under FailRetry/FailDegrade. The
-// zero value of any field selects its default.
-type RetryPolicy struct {
-	// Attempts is the per-call attempt budget, first try included.
-	// Default 4.
-	Attempts int
-	// BaseDelay is the backoff before the first retry, doubling per
-	// attempt up to MaxDelay, with jitter. Default 2ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 250ms.
-	MaxDelay time.Duration
-}
-
-// unitAttempts bounds whole-pipeline re-runs after a failure that
-// per-call retries could not absorb (a non-idempotent call that may
-// have executed, or an exhausted call budget).
-const unitAttempts = 3
-
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.Attempts <= 0 {
-		rp.Attempts = 4
-	}
-	if rp.BaseDelay <= 0 {
-		rp.BaseDelay = 2 * time.Millisecond
-	}
-	if rp.MaxDelay <= 0 {
-		rp.MaxDelay = 250 * time.Millisecond
-	}
-	return rp
-}
+// The retry schedule under FailRetry/FailDegrade.
+const (
+	// callAttempts is the per-call attempt budget, first try included.
+	callAttempts = 4
+	// baseDelay is the backoff before the first retry, doubling per
+	// attempt up to maxDelay, with jitter.
+	baseDelay = 2 * time.Millisecond
+	maxDelay  = 250 * time.Millisecond
+	// unitAttempts bounds whole-pipeline re-runs after a failure that
+	// per-call retries could not absorb (a non-idempotent call that may
+	// have executed, or an exhausted call budget).
+	unitAttempts = 3
+)
 
 // backoff returns the jittered delay before retry attempt n (n ≥ 1):
-// BaseDelay doubling per attempt, capped at MaxDelay, with the upper
+// baseDelay doubling per attempt, capped at maxDelay, with the upper
 // half randomized so synchronized retries against one struggling site
 // spread out. Jitter touches timing only, never results.
-func (rp RetryPolicy) backoff(n int) time.Duration {
-	d := rp.BaseDelay
-	for i := 1; i < n && d < rp.MaxDelay; i++ {
+func backoff(n int) time.Duration {
+	d := baseDelay
+	for i := 1; i < n && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > rp.MaxDelay {
-		d = rp.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
 	if half := int64(d / 2); half > 0 {
 		d = d/2 + time.Duration(rand.Int63n(half+1))
@@ -330,7 +313,6 @@ func (b *breaker) currentState() BreakerState {
 // retry/fault counters stamped once into the final metrics.
 type faultState struct {
 	policy FailurePolicy
-	retry  RetryPolicy
 	// sites is what the pipeline calls: the cluster's own slice under
 	// FailFast — no wrapper, no extra call, no allocation — otherwise one
 	// Intercept per site whose hook is around. Cleanup (Cancel,
@@ -348,7 +330,6 @@ func newFaultState(cl *Cluster, opt Options) *faultState {
 	n := cl.N()
 	fs := &faultState{
 		policy:   opt.Failure,
-		retry:    opt.Retry.withDefaults(),
 		sites:    cl.sites,
 		excluded: make([]bool, n),
 		retries:  make([]int64, n),
@@ -471,7 +452,7 @@ func (fs *faultState) unitFailure(ctx context.Context, attempt int, err error) (
 	if attempt+1 >= unitAttempts {
 		return false, err
 	}
-	if sleepCtx(ctx, fs.retry.backoff(attempt+1)) != nil {
+	if sleepCtx(ctx, backoff(attempt+1)) != nil {
 		return false, err
 	}
 	return true, nil
@@ -545,17 +526,16 @@ func (fs *faultState) around(cl *Cluster, site int) func(context.Context, string
 		if fs.isExcluded(site) {
 			return &SiteFailure{Site: site, Err: errSiteExcluded}
 		}
-		rp := fs.retry
 		b := &cl.breakers[site]
 		var last error
 		var floor time.Duration // backpressure floor on the next backoff (retry-after hint)
-		for attempt := 0; attempt < rp.Attempts; attempt++ {
+		for attempt := 0; attempt < callAttempts; attempt++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			if attempt > 0 {
 				fs.count(fs.retries, site)
-				if err := sleepCtx(ctx, max(rp.backoff(attempt), floor)); err != nil {
+				if err := sleepCtx(ctx, max(backoff(attempt), floor)); err != nil {
 					return err
 				}
 			}

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/relation"
@@ -100,7 +99,7 @@ func TestHookReissuesByTable(t *testing.T) {
 		t.Error("FailFast must hand the run the cluster's own site slice")
 	}
 
-	fs := newFaultState(cl, Options{Failure: FailRetry, Retry: RetryPolicy{BaseDelay: time.Microsecond}})
+	fs := newFaultState(cl, Options{Failure: FailRetry})
 	if _, err := fs.sites[0].SigmaStats(ctx, spec); err != nil {
 		t.Fatalf("a read must be re-issued through a lost response: %v", err)
 	}

@@ -29,27 +29,20 @@ import (
 //     coordinator folds them into its retained group states.
 //
 // The first round (and any round the sites report stale state for —
-// trimmed log, evicted session, foreign mutation) seeds: full blocks
-// ship once as one big insert delta, rebuilding the retained state;
-// a delete-heavy history (deltaFallbackRatio) reseeds too.
-// Sticky coordinators may drift from what the current statistics
-// would choose; that changes which site folds a block, never the
-// violation union or the reported (fresh-equivalent) accounting.
-
-// deltaFallbackRatio bounds incremental serving: when the deletes
-// accumulated since the last full fold exceed this fraction of the
-// current instance size, a round falls back to a full reseed (retained
-// group states shrink by tombstoned counts, but a mostly-rewritten
-// instance is cheaper to rebuild than to fold).
-const deltaFallbackRatio = 0.5
+// trimmed log, evicted session, foreign mutation — or that failed)
+// seeds: full blocks ship once as one big insert delta, rebuilding the
+// retained state. Otherwise a session lives on however many deletes it
+// folds: a group state holds exactly the current multiset. Sticky
+// coordinators may drift from what the current statistics would
+// choose; that changes which site folds a block, never the violation
+// union or the reported (fresh-equivalent) accounting.
 
 // unitInc is the retained driver state of one plan unit's session.
 type unitInc struct {
-	session       string
-	sticky        []int
-	foldedGen     []int64
-	seeded        bool
-	delsSinceSeed int
+	session   string
+	sticky    []int
+	foldedGen []int64
+	seeded    bool
 }
 
 // invalidate abandons the session after a failed round: deposits are
@@ -72,8 +65,7 @@ func (st *unitInc) invalidate(cl *Cluster) {
 // reseed; any error leaves the session invalidated (zero retained
 // deposits) and the next call reseeds.
 func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, prunedSite []bool, lstat [][]int, coords []int,
-	fragSizes []int, st *unitInc) ([][]*relation.Relation, error) {
-
+	st *unitInc) ([][]*relation.Relation, error) {
 	cl := u.cl
 	// Fresh-equivalent shipment accounting: exactly the blocks a fresh
 	// run would move, charged as tuple counts (payload bytes live on
@@ -105,7 +97,7 @@ func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, 
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		attemptM := dist.NewMetrics(cl.N())
-		parts, err = st.dataRound(ctx, u, fs, attemptM, prunedSite, coords, fragSizes)
+		parts, err = st.dataRound(ctx, u, fs, attemptM, prunedSite, coords)
 		if err == nil {
 			m.Merge(attemptM)
 			return parts, nil
@@ -126,8 +118,7 @@ func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, 
 // of delta (or, seeding, full) blocks at every site, shipping to the
 // sticky coordinators, folding, and watermark commit.
 func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *dist.Metrics,
-	prunedSite []bool, freshCoords []int, fragSizes []int) ([][]*relation.Relation, error) {
-
+	prunedSite []bool, freshCoords []int) ([][]*relation.Relation, error) {
 	cl, spec, detectCFDs, opt := u.cl, u.spec, u.views, u.opt
 	attrs := taskAttrs(spec, detectCFDs)
 	n := cl.N()
@@ -165,20 +156,7 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 			}
 			seeding = true
 		} else {
-			dels := st.delsSinceSeed
-			total := 0
-			for i, rep := range replies {
-				total += fragSizes[i]
-				if rep != nil {
-					dels += rep.TotalDel
-				}
-			}
-			if float64(dels) > deltaFallbackRatio*float64(total) {
-				seeding = true
-			} else {
-				st.delsSinceSeed = dels
-				st.sticky = newSticky
-			}
+			st.sticky = newSticky
 		}
 	}
 	if seeding {
@@ -186,7 +164,6 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		st.session = cl.newTask("inc")
 		st.sticky = append([]int(nil), freshCoords...)
 		st.foldedGen = make([]int64, n)
-		st.delsSinceSeed = 0
 		replies = make([]*DeltaBlocks, n)
 		if err := extract(st.sticky, func(int) int64 { return -1 }); err != nil {
 			return nil, err
@@ -282,7 +259,8 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 // CheckSizes and ModeledTime are byte-identical to a fresh p.Detect on
 // the same data (property-tested); what actually moved is reported in
 // DeltaShippedTuples/DeltaShippedBytes. The first call — and any call
-// after an error, a site restart, or a delete-heavy history —
+// after an error or one a site reports stale for (a trimmed delta log,
+// an evicted session, a restart, a mutation behind the log) —
 // transparently reseeds with one full shipment.
 //
 // The incremental path retries transient failures (per call, then per

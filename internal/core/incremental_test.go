@@ -352,10 +352,11 @@ func TestIncrementalShipsLessAt1Percent(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbacks drives the reseed paths: a fragment mutated
-// behind the delta log (stale), a delete-heavy history (ratio), and a
-// delta log trimmed past the watermark — each must transparently fall
-// back to a full fold and keep the equivalence.
+// TestIncrementalFallbacks drives the reseed paths — a fragment mutated
+// behind the delta log (stale) and a delta log trimmed past the
+// watermark, each of which must transparently fall back to a full fold
+// and keep the equivalence — and a delete-heavy history (ratio), which
+// must fold into the same session and keep it too.
 func TestIncrementalFallbacks(t *testing.T) {
 	ctx := context.Background()
 	check := func(t *testing.T, cl *Cluster, sp *Plan) {
@@ -458,17 +459,13 @@ func TestIncrementalFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		seeded := sp.inc[0].session
-		// One delete in ten tuples is under deltaFallbackRatio: the round
-		// folds into the seeded session.
 		if _, err := cl.ApplyDelta(ctx, 0, relation.Delta{Deletes: []int{0}}); err != nil {
 			t.Fatal(err)
 		}
 		check(t, cl, sp)
-		if sp.inc[0].session != seeded {
-			t.Fatal("a delete under the fallback ratio reseeded")
-		}
 		// Deleting everything outside CC 31 — more than half the
-		// instance — is past it: the round reseeds under a fresh key.
+		// instance — folds into the same session: a group state holds
+		// exactly the current multiset, so nothing is cheaper to rebuild.
 		for i := 0; i < cl.N(); i++ {
 			var d relation.Delta
 			for k, tup := range cl.Site(i).(*Site).Fragment().Tuples() {
@@ -481,8 +478,8 @@ func TestIncrementalFallbacks(t *testing.T) {
 			}
 		}
 		check(t, cl, sp)
-		if sp.inc[0].session == seeded {
-			t.Fatal("a delete-heavy round did not reseed")
+		if sp.inc[0].session != seeded {
+			t.Fatal("a delete-heavy round reseeded")
 		}
 	})
 
@@ -506,6 +503,74 @@ func TestIncrementalFallbacks(t *testing.T) {
 		}
 		check(t, cl, sp)
 	})
+}
+
+// TestIncrementalBalancedStreamKeepsSession: a stream that inserts as
+// many tuples as it deletes keeps |D| fixed while the deletes a session
+// has folded grow without bound. The session lives on under one key
+// for 160 rounds — over three times the 50 rounds after which a
+// delete-count threshold of |D|/2 would have reseeded it — and every
+// round equals a fresh Detect and a virgin cluster.
+func TestIncrementalBalancedStreamKeepsSession(t *testing.T) {
+	ctx := context.Background()
+	data := workload.Cust(workload.CustConfig{N: 400, Seed: 21, ErrRate: 0.05})
+	h, err := partition.Uniform(data, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := FromHorizontal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := workload.CustStreetCFD()
+	sp, err := compileOne(ctx, cl, rule, PatDetectS, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.DetectIncremental(ctx); err != nil {
+		t.Fatal(err)
+	}
+	session := sp.inc[0].session
+	// One insert, one update and one delete per site and round: four
+	// deletes a round against 400 tuples.
+	streams := workload.SplitStreams(h.Fragments,
+		workload.DeltaConfig{Seed: 31, Inserts: 1, Updates: 1, Deletes: 1, ErrRate: 0.1},
+		func(f *relation.Relation, c workload.DeltaConfig) *workload.DeltaStream {
+			return workload.CustDeltaStream(f, c)
+		})
+	for round := 0; round < 160; round++ {
+		deltas := make(map[int]relation.Delta, len(streams))
+		for i, ds := range streams {
+			deltas[i] = ds.Next()
+		}
+		inc, err := sp.DetectDelta(ctx, deltas)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		fresh, err := sp.Detect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vsp, err := compileOne(ctx, cloneCluster(t, cl), rule, PatDetectS, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		virgin, err := vsp.Detect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIncEquiv(t, fmt.Sprintf("round %d", round), inc, fresh, virgin)
+		if sp.inc[0].session != session {
+			t.Fatalf("round %d reseeded a size-stable stream", round)
+		}
+	}
+	size := 0
+	for i := 0; i < cl.N(); i++ {
+		size += cl.Site(i).(*Site).Fragment().Len()
+	}
+	if size != data.Len() {
+		t.Fatalf("the stream changed |D|: %d, want %d", size, data.Len())
+	}
 }
 
 // TestSigmaMaintenanceMatchesFresh pins the serving-cache half: after

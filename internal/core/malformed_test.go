@@ -14,7 +14,8 @@ import (
 // serving process.
 
 // argsSite is the six-row in-memory site the malformed-argument tests
-// and FuzzSiteArgs drive.
+// and FuzzSiteArgs drive. Its fragment predicate (every row satisfies
+// it) reads column c, so ApplyDelta evaluates it on every insert.
 func argsSite() *Site {
 	s := relation.MustSchema("T", []string{"id", "a", "b", "c"}, "id")
 	frag := relation.MustFromRows(s,
@@ -25,7 +26,7 @@ func argsSite() *Site {
 		[]string{"5", "_", "x", "y"},
 		[]string{"6", "p", "_", "n"},
 	)
-	return NewSite(0, frag, relation.True())
+	return NewSite(0, frag, relation.And(relation.Ne("c", "zz")))
 }
 
 // longLHS is a CFD whose pattern carries more LHS values than X has
@@ -66,6 +67,10 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 			}
 			args.Seed, args.Blocks = false, []int{spec.K()}
 			_, err := s.FoldDetect(ctx, args)
+			return err
+		}},
+		{"apply-delta-short-insert", func(s *Site) error {
+			_, err := s.ApplyDelta(ctx, relation.Delta{Inserts: []relation.Tuple{{"x"}}}, "")
 			return err
 		}},
 	} {
@@ -109,18 +114,21 @@ var (
 )
 
 // FuzzSiteArgs decodes bytes into a BlockSpec over the site's schema (1–3
-// patterns of arity 0–4), a CFD of arbitrary X/Y/tableau arity and a
-// block list, and drives every site call that takes them. Nothing may
+// patterns of arity 0–4), a CFD of arbitrary X/Y/tableau arity, a
+// block list and a delta (inserts of arity 0–5, delete indices in
+// [-2, 10)), and drives every site call that takes them. Nothing may
 // panic, and no call may leave a deposit buffered. The seeds are the
-// four crashers of TestSiteRejectsMalformedArgs.
+// five crashers of TestSiteRejectsMalformedArgs.
 func FuzzSiteArgs(f *testing.F) {
 	// Byte layout: |X|, X…, #patterns−1, (arity, values…)…, |cfd.X|,
 	// X…, |cfd.Y|, Y…, #rows, (|LHS|, LHS…, |RHS|, RHS…)…, #blocks,
-	// blocks+2…, restrict. Every seed's spec X is [a].
+	// blocks+2…, restrict, #inserts, (arity, values…)…, #deletes,
+	// deletes+2…. Every seed's spec X is [a].
 	f.Add([]byte{1, 0, 0, 2, 0, 2, 1, 0, 1, 1, 1, 1, 0, 1, 4, 1, 2, 0})                // spec pattern (x, p): SigmaStats
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 2, 1, 2, 0, 2, 1, 3, 1, 2, 0})          // (x, p ‖ m): DetectConstantsLocal
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 2, 0, 2, 1, 4, 1, 2, 0})          // (x, p ‖ _): the seeding FoldDetect
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 4, 1, 1, 1, 4, 1, 4, 1}) // block K, restricted: the non-seed FoldDetect
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0})                                  // insert (x): ApplyDelta
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzArgs(data)
 		spec := &BlockSpec{X: b.strings(4, fuzzAttrs)}
@@ -136,6 +144,13 @@ func FuzzSiteArgs(f *testing.F) {
 			blocks[i] = b.next(8) - 2
 		}
 		restrict := b.next(2) == 1
+		var d relation.Delta
+		for n := b.next(4); n > 0; n-- {
+			d.Inserts = append(d.Inserts, b.strings(5, fuzzValues))
+		}
+		for n := b.next(4); n > 0; n-- {
+			d.Deletes = append(d.Deletes, b.next(12)-2)
+		}
 		attrs := append(append([]string(nil), spec.X...), c.Y...)
 		cfds := []*cfd.CFD{c}
 
@@ -151,6 +166,9 @@ func FuzzSiteArgs(f *testing.F) {
 		args := FoldArgs{Session: "s", Spec: spec, Blocks: blocks, CFDs: cfds, RestrictSingle: restrict, Seed: true}
 		_, _ = s.FoldDetect(ctx, args)
 		args.Seed = false
+		_, _ = s.FoldDetect(ctx, args)
+		_, _ = s.ApplyDelta(ctx, d, "")
+		_, _ = s.ExtractDeltaBlocks(ctx, spec, attrs, blocks, 0)
 		_, _ = s.FoldDetect(ctx, args)
 		if n := s.PendingDeposits(); n != 0 {
 			t.Fatalf("%d deposit tasks buffered", n)

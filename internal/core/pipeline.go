@@ -60,7 +60,7 @@ func (u *unit) run(ctx context.Context, intraWorkers int, fs *faultState, st *un
 		if st == nil {
 			parts, err = u.shipAndDetect(ctx, fs, m, prunedSite, lstat, coords)
 		} else {
-			parts, err = u.foldDeltas(ctx, fs, m, prunedSite, lstat, coords, fragSizes, st)
+			parts, err = u.foldDeltas(ctx, fs, m, prunedSite, lstat, coords, st)
 		}
 		if err != nil {
 			return nil, err
@@ -81,7 +81,7 @@ func (u *unit) run(ctx context.Context, intraWorkers int, fs *faultState, st *un
 		checkSizes[i] = fragSizes[i] + int(m.ReceivedBy(i))
 	}
 	out.report.CheckSizes = checkSizes
-	out.modeled = u.opt.Cost.ResponseTime(m, checkSizes)
+	out.modeled = costModel.ResponseTime(m, checkSizes)
 	return out, nil
 }
 
@@ -169,7 +169,7 @@ func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics
 			cl.broadcastControl(m, i, int64(8*spec.K()))
 		}
 	}
-	return prunedSite, lstat, assign(u.algo, lstat, fragSizes, u.opt.Cost, fs.eligible()), nil
+	return prunedSite, lstat, assign(u.algo, lstat, fragSizes, costModel, fs.eligible()), nil
 }
 
 // shipAndDetect is the movement half of a fresh run: parallel shipping

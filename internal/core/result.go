@@ -40,9 +40,6 @@ func (a Algorithm) String() string {
 
 // Options tune a detection run.
 type Options struct {
-	// Cost is the response-time model; the zero value selects
-	// dist.DefaultCostModel().
-	Cost dist.CostModel
 	// MineTheta, when positive, enables the Section IV-B mining
 	// preprocessing for CFDs whose variable patterns are all-wildcard
 	// (traditional FDs): each site mines closed frequent LHS patterns
@@ -65,9 +62,6 @@ type Options struct {
 	// transient failures with bounded retries, FailDegrade additionally
 	// completes over the reachable fragments (see FailurePolicy).
 	Failure FailurePolicy
-	// Retry bounds retry/backoff under FailRetry and FailDegrade; zero
-	// fields select defaults.
-	Retry RetryPolicy
 	// NoPackedShip disables the packed shipping form: extracted batches
 	// drop any attached packed payload before shipping, so they travel
 	// (and are billed by dist.RelationBytes) in the row or dict+ID
@@ -77,10 +71,10 @@ type Options struct {
 	NoPackedShip bool
 }
 
+// costModel is the response-time model every run is billed under.
+var costModel = dist.DefaultCostModel()
+
 func (o Options) withDefaults() Options {
-	if o.Cost == (dist.CostModel{}) {
-		o.Cost = dist.DefaultCostModel()
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -122,8 +116,8 @@ type Result struct {
 	Shipment dist.Report
 	// ShippedTuples is the total |M| across all CFDs.
 	ShippedTuples int64
-	// ModeledTime is cost(D, Σ, M) under Options.Cost, summed over the
-	// units.
+	// ModeledTime is cost(D, Σ, M) under dist.DefaultCostModel(), summed
+	// over the units.
 	ModeledTime float64
 	// WallTime is the measured wall-clock of the whole run.
 	WallTime time.Duration

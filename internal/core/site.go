@@ -279,10 +279,8 @@ func (e *sigmaEntry) applyDelta(delIdx []int, ins []relation.Tuple, xi []int) {
 		if l := e.assign[di]; l >= 0 {
 			e.counts[l]--
 		}
-		last := len(e.assign) - 1
-		e.assign[di] = e.assign[last]
-		e.assign = e.assign[:last]
 	}
+	e.assign = relation.SwapRemove(e.assign, delIdx)
 	if len(ins) == 0 {
 		return
 	}

@@ -62,9 +62,6 @@ type DeltaBlocks struct {
 	// ToGen is the generation the extraction covers up to — the
 	// driver's next watermark for this site.
 	ToGen int64
-	// TotalIns / TotalDel count the log suffix before block filtering;
-	// the driver's delete-ratio fallback heuristic reads them.
-	TotalIns, TotalDel int
 	// Ins and Del map block index → projected tuples.
 	Ins, Del map[int]*relation.Relation
 }
@@ -135,7 +132,9 @@ func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (
 			return info, nil
 		}
 	}
-	delIdx, err := relation.NormalizeDeletes(d.Deletes, s.frag.Len())
+	// The shape check runs before the predicate reads an insert's
+	// attributes: a short tuple must be an error, not an index panic.
+	delIdx, err := d.Check(s.frag.Schema(), s.frag.Len())
 	if err != nil {
 		return DeltaInfo{}, err
 	}
@@ -275,11 +274,11 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 		}
 		return out, nil
 	}
-	ins, del, totIns, totDel, err := s.routeLogSuffix(spec, attrs, wanted, fromGen)
+	ins, del, err := s.routeLogSuffix(spec, attrs, wanted, fromGen)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaBlocks{ToGen: s.gen, Ins: ins, Del: del, TotalIns: totIns, TotalDel: totDel}, nil
+	return &DeltaBlocks{ToGen: s.gen, Ins: ins, Del: del}, nil
 }
 
 // routeLogSuffix σ-routes every logged tuple after fromGen and
@@ -287,26 +286,26 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 // log cannot serve reads as stale: the log no longer describes the
 // fragment (a non-delta mutation — Append/SortBy — it cannot see), or
 // fromGen lies outside (dlogStart, gen]. Callers hold deltaMu.
-func (s *Site) routeLogSuffix(spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (ins, del map[int]*relation.Relation, totIns, totDel int, err error) {
+func (s *Site) routeLogSuffix(spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (ins, del map[int]*relation.Relation, err error) {
 	if s.encAtGen == nil || s.encAtGen != s.frag.VersionIfBuilt() {
-		return nil, nil, 0, 0, fmt.Errorf("%w (site %d: fragment mutated outside ApplyDelta)", ErrStaleIncremental, s.id)
+		return nil, nil, fmt.Errorf("%w (site %d: fragment mutated outside ApplyDelta)", ErrStaleIncremental, s.id)
 	}
 	if fromGen < s.dlogStart || fromGen > s.gen {
-		return nil, nil, 0, 0, fmt.Errorf("%w (site %d: asked from generation %d, log covers (%d,%d])",
+		return nil, nil, fmt.Errorf("%w (site %d: asked from generation %d, log covers (%d,%d])",
 			ErrStaleIncremental, s.id, fromGen, s.dlogStart, s.gen)
 	}
 	schema := s.frag.Schema()
 	xi, err := schema.Indices(spec.X)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	ai, err := schema.Indices(attrs)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	ps, err := schema.Project(schema.Name()+"_ship", attrs)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	wantedSet := make(map[int]bool, len(wanted))
 	for _, l := range wanted {
@@ -327,8 +326,6 @@ func (s *Site) routeLogSuffix(spec *BlockSpec, attrs []string, wanted []int, fro
 		if e.gen <= fromGen {
 			continue
 		}
-		totIns += len(e.ins)
-		totDel += len(e.del)
 		for _, t := range e.ins {
 			route(t, insRows)
 		}
@@ -348,12 +345,12 @@ func (s *Site) routeLogSuffix(spec *BlockSpec, attrs []string, wanted []int, fro
 		return out, nil
 	}
 	if ins, err = build(insRows); err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	if del, err = build(delRows); err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
-	return ins, del, totIns, totDel, nil
+	return ins, del, nil
 }
 
 // FoldDetect implements SiteAPI: the coordinator's incremental step.
@@ -399,7 +396,7 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 			return nil, err
 		}
 	} else {
-		localIns, localDel, _, _, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
+		localIns, localDel, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
 		if err != nil {
 			return nil, err
 		}

@@ -321,8 +321,21 @@ func TestStoreSiteDeltasAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.ToGen != deltas+1 || db.TotalIns != len(d.Inserts) || db.TotalDel != len(d.Deletes) {
-		t.Fatalf("post-seed delta extraction: %+v (delta %d ins %d del)", db, len(d.Inserts), len(d.Deletes))
+	if _, err := mem.ApplyDelta(ctx, d, ""); err != nil {
+		t.Fatal(err)
+	}
+	want, err := mem.ExtractDeltaBlocks(ctx, spec, attrs, blocks, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.ToGen != deltas+1 || want.ToGen != db.ToGen || len(db.Ins) != len(want.Ins) || len(db.Del) != len(want.Del) {
+		t.Fatalf("post-seed delta extraction: %+v, in-memory site %+v", db, want)
+	}
+	for l, r := range want.Ins {
+		sameRelation(t, "post-seed delta inserts", db.Ins[l], r)
+	}
+	for l, r := range want.Del {
+		sameRelation(t, "post-seed delta deletes", db.Del[l], r)
 	}
 }
 

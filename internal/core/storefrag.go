@@ -41,11 +41,12 @@ type storeFrag struct {
 	// materialized. Apply grows it by relation.Dict.InternInserts, so
 	// extracts sharing a previous layer never observe a mutation.
 	ovDicts []*relation.Dict
-	tail    []relation.Tuple
+	// tailIDs[j] holds column j of every inserted row, as IDs into
+	// ovDicts[j]: the overlay's only copy of its rows.
 	tailIDs [][]uint32
 	// view is nil until the first delete: row i is ref i. Once deletes
 	// happen the indirection materializes (ref < baseRows → base row,
-	// else tail[ref-baseRows]) and replays relation.Apply's exact
+	// else overlay row ref-baseRows) and replays relation.Apply's exact
 	// swap-with-last moves, keeping σ-entry maintenance valid.
 	view []uint32
 
@@ -104,8 +105,12 @@ func (f *storeFrag) Len() int {
 	if f.view != nil {
 		return len(f.view)
 	}
-	return f.baseRows + len(f.tail)
+	return f.baseRows + f.tailRows()
 }
+
+// tailRows returns the number of rows inserted since the file was
+// written.
+func (f *storeFrag) tailRows() int { return len(f.tailIDs[0]) }
 
 func (f *storeFrag) Version() any { return f.ver.Load() }
 
@@ -241,7 +246,7 @@ func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32)
 		}
 		for k := 0; k <= chunks; k++ {
 			// Past the last chunk comes the overlay tail: IDs already.
-			lo, hi, ids := f.baseRows, f.baseRows+len(f.tail), f.tailIDs[c]
+			lo, hi, ids := f.baseRows, f.baseRows+f.tailRows(), f.tailIDs[c]
 			if k < chunks {
 				lo, hi = f.rd.ChunkSpan(c, k)
 				ids = nil // decoded once some block has a row in it
@@ -284,7 +289,7 @@ func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32)
 		if out[b], err = relation.FromSharedColumns(ps, dicts, cols[b], len(r)); err != nil {
 			return nil, err
 		}
-		if f.view != nil || len(f.tail) != 0 {
+		if f.view != nil || f.tailRows() != 0 {
 			continue
 		}
 		// A pure-base extract (no overlay rows, no view indirection) can ship
@@ -306,43 +311,37 @@ func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32)
 func (f *storeFrag) Scan(fn func(relation.Tuple) error) error {
 	rr := f.frag.NewRowReader()
 	buf := make(relation.Tuple, f.schema.Arity())
-	base := uint32(f.baseRows)
-	n := f.Len()
-	for i := 0; i < n; i++ {
-		ref := f.ref(i)
-		t := buf
-		if ref < base {
-			if _, err := rr.Row(int(ref), buf); err != nil {
-				return err
-			}
-		} else {
-			t = f.tail[ref-base]
+	for i := 0; i < f.Len(); i++ {
+		if _, err := f.tupleAt(rr, i, buf); err != nil {
+			return err
 		}
-		if err := fn(t); err != nil {
+		if err := fn(buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tupleAt materializes row i as a stable tuple (strings shared with
-// the dictionaries, safe to retain).
-func (f *storeFrag) tupleAt(rr *colstore.RowReader, i int) (relation.Tuple, error) {
+// tupleAt decodes row i into dst (a fresh tuple when nil): a base row
+// through rr, an overlay row through the overlay dictionaries, which
+// every insert-carrying Apply has grown. The strings are shared with
+// the dictionaries, safe to retain.
+func (f *storeFrag) tupleAt(rr *colstore.RowReader, i int, dst relation.Tuple) (relation.Tuple, error) {
 	ref := f.ref(i)
-	if base := uint32(f.baseRows); ref >= base {
-		return f.tail[ref-base], nil
+	if ref < uint32(f.baseRows) {
+		return rr.Row(int(ref), dst)
 	}
-	return rr.Row(int(ref), nil)
+	if dst == nil {
+		dst = make(relation.Tuple, len(f.tailIDs))
+	}
+	for j, ids := range f.tailIDs {
+		dst[j] = f.ovDicts[j].Val(ids[ref-uint32(f.baseRows)])
+	}
+	return dst, nil
 }
 
 func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
-	for i, t := range d.Inserts {
-		if len(t) != f.schema.Arity() {
-			return nil, fmt.Errorf("relation: delta insert %d has arity %d, schema %s wants %d",
-				i, len(t), f.schema.Name(), f.schema.Arity())
-		}
-	}
-	delIdx, err := relation.NormalizeDeletes(d.Deletes, f.Len())
+	delIdx, err := d.Check(f.schema, f.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +356,7 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 		rr := f.frag.NewRowReader()
 		removed = make([]relation.Tuple, len(delIdx))
 		for k, di := range delIdx {
-			if removed[k], err = f.tupleAt(rr, di); err != nil {
+			if removed[k], err = f.tupleAt(rr, di, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -382,18 +381,14 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 			f.view[i] = uint32(i)
 		}
 	}
-	for _, di := range delIdx {
-		last := len(f.view) - 1
-		f.view[di], f.view = f.view[last], f.view[:last]
+	f.view = relation.SwapRemove(f.view, delIdx)
+	if f.view != nil {
+		for k := range d.Inserts {
+			f.view = append(f.view, uint32(f.baseRows+f.tailRows()+k))
+		}
 	}
 	for j, dict := range dicts {
 		f.ovDicts[j], f.tailIDs[j] = dict.InternInserts(f.tailIDs[j], d.Inserts, j)
-	}
-	for _, t := range d.Inserts {
-		if f.view != nil {
-			f.view = append(f.view, uint32(f.baseRows+len(f.tail)))
-		}
-		f.tail = append(f.tail, t)
 	}
 	f.ver.Store(&storeVersion{gen: f.ver.Load().gen + 1})
 	return removed, nil

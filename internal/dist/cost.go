@@ -8,8 +8,7 @@ import (
 // shipping happens at every site in parallel, so a plan's network time
 // is driven by the busiest sender, and the coordinators then check
 // their blocks in parallel, so detection time is driven by the largest
-// check. The struct is comparable; the zero value means "unset" and
-// callers substitute DefaultCostModel().
+// check. Every detection run is billed under DefaultCostModel().
 type CostModel struct {
 	// Latency is a fixed network setup cost charged once per detection
 	// phase that ships anything (connection/round-trip overhead). It is

@@ -124,10 +124,8 @@ func gappedPacked(t *testing.T) *colstore.Packed {
 	col := func(dict []string, chunks ...[]uint32) colstore.PackedColumn {
 		pc := colstore.PackedColumn{Dict: colstore.EncodeDictSection(nil, dict)}
 		for _, ids := range chunks {
-			chunk, mn, mx := colstore.EncodeChunk(nil, ids)
+			chunk, _, _ := colstore.EncodeChunk(nil, ids)
 			pc.Chunks = append(pc.Chunks, chunk)
-			pc.MinIDs = append(pc.MinIDs, mn)
-			pc.MaxIDs = append(pc.MaxIDs, mx)
 		}
 		return pc
 	}

@@ -89,10 +89,8 @@ func packAt(t testing.TB, d *relation.Relation, chunkRows int) *relation.Relatio
 			col, dict := e.Column(j)
 			pc := colstore.PackedColumn{Dict: colstore.EncodeDictSection(nil, dict.Vals())}
 			for lo := 0; lo < rows; lo += chunkRows {
-				chunk, mn, mx := colstore.EncodeChunk(nil, col[lo:min(lo+chunkRows, rows)])
+				chunk, _, _ := colstore.EncodeChunk(nil, col[lo:min(lo+chunkRows, rows)])
 				pc.Chunks = append(pc.Chunks, chunk)
-				pc.MinIDs = append(pc.MinIDs, mn)
-				pc.MaxIDs = append(pc.MaxIDs, mx)
 			}
 			parts[j] = pc
 		}

@@ -12,8 +12,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"distcfd/internal/dist"
 )
 
 // Config parameterizes a harness run.
@@ -23,8 +21,6 @@ type Config struct {
 	Scale float64
 	// Seed drives data generation and uniform partitioning.
 	Seed int64
-	// Cost is the response-time model (zero → dist.DefaultCostModel).
-	Cost dist.CostModel
 	// ErrRate is the injected-inconsistency rate (default 0.01).
 	ErrRate float64
 }
@@ -32,9 +28,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 0.1
-	}
-	if c.Cost == (dist.CostModel{}) {
-		c.Cost = dist.DefaultCostModel()
 	}
 	if c.ErrRate == 0 {
 		c.ErrRate = 0.01

@@ -86,7 +86,7 @@ func sweep(cfg Config, p panel) (*Series, error) {
 		}
 		row := make([]float64, len(p.columns))
 		for j, c := range p.columns {
-			res, err := detectOnce(cl, rules, c.algo, core.Options{Cost: cfg.Cost, Workers: 1}, c.clustered)
+			res, err := detectOnce(cl, rules, c.algo, core.Options{Workers: 1}, c.clustered)
 			if err != nil {
 				return nil, err
 			}
@@ -211,12 +211,12 @@ func Exp4(cfg Config) (*Series, error) {
 		Unit:    shipped.unit,
 		Columns: []string{"PatDetectS", "PatDetectS+mining"},
 	}
-	plain, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{Cost: cfg.Cost}, false)
+	plain, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{}, false)
 	if err != nil {
 		return nil, err
 	}
 	for _, theta := range []float64{0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
-		mined, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{Cost: cfg.Cost, MineTheta: theta}, false)
+		mined, err := detectOnce(cl, []*cfd.CFD{rule}, core.PatDetectS, core.Options{MineTheta: theta}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +297,7 @@ func ExpIncremental(cfg Config) (*Series, error) {
 			return nil, err
 		}
 		//distcfd:ctxflow-ok — CLI experiment harness; no caller context exists
-		p, err := core.CompileSet(context.Background(), cl, cfds, core.PatDetectRT, core.Options{Cost: cfg.Cost}, true)
+		p, err := core.CompileSet(context.Background(), cl, cfds, core.PatDetectRT, core.Options{}, true)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -22,16 +23,23 @@ type Delta struct {
 	Deletes []int
 }
 
-// NormalizeDeletes validates delete indices against a relation of n
-// rows and returns them sorted descending — the order in which
-// swap-with-last deletion processes them, shared by Relation.Apply and
-// every cache that replays the same row moves.
-func NormalizeDeletes(deletes []int, n int) ([]int, error) {
-	if len(deletes) == 0 {
+// Check is the one statement of a delta's shape: against a relation of
+// schema holding n rows, every insert has the schema's arity and every
+// delete lies in [0, n) and is distinct. It returns the deletes sorted
+// descending — the order SwapRemove takes, shared by Apply and every
+// cache that replays the same row moves. Whatever applies a delta, or
+// evaluates anything on its inserts, runs it first.
+func (d Delta) Check(schema *Schema, n int) ([]int, error) {
+	for i, t := range d.Inserts {
+		if len(t) != schema.Arity() {
+			return nil, fmt.Errorf("relation: delta insert %d has arity %d, schema %s wants %d",
+				i, len(t), schema.Name(), schema.Arity())
+		}
+	}
+	if len(d.Deletes) == 0 {
 		return nil, nil
 	}
-	out := make([]int, len(deletes))
-	copy(out, deletes)
+	out := slices.Clone(d.Deletes)
 	// Descending; nothing bounds a caller's delta, so no quadratic sort.
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	for i, idx := range out {
@@ -45,10 +53,24 @@ func NormalizeDeletes(deletes []int, n int) ([]int, error) {
 	return out, nil
 }
 
+// SwapRemove removes the rows at idx, in Check's descending order, from
+// s in place — each is filled by the then-last row — and returns the
+// shortened slice. Descending deletion never moves a row still to be
+// removed, so s[i] for every i in idx reads the removed rows as they
+// stand before the call.
+func SwapRemove[T any](s []T, idx []int) []T {
+	for _, i := range idx {
+		last := len(s) - 1
+		s[i] = s[last]
+		s = s[:last]
+	}
+	return s
+}
+
 // Apply mutates the relation by d: deletes first (swap-with-last, so
 // row order is not preserved across deletes), then inserts appended at
-// the end. It returns the removed tuples, in the order NormalizeDeletes
-// yields (descending pre-delta index) — the record a delta log keeps so
+// the end. It returns the removed tuples, in the order Check yields
+// (descending pre-delta index) — the record a delta log keeps so
 // downstream incremental state can fold the deletion by value.
 //
 // Unlike Append/SortBy, Apply maintains the cached columnar view
@@ -65,13 +87,7 @@ func NormalizeDeletes(deletes []int, n int) ([]int, error) {
 // Encoded() are safe during Apply. Direct Tuples()/Tuple() access still
 // requires external synchronization with any mutation, as before.
 func (r *Relation) Apply(d Delta) ([]Tuple, error) {
-	for i, t := range d.Inserts {
-		if len(t) != r.schema.Arity() {
-			return nil, fmt.Errorf("relation: delta insert %d has arity %d, schema %s wants %d",
-				i, len(t), r.schema.Name(), r.schema.Arity())
-		}
-	}
-	delIdx, err := NormalizeDeletes(d.Deletes, r.Len())
+	delIdx, err := d.Check(r.schema, r.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -80,18 +96,13 @@ func (r *Relation) Apply(d Delta) ([]Tuple, error) {
 	tuples := r.tuples
 	var removed []Tuple
 	if len(delIdx) > 0 {
+		removed = make([]Tuple, len(delIdx))
+		for k, di := range delIdx {
+			removed[k] = tuples[di]
+		}
 		// Copy before swapping: the previous Encoded generation shares
 		// the old backing array with its readers.
-		nt := make([]Tuple, len(tuples))
-		copy(nt, tuples)
-		removed = make([]Tuple, 0, len(delIdx))
-		for _, di := range delIdx {
-			removed = append(removed, nt[di])
-			last := len(nt) - 1
-			nt[di] = nt[last]
-			nt = nt[:last]
-		}
-		tuples = nt
+		tuples = SwapRemove(slices.Clone(tuples), delIdx)
 	}
 	tuples = append(tuples, d.Inserts...)
 	r.tuples = tuples

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -21,7 +22,8 @@ func deltaSchema(t *testing.T) *Schema {
 // swap-with-last deletion in descending index order, then appends.
 func applyOracle(tuples []Tuple, d Delta) []Tuple {
 	out := append([]Tuple(nil), tuples...)
-	idx, _ := NormalizeDeletes(d.Deletes, len(out))
+	idx := append([]int(nil), d.Deletes...)
+	sort.Sort(sort.Reverse(sort.IntSlice(idx)))
 	for _, di := range idx {
 		last := len(out) - 1
 		out[di] = out[last]

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -82,14 +83,7 @@ func (e *Encoded) applyDelta(newTuples []Tuple, delIdx []int, ins []Tuple) *Enco
 		}
 		col, dict, dn := cols[i], dicts[i], dense[i]
 		if len(delIdx) > 0 {
-			nc := make([]uint32, len(col))
-			copy(nc, col)
-			for _, di := range delIdx {
-				last := len(nc) - 1
-				nc[di] = nc[last]
-				nc = nc[:last]
-			}
-			col = nc
+			col = SwapRemove(slices.Clone(col), delIdx)
 			// A removed value may no longer occur in the column while its
 			// dictionary entry remains; the wire form must recompact.
 			dn = false

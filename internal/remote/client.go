@@ -21,28 +21,20 @@ import (
 // or black-holed address blocks the driver indefinitely.
 const DefaultDialTimeout = 10 * time.Second
 
-// DefaultDialAttempts is how many connect attempts a dial (or a
-// redial after a broken connection) makes when DialConfig leaves
-// DialAttempts zero.
-const DefaultDialAttempts = 3
+// dialAttempts is how many connect attempts a dial (or a redial after
+// a broken connection) makes; handshake rejections (version skew, wrong
+// site ID) fail immediately, retrying cannot fix them.
+const dialAttempts = 3
 
-// DefaultDialBackoff is the delay before the second dial attempt,
-// doubling per attempt, when DialConfig leaves DialBackoff zero.
-const DefaultDialBackoff = 150 * time.Millisecond
+// dialBackoff is the delay before the second dial attempt, doubling per
+// attempt.
+const dialBackoff = 150 * time.Millisecond
 
 // DialConfig tunes the client side of the wire.
 type DialConfig struct {
 	// DialTimeout bounds the TCP connect and Info handshake per site;
 	// 0 selects DefaultDialTimeout.
 	DialTimeout time.Duration
-	// DialAttempts bounds connect attempts per site — at Dial and at
-	// every automatic redial of a broken connection. 0 selects
-	// DefaultDialAttempts; handshake rejections (version skew, wrong
-	// site ID) fail immediately, retrying cannot fix them.
-	DialAttempts int
-	// DialBackoff is the delay before the second attempt, doubling per
-	// attempt; 0 selects DefaultDialBackoff.
-	DialBackoff time.Duration
 	// CallTimeout is the per-RPC I/O budget: a call whose response has
 	// not arrived within it fails, and the connection's read deadline
 	// fires so a truly hung site cannot wedge the client's receive
@@ -104,13 +96,13 @@ type permanentDialError struct{ error }
 // Dial connects to site servers in order; the position in addrs is the
 // site ID the server must report. Returns the proxies and the schema
 // announced by the first site. Connect and handshake are bounded by
-// DefaultDialTimeout per site with DefaultDialAttempts attempts; use
+// DefaultDialTimeout per site with dialAttempts attempts; use
 // DialWithConfig to tune.
 func Dial(addrs []string) ([]core.SiteAPI, *relation.Schema, error) {
 	return DialWithConfig(addrs, DialConfig{})
 }
 
-// DialWithConfig is Dial with explicit timeout and retry configuration.
+// DialWithConfig is Dial with explicit timeouts.
 func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.Schema, error) {
 	var schema *relation.Schema
 	sites := make([]core.SiteAPI, len(addrs))
@@ -144,16 +136,9 @@ func dialSite(ctx context.Context, addr string, id int, cfg DialConfig) (*rpc.Cl
 	if dialTimeout <= 0 {
 		dialTimeout = DefaultDialTimeout
 	}
-	attempts := cfg.DialAttempts
-	if attempts <= 0 {
-		attempts = DefaultDialAttempts
-	}
-	backoff := cfg.DialBackoff
-	if backoff <= 0 {
-		backoff = DefaultDialBackoff
-	}
+	backoff := dialBackoff
 	var last error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < dialAttempts; a++ {
 		if a > 0 {
 			select {
 			case <-time.After(backoff):
@@ -623,11 +608,9 @@ func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpe
 		return nil, err
 	}
 	out := &core.DeltaBlocks{
-		ToGen:    reply.ToGen,
-		TotalIns: reply.TotalIns,
-		TotalDel: reply.TotalDel,
-		Ins:      make(map[int]*relation.Relation, len(reply.Ins)),
-		Del:      make(map[int]*relation.Relation, len(reply.Del)),
+		ToGen: reply.ToGen,
+		Ins:   make(map[int]*relation.Relation, len(reply.Ins)),
+		Del:   make(map[int]*relation.Relation, len(reply.Del)),
 	}
 	for l, w := range reply.Ins {
 		rel, err := FromWire(w)
@@ -649,16 +632,7 @@ func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpe
 // FoldDetect forwards to the remote site.
 func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
 	var reply FoldReply
-	if err := r.callCtx(ctx, "FoldDetect", FoldArgs{
-		Session:        args.Session,
-		Spec:           args.Spec,
-		Blocks:         args.Blocks,
-		CFDs:           args.CFDs,
-		RestrictSingle: args.RestrictSingle,
-		Seed:           args.Seed,
-		FromGen:        args.FromGen,
-		Deadline:       deadlineNano(ctx),
-	}, &reply); err != nil {
+	if err := r.callCtx(ctx, "FoldDetect", FoldArgs{FoldArgs: args, Deadline: deadlineNano(ctx)}, &reply); err != nil {
 		return nil, err
 	}
 	pats, err := fromWireSlice(reply.Patterns)

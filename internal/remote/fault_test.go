@@ -142,8 +142,7 @@ func TestDialRetryEventualServer(t *testing.T) {
 		}
 		_ = ServeAPIContext(context.Background(), lis2, core.NewSite(0, data, relation.True()), data.Schema())
 	}()
-	sites, _, err := DialWithConfig([]string{addr},
-		DialConfig{DialAttempts: 8, DialBackoff: 75 * time.Millisecond})
+	sites, _, err := Dial([]string{addr})
 	if err != nil {
 		t.Fatalf("dial with retry should reach the late server: %v", err)
 	}
@@ -168,12 +167,11 @@ func TestDialRetryStopsOnPermanentError(t *testing.T) {
 		_ = ServeAPIContext(context.Background(), lis, core.NewSite(5, relation.New(s), relation.True()), s)
 	}()
 	start := time.Now()
-	_, _, err = DialWithConfig([]string{lis.Addr().String()},
-		DialConfig{DialAttempts: 6, DialBackoff: 400 * time.Millisecond})
+	_, _, err = Dial([]string{lis.Addr().String()})
 	if err == nil {
 		t.Fatal("ID mismatch should fail the handshake")
 	}
-	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
+	if elapsed := time.Since(start); elapsed >= dialBackoff {
 		t.Errorf("permanent handshake error took %v — it retried instead of bailing", elapsed)
 	}
 }
@@ -395,8 +393,7 @@ func TestRemoteChaosDetectEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.DetectOnce(context.Background(), remoteCl, cfds, core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry,
-		Retry: core.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}}, true)
+	got, err := core.DetectOnce(context.Background(), remoteCl, cfds, core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry}, true)
 	if err != nil {
 		t.Fatalf("chaos detect over TCP failed: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/rpc"
 	"reflect"
+	"slices"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -48,10 +49,8 @@ func hostileBase(t testing.TB) (*relation.Relation, *WireRelation) {
 		col, dict := e.Column(j)
 		wc := WirePackedColumn{Dict: colstore.EncodeDictSection(nil, dict.Vals())}
 		for lo := 0; lo < len(col); lo += chunkRows {
-			chunk, mn, mx := colstore.EncodeChunk(nil, col[lo:min(lo+chunkRows, len(col))])
+			chunk, _, _ := colstore.EncodeChunk(nil, col[lo:min(lo+chunkRows, len(col))])
 			wc.Chunks = append(wc.Chunks, chunk)
-			wc.MinIDs = append(wc.MinIDs, mn)
-			wc.MaxIDs = append(wc.MaxIDs, mx)
 		}
 		w.Packed.Cols = append(w.Packed.Cols, wc)
 	}
@@ -69,7 +68,7 @@ func rleBomb(w *WireRelation) {
 	run := binary.AppendUvarint(binary.AppendUvarint([]byte{0}, rows<<1|1), 0)
 	for j := range w.Packed.Cols {
 		c := &w.Packed.Cols[j]
-		c.Chunks, c.MinIDs, c.MaxIDs = [][]byte{run}, []uint32{0}, []uint32{0}
+		c.Chunks = [][]byte{run}
 	}
 }
 
@@ -218,6 +217,43 @@ func TestHostileSpecRejected(t *testing.T) {
 	}
 }
 
+// TestHostileApplyDeltaRejected: an insert shorter than the schema
+// killed a serving process whose fragment has a predicate, which read
+// the tuple's attributes before anything checked its arity. The served
+// site now answers it with a plain error and goes on serving.
+func TestHostileApplyDeltaRejected(t *testing.T) {
+	frag := relation.MustFromRows(relation.MustSchema("R", []string{"a", "b"}), []string{"a0", "b0"})
+	site := core.NewSite(0, frag, relation.And(relation.Eq("b", "b0")))
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = ServeAPIContext(ctx, lis, site, frag.Schema()) }()
+	raw, err := rpc.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	var reply ApplyDeltaReply
+	err = raw.Call(serviceName+".ApplyDelta", ApplyDeltaArgs{Delta: WireDelta{Inserts: [][]string{{"x"}}}}, &reply)
+	if err == nil {
+		t.Fatal("short insert accepted")
+	}
+	if core.ErrCodeOf(decodeError(err)) != "" {
+		t.Errorf("rejection should be a plain, non-transient error, got %v", err)
+	}
+	good := ApplyDeltaArgs{Delta: WireDelta{Inserts: [][]string{{"a1", "b0"}}}}
+	if err := raw.Call(serviceName+".ApplyDelta", good, &reply); err != nil {
+		t.Fatalf("server stopped serving after the rejected delta: %v", err)
+	}
+	if reply.Gen != 1 || reply.NumTuples != 2 {
+		t.Errorf("reply = %+v, want generation 1 over 2 tuples", reply)
+	}
+}
+
 // hostileService is a peer whose extracts are malformed: everything
 // else is the real service.
 type hostileService struct {
@@ -316,14 +352,23 @@ func applyWireEdits(w *WireRelation, script []byte) {
 			}
 		case 4: // overwrite the dictionary section with one byte
 			c.Dict = []byte{x}
-		case 5:
-			if k >= 0 && k < len(c.MinIDs) {
-				c.MinIDs[k] = word
+		case 5, 6: // re-encode a chunk with every ID raised to at least word (5), or with its row x set to word (6)
+			n := min(p.ChunkRows, p.Rows-k*p.ChunkRows)
+			if k < 0 || n <= 0 || n > colstore.MaxChunkRows {
+				break
 			}
-		case 6:
-			if k >= 0 && k < len(c.MaxIDs) {
-				c.MaxIDs[k] = word
+			ids := make([]uint32, n)
+			if colstore.DecodeChunk(c.Chunks[k], ids) != nil {
+				break
 			}
+			if op%13 == 5 {
+				for i := range ids {
+					ids[i] = max(ids[i], word)
+				}
+			} else {
+				ids[int(x)%n] = word
+			}
+			c.Chunks[k], _, _ = colstore.EncodeChunk(nil, ids)
 		case 7: // row counts stay small: the one bomb in scope is op 12
 			p.Rows, w.Rows = int(word), int(word)
 		case 8:
@@ -332,11 +377,12 @@ func applyWireEdits(w *WireRelation, script []byte) {
 			if k >= 0 {
 				c.Chunks[k] = c.Chunks[k][:int(x)%(len(c.Chunks[k])+1)]
 			}
-		case 10: // drop the last chunk (and, by y's parity, its bounds)
+		case 10: // drop the last chunk (and, by y's parity, the rows it covered)
 			if n := len(c.Chunks); n > 0 {
 				c.Chunks = c.Chunks[:n-1]
 				if y%2 == 0 {
-					c.MinIDs, c.MaxIDs = c.MinIDs[:n-1], c.MaxIDs[:n-1]
+					p.Rows = min(p.Rows, (n-1)*p.ChunkRows)
+					w.Rows = p.Rows
 				}
 			}
 		case 11: // drop a column
@@ -348,8 +394,8 @@ func applyWireEdits(w *WireRelation, script []byte) {
 }
 
 // FuzzWirePacked mutates the bytes of a valid WirePackedRelation —
-// dictionary sections, chunk payloads, MinIDs/MaxIDs, Rows, ChunkRows,
-// chunk and column counts — and holds everything downstream of
+// dictionary sections, chunk payloads and the IDs they hold, Rows,
+// ChunkRows, chunk and column counts — and holds everything downstream of
 // FromWire to the trust boundary: either FromWire rejects the payload,
 // or the adopted relation is safe to check (Kernel.ViolationPatterns
 // decoding the packed chunks), to materialize (relation.Concat) and to
@@ -363,7 +409,7 @@ func FuzzWirePacked(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0})       // dict-shorter-than-ids
 	f.Add([]byte{3, 1, 0xff, 0xff}) // garbage-chunk
 	f.Add([]byte{4, 0, 0xff, 0})    // truncated-dict
-	f.Add([]byte{6, 0, 200, 0})     // bounds past the dictionary
+	f.Add([]byte{6, 0, 200, 0})     // an ID past the dictionary
 	f.Add([]byte{1, 0, 1, 0x0e, 5, 2, 3, 0})
 	f.Add([]byte{7, 0, 99, 0, 8, 0, 33, 0})
 	f.Add([]byte{12, 0, 0, 0}) // rle-bomb
@@ -406,7 +452,7 @@ func FuzzWirePacked(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rows, ref) {
+		if !slices.Equal(rows, ref) {
 			t.Fatalf("packed rows %v != row-path reference %v", rows, ref)
 		}
 		if flat.SameTuples(base) && !packed.SameTuples(wantPats) {

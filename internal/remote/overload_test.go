@@ -210,8 +210,8 @@ func TestDeadlineStampedAtV7(t *testing.T) {
 // failure to back off and re-dial.
 func TestDialRejectsOtherServiceName(t *testing.T) {
 	svc := &recordingSiteService{schema: workload.CustSchema(), version: WireVersion - 1}
-	addr, accepts := startRecordingSite(t, "SiteV6", svc)
-	_, _, err := DialWithConfig([]string{addr}, DialConfig{DialAttempts: 3, DialBackoff: time.Millisecond})
+	addr, accepts := startRecordingSite(t, fmt.Sprintf("SiteV%d", WireVersion-1), svc)
+	_, _, err := Dial([]string{addr})
 	if err == nil {
 		t.Fatal("dialing a site on another service name must fail")
 	}

@@ -386,9 +386,8 @@ type DeltaBlocksArgs struct {
 // DeltaBlocksReply is the delta-encoded payload: only the changed
 // tuples' projections (per block, inserts and delete records) travel.
 type DeltaBlocksReply struct {
-	ToGen              int64
-	TotalIns, TotalDel int
-	Ins, Del           map[int]*WireRelation
+	ToGen    int64
+	Ins, Del map[int]*WireRelation
 }
 
 // ExtractDeltaBlocks returns the σ-routed delta blocks.
@@ -396,23 +395,18 @@ func (s *SiteService) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlock
 	return s.work(args.Deadline, func(ctx context.Context) error {
 		db, err := s.site.ExtractDeltaBlocks(ctx, args.Spec, args.Attrs, args.Wanted, args.FromGen)
 		if err == nil {
-			*reply = DeltaBlocksReply{ToGen: db.ToGen, TotalIns: db.TotalIns, TotalDel: db.TotalDel,
-				Ins: toWireMap(db.Ins), Del: toWireMap(db.Del)}
+			*reply = DeltaBlocksReply{ToGen: db.ToGen, Ins: toWireMap(db.Ins), Del: toWireMap(db.Del)}
 		}
 		return err
 	})
 }
 
-// FoldArgs mirrors core.FoldArgs over the wire.
+// FoldArgs is core.FoldArgs plus the driver's deadline stamp. The
+// embedded fields are declared in core, where wire.golden does not see
+// them: a change to core.FoldArgs bumps WireVersion by hand.
 type FoldArgs struct {
-	Session        string
-	Spec           *core.BlockSpec
-	Blocks         []int
-	CFDs           []*cfd.CFD
-	RestrictSingle bool
-	Seed           bool
-	FromGen        int64
-	Deadline       int64
+	core.FoldArgs
+	Deadline int64
 }
 
 // FoldReply carries the coordinator's per-CFD violating patterns.
@@ -424,15 +418,7 @@ type FoldReply struct {
 // FoldDetect runs the coordinator's incremental step.
 func (s *SiteService) FoldDetect(args FoldArgs, reply *FoldReply) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		rep, err := s.site.FoldDetect(ctx, core.FoldArgs{
-			Session:        args.Session,
-			Spec:           args.Spec,
-			Blocks:         args.Blocks,
-			CFDs:           args.CFDs,
-			RestrictSingle: args.RestrictSingle,
-			Seed:           args.Seed,
-			FromGen:        args.FromGen,
-		})
+		rep, err := s.site.FoldDetect(ctx, args.FoldArgs)
 		if err == nil {
 			*reply = FoldReply{Patterns: toWireSlice(rep.Patterns), ToGen: rep.ToGen}
 		}

@@ -25,9 +25,9 @@ import (
 // alone could never catch: that check runs in the new driver) and a new
 // driver against an old site both fail loudly, once. One version plus
 // wire.golden is the whole compatibility story.
-const WireVersion = 7
+const WireVersion = 8
 
-const serviceName = "SiteV7"
+const serviceName = "SiteV8"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
 // carries exactly one of three payloads: the row form (Tuples), the
@@ -62,13 +62,11 @@ type WirePackedRelation struct {
 
 // WirePackedColumn carries one column: its dictionary section (the
 // colstore uvarint-framed value list) and its chunk payloads (the
-// colstore chunk codec) with per-chunk ID bounds, which the receiver
-// verifies every chunk against (colstore.NewPacked).
+// colstore chunk codec), which the receiver verifies against that
+// dictionary (colstore.NewPacked).
 type WirePackedColumn struct {
 	Dict   []byte
 	Chunks [][]byte
-	MinIDs []uint32
-	MaxIDs []uint32
 }
 
 // ToWire converts a relation for transport in the form
@@ -109,27 +107,22 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 	}
 	for j := range out.Cols {
 		pc := p.Column(j)
-		out.Cols[j] = WirePackedColumn{
-			Dict:   pc.Dict,
-			Chunks: pc.Chunks,
-			MinIDs: pc.MinIDs,
-			MaxIDs: pc.MaxIDs,
-		}
+		out.Cols[j] = WirePackedColumn{Dict: pc.Dict, Chunks: pc.Chunks}
 	}
 	return out
 }
 
 // FromWire rebuilds the relation from any wire form. A packed payload
 // is adopted as the relation's backing reader — columns stay in chunk
-// form until (unless) something materializes them; the detection kernel
-// streams them directly. This is where peer bytes enter, on a site
-// (Deposit) and on the driver (a relayed extract), and everything
-// downstream decodes without an error channel inside handlers net/rpc
-// does not recover — so every form is verified here, once: the packed
-// form by colstore.NewPacked (dictionary sections, chunk structure,
-// every ID inside its chunk's bounds and its dictionary), the dict+ID
-// form by relation.FromColumns. A malformed payload is a plain,
-// non-transient error.
+// form until (unless) something reads them; the detection kernel
+// decodes each column it binds once. This is where peer bytes enter,
+// on a site (Deposit) and on the driver (a relayed extract), and
+// everything downstream decodes without an error channel inside
+// handlers net/rpc does not recover — so every form is verified here,
+// once: the packed form by colstore.NewPacked (dictionary sections,
+// chunk structure, every ID inside its dictionary), the dict+ID form by
+// relation.FromColumns. A malformed payload is a plain, non-transient
+// error.
 func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w == nil {
 		return nil, nil
@@ -141,12 +134,7 @@ func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w.Packed != nil {
 		cols := make([]colstore.PackedColumn, len(w.Packed.Cols))
 		for j, c := range w.Packed.Cols {
-			cols[j] = colstore.PackedColumn{
-				Dict:   c.Dict,
-				Chunks: c.Chunks,
-				MinIDs: c.MinIDs,
-				MaxIDs: c.MaxIDs,
-			}
+			cols[j] = colstore.PackedColumn{Dict: c.Dict, Chunks: c.Chunks}
 		}
 		p, err := colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols)
 		if err != nil {
