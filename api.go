@@ -38,15 +38,12 @@ type Option func(*config)
 // paper's response-time-optimizing variant.
 func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algo = a } }
 
-// WithWorkers sets a Detect call's total worker budget. 0 (the
-// default) selects GOMAXPROCS; 1 runs strictly sequentially. The
-// budget is split between the two levels of parallelism: independent
-// CFD clusters overlap across up to that many workers, and whatever
-// the cluster level cannot use drops into the detection kernel as
-// intra-unit row sharding — so a single big merged cluster still uses
-// the whole budget instead of one core. The violation sets, shipment
-// totals, and modeled time are identical at every worker count — only
-// wall-clock time changes.
+// WithWorkers sets how many independent CFD clusters a Detect or
+// DetectIncremental call overlaps. 0 (the default) selects GOMAXPROCS;
+// 1 runs them one at a time. Each site shards the rows of its own
+// checks across its machine's cores whatever this is set to. The
+// violation sets, shipment totals, and modeled time are identical at
+// every worker count — only wall-clock time changes.
 func WithWorkers(n int) Option { return func(c *config) { c.opt.Workers = n } }
 
 // WithMineTheta enables the Section IV-B mining preprocessing for CFDs
@@ -263,15 +260,11 @@ func (d *Detector) DetectOne(ctx context.Context, name string) (*Result, error) 
 	return sp.Detect(ctx)
 }
 
-// Health reports the per-site circuit-breaker states of the underlying
-// cluster: BreakerClosed for healthy sites, BreakerOpen for sites whose
-// calls are being rejected after repeated transient failures, and
-// BreakerHalfOpen while a single probe is testing recovery. Sites a
-// FailFast session never retried report BreakerClosed.
-func (d *Detector) Health() []BreakerState { return d.cl.Health() }
-
 // HealthDetail reports each site's health snapshot: the circuit-breaker
-// state plus whether the site is known to be draining — for local
+// state (BreakerClosed for healthy sites and for sites a FailFast
+// session never retried, BreakerOpen while calls are rejected after
+// repeated transient failures, BreakerHalfOpen while one probe tests
+// recovery) plus whether the site is known to be draining — for local
 // admission-controlled sites the controller's own state, for remote
 // sites the last drain signal seen on the wire. The snapshot never
 // probes: a site that drained without this driver ever calling it

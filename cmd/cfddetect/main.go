@@ -51,7 +51,7 @@ func main() {
 		sites     = flag.Int("sites", 1, "number of simulated sites (1 = centralized)")
 		algoName  = flag.String("algo", "patrt", "ctr | pats | patrt")
 		clustered = flag.Bool("cluster", true, "merge overlapping CFDs into shared-σ clusters (§IV-C)")
-		parallel  = flag.Int("parallel", 0, "process CFD clusters concurrently with this many workers (0 = off, -1 = GOMAXPROCS)")
+		parallel  = flag.Int("parallel", 0, "overlap up to this many independent CFD clusters (0 = one at a time, -1 = GOMAXPROCS); each site shards its own checks across its cores regardless")
 		shipmat   = flag.Bool("shipmat", false, "print the per-site shipment matrix")
 		mineTheta = flag.Float64("mine", 0, "mining threshold θ for wildcard CFDs (0 = off)")
 		remote    = flag.String("remote", "", "comma-separated cfdsite addresses (overrides -data/-sites)")

@@ -134,7 +134,7 @@ type (
 	// (FailFast, FailRetry, FailDegrade — see WithFailurePolicy).
 	FailurePolicy = core.FailurePolicy
 	// BreakerState is a per-site circuit-breaker state (see
-	// Detector.Health).
+	// Detector.HealthDetail).
 	BreakerState = core.BreakerState
 	// AdmissionPolicy bounds concurrent work at a site (see
 	// WithAdmissionPolicy); zero fields take defaults.
@@ -178,7 +178,7 @@ const (
 	FailDegrade = core.FailDegrade
 )
 
-// Circuit-breaker states reported by Detector.Health.
+// Circuit-breaker states reported by Detector.HealthDetail.
 const (
 	// BreakerClosed passes calls through (healthy).
 	BreakerClosed = core.BreakerClosed

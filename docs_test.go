@@ -13,11 +13,11 @@ import (
 )
 
 // TestDocsNameExistingTests keeps DESIGN.md, README.md and the Makefile
-// honest about the suite: every Test*/Fuzz*/Benchmark* identifier and
-// every *_test.go file they name must exist somewhere in the tree
-// (bench/ included). A name written with a trailing * — `TestFoo*` —
-// is a prefix. A test that is renamed or folded into another takes its
-// mentions with it in the same change, or this fails.
+// honest about the tree: every Test*/Fuzz*/Benchmark* identifier and
+// every *.go file they name must exist somewhere in it (bench/
+// included). A name written with a trailing * — `TestFoo*` — is a
+// prefix. A test or source file that is renamed, folded into another or
+// deleted takes its mentions with it in the same change, or this fails.
 func TestDocsNameExistingTests(t *testing.T) {
 	funcs, files := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
@@ -31,10 +31,13 @@ func TestDocsNameExistingTests(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		files[d.Name()] = true
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -62,7 +65,7 @@ func TestDocsNameExistingTests(t *testing.T) {
 		return false
 	}
 	ident := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9]\w*\*?`)
-	file := regexp.MustCompile(`\b\w+_test\.go\b`)
+	file := regexp.MustCompile(`\b[A-Za-z0-9]\w*\.go\b`)
 	for _, doc := range []string{"DESIGN.md", "README.md", "Makefile"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

@@ -6,7 +6,7 @@ package distcfd
 //
 //	storage/transport  in-memory | store-backed | store-backed over loopback RPC
 //	packed shipping    on | off
-//	worker budget      1 | 4
+//	units overlapped   1 | 4 (WithWorkers)
 //	operation          Detect | DetectIncremental over a delta trace | FailDegrade with a site down
 //
 // Every cell must reproduce the in-memory, serial, default-shipping run
@@ -78,9 +78,10 @@ func newEquivFixture(t *testing.T) *equivFixture {
 		h: h,
 		// The σ-partitioned pattern CFD and the street rule merge into one
 		// shared-σ cluster (LHS containment); the two FDs are units of their
-		// own. Three units, so a worker budget above one overlaps them —
-		// over fragments no run has encoded yet, which is the lazy
-		// per-column build `go test -race` watches.
+		// own. Three units, so WithWorkers above one overlaps them, in a
+		// fresh run and an incremental round alike — over fragments no run
+		// has encoded yet, which is the lazy per-column build `go test
+		// -race` watches.
 		rules: []*CFD{workload.CustPatternCFD(64), workload.CustStreetCFD(),
 			cfd.MustParse(`p1: [name] -> [phn]`), cfd.MustParse(`p2: [street, city] -> [zip]`)},
 		down: 1,

@@ -301,7 +301,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 }
 
 // TestChaosBreakerOpensOnDeadSite: a site that keeps failing trips its
-// breaker; Health surfaces the open state, and a healthy cluster
+// breaker; HealthDetail surfaces the open state, and a healthy cluster
 // reports closed everywhere.
 func TestChaosBreakerOpensOnDeadSite(t *testing.T) {
 	cl, _ := chaosCluster(t, 7, func(i int, s *core.Site) core.SiteAPI {
@@ -310,9 +310,9 @@ func TestChaosBreakerOpensOnDeadSite(t *testing.T) {
 		}
 		return s
 	})
-	for _, st := range cl.Health() {
-		if st != core.BreakerClosed {
-			t.Fatalf("fresh cluster reports %v, want all closed", st)
+	for _, h := range cl.HealthDetail() {
+		if h.Breaker != core.BreakerClosed {
+			t.Fatalf("fresh cluster reports %v, want all closed", h.Breaker)
 		}
 	}
 	// Four attempts per call stay under the breaker threshold, so the
@@ -324,11 +324,11 @@ func TestChaosBreakerOpensOnDeadSite(t *testing.T) {
 			t.Fatalf("degraded run %d failed: %v", run, err)
 		}
 	}
-	health := cl.Health()
-	if health[1] == core.BreakerClosed {
+	health := cl.HealthDetail()
+	if health[1].Breaker == core.BreakerClosed {
 		t.Errorf("site 1 kept failing its whole retry schedule; breaker still closed: %v", health)
 	}
-	if health[0] != core.BreakerClosed || health[2] != core.BreakerClosed {
+	if health[0].Breaker != core.BreakerClosed || health[2].Breaker != core.BreakerClosed {
 		t.Errorf("healthy sites should stay closed: %v", health)
 	}
 }

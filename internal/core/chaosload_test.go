@@ -138,12 +138,12 @@ func TestChaosLoadConcurrentDetects(t *testing.T) {
 	assertNoDeposits(t, "chaos-load", bare)
 
 	// Neither saturation nor draining is death: every breaker closed.
-	for i, st := range cl.Health() {
-		if st != core.BreakerClosed {
-			t.Errorf("site %d breaker %v, want closed (overload/drain never feed breakers)", i, st)
+	hd := cl.HealthDetail()
+	for i, h := range hd {
+		if h.Breaker != core.BreakerClosed {
+			t.Errorf("site %d breaker %v, want closed (overload/drain never feed breakers)", i, h.Breaker)
 		}
 	}
-	hd := cl.HealthDetail()
 	if !hd[1].Draining {
 		t.Error("HealthDetail must report site 1 draining")
 	}
@@ -216,9 +216,9 @@ func TestChaosLoadOverloadEquivalence(t *testing.T) {
 	if got.Partial {
 		t.Error("FailRetry must never degrade")
 	}
-	for i, st := range cl.Health() {
-		if st != core.BreakerClosed {
-			t.Errorf("site %d breaker %v after overload-only faults, want closed", i, st)
+	for i, h := range cl.HealthDetail() {
+		if h.Breaker != core.BreakerClosed {
+			t.Errorf("site %d breaker %v after overload-only faults, want closed", i, h.Breaker)
 		}
 	}
 	assertNoDeposits(t, "overload-equivalence", bare)
@@ -290,7 +290,7 @@ func TestChaosLoadDrainDegrade(t *testing.T) {
 			if res.Faults == 0 {
 				t.Error("the drain injection never bit")
 			}
-			if st := cl.Health()[drained]; st != core.BreakerClosed {
+			if st := cl.HealthDetail()[drained].Breaker; st != core.BreakerClosed {
 				t.Errorf("draining site's breaker %v, want closed — draining is not death", st)
 			}
 			assertNoDeposits(t, tc.name, bare)

@@ -594,7 +594,8 @@ type SiteHealth struct {
 type drainStatus interface{ Draining() bool }
 
 // HealthDetail reports breaker state and drain status for every site.
-// Sites that don't expose a drain state report Draining=false.
+// Sites a run never had trouble with report BreakerClosed; sites that
+// don't expose a drain state report Draining=false.
 func (cl *Cluster) HealthDetail() []SiteHealth {
 	out := make([]SiteHealth, len(cl.breakers))
 	for i := range cl.breakers {
@@ -602,17 +603,6 @@ func (cl *Cluster) HealthDetail() []SiteHealth {
 		if d, ok := cl.sites[i].(drainStatus); ok {
 			out[i].Draining = d.Draining()
 		}
-	}
-	return out
-}
-
-// Health reports every site's current breaker state: HealthDetail
-// without the drain flag. Sites a run never had trouble with report
-// BreakerClosed.
-func (cl *Cluster) Health() []BreakerState {
-	out := make([]BreakerState, len(cl.breakers))
-	for i, h := range cl.HealthDetail() {
-		out[i] = h.Breaker
 	}
 	return out
 }

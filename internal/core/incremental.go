@@ -123,51 +123,41 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 	attrs := taskAttrs(spec, detectCFDs)
 	n := cl.N()
 	seeding := !st.seeded
-	replies := make([]*DeltaBlocks, n)
-
-	extract := func(sticky []int, fromGen func(int) int64) error {
-		return cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
-			if prunedSite[i] {
-				return nil
-			}
-			var wanted []int
-			for l, coord := range sticky {
-				if coord >= 0 && coord != i {
-					wanted = append(wanted, l)
-				}
-			}
-			replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen(i))
-			return err
-		})
-	}
-
-	if !seeding {
-		// Blocks born since the seed (empty cluster-wide back then)
-		// get a coordinator now; their whole content arrives as deltas.
-		newSticky := append([]int(nil), st.sticky...)
-		for l := range newSticky {
-			if newSticky[l] < 0 {
-				newSticky[l] = freshCoords[l]
-			}
-		}
-		if err := extract(newSticky, func(i int) int64 { return st.foldedGen[i] }); err != nil {
-			if !IsStaleIncremental(err) {
-				return nil, err
-			}
-			seeding = true
-		} else {
-			st.sticky = newSticky
-		}
-	}
 	if seeding {
-		st.invalidate(cl)
 		st.session = cl.newTask("inc")
 		st.sticky = append([]int(nil), freshCoords...)
 		st.foldedGen = make([]int64, n)
-		replies = make([]*DeltaBlocks, n)
-		if err := extract(st.sticky, func(int) int64 { return -1 }); err != nil {
-			return nil, err
+	} else {
+		// Blocks born since the seed (empty cluster-wide back then) get a
+		// coordinator now; their whole content arrives as deltas. A failed
+		// attempt invalidates the session, so the next one seeds afresh.
+		for l, coord := range st.sticky {
+			if coord < 0 {
+				st.sticky[l] = freshCoords[l]
+			}
 		}
+	}
+
+	// Extract. A stale site fails the attempt, and foldDeltas reseeds.
+	replies := make([]*DeltaBlocks, n)
+	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
+		if prunedSite[i] {
+			return nil
+		}
+		var wanted []int
+		for l, coord := range st.sticky {
+			if coord >= 0 && coord != i {
+				wanted = append(wanted, l)
+			}
+		}
+		fromGen := st.foldedGen[i]
+		if seeding {
+			fromGen = -1
+		}
+		replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 
 	// Ship the delta blocks. From here the session owns deposits at

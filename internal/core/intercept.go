@@ -125,21 +125,6 @@ func (w *Intercept) FoldDetect(ctx context.Context, args FoldArgs) (out *FoldRep
 // The optional surfaces. Each forwards to the site when it has the
 // method and is a no-op (zero result) otherwise.
 
-// DetectParallelism forwards the serving-side intra-unit worker budget.
-func (w *Intercept) DetectParallelism() int {
-	if p, ok := w.site().(interface{ DetectParallelism() int }); ok {
-		return p.DetectParallelism()
-	}
-	return 0
-}
-
-// SetDetectParallelism forwards the serving-side worker budget knob.
-func (w *Intercept) SetDetectParallelism(n int) {
-	if p, ok := w.site().(interface{ SetDetectParallelism(int) }); ok {
-		p.SetDetectParallelism(n)
-	}
-}
-
 // PendingDeposits forwards the leak-detection counter.
 func (w *Intercept) PendingDeposits() int {
 	if p, ok := w.site().(interface{ PendingDeposits() int }); ok {

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/partition"
@@ -154,12 +157,11 @@ func TestParDetectManyIndependentCFDs(t *testing.T) {
 	}
 }
 
-// TestIntraUnitParallelIdentical pins the worker split's second level:
-// on a single merged cluster (every CFD's LHS related by containment,
-// so cluster-level parallelism has exactly one unit to work with) over
-// fragments large enough to row-shard, a compiled Detect with a big
-// worker budget — which all drops into intra-unit sharding — is
-// byte-identical to the strictly serial run at several budgets.
+// TestIntraUnitParallelIdentical pins the sites' row sharding: on a
+// single merged cluster (every CFD's LHS related by containment, so the
+// plan has exactly one unit) over fragments large enough to row-shard,
+// a Detect whose sites check with a shard budget of 2 or 4 is
+// byte-identical to the run whose sites check serially.
 func TestIntraUnitParallelIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	d := relation.New(relation.MustSchema("BIG", []string{"a", "b", "c", "d"}))
@@ -182,30 +184,110 @@ func TestIntraUnitParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := DetectOnce(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, true)
+	p, err := CompileSet(context.Background(), cl, cfds, PatDetectRT, Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Clusters) != 1 {
-		t.Fatalf("want one merged cluster, got %v", serial.Clusters)
+	if len(p.units) != 1 {
+		t.Fatalf("want one merged cluster, got %v", p.clusters)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		p, err := CompileSet(context.Background(), cl, cfds, PatDetectRT, Options{Workers: workers}, true)
+	detectAt := func(budget int) *Result {
+		for i := 0; i < cl.N(); i++ {
+			cl.Site(i).(*Site).SetDetectParallelism(budget)
+		}
+		res, err := p.Detect(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := p.Detect(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		return res
+	}
+	serial := detectAt(1)
+	for _, budget := range []int{2, 4} {
+		par := detectAt(budget)
 		for ci := range cfds {
 			if !identicalRelations(par.PerCFD[ci], serial.PerCFD[ci]) {
-				t.Fatalf("workers %d cfd %d: intra-parallel != serial", workers, ci)
+				t.Fatalf("budget %d cfd %d: sharded != serial", budget, ci)
 			}
 		}
 		if par.ShippedTuples != serial.ShippedTuples || par.ModeledTime != serial.ModeledTime {
-			t.Fatalf("workers %d: accounting diverged (%d/%v vs %d/%v)", workers,
+			t.Fatalf("budget %d: accounting diverged (%d/%v vs %d/%v)", budget,
 				par.ShippedTuples, par.ModeledTime, serial.ShippedTuples, serial.ModeledTime)
+		}
+	}
+}
+
+// TestSiteOwnsDetectParallelism: a site is built with this machine's
+// cores as its row-shard budget; nothing downstream has to set it.
+func TestSiteOwnsDetectParallelism(t *testing.T) {
+	s := NewSite(0, relation.New(relation.MustSchema("R", []string{"a"})), relation.True())
+	if got, want := s.DetectParallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("NewSite budget %d, want GOMAXPROCS %d", got, want)
+	}
+}
+
+// barrierSite announces every FoldDetect call on arrive and holds it
+// until the test closes release, or fails it after a timeout.
+type barrierSite struct {
+	SiteAPI
+	arrive  chan struct{}
+	release chan struct{}
+}
+
+func (b *barrierSite) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error) {
+	b.arrive <- struct{}{}
+	select {
+	case <-b.release:
+		return b.SiteAPI.FoldDetect(ctx, args)
+	case <-time.After(5 * time.Second):
+		return nil, errors.New("FoldDetect held alone at the barrier: incremental units did not overlap")
+	}
+}
+
+// TestIncrementalUnitsOverlap: an incremental round runs its units on
+// the same bounded pool as a fresh Detect — each unit folds into its
+// own session — so under Workers 2 two units' FoldDetect calls are in
+// flight at once.
+func TestIncrementalUnitsOverlap(t *testing.T) {
+	d := relation.New(relation.MustSchema("R", []string{"a", "b", "c", "d"}))
+	for i := 0; i < 40; i++ {
+		d.MustAppend(relation.Tuple{"a" + itoa(i%5), "b" + itoa(i%3), "c" + itoa(i%7), "d" + itoa(i%2)})
+	}
+	cfds := []*cfd.CFD{cfd.MustParse(`o1: [a] -> [b]`), cfd.MustParse(`o2: [c] -> [d]`)}
+	// One site: every block's coordinator is site 0, so each unit makes
+	// exactly one FoldDetect call a round.
+	b := &barrierSite{SiteAPI: NewSite(0, d, relation.True()), arrive: make(chan struct{}, 2), release: make(chan struct{})}
+	cl, err := NewCluster(d.Schema(), []SiteAPI{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileSet(context.Background(), cl, cfds, PatDetectS, Options{Workers: 2}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.units) != 2 {
+		t.Fatalf("want two units, got %v", p.clusters)
+	}
+	go func() {
+		<-b.arrive
+		<-b.arrive
+		close(b.release)
+	}()
+	res, err := p.DetectIncremental(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-b.release:
+	default:
+		t.Fatal("the round made fewer than two FoldDetect calls")
+	}
+	fresh, err := p.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := range cfds {
+		if !identicalRelations(res.PerCFD[ci], fresh.PerCFD[ci]) {
+			t.Errorf("cfd %d: overlapped incremental round %v != fresh %v", ci, res.PerCFD[ci], fresh.PerCFD[ci])
 		}
 	}
 }

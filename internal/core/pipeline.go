@@ -21,15 +21,11 @@ import (
 //     (shipAndDetect); an incremental round charges those shipments to
 //     the accounting and moves only deltas into the session's retained
 //     state (foldDeltas, incremental.go).
-//
-// intraWorkers is the row-shard budget each coordinator check may use
-// (the plan's split of Options.Workers).
-func (u *unit) run(ctx context.Context, intraWorkers int, fs *faultState, st *unitInc) (*unitOut, error) {
+func (u *unit) run(ctx context.Context, fs *faultState, st *unitInc) (*unitOut, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cl := u.cl
-	ctx = WithDetectResources(ctx, u.kern, intraWorkers)
 	m := dist.NewMetrics(cl.N())
 	fragSizes, err := cl.fragmentSizes()
 	if err != nil {

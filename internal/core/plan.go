@@ -10,7 +10,6 @@ import (
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/dist"
-	"distcfd/internal/engine"
 	"distcfd/internal/mining"
 	"distcfd/internal/relation"
 )
@@ -44,7 +43,6 @@ type unit struct {
 	cl   *Cluster
 	algo Algorithm
 	opt  Options
-	kern *engine.Kernel // the owning plan's detection scratch pool
 
 	group   []*cfd.CFD
 	schemas []*relation.Schema
@@ -65,8 +63,8 @@ type unit struct {
 	control []controlReplay
 }
 
-func compileUnit(ctx context.Context, cl *Cluster, group []*cfd.CFD, algo Algorithm, opt Options, kern *engine.Kernel) (*unit, error) {
-	u := &unit{cl: cl, algo: algo, opt: opt, kern: kern, group: group}
+func compileUnit(ctx context.Context, cl *Cluster, group []*cfd.CFD, algo Algorithm, opt Options) (*unit, error) {
+	u := &unit{cl: cl, algo: algo, opt: opt, group: group}
 	for ci, c := range group {
 		if err := c.Validate(cl.schema); err != nil {
 			return nil, fmt.Errorf("core: cfd %s: %w", c.Name, err)
@@ -115,9 +113,9 @@ type unitOut struct {
 // attempt is a fresh pipeline with fresh metrics (failed attempts
 // cancel their tasks and report nothing), re-run per the policy until
 // it succeeds or the unit budget is spent.
-func (u *unit) detect(ctx context.Context, intraWorkers int, fs *faultState) (*unitOut, error) {
+func (u *unit) detect(ctx context.Context, fs *faultState) (*unitOut, error) {
 	for attempt := 0; ; attempt++ {
-		out, err := u.run(ctx, intraWorkers, fs, nil)
+		out, err := u.run(ctx, fs, nil)
 		if err == nil {
 			return out, nil
 		}
@@ -137,8 +135,7 @@ type Plan struct {
 	opt      Options
 	cfds     []*cfd.CFD
 	clusters [][]int
-	units    []*unit        // aligned with clusters
-	kern     *engine.Kernel // plan-wide detection scratch pool
+	units    []*unit // aligned with clusters
 
 	// sigma is the static Σ-analysis report (Options.Sigma); nil under
 	// SigmaOff.
@@ -176,14 +173,14 @@ func CompileSet(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorith
 			clusters[i] = []int{i}
 		}
 	}
-	p := &Plan{cl: cl, algo: algo, opt: opt, cfds: cfds, clusters: clusters, kern: &engine.Kernel{},
+	p := &Plan{cl: cl, algo: algo, opt: opt, cfds: cfds, clusters: clusters,
 		sigma: sigmaReport, inc: make([]unitInc, len(clusters))}
 	for _, members := range clusters {
 		group := make([]*cfd.CFD, len(members))
 		for i, idx := range members {
 			group[i] = cfds[idx]
 		}
-		u, err := compileUnit(ctx, cl, group, algo, opt, p.kern)
+		u, err := compileUnit(ctx, cl, group, algo, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -221,48 +218,23 @@ func (p *Plan) Single(ctx context.Context, i int) (*Plan, error) {
 	}
 	if u == nil {
 		var err error
-		if u, err = compileUnit(ctx, p.cl, one, p.algo, p.opt, p.kern); err != nil {
+		if u, err = compileUnit(ctx, p.cl, one, p.algo, p.opt); err != nil {
 			return nil, err
 		}
 	}
 	return &Plan{cl: p.cl, algo: p.algo, opt: p.opt, cfds: one, clusters: [][]int{{0}},
-		units: []*unit{u}, kern: p.kern, inc: make([]unitInc, 1)}, nil
-}
-
-// splitWorkers divides a run's worker budget between cluster-level
-// overlap and intra-unit row sharding: clusters can use at most one
-// worker each (they are whole pipelines), so the level-1 pool is
-// capped at the unit count and the leftover factor drops into the
-// detection kernel. budget ≤ 1 stays strictly serial at both levels.
-func splitWorkers(budget, units int) (clusterWorkers, intraWorkers int) {
-	if budget < 1 {
-		budget = 1
-	}
-	clusterWorkers = budget
-	if units >= 1 && clusterWorkers > units {
-		clusterWorkers = units
-	}
-	intraWorkers = budget / clusterWorkers
-	if intraWorkers < 1 {
-		intraWorkers = 1
-	}
-	return clusterWorkers, intraWorkers
+		units: []*unit{u}, inc: make([]unitInc, 1)}, nil
 }
 
 // Detect runs the compiled plan once, re-evaluating all data-dependent
 // state (fragment sizes, constant units, σ routing, shipping,
-// coordinator checks) under ctx. Options.Workers is split between the
-// two levels of parallelism instead of fighting over cores: up to
-// len(units) workers process independent units concurrently, and the
-// remainder of the budget shards the per-row work inside each
-// coordinator check (intra-unit row sharding). With many units the
-// budget goes to unit overlap; with one unit — a lone CFD, or the
-// common shape after shared-σ clustering — the whole budget drops into
-// the kernel. Results are merged in deterministic cluster order, so
-// the violation sets, shipment totals, and modeled time are identical
-// at every worker count. Cancellation mid-run stops pending units and
-// cancels in-flight tasks at every site, so no deposit outlives the
-// run.
+// coordinator checks) under ctx. Up to Options.Workers independent
+// units run at once; each coordinator check shards its rows by its
+// site's own budget (Site.SetDetectParallelism). Results are merged in
+// deterministic cluster order, so the violation sets, shipment totals,
+// and modeled time are identical at every worker count. Cancellation
+// mid-run stops pending units and cancels in-flight tasks at every
+// site, so no deposit outlives the run.
 //
 // Under an active failure policy (Options.Failure), site failures a
 // per-call retry could not absorb re-run the failed unit — a failed
@@ -307,59 +279,51 @@ func (p *Plan) finishFailure(res *Result, total *dist.Metrics, fs *faultState) {
 	}
 }
 
-// pass runs every unit once and assembles a Result beside the run's
-// merged metrics, which finishFailure snapshots. A fresh pass
-// retries each unit under the shared fault state and may overlap
-// units; an incremental pass runs them in deterministic cluster order
-// against the plan's retained sessions (rounds mutate per-unit session
-// state, so Options.Workers does not apply, and recovery is the
-// round-level reseed inside the unit).
+// pass runs every unit once on a pool of up to Options.Workers, a pool
+// of one being the strictly serial schedule, and assembles a Result
+// beside the run's merged metrics, which finishFailure snapshots. A
+// fresh pass retries each unit under the shared fault state; an
+// incremental pass runs each unit's round against its own retained
+// session (p.inc[gi]), recovering by the round-level reseed inside the
+// unit. Fail fast: once any unit has errored or the context has died,
+// units not yet started never start, instead of shipping tuples the
+// caller will discard.
 func (p *Plan) pass(ctx context.Context, fs *faultState, start time.Time, incremental bool) (*Result, *dist.Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	outs := make([]*unitOut, len(p.units))
 	errs := make([]error, len(p.units))
-	clusterWorkers, intraWorkers := splitWorkers(p.opt.Workers, len(p.units))
-
-	if incremental {
-		for gi, u := range p.units {
-			var err error
-			if outs[gi], err = u.run(ctx, intraWorkers, fs, &p.inc[gi]); err != nil {
-				return nil, nil, err
-			}
+	sem := make(chan struct{}, p.opt.Workers)
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	for gi, u := range p.units {
+		sem <- struct{}{}
+		if failed.Load() || ctx.Err() != nil {
+			break
 		}
-	} else {
-		// A bounded pool started in cluster order — a pool of one is the
-		// strictly serial schedule. Fail fast: once any unit has errored
-		// or the context has died, units not yet started never start,
-		// instead of shipping tuples the caller will discard.
-		sem := make(chan struct{}, clusterWorkers)
-		var wg sync.WaitGroup
-		var failed atomic.Bool
-		for gi, u := range p.units {
-			sem <- struct{}{}
-			if failed.Load() || ctx.Err() != nil {
-				break
+		wg.Add(1)
+		go func(gi int, u *unit) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if incremental {
+				outs[gi], errs[gi] = u.run(ctx, fs, &p.inc[gi])
+			} else {
+				outs[gi], errs[gi] = u.detect(ctx, fs)
 			}
-			wg.Add(1)
-			go func(gi int, u *unit) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if outs[gi], errs[gi] = u.detect(ctx, intraWorkers, fs); errs[gi] != nil {
-					failed.Store(true)
-				}
-			}(gi, u)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
+			if errs[gi] != nil {
+				failed.Store(true)
 			}
-		}
-		if err := ctx.Err(); err != nil {
+		}(gi, u)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, nil, err
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 
 	total := dist.NewMetrics(p.cl.N())

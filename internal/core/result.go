@@ -46,11 +46,10 @@ type Options struct {
 	// with support ≥ MineTheta·|Di|, and σ partitions on the merged
 	// patterns plus a catch-all wildcard row.
 	MineTheta float64
-	// Workers is the run's total worker budget; 0 selects
-	// runtime.GOMAXPROCS(0). Plan.Detect splits it between cluster-
-	// level overlap (up to one worker per independent CFD cluster) and
-	// intra-unit row sharding inside the detection kernel, so a single
-	// merged cluster still uses the whole budget (see splitWorkers).
+	// Workers bounds how many independent units (CFD clusters) a run
+	// overlaps; 0 selects runtime.GOMAXPROCS(0), 1 runs them one at a
+	// time. Row sharding inside a check is the checking site's own
+	// (Site.SetDetectParallelism).
 	Workers int
 	// Sigma selects the compile-time Σ analysis level: SigmaOff (the
 	// zero value) compiles the rule set as given; SigmaCheck fails

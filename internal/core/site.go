@@ -316,11 +316,9 @@ type Site struct {
 	memR *relation.Relation
 	pred relation.Predicate
 
-	// kern pools the detection-kernel scratch for calls whose context
-	// carries no plan-owned pool (one-shot callers, RPC-served work);
-	// intraWorkers is the matching intra-unit worker budget, settable
-	// once at deployment time (SetDetectParallelism). A driver's
-	// compiled plan overrides both through its run context.
+	// kern pools the detection-kernel scratch of every check this site
+	// runs; intraWorkers is the row-shard budget of each such check
+	// (GOMAXPROCS when the site is built, see SetDetectParallelism).
 	kern         engine.Kernel
 	intraWorkers int
 
@@ -377,16 +375,13 @@ func (s *Site) Schema() *relation.Schema { return s.frag.Schema() }
 // for store-backed sites (their tuples have no materialized relation).
 func (s *Site) Fragment() *relation.Relation { return s.memR }
 
-// SetDetectParallelism sets the intra-unit worker budget this site's
-// detection kernel uses when a call's context carries none — the
-// remote server's case: the driver's budget does not cross the wire,
-// the serving machine's core count does. Call it before serving
-// traffic; it is not synchronized against in-flight detection.
+// SetDetectParallelism overrides the row-shard budget of this site's
+// coordinator checks (≤ 1 checks serially). Call it before the site
+// serves traffic; it is not synchronized against in-flight detection.
 func (s *Site) SetDetectParallelism(n int) { s.intraWorkers = n }
 
-// DetectParallelism returns the configured intra-unit worker budget
-// (0 = unset; such sites detect serially unless the serving layer
-// applies its default).
+// DetectParallelism returns the row-shard budget of this site's
+// coordinator checks: runtime.GOMAXPROCS(0) unless overridden.
 func (s *Site) DetectParallelism() int { return s.intraWorkers }
 
 // PendingDeposits reports how many task keys currently hold buffered
@@ -582,7 +577,6 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 // each CFD — restricted to the block's own pattern row when restrict
 // is set (the caller then passes the one CFD the spec was built from).
 func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD, restrict bool) ([]*relation.Relation, error) {
-	kern, kopts := s.detectResources(ctx)
 	// Project the assigned blocks in consecutive batches under a fixed
 	// row budget instead of materializing them all up front: each batch is
 	// one chunk-ordered gather, and the peak footprint is one batch plus
@@ -621,7 +615,7 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 				if restrict {
 					c = spec.RestrictCFD(c, l)
 				}
-				pats, err := kern.ViolationPatterns(merged, c, kopts)
+				pats, err := s.kern.ViolationPatterns(merged, c, engine.Opts{Workers: s.intraWorkers})
 				if err != nil {
 					return nil, err
 				}
@@ -799,10 +793,9 @@ func (s *Site) DetectTask(ctx context.Context, task string, local LocalInput, cf
 	if err != nil {
 		return nil, err
 	}
-	kern, kopts := s.detectResources(ctx)
 	out := make([]*relation.Relation, len(cfds))
 	for ci, c := range cfds {
-		pats, err := kern.ViolationPatterns(merged, c, kopts)
+		pats, err := s.kern.ViolationPatterns(merged, c, engine.Opts{Workers: s.intraWorkers})
 		if err != nil {
 			return nil, err
 		}

@@ -1,20 +1,24 @@
 package core
 
 import (
+	"runtime"
+
 	"distcfd/internal/relation"
 )
 
-// newSiteWith wires a Site around any siteFragment.
+// newSiteWith wires a Site around any siteFragment; its checks shard
+// rows across this machine's cores.
 func newSiteWith(id int, frag siteFragment, pred relation.Predicate) *Site {
 	return &Site{
-		id:          id,
-		frag:        frag,
-		pred:        pred,
-		deposits:    make(map[string][]*relation.Relation),
-		cancelled:   newFifo[struct{}](cancelledCap),
-		nonces:      newFifo[struct{}](nonceCap),
-		deltaNonces: newFifo[DeltaInfo](deltaNonceCap),
-		sessions:    make(map[string]*foldSession),
+		id:           id,
+		frag:         frag,
+		pred:         pred,
+		intraWorkers: runtime.GOMAXPROCS(0),
+		deposits:     make(map[string][]*relation.Relation),
+		cancelled:    newFifo[struct{}](cancelledCap),
+		nonces:       newFifo[struct{}](nonceCap),
+		deltaNonces:  newFifo[DeltaInfo](deltaNonceCap),
+		sessions:     make(map[string]*foldSession),
 	}
 }
 

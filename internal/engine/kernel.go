@@ -9,8 +9,8 @@ import (
 
 // Kernel is the serving form of the detection kernel: a scratch pool
 // shared by any number of concurrent DetectSet/DetectSetReader/
-// ViolationPatterns calls, so a long-lived caller (a compiled
-// core.Plan, a site serving RPC traffic) stops reallocating the
+// ViolationPatterns calls, so a long-lived caller (a core.Site, which
+// owns one for every check it runs) stops reallocating the
 // per-call buffers — group-ID vectors, group states, fold tables and
 // the violation bitset. The zero value is ready to
 // use. Scratches returned to the pool are shrunk past a retention

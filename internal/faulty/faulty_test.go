@@ -371,9 +371,8 @@ func (r *recordingSite) Draining() bool { return r.draining }
 // TestWrappersForwardOptionalSurfaces: wrapping a site — in an
 // admission controller, a fault plan, or both — must not hide the
 // optional surfaces callers type-assert for: Close, the HealthDetail
-// drain signal, the no-leak
-// PendingDeposits counter and the serving-side parallelism knob all
-// reach the innermost site.
+// drain signal and the no-leak PendingDeposits counter all reach the
+// innermost site.
 func TestWrappersForwardOptionalSurfaces(t *testing.T) {
 	wraps := map[string]func(core.SiteAPI) core.SiteAPI{
 		"admission": func(s core.SiteAPI) core.SiteAPI { return core.WithAdmission(s, core.AdmissionPolicy{}) },
@@ -406,14 +405,6 @@ func TestWrappersForwardOptionalSurfaces(t *testing.T) {
 			}
 			if n := w.(interface{ PendingDeposits() int }).PendingDeposits(); n != 1 {
 				t.Errorf("PendingDeposits = %d, want the site's 1", n)
-			}
-			par := w.(interface {
-				DetectParallelism() int
-				SetDetectParallelism(int)
-			})
-			par.SetDetectParallelism(5)
-			if inner.DetectParallelism() != 5 || par.DetectParallelism() != 5 {
-				t.Errorf("parallelism knob: site %d, wrapper %d, want 5", inner.DetectParallelism(), par.DetectParallelism())
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"runtime"
 	"time"
 
 	"distcfd/internal/cfd"
@@ -44,20 +43,10 @@ func NewSiteServiceContext(ctx context.Context, site core.SiteAPI, schema *relat
 // accepts connections until the listener closes or ctx is cancelled.
 // It blocks; on cancellation it closes the listener and returns nil (a
 // graceful shutdown, not an error), with every in-flight handler's
-// site work cancelled through the service's base context.
-//
-// The driver's intra-unit worker budget does not cross the wire, so an
-// api that exposes the parallelism knobs (a *core.Site, wrapped or
-// not) with no budget configured is given this machine's core count
-// before traffic starts; an operator who already called
-// SetDetectParallelism keeps their cap.
+// site work cancelled through the service's base context. It configures
+// nothing on api: how a site shards its checks is the site's own
+// (core.Site.SetDetectParallelism).
 func ServeAPIContext(ctx context.Context, lis net.Listener, api core.SiteAPI, schema *relation.Schema) error {
-	if p, ok := api.(interface {
-		DetectParallelism() int
-		SetDetectParallelism(int)
-	}); ok && p.DetectParallelism() == 0 {
-		p.SetDetectParallelism(runtime.GOMAXPROCS(0))
-	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(serviceName, NewSiteServiceContext(ctx, api, schema)); err != nil {
 		return err
