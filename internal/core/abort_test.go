@@ -160,10 +160,11 @@ func TestPipelineAbortsDepositsOnDetectFailure(t *testing.T) {
 	}
 }
 
-// cancellingSite wraps a Site so that the first deposit of the run —
-// i.e. mid-shipping-phase — cancels the driver's context after the
-// batch has landed. The landed batch is exactly the deposit a
-// cancelled run must not leak.
+// cancellingSite wraps a Site so that the first deposit of a fresh run
+// — i.e. mid-shipping-phase — or the first fold of an incremental round
+// cancels the driver's context after the call has landed. The landed
+// batch (or fold session) is exactly what a cancelled run must not
+// leak.
 type cancellingSite struct {
 	*Site
 	once   *sync.Once
@@ -180,6 +181,25 @@ func (c *cancellingSite) Deposit(_ context.Context, task string, batch *relation
 		c.cancel()
 	})
 	return err
+}
+
+// FoldDetect is the incremental round's counterpart: the first fold
+// runs to completion — its session now holds state — and the driver's
+// context is cancelled before the reply reaches it, so the round sees
+// the cancellation.
+func (c *cancellingSite) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error) {
+	rep, err := c.Site.FoldDetect(context.Background(), args)
+	c.once.Do(func() {
+		*c.landed = err == nil
+		c.cancel()
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // TestDetectCancelDuringShippingDrainsDeposits is the in-process half

@@ -7,8 +7,10 @@ import (
 	"context"
 	"encoding/binary"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -448,9 +450,34 @@ func TestChaosStoreRestartByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosIncrementalRetry: the incremental path treats injected
-// transient faults like stale state — invalidate and reseed — and its
-// figures stay byte-identical to the fault-free incremental run.
+// lostFoldReply runs every FoldDetect but loses the reply of the n-th:
+// the fold executed, so the failure hook may not re-issue it, and the
+// round reseeds.
+type lostFoldReply struct {
+	*core.Site
+	n int
+
+	mu    sync.Mutex
+	calls int
+}
+
+func (s *lostFoldReply) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
+	rep, err := s.Site.FoldDetect(ctx, args)
+	s.mu.Lock()
+	s.calls++
+	lost := s.calls == s.n
+	s.mu.Unlock()
+	if err == nil && lost {
+		return nil, &core.CodedError{Code: core.CodeUnavailable, Msg: "fold reply lost"}
+	}
+	return rep, err
+}
+
+// TestChaosIncrementalRetry: the incremental path absorbs transient
+// faults — a fold that never ran is re-issued with the same shipped
+// blocks; one that may have run invalidates the session and reseeds —
+// and its figures stay byte-identical to the fault-free incremental
+// run, with no deposit buffered and no session orphaned.
 func TestChaosIncrementalRetry(t *testing.T) {
 	run := func(wrap func(i int, s *core.Site) core.SiteAPI, opt core.Options) (*core.Result, []*core.Site) {
 		cl, bare := chaosCluster(t, 6, wrap)
@@ -467,20 +494,48 @@ func TestChaosIncrementalRetry(t *testing.T) {
 		}
 		return res, bare
 	}
+	sessions := func(bare []*core.Site) []int {
+		out := make([]int, len(bare))
+		for i, s := range bare {
+			out[i] = s.FoldSessions()
+		}
+		return out
+	}
 	base := chaosSeed(t)
-	want, _ := run(func(_ int, s *core.Site) core.SiteAPI { return s }, core.Options{})
-	// A modest rate: the incremental pipeline recovers via whole-round
-	// reseeds, so every faulted round repeats from the top.
-	got, bare := run(func(i int, s *core.Site) core.SiteAPI {
-		return faulty.Wrap(s, faulty.Plan{Seed: base + int64(i) + 1, Rate: 0.05})
-	}, core.Options{Failure: core.FailRetry})
-	identicalViolations(t, "incremental", got, want)
-	if got.ShippedTuples != want.ShippedTuples || got.ModeledTime != want.ModeledTime {
-		t.Errorf("incremental figures bent under faults: %d/%v vs %d/%v",
-			got.ShippedTuples, got.ModeledTime, want.ShippedTuples, want.ModeledTime)
+	want, wantBare := run(func(_ int, s *core.Site) core.SiteAPI { return s }, core.Options{})
+	for _, tc := range []struct {
+		name string
+		wrap func(i int, s *core.Site) core.SiteAPI
+	}{
+		// A modest rate: a fault a per-call retry cannot absorb repeats the
+		// round from the top.
+		{"rate", func(i int, s *core.Site) core.SiteAPI {
+			return faulty.Wrap(s, faulty.Plan{Seed: base + int64(i) + 1, Rate: 0.05})
+		}},
+		{"fold-fault", func(_ int, s *core.Site) core.SiteAPI {
+			return faulty.Wrap(s, faulty.Plan{ErrOn: map[string][]int{"FoldDetect": {2}}})
+		}},
+		{"fold-reply-lost", func(_ int, s *core.Site) core.SiteAPI {
+			return &lostFoldReply{Site: s, n: 2}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, bare := run(tc.wrap, core.Options{Failure: core.FailRetry})
+			identicalViolations(t, tc.name, got, want)
+			if got.ShippedTuples != want.ShippedTuples || got.ModeledTime != want.ModeledTime {
+				t.Errorf("incremental figures bent under faults: %d/%v vs %d/%v",
+					got.ShippedTuples, got.ModeledTime, want.ShippedTuples, want.ModeledTime)
+			}
+			if got.Partial {
+				t.Error("incremental serving must never report Partial")
+			}
+			if tc.name != "rate" && got.Faults == 0 {
+				t.Error("the scheduled fault never bit")
+			}
+			assertNoDeposits(t, tc.name, bare)
+			if g, w := sessions(bare), sessions(wantBare); !slices.Equal(g, w) {
+				t.Errorf("fold sessions per site %v, the fault-free run holds %v", g, w)
+			}
+		})
 	}
-	if got.Partial {
-		t.Error("incremental serving must never report Partial")
-	}
-	assertNoDeposits(t, "incremental", bare)
 }

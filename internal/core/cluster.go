@@ -145,32 +145,6 @@ func (cl *Cluster) parallelCtx(ctx context.Context, fn func(ctx context.Context,
 	return nil
 }
 
-// ship moves a batch — a σ-block, or a delta block's inserts or delete
-// records — from site `from` to site `to` under the task key, and
-// records it on the metrics channel the caller names: m.ShipTuples for
-// a fresh run's blocks, m.ShipDelta for the incremental data plane
-// (kept apart from the modeled full-recompute matrices the regular
-// channel carries on incremental runs). Shipping to self is a no-op the
-// algorithms never request; it is rejected to catch bugs. The deposit
-// carries a fresh nonce minted here, above the failure hook's retry
-// loop, so a retried deposit whose first attempt did land (lost
-// response, not lost request) dedups at the site instead of
-// double-counting.
-func (cl *Cluster) ship(ctx context.Context, fs *faultState, record func(from, to, n int, payloadBytes int64),
-	from, to int, task string, batch *relation.Relation) error {
-	if from == to {
-		return fmt.Errorf("core: site %d shipping to itself", from)
-	}
-	if batch == nil || batch.Len() == 0 {
-		return nil
-	}
-	if err := fs.sites[to].Deposit(ctx, task, batch, cl.newTask("dep")); err != nil {
-		return err
-	}
-	record(from, to, batch.Len(), dist.RelationBytes(batch))
-	return nil
-}
-
 // ApplyDelta applies a delta to one site's fragment, maintaining the
 // site's serving caches and delta log. It must not overlap detection
 // runs against the cluster (the usual single-writer mutation rule).

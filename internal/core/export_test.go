@@ -1,0 +1,11 @@
+package core
+
+// FoldSessions reports how many incremental sessions s retains fold
+// states for — one per live plan unit it coordinates — so the no-leak
+// tests, the external chaos suites among them, can assert that a failed
+// or cancelled round orphans none.
+func (s *Site) FoldSessions() int {
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	return len(s.sessions)
+}

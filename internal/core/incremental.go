@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"distcfd/internal/dist"
@@ -24,9 +24,10 @@ import (
 //     violation output of an incremental round are byte-identical to
 //     a fresh compiled Detect on the same data;
 //  2. moves only deltas: every site σ-routes its logged delta suffix,
-//     ships the per-block inserts and delete records to the sticky
-//     coordinators (the delta channel of dist.Metrics), and each
-//     coordinator folds them into its retained group states.
+//     and each sticky coordinator receives the per-block inserts and
+//     delete records it owns inside its one FoldDetect call (charged to
+//     the delta channel of dist.Metrics) and folds them into its
+//     retained group states.
 //
 // The first round (and any round the sites report stale state for —
 // trimmed log, evicted session, foreign mutation — or that failed)
@@ -45,12 +46,11 @@ type unitInc struct {
 	seeded    bool
 }
 
-// invalidate abandons the session after a failed round: deposits are
-// drained (and late arrivals tombstoned), coordinator states dropped,
-// and the next round reseeds under a fresh key.
+// invalidate abandons the session after a failed round: coordinator
+// states are dropped and the next round reseeds under a fresh key.
+// Delta blocks ride in the fold, so no deposit needs draining.
 func (st *unitInc) invalidate(cl *Cluster) {
 	if st.session != "" {
-		cl.cancelTask(st.session)
 		cl.dropSession(st.session)
 	}
 	st.session = ""
@@ -115,8 +115,9 @@ func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, 
 }
 
 // dataRound runs the movement-and-fold half of one round: extraction
-// of delta (or, seeding, full) blocks at every site, shipping to the
-// sticky coordinators, folding, and watermark commit.
+// of delta (or, seeding, full) blocks at every site, one FoldDetect per
+// sticky coordinator carrying the blocks it folds, and watermark
+// commit.
 func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *dist.Metrics,
 	prunedSite []bool, freshCoords []int) ([][]*relation.Relation, error) {
 	cl, spec, detectCFDs, opt := u.cl, u.spec, u.views, u.opt
@@ -138,8 +139,11 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		}
 	}
 
-	// Extract. A stale site fails the attempt, and foldDeltas reseeds.
+	// Extract, and split each reply by sticky coordinator: out[i][j] holds
+	// the inserts ([0]) and delete records ([1]) site i ships to j inside
+	// j's FoldDetect. A stale site fails the attempt; foldDeltas reseeds.
 	replies := make([]*DeltaBlocks, n)
+	out := make([][][2]map[int]*relation.Relation, n)
 	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
 		if prunedSite[i] {
 			return nil
@@ -154,45 +158,35 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		if seeding {
 			fromGen = -1
 		}
-		replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	// Ship the delta blocks. From here the session owns deposits at
-	// other sites; every abandoning exit must cancel the session task,
-	// which invalidate (in the callers' error path) does.
-	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
-		rep := replies[i]
-		if rep == nil {
-			return nil
+		if replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen); err != nil {
+			return err
 		}
-		for _, part := range []struct {
-			suffix string
-			blocks map[int]*relation.Relation
-		}{{"/ins", rep.Ins}, {"/del", rep.Del}} {
-			for l, batch := range part.blocks {
-				if err := ctx.Err(); err != nil {
-					return err
+		out[i] = make([][2]map[int]*relation.Relation, n)
+		for k, blocks := range [2]map[int]*relation.Relation{replies[i].Ins, replies[i].Del} {
+			for l, batch := range blocks {
+				if !slices.Contains(wanted, l) {
+					return fmt.Errorf("core: site %d returned delta block %d, which was not asked for", i, l)
+				}
+				if batch == nil || batch.Len() == 0 {
+					continue
 				}
 				if opt.NoPackedShip {
 					batch.DropPacked()
 				}
-				if err := cl.ship(ctx, fs, m.ShipDelta, i, st.sticky[l], BlockTask(st.session, l)+part.suffix, batch); err != nil {
-					return err
+				j := st.sticky[l]
+				m.ShipDelta(i, j, batch.Len(), dist.RelationBytes(batch))
+				if out[i][j][k] == nil {
+					out[i][j][k] = map[int]*relation.Relation{}
 				}
+				out[i][j][k][l] = batch
 			}
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
-	// Fold at the coordinators.
+	// Fold at the coordinators, each with what every source ships it.
 	bySite := blocksBySite(st.sticky, n)
 	parts := make([][]*relation.Relation, len(detectCFDs))
 	for ci := range parts {
@@ -203,9 +197,15 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		if len(bySite[j]) == 0 {
 			return nil
 		}
+		var shipped []*DeltaBlocks
+		for _, to := range out {
+			if to != nil && (to[j][0] != nil || to[j][1] != nil) {
+				shipped = append(shipped, &DeltaBlocks{Ins: to[j][0], Del: to[j][1]})
+			}
+		}
 		// A fold the failure hook could not absorb (reissue: FoldDetect
-		// consumes deposits and mutates the session's retained states)
-		// reseeds via the round-level retry.
+		// mutates the session's retained states) reseeds via the
+		// round-level retry.
 		rep, err := fs.sites[j].FoldDetect(ctx, FoldArgs{
 			Session:        st.session,
 			Spec:           spec,
@@ -214,6 +214,7 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 			RestrictSingle: u.restrict,
 			Seed:           seeding,
 			FromGen:        st.foldedGen[j],
+			Shipped:        shipped,
 		})
 		if err != nil {
 			return err
@@ -293,18 +294,24 @@ func (p *Plan) DetectDelta(ctx context.Context, deltas map[int]relation.Delta) (
 	return p.detectIncrementalLocked(ctx)
 }
 
-// applyDeltas applies per-site deltas in ascending site order (a
-// deterministic order so generation counters replay identically).
+// applyDeltas applies per-site deltas at every site at once: each
+// site's generation counter is its own, so no order across sites is
+// needed for them to replay identically. A site index outside the
+// cluster is refused before anything applies.
 func applyDeltas(ctx context.Context, cl *Cluster, deltas map[int]relation.Delta) error {
-	sites := make([]int, 0, len(deltas))
 	for i := range deltas {
-		sites = append(sites, i)
-	}
-	sort.Ints(sites)
-	for _, i := range sites {
-		if _, err := cl.ApplyDelta(ctx, i, deltas[i]); err != nil {
-			return fmt.Errorf("core: applying delta at site %d: %w", i, err)
+		if i < 0 || i >= cl.N() {
+			return fmt.Errorf("core: delta for site %d of %d", i, cl.N())
 		}
 	}
-	return nil
+	return cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
+		d, ok := deltas[i]
+		if !ok {
+			return nil
+		}
+		if _, err := cl.ApplyDelta(ctx, i, d); err != nil {
+			return fmt.Errorf("core: applying delta at site %d: %w", i, err)
+		}
+		return nil
+	})
 }

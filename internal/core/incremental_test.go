@@ -608,12 +608,12 @@ func TestSigmaMaintenanceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestIncrementalCancelDuringShippingDrainsDeposits is the incremental
-// half of the cancellation invariant: a context cancelled while delta
-// blocks are being shipped must leave zero buffered deposits, and the
-// session must recover (reseed) on the next call with byte-identical
-// results.
-func TestIncrementalCancelDuringShippingDrainsDeposits(t *testing.T) {
+// TestIncrementalCancelDuringFoldDropsSession is the incremental half
+// of the cancellation invariant: a context cancelled while a coordinator
+// folds — the fold landed, so its session holds state — must leave zero
+// buffered deposits and no retained fold session at any site, and the
+// next call must reseed with results byte-identical to a fresh Detect.
+func TestIncrementalCancelDuringFoldDropsSession(t *testing.T) {
 	data := workload.Cust(workload.CustConfig{N: 2_000, Seed: 5, ErrRate: 0.05})
 	h, err := partition.Uniform(data, 3, 1)
 	if err != nil {
@@ -638,18 +638,21 @@ func TestIncrementalCancelDuringShippingDrainsDeposits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The seeding round ships full blocks as delta inserts; the first
-	// deposit pulls the plug mid-shipping.
+	// The seeding round carries full blocks inside each fold; the first
+	// fold to land pulls the plug.
 	_, err = sp.DetectIncremental(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
 	if !landed {
-		t.Fatal("no deposit landed before the cancel — the drain assertion would be vacuous")
+		t.Fatal("no fold landed before the cancel — the session assertion would be vacuous")
 	}
 	for i, s := range bare {
 		if n := depositCount(s); n != 0 {
 			t.Errorf("site %d still buffers %d deposit tasks after cancelled incremental run", i, n)
+		}
+		if n := s.FoldSessions(); n != 0 {
+			t.Errorf("site %d retains %d fold sessions after cancelled incremental run", i, n)
 		}
 	}
 	// Recovery: a live context reseeds and matches the one-shot path.
@@ -668,6 +671,76 @@ func TestIncrementalCancelDuringShippingDrainsDeposits(t *testing.T) {
 	for i, s := range bare {
 		if n := depositCount(s); n != 0 {
 			t.Errorf("site %d holds %d leftover deposit tasks after recovery round", i, n)
+		}
+	}
+}
+
+// TestIncrementalRoundCallShape pins what a round after the seed asks
+// of the sites: no Deposit — the delta blocks ride in the fold — and at
+// most one SigmaStats, one ExtractDeltaBlocks and one FoldDetect per
+// site per unit.
+func TestIncrementalRoundCallShape(t *testing.T) {
+	ctx := context.Background()
+	data := workload.Cust(workload.CustConfig{N: 1_200, Seed: 3, ErrRate: 0.03})
+	h, err := partition.Uniform(data, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := make([]map[string]int, h.N())
+	sites := make([]SiteAPI, h.N())
+	for i, frag := range h.Fragments {
+		s := NewSite(i, frag, relation.True())
+		calls[i] = map[string]int{}
+		w := NewIntercept(func() SiteAPI { return s }, func(_ context.Context, method string, call func(SiteAPI) error) error {
+			mu.Lock()
+			calls[i][method]++
+			mu.Unlock()
+			return call(s)
+		})
+		sites[i] = &w
+	}
+	cl, err := NewCluster(h.Schema, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileSet(ctx, cl, []*cfd.CFD{workload.CustPatternCFD(24), workload.CustStreetCFD()}, PatDetectRT, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DetectIncremental(ctx); err != nil {
+		t.Fatal(err)
+	}
+	streams := workload.SplitStreams(h.Fragments,
+		workload.DeltaConfig{Seed: 21, Inserts: 6, Updates: 3, Deletes: 2, ErrRate: 0.1},
+		func(f *relation.Relation, c workload.DeltaConfig) *workload.DeltaStream {
+			return workload.CustDeltaStream(f, c)
+		})
+	for i, ds := range streams {
+		if _, err := cl.ApplyDelta(ctx, i, ds.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	for i := range calls {
+		calls[i] = map[string]int{}
+	}
+	mu.Unlock()
+	res, err := p.DetectIncremental(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DeltaShippedTuples == 0 {
+		t.Fatal("the round shipped no delta tuple — the Deposit count would be vacuous")
+	}
+	for i, c := range calls {
+		if c["Deposit"] != 0 {
+			t.Errorf("site %d received %d Deposit calls", i, c["Deposit"])
+		}
+		for _, m := range []string{"SigmaStats", "ExtractDeltaBlocks", "FoldDetect"} {
+			if c[m] > len(p.units) {
+				t.Errorf("site %d received %d %s calls for %d units", i, c[m], m, len(p.units))
+			}
 		}
 	}
 }

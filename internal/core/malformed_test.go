@@ -44,6 +44,18 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := cfd.MustParse(`f: [a] -> [b] : (x || _), (y || _)`)
+	// foldShipped seeds a fold of block 0 (projection [a, b]) that ships
+	// one row as block l over attrs. A rejected fold must not have
+	// touched the site's sessions.
+	foldShipped := func(s *Site, l int, attrs []string) error {
+		r := relation.MustFromRows(relation.MustSchema("T_ship", attrs), []string{"x", "p"})
+		_, err := s.FoldDetect(ctx, FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{fd}, Seed: true,
+			Shipped: []*DeltaBlocks{{Ins: map[int]*relation.Relation{l: r}}}})
+		if n := s.FoldSessions(); err != nil && n != 0 {
+			t.Errorf("the rejected fold left %d sessions", n)
+		}
+		return err
+	}
 	for _, tc := range []struct {
 		name string
 		call func(*Site) error
@@ -69,6 +81,12 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 			_, err := s.FoldDetect(ctx, args)
 			return err
 		}},
+		{"fold-shipped-block-not-folded", func(s *Site) error {
+			return foldShipped(s, 1, []string{"a", "b"})
+		}},
+		{"fold-shipped-attrs-reordered", func(s *Site) error {
+			return foldShipped(s, 0, []string{"b", "a"})
+		}},
 		{"apply-delta-short-insert", func(s *Site) error {
 			_, err := s.ApplyDelta(ctx, relation.Delta{Inserts: []relation.Tuple{{"x"}}}, "")
 			return err
@@ -83,6 +101,10 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 				t.Fatalf("want a plain error, got %v", err)
 			}
 		})
+	}
+	// Control: the same row shipped as block 0 over [a, b] folds.
+	if err := foldShipped(argsSite(), 0, []string{"a", "b"}); err != nil {
+		t.Fatalf("a well-formed shipped block was rejected: %v", err)
 	}
 }
 
@@ -115,20 +137,26 @@ var (
 
 // FuzzSiteArgs decodes bytes into a BlockSpec over the site's schema (1–3
 // patterns of arity 0–4), a CFD of arbitrary X/Y/tableau arity, a
-// block list and a delta (inserts of arity 0–5, delete indices in
-// [-2, 10)), and drives every site call that takes them. Nothing may
-// panic, and no call may leave a deposit buffered. The seeds are the
-// five crashers of TestSiteRejectsMalformedArgs.
+// block list, a delta (inserts of arity 0–5, delete indices in
+// [-2, 10)) and a shipped delta block (0–3 rows over 0–4 attributes),
+// and drives every site call that takes them. Nothing may panic, and no
+// call may leave a deposit buffered. The first five seeds are the
+// crashers of TestSiteRejectsMalformedArgs.
 func FuzzSiteArgs(f *testing.F) {
 	// Byte layout: |X|, X…, #patterns−1, (arity, values…)…, |cfd.X|,
 	// X…, |cfd.Y|, Y…, #rows, (|LHS|, LHS…, |RHS|, RHS…)…, #blocks,
 	// blocks+2…, restrict, #inserts, (arity, values…)…, #deletes,
-	// deletes+2…. Every seed's spec X is [a].
+	// deletes+2…, |ship attrs|, attrs…, #ship rows, ship block+2,
+	// inserts-or-deletes, row values…. Every seed's spec X is [a].
 	f.Add([]byte{1, 0, 0, 2, 0, 2, 1, 0, 1, 1, 1, 1, 0, 1, 4, 1, 2, 0})                // spec pattern (x, p): SigmaStats
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 2, 1, 2, 0, 2, 1, 3, 1, 2, 0})          // (x, p ‖ m): DetectConstantsLocal
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 2, 0, 2, 1, 4, 1, 2, 0})          // (x, p ‖ _): the seeding FoldDetect
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 4, 1, 1, 1, 4, 1, 4, 1}) // block K, restricted: the non-seed FoldDetect
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0})                                  // insert (x): ApplyDelta
+	// [a] -> [b] over blocks (x), (y), shipping (x, p), (y, m) as block 0
+	// over [a, b] (folded), then over [b, a] (rejected).
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 1, 2, 0, 0, 0, 2, 0, 1, 2, 2, 0, 0, 2, 1, 3})
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 1, 2, 0, 0, 0, 2, 1, 0, 2, 2, 0, 0, 2, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzArgs(data)
 		spec := &BlockSpec{X: b.strings(4, fuzzAttrs)}
@@ -151,6 +179,23 @@ func FuzzSiteArgs(f *testing.F) {
 		for n := b.next(4); n > 0; n-- {
 			d.Deletes = append(d.Deletes, b.next(12)-2)
 		}
+		shipAttrs, shipRows, shipBlock, shipDel := b.strings(4, fuzzAttrs), b.next(4), b.next(8)-2, b.next(2) == 1
+		var shipped []*DeltaBlocks
+		if ss, err := relation.NewSchema("T_ship", shipAttrs); err == nil {
+			r := relation.New(ss)
+			for ; shipRows > 0; shipRows-- {
+				row := make(relation.Tuple, len(shipAttrs))
+				for k := range row {
+					row[k] = fuzzValues[b.next(len(fuzzValues))]
+				}
+				r.MustAppend(row)
+			}
+			db := &DeltaBlocks{Ins: map[int]*relation.Relation{shipBlock: r}}
+			if shipDel {
+				db = &DeltaBlocks{Del: map[int]*relation.Relation{shipBlock: r}}
+			}
+			shipped = []*DeltaBlocks{db}
+		}
 		attrs := append(append([]string(nil), spec.X...), c.Y...)
 		cfds := []*cfd.CFD{c}
 
@@ -169,6 +214,10 @@ func FuzzSiteArgs(f *testing.F) {
 		_, _ = s.FoldDetect(ctx, args)
 		_, _ = s.ApplyDelta(ctx, d, "")
 		_, _ = s.ExtractDeltaBlocks(ctx, spec, attrs, blocks, 0)
+		_, _ = s.FoldDetect(ctx, args)
+		args.Shipped = shipped
+		_, _ = s.FoldDetect(ctx, args)
+		args.Seed = true
 		_, _ = s.FoldDetect(ctx, args)
 		if n := s.PendingDeposits(); n != 0 {
 			t.Fatalf("%d deposit tasks buffered", n)

@@ -291,3 +291,65 @@ func TestIncrementalUnitsOverlap(t *testing.T) {
 		}
 	}
 }
+
+// applyBarrierSite announces every ApplyDelta on arrive and holds it
+// until the test closes release, or fails it after a timeout.
+type applyBarrierSite struct {
+	*Site
+	arrive  chan struct{}
+	release chan struct{}
+}
+
+func (b *applyBarrierSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (DeltaInfo, error) {
+	b.arrive <- struct{}{}
+	select {
+	case <-b.release:
+		return b.Site.ApplyDelta(ctx, d, nonce)
+	case <-time.After(5 * time.Second):
+		return DeltaInfo{}, errors.New("ApplyDelta held alone at the barrier: the sites' deltas were applied one at a time")
+	}
+}
+
+// TestDetectDeltaAppliesConcurrently: DetectDelta applies its per-site
+// deltas at every site at once, so all three sites' ApplyDelta calls
+// are in flight together, and the round still equals a fresh Detect.
+func TestDetectDeltaAppliesConcurrently(t *testing.T) {
+	const n = 3
+	arrive, release := make(chan struct{}, n), make(chan struct{})
+	schema := relation.MustSchema("R", []string{"a", "b"})
+	sites := make([]SiteAPI, n)
+	deltas := make(map[int]relation.Delta, n)
+	for i := range sites {
+		frag := relation.New(schema)
+		for k := 0; k < 10; k++ {
+			frag.MustAppend(relation.Tuple{"a" + itoa(k%4), "b" + itoa((k+i)%3)})
+		}
+		sites[i] = &applyBarrierSite{Site: NewSite(i, frag, relation.True()), arrive: arrive, release: release}
+		deltas[i] = relation.Delta{Inserts: []relation.Tuple{{"a9", "b" + itoa(i)}}, Deletes: []int{0}}
+	}
+	cl, err := NewCluster(schema, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileSet(context.Background(), cl, []*cfd.CFD{cfd.MustParse(`d1: [a] -> [b]`)}, PatDetectS, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range n {
+			<-arrive
+		}
+		close(release)
+	}()
+	res, err := p.DetectDelta(context.Background(), deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := p.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !identicalRelations(res.PerCFD[0], fresh.PerCFD[0]) || res.PerCFD[0].Len() == 0 {
+		t.Errorf("round after the concurrent apply %v, fresh %v", res.PerCFD[0], fresh.PerCFD[0])
+	}
+}

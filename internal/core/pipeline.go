@@ -208,12 +208,19 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if u.opt.NoPackedShip {
-				batches[l].DropPacked()
+			batch := batches[l]
+			if batch == nil || batch.Len() == 0 {
+				continue
 			}
-			if err := cl.ship(ctx, fs, m.ShipTuples, i, coords[l], BlockTask(task, l), batches[l]); err != nil {
+			if u.opt.NoPackedShip {
+				batch.DropPacked()
+			}
+			// The nonce is minted above the failure hook's retry loop: a
+			// retried deposit whose first attempt landed dedups at the site.
+			if err := fs.sites[coords[l]].Deposit(ctx, BlockTask(task, l), batch, cl.newTask("dep")); err != nil {
 				return err
 			}
+			m.ShipTuples(i, coords[l], batch.Len(), dist.RelationBytes(batch))
 		}
 		return nil
 	}); err != nil {

@@ -34,9 +34,9 @@ const (
 // SiteAPI is the complete set of operations the detection algorithms
 // ask of a site. Every method executes *at the site*: implementations
 // are the in-process Site below and the net/rpc client in
-// internal/remote. Only Deposit moves tuples between sites; everything
-// else returns counts, patterns, or (projections of) local data the
-// caller explicitly ships.
+// internal/remote. Only Deposit and FoldDetect's shipped delta blocks
+// move tuples between sites; everything else returns counts, patterns,
+// or (projections of) local data the caller explicitly ships.
 //
 // Work methods take a context.Context: the in-process site checks it
 // before starting, and the remote proxy additionally honors it while
@@ -130,9 +130,9 @@ type SiteAPI interface {
 	// (IsStaleIncremental), telling the driver to reseed.
 	ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (*DeltaBlocks, error)
 	// FoldDetect folds this site's own delta (its local blocks) plus
-	// the delta deposits shipped for the session into the session's
-	// retained per-(CFD, block) group states and returns the current
-	// violating X-patterns per CFD over the listed blocks.
+	// the other sites' delta blocks args.Shipped carries into the
+	// session's retained per-(CFD, block) group states and returns the
+	// current violating X-patterns per CFD over the listed blocks.
 	FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error)
 	// DropSession releases the retained incremental state of a session
 	// (reseed or teardown). Unknown sessions are a no-op.

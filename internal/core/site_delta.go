@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/engine"
@@ -82,11 +83,15 @@ type FoldArgs struct {
 	CFDs           []*cfd.CFD
 	RestrictSingle bool
 	// Seed resets the session's states and folds the full local blocks
-	// (deposits then carry the other sites' full blocks as inserts).
+	// (Shipped then carries the other sites' full blocks as inserts).
 	Seed bool
 	// FromGen is the local-delta watermark: non-seed folds consume the
 	// log suffix after it for the session's blocks.
 	FromGen int64
+	// Shipped carries the other sites' delta blocks for this
+	// coordinator, one entry per source site (ToGen unused). Every
+	// block must be one of Blocks, projected exactly as the fold is.
+	Shipped []*DeltaBlocks
 }
 
 // FoldReply reports a coordinator's fold: the current violating
@@ -376,6 +381,9 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	if err != nil {
 		return nil, err
 	}
+	if err := checkShipped(args, ps); err != nil {
+		return nil, fmt.Errorf("core: site %d: %w", s.id, err)
+	}
 
 	if args.Seed {
 		// Fence out stale sessions before (re)creating this one if the
@@ -410,8 +418,6 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 		if err != nil {
 			return nil, err
 		}
-		depIns := s.takeDeposits(BlockTask(args.Session, l) + "/ins")
-		depDel := s.takeDeposits(BlockTask(args.Session, l) + "/del")
 		for _, st := range states {
 			if err := st.FoldRelation(localIns[l], true); err != nil {
 				return nil, err
@@ -419,13 +425,13 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 			if err := st.FoldRelation(localDel[l], false); err != nil {
 				return nil, err
 			}
-			for _, dep := range depIns {
-				if err := st.FoldRelation(dep, true); err != nil {
+			for _, db := range args.Shipped {
+				if err := st.FoldRelation(db.Ins[l], true); err != nil {
 					return nil, err
 				}
 			}
-			for _, dep := range depDel {
-				if err := st.FoldRelation(dep, false); err != nil {
+			for _, db := range args.Shipped {
+				if err := st.FoldRelation(db.Del[l], false); err != nil {
 					return nil, err
 				}
 			}
@@ -448,6 +454,27 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 		reply.Patterns[ci] = union
 	}
 	return reply, nil
+}
+
+// checkShipped rejects, before anything folds, a shipped block the fold
+// would skip or misread: one outside args.Blocks, or one whose
+// attributes are not exactly the fold projection ps (FoldRelation
+// checks only the width, so another order would fold the wrong
+// columns).
+func checkShipped(args FoldArgs, ps *relation.Schema) error {
+	for _, db := range args.Shipped {
+		for _, blocks := range [2]map[int]*relation.Relation{db.Ins, db.Del} {
+			for l, r := range blocks {
+				if !slices.Contains(args.Blocks, l) {
+					return fmt.Errorf("shipped block %d is not one of the fold's blocks %v", l, args.Blocks)
+				}
+				if r != nil && !slices.Equal(r.Schema().Attrs(), ps.Attrs()) {
+					return fmt.Errorf("shipped block %d has attributes %v, the fold projects %v", l, r.Schema().Attrs(), ps.Attrs())
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // foldSessionFor resolves (or, seeding, resets) the named session.

@@ -17,10 +17,11 @@ import (
 	"distcfd/internal/workload"
 )
 
-// cancellingProxy wraps a RemoteSite so the first successful Deposit
-// RPC of a run cancels the driver's context — the batch has already
-// landed at the server, which is exactly the deposit a cancelled run
-// must not leak across the wire.
+// cancellingProxy wraps a RemoteSite so the first Deposit RPC of a
+// fresh run, or the first FoldDetect RPC of an incremental round,
+// cancels the driver's context once the call has landed at the server —
+// exactly the deposit (or fold session) a cancelled run must not leak
+// across the wire.
 type cancellingProxy struct {
 	core.SiteAPI
 	once   *sync.Once
@@ -35,6 +36,23 @@ func (p *cancellingProxy) Deposit(_ context.Context, task string, batch *relatio
 		p.cancel()
 	})
 	return err
+}
+
+// FoldDetect lets the fold run to completion at the server, then
+// cancels before the reply reaches the driver.
+func (p *cancellingProxy) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
+	rep, err := p.SiteAPI.FoldDetect(context.Background(), args)
+	p.once.Do(func() {
+		*p.landed = err == nil
+		p.cancel()
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // TestRemoteDetectCancelDrainsDeposits is the RPC half of the

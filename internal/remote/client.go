@@ -489,38 +489,18 @@ func (r *RemoteSite) SigmaStats(ctx context.Context, spec *core.BlockSpec) ([]in
 
 // ExtractBlock forwards to the remote site.
 func (r *RemoteSite) ExtractBlock(ctx context.Context, spec *core.BlockSpec, l int, attrs []string) (*relation.Relation, error) {
-	var reply WireRelation
-	if err := r.callCtx(ctx, "ExtractBlock", ExtractArgs{Spec: spec, Attrs: attrs, Block: l, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	return FromWire(&reply)
+	return callDecode(ctx, r, "ExtractBlock", ExtractArgs{Spec: spec, Attrs: attrs, Block: l, Deadline: deadlineNano(ctx)}, FromWire)
 }
 
 // ExtractMatching forwards to the remote site.
 func (r *RemoteSite) ExtractMatching(ctx context.Context, spec *core.BlockSpec, attrs []string) (*relation.Relation, error) {
-	var reply WireRelation
-	if err := r.callCtx(ctx, "ExtractMatching", ExtractArgs{Spec: spec, Attrs: attrs, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	return FromWire(&reply)
+	return callDecode(ctx, r, "ExtractMatching", ExtractArgs{Spec: spec, Attrs: attrs, Deadline: deadlineNano(ctx)}, FromWire)
 }
 
 // ExtractBlocksBatch forwards to the remote site.
 func (r *RemoteSite) ExtractBlocksBatch(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int) (map[int]*relation.Relation, error) {
-	var reply map[int]*WireRelation
-	if err := r.callCtx(ctx, "ExtractBlocksBatch",
-		ExtractArgs{Spec: spec, Attrs: attrs, Wanted: wanted, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	out := make(map[int]*relation.Relation, len(reply))
-	for l, w := range reply {
-		rel, err := FromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out[l] = rel
-	}
-	return out, nil
+	return callDecode(ctx, r, "ExtractBlocksBatch",
+		ExtractArgs{Spec: spec, Attrs: attrs, Wanted: wanted, Deadline: deadlineNano(ctx)}, fromWireMap)
 }
 
 // Deposit forwards a shipped batch to the remote site. The nonce rides
@@ -548,41 +528,25 @@ func (r *RemoteSite) Cancel(taskKey string) error {
 
 // DetectTask forwards to the remote site.
 func (r *RemoteSite) DetectTask(ctx context.Context, task string, local core.LocalInput, cfds []*cfd.CFD) ([]*relation.Relation, error) {
-	var reply []*WireRelation
-	if err := r.callCtx(ctx, "DetectTask",
-		DetectTaskArgs{Task: task, Local: local, CFDs: cfds, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	return fromWireSlice(reply)
+	return callDecode(ctx, r, "DetectTask",
+		DetectTaskArgs{Task: task, Local: local, CFDs: cfds, Deadline: deadlineNano(ctx)}, fromWireSlice)
 }
 
 // DetectAssignedSingle forwards to the remote site.
 func (r *RemoteSite) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error) {
-	var reply WireRelation
-	if err := r.callCtx(ctx, "DetectAssignedSingle",
-		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	return FromWire(&reply)
+	return callDecode(ctx, r, "DetectAssignedSingle",
+		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c, Deadline: deadlineNano(ctx)}, FromWire)
 }
 
 // DetectAssignedSet forwards to the remote site.
 func (r *RemoteSite) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
-	var reply []*WireRelation
-	if err := r.callCtx(ctx, "DetectAssignedSet",
-		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	return fromWireSlice(reply)
+	return callDecode(ctx, r, "DetectAssignedSet",
+		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds, Deadline: deadlineNano(ctx)}, fromWireSlice)
 }
 
 // DetectConstantsLocal forwards to the remote site.
 func (r *RemoteSite) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.Relation, error) {
-	var reply WireRelation
-	if err := r.callCtx(ctx, "DetectConstantsLocal", ConstantsArgs{CFD: c, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	return FromWire(&reply)
+	return callDecode(ctx, r, "DetectConstantsLocal", ConstantsArgs{CFD: c, Deadline: deadlineNano(ctx)}, FromWire)
 }
 
 // ApplyDelta forwards a fragment delta and its apply-once nonce. The
@@ -602,44 +566,26 @@ func (r *RemoteSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce str
 
 // ExtractDeltaBlocks forwards to the remote site.
 func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int, fromGen int64) (*core.DeltaBlocks, error) {
-	var reply DeltaBlocksReply
-	if err := r.callCtx(ctx, "ExtractDeltaBlocks",
-		DeltaBlocksArgs{Spec: spec, Attrs: attrs, Wanted: wanted, FromGen: fromGen, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
-	}
-	out := &core.DeltaBlocks{
-		ToGen: reply.ToGen,
-		Ins:   make(map[int]*relation.Relation, len(reply.Ins)),
-		Del:   make(map[int]*relation.Relation, len(reply.Del)),
-	}
-	for l, w := range reply.Ins {
-		rel, err := FromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out.Ins[l] = rel
-	}
-	for l, w := range reply.Del {
-		rel, err := FromWire(w)
-		if err != nil {
-			return nil, err
-		}
-		out.Del[l] = rel
-	}
-	return out, nil
+	return callDecode(ctx, r, "ExtractDeltaBlocks",
+		DeltaBlocksArgs{Spec: spec, Attrs: attrs, Wanted: wanted, FromGen: fromGen, Deadline: deadlineNano(ctx)}, deltaFromWire)
 }
 
-// FoldDetect forwards to the remote site.
+// FoldDetect forwards to the remote site, the shipped delta blocks
+// inline.
 func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
-	var reply FoldReply
-	if err := r.callCtx(ctx, "FoldDetect", FoldArgs{FoldArgs: args, Deadline: deadlineNano(ctx)}, &reply); err != nil {
-		return nil, err
+	w := FoldArgs{Session: args.Session, Spec: args.Spec, Blocks: args.Blocks, CFDs: args.CFDs,
+		RestrictSingle: args.RestrictSingle, Seed: args.Seed, FromGen: args.FromGen,
+		Shipped: make([]DeltaBlocksReply, len(args.Shipped)), Deadline: deadlineNano(ctx)}
+	for i, db := range args.Shipped {
+		w.Shipped[i] = deltaToWire(db)
 	}
-	pats, err := fromWireSlice(reply.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	return &core.FoldReply{Patterns: pats, ToGen: reply.ToGen}, nil
+	return callDecode(ctx, r, "FoldDetect", w, func(reply FoldReply) (*core.FoldReply, error) {
+		pats, err := fromWireSlice(reply.Patterns)
+		if err != nil {
+			return nil, err
+		}
+		return &core.FoldReply{Patterns: pats, ToGen: reply.ToGen}, nil
+	})
 }
 
 // DropSession forwards the retained-state release; like Abort/Cancel
@@ -670,6 +616,29 @@ func (r *RemoteSite) Close() error {
 		return err
 	}
 	return nil
+}
+
+// callDecode performs one call whose reply carries relations and
+// decodes the reply — through FromWire's verification — with decode.
+func callDecode[W, T any](ctx context.Context, r *RemoteSite, method string, args any, decode func(W) (T, error)) (T, error) {
+	var reply W
+	if err := r.callCtx(ctx, method, args, &reply); err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(reply)
+}
+
+func fromWireMap(ws map[int]*WireRelation) (map[int]*relation.Relation, error) {
+	out := make(map[int]*relation.Relation, len(ws))
+	for l, w := range ws {
+		rel, err := FromWire(w)
+		if err != nil {
+			return nil, err
+		}
+		out[l] = rel
+	}
+	return out, nil
 }
 
 func fromWireSlice(ws []*WireRelation) ([]*relation.Relation, error) {

@@ -8,6 +8,7 @@ import (
 	"net/rpc"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -174,6 +175,104 @@ func TestHostilePackedDepositRejected(t *testing.T) {
 	}
 	if !pats[0].SameTuples(want) || want.Len() == 0 {
 		t.Errorf("valid deposit detected %v, want %v", pats[0], want)
+	}
+}
+
+// TestHostileShippedFoldRejected drives each crasher — among them chunks
+// holding IDs past their dictionary — as a delta block shipped inside a
+// FoldDetect: the call is refused with a plain error before the site
+// sees any of it, the server keeps serving, and the session it named
+// folded nothing — valid folds that follow report what a fresh
+// detection over the same rows does.
+func TestHostileShippedFoldRejected(t *testing.T) {
+	frag := relation.New(relation.MustSchema("R", []string{"a", "b"}))
+	frag.MustAppend(relation.Tuple{"a0", "b9"})
+	site := core.NewSite(0, frag, relation.True())
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = ServeAPIContext(ctx, lis, site, frag.Schema()) }()
+	raw, err := rpc.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	sites, _, err := Dial([]string{lis.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sites[0].(*RemoteSite).Close()
+	spec, err := core.NewBlockSpec([]string{"a"}, [][]string{{cfd.Wildcard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fold ships w into the session as block 0's inserts or deletes.
+	fold := func(w *WireRelation, ins bool) ([]*relation.Relation, error) {
+		args := FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{hostileCFD}}
+		if ins {
+			args.Shipped = []DeltaBlocksReply{{Ins: map[int]*WireRelation{0: w}}}
+		} else {
+			args.Shipped = []DeltaBlocksReply{{Del: map[int]*WireRelation{0: w}}}
+		}
+		var reply FoldReply
+		if err := raw.Call(serviceName+".FoldDetect", args, &reply); err != nil {
+			return nil, err
+		}
+		return fromWireSlice(reply.Patterns)
+	}
+	// fresh detects block 0 over the local row plus w, if any.
+	fresh := func(w *WireRelation) *relation.Relation {
+		task := "fresh-" + strconv.FormatBool(w != nil)
+		if w != nil {
+			if err := raw.Call(serviceName+".Deposit", DepositArgs{Task: core.BlockTask(task, 0), Batch: w}, &struct{}{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pats, err := sites[0].DetectAssignedSet(context.Background(), task, spec, []int{0}, []*cfd.CFD{hostileCFD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pats[0]
+	}
+	// Seed the session over the local row alone.
+	if err := raw.Call(serviceName+".FoldDetect", FoldArgs{Session: "s", Spec: spec, Blocks: []int{0},
+		CFDs: []*cfd.CFD{hostileCFD}, Seed: true}, &FoldReply{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range hostileCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, w := hostileBase(t)
+			tc.mutate(w)
+			_, err := fold(w, true)
+			if err == nil {
+				t.Fatal("malformed shipped block was accepted")
+			}
+			if core.ErrCodeOf(decodeError(err)) != "" {
+				t.Errorf("rejection should be a plain, non-transient error, got %v", err)
+			}
+		})
+	}
+	_, w := hostileBase(t)
+	got, err := fold(w, true)
+	if err != nil {
+		t.Fatalf("server stopped folding after the rejected blocks: %v", err)
+	}
+	if want := fresh(w); !got[0].SameTuples(want) || want.Len() == 0 {
+		t.Errorf("valid fold after the rejected ones %v, fresh detection %v", got[0], want)
+	}
+	// Deleting the payload again leaves the local row alone: nothing a
+	// rejected block carried stayed in the session.
+	if got, err = fold(w, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh(nil); !got[0].SameTuples(want) {
+		t.Errorf("fold after deleting the payload %v, fresh detection %v", got[0], want)
+	}
+	if n := site.PendingDeposits(); n != 0 {
+		t.Errorf("%d deposit tasks buffered", n)
 	}
 }
 

@@ -107,11 +107,11 @@ func TestRemoteIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestRemoteIncrementalCancelMidDelta cancels an incremental round
-// while its delta blocks are being shipped over TCP: every server must
-// end with zero pending deposits (drain + tombstone), and the next
-// round must transparently reseed and match the one-shot path.
-func TestRemoteIncrementalCancelMidDelta(t *testing.T) {
+// TestRemoteIncrementalCancelMidFold cancels an incremental round over
+// TCP once a coordinator's fold — carrying its shipped delta blocks —
+// has landed: every server must end with zero pending deposits, and the
+// next round must transparently reseed and match the one-shot path.
+func TestRemoteIncrementalCancelMidFold(t *testing.T) {
 	data := workload.Cust(workload.CustConfig{N: 2_000, Seed: 9, ErrRate: 0.05})
 	h, err := partition.Uniform(data, 3, 2)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestRemoteIncrementalCancelMidDelta(t *testing.T) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
 	if !landed {
-		t.Fatal("no delta deposit landed before the cancel — the drain assertion would be vacuous")
+		t.Fatal("no fold landed before the cancel — the cleanup assertions would be vacuous")
 	}
 	for i, s := range served {
 		if n := s.PendingDeposits(); n != 0 {

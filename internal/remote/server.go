@@ -128,8 +128,21 @@ func (s *SiteService) work(deadlineNano int64, fn func(ctx context.Context) erro
 	return encodeError(fn(ctx))
 }
 
-// toWireSlice and toWireMap convert a handler's relations for the
-// reply.
+// into is the tail of a work handler: on success the site's result,
+// converted by toWire, becomes the reply.
+func into[T, W any](reply *W, toWire func(T) W) func(T, error) error {
+	return func(v T, err error) error {
+		if err == nil {
+			*reply = toWire(v)
+		}
+		return err
+	}
+}
+
+// wireValue, toWireSlice and toWireMap convert a handler's relations for
+// the reply.
+func wireValue(r *relation.Relation) WireRelation { return *ToWire(r) }
+
 func toWireSlice(rs []*relation.Relation) []*WireRelation {
 	out := make([]*WireRelation, len(rs))
 	for i, r := range rs {
@@ -203,33 +216,21 @@ type ExtractArgs struct {
 // ExtractBlock returns one σ-block.
 func (s *SiteService) ExtractBlock(args ExtractArgs, reply *WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		r, err := s.site.ExtractBlock(ctx, args.Spec, args.Block, args.Attrs)
-		if err == nil {
-			*reply = *ToWire(r)
-		}
-		return err
+		return into(reply, wireValue)(s.site.ExtractBlock(ctx, args.Spec, args.Block, args.Attrs))
 	})
 }
 
 // ExtractMatching returns all matching tuples.
 func (s *SiteService) ExtractMatching(args ExtractArgs, reply *WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		r, err := s.site.ExtractMatching(ctx, args.Spec, args.Attrs)
-		if err == nil {
-			*reply = *ToWire(r)
-		}
-		return err
+		return into(reply, wireValue)(s.site.ExtractMatching(ctx, args.Spec, args.Attrs))
 	})
 }
 
 // ExtractBlocksBatch returns several blocks in one pass.
 func (s *SiteService) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		batches, err := s.site.ExtractBlocksBatch(ctx, args.Spec, args.Attrs, args.Wanted)
-		if err == nil {
-			*reply = toWireMap(batches)
-		}
-		return err
+		return into(reply, toWireMap)(s.site.ExtractBlocksBatch(ctx, args.Spec, args.Attrs, args.Wanted))
 	})
 }
 
@@ -282,11 +283,7 @@ type DetectTaskArgs struct {
 // DetectTask runs detection for the task.
 func (s *SiteService) DetectTask(args DetectTaskArgs, reply *[]*WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		pats, err := s.site.DetectTask(ctx, args.Task, args.Local, args.CFDs)
-		if err == nil {
-			*reply = toWireSlice(pats)
-		}
-		return err
+		return into(reply, toWireSlice)(s.site.DetectTask(ctx, args.Task, args.Local, args.CFDs))
 	})
 }
 
@@ -303,22 +300,14 @@ type DetectAssignedArgs struct {
 // DetectAssignedSingle runs the PatDetect coordinator step.
 func (s *SiteService) DetectAssignedSingle(args DetectAssignedArgs, reply *WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		pats, err := s.site.DetectAssignedSingle(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFD)
-		if err == nil {
-			*reply = *ToWire(pats)
-		}
-		return err
+		return into(reply, wireValue)(s.site.DetectAssignedSingle(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFD))
 	})
 }
 
 // DetectAssignedSet runs the coordinator step of a merged cluster.
 func (s *SiteService) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		pats, err := s.site.DetectAssignedSet(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFDs)
-		if err == nil {
-			*reply = toWireSlice(pats)
-		}
-		return err
+		return into(reply, toWireSlice)(s.site.DetectAssignedSet(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFDs))
 	})
 }
 
@@ -331,11 +320,7 @@ type ConstantsArgs struct {
 // DetectConstantsLocal checks constant units locally (Prop. 5).
 func (s *SiteService) DetectConstantsLocal(args ConstantsArgs, reply *WireRelation) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		pats, err := s.site.DetectConstantsLocal(ctx, args.CFD)
-		if err == nil {
-			*reply = *ToWire(pats)
-		}
-		return err
+		return into(reply, wireValue)(s.site.DetectConstantsLocal(ctx, args.CFD))
 	})
 }
 
@@ -379,23 +364,45 @@ type DeltaBlocksReply struct {
 	Ins, Del map[int]*WireRelation
 }
 
+// deltaToWire and deltaFromWire convert delta blocks at both ends:
+// an ExtractDeltaBlocks reply and the blocks a FoldDetect ships. Every
+// payload passes FromWire's verification on the way in.
+func deltaToWire(db *core.DeltaBlocks) DeltaBlocksReply {
+	return DeltaBlocksReply{ToGen: db.ToGen, Ins: toWireMap(db.Ins), Del: toWireMap(db.Del)}
+}
+
+func deltaFromWire(w DeltaBlocksReply) (*core.DeltaBlocks, error) {
+	ins, err := fromWireMap(w.Ins)
+	if err != nil {
+		return nil, err
+	}
+	del, err := fromWireMap(w.Del)
+	if err != nil {
+		return nil, err
+	}
+	return &core.DeltaBlocks{ToGen: w.ToGen, Ins: ins, Del: del}, nil
+}
+
 // ExtractDeltaBlocks returns the σ-routed delta blocks.
 func (s *SiteService) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlocksReply) error {
 	return s.work(args.Deadline, func(ctx context.Context) error {
-		db, err := s.site.ExtractDeltaBlocks(ctx, args.Spec, args.Attrs, args.Wanted, args.FromGen)
-		if err == nil {
-			*reply = DeltaBlocksReply{ToGen: db.ToGen, Ins: toWireMap(db.Ins), Del: toWireMap(db.Del)}
-		}
-		return err
+		return into(reply, deltaToWire)(s.site.ExtractDeltaBlocks(ctx, args.Spec, args.Attrs, args.Wanted, args.FromGen))
 	})
 }
 
-// FoldArgs is core.FoldArgs plus the driver's deadline stamp. The
-// embedded fields are declared in core, where wire.golden does not see
-// them: a change to core.FoldArgs bumps WireVersion by hand.
+// FoldArgs is core.FoldArgs on the wire, field by field (so wire.golden
+// sees every one), plus the driver's deadline stamp. Shipped holds one
+// entry per source site; only Ins and Del are read.
 type FoldArgs struct {
-	core.FoldArgs
-	Deadline int64
+	Session        string
+	Spec           *core.BlockSpec
+	Blocks         []int
+	CFDs           []*cfd.CFD
+	RestrictSingle bool
+	Seed           bool
+	FromGen        int64
+	Shipped        []DeltaBlocksReply
+	Deadline       int64
 }
 
 // FoldReply carries the coordinator's per-CFD violating patterns.
@@ -404,14 +411,23 @@ type FoldReply struct {
 	ToGen    int64
 }
 
-// FoldDetect runs the coordinator's incremental step.
+// FoldDetect runs the coordinator's incremental step over the shipped
+// delta blocks, which are verified before the site sees any of them.
 func (s *SiteService) FoldDetect(args FoldArgs, reply *FoldReply) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
-		rep, err := s.site.FoldDetect(ctx, args.FoldArgs)
-		if err == nil {
-			*reply = FoldReply{Patterns: toWireSlice(rep.Patterns), ToGen: rep.ToGen}
+	fa := core.FoldArgs{Session: args.Session, Spec: args.Spec, Blocks: args.Blocks, CFDs: args.CFDs,
+		RestrictSingle: args.RestrictSingle, Seed: args.Seed, FromGen: args.FromGen,
+		Shipped: make([]*core.DeltaBlocks, len(args.Shipped))}
+	for i, w := range args.Shipped {
+		db, err := deltaFromWire(w)
+		if err != nil {
+			return encodeError(err)
 		}
-		return err
+		fa.Shipped[i] = db
+	}
+	return s.work(args.Deadline, func(ctx context.Context) error {
+		return into(reply, func(rep *core.FoldReply) FoldReply {
+			return FoldReply{Patterns: toWireSlice(rep.Patterns), ToGen: rep.ToGen}
+		})(s.site.FoldDetect(ctx, fa))
 	})
 }
 
