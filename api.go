@@ -323,17 +323,17 @@ func NewLocalCluster(d *Relation) (*Cluster, error) {
 	return NewCluster(&Horizontal{Schema: d.Schema(), Fragments: []*Relation{d}})
 }
 
-// DialConfig tunes the client side of the wire: the per-site dial and
-// handshake budget and CallTimeout, the per-RPC I/O budget — a site
-// that does not answer a call within it is treated as failed instead of
-// blocking the run forever. The budget is fixed at dial for the life of
-// the cluster's connections; a deadline for a whole detection run is the
+// DialConfig tunes the client side of the wire: CallTimeout, each
+// RPC's budget — a site that does not answer a call within it is
+// treated as failed instead of blocking the run forever, and abandons
+// the call's work. The budget is fixed at dial for the life of the
+// cluster's connections; a deadline for a whole detection run is the
 // caller's business — pass a context.WithTimeout/WithDeadline ctx to
 // Detect.
 type DialConfig = remote.DialConfig
 
-// NewRemoteClusterConfig is NewRemoteCluster with explicit dial and
-// per-call I/O timeouts (see DialConfig); position in addrs = site ID.
+// NewRemoteClusterConfig is NewRemoteCluster with an explicit per-call
+// budget (see DialConfig); position in addrs = site ID.
 func NewRemoteClusterConfig(addrs []string, cfg DialConfig) (*Cluster, error) {
 	sites, schema, err := remote.DialWithConfig(addrs, cfg)
 	if err != nil {

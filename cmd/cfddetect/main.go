@@ -56,8 +56,8 @@ func main() {
 		mineTheta = flag.Float64("mine", 0, "mining threshold θ for wildcard CFDs (0 = off)")
 		remote    = flag.String("remote", "", "comma-separated cfdsite addresses (overrides -data/-sites)")
 		seed      = flag.Int64("seed", 1, "partitioning seed")
-		timeout   = flag.Duration("timeout", 0, "per-RPC I/O timeout against remote sites (0 = none)")
-		deadline  = flag.Duration("deadline", 0, "overall wall-clock budget for the detection run; propagates to remote sites as an absolute per-task deadline so they abandon work the driver gave up on (0 = none)")
+		timeout   = flag.Duration("timeout", 0, "per-RPC budget against remote sites: the call fails and the site abandons its work after it (0 = none)")
+		deadline  = flag.Duration("deadline", 0, "overall wall-clock budget for the detection run; propagates to remote sites as each call's remaining budget so they abandon work the driver gave up on (0 = none)")
 		follow    = flag.Bool("follow", false, "after the initial detection, consume a JSON delta stream from stdin and re-detect incrementally per delta")
 		lint      = flag.Bool("lint", false, "statically analyze the rule set (consistency, implied rules, duplicates) and exit; no data needed")
 		sigmaMode = flag.String("sigma", "off", "compile-time Σ analysis: off | check (fail fast on inconsistent Σ)")

@@ -1,13 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"distcfd/internal/partition"
 	"distcfd/internal/relation"
 	"distcfd/internal/workload"
 )
@@ -143,5 +150,89 @@ func TestCLIFollowDeltaStream(t *testing.T) {
 	// must report more phi1 patterns than the 2 the base data has.
 	if !strings.Contains(text, "phi1=3") {
 		t.Errorf("-follow did not pick up the injected violation:\n%s", text)
+	}
+}
+
+// startSite runs a cfdsite child over one fragment and returns its
+// address, read from the line the site prints once it listens.
+func startSite(t *testing.T, site string, id int, frag *relation.Relation, extra ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("frag%d.csv", id))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := relation.WriteCSV(f, frag); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	cmd := exec.Command(site, append([]string{"-data", path, "-id", fmt.Sprint(id)}, extra...)...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	_, addr, ok := strings.Cut(strings.TrimSpace(line), " tuples on ")
+	if err != nil || !ok {
+		t.Fatalf("site %d did not report its address: %q, %v", id, line, err)
+	}
+	go io.Copy(io.Discard, stdout)
+	return addr
+}
+
+// TestCLIDegradedNeverReadsClean drives -policy degrade against cfdsite
+// children, one of them crashed from its first work call: the run
+// completes over the reachable fragments, exits 3 and names the
+// excluded site and a coverage below 100 % on stderr — also for a rule
+// set with no violation among the reachable fragments, whose empty
+// answer must not read as a clean one.
+func TestCLIDegradedNeverReadsClean(t *testing.T) {
+	detect, _, rulesPath := cliFixture(t)
+	site := filepath.Join(filepath.Dir(detect), "cfdsite")
+	build := exec.Command("go", "build", "-o", site, "./cmd/cfdsite")
+	build.Dir = "../.."
+	if b, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building cfdsite: %v\n%s", err, b)
+	}
+	h, err := partition.Uniform(workload.EMPData(), 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, h.N())
+	for i, frag := range h.Fragments {
+		var extra []string
+		if i == 2 {
+			extra = []string{"-fault-plan", "crash=1"}
+		}
+		addrs[i] = startSite(t, site, i, frag, extra...)
+	}
+	cleanRules := filepath.Join(filepath.Dir(rulesPath), "clean.cfd")
+	if err := os.WriteFile(cleanRules, []byte("keyed: [id] -> [name] : (_ || _)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coverage := regexp.MustCompile(`partial result: excluded site\(s\) \[2\], coverage ([0-9.]+)%`)
+	for _, rules := range []string{rulesPath, cleanRules} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(detect, "-rules", rules, "-remote", strings.Join(addrs, ","), "-policy", "degrade")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 3 {
+			t.Fatalf("%s: cfddetect -policy degrade = %v, want exit 3\nstdout:\n%s\nstderr:\n%s", rules, err, stdout.String(), stderr.String())
+		}
+		m := coverage.FindStringSubmatch(stderr.String())
+		if m == nil {
+			t.Fatalf("%s: stderr lacks the partial-result line naming site 2:\n%s", rules, stderr.String())
+		}
+		if c, err := strconv.ParseFloat(m[1], 64); err != nil || c >= 100 {
+			t.Errorf("%s: coverage %s%%, want below 100", rules, m[1])
+		}
+		if rules == cleanRules && !strings.Contains(stdout.String(), "keyed: 0 violating pattern(s)") {
+			t.Errorf("the keyed rule found violations among the reachable fragments:\n%s", stdout.String())
+		}
 	}
 }

@@ -1,11 +1,11 @@
 // RPC cluster: the multi-process deployment mode. This example spins
 // up three detection sites as real net/rpc TCP servers (in-process
 // here for convenience; cmd/cfdsite runs the identical server as a
-// standalone daemon), connects a driver with timeouts configured,
+// standalone daemon), connects a driver with a call budget configured,
 // compiles a detection session, and serves repeated queries over
 // actual sockets — statistics exchange, tuple shipment and coordinator
 // detection all cross the network, and a hung site can stall a run
-// only up to the per-call I/O budget.
+// only up to the per-call budget.
 package main
 
 import (
@@ -46,7 +46,6 @@ func main() {
 	// CallTimeout bounds every RPC so a wedged site fails the run
 	// instead of hanging it; it is set once, at dial.
 	cluster, err := distcfd.NewRemoteClusterConfig(addrs, distcfd.DialConfig{
-		DialTimeout: 5 * time.Second,
 		CallTimeout: 10 * time.Second,
 	})
 	if err != nil {

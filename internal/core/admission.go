@@ -121,11 +121,7 @@ func (a *Admission) Queued() int {
 }
 
 func (a *Admission) drainingErr() error {
-	return &CodedError{
-		Code:        CodeDraining,
-		Msg:         fmt.Sprintf("core: site %d draining, not accepting work", a.inner.ID()),
-		NotExecuted: true,
-	}
+	return NotRun(CodeDraining, "core: site %d draining, not accepting work", a.inner.ID())
 }
 
 func (a *Admission) overloadedErr(queued bool) error {
@@ -133,12 +129,9 @@ func (a *Admission) overloadedErr(queued bool) error {
 	if queued {
 		why = "no slot within wait budget"
 	}
-	return &CodedError{
-		Code:        CodeOverloaded,
-		Msg:         fmt.Sprintf("core: site %d overloaded (%s), retry after %v", a.inner.ID(), why, a.policy.MaxWait),
-		NotExecuted: true,
-		RetryAfter:  a.policy.MaxWait,
-	}
+	err := NotRun(CodeOverloaded, "core: site %d overloaded (%s), retry after %v", a.inner.ID(), why, a.policy.MaxWait)
+	err.RetryAfter = a.policy.MaxWait
+	return err
 }
 
 // acquire admits one work call: it returns a release func on success,

@@ -539,3 +539,71 @@ func TestChaosIncrementalRetry(t *testing.T) {
 		})
 	}
 }
+
+// lostApplyReply applies every delta but loses the reply of the first:
+// the apply executed, so only its nonce keeps a re-issue from applying
+// it twice.
+type lostApplyReply struct {
+	*core.Site
+	lost sync.Once
+}
+
+func (s *lostApplyReply) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (core.DeltaInfo, error) {
+	info, err := s.Site.ApplyDelta(ctx, d, nonce)
+	lost := false
+	s.lost.Do(func() { lost = err == nil })
+	if lost {
+		return core.DeltaInfo{}, &core.CodedError{Code: core.CodeUnavailable, Msg: "apply reply lost"}
+	}
+	return info, err
+}
+
+// TestChaosDetectDeltaApplyReplyLost: DetectDelta applies through the
+// round's failure view. Under FailRetry an apply whose reply was lost is
+// re-issued with its nonce — the site applies it once — the round counts
+// the retry, and its figures equal the fault-free round's; under
+// FailFast the loss is the round's error.
+func TestChaosDetectDeltaApplyReplyLost(t *testing.T) {
+	ctx := context.Background()
+	run := func(wrap func(i int, s *core.Site) core.SiteAPI, opt core.Options) (*core.Result, []*core.Site, error) {
+		cl, bare := chaosCluster(t, 6, wrap)
+		p, err := core.CompileSet(ctx, cl, chaosCFDs(), core.PatDetectS, opt, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.DetectIncremental(ctx); err != nil {
+			t.Fatal(err)
+		}
+		src := append(relation.Tuple(nil), bare[0].Fragment().Tuple(3)...)
+		res, err := p.DetectDelta(ctx, map[int]relation.Delta{1: {Deletes: []int{1}, Inserts: []relation.Tuple{src}}})
+		return res, bare, err
+	}
+	want, wantBare, err := run(func(_ int, s *core.Site) core.SiteAPI { return s }, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := func(i int, s *core.Site) core.SiteAPI {
+		if i == 1 {
+			return &lostApplyReply{Site: s}
+		}
+		return s
+	}
+	got, bare, err := run(lossy, core.Options{Failure: core.FailRetry})
+	if err != nil {
+		t.Fatalf("FailRetry round with a lost apply reply: %v", err)
+	}
+	identicalViolations(t, "apply-reply-lost", got, want)
+	if got.ShippedTuples != want.ShippedTuples || got.ModeledTime != want.ModeledTime {
+		t.Errorf("round figures bent by the lost reply: %d/%v vs %d/%v",
+			got.ShippedTuples, got.ModeledTime, want.ShippedTuples, want.ModeledTime)
+	}
+	if g, w := bare[1].Generation(), wantBare[1].Generation(); g != w {
+		t.Errorf("site 1 at generation %d, the fault-free run at %d: the re-issued apply did not dedup", g, w)
+	}
+	if got.Retries == 0 || got.Faults == 0 {
+		t.Errorf("the round counts %d retries and %d faults, want the re-issued apply in both", got.Retries, got.Faults)
+	}
+	if _, _, err := run(lossy, core.Options{}); core.ErrCodeOf(err) != core.CodeUnavailable {
+		t.Errorf("FailFast round with a lost apply reply = %v, want the unavailable error", err)
+	}
+}

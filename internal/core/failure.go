@@ -128,6 +128,12 @@ type CodedError struct {
 
 func (e *CodedError) Error() string { return e.Msg }
 
+// NotRun is the error of a call that failed before it ran at the site
+// (NotExecuted), so even a non-idempotent call may retry it.
+func NotRun(code ErrCode, format string, args ...any) *CodedError {
+	return &CodedError{Code: code, Msg: fmt.Sprintf(format, args...), NotExecuted: true}
+}
+
 // ErrCodeOf extracts the ErrCode of err, or "" when it carries none.
 func ErrCodeOf(err error) ErrCode {
 	var ce *CodedError
@@ -146,39 +152,23 @@ func retryAfterOf(err error) time.Duration {
 	return 0
 }
 
-// transientErr is implemented by errors that classify themselves as
-// retryable (the fault-injection harness's injected faults).
-type transientErr interface{ Transient() bool }
-
-// preExecutionErr is implemented by errors that guarantee the failed
-// call never ran at the site.
-type preExecutionErr interface{ PreExecution() bool }
-
 // isTransient reports whether err is worth retrying: an injected or
 // transport-level failure, never a context death or a typed
 // application error (bad schema, stale state, predicate mismatch).
+// Every classified error is a CodedError (an injected fault unwraps to
+// one).
 func isTransient(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	if ce := (*CodedError)(nil); errors.As(err, &ce) {
-		return ce.Code == CodeUnavailable || ce.Code == CodeOverloaded || ce.Code == CodeDraining
-	}
-	if te := transientErr(nil); errors.As(err, &te) {
-		return te.Transient()
-	}
-	return false
+	ce := (*CodedError)(nil)
+	return errors.As(err, &ce) && (ce.Code == CodeUnavailable || ce.Code == CodeOverloaded || ce.Code == CodeDraining)
 }
 
 // preExecution reports whether err guarantees the call never executed.
 func preExecution(err error) bool {
-	if ce := (*CodedError)(nil); errors.As(err, &ce) {
-		return ce.NotExecuted
-	}
-	if pe := preExecutionErr(nil); errors.As(err, &pe) {
-		return pe.PreExecution()
-	}
-	return false
+	ce := (*CodedError)(nil)
+	return errors.As(err, &ce) && ce.NotExecuted
 }
 
 // SiteFailure attributes a failure to one site after its per-call
@@ -253,29 +243,17 @@ func (b *breaker) admit(ctx context.Context, site int, s SiteAPI) error {
 		return nil
 	case BreakerHalfOpen:
 		b.mu.Unlock()
-		return &CodedError{
-			Code:        CodeUnavailable,
-			Msg:         fmt.Sprintf("core: site %d breaker half-open, probe in flight", site),
-			NotExecuted: true,
-		}
+		return NotRun(CodeUnavailable, "core: site %d breaker half-open, probe in flight", site)
 	default: // BreakerOpen
 		if time.Since(b.openedAt) < breakerCooldown {
 			b.mu.Unlock()
-			return &CodedError{
-				Code:        CodeUnavailable,
-				Msg:         fmt.Sprintf("core: site %d breaker open", site),
-				NotExecuted: true,
-			}
+			return NotRun(CodeUnavailable, "core: site %d breaker open", site)
 		}
 		b.state = BreakerHalfOpen
 		b.mu.Unlock()
 		if err := s.Ping(ctx); err != nil {
 			b.observe(false)
-			return &CodedError{
-				Code:        CodeUnavailable,
-				Msg:         fmt.Sprintf("core: site %d breaker probe failed: %v", site, err),
-				NotExecuted: true,
-			}
+			return NotRun(CodeUnavailable, "core: site %d breaker probe failed: %v", site, err)
 		}
 		b.observe(true)
 		return nil
@@ -428,7 +406,7 @@ func (fs *faultState) totals() (retries, faults int64) {
 // errSiteExcluded guards calls routed to an already-excluded site —
 // the pipeline skips excluded sites by mask, so hitting this means a
 // unit compiled against the pre-exclusion site set; the unit re-runs.
-var errSiteExcluded = &CodedError{Code: CodeUnavailable, Msg: "core: site excluded from degraded run", NotExecuted: true}
+var errSiteExcluded = NotRun(CodeUnavailable, "core: site excluded from degraded run")
 
 // unitFailure decides whether a failed pipeline attempt is re-run:
 // FailFast never retries; FailRetry re-runs transient failures up to

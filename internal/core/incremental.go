@@ -265,11 +265,10 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 func (p *Plan) DetectIncremental(ctx context.Context) (*Result, error) {
 	p.incMu.Lock()
 	defer p.incMu.Unlock()
-	return p.detectIncrementalLocked(ctx)
+	return p.detectIncrementalLocked(ctx, newFaultState(p.cl, p.opt))
 }
 
-func (p *Plan) detectIncrementalLocked(ctx context.Context) (*Result, error) {
-	fs := newFaultState(p.cl, p.opt)
+func (p *Plan) detectIncrementalLocked(ctx context.Context, fs *faultState) (*Result, error) {
 	res, total, err := p.pass(ctx, fs, time.Now(), true)
 	if err != nil {
 		return nil, err
@@ -284,21 +283,25 @@ func (p *Plan) detectIncrementalLocked(ctx context.Context) (*Result, error) {
 // DetectDelta/DetectIncremental calls on this plan serialize instead
 // of racing mutation against a running round. (Mutating the cluster
 // from elsewhere while any detection runs remains unsupported, as for
-// all mutation.)
+// all mutation.) The applies go through the round's failure view, so
+// the round's Retries and Faults count theirs.
 func (p *Plan) DetectDelta(ctx context.Context, deltas map[int]relation.Delta) (*Result, error) {
 	p.incMu.Lock()
 	defer p.incMu.Unlock()
-	if err := applyDeltas(ctx, p.cl, deltas); err != nil {
+	fs := newFaultState(p.cl, p.opt)
+	if err := applyDeltas(ctx, p.cl, fs, deltas); err != nil {
 		return nil, err
 	}
-	return p.detectIncrementalLocked(ctx)
+	return p.detectIncrementalLocked(ctx, fs)
 }
 
-// applyDeltas applies per-site deltas at every site at once: each
-// site's generation counter is its own, so no order across sites is
-// needed for them to replay identically. A site index outside the
-// cluster is refused before anything applies.
-func applyDeltas(ctx context.Context, cl *Cluster, deltas map[int]relation.Delta) error {
+// applyDeltas applies per-site deltas at every site at once through
+// fs.sites: each site's generation counter is its own, so no order
+// across sites is needed for them to replay identically. Each apply's
+// nonce is minted here, above the failure hook, so a re-issued apply
+// dedups at the site. A site index outside the cluster is refused
+// before anything applies.
+func applyDeltas(ctx context.Context, cl *Cluster, fs *faultState, deltas map[int]relation.Delta) error {
 	for i := range deltas {
 		if i < 0 || i >= cl.N() {
 			return fmt.Errorf("core: delta for site %d of %d", i, cl.N())
@@ -309,7 +312,7 @@ func applyDeltas(ctx context.Context, cl *Cluster, deltas map[int]relation.Delta
 		if !ok {
 			return nil
 		}
-		if _, err := cl.ApplyDelta(ctx, i, d); err != nil {
+		if _, err := fs.sites[i].ApplyDelta(ctx, d, cl.newTask("delta")); err != nil {
 			return fmt.Errorf("core: applying delta at site %d: %w", i, err)
 		}
 		return nil

@@ -41,7 +41,7 @@ const (
 // Work methods take a context.Context: the in-process site checks it
 // before starting, and the remote proxy additionally honors it while
 // the call is in flight (abandoning the wait on cancellation and
-// applying the configured per-call I/O timeout). Identity accessors
+// capping it with the configured per-call budget). Identity accessors
 // and the cleanup operations (Abort, Cancel) stay context-free —
 // cleanup must run even when the run's context is already dead.
 type SiteAPI interface {

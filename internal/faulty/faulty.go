@@ -8,9 +8,9 @@
 // socket for end-to-end chaos runs.
 //
 // Injected faults happen strictly before the wrapped call executes,
-// and say so (PreExecution), so even non-idempotent operations may be
-// retried through them. They classify themselves transient
-// (Transient), which is what the core retry layer keys on.
+// and say so: a Fault unwraps to a not-executed core.CodeUnavailable
+// error, which the core retry layer keys on, so even non-idempotent
+// operations may be retried through it.
 package faulty
 
 import (
@@ -177,7 +177,9 @@ func Parse(s string) (Plan, error) {
 }
 
 // Fault is one injected failure. It happened before the wrapped call
-// ran (PreExecution) and is retryable (Transient).
+// ran and is retryable: it unwraps to a not-executed CodeUnavailable
+// error, the one classification the retry layer and the wire envelope
+// read.
 type Fault struct {
 	Site   int
 	Call   int // global faultable-call ordinal at the wrapper
@@ -189,11 +191,10 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("faulty: injected %s fault at site %d, call %d (%s)", f.Reason, f.Site, f.Call, f.Method)
 }
 
-// Transient marks the fault retryable to the core retry layer.
-func (f *Fault) Transient() bool { return true }
-
-// PreExecution guarantees the wrapped call never ran.
-func (f *Fault) PreExecution() bool { return true }
+// Unwrap classifies the fault for the retry layer and the wire.
+func (f *Fault) Unwrap() error {
+	return &core.CodedError{Code: core.CodeUnavailable, Msg: f.Error(), NotExecuted: true}
+}
 
 // Site wraps a core.SiteAPI with a fault plan. Identity accessors (ID,
 // NumTuples, Predicate) and the cleanup messages (Abort, Cancel,
@@ -288,19 +289,12 @@ func (s *Site) before(method string) (core.SiteAPI, time.Duration, error) {
 	// how a dead probe is injected).
 	if method != "Ping" {
 		if s.plan.DrainAfter > 0 && call >= s.plan.DrainAfter {
-			return nil, 0, &core.CodedError{
-				Code:        core.CodeDraining,
-				Msg:         fmt.Sprintf("faulty: injected draining rejection at site %d, call %d (%s)", s.inner.ID(), call, method),
-				NotExecuted: true,
-			}
+			return nil, 0, core.NotRun(core.CodeDraining, "faulty: injected draining rejection at site %d, call %d (%s)", s.inner.ID(), call, method)
 		}
 		if s.plan.OverloadEvery > 0 && call%s.plan.OverloadEvery == 0 {
-			return nil, 0, &core.CodedError{
-				Code:        core.CodeOverloaded,
-				Msg:         fmt.Sprintf("faulty: injected overload rejection at site %d, call %d (%s)", s.inner.ID(), call, method),
-				NotExecuted: true,
-				RetryAfter:  s.plan.OverloadRetryAfter,
-			}
+			err := core.NotRun(core.CodeOverloaded, "faulty: injected overload rejection at site %d, call %d (%s)", s.inner.ID(), call, method)
+			err.RetryAfter = s.plan.OverloadRetryAfter
+			return nil, 0, err
 		}
 		if s.plan.Rate > 0 && s.rng.Float64() < s.plan.Rate {
 			return nil, 0, &Fault{Site: s.inner.ID(), Call: call, Method: method, Reason: "rate"}

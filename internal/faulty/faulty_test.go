@@ -81,8 +81,9 @@ func TestScheduledFaults(t *testing.T) {
 	if f.Reason != "scheduled" || f.Method != "Deposit" || f.Site != 3 {
 		t.Errorf("fault = %+v, want scheduled Deposit at site 3", f)
 	}
-	if !f.Transient() || !f.PreExecution() {
-		t.Error("injected faults must be transient and pre-execution")
+	var ce *core.CodedError
+	if !errors.As(err, &ce) || ce.Code != core.CodeUnavailable || !ce.NotExecuted {
+		t.Errorf("injected fault classifies as %+v, want a not-executed CodeUnavailable", ce)
 	}
 	if err := s.Deposit(ctx, "t3", batch, ""); err != nil {
 		t.Fatalf("third deposit: %v", err)

@@ -7,6 +7,7 @@ import (
 	"net/rpc"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,7 +164,7 @@ func (s *hangService) DetectConstantsLocal(_ ConstantsArgs, _ *WireRelation) err
 	select {} // never returns
 }
 
-// TestCallTimeoutUnblocksHungSite pins the per-call I/O budget: a call
+// TestCallTimeoutUnblocksHungSite pins the per-call budget: a call
 // against a site that accepts but never answers fails within the
 // configured timeout instead of blocking the driver forever.
 func TestCallTimeoutUnblocksHungSite(t *testing.T) {
@@ -241,9 +242,9 @@ func TestCallContextCancelUnblocks(t *testing.T) {
 	}
 }
 
-// TestTimeoutIdleConnectionSurvives pins the deadline bookkeeping: an
-// armed per-call timeout must not fire on an idle connection between
-// calls (the rpc client keeps a standing read open).
+// TestTimeoutIdleConnectionSurvives: the call budget belongs to a call,
+// not to the connection — an idle connection outlives it between calls
+// (the rpc client keeps a standing read open).
 func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 	h, err := workload.EMPFig1bPartition()
 	if err != nil {
@@ -265,4 +266,156 @@ func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 	if _, err := sites[0].DetectConstantsLocal(ctx, rule); err != nil {
 		t.Fatalf("connection died while idle under a call timeout: %v", err)
 	}
+}
+
+// TestCallBudgetEndsSiteWork pins the site half of the call budget: with
+// no run deadline, a handler blocked on its context sees that context
+// end within CallTimeout (plus slack) — the budget crosses the wire in
+// the call's WireHeader — while the client gets the timed-out error and
+// its next call redials.
+func TestCallBudgetEndsSiteWork(t *testing.T) {
+	const budget = 150 * time.Millisecond
+	data := workload.EMPData()
+	var hang atomic.Bool
+	hang.Store(true)
+	addr, track, ended := serveGivingUp(t, core.NewSite(0, data, relation.True()), data.Schema(), func(method string) bool {
+		return method == "DetectConstantsLocal" && hang.CompareAndSwap(true, false)
+	})
+	sites, _, err := DialWithConfig([]string{addr}, DialConfig{CallTimeout: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sites[0].(*RemoteSite).Close()
+
+	rule := workload.EMPCFDs()[0]
+	_, err = sites[0].DetectConstantsLocal(context.Background(), rule)
+	if !isTimedOut(err) {
+		t.Fatalf("call past its budget = %v, want the timed-out unavailable error", err)
+	}
+	select {
+	case d := <-ended:
+		if d > budget+2*time.Second {
+			t.Errorf("the site's work ran %v past a %v budget", d, budget)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the site's work outlived the call budget: its context never ended")
+	}
+	if _, err := sites[0].DetectConstantsLocal(context.Background(), rule); err != nil {
+		t.Fatalf("call after the timeout: %v", err)
+	}
+	track.mu.Lock()
+	accepted := len(track.conns)
+	track.mu.Unlock()
+	if accepted != 2 {
+		t.Errorf("site accepted %d connections, want 2 (the dial and one redial)", accepted)
+	}
+}
+
+// TestCallBudgetGiveUpIsTransient: a site that gives up the moment its
+// budget ends answers with its bare context error, and that reply races
+// the client's own timer. Whichever lands first, the call reads as the
+// retryable timed-out error — every time — and a FailRetry run re-issues
+// it and returns the fault-free answer.
+func TestCallBudgetGiveUpIsTransient(t *testing.T) {
+	h, err := workload.EMPFig1bPartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	var hangs atomic.Int32
+	hangs.Store(rounds)
+	pred := relation.True()
+	if len(h.Predicates) > 0 {
+		pred = h.Predicates[0]
+	}
+	addrs, _ := startSites(t, h)
+	addrs[0], _, _ = serveGivingUp(t, core.NewSite(0, h.Fragments[0], pred), h.Schema, func(method string) bool {
+		return (method == "DetectConstantsLocal" || method == "SigmaStats") && hangs.Add(-1) >= 0
+	})
+
+	sites, _, err := DialWithConfig(addrs[:1], DialConfig{CallTimeout: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := workload.EMPCFDs()[0]
+	for i := 0; i < rounds-1; i++ {
+		if _, err := sites[0].DetectConstantsLocal(context.Background(), rule); !isTimedOut(err) {
+			t.Fatalf("round %d: a site that gave up under the budget = %v, want the timed-out unavailable error", i, err)
+		}
+	}
+	sites[0].(*RemoteSite).Close()
+
+	// One give-up left: the run's first SigmaStats or DetectConstantsLocal.
+	sites, schema, err := DialWithConfig(addrs, DialConfig{CallTimeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sites {
+		defer s.(*RemoteSite).Close()
+	}
+	cl, err := core.NewCluster(schema, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localCl, err := core.FromHorizontal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfds := workload.EMPCFDs()
+	want, err := core.DetectOnce(context.Background(), localCl, cfds, core.PatDetectS, core.Options{Workers: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.DetectOnce(context.Background(), cl, cfds, core.PatDetectS, core.Options{Workers: 1, Failure: core.FailRetry}, false)
+	if err != nil {
+		t.Fatalf("FailRetry run over a site that gave up once: %v", err)
+	}
+	if hangs.Load() >= 0 {
+		t.Fatal("the run never reached the give-up — the retry assertion would be vacuous")
+	}
+	if got.Retries < 1 {
+		t.Errorf("the run reports %d retries, want the give-up re-issued", got.Retries)
+	}
+	for ci := range cfds {
+		if !got.PerCFD[ci].SameTuples(want.PerCFD[ci]) {
+			t.Errorf("cfd %d: violations differ from the fault-free run\n got  %v\n want %v", ci, got.PerCFD[ci], want.PerCFD[ci])
+		}
+	}
+}
+
+// serveGivingUp serves site over loopback behind a hook: a call for
+// which hang reports true blocks until its context ends and returns
+// ctx.Err(), the way a site that honours its budget gives up, and
+// reports on ended how long it waited.
+func serveGivingUp(t *testing.T, site core.SiteAPI, schema *relation.Schema, hang func(method string) bool) (string, *trackingListener, <-chan time.Duration) {
+	t.Helper()
+	ended := make(chan time.Duration, 1)
+	api := core.NewIntercept(func() core.SiteAPI { return site },
+		func(ctx context.Context, method string, call func(core.SiteAPI) error) error {
+			if !hang(method) {
+				return call(site)
+			}
+			began := time.Now()
+			<-ctx.Done()
+			select {
+			case ended <- time.Since(began):
+			default:
+			}
+			return ctx.Err()
+		})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	track := &trackingListener{Listener: lis}
+	go func() { _ = ServeAPIContext(context.Background(), track, &api, schema) }()
+	return lis.Addr().String(), track, ended
+}
+
+// isTimedOut reports the client's timed-out error: retryable, typed
+// unavailable.
+func isTimedOut(err error) bool {
+	var ce *core.CodedError
+	return errors.As(err, &ce) && ce.Code == core.CodeUnavailable && strings.Contains(ce.Msg, "timed out after")
 }

@@ -16,9 +16,9 @@ import (
 	"distcfd/internal/relation"
 )
 
-// DefaultDialTimeout bounds the TCP connect plus handshake of each
-// site when DialConfig leaves DialTimeout zero: without a bound a hung
-// or black-holed address blocks the driver indefinitely.
+// DefaultDialTimeout bounds the TCP connect plus handshake of each dial
+// attempt: without a bound a hung or black-holed address blocks the
+// driver indefinitely.
 const DefaultDialTimeout = 10 * time.Second
 
 // dialAttempts is how many connect attempts a dial (or a redial after
@@ -32,23 +32,21 @@ const dialBackoff = 150 * time.Millisecond
 
 // DialConfig tunes the client side of the wire.
 type DialConfig struct {
-	// DialTimeout bounds the TCP connect and Info handshake per site;
-	// 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
-	// CallTimeout is the per-RPC I/O budget: a call whose response has
-	// not arrived within it fails, and the connection's read deadline
-	// fires so a truly hung site cannot wedge the client's receive
-	// loop. 0 disables per-call timeouts (calls still honor their
-	// context). A site that exceeds the timeout is treated as failed —
-	// its connection is dropped and the next call redials.
+	// CallTimeout is each call's budget: it caps the caller's context,
+	// the site abandons the call's work when it runs out, and a call
+	// whose response has not arrived within it fails. 0 disables it
+	// (calls still honor their context). A site that exceeds the budget
+	// is treated as failed — its connection is dropped and the next
+	// call redials.
 	CallTimeout time.Duration
 }
 
 // RemoteSite is the client-side proxy implementing core.SiteAPI over a
-// net/rpc connection. Every call executes at the remote site. Work
-// calls honor their context — a cancelled context abandons the wait
-// (the response, if it ever arrives, is discarded) — and apply the
-// configured per-call I/O timeout via connection deadlines.
+// net/rpc connection. Every call executes at the remote site. A call
+// runs under one context — the caller's, capped by the configured
+// CallTimeout — whose remaining budget the site serves under too; a cancelled
+// caller abandons the wait (the response, if it ever arrives, is
+// discarded). The connection itself carries no deadline.
 //
 // A transport-level failure (connection reset, timeout, I/O error)
 // marks the connection broken; the next call through the proxy
@@ -77,15 +75,13 @@ type RemoteSite struct {
 	// its own context allows.
 	redial chan struct{}
 
-	mu      sync.Mutex
-	client  *rpc.Client
-	conn    net.Conn
-	pred    relation.Predicate
-	size    int
-	pending int
-	broken  bool
-	gen     uint64 // bumps per successful redial; stale failures ignore
-	closed  bool
+	mu     sync.Mutex
+	client *rpc.Client
+	pred   relation.Predicate
+	size   int
+	broken bool
+	gen    uint64 // bumps per successful redial; stale failures ignore
+	closed bool
 }
 
 var _ core.SiteAPI = (*RemoteSite)(nil)
@@ -96,19 +92,19 @@ type permanentDialError struct{ error }
 // Dial connects to site servers in order; the position in addrs is the
 // site ID the server must report. Returns the proxies and the schema
 // announced by the first site. Connect and handshake are bounded by
-// DefaultDialTimeout per site with dialAttempts attempts; use
-// DialWithConfig to tune.
+// DefaultDialTimeout per attempt with dialAttempts attempts; use
+// DialWithConfig to set a call budget.
 func Dial(addrs []string) ([]core.SiteAPI, *relation.Schema, error) {
 	return DialWithConfig(addrs, DialConfig{})
 }
 
-// DialWithConfig is Dial with explicit timeouts.
+// DialWithConfig is Dial with an explicit call budget.
 func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.Schema, error) {
 	var schema *relation.Schema
 	sites := make([]core.SiteAPI, len(addrs))
 	for i, addr := range addrs {
 		//distcfd:ctxflow-ok — cluster construction: the context-free Dial API roots at Background
-		client, conn, info, err := dialSite(context.Background(), addr, i, cfg)
+		client, info, err := dialSite(context.Background(), addr, i)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -121,7 +117,7 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 			schema = s
 		}
 		sites[i] = &RemoteSite{id: i, addr: addr, cfg: cfg, redial: make(chan struct{}, 1),
-			client: client, conn: conn, pred: info.Pred, size: info.NumTuples}
+			client: client, pred: info.Pred, size: info.NumTuples}
 	}
 	return sites, schema, nil
 }
@@ -131,11 +127,7 @@ func DialWithConfig(addrs []string, cfg DialConfig) ([]core.SiteAPI, *relation.S
 // rejections (version skew, wrong ID) fail at once. ctx bounds the
 // whole of it — connect, handshake and the backoff waits — so a redial
 // on behalf of a call never outlives that call's deadline.
-func dialSite(ctx context.Context, addr string, id int, cfg DialConfig) (*rpc.Client, net.Conn, *InfoReply, error) {
-	dialTimeout := cfg.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = DefaultDialTimeout
-	}
+func dialSite(ctx context.Context, addr string, id int) (*rpc.Client, *InfoReply, error) {
 	backoff := dialBackoff
 	var last error
 	for a := 0; a < dialAttempts; a++ {
@@ -143,20 +135,20 @@ func dialSite(ctx context.Context, addr string, id int, cfg DialConfig) (*rpc.Cl
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
-				return nil, nil, nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 			backoff *= 2
 		}
-		client, conn, info, err := dialOnce(ctx, addr, id, dialTimeout)
+		client, info, err := dialOnce(ctx, addr, id)
 		if err == nil {
-			return client, conn, info, nil
+			return client, info, nil
 		}
 		last = err
 		if _, permanent := err.(permanentDialError); permanent {
 			break
 		}
 	}
-	return nil, nil, nil, last
+	return nil, nil, last
 }
 
 // isNoService reports a server reply saying the requested rpc service
@@ -175,15 +167,17 @@ func skewError(addr, peer string) error {
 		addr, peer, WireVersion)}
 }
 
-func dialOnce(ctx context.Context, addr string, id int, dialTimeout time.Duration) (*rpc.Client, net.Conn, *InfoReply, error) {
-	conn, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", addr)
+// dialOnce connects and handshakes once. Connect and handshake run
+// under one DefaultDialTimeout budget inside ctx — a server that
+// accepts but never answers Info must not hang the driver — and
+// whichever ends first closes the connection.
+func dialOnce(ctx context.Context, addr string, id int) (*rpc.Client, *InfoReply, error) {
+	ctx, cancel := context.WithTimeout(ctx, DefaultDialTimeout)
+	defer cancel()
+	conn, err := (&net.Dialer{}).DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("remote: dialing site %d at %s: %w", id, addr, err)
+		return nil, nil, fmt.Errorf("remote: dialing site %d at %s: %w", id, addr, err)
 	}
-	// The handshake runs under the dial budget too — a server that
-	// accepts but never answers Info must not hang the driver — and
-	// under ctx: whichever ends first closes the connection.
-	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	client := rpc.NewClient(conn)
 	var info InfoReply
 	call := client.Go(serviceName+".Info", struct{}{}, &info, make(chan *rpc.Call, 1))
@@ -196,35 +190,23 @@ func dialOnce(ctx context.Context, addr string, id int, dialTimeout time.Duratio
 	if err != nil {
 		client.Close()
 		if isNoService(err) {
-			return nil, nil, nil, skewError(addr, fmt.Sprintf("another wire version (it does not serve %s)", serviceName))
+			return nil, nil, skewError(addr, fmt.Sprintf("another wire version (it does not serve %s)", serviceName))
 		}
-		return nil, nil, nil, fmt.Errorf("remote: handshake with %s: %w", addr, err)
+		return nil, nil, fmt.Errorf("remote: handshake with %s: %w", addr, err)
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if info.Version != WireVersion {
 		client.Close()
 		peer := fmt.Sprintf("wire version %d", info.Version)
 		if info.Version == 0 {
 			peer = "wire version 1 (or an unversioned pre-handshake build)"
 		}
-		return nil, nil, nil, skewError(addr, peer)
+		return nil, nil, skewError(addr, peer)
 	}
 	if info.ID != id {
 		client.Close()
-		return nil, nil, nil, permanentDialError{fmt.Errorf("remote: site at %s reports ID %d, expected %d", addr, info.ID, id)}
+		return nil, nil, permanentDialError{fmt.Errorf("remote: site at %s reports ID %d, expected %d", addr, info.ID, id)}
 	}
-	return client, conn, &info, nil
-}
-
-// deadlineNano flattens ctx's deadline into the absolute unix-nano
-// budget stamp every work Args struct carries — the site re-derives a
-// context from it and abandons work the driver already gave up on.
-// Zero when ctx has no deadline.
-func deadlineNano(ctx context.Context) int64 {
-	if dl, ok := ctx.Deadline(); ok {
-		return dl.UnixNano()
-	}
-	return 0
+	return client, &info, nil
 }
 
 // Drain asks the site to retire gracefully: stop admitting work,
@@ -232,7 +214,7 @@ func deadlineNano(ctx context.Context) int64 {
 // (cfdsite -admit).
 func (r *RemoteSite) Drain(ctx context.Context) error {
 	var reply DrainReply
-	if err := r.callCtx(ctx, "Drain", DrainArgs{}, &reply); err != nil {
+	if err := r.callCtx(ctx, "Drain", nil, DrainArgs{}, &reply); err != nil {
 		return err
 	}
 	r.drainSeen.Store(reply.Draining)
@@ -243,7 +225,7 @@ func (r *RemoteSite) Drain(ctx context.Context) error {
 func (r *RemoteSite) Resume() {
 	var reply DrainReply
 	//distcfd:ctxflow-ok — operator rollback, not request work: runs without a driver context
-	if err := r.callCtx(context.Background(), "Drain", DrainArgs{Resume: true}, &reply); err == nil {
+	if err := r.callCtx(context.Background(), "Drain", nil, DrainArgs{Resume: true}, &reply); err == nil {
 		r.drainSeen.Store(reply.Draining)
 	}
 }
@@ -260,74 +242,65 @@ func (r *RemoteSite) Draining() bool { return r.drainSeen.Load() }
 // under the caller's ctx and outside the proxy's lock. A redial failure
 // is a pre-execution unavailable error — nothing was sent, so even
 // non-idempotent calls may retry it.
-func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, net.Conn, uint64, error) {
-	if client, conn, gen, broken, err := r.current(); !broken {
-		return client, conn, gen, err
+func (r *RemoteSite) live(ctx context.Context) (*rpc.Client, uint64, error) {
+	if client, gen, broken, err := r.current(); !broken {
+		return client, gen, err
 	}
 	select {
 	case r.redial <- struct{}{}:
 		defer func() { <-r.redial }()
 	case <-ctx.Done():
-		return nil, nil, 0, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 	// Whoever held the slot before may have reconnected already.
-	if client, conn, gen, broken, err := r.current(); !broken {
-		return client, conn, gen, err
+	if client, gen, broken, err := r.current(); !broken {
+		return client, gen, err
 	}
-	client, conn, info, err := dialSite(ctx, r.addr, r.id, r.cfg)
+	client, info, err := dialSite(ctx, r.addr, r.id)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, nil, 0, ctx.Err()
+			return nil, 0, ctx.Err()
 		}
-		return nil, nil, 0, &core.CodedError{
-			Code:        core.CodeUnavailable,
-			Msg:         fmt.Sprintf("remote: site %d: redial: %v", r.id, err),
-			NotExecuted: true,
-		}
+		return nil, 0, core.NotRun(core.CodeUnavailable, "remote: site %d: redial: %v", r.id, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		client.Close()
-		return nil, nil, 0, r.closedErr()
+		return nil, 0, r.closedErr()
 	}
-	r.client, r.conn = client, conn
+	r.client = client
 	// The re-handshake refreshes the cached fragment state: a
 	// restarted site may hold different data, and a stale size would
 	// skew CheckSizes and coverage accounting.
 	r.pred, r.size = info.Pred, info.NumTuples
 	r.broken = false
-	r.pending = 0
 	r.gen++
 	// A reconnected site is a fresh process: whatever drain state
 	// the old one advertised no longer applies.
 	r.drainSeen.Store(false)
-	return r.client, r.conn, r.gen, nil
+	return r.client, r.gen, nil
 }
 
 // current returns the connection as it stands — broken reports that
 // it needs a redial first — or the closed-proxy error.
-func (r *RemoteSite) current() (_ *rpc.Client, _ net.Conn, gen uint64, broken bool, err error) {
+func (r *RemoteSite) current() (_ *rpc.Client, gen uint64, broken bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, nil, 0, false, r.closedErr()
+		return nil, 0, false, r.closedErr()
 	}
-	return r.client, r.conn, r.gen, r.broken, nil
+	return r.client, r.gen, r.broken, nil
 }
 
 func (r *RemoteSite) closedErr() error {
-	return &core.CodedError{
-		Code:        core.CodeUnavailable,
-		Msg:         fmt.Sprintf("remote: site %d: client closed", r.id),
-		NotExecuted: true,
-	}
+	return core.NotRun(core.CodeUnavailable, "remote: site %d: client closed", r.id)
 }
 
 // markBroken retires the connection a failed call used. The generation
 // guard makes late failures of already-replaced connections harmless.
 // Closing the client fails that connection's other in-flight calls
-// immediately instead of letting each wait out its own deadline.
+// immediately and ends its receive loop.
 func (r *RemoteSite) markBroken(gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -338,95 +311,71 @@ func (r *RemoteSite) markBroken(gen uint64) {
 	r.client.Close()
 }
 
-// deadlineGrace is how much later than the per-call timer the
-// connection deadline fires: the timer owns failing the call (with a
-// message naming the site, method, and budget), the deadline is the
-// backstop that unwedges the receive loop when no response ever
-// arrives. Without the margin the two race and the caller sees a raw
-// i/o timeout or the friendly error depending on scheduling.
-const deadlineGrace = 500 * time.Millisecond
+// workArgs is a work call's args, a pointer to an Args struct embedding
+// WireHeader; work stamps the call's budget into that header.
+type workArgs interface{ header() *WireHeader }
 
-// beginCall arms the connection deadline for an outgoing call. The
-// deadline also covers the receive loop's currently blocked read, so a
-// site that stops responding mid-call unblocks the client within the
-// budget (plus grace) instead of never. conn is the connection the
-// call was issued on; if a redial replaced it in the meantime the
-// bookkeeping is skipped — the old connection is already closed.
-func (r *RemoteSite) beginCall(conn net.Conn) {
-	r.mu.Lock()
-	if conn == r.conn {
-		r.pending++
-		if d := r.cfg.CallTimeout; d > 0 {
-			_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
-		}
-	}
-	r.mu.Unlock()
+func (r *RemoteSite) work(ctx context.Context, method string, args workArgs, reply any) error {
+	return r.callCtx(ctx, method, args.header(), args, reply)
 }
 
-// endCall clears the deadline when the last pending call completes —
-// an armed deadline on an idle connection would otherwise fire inside
-// the rpc client's standing read and kill a healthy connection — and
-// refreshes it while other calls remain in flight.
-func (r *RemoteSite) endCall(conn net.Conn) {
-	r.mu.Lock()
-	if conn == r.conn {
-		r.pending--
-		if d := r.cfg.CallTimeout; d > 0 {
-			if r.pending == 0 {
-				_ = conn.SetDeadline(time.Time{})
-			} else {
-				_ = conn.SetDeadline(time.Now().Add(d + deadlineGrace))
-			}
-		}
-	}
-	r.mu.Unlock()
-}
-
-// callCtx performs one RPC under ctx and the per-call timeout. method
-// is the bare method name; the service name (which carries the
-// protocol version) is prepended. On cancellation or timeout the wait is
-// abandoned: a goroutine reaps the call's completion so the connection
-// deadline is released if the response eventually arrives, and the
-// conn deadline reaps the connection if it never does. Server-reported
+// callCtx performs one RPC. method is the bare method name; the service
+// name (which carries the protocol version) is prepended. The call's
+// one clock is its context — the caller's, capped by CallTimeout — whose
+// remaining budget is stamped into hdr, a work call's WireHeader (nil
+// for the control calls), so the site serves under the same budget. A
+// caller that gives up gets its own error and leaves the connection
+// alone (the response, if it ever arrives, is discarded); a spent budget
+// breaks the connection, so the next call redials. Server-reported
 // errors come back typed when the peer enveloped them; transport
-// failures break the connection (the next call redials) and surface as
-// CodeUnavailable.
-func (r *RemoteSite) callCtx(ctx context.Context, method string, args, reply any) error {
+// failures break the connection and surface as CodeUnavailable.
+func (r *RemoteSite) callCtx(ctx context.Context, method string, hdr *WireHeader, args, reply any) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	client, conn, gen, err := r.live(ctx)
+	client, gen, err := r.live(ctx)
 	if err != nil {
 		return err
 	}
-	method = serviceName + "." + method
-	d := r.cfg.CallTimeout
-	r.beginCall(conn)
-	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
-	var timer <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timer = t.C
+	budget := ctx
+	if d := r.cfg.CallTimeout; d > 0 {
+		var cancel context.CancelFunc
+		budget, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
+	if hdr != nil {
+		hdr.stamp(budget)
+	}
+	method = serviceName + "." + method
+	call := client.Go(method, args, reply, make(chan *rpc.Call, 1))
 	select {
-	case c := <-call.Done:
-		r.endCall(conn)
-		if c.Error == nil {
+	case <-call.Done:
+		if call.Error == nil {
 			return nil
 		}
-		return r.classify(method, gen, c.Error)
-	case <-ctx.Done():
-		go func() { <-call.Done; r.endCall(conn) }()
-		return ctx.Err()
-	case <-timer:
-		go func() { <-call.Done; r.endCall(conn) }()
-		r.markBroken(gen)
-		return &core.CodedError{
-			Code: core.CodeUnavailable,
-			Msg:  fmt.Sprintf("remote: site %d: %s timed out after %v", r.id, method, d),
+		// A failure landing once the call's own budget is spent is the
+		// site giving up under it: this call's timeout, whichever of
+		// reply and timer came first.
+		if ctx.Err() != nil || spent(ctx) || !spent(budget) {
+			return r.classify(method, gen, call.Error)
+		}
+	case <-budget.Done():
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
+	r.markBroken(gen)
+	return &core.CodedError{
+		Code: core.CodeUnavailable,
+		Msg:  fmt.Sprintf("remote: site %d: %s timed out after %v", r.id, method, r.cfg.CallTimeout),
+	}
+}
+
+// spent reports whether ctx's deadline has passed, read off the clock:
+// ctx.Err() trails the deadline by the timer's latency.
+func spent(ctx context.Context) bool {
+	dl, ok := ctx.Deadline()
+	return ok && !time.Now().Before(dl)
 }
 
 // classify splits a failed call's error into its two regimes. An
@@ -477,45 +426,45 @@ func (r *RemoteSite) Predicate() (relation.Predicate, error) {
 // triggers a redial of a broken connection, which is exactly the
 // recovery the probe wants to exercise.
 func (r *RemoteSite) Ping(ctx context.Context) error {
-	return r.callCtx(ctx, "Ping", struct{}{}, &struct{}{})
+	return r.callCtx(ctx, "Ping", nil, struct{}{}, &struct{}{})
 }
 
 // SigmaStats forwards to the remote site.
 func (r *RemoteSite) SigmaStats(ctx context.Context, spec *core.BlockSpec) ([]int, error) {
 	var reply []int
-	err := r.callCtx(ctx, "SigmaStats", SpecArgs{Spec: spec, Deadline: deadlineNano(ctx)}, &reply)
+	err := r.work(ctx, "SigmaStats", &SpecArgs{Spec: spec}, &reply)
 	return reply, err
 }
 
 // ExtractBlock forwards to the remote site.
 func (r *RemoteSite) ExtractBlock(ctx context.Context, spec *core.BlockSpec, l int, attrs []string) (*relation.Relation, error) {
-	return callDecode(ctx, r, "ExtractBlock", ExtractArgs{Spec: spec, Attrs: attrs, Block: l, Deadline: deadlineNano(ctx)}, FromWire)
+	return callDecode(ctx, r, "ExtractBlock", &ExtractArgs{Spec: spec, Attrs: attrs, Block: l}, FromWire)
 }
 
 // ExtractMatching forwards to the remote site.
 func (r *RemoteSite) ExtractMatching(ctx context.Context, spec *core.BlockSpec, attrs []string) (*relation.Relation, error) {
-	return callDecode(ctx, r, "ExtractMatching", ExtractArgs{Spec: spec, Attrs: attrs, Deadline: deadlineNano(ctx)}, FromWire)
+	return callDecode(ctx, r, "ExtractMatching", &ExtractArgs{Spec: spec, Attrs: attrs}, FromWire)
 }
 
 // ExtractBlocksBatch forwards to the remote site.
 func (r *RemoteSite) ExtractBlocksBatch(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int) (map[int]*relation.Relation, error) {
 	return callDecode(ctx, r, "ExtractBlocksBatch",
-		ExtractArgs{Spec: spec, Attrs: attrs, Wanted: wanted, Deadline: deadlineNano(ctx)}, fromWireMap)
+		&ExtractArgs{Spec: spec, Attrs: attrs, Wanted: wanted}, fromWireMap)
 }
 
 // Deposit forwards a shipped batch to the remote site. The nonce rides
 // along so a retried shipment whose first attempt did land
 // is dropped by the site instead of double-buffering.
 func (r *RemoteSite) Deposit(ctx context.Context, task string, batch *relation.Relation, nonce string) error {
-	return r.callCtx(ctx, "Deposit", DepositArgs{Task: task, Batch: ToWire(batch), Nonce: nonce, Deadline: deadlineNano(ctx)}, &struct{}{})
+	return r.work(ctx, "Deposit", &DepositArgs{Task: task, Batch: ToWire(batch), Nonce: nonce}, &struct{}{})
 }
 
 // Abort forwards the failed-run deposit cleanup to the remote site.
 // Cleanup runs even for a cancelled driver context, bounded only by
-// the per-call timeout.
+// the call budget.
 func (r *RemoteSite) Abort(taskKey string) error {
 	//distcfd:ctxflow-ok — survive-cancel cleanup: must run when the request ctx is already dead
-	return r.callCtx(context.Background(), "Abort", AbortArgs{Task: taskKey}, &struct{}{})
+	return r.callCtx(context.Background(), "Abort", nil, AbortArgs{Task: taskKey}, &struct{}{})
 }
 
 // Cancel forwards the per-task cancel message: the site drains the
@@ -523,30 +472,30 @@ func (r *RemoteSite) Abort(taskKey string) error {
 // when the driver cancelled is dropped on arrival.
 func (r *RemoteSite) Cancel(taskKey string) error {
 	//distcfd:ctxflow-ok — survive-cancel cleanup: must run when the request ctx is already dead
-	return r.callCtx(context.Background(), "Cancel", AbortArgs{Task: taskKey}, &struct{}{})
+	return r.callCtx(context.Background(), "Cancel", nil, AbortArgs{Task: taskKey}, &struct{}{})
 }
 
 // DetectTask forwards to the remote site.
 func (r *RemoteSite) DetectTask(ctx context.Context, task string, local core.LocalInput, cfds []*cfd.CFD) ([]*relation.Relation, error) {
 	return callDecode(ctx, r, "DetectTask",
-		DetectTaskArgs{Task: task, Local: local, CFDs: cfds, Deadline: deadlineNano(ctx)}, fromWireSlice)
+		&DetectTaskArgs{Task: task, Local: local, CFDs: cfds}, fromWireSlice)
 }
 
 // DetectAssignedSingle forwards to the remote site.
 func (r *RemoteSite) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error) {
 	return callDecode(ctx, r, "DetectAssignedSingle",
-		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c, Deadline: deadlineNano(ctx)}, FromWire)
+		&DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c}, FromWire)
 }
 
 // DetectAssignedSet forwards to the remote site.
 func (r *RemoteSite) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
 	return callDecode(ctx, r, "DetectAssignedSet",
-		DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds, Deadline: deadlineNano(ctx)}, fromWireSlice)
+		&DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds}, fromWireSlice)
 }
 
 // DetectConstantsLocal forwards to the remote site.
 func (r *RemoteSite) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.Relation, error) {
-	return callDecode(ctx, r, "DetectConstantsLocal", ConstantsArgs{CFD: c, Deadline: deadlineNano(ctx)}, FromWire)
+	return callDecode(ctx, r, "DetectConstantsLocal", &ConstantsArgs{CFD: c}, FromWire)
 }
 
 // ApplyDelta forwards a fragment delta and its apply-once nonce. The
@@ -555,7 +504,7 @@ func (r *RemoteSite) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*rel
 // this driver.
 func (r *RemoteSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (core.DeltaInfo, error) {
 	var reply ApplyDeltaReply
-	if err := r.callCtx(ctx, "ApplyDelta", ApplyDeltaArgs{Delta: DeltaToWire(d), Nonce: nonce, Deadline: deadlineNano(ctx)}, &reply); err != nil {
+	if err := r.work(ctx, "ApplyDelta", &ApplyDeltaArgs{Delta: DeltaToWire(d), Nonce: nonce}, &reply); err != nil {
 		return core.DeltaInfo{}, err
 	}
 	r.mu.Lock()
@@ -567,15 +516,15 @@ func (r *RemoteSite) ApplyDelta(ctx context.Context, d relation.Delta, nonce str
 // ExtractDeltaBlocks forwards to the remote site.
 func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpec, attrs []string, wanted []int, fromGen int64) (*core.DeltaBlocks, error) {
 	return callDecode(ctx, r, "ExtractDeltaBlocks",
-		DeltaBlocksArgs{Spec: spec, Attrs: attrs, Wanted: wanted, FromGen: fromGen, Deadline: deadlineNano(ctx)}, deltaFromWire)
+		&DeltaBlocksArgs{Spec: spec, Attrs: attrs, Wanted: wanted, FromGen: fromGen}, deltaFromWire)
 }
 
 // FoldDetect forwards to the remote site, the shipped delta blocks
 // inline.
 func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
-	w := FoldArgs{Session: args.Session, Spec: args.Spec, Blocks: args.Blocks, CFDs: args.CFDs,
+	w := &FoldArgs{Session: args.Session, Spec: args.Spec, Blocks: args.Blocks, CFDs: args.CFDs,
 		RestrictSingle: args.RestrictSingle, Seed: args.Seed, FromGen: args.FromGen,
-		Shipped: make([]DeltaBlocksReply, len(args.Shipped)), Deadline: deadlineNano(ctx)}
+		Shipped: make([]DeltaBlocksReply, len(args.Shipped))}
 	for i, db := range args.Shipped {
 		w.Shipped[i] = deltaToWire(db)
 	}
@@ -592,13 +541,13 @@ func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.
 // it is cleanup and runs even without a live driver context.
 func (r *RemoteSite) DropSession(session string) error {
 	//distcfd:ctxflow-ok — survive-cancel cleanup: must run when the request ctx is already dead
-	return r.callCtx(context.Background(), "DropSession", SessionArgs{Session: session}, &struct{}{})
+	return r.callCtx(context.Background(), "DropSession", nil, SessionArgs{Session: session}, &struct{}{})
 }
 
 // MineFrequent forwards to the remote site.
 func (r *RemoteSite) MineFrequent(ctx context.Context, x []string, theta float64) ([]mining.Pattern, error) {
 	var reply []mining.Pattern
-	err := r.callCtx(ctx, "MineFrequent", MineArgs{X: x, Theta: theta, Deadline: deadlineNano(ctx)}, &reply)
+	err := r.work(ctx, "MineFrequent", &MineArgs{X: x, Theta: theta}, &reply)
 	return reply, err
 }
 
@@ -620,9 +569,9 @@ func (r *RemoteSite) Close() error {
 
 // callDecode performs one call whose reply carries relations and
 // decodes the reply — through FromWire's verification — with decode.
-func callDecode[W, T any](ctx context.Context, r *RemoteSite, method string, args any, decode func(W) (T, error)) (T, error) {
+func callDecode[W, T any](ctx context.Context, r *RemoteSite, method string, args workArgs, decode func(W) (T, error)) (T, error) {
 	var reply W
-	if err := r.callCtx(ctx, method, args, &reply); err != nil {
+	if err := r.work(ctx, method, args, &reply); err != nil {
 		var zero T
 		return zero, err
 	}

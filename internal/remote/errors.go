@@ -41,12 +41,6 @@ func encodeError(err error) error {
 		code = core.CodeStale
 	}
 	if code == "" {
-		var te interface{ Transient() bool }
-		if errors.As(err, &te) && te.Transient() {
-			code = core.CodeUnavailable
-		}
-	}
-	if code == "" {
 		return err
 	}
 	var params string

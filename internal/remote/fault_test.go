@@ -96,8 +96,8 @@ func TestErrorEnvelopeTransient(t *testing.T) {
 	if core.ErrCodeOf(dec) != core.CodeUnavailable {
 		t.Errorf("transient code lost across the envelope: %v", dec)
 	}
-	// An injected fault advertises Transient(); the envelope keeps that
-	// property as CodeUnavailable for the driver's retry layer.
+	// An injected fault unwraps to CodeUnavailable; the envelope keeps
+	// that code for the driver's retry layer.
 	f := &faulty.Fault{Site: 1, Call: 3, Method: "Deposit", Reason: "rate"}
 	dec = decodeError(rpc.ServerError(encodeError(f).Error()))
 	if core.ErrCodeOf(dec) != core.CodeUnavailable {
@@ -476,7 +476,7 @@ func TestRedialHonorsCallerContext(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := sites[0].(*RemoteSite)
-		_, _, gen, _, _ := r.current()
+		_, gen, _, _ := r.current()
 		r.markBroken(gen)
 		blackhole.Store(true)
 		return r

@@ -80,29 +80,29 @@ func TestErrorEnvelopeParamFree(t *testing.T) {
 // --- deadline propagation ---
 
 // TestWorkCtxDeadlineStamp pins the server half of deadline
-// propagation: a zero stamp serves under the base context alone, a
-// future stamp bounds it exactly, and an already-elapsed stamp cancels
-// before the site work starts.
+// propagation: a zero budget serves under the base context alone, a
+// positive one bounds it on the site's own clock, and a spent one
+// cancels before the site work starts.
 func TestWorkCtxDeadlineStamp(t *testing.T) {
 	s := NewSiteServiceContext(context.Background(), nil, nil)
 
 	ctx, cancel := s.workCtx(0)
 	defer cancel()
 	if _, ok := ctx.Deadline(); ok {
-		t.Error("zero stamp must not invent a deadline")
+		t.Error("zero budget must not invent a deadline")
 	}
 
-	want := time.Now().Add(time.Hour)
-	ctx, cancel = s.workCtx(want.UnixNano())
+	before := time.Now()
+	ctx, cancel = s.workCtx(time.Hour)
 	defer cancel()
-	if dl, ok := ctx.Deadline(); !ok || !dl.Equal(time.Unix(0, want.UnixNano())) {
-		t.Errorf("stamped deadline = %v %v, want %v", dl, ok, want)
+	if dl, ok := ctx.Deadline(); !ok || dl.Before(before.Add(time.Hour)) || dl.After(time.Now().Add(time.Hour)) {
+		t.Errorf("budgeted deadline = %v %v, want an hour from the call", dl, ok)
 	}
 
-	ctx, cancel = s.workCtx(time.Now().Add(-time.Second).UnixNano())
+	ctx, cancel = s.workCtx(-1)
 	defer cancel()
 	if ctx.Err() == nil {
-		t.Error("an elapsed stamp must cancel before the work starts")
+		t.Error("a spent budget must cancel before the work starts")
 	}
 }
 
@@ -170,8 +170,8 @@ func startRecordingSite(t *testing.T, rpcName string, svc *recordingSiteService)
 }
 
 // TestDeadlineStampedAtV7 pins the client half: the driver's context
-// deadline crosses the wire as the absolute per-task
-// stamp, and a deadline-free context stamps zero.
+// deadline crosses the wire as what is left of it when the call is
+// sent, and a deadline-free context stamps zero.
 func TestDeadlineStampedAtV7(t *testing.T) {
 	svc := &recordingSiteService{schema: workload.CustSchema(), version: WireVersion}
 	addr, _ := startRecordingSite(t, serviceName, svc)
@@ -183,21 +183,20 @@ func TestDeadlineStampedAtV7(t *testing.T) {
 	defer r.Close()
 
 	batch := workload.Cust(workload.CustConfig{N: 20, Seed: 2})
-	dl := time.Now().Add(time.Minute)
-	ctx, cancel := context.WithDeadline(context.Background(), dl)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := r.Deposit(ctx, "job/d0", batch, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.recorded(t, 0).Deadline; got != dl.UnixNano() {
-		t.Errorf("stamped deadline %d, want %d", got, dl.UnixNano())
+	if got := svc.recorded(t, 0).Budget; got <= 0 || got > time.Minute {
+		t.Errorf("stamped budget %v, want what is left of a minute", got)
 	}
 
 	if err := r.Deposit(context.Background(), "job/d1", batch, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.recorded(t, 1).Deadline; got != 0 {
-		t.Errorf("deadline-free context stamped %d, want 0", got)
+	if got := svc.recorded(t, 1).Budget; got != 0 {
+		t.Errorf("deadline-free context stamped %v, want 0", got)
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // core.SiteAPI one-to-one. Every handler roots its site work in
 // baseCtx — the server's lifetime context — so a shutting-down
 // cfdsite cancels in-flight detection instead of letting it run to
-// completion against a dying process. net/rpc carries no per-call
-// context, so the server's lifetime is the finest cancellation grain
-// available; per-task cleanup still flows through the Cancel/Abort
+// completion against a dying process; a work call is further bounded
+// by the budget its WireHeader carries, the client's own budget for
+// the call. Per-task cleanup still flows through the Cancel/Abort
 // messages.
 //
 // Serving an interface rather than *core.Site lets the fault-injection
@@ -107,23 +107,45 @@ func (s *SiteService) Ping(_ struct{}, _ *struct{}) error {
 	return encodeError(s.site.Ping(s.baseCtx))
 }
 
+// WireHeader is the header every work Args struct embeds: what is left
+// of the call's budget when the client sends it, zero for none —
+// relative, so the site times it on its own clock, immune to clock
+// skew. RemoteSite.work stamps it (no call site writes it); s.work
+// serves the handler under it.
+type WireHeader struct {
+	Budget time.Duration
+}
+
+// header makes a pointer to an Args struct a workArgs; a struct passed
+// by value, whose stamp would land in a copy, does not compile as one.
+func (h *WireHeader) header() *WireHeader { return h }
+
+// stamp writes what is left of ctx's deadline into the header.
+func (h *WireHeader) stamp(ctx context.Context) {
+	if dl, ok := ctx.Deadline(); ok {
+		h.Budget = time.Until(dl)
+		if h.Budget <= 0 {
+			h.Budget = -1 // spent, which is not "none"
+		}
+	}
+}
+
 // workCtx derives one handler's context: the server's lifetime context
-// bounded by the driver's absolute per-task deadline stamp, so the site
-// abandons work the driver already gave up on. A zero stamp (no driver
-// deadline) serves under baseCtx alone; an already-elapsed stamp
-// cancels before the site work starts.
-func (s *SiteService) workCtx(deadlineNano int64) (context.Context, context.CancelFunc) {
-	if deadlineNano == 0 {
+// bounded by the call's budget, so the site abandons work the client
+// stopped waiting for. A zero budget (none) serves under baseCtx alone;
+// a spent (negative) one cancels before the site work starts.
+func (s *SiteService) workCtx(budget time.Duration) (context.Context, context.CancelFunc) {
+	if budget == 0 {
 		return s.baseCtx, func() {}
 	}
-	return context.WithDeadline(s.baseCtx, time.Unix(0, deadlineNano))
+	return context.WithTimeout(s.baseCtx, budget)
 }
 
 // work is the frame every work handler runs its site call in: the
-// handler's context derived from the driver's deadline stamp, released
-// on return, and the site's error enveloped for the wire.
-func (s *SiteService) work(deadlineNano int64, fn func(ctx context.Context) error) error {
-	ctx, cancel := s.workCtx(deadlineNano)
+// handler's context derived from the call's header, released on
+// return, and the site's error enveloped for the wire.
+func (s *SiteService) work(h WireHeader, fn func(ctx context.Context) error) error {
+	ctx, cancel := s.workCtx(h.Budget)
 	defer cancel()
 	return encodeError(fn(ctx))
 }
@@ -188,17 +210,15 @@ func (s *SiteService) Drain(args DrainArgs, reply *DrainReply) error {
 	return encodeError(err)
 }
 
-// SpecArgs carries a σ spec. Deadline (zero = none) is the driver's
-// absolute per-task budget as unix nanoseconds — every work Args struct
-// carries the same stamp.
+// SpecArgs carries a σ spec.
 type SpecArgs struct {
-	Spec     *core.BlockSpec
-	Deadline int64
+	WireHeader
+	Spec *core.BlockSpec
 }
 
 // SigmaStats returns lstat for the spec.
 func (s *SiteService) SigmaStats(args SpecArgs, reply *[]int) error {
-	return s.work(args.Deadline, func(ctx context.Context) (err error) {
+	return s.work(args.WireHeader, func(ctx context.Context) (err error) {
 		*reply, err = s.site.SigmaStats(ctx, args.Spec)
 		return err
 	})
@@ -206,30 +226,30 @@ func (s *SiteService) SigmaStats(args SpecArgs, reply *[]int) error {
 
 // ExtractArgs selects blocks and projection attributes.
 type ExtractArgs struct {
-	Spec     *core.BlockSpec
-	Attrs    []string
-	Block    int
-	Wanted   []int
-	Deadline int64
+	WireHeader
+	Spec   *core.BlockSpec
+	Attrs  []string
+	Block  int
+	Wanted []int
 }
 
 // ExtractBlock returns one σ-block.
 func (s *SiteService) ExtractBlock(args ExtractArgs, reply *WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, wireValue)(s.site.ExtractBlock(ctx, args.Spec, args.Block, args.Attrs))
 	})
 }
 
 // ExtractMatching returns all matching tuples.
 func (s *SiteService) ExtractMatching(args ExtractArgs, reply *WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, wireValue)(s.site.ExtractMatching(ctx, args.Spec, args.Attrs))
 	})
 }
 
 // ExtractBlocksBatch returns several blocks in one pass.
 func (s *SiteService) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, toWireMap)(s.site.ExtractBlocksBatch(ctx, args.Spec, args.Attrs, args.Wanted))
 	})
 }
@@ -237,10 +257,10 @@ func (s *SiteService) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*WireR
 // DepositArgs carries a shipped batch. Nonce keys the site's
 // at-most-once dedup; empty disables it.
 type DepositArgs struct {
-	Task     string
-	Batch    *WireRelation
-	Nonce    string
-	Deadline int64
+	WireHeader
+	Task  string
+	Batch *WireRelation
+	Nonce string
 }
 
 // Deposit buffers a batch under the task key.
@@ -249,7 +269,7 @@ func (s *SiteService) Deposit(args DepositArgs, _ *struct{}) error {
 	if err != nil {
 		return encodeError(err)
 	}
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return s.site.Deposit(ctx, args.Task, r, args.Nonce)
 	})
 }
@@ -274,52 +294,52 @@ func (s *SiteService) Cancel(args AbortArgs, _ *struct{}) error {
 
 // DetectTaskArgs parameterizes the CTR-style coordinator step.
 type DetectTaskArgs struct {
-	Task     string
-	Local    core.LocalInput
-	CFDs     []*cfd.CFD
-	Deadline int64
+	WireHeader
+	Task  string
+	Local core.LocalInput
+	CFDs  []*cfd.CFD
 }
 
 // DetectTask runs detection for the task.
 func (s *SiteService) DetectTask(args DetectTaskArgs, reply *[]*WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, toWireSlice)(s.site.DetectTask(ctx, args.Task, args.Local, args.CFDs))
 	})
 }
 
 // DetectAssignedArgs parameterizes the per-pattern coordinator steps.
 type DetectAssignedArgs struct {
+	WireHeader
 	TaskPrefix string
 	Spec       *core.BlockSpec
 	Blocks     []int
 	CFD        *cfd.CFD
 	CFDs       []*cfd.CFD
-	Deadline   int64
 }
 
 // DetectAssignedSingle runs the PatDetect coordinator step.
 func (s *SiteService) DetectAssignedSingle(args DetectAssignedArgs, reply *WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, wireValue)(s.site.DetectAssignedSingle(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFD))
 	})
 }
 
 // DetectAssignedSet runs the coordinator step of a merged cluster.
 func (s *SiteService) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, toWireSlice)(s.site.DetectAssignedSet(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFDs))
 	})
 }
 
 // ConstantsArgs carries the CFD whose constant units to check.
 type ConstantsArgs struct {
-	CFD      *cfd.CFD
-	Deadline int64
+	WireHeader
+	CFD *cfd.CFD
 }
 
 // DetectConstantsLocal checks constant units locally (Prop. 5).
 func (s *SiteService) DetectConstantsLocal(args ConstantsArgs, reply *WireRelation) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, wireValue)(s.site.DetectConstantsLocal(ctx, args.CFD))
 	})
 }
@@ -327,9 +347,9 @@ func (s *SiteService) DetectConstantsLocal(args ConstantsArgs, reply *WireRelati
 // ApplyDeltaArgs carries one fragment delta; Nonce keys the site's
 // apply-once memo (empty disables it).
 type ApplyDeltaArgs struct {
-	Delta    WireDelta
-	Nonce    string
-	Deadline int64
+	WireHeader
+	Delta WireDelta
+	Nonce string
 }
 
 // ApplyDeltaReply reports the post-delta site state.
@@ -341,7 +361,7 @@ type ApplyDeltaReply struct {
 // ApplyDelta applies a delta to the local fragment, maintaining the
 // serving caches and the delta log.
 func (s *SiteService) ApplyDelta(args ApplyDeltaArgs, reply *ApplyDeltaReply) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		info, err := s.site.ApplyDelta(ctx, DeltaFromWire(args.Delta), args.Nonce)
 		reply.Gen, reply.NumTuples = info.Gen, info.NumTuples
 		return err
@@ -350,11 +370,11 @@ func (s *SiteService) ApplyDelta(args ApplyDeltaArgs, reply *ApplyDeltaReply) er
 
 // DeltaBlocksArgs selects the σ-routed delta view of the log suffix.
 type DeltaBlocksArgs struct {
-	Spec     *core.BlockSpec
-	Attrs    []string
-	Wanted   []int
-	FromGen  int64
-	Deadline int64
+	WireHeader
+	Spec    *core.BlockSpec
+	Attrs   []string
+	Wanted  []int
+	FromGen int64
 }
 
 // DeltaBlocksReply is the delta-encoded payload: only the changed
@@ -385,15 +405,16 @@ func deltaFromWire(w DeltaBlocksReply) (*core.DeltaBlocks, error) {
 
 // ExtractDeltaBlocks returns the σ-routed delta blocks.
 func (s *SiteService) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlocksReply) error {
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, deltaToWire)(s.site.ExtractDeltaBlocks(ctx, args.Spec, args.Attrs, args.Wanted, args.FromGen))
 	})
 }
 
 // FoldArgs is core.FoldArgs on the wire, field by field (so wire.golden
-// sees every one), plus the driver's deadline stamp. Shipped holds one
-// entry per source site; only Ins and Del are read.
+// sees every one), behind the shared header. Shipped holds one entry per
+// source site; only Ins and Del are read.
 type FoldArgs struct {
+	WireHeader
 	Session        string
 	Spec           *core.BlockSpec
 	Blocks         []int
@@ -402,7 +423,6 @@ type FoldArgs struct {
 	Seed           bool
 	FromGen        int64
 	Shipped        []DeltaBlocksReply
-	Deadline       int64
 }
 
 // FoldReply carries the coordinator's per-CFD violating patterns.
@@ -424,7 +444,7 @@ func (s *SiteService) FoldDetect(args FoldArgs, reply *FoldReply) error {
 		}
 		fa.Shipped[i] = db
 	}
-	return s.work(args.Deadline, func(ctx context.Context) error {
+	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, func(rep *core.FoldReply) FoldReply {
 			return FoldReply{Patterns: toWireSlice(rep.Patterns), ToGen: rep.ToGen}
 		})(s.site.FoldDetect(ctx, fa))
@@ -443,14 +463,14 @@ func (s *SiteService) DropSession(args SessionArgs, _ *struct{}) error {
 
 // MineArgs parameterizes frequent-pattern mining.
 type MineArgs struct {
-	X        []string
-	Theta    float64
-	Deadline int64
+	WireHeader
+	X     []string
+	Theta float64
 }
 
 // MineFrequent mines closed frequent patterns at the site.
 func (s *SiteService) MineFrequent(args MineArgs, reply *[]mining.Pattern) error {
-	return s.work(args.Deadline, func(ctx context.Context) (err error) {
+	return s.work(args.WireHeader, func(ctx context.Context) (err error) {
 		*reply, err = s.site.MineFrequent(ctx, args.X, args.Theta)
 		return err
 	})
