@@ -23,7 +23,6 @@ type config struct {
 	algo      Algorithm
 	opt       core.Options
 	clustered bool
-	admission *core.AdmissionPolicy // nil: no admission wrapping
 }
 
 func defaultConfig() config {
@@ -107,22 +106,6 @@ func WithFailurePolicy(p FailurePolicy) Option { return func(c *config) { c.opt.
 // model bills tuples.
 func WithPackedShipping(on bool) Option { return func(c *config) { c.opt.NoPackedShip = !on } }
 
-// WithAdmissionPolicy interposes an admission controller in front of
-// every site of the cluster: at most MaxConcurrent work calls execute
-// per site at once, a bounded queue absorbs short bursts, and a call
-// past either bound fails fast with the typed overloaded error whose
-// retry-after hint the WithFailurePolicy backoff honors — so an
-// oversubscribed cluster sheds load predictably instead of queueing
-// without bound. The controller also gives each site the graceful
-// drain surface (see Drainer and Detector.HealthDetail). The wrapper
-// installs on the cluster itself and is shared by everything using the
-// cluster; sites that already carry a
-// controller are left untouched. Remote sites normally run their
-// controller on the serving side (cfdsite -admit); applying the option
-// to a remote cluster bounds the driver's outstanding calls per
-// connection instead.
-func WithAdmissionPolicy(p AdmissionPolicy) Option { return func(c *config) { c.admission = &p } }
-
 // Detector is a compiled, long-lived detection session over a cluster
 // and a CFD set. It is immutable after Compile and safe for concurrent
 // use: every Detect call owns its run state, and the sites cache the
@@ -163,14 +146,6 @@ func CompileContext(ctx context.Context, cl *Cluster, cfds []*CFD, opts ...Optio
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.admission != nil {
-		cl.WrapSites(func(_ int, s core.SiteAPI) core.SiteAPI {
-			if _, ok := s.(*core.Admission); ok {
-				return nil // already controlled; never stack controllers
-			}
-			return core.WithAdmission(s, *cfg.admission)
-		})
-	}
 	plan, err := core.CompileSet(ctx, cl, cfds, cfg.algo, cfg.opt, cfg.clustered)
 	if err != nil {
 		return nil, err
@@ -200,13 +175,16 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) { return d.plan.
 
 // Apply routes a delta — inserted tuples plus deletes addressed by
 // row index in the site's current fragment — to one site of the
-// cluster. The site mutates its fragment, maintains its serving caches
-// generation by generation (instead of resetting them), and logs the
-// delta so the next DetectIncremental ships only what changed. Apply
-// must not overlap a running Detect/DetectIncremental on the same
-// cluster — the usual single-writer rule for mutation.
+// cluster. The site is the only writer of its rows: it mutates its
+// fragment, rolls its serving caches forward (instead of resetting
+// them), and logs the delta so the next DetectIncremental ships only
+// what changed. Apply serializes with this Detector's
+// DetectIncremental and DetectDelta calls and follows its failure
+// policy: under FailRetry an apply whose reply was lost is re-issued
+// and lands once. It must not overlap a running Detect on the same
+// cluster.
 func (d *Detector) Apply(ctx context.Context, site int, delta Delta) (Generation, error) {
-	return d.cl.ApplyDelta(ctx, site, delta)
+	return d.plan.Apply(ctx, site, delta)
 }
 
 // DetectIncremental runs the compiled session against the cluster's
@@ -219,11 +197,11 @@ func (d *Detector) Apply(ctx context.Context, site int, delta Delta) (Generation
 // DeltaShippedBytes report the actual wire traffic, which scales with
 // |ΔD| rather than |D|.
 //
-// The first call (and any call after an error, a site restart, a
-// trimmed delta log, or a fragment mutated outside Apply)
-// transparently reseeds with one full shipment; however many deletes a
-// session folds, it does not reseed for them. Calls serialize with
-// each other; Detect calls may interleave freely between rounds.
+// The first call (and any call after an error, a site restart or a
+// trimmed delta log) transparently reseeds with one full shipment;
+// however many deletes a session folds, it does not reseed for them.
+// Calls serialize with each other and with Apply; Detect calls may
+// interleave freely between rounds.
 func (d *Detector) DetectIncremental(ctx context.Context) (*Result, error) {
 	return d.plan.DetectIncremental(ctx)
 }
@@ -273,19 +251,18 @@ func (d *Detector) HealthDetail() []SiteHealth { return d.cl.HealthDetail() }
 
 // Drain asks one site to retire gracefully: in-flight work finishes
 // (bounded by the site's DrainTimeout), new work is refused with the
-// typed draining error until Resume. The site must expose the drain
-// surface — a WithAdmissionPolicy session, a site wrapped in
-// core.WithAdmission, or a remote site served with cfdsite -admit;
-// anything else rejects the call. Under FailDegrade the drained site
-// is excluded and assignment re-runs over the rest; its circuit
-// breaker stays closed — draining is not death.
+// typed draining error until Resume. Through this API only a remote
+// site served with cfdsite -admit exposes the drain surface; anything
+// else rejects the call. Under
+// FailDegrade the drained site is excluded and assignment re-runs over
+// the rest; its circuit breaker stays closed — draining is not death.
 func (d *Detector) Drain(ctx context.Context, site int) error {
 	if site < 0 || site >= d.cl.N() {
 		return fmt.Errorf("distcfd: Drain site %d of %d", site, d.cl.N())
 	}
 	dr, ok := d.cl.Site(site).(Drainer)
 	if !ok {
-		return fmt.Errorf("distcfd: site %d has no admission controller to drain (compile with WithAdmissionPolicy, or serve it with cfdsite -admit)", site)
+		return fmt.Errorf("distcfd: site %d has no admission controller to drain (serve it with cfdsite -admit)", site)
 	}
 	return dr.Drain(ctx)
 }

@@ -264,16 +264,21 @@ func TestDetectorIncrementalServing(t *testing.T) {
 	samePatternSets(t, "detectdelta vs detect", res.PerCFD, full2.PerCFD)
 }
 
-// TestDetectorAdmissionDrain pins the facade's overload surface:
-// WithAdmissionPolicy installs a controller on every site, Drain
-// latches (HealthDetail reports it; FailDegrade answers partially
-// without the drained site), and Resume restores byte-identical full
-// results.
+// TestDetectorAdmissionDrain pins the facade's overload surface over
+// sites wrapped in core.WithAdmission: Drain latches (HealthDetail
+// reports it; FailDegrade answers partially without the drained site),
+// and Resume restores byte-identical full results.
 func TestDetectorAdmissionDrain(t *testing.T) {
-	cl, rules := compileTestCluster(t)
-	det, err := Compile(cl, rules,
-		WithAdmissionPolicy(AdmissionPolicy{}),
-		WithFailurePolicy(FailDegrade))
+	plain, rules := compileTestCluster(t)
+	sites := make([]SiteAPI, plain.N())
+	for i := range sites {
+		sites[i] = core.WithAdmission(plain.Site(i), core.AdmissionPolicy{})
+	}
+	cl, err := core.NewCluster(plain.Schema(), sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := Compile(cl, rules, WithFailurePolicy(FailDegrade))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +331,7 @@ func TestDetectorAdmissionDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := bare.Drain(ctx, 0); err == nil || !strings.Contains(err.Error(), "no admission controller") {
-		t.Fatalf("a session without WithAdmissionPolicy has no drain surface: %v", err)
+		t.Fatalf("a cluster of bare sites has no drain surface: %v", err)
 	}
 }
 

@@ -42,6 +42,11 @@
 // paths against a real TCP site:
 //
 //	cfdsite -data frag0.csv -id 0 -fault-plan "seed=7,rate=0.05,reset=3@40"
+//
+// A -data site restarted by the plan (restart=N) comes back with its
+// CSV rows, as a real restart would: deltas applied before the crash
+// are lost with the process. A -data-dir site replays them from its
+// write-ahead log.
 package main
 
 import (
@@ -109,11 +114,12 @@ func main() {
 		}
 		pred = relation.And(atoms...)
 	}
-	// newSite builds the serving site: in-memory over the CSV fragment,
-	// or opened over the store directory — the latter replays the
-	// directory's delta log, so a restart recovers the exact pre-crash
-	// fragment state (only the serving caches and sessions are lost,
-	// exactly what a process restart must lose).
+	// newSite builds the serving site: in-memory over its own copy of
+	// the CSV rows, so a restart starts from the file again, or opened
+	// over the store directory — the latter replays the directory's
+	// delta log, so a restart recovers the exact pre-crash fragment
+	// state (only the serving caches and sessions are lost, exactly what
+	// a process restart must lose).
 	newSite := func() *core.Site {
 		if *dataDir != "" {
 			s, err := core.OpenStoreSite(*id, *dataDir, pred)

@@ -136,9 +136,6 @@ type (
 	// BreakerState is a per-site circuit-breaker state (see
 	// Detector.HealthDetail).
 	BreakerState = core.BreakerState
-	// AdmissionPolicy bounds concurrent work at a site (see
-	// WithAdmissionPolicy); zero fields take defaults.
-	AdmissionPolicy = core.AdmissionPolicy
 	// Drainer is the graceful-retirement surface of an
 	// admission-controlled site: Drain finishes in-flight work and
 	// rejects new work with the typed draining error. Obtain it by

@@ -78,16 +78,19 @@ func BenchmarkAblationAdmission(b *testing.B) {
 	ctx := context.Background()
 	build := func(b *testing.B, admit bool) *core.Plan {
 		b.Helper()
-		cl, err := core.FromHorizontal(h)
+		// Default concurrency cap, but queue room for the whole storm: the
+		// bench measures throughput under backpressure, not rejection rates.
+		policy := core.AdmissionPolicy{MaxConcurrent: 8, MaxQueue: 32, MaxWait: time.Second}
+		sites := make([]core.SiteAPI, h.N())
+		for i, frag := range h.Fragments {
+			sites[i] = core.NewSite(i, frag, h.Predicates[i])
+			if admit {
+				sites[i] = core.WithAdmission(sites[i], policy)
+			}
+		}
+		cl, err := core.NewCluster(h.Schema, sites)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if admit {
-			// Default concurrency cap, but queue room for the whole
-			// storm: the bench measures throughput under backpressure,
-			// not rejection rates.
-			policy := core.AdmissionPolicy{MaxConcurrent: 8, MaxQueue: 32, MaxWait: time.Second}
-			cl.WrapSites(func(_ int, s core.SiteAPI) core.SiteAPI { return core.WithAdmission(s, policy) })
 		}
 		p, err := core.CompileSet(ctx, cl, rules, core.PatDetectRT, core.Options{Failure: core.FailRetry}, true)
 		if err != nil {

@@ -47,7 +47,7 @@ func TestAccountingGolden(t *testing.T) {
 				last := run.detect(t, true)
 				for step := 0; step < 3; step++ {
 					for site, d := range trace(step) {
-						if _, err := cl.ApplyDelta(context.Background(), site, d); err != nil {
+						if _, err := cl.Site(site).ApplyDelta(context.Background(), d, ""); err != nil {
 							t.Fatalf("%s: step %d site %d: %v", label, step, site, err)
 						}
 					}

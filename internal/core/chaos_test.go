@@ -365,8 +365,6 @@ func TestChaosStoreRestartByteIdentical(t *testing.T) {
 		deltas[i] = relation.Delta{Deletes: []int{0, 5}, Inserts: ins}
 	}
 
-	// Store directories come first: the in-memory baseline mutates the
-	// fragments in place when its deltas apply.
 	dirs := make([]string, h.N())
 	for i, frag := range h.Fragments {
 		dirs[i] = t.TempDir()
@@ -605,5 +603,60 @@ func TestChaosDetectDeltaApplyReplyLost(t *testing.T) {
 	}
 	if _, _, err := run(lossy, core.Options{}); core.ErrCodeOf(err) != core.CodeUnavailable {
 		t.Errorf("FailFast round with a lost apply reply = %v, want the unavailable error", err)
+	}
+}
+
+// TestChaosApplyReplyLost: Plan.Apply, the call behind Detector.Apply,
+// applies through a failure view of the plan's options. Under FailRetry
+// an apply whose reply was lost is re-issued with its nonce: it returns
+// the post-delta generation, the site applies the delta once, and the
+// next incremental round equals a fresh Detect. Under FailFast the loss
+// is Apply's error.
+func TestChaosApplyReplyLost(t *testing.T) {
+	ctx := context.Background()
+	apply := func(opt core.Options) (*core.Plan, []*core.Site, core.DeltaInfo, error) {
+		cl, bare := chaosCluster(t, 6, func(i int, s *core.Site) core.SiteAPI {
+			if i == 1 {
+				return &lostApplyReply{Site: s}
+			}
+			return s
+		})
+		p, err := core.CompileSet(ctx, cl, chaosCFDs(), core.PatDetectS, opt, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.DetectIncremental(ctx); err != nil {
+			t.Fatal(err)
+		}
+		src := append(relation.Tuple(nil), bare[0].Fragment().Tuple(3)...)
+		info, err := p.Apply(ctx, 1, relation.Delta{Deletes: []int{1}, Inserts: []relation.Tuple{src}})
+		return p, bare, info, err
+	}
+	p, bare, info, err := apply(core.Options{Failure: core.FailRetry})
+	if err != nil {
+		t.Fatalf("FailRetry apply with a lost reply: %v", err)
+	}
+	n, _ := bare[1].NumTuples()
+	if info.Gen != 1 || info.NumTuples != n {
+		t.Errorf("apply returned %+v, want generation 1 and the site's %d tuples", info, n)
+	}
+	if g := bare[1].Generation(); g != 1 {
+		t.Errorf("site 1 at generation %d, want 1: the re-issued apply did not dedup", g)
+	}
+	inc, err := p.DetectIncremental(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := p.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalViolations(t, "apply-reply-lost", inc, fresh)
+	if inc.ShippedTuples != fresh.ShippedTuples || inc.ModeledTime != fresh.ModeledTime {
+		t.Errorf("incremental figures %d/%v, fresh %d/%v",
+			inc.ShippedTuples, inc.ModeledTime, fresh.ShippedTuples, fresh.ModeledTime)
+	}
+	if _, _, _, err := apply(core.Options{}); core.ErrCodeOf(err) != core.CodeUnavailable {
+		t.Errorf("FailFast apply with a lost reply = %v, want the unavailable error", err)
 	}
 }

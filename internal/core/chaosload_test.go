@@ -54,26 +54,25 @@ func loadCluster(t *testing.T, dataSeed int64, n int, wrap func(i int, s *core.S
 func TestChaosLoadConcurrentDetects(t *testing.T) {
 	const runs = 32
 	const deadline = 60 * time.Second
-	cl, bare, h := loadCluster(t, 11, 900, func(i int, s *core.Site) core.SiteAPI { return s })
-
-	// Site 0: capacity far below 32 concurrent sessions' demand, a
-	// near-zero wait budget (and so retry-after hint) — saturation turns
-	// into typed overloaded rejections, not queueing.
-	adm0 := core.WithAdmission(bare[0], core.AdmissionPolicy{
-		MaxConcurrent: 2, MaxQueue: 2, MaxWait: 2 * time.Millisecond, DrainTimeout: 2 * time.Second,
-	})
-	// Site 1: roomy, but drained once traffic is in full flight.
-	adm1 := core.WithAdmission(bare[1], core.AdmissionPolicy{
-		MaxConcurrent: 64, MaxQueue: 64, MaxWait: 50 * time.Millisecond, DrainTimeout: 2 * time.Second,
-	})
-	cl.WrapSites(func(i int, s core.SiteAPI) core.SiteAPI {
+	var adm0, adm1 *core.Admission
+	cl, bare, h := loadCluster(t, 11, 900, func(i int, s *core.Site) core.SiteAPI {
 		switch i {
 		case 0:
+			// Capacity far below 32 concurrent sessions' demand, a
+			// near-zero wait budget (and so retry-after hint) — saturation
+			// turns into typed overloaded rejections, not queueing.
+			adm0 = core.WithAdmission(s, core.AdmissionPolicy{
+				MaxConcurrent: 2, MaxQueue: 2, MaxWait: 2 * time.Millisecond, DrainTimeout: 2 * time.Second,
+			})
 			return adm0
 		case 1:
+			// Roomy, but drained once traffic is in full flight.
+			adm1 = core.WithAdmission(s, core.AdmissionPolicy{
+				MaxConcurrent: 64, MaxQueue: 64, MaxWait: 50 * time.Millisecond, DrainTimeout: 2 * time.Second,
+			})
 			return adm1
 		}
-		return nil
+		return s
 	})
 
 	p, err := core.CompileSet(context.Background(), cl, chaosCFDs(), core.PatDetectS,
@@ -229,17 +228,16 @@ func TestChaosLoadOverloadEquivalence(t *testing.T) {
 // the run fast with DeadlineExceeded — never sleep through (let alone
 // past) the deadline honoring a hint that cannot matter anymore.
 func TestChaosLoadRetryAfterBeyondDeadline(t *testing.T) {
-	cl, _, _ := loadCluster(t, 3, 300, func(_ int, s *core.Site) core.SiteAPI { return s })
+	// Every work call is rejected overloaded with a 10s hint — far beyond
+	// the 300ms run budget. Compiling makes no site call.
+	cl, _, _ := loadCluster(t, 3, 300, func(_ int, s *core.Site) core.SiteAPI {
+		return faulty.Wrap(s, faulty.Plan{OverloadEvery: 1, OverloadRetryAfter: 10 * time.Second})
+	})
 	p, err := core.CompileSet(context.Background(), cl, chaosCFDs(), core.PatDetectS,
 		core.Options{Failure: core.FailRetry}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every work call from here on is rejected overloaded with a 10s
-	// hint — far beyond the 300ms run budget.
-	cl.WrapSites(func(_ int, s core.SiteAPI) core.SiteAPI {
-		return faulty.Wrap(s, faulty.Plan{OverloadEvery: 1, OverloadRetryAfter: 10 * time.Second})
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -329,9 +327,8 @@ func TestChaosLoadDrainDegrade(t *testing.T) {
 // stale-watermark answer.
 func TestChaosLoadDrainDuringIncremental(t *testing.T) {
 	ctx := context.Background()
-	cl, bare, _ := loadCluster(t, 12, 900, func(i int, s *core.Site) core.SiteAPI { return s })
-	adms := make([]*core.Admission, cl.N())
-	cl.WrapSites(func(i int, s core.SiteAPI) core.SiteAPI {
+	adms := make([]*core.Admission, 3)
+	cl, bare, _ := loadCluster(t, 12, 900, func(i int, s *core.Site) core.SiteAPI {
 		adms[i] = core.WithAdmission(s, core.AdmissionPolicy{DrainTimeout: 2 * time.Second})
 		return adms[i]
 	})

@@ -85,20 +85,6 @@ func (cl *Cluster) Schema() *relation.Schema { return cl.schema }
 // Site returns site i.
 func (cl *Cluster) Site(i int) SiteAPI { return cl.sites[i] }
 
-// WrapSites replaces every site with wrap(i, site) — the interposition
-// hook WithAdmissionPolicy uses to put an admission controller in
-// front of each site. A nil return keeps the site as-is. It must run
-// before the cluster serves traffic (sites are read without
-// synchronization by running detections); the fragment predicates were
-// cached at construction, so wrapping never re-fetches them.
-func (cl *Cluster) WrapSites(wrap func(i int, s SiteAPI) SiteAPI) {
-	for i, s := range cl.sites {
-		if w := wrap(i, s); w != nil {
-			cl.sites[i] = w
-		}
-	}
-}
-
 // newTask mints a globally unique task prefix: the cluster nonce keeps
 // keys from different driver processes (or Cluster instances) against
 // the same long-lived sites from ever colliding.
@@ -143,16 +129,6 @@ func (cl *Cluster) parallelCtx(ctx context.Context, fn func(ctx context.Context,
 		}
 	}
 	return nil
-}
-
-// ApplyDelta applies a delta to one site's fragment, maintaining the
-// site's serving caches and delta log. It must not overlap detection
-// runs against the cluster (the usual single-writer mutation rule).
-func (cl *Cluster) ApplyDelta(ctx context.Context, site int, d relation.Delta) (DeltaInfo, error) {
-	if site < 0 || site >= cl.N() {
-		return DeltaInfo{}, fmt.Errorf("core: ApplyDelta to site %d of %d", site, cl.N())
-	}
-	return cl.sites[site].ApplyDelta(ctx, d, cl.newTask("delta"))
 }
 
 // dropSession best-effort releases a session's retained incremental

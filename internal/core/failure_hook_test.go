@@ -148,11 +148,6 @@ func TestStaleIsTypedNotSubstring(t *testing.T) {
 			_, err := s.ExtractDeltaBlocks(ctx, spec, attrs, []int{0}, 99)
 			return err
 		},
-		"fragment mutated outside ApplyDelta": func(s *Site) error {
-			s.Fragment().MustAppend(workload.EMPData().Tuples()[1])
-			_, err := s.ExtractDeltaBlocks(ctx, spec, attrs, []int{0}, 1)
-			return err
-		},
 		"fold of an unknown session": func(s *Site) error {
 			_, err := s.FoldDetect(ctx, fold)
 			return err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"distcfd/internal/mining"
 	"distcfd/internal/relation"
 )
@@ -12,24 +14,14 @@ import (
 // from a packed colstore fragment plus an in-memory delta overlay, so
 // a site can hold a fragment bigger than RAM.
 //
-// Read methods must be safe for concurrent callers; Apply follows the
-// single-writer contract every fragment mutation has (the driver
-// serializes ApplyDelta against detection).
+// Read methods must be safe for concurrent callers. Apply, called only
+// by Site.ApplyDelta, is the one writer of the fragment's rows; the
+// driver serializes it against detection.
 type siteFragment interface {
 	// Schema returns the fragment schema.
 	Schema() *relation.Schema
 	// Len returns the current tuple count |Di|.
 	Len() int
-	// Version returns a comparable token identifying the fragment's
-	// current content state. The token changes on every mutation and is
-	// stable between mutations — the serving caches key on it (for a
-	// memory-backed fragment it is the *relation.Encoded identity).
-	Version() any
-	// VersionIfBuilt returns the current token without forcing any
-	// state to be built, or nil when no token exists yet (an in-memory
-	// fragment that was never encoded). Cache-consistency checks use it
-	// so that probing never pays for building a view.
-	VersionIfBuilt() any
 	// AssignAll computes σ for every tuple under spec: the block index
 	// per tuple (-1 = unmatched) and the per-block counts.
 	AssignAll(spec *BlockSpec) (assign []int, counts []int, err error)
@@ -56,32 +48,25 @@ type siteFragment interface {
 	Close() error
 }
 
-// memFrag adapts *relation.Relation to the seam. The version token is
-// the relation's encoded-view identity — exactly the invalidation
-// signal the caches used before the seam existed, so in-memory sites
-// behave bit-for-bit as they always did (including the "non-delta
-// mutation resets everything" semantics of Append/SortBy, which
-// invalidate the encoding and thereby change the token).
+// memFrag adapts *relation.Relation to the seam. The relation is the
+// site's own (ownRows): no caller holds it, so only Apply changes it.
 type memFrag struct {
 	r *relation.Relation
 }
 
 var _ siteFragment = memFrag{}
 
+// ownRows returns a relation over r's rows in a row slice of its own.
+// The rows are shared and never written, so appending to or sorting
+// either relation leaves the other as it was.
+func ownRows(r *relation.Relation) *relation.Relation {
+	out, _ := relation.FromTuples(r.Schema(), slices.Clone(r.Tuples())) // r's rows fit its schema
+	return out
+}
+
 func (m memFrag) Schema() *relation.Schema { return m.r.Schema() }
 
 func (m memFrag) Len() int { return m.r.Len() }
-
-func (m memFrag) Version() any { return m.r.Encoded() }
-
-func (m memFrag) VersionIfBuilt() any {
-	// The nil check matters: a typed-nil *Encoded boxed into any would
-	// compare unequal to untyped nil and wedge every consistency check.
-	if e := m.r.EncodedIfBuilt(); e != nil {
-		return e
-	}
-	return nil
-}
 
 func (m memFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
 	return spec.AssignAll(m.r)

@@ -30,7 +30,7 @@ import (
 //     retained group states.
 //
 // The first round (and any round the sites report stale state for —
-// trimmed log, evicted session, foreign mutation — or that failed)
+// trimmed log, unknown session, another spec — or that failed)
 // seeds: full blocks ship once as one big insert delta, rebuilding the
 // retained state. Otherwise a session lives on however many deletes it
 // folds: a group state holds exactly the current multiset. Sticky
@@ -251,17 +251,17 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 // the same data (property-tested); what actually moved is reported in
 // DeltaShippedTuples/DeltaShippedBytes. The first call — and any call
 // after an error or one a site reports stale for (a trimmed delta log,
-// an evicted session, a restart, a mutation behind the log) —
-// transparently reseeds with one full shipment.
+// an evicted session, a restart) — transparently reseeds with one full
+// shipment.
 //
 // The incremental path retries transient failures (per call, then per
 // round via reseed) but never excludes sites: a sticky coordinator's
 // retained state is the whole point, so FailDegrade behaves like
 // FailRetry here.
 //
-// Calls serialize on the plan's incremental sessions; mutation of the
-// fragments (ApplyDelta) must not overlap a call, the usual
-// single-writer rule.
+// Calls serialize on the plan's incremental sessions, and with Apply
+// and DetectDelta; an ApplyDelta from elsewhere must not overlap a
+// call.
 func (p *Plan) DetectIncremental(ctx context.Context) (*Result, error) {
 	p.incMu.Lock()
 	defer p.incMu.Unlock()
@@ -289,32 +289,48 @@ func (p *Plan) DetectDelta(ctx context.Context, deltas map[int]relation.Delta) (
 	p.incMu.Lock()
 	defer p.incMu.Unlock()
 	fs := newFaultState(p.cl, p.opt)
-	if err := applyDeltas(ctx, p.cl, fs, deltas); err != nil {
+	if _, err := applyDeltas(ctx, p.cl, fs, deltas); err != nil {
 		return nil, err
 	}
 	return p.detectIncrementalLocked(ctx, fs)
 }
 
+// Apply applies one delta at one site: DetectDelta's apply half, under
+// the plan's incremental lock and through a failure view of the plan's
+// options, so under FailRetry an apply whose reply was lost is
+// re-issued and lands once.
+func (p *Plan) Apply(ctx context.Context, site int, d relation.Delta) (DeltaInfo, error) {
+	p.incMu.Lock()
+	defer p.incMu.Unlock()
+	infos, err := applyDeltas(ctx, p.cl, newFaultState(p.cl, p.opt), map[int]relation.Delta{site: d})
+	if err != nil {
+		return DeltaInfo{}, err
+	}
+	return infos[site], nil
+}
+
 // applyDeltas applies per-site deltas at every site at once through
-// fs.sites: each site's generation counter is its own, so no order
-// across sites is needed for them to replay identically. Each apply's
-// nonce is minted here, above the failure hook, so a re-issued apply
-// dedups at the site. A site index outside the cluster is refused
-// before anything applies.
-func applyDeltas(ctx context.Context, cl *Cluster, fs *faultState, deltas map[int]relation.Delta) error {
+// fs.sites, returning each site's DeltaInfo by site index: each site's
+// generation counter is its own, so no order across sites is needed
+// for them to replay identically. Each apply's nonce is minted here,
+// above the failure hook, so a re-issued apply dedups at the site. A
+// site index outside the cluster is refused before anything applies.
+func applyDeltas(ctx context.Context, cl *Cluster, fs *faultState, deltas map[int]relation.Delta) ([]DeltaInfo, error) {
 	for i := range deltas {
 		if i < 0 || i >= cl.N() {
-			return fmt.Errorf("core: delta for site %d of %d", i, cl.N())
+			return nil, fmt.Errorf("core: delta for site %d of %d", i, cl.N())
 		}
 	}
-	return cl.parallelCtx(ctx, func(ctx context.Context, i int) error {
+	infos := make([]DeltaInfo, cl.N())
+	err := cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
 		d, ok := deltas[i]
 		if !ok {
 			return nil
 		}
-		if _, err := fs.sites[i].ApplyDelta(ctx, d, cl.newTask("delta")); err != nil {
+		if infos[i], err = fs.sites[i].ApplyDelta(ctx, d, cl.newTask("delta")); err != nil {
 			return fmt.Errorf("core: applying delta at site %d: %w", i, err)
 		}
 		return nil
 	})
+	return infos, err
 }

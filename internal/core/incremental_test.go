@@ -352,9 +352,8 @@ func TestIncrementalShipsLessAt1Percent(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbacks drives the reseed paths — a fragment mutated
-// behind the delta log (stale) and a delta log trimmed past the
-// watermark, each of which must transparently fall back to a full fold
+// TestIncrementalFallbacks drives the reseed path — a delta log trimmed
+// past the watermark, which must transparently fall back to a full fold
 // and keep the equivalence — and a delete-heavy history (ratio), which
 // must fold into the same session and keep it too.
 func TestIncrementalFallbacks(t *testing.T) {
@@ -380,75 +379,6 @@ func TestIncrementalFallbacks(t *testing.T) {
 		assertIncEquiv(t, "fallback", inc, fresh, virgin)
 	}
 
-	t.Run("foreign-mutation", func(t *testing.T) {
-		cl := uniformCluster(t, 3, 7)
-		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sp.DetectIncremental(ctx); err != nil {
-			t.Fatal(err)
-		}
-		// Mutate a fragment directly — invisible to the delta log.
-		cl.Site(1).(*Site).Fragment().MustAppend(relation.Tuple{
-			"f1", "x", "MTS", "44", "131", "0000000", "Mayfield", "NYC", "EH2 4HF", "80k"})
-		check(t, cl, sp)
-	})
-
-	// Two sessions share the cluster; one reseeds over the foreign
-	// mutation first. The re-anchor must fence the OTHER session's
-	// watermarks out too (generation bump + log trim + session drop) —
-	// without the fence the second session folds an empty log suffix
-	// and silently serves pre-mutation violations.
-	t.Run("foreign-mutation-second-session", func(t *testing.T) {
-		cl := uniformCluster(t, 3, 7)
-		spA, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spB, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := spA.DetectIncremental(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := spB.DetectIncremental(ctx); err != nil {
-			t.Fatal(err)
-		}
-		// A violating partner for Sam's (44, EH2 4HF) zip, added behind
-		// the delta log's back.
-		cl.Site(1).(*Site).Fragment().MustAppend(relation.Tuple{
-			"f2", "y", "DMTS", "44", "131", "0000001", "NotPrincess", "EDI", "EH2 4HF", "95k"})
-		// Session A reseeds over the mutation...
-		check(t, cl, spA)
-		// ...and session B must not be left serving the pre-mutation
-		// world: its next round has to reseed too and agree with fresh.
-		check(t, cl, spB)
-	})
-
-	// The log must also fence when a foreign mutation is followed by a
-	// regular ApplyDelta: without the fence the apply re-anchors the
-	// log over the mutation and later rounds silently miss the appended
-	// tuple (they fold only the log suffix).
-	t.Run("foreign-mutation-then-applydelta", func(t *testing.T) {
-		cl := uniformCluster(t, 3, 7)
-		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sp.DetectIncremental(ctx); err != nil {
-			t.Fatal(err)
-		}
-		cl.Site(1).(*Site).Fragment().MustAppend(relation.Tuple{
-			"f3", "z", "DMTS", "44", "131", "0000002", "NotPrincess", "EDI", "EH2 4HF", "95k"})
-		if _, err := cl.ApplyDelta(ctx, 1, relation.Delta{Inserts: []relation.Tuple{{
-			"f4", "w", "MTS", "31", "20", "0000003", "Muntplein", "AMS", "1012 WR", "75k"}}}); err != nil {
-			t.Fatal(err)
-		}
-		check(t, cl, sp)
-	})
-
 	t.Run("delete-ratio", func(t *testing.T) {
 		cl := uniformCluster(t, 3, 8)
 		sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
@@ -459,7 +389,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		seeded := sp.inc[0].session
-		if _, err := cl.ApplyDelta(ctx, 0, relation.Delta{Deletes: []int{0}}); err != nil {
+		if _, err := cl.Site(0).ApplyDelta(ctx, relation.Delta{Deletes: []int{0}}, ""); err != nil {
 			t.Fatal(err)
 		}
 		check(t, cl, sp)
@@ -473,7 +403,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 					d.Deletes = append(d.Deletes, k)
 				}
 			}
-			if _, err := cl.ApplyDelta(ctx, i, d); err != nil {
+			if _, err := cl.Site(i).ApplyDelta(ctx, d, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -497,7 +427,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 			d := relation.Delta{Inserts: []relation.Tuple{{
 				fmt.Sprintf("t%d", k), "x", "MTS", "44",
 				fmt.Sprintf("%d", k%3), "1234567", "Mayfield", "NYC", "EH4 8LE", "80k"}}}
-			if _, err := cl.ApplyDelta(ctx, 0, d); err != nil {
+			if _, err := cl.Site(0).ApplyDelta(ctx, d, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -597,7 +527,7 @@ func TestSigmaMaintenanceMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, want, err := spec.AssignAll(frag.Clone())
+		_, want, err := spec.AssignAll(s.Fragment())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,6 +535,75 @@ func TestSigmaMaintenanceMatchesFresh(t *testing.T) {
 			t.Fatalf("step %d: maintained lstat %v, fresh routing %v", step, got, want)
 		}
 		_ = rng
+	}
+}
+
+// TestSiteOwnsItsRows pins the one-writer rule: once memory sites are
+// built and an incremental session seeded, neither the relation a site
+// was built from nor the copy Site.Fragment returns reaches the site.
+// Appending a violating tuple to both and sorting both leaves a fresh
+// Detect, the next DetectIncremental, the session and every generation
+// as they were.
+func TestSiteOwnsItsRows(t *testing.T) {
+	ctx := context.Background()
+	h, err := partition.Uniform(empD0(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := FromHorizontal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := compileOne(ctx, cl, phi1, PatDetectS, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := sp.DetectIncremental(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sp.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := sp.inc[0].session
+
+	// A violating partner for Sam's (44, EH2 4HF) zip.
+	partner := relation.Tuple{"f1", "y", "DMTS", "44", "131", "0000001", "NotPrincess", "EDI", "EH2 4HF", "95k"}
+	for _, r := range []*relation.Relation{h.Fragments[1], cl.Site(1).(*Site).Fragment()} {
+		r.MustAppend(partner)
+		if err := r.SortBy("name"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fresh2, err := sp.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc2, err := sp.DetectIncremental(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label     string
+		got, want *Result
+	}{{"fresh", fresh2, fresh}, {"incremental", inc2, inc}} {
+		if got, want := c.got.PerCFD[0].String(), c.want.PerCFD[0].String(); got != want {
+			t.Errorf("%s: a write to a caller's relation reached the site:\n%s\nwas\n%s", c.label, got, want)
+		}
+		if c.got.ShippedTuples != c.want.ShippedTuples || c.got.ModeledTime != c.want.ModeledTime {
+			t.Errorf("%s: figures moved: %d/%v, were %d/%v", c.label,
+				c.got.ShippedTuples, c.got.ModeledTime, c.want.ShippedTuples, c.want.ModeledTime)
+		}
+	}
+	if sp.inc[0].session != session {
+		t.Error("the session reseeded")
+	}
+	for i := 0; i < cl.N(); i++ {
+		if g := cl.Site(i).(*Site).Generation(); g != 0 {
+			t.Errorf("site %d at generation %d, want 0", i, g)
+		}
 	}
 }
 
@@ -717,7 +716,7 @@ func TestIncrementalRoundCallShape(t *testing.T) {
 			return workload.CustDeltaStream(f, c)
 		})
 	for i, ds := range streams {
-		if _, err := cl.ApplyDelta(ctx, i, ds.Next()); err != nil {
+		if _, err := cl.Site(i).ApplyDelta(ctx, ds.Next(), ""); err != nil {
 			t.Fatal(err)
 		}
 	}

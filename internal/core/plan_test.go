@@ -215,10 +215,12 @@ func TestRunSkipsConstantsForVariableOnlyRule(t *testing.T) {
 		{"one-of-three", []*cfd.CFD{phi1, phi2, phi3}, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := uniformCluster(t, 3, 5)
+			bare := uniformCluster(t, 3, 5)
 			var mu sync.Mutex
-			calls := make([]map[string]int, cl.N())
-			cl.WrapSites(func(i int, s SiteAPI) SiteAPI {
+			calls := make([]map[string]int, bare.N())
+			sites := make([]SiteAPI, bare.N())
+			for i := range sites {
+				s := bare.Site(i)
 				calls[i] = map[string]int{}
 				w := NewIntercept(func() SiteAPI { return s }, func(_ context.Context, method string, call func(SiteAPI) error) error {
 					mu.Lock()
@@ -226,8 +228,12 @@ func TestRunSkipsConstantsForVariableOnlyRule(t *testing.T) {
 					mu.Unlock()
 					return call(s)
 				})
-				return &w
-			})
+				sites[i] = &w
+			}
+			cl, err := NewCluster(bare.Schema(), sites)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx := context.Background()
 			res, err := DetectOnce(ctx, cl, tc.rules, PatDetectS, Options{}, tc.clustered)
 			if err != nil {

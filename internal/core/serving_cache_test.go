@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -83,6 +85,108 @@ func TestConstantsCacheKeyUnambiguous(t *testing.T) {
 	}
 	if p1.Tuple(0).Equal(p2.Tuple(0)) {
 		t.Errorf("distinct CFDs served the same cached constants result %v", p1.Tuple(0))
+	}
+}
+
+// parkedFrag holds the first σ-routing or constant scan it serves
+// until release closes: the rows are read, then the result is held
+// while a delta lands.
+type parkedFrag struct {
+	memFrag
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (f *parkedFrag) park() {
+	f.once.Do(func() {
+		close(f.parked)
+		<-f.release
+	})
+}
+
+func (f *parkedFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
+	assign, counts, err := f.memFrag.AssignAll(spec)
+	f.park()
+	return assign, counts, err
+}
+
+func (f *parkedFrag) Scan(fn func(t relation.Tuple) error) error {
+	err := f.memFrag.Scan(fn)
+	f.park()
+	return err
+}
+
+// TestServingCacheSkipsBuildAcrossDelta: a cache miss built from the
+// rows before a delta and handed back after ApplyDelta rolled the cache
+// forward must not be stored — else the next call serves pre-delta
+// counts and constant violations, and ExtractMatching indexes past the
+// routing's end.
+func TestServingCacheSkipsBuildAcrossDelta(t *testing.T) {
+	ctx := context.Background()
+	schema := relation.MustSchema("T", []string{"a", "c"})
+	c := cfd.MustParse(`k: [a] -> [c] : (x || ZZZ), (z || ZZZ)`)
+	spec, err := SpecFromCFD(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, build := range []string{"sigma", "constants"} {
+		t.Run(build, func(t *testing.T) {
+			pf := &parkedFrag{
+				memFrag: memFrag{r: relation.MustFromRows(schema, []string{"x", "m"}, []string{"y", "n"})},
+				parked:  make(chan struct{}),
+				release: make(chan struct{}),
+			}
+			s := newSiteWith(0, pf, relation.True())
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				if build == "sigma" {
+					_, err = s.SigmaStats(ctx, spec)
+				} else {
+					_, err = s.DetectConstantsLocal(ctx, c)
+				}
+				done <- err
+			}()
+			<-pf.parked
+			if _, err := s.ApplyDelta(ctx, relation.Delta{Inserts: []relation.Tuple{{"z", "q"}}}, ""); err != nil {
+				t.Fatal(err)
+			}
+			close(pf.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+
+			fresh := NewSite(0, pf.r, relation.True())
+			gotN, err := s.SigmaStats(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN, err := fresh.SigmaStats(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(gotN) != fmt.Sprint(wantN) {
+				t.Errorf("SigmaStats %v, a fresh site %v", gotN, wantN)
+			}
+			gotM, err := s.ExtractMatching(ctx, spec, []string{"a", "c"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantM, err := fresh.ExtractMatching(ctx, spec, []string{"a", "c"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRelation(t, "ExtractMatching", gotM, wantM)
+			gotC, err := s.DetectConstantsLocal(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantC, err := fresh.DetectConstantsLocal(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRelation(t, "DetectConstantsLocal", gotC, wantC)
+		})
 	}
 }
 

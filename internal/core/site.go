@@ -112,22 +112,21 @@ type SiteAPI interface {
 	// it to decide half-open recovery.
 	Ping(ctx context.Context) error
 
-	// Incremental surface (wire v4). ApplyDelta mutates the local
-	// fragment, maintains the serving caches generation-by-generation
-	// instead of resetting them, and appends the delta to a bounded log
-	// the methods below read. ApplyDelta must not run concurrently with
-	// detection against the same site — the driver serializes them, the
-	// same single-writer contract plain mutation always had. A
-	// non-empty nonce makes the apply at-most-once: a retried apply
+	// Incremental surface (wire v4). ApplyDelta is the one writer of
+	// the local fragment: it mutates it, rolls the serving caches
+	// forward instead of resetting them, and appends the delta to a
+	// bounded log the methods below read. It must not run concurrently
+	// with detection against the same site — the driver serializes them.
+	// A non-empty nonce makes the apply at-most-once: a retried apply
 	// whose earlier attempt landed returns the remembered DeltaInfo
 	// instead of applying twice. The empty nonce disables dedup.
 	ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (DeltaInfo, error)
 	// ExtractDeltaBlocks σ-routes the log suffix after fromGen and
 	// returns, per wanted block, the inserted and deleted tuples
 	// projected onto attrs. fromGen < 0 seeds: the full current blocks
-	// are returned as inserts. A fromGen the log no longer covers (or a
-	// fragment mutated behind the log's back) fails with a stale error
-	// (IsStaleIncremental), telling the driver to reseed.
+	// are returned as inserts. A fromGen the log no longer covers fails
+	// with a stale error (IsStaleIncremental), telling the driver to
+	// reseed.
 	ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (*DeltaBlocks, error)
 	// FoldDetect folds this site's own delta (its local blocks) plus
 	// the other sites' delta blocks args.Shipped carries into the
@@ -187,76 +186,73 @@ func (f *fifo[V]) put(k string, v V) {
 	f.m[k] = v
 }
 
-// servingCache is the site's versioned serving cache, stated once for
-// the σ-routings and the constant-unit states: entries are keyed by
-// content fingerprint and valid for exactly one fragment version token
-// (see siteFragment.Version — the *relation.Encoded identity for
-// memory-backed sites, an opaque per-mutation token for store-backed
-// ones). A probe against another version starts an empty generation;
-// ApplyDelta rolls a generation forward instead (maintain).
+// servingCache is the site's serving cache, stated once for the
+// σ-routings and the constant-unit states: entries are keyed by content
+// fingerprint and describe the fragment as it stands, because
+// ApplyDelta — the only writer of the site's rows — rolls every entry
+// forward (maintain).
 type servingCache[V any] struct {
-	mu  sync.Mutex
-	ver any
-	m   map[string]V
+	mu sync.Mutex
+	m  map[string]V
+	// epoch counts delta edges: begin and maintain each step it, so it
+	// is odd while a delta rewrites the rows. A miss built across any
+	// part of a delta is handed back but not stored — only maintain
+	// carries an entry across a delta.
+	epoch uint64
 }
 
-func (c *servingCache[V]) reset(ver any) { c.m, c.ver = make(map[string]V), ver }
-
-// lookup probes for key against fragment version ver: one lock, one map
-// probe. A miss is built by the caller outside the lock — concurrent
-// misses on different keys (independent clusters of a parallel run)
-// must not serialize — and handed to store.
-func (c *servingCache[V]) lookup(ver any, key string) (V, bool) {
+// lookup probes for key: one lock, one map probe. A miss is built by
+// the caller outside the lock — concurrent misses on different keys
+// (independent clusters of a parallel run) must not serialize — and
+// handed to store with the epoch lookup returned.
+func (c *servingCache[V]) lookup(key string) (V, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ver != ver {
-		c.reset(ver)
-	}
 	v, ok := c.m[key]
-	return v, ok
+	return v, c.epoch, ok
 }
 
-// store records the entry a lookup miss built and returns the entry to
-// use: v itself, or the one a racing builder of the same key stored
-// first (they are identical). A fragment mutated during the build gets
-// the consistent v back without poisoning the fresh generation.
-func (c *servingCache[V]) store(ver any, key string, v V) V {
+// store records the entry a lookup miss built at epoch and returns the
+// entry to use: v itself, or the one a racing builder of the same key
+// stored first (they are identical). A build a delta overlapped gets v
+// back without poisoning the cache.
+func (c *servingCache[V]) store(epoch uint64, key string, v V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ver != ver {
+	if c.epoch != epoch || epoch%2 == 1 {
 		return v
 	}
 	if prev, ok := c.m[key]; ok {
 		return prev
 	}
-	if len(c.m) >= servingCacheCap {
-		c.reset(ver)
+	if c.m == nil || len(c.m) >= servingCacheCap {
+		c.m = make(map[string]V)
 	}
 	c.m[key] = v
 	return v
 }
 
-// maintain carries the cache across one delta pre → post: entries
-// anchored at the pre-delta version are each rolled forward (roll
-// reporting false abandons them all), a cache already stale — a
-// non-delta mutation interleaved — is dropped instead.
-func (c *servingCache[V]) maintain(pre, post any, roll func(V) bool) {
+// begin marks a delta in flight: no miss built from here until the
+// matching maintain is stored.
+func (c *servingCache[V]) begin() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.m) == 0 {
-		return
-	}
-	if c.ver == nil || c.ver != pre {
-		c.reset(nil)
-		return
-	}
+	c.epoch++
+}
+
+// maintain ends the delta begin marked and carries every entry across
+// it; roll reporting false, or a nil roll for a delta that failed,
+// abandons them all.
+func (c *servingCache[V]) maintain(roll func(V) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.epoch++
 	for _, v := range c.m {
-		if !roll(v) {
-			c.reset(nil)
+		if roll == nil || !roll(v) {
+			c.m = nil
 			return
 		}
 	}
-	c.ver = post
 }
 
 // sigmaEntry is one cached σ-routing of the fragment: the per-tuple
@@ -303,17 +299,14 @@ func (e *sigmaEntry) applyDelta(delIdx []int, ins []relation.Tuple, xi []int) {
 //
 // A Site caches data-dependent artifacts that survive across detection
 // runs — the σ block assignment per spec and the constant-unit
-// violations per CFD — keyed by content fingerprint and invalidated
-// when the fragment's encoded view changes (i.e. on any mutation).
-// This is the serving-path half of the plan-once/detect-many design:
-// the driver's compiled plan reuses the Σ-side work, the site reuses
-// the fragment-side routing.
+// violations per CFD — keyed by content fingerprint and rolled forward
+// by ApplyDelta, the only writer of the site's rows. This is the
+// serving-path half of the plan-once/detect-many design: the driver's
+// compiled plan reuses the Σ-side work, the site reuses the
+// fragment-side routing.
 type Site struct {
 	id   int
 	frag siteFragment
-	// memR is the in-memory relation behind frag when the site is
-	// memory-backed (NewSite); nil for store-backed sites.
-	memR *relation.Relation
 	pred relation.Predicate
 
 	// kern pools the detection-kernel scratch of every check this site
@@ -331,13 +324,11 @@ type Site struct {
 	consts servingCache[*constEntry] // by cfdFingerprint
 
 	// Incremental serving state (see site_delta.go): the fragment
-	// generation, the bounded delta log, the fragment version the
-	// log is consistent with, and the retained fold sessions.
+	// generation, the bounded delta log and the retained fold sessions.
 	deltaMu   sync.Mutex
 	gen       int64
 	dlog      []deltaLogEntry
 	dlogStart int64 // the log covers generations (dlogStart, gen]
-	encAtGen  any
 	// deltaNonces remembers recent ApplyDelta replies by nonce so a
 	// retransmitted apply returns the original DeltaInfo (at-most-once).
 	deltaNonces fifo[DeltaInfo]
@@ -349,11 +340,12 @@ type Site struct {
 var _ SiteAPI = (*Site)(nil)
 
 // NewSite creates a site holding the in-memory fragment frag with
-// predicate pred.
+// predicate pred. The site keeps its own copy of frag's row slice —
+// the rows are shared, never written — so ApplyDelta is the only
+// writer of the site's rows: appending to or sorting frag afterwards
+// leaves the site as it was.
 func NewSite(id int, frag *relation.Relation, pred relation.Predicate) *Site {
-	s := newSiteWith(id, memFrag{r: frag}, pred)
-	s.memR = frag
-	return s
+	return newSiteWith(id, memFrag{r: ownRows(frag)}, pred)
 }
 
 // ID returns the site index.
@@ -370,10 +362,17 @@ func (s *Site) Predicate() (relation.Predicate, error) { return s.pred, nil }
 // or in a store directory.
 func (s *Site) Schema() *relation.Schema { return s.frag.Schema() }
 
-// Fragment exposes the in-memory fragment for in-process tests and
-// local tools; it is deliberately not part of SiteAPI and returns nil
-// for store-backed sites (their tuples have no materialized relation).
-func (s *Site) Fragment() *relation.Relation { return s.memR }
+// Fragment returns a copy of the in-memory fragment for in-process
+// tests and local tools: a row slice of its own over the site's rows,
+// so mutating it never reaches the site. It is deliberately not part
+// of SiteAPI and returns nil for store-backed sites (their tuples have
+// no materialized relation).
+func (s *Site) Fragment() *relation.Relation {
+	if m, ok := s.frag.(memFrag); ok {
+		return ownRows(m.r)
+	}
+	return nil
+}
 
 // SetDetectParallelism overrides the row-shard budget of this site's
 // coordinator checks (≤ 1 checks serially). Call it before the site
@@ -404,15 +403,16 @@ func (s *Site) assignAll(spec *BlockSpec, blocks ...int) (*sigmaEntry, error) {
 	if err := spec.check(blocks...); err != nil {
 		return nil, err
 	}
-	ver, fp := s.frag.Version(), spec.Fingerprint()
-	if ent, ok := s.sigma.lookup(ver, fp); ok {
+	fp := spec.Fingerprint()
+	ent, epoch, ok := s.sigma.lookup(fp)
+	if ok {
 		return ent, nil
 	}
 	assign, counts, err := s.frag.AssignAll(spec)
 	if err != nil {
 		return nil, err
 	}
-	return s.sigma.store(ver, fp, &sigmaEntry{spec: spec, assign: assign, counts: counts}), nil
+	return s.sigma.store(epoch, fp, &sigmaEntry{spec: spec, assign: assign, counts: counts}), nil
 }
 
 // SigmaStats computes lstat[l] = |H_i^l| per pattern.
@@ -821,20 +821,20 @@ type constEntry struct {
 // ApplyDelta, so under delta traffic the constant phase of a repeated
 // rule costs at most an extraction over the current violations instead
 // of a fragment scan; a scan happens only on first sight of the CFD
-// (or after a non-delta mutation reset the cache). The returned
-// relation is shared — callers must not mutate it.
+// (or after the cache was reset at its cap). The returned relation is
+// shared — callers must not mutate it.
 func (s *Site) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.Relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ver, fp := s.frag.Version(), cfdFingerprint(c)
-	ent, ok := s.consts.lookup(ver, fp)
+	fp := cfdFingerprint(c)
+	ent, epoch, ok := s.consts.lookup(fp)
 	if !ok {
 		built, err := s.buildConstState(c)
 		if err != nil {
 			return nil, err
 		}
-		ent = s.consts.store(ver, fp, &constEntry{st: built})
+		ent = s.consts.store(epoch, fp, &constEntry{st: built})
 	}
 	if out := ent.out.Load(); out != nil {
 		return out, nil

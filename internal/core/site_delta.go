@@ -31,10 +31,10 @@ const (
 
 // ErrStaleIncremental reports that a site cannot serve an incremental
 // request from retained state — the delta log was trimmed past the
-// driver's watermark, the session's fold states were evicted, or the
-// fragment was mutated behind the log's back (a non-delta mutation).
-// The driver recovers by reseeding: one full shipment rebuilds the
-// retained state, and subsequent rounds are incremental again.
+// driver's watermark, the session is unknown (evicted, or lost with a
+// restart), or it folded a different spec. The driver recovers by
+// reseeding: one full shipment rebuilds the retained state, and
+// subsequent rounds are incremental again.
 var ErrStaleIncremental = errors.New("core: incremental state stale — full reseed required")
 
 // IsStaleIncremental reports whether err is the stale-state signal:
@@ -48,9 +48,7 @@ func IsStaleIncremental(err error) bool {
 
 // DeltaInfo reports the site state after an ApplyDelta.
 type DeltaInfo struct {
-	// Gen is the fragment generation after the delta: one per apply,
-	// plus one fence step when the apply found a mutation that had
-	// bypassed the delta log.
+	// Gen is the fragment generation after the delta: one per apply.
 	Gen int64
 	// NumTuples is the new fragment size |Di|.
 	NumTuples int
@@ -120,12 +118,12 @@ type foldSession struct {
 }
 
 // ApplyDelta applies d to the fragment, advances the generation, logs
-// the delta, and maintains the serving caches in place. It must not
-// run concurrently with detection on this site (single-writer, as for
-// any mutation); concurrent readers holding the previous encoded view
-// stay consistent (see relation.Apply). A duplicate nonce marks the
-// retransmit of an apply that already landed; the remembered DeltaInfo
-// is returned without applying twice.
+// the delta, and maintains the serving caches in place. It is the only
+// writer of the site's rows and must not run concurrently with
+// detection on this site; concurrent readers holding the previous
+// encoded view stay consistent (see relation.Apply). A duplicate nonce
+// marks the retransmit of an apply that already landed; the remembered
+// DeltaInfo is returned without applying twice.
 func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (DeltaInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return DeltaInfo{}, err
@@ -151,17 +149,14 @@ func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (
 			return DeltaInfo{}, fmt.Errorf("core: site %d: delta insert %d violates the fragment predicate %v", s.id, i, s.pred)
 		}
 	}
-	pre := s.frag.VersionIfBuilt()
-	// A mutation that bypassed ApplyDelta (Append/SortBy) left the log
-	// and every retained session blind to it; fence them out before
-	// logging this delta, or later rounds would fold a log suffix that
-	// silently misses the foreign change.
-	s.fenceForeignLocked(pre)
+	s.sigma.begin()
+	s.consts.begin()
 	removed, err := s.frag.Apply(d)
 	if err != nil {
+		s.sigma.maintain(nil)
+		s.consts.maintain(nil)
 		return DeltaInfo{}, err
 	}
-	post := s.frag.Version()
 	s.gen++
 	s.dlog = append(s.dlog, deltaLogEntry{gen: s.gen, ins: d.Inserts, del: removed})
 	if len(s.dlog) > deltaLogCap {
@@ -169,9 +164,8 @@ func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (
 		s.dlogStart = s.dlog[drop-1].gen
 		s.dlog = append(s.dlog[:0:0], s.dlog[drop:]...)
 	}
-	s.maintainSigma(pre, post, delIdx, d.Inserts)
-	s.maintainConsts(pre, post, removed, d.Inserts)
-	s.encAtGen = post
+	s.maintainSigma(delIdx, d.Inserts)
+	s.maintainConsts(removed, d.Inserts)
 	info := DeltaInfo{Gen: s.gen, NumTuples: s.frag.Len()}
 	if nonce != "" {
 		s.deltaNonces.put(nonce, info)
@@ -188,8 +182,8 @@ func (s *Site) Generation() int64 {
 
 // maintainSigma rolls every cached σ-routing entry forward across one
 // delta (see servingCache.maintain).
-func (s *Site) maintainSigma(pre, post any, delIdx []int, ins []relation.Tuple) {
-	s.sigma.maintain(pre, post, func(ent *sigmaEntry) bool {
+func (s *Site) maintainSigma(delIdx []int, ins []relation.Tuple) {
+	s.sigma.maintain(func(ent *sigmaEntry) bool {
 		// The lookup cannot fail for entries built against this schema;
 		// if it does, reset rather than serve wrong routing.
 		xi, err := s.frag.Schema().Indices(ent.spec.X)
@@ -201,8 +195,8 @@ func (s *Site) maintainSigma(pre, post any, delIdx []int, ins []relation.Tuple) 
 }
 
 // maintainConsts folds one delta into every cached constant-unit state.
-func (s *Site) maintainConsts(pre, post any, removed, ins []relation.Tuple) {
-	s.consts.maintain(pre, post, func(ent *constEntry) bool {
+func (s *Site) maintainConsts(removed, ins []relation.Tuple) {
+	s.consts.maintain(func(ent *constEntry) bool {
 		ent.out.Store(nil) // the cached extraction no longer matches
 		if ent.st.HasUnits() {
 			for _, t := range removed {
@@ -214,40 +208,6 @@ func (s *Site) maintainConsts(pre, post any, removed, ins []relation.Tuple) {
 		}
 		return true
 	})
-}
-
-// reanchorLocked re-anchors the delta log on the fragment's current
-// state at a seed. If the fragment was mutated outside ApplyDelta, the
-// log and every retained fold state at this site are blind to the
-// change, and the damage is not limited to the seeding session — other
-// sessions' watermarks still look servable. So the re-anchor fences
-// them out: the generation advances past every outstanding watermark,
-// the log is trimmed to the fence (any fromGen below it now reports
-// stale, forcing those sessions to reseed too), and the fold sessions
-// are dropped wholesale. Callers hold deltaMu.
-func (s *Site) reanchorLocked() {
-	cur := s.frag.Version()
-	s.fenceForeignLocked(cur)
-	s.encAtGen = cur
-}
-
-// fenceForeignLocked fences out every outstanding watermark and fold
-// session when the fragment's current encoded view no longer matches
-// the anchored one: the generation advances past all handed-out
-// watermarks, the log is trimmed to the fence, and the sessions are
-// dropped. A nil anchor means no watermark was ever handed out (no
-// ApplyDelta, no seed), so there is nothing to fence. Callers hold
-// deltaMu and re-anchor encAtGen themselves afterwards.
-func (s *Site) fenceForeignLocked(cur any) {
-	if s.encAtGen == nil || s.encAtGen == cur {
-		return
-	}
-	s.gen++
-	s.dlogStart = s.gen
-	s.dlog = nil
-	s.sessMu.Lock()
-	s.sessions = make(map[string]*foldSession)
-	s.sessMu.Unlock()
 }
 
 // ExtractDeltaBlocks implements SiteAPI: the σ-routed log suffix after
@@ -263,10 +223,7 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
 	if fromGen < 0 {
-		// Seed: re-anchor the log (fencing out every stale session if
-		// the fragment was mutated behind it), then ship the full
-		// current blocks as one big insert delta.
-		s.reanchorLocked()
+		// Seed: ship the full current blocks as one big insert delta.
 		out := &DeltaBlocks{ToGen: s.gen, Ins: map[int]*relation.Relation{}, Del: map[int]*relation.Relation{}}
 		full, err := s.fullBlocks(spec, attrs, wanted, s.frag.Schema().Name()+"_ship")
 		if err != nil {
@@ -288,13 +245,9 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 
 // routeLogSuffix σ-routes every logged tuple after fromGen and
 // projects the ones landing in a wanted block. It is where a suffix the
-// log cannot serve reads as stale: the log no longer describes the
-// fragment (a non-delta mutation — Append/SortBy — it cannot see), or
-// fromGen lies outside (dlogStart, gen]. Callers hold deltaMu.
+// log cannot serve reads as stale: fromGen lies outside (dlogStart,
+// gen]. Callers hold deltaMu.
 func (s *Site) routeLogSuffix(spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (ins, del map[int]*relation.Relation, err error) {
-	if s.encAtGen == nil || s.encAtGen != s.frag.VersionIfBuilt() {
-		return nil, nil, fmt.Errorf("%w (site %d: fragment mutated outside ApplyDelta)", ErrStaleIncremental, s.id)
-	}
 	if fromGen < s.dlogStart || fromGen > s.gen {
 		return nil, nil, fmt.Errorf("%w (site %d: asked from generation %d, log covers (%d,%d])",
 			ErrStaleIncremental, s.id, fromGen, s.dlogStart, s.gen)
@@ -385,11 +338,6 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 		return nil, fmt.Errorf("core: site %d: %w", s.id, err)
 	}
 
-	if args.Seed {
-		// Fence out stale sessions before (re)creating this one if the
-		// fragment was mutated behind the log.
-		s.reanchorLocked()
-	}
 	sess, err := s.foldSessionFor(args, ps)
 	if err != nil {
 		return nil, err

@@ -537,13 +537,13 @@ func TestStoreFragApplyFailsBeforeLogging(t *testing.T) {
 				}
 				return st.Size()
 			}
-			n, ver, size := f.Len(), f.Version(), logSize()
+			n, size := f.Len(), logSize()
 			if _, err := f.Apply(tc.delta); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 				t.Fatalf("Apply over the damaged byte: got %v, want a checksum error", err)
 			}
-			if f.Len() != n || f.Version() != ver || logSize() != size || f.view != nil {
-				t.Fatalf("failed Apply changed the fragment: len %d→%d, version changed %v, delta.log %d→%d bytes, view %v",
-					n, f.Len(), f.Version() != ver, size, logSize(), f.view != nil)
+			if f.Len() != n || logSize() != size || f.view != nil {
+				t.Fatalf("failed Apply changed the fragment: len %d→%d, delta.log %d→%d bytes, view %v",
+					n, f.Len(), size, logSize(), f.view != nil)
 			}
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
@@ -645,8 +645,9 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 			}
 			sf := store.frag.(*storeFrag)
 			n := sf.Len()
-			if n != mem.memR.Len() {
-				t.Fatalf("store holds %d rows, mirror %d", n, mem.memR.Len())
+			mirror := mem.Fragment()
+			if n != mirror.Len() {
+				t.Fatalf("store holds %d rows, mirror %d", n, mirror.Len())
 			}
 			all := make([]int32, n)
 			var sigma, gaps, sparse []int32
@@ -677,7 +678,7 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				for k, i := range rows {
 					wide[k] = int(i)
 				}
-				want, err := mem.memR.ProjectRows("p", attrs, wide)
+				want, err := mirror.ProjectRows("p", attrs, wide)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 
 	"distcfd/internal/colstore"
 	"distcfd/internal/mining"
@@ -49,16 +48,7 @@ type storeFrag struct {
 	// else overlay row ref-baseRows) and replays relation.Apply's exact
 	// swap-with-last moves, keeping σ-entry maintenance valid.
 	view []uint32
-
-	// ver is the content-state token handed to the serving caches: one
-	// fresh pointer per mutation. Atomic for the same reason
-	// Relation.enc is — concurrent readers probe it without locks.
-	ver atomic.Pointer[storeVersion]
 }
-
-// storeVersion tokens must be distinct allocations; the field keeps
-// the struct non-zero-sized so the runtime cannot coalesce them.
-type storeVersion struct{ gen int64 }
 
 var _ siteFragment = (*storeFrag)(nil)
 
@@ -80,7 +70,6 @@ func openStoreFrag(dir string) (*storeFrag, int, error) {
 		ovDicts:  make([]*relation.Dict, arity),
 		tailIDs:  make([][]uint32, arity),
 	}
-	f.ver.Store(&storeVersion{})
 	wal, deltas, err := colstore.OpenDeltaLog(filepath.Join(dir, colstore.DeltaLogFile), arity)
 	if err != nil {
 		frag.Close()
@@ -111,10 +100,6 @@ func (f *storeFrag) Len() int {
 // tailRows returns the number of rows inserted since the file was
 // written.
 func (f *storeFrag) tailRows() int { return len(f.tailIDs[0]) }
-
-func (f *storeFrag) Version() any { return f.ver.Load() }
-
-func (f *storeFrag) VersionIfBuilt() any { return f.ver.Load() }
 
 // ovDict returns column j's current dictionary: the chained overlay
 // once an insert has grown it, the fragment's base dictionary until
@@ -390,7 +375,6 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 	for j, dict := range dicts {
 		f.ovDicts[j], f.tailIDs[j] = dict.InternInserts(f.tailIDs[j], d.Inserts, j)
 	}
-	f.ver.Store(&storeVersion{gen: f.ver.Load().gen + 1})
 	return removed, nil
 }
 

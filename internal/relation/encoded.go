@@ -222,14 +222,6 @@ func (r *Relation) Encoded() *Encoded {
 	return e
 }
 
-// EncodedIfBuilt returns the cached columnar view without building
-// one: nil when the relation has never been encoded or the cache was
-// invalidated. Serving caches use it to tell whether their maintained
-// state still corresponds to the relation's current view.
-func (r *Relation) EncodedIfBuilt() *Encoded {
-	return r.enc.Load()
-}
-
 // invalidateEncoding drops the cached columnar view and any attached
 // packed payload; every non-delta mutation of the tuple set calls it
 // (Apply maintains the view instead — see applyDelta).
