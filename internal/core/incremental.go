@@ -12,9 +12,9 @@ import (
 
 // This file is the driver half of incremental detection. A compiled
 // plan retains, per unit, an incremental session: a sticky coordinator
-// assignment, a per-site fold watermark (fragment generation), and the
-// session key naming the group states the coordinators keep. A
-// DetectIncremental round then
+// assignment, a per-site fold watermark (fragment generation), the
+// session key naming the group states the coordinators keep, and each
+// view's patterns as a counted set. A DetectIncremental round then
 //
 //  1. recomputes the run's *accounting* exactly as a fresh Detect
 //     would — per-block statistics come from the sites' maintained σ
@@ -27,16 +27,19 @@ import (
 //     and each sticky coordinator receives the per-block inserts and
 //     delete records it owns inside its one FoldDetect call (charged to
 //     the delta channel of dist.Metrics) and folds them into its
-//     retained group states.
+//     retained group states;
+//  3. moves only changed patterns back: each fold replies with the
+//     X-patterns that flipped, merged into the last sorted patterns.
 //
 // The first round (and any round the sites report stale state for —
-// trimmed log, unknown session, another spec — or that failed)
-// seeds: full blocks ship once as one big insert delta, rebuilding the
-// retained state. Otherwise a session lives on however many deletes it
-// folds: a group state holds exactly the current multiset. Sticky
-// coordinators may drift from what the current statistics would
-// choose; that changes which site folds a block, never the violation
-// union or the reported (fresh-equivalent) accounting.
+// trimmed log, unknown session, another spec — or that failed) seeds:
+// statistics, then full blocks ship once as one big insert delta and
+// each fold replies with its full set. A later round is two site-call
+// phases, its statistics riding in the extract replies. A session lives
+// on however many deletes it folds: a group state holds exactly the
+// current multiset. Sticky coordinators may drift from what the current
+// statistics would choose; that changes which site folds a block, never
+// the violation union or the reported (fresh-equivalent) accounting.
 
 // unitInc is the retained driver state of one plan unit's session.
 type unitInc struct {
@@ -44,48 +47,32 @@ type unitInc struct {
 	sticky    []int
 	foldedGen []int64
 	seeded    bool
+	pats      []*relation.CountedSet // per view, once per block state reporting a pattern
 }
 
 // invalidate abandons the session after a failed round: coordinator
-// states are dropped and the next round reseeds under a fresh key.
-// Delta blocks ride in the fold, so no deposit needs draining.
+// states and pattern sets are dropped and the next round reseeds under a
+// fresh key. Delta blocks ride in the fold, so no deposit needs draining.
 func (st *unitInc) invalidate(cl *Cluster) {
 	if st.session != "" {
 		cl.dropSession(st.session)
 	}
 	st.session = ""
 	st.seeded = false
+	st.pats = nil
 }
 
-// foldDeltas is the movement half of an incremental round, after
-// assignBlocks computed the statistics and assignment exactly as a
-// fresh run would: fresh-equivalent shipment accounting into m's
-// regular channel, delta movement on the delta channel, folds at the
-// sticky coordinators. A stale-state failure retries once with a full
-// reseed; any error leaves the session invalidated (zero retained
-// deposits) and the next call reseeds.
-func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, prunedSite []bool, lstat [][]int, coords []int,
-	st *unitInc) ([][]*relation.Relation, error) {
-	cl := u.cl
-	// Fresh-equivalent shipment accounting: exactly the blocks a fresh
-	// run would move, charged as tuple counts (payload bytes live on
-	// the delta channel — they are what actually crossed the wire).
-	for l, coord := range coords {
-		if coord < 0 {
-			continue
-		}
-		for i := 0; i < cl.N(); i++ {
-			if i != coord && lstat[i][l] > 0 {
-				m.ShipTuples(i, coord, lstat[i][l], 0)
-			}
-		}
-	}
-
-	// Each attempt records its delta shipments on its own metrics,
-	// merged into the round's only on success: a stale-state retry must
-	// not fold the aborted attempt's traffic into the figures. Under an
-	// active failure policy, a transient failure that escaped the
-	// per-call retries recovers the same way a stale session does —
+// foldDeltas runs an incremental round's σ-block half and returns the
+// fresh-equivalent coordinators and each view's patterns, sorted. A
+// stale-state failure retries once with a full reseed; any error leaves
+// the session invalidated (zero retained deposits) and the next call
+// reseeds.
+func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, fragSizes []int, st *unitInc) ([]int, []*relation.Relation, error) {
+	// Each attempt records its accounting and delta shipments on its own
+	// metrics, merged into the round's only on success: a stale-state
+	// retry must not fold the aborted attempt's traffic into the figures.
+	// Under an active failure policy, a transient failure that escaped
+	// the per-call retries recovers the same way a stale session does —
 	// invalidate and reseed — up to the unit attempt budget. (The
 	// incremental path never excludes sites; FailDegrade behaves like
 	// FailRetry here.)
@@ -93,87 +80,116 @@ func (u *unit) foldDeltas(ctx context.Context, fs *faultState, m *dist.Metrics, 
 	if fs.active() {
 		attempts = unitAttempts
 	}
-	var parts [][]*relation.Relation
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
-		attemptM := dist.NewMetrics(cl.N())
-		parts, err = st.dataRound(ctx, u, fs, attemptM, prunedSite, coords)
-		if err == nil {
+		attemptM := dist.NewMetrics(u.cl.N())
+		coords, views, rerr := st.round(ctx, u, fs, attemptM, fragSizes)
+		if err = rerr; err == nil {
 			m.Merge(attemptM)
-			return parts, nil
+			return coords, views, nil
 		}
-		st.invalidate(cl)
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		retryable := IsStaleIncremental(err) || (fs.active() && isTransient(err))
-		if !retryable {
-			return nil, err
+		st.invalidate(u.cl)
+		if ctx.Err() != nil || !(IsStaleIncremental(err) || (fs.active() && isTransient(err))) {
+			return nil, nil, err
 		}
 	}
-	return nil, err
+	return nil, nil, err
 }
 
-// dataRound runs the movement-and-fold half of one round: extraction
-// of delta (or, seeding, full) blocks at every site, one FoldDetect per
-// sticky coordinator carrying the blocks it folds, and watermark
-// commit.
-func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *dist.Metrics,
-	prunedSite []bool, freshCoords []int) ([][]*relation.Relation, error) {
-	cl, spec, detectCFDs, opt := u.cl, u.spec, u.views, u.opt
+// round runs one attempt. A seed assigns on SigmaStats, as a fresh run
+// does, then extracts full blocks; a later round extracts first — also
+// every block without a coordinator — and assigns on the counts the
+// extracts carry. Then the fresh run's shipments are charged, each
+// coordinator folds what every source ships it, the replies update the
+// views' pattern sets, and the watermarks commit.
+func (st *unitInc) round(ctx context.Context, u *unit, fs *faultState, m *dist.Metrics, fragSizes []int) ([]int, []*relation.Relation, error) {
+	cl, spec, detectCFDs := u.cl, u.spec, u.views
 	attrs := taskAttrs(spec, detectCFDs)
 	n := cl.N()
 	seeding := !st.seeded
-	if seeding {
-		st.session = cl.newTask("inc")
-		st.sticky = append([]int(nil), freshCoords...)
-		st.foldedGen = make([]int64, n)
-	} else {
-		// Blocks born since the seed (empty cluster-wide back then) get a
-		// coordinator now; their whole content arrives as deltas. A failed
-		// attempt invalidates the session, so the next one seeds afresh.
-		for l, coord := range st.sticky {
-			if coord < 0 {
-				st.sticky[l] = freshCoords[l]
-			}
-		}
-	}
-
-	// Extract, and split each reply by sticky coordinator: out[i][j] holds
-	// the inserts ([0]) and delete records ([1]) site i ships to j inside
-	// j's FoldDetect. A stale site fails the attempt; foldDeltas reseeds.
+	wanted := make([][]int, n)
 	replies := make([]*DeltaBlocks, n)
-	out := make([][][2]map[int]*relation.Relation, n)
-	if err := cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
-		if prunedSite[i] {
-			return nil
-		}
-		var wanted []int
+	extract := func(ctx context.Context, i int) (_ []int, err error) {
 		for l, coord := range st.sticky {
-			if coord >= 0 && coord != i {
-				wanted = append(wanted, l)
+			if coord != i && (coord >= 0 || !seeding) {
+				wanted[i] = append(wanted[i], l)
 			}
 		}
 		fromGen := st.foldedGen[i]
 		if seeding {
 			fromGen = -1
 		}
-		if replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen); err != nil {
+		if replies[i], err = fs.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted[i], fromGen); err != nil {
+			return nil, err
+		}
+		return replies[i].Counts, nil
+	}
+	// A stale extract fails the attempt; foldDeltas reseeds.
+	var prunedSite []bool
+	var lstat [][]int
+	var coords []int
+	var err error
+	if !seeding {
+		_, lstat, coords, err = u.assignBlocks(ctx, fs, m, fragSizes, extract)
+	} else if prunedSite, lstat, coords, err = u.assignBlocks(ctx, fs, m, fragSizes, u.sigmaStats(fs)); err == nil {
+		st.session = cl.newTask("inc")
+		st.sticky = slices.Clone(coords)
+		st.foldedGen = make([]int64, n)
+		err = cl.parallelCtx(ctx, func(ctx context.Context, i int) (err error) {
+			if !prunedSite[i] {
+				_, err = extract(ctx, i)
+			}
 			return err
+		})
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// Blocks born since the seed (empty cluster-wide back then) get the
+	// coordinator the counts pick; their whole content arrives as deltas.
+	for l, coord := range st.sticky {
+		if coord < 0 {
+			st.sticky[l] = coords[l]
+		}
+	}
+
+	// Fresh-equivalent shipment accounting: exactly the blocks a fresh
+	// run would move, charged as tuple counts (payload bytes live on
+	// the delta channel — they are what actually crossed the wire).
+	for l, coord := range coords {
+		if coord < 0 {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			if i != coord && lstat[i][l] > 0 {
+				m.ShipTuples(i, coord, lstat[i][l], 0)
+			}
+		}
+	}
+
+	// Split each reply by sticky coordinator: out[i][j] holds the inserts
+	// ([0]) and delete records ([1]) site i ships to j inside j's
+	// FoldDetect. A block the counts just gave to site i itself ships
+	// nothing — a coordinator folds its own log suffix — and neither does
+	// one they left without a coordinator: it is empty again.
+	out := make([][][2]map[int]*relation.Relation, n)
+	for i, rep := range replies {
+		if rep == nil {
+			continue
 		}
 		out[i] = make([][2]map[int]*relation.Relation, n)
-		for k, blocks := range [2]map[int]*relation.Relation{replies[i].Ins, replies[i].Del} {
+		for k, blocks := range [2]map[int]*relation.Relation{rep.Ins, rep.Del} {
 			for l, batch := range blocks {
-				if !slices.Contains(wanted, l) {
-					return fmt.Errorf("core: site %d returned delta block %d, which was not asked for", i, l)
-				}
-				if batch == nil || batch.Len() == 0 {
-					continue
-				}
-				if opt.NoPackedShip {
-					batch.DropPacked()
+				if !slices.Contains(wanted[i], l) {
+					return nil, nil, fmt.Errorf("core: site %d returned delta block %d, which was not asked for", i, l)
 				}
 				j := st.sticky[l]
+				if j < 0 || j == i || batch == nil || batch.Len() == 0 {
+					continue
+				}
+				if u.opt.NoPackedShip {
+					batch.DropPacked()
+				}
 				m.ShipDelta(i, j, batch.Len(), dist.RelationBytes(batch))
 				if out[i][j][k] == nil {
 					out[i][j][k] = map[int]*relation.Relation{}
@@ -181,19 +197,12 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 				out[i][j][k][l] = batch
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 
 	// Fold at the coordinators, each with what every source ships it.
 	bySite := blocksBySite(st.sticky, n)
-	parts := make([][]*relation.Relation, len(detectCFDs))
-	for ci := range parts {
-		parts[ci] = make([]*relation.Relation, n)
-	}
-	foldGen := make([]int64, n)
-	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) error {
+	reps := make([]*FoldReply, n)
+	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) (err error) {
 		if len(bySite[j]) == 0 {
 			return nil
 		}
@@ -206,26 +215,35 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		// A fold the failure hook could not absorb (reissue: FoldDetect
 		// mutates the session's retained states) reseeds via the
 		// round-level retry.
-		rep, err := fs.sites[j].FoldDetect(ctx, FoldArgs{
-			Session:        st.session,
-			Spec:           spec,
-			Blocks:         bySite[j],
-			CFDs:           detectCFDs,
-			RestrictSingle: u.restrict,
-			Seed:           seeding,
-			FromGen:        st.foldedGen[j],
-			Shipped:        shipped,
-		})
-		if err != nil {
-			return err
+		reps[j], err = fs.sites[j].FoldDetect(ctx, FoldArgs{Session: st.session, Spec: spec, Blocks: bySite[j], CFDs: detectCFDs,
+			RestrictSingle: u.restrict, Seed: seeding, FromGen: st.foldedGen[j], Shipped: shipped})
+		if err == nil && (len(reps[j].Added) != len(detectCFDs) || len(reps[j].Removed) != len(detectCFDs)) {
+			err = fmt.Errorf("core: site %d folded %d CFDs but replied %d/%d pattern sets", j, len(detectCFDs), len(reps[j].Added), len(reps[j].Removed))
 		}
-		for ci := range detectCFDs {
-			parts[ci][j] = rep.Patterns[ci]
-		}
-		foldGen[j] = rep.ToGen
-		return nil
+		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+
+	// Each reply adds and removes patterns of every view — a seed's adds
+	// its full set — and the view's counted set returns them sorted.
+	if seeding {
+		st.pats = make([]*relation.CountedSet, len(detectCFDs))
+		for vi, ci := range u.viewIdx {
+			st.pats[vi] = relation.NewCountedSet(u.schemas[ci])
+		}
+	}
+	views := make([]*relation.Relation, len(detectCFDs))
+	for vi := range views {
+		var added, removed []*relation.Relation
+		for _, rep := range reps {
+			if rep != nil {
+				added, removed = append(added, rep.Added[vi]), append(removed, rep.Removed[vi])
+			}
+		}
+		if views[vi], err = st.pats[vi].Update(added, removed); err != nil {
+			return nil, nil, fmt.Errorf("core: fold replies for %s: %w", detectCFDs[vi].Name, err)
+		}
 	}
 
 	// Commit watermarks only on full success; a partial round was
@@ -234,12 +252,12 @@ func (st *unitInc) dataRound(ctx context.Context, u *unit, fs *faultState, m *di
 		if replies[i] != nil {
 			st.foldedGen[i] = replies[i].ToGen
 		}
-		if len(bySite[i]) > 0 {
-			st.foldedGen[i] = foldGen[i]
+		if reps[i] != nil {
+			st.foldedGen[i] = reps[i].ToGen
 		}
 	}
 	st.seeded = true
-	return parts, nil
+	return coords, views, nil
 }
 
 // DetectIncremental runs the compiled plan against the cluster's

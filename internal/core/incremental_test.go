@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -674,10 +677,13 @@ func TestIncrementalCancelDuringFoldDropsSession(t *testing.T) {
 	}
 }
 
-// TestIncrementalRoundCallShape pins what a round after the seed asks
-// of the sites: no Deposit — the delta blocks ride in the fold — and at
+// TestIncrementalRoundCallShape pins what a round asks of the sites.
+// The seed keeps a fresh run's order — statistics first — and makes at
 // most one SigmaStats, one ExtractDeltaBlocks and one FoldDetect per
-// site per unit.
+// site and unit. A round after it makes no SigmaStats — the extract
+// carries the σ counts — and no Deposit — the delta blocks ride in the
+// fold — and at most one ExtractDeltaBlocks and one FoldDetect per site
+// and unit; its result equals a fresh Detect's.
 func TestIncrementalRoundCallShape(t *testing.T) {
 	ctx := context.Background()
 	data := workload.Cust(workload.CustConfig{N: 1_200, Seed: 3, ErrRate: 0.03})
@@ -687,10 +693,21 @@ func TestIncrementalRoundCallShape(t *testing.T) {
 	}
 	var mu sync.Mutex
 	calls := make([]map[string]int, h.N())
+	// take returns the calls each site received since the last take.
+	take := func() []map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := calls
+		calls = make([]map[string]int, len(out))
+		for i := range calls {
+			calls[i] = map[string]int{}
+		}
+		return out
+	}
+	take()
 	sites := make([]SiteAPI, h.N())
 	for i, frag := range h.Fragments {
 		s := NewSite(i, frag, relation.True())
-		calls[i] = map[string]int{}
 		w := NewIntercept(func() SiteAPI { return s }, func(_ context.Context, method string, call func(SiteAPI) error) error {
 			mu.Lock()
 			calls[i][method]++
@@ -707,8 +724,21 @@ func TestIncrementalRoundCallShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	atMostOnePerUnit := func(label string, i int, c map[string]int, methods ...string) {
+		for _, m := range methods {
+			if c[m] > len(p.units) {
+				t.Errorf("%s: site %d received %d %s calls for %d units", label, i, c[m], m, len(p.units))
+			}
+		}
+	}
 	if _, err := p.DetectIncremental(ctx); err != nil {
 		t.Fatal(err)
+	}
+	for i, c := range take() {
+		if c["SigmaStats"] == 0 {
+			t.Errorf("seed: site %d received no SigmaStats", i)
+		}
+		atMostOnePerUnit("seed", i, c, "SigmaStats", "ExtractDeltaBlocks", "FoldDetect")
 	}
 	streams := workload.SplitStreams(h.Fragments,
 		workload.DeltaConfig{Seed: 21, Inserts: 6, Updates: 3, Deletes: 2, ErrRate: 0.1},
@@ -720,11 +750,7 @@ func TestIncrementalRoundCallShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mu.Lock()
-	for i := range calls {
-		calls[i] = map[string]int{}
-	}
-	mu.Unlock()
+	take()
 	res, err := p.DetectIncremental(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -732,14 +758,226 @@ func TestIncrementalRoundCallShape(t *testing.T) {
 	if res.DeltaShippedTuples == 0 {
 		t.Fatal("the round shipped no delta tuple — the Deposit count would be vacuous")
 	}
-	for i, c := range calls {
-		if c["Deposit"] != 0 {
-			t.Errorf("site %d received %d Deposit calls", i, c["Deposit"])
+	for i, c := range take() {
+		if c["Deposit"] != 0 || c["SigmaStats"] != 0 {
+			t.Errorf("site %d received %d Deposit and %d SigmaStats calls", i, c["Deposit"], c["SigmaStats"])
 		}
-		for _, m := range []string{"SigmaStats", "ExtractDeltaBlocks", "FoldDetect"} {
-			if c[m] > len(p.units) {
-				t.Errorf("site %d received %d %s calls for %d units", i, c[m], m, len(p.units))
+		atMostOnePerUnit("round", i, c, "ExtractDeltaBlocks", "FoldDetect")
+	}
+	fresh, err := p.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.PerCFD) != fmt.Sprint(fresh.PerCFD) || res.ShippedTuples != fresh.ShippedTuples || res.ModeledTime != fresh.ModeledTime {
+		t.Error("the round diverges from a fresh Detect")
+	}
+}
+
+// TestIncrementalBlockBornAfterSeed: a block empty cluster-wide at the
+// seed has no coordinator. The delta that fills it is extracted at every
+// site, the counts those extracts carry pick its coordinator — the round
+// makes no SigmaStats — and the round equals a fresh Detect and a virgin
+// cluster.
+func TestIncrementalBlockBornAfterSeed(t *testing.T) {
+	ctx := context.Background()
+	cl := uniformCluster(t, 3, 7)
+	var sigma atomic.Int64
+	sites := make([]SiteAPI, cl.N())
+	for i := range sites {
+		s := cl.Site(i)
+		w := NewIntercept(func() SiteAPI { return s }, func(_ context.Context, method string, call func(SiteAPI) error) error {
+			if method == "SigmaStats" {
+				sigma.Add(1)
 			}
+			return call(s)
+		})
+		sites[i] = &w
+	}
+	counted, err := NewCluster(cl.Schema(), sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := cfd.MustParse(`born: [CC, AC] -> [city] : (44, 131 || _), (99, 999 || _)`)
+	sp, err := compileOne(ctx, counted, rule, PatDetectS, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := sp.DetectIncremental(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := seed.Units[0].Coordinators[1]; c != -1 {
+		t.Fatalf("block (99, 999) has coordinator %d at the seed, want none", c)
+	}
+	sigma.Store(0)
+	emp := func(id, city string) relation.Tuple {
+		return relation.Tuple{id, "x", "MTS", "99", "999", "0000000", "Mayfield", city, "EH4 8LE", "80k"}
+	}
+	inc, err := sp.DetectDelta(ctx, map[int]relation.Delta{
+		0: {Inserts: []relation.Tuple{emp("b1", "EDI")}},
+		2: {Inserts: []relation.Tuple{emp("b2", "NYC"), emp("b3", "NYC")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sigma.Load(); n != 0 {
+		t.Errorf("the round made %d SigmaStats calls", n)
+	}
+	if coord := inc.Units[0].Coordinators[1]; coord < 0 || sp.inc[0].sticky[1] != coord {
+		t.Fatalf("born block: counted coordinator %d, sticky %d", coord, sp.inc[0].sticky[1])
+	}
+	if !strings.Contains(inc.PerCFD[0].String(), "999") {
+		t.Errorf("the born block's violation is missing:\n%s", inc.PerCFD[0])
+	}
+	fresh, err := sp.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vsp, err := compileOne(ctx, cloneCluster(t, cl), rule, PatDetectS, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	virgin, err := vsp.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIncEquiv(t, "born block", inc, fresh, virgin)
+}
+
+// flakyFold fails one FoldDetect of its site once armed: before the
+// fold runs (a plain error, which fails the round), or — lost — after it
+// ran (its reply lost, which FailRetry answers by reseeding).
+type flakyFold struct {
+	*Site
+	lost  bool
+	armed atomic.Bool
+}
+
+func (s *flakyFold) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error) {
+	if !s.armed.CompareAndSwap(true, false) {
+		return s.Site.FoldDetect(ctx, args)
+	}
+	if !s.lost {
+		return nil, errors.New("fold refused")
+	}
+	if _, err := s.Site.FoldDetect(ctx, args); err != nil {
+		return nil, err
+	}
+	return nil, &CodedError{Code: CodeUnavailable, Msg: "fold reply lost"}
+}
+
+// TestChaosIncrementalFoldFailureDropsPatterns: one coordinator's fold
+// fails while the others fold — refused under FailFast, or run with its
+// reply lost under FailRetry — through DetectIncremental and
+// DetectDelta. The driver's pattern sets go with the session: the
+// refused round leaves none behind, the lost reply's round reseeds
+// within the call, and every round after equals a fresh Detect. A
+// Result handed out earlier never changes when later rounds flip
+// patterns.
+func TestChaosIncrementalFoldFailureDropsPatterns(t *testing.T) {
+	ctx := context.Background()
+	cfds := []*cfd.CFD{workload.CustPatternCFD(24), workload.CustStreetCFD()}
+	for _, lost := range []bool{false, true} {
+		for _, viaDelta := range []bool{false, true} {
+			t.Run(fmt.Sprintf("lost=%v/DetectDelta=%v", lost, viaDelta), func(t *testing.T) {
+				data := workload.Cust(workload.CustConfig{N: 1_200, Seed: 8, ErrRate: 0.05})
+				h, err := partition.Uniform(data, 3, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flaky := make([]*flakyFold, h.N())
+				sites := make([]SiteAPI, h.N())
+				for i, frag := range h.Fragments {
+					flaky[i] = &flakyFold{Site: NewSite(i, frag, relation.True()), lost: lost}
+					sites[i] = flaky[i]
+				}
+				cl, err := NewCluster(h.Schema, sites)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := Options{}
+				if lost {
+					opt.Failure = FailRetry
+				}
+				p, err := CompileSet(ctx, cl, cfds, PatDetectRT, opt, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams := workload.SplitStreams(h.Fragments,
+					workload.DeltaConfig{Seed: 5, Inserts: 6, Updates: 3, Deletes: 3, ErrRate: 0.3},
+					func(f *relation.Relation, c workload.DeltaConfig) *workload.DeltaStream {
+						return workload.CustDeltaStream(f, c)
+					})
+				round := func() (*Result, error) {
+					deltas := make(map[int]relation.Delta, len(streams))
+					for i, ds := range streams {
+						deltas[i] = ds.Next()
+					}
+					if viaDelta {
+						return p.DetectDelta(ctx, deltas)
+					}
+					for i, d := range deltas {
+						if _, err := cl.Site(i).ApplyDelta(ctx, d, ""); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return p.DetectIncremental(ctx)
+				}
+				equalsFresh := func(label string, res *Result) {
+					t.Helper()
+					fresh, err := p.Detect(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(res.PerCFD) != fmt.Sprint(fresh.PerCFD) || res.ShippedTuples != fresh.ShippedTuples || res.ModeledTime != fresh.ModeledTime {
+						t.Fatalf("%s diverges from a fresh Detect", label)
+					}
+				}
+				if _, err := p.DetectIncremental(ctx); err != nil {
+					t.Fatal(err)
+				}
+				held, err := round()
+				if err != nil {
+					t.Fatal(err)
+				}
+				heldText := fmt.Sprint(held.PerCFD)
+				session := p.inc[0].session
+				coord := p.inc[0].sticky[slices.IndexFunc(p.inc[0].sticky, func(c int) bool { return c >= 0 })]
+				flaky[coord].armed.Store(true)
+				res, err := round()
+				switch {
+				case !lost && err == nil:
+					t.Fatal("a refused fold passed")
+				case !lost:
+					for gi, st := range p.inc {
+						if st.session != "" || st.pats != nil {
+							t.Errorf("unit %d kept its session or pattern sets after the failed round", gi)
+						}
+					}
+				case err != nil:
+					t.Fatalf("a lost fold reply was not recovered: %v", err)
+				default:
+					if p.inc[0].session == session {
+						t.Error("the round kept its session after losing a fold reply")
+					}
+					equalsFresh("the reseeded round", res)
+				}
+				flipped := false
+				for k := 0; k < 4; k++ {
+					res, err := round()
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalsFresh(fmt.Sprintf("round %d after the failure", k), res)
+					flipped = flipped || fmt.Sprint(res.PerCFD) != heldText
+				}
+				if !flipped {
+					t.Fatal("no round changed the patterns — the held-result check is vacuous")
+				}
+				if fmt.Sprint(held.PerCFD) != heldText {
+					t.Error("a later round changed a Result already handed out")
+				}
+			})
 		}
 	}
 }

@@ -206,19 +206,32 @@ func FuzzSiteArgs(f *testing.F) {
 		_, _ = s.DetectAssignedSingle(ctx, "t", spec, blocks, c)
 		_, _ = s.DetectAssignedSet(ctx, "t", spec, blocks, cfds)
 		_, _ = s.DetectConstantsLocal(ctx, c)
-		_, _ = s.ExtractDeltaBlocks(ctx, spec, attrs, blocks, -1)
-		_, _ = s.ExtractDeltaBlocks(ctx, spec, attrs, blocks, 0)
+		// An extract the site serves carries one count per block, and a
+		// fold one pattern change set per CFD each way: the shapes the
+		// driver refuses otherwise.
+		extract := func(fromGen int64) {
+			if db, err := s.ExtractDeltaBlocks(ctx, spec, attrs, blocks, fromGen); err == nil && len(db.Counts) != spec.K() {
+				t.Fatalf("%d σ counts for %d blocks", len(db.Counts), spec.K())
+			}
+		}
+		fold := func(args FoldArgs) {
+			if rep, err := s.FoldDetect(ctx, args); err == nil && (len(rep.Added) != len(cfds) || len(rep.Removed) != len(cfds)) {
+				t.Fatalf("%d/%d pattern sets for %d CFDs", len(rep.Added), len(rep.Removed), len(cfds))
+			}
+		}
+		extract(-1)
+		extract(0)
 		args := FoldArgs{Session: "s", Spec: spec, Blocks: blocks, CFDs: cfds, RestrictSingle: restrict, Seed: true}
-		_, _ = s.FoldDetect(ctx, args)
+		fold(args)
 		args.Seed = false
-		_, _ = s.FoldDetect(ctx, args)
+		fold(args)
 		_, _ = s.ApplyDelta(ctx, d, "")
-		_, _ = s.ExtractDeltaBlocks(ctx, spec, attrs, blocks, 0)
-		_, _ = s.FoldDetect(ctx, args)
+		extract(0)
+		fold(args)
 		args.Shipped = shipped
-		_, _ = s.FoldDetect(ctx, args)
+		fold(args)
 		args.Seed = true
-		_, _ = s.FoldDetect(ctx, args)
+		fold(args)
 		if n := s.PendingDeposits(); n != 0 {
 			t.Fatalf("%d deposit tasks buffered", n)
 		}

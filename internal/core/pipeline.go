@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/dist"
@@ -18,9 +20,9 @@ import (
 //     (assignBlocks),
 //  3. movement and detection: a fresh run (st == nil) ships every
 //     non-local σ-block to its coordinator and detects there
-//     (shipAndDetect); an incremental round charges those shipments to
-//     the accounting and moves only deltas into the session's retained
-//     state (foldDeltas, incremental.go).
+//     (shipAndDetect); an incremental round (foldDeltas, incremental.go)
+//     charges those shipments to the accounting — after its seed, on its
+//     extract's counts — and moves only deltas in and flips out.
 func (u *unit) run(ctx context.Context, fs *faultState, st *unitInc) (*unitOut, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -44,31 +46,38 @@ func (u *unit) run(ctx context.Context, fs *faultState, st *unitInc) (*unitOut, 
 	}
 
 	out := &unitOut{pats: pats, m: m, report: UnitReport{Spec: u.spec, MinedPatterns: u.mined, LocalOnly: true}}
+	var views []*relation.Relation
 	if u.spec != nil {
 		for _, cb := range u.control {
 			cl.broadcastControl(m, cb.from, cb.bytes)
 		}
-		prunedSite, lstat, coords, err := u.assignBlocks(ctx, fs, m, fragSizes)
-		if err != nil {
-			return nil, err
-		}
-		var parts [][]*relation.Relation
 		if st == nil {
-			parts, err = u.shipAndDetect(ctx, fs, m, prunedSite, lstat, coords)
-		} else {
-			parts, err = u.foldDeltas(ctx, fs, m, prunedSite, lstat, coords, st)
-		}
-		if err != nil {
+			prunedSite, lstat, coords, err := u.assignBlocks(ctx, fs, m, fragSizes, u.sigmaStats(fs))
+			if err != nil {
+				return nil, err
+			}
+			parts, err := u.shipAndDetect(ctx, fs, m, prunedSite, lstat, coords)
+			if err != nil {
+				return nil, err
+			}
+			for vi, ci := range u.viewIdx {
+				pats[ci] = mergeDistinct(u.schemas[ci], append([]*relation.Relation{pats[ci]}, parts[vi]...))
+			}
+			out.report.Coordinators = coords
+		} else if out.report.Coordinators, views, err = u.foldDeltas(ctx, fs, m, fragSizes, st); err != nil {
 			return nil, err
 		}
-		for vi, ci := range u.viewIdx {
-			pats[ci] = mergeDistinct(u.schemas[ci], append([]*relation.Relation{pats[ci]}, parts[vi]...))
-		}
-		out.report.Coordinators = coords
 		out.report.LocalOnly = m.TotalTuples() == 0
 	}
 	for ci, c := range u.group {
 		if err := pats[ci].SortBy(c.X...); err != nil {
+			return nil, err
+		}
+	}
+	// An incremental round's views come back sorted; a constant part merges in.
+	for vi, v := range views {
+		ci := u.viewIdx[vi]
+		if pats[ci], err = pats[ci].MergeSorted(v, nil, u.group[ci].X...); err != nil {
 			return nil, err
 		}
 	}
@@ -122,12 +131,12 @@ func pruneMatrix(preds []relation.Predicate, spec *BlockSpec) (prunedSite []bool
 }
 
 // assignBlocks is the data-dependent preamble every run of the σ-block
-// pipeline shares: pruning, per-site block statistics (served from the
-// sites' maintained σ entries, so O(K) per site after deltas), the
-// statistics exchange charged to m's control plane, and the
-// coordinator assignment. lstat[i][l] = |H_i^l| with pruned pairs
-// zeroed; coords[l] is block l's coordinator (-1 = empty block).
-func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics, fragSizes []int) (prunedSite []bool, lstat [][]int, coords []int, err error) {
+// pipeline shares: pruning, per-site block statistics from stats (a
+// vector of the wrong length or with a negative count is refused), the
+// statistics exchange charged to m's control plane, and the coordinator
+// assignment. lstat[i][l] = |H_i^l| with pruned pairs zeroed; coords[l]
+// is block l's coordinator (-1 = empty block).
+func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics, fragSizes []int, stats func(ctx context.Context, i int) ([]int, error)) (prunedSite []bool, lstat [][]int, coords []int, err error) {
 	cl, spec := u.cl, u.spec
 	prunedSite, prunedBlock := pruneMatrix(cl.preds, spec)
 	// A degraded run treats excluded sites like fully pruned ones — no
@@ -145,9 +154,12 @@ func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics
 			lstat[i] = make([]int, spec.K())
 			return nil
 		}
-		s, err := fs.sites[i].SigmaStats(ctx, spec)
+		s, err := stats(ctx, i)
 		if err != nil {
 			return err
+		}
+		if len(s) != spec.K() || slices.Min(s) < 0 {
+			return fmt.Errorf("core: site %d reported block counts %v for %d blocks", i, s, spec.K())
 		}
 		for l := range s {
 			if prunedBlock[i][l] {
@@ -166,6 +178,11 @@ func (u *unit) assignBlocks(ctx context.Context, fs *faultState, m *dist.Metrics
 		}
 	}
 	return prunedSite, lstat, assign(u.algo, lstat, fragSizes, costModel, fs.eligible()), nil
+}
+
+// sigmaStats is assignBlocks' statistics source but for a round's extract.
+func (u *unit) sigmaStats(fs *faultState) func(ctx context.Context, i int) ([]int, error) {
+	return func(ctx context.Context, i int) ([]int, error) { return fs.sites[i].SigmaStats(ctx, u.spec) }
 }
 
 // shipAndDetect is the movement half of a fresh run: parallel shipping

@@ -123,15 +123,15 @@ type SiteAPI interface {
 	ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (DeltaInfo, error)
 	// ExtractDeltaBlocks σ-routes the log suffix after fromGen and
 	// returns, per wanted block, the inserted and deleted tuples
-	// projected onto attrs. fromGen < 0 seeds: the full current blocks
-	// are returned as inserts. A fromGen the log no longer covers fails
-	// with a stale error (IsStaleIncremental), telling the driver to
-	// reseed.
+	// projected onto attrs, beside the spec's σ counts (SigmaStats).
+	// fromGen < 0 seeds: the full current blocks are returned as
+	// inserts. A fromGen the log no longer covers fails with a stale
+	// error (IsStaleIncremental), telling the driver to reseed.
 	ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (*DeltaBlocks, error)
 	// FoldDetect folds this site's own delta (its local blocks) plus
 	// the other sites' delta blocks args.Shipped carries into the
-	// session's retained per-(CFD, block) group states and returns the
-	// current violating X-patterns per CFD over the listed blocks.
+	// session's retained per-(CFD, block) group states and returns, per
+	// CFD, the X-patterns that flipped since the session's last reply.
 	FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error)
 	// DropSession releases the retained incremental state of a session
 	// (reseed or teardown). Unknown sessions are a no-op.
@@ -852,7 +852,7 @@ func (s *Site) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.
 	if prev := ent.out.Load(); prev != nil {
 		return prev, nil
 	}
-	ent.st.Patterns(out, map[string]struct{}{})
+	ent.st.Patterns(out)
 	if err := out.SortBy(c.X...); err != nil {
 		return nil, err
 	}

@@ -63,6 +63,7 @@ type DeltaBlocks struct {
 	ToGen int64
 	// Ins and Del map block index → projected tuples.
 	Ins, Del map[int]*relation.Relation
+	Counts   []int // an extract's σ counts as of ToGen (SigmaStats'); unused in Shipped
 }
 
 // FoldArgs parameterizes a coordinator's incremental detection step.
@@ -92,12 +93,13 @@ type FoldArgs struct {
 	Shipped []*DeltaBlocks
 }
 
-// FoldReply reports a coordinator's fold: the current violating
-// X-patterns per CFD (distinct, unioned over the session's blocks) and
-// the generation the local fold advanced to.
+// FoldReply reports a coordinator's fold: per CFD, the X-patterns that
+// started (Added) and stopped (Removed) violating since the session's
+// last reply — a seed adds every current one — once per block state
+// that holds them, and the generation the local fold advanced to.
 type FoldReply struct {
-	Patterns []*relation.Relation
-	ToGen    int64
+	Added, Removed []*relation.Relation
+	ToGen          int64
 }
 
 // deltaLogEntry is one applied delta: the inserted tuples and the
@@ -212,7 +214,8 @@ func (s *Site) maintainConsts(removed, ins []relation.Tuple) {
 
 // ExtractDeltaBlocks implements SiteAPI: the σ-routed log suffix after
 // fromGen (or, seeding with fromGen < 0, the full current blocks as
-// inserts), projected onto attrs, for the wanted blocks.
+// inserts), projected onto attrs, for the wanted blocks, beside the
+// spec's σ counts.
 func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (*DeltaBlocks, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -222,9 +225,10 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 	}
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
+	out := &DeltaBlocks{ToGen: s.gen, Ins: map[int]*relation.Relation{}, Del: map[int]*relation.Relation{}}
+	var err error
 	if fromGen < 0 {
 		// Seed: ship the full current blocks as one big insert delta.
-		out := &DeltaBlocks{ToGen: s.gen, Ins: map[int]*relation.Relation{}, Del: map[int]*relation.Relation{}}
 		full, err := s.fullBlocks(spec, attrs, wanted, s.frag.Schema().Name()+"_ship")
 		if err != nil {
 			return nil, err
@@ -234,13 +238,15 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 				out.Ins[l] = r
 			}
 		}
-		return out, nil
+	} else if out.Ins, out.Del, err = s.routeLogSuffix(spec, attrs, wanted, fromGen); err != nil {
+		return nil, err
 	}
-	ins, del, err := s.routeLogSuffix(spec, attrs, wanted, fromGen)
+	ent, err := s.assignAll(spec)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaBlocks{ToGen: s.gen, Ins: ins, Del: del}, nil
+	out.Counts = slices.Clone(ent.counts)
+	return out, nil
 }
 
 // routeLogSuffix σ-routes every logged tuple after fromGen and
@@ -386,20 +392,23 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 		}
 	}
 
-	reply := &FoldReply{ToGen: s.gen, Patterns: make([]*relation.Relation, len(args.CFDs))}
-	for ci, c := range args.CFDs {
-		pschema, err := schema.Project("viopi_"+c.Name, c.X)
-		if err != nil {
-			return nil, err
-		}
-		union := relation.New(pschema)
-		seen := map[string]struct{}{}
+	// A seed replies with every block's full set and starts tracking
+	// flips; a later fold replies with the flips since the last reply.
+	added, err := emptyPatternRelations(schema, args.CFDs)
+	if err != nil {
+		return nil, err
+	}
+	reply := &FoldReply{Added: added, Removed: make([]*relation.Relation, len(added)), ToGen: s.gen}
+	for ci := range args.CFDs {
+		reply.Removed[ci] = relation.New(added[ci].Schema())
 		for _, l := range args.Blocks {
-			if states := sess.states[l]; states != nil {
-				states[ci].Patterns(union, seen)
+			if st := sess.states[l][ci]; args.Seed {
+				st.Patterns(added[ci])
+				st.TrackChanges()
+			} else {
+				st.Changes(added[ci], reply.Removed[ci])
 			}
 		}
-		reply.Patterns[ci] = union
 	}
 	return reply, nil
 }
@@ -456,7 +465,7 @@ func (s *Site) foldSessionFor(args FoldArgs, ps *relation.Schema) (*foldSession,
 // statesFor returns (creating on first touch) the per-CFD states of
 // one block. Blocks born after the seed — empty cluster-wide when the
 // session started — begin empty here and receive their entire content
-// as deltas, which reconstructs them exactly.
+// as deltas, which reconstructs them exactly (and tracks flips from empty).
 func (sess *foldSession) statesFor(l int, args FoldArgs) ([]*engine.IncrementalState, error) {
 	if states := sess.states[l]; states != nil {
 		if len(states) != len(args.CFDs) {
@@ -474,6 +483,9 @@ func (sess *foldSession) statesFor(l int, args FoldArgs) ([]*engine.IncrementalS
 		st, err := engine.NewIncrementalState(sess.schema, folded, false)
 		if err != nil {
 			return nil, err
+		}
+		if !args.Seed {
+			st.TrackChanges()
 		}
 		states[ci] = st
 	}

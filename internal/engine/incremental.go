@@ -31,8 +31,21 @@ import (
 // one IncrementalState per (CFD, σ-block) and folds only shipped delta
 // blocks into it. The one-shot Kernel.DetectSet/DetectRows paths remain
 // as the full-recompute and row-path ablation baselines (ablation 11).
+//
+// Once TrackChanges is called, the state also remembers each X-pattern
+// a fold reaches and whether it violated before, so Changes reports the
+// patterns that flipped in O(patterns folded) instead of walking every
+// group.
 type IncrementalState struct {
 	units []*unitState
+	// touched maps the X-key of every pattern folded since changes were
+	// last taken to that pattern; nil while changes are not tracked.
+	touched map[string]touchedPattern
+}
+
+type touchedPattern struct {
+	x   relation.Tuple
+	was bool // violated before the first fold that reached it
 }
 
 type unitState struct {
@@ -106,29 +119,80 @@ func NewIncrementalState(s *relation.Schema, c *cfd.CFD, constantOnly bool) (*In
 func (st *IncrementalState) HasUnits() bool { return len(st.units) > 0 }
 
 // Insert folds one inserted tuple into every unit.
-func (st *IncrementalState) Insert(t relation.Tuple) {
-	for _, u := range st.units {
-		u.fold(t, +1)
-	}
-}
+func (st *IncrementalState) Insert(t relation.Tuple) { st.fold(t, +1) }
 
 // Delete folds one deleted tuple out of every unit. Deleting a tuple
 // that was never inserted corrupts the counts; callers feed the state
 // from a consistent delta log.
-func (st *IncrementalState) Delete(t relation.Tuple) {
+func (st *IncrementalState) Delete(t relation.Tuple) { st.fold(t, -1) }
+
+// fold folds t into every unit it reaches. Every unit keys its groups
+// by the CFD's X, so the key is built once, at the first such unit —
+// which is also where a tracking state records whether the pattern
+// violated before this fold.
+func (st *IncrementalState) fold(t relation.Tuple, sign int) {
+	var k string
+	keyed := false
 	for _, u := range st.units {
-		u.fold(t, -1)
+		if !u.reaches(t) {
+			continue
+		}
+		if !keyed {
+			k, keyed = t.Key(u.xi), true
+			if _, seen := st.touched[k]; st.touched != nil && !seen {
+				st.touched[k] = touchedPattern{x: t.Project(u.xi), was: st.violates(k)}
+			}
+		}
+		u.fold(t, k, sign)
 	}
 }
 
-func (u *unitState) fold(t relation.Tuple, sign int) {
-	for i, p := range u.constPos {
-		if t[p] != u.constVal[i] {
-			return
+// violates reports whether the X-pattern keyed k violates any unit.
+func (st *IncrementalState) violates(k string) bool {
+	for _, u := range st.units {
+		if g := u.groups[k]; g != nil && len(g.perA) >= 2 || u.viols[k] != nil {
+			return true
 		}
 	}
+	return false
+}
+
+// TrackChanges starts recording, from the current state on, the
+// X-patterns whose violating status folds flip (see Changes).
+func (st *IncrementalState) TrackChanges() { st.touched = map[string]touchedPattern{} }
+
+// Changes appends to added the X-patterns that violate now but did not
+// when changes were last taken (or tracking began), and to removed the
+// ones that did and no longer do; a pattern that flipped and flipped
+// back is in neither. Both relations are over c.X, as for Patterns. It
+// costs O(patterns folded since) and starts the next interval; without
+// TrackChanges it reports nothing.
+func (st *IncrementalState) Changes(added, removed *relation.Relation) {
+	for k, p := range st.touched {
+		switch now := st.violates(k); {
+		case now && !p.was:
+			added.MustAppend(p.x)
+		case !now && p.was:
+			removed.MustAppend(p.x)
+		}
+	}
+	clear(st.touched)
+}
+
+// reaches reports whether folding t changes the unit: t carries the
+// unit's LHS constants and, for a constant unit, a wrong A value — only
+// those tuples are tracked there.
+func (u *unitState) reaches(t relation.Tuple) bool {
+	for i, p := range u.constPos {
+		if t[p] != u.constVal[i] {
+			return false
+		}
+	}
+	return u.groups != nil || t[u.ai] != u.n.TpA
+}
+
+func (u *unitState) fold(t relation.Tuple, k string, sign int) {
 	if u.groups != nil {
-		k := t.Key(u.xi)
 		g := u.groups[k]
 		if g == nil {
 			if sign < 0 {
@@ -147,11 +211,6 @@ func (u *unitState) fold(t relation.Tuple, sign int) {
 		}
 		return
 	}
-	// Constant unit: only tuples with the wrong A value are tracked.
-	if t[u.ai] == u.n.TpA {
-		return
-	}
-	k := t.Key(u.xi)
 	v := u.viols[k]
 	if v == nil {
 		if sign < 0 {
@@ -166,34 +225,24 @@ func (u *unitState) fold(t relation.Tuple, sign int) {
 	}
 }
 
-// Patterns appends the current distinct violating X-patterns to dst (a
-// relation over c.X), skipping patterns already recorded in seen — the
-// same union/dedup contract the one-shot coordinator steps use. dst
-// and seen may span several states (blocks).
-func (st *IncrementalState) Patterns(dst *relation.Relation, seen map[string]struct{}) {
-	all := make([]int, dst.Schema().Arity())
-	for i := range all {
-		all[i] = i
-	}
-	add := func(x relation.Tuple) {
-		k := x.Key(all)
-		if _, dup := seen[k]; dup {
-			return
+// Patterns appends the current violating X-patterns to dst (a relation
+// over c.X), each once however many units it violates.
+func (st *IncrementalState) Patterns(dst *relation.Relation) {
+	seen := map[string]bool{}
+	add := func(k string, x relation.Tuple) {
+		if !seen[k] {
+			seen[k] = true
+			dst.MustAppend(x)
 		}
-		seen[k] = struct{}{}
-		dst.MustAppend(x)
 	}
 	for _, u := range st.units {
-		if u.groups != nil {
-			for _, g := range u.groups {
-				if len(g.perA) >= 2 {
-					add(g.x)
-				}
+		for k, g := range u.groups {
+			if len(g.perA) >= 2 {
+				add(k, g.x)
 			}
-			continue
 		}
-		for _, v := range u.viols {
-			add(v.x)
+		for k, v := range u.viols {
+			add(k, v.x)
 		}
 	}
 }

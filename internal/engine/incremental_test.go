@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -67,7 +68,7 @@ func statePatterns(t *testing.T, s *relation.Schema, c *cfd.CFD, st *Incremental
 		t.Fatal(err)
 	}
 	dst := relation.New(ps)
-	st.Patterns(dst, map[string]struct{}{})
+	st.Patterns(dst)
 	return sortedPatterns(t, dst)
 }
 
@@ -163,5 +164,135 @@ func TestIncrementalStateSeparatorValues(t *testing.T) {
 	st.Insert(relation.Tuple{"x\x1f", "y", "c1"})
 	if len(statePatterns(t, s, c, st)) == 0 {
 		t.Fatal("genuine violation missed")
+	}
+}
+
+// adversarialIncrTuple draws from domains holding the empty string and
+// values built around the 0x1f separator, so only value-exact keys keep
+// two patterns apart.
+func adversarialIncrTuple(rng *rand.Rand) relation.Tuple {
+	as := []string{"a0", "a1", "", "a\x1f", "\x1fa"}
+	bs := []string{"b0", "b1", "", "\x1fb"}
+	return relation.Tuple{as[rng.Intn(len(as))], bs[rng.Intn(len(bs))], fmt.Sprintf("c%d", rng.Intn(2))}
+}
+
+// twoUnitCFD makes one X-pattern violate under two normalized units: a
+// variable row and a constant row over the same X.
+var twoUnitCFD = cfd.MustNew("two", []string{"a", "b"}, []string{"c"}, []cfd.PatternTuple{
+	{LHS: []string{cfd.Wildcard, cfd.Wildcard}, RHS: []string{cfd.Wildcard}},
+	{LHS: []string{"a0", cfd.Wildcard}, RHS: []string{"c0"}},
+})
+
+// minus returns the keys of a that b lacks.
+func minus(a, b []string) []string {
+	var out []string
+	for _, k := range a {
+		if !slices.Contains(b, k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestIncrementalChangesMatchPatternDiff is the oracle for tracked
+// flips: folds of several random inserts and deletes each — so a group
+// can flip and flip back inside one fold — over random CFDs, a CFD whose
+// patterns violate under two normalized units, and adversarial values.
+// After every fold the reported additions and removals must be exactly
+// the set differences of the full Patterns before and after it.
+func TestIncrementalChangesMatchPatternDiff(t *testing.T) {
+	s := incrTestSchema(t)
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(3000 + trial)))
+		c, draw := randomIncrCFD(rng), randomIncrTuple
+		switch trial % 3 {
+		case 1:
+			c = twoUnitCFD
+		case 2:
+			draw = adversarialIncrTuple
+		}
+		st, err := NewIncrementalState(s, c, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := s.Project("viopi_"+c.Name, c.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Some state before tracking starts, as a seed leaves it.
+		var live []relation.Tuple
+		for k := rng.Intn(8); k > 0; k-- {
+			tp := draw(rng)
+			st.Insert(tp)
+			live = append(live, tp)
+		}
+		st.TrackChanges()
+		before := statePatterns(t, s, c, st)
+		for fold := 0; fold < 40; fold++ {
+			for k := 1 + rng.Intn(6); k > 0; k-- {
+				if n := len(live); n > 0 && rng.Intn(3) == 0 {
+					i := rng.Intn(n)
+					st.Delete(live[i])
+					live = append(live[:i], live[i+1:]...)
+				} else {
+					tp := draw(rng)
+					st.Insert(tp)
+					live = append(live, tp)
+				}
+			}
+			added, removed := relation.New(ps), relation.New(ps)
+			st.Changes(added, removed)
+			after := statePatterns(t, s, c, st)
+			if got, want := sortedPatterns(t, added), minus(after, before); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d fold %d cfd %v: added %q, want %q", trial, fold, c, got, want)
+			}
+			if got, want := sortedPatterns(t, removed), minus(before, after); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d fold %d cfd %v: removed %q, want %q", trial, fold, c, got, want)
+			}
+			before = after
+		}
+	}
+}
+
+// TestIncrementalChangesFlipBack pins the cases the oracle reaches only
+// by chance: a group that starts and stops violating inside one fold is
+// in neither list, and a pattern violating under two units is removed
+// only once both stop.
+func TestIncrementalChangesFlipBack(t *testing.T) {
+	s := incrTestSchema(t)
+	st, err := NewIncrementalState(s, twoUnitCFD, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := s.Project("viopi_two", twoUnitCFD.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := func() (added, removed int) {
+		a, r := relation.New(ps), relation.New(ps)
+		st.Changes(a, r)
+		return a.Len(), r.Len()
+	}
+	st.Insert(relation.Tuple{"a1", "b0", "c0"})
+	st.TrackChanges()
+	partner := relation.Tuple{"a1", "b0", "c1"}
+	st.Insert(partner) // (a1, b0) violates the variable row…
+	st.Delete(partner) // …and stops inside the same fold
+	if a, r := changes(); a+r != 0 {
+		t.Fatalf("a flip and its undo reported %d added, %d removed", a, r)
+	}
+	wrong, right := relation.Tuple{"a0", "b0", "c1"}, relation.Tuple{"a0", "b0", "c0"}
+	st.Insert(wrong) // the constant row
+	st.Insert(right) // and the variable row
+	if a, r := changes(); a != 1 || r != 0 {
+		t.Fatalf("(a0, b0) violating under two units: %d added, %d removed, want 1, 0", a, r)
+	}
+	st.Delete(right) // the constant row still violates
+	if a, r := changes(); a+r != 0 {
+		t.Fatalf("one of two units stopping reported %d added, %d removed", a, r)
+	}
+	st.Delete(wrong)
+	if a, r := changes(); a != 0 || r != 1 {
+		t.Fatalf("both units stopping: %d added, %d removed, want 0, 1", a, r)
 	}
 }

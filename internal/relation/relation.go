@@ -265,6 +265,70 @@ func (r *Relation) SortBy(attrs ...string) error {
 	return nil
 }
 
+// MergeSorted returns a fresh relation over r's schema holding r's
+// tuples without drop's, merged with add's: what SortBy(attrs...) would
+// order, built in one linear pass because r, add and drop (either may
+// be nil) are each sorted that way already. Tuples are compared on attrs
+// alone: an add tuple equal to one r keeps appears once, and a drop
+// tuple r lacks is ignored. The inputs are not changed; tuples are
+// shared, not copied.
+func (r *Relation) MergeSorted(add, drop *Relation, attrs ...string) (*Relation, error) {
+	idx, err := r.schema.Indices(attrs)
+	if err != nil {
+		return nil, err
+	}
+	var other [2][]Tuple
+	for k, o := range []*Relation{add, drop} {
+		if o == nil {
+			continue
+		}
+		if o.schema.Arity() != r.schema.Arity() {
+			return nil, fmt.Errorf("relation: cannot merge %s (arity %d) with %s (arity %d)",
+				o.schema.Name(), o.schema.Arity(), r.schema.Name(), r.schema.Arity())
+		}
+		other[k] = o.Tuples()
+	}
+	a, b, d := r.Tuples(), other[0], other[1]
+	out := make([]Tuple, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		if len(a) > 0 {
+			for len(d) > 0 && compareOn(idx, d[0], a[0]) < 0 {
+				d = d[1:]
+			}
+			if len(d) > 0 && compareOn(idx, d[0], a[0]) == 0 {
+				a, d = a[1:], d[1:]
+				continue
+			}
+		}
+		c := 1
+		if len(b) == 0 {
+			c = -1
+		} else if len(a) > 0 {
+			c = compareOn(idx, a[0], b[0])
+		}
+		switch {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return &Relation{schema: r.schema, tuples: out}, nil
+}
+
+// compareOn orders two tuples lexicographically by the columns idx, as
+// SortBy does.
+func compareOn(idx []int, a, b Tuple) int {
+	for _, j := range idx {
+		if c := strings.Compare(a[j], b[j]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // SameTuples reports whether r and o contain the same multiset of tuples,
 // ignoring order. Schemas must have equal arity; attribute names are not
 // compared.

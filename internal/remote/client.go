@@ -529,11 +529,11 @@ func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.
 		w.Shipped[i] = deltaToWire(db)
 	}
 	return callDecode(ctx, r, "FoldDetect", w, func(reply FoldReply) (*core.FoldReply, error) {
-		pats, err := fromWireSlice(reply.Patterns)
+		pats, err := fromWireSlice(append(reply.Added, reply.Removed...))
 		if err != nil {
 			return nil, err
 		}
-		return &core.FoldReply{Patterns: pats, ToGen: reply.ToGen}, nil
+		return &core.FoldReply{Added: pats[:len(reply.Added)], Removed: pats[len(reply.Added):], ToGen: reply.ToGen}, nil
 	})
 }
 

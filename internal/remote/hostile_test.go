@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -209,8 +211,11 @@ func TestHostileShippedFoldRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fold ships w into the session as block 0's inserts or deletes.
-	fold := func(w *WireRelation, ins bool) ([]*relation.Relation, error) {
+	// fold ships w into the session as block 0's inserts or deletes and
+	// returns the session's patterns: the seed's, plus every fold's
+	// additions, minus its removals.
+	held := relation.NewCountedSet(relation.MustSchema("viopi_h", []string{"a"}))
+	fold := func(w *WireRelation, ins bool) (*relation.Relation, error) {
 		args := FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{hostileCFD}}
 		if ins {
 			args.Shipped = []DeltaBlocksReply{{Ins: map[int]*WireRelation{0: w}}}
@@ -221,7 +226,15 @@ func TestHostileShippedFoldRejected(t *testing.T) {
 		if err := raw.Call(serviceName+".FoldDetect", args, &reply); err != nil {
 			return nil, err
 		}
-		return fromWireSlice(reply.Patterns)
+		added, err := fromWireSlice(reply.Added)
+		if err != nil {
+			return nil, err
+		}
+		removed, err := fromWireSlice(reply.Removed)
+		if err != nil {
+			return nil, err
+		}
+		return held.Update(added, removed)
 	}
 	// fresh detects block 0 over the local row plus w, if any.
 	fresh := func(w *WireRelation) *relation.Relation {
@@ -260,16 +273,16 @@ func TestHostileShippedFoldRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("server stopped folding after the rejected blocks: %v", err)
 	}
-	if want := fresh(w); !got[0].SameTuples(want) || want.Len() == 0 {
-		t.Errorf("valid fold after the rejected ones %v, fresh detection %v", got[0], want)
+	if want := fresh(w); !got.SameTuples(want) || want.Len() == 0 {
+		t.Errorf("valid fold after the rejected ones %v, fresh detection %v", got, want)
 	}
 	// Deleting the payload again leaves the local row alone: nothing a
 	// rejected block carried stayed in the session.
 	if got, err = fold(w, false); err != nil {
 		t.Fatal(err)
 	}
-	if want := fresh(nil); !got[0].SameTuples(want) {
-		t.Errorf("fold after deleting the payload %v, fresh detection %v", got[0], want)
+	if want := fresh(nil); !got.SameTuples(want) {
+		t.Errorf("fold after deleting the payload %v, fresh detection %v", got, want)
 	}
 	if n := site.PendingDeposits(); n != 0 {
 		t.Errorf("%d deposit tasks buffered", n)
@@ -381,26 +394,8 @@ func TestHostilePackedRelayRejected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, w := hostileBase(t)
 			tc.mutate(w)
-			srv := rpc.NewServer()
-			svc := hostileService{SiteService: NewSiteServiceContext(context.Background(), site, frag.Schema()), reply: w}
-			if err := srv.RegisterName(serviceName, svc); err != nil {
-				t.Fatal(err)
-			}
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lis.Close()
-			go func() {
-				for {
-					conn, err := lis.Accept()
-					if err != nil {
-						return
-					}
-					go srv.ServeConn(conn)
-				}
-			}()
-			sites, _, err := Dial([]string{lis.Addr().String()})
+			addr := serveRPC(t, hostileService{SiteService: NewSiteServiceContext(context.Background(), site, frag.Schema()), reply: w})
+			sites, _, err := Dial([]string{addr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,6 +405,167 @@ func TestHostilePackedRelayRejected(t *testing.T) {
 			}
 			if err := sites[0].Ping(context.Background()); err != nil {
 				t.Errorf("proxy unusable after the rejected reply: %v", err)
+			}
+		})
+	}
+}
+
+// serveRPC serves svc as the site service on a loopback listener until
+// the test ends and returns the listener's address.
+func serveRPC(t *testing.T, svc any) string {
+	t.Helper()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName(serviceName, svc); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// hostileReplies serves a real site but, while mode names a garbling,
+// rewrites one kind of reply on its way out: the σ counts of SigmaStats
+// or of a later round's extract (one too many, one too few, a negative
+// one), or a later fold's pattern changes (missing, over more attributes
+// than the CFD's X, over an attribute outside it, removing a pattern
+// never added).
+type hostileReplies struct {
+	*SiteService
+	mode *atomic.Value
+}
+
+func (h hostileReplies) garble(kind string, counts *[]int) {
+	switch h.mode.Load() {
+	case kind + "-long":
+		*counts = append(*counts, 1)
+	case kind + "-short":
+		*counts = (*counts)[:len(*counts)-1]
+	case kind + "-negative":
+		(*counts)[0] = -1
+	}
+}
+
+func (h hostileReplies) SigmaStats(args SpecArgs, reply *[]int) error {
+	err := h.SiteService.SigmaStats(args, reply)
+	if err == nil {
+		h.garble("sigma", reply)
+	}
+	return err
+}
+
+func (h hostileReplies) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlocksReply) error {
+	err := h.SiteService.ExtractDeltaBlocks(args, reply)
+	if err == nil && args.FromGen >= 0 {
+		h.garble("extract", &reply.Counts)
+	}
+	return err
+}
+
+func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
+	err := h.SiteService.FoldDetect(args, reply)
+	if err != nil || args.Seed {
+		return err
+	}
+	pattern := func(attrs []string, vals ...string) *WireRelation {
+		return &WireRelation{Name: "viopi_h", Attrs: attrs, Tuples: [][]string{vals}}
+	}
+	switch h.mode.Load() {
+	case "fold-missing":
+		reply.Added = nil
+	case "fold-wider-than-X":
+		reply.Added[0] = pattern([]string{"a", "b"}, "a7", "b7")
+	case "fold-outside-X":
+		reply.Added[0] = pattern([]string{"b"}, "b7")
+	case "fold-removes-unheld":
+		reply.Removed[0] = pattern([]string{"a"}, "a7")
+	}
+	return nil
+}
+
+// TestHostileRepliesRefused is the driver's side of the σ-count and
+// pattern-change replies: a count vector of the wrong length or with a
+// negative count — from SigmaStats at the seed or from a later round's
+// extract — and a fold reply with its pattern sets missing, over other
+// attributes than the CFD's X, or removing a pattern never added, fail
+// the round with a plain error instead of a panic or a wrong answer, and
+// the next round reseeds and equals a fresh Detect.
+func TestHostileRepliesRefused(t *testing.T) {
+	ctx := context.Background()
+	schema := relation.MustSchema("R", []string{"a", "b"})
+	frags := []*relation.Relation{
+		relation.MustFromRows(schema, []string{"a0", "b0"}, []string{"a1", "b1"}),
+		relation.MustFromRows(schema, []string{"a0", "b1"}, []string{"a2", "b2"}),
+	}
+	for _, mode := range []string{
+		"sigma-long", "sigma-short", "sigma-negative",
+		"extract-long", "extract-short", "extract-negative",
+		"fold-missing", "fold-wider-than-X", "fold-outside-X", "fold-removes-unheld",
+	} {
+		t.Run(mode, func(t *testing.T) {
+			var garbling atomic.Value
+			garbling.Store("")
+			addrs := make([]string, len(frags))
+			for i, f := range frags {
+				site := core.NewSite(i, f, relation.True())
+				addrs[i] = serveRPC(t, hostileReplies{SiteService: NewSiteServiceContext(ctx, site, schema), mode: &garbling})
+			}
+			sites, _, err := Dial(addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, s := range sites {
+					s.(*RemoteSite).Close()
+				}
+			}()
+			cl, err := core.NewCluster(schema, sites)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := core.CompileSet(ctx, cl, []*cfd.CFD{hostileCFD}, core.PatDetectS, core.Options{}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(mode, "sigma") {
+				// Seed, then make a2 violate, so the garbled round has a delta.
+				if _, err := p.DetectIncremental(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sites[0].ApplyDelta(ctx, relation.Delta{Inserts: []relation.Tuple{{"a2", "b9"}}}, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			garbling.Store(mode)
+			_, err = p.DetectIncremental(ctx)
+			if err == nil {
+				t.Fatal("the garbled reply was accepted")
+			}
+			if core.IsStaleIncremental(err) || core.ErrCodeOf(err) != "" {
+				t.Errorf("want a plain error, got %v", err)
+			}
+			garbling.Store("")
+			got, err := p.DetectIncremental(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Detect(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.PerCFD[0].String() != want.PerCFD[0].String() || want.PerCFD[0].Len() == 0 {
+				t.Errorf("after the refusal: incremental %v, fresh %v", got.PerCFD[0], want.PerCFD[0])
 			}
 		})
 	}

@@ -378,17 +378,19 @@ type DeltaBlocksArgs struct {
 }
 
 // DeltaBlocksReply is the delta-encoded payload: only the changed
-// tuples' projections (per block, inserts and delete records) travel.
+// tuples' projections (per block, inserts and delete records) travel,
+// beside the extract's σ counts.
 type DeltaBlocksReply struct {
 	ToGen    int64
 	Ins, Del map[int]*WireRelation
+	Counts   []int
 }
 
 // deltaToWire and deltaFromWire convert delta blocks at both ends:
 // an ExtractDeltaBlocks reply and the blocks a FoldDetect ships. Every
 // payload passes FromWire's verification on the way in.
 func deltaToWire(db *core.DeltaBlocks) DeltaBlocksReply {
-	return DeltaBlocksReply{ToGen: db.ToGen, Ins: toWireMap(db.Ins), Del: toWireMap(db.Del)}
+	return DeltaBlocksReply{ToGen: db.ToGen, Ins: toWireMap(db.Ins), Del: toWireMap(db.Del), Counts: db.Counts}
 }
 
 func deltaFromWire(w DeltaBlocksReply) (*core.DeltaBlocks, error) {
@@ -400,7 +402,7 @@ func deltaFromWire(w DeltaBlocksReply) (*core.DeltaBlocks, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &core.DeltaBlocks{ToGen: w.ToGen, Ins: ins, Del: del}, nil
+	return &core.DeltaBlocks{ToGen: w.ToGen, Ins: ins, Del: del, Counts: w.Counts}, nil
 }
 
 // ExtractDeltaBlocks returns the σ-routed delta blocks.
@@ -425,10 +427,10 @@ type FoldArgs struct {
 	Shipped        []DeltaBlocksReply
 }
 
-// FoldReply carries the coordinator's per-CFD violating patterns.
+// FoldReply carries the coordinator's per-CFD pattern changes.
 type FoldReply struct {
-	Patterns []*WireRelation
-	ToGen    int64
+	Added, Removed []*WireRelation
+	ToGen          int64
 }
 
 // FoldDetect runs the coordinator's incremental step over the shipped
@@ -446,7 +448,7 @@ func (s *SiteService) FoldDetect(args FoldArgs, reply *FoldReply) error {
 	}
 	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, func(rep *core.FoldReply) FoldReply {
-			return FoldReply{Patterns: toWireSlice(rep.Patterns), ToGen: rep.ToGen}
+			return FoldReply{Added: toWireSlice(rep.Added), Removed: toWireSlice(rep.Removed), ToGen: rep.ToGen}
 		})(s.site.FoldDetect(ctx, fa))
 	})
 }

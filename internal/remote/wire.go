@@ -25,9 +25,9 @@ import (
 // alone could never catch: that check runs in the new driver) and a new
 // driver against an old site both fail loudly, once. One version plus
 // wire.golden is the whole compatibility story.
-const WireVersion = 10
+const WireVersion = 11
 
-const serviceName = "SiteV10"
+const serviceName = "SiteV11"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
 // carries exactly one of three payloads: the row form (Tuples), the
