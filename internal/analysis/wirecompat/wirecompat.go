@@ -13,12 +13,16 @@
 // hash; gob identifies fields by name and encodes concrete types, so
 // any of those changing changes what travels.
 //
-// One caveat the fingerprint cannot see: the packed payload
-// (WirePackedRelation) ships raw []byte sections in the colstore chunk
-// codec, so a layout change to that codec (EncodeChunk /
-// EncodeDictSection) changes what travels without touching any Wire*
-// struct and must bump WireVersion AND colstore.FormatVersion by hand —
-// the codec's doc comment restates this from its side.
+// One caveat the fingerprint cannot see: every wire form ships raw
+// []byte in the colstore codec — the packed payload (WirePackedRelation)
+// its chunk payloads and dictionary sections, the row form
+// (WireRelation.Tuples, WireDelta.Inserts) and the dict+ID form
+// (WireRelation.Dicts) their values sections — so a layout change to
+// that codec (EncodeChunk, or the values section of EncodeDictSection /
+// DecodeDictSection, which moves the row and dict forms too) changes
+// what travels without touching any Wire* struct and must bump
+// WireVersion AND colstore.FormatVersion by hand — the codec's doc
+// comment restates this from its side.
 package wirecompat
 
 import (

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+
+	"distcfd/internal/relation"
 )
 
 // The chunk codec: one chunk of up to chunkRows column IDs encodes as
@@ -25,6 +28,8 @@ import (
 // layer ships chunk payloads verbatim (remote.WirePackedRelation), so
 // any layout change here is a wire format change and needs a
 // remote.WireVersion bump alongside the colstore FormatVersion bump.
+// The same holds for the values section below, which every wire form
+// uses.
 
 // minRLERun is the shortest repeat worth an RLE run. Below it the run
 // header + uvarint value costs more than packing the repeats.
@@ -315,41 +320,140 @@ func checkChunk(payload []byte, rows, dictLen int) error {
 	return nil
 }
 
-// EncodeDictSection appends one column's dictionary section — the
-// distinct values in ID order, each length-prefixed, after a uvarint
-// count — to dst. It is the writer's on-file dict layout and the wire's
-// per-column dictionary form; DecodeDictSection inverts it.
+// The values section is the one layout a list of values takes outside
+// the process that built it: a uvarint count, then each value as a
+// uvarint length and its bytes. A store fragment's column dictionary
+// and a packed column's dictionary are values sections, and so are the
+// wire's row form (remote.WireRelation.Tuples, row-major), each
+// dictionary of its dict+ID form (.Dicts) and a delta's inserts
+// (remote.WireDelta.Inserts). DecodeDictSection is the one reader of
+// all of them, so a layout change here moves the store format and
+// every wire form at once: bump FormatVersion and remote.WireVersion
+// together.
+
+// EncodeDictSection appends vals as one values section to dst.
 func EncodeDictSection(dst []byte, vals []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(vals)))
+	size := 0
 	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
+		size += uvarintLen(len(v)) + len(v)
+	}
+	dst = growSection(dst, len(vals), size)
+	for _, v := range vals {
+		dst = appendValue(dst, v)
 	}
 	return dst
 }
 
-// DecodeDictSection parses one column's dictionary section, rejecting
-// trailing bytes.
-func DecodeDictSection(b []byte) ([]string, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)) {
-		return nil, fmt.Errorf("dict count truncated")
+// EncodeDictSections encodes each of dicts as its own values section:
+// the wire's dict+ID form.
+func EncodeDictSections(dicts [][]string) [][]byte {
+	out := make([][]byte, len(dicts))
+	for j, d := range dicts {
+		out[j] = EncodeDictSection(nil, d)
 	}
-	b = b[sz:]
+	return out
+}
+
+// DecodeDictSections decodes each section of EncodeDictSections.
+func DecodeDictSections(secs [][]byte) ([][]string, error) {
+	out := make([][]string, len(secs))
+	for j, b := range secs {
+		var err error
+		if out[j], err = DecodeDictSection(b); err != nil {
+			return nil, fmt.Errorf("column %d: %w", j, err)
+		}
+	}
+	return out, nil
+}
+
+// EncodeRowSection appends the values of rows, row-major, as one
+// values section to dst: the wire's row form and a delta's inserts.
+func EncodeRowSection(dst []byte, rows []relation.Tuple) []byte {
+	n, size := 0, 0
+	for _, t := range rows {
+		for _, v := range t {
+			n, size = n+1, size+uvarintLen(len(v))+len(v)
+		}
+	}
+	dst = growSection(dst, n, size)
+	for _, t := range rows {
+		for _, v := range t {
+			dst = appendValue(dst, v)
+		}
+	}
+	return dst
+}
+
+// growSection grows dst once to hold a section of n values taking size
+// bytes after the count, and appends the count.
+func growSection(dst []byte, n, size int) []byte {
+	return binary.AppendUvarint(slices.Grow(dst, uvarintLen(n)+size), uint64(n))
+}
+
+func appendValue(dst []byte, v string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(v))), v...)
+}
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// DecodeDictSection parses one values section. It copies the section
+// into one string and slices every value out of it, so a section costs
+// two allocations however many values it holds. The values share that
+// string: state that keeps one beyond the section's use clones it
+// (strings.Clone), or the whole section stays alive behind it. The
+// bytes may come from a peer, so every bound is checked before use — a
+// count larger than the bytes could hold, a truncated count or length,
+// a value running past the end and trailing bytes are each an error.
+func DecodeDictSection(b []byte) ([]string, error) {
+	n, off := binary.Uvarint(b)
+	if off <= 0 {
+		return nil, fmt.Errorf("colstore: values section count truncated")
+	}
+	if n > uint64(len(b)-off) { // every value takes at least its length byte
+		return nil, fmt.Errorf("colstore: values section counts %d values in %d bytes", n, len(b)-off)
+	}
 	var vals []string
 	if n > 0 {
-		vals = make([]string, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < l {
-			return nil, fmt.Errorf("dict value truncated")
+		s := string(b)
+		vals = make([]string, n)
+		for i := range vals {
+			l, k := binary.Uvarint(b[off:])
+			if k <= 0 || l > uint64(len(b)-off-k) {
+				return nil, fmt.Errorf("colstore: values section value %d truncated", i)
+			}
+			off += k
+			vals[i] = s[off : off+int(l)]
+			off += int(l)
 		}
-		vals = append(vals, string(b[sz:sz+int(l)]))
-		b = b[sz+int(l):]
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("colstore: %d trailing bytes in dict section", len(b))
+	if off != len(b) {
+		return nil, fmt.Errorf("colstore: %d trailing bytes in values section", len(b)-off)
 	}
 	return vals, nil
+}
+
+// DecodeRowSection parses a row section (EncodeRowSection) that holds
+// rows tuples, each sharing the section's one string as
+// DecodeDictSection's values do. No bytes at all are zero rows. rows is
+// the peer's word, so the arity is derived by division, never by a
+// product that could overflow: a row count that does not divide the
+// values, or rows of no values, is an error. Callers check the arity
+// against their schema.
+func DecodeRowSection(b []byte, rows int) ([]relation.Tuple, error) {
+	if len(b) == 0 && rows == 0 {
+		return nil, nil
+	}
+	vals, err := DecodeDictSection(b)
+	if err != nil {
+		return nil, err
+	}
+	if rows <= 0 || len(vals) == 0 || len(vals)%rows != 0 {
+		return nil, fmt.Errorf("colstore: row section of %d values does not hold %d rows", len(vals), rows)
+	}
+	arity := len(vals) / rows
+	ts := make([]relation.Tuple, rows)
+	for i := range ts {
+		ts[i] = vals[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return ts, nil
 }

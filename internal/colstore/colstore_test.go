@@ -541,3 +541,53 @@ func TestNewPackedVerifiesForeignParts(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeDictSectionAllocsFlat pins the section decoder's cost: one
+// string for the section and one slice of values, at 10³ values as at
+// 10⁵, and every value a slice of that one string.
+func TestDecodeDictSectionAllocsFlat(t *testing.T) {
+	section := func(n int) []byte {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("v%06d", i)
+		}
+		return EncodeDictSection(nil, vals)
+	}
+	for _, n := range []int{1_000, 100_000} {
+		b := section(n)
+		if allocs := testing.AllocsPerRun(5, func() {
+			if _, err := DecodeDictSection(b); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 2 {
+			t.Errorf("decoding %d values allocates %v times, want 2", n, allocs)
+		}
+	}
+}
+
+// TestDecodeRowSection pins the row section's shape checks: the row
+// count divides the values into rows of at least one value, no bytes
+// are zero rows, and a count that would overflow rows × arity is
+// refused like any other mismatch.
+func TestDecodeRowSection(t *testing.T) {
+	rows := []relation.Tuple{{"a", ""}, {"\x1f", "\xff"}, {"c", "d"}}
+	b := EncodeRowSection(nil, rows)
+	got, err := DecodeRowSection(b, 3)
+	if err != nil || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("DecodeRowSection = %q, %v; want %q", got, err, rows)
+	}
+	if got, err := DecodeRowSection(nil, 0); err != nil || got != nil {
+		t.Errorf("no bytes: %v, %v; want zero rows", got, err)
+	}
+	for _, bad := range []struct {
+		b    []byte
+		rows int
+	}{
+		{b, 4}, {b, 0}, {b, -3}, {b, math.MaxInt/2 + 1}, {nil, 1},
+		{EncodeRowSection(nil, nil), 1}, {append(b, 0), 3}, {b[:len(b)-1], 3},
+	} {
+		if _, err := DecodeRowSection(bad.b, bad.rows); err == nil {
+			t.Errorf("DecodeRowSection(% x, %d) accepted", bad.b, bad.rows)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/relation"
@@ -198,16 +199,21 @@ func (u *unitState) fold(t relation.Tuple, k string, sign int) {
 			if sign < 0 {
 				return
 			}
-			g = &varGroup{x: t.Project(u.xi), perA: make(map[string]int, 2)}
-			u.groups[k] = g
+			g = &varGroup{x: keep(t, u.xi), perA: make(map[string]int, 2)}
+			u.groups[strings.Clone(k)] = g
 		}
 		a := t[u.ai]
-		g.perA[a] += sign
-		if g.perA[a] <= 0 {
-			delete(g.perA, a)
-			if len(g.perA) == 0 {
-				delete(u.groups, k)
+		n, held := g.perA[a]
+		if n += sign; n > 0 {
+			if !held {
+				a = strings.Clone(a)
 			}
+			g.perA[a] = n
+			return
+		}
+		delete(g.perA, a)
+		if len(g.perA) == 0 {
+			delete(u.groups, k)
 		}
 		return
 	}
@@ -216,13 +222,26 @@ func (u *unitState) fold(t relation.Tuple, k string, sign int) {
 		if sign < 0 {
 			return
 		}
-		v = &constViol{x: t.Project(u.xi)}
-		u.viols[k] = v
+		v = &constViol{x: keep(t, u.xi)}
+		u.viols[strings.Clone(k)] = v
 	}
 	v.n += sign
 	if v.n <= 0 {
 		delete(u.viols, k)
 	}
+}
+
+// keep returns t's projection on idx with every value cloned, for a
+// group the state keeps: t's values may share one wire section's string
+// (colstore.DecodeDictSection), which a kept value would hold alive. A
+// group's key is cloned for the same reason (Key of one value is the
+// value).
+func keep(t relation.Tuple, idx []int) relation.Tuple {
+	x := t.Project(idx)
+	for i, v := range x {
+		x[i] = strings.Clone(v)
+	}
+	return x
 }
 
 // Patterns appends the current violating X-patterns to dst (a relation

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Dict interns string values to dense uint32 identifiers. The engine
 // uses it to dictionary-encode group-by keys: comparing and hashing
@@ -165,7 +168,9 @@ func (d *Dict) Vals() []string {
 // interns it and every later one. Column col of ins is appended to ids;
 // the dictionary returned is what the column reads through from now
 // on: d itself when the inserts brought nothing new, so a stream of
-// deltas over known values never deepens the chain.
+// deltas over known values never deepens the chain. A value the
+// dictionary takes in is cloned: inserts that arrived in one wire
+// section share its string, and the dictionary outlives the section.
 func (d *Dict) InternInserts(ids []uint32, ins []Tuple, col int) (*Dict, []uint32) {
 	cur := d
 	for _, t := range ins {
@@ -174,7 +179,7 @@ func (d *Dict) InternInserts(ids []uint32, ins []Tuple, col int) (*Dict, []uint3
 			if cur == d {
 				cur = Chain(d)
 			}
-			id = cur.ID(t[col])
+			id = cur.ID(strings.Clone(t[col]))
 		}
 		ids = append(ids, id)
 	}

@@ -180,8 +180,9 @@ func (e *Encoded) PayloadSizes() (raw, encoded int64) {
 // CompactColumns returns the wire form of every column: a dictionary
 // holding exactly the values present, with the ID vector rewritten
 // accordingly. Columns already dense are passed through unchanged;
-// sparse (shared-dictionary) columns are remapped here, the only place
-// the deferred compaction is paid.
+// sparse (shared-dictionary) columns are renumbered here, the only
+// place the deferred compaction is paid. A dictionary is injective, so
+// renumbering IDs in first-occurrence order never hashes a value.
 func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
 	dicts = make([][]string, e.arity)
 	cols = make([][]uint32, e.arity)
@@ -194,13 +195,16 @@ func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
 			dicts[i], cols[i] = dict.Vals(), col
 			continue
 		}
-		d := NewDict()
-		rm := newRemapper(d, dict, len(col))
+		var vals []string
+		rm := newRemapper(dict, len(col), func(id uint32) uint32 {
+			vals = append(vals, dict.Val(id))
+			return uint32(len(vals) - 1)
+		})
 		out := make([]uint32, len(col))
 		for k, id := range col {
-			out[k] = rm.remap(dict, id)
+			out[k] = rm.remap(id)
 		}
-		dicts[i], cols[i] = d.Vals(), out
+		dicts[i], cols[i] = vals, out
 	}
 	return dicts, cols
 }
@@ -230,36 +234,36 @@ func (r *Relation) invalidateEncoding() {
 	r.packed.Store(nil)
 }
 
-// remapper re-encodes one source column's IDs into a fresh dense
-// dictionary: each distinct source ID hashes its value exactly once,
-// every further occurrence is a table or integer-map access. Small
-// inputs over large source dictionaries use a map so the remap never
-// allocates proportionally to a dictionary they barely touch.
+// remapper maps one source column's IDs to new ones, calling assign
+// once per distinct source ID and answering every further occurrence
+// from a table or an integer map. Small inputs over large source
+// dictionaries use the map, so a remap never allocates proportionally
+// to a dictionary it barely touches.
 type remapper struct {
-	dst     *Dict
+	assign  func(id uint32) uint32
 	table   []uint32 // table mode: src id -> dst id
 	present []bool
 	m       map[uint32]uint32 // map mode
 }
 
-func newRemapper(dst *Dict, src *Dict, expected int) *remapper {
+func newRemapper(src *Dict, expected int, assign func(id uint32) uint32) *remapper {
 	if expected*4 < src.Len() {
-		return &remapper{dst: dst, m: make(map[uint32]uint32, expected)}
+		return &remapper{assign: assign, m: make(map[uint32]uint32, expected)}
 	}
-	return &remapper{dst: dst, table: make([]uint32, src.Len()), present: make([]bool, src.Len())}
+	return &remapper{assign: assign, table: make([]uint32, src.Len()), present: make([]bool, src.Len())}
 }
 
-func (m *remapper) remap(src *Dict, id uint32) uint32 {
+func (m *remapper) remap(id uint32) uint32 {
 	if m.m != nil {
 		out, ok := m.m[id]
 		if !ok {
-			out = m.dst.ID(src.Val(id))
+			out = m.assign(id)
 			m.m[id] = out
 		}
 		return out
 	}
 	if !m.present[id] {
-		m.table[id] = m.dst.ID(src.Val(id))
+		m.table[id] = m.assign(id)
 		m.present[id] = true
 	}
 	return m.table[id]
@@ -301,9 +305,11 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 
 // Concat returns a relation holding every part's tuples in order under
 // parts[0]'s schema (parts must share its arity, like AppendAll), with
-// the encoded view derived by remapping each part's columns into
-// shared dictionaries — already-encoded parts contribute no per-cell
-// hashing, so merging shipped blocks stays in ID space.
+// the encoded view built straight into shared dictionaries: an encoded
+// part's columns are remapped, hashing each distinct value once per
+// part, never per cell, and a row-backed part's values are interned
+// directly instead of being encoded on their own first, so no value is
+// hashed twice.
 func Concat(parts ...*Relation) (*Relation, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("relation: Concat with no inputs")
@@ -325,10 +331,16 @@ func Concat(parts ...*Relation) (*Relation, error) {
 		d := NewDict()
 		col := make([]uint32, 0, total)
 		for _, p := range parts {
+			if p.lazy == nil && p.enc.Load() == nil {
+				for _, t := range p.tuples {
+					col = append(col, d.ID(t[j]))
+				}
+				continue
+			}
 			pcol, pdict := p.Encoded().Column(j)
-			rm := newRemapper(d, pdict, len(pcol))
+			rm := newRemapper(pdict, len(pcol), func(id uint32) uint32 { return d.ID(pdict.Val(id)) })
 			for _, id := range pcol {
-				col = append(col, rm.remap(pdict, id))
+				col = append(col, rm.remap(id))
 			}
 		}
 		enc.cols[j], enc.dicts[j], enc.dense[j] = col, d, true

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -252,15 +252,7 @@ func (r *Relation) SortBy(attrs ...string) error {
 		return err
 	}
 	r.materializeForWrite()
-	sort.SliceStable(r.tuples, func(a, b int) bool {
-		ta, tb := r.tuples[a], r.tuples[b]
-		for _, j := range idx {
-			if ta[j] != tb[j] {
-				return ta[j] < tb[j]
-			}
-		}
-		return false
-	})
+	slices.SortStableFunc(r.tuples, func(a, b Tuple) int { return compareOn(idx, a, b) })
 	r.invalidateEncoding()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"net/rpc"
 	"reflect"
@@ -75,8 +76,9 @@ func rleBomb(w *WireRelation) {
 	}
 }
 
-// hostileCases are the confirmed crashers, as edits of the base.
-var hostileCases = []struct {
+// hostileCases are the confirmed crashers, as edits of the base,
+// followed by the malformed values sections (sectionCases).
+var hostileCases = append([]struct {
 	name   string
 	mutate func(*WireRelation)
 }{
@@ -97,6 +99,91 @@ var hostileCases = []struct {
 	// Verifies chunk by chunk, then dies (or takes the machine with it)
 	// allocating the first materialized column.
 	{"rle-bomb", rleBomb},
+}, sectionCases...)
+
+// sectionCases are malformed values sections (colstore.DecodeDictSection)
+// and payloads that set more than one wire form, as edits of any valid
+// payload holding at least one row: each re-encodes it in the row form
+// (asRows) or the dict+ID form (asDicts) first.
+var sectionCases = []struct {
+	name   string
+	mutate func(*WireRelation)
+}{
+	// The last value's two-byte length prefix ends after its first byte.
+	{"section-length-truncated", func(w *WireRelation) {
+		long := strings.Repeat("v", 200)
+		sec := colstore.EncodeDictSection(nil, append(asRows(w), long))
+		w.Tuples = sec[:len(sec)-len(long)-1]
+	}},
+	// The last value's bytes run past the end of the section.
+	{"section-value-overrun", func(w *WireRelation) {
+		asRows(w)
+		w.Tuples = w.Tuples[:len(w.Tuples)-1]
+	}},
+	// The count announces more values than the section has bytes.
+	{"section-count-overrun", func(w *WireRelation) {
+		asRows(w)
+		_, k := binary.Uvarint(w.Tuples)
+		w.Tuples = append(binary.AppendUvarint(nil, uint64(len(w.Tuples))), w.Tuples[k:]...)
+	}},
+	// Rows × arity overflows an int.
+	{"section-rows-overflow", func(w *WireRelation) {
+		asRows(w)
+		w.Rows = math.MaxInt/2 + 1
+	}},
+	// Rows × arity does not match the values.
+	{"section-rows-mismatch", func(w *WireRelation) {
+		asRows(w)
+		w.Rows++
+	}},
+	{"section-trailing-bytes", func(w *WireRelation) {
+		asRows(w)
+		w.Tuples = append(w.Tuples, 0)
+	}},
+	{"dict-section-trailing-bytes", func(w *WireRelation) {
+		asDicts(w)
+		w.Dicts[0] = append(w.Dicts[0], 0)
+	}},
+	// Two IDs name one value: Lookup would disagree with the ID vectors.
+	{"dict-duplicate-value", func(w *WireRelation) {
+		asDicts(w)
+		vals, _ := colstore.DecodeDictSection(w.Dicts[0])
+		w.Dicts[0] = colstore.EncodeDictSection(nil, append([]string{vals[0]}, vals...))
+	}},
+	// Both forms set: neither may silently win.
+	{"two-forms", func(w *WireRelation) {
+		asRows(w)
+		tuples := w.Tuples
+		asDicts(w)
+		w.Tuples = tuples
+	}},
+}
+
+// asRows re-encodes the valid payload w in the row form, as ToWire
+// would (zero rows ship no section), and returns its values, row-major.
+func asRows(w *WireRelation) []string {
+	rel, err := FromWire(w)
+	if err != nil {
+		panic(err)
+	}
+	w.Packed, w.Tuples, w.Dicts, w.Cols, w.Rows = nil, nil, nil, nil, rel.Len()
+	if rel.Len() == 0 {
+		return nil
+	}
+	w.Tuples = colstore.EncodeRowSection(nil, rel.Tuples())
+	vals, _ := colstore.DecodeDictSection(w.Tuples)
+	return vals
+}
+
+// asDicts re-encodes the valid payload w in the dict+ID form.
+func asDicts(w *WireRelation) {
+	rel, err := FromWire(w)
+	if err != nil {
+		panic(err)
+	}
+	dicts, cols := rel.Encoded().CompactColumns()
+	w.Packed, w.Tuples, w.Cols, w.Rows = nil, nil, cols, rel.Len()
+	w.Dicts = colstore.EncodeDictSections(dicts)
 }
 
 // TestHostilePackedDepositRejected drives each crasher through a live
@@ -350,14 +437,27 @@ func TestHostileApplyDeltaRejected(t *testing.T) {
 	defer raw.Close()
 
 	var reply ApplyDeltaReply
-	err = raw.Call(serviceName+".ApplyDelta", ApplyDeltaArgs{Delta: WireDelta{Inserts: [][]string{{"x"}}}}, &reply)
-	if err == nil {
-		t.Fatal("short insert accepted")
+	short := DeltaToWire(relation.Delta{Inserts: []relation.Tuple{{"x"}}})
+	good := ApplyDeltaArgs{Delta: DeltaToWire(relation.Delta{Inserts: []relation.Tuple{{"a1", "b0"}}})}
+	ins := good.Delta.Inserts
+	for name, bad := range map[string]WireDelta{
+		"short-insert":     short,
+		"length-truncated": {Inserts: ins[:len(ins)-3], Rows: 1},
+		"value-overrun":    {Inserts: ins[:len(ins)-1], Rows: 1},
+		"count-overrun":    {Inserts: append([]byte{byte(len(ins))}, ins[1:]...), Rows: 1},
+		"rows-overflow":    {Inserts: ins, Rows: math.MaxInt/2 + 1},
+		"rows-mismatch":    {Inserts: ins, Rows: 3},
+		"rows-unset":       {Inserts: ins},
+		"trailing-bytes":   {Inserts: append(slices.Clone(ins), 0), Rows: 1},
+	} {
+		err = raw.Call(serviceName+".ApplyDelta", ApplyDeltaArgs{Delta: bad}, &reply)
+		if err == nil {
+			t.Fatalf("%s: malformed delta accepted", name)
+		}
+		if core.ErrCodeOf(decodeError(err)) != "" {
+			t.Errorf("%s: rejection should be a plain, non-transient error, got %v", name, err)
+		}
 	}
-	if core.ErrCodeOf(decodeError(err)) != "" {
-		t.Errorf("rejection should be a plain, non-transient error, got %v", err)
-	}
-	good := ApplyDeltaArgs{Delta: WireDelta{Inserts: [][]string{{"a1", "b0"}}}}
 	if err := raw.Call(serviceName+".ApplyDelta", good, &reply); err != nil {
 		t.Fatalf("server stopped serving after the rejected delta: %v", err)
 	}
@@ -479,7 +579,14 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 		return err
 	}
 	pattern := func(attrs []string, vals ...string) *WireRelation {
-		return &WireRelation{Name: "viopi_h", Attrs: attrs, Tuples: [][]string{vals}}
+		return &WireRelation{Name: "viopi_h", Attrs: attrs, Rows: 1,
+			Tuples: colstore.EncodeRowSection(nil, []relation.Tuple{vals})}
+	}
+	for _, c := range sectionCases {
+		if h.mode.Load() == "fold-"+c.name {
+			reply.Added[0] = pattern([]string{"a"}, "a7")
+			c.mutate(reply.Added[0])
+		}
 	}
 	switch h.mode.Load() {
 	case "fold-missing":
@@ -498,9 +605,10 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 // pattern-change replies: a count vector of the wrong length or with a
 // negative count — from SigmaStats at the seed or from a later round's
 // extract — and a fold reply with its pattern sets missing, over other
-// attributes than the CFD's X, or removing a pattern never added, fail
-// the round with a plain error instead of a panic or a wrong answer, and
-// the next round reseeds and equals a fresh Detect.
+// attributes than the CFD's X, removing a pattern never added, or
+// carried in a malformed values section (sectionCases), fail the round
+// with a plain error instead of a panic or a wrong answer, and the next
+// round reseeds and equals a fresh Detect.
 func TestHostileRepliesRefused(t *testing.T) {
 	ctx := context.Background()
 	schema := relation.MustSchema("R", []string{"a", "b"})
@@ -508,11 +616,15 @@ func TestHostileRepliesRefused(t *testing.T) {
 		relation.MustFromRows(schema, []string{"a0", "b0"}, []string{"a1", "b1"}),
 		relation.MustFromRows(schema, []string{"a0", "b1"}, []string{"a2", "b2"}),
 	}
-	for _, mode := range []string{
+	modes := []string{
 		"sigma-long", "sigma-short", "sigma-negative",
 		"extract-long", "extract-short", "extract-negative",
 		"fold-missing", "fold-wider-than-X", "fold-outside-X", "fold-removes-unheld",
-	} {
+	}
+	for _, c := range sectionCases {
+		modes = append(modes, "fold-"+c.name)
+	}
+	for _, mode := range modes {
 		t.Run(mode, func(t *testing.T) {
 			var garbling atomic.Value
 			garbling.Store("")

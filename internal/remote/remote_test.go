@@ -69,7 +69,7 @@ func TestWireRelationColumnarForm(t *testing.T) {
 	}
 	w := ToWire(repetitive)
 	if w.Cols == nil || w.Tuples != nil {
-		t.Fatalf("repetitive relation should ship columnar, got Cols=%v Tuples=%d", w.Cols != nil, len(w.Tuples))
+		t.Fatalf("repetitive relation should ship columnar, got Cols=%v and a %d-byte row section", w.Cols != nil, len(w.Tuples))
 	}
 	if w.Rows != repetitive.Len() {
 		t.Errorf("wire rows = %d, want %d", w.Rows, repetitive.Len())

@@ -361,8 +361,12 @@ type ApplyDeltaReply struct {
 // ApplyDelta applies a delta to the local fragment, maintaining the
 // serving caches and the delta log.
 func (s *SiteService) ApplyDelta(args ApplyDeltaArgs, reply *ApplyDeltaReply) error {
+	d, err := DeltaFromWire(args.Delta)
+	if err != nil {
+		return encodeError(err)
+	}
 	return s.work(args.WireHeader, func(ctx context.Context) error {
-		info, err := s.site.ApplyDelta(ctx, DeltaFromWire(args.Delta), args.Nonce)
+		info, err := s.site.ApplyDelta(ctx, d, args.Nonce)
 		reply.Gen, reply.NumTuples = info.Gen, info.NumTuples
 		return err
 	})

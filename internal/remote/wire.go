@@ -25,27 +25,29 @@ import (
 // alone could never catch: that check runs in the new driver) and a new
 // driver against an old site both fail loudly, once. One version plus
 // wire.golden is the whole compatibility story.
-const WireVersion = 11
+const WireVersion = 12
 
-const serviceName = "SiteV11"
+const serviceName = "SiteV12"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
-// carries exactly one of three payloads: the row form (Tuples), the
-// columnar dictionary-encoded form (Dicts + Cols + Rows) — per-column
+// carries at most one of three payloads: the row form (Tuples), the
+// columnar dictionary-encoded form (Dicts + Cols) — per-column
 // dictionaries with fixed-width ID vectors, which is what repetitive
 // detection shipments compress well under — or the packed form
-// (Packed). dist.ChooseWireForm picks whichever models smallest on the
-// wire and dist.RelationBytes charges that size, so the shipment
-// metrics match the shipped bytes.
+// (Packed); none at all is zero rows. dist.ChooseWireForm picks
+// whichever models smallest on the wire and dist.RelationBytes charges
+// that size, so the shipment metrics match the shipped bytes. Values
+// travel in colstore values sections, each decoded in two allocations
+// however many values it holds (colstore.DecodeDictSection).
 type WireRelation struct {
 	Name  string
 	Attrs []string
 	Key   []string
-	// Row form: one string slice per tuple.
-	Tuples [][]string
-	// Columnar form: Dicts[j] lists column j's distinct values by ID,
-	// Cols[j][i] is row i's ID in column j, Rows the tuple count.
-	Dicts [][]string
+	// Row form: Rows tuples' values, row-major, in one section.
+	Tuples []byte
+	// Columnar form: Dicts[j] is the section of column j's distinct
+	// values in ID order, Cols[j][i] row i's ID in column j.
+	Dicts [][]byte
 	Cols  [][]uint32
 	Rows  int
 	// Packed form: dictionary sections and chunk payloads in the
@@ -87,14 +89,11 @@ func ToWire(r *relation.Relation) *WireRelation {
 		}
 		form = dist.ColumnForm
 	}
-	if form == dist.ColumnForm {
-		w.Rows = r.Len()
-		w.Dicts, w.Cols = r.Encoded().CompactColumns()
-		return w
-	}
-	w.Tuples = make([][]string, r.Len())
-	for i, t := range r.Tuples() {
-		w.Tuples[i] = t
+	if w.Rows = r.Len(); form == dist.ColumnForm {
+		dicts, cols := r.Encoded().CompactColumns()
+		w.Dicts, w.Cols = colstore.EncodeDictSections(dicts), cols
+	} else if w.Rows > 0 {
+		w.Tuples = colstore.EncodeRowSection(nil, r.Tuples())
 	}
 	return w
 }
@@ -106,8 +105,7 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 		Cols:      make([]WirePackedColumn, p.NumColumns()),
 	}
 	for j := range out.Cols {
-		pc := p.Column(j)
-		out.Cols[j] = WirePackedColumn{Dict: pc.Dict, Chunks: pc.Chunks}
+		out.Cols[j] = WirePackedColumn(p.Column(j))
 	}
 	return out
 }
@@ -120,9 +118,11 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 // everything downstream decodes without an error channel inside
 // handlers net/rpc does not recover — so every form is verified here,
 // once: the packed form by colstore.NewPacked (dictionary sections,
-// chunk structure, every ID inside its dictionary), the dict+ID form by
-// relation.FromColumns. A malformed payload is a plain, non-transient
-// error.
+// chunk structure, every ID inside its dictionary), the values
+// sections by colstore.DecodeDictSection, the dict+ID form's IDs and
+// dictionaries by relation.FromColumns, the row form's arity by
+// relation.FromTuples. A payload setting more than one form, or a
+// malformed one, is a plain, non-transient error.
 func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w == nil {
 		return nil, nil
@@ -131,71 +131,64 @@ func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: rebuilding schema: %w", err)
 	}
-	if w.Packed != nil {
+	columnar := w.Dicts != nil || w.Cols != nil
+	if w.Packed != nil && (w.Tuples != nil || columnar) || w.Tuples != nil && columnar {
+		return nil, fmt.Errorf("remote: payload sets more than one wire form")
+	}
+	var rel *relation.Relation
+	switch {
+	case w.Packed != nil:
 		cols := make([]colstore.PackedColumn, len(w.Packed.Cols))
 		for j, c := range w.Packed.Cols {
-			cols[j] = colstore.PackedColumn{Dict: c.Dict, Chunks: c.Chunks}
+			cols[j] = colstore.PackedColumn(c)
 		}
-		p, err := colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols)
-		if err != nil {
-			return nil, fmt.Errorf("remote: packed payload: %w", err)
+		var p *colstore.Packed
+		if p, err = colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols); err == nil {
+			rel, err = relation.FromPackedReader(schema, p)
 		}
-		rel, err := relation.FromPackedReader(schema, p)
-		if err != nil {
-			return nil, fmt.Errorf("remote: %w", err)
-		}
-		return rel, nil
-	}
-	if w.Cols != nil {
+	case columnar:
 		// The receiver adopts the shipped dictionaries as the
 		// relation's encoded view: the sender's interning survives the
 		// hop and the coordinator's check never re-hashes the values.
-		rel, err := relation.FromColumns(schema, w.Dicts, w.Cols, w.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("remote: %w", err)
+		var dicts [][]string
+		if dicts, err = colstore.DecodeDictSections(w.Dicts); err == nil {
+			rel, err = relation.FromColumns(schema, dicts, w.Cols, w.Rows)
 		}
-		return rel, nil
+	default:
+		var ts []relation.Tuple
+		if ts, err = colstore.DecodeRowSection(w.Tuples, w.Rows); err == nil {
+			rel, err = relation.FromTuples(schema, ts)
+		}
 	}
-	rel := relation.NewWithCapacity(schema, len(w.Tuples))
-	for _, t := range w.Tuples {
-		if err := rel.Append(relation.Tuple(t)); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, fmt.Errorf("remote: %w", err)
 	}
 	return rel, nil
 }
 
-// WireDelta is the gob-encodable form of relation.Delta: the inserted
-// rows travel as plain tuples (deltas are small — dictionary encoding
-// them would ship the dictionaries too), deletes as pre-delta row
+// WireDelta is the gob-encodable form of relation.Delta: the Rows
+// inserted tuples travel in one row section, deletes as pre-delta row
 // indices, exactly the Delta contract.
 type WireDelta struct {
-	Inserts [][]string
+	Inserts []byte
+	Rows    int
 	Deletes []int
 }
 
 // DeltaToWire converts a delta for transport.
 func DeltaToWire(d relation.Delta) WireDelta {
-	w := WireDelta{Deletes: d.Deletes}
-	if len(d.Inserts) > 0 {
-		w.Inserts = make([][]string, len(d.Inserts))
-		for i, t := range d.Inserts {
-			w.Inserts[i] = t
-		}
+	w := WireDelta{Rows: len(d.Inserts), Deletes: d.Deletes}
+	if w.Rows > 0 {
+		w.Inserts = colstore.EncodeRowSection(nil, d.Inserts)
 	}
 	return w
 }
 
-// DeltaFromWire rebuilds the delta.
-func DeltaFromWire(w WireDelta) relation.Delta {
-	d := relation.Delta{Deletes: w.Deletes}
-	if len(w.Inserts) > 0 {
-		d.Inserts = make([]relation.Tuple, len(w.Inserts))
-		for i, t := range w.Inserts {
-			d.Inserts[i] = t
-		}
-	}
-	return d
+// DeltaFromWire rebuilds the delta; a malformed insert section is an
+// error, and the inserts' arity is the applying site's to check.
+func DeltaFromWire(w WireDelta) (relation.Delta, error) {
+	ins, err := colstore.DecodeRowSection(w.Inserts, w.Rows)
+	return relation.Delta{Inserts: ins, Deletes: w.Deletes}, err
 }
 
 // WireSchema is the gob-encodable form of relation.Schema.
