@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"distcfd/internal/mining"
 	"distcfd/internal/relation"
 )
 
@@ -12,7 +11,9 @@ import (
 // memFrag serves them from an in-memory *relation.Relation (the
 // original deployment shape); storeFrag (storefrag.go) serves them
 // from a packed colstore fragment plus an in-memory delta overlay, so
-// a site can hold a fragment bigger than RAM.
+// a site can hold a fragment bigger than RAM. ProjectBlocks is the one
+// column reader: σ-routing, mining, extraction and the coordinator's
+// checks all read columns through it.
 //
 // Read methods must be safe for concurrent callers. Apply, called only
 // by Site.ApplyDelta, is the one writer of the fragment's rows; the
@@ -22,9 +23,6 @@ type siteFragment interface {
 	Schema() *relation.Schema
 	// Len returns the current tuple count |Di|.
 	Len() int
-	// AssignAll computes σ for every tuple under spec: the block index
-	// per tuple (-1 = unmatched) and the per-block counts.
-	AssignAll(spec *BlockSpec) (assign []int, counts []int, err error)
 	// ProjectBlocks materializes each row list of blocks (rows in list
 	// order) projected onto attrs, sharing the fragment's dictionaries
 	// (IDs stay valid, merely sparse) so downstream checks keep the
@@ -41,9 +39,6 @@ type siteFragment interface {
 	// index order — the same contract as relation.Apply. The returned
 	// tuples are stable (safe to retain in the delta log).
 	Apply(d relation.Delta) ([]relation.Tuple, error)
-	// Mine runs the closed-frequent-pattern preprocessing over the
-	// X-projection of the fragment.
-	Mine(x []string, theta float64) ([]mining.Pattern, error)
 	// Close releases any resources backing the fragment.
 	Close() error
 }
@@ -67,10 +62,6 @@ func ownRows(r *relation.Relation) *relation.Relation {
 func (m memFrag) Schema() *relation.Schema { return m.r.Schema() }
 
 func (m memFrag) Len() int { return m.r.Len() }
-
-func (m memFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
-	return spec.AssignAll(m.r)
-}
 
 func (m memFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) (out []*relation.Relation, err error) {
 	out = make([]*relation.Relation, len(blocks))
@@ -97,10 +88,6 @@ func (m memFrag) Scan(fn func(relation.Tuple) error) error {
 
 func (m memFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 	return m.r.Apply(d)
-}
-
-func (m memFrag) Mine(x []string, theta float64) ([]mining.Pattern, error) {
-	return mining.ClosedPatternsWithSupport(m.r, x, theta)
 }
 
 func (m memFrag) Close() error { return nil }

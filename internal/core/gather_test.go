@@ -11,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"distcfd/internal/cfd"
 	"distcfd/internal/colstore"
 	"distcfd/internal/relation"
+	"distcfd/internal/workload"
 )
 
 // countingReader wraps a store fragment's chunk reader and counts the
@@ -48,7 +50,8 @@ func countReads(s *Site) (*storeFrag, *countingReader) {
 // gather of K = 16 interleaved blocks over a C = 5-chunk fragment
 // decodes every (column, chunk) exactly once — C reads per projected
 // column where a RowReader pass per block made K·C — with and without
-// a view, and through the site's own extraction path.
+// a view, through a cold σ-routing and through the site's own
+// extraction path.
 func TestGatherDecodesEachChunkOnce(t *testing.T) {
 	ctx := context.Background()
 	const k = 16
@@ -80,10 +83,27 @@ func TestGatherDecodesEachChunkOnce(t *testing.T) {
 			}
 		}
 
-		// The site's extraction is one gather: the same bound holds for
-		// ExtractBlocksBatch over every block of a spec.
+		// A cold σ-routing reads the fragment through the same reader:
+		// each X (column, chunk) exactly once.
+		spec := storeTestSpec(t)
 		_, cr = countReads(store)
-		if _, err := store.ExtractBlocksBatch(ctx, storeTestSpec(t), attrs, []int{0, 1, 2}); err != nil {
+		if _, err := store.SigmaStats(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+		if len(cr.reads) != len(spec.X)*chunks {
+			t.Fatalf("view=%v: cold SigmaStats made %d distinct (column, chunk) reads, want %d", view, len(cr.reads), len(spec.X)*chunks)
+		}
+		for at, n := range cr.reads {
+			if n != 1 {
+				t.Fatalf("view=%v: cold SigmaStats decoded column %d chunk at row %d %d times", view, at[0], at[1], n)
+			}
+		}
+
+		// The site's extraction is one gather: with the routing warm, the
+		// same bound holds for ExtractBlocksBatch over every block of a
+		// spec.
+		_, cr = countReads(store)
+		if _, err := store.ExtractBlocksBatch(ctx, spec, attrs, []int{0, 1, 2}); err != nil {
 			t.Fatal(err)
 		}
 		for at, n := range cr.reads {
@@ -248,5 +268,63 @@ func TestBatchEnd(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Fatalf("%s: batch ends %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// BenchmarkColdRouting times a cold σ-routing (SigmaStats after the σ
+// cache is dropped) of 125 000 CUST rows: in memory, and at a store
+// site with no view, a 5-delete view and a view of about 10⁴ deletes,
+// for X = [CC, AC, zip] and X = [CC, zip] (DESIGN.md ablation 18).
+func BenchmarkColdRouting(b *testing.B) {
+	ctx := context.Background()
+	data := workload.Cust(workload.CustConfig{N: 125_000, Seed: 1, ErrRate: 0.01})
+	var specs []*BlockSpec
+	for _, c := range []*cfd.CFD{workload.CustPatternCFD(255), workload.CustStreetCFD()} {
+		spec, err := SpecFromCFD(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	run := func(name string, s *Site) {
+		for _, spec := range specs {
+			b.Run(name+"/X="+strings.Join(spec.X, ","), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dropSigma(s)
+					if _, err := s.SigmaStats(ctx, spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	run("mem", NewSite(0, data, relation.True()))
+	dir := b.TempDir()
+	if _, err := colstore.WriteRelationDir(dir, data); err != nil {
+		b.Fatal(err)
+	}
+	store, err := OpenStoreSite(0, dir, relation.True())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	run("store/view-0", store)
+	n := data.Len()
+	views := []struct {
+		name    string
+		deletes []int
+	}{
+		{"store/view-5", []int{1, 9000, 17000, 30000, n - 2}},
+		{"store/view-10k", nil}, // every 12th row of what is left
+	}
+	for i := 0; i < n-5; i += 12 {
+		views[1].deletes = append(views[1].deletes, i)
+	}
+	for _, v := range views {
+		if _, err := store.ApplyDelta(ctx, relation.Delta{Deletes: v.deletes}, ""); err != nil {
+			b.Fatal(err)
+		}
+		run(v.name, store)
 	}
 }

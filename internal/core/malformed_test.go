@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -36,7 +37,8 @@ var longLHS = &cfd.CFD{Name: "long", X: []string{"a"}, Y: []string{"c"},
 
 // TestSiteRejectsMalformedArgs pins each crasher as a plain error: not
 // transient (a retry would only resend it) and not stale (a reseed
-// would too).
+// would too) — on the in-memory argsSite and on a store-backed twin
+// over the same rows, so the two backends refuse the same arguments.
 func TestSiteRejectsMalformedArgs(t *testing.T) {
 	ctx := context.Background()
 	spec, err := NewBlockSpec([]string{"a"}, [][]string{{"x"}, {"y"}})
@@ -62,6 +64,26 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 	}{
 		{"sigma-stats-pattern-longer-than-X", func(s *Site) error {
 			_, err := s.SigmaStats(ctx, &BlockSpec{X: []string{"a"}, Patterns: [][]string{{"x", "p"}}})
+			return err
+		}},
+		{"sigma-stats-X-repeats-attribute", func(s *Site) error {
+			rep := &BlockSpec{X: []string{"a", "a"}, Patterns: [][]string{{"x", "x"}}}
+			_, err := s.SigmaStats(ctx, rep)
+			if want := rep.check(); want == nil || err == nil || err.Error() != want.Error() {
+				t.Errorf("got %v, want the spec check's error %v", err, want)
+			}
+			return err
+		}},
+		{"mine-x-repeats-attribute", func(s *Site) error {
+			_, err := s.MineFrequent(ctx, []string{"a", "a"}, 0.5)
+			return err
+		}},
+		{"mine-x-empty", func(s *Site) error {
+			_, err := s.MineFrequent(ctx, nil, 0.5)
+			return err
+		}},
+		{"mine-theta-NaN", func(s *Site) error {
+			_, err := s.MineFrequent(ctx, []string{"a"}, math.NaN())
 			return err
 		}},
 		{"constants-lhs-longer-than-X", func(s *Site) error {
@@ -93,19 +115,39 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.call(argsSite())
-			if err == nil {
-				t.Fatal("malformed argument accepted")
-			}
-			if isTransient(err) || IsStaleIncremental(err) {
-				t.Fatalf("want a plain error, got %v", err)
+			for _, b := range argsBackends {
+				t.Run(b.name, func(t *testing.T) {
+					err := tc.call(b.site(t))
+					if err == nil {
+						t.Fatal("malformed argument accepted")
+					}
+					if isTransient(err) || IsStaleIncremental(err) {
+						t.Fatalf("want a plain error, got %v", err)
+					}
+				})
 			}
 		})
 	}
-	// Control: the same row shipped as block 0 over [a, b] folds.
-	if err := foldShipped(argsSite(), 0, []string{"a", "b"}); err != nil {
-		t.Fatalf("a well-formed shipped block was rejected: %v", err)
+	for _, b := range argsBackends {
+		// Control: the same row shipped as block 0 over [a, b] folds.
+		if err := foldShipped(b.site(t), 0, []string{"a", "b"}); err != nil {
+			t.Fatalf("%s: a well-formed shipped block was rejected: %v", b.name, err)
+		}
 	}
+}
+
+// argsBackends builds argsSite in memory and as a store-backed twin
+// over the same rows and predicate.
+var argsBackends = []struct {
+	name string
+	site func(*testing.T) *Site
+}{
+	{"mem", func(*testing.T) *Site { return argsSite() }},
+	{"store", func(t *testing.T) *Site {
+		m := argsSite()
+		s, _ := openStoreSiteFor(t, 0, m.Fragment(), m.pred)
+		return s
+	}},
 }
 
 // fuzzArgs reads a FuzzSiteArgs input a byte at a time; past the end

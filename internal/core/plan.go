@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -158,6 +159,9 @@ type Plan struct {
 func CompileSet(ctx context.Context, cl *Cluster, cfds []*cfd.CFD, algo Algorithm, opt Options, clustered bool) (*Plan, error) {
 	if len(cfds) == 0 {
 		return nil, fmt.Errorf("core: compile with no CFDs")
+	}
+	if math.IsNaN(opt.MineTheta) { // would read as "mining off" below
+		return nil, fmt.Errorf("core: MineTheta is NaN")
 	}
 	opt = opt.withDefaults()
 	sigmaReport, err := analyzeSigma(cfds, opt.Sigma)

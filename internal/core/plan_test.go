@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -193,6 +194,16 @@ func TestPlanMiningCompiledOnce(t *testing.T) {
 			t.Errorf("run %d: control traffic %d != one-shot %d (mining exchange not replayed?)",
 				k, gs.ControlBytes, ws.ControlBytes)
 		}
+	}
+}
+
+// TestCompileRefusesNaNMineTheta: a NaN θ is neither "mining off" nor
+// a support floor, so compiling with one fails instead of silently
+// planning without mining.
+func TestCompileRefusesNaNMineTheta(t *testing.T) {
+	_, err := CompileSet(context.Background(), fig1bCluster(t), []*cfd.CFD{phi1}, PatDetectS, Options{MineTheta: math.NaN()}, false)
+	if err == nil {
+		t.Fatal("MineTheta NaN compiled")
 	}
 }
 

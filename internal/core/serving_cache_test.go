@@ -88,9 +88,9 @@ func TestConstantsCacheKeyUnambiguous(t *testing.T) {
 	}
 }
 
-// parkedFrag holds the first σ-routing or constant scan it serves
-// until release closes: the rows are read, then the result is held
-// while a delta lands.
+// parkedFrag holds the first σ-routing projection or constant scan it
+// serves until release closes: the rows are read, then the result is
+// held while a delta lands.
 type parkedFrag struct {
 	memFrag
 	once            sync.Once
@@ -104,10 +104,10 @@ func (f *parkedFrag) park() {
 	})
 }
 
-func (f *parkedFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
-	assign, counts, err := f.memFrag.AssignAll(spec)
+func (f *parkedFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
+	out, err := f.memFrag.ProjectBlocks(name, attrs, blocks)
 	f.park()
-	return assign, counts, err
+	return out, err
 }
 
 func (f *parkedFrag) Scan(fn func(t relation.Tuple) error) error {

@@ -89,13 +89,19 @@ func NewBlockSpecOrdered(x []string, patterns [][]string) (*BlockSpec, error) {
 	return s, nil
 }
 
-// check is the one check of a spec and block list: a non-empty X and
-// at least one pattern, each of arity |X|, and every block in [0, K).
+// check is the one check of a spec and block list: a non-empty X
+// without a repeated attribute and at least one pattern, each of arity
+// |X|, and every block in [0, K).
 // Constructors build by it; a site applies it to a spec and blocks it
 // did not build before routing with them.
 func (s *BlockSpec) check(blocks ...int) error {
 	if s == nil || len(s.X) == 0 || len(s.Patterns) == 0 {
 		return fmt.Errorf("core: block spec needs a non-empty X and a pattern")
+	}
+	for i, a := range s.X {
+		if slices.Contains(s.X[:i], a) {
+			return fmt.Errorf("core: block spec repeats attribute %q in X", a)
+		}
 	}
 	for _, p := range s.Patterns {
 		if len(p) != len(s.X) {
@@ -206,44 +212,30 @@ func (s *BlockSpec) maskGroups(key func(p []string, positions []int) (string, bo
 	return out
 }
 
-// AssignAll computes σ for every tuple of the fragment, returning the
-// block index per tuple (-1 = unmatched) and the per-block counts
-// lstat[l]. It runs single-pass on the fragment's dictionary-encoded
-// columns: the tableau's constants are pre-encoded into each mask
-// group's lookup once per call, so routing a tuple is a handful of
-// integer map probes with no per-tuple string or buffer copies.
-// Semantics are identical to calling Assign on every X-projection.
+// AssignAll computes σ for every tuple of frag, returning the block
+// index per tuple (-1 = unmatched) and the per-block counts lstat[l].
+// It runs single-pass on frag's dictionary-encoded columns: the
+// tableau's constants are pre-encoded into each mask group's lookup
+// once per call, so routing a tuple is a handful of integer map probes
+// with no per-tuple string or buffer copies. Semantics are identical to
+// calling Assign on every X-projection. A site routes its fragment
+// through it, one ProjectBlocks batch of X at a time (Site.route).
 func (s *BlockSpec) AssignAll(frag *relation.Relation) ([]int, []int, error) {
 	xi, err := frag.Schema().Indices(s.X)
 	if err != nil {
 		return nil, nil, err
 	}
 	e := frag.Encoded()
-	rows := e.Rows()
-	assign := make([]int, rows)
+	assign := make([]int, e.Rows())
 	counts := make([]int, s.K())
-	if rows == 0 {
-		return assign, counts, nil
-	}
 	cols := make([][]uint32, len(xi))
 	dicts := make([]*relation.Dict, len(xi))
 	for j, c := range xi {
 		cols[j], dicts[j] = e.Column(c)
 	}
-	s.assignColumns(cols, dicts, assign, counts)
-	return assign, counts, nil
-}
-
-// assignColumns routes rows already materialized as encoded X-columns
-// (aligned with s.X, IDs from dicts) into assign/counts — the shared
-// inner loop of AssignAll and the store-backed fragment's σ-routing,
-// which reads its columns out of packed segments instead of an Encoded
-// view.
-func (s *BlockSpec) assignColumns(cols [][]uint32, dicts []*relation.Dict, assign []int, counts []int) {
-	// Per fragment, the index is keyed by the packed column IDs of each
-	// pattern's constants in the fragment's dictionaries (aligned with
-	// s.X); a pattern with a constant they never interned cannot match
-	// any local tuple.
+	// The index is keyed by the packed column IDs of each pattern's
+	// constants in frag's dictionaries (aligned with s.X); a pattern
+	// with a constant they never interned cannot match any tuple.
 	egs := s.maskGroups(func(p []string, positions []int) (string, bool) {
 		kb := make([]byte, 0, 4*len(positions))
 		for _, i := range positions {
@@ -272,6 +264,7 @@ func (s *BlockSpec) assignColumns(cols [][]uint32, dicts []*relation.Dict, assig
 			counts[best]++
 		}
 	}
+	return assign, counts, nil
 }
 
 // PatternPredicate builds Fφ for pattern l: the conjunction of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -408,11 +409,43 @@ func (s *Site) assignAll(spec *BlockSpec, blocks ...int) (*sigmaEntry, error) {
 	if ok {
 		return ent, nil
 	}
-	assign, counts, err := s.frag.AssignAll(spec)
+	assign, counts, err := s.route(spec, gatherBatchRows)
 	if err != nil {
 		return nil, err
 	}
 	return s.sigma.store(epoch, fp, &sigmaEntry{spec: spec, assign: assign, counts: counts}), nil
+}
+
+// route σ-routes the fragment under spec through BlockSpec.AssignAll,
+// one ProjectBlocks batch of X (batch rows) at a time: a cold routing
+// holds one batch of columns beside the assignment. An empty fragment
+// still projects once, so an X the schema lacks is always refused.
+func (s *Site) route(spec *BlockSpec, batch int) (assign, counts []int, err error) {
+	n := s.frag.Len()
+	for lo := 0; lo == 0 || lo < n; lo += batch {
+		proj, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_sigma", spec.X, [][]int32{rowSpan(lo, min(lo+batch, n))})
+		if err != nil {
+			return nil, nil, err
+		}
+		if a, c, _ := spec.AssignAll(proj[0]); lo == 0 { // proj's schema is X itself
+			assign, counts = slices.Grow(a, n-len(a)), c // one batch: a itself
+		} else {
+			assign = append(assign, a...)
+			for l, k := range c {
+				counts[l] += k
+			}
+		}
+	}
+	return assign, counts, nil
+}
+
+// rowSpan returns the row list lo, lo+1, …, hi-1.
+func rowSpan(lo, hi int) []int32 {
+	rows := make([]int32, hi-lo)
+	for k := range rows {
+		rows[k] = int32(lo + k)
+	}
+	return rows
 }
 
 // SigmaStats computes lstat[l] = |H_i^l| per pattern.
@@ -535,7 +568,7 @@ func (s *Site) fullBlocks(spec *BlockSpec, attrs []string, blocks []int, name st
 }
 
 // gatherBatchRows is the row budget of one projection batch of
-// detectAssigned: large enough that a site's assigned share is one or a
+// detectAssigned and of route: large enough that a batch is one or a
 // few chunk passes, small enough (≈ 4 MiB per projected column) that a
 // batch of a fragment far bigger than RAM stays resident.
 const gatherBatchRows = 1 << 20
@@ -881,12 +914,17 @@ func (s *Site) buildConstState(c *cfd.CFD) (*engine.IncrementalState, error) {
 }
 
 // MineFrequent mines closed frequent LHS patterns over x with support
-// theta·|Di| at this site, with per-pattern relative supports.
+// theta·|Di| at this site, with per-pattern relative supports, over
+// the X-projection of every row (read through ProjectBlocks).
 func (s *Site) MineFrequent(ctx context.Context, x []string, theta float64) ([]mining.Pattern, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.frag.Mine(x, theta)
+	proj, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_mine", x, [][]int32{rowSpan(0, s.frag.Len())})
+	if err != nil {
+		return nil, err
+	}
+	return mining.ClosedPatternsWithSupport(proj[0], x, theta)
 }
 
 // cfdFingerprint returns an unambiguous content key for a CFD: equal
@@ -908,24 +946,17 @@ func cfdFingerprint(c *cfd.CFD) string {
 	return string(b)
 }
 
+// taskAttrs lists what a task projects, once each in first-seen order:
+// spec.X (checked, so without repeats), then each CFD's X and Y.
 func taskAttrs(spec *BlockSpec, cfds []*cfd.CFD) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(a string) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range spec.X {
-		add(a)
-	}
+	out := slices.Clone(spec.X)
 	for _, c := range cfds {
-		for _, a := range c.X {
-			add(a)
-		}
-		for _, a := range c.Y {
-			add(a)
+		for _, attrs := range [2][]string{c.X, c.Y} {
+			for _, a := range attrs {
+				if !slices.Contains(out, a) {
+					out = append(out, a)
+				}
+			}
 		}
 	}
 	return out

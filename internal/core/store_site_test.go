@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +41,13 @@ func sameRelation(t *testing.T, label string, got, want *relation.Relation) {
 	if !reflect.DeepEqual(got.Tuples(), want.Tuples()) {
 		t.Fatalf("%s: store-backed site diverged:\n got %v\nwant %v", label, got, want)
 	}
+}
+
+// dropSigma empties s's σ cache, so the next routing is cold.
+func dropSigma(s *Site) {
+	s.sigma.mu.Lock()
+	defer s.sigma.mu.Unlock()
+	clear(s.sigma.m)
 }
 
 // storeTestSpec is a σ-partitioning with constants and wildcards over
@@ -176,10 +184,12 @@ func randomDelta(rng *rand.Rand, n int, base int) relation.Delta {
 
 // TestStoreSiteDeltasAndRecovery is the crash/recovery pin: the same
 // delta sequence applied to an in-memory and a store-backed site keeps
-// every extraction byte-identical; reopening the store directory
-// replays the WAL and recovers the exact same state (tuple order
-// included), so the recovered site's detection output is byte-equal
-// to the never-crashed one's.
+// every extraction byte-identical, a cold σ-routing at every generation
+// (batched or not, through the store's view once deletes begin) equals
+// the maintained one, and mining after the stream agrees; reopening the
+// store directory replays the WAL and recovers the exact same state
+// (tuple order included), so the recovered site's detection output is
+// byte-equal to the never-crashed one's.
 func TestStoreSiteDeltasAndRecovery(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(33))
@@ -207,6 +217,57 @@ func TestStoreSiteDeltasAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// coldCheck checks the σ entry ApplyDelta maintained at the store
+	// site against cold routings: in one batch and in batches of 7 rows
+	// on both backends, then — the store's σ cache cleared — through the
+	// cold SigmaStats and ExtractMatching, which must also equal the
+	// in-memory site's answers.
+	coldCheck := func(label string) {
+		t.Helper()
+		ent, _, ok := store.sigma.lookup(spec.Fingerprint())
+		if !ok {
+			t.Fatalf("%s: no maintained σ entry", label)
+		}
+		warmM, err := store.ExtractMatching(ctx, spec, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Site{"mem": mem, "store": store} {
+			for _, batch := range []int{7, gatherBatchRows} {
+				assign, counts, err := s.route(spec, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(assign, ent.assign) || !slices.Equal(counts, ent.counts) {
+					t.Fatalf("%s: the %s site routed in batches of %d diverged from the maintained entry", label, name, batch)
+				}
+			}
+		}
+		dropSigma(store)
+		gotStats, err := store.SigmaStats(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStats, err := mem.SigmaStats(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotStats, wantStats) || !slices.Equal(gotStats, ent.counts) {
+			t.Fatalf("%s: cold SigmaStats store %v, mem %v, maintained %v", label, gotStats, wantStats, ent.counts)
+		}
+		gotM, err := store.ExtractMatching(ctx, spec, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM, err := mem.ExtractMatching(ctx, spec, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRelation(t, label+": cold ExtractMatching", gotM, wantM)
+		sameRelation(t, label+": cold vs maintained ExtractMatching", gotM, warmM)
+	}
+	coldCheck("no delta")
+
 	const deltas = 25
 	for g := 0; g < deltas; g++ {
 		n, _ := mem.NumTuples()
@@ -222,17 +283,22 @@ func TestStoreSiteDeltasAndRecovery(t *testing.T) {
 		if im != is {
 			t.Fatalf("delta %d: DeltaInfo store %+v, mem %+v", g, is, im)
 		}
-		gotStats, err := store.SigmaStats(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStats, err := mem.SigmaStats(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Fatalf("delta %d: SigmaStats store %v, mem %v", g, gotStats, wantStats)
-		}
+		coldCheck(fmt.Sprintf("delta %d", g))
+	}
+	if store.frag.(*storeFrag).view == nil {
+		t.Fatal("no delta deleted a row: routing through a view went unchecked")
+	}
+	mineX := []string{"a", "b"}
+	wantP, err := mem.MineFrequent(ctx, mineX, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotP, err := store.MineFrequent(ctx, mineX, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantP) == 0 || !reflect.DeepEqual(gotP, wantP) {
+		t.Fatalf("post-delta MineFrequent: store %v, mem %v", gotP, wantP)
 	}
 	wantM, err := mem.ExtractMatching(ctx, spec, attrs)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"distcfd/internal/colstore"
-	"distcfd/internal/mining"
 	"distcfd/internal/relation"
 )
 
@@ -28,7 +27,8 @@ import (
 type storeFrag struct {
 	frag *colstore.Fragment
 	// rd is frag as the chunk reader the gather (ProjectBlocks) decodes
-	// through; tests wrap it to count the reads.
+	// every base column through; tests wrap it to count the reads. Only
+	// Scan and the rows Apply deletes read a row at a time (RowReader).
 	rd       relation.PackedColumnReader
 	wal      *colstore.DeltaLog
 	schema   *relation.Schema
@@ -120,67 +120,12 @@ func (f *storeFrag) ref(i int) uint32 {
 	return uint32(i)
 }
 
-// readColumnAll materializes column c — base segments plus overlay,
-// view indirection applied — into dst (length Len()).
-func (f *storeFrag) readColumnAll(c int, dst []uint32) error {
-	if f.view == nil {
-		if f.baseRows > 0 {
-			if err := f.frag.ReadColumn(c, 0, dst[:f.baseRows]); err != nil {
-				return err
-			}
-		}
-		copy(dst[f.baseRows:], f.tailIDs[c])
-		return nil
-	}
-	rr := f.frag.NewRowReader()
-	base := uint32(f.baseRows)
-	for i, ref := range f.view {
-		if ref < base {
-			id, err := rr.ID(c, int(ref))
-			if err != nil {
-				return err
-			}
-			dst[i] = id
-		} else {
-			dst[i] = f.tailIDs[c][ref-base]
-		}
-	}
-	return nil
-}
-
-func (f *storeFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
-	xi, err := f.schema.Indices(spec.X)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := f.Len()
-	assign := make([]int, rows)
-	counts := make([]int, spec.K())
-	if rows == 0 {
-		return assign, counts, nil
-	}
-	cols := make([][]uint32, len(xi))
-	dicts := make([]*relation.Dict, len(xi))
-	for j, c := range xi {
-		cols[j] = make([]uint32, rows)
-		if err := f.readColumnAll(c, cols[j]); err != nil {
-			return nil, nil, err
-		}
-		if dicts[j], err = f.ovDict(c); err != nil {
-			return nil, nil, err
-		}
-	}
-	spec.assignColumns(cols, dicts, assign, counts)
-	return assign, counts, nil
-}
-
 // ProjectBlocks gathers the whole batch in one chunk-ordered pass per
 // projected column: the column's chunks are walked once in ascending
 // order, a chunk is decoded only if some block has a row in it, and its
 // hits are scattered into every block's column through one cursor per
 // block. Each (column, chunk) is thus decoded at most once per call,
-// with or without a view; a RowReader pass per block decoded it once
-// per block.
+// with or without a view.
 func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
 	idx, err := f.schema.Indices(attrs)
 	if err != nil {
@@ -376,21 +321,6 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 		f.ovDicts[j], f.tailIDs[j] = dict.InternInserts(f.tailIDs[j], d.Inserts, j)
 	}
 	return removed, nil
-}
-
-// Mine materializes the X-projection (the only part of the fragment
-// the mining lattice walks) and mines it; relative supports are
-// unchanged because the projection keeps every row.
-func (f *storeFrag) Mine(x []string, theta float64) ([]mining.Pattern, error) {
-	rows := make([]int32, f.Len())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	proj, err := f.ProjectBlocks(f.schema.Name()+"_mine", x, [][]int32{rows})
-	if err != nil {
-		return nil, err
-	}
-	return mining.ClosedPatternsWithSupport(proj[0], x, theta)
 }
 
 func (f *storeFrag) Close() error {

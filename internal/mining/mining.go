@@ -73,7 +73,7 @@ type Pattern struct {
 // order σ wants. The all-wildcard pattern is never returned (callers
 // append it as the catch-all row).
 func ClosedPatternsWithSupport(frag *relation.Relation, x []string, theta float64) ([]Pattern, error) {
-	if theta <= 0 || theta > 1 {
+	if !(theta > 0 && theta <= 1) { // NaN included
 		return nil, fmt.Errorf("mining: theta must be in (0,1], got %v", theta)
 	}
 	xi, err := frag.Schema().Indices(x)

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,6 +109,9 @@ func TestClosedPatternsValidation(t *testing.T) {
 	}
 	if _, err := ClosedPatternsWithSupport(d, []string{"a"}, 1.5); err == nil {
 		t.Error("theta>1 accepted")
+	}
+	if _, err := ClosedPatternsWithSupport(d, []string{"a"}, math.NaN()); err == nil {
+		t.Error("theta=NaN accepted")
 	}
 	if _, err := ClosedPatternsWithSupport(d, []string{"zz"}, 0.5); err == nil {
 		t.Error("unknown attribute accepted")
