@@ -6,8 +6,6 @@
 package engine
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -16,60 +14,106 @@ import (
 	"distcfd/internal/relation"
 )
 
-// The fast detector — the paper's check(D, Σ). For each normalized unit
-// (X→A, tp):
+// The fast detector — the paper's check(D, Σ). It runs once per CFD
+// (X → Y, Tp), with the whole pattern tableau joined in, as the Qc/Qv
+// query pair of [2]:
 //
-//   - constant unit: one scan; t violates iff t[X] ≍ tp[X] ∧ t[A]≠tp[A]
-//     (the Qc query of [2]);
-//   - variable unit: hash-group the tuples matching tp[X] by X; every
-//     tuple of a group with >1 distinct A-value violates (the Qv
-//     GROUP BY … HAVING COUNT(DISTINCT A)>1 query of [2]).
+//   - the row filter: each X column admits the IDs the tableau's live
+//     patterns name there (a pattern naming a constant the source never
+//     interned matches nothing and drops out); a column some pattern
+//     leaves wildcard admits every row;
+//   - one grouping: the admitted rows group by their full X projection.
+//     Whether a row matches a pattern depends only on its X-values, so
+//     among the rows matching pattern p these are exactly the groups of
+//     p's wildcard positions. A column every live pattern pins to one
+//     constant is filtered, not folded;
+//   - per RHS attribute A, Qv: one pass finds the groups holding more
+//     than one A-value; such a group violates when its X-value matches a
+//     pattern with tp[A] the wildcard — decided once per mixed group —
+//     and all its rows are marked (GROUP BY … HAVING COUNT(DISTINCT A)>1);
+//   - per pattern whose tp[A] is a constant, Qc: one scan; t violates
+//     iff t[X] ≍ tp[X] ∧ t[A] ≠ tp[A].
 //
-// There is one kernel. It runs on the whole dictionary-encoded ID
-// columns of a column source (source.go): pattern constants are
-// resolved to column IDs once per unit, matching is fixed-width integer
-// comparison, the variable group-by keys on dense group IDs through the
-// map-free fold of fold.go, and violations accumulate in a row-indexed
-// bitset — sorted output falls out of iteration order, with no per-call
-// map or sort. The per-row loops can additionally be sharded across an
-// intra-unit worker budget; per-shard group states merge associatively,
-// so the parallel kernel is byte-identical to the serial one.
-// DetectRows (rows.go) keeps the string-key reference path. Semantics
-// match internal/cfd.NaiveViolations, which serves as the test oracle.
+// The kernel runs on the whole dictionary-encoded ID columns of a
+// column source (source.go): pattern constants are resolved to column
+// IDs once per CFD, matching is fixed-width integer comparison, the
+// group-by keys on dense group IDs through the map-free fold of
+// fold.go, and violations accumulate in a row-indexed bitset — sorted
+// output falls out of iteration order, with no per-call map or sort.
+// The filter, the scans and the mixed-group pass can additionally be
+// sharded across an intra-call worker budget; per-shard group states
+// merge associatively, so the parallel kernel is byte-identical to the
+// serial one. The violating X-patterns are read off the group IDs.
+// DetectRows (rows.go) keeps the per-unit string-key reference path.
+// Semantics match internal/cfd.NaiveViolations, the test oracle.
 
-// noGroup marks rows excluded from a variable unit's grouping (pattern
-// mismatch). Group IDs are dense, bounded by the row count, so the
-// sentinel can never collide.
+// noGroup marks rows excluded from the grouping (no live pattern admits
+// them). Group IDs are dense, bounded by the row count, so the sentinel
+// can never collide.
 const noGroup = math.MaxUint32
 
-// scratchShrinkRows bounds the per-row buffers (gids, state, first,
-// bits, shard states) a pooled scratch may retain: past it the buffers
-// are dropped wholesale when the scratch returns to its pool, so one
-// huge unit cannot permanently inflate a long-lived compiled plan's
-// scratch (the same wholesale reset the sites' serving caches use).
+// wildID marks a wildcard position of a resolved pattern, and an X
+// position that more than one ID may occupy. Column IDs are bounded by
+// their dictionary, so it is never a real ID.
+const wildID = math.MaxUint32
+
+// scratchShrinkRows bounds the per-row, per-group and per-pattern
+// buffers (gids, state, first, rep, bits, shard states, the resolved
+// tableau and its admissible-ID bitmaps) a pooled scratch may retain:
+// past it the buffers are dropped wholesale when the scratch returns to
+// its pool, so one huge call cannot permanently inflate a long-lived
+// compiled plan's scratch (the same wholesale reset the sites' serving
+// caches use).
 const scratchShrinkRows = 1 << 21
 
 // detectScratch carries the column source and the reusable buffers of
-// one detection call so consecutive units (and CFDs) do not reallocate
-// them. Scratches are pooled per Kernel and reused across calls.
+// one detection call so consecutive CFDs do not reallocate them.
+// Scratches are pooled per Kernel and reused across calls.
 type detectScratch struct {
 	src source
 
-	gids  []uint32 // per-row group id, noGroup when unmatched
-	state []uint8  // per-group: 0 unseen, 1 single A, 2 mixed
-	first []uint32 // per-group first A id (valid when state≥1)
-	fold  foldStage
+	// The CFD under check, resolved against the source: pats holds each
+	// live pattern's X IDs (wildID at a wildcard), len(X) apiece, live
+	// its row in the tableau, xs each X position's restriction, and
+	// admit the admissible-ID bitmaps of the positions several IDs may
+	// occupy.
+	pats  []uint32
+	live  []int
+	xs    []xPos
+	admit []uint64
+
+	gids   []uint32 // per-row group id, noGroup when filtered out
+	groups int      // the group-ID bound of the grouping in gids
+	state  []uint8  // per-group: 0 unseen, 1 single A, 2 mixed
+	first  []uint32 // per-group first A id (valid when state≥1)
+	rep    []uint32 // per-group first row, when a mixed group's X is matched
+	fold   foldStage
 
 	// Violation bitset: bit i set ⇔ row i violates. Shared across the
-	// units (and CFDs) of one call; ascending iteration replaces the
-	// old map[int]struct{} + sort.Ints.
+	// CFDs of one call; ascending iteration replaces the old
+	// map[int]struct{} + sort.Ints.
 	bits []uint64
 
-	// Flat per-extra-shard group states of the intra-unit parallel
-	// path: shard s ∈ [1, workers) uses rows [(s-1)·num, s·num).
+	// Flat per-extra-shard group states of the parallel mixed-group
+	// pass: shard s ∈ [1, workers) uses groups [(s-1)·num, s·num).
 	shardState []uint8
 	shardFirst []uint32
+	shardRep   []uint32
 }
+
+// xPos is one X position of the CFD under check, as its live patterns
+// restrict it: pinned to one ID (id; filtered, not folded), to a set of
+// IDs (the bitmap at admit[bm:]; filtered and folded), or to nothing
+// (folded). ids is the position's whole column.
+type xPos struct {
+	col int
+	ids []uint32
+	id  uint32 // the one ID every live pattern names here, else wildID
+	bm  int    // offset of the admissible-ID bitmap, −1 when none
+}
+
+// folded reports whether the grouping folds the position in.
+func (x *xPos) folded() bool { return x.id == wildID }
 
 // sized returns buf with length n, reallocating when its capacity falls
 // short; what it holds is unspecified until the caller clears or fills it.
@@ -80,18 +124,28 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// groupBufs returns the per-group state (cleared) and first-A buffers.
-func (sc *detectScratch) groupBufs(num int) (state []uint8, first []uint32) {
+// groupBufs returns the per-group state (cleared), first-A and, when
+// reps, first-row buffers.
+func (sc *detectScratch) groupBufs(num int, reps bool) (state []uint8, first, rep []uint32) {
 	sc.state, sc.first = sized(sc.state, num), sized(sc.first, num)
 	clear(sc.state)
-	return sc.state, sc.first
+	if reps {
+		sc.rep = sized(sc.rep, num)
+		rep = sc.rep
+	}
+	return sc.state, sc.first, rep
 }
 
-// shardBufs returns cleared flat state/first buffers for extra shards.
-func (sc *detectScratch) shardBufs(extra, num int) ([]uint8, []uint32) {
+// shardBufs returns cleared flat state/first(/rep) buffers for extra
+// shards.
+func (sc *detectScratch) shardBufs(extra, num int, reps bool) (state []uint8, first, rep []uint32) {
 	sc.shardState, sc.shardFirst = sized(sc.shardState, extra*num), sized(sc.shardFirst, extra*num)
 	clear(sc.shardState)
-	return sc.shardState, sc.shardFirst
+	if reps {
+		sc.shardRep = sized(sc.shardRep, extra*num)
+		rep = sc.shardRep
+	}
+	return sc.shardState, sc.shardFirst, rep
 }
 
 // resetBits sizes and clears the violation bitset for rows rows.
@@ -137,6 +191,13 @@ func (sc *detectScratch) violations() []int {
 	return out
 }
 
+// release drops what a pooled scratch must not keep alive: the source
+// and the column windows the X positions hold.
+func (sc *detectScratch) release() {
+	sc.src = source{}
+	clear(sc.xs)
+}
+
 // shrink drops buffers grown past the retention bounds; called when
 // the scratch returns to its pool. Each buffer is gated on its own
 // capacity: the group buffers can exceed the row count (a sparse
@@ -144,25 +205,24 @@ func (sc *detectScratch) violations() []int {
 // are (workers−1)× the group space, so gating everything on gids
 // would retain them far past the intended bound.
 func (sc *detectScratch) shrink() {
-	if cap(sc.gids) > scratchShrinkRows {
-		sc.gids = nil
-	}
-	if cap(sc.state) > scratchShrinkRows {
-		sc.state = nil
-		sc.first = nil
-	}
-	if cap(sc.bits) > scratchShrinkRows>>6 {
-		sc.bits = nil
-	}
-	if cap(sc.shardState) > scratchShrinkRows {
-		sc.shardState = nil
-		sc.shardFirst = nil
-	}
+	const n, words = scratchShrinkRows, scratchShrinkRows >> 6
+	sc.pats, sc.live, sc.admit = bounded(sc.pats, n), bounded(sc.live, n), bounded(sc.admit, words)
+	sc.gids, sc.bits = bounded(sc.gids, n), bounded(sc.bits, words)
+	sc.state, sc.first, sc.rep = bounded(sc.state, n), bounded(sc.first, n), bounded(sc.rep, n)
+	sc.shardState, sc.shardFirst, sc.shardRep = bounded(sc.shardState, n), bounded(sc.shardFirst, n), bounded(sc.shardRep, n)
 	sc.fold.shrink()
 }
 
+// bounded returns buf, or nil once its capacity exceeds n.
+func bounded[T any](buf []T, n int) []T {
+	if cap(buf) > n {
+		return nil
+	}
+	return buf
+}
+
 // run binds the scratch to r and marks Vio(Σ, r) in the violation
-// bitset: every normalized unit of every CFD through the one kernel.
+// bitset: every CFD through the one kernel.
 func (sc *detectScratch) run(r relation.ColumnReader, schema *relation.Schema, cs []*cfd.CFD, o Opts) error {
 	sc.src.bind(r)
 	sc.resetBits(sc.src.rows)
@@ -170,10 +230,8 @@ func (sc *detectScratch) run(r relation.ColumnReader, schema *relation.Schema, c
 		if err := c.Validate(schema); err != nil {
 			return err
 		}
-		for _, n := range c.Normalize() {
-			if err := sc.detectUnit(schema, n, o.Workers); err != nil {
-				return err
-			}
+		if err := sc.detectCFD(schema, c, o.Workers); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -207,149 +265,235 @@ func fan(w, n int, fn func(shard int, sp rowSpan)) {
 	wg.Wait()
 }
 
-// constCol is one resolved constant of a pattern: the column and the ID
-// the pattern's constant interned to.
-type constCol struct {
-	col int
-	id  uint32
+// detectCFD checks one CFD against the bound source, marking violating
+// rows in the scratch bitset and leaving its grouping in sc.gids.
+// workers > 1 shards the per-row loops; the folds stay serial
+// (interning is order-dependent), and per-shard group states merge
+// through the unseen/single/mixed lattice, so the result is identical
+// at every worker count.
+func (sc *detectScratch) detectCFD(schema *relation.Schema, c *cfd.CFD, workers int) error {
+	src := &sc.src
+	sc.groups = 0
+	xi, err := schema.Indices(c.X)
+	if err != nil {
+		return err
+	}
+	yi, err := schema.Indices(c.Y)
+	if err != nil {
+		return err
+	}
+	if src.rows == 0 || !sc.resolve(c, xi) {
+		return nil
+	}
+	if err := src.load(xi...); err != nil {
+		return err
+	}
+	if err := src.load(yi...); err != nil {
+		return err
+	}
+	for j := range sc.xs {
+		sc.xs[j].ids = src.window(sc.xs[j].col, rowSpan{0, src.rows})
+	}
+	w := src.shards(workers)
+	sc.groups = sc.groupRows(w)
+	for k, aCol := range yi {
+		variable, covered := false, false
+		for p, t := range sc.live {
+			pat := sc.pat(p)
+			if tpA := c.Tp[t].RHS[k]; tpA != cfd.Wildcard {
+				sc.scanConstant(pat, aCol, tpA, w)
+				continue
+			}
+			variable = true
+			covered = covered || sc.covers(pat)
+		}
+		if variable {
+			sc.markMixed(c, k, aCol, covered, w)
+		}
+	}
+	return nil
 }
 
-func matchConsts(consts []constCol, wins [][]uint32, i int) bool {
-	for ci, c := range consts {
-		if wins[ci][i] != c.id {
+// resolve looks c's tableau up in the source's dictionaries: it keeps
+// the live patterns (every constant interned) in sc.pats and sc.live,
+// derives each X position's restriction into sc.xs and builds the
+// admissible-ID bitmaps. False when no pattern is live: then no row can
+// match and the CFD costs nothing more.
+func (sc *detectScratch) resolve(c *cfd.CFD, xi []int) bool {
+	dict := sc.src.r.ColumnDict
+	nx := len(xi)
+	sc.pats, sc.live = sc.pats[:0], sc.live[:0]
+patterns:
+	for t, tp := range c.Tp {
+		base := len(sc.pats)
+		for j, v := range tp.LHS {
+			id := uint32(wildID)
+			if v != cfd.Wildcard {
+				var ok bool
+				if id, ok = dict(xi[j]).Lookup(v); !ok {
+					sc.pats = sc.pats[:base]
+					continue patterns
+				}
+			}
+			sc.pats = append(sc.pats, id)
+		}
+		sc.live = append(sc.live, t)
+	}
+	if len(sc.live) == 0 {
+		return false
+	}
+	sc.xs = sized(sc.xs, nx)
+	words := 0
+	for j := range sc.xs {
+		x := xPos{col: xi[j], id: sc.pats[j], bm: -1}
+		several := false
+		for k := j + nx; k < len(sc.pats) && x.id != wildID; k += nx {
+			switch id := sc.pats[k]; {
+			case id == wildID:
+				x.id, several = wildID, false
+			case id != x.id:
+				several = true
+			}
+		}
+		if several {
+			x.id, x.bm = wildID, words
+			words += (dict(x.col).Len() + 63) >> 6
+		}
+		sc.xs[j] = x
+	}
+	sc.admit = sized(sc.admit, words)
+	clear(sc.admit)
+	for j, x := range sc.xs {
+		if x.bm < 0 {
+			continue
+		}
+		for k := j; k < len(sc.pats); k += nx {
+			id := sc.pats[k]
+			sc.admit[x.bm+int(id>>6)] |= 1 << (id & 63)
+		}
+	}
+	return true
+}
+
+// pat returns the p-th live pattern's X IDs.
+func (sc *detectScratch) pat(p int) []uint32 {
+	nx := len(sc.xs)
+	return sc.pats[p*nx : (p+1)*nx]
+}
+
+// covers reports whether pat matches every row the filter admits: it
+// names no constant at a folded position.
+func (sc *detectScratch) covers(pat []uint32) bool {
+	for j, id := range pat {
+		if id != wildID && sc.xs[j].folded() {
 			return false
 		}
 	}
 	return true
 }
 
-// detectUnit checks one normalized unit of a CFD against the bound
-// source, marking violating rows in the scratch bitset. workers > 1
-// shards the per-row loops; the fold steps of multi-wildcard groupings
-// stay serial (interning is order-dependent), and per-shard group
-// states merge through the unseen/single/mixed lattice, so the result
-// is identical at every worker count.
-func (sc *detectScratch) detectUnit(schema *relation.Schema, n *cfd.Normalized, workers int) error {
-	src := &sc.src
-	xi, err := schema.Indices(n.X)
-	if err != nil {
-		return err
-	}
-	aCol, ok := schema.Index(n.A)
-	if !ok {
-		return fmt.Errorf("engine: schema %q has no attribute %q", schema.Name(), n.A)
-	}
-	if src.rows == 0 {
-		return nil
-	}
-
-	// Resolve the pattern's constants against each column's dictionary;
-	// a constant the fragment never interned matches no tuple at all.
-	var consts []constCol
-	var varCols []int
-	for j, p := range n.TpX {
-		if p == cfd.Wildcard {
-			varCols = append(varCols, xi[j])
-			continue
+// matches reports whether row's X-value matches pat.
+func (sc *detectScratch) matches(pat []uint32, row int) bool {
+	for j, id := range pat {
+		if id != wildID && sc.xs[j].ids[row] != id {
+			return false
 		}
-		id, ok := src.r.ColumnDict(xi[j]).Lookup(p)
-		if !ok {
-			return nil
-		}
-		consts = append(consts, constCol{col: xi[j], id: id})
 	}
-	if err := src.load(xi...); err != nil {
-		return err
-	}
-	if err := src.load(aCol); err != nil {
-		return err
-	}
-	w := src.shards(workers)
-	if n.IsConstant() {
-		sc.scanConstant(consts, aCol, n.TpA, w)
-	} else {
-		sc.markMixed(sc.groupRows(consts, varCols, w), aCol, w)
-	}
-	return nil
+	return true
 }
 
-// scanConstant is the Qc scan: rows matching every constant whose A is
-// not the pattern's.
-func (sc *detectScratch) scanConstant(consts []constCol, aCol int, tpA string, w int) {
+// groupRows fills sc.gids with each row's dense group ID under the CFD's
+// full X projection — noGroup for rows the filter excludes — and returns
+// the group-ID bound. The admitted rows all share the pinned positions'
+// IDs, so grouping by the folded positions alone partitions exactly like
+// grouping by the full X projection.
+func (sc *detectScratch) groupRows(w int) int {
+	src := &sc.src
+	sc.gids = sized(sc.gids, src.rows)
+	gids := sc.gids
+	lead := -1 // the first folded position: its IDs are the initial groups
+	for j := range sc.xs {
+		if sc.xs[j].folded() {
+			lead = j
+			break
+		}
+	}
+	sc.each(w, func(_ int, sp rowSpan) {
+		g := gids[sp.lo:sp.hi]
+		if lead < 0 {
+			clear(g) // an all-pinned X is one group, 0
+		} else {
+			copy(g, sc.xs[lead].ids[sp.lo:sp.hi])
+		}
+		for _, x := range sc.xs {
+			col := x.ids[sp.lo:sp.hi]
+			switch {
+			case !x.folded():
+				for i, v := range col {
+					if v != x.id {
+						g[i] = noGroup
+					}
+				}
+			case x.bm >= 0:
+				bm := sc.admit[x.bm:]
+				for i, v := range col {
+					if bm[v>>6]&(1<<(v&63)) == 0 {
+						g[i] = noGroup
+					}
+				}
+			}
+		}
+	})
+	if lead < 0 {
+		return 1
+	}
+	// Fold the remaining folded positions in, a whole column at a time.
+	num := src.r.ColumnDict(sc.xs[lead].col).Len()
+	for _, x := range sc.xs[lead+1:] {
+		if x.folded() {
+			num = foldColumn(gids, x.ids, num, src.r.ColumnDict(x.col).Len(), &sc.fold)
+		}
+	}
+	return num
+}
+
+// scanConstant is the Qc scan of one live pattern pat with the constant
+// tpA: admitted rows matching pat whose A is not tpA.
+func (sc *detectScratch) scanConstant(pat []uint32, aCol int, tpA string, w int) {
 	src := &sc.src
 	aID, aOK := src.r.ColumnDict(aCol).Lookup(tpA)
 	sc.each(w, func(_ int, sp rowSpan) {
-		var stack [4][]uint32
-		wins := src.windows(consts, sp, stack[:0])
+		g := sc.gids[sp.lo:sp.hi]
 		for i, a := range src.window(aCol, sp) {
-			if matchConsts(consts, wins, i) && (!aOK || a != aID) {
+			if g[i] != noGroup && (!aOK || a != aID) && sc.matches(pat, sp.lo+i) {
 				sc.mark(sp.lo + i)
 			}
 		}
 	})
 }
 
-// groupRows fills sc.gids with each row's dense group ID under the
-// unit's X pattern (noGroup for rows the constants exclude) and returns
-// the group count. Among tuples matching the constants, the constant
-// positions are all equal, so grouping by the wildcard positions alone
-// partitions exactly like grouping by the full X projection.
-func (sc *detectScratch) groupRows(consts []constCol, varCols []int, w int) int {
+// markMixed is the Qv check of c's k-th RHS attribute, in column aCol:
+// it walks the groups of sc.gids through the unseen/single/mixed state
+// machine on A (HAVING COUNT(DISTINCT A) > 1) and marks every row of a
+// mixed group whose X-value matches a pattern with tp[A] the wildcard.
+// covered says some such pattern matches every admitted row; otherwise
+// the match is decided once per mixed group, on its first row.
+func (sc *detectScratch) markMixed(c *cfd.CFD, k, aCol int, covered bool, w int) {
 	src := &sc.src
-	sc.gids = sized(sc.gids, src.rows)
-	gids := sc.gids
-	sc.each(w, func(_ int, sp rowSpan) {
-		g := gids[sp.lo:sp.hi]
-		if len(consts) == 0 {
-			// The first variable column IS the initial grouping: a
-			// constant-free LHS does no per-row work here beyond the copy.
-			copy(g, src.window(varCols[0], sp))
-			return
-		}
-		var stack [4][]uint32
-		wins := src.windows(consts, sp, stack[:0])
-		// An all-constant LHS is one group, 0.
-		first := g
-		if len(varCols) == 0 {
-			clear(g)
-		} else {
-			first = src.window(varCols[0], sp)
-		}
-		for i := range g {
-			if matchConsts(consts, wins, i) {
-				g[i] = first[i]
-			} else {
-				g[i] = noGroup
-			}
-		}
-	})
-	if len(varCols) == 0 {
-		return 1
-	}
-	// Fold the remaining variable columns in, a whole column at a time.
-	all := rowSpan{0, src.rows}
-	num := src.r.ColumnDict(varCols[0]).Len()
-	for _, col := range varCols[1:] {
-		num = foldColumn(gids, src.window(col, all), num, src.r.ColumnDict(col).Len(), &sc.fold)
-	}
-	return num
-}
-
-// markMixed is the HAVING COUNT(DISTINCT A) > 1 half of Qv: it walks
-// the num groups of sc.gids through the unseen/single/mixed state
-// machine on column aCol and marks every row of a mixed group.
-func (sc *detectScratch) markMixed(num, aCol, w int) {
-	src := &sc.src
+	num := sc.groups
 	gids := sc.gids[:src.rows]
-	state, firstA := sc.groupBufs(num)
+	state, firstA, rep := sc.groupBufs(num, !covered)
 	// Shard 0 accumulates into the merge target directly; extra shards
 	// into their own slices of the flat buffers.
-	shardState, shardFirst := sc.shardBufs(w-1, num)
+	shardState, shardFirst, shardRep := sc.shardBufs(w-1, num, !covered)
 	sc.each(w, func(s int, sp rowSpan) {
-		st, fa := state, firstA
+		st, fa, rp := state, firstA, rep
 		if s > 0 {
 			st = shardState[(s-1)*num : s*num]
 			fa = shardFirst[(s-1)*num : s*num]
+			if rp != nil {
+				rp = shardRep[(s-1)*num : s*num]
+			}
 		}
 		acol := src.window(aCol, sp)
 		for i, g := range gids[sp.lo:sp.hi] {
@@ -361,6 +505,9 @@ func (sc *detectScratch) markMixed(num, aCol, w int) {
 			case 0:
 				st[g] = 1
 				fa[g] = v
+				if rp != nil {
+					rp[g] = uint32(sp.lo + i)
+				}
 			case 1:
 				if v != fa[g] {
 					st[g] = 2
@@ -371,7 +518,9 @@ func (sc *detectScratch) markMixed(num, aCol, w int) {
 	if w > 1 {
 		// Merge: unseen/single/mixed is a join-semilattice (unseen ⊑
 		// single(a) ⊑ mixed, single(a) ⊔ single(b≠a) = mixed), so
-		// shard order cannot matter. Sharded over the group space.
+		// shard order cannot matter to the state; shards merge in row
+		// order, so a group's first row is its earliest shard's.
+		// Sharded over the group space.
 		fan(w, num, func(_ int, groups rowSpan) {
 			for s := 0; s < w-1; s++ {
 				st := shardState[s*num : (s+1)*num]
@@ -384,12 +533,33 @@ func (sc *detectScratch) markMixed(num, aCol, w int) {
 					case state[g] == 0:
 						state[g] = st[g]
 						firstA[g] = fa[g]
+						if rep != nil {
+							rep[g] = shardRep[s*num+g]
+						}
 					case st[g] == 2 || fa[g] != firstA[g]:
 						state[g] = 2
 					}
 				}
 			}
 		})
+	}
+	if !covered {
+		// A mixed group no variable pattern matches goes back to single.
+		for g, s := range state {
+			if s != 2 {
+				continue
+			}
+			matched := false
+			for p, t := range sc.live {
+				if c.Tp[t].RHS[k] == cfd.Wildcard && sc.matches(sc.pat(p), int(rep[g])) {
+					matched = true
+					break
+				}
+			}
+			if !matched {
+				state[g] = 1
+			}
+		}
 	}
 	sc.each(w, func(_ int, sp rowSpan) {
 		for i := sp.lo; i < sp.hi; i++ {
@@ -401,18 +571,14 @@ func (sc *detectScratch) markMixed(num, aCol, w int) {
 }
 
 // violationPatterns extracts the distinct X-patterns of the rows set in
-// sc.bits, decoding X's columns only when some row is set. The seen-set
-// keys on the rows' encoded column IDs (uvarint-encoded per component,
-// so the fixed component count makes the key unambiguous) — value-exact,
-// since rows of one source share its dictionaries — rows are visited
-// ascending, and a pattern tuple is materialized only for emitted
-// patterns, never per violating row.
+// sc.bits, for the one CFD c the scratch just checked. Every violating
+// row has a group — the filter admits every live pattern's rows — and a
+// group is one X-value, so rows are visited ascending and each group
+// emits its first violating row, deduplicated on the group ID: a pattern
+// tuple is materialized only for emitted patterns, never per violating
+// row, and no key is built.
 func (sc *detectScratch) violationPatterns(schema *relation.Schema, c *cfd.CFD) (*relation.Relation, error) {
 	src := &sc.src
-	xi, err := schema.Indices(c.X)
-	if err != nil {
-		return nil, err
-	}
 	ps, err := schema.Project("viopi_"+c.Name, c.X)
 	if err != nil {
 		return nil, err
@@ -422,29 +588,18 @@ func (sc *detectScratch) violationPatterns(schema *relation.Schema, c *cfd.CFD) 
 	if i < 0 {
 		return out, nil
 	}
-	if err := src.load(xi...); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]struct{}, 16)
-	key := make([]byte, 0, 8*len(xi))
-	cols := make([][]uint32, len(xi))
-	dicts := make([]*relation.Dict, len(xi))
-	for j, col := range xi {
-		cols[j] = src.window(col, rowSpan{0, src.rows})
-		dicts[j] = src.r.ColumnDict(col)
-	}
+	// The state buffer, spent once the check is done, flags the
+	// groups already emitted.
+	emitted, _, _ := sc.groupBufs(sc.groups, false)
 	for ; i >= 0; i = sc.nextSet(i+1, src.rows) {
-		key = key[:0]
-		for _, col := range cols {
-			key = binary.AppendUvarint(key, uint64(col[i]))
-		}
-		if _, dup := seen[string(key)]; dup {
+		g := sc.gids[i]
+		if emitted[g] != 0 {
 			continue
 		}
-		seen[string(key)] = struct{}{}
-		pat := make(relation.Tuple, len(xi))
-		for j, col := range cols {
-			pat[j] = dicts[j].Val(col[i])
+		emitted[g] = 1
+		pat := make(relation.Tuple, len(sc.xs))
+		for j, x := range sc.xs {
+			pat[j] = src.r.ColumnDict(x.col).Val(x.ids[i])
 		}
 		out.MustAppend(pat)
 	}

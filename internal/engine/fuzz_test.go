@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzKernel feeds random schemas, tuples, and CFDs — wildcard/
-// constant mixes, tableau rows, and values containing (or adjacent to)
+// constant mixes, tableaux of up to 8 rows over up to 2 RHS
+// attributes, and values containing (or adjacent to)
 // the historical \x1f separator — through the kernel over every kind of
 // column source at several worker counts (checkAllSources), and
 // cross-checks every draw against the row-oriented string-key reference
@@ -73,17 +74,18 @@ func decodeFuzzCase(data []byte) (*relation.Relation, *cfd.CFD) {
 		d.MustAppend(row)
 	}
 
-	// X = a rotation prefix of the attributes, A = the next one, so X
-	// is duplicate-free and disjoint from A by construction.
+	// X = a rotation prefix of the attributes, Y = the next one or
+	// two, so X is duplicate-free and disjoint from Y by construction.
 	rot := next() % arity
 	perm := make([]string, arity)
 	for i := range perm {
 		perm[i] = attrs[(rot+i)%arity]
 	}
 	xlen := 1 + next()%(arity-1)
+	ylen := min(1+next()%2, arity-xlen)
 	x := perm[:xlen]
-	y := perm[xlen : xlen+1]
-	ntp := 1 + next()%3
+	y := perm[xlen : xlen+ylen]
+	ntp := 1 + next()%8
 	tps := make([]cfd.PatternTuple, ntp)
 	for i := range tps {
 		lhs := make([]string, xlen)
@@ -94,11 +96,13 @@ func decodeFuzzCase(data []byte) (*relation.Relation, *cfd.CFD) {
 				lhs[j] = fuzzPalette[b%len(fuzzPalette)]
 			}
 		}
-		rhs := make([]string, 1)
-		if b := next(); b%2 == 0 {
-			rhs[0] = cfd.Wildcard
-		} else {
-			rhs[0] = fuzzPalette[b%len(fuzzPalette)]
+		rhs := make([]string, ylen)
+		for k := range rhs {
+			if b := next(); b%2 == 0 {
+				rhs[k] = cfd.Wildcard
+			} else {
+				rhs[k] = fuzzPalette[b%len(fuzzPalette)]
+			}
 		}
 		tps[i] = cfd.PatternTuple{LHS: lhs, RHS: rhs}
 	}

@@ -42,7 +42,7 @@ func (k *Kernel) check(r relation.ColumnReader, schema *relation.Schema, cs []*c
 		sc = &detectScratch{}
 	}
 	defer func() {
-		sc.src = source{} // drop what a pooled scratch must not keep alive
+		sc.release()
 		sc.shrink()
 		k.pool.Put(sc)
 	}()

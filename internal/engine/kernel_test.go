@@ -134,6 +134,11 @@ func TestKernelFailedRunReturnsScratch(t *testing.T) {
 		if sc.src.r != nil || sc.src.cols != nil {
 			t.Errorf("%s: the pooled scratch still holds its source", name)
 		}
+		for _, x := range sc.xs {
+			if x.ids != nil {
+				t.Errorf("%s: the pooled scratch still holds a column window", name)
+			}
+		}
 	}
 }
 
@@ -211,25 +216,33 @@ func TestFoldTiersAgree(t *testing.T) {
 }
 
 // TestScratchShrinks pins the retention bound: a scratch inflated by a
-// huge unit drops its buffers when returned to the pool, so one
+// huge check drops its buffers when returned to the pool, so one
 // outlier cannot pin memory in a long-lived compiled plan.
 func TestScratchShrinks(t *testing.T) {
 	sc := &detectScratch{
+		pats:       make([]uint32, scratchShrinkRows+1),
+		live:       make([]int, scratchShrinkRows+1),
+		admit:      make([]uint64, scratchShrinkRows>>6+1),
 		gids:       make([]uint32, scratchShrinkRows+1),
 		state:      make([]uint8, scratchShrinkRows+1),
 		first:      make([]uint32, scratchShrinkRows+1),
+		rep:        make([]uint32, scratchShrinkRows+1),
 		bits:       make([]uint64, scratchShrinkRows>>6+1),
 		shardState: make([]uint8, scratchShrinkRows+1),
 		shardFirst: make([]uint32, scratchShrinkRows+1),
+		shardRep:   make([]uint32, scratchShrinkRows+1),
 	}
 	sc.fold.table = make([]uint32, foldShrinkEntries+1)
 	sc.fold.keys = make([]uint64, foldShrinkEntries*2)
 	sc.fold.vals = make([]uint32, foldShrinkEntries*2)
 	sc.shrink()
-	if sc.gids != nil || sc.state != nil || sc.first != nil || sc.bits != nil {
+	if sc.gids != nil || sc.state != nil || sc.first != nil || sc.rep != nil || sc.bits != nil {
 		t.Error("row/group buffers past the bound were retained")
 	}
-	if sc.shardState != nil || sc.shardFirst != nil {
+	if sc.pats != nil || sc.live != nil || sc.admit != nil {
+		t.Error("tableau buffers past the bound were retained")
+	}
+	if sc.shardState != nil || sc.shardFirst != nil || sc.shardRep != nil {
 		t.Error("shard buffers past the bound were retained")
 	}
 	if sc.fold.table != nil || sc.fold.keys != nil || sc.fold.vals != nil {
@@ -243,21 +256,29 @@ func TestScratchShrinks(t *testing.T) {
 		gids:       make([]uint32, 128),
 		state:      make([]uint8, scratchShrinkRows+1),
 		first:      make([]uint32, scratchShrinkRows+1),
+		rep:        make([]uint32, scratchShrinkRows+1),
 		shardState: make([]uint8, scratchShrinkRows+1),
 		shardFirst: make([]uint32, scratchShrinkRows+1),
+		shardRep:   make([]uint32, scratchShrinkRows+1),
 	}
 	mixed.shrink()
 	if mixed.gids == nil {
 		t.Error("small row buffer was dropped")
 	}
-	if mixed.state != nil || mixed.shardState != nil || mixed.shardFirst != nil {
+	if mixed.state != nil || mixed.rep != nil || mixed.shardState != nil || mixed.shardFirst != nil || mixed.shardRep != nil {
 		t.Error("oversized group/shard buffers were retained")
 	}
 
-	small := &detectScratch{gids: make([]uint32, 128)}
+	small := &detectScratch{
+		gids:  make([]uint32, 128),
+		rep:   make([]uint32, 128),
+		pats:  make([]uint32, 128),
+		live:  make([]int, 128),
+		admit: make([]uint64, 128),
+	}
 	small.fold.table = make([]uint32, 128)
 	small.shrink()
-	if small.gids == nil || small.fold.table == nil {
+	if small.gids == nil || small.rep == nil || small.pats == nil || small.live == nil || small.admit == nil || small.fold.table == nil {
 		t.Error("buffers under the bound were dropped")
 	}
 }

@@ -92,11 +92,3 @@ func (src *source) window(col int, sp rowSpan) []uint32 {
 	}
 	return src.cols[col][sp.lo:sp.hi]
 }
-
-// windows appends the windows of consts' columns over sp to wins.
-func (src *source) windows(consts []constCol, sp rowSpan, wins [][]uint32) [][]uint32 {
-	for _, c := range consts {
-		wins = append(wins, src.window(c.col, sp))
-	}
-	return wins
-}

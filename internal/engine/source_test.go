@@ -39,13 +39,18 @@ func patternsReader(r relation.ColumnReader, schema *relation.Schema, c *cfd.CFD
 }
 
 // detectUnits marks the given normalized units over r in a fresh
-// scratch and returns the violating rows.
+// scratch, each as the one-pattern, one-attribute CFD it stands for,
+// and returns the violating rows.
 func detectUnits(r relation.ColumnReader, schema *relation.Schema, units []*cfd.Normalized) ([]int, error) {
 	sc := &detectScratch{}
 	sc.src.bind(r)
 	sc.resetBits(r.Rows())
 	for _, n := range units {
-		if err := sc.detectUnit(schema, n, 1); err != nil {
+		c, err := cfd.New(n.Parent, n.X, []string{n.A}, []cfd.PatternTuple{{LHS: n.TpX, RHS: []string{n.TpA}}})
+		if err != nil {
+			return nil, err
+		}
+		if err := sc.detectCFD(schema, c, 1); err != nil {
 			return nil, err
 		}
 	}
