@@ -76,7 +76,7 @@ chaos-load:
 # is written under the package's testdata/fuzz/<target>/ and fails the
 # target; commit that file with the fix so it replays forever after.
 fuzz-smoke:
-	@set -e; for t in internal/engine:FuzzKernel internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked internal/remote:FuzzWireSections \
+	@set -e; for t in internal/engine:FuzzKernel internal/engine:FuzzIncremental internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked internal/remote:FuzzWireSections \
 			internal/cfd:FuzzParseRules internal/remote:FuzzErrorEnvelope internal/colstore:FuzzFragmentOpen cmd/cfddetect:FuzzFollowLine \
 			internal/relation:FuzzDictChain internal/core:FuzzSiteArgs; do \
 		echo "== fuzz $${t#*:} (10s)"; \
@@ -156,7 +156,7 @@ loc:
 # its own result in the same commit, so the target can only be
 # approached. The total non-test count outside bench/ is printed beside
 # it for the record; it is not gated.
-LOC_CEILING = 6860
+LOC_CEILING = 6857
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
 		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } $$2 == "total" { t = $$1 } \

@@ -183,6 +183,9 @@ func (st *unitInc) round(ctx context.Context, u *unit, fs *faultState, m *dist.M
 				if !slices.Contains(wanted[i], l) {
 					return nil, nil, fmt.Errorf("core: site %d returned delta block %d, which was not asked for", i, l)
 				}
+				if err := checkBlockLen(i, l, batch, lstat[i][l]); seeding && err != nil {
+					return nil, nil, err
+				}
 				j := st.sticky[l]
 				if j < 0 || j == i || batch == nil || batch.Len() == 0 {
 					continue

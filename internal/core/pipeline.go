@@ -226,6 +226,9 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 				return err
 			}
 			batch := batches[l]
+			if err := checkBlockLen(i, l, batch, lstat[i][l]); err != nil {
+				return err
+			}
 			if batch == nil || batch.Len() == 0 {
 				continue
 			}
@@ -278,4 +281,13 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 		return nil, err
 	}
 	return parts, nil
+}
+
+// checkBlockLen refuses, before anything forwards it, an extracted block
+// longer than its σ count (a packed block's Len is what it announces).
+func checkBlockLen(i, l int, b *relation.Relation, count int) error {
+	if b != nil && b.Len() > count {
+		return fmt.Errorf("core: site %d extracted %d rows for block %d, whose σ count is %d", i, b.Len(), l, count)
+	}
+	return nil
 }

@@ -16,11 +16,12 @@ import (
 // (inserted tuples and the removed tuples' values), and — when it
 // coordinates σ-blocks for an incremental session — retained
 // per-(CFD, block) group states (engine.IncrementalState) that delta
-// blocks are folded into. ApplyDelta additionally maintains the
-// serving caches of plan-once/detect-many (σ-routing entries, the
-// constant-unit matched sets) generation by generation — an O(|Δ|)
-// refresh rather than a reset — so a fresh full Detect after deltas is
-// cheap too.
+// blocks are folded into, each tracking flips from its creation, so a
+// seed replies through Changes like every later fold. ApplyDelta
+// maintains the serving caches of plan-once/detect-many (σ-routing
+// entries, the constant-only states) generation by generation — an
+// O(|Δ|) refresh rather than a reset — so a fresh full Detect after
+// deltas is cheap too.
 
 // Bounds. A driver that falls further behind than the log keeps (or
 // whose session was evicted) gets a stale error and reseeds.
@@ -200,13 +201,11 @@ func (s *Site) maintainSigma(delIdx []int, ins []relation.Tuple) {
 func (s *Site) maintainConsts(removed, ins []relation.Tuple) {
 	s.consts.maintain(func(ent *constEntry) bool {
 		ent.out.Store(nil) // the cached extraction no longer matches
-		if ent.st.HasUnits() {
-			for _, t := range removed {
-				ent.st.Delete(t)
-			}
-			for _, t := range ins {
-				ent.st.Insert(t)
-			}
+		for _, t := range removed {
+			ent.st.Delete(t)
+		}
+		for _, t := range ins {
+			ent.st.Insert(t)
 		}
 		return true
 	})
@@ -350,19 +349,19 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	}
 
 	// Local contribution: full blocks on seed, the routed log suffix
-	// otherwise (the coordinator's own delta never ships).
-	var localIns, localDel map[int]*relation.Relation
+	// otherwise (the coordinator's own delta never ships). It folds
+	// first, then each source's shipped blocks; a source's inserts fold
+	// before its delete records, which name only tuples it inserted.
+	local := &DeltaBlocks{}
 	if args.Seed {
-		localIns, err = s.fullBlocks(args.Spec, attrs, args.Blocks, schema.Name()+"_fold")
-		if err != nil {
-			return nil, err
-		}
+		local.Ins, err = s.fullBlocks(args.Spec, attrs, args.Blocks, schema.Name()+"_fold")
 	} else {
-		localIns, localDel, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
-		if err != nil {
-			return nil, err
-		}
+		local.Ins, local.Del, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
 	}
+	if err != nil {
+		return nil, err
+	}
+	sources := append([]*DeltaBlocks{local}, args.Shipped...)
 
 	for _, l := range args.Blocks {
 		if err := ctx.Err(); err != nil {
@@ -373,27 +372,18 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 			return nil, err
 		}
 		for _, st := range states {
-			if err := st.FoldRelation(localIns[l], true); err != nil {
-				return nil, err
-			}
-			if err := st.FoldRelation(localDel[l], false); err != nil {
-				return nil, err
-			}
-			for _, db := range args.Shipped {
-				if err := st.FoldRelation(db.Ins[l], true); err != nil {
-					return nil, err
-				}
-			}
-			for _, db := range args.Shipped {
-				if err := st.FoldRelation(db.Del[l], false); err != nil {
-					return nil, err
+			for _, db := range sources {
+				for k, blocks := range [2]map[int]*relation.Relation{db.Ins, db.Del} {
+					if err := st.FoldRelation(blocks[l], k == 0); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
 	}
 
-	// A seed replies with every block's full set and starts tracking
-	// flips; a later fold replies with the flips since the last reply.
+	// Every state tracks flips from its creation, so a fold replies with
+	// the flips since the last reply — a seed's are its full set.
 	added, err := emptyPatternRelations(schema, args.CFDs)
 	if err != nil {
 		return nil, err
@@ -402,12 +392,7 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	for ci := range args.CFDs {
 		reply.Removed[ci] = relation.New(added[ci].Schema())
 		for _, l := range args.Blocks {
-			if st := sess.states[l][ci]; args.Seed {
-				st.Patterns(added[ci])
-				st.TrackChanges()
-			} else {
-				st.Changes(added[ci], reply.Removed[ci])
-			}
+			sess.states[l][ci].Changes(added[ci], reply.Removed[ci])
 		}
 	}
 	return reply, nil
@@ -463,9 +448,8 @@ func (s *Site) foldSessionFor(args FoldArgs, ps *relation.Schema) (*foldSession,
 }
 
 // statesFor returns (creating on first touch) the per-CFD states of
-// one block. Blocks born after the seed — empty cluster-wide when the
-// session started — begin empty here and receive their entire content
-// as deltas, which reconstructs them exactly (and tracks flips from empty).
+// one block, each tracking flips from empty. A block born after the
+// seed receives its entire content as deltas, which rebuilds it exactly.
 func (sess *foldSession) statesFor(l int, args FoldArgs) ([]*engine.IncrementalState, error) {
 	if states := sess.states[l]; states != nil {
 		if len(states) != len(args.CFDs) {
@@ -484,9 +468,7 @@ func (sess *foldSession) statesFor(l int, args FoldArgs) ([]*engine.IncrementalS
 		if err != nil {
 			return nil, err
 		}
-		if !args.Seed {
-			st.TrackChanges()
-		}
+		st.TrackChanges()
 		states[ci] = st
 	}
 	sess.states[l] = states

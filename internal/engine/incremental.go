@@ -1,31 +1,40 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/relation"
 )
 
-// The incremental check primitive: IncrementalState maintains, per
-// normalized unit of one CFD, exactly the aggregate the one-shot
-// check(D, φ) recomputes from scratch —
+// The incremental check primitive: IncrementalState keeps, for one CFD
+// (X → Y, Tp), the aggregate the one-shot check(D, φ) of detect.go
+// recomputes from scratch — the tuples whose X-value matches some
+// tableau row, grouped by that X-value, each group a count and, per RHS
+// attribute A, the multiset of A-values it holds as value → count. A
+// group violates when some row its X-value matches has
 //
-//   - variable unit (X → A, (tpX ‖ _)): for each X-group among the
-//     tuples matching tpX, the multiset of A values as value → count; a
-//     group violates iff it holds ≥ 2 distinct A values (the HAVING
-//     COUNT(DISTINCT A) > 1 of the Qv query);
-//   - constant unit (X → A, (tpX ‖ a)): for each X-pattern, the count
-//     of matching tuples with t[A] ≠ a (the Qc matched set).
+//   - the wildcard at A, and the group holds two distinct A-values (the
+//     HAVING COUNT(DISTINCT A) > 1 of the Qv query), or
+//   - a constant a at A, and the group holds a value other than a (the
+//     Qc matched set).
 //
-// folded tuple by tuple from a delta: Insert increments, Delete
-// decrements and drops empty entries, so after any insert/delete
-// sequence the state depends only on the current multiset of tuples —
-// Patterns() is then byte-equal (as a set) to re-running
-// ViolationPatterns on that multiset, which the property tests pin.
-// Group keys are value-exact (length-prefixed, never separator-joined),
-// so adversarial values cannot merge two groups.
+// Insert and Delete fold one tuple each, so after any insert/delete
+// sequence the state depends only on the current multiset of tuples:
+// Patterns() is then equal as a set to re-running ViolationPatterns on
+// that multiset, which the property tests and FuzzIncremental pin. A
+// constant-only state (the Proposition 5 local serving state) keeps a
+// tuple only when it also breaks an RHS constant of a row it matches:
+// every group it holds violates, and it needs no value multisets.
+//
+// Group keys are the length-prefixed X-values (relation.AppendKey),
+// built in one reused buffer, so adversarial values cannot merge two
+// groups. A string is allocated only when a group is created; the
+// group's X-values are slices of it, so a group never holds a shipped
+// wire section's string alive.
 //
 // This is the coordinator-retained "group-by" of the delta-aware
 // pipeline (DESIGN.md, incremental detection): each coordinator keeps
@@ -33,126 +42,172 @@ import (
 // blocks into it. The one-shot Kernel.DetectSet/DetectRows paths remain
 // as the full-recompute and row-path ablation baselines (ablation 11).
 //
-// Once TrackChanges is called, the state also remembers each X-pattern
-// a fold reaches and whether it violated before, so Changes reports the
-// patterns that flipped in O(patterns folded) instead of walking every
+// Once TrackChanges is called, a fold marks each group it reaches and
+// records whether the group violated before, so Changes reports the
+// patterns that flipped in O(groups folded) instead of walking every
 // group.
 type IncrementalState struct {
-	units []*unitState
-	// touched maps the X-key of every pattern folded since changes were
-	// last taken to that pattern; nil while changes are not tracked.
-	touched map[string]touchedPattern
+	xi, yi []int // X and Y positions in the folded schema
+	own    []int // 0 … |X|−1: a group's X-values in X order
+	width  int   // the arity a folded tuple needs
+	// rows is the tableau; in a constant-only state, its rows with an
+	// RHS constant.
+	rows         []cfd.PatternTuple
+	constantOnly bool
+	groups       map[string]*group
+	key          []byte // the key buffer
+
+	tracking bool
+	touched  []*group // the groups folded since changes were last taken
 }
 
-type touchedPattern struct {
-	x   relation.Tuple
-	was bool // violated before the first fold that reached it
+// group is one X-value's share of the state.
+type group struct {
+	key  string           // its map key; x's values are slices of it
+	x    relation.Tuple   // the X-value
+	n    int              // tuples held
+	vals []map[string]int // per RHS attribute, value → count; nil when constant-only
+	// touched marks a group in the touched list; was is whether it
+	// violated when it joined it.
+	touched, was bool
 }
 
-type unitState struct {
-	n  *cfd.Normalized
-	xi []int // X positions in the folded schema
-	ai int   // A position
-	// constPos/constVal are the resolved constant positions of TpX.
-	constPos []int
-	constVal []string
-	wildPos  []int // wildcard positions of TpX (within xi)
-
-	// Variable unit: X-key → group.
-	groups map[string]*varGroup
-	// Constant unit: X-key → violating matched-tuple count.
-	viols map[string]*constViol
-}
-
-type varGroup struct {
-	x    relation.Tuple // the group's X projection (shared key values)
-	perA map[string]int // distinct A value → multiplicity
-}
-
-type constViol struct {
-	x relation.Tuple
-	n int
-}
+// touchedKeep bounds the touched list's capacity a state keeps across
+// Changes: a seed touches every group, and a later round only a few.
+const touchedKeep = 1 << 10
 
 // NewIncrementalState builds the empty state of c over the schema the
 // folded tuples use (the task projection at a coordinator, or the full
-// relation schema at a site). With constantOnly, only c's constant
-// units are tracked — the Proposition 5 local serving state.
+// relation schema at a site). With constantOnly, only violations of c's
+// RHS constants are tracked — the Proposition 5 local serving state.
 func NewIncrementalState(s *relation.Schema, c *cfd.CFD, constantOnly bool) (*IncrementalState, error) {
 	if err := c.Validate(s); err != nil {
 		return nil, err
 	}
-	st := &IncrementalState{}
-	for _, n := range c.Normalize() {
-		if constantOnly && !n.IsConstant() {
-			continue
+	xi, err := s.Indices(c.X)
+	if err != nil {
+		return nil, err
+	}
+	yi, err := s.Indices(c.Y)
+	if err != nil {
+		return nil, err
+	}
+	st := &IncrementalState{xi: xi, yi: yi, own: make([]int, len(xi)), constantOnly: constantOnly, groups: map[string]*group{}}
+	for j := range st.own {
+		st.own[j] = j
+	}
+	st.width = slices.Max(slices.Concat(xi, yi)) + 1
+	for _, p := range c.Tp {
+		if !constantOnly || slices.ContainsFunc(p.RHS, func(a string) bool { return a != cfd.Wildcard }) {
+			st.rows = append(st.rows, p)
 		}
-		xi, err := s.Indices(n.X)
-		if err != nil {
-			return nil, err
-		}
-		aIdx, err := s.Indices([]string{n.A})
-		if err != nil {
-			return nil, err
-		}
-		u := &unitState{n: n, xi: xi, ai: aIdx[0]}
-		for j, p := range n.TpX {
-			if p == cfd.Wildcard {
-				u.wildPos = append(u.wildPos, xi[j])
-			} else {
-				u.constPos = append(u.constPos, xi[j])
-				u.constVal = append(u.constVal, p)
-			}
-		}
-		if n.IsVariable() {
-			u.groups = make(map[string]*varGroup)
-		} else {
-			u.viols = make(map[string]*constViol)
-		}
-		st.units = append(st.units, u)
 	}
 	return st, nil
 }
 
-// HasUnits reports whether any unit is tracked (false e.g. for a
-// constant-only state of a purely variable CFD); unit-less states need
-// no folding at all.
-func (st *IncrementalState) HasUnits() bool { return len(st.units) > 0 }
+// HasUnits reports whether the state checks anything (false for a
+// constant-only state of a purely variable CFD); such a state needs no
+// folding at all.
+func (st *IncrementalState) HasUnits() bool { return len(st.rows) > 0 }
 
-// Insert folds one inserted tuple into every unit.
+// Insert folds one inserted tuple into the state.
 func (st *IncrementalState) Insert(t relation.Tuple) { st.fold(t, +1) }
 
-// Delete folds one deleted tuple out of every unit. Deleting a tuple
+// Delete folds one deleted tuple out of the state. Deleting a tuple
 // that was never inserted corrupts the counts; callers feed the state
 // from a consistent delta log.
 func (st *IncrementalState) Delete(t relation.Tuple) { st.fold(t, -1) }
 
-// fold folds t into every unit it reaches. Every unit keys its groups
-// by the CFD's X, so the key is built once, at the first such unit —
-// which is also where a tracking state records whether the pattern
-// violated before this fold.
 func (st *IncrementalState) fold(t relation.Tuple, sign int) {
-	var k string
-	keyed := false
-	for _, u := range st.units {
-		if !u.reaches(t) {
-			continue
+	if !st.keeps(t) {
+		return
+	}
+	st.key = st.key[:0]
+	for _, i := range st.xi {
+		st.key = relation.AppendKey(st.key, t[i])
+	}
+	g := st.groups[string(st.key)]
+	if g == nil {
+		if sign < 0 {
+			return
 		}
-		if !keyed {
-			k, keyed = t.Key(u.xi), true
-			if _, seen := st.touched[k]; st.touched != nil && !seen {
-				st.touched[k] = touchedPattern{x: t.Project(u.xi), was: st.violates(k)}
-			}
+		g = st.newGroup()
+	}
+	if st.tracking && !g.touched {
+		g.touched, g.was = true, st.violates(g)
+		st.touched = append(st.touched, g)
+	}
+	g.n += sign
+	for j, vals := range g.vals {
+		a := t[st.yi[j]]
+		switch c, held := vals[a]; {
+		case c+sign > 0 && held:
+			vals[a] = c + sign
+		case c+sign > 0:
+			vals[strings.Clone(a)] = 1
+		default:
+			delete(vals, a)
 		}
-		u.fold(t, k, sign)
+	}
+	// A touched group that empties stays until Changes reports it.
+	if g.n <= 0 && !g.touched {
+		delete(st.groups, g.key)
 	}
 }
 
-// violates reports whether the X-pattern keyed k violates any unit.
-func (st *IncrementalState) violates(k string) bool {
-	for _, u := range st.units {
-		if g := u.groups[k]; g != nil && len(g.perA) >= 2 || u.viols[k] != nil {
+// keeps reports whether t's X-value matches some row — in a
+// constant-only state, one whose RHS constants t breaks.
+func (st *IncrementalState) keeps(t relation.Tuple) bool {
+	for _, p := range st.rows {
+		if !matchesAt(t, st.xi, p.LHS) {
+			continue
+		}
+		if !st.constantOnly {
 			return true
+		}
+		for j, a := range p.RHS {
+			if a != cfd.Wildcard && t[st.yi[j]] != a {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// newGroup adds the empty group keyed by the key buffer.
+func (st *IncrementalState) newGroup() *group {
+	k := string(st.key)
+	g := &group{key: k, x: make(relation.Tuple, len(st.xi))}
+	for j, off := 0, 0; j < len(g.x); j++ {
+		n, w := binary.Uvarint(st.key[off:])
+		off += w
+		g.x[j] = k[off : off+int(n)]
+		off += int(n)
+	}
+	if !st.constantOnly {
+		g.vals = make([]map[string]int, len(st.yi))
+		for j := range g.vals {
+			g.vals[j] = map[string]int{}
+		}
+	}
+	st.groups[k] = g
+	return g
+}
+
+// violates reports whether g is a violating X-pattern (Qv or Qc of
+// some row its X-value matches).
+func (st *IncrementalState) violates(g *group) bool {
+	if g.n <= 0 || st.constantOnly {
+		return g.n > 0
+	}
+	for _, p := range st.rows {
+		if !matchesAt(g.x, st.own, p.LHS) {
+			continue
+		}
+		for j, a := range p.RHS {
+			if d := len(g.vals[j]); d > 1 || d == 1 && a != cfd.Wildcard && g.vals[j][a] == 0 {
+				return true
+			}
 		}
 	}
 	return false
@@ -160,126 +215,55 @@ func (st *IncrementalState) violates(k string) bool {
 
 // TrackChanges starts recording, from the current state on, the
 // X-patterns whose violating status folds flip (see Changes).
-func (st *IncrementalState) TrackChanges() { st.touched = map[string]touchedPattern{} }
+func (st *IncrementalState) TrackChanges() { st.tracking = true }
 
 // Changes appends to added the X-patterns that violate now but did not
 // when changes were last taken (or tracking began), and to removed the
 // ones that did and no longer do; a pattern that flipped and flipped
 // back is in neither. Both relations are over c.X, as for Patterns. It
-// costs O(patterns folded since) and starts the next interval; without
+// costs O(groups folded since) and starts the next interval; without
 // TrackChanges it reports nothing.
 func (st *IncrementalState) Changes(added, removed *relation.Relation) {
-	for k, p := range st.touched {
-		switch now := st.violates(k); {
-		case now && !p.was:
-			added.MustAppend(p.x)
-		case !now && p.was:
-			removed.MustAppend(p.x)
+	for _, g := range st.touched {
+		switch now := st.violates(g); {
+		case now && !g.was:
+			added.MustAppend(g.x)
+		case !now && g.was:
+			removed.MustAppend(g.x)
+		}
+		g.touched = false
+		if g.n <= 0 {
+			delete(st.groups, g.key)
 		}
 	}
-	clear(st.touched)
-}
-
-// reaches reports whether folding t changes the unit: t carries the
-// unit's LHS constants and, for a constant unit, a wrong A value — only
-// those tuples are tracked there.
-func (u *unitState) reaches(t relation.Tuple) bool {
-	for i, p := range u.constPos {
-		if t[p] != u.constVal[i] {
-			return false
-		}
+	if cap(st.touched) > touchedKeep {
+		st.touched = nil
+	} else {
+		clear(st.touched)
+		st.touched = st.touched[:0]
 	}
-	return u.groups != nil || t[u.ai] != u.n.TpA
-}
-
-func (u *unitState) fold(t relation.Tuple, k string, sign int) {
-	if u.groups != nil {
-		g := u.groups[k]
-		if g == nil {
-			if sign < 0 {
-				return
-			}
-			g = &varGroup{x: keep(t, u.xi), perA: make(map[string]int, 2)}
-			u.groups[strings.Clone(k)] = g
-		}
-		a := t[u.ai]
-		n, held := g.perA[a]
-		if n += sign; n > 0 {
-			if !held {
-				a = strings.Clone(a)
-			}
-			g.perA[a] = n
-			return
-		}
-		delete(g.perA, a)
-		if len(g.perA) == 0 {
-			delete(u.groups, k)
-		}
-		return
-	}
-	v := u.viols[k]
-	if v == nil {
-		if sign < 0 {
-			return
-		}
-		v = &constViol{x: keep(t, u.xi)}
-		u.viols[strings.Clone(k)] = v
-	}
-	v.n += sign
-	if v.n <= 0 {
-		delete(u.viols, k)
-	}
-}
-
-// keep returns t's projection on idx with every value cloned, for a
-// group the state keeps: t's values may share one wire section's string
-// (colstore.DecodeDictSection), which a kept value would hold alive. A
-// group's key is cloned for the same reason (Key of one value is the
-// value).
-func keep(t relation.Tuple, idx []int) relation.Tuple {
-	x := t.Project(idx)
-	for i, v := range x {
-		x[i] = strings.Clone(v)
-	}
-	return x
 }
 
 // Patterns appends the current violating X-patterns to dst (a relation
-// over c.X), each once however many units it violates.
+// over c.X), each once.
 func (st *IncrementalState) Patterns(dst *relation.Relation) {
-	seen := map[string]bool{}
-	add := func(k string, x relation.Tuple) {
-		if !seen[k] {
-			seen[k] = true
-			dst.MustAppend(x)
-		}
-	}
-	for _, u := range st.units {
-		for k, g := range u.groups {
-			if len(g.perA) >= 2 {
-				add(k, g.x)
-			}
-		}
-		for k, v := range u.viols {
-			add(k, v.x)
+	for _, g := range st.groups {
+		if st.violates(g) {
+			dst.MustAppend(g.x)
 		}
 	}
 }
 
 // FoldRelation folds every tuple of r (Insert with insert=true, Delete
-// otherwise); a nil relation is a no-op. Arity must match the schema
-// the state was built over.
+// otherwise); a nil relation is a no-op. r must be wide enough for
+// every X and Y position of the schema the state was built over.
 func (st *IncrementalState) FoldRelation(r *relation.Relation, insert bool) error {
 	if r == nil {
 		return nil
 	}
-	for _, u := range st.units {
-		for _, xi := range u.xi {
-			if xi >= r.Schema().Arity() {
-				return fmt.Errorf("engine: folded relation arity %d too small for unit over %v",
-					r.Schema().Arity(), u.n.X)
-			}
-		}
+	if a := r.Schema().Arity(); a < st.width {
+		return fmt.Errorf("engine: folded relation %s has arity %d, the state reads %d positions",
+			r.Schema().Name(), a, st.width)
 	}
 	for _, t := range r.Tuples() {
 		if insert {

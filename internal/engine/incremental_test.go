@@ -12,42 +12,71 @@ import (
 )
 
 // incrTestSchema has small domains so groups collide and violations
-// appear and disappear under deltas.
-func incrTestSchema(t *testing.T) *relation.Schema {
+// appear and disappear under deltas; CFDs are over X = [a, b] and
+// Y = [c] or [c, d].
+func incrTestSchema(t testing.TB) *relation.Schema {
 	t.Helper()
-	s, err := relation.NewSchema("R", []string{"a", "b", "c"})
+	s, err := relation.NewSchema("R", []string{"a", "b", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func randomIncrTuple(rng *rand.Rand) relation.Tuple {
-	return relation.Tuple{
-		fmt.Sprintf("a%d", rng.Intn(3)),
-		fmt.Sprintf("b%d", rng.Intn(3)),
-		fmt.Sprintf("c%d", rng.Intn(2)),
+// plainDomains are the per-attribute value domains of random tuples;
+// adversarialDomains hold the empty string and values built around the
+// 0x1f separator, so only value-exact keys keep two patterns apart.
+var (
+	plainDomains       = [][]string{{"a0", "a1", "a2"}, {"b0", "b1", "b2"}, {"c0", "c1"}, {"d0", "d1"}}
+	adversarialDomains = [][]string{{"a0", "a1", "", "a\x1f", "\x1fa"}, {"b0", "b1", "", "\x1fb"}, {"c0", "c1", "c\x1f"}, {"d0", "\x1fd"}}
+)
+
+func randomIncrTuple(rng *rand.Rand, doms [][]string) relation.Tuple {
+	t := make(relation.Tuple, len(doms))
+	for i, d := range doms {
+		t[i] = d[rng.Intn(len(d))]
 	}
+	return t
 }
 
-func randomIncrCFD(rng *rand.Rand) *cfd.CFD {
-	lhs := make([]string, 2)
-	for i := range lhs {
-		if rng.Intn(2) == 0 {
-			lhs[i] = cfd.Wildcard
-		} else {
-			lhs[i] = fmt.Sprintf("%s%d", []string{"a", "b"}[i], rng.Intn(3))
+// randomIncrCFD draws a tableau over X = [a, b] and Y = [c] or [c, d]
+// of 1–4 rows, or now and then up to 64. An entry is the wildcard, a
+// value of the attribute's domain, or a constant the data never holds;
+// a row now and then repeats an earlier one.
+func randomIncrCFD(rng *rand.Rand, doms [][]string) *cfd.CFD {
+	y := []string{"c"}
+	if rng.Intn(2) == 0 {
+		y = append(y, "d")
+	}
+	n := 1 + rng.Intn(4)
+	if rng.Intn(4) == 0 {
+		n = 1 + rng.Intn(64)
+	}
+	entry := func(attr int) string {
+		switch r := rng.Intn(8); {
+		case r < 4:
+			return cfd.Wildcard
+		case r == 4:
+			return "never"
+		default:
+			return doms[attr][rng.Intn(len(doms[attr]))]
 		}
 	}
-	rhs := []string{cfd.Wildcard}
-	if rng.Intn(3) == 0 {
-		rhs[0] = fmt.Sprintf("c%d", rng.Intn(2))
+	rows := make([]cfd.PatternTuple, n)
+	for i := range rows {
+		if i > 0 && rng.Intn(5) == 0 {
+			rows[i] = rows[rng.Intn(i)].Clone()
+			continue
+		}
+		rows[i] = cfd.PatternTuple{LHS: []string{entry(0), entry(1)}}
+		for j := range y {
+			rows[i].RHS = append(rows[i].RHS, entry(2+j))
+		}
 	}
-	return cfd.MustNew("inc", []string{"a", "b"}, []string{"c"},
-		[]cfd.PatternTuple{{LHS: lhs, RHS: rhs}})
+	return cfd.MustNew("inc", []string{"a", "b"}, y, rows)
 }
 
-func sortedPatterns(t *testing.T, r *relation.Relation) []string {
+func sortedPatterns(t testing.TB, r *relation.Relation) []string {
 	t.Helper()
 	var out []string
 	idx := make([]int, r.Schema().Arity())
@@ -61,64 +90,169 @@ func sortedPatterns(t *testing.T, r *relation.Relation) []string {
 	return out
 }
 
-func statePatterns(t *testing.T, s *relation.Schema, c *cfd.CFD, st *IncrementalState) []string {
+func statePatterns(t testing.TB, s *relation.Schema, c *cfd.CFD, st *IncrementalState) []string {
+	t.Helper()
+	dst := relation.New(patternSchema(t, s, c))
+	st.Patterns(dst)
+	return sortedPatterns(t, dst)
+}
+
+func patternSchema(t testing.TB, s *relation.Schema, c *cfd.CFD) *relation.Schema {
 	t.Helper()
 	ps, err := s.Project("viopi_"+c.Name, c.X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := relation.New(ps)
-	st.Patterns(dst)
-	return sortedPatterns(t, dst)
+	return ps
 }
 
-// TestIncrementalStateMatchesOneShot folds random insert/delete
-// sequences and compares the maintained violating patterns against
-// ViolationPatterns over the equivalent multiset at every step.
-func TestIncrementalStateMatchesOneShot(t *testing.T) {
-	s := incrTestSchema(t)
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		c := randomIncrCFD(rng)
-		st, err := NewIncrementalState(s, c, false)
+// oraclePatterns is what a state over c must hold for the multiset
+// live: ViolationPatterns of c, or, for a constant-only state, the
+// union of ViolationPatterns over the one-row, one-attribute CFDs of
+// c's RHS constants. Keys come sorted and once each.
+func oraclePatterns(t testing.TB, s *relation.Schema, live []relation.Tuple, c *cfd.CFD, constantOnly bool) []string {
+	t.Helper()
+	d, err := relation.FromTuples(s, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := []*cfd.CFD{c}
+	if constantOnly {
+		cs = nil
+		for _, p := range c.Tp {
+			for j, a := range p.RHS {
+				if a != cfd.Wildcard {
+					cs = append(cs, cfd.MustNew(c.Name, c.X, []string{c.Y[j]}, []cfd.PatternTuple{{LHS: p.LHS, RHS: []string{a}}}))
+				}
+			}
+		}
+	}
+	var keys []string
+	for _, c := range cs {
+		want, err := ViolationPatterns(d, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := relation.New(s)
-		for step := 0; step < 60; step++ {
-			if n := live.Len(); n > 0 && rng.Intn(3) == 0 {
-				idx := rng.Intn(n)
-				doomed := live.Tuple(idx)
-				st.Delete(doomed)
-				if _, err := live.Apply(relation.Delta{Deletes: []int{idx}}); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				tp := randomIncrTuple(rng)
-				st.Insert(tp)
-				live.MustAppend(tp)
-			}
+		keys = append(keys, sortedPatterns(t, want)...)
+	}
+	sort.Strings(keys)
+	return slices.Compact(keys)
+}
 
-			want, err := ViolationPatterns(live, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := statePatterns(t, s, c, st)
-			wantKeys := sortedPatterns(t, want)
-			if fmt.Sprint(got) != fmt.Sprint(wantKeys) {
-				t.Fatalf("trial %d step %d cfd %v:\nincremental %v\none-shot    %v",
-					trial, step, c, got, wantKeys)
-			}
+// incrCheck folds operations into one state and checks it against the
+// oracle: Patterns after any fold, Changes against the oracle's
+// difference since changes were last taken.
+type incrCheck struct {
+	t            testing.TB
+	s            *relation.Schema
+	c            *cfd.CFD
+	constantOnly bool
+	st           *IncrementalState
+	live         []relation.Tuple
+	before       []string // the oracle when changes were last taken
+}
+
+func newIncrCheck(t testing.TB, s *relation.Schema, c *cfd.CFD, constantOnly bool) *incrCheck {
+	t.Helper()
+	st, err := NewIncrementalState(s, c, constantOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &incrCheck{t: t, s: s, c: c, constantOnly: constantOnly, st: st}
+}
+
+func (k *incrCheck) insert(tp relation.Tuple) {
+	k.st.Insert(tp)
+	k.live = append(k.live, tp)
+}
+
+func (k *incrCheck) delete(i int) {
+	k.st.Delete(k.live[i])
+	k.live = slices.Delete(k.live, i, i+1)
+}
+
+// step inserts a random tuple or, one time in three, deletes a live one.
+func (k *incrCheck) step(rng *rand.Rand, doms [][]string) {
+	if n := len(k.live); n > 0 && rng.Intn(3) == 0 {
+		k.delete(rng.Intn(n))
+	} else {
+		k.insert(randomIncrTuple(rng, doms))
+	}
+}
+
+// track starts tracking changes from the current state.
+func (k *incrCheck) track() {
+	k.st.TrackChanges()
+	k.before = oraclePatterns(k.t, k.s, k.live, k.c, k.constantOnly)
+}
+
+func (k *incrCheck) checkPatterns(at string) {
+	k.t.Helper()
+	got := statePatterns(k.t, k.s, k.c, k.st)
+	if want := oraclePatterns(k.t, k.s, k.live, k.c, k.constantOnly); fmt.Sprint(got) != fmt.Sprint(want) {
+		k.t.Fatalf("%s cfd %v constantOnly=%v:\nincremental %q\noracle      %q", at, k.c, k.constantOnly, got, want)
+	}
+}
+
+func (k *incrCheck) checkChanges(at string) {
+	k.t.Helper()
+	ps := patternSchema(k.t, k.s, k.c)
+	added, removed := relation.New(ps), relation.New(ps)
+	k.st.Changes(added, removed)
+	after := oraclePatterns(k.t, k.s, k.live, k.c, k.constantOnly)
+	if got, want := sortedPatterns(k.t, added), minus(after, k.before); fmt.Sprint(got) != fmt.Sprint(want) {
+		k.t.Fatalf("%s cfd %v constantOnly=%v: added %q, want %q", at, k.c, k.constantOnly, got, want)
+	}
+	if got, want := sortedPatterns(k.t, removed), minus(k.before, after); fmt.Sprint(got) != fmt.Sprint(want) {
+		k.t.Fatalf("%s cfd %v constantOnly=%v: removed %q, want %q", at, k.c, k.constantOnly, got, want)
+	}
+	k.before = after
+}
+
+// minus returns the keys of a that b lacks.
+func minus(a, b []string) []string {
+	var out []string
+	for _, k := range a {
+		if !slices.Contains(b, k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// trialDomains alternates plain and adversarial values by trial.
+func trialDomains(trial int) [][]string {
+	if trial%2 == 1 {
+		return adversarialDomains
+	}
+	return plainDomains
+}
+
+// TestIncrementalStateMatchesOneShot folds random insert/delete
+// sequences over random tableaux and compares the maintained violating
+// patterns against ViolationPatterns over the equivalent multiset at
+// every step.
+func TestIncrementalStateMatchesOneShot(t *testing.T) {
+	s := incrTestSchema(t)
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		doms := trialDomains(trial)
+		k := newIncrCheck(t, s, randomIncrCFD(rng, doms), false)
+		for step := 0; step < 60; step++ {
+			k.step(rng, doms)
+			k.checkPatterns(fmt.Sprintf("trial %d step %d", trial, step))
 		}
 	}
 }
 
 // TestIncrementalStateConstantOnly pins the Proposition 5 serving
-// state: constant units tracked, variable units ignored.
+// state: only tuples breaking an RHS constant of a row they match
+// count, on a fixed case and on random tableaux, whose oracle is the
+// union over the one-row, one-attribute constant CFDs.
 func TestIncrementalStateConstantOnly(t *testing.T) {
 	s := incrTestSchema(t)
 	c := cfd.MustNew("mix", []string{"a", "b"}, []string{"c"}, []cfd.PatternTuple{
-		{LHS: []string{"a0", cfd.Wildcard}, RHS: []string{"c0"}}, // constant unit
+		{LHS: []string{"a0", cfd.Wildcard}, RHS: []string{"c0"}}, // constant row
 		{LHS: []string{cfd.Wildcard, cfd.Wildcard}, RHS: []string{cfd.Wildcard}},
 	})
 	st, err := NewIncrementalState(s, c, true)
@@ -127,13 +261,13 @@ func TestIncrementalStateConstantOnly(t *testing.T) {
 	}
 	// Two tuples violating the FD row but satisfying the constant row:
 	// the constant-only state must stay clean.
-	st.Insert(relation.Tuple{"a1", "b0", "c0"})
-	st.Insert(relation.Tuple{"a1", "b0", "c1"})
+	st.Insert(relation.Tuple{"a1", "b0", "c0", "d0"})
+	st.Insert(relation.Tuple{"a1", "b0", "c1", "d0"})
 	if len(statePatterns(t, s, c, st)) > 0 {
-		t.Fatal("variable-unit violation leaked into constant-only state")
+		t.Fatal("variable-row violation leaked into constant-only state")
 	}
-	// A constant-unit violation registers and unregisters.
-	bad := relation.Tuple{"a0", "b1", "c1"}
+	// A constant-row violation registers and unregisters.
+	bad := relation.Tuple{"a0", "b1", "c1", "d0"}
 	st.Insert(bad)
 	if got := statePatterns(t, s, c, st); len(got) != 1 {
 		t.Fatalf("patterns = %v, want the one constant violation", got)
@@ -141,6 +275,16 @@ func TestIncrementalStateConstantOnly(t *testing.T) {
 	st.Delete(bad)
 	if len(statePatterns(t, s, c, st)) > 0 {
 		t.Fatal("constant violation survived its deletion")
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		doms := trialDomains(trial)
+		k := newIncrCheck(t, s, randomIncrCFD(rng, doms), true)
+		for step := 0; step < 60; step++ {
+			k.step(rng, doms)
+			k.checkPatterns(fmt.Sprintf("trial %d step %d", trial, step))
+		}
 	}
 }
 
@@ -156,143 +300,186 @@ func TestIncrementalStateSeparatorValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ("x\x1f", "y") and ("x", "\x1fy") would collide under joined keys.
-	st.Insert(relation.Tuple{"x\x1f", "y", "c0"})
-	st.Insert(relation.Tuple{"x", "\x1fy", "c1"})
+	st.Insert(relation.Tuple{"x\x1f", "y", "c0", "d0"})
+	st.Insert(relation.Tuple{"x", "\x1fy", "c1", "d0"})
 	if len(statePatterns(t, s, c, st)) > 0 {
 		t.Fatal("distinct groups merged by separator-adjacent values")
 	}
-	st.Insert(relation.Tuple{"x\x1f", "y", "c1"})
+	st.Insert(relation.Tuple{"x\x1f", "y", "c1", "d0"})
 	if len(statePatterns(t, s, c, st)) == 0 {
 		t.Fatal("genuine violation missed")
 	}
 }
 
-// adversarialIncrTuple draws from domains holding the empty string and
-// values built around the 0x1f separator, so only value-exact keys keep
-// two patterns apart.
-func adversarialIncrTuple(rng *rand.Rand) relation.Tuple {
-	as := []string{"a0", "a1", "", "a\x1f", "\x1fa"}
-	bs := []string{"b0", "b1", "", "\x1fb"}
-	return relation.Tuple{as[rng.Intn(len(as))], bs[rng.Intn(len(bs))], fmt.Sprintf("c%d", rng.Intn(2))}
+// TestFoldRelationTooNarrow pins that a relation lacking an RHS
+// position the state reads is an error, not an index panic.
+func TestFoldRelationTooNarrow(t *testing.T) {
+	st, err := NewIncrementalState(relation.MustSchema("R", []string{"a", "b", "c"}), cfd.MustParse(`n: [a] -> [c]`), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := relation.MustFromRows(relation.MustSchema("R2", []string{"a", "b"}), []string{"a0", "b0"})
+	if err := st.FoldRelation(narrow, true); err == nil {
+		t.Fatal("a relation without the RHS column folded")
+	}
 }
 
-// twoUnitCFD makes one X-pattern violate under two normalized units: a
-// variable row and a constant row over the same X.
-var twoUnitCFD = cfd.MustNew("two", []string{"a", "b"}, []string{"c"}, []cfd.PatternTuple{
+// twoRowCFD makes one X-pattern violate under two rows: a variable row
+// and a constant row over the same X.
+var twoRowCFD = cfd.MustNew("two", []string{"a", "b"}, []string{"c"}, []cfd.PatternTuple{
 	{LHS: []string{cfd.Wildcard, cfd.Wildcard}, RHS: []string{cfd.Wildcard}},
 	{LHS: []string{"a0", cfd.Wildcard}, RHS: []string{"c0"}},
 })
 
-// minus returns the keys of a that b lacks.
-func minus(a, b []string) []string {
-	var out []string
-	for _, k := range a {
-		if !slices.Contains(b, k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // TestIncrementalChangesMatchPatternDiff is the oracle for tracked
 // flips: folds of several random inserts and deletes each — so a group
-// can flip and flip back inside one fold — over random CFDs, a CFD whose
-// patterns violate under two normalized units, and adversarial values.
-// After every fold the reported additions and removals must be exactly
-// the set differences of the full Patterns before and after it.
+// can flip and flip back inside one fold — over random tableaux, a CFD
+// whose patterns violate under two rows, and adversarial values, in
+// both modes. After every fold the reported additions and removals
+// must be exactly the set differences of the oracle before and after
+// it.
 func TestIncrementalChangesMatchPatternDiff(t *testing.T) {
 	s := incrTestSchema(t)
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 240; trial++ {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
-		c, draw := randomIncrCFD(rng), randomIncrTuple
-		switch trial % 3 {
-		case 1:
-			c = twoUnitCFD
-		case 2:
-			draw = adversarialIncrTuple
+		doms := trialDomains(trial / 2)
+		c := randomIncrCFD(rng, doms)
+		if trial%5 == 0 {
+			c = twoRowCFD
 		}
-		st, err := NewIncrementalState(s, c, false)
-		if err != nil {
-			t.Fatal(err)
+		k := newIncrCheck(t, s, c, trial%2 == 1)
+		// Some state before tracking starts; a seed tracks from empty.
+		for n := rng.Intn(8); n > 0; n-- {
+			k.step(rng, doms)
 		}
-		ps, err := s.Project("viopi_"+c.Name, c.X)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Some state before tracking starts, as a seed leaves it.
-		var live []relation.Tuple
-		for k := rng.Intn(8); k > 0; k-- {
-			tp := draw(rng)
-			st.Insert(tp)
-			live = append(live, tp)
-		}
-		st.TrackChanges()
-		before := statePatterns(t, s, c, st)
+		k.track()
 		for fold := 0; fold < 40; fold++ {
-			for k := 1 + rng.Intn(6); k > 0; k-- {
-				if n := len(live); n > 0 && rng.Intn(3) == 0 {
-					i := rng.Intn(n)
-					st.Delete(live[i])
-					live = append(live[:i], live[i+1:]...)
-				} else {
-					tp := draw(rng)
-					st.Insert(tp)
-					live = append(live, tp)
-				}
+			for n := 1 + rng.Intn(6); n > 0; n-- {
+				k.step(rng, doms)
 			}
-			added, removed := relation.New(ps), relation.New(ps)
-			st.Changes(added, removed)
-			after := statePatterns(t, s, c, st)
-			if got, want := sortedPatterns(t, added), minus(after, before); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("trial %d fold %d cfd %v: added %q, want %q", trial, fold, c, got, want)
-			}
-			if got, want := sortedPatterns(t, removed), minus(before, after); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("trial %d fold %d cfd %v: removed %q, want %q", trial, fold, c, got, want)
-			}
-			before = after
+			k.checkChanges(fmt.Sprintf("trial %d fold %d", trial, fold))
 		}
 	}
 }
 
 // TestIncrementalChangesFlipBack pins the cases the oracle reaches only
 // by chance: a group that starts and stops violating inside one fold is
-// in neither list, and a pattern violating under two units is removed
+// in neither list, and a pattern violating under two rows is removed
 // only once both stop.
 func TestIncrementalChangesFlipBack(t *testing.T) {
 	s := incrTestSchema(t)
-	st, err := NewIncrementalState(s, twoUnitCFD, false)
+	st, err := NewIncrementalState(s, twoRowCFD, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := s.Project("viopi_two", twoUnitCFD.X)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := patternSchema(t, s, twoRowCFD)
 	changes := func() (added, removed int) {
 		a, r := relation.New(ps), relation.New(ps)
 		st.Changes(a, r)
 		return a.Len(), r.Len()
 	}
-	st.Insert(relation.Tuple{"a1", "b0", "c0"})
+	st.Insert(relation.Tuple{"a1", "b0", "c0", "d0"})
 	st.TrackChanges()
-	partner := relation.Tuple{"a1", "b0", "c1"}
+	partner := relation.Tuple{"a1", "b0", "c1", "d0"}
 	st.Insert(partner) // (a1, b0) violates the variable row…
 	st.Delete(partner) // …and stops inside the same fold
 	if a, r := changes(); a+r != 0 {
 		t.Fatalf("a flip and its undo reported %d added, %d removed", a, r)
 	}
-	wrong, right := relation.Tuple{"a0", "b0", "c1"}, relation.Tuple{"a0", "b0", "c0"}
+	wrong, right := relation.Tuple{"a0", "b0", "c1", "d0"}, relation.Tuple{"a0", "b0", "c0", "d0"}
 	st.Insert(wrong) // the constant row
 	st.Insert(right) // and the variable row
 	if a, r := changes(); a != 1 || r != 0 {
-		t.Fatalf("(a0, b0) violating under two units: %d added, %d removed, want 1, 0", a, r)
+		t.Fatalf("(a0, b0) violating under two rows: %d added, %d removed, want 1, 0", a, r)
 	}
 	st.Delete(right) // the constant row still violates
 	if a, r := changes(); a+r != 0 {
-		t.Fatalf("one of two units stopping reported %d added, %d removed", a, r)
+		t.Fatalf("one of two rows stopping reported %d added, %d removed", a, r)
 	}
 	st.Delete(wrong)
 	if a, r := changes(); a != 0 || r != 1 {
-		t.Fatalf("both units stopping: %d added, %d removed, want 0, 1", a, r)
+		t.Fatalf("both rows stopping: %d added, %d removed, want 0, 1", a, r)
 	}
+}
+
+// FuzzIncremental decodes a tableau and a stream of inserts and deletes
+// from the fuzz input and, after every operation, checks Patterns and
+// Changes of a full and a constant-only state against the oracles of
+// the property tests. Exhausted input ends the stream.
+func FuzzIncremental(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 2, 0, 7, 1, 1, 2, 3, 4, 0, 0, 3, 0, 1, 2, 3, 3})
+	f.Add([]byte("\x05\x05\x06\x00\x00\x01\x1f wildcards _ and \x1f separators"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, ops := decodeIncrCase(data)
+		if c == nil {
+			t.Skip()
+		}
+		s := incrTestSchema(t)
+		for _, constantOnly := range []bool{false, true} {
+			k := newIncrCheck(t, s, c, constantOnly)
+			k.track()
+			for i, op := range ops {
+				if op.del >= 0 {
+					k.delete(op.del % len(k.live))
+				} else {
+					k.insert(op.ins)
+				}
+				at := fmt.Sprintf("op %d", i)
+				k.checkPatterns(at)
+				k.checkChanges(at)
+			}
+		}
+	})
+}
+
+// incrOp inserts ins, or deletes the live tuple at del when del ≥ 0.
+type incrOp struct {
+	ins relation.Tuple
+	del int
+}
+
+// decodeIncrCase reads a tableau over X = [a, b], Y = [c] or [c, d]
+// with 1–8 rows, then up to 64 operations, every value from
+// fuzzPalette.
+func decodeIncrCase(data []byte) (*cfd.CFD, []incrOp) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	value := func(b int) string { return fuzzPalette[b%len(fuzzPalette)] }
+	entry := func() string {
+		if b := next(); b%4 != 0 {
+			return value(b)
+		}
+		return cfd.Wildcard
+	}
+	head := next()
+	y := []string{"c", "d"}[:1+head%2]
+	rows := make([]cfd.PatternTuple, 1+head/2%8)
+	for i := range rows {
+		rows[i].LHS = []string{entry(), entry()}
+		for range y {
+			rows[i].RHS = append(rows[i].RHS, entry())
+		}
+	}
+	c, err := cfd.New("fz", []string{"a", "b"}, y, rows)
+	if err != nil {
+		return nil, nil
+	}
+	var ops []incrOp
+	for live := 0; len(data) > 0 && len(ops) < 64; {
+		if b := next(); b%3 == 0 && live > 0 {
+			ops = append(ops, incrOp{del: next()})
+			live--
+			continue
+		}
+		ops = append(ops, incrOp{ins: relation.Tuple{value(next()), value(next()), value(next()), value(next())}, del: -1})
+		live++
+	}
+	return c, ops
 }

@@ -12,12 +12,14 @@ import (
 // engine's default path now runs on the columnar dictionary-encoded
 // view (detect.go); this form is kept as the baseline of DESIGN.md
 // ablation 8 and as the second leg of the cross-representation
-// equivalence tests (including the kernel fuzz target), so its keys
-// are the length-prefixed exact form of incremental.go rather than a
-// \x1f-join: the fuzzer found X projections like
-// ("b\x1f", "") and ("b", "\x1f") whose joined keys collide, which
-// merged distinct groups and reported phantom violations the exact
-// encoded path (and cfd.NaiveViolations) correctly rejects.
+// equivalence tests (including the kernel fuzz target). It is the
+// engine's one check per normalized unit (cfd.Normalize); every other
+// path checks a CFD once over its whole tableau. Its keys are the
+// length-prefixed exact form of relation.Tuple.Key rather than a
+// \x1f-join: the fuzzer found X projections like ("b\x1f", "") and
+// ("b", "\x1f") whose joined keys collide, which merged distinct
+// groups and reported phantom violations the exact encoded path (and
+// cfd.NaiveViolations) correctly rejects.
 
 // DetectRows returns Vio(φ, d) as sorted tuple indices using the
 // row-oriented string-key path.

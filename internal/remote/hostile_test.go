@@ -538,12 +538,55 @@ func serveRPC(t *testing.T, svc any) string {
 // hostileReplies serves a real site but, while mode names a garbling,
 // rewrites one kind of reply on its way out: the σ counts of SigmaStats
 // or of a later round's extract (one too many, one too few, a negative
-// one), or a later fold's pattern changes (missing, over more attributes
-// than the CFD's X, over an attribute outside it, removing a pattern
-// never added).
+// one), a fresh run's or a seed's extracted blocks (one row more than
+// the σ count, as valid packed payloads named "oversized"), or a later
+// fold's pattern changes (missing, over more attributes than the CFD's
+// X, over an attribute outside it, removing a pattern never added).
+// forwarded counts the oversized blocks that reach a Deposit or a fold.
 type hostileReplies struct {
 	*SiteService
-	mode *atomic.Value
+	mode      *atomic.Value
+	forwarded *atomic.Int64
+}
+
+// oversized re-encodes w's rows and a second copy of its first row as
+// a valid packed payload named "oversized".
+func oversized(w *WireRelation) *WireRelation {
+	r, err := FromWire(w)
+	if err != nil || r.Len() == 0 {
+		panic(fmt.Sprintf("oversized: cannot grow %v: %v", w, err))
+	}
+	d := relation.New(relation.MustSchema("oversized", w.Attrs))
+	for _, t := range append(r.Tuples(), r.Tuple(0)) {
+		d.MustAppend(t)
+	}
+	e := d.Encoded()
+	dicts, cols := make([]*relation.Dict, e.Arity()), make([][]uint32, e.Arity())
+	for j := range cols {
+		cols[j], dicts[j] = e.Column(j)
+	}
+	p, err := colstore.PackColumns(dicts, cols, d.Len())
+	if err != nil {
+		panic(err)
+	}
+	return &WireRelation{Name: "oversized", Attrs: w.Attrs, Rows: d.Len(), Packed: packedToWire(p)}
+}
+
+func (h hostileReplies) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*WireRelation) error {
+	err := h.SiteService.ExtractBlocksBatch(args, reply)
+	if err == nil && h.mode.Load() == "ship-oversized" {
+		for l, w := range *reply {
+			(*reply)[l] = oversized(w)
+		}
+	}
+	return err
+}
+
+func (h hostileReplies) Deposit(args DepositArgs, reply *struct{}) error {
+	if args.Batch != nil && args.Batch.Name == "oversized" {
+		h.forwarded.Add(1)
+	}
+	return h.SiteService.Deposit(args, reply)
 }
 
 func (h hostileReplies) garble(kind string, counts *[]int) {
@@ -570,10 +613,22 @@ func (h hostileReplies) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlo
 	if err == nil && args.FromGen >= 0 {
 		h.garble("extract", &reply.Counts)
 	}
+	if err == nil && args.FromGen < 0 && h.mode.Load() == "seed-oversized" {
+		for l, w := range reply.Ins {
+			reply.Ins[l] = oversized(w)
+		}
+	}
 	return err
 }
 
 func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
+	for _, db := range args.Shipped {
+		for _, w := range db.Ins {
+			if w != nil && w.Name == "oversized" {
+				h.forwarded.Add(1)
+			}
+		}
+	}
 	err := h.SiteService.FoldDetect(args, reply)
 	if err != nil || args.Seed {
 		return err
@@ -601,14 +656,17 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 	return nil
 }
 
-// TestHostileRepliesRefused is the driver's side of the σ-count and
-// pattern-change replies: a count vector of the wrong length or with a
-// negative count — from SigmaStats at the seed or from a later round's
-// extract — and a fold reply with its pattern sets missing, over other
-// attributes than the CFD's X, removing a pattern never added, or
-// carried in a malformed values section (sectionCases), fail the round
-// with a plain error instead of a panic or a wrong answer, and the next
-// round reseeds and equals a fresh Detect.
+// TestHostileRepliesRefused is the driver's side of the σ-count,
+// extract and pattern-change replies: a count vector of the wrong
+// length or with a negative count — from SigmaStats at the seed or from
+// a later round's extract — an extracted block longer than its σ count
+// — in a fresh run's ExtractBlocksBatch or a seed's ExtractDeltaBlocks,
+// refused before anything forwards it — and a fold reply with its
+// pattern sets missing, over other attributes than the CFD's X,
+// removing a pattern never added, or carried in a malformed values
+// section (sectionCases), fail the run with a plain error instead of a
+// panic or a wrong answer, and the next round reseeds and equals a
+// fresh Detect.
 func TestHostileRepliesRefused(t *testing.T) {
 	ctx := context.Background()
 	schema := relation.MustSchema("R", []string{"a", "b"})
@@ -619,6 +677,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 	modes := []string{
 		"sigma-long", "sigma-short", "sigma-negative",
 		"extract-long", "extract-short", "extract-negative",
+		"ship-oversized", "seed-oversized",
 		"fold-missing", "fold-wider-than-X", "fold-outside-X", "fold-removes-unheld",
 	}
 	for _, c := range sectionCases {
@@ -628,10 +687,11 @@ func TestHostileRepliesRefused(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			var garbling atomic.Value
 			garbling.Store("")
+			var forwarded atomic.Int64
 			addrs := make([]string, len(frags))
 			for i, f := range frags {
 				site := core.NewSite(i, f, relation.True())
-				addrs[i] = serveRPC(t, hostileReplies{SiteService: NewSiteServiceContext(ctx, site, schema), mode: &garbling})
+				addrs[i] = serveRPC(t, hostileReplies{SiteService: NewSiteServiceContext(ctx, site, schema), mode: &garbling, forwarded: &forwarded})
 			}
 			sites, _, err := Dial(addrs)
 			if err != nil {
@@ -650,7 +710,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.HasPrefix(mode, "sigma") {
+			if strings.HasPrefix(mode, "extract") || strings.HasPrefix(mode, "fold") {
 				// Seed, then make a2 violate, so the garbled round has a delta.
 				if _, err := p.DetectIncremental(ctx); err != nil {
 					t.Fatal(err)
@@ -659,13 +719,20 @@ func TestHostileRepliesRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			garbled := p.DetectIncremental
+			if mode == "ship-oversized" {
+				garbled = p.Detect
+			}
 			garbling.Store(mode)
-			_, err = p.DetectIncremental(ctx)
+			_, err = garbled(ctx)
 			if err == nil {
 				t.Fatal("the garbled reply was accepted")
 			}
 			if core.IsStaleIncremental(err) || core.ErrCodeOf(err) != "" {
 				t.Errorf("want a plain error, got %v", err)
+			}
+			if n := forwarded.Load(); n != 0 {
+				t.Errorf("%d oversized block(s) forwarded", n)
 			}
 			garbling.Store("")
 			got, err := p.DetectIncremental(ctx)
