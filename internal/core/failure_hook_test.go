@@ -142,7 +142,7 @@ func TestStaleIsTypedNotSubstring(t *testing.T) {
 		t.Fatal(err)
 	}
 	attrs := taskAttrs(spec, []*cfd.CFD{c})
-	fold := FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{c}, RestrictSingle: true}
+	fold := FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{c}}
 	producers := map[string]func(*Site) error{
 		"log does not cover the watermark": func(s *Site) error {
 			_, err := s.ExtractDeltaBlocks(ctx, spec, attrs, []int{0}, 99)
@@ -169,8 +169,10 @@ func TestStaleIsTypedNotSubstring(t *testing.T) {
 			if _, err := s.FoldDetect(ctx, seed); err != nil {
 				return err
 			}
+			// Another spec over c's LHS: one over attributes c lacks is
+			// malformed, refused before the session is looked up.
 			other := fold
-			other.Spec, err = SpecFromCFD(workload.EMPCFDs()[2])
+			other.Spec, err = NewBlockSpec(c.X, [][]string{{cfd.Wildcard, cfd.Wildcard}})
 			if err != nil {
 				return err
 			}
@@ -184,7 +186,7 @@ func TestStaleIsTypedNotSubstring(t *testing.T) {
 				return err
 			}
 			two := fold
-			two.CFDs, two.RestrictSingle, two.FromGen = []*cfd.CFD{c, c}, false, 1
+			two.CFDs, two.FromGen = []*cfd.CFD{c, c}, 1
 			_, err := s.FoldDetect(ctx, two)
 			return err
 		},

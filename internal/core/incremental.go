@@ -14,7 +14,7 @@ import (
 // plan retains, per unit, an incremental session: a sticky coordinator
 // assignment, a per-site fold watermark (fragment generation), the
 // session key naming the group states the coordinators keep, and each
-// view's patterns as a counted set. A DetectIncremental round then
+// view's patterns as a sorted set. A DetectIncremental round then
 //
 //  1. recomputes the run's *accounting* exactly as a fresh Detect
 //     would — per-block statistics come from the sites' maintained σ
@@ -47,7 +47,7 @@ type unitInc struct {
 	sticky    []int
 	foldedGen []int64
 	seeded    bool
-	pats      []*relation.CountedSet // per view, once per block state reporting a pattern
+	pats      []*relation.CountedSet // per view
 }
 
 // invalidate abandons the session after a failed round: coordinator
@@ -219,17 +219,33 @@ func (st *unitInc) round(ctx context.Context, u *unit, fs *faultState, m *dist.M
 		// mutates the session's retained states) reseeds via the
 		// round-level retry.
 		reps[j], err = fs.sites[j].FoldDetect(ctx, FoldArgs{Session: st.session, Spec: spec, Blocks: bySite[j], CFDs: detectCFDs,
-			RestrictSingle: u.restrict, Seed: seeding, FromGen: st.foldedGen[j], Shipped: shipped})
-		if err == nil && (len(reps[j].Added) != len(detectCFDs) || len(reps[j].Removed) != len(detectCFDs)) {
-			err = fmt.Errorf("core: site %d folded %d CFDs but replied %d/%d pattern sets", j, len(detectCFDs), len(reps[j].Added), len(reps[j].Removed))
+			Seed: seeding, FromGen: st.foldedGen[j], Shipped: shipped})
+		if err != nil {
+			return err
 		}
-		return err
+		if len(reps[j].Added) != len(detectCFDs) || len(reps[j].Removed) != len(detectCFDs) {
+			return fmt.Errorf("core: site %d folded %d CFDs but replied %d/%d pattern sets", j, len(detectCFDs), len(reps[j].Added), len(reps[j].Removed))
+		}
+		held := 0 // an added pattern is the group of a tuple the blocks hold
+		for _, l := range bySite[j] {
+			for i := range lstat {
+				held += lstat[i][l]
+			}
+		}
+		for vi, added := range reps[j].Added {
+			if added != nil && added.Len() > held {
+				return fmt.Errorf("core: site %d added %d patterns for %s, but its blocks hold %d tuples", j, added.Len(), detectCFDs[vi].Name, held)
+			}
+		}
+		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
 
 	// Each reply adds and removes patterns of every view — a seed's adds
-	// its full set — and the view's counted set returns them sorted.
+	// its full set — and the view's set returns them sorted. A pattern
+	// has one home block, so a repeated add or an unheld remove is an
+	// error.
 	if seeding {
 		st.pats = make([]*relation.CountedSet, len(detectCFDs))
 		for vi, ci := range u.viewIdx {

@@ -95,12 +95,29 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 			return err
 		}},
 		{"fold-restricted-block-out-of-range", func(s *Site) error {
-			args := FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{fd}, RestrictSingle: true, Seed: true}
+			args := FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{fd}, Seed: true}
 			if _, err := s.FoldDetect(ctx, args); err != nil {
 				t.Fatalf("seeding a well-formed session: %v", err)
 			}
 			args.Seed, args.Blocks = false, []int{spec.K()}
 			_, err := s.FoldDetect(ctx, args)
+			return err
+		}},
+		// A block listed twice would be folded or checked twice.
+		{"extract-block-listed-twice", func(s *Site) error {
+			_, err := s.ExtractBlocksBatch(ctx, spec, []string{"a", "b"}, []int{0, 0})
+			return err
+		}},
+		{"detect-block-listed-twice", func(s *Site) error {
+			_, err := s.DetectAssignedSet(ctx, "t", spec, []int{1, 0, 1}, []*cfd.CFD{fd})
+			return err
+		}},
+		{"extract-delta-block-listed-twice", func(s *Site) error {
+			_, err := s.ExtractDeltaBlocks(ctx, spec, []string{"a", "b"}, []int{0, 0}, -1)
+			return err
+		}},
+		{"fold-block-listed-twice", func(s *Site) error {
+			_, err := s.FoldDetect(ctx, FoldArgs{Session: "s", Spec: spec, Blocks: []int{0, 0}, CFDs: []*cfd.CFD{fd}, Seed: true})
 			return err
 		}},
 		{"fold-shipped-block-not-folded", func(s *Site) error {
@@ -187,18 +204,20 @@ var (
 func FuzzSiteArgs(f *testing.F) {
 	// Byte layout: |X|, X…, #patterns−1, (arity, values…)…, |cfd.X|,
 	// X…, |cfd.Y|, Y…, #rows, (|LHS|, LHS…, |RHS|, RHS…)…, #blocks,
-	// blocks+2…, restrict, #inserts, (arity, values…)…, #deletes,
+	// blocks+2…, #inserts, (arity, values…)…, #deletes,
 	// deletes+2…, |ship attrs|, attrs…, #ship rows, ship block+2,
 	// inserts-or-deletes, row values…. Every seed's spec X is [a].
-	f.Add([]byte{1, 0, 0, 2, 0, 2, 1, 0, 1, 1, 1, 1, 0, 1, 4, 1, 2, 0})                // spec pattern (x, p): SigmaStats
-	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 2, 1, 2, 0, 2, 1, 3, 1, 2, 0})          // (x, p ‖ m): DetectConstantsLocal
-	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 2, 0, 2, 1, 4, 1, 2, 0})          // (x, p ‖ _): the seeding FoldDetect
-	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 4, 1, 1, 1, 4, 1, 4, 1}) // block K, restricted: the non-seed FoldDetect
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0})                                  // insert (x): ApplyDelta
+	f.Add([]byte{1, 0, 0, 2, 0, 2, 1, 0, 1, 1, 1, 1, 0, 1, 4, 1, 2})                // spec pattern (x, p): SigmaStats
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 2, 1, 2, 0, 2, 1, 3, 1, 2})          // (x, p ‖ m): DetectConstantsLocal
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 2, 0, 2, 1, 4, 1, 2})          // (x, p ‖ _): the seeding FoldDetect
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1, 4, 1, 1, 1, 4, 1, 4}) // block K: the non-seed FoldDetect
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0})                                  // insert (x): ApplyDelta
 	// [a] -> [b] over blocks (x), (y), shipping (x, p), (y, m) as block 0
 	// over [a, b] (folded), then over [b, a] (rejected).
-	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 1, 2, 0, 0, 0, 2, 0, 1, 2, 2, 0, 0, 2, 1, 3})
-	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 1, 2, 0, 0, 0, 2, 1, 0, 2, 2, 0, 0, 2, 1, 3})
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 1, 2, 0, 0, 2, 0, 1, 2, 2, 0, 0, 2, 1, 3})
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 1, 2, 0, 0, 2, 1, 0, 2, 2, 0, 0, 2, 1, 3})
+	// Block 0 listed twice (every block-list call refuses it).
+	f.Add([]byte{1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 4, 1, 4, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzArgs(data)
 		spec := &BlockSpec{X: b.strings(4, fuzzAttrs)}
@@ -213,7 +232,6 @@ func FuzzSiteArgs(f *testing.F) {
 		for i := range blocks {
 			blocks[i] = b.next(8) - 2
 		}
-		restrict := b.next(2) == 1
 		var d relation.Delta
 		for n := b.next(4); n > 0; n-- {
 			d.Inserts = append(d.Inserts, b.strings(5, fuzzValues))
@@ -263,7 +281,7 @@ func FuzzSiteArgs(f *testing.F) {
 		}
 		extract(-1)
 		extract(0)
-		args := FoldArgs{Session: "s", Spec: spec, Blocks: blocks, CFDs: cfds, RestrictSingle: restrict, Seed: true}
+		args := FoldArgs{Session: "s", Spec: spec, Blocks: blocks, CFDs: cfds, Seed: true}
 		fold(args)
 		args.Seed = false
 		fold(args)

@@ -1,6 +1,10 @@
 package core
 
-import "distcfd/internal/cfd"
+import (
+	"slices"
+
+	"distcfd/internal/cfd"
+)
 
 // clusterByLHS groups CFD indices with union-find, merging two CFDs
 // when one's LHS attribute set contains the other's (the paper's
@@ -78,13 +82,9 @@ func splitForNonEmptyW(cfds []*cfd.CFD, members []int) [][]int {
 }
 
 func intersectAttrs(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
 	var out []string
 	for _, x := range a {
-		if set[x] {
+		if slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}
@@ -92,39 +92,20 @@ func intersectAttrs(a, b []string) []string {
 }
 
 func containsAll(super, sub []string) bool {
-	set := make(map[string]bool, len(super))
-	for _, a := range super {
-		set[a] = true
-	}
 	for _, a := range sub {
-		if !set[a] {
+		if !slices.Contains(super, a) {
 			return false
 		}
 	}
 	return true
 }
 
-// sharedLHS returns W = ∩ LHS over the views, ordered as in the view
-// with the fewest LHS attributes (deterministic).
+// sharedLHS returns W = ∩ LHS over the views, ordered as in the first
+// view with the fewest LHS attributes (deterministic).
 func sharedLHS(views []*cfd.CFD) []string {
-	smallest := views[0]
-	for _, v := range views[1:] {
-		if len(v.X) < len(smallest.X) {
-			smallest = v
-		}
-	}
-	var w []string
-	for _, a := range smallest.X {
-		inAll := true
-		for _, v := range views {
-			if !containsAll(v.X, []string{a}) {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
-			w = append(w, a)
-		}
+	w := slices.MinFunc(views, func(a, b *cfd.CFD) int { return len(a.X) - len(b.X) }).X
+	for _, v := range views {
+		w = intersectAttrs(w, v.X)
 	}
 	return w
 }
@@ -135,15 +116,7 @@ func sharedLHS(views []*cfd.CFD) []string {
 func projectedSpec(w []string, views []*cfd.CFD) (*BlockSpec, error) {
 	var patterns [][]string
 	for _, v := range views {
-		pos := make([]int, len(w))
-		for i, a := range w {
-			for j, xa := range v.X {
-				if xa == a {
-					pos[i] = j
-					break
-				}
-			}
-		}
+		pos := lhsPositions(w, v)
 		for _, tp := range v.Tp {
 			p := make([]string, len(w))
 			for i, j := range pos {
@@ -153,4 +126,14 @@ func projectedSpec(w []string, views []*cfd.CFD) (*BlockSpec, error) {
 		}
 	}
 	return NewBlockSpec(w, patterns)
+}
+
+// lhsPositions maps each attribute of w to its position in c.X (-1 when
+// c.X lacks it): how a spec over W reads a CFD's LHS patterns.
+func lhsPositions(w []string, c *cfd.CFD) []int {
+	pos := make([]int, len(w))
+	for i, a := range w {
+		pos[i] = slices.Index(c.X, a)
+	}
+	return pos
 }

@@ -258,13 +258,9 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 	for vi := range parts {
 		parts[vi] = make([]*relation.Relation, cl.N())
 	}
-	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) (err error) {
+	if err := cl.parallelCtx(ctx, func(ctx context.Context, j int) error {
 		if len(bySite[j]) == 0 {
 			return nil
-		}
-		if u.restrict {
-			parts[0][j], err = fs.sites[j].DetectAssignedSingle(ctx, task, spec, bySite[j], u.views[0])
-			return err
 		}
 		perCFD, err := fs.sites[j].DetectAssignedSet(ctx, task, spec, bySite[j], u.views)
 		if err != nil {

@@ -54,10 +54,6 @@ type unit struct {
 	views    []*cfd.CFD
 	viewIdx  []int
 	spec     *BlockSpec // nil when every member is constant-only
-	// restrict selects the Lemma 6 coordinator check: with exactly one
-	// variable view the spec's patterns are that view's tableau rows, so
-	// each block checks only its own row. Derived, never set.
-	restrict bool
 	// The mined spec of a lone all-wildcard CFD (Options.MineTheta) and
 	// the pattern exchange it cost at compile time.
 	mined   int
@@ -81,7 +77,6 @@ func compileUnit(ctx context.Context, cl *Cluster, group []*cfd.CFD, algo Algori
 			u.viewIdx = append(u.viewIdx, ci)
 		}
 	}
-	u.restrict = len(u.views) == 1
 	var err error
 	switch {
 	case len(u.views) == 0:

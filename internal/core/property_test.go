@@ -38,66 +38,112 @@ func TestPropertySigmaPartitionIsFunctionOfX(t *testing.T) {
 }
 
 // TestPropertyLemma6 checks Lemma 6 itself on random instances:
-// Vioπ(φ, D) = ∪_l Vioπ(φ_l, ∪_i H_i^l) — detecting each σ-block
-// independently with its restricted CFD loses nothing and adds
-// nothing, for any partitioning of D.
+// Vioπ(φ, D) = ∪_l Vioπ(φ_l, H^l) — checking each σ-block with the
+// CFD's restriction to it (BlockSpec.Restrict) loses nothing, adds
+// nothing, and no pattern comes from two blocks. The CFDs have |Y| = 2,
+// rows mixing a constant and a wildcard RHS, and overlapping LHS
+// patterns; the specs are a single rule's, a cluster's over a shared
+// W ⊂ X (projectedSpec), and a mined one's.
 func TestPropertyLemma6(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		d := randomRelation(rng, 40)
-		c := randomTestCFD(rng)
-		view, ok := c.VariableView()
-		if !ok {
-			continue
+		single := randomMixedView(rng, []string{"a", "b"}, []string{"c", "d"})
+		cluster := []*cfd.CFD{
+			randomMixedView(rng, []string{"a", "b"}, []string{"c", "d"}),
+			randomMixedView(rng, []string{"a", "c"}, []string{"b", "d"}),
 		}
-		spec, err := SpecFromCFD(view)
+		clusterSpec, err := projectedSpec(sharedLHS(cluster), cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Whole-relation patterns for the variable view.
-		whole, err := engine.ViolationPatterns(d, view)
+		singleSpec, err := SpecFromCFD(single)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Block-wise union.
-		assign, _, err := spec.AssignAll(d)
+		// A mined spec's patterns come from the data, not the tableau,
+		// and end in the all-wildcard one.
+		minedSpec, err := NewBlockSpecOrdered(single.X, [][]string{
+			{fmt.Sprintf("a%d", rng.Intn(3)), cfd.Wildcard}, {cfd.Wildcard, fmt.Sprintf("b%d", rng.Intn(3))}, {cfd.Wildcard, cfd.Wildcard},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[string]bool{}
-		for l := 0; l < spec.K(); l++ {
-			block := relation.New(d.Schema())
-			for i, t := range d.Tuples() {
-				if assign[i] == l {
-					block.MustAppend(t)
-				}
-			}
-			restricted := spec.RestrictCFD(view, l)
-			pats, err := engine.ViolationPatterns(block, restricted)
+		for _, tc := range []struct {
+			kind  string
+			spec  *BlockSpec
+			views []*cfd.CFD
+		}{
+			{"single", singleSpec, []*cfd.CFD{single}},
+			{"cluster", clusterSpec, cluster},
+			{"mined", minedSpec, []*cfd.CFD{single}},
+		} {
+			assign, _, err := tc.spec.AssignAll(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx := make([]int, pats.Schema().Arity())
-			for i := range idx {
-				idx[i] = i
+			inBlock, err := tc.spec.Restrict(tc.views)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, p := range pats.Tuples() {
-				got[p.Key(idx)] = true
+			for vi, view := range tc.views {
+				got := map[string]bool{}
+				for l := 0; l < tc.spec.K(); l++ {
+					rl := inBlock(vi, l)
+					if rl == nil {
+						continue
+					}
+					block := relation.New(d.Schema())
+					for i, t := range d.Tuples() {
+						if assign[i] == l {
+							block.MustAppend(t)
+						}
+					}
+					pats, err := engine.ViolationPatterns(block, rl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range patternsOf(pats) {
+						if got[k] {
+							t.Fatalf("trial %d %s: pattern %q reported by two blocks", trial, tc.kind, k)
+						}
+						got[k] = true
+					}
+				}
+				whole, err := engine.ViolationPatterns(d, view)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := patternsOf(whole); !sameSet(got, want) {
+					t.Fatalf("trial %d %s: Lemma 6 broken\n got %v\nwant %v\ncfd %v\nspec %v",
+						trial, tc.kind, keys(got), keys(want), view, tc.spec.Patterns)
+				}
 			}
-		}
-		want := map[string]bool{}
-		idx := make([]int, whole.Schema().Arity())
-		for i := range idx {
-			idx[i] = i
-		}
-		for _, p := range whole.Tuples() {
-			want[p.Key(idx)] = true
-		}
-		if !sameSet(got, want) {
-			t.Fatalf("trial %d: Lemma 6 broken\n got %v\nwant %v\ncfd %v",
-				trial, keys(got), keys(want), view)
 		}
 	}
+}
+
+// randomMixedView draws a variable view over x → y (|y| = 2): 2–4 rows,
+// each LHS entry a wildcard or one of two constants (so rows overlap),
+// each RHS one constant and one wildcard in random order, or two
+// wildcards.
+func randomMixedView(rng *rand.Rand, x, y []string) *cfd.CFD {
+	var rows []cfd.PatternTuple
+	for n := 2 + rng.Intn(3); n > 0; n-- {
+		lhs := make([]string, len(x))
+		for i, a := range x {
+			lhs[i] = cfd.Wildcard
+			if rng.Intn(2) == 0 {
+				lhs[i] = fmt.Sprintf("%s%d", a, rng.Intn(2))
+			}
+		}
+		rhs := []string{cfd.Wildcard, cfd.Wildcard}
+		if k := rng.Intn(3); k < 2 {
+			rhs[k] = fmt.Sprintf("%s%d", y[k], rng.Intn(2))
+		}
+		rows = append(rows, cfd.PatternTuple{LHS: lhs, RHS: rhs})
+	}
+	return cfd.MustNew("mixed", x, y, rows)
 }
 
 // TestPropertyProposition5 checks Proposition 5 on random instances

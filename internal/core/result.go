@@ -171,8 +171,25 @@ func (r *Result) Patterns(name string) *relation.Relation {
 
 // mergeDistinct unions X-tuple relations into a fresh relation with
 // the given schema, dropping duplicates, preserving first-seen order.
+// Nil parts (sites that contributed nothing) are skipped.
 func mergeDistinct(schema *relation.Schema, parts []*relation.Relation) *relation.Relation {
 	out := relation.New(schema)
-	appendDistinct(out, map[string]struct{}{}, parts...)
+	all := make([]int, schema.Arity())
+	for i := range all {
+		all[i] = i
+	}
+	seen := map[string]struct{}{}
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		for _, t := range p.Tuples() {
+			k := t.Key(all)
+			if _, dup := seen[k]; !dup {
+				seen[k] = struct{}{}
+				out.MustAppend(t)
+			}
+		}
+	}
 	return out
 }

@@ -91,7 +91,7 @@ func NewBlockSpecOrdered(x []string, patterns [][]string) (*BlockSpec, error) {
 
 // check is the one check of a spec and block list: a non-empty X
 // without a repeated attribute and at least one pattern, each of arity
-// |X|, and every block in [0, K).
+// |X|, and every block in [0, K), none listed twice.
 // Constructors build by it; a site applies it to a spec and blocks it
 // did not build before routing with them.
 func (s *BlockSpec) check(blocks ...int) error {
@@ -108,10 +108,15 @@ func (s *BlockSpec) check(blocks ...int) error {
 			return fmt.Errorf("core: pattern %q has arity %d, want %d", p, len(p), len(s.X))
 		}
 	}
+	listed := make(map[int]bool, len(blocks))
 	for _, l := range blocks {
 		if l < 0 || l >= s.K() {
 			return fmt.Errorf("core: block %d out of range [0,%d)", l, s.K())
 		}
+		if listed[l] {
+			return fmt.Errorf("core: block %d listed twice", l)
+		}
+		listed[l] = true
 	}
 	return nil
 }
@@ -280,28 +285,38 @@ func (s *BlockSpec) PatternPredicate(l int) relation.Predicate {
 	return relation.And(atoms...)
 }
 
-// RestrictCFD returns the CFD (X → Y, {t^l_p}) — c restricted to the
-// tableau rows whose LHS equals spec pattern l. Used by coordinators to
-// check exactly their block (Lemma 6). When the spec was mined (its
-// patterns do not come from c's tableau), the restriction keeps c's
-// rows that could match inside the block; for a single-row FD this is
-// the row itself.
-func (s *BlockSpec) RestrictCFD(c *cfd.CFD, l int) *cfd.CFD {
-	var rows []cfd.PatternTuple
-	for _, tp := range c.Tp {
-		if slices.Equal(tp.LHS, s.Patterns[l]) {
-			rows = append(rows, tp)
+// Restrict returns the Lemma 6 restriction of each CFD of cfds to each
+// block of s — for single, cluster and mined specs alike: in(ci, l) is
+// cfds[ci] keeping every tableau row whose LHS agrees with pattern l
+// wherever both name a constant on X (no tuple of the block can match
+// another row), or nil when no row is left. A result shares its CFD's
+// slices and rows, and is the CFD itself when every row is kept. The
+// CFDs must be well formed (cfd.CFD.Validate).
+func (s *BlockSpec) Restrict(cfds []*cfd.CFD) (in func(ci, l int) *cfd.CFD, err error) {
+	pos := make([][]int, len(cfds))
+	for ci, c := range cfds {
+		if pos[ci] = lhsPositions(s.X, c); slices.Contains(pos[ci], -1) {
+			return nil, fmt.Errorf("core: cfd %s: LHS %v does not cover the block spec's X %v", c.Name, c.X, s.X)
 		}
 	}
-	if len(rows) == 0 {
-		// Mined spec: the block is a refinement of c's (more general)
-		// rows; detection within the block uses c's full tableau, which
-		// is correct because σ blocks never split an X-group.
-		return c
-	}
-	// The restriction shares c's attribute slices and pattern rows —
-	// detection treats CFDs as immutable, and cloning a large tableau
-	// per (block, run) was a measurable share of the serving path's
-	// allocations.
-	return &cfd.CFD{Name: c.Name, X: c.X, Y: c.Y, Tp: rows}
+	return func(ci, l int) *cfd.CFD {
+		c := cfds[ci]
+		var rows []cfd.PatternTuple
+	row:
+		for _, tp := range c.Tp {
+			for i, v := range s.Patterns[l] {
+				if w := tp.LHS[pos[ci][i]]; v != cfd.Wildcard && w != cfd.Wildcard && v != w {
+					continue row
+				}
+			}
+			rows = append(rows, tp)
+		}
+		switch len(rows) {
+		case 0:
+			return nil
+		case len(c.Tp):
+			return c
+		}
+		return &cfd.CFD{Name: c.Name, X: c.X, Y: c.Y, Tp: rows}
+	}, nil
 }

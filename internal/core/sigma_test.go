@@ -156,27 +156,54 @@ func TestPatternPredicateFromSpec(t *testing.T) {
 	}
 }
 
+// TestRestrictCFD pins the one block rule: in block l a row is dropped
+// when it names another constant than pattern l on an attribute of the
+// spec, kept when either names a wildcard there, and a CFD with no row
+// left is skipped (nil). The spec may order its attributes differently
+// from the CFD and cover only part of its LHS; one it does not cover is
+// refused.
 func TestRestrictCFD(t *testing.T) {
-	c := cfd.MustParse(`r: [a, b] -> [y] : (1, _ || _), (2, _ || _)`)
-	spec, err := SpecFromCFD(c)
+	c := cfd.MustParse(`r: [a, b] -> [y] : (1, _ || _), (2, _ || _), (_, 3 || _)`)
+	for _, tc := range []struct {
+		x        []string
+		patterns [][]string
+		want     [][]int // per block, the kept rows of c; nil = skipped
+	}{
+		{[]string{"b", "a"}, [][]string{{"3", "1"}, {"_", "2"}, {"4", "9"}, {"_", "_"}},
+			[][]int{{0, 2}, {1, 2}, nil, {0, 1, 2}}},
+		{[]string{"a"}, [][]string{{"1"}, {"9"}, {"_"}},
+			[][]int{{0, 2}, {2}, {0, 1, 2}}},
+	} {
+		spec, err := NewBlockSpecOrdered(tc.x, tc.patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inBlock, err := spec.Restrict([]*cfd.CFD{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, rows := range tc.want {
+			r := inBlock(0, l)
+			if rows == nil {
+				if r != nil {
+					t.Errorf("X %v block %v: kept %v, want the CFD skipped", tc.x, spec.Patterns[l], r.Tp)
+				}
+				continue
+			}
+			var want []cfd.PatternTuple
+			for _, i := range rows {
+				want = append(want, c.Tp[i])
+			}
+			if r == nil || fmt.Sprint(r.Tp) != fmt.Sprint(want) {
+				t.Errorf("X %v block %v: kept %v, want %v", tc.x, spec.Patterns[l], r, want)
+			}
+		}
+	}
+	outside, err := NewBlockSpec([]string{"z"}, [][]string{{"_"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l := 0; l < spec.K(); l++ {
-		r := spec.RestrictCFD(c, l)
-		if len(r.Tp) != 1 {
-			t.Errorf("block %d restriction has %d rows", l, len(r.Tp))
-		}
-		if r.Tp[0].LHS[0] != spec.Patterns[l][0] {
-			t.Errorf("block %d restriction row = %v, spec pattern %v", l, r.Tp[0], spec.Patterns[l])
-		}
-	}
-	// Mined spec (patterns not in tableau): restriction falls back to c.
-	mined, err := NewBlockSpec([]string{"a", "b"}, [][]string{{"9", "9"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := mined.RestrictCFD(c, 0); len(r.Tp) != 2 {
-		t.Errorf("mined restriction should keep full tableau, got %v", r)
+	if _, err := outside.Restrict([]*cfd.CFD{c}); err == nil {
+		t.Error("a spec over an attribute outside the CFD's LHS was accepted")
 	}
 }

@@ -88,15 +88,13 @@ type SiteAPI interface {
 	// distinct violating X-patterns per CFD (aligned with cfds). The
 	// deposit buffer for the task is consumed.
 	DetectTask(ctx context.Context, task string, local LocalInput, cfds []*cfd.CFD) ([]*relation.Relation, error)
-	// DetectAssignedSingle detects, for every block l in blocks, the
-	// violations of c restricted to pattern l (Lemma 6) over the local
-	// block plus deposits under task keys BlockTask(taskPrefix, l),
-	// returning the union of distinct violating X-patterns. Deposits
-	// are consumed.
+	// DetectAssignedSingle is DetectAssignedSet for one CFD. The driver
+	// never calls it; bench/trace.go's wrapper keeps it in the interface.
 	DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error)
-	// DetectAssignedSet is the ClustDetect coordinator step: for every
-	// assigned block it detects each CFD of cfds with its full tableau
-	// over the block plus deposits, returning per-CFD distinct
+	// DetectAssignedSet is the coordinator step: for every block l in
+	// blocks it checks each CFD of cfds, restricted to the block (Lemma
+	// 6, BlockSpec.Restrict), over the local block plus the deposits
+	// under task key BlockTask(taskPrefix, l), returning per-CFD distinct
 	// violating X-patterns (aligned with cfds). Deposits are consumed.
 	DetectAssignedSet(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error)
 	// DetectConstantsLocal checks the constant units of c against the
@@ -516,20 +514,17 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 // coordinator's detection. The lists share one int32 array sized from
 // the entry's maintained per-block counts, so routing a fragment of n
 // rows costs 4n bytes and one pass — the footprint that bounds
-// out-of-core detection. A block listed twice gets the same list twice.
+// out-of-core detection. spec.check refuses a block listed twice.
 func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
 	ent, err := s.assignAll(spec, blocks...)
 	if err != nil {
 		return nil, err
 	}
-	slot := make([]int, spec.K()) // 0 = block not requested, else 1+first position
+	slot := make([]int, spec.K()) // 0 = block not requested, else 1+position
 	offs := make([]int, len(blocks)+1)
 	for bi, l := range blocks {
-		offs[bi+1] = offs[bi]
-		if slot[l] == 0 {
-			slot[l] = bi + 1
-			offs[bi+1] += ent.counts[l]
-		}
+		slot[l] = bi + 1
+		offs[bi+1] = offs[bi] + ent.counts[l]
 	}
 	flat := make([]int32, offs[len(blocks)])
 	next := append([]int(nil), offs[:len(blocks)]...)
@@ -541,9 +536,8 @@ func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
 		}
 	}
 	rows := make([][]int32, len(blocks))
-	for bi, l := range blocks {
-		first := slot[l] - 1
-		rows[bi] = flat[offs[first]:offs[first+1]:offs[first+1]]
+	for bi := range blocks {
+		rows[bi] = flat[offs[bi]:offs[bi+1]:offs[bi+1]]
 	}
 	return rows, nil
 }
@@ -585,31 +579,25 @@ func batchEnd(rows [][]int32, lo, budget int) int {
 	return hi
 }
 
-// DetectAssignedSingle runs the per-pattern coordinator step of
-// PatDetectS/PatDetectRT for all blocks assigned to this site: each
-// block checks only its own pattern row (Lemma 6).
+// DetectAssignedSingle is DetectAssignedSet for one CFD.
 func (s *Site) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error) {
-	out, err := s.detectAssigned(ctx, taskPrefix, spec, blocks, []*cfd.CFD{c}, true)
+	out, err := s.DetectAssignedSet(ctx, taskPrefix, spec, blocks, []*cfd.CFD{c})
 	if err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// DetectAssignedSet runs the coordinator step of a merged cluster:
-// each CFD's full tableau is checked inside every assigned block.
+// DetectAssignedSet runs the coordinator step of PatDetectS/PatDetectRT
+// and of a merged cluster: for every assigned block, the local block
+// plus its deposits is checked against each CFD's Lemma 6 restriction
+// to the block (BlockSpec.Restrict), skipping a CFD no row of which can
+// match there. σ never splits an X-group, so the blocks report
+// disjoint patterns and their union needs no dedup.
 func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
 	if len(cfds) == 0 {
 		return nil, fmt.Errorf("core: site %d: DetectAssignedSet with no CFDs", s.id)
 	}
-	return s.detectAssigned(ctx, taskPrefix, spec, blocks, cfds, false)
-}
-
-// detectAssigned is the coordinator step behind both RPCs: for every
-// assigned block, the local block plus its deposits is checked against
-// each CFD — restricted to the block's own pattern row when restrict
-// is set (the caller then passes the one CFD the spec was built from).
-func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *BlockSpec, blocks []int, cfds []*cfd.CFD, restrict bool) ([]*relation.Relation, error) {
 	// Project the assigned blocks in consecutive batches under a fixed
 	// row budget instead of materializing them all up front: each batch is
 	// one chunk-ordered gather, and the peak footprint is one batch plus
@@ -620,16 +608,16 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 	if err != nil {
 		return nil, err
 	}
-	attrs := taskAttrs(spec, cfds)
-	shipName := s.frag.Schema().Name() + "_ship"
 	out, err := emptyPatternRelations(s.frag.Schema(), cfds)
 	if err != nil {
 		return nil, err
 	}
-	seens := make([]map[string]struct{}, len(cfds))
-	for i := range seens {
-		seens[i] = map[string]struct{}{}
+	inBlock, err := spec.Restrict(cfds)
+	if err != nil {
+		return nil, err
 	}
+	attrs := taskAttrs(spec, cfds)
+	shipName := s.frag.Schema().Name() + "_ship"
 	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
 		hi = batchEnd(rows, lo, gatherBatchRows)
 		locals, err := s.frag.ProjectBlocks(shipName, attrs, rows[lo:hi])
@@ -644,15 +632,18 @@ func (s *Site) detectAssigned(ctx context.Context, taskPrefix string, spec *Bloc
 			if err != nil {
 				return nil, err
 			}
-			for ci, c := range cfds {
-				if restrict {
-					c = spec.RestrictCFD(c, l)
+			for ci := range cfds {
+				c := inBlock(ci, l)
+				if c == nil {
+					continue
 				}
 				pats, err := s.kern.ViolationPatterns(merged, c, engine.Opts{Workers: s.intraWorkers})
 				if err != nil {
 					return nil, err
 				}
-				appendDistinct(out[ci], seens[ci], pats)
+				for _, t := range pats.Tuples() {
+					out[ci].MustAppend(t)
+				}
 			}
 		}
 	}
@@ -679,29 +670,6 @@ func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*re
 	parts = append(parts, local)
 	parts = append(parts, deps...)
 	return relation.Concat(parts...)
-}
-
-// appendDistinct appends to dst, in first-seen order, the rows of parts
-// not already recorded in seen — the one union of X-tuple relations.
-// Nil parts (sites that contributed nothing) are skipped.
-func appendDistinct(dst *relation.Relation, seen map[string]struct{}, parts ...*relation.Relation) {
-	all := make([]int, dst.Schema().Arity())
-	for i := range all {
-		all[i] = i
-	}
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		for _, t := range p.Tuples() {
-			k := t.Key(all)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			dst.MustAppend(t)
-		}
-	}
 }
 
 // taskBase strips a BlockTask suffix: "prefix/b3" → "prefix".
@@ -962,9 +930,14 @@ func taskAttrs(spec *BlockSpec, cfds []*cfd.CFD) []string {
 	return out
 }
 
+// emptyPatternRelations checks every CFD against schema and returns an
+// empty X-pattern relation for each.
 func emptyPatternRelations(schema *relation.Schema, cfds []*cfd.CFD) ([]*relation.Relation, error) {
 	out := make([]*relation.Relation, len(cfds))
 	for i, c := range cfds {
+		if err := c.Validate(schema); err != nil {
+			return nil, err
+		}
 		ps, err := schema.Project("viopi_"+c.Name, c.X)
 		if err != nil {
 			return nil, err

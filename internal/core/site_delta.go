@@ -76,12 +76,9 @@ type FoldArgs struct {
 	Spec *BlockSpec
 	// Blocks lists every block this site coordinates for the session.
 	Blocks []int
-	// CFDs are the dependencies checked inside each block. With
-	// RestrictSingle (a unit with exactly one variable view), CFDs holds
-	// exactly one entry and each block checks the Lemma 6 restriction of
-	// it; otherwise every CFD's full tableau is checked per block.
-	CFDs           []*cfd.CFD
-	RestrictSingle bool
+	// CFDs are the dependencies checked inside each block, each by its
+	// Lemma 6 restriction to the block (BlockSpec.Restrict).
+	CFDs []*cfd.CFD
 	// Seed resets the session's states and folds the full local blocks
 	// (Shipped then carries the other sites' full blocks as inserts).
 	Seed bool
@@ -96,8 +93,9 @@ type FoldArgs struct {
 
 // FoldReply reports a coordinator's fold: per CFD, the X-patterns that
 // started (Added) and stopped (Removed) violating since the session's
-// last reply — a seed adds every current one — once per block state
-// that holds them, and the generation the local fold advanced to.
+// last reply — a seed adds every current one — and the generation the
+// local fold advanced to. A pattern lives in exactly one block state,
+// so neither list repeats one.
 type FoldReply struct {
 	Added, Removed []*relation.Relation
 	ToGen          int64
@@ -113,7 +111,8 @@ type deltaLogEntry struct {
 }
 
 // foldSession is the retained coordinator state of one incremental
-// session: per block, one IncrementalState per folded CFD.
+// session: per block, one IncrementalState per folded CFD (nil for a
+// CFD whose restriction to the block is empty).
 type foldSession struct {
 	specFP string
 	states map[int][]*engine.IncrementalState
@@ -324,17 +323,22 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	if len(args.CFDs) == 0 {
 		return nil, fmt.Errorf("core: site %d: FoldDetect with no CFDs", s.id)
 	}
-	if args.RestrictSingle && len(args.CFDs) != 1 {
-		return nil, fmt.Errorf("core: site %d: RestrictSingle with %d CFDs", s.id, len(args.CFDs))
-	}
 	if err := args.Spec.check(args.Blocks...); err != nil {
 		return nil, err
 	}
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
 
-	attrs := taskAttrs(args.Spec, args.CFDs)
 	schema := s.frag.Schema()
+	added, err := emptyPatternRelations(schema, args.CFDs)
+	if err != nil {
+		return nil, err
+	}
+	inBlock, err := args.Spec.Restrict(args.CFDs)
+	if err != nil {
+		return nil, err
+	}
+	attrs := taskAttrs(args.Spec, args.CFDs)
 	ps, err := schema.Project(schema.Name()+"_fold", attrs)
 	if err != nil {
 		return nil, err
@@ -367,11 +371,14 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		states, err := sess.statesFor(l, args)
+		states, err := sess.statesFor(l, len(args.CFDs), inBlock)
 		if err != nil {
 			return nil, err
 		}
 		for _, st := range states {
+			if st == nil {
+				continue
+			}
 			for _, db := range sources {
 				for k, blocks := range [2]map[int]*relation.Relation{db.Ins, db.Del} {
 					if err := st.FoldRelation(blocks[l], k == 0); err != nil {
@@ -384,15 +391,13 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 
 	// Every state tracks flips from its creation, so a fold replies with
 	// the flips since the last reply — a seed's are its full set.
-	added, err := emptyPatternRelations(schema, args.CFDs)
-	if err != nil {
-		return nil, err
-	}
 	reply := &FoldReply{Added: added, Removed: make([]*relation.Relation, len(added)), ToGen: s.gen}
 	for ci := range args.CFDs {
 		reply.Removed[ci] = relation.New(added[ci].Schema())
 		for _, l := range args.Blocks {
-			sess.states[l][ci].Changes(added[ci], reply.Removed[ci])
+			if st := sess.states[l][ci]; st != nil {
+				st.Changes(added[ci], reply.Removed[ci])
+			}
 		}
 	}
 	return reply, nil
@@ -448,23 +453,23 @@ func (s *Site) foldSessionFor(args FoldArgs, ps *relation.Schema) (*foldSession,
 }
 
 // statesFor returns (creating on first touch) the per-CFD states of
-// one block, each tracking flips from empty. A block born after the
-// seed receives its entire content as deltas, which rebuilds it exactly.
-func (sess *foldSession) statesFor(l int, args FoldArgs) ([]*engine.IncrementalState, error) {
+// one block, each over the CFD's restriction to the block and tracking
+// flips from empty. A block born after the seed receives its entire
+// content as deltas, which rebuilds it exactly.
+func (sess *foldSession) statesFor(l, cfds int, inBlock func(ci, l int) *cfd.CFD) ([]*engine.IncrementalState, error) {
 	if states := sess.states[l]; states != nil {
-		if len(states) != len(args.CFDs) {
-			return nil, fmt.Errorf("%w (block %d folded %d CFDs, asked %d)",
-				ErrStaleIncremental, l, len(states), len(args.CFDs))
+		if len(states) != cfds {
+			return nil, fmt.Errorf("%w (block %d folded %d CFDs, asked %d)", ErrStaleIncremental, l, len(states), cfds)
 		}
 		return states, nil
 	}
-	states := make([]*engine.IncrementalState, len(args.CFDs))
-	for ci, c := range args.CFDs {
-		folded := c
-		if args.RestrictSingle {
-			folded = args.Spec.RestrictCFD(c, l)
+	states := make([]*engine.IncrementalState, cfds)
+	for ci := range states {
+		c := inBlock(ci, l)
+		if c == nil {
+			continue
 		}
-		st, err := engine.NewIncrementalState(sess.schema, folded, false)
+		st, err := engine.NewIncrementalState(sess.schema, c, false)
 		if err != nil {
 			return nil, err
 		}

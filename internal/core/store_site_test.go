@@ -129,11 +129,21 @@ func TestStoreSiteMatchesMemorySite(t *testing.T) {
 		}
 		sameRelation(t, "DetectConstantsLocal "+c.Name, gotPats, wantPats)
 
-		wantD, err := mem.DetectAssignedSingle(ctx, "t", spec, blocks, c)
+		// A coordinator checks a rule over a spec its LHS covers: the
+		// rule's own.
+		cspec, err := SpecFromCFD(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotD, err := store.DetectAssignedSingle(ctx, "t", spec, blocks, c)
+		cblocks := make([]int, cspec.K())
+		for l := range cblocks {
+			cblocks[l] = l
+		}
+		wantD, err := mem.DetectAssignedSingle(ctx, "t", cspec, cblocks, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotD, err := store.DetectAssignedSingle(ctx, "t", cspec, cblocks, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -790,9 +800,10 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				}
 			}
 
-			// Unsorted and duplicate entries in wanted, through the site.
+			// Unsorted entries in wanted, through the site (a repeated
+			// one is refused: TestSiteRejectsMalformedArgs).
 			spec := storeTestSpec(t)
-			wanted := []int{2, 0, 2, 1, 0}
+			wanted := []int{2, 0, 1}
 			gotB, err := store.ExtractBlocksBatch(ctx, spec, attrs, wanted)
 			if err != nil {
 				t.Fatal(err)
@@ -805,7 +816,7 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				t.Fatalf("ExtractBlocksBatch returned %d blocks, want 3", len(gotB))
 			}
 			for l := range wantB {
-				sameRelation(t, "wanted with duplicates", gotB[l], wantB[l])
+				sameRelation(t, "unsorted wanted", gotB[l], wantB[l])
 			}
 		})
 	}

@@ -102,7 +102,7 @@ type detectScratch struct {
 }
 
 // xPos is one X position of the CFD under check, as its live patterns
-// restrict it: pinned to one ID (id; filtered, not folded), to a set of
+// constrain it: pinned to one ID (id; filtered, not folded), to a set of
 // IDs (the bitmap at admit[bm:]; filtered and folded), or to nothing
 // (folded). ids is the position's whole column.
 type xPos struct {

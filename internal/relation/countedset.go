@@ -5,16 +5,16 @@ import (
 	"slices"
 )
 
-// CountedSet is a set of distinct tuples over one schema, each held
-// with a count — how many sources report it — and kept sorted by every
-// attribute in schema order, as SortBy(schema.Attrs()...) leaves a
-// relation. A tuple is in the set while its count is positive. Update
-// applies one batch of reports in time linear in the set plus the
-// batch: only the batch is sorted, never the set.
+// CountedSet is a set of distinct tuples over one schema, kept sorted by
+// every attribute in schema order, as SortBy(schema.Attrs()...) leaves a
+// relation. Each tuple has one reporting source, so Update takes only
+// changes: a tuple is added while absent and removed while held. It
+// applies one batch in time linear in the set plus the batch: only the
+// batch is sorted, never the set.
 type CountedSet struct {
 	schema *Schema
 	all    []int // every column: the key and the sort order
-	count  map[string]int
+	held   map[string]struct{}
 	sorted *Relation
 }
 
@@ -24,18 +24,17 @@ func NewCountedSet(s *Schema) *CountedSet {
 	for i := range all {
 		all[i] = i
 	}
-	return &CountedSet{schema: s, all: all, count: map[string]int{}, sorted: New(s)}
+	return &CountedSet{schema: s, all: all, held: map[string]struct{}{}, sorted: New(s)}
 }
 
-// Update counts every tuple of removed down, then every tuple of added
-// up, and returns the set as a fresh sorted relation: the tuples whose
-// count left zero merge into the previous relation and those whose
-// count returned there are filtered out of it, so a relation an earlier
-// Update returned is never changed. The returned relation is the set's
-// own: read it, do not change it. Every relation must be over the set's
-// attributes (nil is empty) and no removal may take a count below zero;
-// a batch that breaks either is refused with an error, and the set is
-// then undefined.
+// Update removes every tuple of removed, then adds every tuple of added,
+// and returns the set as a fresh sorted relation: the added tuples merge
+// into the previous relation and the removed ones are filtered out of
+// it, so a relation an earlier Update returned is never changed. The
+// returned relation is the set's own: read it, do not change it. Every
+// relation must be over the set's attributes (nil is empty), a removed
+// tuple must be held and an added one must not be; a batch that breaks
+// any of these is refused with an error, and the set is then undefined.
 func (cs *CountedSet) Update(added, removed []*Relation) (*Relation, error) {
 	born, gone := New(cs.schema), New(cs.schema)
 	for _, r := range removed {
@@ -45,15 +44,11 @@ func (cs *CountedSet) Update(added, removed []*Relation) (*Relation, error) {
 		}
 		for _, t := range ts {
 			k := t.Key(cs.all)
-			switch n := cs.count[k]; n {
-			case 0:
+			if _, ok := cs.held[k]; !ok {
 				return nil, fmt.Errorf("relation: removing %v, which the set does not hold", t)
-			case 1:
-				delete(cs.count, k)
-				gone.tuples = append(gone.tuples, t)
-			default:
-				cs.count[k] = n - 1
 			}
+			delete(cs.held, k)
+			gone.tuples = append(gone.tuples, t)
 		}
 	}
 	for _, r := range added {
@@ -63,9 +58,11 @@ func (cs *CountedSet) Update(added, removed []*Relation) (*Relation, error) {
 		}
 		for _, t := range ts {
 			k := t.Key(cs.all)
-			if cs.count[k]++; cs.count[k] == 1 {
-				born.tuples = append(born.tuples, t)
+			if _, ok := cs.held[k]; ok {
+				return nil, fmt.Errorf("relation: adding %v, which the set already holds", t)
 			}
+			cs.held[k] = struct{}{}
+			born.tuples = append(born.tuples, t)
 		}
 	}
 	attrs := cs.schema.Attrs()

@@ -31,40 +31,41 @@ func TestMergeSorted(t *testing.T) {
 	}
 }
 
-// TestCountedSetMatchesSort drives random batches — several sources
-// reporting one tuple, a tuple removed and re-added in one batch, values
+// TestCountedSetMatchesSort drives random batches — changes spread over
+// several sources, a tuple removed and re-added in one batch, values
 // around the key separator — and checks every Update against sorting the
-// tuples whose count is positive, and every earlier result against what
-// it was when returned.
+// held tuples, and every earlier result against what it was when
+// returned.
 func TestCountedSetMatchesSort(t *testing.T) {
 	s := MustSchema("P", []string{"x", "y"})
 	vals := []string{"", "a", "b", "a\x1f", "\x1fb", "c"}
 	rng := rand.New(rand.NewSource(7))
 	cs := NewCountedSet(s)
-	count := map[string]int{}
-	tuples := map[string]Tuple{}
+	held := map[string]Tuple{}
 	var results []*Relation
 	var texts []string
 	for round := 0; round < 300; round++ {
-		// Removals only take what the set held before the batch: Update
-		// applies every removal first.
+		// Removals only take what the set held before the batch, and
+		// additions only what it does not hold after them: Update applies
+		// every removal first.
 		added, removed := make([]*Relation, 3), make([]*Relation, 3)
 		for src := range removed {
 			removed[src] = New(s)
-			for _, k := range slices.Sorted(maps.Keys(count)) {
-				if count[k] > 0 && rng.Intn(5) == 0 {
-					count[k]--
-					removed[src].MustAppend(tuples[k])
-				}
+		}
+		for _, k := range slices.Sorted(maps.Keys(held)) {
+			if rng.Intn(5) == 0 {
+				removed[rng.Intn(len(removed))].MustAppend(held[k])
+				delete(held, k)
 			}
 		}
 		for src := range added {
 			added[src] = New(s)
 			for n := rng.Intn(4); n > 0; n-- {
 				tp := Tuple{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]}
-				tuples[tp.canon()] = tp
-				count[tp.canon()]++
-				added[src].MustAppend(tp)
+				if _, ok := held[tp.canon()]; !ok {
+					held[tp.canon()] = tp
+					added[src].MustAppend(tp)
+				}
 			}
 		}
 		got, err := cs.Update(added, removed)
@@ -72,10 +73,8 @@ func TestCountedSetMatchesSort(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		want := New(s)
-		for k, n := range count {
-			if n > 0 {
-				want.MustAppend(tuples[k])
-			}
+		for _, tp := range held {
+			want.MustAppend(tp)
 		}
 		if err := want.SortBy("x", "y"); err != nil {
 			t.Fatal(err)
@@ -93,16 +92,33 @@ func TestCountedSetMatchesSort(t *testing.T) {
 }
 
 // TestCountedSetRefuses: a batch over other attributes or of another
-// arity, or one removing a tuple the set does not hold, is an error.
+// arity, one removing a tuple the set does not hold, and one adding a
+// tuple it holds — from an earlier batch or from another source of the
+// same batch — is an error.
 func TestCountedSetRefuses(t *testing.T) {
 	s := MustSchema("P", []string{"x", "y"})
-	for name, batch := range map[string][2][]*Relation{
-		"other-attributes": {{MustFromRows(MustSchema("Q", []string{"y", "x"}), []string{"a", "b"})}, nil},
-		"other-arity":      {{MustFromRows(MustSchema("Q", []string{"x", "y", "z"}), []string{"a", "b", "c"})}, nil},
-		"unheld-removal":   {nil, {MustFromRows(s, []string{"a", "b"})}},
+	ab := func() *Relation { return MustFromRows(s, []string{"a", "b"}) }
+	for _, tc := range []struct {
+		name           string
+		holdsAB        bool // the set holds (a, b) before the batch
+		added, removed []*Relation
+	}{
+		{"other-attributes", false, []*Relation{MustFromRows(MustSchema("Q", []string{"y", "x"}), []string{"a", "b"})}, nil},
+		{"other-arity", false, []*Relation{MustFromRows(MustSchema("Q", []string{"x", "y", "z"}), []string{"a", "b", "c"})}, nil},
+		{"unheld-removal", false, nil, []*Relation{ab()}},
+		{"removed-twice", true, []*Relation{ab()}, []*Relation{ab(), ab()}},
+		{"held-addition", true, []*Relation{ab()}, nil},
+		{"added-by-two-sources", false, []*Relation{ab(), ab()}, nil},
+		{"added-twice-by-one", false, []*Relation{MustFromRows(s, []string{"a", "b"}, []string{"a", "b"})}, nil},
 	} {
-		if _, err := NewCountedSet(s).Update(batch[0], batch[1]); err == nil {
-			t.Errorf("%s: accepted", name)
+		cs := NewCountedSet(s)
+		if tc.holdsAB {
+			if _, err := cs.Update([]*Relation{ab()}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cs.Update(tc.added, tc.removed); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

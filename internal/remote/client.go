@@ -481,16 +481,24 @@ func (r *RemoteSite) DetectTask(ctx context.Context, task string, local core.Loc
 		&DetectTaskArgs{Task: task, Local: local, CFDs: cfds}, fromWireSlice)
 }
 
-// DetectAssignedSingle forwards to the remote site.
+// DetectAssignedSingle is DetectAssignedSet for one CFD.
 func (r *RemoteSite) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, c *cfd.CFD) (*relation.Relation, error) {
-	return callDecode(ctx, r, "DetectAssignedSingle",
-		&DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFD: c}, FromWire)
+	out, err := r.DetectAssignedSet(ctx, taskPrefix, spec, blocks, []*cfd.CFD{c})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // DetectAssignedSet forwards to the remote site.
 func (r *RemoteSite) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *core.BlockSpec, blocks []int, cfds []*cfd.CFD) ([]*relation.Relation, error) {
-	return callDecode(ctx, r, "DetectAssignedSet",
-		&DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds}, fromWireSlice)
+	return callDecode(ctx, r, "DetectAssignedSet", &DetectAssignedArgs{TaskPrefix: taskPrefix, Spec: spec, Blocks: blocks, CFDs: cfds},
+		func(ws []*WireRelation) ([]*relation.Relation, error) {
+			if len(ws) != len(cfds) {
+				return nil, fmt.Errorf("remote: site %d replied %d pattern sets for %d CFDs", r.id, len(ws), len(cfds))
+			}
+			return fromWireSlice(ws)
+		})
 }
 
 // DetectConstantsLocal forwards to the remote site.
@@ -523,8 +531,7 @@ func (r *RemoteSite) ExtractDeltaBlocks(ctx context.Context, spec *core.BlockSpe
 // inline.
 func (r *RemoteSite) FoldDetect(ctx context.Context, args core.FoldArgs) (*core.FoldReply, error) {
 	w := &FoldArgs{Session: args.Session, Spec: args.Spec, Blocks: args.Blocks, CFDs: args.CFDs,
-		RestrictSingle: args.RestrictSingle, Seed: args.Seed, FromGen: args.FromGen,
-		Shipped: make([]DeltaBlocksReply, len(args.Shipped))}
+		Seed: args.Seed, FromGen: args.FromGen, Shipped: make([]DeltaBlocksReply, len(args.Shipped))}
 	for i, db := range args.Shipped {
 		w.Shipped[i] = deltaToWire(db)
 	}

@@ -539,9 +539,11 @@ func serveRPC(t *testing.T, svc any) string {
 // rewrites one kind of reply on its way out: the σ counts of SigmaStats
 // or of a later round's extract (one too many, one too few, a negative
 // one), a fresh run's or a seed's extracted blocks (one row more than
-// the σ count, as valid packed payloads named "oversized"), or a later
-// fold's pattern changes (missing, over more attributes than the CFD's
-// X, over an attribute outside it, removing a pattern never added).
+// the σ count, as valid packed payloads named "oversized"), a fresh
+// run's coordinator check (no pattern set at all), or a later fold's
+// pattern changes (missing, over more attributes than the CFD's X, over
+// an attribute outside it, removing a pattern never added, adding more
+// patterns than the fold holds rows, adding one already added).
 // forwarded counts the oversized blocks that reach a Deposit or a fold.
 type hostileReplies struct {
 	*SiteService
@@ -578,6 +580,14 @@ func (h hostileReplies) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*Wir
 		for l, w := range *reply {
 			(*reply)[l] = oversized(w)
 		}
+	}
+	return err
+}
+
+func (h hostileReplies) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
+	err := h.SiteService.DetectAssignedSet(args, reply)
+	if err == nil && h.mode.Load() == "detect-short" {
+		*reply = nil
 	}
 	return err
 }
@@ -637,6 +647,14 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 		return &WireRelation{Name: "viopi_h", Attrs: attrs, Rows: 1,
 			Tuples: colstore.EncodeRowSection(nil, []relation.Tuple{vals})}
 	}
+	overA := func(vals ...string) *WireRelation { // one pattern over [a] per value
+		rows := make([]relation.Tuple, len(vals))
+		for i, v := range vals {
+			rows[i] = relation.Tuple{v}
+		}
+		return &WireRelation{Name: "viopi_h", Attrs: []string{"a"}, Rows: len(rows),
+			Tuples: colstore.EncodeRowSection(nil, rows)}
+	}
 	for _, c := range sectionCases {
 		if h.mode.Load() == "fold-"+c.name {
 			reply.Added[0] = pattern([]string{"a"}, "a7")
@@ -652,6 +670,10 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 		reply.Added[0] = pattern([]string{"b"}, "b7")
 	case "fold-removes-unheld":
 		reply.Removed[0] = pattern([]string{"a"}, "a7")
+	case "fold-inflated": // more patterns than the 5 rows the fold holds
+		reply.Added[0] = overA("a2", "z0", "z1", "z2", "z3", "z4")
+	case "fold-duplicate-added": // a0 has violated since the seed
+		reply.Added[0] = overA("a0", "a2")
 	}
 	return nil
 }
@@ -661,9 +683,11 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 // length or with a negative count — from SigmaStats at the seed or from
 // a later round's extract — an extracted block longer than its σ count
 // — in a fresh run's ExtractBlocksBatch or a seed's ExtractDeltaBlocks,
-// refused before anything forwards it — and a fold reply with its
+// refused before anything forwards it — a coordinator check replying
+// no pattern set, and a fold reply with its
 // pattern sets missing, over other attributes than the CFD's X,
-// removing a pattern never added, or carried in a malformed values
+// removing a pattern never added, adding more patterns than its blocks
+// hold rows or one already added, or carried in a malformed values
 // section (sectionCases), fail the run with a plain error instead of a
 // panic or a wrong answer, and the next round reseeds and equals a
 // fresh Detect.
@@ -677,8 +701,9 @@ func TestHostileRepliesRefused(t *testing.T) {
 	modes := []string{
 		"sigma-long", "sigma-short", "sigma-negative",
 		"extract-long", "extract-short", "extract-negative",
-		"ship-oversized", "seed-oversized",
+		"ship-oversized", "seed-oversized", "detect-short",
 		"fold-missing", "fold-wider-than-X", "fold-outside-X", "fold-removes-unheld",
+		"fold-inflated", "fold-duplicate-added",
 	}
 	for _, c := range sectionCases {
 		modes = append(modes, "fold-"+c.name)
@@ -720,7 +745,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 				}
 			}
 			garbled := p.DetectIncremental
-			if mode == "ship-oversized" {
+			if mode == "ship-oversized" || mode == "detect-short" {
 				garbled = p.Detect
 			}
 			garbling.Store(mode)

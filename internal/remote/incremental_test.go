@@ -285,7 +285,7 @@ func TestRemoteStaleSignalCrossesWire(t *testing.T) {
 	// A fold against a session never seeded must report staleness.
 	_, err = sites[0].FoldDetect(context.Background(), core.FoldArgs{
 		Session: "never-seeded", Spec: spec, Blocks: []int{0},
-		CFDs: []*cfd.CFD{workload.EMPCFDs()[0]}, RestrictSingle: true, FromGen: 0,
+		CFDs: []*cfd.CFD{workload.EMPCFDs()[0]}, FromGen: 0,
 	})
 	if !core.IsStaleIncremental(err) {
 		t.Fatalf("stale signal lost over the wire: %v", err)

@@ -307,24 +307,16 @@ func (s *SiteService) DetectTask(args DetectTaskArgs, reply *[]*WireRelation) er
 	})
 }
 
-// DetectAssignedArgs parameterizes the per-pattern coordinator steps.
+// DetectAssignedArgs parameterizes the coordinator step.
 type DetectAssignedArgs struct {
 	WireHeader
 	TaskPrefix string
 	Spec       *core.BlockSpec
 	Blocks     []int
-	CFD        *cfd.CFD
 	CFDs       []*cfd.CFD
 }
 
-// DetectAssignedSingle runs the PatDetect coordinator step.
-func (s *SiteService) DetectAssignedSingle(args DetectAssignedArgs, reply *WireRelation) error {
-	return s.work(args.WireHeader, func(ctx context.Context) error {
-		return into(reply, wireValue)(s.site.DetectAssignedSingle(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFD))
-	})
-}
-
-// DetectAssignedSet runs the coordinator step of a merged cluster.
+// DetectAssignedSet runs the coordinator step.
 func (s *SiteService) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
 	return s.work(args.WireHeader, func(ctx context.Context) error {
 		return into(reply, toWireSlice)(s.site.DetectAssignedSet(ctx, args.TaskPrefix, args.Spec, args.Blocks, args.CFDs))
@@ -421,14 +413,13 @@ func (s *SiteService) ExtractDeltaBlocks(args DeltaBlocksArgs, reply *DeltaBlock
 // source site; only Ins and Del are read.
 type FoldArgs struct {
 	WireHeader
-	Session        string
-	Spec           *core.BlockSpec
-	Blocks         []int
-	CFDs           []*cfd.CFD
-	RestrictSingle bool
-	Seed           bool
-	FromGen        int64
-	Shipped        []DeltaBlocksReply
+	Session string
+	Spec    *core.BlockSpec
+	Blocks  []int
+	CFDs    []*cfd.CFD
+	Seed    bool
+	FromGen int64
+	Shipped []DeltaBlocksReply
 }
 
 // FoldReply carries the coordinator's per-CFD pattern changes.
@@ -441,8 +432,7 @@ type FoldReply struct {
 // delta blocks, which are verified before the site sees any of them.
 func (s *SiteService) FoldDetect(args FoldArgs, reply *FoldReply) error {
 	fa := core.FoldArgs{Session: args.Session, Spec: args.Spec, Blocks: args.Blocks, CFDs: args.CFDs,
-		RestrictSingle: args.RestrictSingle, Seed: args.Seed, FromGen: args.FromGen,
-		Shipped: make([]*core.DeltaBlocks, len(args.Shipped))}
+		Seed: args.Seed, FromGen: args.FromGen, Shipped: make([]*core.DeltaBlocks, len(args.Shipped))}
 	for i, w := range args.Shipped {
 		db, err := deltaFromWire(w)
 		if err != nil {

@@ -25,9 +25,9 @@ import (
 // alone could never catch: that check runs in the new driver) and a new
 // driver against an old site both fail loudly, once. One version plus
 // wire.golden is the whole compatibility story.
-const WireVersion = 12
+const WireVersion = 13
 
-const serviceName = "SiteV12"
+const serviceName = "SiteV13"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
 // carries at most one of three payloads: the row form (Tuples), the
