@@ -78,7 +78,7 @@ chaos-load:
 fuzz-smoke:
 	@set -e; for t in internal/engine:FuzzKernel internal/engine:FuzzIncremental internal/colstore:FuzzChunkCodec internal/colstore:FuzzDeltaLog internal/remote:FuzzWirePacked internal/remote:FuzzWireSections \
 			internal/cfd:FuzzParseRules internal/remote:FuzzErrorEnvelope internal/colstore:FuzzFragmentOpen cmd/cfddetect:FuzzFollowLine \
-			internal/relation:FuzzDictChain internal/core:FuzzSiteArgs; do \
+			internal/relation:FuzzDictChain internal/relation:FuzzConcat internal/core:FuzzSiteArgs; do \
 		echo "== fuzz $${t#*:} (10s)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime 10s ./$${t%%:*}; \
 	done
@@ -133,12 +133,17 @@ bench-compare:
 # command) between the checkout at BASE — a `git clone` or `git archive`
 # copy of the parent commit — and this one, reporting per end-to-end
 # metric each side's median and quartiles, the pairs won and the failed
-# operations. `make bench-pairs BASE=/path/to/parent W=bulk-store-tcp
-# N=10`; SEED=7 in the environment picks another input seed.
+# operations, and whether the claim rule holds (won >= 9 in 10 pairs and
+# |Δ median| above the base's quartile spread). `make bench-pairs
+# BASE=/path/to/parent W=bulk-store-tcp N=10`; SEED=7 in the environment
+# picks another input seed, and SCALE and SECONDS (default 0.25 and 15,
+# the benchmark's own) pass through to every run.
 W ?= bulk-store-tcp
 N ?= 10
+SCALE ?= 0.25
+SECONDS ?= 15
 bench-pairs:
-	@sh scripts/bench_pairs.sh "$(BASE)" "$(W)" "$(N)"
+	@SCALE="$(SCALE)" SECONDS="$(SECONDS)" sh scripts/bench_pairs.sh "$(BASE)" "$(W)" "$(N)"
 
 # loc prints the non-test Go line count of every package outside
 # bench/ — the figure ROADMAP's state paragraph and the simplicity
@@ -156,7 +161,7 @@ loc:
 # its own result in the same commit, so the target can only be
 # approached. The total non-test count outside bench/ is printed beside
 # it for the record; it is not gated.
-LOC_CEILING = 6854
+LOC_CEILING = 6852
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
 		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } $$2 == "total" { t = $$1 } \

@@ -226,18 +226,7 @@ func (st *unitInc) round(ctx context.Context, u *unit, fs *faultState, m *dist.M
 		if len(reps[j].Added) != len(detectCFDs) || len(reps[j].Removed) != len(detectCFDs) {
 			return fmt.Errorf("core: site %d folded %d CFDs but replied %d/%d pattern sets", j, len(detectCFDs), len(reps[j].Added), len(reps[j].Removed))
 		}
-		held := 0 // an added pattern is the group of a tuple the blocks hold
-		for _, l := range bySite[j] {
-			for i := range lstat {
-				held += lstat[i][l]
-			}
-		}
-		for vi, added := range reps[j].Added {
-			if added != nil && added.Len() > held {
-				return fmt.Errorf("core: site %d added %d patterns for %s, but its blocks hold %d tuples", j, added.Len(), detectCFDs[vi].Name, held)
-			}
-		}
-		return nil
+		return checkHeld(j, bySite[j], lstat, detectCFDs, reps[j].Added)
 	}); err != nil {
 		return nil, nil, err
 	}

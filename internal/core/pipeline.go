@@ -263,6 +263,9 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 			return nil
 		}
 		perCFD, err := fs.sites[j].DetectAssignedSet(ctx, task, spec, bySite[j], u.views)
+		if err == nil {
+			err = checkHeld(j, bySite[j], lstat, u.views, perCFD)
+		}
 		if err != nil {
 			return err
 		}
@@ -277,6 +280,23 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 		return nil, err
 	}
 	return parts, nil
+}
+
+// checkHeld refuses a reply whose patterns for a CFD outnumber the
+// tuples site j's blocks hold: each is the group of one of them.
+func checkHeld(j int, blocks []int, lstat [][]int, cfds []*cfd.CFD, sets []*relation.Relation) error {
+	held := 0
+	for _, l := range blocks {
+		for _, counts := range lstat {
+			held += counts[l]
+		}
+	}
+	for vi, set := range sets {
+		if set != nil && set.Len() > held {
+			return fmt.Errorf("core: site %d replied %d patterns for %s, but its blocks hold %d tuples", j, set.Len(), cfds[vi].Name, held)
+		}
+	}
+	return nil
 }
 
 // checkBlockLen refuses, before anything forwards it, an extracted block

@@ -308,10 +308,12 @@ type Site struct {
 	frag siteFragment
 	pred relation.Predicate
 
-	// kern pools the detection-kernel scratch of every check this site
-	// runs; intraWorkers is the row-shard budget of each such check
+	// kern and merges pool the kernel scratch of every check this site
+	// runs and the relation.Merge its coordinator checks build blocks in;
+	// intraWorkers is the row-shard budget of each such check
 	// (GOMAXPROCS when the site is built, see SetDetectParallelism).
 	kern         engine.Kernel
+	merges       sync.Pool
 	intraWorkers int
 
 	mu        sync.Mutex
@@ -618,6 +620,8 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 	}
 	attrs := taskAttrs(spec, cfds)
 	shipName := s.frag.Schema().Name() + "_ship"
+	merge := s.merges.Get().(*relation.Merge)
+	defer func() { merge.Shrink(); s.merges.Put(merge) }()
 	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
 		hi = batchEnd(rows, lo, gatherBatchRows)
 		locals, err := s.frag.ProjectBlocks(shipName, attrs, rows[lo:hi])
@@ -628,7 +632,7 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			merged, err := mergeWithDeposits(locals[bi], s.takeDeposits(BlockTask(taskPrefix, l)))
+			merged, err := mergeWithDeposits(merge, locals[bi], s.takeDeposits(BlockTask(taskPrefix, l)))
 			if err != nil {
 				return nil, err
 			}
@@ -650,26 +654,15 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 	return out, nil
 }
 
-// mergeWithDeposits unions the local block with the shipped batches.
-// Concat derives the merged relation's encoded columns from the parts'
-// (the local extract and every deposit arrive already encoded), so the
-// coordinator's check stays in ID space end-to-end. Arity mismatches
-// between local and shipped projections surface here.
-func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*relation.Relation, error) {
+// mergeWithDeposits unions the local block with the shipped batches:
+// the local block as it is when nothing was shipped, else m's merge
+// under the local block's dictionaries, valid until m merges again and
+// checked in place, in ID space. Arity mismatches surface here.
+func mergeWithDeposits(m *relation.Merge, local *relation.Relation, deps []*relation.Relation) (*relation.Relation, error) {
 	if len(deps) == 0 {
 		return local, nil
 	}
-	if local.Len() == 0 && len(deps) == 1 {
-		// One shipped part and nothing local: no Concat needed, the
-		// kernel checks the deposit as it arrived. (Concat would produce
-		// the same rows under fresh dense dicts; the kernel output is
-		// value-determined, so both forms check identically.)
-		return deps[0], nil
-	}
-	parts := make([]*relation.Relation, 0, len(deps)+1)
-	parts = append(parts, local)
-	parts = append(parts, deps...)
-	return relation.Concat(parts...)
+	return m.Concat(append([]*relation.Relation{local}, deps...)...)
 }
 
 // taskBase strips a BlockTask suffix: "prefix/b3" → "prefix".
@@ -763,24 +756,18 @@ func (s *Site) DetectTask(ctx context.Context, task string, local LocalInput, cf
 	// The working schema is the shipped projection schema when deposits
 	// exist, else the local projection; all CFD attributes must be in it.
 	var parts []*relation.Relation
-	switch local.Block {
-	case BlockNone:
-	case BlockAllMatching:
-		if local.Spec == nil {
-			return nil, fmt.Errorf("core: site %d: BlockAllMatching without spec", s.id)
-		}
-		attrs := taskAttrs(local.Spec, cfds)
-		r, err := s.ExtractMatching(ctx, local.Spec, attrs)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, r)
-	default:
+	if local.Block != BlockNone {
 		if local.Spec == nil {
 			return nil, fmt.Errorf("core: site %d: block %d without spec", s.id, local.Block)
 		}
 		attrs := taskAttrs(local.Spec, cfds)
-		r, err := s.ExtractBlock(ctx, local.Spec, local.Block, attrs)
+		var r *relation.Relation
+		var err error
+		if local.Block == BlockAllMatching {
+			r, err = s.ExtractMatching(ctx, local.Spec, attrs)
+		} else {
+			r, err = s.ExtractBlock(ctx, local.Spec, local.Block, attrs)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 
 	"distcfd/internal/relation"
 )
@@ -14,6 +15,7 @@ func newSiteWith(id int, frag siteFragment, pred relation.Predicate) *Site {
 		frag:         frag,
 		pred:         pred,
 		intraWorkers: runtime.GOMAXPROCS(0),
+		merges:       sync.Pool{New: func() any { return new(relation.Merge) }},
 		deposits:     make(map[string][]*relation.Relation),
 		cancelled:    newFifo[struct{}](cancelledCap),
 		nonces:       newFifo[struct{}](nonceCap),

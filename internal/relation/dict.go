@@ -75,6 +75,18 @@ func Chain(parent *Dict) *Dict {
 	if parent.depth+1 > maxChainDepth {
 		parent = parent.merge()
 	}
+	return overlay(parent)
+}
+
+// overlay returns a fresh layer over parent — a fresh root when parent
+// is nil — without Chain's depth merge. Concat uses it for the values
+// a merge's base dictionary lacks: the overlay lives one call, so
+// merging a deep chain's top layers first would copy them on every
+// merge for nothing.
+func overlay(parent *Dict) *Dict {
+	if parent == nil {
+		return NewDict()
+	}
 	return &Dict{
 		parent: parent,
 		base:   uint32(parent.Len()),

@@ -196,13 +196,17 @@ func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
 			continue
 		}
 		var vals []string
-		rm := newRemapper(dict, len(col), func(id uint32) uint32 {
-			vals = append(vals, dict.Val(id))
-			return uint32(len(vals) - 1)
-		})
+		var rm remapper
+		rm.reset(dict, len(col))
 		out := make([]uint32, len(col))
 		for k, id := range col {
-			out[k] = rm.remap(id)
+			v, ok := rm.get(id)
+			if !ok {
+				vals = append(vals, dict.Val(id))
+				v = uint32(len(vals) - 1)
+				rm.put(id, v)
+			}
+			out[k] = v
 		}
 		dicts[i], cols[i] = vals, out
 	}
@@ -234,39 +238,55 @@ func (r *Relation) invalidateEncoding() {
 	r.packed.Store(nil)
 }
 
-// remapper maps one source column's IDs to new ones, calling assign
-// once per distinct source ID and answering every further occurrence
-// from a table or an integer map. Small inputs over large source
-// dictionaries use the map, so a remap never allocates proportionally
-// to a dictionary it barely touches.
+// remapper maps one source column's IDs to new ones: the caller
+// assigns an ID at a source ID's first get miss and puts it, and every
+// further occurrence is answered from a table or an integer map. Small
+// inputs over large source dictionaries use the map, so a remap never
+// allocates proportionally to a dictionary it barely touches. A reset
+// reuses the buffers of the previous remap.
 type remapper struct {
-	assign  func(id uint32) uint32
-	table   []uint32 // table mode: src id -> dst id
-	present []bool
-	m       map[uint32]uint32 // map mode
+	byMap bool
+	table []uint32          // table mode: src id -> dst id + 1, 0 until put
+	m     map[uint32]uint32 // map mode
 }
 
-func newRemapper(src *Dict, expected int, assign func(id uint32) uint32) *remapper {
-	if expected*4 < src.Len() {
-		return &remapper{assign: assign, m: make(map[uint32]uint32, expected)}
+// reset readies rm for about n IDs of a column over src.
+func (rm *remapper) reset(src *Dict, n int) {
+	rm.byMap = n*4 < src.Len()
+	if !rm.byMap {
+		rm.table = sized(rm.table, src.Len())
+		clear(rm.table)
+	} else if rm.m == nil {
+		rm.m = make(map[uint32]uint32, n)
+	} else {
+		clear(rm.m)
 	}
-	return &remapper{assign: assign, table: make([]uint32, src.Len()), present: make([]bool, src.Len())}
 }
 
-func (m *remapper) remap(id uint32) uint32 {
-	if m.m != nil {
-		out, ok := m.m[id]
-		if !ok {
-			out = m.assign(id)
-			m.m[id] = out
-		}
-		return out
+func (rm *remapper) get(id uint32) (uint32, bool) {
+	if rm.byMap {
+		v, ok := rm.m[id]
+		return v, ok
 	}
-	if !m.present[id] {
-		m.table[id] = m.assign(id)
-		m.present[id] = true
+	v := rm.table[id]
+	return v - 1, v != 0
+}
+
+func (rm *remapper) put(id, v uint32) {
+	if rm.byMap {
+		rm.m[id] = v
+	} else {
+		rm.table[id] = v + 1
 	}
-	return m.table[id]
+}
+
+// sized returns buf with length n, reallocating when its capacity falls
+// short; what it holds is unspecified until the caller fills it.
+func sized(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		return make([]uint32, n)
+	}
+	return buf[:n]
 }
 
 // ProjectRows returns a new relation holding the given rows of r (in
@@ -298,52 +318,6 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 			col[k] = srcCol[i]
 		}
 		enc.cols[j], enc.dicts[j] = col, srcDict
-	}
-	out.enc.Store(enc)
-	return out, nil
-}
-
-// Concat returns a relation holding every part's tuples in order under
-// parts[0]'s schema (parts must share its arity, like AppendAll), with
-// the encoded view built straight into shared dictionaries: an encoded
-// part's columns are remapped, hashing each distinct value once per
-// part, never per cell, and a row-backed part's values are interned
-// directly instead of being encoded on their own first, so no value is
-// hashed twice.
-func Concat(parts ...*Relation) (*Relation, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("relation: Concat with no inputs")
-	}
-	schema := parts[0].schema
-	total := 0
-	for _, p := range parts {
-		if p.schema.Arity() != schema.Arity() {
-			return nil, fmt.Errorf("relation: cannot concat %s (arity %d) with %s (arity %d)",
-				p.schema.Name(), p.schema.Arity(), schema.Name(), schema.Arity())
-		}
-		total += p.Len()
-	}
-	out := New(schema)
-	out.lazy = &lazyTuples{rows: total}
-	enc := newEncoded(nil, schema.Arity())
-	enc.rows = total
-	for j := 0; j < schema.Arity(); j++ {
-		d := NewDict()
-		col := make([]uint32, 0, total)
-		for _, p := range parts {
-			if p.lazy == nil && p.enc.Load() == nil {
-				for _, t := range p.tuples {
-					col = append(col, d.ID(t[j]))
-				}
-				continue
-			}
-			pcol, pdict := p.Encoded().Column(j)
-			rm := newRemapper(pdict, len(pcol), func(id uint32) uint32 { return d.ID(pdict.Val(id)) })
-			for _, id := range pcol {
-				col = append(col, rm.remap(id))
-			}
-		}
-		enc.cols[j], enc.dicts[j], enc.dense[j] = col, d, true
 	}
 	out.enc.Store(enc)
 	return out, nil

@@ -153,43 +153,6 @@ func TestProjectRows(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	r := encTestRelation()
-	a, err := r.ProjectRows("A", []string{"a", "b"}, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.ProjectRows("B", []string{"a", "b"}, []int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := MustFromRows(a.Schema(),
-		[]string{"x1", "u"}, []string{"x2", "u"}, []string{"x1", "v"}, []string{"x2", "u"})
-	if !out.SameTuples(want) {
-		t.Fatalf("Concat = %v", out)
-	}
-	// The merged view is densely re-encoded: id equality must track
-	// value equality across part boundaries.
-	col, dict := out.Encoded().Column(0)
-	if dict.Len() != 2 {
-		t.Errorf("merged dict has %d values, want 2", dict.Len())
-	}
-	if col[0] != col[2] || col[1] != col[3] || col[0] == col[1] {
-		t.Errorf("merged ids %v do not track values", col)
-	}
-	if _, err := Concat(); err == nil {
-		t.Error("Concat of nothing should fail")
-	}
-	s1 := MustSchema("S1", []string{"a"})
-	if _, err := Concat(a, New(s1)); err == nil {
-		t.Error("arity mismatch should fail")
-	}
-}
-
 func TestFromColumns(t *testing.T) {
 	s := MustSchema("W", []string{"a", "b"})
 	dicts := [][]string{{"x", "y"}, {"p"}}

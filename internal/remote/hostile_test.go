@@ -87,8 +87,8 @@ var hostileCases = append([]struct {
 	{"dict-shorter-than-ids", func(w *WireRelation) {
 		w.Packed.Cols[0].Dict = colstore.EncodeDictSection(nil, []string{"a0", "a1"})
 	}},
-	// A chunk whose width byte is 255 cannot decode: Encoded.Column would
-	// panic inside relation.Concat.
+	// A chunk whose width byte is 255 cannot decode: the kernel's read
+	// would fail, and Encoded.Column would panic materializing it.
 	{"garbage-chunk", func(w *WireRelation) {
 		w.Packed.Cols[1].Chunks[0] = []byte{0xff, 0xff, 0xff}
 	}},
@@ -540,7 +540,8 @@ func serveRPC(t *testing.T, svc any) string {
 // or of a later round's extract (one too many, one too few, a negative
 // one), a fresh run's or a seed's extracted blocks (one row more than
 // the σ count, as valid packed payloads named "oversized"), a fresh
-// run's coordinator check (no pattern set at all), or a later fold's
+// run's coordinator check (no pattern set at all, or more patterns than
+// the fragments hold rows), or a later fold's
 // pattern changes (missing, over more attributes than the CFD's X, over
 // an attribute outside it, removing a pattern never added, adding more
 // patterns than the fold holds rows, adding one already added).
@@ -585,11 +586,18 @@ func (h hostileReplies) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*Wir
 }
 
 func (h hostileReplies) DetectAssignedSet(args DetectAssignedArgs, reply *[]*WireRelation) error {
-	err := h.SiteService.DetectAssignedSet(args, reply)
-	if err == nil && h.mode.Load() == "detect-short" {
-		*reply = nil
+	if err := h.SiteService.DetectAssignedSet(args, reply); err != nil {
+		return err
 	}
-	return err
+	switch h.mode.Load() {
+	case "detect-short":
+		*reply = nil
+	case "detect-inflated": // more patterns than the 4 rows of the fragments
+		rows := []relation.Tuple{{"z0"}, {"z1"}, {"z2"}, {"z3"}, {"z4"}}
+		(*reply)[0] = &WireRelation{Name: "viopi_h", Attrs: []string{"a"}, Rows: len(rows),
+			Tuples: colstore.EncodeRowSection(nil, rows)}
+	}
+	return nil
 }
 
 func (h hostileReplies) Deposit(args DepositArgs, reply *struct{}) error {
@@ -684,7 +692,8 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 // a later round's extract — an extracted block longer than its σ count
 // — in a fresh run's ExtractBlocksBatch or a seed's ExtractDeltaBlocks,
 // refused before anything forwards it — a coordinator check replying
-// no pattern set, and a fold reply with its
+// no pattern set or more patterns than its blocks hold tuples, and a
+// fold reply with its
 // pattern sets missing, over other attributes than the CFD's X,
 // removing a pattern never added, adding more patterns than its blocks
 // hold rows or one already added, or carried in a malformed values
@@ -701,7 +710,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 	modes := []string{
 		"sigma-long", "sigma-short", "sigma-negative",
 		"extract-long", "extract-short", "extract-negative",
-		"ship-oversized", "seed-oversized", "detect-short",
+		"ship-oversized", "seed-oversized", "detect-short", "detect-inflated",
 		"fold-missing", "fold-wider-than-X", "fold-outside-X", "fold-removes-unheld",
 		"fold-inflated", "fold-duplicate-added",
 	}
@@ -745,7 +754,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 				}
 			}
 			garbled := p.DetectIncremental
-			if mode == "ship-oversized" || mode == "detect-short" {
+			if mode == "ship-oversized" || strings.HasPrefix(mode, "detect") {
 				garbled = p.Detect
 			}
 			garbling.Store(mode)

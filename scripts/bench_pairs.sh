@@ -5,37 +5,48 @@
 # `git clone` or `git archive` copy), the other this checkout, each run
 # being the benchmark's own command
 #
-#   bash bench/run.sh -scale 0.25 -seconds 15 -workload WORKLOAD
+#   bash bench/run.sh -scale SCALE -seconds SECONDS -workload WORKLOAD
 #
 # in its checkout (so each side builds from its own source). Odd pairs
 # run the base first, even pairs the change first. For every end-to-end
 # metric of BENCHMARK.json it prints each side's median and quartiles,
 # the pairs the change won (ties count for neither), every run's value,
-# and the failed/attempted operations per side.
+# and whether the claim rule holds: the change won at least 9 in 10 of
+# the pairs, and its median differs from the base's by more than the
+# base's quartile spread. Last come the failed/attempted operations per
+# side.
 #
 #   WORKLOAD  default bulk-store-tcp
 #   N         default 10
 #   SEED      environment, default 42 (the benchmark's -seed)
+#   SCALE     environment, default 0.25 (the benchmark's -scale)
+#   SECONDS   environment, default 15 (the benchmark's -seconds)
 #
 # It reads the JSON result line the benchmark prints and writes only
-# under .bench_build/ of the two checkouts. POSIX sh + awk, no download.
+# under .bench_build/ of the two checkouts, into a result file named
+# after the workload, seed and scale. POSIX sh + awk, no download.
 set -e
 
+# bash keeps its own SECONDS (the shell's age), so the value is read
+# from the environment itself.
+RUN_SECONDS="$(env | sed -n 's/^SECONDS=//p')"
+RUN_SECONDS="${RUN_SECONDS:-15}"
 BASE_DIR="${1:?usage: bench_pairs.sh BASE_DIR [WORKLOAD] [N]}"
 W="${2:-bulk-store-tcp}"
 N="${3:-10}"
 SEED="${SEED:-42}"
+SCALE="${SCALE:-0.25}"
 HERE="$(cd "$(dirname "$0")/.." && pwd)"
 BASE_DIR="$(cd "$BASE_DIR" && pwd)"
 OUT="$HERE/.bench_build/pairs"
 mkdir -p "$OUT"
-RES="$OUT/$W.seed$SEED.txt"
+RES="$OUT/$W.seed$SEED.scale$SCALE.txt"
 : >"$RES"
 
 # run_side SIDE DIR PAIR appends "SIDE PAIR METRIC VALUE" rows to $RES.
 run_side() {
     log="$OUT/run.log"
-    if ! (cd "$2" && bash bench/run.sh -scale 0.25 -seconds 15 -workload "$W" \
+    if ! (cd "$2" && bash bench/run.sh -scale "$SCALE" -seconds "$RUN_SECONDS" -workload "$W" \
         -seed "$SEED" -trace 0 -out .bench_build/out) >"$log" 2>&1; then
         cat "$log" >&2
         echo "bench_pairs: $1 run of pair $3 failed" >&2
@@ -64,18 +75,18 @@ run_side() {
 i=1
 while [ "$i" -le "$N" ]; do
     if [ $((i % 2)) -eq 1 ]; then
-        echo "== pair $i/$N ($W, seed $SEED): base, change" >&2
+        echo "== pair $i/$N ($W, seed $SEED, scale $SCALE): base, change" >&2
         run_side base "$BASE_DIR" "$i"
         run_side change "$HERE" "$i"
     else
-        echo "== pair $i/$N ($W, seed $SEED): change, base" >&2
+        echo "== pair $i/$N ($W, seed $SEED, scale $SCALE): change, base" >&2
         run_side change "$HERE" "$i"
         run_side base "$BASE_DIR" "$i"
     fi
     i=$((i + 1))
 done
 
-echo "bench-pairs: $W, seed $SEED, $N alternating pairs; base $BASE_DIR, change $HERE"
+echo "bench-pairs: $W, seed $SEED, scale $SCALE, $RUN_SECONDS s a run, $N alternating pairs; base $BASE_DIR, change $HERE"
 # The first file gives the metrics, their order and their direction; the
 # second the rows collected above.
 awk '
@@ -92,11 +103,14 @@ awk '
         if (lo >= n) return a[n]
         return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
     }
+    # summary prints the line of one side and leaves its median and quartiles
+    # in med, q1 and q3.
     function summary(side, m,    n, i, raw, s, line) {
         n = 0
         for (i = 1; i <= pairs; i++) if ((side, i, m) in val) raw[++n] = val[side, i, m]
         sorted(raw, n, s)
-        line = sprintf("  %-7s median %-12.6g quartiles %-12.6g %-12.6g runs", side, quantile(s, n, 0.5), quantile(s, n, 0.25), quantile(s, n, 0.75))
+        med = quantile(s, n, 0.5); q1 = quantile(s, n, 0.25); q3 = quantile(s, n, 0.75)
+        line = sprintf("  %-7s median %-12.6g quartiles %-12.6g %-12.6g runs", side, med, q1, q3)
         for (i = 1; i <= n; i++) line = line sprintf(" %.9g", raw[i])
         print line
     }
@@ -127,7 +141,11 @@ awk '
             }
             printf "%s (%s is better): change won %d of %d pairs, lost %d, tied %d\n", m, (m in higher) ? "higher" : "lower", won, pairs, lost, tied
             summary("base", m)
+            bmed = med; spread = q3 - q1
             summary("change", m)
+            gap = med - bmed; if (gap < 0) gap = -gap
+            printf "  claim rule %s: won %d of %d (needs >= 9 in 10), |median change - base| %.6g vs base quartile spread %.6g\n", \
+                (won * 10 >= 9 * pairs && gap > spread) ? "holds" : "does not hold", won, pairs, gap, spread
         }
         for (i = 1; i <= pairs; i++) {
             fb += val["base", i, "failed"]; ab += val["base", i, "attempted"]
