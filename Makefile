@@ -116,13 +116,21 @@ bench-build:
 # files with BENCHMARK.json's bounds — eight end-to-end metrics on four
 # workloads. Only a `regressed` row (a failed operation on this side is
 # one) fails the target, and CI runs it blocking. About 5 min on 2 vCPUs.
+# `make bench-compare BASE=<dir>` takes the baseline from a plain copy
+# of it at <dir> (`git archive <ref> | tar -x -C <dir>`, or a `git
+# clone`) instead, which builds and runs in place: no worktree.
 bench-compare:
-	@set -e; base=$${BASE_REF:-$$(git merge-base HEAD origin/main 2>/dev/null || git rev-parse HEAD~1)}; \
-	if git diff --quiet "$$base" --; then echo "bench-compare: this tree is the baseline ($$base); nothing to compare"; exit 0; fi; \
-	wt=$$(mktemp -d); trap 'git worktree remove --force "$$wt" >/dev/null 2>&1 || true; rm -rf "$$wt"' EXIT; \
-	git worktree add --detach -q "$$wt" "$$base"; \
-	rm -rf .bench_build/compare; \
-	echo "== bench-compare: baseline $$(git rev-parse --short "$$base")"; \
+	@set -e; \
+	if [ -n "$(BASE)" ]; then \
+		wt=$$(cd "$(BASE)" && pwd); echo "== bench-compare: baseline $$wt"; \
+	else \
+		base=$${BASE_REF:-$$(git merge-base HEAD origin/main 2>/dev/null || git rev-parse HEAD~1)}; \
+		if git diff --quiet "$$base" --; then echo "bench-compare: this tree is the baseline ($$base); nothing to compare"; exit 0; fi; \
+		wt=$$(mktemp -d); trap 'git worktree remove --force "$$wt" >/dev/null 2>&1 || true; rm -rf "$$wt"' EXIT; \
+		git worktree add --detach -q "$$wt" "$$base"; \
+		echo "== bench-compare: baseline $$(git rev-parse --short "$$base")"; \
+	fi; \
+	rm -rf .bench_build/compare "$$wt"/.bench_build/compare; \
 	(cd "$$wt" && bash bench/run.sh -scale 0.25 -seconds 0 -out .bench_build/compare); \
 	echo "== bench-compare: this tree"; \
 	bash bench/run.sh -scale 0.25 -seconds 0 -out .bench_build/compare; \

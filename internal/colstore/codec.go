@@ -225,16 +225,32 @@ func (it *runIter) Decode(dst []uint32) error {
 	src := it.run
 	mask := uint32(1)<<width - 1
 	for k := range dst {
-		for nacc < width {
-			acc |= uint64(src[0]) << nacc
-			src = src[1:]
-			nacc += 8
+		if nacc < width {
+			acc, nacc, src = refill(acc, nacc, width, src)
 		}
 		dst[k] = uint32(acc) & mask
 		acc >>= width
 		nacc -= width
 	}
 	return nil
+}
+
+// refill tops up a packed run's bit accumulator, which holds nacc <
+// width ≤ 32 bits, to at least width bits: one little-endian 32-bit
+// word while four bytes of the run remain, single bytes for its last
+// one to three. The bit stream is the same either way, so the IDs are
+// too; a run holds ceil(count·width/8) bytes, so the byte tail never
+// runs dry before the run's last ID.
+func refill(acc uint64, nacc, width uint, src []byte) (uint64, uint, []byte) {
+	if len(src) >= 4 {
+		return acc | uint64(binary.LittleEndian.Uint32(src))<<nacc, nacc + 32, src[4:]
+	}
+	for nacc < width {
+		acc |= uint64(src[0]) << nacc
+		src = src[1:]
+		nacc += 8
+	}
+	return acc, nacc, src
 }
 
 // at returns the k-th ID of the current bit-packed run.
@@ -269,7 +285,7 @@ func chunkAt(payload []byte, i int) (uint32, error) {
 
 // max returns the largest ID of the current run without storing any:
 // what checkChunk holds against the column's dictionary. The update
-// compiles branch-free.
+// compiles branch-free; the accumulator refills as Decode's does.
 func (it *runIter) max() (hi uint32) {
 	if it.rle {
 		return it.id
@@ -280,10 +296,8 @@ func (it *runIter) max() (hi uint32) {
 	src := it.run
 	mask := uint32(1)<<width - 1
 	for k := 0; k < it.count; k++ {
-		for nacc < width {
-			acc |= uint64(src[0]) << nacc
-			src = src[1:]
-			nacc += 8
+		if nacc < width {
+			acc, nacc, src = refill(acc, nacc, width, src)
 		}
 		hi = max(hi, uint32(acc)&mask)
 		acc >>= width

@@ -32,6 +32,10 @@ type column struct {
 	dictOnce sync.Once
 	dict     *relation.Dict
 	dictErr  error
+
+	sizeOnce     sync.Once // PackColumns fills the sizes as it encodes
+	raw, encoded int64
+	sizeErr      error
 }
 
 // backing is the file side of a fragment's column: mapped sections,
@@ -103,6 +107,52 @@ func (c *column) readColumn(lo int, dst []uint32) error {
 		lo += n
 	}
 	return nil
+}
+
+// payloadSizes returns the column's share of PayloadSizes, counting
+// each ID of its decoded chunks on the first call. Chunks are
+// immutable once a column is built, so the count holds for its life.
+func (c *column) payloadSizes() (raw, encoded int64, err error) {
+	c.sizeOnce.Do(func() {
+		dict, err := c.dictionary()
+		if err != nil {
+			c.sizeErr = err
+			return
+		}
+		counts := make([]uint32, dict.Len())
+		ids := make([]uint32, min(c.rows, c.chunkRows))
+		for k, payload := range c.Chunks {
+			lo, hi := c.chunkSpan(k)
+			if err := DecodeChunk(payload, ids[:hi-lo]); err != nil {
+				c.sizeErr = fmt.Errorf("colstore: %s chunk %d: %w", c.name, k, err)
+				return
+			}
+			for _, id := range ids[:hi-lo] {
+				if int(id) >= len(counts) {
+					c.sizeErr = fmt.Errorf("colstore: %s chunk %d: ID %d outside the dictionary of %d values", c.name, k, id, len(counts))
+					return
+				}
+				counts[id]++
+			}
+		}
+		c.raw, c.encoded = wireSizes(counts, dict.Val, c.rows)
+	})
+	return c.raw, c.encoded, c.sizeErr
+}
+
+// wireSizes prices a column of rows IDs in which ID k occurs counts[k]
+// times, as relation.Encoded.PayloadSizes does: raw is every row's
+// value length plus one, encoded every distinct value's plus four bytes
+// a row.
+func wireSizes(counts []uint32, val func(uint32) string, rows int) (raw, encoded int64) {
+	for k, n := range counts {
+		if n > 0 {
+			l := int64(len(val(uint32(k)))) + 1
+			raw += int64(n) * l
+			encoded += l
+		}
+	}
+	return raw, encoded + 4*int64(rows)
 }
 
 // columns is the reader both containers embed: the
@@ -186,6 +236,26 @@ func (cs *columns) PackedSize() int64 {
 		}
 	}
 	return n
+}
+
+// PayloadSizes returns the sizes relation.Encoded.PayloadSizes reports
+// for the same rows — the row form's and the dict+ID form's — without
+// a Dict.Val a cell: a PackColumns payload priced itself while
+// encoding; any other column counts its decoded chunks once, and a
+// fragment's count serves every PackBase that shares the column.
+func (cs *columns) PayloadSizes() (raw, encoded int64, err error) {
+	for i := range cs.cols {
+		c, err := cs.col(i)
+		if err != nil {
+			return 0, 0, err
+		}
+		r, e, err := c.payloadSizes()
+		if err != nil {
+			return 0, 0, err
+		}
+		raw, encoded = raw+r, encoded+e
+	}
+	return raw, encoded, nil
 }
 
 // ReadColumn decodes column i's IDs for rows [lo, lo+len(dst)) into dst.

@@ -20,6 +20,13 @@ import (
 //  3. as a \x1f-joined value list: EncodeDictSection → DecodeDictSection
 //     must round-trip, and the raw bytes fed to DecodeDictSection must
 //     not panic.
+//
+// Under 1 and 2 the payload's reads are also held to the byte-at-a-time
+// references (checkAgainstRefs): DecodeChunk's verdict and IDs, each
+// run's Decode and max, and checkChunk's verdict. The seeds in
+// testdata/fuzz/FuzzChunkCodec cover widths 0, 1, 31 and 32, packed
+// runs of under four bytes and of 1–3 bytes past a multiple of four,
+// and set padding bits in a run's last byte.
 func FuzzChunkCodec(f *testing.F) {
 	f.Add([]byte{})
 	// Width 0: every ID zero.
@@ -77,6 +84,7 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 		ids[i] = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 	}
 	payload, minID, maxID := EncodeChunk(nil, ids)
+	checkAgainstRefs(t, payload, n)
 	for _, v := range ids {
 		if v < minID || v > maxID {
 			t.Fatalf("EncodeChunk bounds [%d, %d] miss ID %d", minID, maxID, v)
@@ -138,6 +146,7 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 
 func fuzzAdversarialPayload(t *testing.T, data []byte) {
 	// Must never panic; errors are the expected outcome for garbage.
+	checkAgainstRefs(t, data, 4*DefaultChunkRows)
 	dst := make([]uint32, 256)
 	if DecodeChunk(data, dst) == nil {
 		for i, want := range dst {

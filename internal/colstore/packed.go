@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"sync"
 
 	"distcfd/internal/relation"
 )
@@ -113,7 +114,11 @@ func (f *Fragment) PackBase(cols []int) (*Packed, error) {
 // selection's cardinality, not the source fragment's) and encoded in
 // DefaultChunkRows chunks. cols hold IDs into the parallel source
 // dicts; rows is the selection's length. The inputs are only read, so
-// mmap-backed dictionaries work as sources.
+// mmap-backed dictionaries work as sources. Each column counts its
+// compact IDs as it remaps them, so the payload's PayloadSizes costs
+// nothing more. The chunk buffer, the remap table and the encoded
+// bytes are pooled scratch: what the payload keeps is copied out once,
+// at its exact size.
 func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, error) {
 	if len(dicts) != len(cols) {
 		return nil, fmt.Errorf("colstore: PackColumns has %d dicts for %d columns", len(dicts), len(cols))
@@ -124,30 +129,36 @@ func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, er
 		numChunks = (rows + chunkRows - 1) / chunkRows
 	}
 	p := newPacked(rows, chunkRows, len(cols))
-	buf := make([]uint32, min(rows, chunkRows))
+	rm := remaps.Get().(*compactRemap)
+	defer func() { rm.reset(); remaps.Put(rm) }()
 	offs := make([]int, 0, numChunks+1)
 	for j, col := range cols {
 		if len(col) != rows {
 			return nil, fmt.Errorf("colstore: PackColumns column %d has %d rows, want %d", j, len(col), rows)
 		}
-		rm := newCompactRemap(dicts[j])
-		var enc []byte
-		offs = offs[:0]
-		pc := &p.cols[j].PackedColumn
-		pc.Chunks = make([][]byte, 0, numChunks)
+		rm.start(dicts[j])
+		rm.enc, offs = rm.enc[:0], offs[:0]
 		for base := 0; base < rows; base += chunkRows {
 			n := min(chunkRows, rows-base)
-			for i := 0; i < n; i++ {
-				buf[i] = rm.id(col[base+i])
+			ids := rm.ids[:n]
+			for i, src := range col[base : base+n] {
+				ids[i] = rm.id(src)
 			}
-			offs = append(offs, len(enc))
-			enc, _, _ = EncodeChunk(enc, buf[:n])
+			offs = append(offs, len(rm.enc))
+			rm.enc, _, _ = EncodeChunk(rm.enc, ids)
 		}
-		offs = append(offs, len(enc))
-		for k := 0; k < numChunks; k++ {
-			pc.Chunks = append(pc.Chunks, enc[offs[k]:offs[k+1]:offs[k+1]])
+		offs = append(offs, len(rm.enc))
+		enc := make([]byte, len(rm.enc))
+		copy(enc, rm.enc)
+		c := p.cols[j]
+		c.Chunks = make([][]byte, numChunks)
+		for k := range c.Chunks {
+			c.Chunks[k] = enc[offs[k]:offs[k+1]:offs[k+1]]
 		}
-		pc.Dict = EncodeDictSection(nil, rm.vals)
+		c.Dict = EncodeDictSection(nil, rm.vals)
+		raw, encoded := wireSizes(rm.counts, func(k uint32) string { return rm.vals[k] }, rows)
+		c.sizeOnce.Do(func() { c.raw, c.encoded = raw, encoded })
+		rm.reset()
 	}
 	return p, nil
 }
@@ -155,42 +166,71 @@ func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, er
 // compactRemap interns source-dictionary IDs into a dense
 // first-occurrence ID space, the same order relation.Encoded assigns
 // when building columns in memory — which is what keeps packed and
-// dict+ID-shipped blocks byte-comparable downstream.
+// dict+ID-shipped blocks byte-comparable downstream. It counts the rows
+// of every compact ID, and carries PackColumns' other scratch: one
+// chunk's compact IDs and the column's encoded bytes. Pooled (remaps):
+// reset clears the table through the source IDs it touched.
 type compactRemap struct {
-	src   *relation.Dict
-	table []uint32          // src ID -> compact ID, ^0 when unseen
-	m     map[uint32]uint32 // fallback for very sparse selections
-	vals  []string
+	src    *relation.Dict
+	small  bool              // src has at most maxRemapTable values: use table
+	table  []uint32          // src ID -> compact ID + 1, 0 when unseen
+	m      map[uint32]uint32 // for sources above maxRemapTable values
+	srcs   []uint32          // compact ID -> src ID
+	counts []uint32          // compact ID -> rows
+	vals   []string          // compact ID -> value
+	ids    []uint32
+	enc    []byte
 }
 
-func newCompactRemap(src *relation.Dict) *compactRemap {
-	rm := &compactRemap{src: src}
-	if n := src.Len(); n <= 1<<20 {
+// maxRemapTable is the largest source dictionary remapped through a
+// table; a larger one (a sparse selection of a huge column) uses the map.
+const maxRemapTable = 1 << 20
+
+var remaps = sync.Pool{New: func() any {
+	return &compactRemap{m: map[uint32]uint32{}, ids: make([]uint32, DefaultChunkRows)}
+}}
+
+// start begins a column whose IDs index src.
+func (rm *compactRemap) start(src *relation.Dict) {
+	n := src.Len()
+	rm.src, rm.small = src, n <= maxRemapTable
+	if rm.small && n > len(rm.table) {
 		rm.table = make([]uint32, n)
-		for i := range rm.table {
-			rm.table[i] = ^uint32(0)
-		}
-	} else {
-		rm.m = make(map[uint32]uint32)
 	}
-	return rm
+}
+
+// reset forgets the column: the table or map entries it set, the
+// lists (values cleared, so the pool pins none).
+func (rm *compactRemap) reset() {
+	for _, s := range rm.srcs {
+		if rm.small {
+			rm.table[s] = 0
+		} else {
+			delete(rm.m, s)
+		}
+	}
+	clear(rm.vals)
+	rm.src, rm.small, rm.srcs, rm.counts, rm.vals = nil, false, rm.srcs[:0], rm.counts[:0], rm.vals[:0]
 }
 
 func (rm *compactRemap) id(src uint32) uint32 {
-	if rm.table != nil {
-		if v := rm.table[src]; v != ^uint32(0) {
-			return v
+	var v uint32
+	if rm.small {
+		v = rm.table[src]
+	} else {
+		v = rm.m[src]
+	}
+	if v == 0 {
+		v = uint32(len(rm.srcs)) + 1
+		if rm.small {
+			rm.table[src] = v
+		} else {
+			rm.m[src] = v
 		}
-		v := uint32(len(rm.vals))
-		rm.table[src] = v
+		rm.srcs = append(rm.srcs, src)
+		rm.counts = append(rm.counts, 0)
 		rm.vals = append(rm.vals, rm.src.Val(src))
-		return v
 	}
-	if v, ok := rm.m[src]; ok {
-		return v
-	}
-	v := uint32(len(rm.vals))
-	rm.m[src] = v
-	rm.vals = append(rm.vals, rm.src.Val(src))
-	return v
+	rm.counts[v-1]++
+	return v - 1
 }

@@ -223,16 +223,21 @@ func (s *BlockSpec) maskGroups(key func(p []string, positions []int) (string, bo
 // tableau's constants are pre-encoded into each mask group's lookup
 // once per call, so routing a tuple is a handful of integer map probes
 // with no per-tuple string or buffer copies. Semantics are identical to
-// calling Assign on every X-projection. A site routes its fragment
-// through it, one ProjectBlocks batch of X at a time (Site.route).
+// calling Assign on every X-projection; Site.route routes a fragment
+// the same way, batch by batch, into int32s.
 func (s *BlockSpec) AssignAll(frag *relation.Relation) ([]int, []int, error) {
+	counts := make([]int, s.K())
+	assign, err := appendAssign(s, make([]int, 0, frag.Len()), counts, frag)
+	return assign, counts, err
+}
+
+// appendAssign is AssignAll appending to assign and adding to counts.
+func appendAssign[T int | int32](s *BlockSpec, assign []T, counts []int, frag *relation.Relation) ([]T, error) {
 	xi, err := frag.Schema().Indices(s.X)
 	if err != nil {
-		return nil, nil, err
+		return assign, err
 	}
 	e := frag.Encoded()
-	assign := make([]int, e.Rows())
-	counts := make([]int, s.K())
 	cols := make([][]uint32, len(xi))
 	dicts := make([]*relation.Dict, len(xi))
 	for j, c := range xi {
@@ -253,7 +258,7 @@ func (s *BlockSpec) AssignAll(frag *relation.Relation) ([]int, []int, error) {
 		return string(kb), true
 	})
 	var kb []byte
-	for i := range assign {
+	for i := range e.Rows() {
 		best := -1
 		for _, g := range egs {
 			kb = kb[:0]
@@ -264,12 +269,12 @@ func (s *BlockSpec) AssignAll(frag *relation.Relation) ([]int, []int, error) {
 				best = l
 			}
 		}
-		assign[i] = best
+		assign = append(assign, T(best))
 		if best >= 0 {
 			counts[best]++
 		}
 	}
-	return assign, counts, nil
+	return assign, nil
 }
 
 // PatternPredicate builds Fφ for pattern l: the conjunction of

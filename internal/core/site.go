@@ -255,37 +255,56 @@ func (c *servingCache[V]) maintain(roll func(V) bool) {
 }
 
 // sigmaEntry is one cached σ-routing of the fragment: the per-tuple
-// block assignment and per-block counts for a spec fingerprint.
-// Readers share entries; between detection runs ApplyDelta maintains
-// them in place (replaying the delta's row swaps and routing only the
-// inserted tuples), which is safe under the single-writer contract —
-// mutation never overlaps detection.
+// block (int32, -1 = unmatched), the per-block counts, and the block
+// index built on first use — each block's rows, ascending — so a routed
+// row costs 8 B. Readers share entries and index; between detection
+// runs ApplyDelta maintains them in place (replaying the delta's row
+// swaps, routing only the inserted tuples, dropping the index), safe
+// under the single-writer contract: mutation never overlaps detection.
 type sigmaEntry struct {
 	spec   *BlockSpec
-	assign []int
+	assign []int32
 	counts []int
+	index  atomic.Pointer[[][]int32]
+}
+
+// blocks returns the block index, built by one pass over the routing
+// outside any lock (a racing call's identical index may win the CAS).
+func (e *sigmaEntry) blocks() [][]int32 {
+	if ix := e.index.Load(); ix != nil {
+		return *ix
+	}
+	lists := make([][]int32, len(e.counts))
+	for l, n := range e.counts {
+		lists[l] = make([]int32, 0, n)
+	}
+	for i, l := range e.assign {
+		if l >= 0 {
+			lists[l] = append(lists[l], int32(i))
+		}
+	}
+	e.index.CompareAndSwap(nil, &lists)
+	return *e.index.Load()
 }
 
 // applyDelta maintains the entry across one fragment delta: deletes
 // replay the same swap-with-last moves the tuple slice saw, inserts
 // are routed and appended. xi maps spec.X into the fragment schema.
 func (e *sigmaEntry) applyDelta(delIdx []int, ins []relation.Tuple, xi []int) {
+	e.index.Store(nil)
 	for _, di := range delIdx {
 		if l := e.assign[di]; l >= 0 {
 			e.counts[l]--
 		}
 	}
 	e.assign = relation.SwapRemove(e.assign, delIdx)
-	if len(ins) == 0 {
-		return
-	}
 	xv := make([]string, len(xi))
 	for _, t := range ins {
 		for j, c := range xi {
 			xv[j] = t[c]
 		}
 		l := e.spec.Assign(xv)
-		e.assign = append(e.assign, l)
+		e.assign = append(e.assign, int32(l))
 		if l >= 0 {
 			e.counts[l]++
 		}
@@ -416,25 +435,19 @@ func (s *Site) assignAll(spec *BlockSpec, blocks ...int) (*sigmaEntry, error) {
 	return s.sigma.store(epoch, fp, &sigmaEntry{spec: spec, assign: assign, counts: counts}), nil
 }
 
-// route σ-routes the fragment under spec through BlockSpec.AssignAll,
+// route σ-routes the fragment under spec as BlockSpec.AssignAll does,
 // one ProjectBlocks batch of X (batch rows) at a time: a cold routing
 // holds one batch of columns beside the assignment. An empty fragment
 // still projects once, so an X the schema lacks is always refused.
-func (s *Site) route(spec *BlockSpec, batch int) (assign, counts []int, err error) {
+func (s *Site) route(spec *BlockSpec, batch int) (assign []int32, counts []int, err error) {
 	n := s.frag.Len()
+	assign, counts = make([]int32, 0, n), make([]int, spec.K())
 	for lo := 0; lo == 0 || lo < n; lo += batch {
 		proj, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_sigma", spec.X, [][]int32{rowSpan(lo, min(lo+batch, n))})
 		if err != nil {
 			return nil, nil, err
 		}
-		if a, c, _ := spec.AssignAll(proj[0]); lo == 0 { // proj's schema is X itself
-			assign, counts = slices.Grow(a, n-len(a)), c // one batch: a itself
-		} else {
-			assign = append(assign, a...)
-			for l, k := range c {
-				counts[l] += k
-			}
-		}
+		assign, _ = appendAssign(spec, assign, counts, proj[0]) // proj's schema is X itself
 	}
 	return assign, counts, nil
 }
@@ -513,33 +526,17 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 // returns, parallel to blocks, the ascending row indices of every
 // requested block — the cheap half of an extraction (ints, not
 // materialized tuples), shared by the batch extraction and the
-// coordinator's detection. The lists share one int32 array sized from
-// the entry's maintained per-block counts, so routing a fragment of n
-// rows costs 4n bytes and one pass — the footprint that bounds
-// out-of-core detection. spec.check refuses a block listed twice.
+// coordinator's detection. The lists are slices of the entry's shared
+// block index, read-only, so a call costs O(len(blocks)) however many
+// rows the fragment holds. spec.check refuses a block listed twice.
 func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
 	ent, err := s.assignAll(spec, blocks...)
 	if err != nil {
 		return nil, err
 	}
-	slot := make([]int, spec.K()) // 0 = block not requested, else 1+position
-	offs := make([]int, len(blocks)+1)
+	lists, rows := ent.blocks(), make([][]int32, len(blocks))
 	for bi, l := range blocks {
-		slot[l] = bi + 1
-		offs[bi+1] = offs[bi] + ent.counts[l]
-	}
-	flat := make([]int32, offs[len(blocks)])
-	next := append([]int(nil), offs[:len(blocks)]...)
-	for i, n := 0, s.frag.Len(); i < n; i++ {
-		if a := ent.assign[i]; a >= 0 && a < len(slot) && slot[a] != 0 {
-			bi := slot[a] - 1
-			flat[next[bi]] = int32(i)
-			next[bi]++
-		}
-	}
-	rows := make([][]int32, len(blocks))
-	for bi := range blocks {
-		rows[bi] = flat[offs[bi]:offs[bi+1]:offs[bi+1]]
+		rows[bi] = lists[l]
 	}
 	return rows, nil
 }
@@ -600,12 +597,10 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 	if len(cfds) == 0 {
 		return nil, fmt.Errorf("core: site %d: DetectAssignedSet with no CFDs", s.id)
 	}
-	// Project the assigned blocks in consecutive batches under a fixed
-	// row budget instead of materializing them all up front: each batch is
-	// one chunk-ordered gather, and the peak footprint is one batch plus
-	// the 4n-byte routing indices however many blocks the site
-	// coordinates, which is what lets a store-backed site check a fragment
-	// far bigger than RAM.
+	// The blocks are projected in batches under a fixed row budget, each
+	// one chunk-ordered gather: however many blocks the site coordinates,
+	// the peak is one batch beside the cached routing, which is what lets
+	// a store-backed site check a fragment far bigger than RAM.
 	rows, err := s.blockRows(spec, blocks)
 	if err != nil {
 		return nil, err

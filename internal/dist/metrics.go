@@ -310,6 +310,12 @@ const (
 // sender already made this choice on the same values, so the relaying
 // driver neither decodes a column nor measures it again. Schema metadata
 // is not charged — the task key identifies it.
+//
+// The row and dict+ID sizes are the integers Encoded.PayloadSizes
+// returns. A relation with a packed payload attached (a store-backed
+// extract) takes them from the payload, which priced its own rows while
+// packing (relation.PackedColumnReader.PayloadSizes); any other
+// relation, or one whose payload cannot be priced, walks its columns.
 func ChooseWireForm(r *relation.Relation) (WireForm, int64) {
 	if r == nil {
 		return RowForm, 0
@@ -317,12 +323,20 @@ func ChooseWireForm(r *relation.Relation) (WireForm, int64) {
 	if pr, ok := r.BackingReader().(relation.PackedColumnReader); ok {
 		return PackedForm, pr.PackedSize()
 	}
-	raw, encoded := r.Encoded().PayloadSizes()
+	var raw, encoded int64
+	pr, err := r.PackedPayload()
+	if err == nil && pr != nil {
+		raw, encoded, err = pr.PayloadSizes()
+	}
+	if err != nil || pr == nil {
+		pr = nil // nothing to ship packed, or a payload that cannot price its rows
+		raw, encoded = r.Encoded().PayloadSizes()
+	}
 	form, best := RowForm, raw
 	if encoded < raw {
 		form, best = ColumnForm, encoded
 	}
-	if pr, err := r.PackedPayload(); err == nil && pr != nil {
+	if pr != nil {
 		if packed := pr.PackedSize(); packed < best {
 			form, best = PackedForm, packed
 		}

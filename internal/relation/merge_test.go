@@ -25,6 +25,10 @@ func (p packedRows) ReadColumn(i, lo int, dst []uint32) error {
 func (p packedRows) ColumnChunks(int) (int, error) { return 1, nil }
 func (p packedRows) ChunkSpan(int, int) (int, int) { return 0, p.Rows() }
 func (p packedRows) PackedSize() int64             { return 0 }
+func (p packedRows) PayloadSizes() (int64, int64, error) {
+	raw, enc := p.Encoded.PayloadSizes()
+	return raw, enc, nil
+}
 
 // packedPart adopts r's columns as a packed part, as a wire receive does.
 func packedPart(t testing.TB, r *Relation, fail bool) *Relation {

@@ -13,7 +13,9 @@ import (
 // uniform across columns (one chunking for the whole relation).
 // PackedSize is the payload's modeled wire size; it is what the
 // shipment accounting charges when packed shipping beats the dict+ID
-// form.
+// form. PayloadSizes prices the payload's rows in the other two forms,
+// so a relation carrying one is priced without walking its cells
+// (dist.ChooseWireForm).
 type PackedColumnReader interface {
 	ColumnReader
 	// ColumnChunks returns the chunk count of column i.
@@ -22,6 +24,9 @@ type PackedColumnReader interface {
 	ChunkSpan(i, k int) (lo, hi int)
 	// PackedSize returns the payload's modeled wire size.
 	PackedSize() int64
+	// PayloadSizes returns the integers Encoded.PayloadSizes returns
+	// for the same rows: the row form's size and the dict+ID form's.
+	PayloadSizes() (raw, encoded int64, err error)
 }
 
 // packedState carries a relation's packed-payload attachment: either
