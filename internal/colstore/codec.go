@@ -52,29 +52,6 @@ func EncodeChunk(dst []byte, vals []uint32) (out []byte, minID, maxID uint32) {
 	}
 	width := uint(bits.Len32(maxID))
 	dst = append(dst, byte(width))
-
-	flushPacked := func(lit []uint32) []byte {
-		if len(lit) == 0 {
-			return dst
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(lit))<<1)
-		var acc uint64
-		var nacc uint
-		for _, v := range lit {
-			acc |= uint64(v) << nacc
-			nacc += width
-			for nacc >= 8 {
-				dst = append(dst, byte(acc))
-				acc >>= 8
-				nacc -= 8
-			}
-		}
-		if nacc > 0 {
-			dst = append(dst, byte(acc))
-		}
-		return dst
-	}
-
 	litStart := 0
 	i := 0
 	for i < len(vals) {
@@ -83,15 +60,43 @@ func EncodeChunk(dst []byte, vals []uint32) (out []byte, minID, maxID uint32) {
 			j++
 		}
 		if j-i >= minRLERun {
-			dst = flushPacked(vals[litStart:i])
+			dst = appendPacked(dst, vals[litStart:i], width)
 			dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
 			dst = binary.AppendUvarint(dst, uint64(vals[i]))
 			litStart = j
 		}
 		i = j
 	}
-	dst = flushPacked(vals[litStart:])
-	return dst, minID, maxID
+	return appendPacked(dst, vals[litStart:], width), minID, maxID
+}
+
+// appendPacked appends lit, IDs below 1<<width, as one bit-packed run:
+// its header, then the IDs LSB-first through a 64-bit accumulator that
+// stores a little-endian 32-bit word whenever it holds one (it holds
+// fewer than 32 bits before an ID joins, so a word always fits), and
+// its last zero to three bytes alone. The bytes are those a byte at a
+// time would write; refill reads them back the same way.
+func appendPacked(dst []byte, lit []uint32, width uint) []byte {
+	if len(lit) == 0 {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(lit))<<1)
+	dst = slices.Grow(dst, (len(lit)*int(width)+7)/8)
+	var acc uint64
+	var nacc uint
+	for _, v := range lit {
+		acc |= uint64(v) << nacc
+		if nacc += width; nacc >= 32 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(acc))
+			acc >>= 32
+			nacc -= 32
+		}
+	}
+	for ; nacc > 0; nacc -= min(nacc, 8) {
+		dst = append(dst, byte(acc))
+		acc >>= 8
+	}
+	return dst
 }
 
 // DecodeChunk decodes one chunk payload into dst, which must be sized

@@ -3,6 +3,7 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,6 +40,53 @@ func refMax(it *runIter) (hi uint32) {
 		hi = max(hi, v)
 	}
 	return hi
+}
+
+// refEncodeChunk is EncodeChunk as it packed runs before it stored a
+// 32-bit word at a time: one byte per 8 bits. The bytes EncodeChunk
+// writes are held to it.
+func refEncodeChunk(dst []byte, vals []uint32) []byte {
+	hi := slices.Max(vals)
+	width := uint(bits.Len32(hi))
+	dst = append(dst, byte(width))
+	flush := func(lit []uint32) {
+		if len(lit) == 0 {
+			return
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(lit))<<1)
+		var acc uint64
+		var nacc uint
+		for _, v := range lit {
+			acc |= uint64(v) << nacc
+			for nacc += width; nacc >= 8; nacc -= 8 {
+				dst = append(dst, byte(acc))
+				acc >>= 8
+			}
+		}
+		if nacc > 0 {
+			dst = append(dst, byte(acc))
+		}
+	}
+	lit := 0
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		if j-i >= minRLERun {
+			flush(vals[lit:i])
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(j-i)<<1|1), uint64(vals[i]))
+			lit = j
+		}
+		i = j
+	}
+	flush(vals[lit:])
+	return dst
+}
+
+func encodeChunk(ids []uint32) []byte {
+	out, _, _ := EncodeChunk(nil, ids)
+	return out
 }
 
 // refDecodeChunk is DecodeChunk over refDecode.
@@ -143,7 +191,9 @@ func checkAgainstRefs(t *testing.T, payload []byte, maxRows int) {
 
 // TestChunkDecodeMatchesReference pins the word-refill edges with
 // hand-built runs: widths 0, 1, 31 and 32, byte counts below four and
-// ≡ 1–3 mod 4, and padding bits set in a run's last byte.
+// ≡ 1–3 mod 4, and padding bits set in a run's last byte; and the word
+// stores' edges: EncodeChunk writes the reference's bytes for every
+// prefix of up to 70 IDs at those cardinalities.
 func TestChunkDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, width := range []uint{0, 1, 3, 5, 7, 8, 13, 17, 31, 32} {
@@ -161,6 +211,11 @@ func TestChunkDecodeMatchesReference(t *testing.T) {
 			ids[i] = uint32(rng.Int63n(int64(distinct)))
 		}
 		payload, _, _ := EncodeChunk(nil, ids)
+		for n := 1; n <= 70; n++ { // every run length at every width: the word stores' edges
+			if got, want := encodeChunk(ids[:n]), refEncodeChunk(nil, ids[:n]); !slices.Equal(got, want) {
+				t.Fatalf("EncodeChunk(%d IDs at %d distinct) = %x, the byte-at-a-time packing %x", n, distinct, got, want)
+			}
+		}
 		checkAgainstRefs(t, payload, len(ids))
 		got := make([]uint32, len(ids))
 		if err := DecodeChunk(payload, got); err != nil || !slices.Equal(got, ids) {

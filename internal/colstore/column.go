@@ -109,9 +109,10 @@ func (c *column) readColumn(lo int, dst []uint32) error {
 	return nil
 }
 
-// payloadSizes returns the column's share of PayloadSizes, counting
-// each ID of its decoded chunks on the first call. Chunks are
-// immutable once a column is built, so the count holds for its life.
+// payloadSizes returns the column's share of PayloadSizes,
+// renumbering the IDs of its decoded chunks on the first call. Chunks
+// are immutable once a column is built, so the price holds for its
+// life.
 func (c *column) payloadSizes() (raw, encoded int64, err error) {
 	c.sizeOnce.Do(func() {
 		dict, err := c.dictionary()
@@ -119,40 +120,24 @@ func (c *column) payloadSizes() (raw, encoded int64, err error) {
 			c.sizeErr = err
 			return
 		}
-		counts := make([]uint32, dict.Len())
-		ids := make([]uint32, min(c.rows, c.chunkRows))
+		s := getScratch(min(c.rows, c.chunkRows))
+		defer putScratch(s)
+		s.Start(dict)
 		for k, payload := range c.Chunks {
 			lo, hi := c.chunkSpan(k)
-			if err := DecodeChunk(payload, ids[:hi-lo]); err != nil {
+			ids := s.ids[:hi-lo]
+			err := DecodeChunk(payload, ids)
+			if err == nil {
+				err = s.Map(ids, ids)
+			}
+			if err != nil {
 				c.sizeErr = fmt.Errorf("colstore: %s chunk %d: %w", c.name, k, err)
 				return
 			}
-			for _, id := range ids[:hi-lo] {
-				if int(id) >= len(counts) {
-					c.sizeErr = fmt.Errorf("colstore: %s chunk %d: ID %d outside the dictionary of %d values", c.name, k, id, len(counts))
-					return
-				}
-				counts[id]++
-			}
 		}
-		c.raw, c.encoded = wireSizes(counts, dict.Val, c.rows)
+		c.raw, c.encoded = s.Sizes()
 	})
 	return c.raw, c.encoded, c.sizeErr
-}
-
-// wireSizes prices a column of rows IDs in which ID k occurs counts[k]
-// times, as relation.Encoded.PayloadSizes does: raw is every row's
-// value length plus one, encoded every distinct value's plus four bytes
-// a row.
-func wireSizes(counts []uint32, val func(uint32) string, rows int) (raw, encoded int64) {
-	for k, n := range counts {
-		if n > 0 {
-			l := int64(len(val(uint32(k)))) + 1
-			raw += int64(n) * l
-			encoded += l
-		}
-	}
-	return raw, encoded + 4*int64(rows)
 }
 
 // columns is the reader both containers embed: the

@@ -3,6 +3,7 @@ package colstore
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,9 @@ import (
 // FuzzChunkCodec fuzzes the chunk codec's stable seam from both sides.
 // The input bytes are used three ways:
 //
-//  1. as an ID vector (4 bytes LE per ID): EncodeChunk → DecodeChunk
+//  1. as an ID vector (4 bytes LE per ID): EncodeChunk must write the
+//     bytes of the byte-at-a-time packing (refEncodeChunk) after the
+//     input's 0–3 leftover bytes as a prefix, EncodeChunk → DecodeChunk
 //     must round-trip exactly, the reported min/max must bound the IDs,
 //     a chunkRuns walk must agree with DecodeChunk row for row, and so
 //     must a chunkAt point read of every row;
@@ -83,7 +86,12 @@ func fuzzIDRoundTrip(t *testing.T, data []byte) {
 		b := data[4*i:]
 		ids[i] = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 	}
-	payload, minID, maxID := EncodeChunk(nil, ids)
+	prefix := data[:len(data)%4]
+	payload, minID, maxID := EncodeChunk(slices.Clip(prefix), ids)
+	if want := refEncodeChunk(slices.Clip(prefix), ids); !bytes.Equal(payload, want) {
+		t.Fatalf("EncodeChunk wrote %x, the byte-at-a-time packing %x", payload, want)
+	}
+	payload = payload[len(prefix):]
 	checkAgainstRefs(t, payload, n)
 	for _, v := range ids {
 		if v < minID || v > maxID {

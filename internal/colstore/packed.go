@@ -109,14 +109,14 @@ func (f *Fragment) PackBase(cols []int) (*Packed, error) {
 }
 
 // PackColumns re-encodes a projected row selection as a packed
-// payload: each column's IDs are remapped onto a fresh
-// first-occurrence dictionary (so the bit width reflects the
-// selection's cardinality, not the source fragment's) and encoded in
-// DefaultChunkRows chunks. cols hold IDs into the parallel source
-// dicts; rows is the selection's length. The inputs are only read, so
-// mmap-backed dictionaries work as sources. Each column counts its
-// compact IDs as it remaps them, so the payload's PayloadSizes costs
-// nothing more. The chunk buffer, the remap table and the encoded
+// payload: each column's IDs are renumbered onto a fresh
+// first-occurrence dictionary (relation.Renumber, so the bit width
+// reflects the selection's cardinality, not the source fragment's) and
+// encoded in DefaultChunkRows chunks. cols hold IDs into the parallel
+// source dicts; rows is the selection's length. The inputs are only
+// read, so mmap-backed dictionaries work as sources. The renumbering
+// counts each compact ID, so the column prices itself (PayloadSizes)
+// as it is packed. The renumbering, the chunk buffer and the encoded
 // bytes are pooled scratch: what the payload keeps is copied out once,
 // at its exact size.
 func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, error) {
@@ -129,108 +129,63 @@ func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, er
 		numChunks = (rows + chunkRows - 1) / chunkRows
 	}
 	p := newPacked(rows, chunkRows, len(cols))
-	rm := remaps.Get().(*compactRemap)
-	defer func() { rm.reset(); remaps.Put(rm) }()
+	s := getScratch(chunkRows)
+	defer putScratch(s)
 	offs := make([]int, 0, numChunks+1)
 	for j, col := range cols {
 		if len(col) != rows {
 			return nil, fmt.Errorf("colstore: PackColumns column %d has %d rows, want %d", j, len(col), rows)
 		}
-		rm.start(dicts[j])
-		rm.enc, offs = rm.enc[:0], offs[:0]
+		s.Start(dicts[j])
+		s.enc, offs = s.enc[:0], offs[:0]
 		for base := 0; base < rows; base += chunkRows {
 			n := min(chunkRows, rows-base)
-			ids := rm.ids[:n]
-			for i, src := range col[base : base+n] {
-				ids[i] = rm.id(src)
+			if err := s.Map(s.ids[:n], col[base:base+n]); err != nil {
+				return nil, fmt.Errorf("colstore: PackColumns column %d: %w", j, err)
 			}
-			offs = append(offs, len(rm.enc))
-			rm.enc, _, _ = EncodeChunk(rm.enc, ids)
+			offs = append(offs, len(s.enc))
+			s.enc, _, _ = EncodeChunk(s.enc, s.ids[:n])
 		}
-		offs = append(offs, len(rm.enc))
-		enc := make([]byte, len(rm.enc))
-		copy(enc, rm.enc)
+		offs = append(offs, len(s.enc))
+		enc := make([]byte, len(s.enc))
+		copy(enc, s.enc)
 		c := p.cols[j]
 		c.Chunks = make([][]byte, numChunks)
 		for k := range c.Chunks {
 			c.Chunks[k] = enc[offs[k]:offs[k+1]:offs[k+1]]
 		}
-		c.Dict = EncodeDictSection(nil, rm.vals)
-		raw, encoded := wireSizes(rm.counts, func(k uint32) string { return rm.vals[k] }, rows)
+		s.vals = s.Vals(s.vals)
+		c.Dict = EncodeDictSection(nil, s.vals)
+		clear(s.vals)
+		raw, encoded := s.Sizes()
 		c.sizeOnce.Do(func() { c.raw, c.encoded = raw, encoded })
-		rm.reset()
 	}
 	return p, nil
 }
 
-// compactRemap interns source-dictionary IDs into a dense
-// first-occurrence ID space, the same order relation.Encoded assigns
-// when building columns in memory — which is what keeps packed and
-// dict+ID-shipped blocks byte-comparable downstream. It counts the rows
-// of every compact ID, and carries PackColumns' other scratch: one
-// chunk's compact IDs and the column's encoded bytes. Pooled (remaps):
-// reset clears the table through the source IDs it touched.
-type compactRemap struct {
-	src    *relation.Dict
-	small  bool              // src has at most maxRemapTable values: use table
-	table  []uint32          // src ID -> compact ID + 1, 0 when unseen
-	m      map[uint32]uint32 // for sources above maxRemapTable values
-	srcs   []uint32          // compact ID -> src ID
-	counts []uint32          // compact ID -> rows
-	vals   []string          // compact ID -> value
-	ids    []uint32
-	enc    []byte
+// scratch is what packing or pricing a column reuses: the renumbering,
+// one chunk's IDs, the column's encoded bytes and compact values.
+// Pooled (scratches); putScratch resets it, so the pool pins no
+// dictionary or value.
+type scratch struct {
+	relation.Renumber
+	ids  []uint32
+	enc  []byte
+	vals []string
 }
 
-// maxRemapTable is the largest source dictionary remapped through a
-// table; a larger one (a sparse selection of a huge column) uses the map.
-const maxRemapTable = 1 << 20
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-var remaps = sync.Pool{New: func() any {
-	return &compactRemap{m: map[uint32]uint32{}, ids: make([]uint32, DefaultChunkRows)}
-}}
-
-// start begins a column whose IDs index src.
-func (rm *compactRemap) start(src *relation.Dict) {
-	n := src.Len()
-	rm.src, rm.small = src, n <= maxRemapTable
-	if rm.small && n > len(rm.table) {
-		rm.table = make([]uint32, n)
+// getScratch returns pooled scratch whose ids hold at least n IDs.
+func getScratch(n int) *scratch {
+	s := scratches.Get().(*scratch)
+	if len(s.ids) < n {
+		s.ids = make([]uint32, n)
 	}
+	return s
 }
 
-// reset forgets the column: the table or map entries it set, the
-// lists (values cleared, so the pool pins none).
-func (rm *compactRemap) reset() {
-	for _, s := range rm.srcs {
-		if rm.small {
-			rm.table[s] = 0
-		} else {
-			delete(rm.m, s)
-		}
-	}
-	clear(rm.vals)
-	rm.src, rm.small, rm.srcs, rm.counts, rm.vals = nil, false, rm.srcs[:0], rm.counts[:0], rm.vals[:0]
-}
-
-func (rm *compactRemap) id(src uint32) uint32 {
-	var v uint32
-	if rm.small {
-		v = rm.table[src]
-	} else {
-		v = rm.m[src]
-	}
-	if v == 0 {
-		v = uint32(len(rm.srcs)) + 1
-		if rm.small {
-			rm.table[src] = v
-		} else {
-			rm.m[src] = v
-		}
-		rm.srcs = append(rm.srcs, src)
-		rm.counts = append(rm.counts, 0)
-		rm.vals = append(rm.vals, rm.src.Val(src))
-	}
-	rm.counts[v-1]++
-	return v - 1
+func putScratch(s *scratch) {
+	s.Reset()
+	scratches.Put(s)
 }

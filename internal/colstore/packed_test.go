@@ -3,6 +3,7 @@ package colstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,11 +12,14 @@ import (
 
 // refPackColumns is PackColumns as a fresh call computes it, with no
 // scratch shared between calls or columns: a per-column map remap, one
-// EncodeChunk per chunk into its own slice.
-func refPackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) []PackedColumn {
-	out := make([]PackedColumn, len(cols))
+// EncodeChunk per chunk into its own slice. It also prices the rows the
+// obvious way, as naiveSizes does: per column, a map[string]int of
+// every cell's value.
+func refPackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (out []PackedColumn, raw, encoded int64) {
+	out = make([]PackedColumn, len(cols))
 	for j, col := range cols {
 		at := map[uint32]uint32{}
+		count := map[string]int{}
 		var vals []string
 		ids := make([]uint32, rows)
 		for i, src := range col {
@@ -26,14 +30,38 @@ func refPackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) []PackedC
 				vals = append(vals, dicts[j].Val(src))
 			}
 			ids[i] = v
+			count[dicts[j].Val(src)]++
 		}
 		for lo := 0; lo < rows; lo += DefaultChunkRows {
 			chunk, _, _ := EncodeChunk(nil, ids[lo:min(lo+DefaultChunkRows, rows)])
 			out[j].Chunks = append(out[j].Chunks, chunk)
 		}
 		out[j].Dict = EncodeDictSection(nil, vals)
+		for v, n := range count {
+			raw += int64(n) * int64(len(v)+1)
+			encoded += int64(len(v)+1) + 4*int64(n)
+		}
 	}
-	return out
+	return out, raw, encoded
+}
+
+// naiveSizes prices r in the row and dict+ID forms the obvious way,
+// independent of the renumbering the code prices with: per column, a
+// map[string]int over Tuples(); each cell costs its value's length plus
+// one in the row form, and each distinct value its length plus one
+// plus four bytes a cell in the dict+ID form.
+func naiveSizes(r *relation.Relation) (raw, encoded int64) {
+	for j := 0; j < r.Schema().Arity(); j++ {
+		count := map[string]int{}
+		for _, t := range r.Tuples() {
+			count[t[j]]++
+		}
+		for v, n := range count {
+			raw += int64(n) * int64(len(v)+1)
+			encoded += int64(len(v)+1) + 4*int64(n)
+		}
+	}
+	return raw, encoded
 }
 
 // packCase is one PackColumns input: columns of IDs into shared dicts.
@@ -67,10 +95,12 @@ func scatteredCase(name string, rng *rand.Rand, dict *relation.Dict, rows, arity
 
 // TestPackColumnsPooledScratchMatchesFresh pins that PackColumns' pooled
 // scratch leaks nothing from one call or column into the next: interleaved
-// calls over a sparse shared dictionary, a dictionary above the remap
-// table's cap (the map path), zero rows and one repeated value each
+// calls over a sparse shared dictionary, a chained overlay dictionary
+// (IDs in both layers), a dictionary of more than 2²⁰ values (the
+// renumbering's map side), zero rows and one repeated value each
 // produce the bytes of a fresh call, in chunks none of which can grow
-// into the next, priced as the in-memory encoding prices the same rows.
+// into the next, priced as the reference prices the same rows — and so
+// is the in-memory encoding of those rows (Encoded.PayloadSizes).
 func TestPackColumnsPooledScratchMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := func(n int) []string {
@@ -90,12 +120,17 @@ func TestPackColumnsPooledScratchMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge, err := relation.NewDictFromVals(vals(maxRemapTable + 9))
+	huge, err := relation.NewDictFromVals(vals(1<<20 + 9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	over := relation.Chain(small)
+	for i := range 300 {
+		over.ID(fmt.Sprintf("overlay %d", i))
+	}
 	cases := []packCase{
 		scatteredCase("sparse shared", rng, small, 2*DefaultChunkRows+77, 3),
+		scatteredCase("chained overlay", rng, over, DefaultChunkRows+5, 3),
 		scatteredCase("map fallback", rng, huge, 600, 3),
 		{name: "zero rows", dicts: []*relation.Dict{small, huge}, cols: [][]uint32{{}, {}}},
 		scatteredCase("short", rng, small, 5, 2),
@@ -106,7 +141,7 @@ func TestPackColumnsPooledScratchMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := refPackColumns(c.dicts, c.cols, c.rows)
+			want, wantRaw, wantEnc := refPackColumns(c.dicts, c.cols, c.rows)
 			for j := range want {
 				got := p.Column(j)
 				if !bytes.Equal(got.Dict, want[j].Dict) || len(got.Chunks) != len(want[j].Chunks) {
@@ -125,19 +160,22 @@ func TestPackColumnsPooledScratchMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRaw, wantEnc := r.Encoded().PayloadSizes()
 			if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
-				t.Fatalf("%s: PayloadSizes = %d, %d, %v; the encoding prices %d, %d", c.name, raw, enc, err, wantRaw, wantEnc)
+				t.Fatalf("%s: PayloadSizes = %d, %d, %v; the reference prices %d, %d", c.name, raw, enc, err, wantRaw, wantEnc)
+			}
+			if raw, enc := r.Encoded().PayloadSizes(); raw != wantRaw || enc != wantEnc {
+				t.Fatalf("%s: Encoded.PayloadSizes = %d, %d; the reference prices %d, %d", c.name, raw, enc, wantRaw, wantEnc)
 			}
 		}
 	}
 }
 
-// TestPayloadSizesEveryReader pins the packed pricing against the
-// in-memory encoding's on every container a column set comes in — the
-// fragment file and its PackBase (which share one count), PackColumns
-// (priced while packing) and NewPacked (priced by decoding), each asked
-// twice — including separator-adjacent and empty values.
+// TestPayloadSizesEveryReader pins the packed pricing against
+// naiveSizes on every container a column set comes in — the fragment
+// file and its PackBase (which share one count), PackColumns (priced
+// while packing) and NewPacked (priced by decoding), each asked twice —
+// and the in-memory encoding, including separator-adjacent and empty
+// values.
 func TestPayloadSizesEveryReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	r := randomRelation(t, rng, DefaultChunkRows+300, 4)
@@ -150,11 +188,14 @@ func TestPayloadSizesEveryReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRaw, wantEnc := r.Encoded().PayloadSizes()
+	wantRaw, wantEnc := naiveSizes(r)
+	if raw, enc := r.Encoded().PayloadSizes(); raw != wantRaw || enc != wantEnc {
+		t.Fatalf("Encoded.PayloadSizes = %d, %d; the reference prices %d, %d", raw, enc, wantRaw, wantEnc)
+	}
 	for name, pr := range packedKinds(t, r) {
 		for range 2 {
 			if raw, enc, err := pr.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
-				t.Fatalf("%s: PayloadSizes = %d, %d, %v; the encoding prices %d, %d", name, raw, enc, err, wantRaw, wantEnc)
+				t.Fatalf("%s: PayloadSizes = %d, %d, %v; the reference prices %d, %d", name, raw, enc, err, wantRaw, wantEnc)
 			}
 		}
 	}

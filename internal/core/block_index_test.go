@@ -151,10 +151,29 @@ func TestDetectAssignedSetSharesBlockIndex(t *testing.T) {
 	}
 }
 
-// oracleWireForm is ChooseWireForm's rule as it read before a packed
-// payload priced its own rows: every relation walks its cells.
+// naiveSizes prices r in the row and dict+ID forms the obvious way,
+// independent of the renumbering the code prices with: per column, a
+// map[string]int over Tuples(); each cell costs its value's length plus
+// one in the row form, and each distinct value its length plus one
+// plus four bytes a cell in the dict+ID form.
+func naiveSizes(r *relation.Relation) (raw, encoded int64) {
+	for j := 0; j < r.Schema().Arity(); j++ {
+		count := map[string]int{}
+		for _, t := range r.Tuples() {
+			count[t[j]]++
+		}
+		for v, n := range count {
+			raw += int64(n) * int64(len(v)+1)
+			encoded += int64(len(v)+1) + 4*int64(n)
+		}
+	}
+	return raw, encoded
+}
+
+// oracleWireForm is ChooseWireForm's rule priced by naiveSizes: the
+// smallest form, ties to the row form, then dict+ID.
 func oracleWireForm(r *relation.Relation) (dist.WireForm, int64) {
-	raw, encoded := r.Encoded().PayloadSizes()
+	raw, encoded := naiveSizes(r)
 	form, best := dist.RowForm, raw
 	if encoded < raw {
 		form, best = dist.ColumnForm, encoded
@@ -171,10 +190,10 @@ func oracleWireForm(r *relation.Relation) (dist.WireForm, int64) {
 // σ-block extracts of a store site — scattered PackColumns blocks over
 // the fragment's shared dictionaries, empty ones, and whole-fragment
 // PackBase extracts — with empty and \x1f-adjacent values and one value
-// in every row, the payload's PayloadSizes equals the extract's
-// Encoded().PayloadSizes(), and ChooseWireForm returns the oracle's
-// form and size, also once DropPacked (WithPackedShipping(false)) has
-// detached the payload.
+// in every row, the payload's PayloadSizes and the extract's
+// Encoded().PayloadSizes() equal naiveSizes, and ChooseWireForm returns
+// the oracle's form and size, also once DropPacked
+// (WithPackedShipping(false)) has detached the payload.
 func TestStoreExtractPricing(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
@@ -220,10 +239,14 @@ func TestStoreExtractPricing(t *testing.T) {
 			if err != nil || pr == nil {
 				t.Fatalf("trial %d block %d: no packed payload (%v)", trial, l, err)
 			}
-			wantRaw, wantEnc := r.Encoded().PayloadSizes()
+			wantRaw, wantEnc := naiveSizes(r)
 			if raw, enc, err := pr.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
-				t.Fatalf("trial %d block %d (%d rows): PayloadSizes = %d, %d, %v; the encoding prices %d, %d",
+				t.Fatalf("trial %d block %d (%d rows): PayloadSizes = %d, %d, %v; the reference prices %d, %d",
 					trial, l, r.Len(), raw, enc, err, wantRaw, wantEnc)
+			}
+			if raw, enc := r.Encoded().PayloadSizes(); raw != wantRaw || enc != wantEnc {
+				t.Fatalf("trial %d block %d: Encoded.PayloadSizes = %d, %d; the reference prices %d, %d",
+					trial, l, raw, enc, wantRaw, wantEnc)
 			}
 			form, n := dist.ChooseWireForm(r)
 			if wf, wn := oracleWireForm(r); form != wf || n != wn {

@@ -60,6 +60,15 @@ func newEncoded(tuples []Tuple, arity int) *Encoded {
 	}
 }
 
+// lazyView returns a lazy relation over s of rows rows and the view
+// backing it, its columns for the caller to set before publishing it.
+func lazyView(s *Schema, rows int) (*Relation, *Encoded) {
+	out, enc := New(s), newEncoded(nil, s.Arity())
+	out.lazy, enc.rows = &lazyTuples{rows: rows}, rows
+	out.enc.Store(enc)
+	return out, enc
+}
+
 // Rows returns the number of rows in the view.
 func (e *Encoded) Rows() int { return e.rows }
 
@@ -142,37 +151,23 @@ func (e *Encoded) Column(i int) ([]uint32, *Dict) {
 // encoded the columnar form (each column's compacted dictionary
 // payload — only values the column actually holds — plus four bytes
 // per cell ID). Shippers pick the smaller form; the shipment metrics
-// charge the same quantity so reported bytes match the wire. The
-// computation is integer-only: distinctness runs over IDs, never by
-// re-hashing values.
+// charge the same quantity so reported bytes match the wire. Each
+// column is counted through a pooled Renumber, one Dict.Val a distinct
+// value: distinctness runs over IDs, never by re-hashing values.
 func (e *Encoded) PayloadSizes() (raw, encoded int64) {
+	rn := getRenumber()
+	defer putRenumber(rn)
 	for i := 0; i < e.arity; i++ {
 		col, dict := e.Column(i)
-		// Distinctness tracking sized to the smaller of the column and
-		// the dictionary: a small extract sharing a large source
-		// dictionary must not pay O(source distinct values) per call.
-		if len(col)*4 < dict.Len() {
-			seen := make(map[uint32]struct{}, len(col))
-			for _, id := range col {
-				l := int64(len(dict.Val(id))) + 1
-				raw += l
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					encoded += l
-				}
-			}
-		} else {
-			seen := make([]bool, dict.Len())
-			for _, id := range col {
-				l := int64(len(dict.Val(id))) + 1
-				raw += l
-				if !seen[id] {
-					seen[id] = true
-					encoded += l
-				}
+		rn.Start(dict)
+		for lo := 0; lo < len(col); lo += len(rn.buf) {
+			chunk := col[lo:min(lo+len(rn.buf), len(col))]
+			if err := rn.Map(rn.buf[:len(chunk)], chunk); err != nil {
+				panic(err) // a built column holds only its dictionary's IDs
 			}
 		}
-		encoded += 4 * int64(len(col))
+		r, en := rn.Sizes()
+		raw, encoded = raw+r, encoded+en
 	}
 	return raw, encoded
 }
@@ -180,12 +175,13 @@ func (e *Encoded) PayloadSizes() (raw, encoded int64) {
 // CompactColumns returns the wire form of every column: a dictionary
 // holding exactly the values present, with the ID vector rewritten
 // accordingly. Columns already dense are passed through unchanged;
-// sparse (shared-dictionary) columns are renumbered here, the only
-// place the deferred compaction is paid. A dictionary is injective, so
-// renumbering IDs in first-occurrence order never hashes a value.
+// sparse (shared-dictionary) columns are renumbered here (Renumber),
+// the only place the deferred compaction is paid.
 func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
 	dicts = make([][]string, e.arity)
 	cols = make([][]uint32, e.arity)
+	rn := getRenumber()
+	defer putRenumber(rn)
 	for i := 0; i < e.arity; i++ {
 		col, dict := e.Column(i)
 		e.mu.RLock()
@@ -195,20 +191,12 @@ func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
 			dicts[i], cols[i] = dict.Vals(), col
 			continue
 		}
-		var vals []string
-		var rm remapper
-		rm.reset(dict, len(col))
-		out := make([]uint32, len(col))
-		for k, id := range col {
-			v, ok := rm.get(id)
-			if !ok {
-				vals = append(vals, dict.Val(id))
-				v = uint32(len(vals) - 1)
-				rm.put(id, v)
-			}
-			out[k] = v
+		rn.Start(dict)
+		cols[i] = make([]uint32, len(col))
+		if err := rn.Map(cols[i], col); err != nil {
+			panic(err)
 		}
-		dicts[i], cols[i] = vals, out
+		dicts[i] = rn.Vals(nil)
 	}
 	return dicts, cols
 }
@@ -238,57 +226,6 @@ func (r *Relation) invalidateEncoding() {
 	r.packed.Store(nil)
 }
 
-// remapper maps one source column's IDs to new ones: the caller
-// assigns an ID at a source ID's first get miss and puts it, and every
-// further occurrence is answered from a table or an integer map. Small
-// inputs over large source dictionaries use the map, so a remap never
-// allocates proportionally to a dictionary it barely touches. A reset
-// reuses the buffers of the previous remap.
-type remapper struct {
-	byMap bool
-	table []uint32          // table mode: src id -> dst id + 1, 0 until put
-	m     map[uint32]uint32 // map mode
-}
-
-// reset readies rm for about n IDs of a column over src.
-func (rm *remapper) reset(src *Dict, n int) {
-	rm.byMap = n*4 < src.Len()
-	if !rm.byMap {
-		rm.table = sized(rm.table, src.Len())
-		clear(rm.table)
-	} else if rm.m == nil {
-		rm.m = make(map[uint32]uint32, n)
-	} else {
-		clear(rm.m)
-	}
-}
-
-func (rm *remapper) get(id uint32) (uint32, bool) {
-	if rm.byMap {
-		v, ok := rm.m[id]
-		return v, ok
-	}
-	v := rm.table[id]
-	return v - 1, v != 0
-}
-
-func (rm *remapper) put(id, v uint32) {
-	if rm.byMap {
-		rm.m[id] = v
-	} else {
-		rm.table[id] = v + 1
-	}
-}
-
-// sized returns buf with length n, reallocating when its capacity falls
-// short; what it holds is unspecified until the caller fills it.
-func sized(buf []uint32, n int) []uint32 {
-	if cap(buf) < n {
-		return make([]uint32, n)
-	}
-	return buf[:n]
-}
-
 // ProjectRows returns a new relation holding the given rows of r (in
 // order) projected onto attrs, named name. The columnar encoded view
 // is derived from r's by row gathering: the extract shares the source
@@ -307,10 +244,7 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 		return nil, err
 	}
 	e := r.Encoded()
-	out := New(ps)
-	out.lazy = &lazyTuples{rows: len(rows)}
-	enc := newEncoded(nil, len(idx))
-	enc.rows = len(rows)
+	out, enc := lazyView(ps, len(rows))
 	for j, c := range idx {
 		srcCol, srcDict := e.Column(c)
 		col := make([]uint32, len(rows))
@@ -319,7 +253,6 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 		}
 		enc.cols[j], enc.dicts[j] = col, srcDict
 	}
-	out.enc.Store(enc)
 	return out, nil
 }
 
@@ -327,24 +260,39 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 // vectors — the columnar wire form — installing the encoded view
 // directly, so a receiving site keeps working on the sender's
 // interning. The result is lazy: tuples materialize (sharing the
-// dictionary strings) only if something leaves ID space.
+// dictionary strings) only if something leaves ID space. The columns
+// are marked dense, so a relay ships the dictionaries as they came and
+// bills only the values present: a column with a dictionary value no
+// row uses (CompactColumns never emits one) is an error, as is an ID
+// outside its dictionary.
 func FromColumns(s *Schema, dicts [][]string, cols [][]uint32, rows int) (*Relation, error) {
 	arity := s.Arity()
 	if len(cols) != arity || len(dicts) != arity {
 		return nil, fmt.Errorf("relation: columnar payload has %d/%d columns, schema %s wants %d",
 			len(cols), len(dicts), s.Name(), arity)
 	}
-	enc := newEncoded(nil, arity)
-	enc.rows = rows
+	out, enc := lazyView(s, rows)
 	for j := range cols {
 		if len(cols[j]) != rows {
 			return nil, fmt.Errorf("relation: column %d has %d rows, header says %d", j, len(cols[j]), rows)
 		}
+		// One bit a dictionary value, allocated here rather than pooled:
+		// what a pool holds (and, under the race detector, drops at
+		// random) would make receiving allocate more or less from call to
+		// call (TestReceiveAllocsFlat).
+		seen, used := make([]uint64, (len(dicts[j])+63)/64), 0
 		for i, id := range cols[j] {
 			if int(id) >= len(dicts[j]) {
 				return nil, fmt.Errorf("relation: column %d row %d: id %d outside dictionary of %d values",
 					j, i, id, len(dicts[j]))
 			}
+			if w, b := &seen[id>>6], uint64(1)<<(id&63); *w&b == 0 {
+				*w |= b
+				used++
+			}
+		}
+		if used != len(dicts[j]) {
+			return nil, fmt.Errorf("relation: column %d uses %d of its dictionary's %d values", j, used, len(dicts[j]))
 		}
 		d, err := NewDictFromVals(dicts[j])
 		if err != nil {
@@ -352,8 +300,5 @@ func FromColumns(s *Schema, dicts [][]string, cols [][]uint32, rows int) (*Relat
 		}
 		enc.cols[j], enc.dicts[j], enc.dense[j] = cols[j], d, true
 	}
-	out := New(s)
-	out.lazy = &lazyTuples{rows: rows}
-	out.enc.Store(enc)
 	return out, nil
 }

@@ -17,7 +17,7 @@ const mergeShrinkIDs = 1 << 23
 // is ready to use; one Merge serves one caller at a time.
 type Merge struct {
 	ids []uint32 // every column of the last merge, one window each
-	rm  remapper
+	rn  Renumber // translates a part over another dictionary
 }
 
 // Concat is Merge.Concat into a fresh destination, so its result stays
@@ -31,9 +31,10 @@ func Concat(parts ...*Relation) (*Relation, error) {
 // parts[0]'s schema (parts must share its arity, like AppendAll). It
 // merges under the first non-empty part's dictionaries: that part keeps
 // its IDs, a part sharing its dictionary is copied as it is, and any
-// other part is translated once per distinct value by a Lookup there —
-// a row-backed part once per cell — so only values the base dictionary
-// lacks are interned, into an overlay made at the first such value.
+// other part is translated (Renumber.Translate) once per distinct value
+// by a Lookup there — a row-backed part once per cell — so only values
+// the base dictionary lacks are interned, into an overlay made at the
+// first such value.
 // The base dictionary is never written: the coordinators of one site
 // share their fragment's. A packed part decodes through its reader
 // straight into its window of the merged column, where a corrupt chunk
@@ -56,8 +57,7 @@ func (m *Merge) Concat(parts ...*Relation) (*Relation, error) {
 		return New(schema), nil
 	}
 	m.ids = sized(m.ids, total*arity)
-	enc := newEncoded(nil, arity)
-	enc.rows = total
+	out, enc := lazyView(schema, total)
 	for j := 0; j < arity; j++ {
 		col := m.ids[j*total : (j+1)*total : (j+1)*total]
 		d, err := m.column(j, col, parts)
@@ -66,9 +66,6 @@ func (m *Merge) Concat(parts ...*Relation) (*Relation, error) {
 		}
 		enc.cols[j], enc.dicts[j] = col, d
 	}
-	out := New(schema)
-	out.lazy = &lazyTuples{rows: total}
-	out.enc.Store(enc)
 	return out, nil
 }
 
@@ -117,29 +114,20 @@ func (m *Merge) column(j int, col []uint32, parts []*Relation) (*Dict, error) {
 			copy(win, src)
 			continue
 		}
-		m.rm.reset(pd, n)
-		for i, id := range src {
-			v, ok := m.rm.get(id)
-			if !ok {
-				v = intern(pd.Val(id))
-				m.rm.put(id, v)
-			}
-			win[i] = v
+		m.rn.Start(pd)
+		if err := m.rn.Translate(win, src, intern); err != nil {
+			return nil, fmt.Errorf("relation: column %d: %w", j, err)
 		}
 	}
 	return d, nil
 }
 
-// Shrink drops the buffers grown past mergeShrinkIDs; call it before
-// returning m to a pool.
+// Shrink drops the ID buffer if it grew past mergeShrinkIDs and resets
+// the renumbering (Renumber.Reset); call it before returning m to a
+// pool.
 func (m *Merge) Shrink() {
 	if cap(m.ids) > mergeShrinkIDs {
 		m.ids = nil
 	}
-	if cap(m.rm.table) > mergeShrinkIDs {
-		m.rm.table = nil
-	}
-	if len(m.rm.m) > mergeShrinkIDs {
-		m.rm.m = nil
-	}
+	m.rn.Reset()
 }

@@ -112,24 +112,49 @@ func TestConcat(t *testing.T) {
 }
 
 // FuzzConcat builds parts from bytes — empty, row-backed, extracts
-// sharing one source's dictionaries, dict+ID, packed, and packed parts
-// that fail to decode — and merges them twice through one Merge (all
-// of them, then all but the first), so the second merge overwrites the
+// sharing one source's dictionaries, dict+ID, packed, packed parts that
+// fail to decode, and extracts over a chained overlay dictionary and
+// over one of more than 2²⁰ values (both sides of the renumbering's
+// table/map rule) — and merges them twice through one Merge (all of
+// them, then all but the first), so the second merge overwrites the
 // first's columns. Each merge must hold exactly the parts' tuples in
 // order with IDs that look up as their values, keep the first non-empty
-// part's IDs, and leave every part's dictionary as it was; a part that
-// fails to decode must fail the merge.
+// part's IDs, leave every part's dictionary as it was, price its rows
+// as naiveSizes does and compact to a dict+ID form FromColumns adopts;
+// a part that fails to decode must fail the merge.
 //
-// Script: one header byte a part, kind = h%6 and rows = (h>>3)%4, then
+// Script: one header byte a part, kind = h%8 and rows = (h>>3)%4, then
 // one byte a row (value v<b%9> in column a, w<b/9%4> in column b; a
 // source row index for an extract).
 func FuzzConcat(f *testing.F) {
 	f.Add([]byte{0x1a, 1, 2, 3, 0x09, 4, 5, 0x13, 6, 7, 0x1c, 8, 9, 10})
 	f.Add([]byte{0x10, 0x0a, 3, 0x0b, 2, 4})
 	f.Add([]byte{0x19, 0, 1, 2, 0x12, 5, 6, 0x0d, 7, 0x08, 9, 0x1b, 1, 1, 1})
+	f.Add([]byte{0x1e, 3, 20, 35, 0x17, 2, 11, 0x09, 8, 0x1f, 1, 5, 30})
+	f.Add([]byte{0x1f, 4, 5, 6, 0x1e, 7, 8, 9, 0x0b, 1})
 	s := MustSchema("R", []string{"a", "b"})
 	src := MustFromRows(s, []string{"v0", "w0"}, []string{"v1", "w1"}, []string{"v2", "w0"},
 		[]string{"v3", "w2"}, []string{"v4", "w1"}, []string{"v0", "w3"})
+	// The overlay holds v5..v8 and w2, w3 over a root holding the rest;
+	// the huge dictionary holds every value among 2²⁰ others.
+	root, _ := NewDictFromVals([]string{"v0", "v1", "v2", "v3", "v4", "w0", "w1"})
+	over := Chain(root)
+	hugeVals := make([]string, 1<<20+16)
+	for i := range hugeVals {
+		hugeVals[i] = fmt.Sprint("h", i)
+	}
+	for i := range 9 {
+		over.ID(fmt.Sprint("v", i))
+		hugeVals[1<<20+i] = fmt.Sprint("v", i)
+	}
+	for i := range 4 {
+		over.ID(fmt.Sprint("w", i))
+		hugeVals[1<<20+9+i] = fmt.Sprint("w", i)
+	}
+	huge, err := NewDictFromVals(hugeVals)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var parts []*Relation
 		broken := false
@@ -148,7 +173,7 @@ func FuzzConcat(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch h % 6 {
+			switch h % 8 {
 			case 0:
 				p = New(s)
 			case 2:
@@ -157,8 +182,19 @@ func FuzzConcat(f *testing.F) {
 				dicts, cols := p.Encoded().CompactColumns()
 				p, err = FromColumns(s, dicts, cols, len(ts))
 			case 4, 5:
-				p = packedPart(t, p, h%6 == 5)
-				broken = broken || h%6 == 5 && len(ts) > 0
+				p = packedPart(t, p, h%8 == 5)
+				broken = broken || h%8 == 5 && len(ts) > 0
+			case 6, 7:
+				d := over
+				if h%8 == 7 {
+					d = huge
+				}
+				cols := [][]uint32{make([]uint32, len(ts)), make([]uint32, len(ts))}
+				for i, tu := range ts {
+					cols[0][i], _ = d.Lookup(tu[0])
+					cols[1][i], _ = d.Lookup(tu[1])
+				}
+				p, err = FromSharedColumns(s, []*Dict{d, d}, cols, len(ts))
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +215,27 @@ func FuzzConcat(f *testing.F) {
 		if len(rest) > 0 {
 			checkMerge(t, &m, rest, restBroken)
 		}
+		m.Shrink()
 	})
+}
+
+// naiveSizes prices r in the row and dict+ID forms the obvious way,
+// independent of the Renumber the code prices with: per column, a
+// map[string]int over Tuples(); each cell costs its value's length plus
+// one in the row form, and each distinct value its length plus one
+// plus four bytes a cell in the dict+ID form.
+func naiveSizes(r *Relation) (raw, encoded int64) {
+	for j := 0; j < r.Schema().Arity(); j++ {
+		count := map[string]int{}
+		for _, t := range r.Tuples() {
+			count[t[j]]++
+		}
+		for v, n := range count {
+			raw += int64(n) * int64(len(v)+1)
+			encoded += int64(len(v)+1) + 4*int64(n)
+		}
+	}
+	return raw, encoded
 }
 
 // checkMerge merges parts through m and checks the result against the
@@ -199,8 +255,9 @@ func checkMerge(t *testing.T, m *Merge, parts []*Relation, broken bool) {
 		}
 		if p.Len() > 0 && (p.lazy != nil || p.enc.Load() != nil) {
 			for j := 0; j < p.Schema().Arity(); j++ {
-				_, d := p.Encoded().Column(j)
-				dictVals[d] = slices.Clone(d.Vals())
+				if _, d := p.Encoded().Column(j); d.Len() < 1<<10 { // the huge one is shared, never merged into
+					dictVals[d] = slices.Clone(d.Vals())
+				}
 			}
 		}
 	}
@@ -224,6 +281,14 @@ func checkMerge(t *testing.T, m *Merge, parts []*Relation, broken bool) {
 	}
 	if out.Len() == 0 {
 		return
+	}
+	raw, enc := out.Encoded().PayloadSizes()
+	if wantRaw, wantEnc := naiveSizes(out); raw != wantRaw || enc != wantEnc {
+		t.Fatalf("merge priced %d, %d; the reference %d, %d", raw, enc, wantRaw, wantEnc)
+	}
+	dicts, cols := out.Encoded().CompactColumns()
+	if back, err := FromColumns(out.Schema(), dicts, cols, out.Len()); err != nil || !slices.EqualFunc(back.Tuples(), want, slices.Equal) {
+		t.Fatalf("the merge's compact form came back as %v, %v", back, err)
 	}
 	for j := 0; j < out.Schema().Arity(); j++ {
 		col, dict := out.Encoded().Column(j)

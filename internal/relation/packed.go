@@ -110,12 +110,8 @@ func FromPackedReader(s *Schema, pr PackedColumnReader) (*Relation, error) {
 		return nil, fmt.Errorf("relation: packed payload has %d columns, schema %s wants %d",
 			pr.NumColumns(), s.Name(), s.Arity())
 	}
-	out := New(s)
-	out.lazy = &lazyTuples{rows: pr.Rows()}
-	enc := newEncoded(nil, s.Arity())
-	enc.rows = pr.Rows()
+	out, enc := lazyView(s, pr.Rows())
 	enc.reader = pr
-	out.enc.Store(enc)
 	out.packed.Store(&packedState{pr: pr, done: true, backing: true})
 	return out, nil
 }

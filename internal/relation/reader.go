@@ -68,13 +68,8 @@ func FromSharedColumns(s *Schema, dicts []*Dict, cols [][]uint32, rows int) (*Re
 			return nil, fmt.Errorf("relation: column %d has %d rows, want %d", j, len(cols[j]), rows)
 		}
 	}
-	out := New(s)
-	out.lazy = &lazyTuples{rows: rows}
-	enc := newEncoded(nil, arity)
-	enc.rows = rows
-	for j := range cols {
-		enc.cols[j], enc.dicts[j] = cols[j], dicts[j]
-	}
-	out.enc.Store(enc)
+	out, enc := lazyView(s, rows)
+	copy(enc.cols, cols)
+	copy(enc.dicts, dicts)
 	return out, nil
 }

@@ -150,6 +150,13 @@ var sectionCases = []struct {
 		vals, _ := colstore.DecodeDictSection(w.Dicts[0])
 		w.Dicts[0] = colstore.EncodeDictSection(nil, append([]string{vals[0]}, vals...))
 	}},
+	// A dictionary value no row uses: adopted as a dense column, a relay
+	// would ship it while the billing counts only the values present.
+	{"dict-unused-value", func(w *WireRelation) {
+		asDicts(w)
+		vals, _ := colstore.DecodeDictSection(w.Dicts[0])
+		w.Dicts[0] = colstore.EncodeDictSection(nil, append(vals, "unused"))
+	}},
 	// Both forms set: neither may silently win.
 	{"two-forms", func(w *WireRelation) {
 		asRows(w)

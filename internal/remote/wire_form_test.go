@@ -123,7 +123,7 @@ func TestWireFormChooserAgreement(t *testing.T) {
 			}
 			seen[form] = true
 
-			raw, enc := r.Encoded().PayloadSizes()
+			raw, enc := naiveSizes(r)
 			sizes := map[dist.WireForm]int64{dist.RowForm: raw, dist.ColumnForm: enc}
 			if pr, err := r.PackedPayload(); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -163,6 +163,108 @@ func TestWireFormChooserAgreement(t *testing.T) {
 		if !seen[f] {
 			t.Errorf("no fixture shipped in form %d", f)
 		}
+	}
+}
+
+// naiveSizes prices r in the row and dict+ID forms the obvious way,
+// independent of the renumbering the code prices with: per column, a
+// map[string]int over Tuples(); each cell costs its value's length plus
+// one in the row form, and each distinct value its length plus one
+// plus four bytes a cell in the dict+ID form.
+func naiveSizes(r *relation.Relation) (raw, encoded int64) {
+	for j := 0; j < r.Schema().Arity(); j++ {
+		count := map[string]int{}
+		for _, t := range r.Tuples() {
+			count[t[j]]++
+		}
+		for v, n := range count {
+			raw += int64(n) * int64(len(v)+1)
+			encoded += int64(len(v)+1) + 4*int64(n)
+		}
+	}
+	return raw, encoded
+}
+
+// emittedBytes is the modeled size of what w carries, read off the
+// payload itself: each value of the row form, and each dictionary value
+// of the dict+ID form, its length plus one, four bytes a cell ID, and
+// the packed form's dictionary sections and chunks as they are.
+func emittedBytes(t *testing.T, w *WireRelation) int64 {
+	t.Helper()
+	var n int64
+	switch emittedForm(w) {
+	case dist.PackedForm:
+		for _, c := range w.Packed.Cols {
+			n += int64(len(c.Dict))
+			for _, chunk := range c.Chunks {
+				n += int64(len(chunk))
+			}
+		}
+		return n
+	case dist.ColumnForm:
+		dicts, err := colstore.DecodeDictSections(w.Dicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, d := range dicts {
+			for _, v := range d {
+				n += int64(len(v)) + 1
+			}
+			n += 4 * int64(len(w.Cols[j]))
+		}
+		return n
+	}
+	if w.Rows == 0 {
+		return 0
+	}
+	vals, err := colstore.DecodeDictSection(w.Tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		n += int64(len(v)) + 1
+	}
+	return n
+}
+
+// TestRelayBillsWhatShips: a relation is billed (dist.RelationBytes)
+// exactly the bytes ToWire emits for it, and so is what a receiver
+// adopts from those bytes and ships on, as the driver relays an
+// extract — for every way a relation reaches a shipper and every form.
+// A dict+ID payload whose dictionary holds a value no row uses would
+// break it at the relay (it ships the dictionary as it came, billed for
+// the values present), so FromWire refuses one.
+func TestRelayBillsWhatShips(t *testing.T) {
+	seen := map[dist.WireForm]bool{}
+	for sname, src := range map[string]*relation.Relation{
+		"unique":     uniqueRelation(300),
+		"repetitive": workload.Cust(workload.CustConfig{N: 3000, Seed: 5}),
+	} {
+		for kind, r := range wireKinds(t, src) {
+			name := sname + "/" + kind
+			w := ToWire(r)
+			if got, want := dist.RelationBytes(r), emittedBytes(t, w); got != want {
+				t.Errorf("%s: billed %d, ToWire emitted %d", name, got, want)
+			}
+			back, err := FromWire(w)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rw := ToWire(back)
+			if got, want := dist.RelationBytes(back), emittedBytes(t, rw); got != want {
+				t.Errorf("%s relayed in form %d: billed %d, ToWire emitted %d", name, emittedForm(rw), got, want)
+			}
+			seen[emittedForm(rw)] = true
+		}
+	}
+	if len(seen) != 3 {
+		t.Errorf("relays shipped forms %v, want all three", seen)
+	}
+	w := ToWire(uniqueRelation(3))
+	w.Tuples, w.Dicts, w.Cols = nil, colstore.EncodeDictSections([][]string{{"a0", "a1", "a2", "spare"}, {"b0", "b1", "b2"}}),
+		[][]uint32{{0, 1, 2}, {0, 1, 2}}
+	if _, err := FromWire(w); err == nil {
+		t.Error("a dict+ID payload with a value no row uses was adopted")
 	}
 }
 
