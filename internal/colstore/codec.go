@@ -52,20 +52,27 @@ func EncodeChunk(dst []byte, vals []uint32) (out []byte, minID, maxID uint32) {
 	}
 	width := uint(bits.Len32(maxID))
 	dst = append(dst, byte(width))
-	litStart := 0
-	i := 0
-	for i < len(vals) {
-		j := i + 1
+	// run counts the equal IDs that end at k. Below minRLERun it only
+	// steps, so at low cardinality, where runs end at random, the scan
+	// takes no branch on where they end; a run reaching minRLERun is
+	// extended to its end and emitted.
+	litStart, run := 0, 1
+	for k := 1; k < len(vals); k++ {
+		next := 1
+		if vals[k] == vals[k-1] {
+			next = run + 1
+		}
+		if run = next; run < minRLERun {
+			continue
+		}
+		i, j := k+1-minRLERun, k+1
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		if j-i >= minRLERun {
-			dst = appendPacked(dst, vals[litStart:i], width)
-			dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
-			dst = binary.AppendUvarint(dst, uint64(vals[i]))
-			litStart = j
-		}
-		i = j
+		dst = appendPacked(dst, vals[litStart:i], width)
+		dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
+		dst = binary.AppendUvarint(dst, uint64(vals[i]))
+		litStart, k, run = j, j, 1
 	}
 	return appendPacked(dst, vals[litStart:], width), minID, maxID
 }

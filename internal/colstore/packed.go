@@ -11,10 +11,10 @@ import (
 // plus raw chunk payloads — the unit the wire ships and receivers
 // detect over. Fragment.PackBase builds one by
 // sharing a store fragment's own columns (a whole-fragment extract: the
-// bytes that cross the wire are the bytes on disk), PackColumns by
-// re-encoding a scattered row selection (the usual σ-block extract)
-// against fresh first-occurrence dictionaries, NewPacked by adopting a
-// peer's parts.
+// bytes that cross the wire are the bytes on disk), PackColumns — or
+// NewPayload and PackColumn, a column at a time — by re-encoding a
+// scattered row selection (the usual σ-block extract) against fresh
+// first-occurrence dictionaries, NewPacked by adopting a peer's parts.
 //
 // A receiver keeps shipped chunks as they arrived: a column decodes
 // only when a consumer reads it. Safe for concurrent readers.
@@ -109,68 +109,78 @@ func (f *Fragment) PackBase(cols []int) (*Packed, error) {
 }
 
 // PackColumns re-encodes a projected row selection as a packed
-// payload: each column's IDs are renumbered onto a fresh
-// first-occurrence dictionary (relation.Renumber, so the bit width
-// reflects the selection's cardinality, not the source fragment's) and
-// encoded in DefaultChunkRows chunks. cols hold IDs into the parallel
-// source dicts; rows is the selection's length. The inputs are only
-// read, so mmap-backed dictionaries work as sources. The renumbering
-// counts each compact ID, so the column prices itself (PayloadSizes)
-// as it is packed. The renumbering, the chunk buffer and the encoded
-// bytes are pooled scratch: what the payload keeps is copied out once,
-// at its exact size.
+// payload: NewPayload, then PackColumn for every column. cols hold IDs
+// into the parallel source dicts; rows is the selection's length. The
+// inputs are only read, so mmap-backed dictionaries work as sources.
 func PackColumns(dicts []*relation.Dict, cols [][]uint32, rows int) (*Packed, error) {
 	if len(dicts) != len(cols) {
 		return nil, fmt.Errorf("colstore: PackColumns has %d dicts for %d columns", len(dicts), len(cols))
 	}
-	chunkRows := DefaultChunkRows
-	numChunks := 0
-	if rows > 0 {
-		numChunks = (rows + chunkRows - 1) / chunkRows
-	}
-	p := newPacked(rows, chunkRows, len(cols))
-	s := getScratch(chunkRows)
-	defer putScratch(s)
-	offs := make([]int, 0, numChunks+1)
+	p := NewPayload(rows, len(cols))
 	for j, col := range cols {
-		if len(col) != rows {
-			return nil, fmt.Errorf("colstore: PackColumns column %d has %d rows, want %d", j, len(col), rows)
+		if err := p.PackColumn(j, dicts[j], col); err != nil {
+			return nil, fmt.Errorf("colstore: PackColumns column %d: %w", j, err)
 		}
-		s.Start(dicts[j])
-		s.enc, offs = s.enc[:0], offs[:0]
-		for base := 0; base < rows; base += chunkRows {
-			n := min(chunkRows, rows-base)
-			if err := s.Map(s.ids[:n], col[base:base+n]); err != nil {
-				return nil, fmt.Errorf("colstore: PackColumns column %d: %w", j, err)
-			}
-			offs = append(offs, len(s.enc))
-			s.enc, _, _ = EncodeChunk(s.enc, s.ids[:n])
-		}
-		offs = append(offs, len(s.enc))
-		enc := make([]byte, len(s.enc))
-		copy(enc, s.enc)
-		c := p.cols[j]
-		c.Chunks = make([][]byte, numChunks)
-		for k := range c.Chunks {
-			c.Chunks[k] = enc[offs[k]:offs[k+1]:offs[k+1]]
-		}
-		s.vals = s.Vals(s.vals)
-		c.Dict = EncodeDictSection(nil, s.vals)
-		clear(s.vals)
-		raw, encoded := s.Sizes()
-		c.sizeOnce.Do(func() { c.raw, c.encoded = raw, encoded })
 	}
 	return p, nil
 }
 
+// NewPayload returns a payload of rows rows and n columns for
+// PackColumn to fill, one column at a time, in DefaultChunkRows chunks.
+// It is safe for readers once every column is packed.
+func NewPayload(rows, n int) *Packed { return newPacked(rows, DefaultChunkRows, n) }
+
+// PackColumn encodes ids, column j's IDs into the source dictionary
+// dict, as column j of p: the IDs are renumbered onto a fresh
+// first-occurrence dictionary (relation.Renumber, so the bit width
+// reflects the selection's cardinality, not the source's) a chunk at a
+// time and encoded. The renumbering counts each compact ID, so the
+// column prices itself (PayloadSizes) as it is packed. ids is only
+// read. The renumbering, the chunk buffer and the encoded bytes are
+// pooled scratch: what the payload keeps is copied out once, at its
+// exact size.
+func (p *Packed) PackColumn(j int, dict *relation.Dict, ids []uint32) error {
+	c := p.cols[j]
+	if len(ids) != c.rows {
+		return fmt.Errorf("colstore: packing %d rows into a %d-row column", len(ids), c.rows)
+	}
+	s := getScratch(c.chunkRows)
+	defer putScratch(s)
+	s.Start(dict)
+	s.enc, s.offs = s.enc[:0], s.offs[:0]
+	for lo := 0; lo < c.rows; lo += c.chunkRows {
+		n := min(c.chunkRows, c.rows-lo)
+		if err := s.Map(s.ids[:n], ids[lo:lo+n]); err != nil {
+			return err
+		}
+		s.offs = append(s.offs, len(s.enc))
+		s.enc, _, _ = EncodeChunk(s.enc, s.ids[:n])
+	}
+	s.offs = append(s.offs, len(s.enc))
+	enc := make([]byte, len(s.enc))
+	copy(enc, s.enc)
+	c.Chunks = make([][]byte, len(s.offs)-1)
+	for k := range c.Chunks {
+		c.Chunks[k] = enc[s.offs[k]:s.offs[k+1]:s.offs[k+1]]
+	}
+	s.vals = s.Vals(s.vals)
+	c.Dict = EncodeDictSection(nil, s.vals)
+	clear(s.vals)
+	raw, encoded := s.Sizes()
+	c.sizeOnce.Do(func() { c.raw, c.encoded = raw, encoded })
+	return nil
+}
+
 // scratch is what packing or pricing a column reuses: the renumbering,
-// one chunk's IDs, the column's encoded bytes and compact values.
+// one chunk's IDs, the column's encoded bytes, its chunk offsets and
+// compact values.
 // Pooled (scratches); putScratch resets it, so the pool pins no
 // dictionary or value.
 type scratch struct {
 	relation.Renumber
 	ids  []uint32
 	enc  []byte
+	offs []int
 	vals []string
 }
 

@@ -65,6 +65,20 @@ func naiveSizes(r *relation.Relation) (raw, encoded int64) {
 }
 
 // packCase is one PackColumns input: columns of IDs into shared dicts.
+// sharedColumns returns a relation reading cols, IDs into the parallel
+// dicts, which it shares: what a coordinator's merge window holds.
+func sharedColumns(tb testing.TB, s *relation.Schema, dicts []*relation.Dict, cols [][]uint32, rows int) *relation.Relation {
+	tb.Helper()
+	out, err := new(relation.Merge).Blocks(s, []int{rows}, nil, func(j int, wins [][]uint32) (*relation.Dict, error) {
+		copy(wins[0], cols[j])
+		return dicts[j], nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out[0]
+}
+
 type packCase struct {
 	name  string
 	dicts []*relation.Dict
@@ -156,10 +170,7 @@ func TestPackColumnsPooledScratchMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-			r, err := relation.FromSharedColumns(mustSchema(t, "p", []string{"a", "b", "c"}[:len(c.cols)]), c.dicts, c.cols, c.rows)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := sharedColumns(t, mustSchema(t, "p", []string{"a", "b", "c"}[:len(c.cols)]), c.dicts, c.cols, c.rows)
 			if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
 				t.Fatalf("%s: PayloadSizes = %d, %d, %v; the reference prices %d, %d", c.name, raw, enc, err, wantRaw, wantEnc)
 			}

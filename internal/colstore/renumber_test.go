@@ -55,10 +55,7 @@ func BenchmarkRenumber(b *testing.B) {
 		for i := range col {
 			col[i] = pool[rng.Intn(k)]
 		}
-		r, err := relation.FromSharedColumns(schema, []*relation.Dict{shared}, [][]uint32{col}, rows)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := sharedColumns(b, schema, []*relation.Dict{shared}, [][]uint32{col}, rows)
 		inputs = append(inputs, input{fmt.Sprintf("distinct=%d", k), r})
 	}
 	dense := relation.New(schema)
@@ -87,10 +84,7 @@ func BenchmarkRenumber(b *testing.B) {
 			}
 		})
 		over := relation.Chain(dict)
-		base, err := relation.FromSharedColumns(schema, []*relation.Dict{over}, [][]uint32{col[:1]}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		base := sharedColumns(b, schema, []*relation.Dict{over}, [][]uint32{col[:1]}, 1)
 		b.Run("Concat/"+in.name, func(b *testing.B) {
 			var m relation.Merge
 			for b.Loop() {

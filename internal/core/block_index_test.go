@@ -178,7 +178,7 @@ func oracleWireForm(r *relation.Relation) (dist.WireForm, int64) {
 	if encoded < raw {
 		form, best = dist.ColumnForm, encoded
 	}
-	if pr, err := r.PackedPayload(); err == nil && pr != nil {
+	if pr, _ := r.PackedPayload(); pr != nil {
 		if packed := pr.PackedSize(); packed < best {
 			form, best = dist.PackedForm, packed
 		}
@@ -188,8 +188,9 @@ func oracleWireForm(r *relation.Relation) (dist.WireForm, int64) {
 
 // TestStoreExtractPricing is the packed pricing's property: over random
 // σ-block extracts of a store site — scattered PackColumns blocks over
-// the fragment's shared dictionaries, empty ones, and whole-fragment
-// PackBase extracts — with empty and \x1f-adjacent values and one value
+// the fragment's shared dictionaries, empty ones, whole-fragment
+// PackBase extracts, and small blocks whose row form is the cheapest —
+// with empty and \x1f-adjacent values and one value
 // in every row, the payload's PayloadSizes and the extract's
 // Encoded().PayloadSizes() equal naiveSizes, and ChooseWireForm returns
 // the oracle's form and size, also once DropPacked
@@ -235,9 +236,9 @@ func TestStoreExtractPricing(t *testing.T) {
 		}
 		extracts[-1] = all
 		for l, r := range extracts {
-			pr, err := r.PackedPayload()
-			if err != nil || pr == nil {
-				t.Fatalf("trial %d block %d: no packed payload (%v)", trial, l, err)
+			pr, adopted := r.PackedPayload()
+			if pr == nil || adopted {
+				t.Fatalf("trial %d block %d: no packed extract (adopted %v)", trial, l, adopted)
 			}
 			wantRaw, wantEnc := naiveSizes(r)
 			if raw, enc, err := pr.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
@@ -260,7 +261,21 @@ func TestStoreExtractPricing(t *testing.T) {
 			}
 		}
 	}
-	if forms[dist.PackedForm] == 0 {
-		t.Fatalf("no extract shipped packed: %v", forms)
+	// A small block, whose row form is the cheapest, prices as the
+	// parent's rule does too.
+	sf := store.frag.(*storeFrag)
+	small, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"a", "c"}, [][]int32{{5}, {7, 9}, {40, 3, 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, r := range small {
+		form, n := dist.ChooseWireForm(r)
+		if wf, wn := oracleWireForm(r); form != wf || n != wn {
+			t.Fatalf("small block %d: ChooseWireForm = %v, %d; the oracle %v, %d", b, form, n, wf, wn)
+		}
+		forms[form]++
+	}
+	if forms[dist.PackedForm] == 0 || forms[dist.RowForm] == 0 {
+		t.Fatalf("no extract shipped packed, or none in rows: %v", forms)
 	}
 }

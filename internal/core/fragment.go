@@ -11,9 +11,9 @@ import (
 // memFrag serves them from an in-memory *relation.Relation (the
 // original deployment shape); storeFrag (storefrag.go) serves them
 // from a packed colstore fragment plus an in-memory delta overlay, so
-// a site can hold a fragment bigger than RAM. ProjectBlocks is the one
-// column reader: σ-routing, mining, extraction and the coordinator's
-// checks all read columns through it.
+// a site can hold a fragment bigger than RAM. Columns are read two
+// ways: GatherBlocks for what the site reads itself — σ-routing,
+// mining, its own checks — and ShipBlocks for what it ships.
 //
 // Read methods must be safe for concurrent callers. Apply, called only
 // by Site.ApplyDelta, is the one writer of the fragment's rows; the
@@ -23,13 +23,19 @@ type siteFragment interface {
 	Schema() *relation.Schema
 	// Len returns the current tuple count |Di|.
 	Len() int
-	// ProjectBlocks materializes each row list of blocks (rows in list
-	// order) projected onto attrs, sharing the fragment's dictionaries
-	// (IDs stay valid, merely sparse) so downstream checks keep the
-	// fragment's interning. It takes a whole batch so that a store
-	// fragment can decode each chunk once for all of it; the result is
-	// parallel to blocks, an empty list yielding an empty relation.
-	ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error)
+	// GatherBlocks projects each row list of blocks (rows in list
+	// order) onto attrs, straight into m's windows ahead of deps[b]'s
+	// rows (relation.Merge.Blocks; deps may be nil), under the
+	// fragment's dictionaries (IDs stay valid, merely sparse) so checks
+	// keep the fragment's interning. The result, parallel to blocks, is
+	// valid until m merges again.
+	GatherBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, deps [][]*relation.Relation) ([]*relation.Relation, error)
+	// ShipBlocks projects each row list of blocks onto attrs in the
+	// form it ships in: a store fragment packs it at extraction, using
+	// m's scratch. The result is parallel to blocks, an empty list
+	// yielding an empty relation. Both take a whole batch so that a
+	// store fragment can decode each chunk once for all of it.
+	ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error)
 	// Scan streams every tuple in row order. The callback must not
 	// retain t — implementations may reuse the buffer between calls
 	// (the strings themselves are stable).
@@ -63,7 +69,11 @@ func (m memFrag) Schema() *relation.Schema { return m.r.Schema() }
 
 func (m memFrag) Len() int { return m.r.Len() }
 
-func (m memFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) (out []*relation.Relation, err error) {
+func (m memFrag) GatherBlocks(mg *relation.Merge, name string, attrs []string, blocks [][]int32, deps [][]*relation.Relation) ([]*relation.Relation, error) {
+	return mg.ProjectBlocks(m.r, name, attrs, blocks, deps)
+}
+
+func (m memFrag) ShipBlocks(_ *relation.Merge, name string, attrs []string, blocks [][]int32) (out []*relation.Relation, err error) {
 	out = make([]*relation.Relation, len(blocks))
 	for b, idx := range blocks {
 		rows := make([]int, len(idx))

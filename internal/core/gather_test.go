@@ -13,6 +13,7 @@ import (
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/colstore"
+	"distcfd/internal/dist"
 	"distcfd/internal/relation"
 	"distcfd/internal/workload"
 )
@@ -36,6 +37,12 @@ func (c *countingReader) ReadColumn(i, lo int, dst []uint32) error {
 func (c *countingReader) ColumnChunks(i int) (int, error) {
 	c.dirs++
 	return c.PackedColumnReader.ColumnChunks(i)
+}
+
+// gatherInto gathers blocks of sf's attrs into a fresh merge, as a
+// site gathers what it checks.
+func gatherInto(sf *storeFrag, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
+	return sf.GatherBlocks(new(relation.Merge), "p", attrs, blocks, nil)
 }
 
 // countReads installs a fresh counter on the site's store fragment.
@@ -71,7 +78,7 @@ func TestGatherDecodesEachChunkOnce(t *testing.T) {
 		for i := 0; i < sf.Len(); i++ {
 			blocks[i%k] = append(blocks[i%k], int32(i))
 		}
-		if _, err := sf.ProjectBlocks("p", attrs, blocks); err != nil {
+		if _, err := gatherInto(sf, attrs, blocks); err != nil {
 			t.Fatal(err)
 		}
 		if len(cr.reads) != len(attrs)*chunks {
@@ -114,6 +121,60 @@ func TestGatherDecodesEachChunkOnce(t *testing.T) {
 	}
 }
 
+// TestShipWholeFragmentDecodesNothing pins the sender half of packed
+// shipping: a σ-block that is the whole fragment ships as the mapping's
+// own columns, so extracting, pricing and shipping it decode no chunk
+// through the site's reader, while a scattered batch beside it decodes
+// each (column, chunk) it touches once.
+func TestShipWholeFragmentDecodesNothing(t *testing.T) {
+	ctx := context.Background()
+	frag := randomRelation(rand.New(rand.NewSource(12)), gatherRows)
+	store, _ := openStoreSiteFor(t, 0, frag, relation.True())
+	spec, err := NewBlockSpec([]string{"a"}, [][]string{{cfd.Wildcard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.SigmaStats(ctx, spec); err != nil { // route first: routing reads X
+		t.Fatal(err)
+	}
+	_, cr := countReads(store)
+	got, err := store.ExtractBlocksBatch(ctx, spec, []string{"a", "c", "d"}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Len() != gatherRows {
+		t.Fatalf("whole-fragment block has %d rows, want %d", got[0].Len(), gatherRows)
+	}
+	if form, _ := dist.ChooseWireForm(got[0]); form != dist.PackedForm {
+		t.Fatalf("whole-fragment block ships in form %v, not packed", form)
+	}
+	if len(cr.reads) != 0 || cr.dirs != 0 {
+		t.Fatalf("shipping the whole fragment read %v and asked for %d chunk directories", cr.reads, cr.dirs)
+	}
+	sf, cr := countReads(store)
+	var every3, every5 []int32
+	for i := int32(0); i < gatherRows; i++ {
+		if i%3 == 0 {
+			every3 = append(every3, i)
+		}
+		if i%5 == 1 {
+			every5 = append(every5, i)
+		}
+	}
+	if _, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"c", "d"}, [][]int32{every3, every5}); err != nil {
+		t.Fatal(err)
+	}
+	chunks := (gatherRows + colstore.DefaultChunkRows - 1) / colstore.DefaultChunkRows
+	if len(cr.reads) != 2*chunks {
+		t.Fatalf("a scattered batch read %d (column, chunk)s, want %d", len(cr.reads), 2*chunks)
+	}
+	for at, n := range cr.reads {
+		if n != 1 {
+			t.Fatalf("a scattered batch decoded column %d chunk at row %d %d times", at[0], at[1], n)
+		}
+	}
+}
+
 // TestGatherSkipsUntouchedChunks pins the other half: a chunk no block
 // of the batch has a row in is never read.
 func TestGatherSkipsUntouchedChunks(t *testing.T) {
@@ -122,7 +183,7 @@ func TestGatherSkipsUntouchedChunks(t *testing.T) {
 	sf, cr := countReads(store)
 	cr0, cr3 := int32(0), int32(3*colstore.DefaultChunkRows)
 	blocks := [][]int32{{cr0 + 4, cr0 + 90, cr3 + 1}, {}, {cr0 + 5, cr3 + 8000}}
-	if _, err := sf.ProjectBlocks("p", []string{"b"}, blocks); err != nil {
+	if _, err := gatherInto(sf, []string{"b"}, blocks); err != nil {
 		t.Fatal(err)
 	}
 	col, _ := sf.schema.Index("b")
@@ -132,7 +193,7 @@ func TestGatherSkipsUntouchedChunks(t *testing.T) {
 	}
 	// A batch with no base row at all loads no column segment either.
 	_, cr = countReads(store)
-	if _, err := sf.ProjectBlocks("p", []string{"b"}, [][]int32{{}, {}}); err != nil {
+	if _, err := gatherInto(sf, []string{"b"}, [][]int32{{}, {}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(cr.reads) != 0 || cr.dirs != 0 {
@@ -153,7 +214,7 @@ func TestGatherWholeChunkDecodesInPlace(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	got, err := sf.ProjectBlocks("p", []string{"c"}, [][]int32{all, {7, 8200, 8201}})
+	got, err := gatherInto(sf, []string{"c"}, [][]int32{all, {7, 8200, 8201}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +275,10 @@ func TestGatherSurfacesCorruptSegment(t *testing.T) {
 	defer store.Close()
 	sf := store.frag.(*storeFrag)
 	blocks := [][]int32{{1, 2, 3}, {40, 20000}}
-	if _, err := sf.ProjectBlocks("p", []string{"a", "d"}, blocks); err != nil {
+	if _, err := gatherInto(sf, []string{"a", "d"}, blocks); err != nil {
 		t.Fatalf("projecting undamaged columns: %v", err)
 	}
-	_, err = sf.ProjectBlocks("p", []string{"a", "id"}, blocks)
+	_, err = gatherInto(sf, []string{"a", "id"}, blocks)
 	if err == nil || !strings.Contains(err.Error(), "segment checksum mismatch") {
 		t.Fatalf("gather over a corrupt segment: got %v, want the segment checksum error", err)
 	}
@@ -227,13 +288,6 @@ func TestGatherSurfacesCorruptSegment(t *testing.T) {
 // consecutive, keep block order, stay within the row budget, an
 // oversize block is a batch of its own, and empty blocks are kept.
 func TestBatchEnd(t *testing.T) {
-	rowsOf := func(sizes ...int) [][]int32 {
-		out := make([][]int32, len(sizes))
-		for i, n := range sizes {
-			out[i] = make([]int32, n)
-		}
-		return out
-	}
 	for _, tc := range []struct {
 		name   string
 		sizes  []int
@@ -248,16 +302,15 @@ func TestBatchEnd(t *testing.T) {
 		{"all empty", []int{0, 0, 0}, 10, []int{3}},
 		{"single", []int{7}, 1, []int{1}},
 	} {
-		rows := rowsOf(tc.sizes...)
 		var got []int
-		for lo := 0; lo < len(rows); {
-			hi := batchEnd(rows, lo, tc.budget)
+		for lo := 0; lo < len(tc.sizes); {
+			hi := batchEnd(tc.sizes, lo, tc.budget)
 			if hi <= lo {
 				t.Fatalf("%s: batch at %d does not advance", tc.name, lo)
 			}
 			n := 0
-			for _, r := range rows[lo:hi] {
-				n += len(r)
+			for _, size := range tc.sizes[lo:hi] {
+				n += size
 			}
 			if n > tc.budget && hi-lo != 1 {
 				t.Fatalf("%s: batch [%d,%d) holds %d rows over budget %d", tc.name, lo, hi, n, tc.budget)
@@ -269,6 +322,50 @@ func TestBatchEnd(t *testing.T) {
 			t.Fatalf("%s: batch ends %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// BenchmarkGatherView times one gather of a store fragment of 125 000
+// CUST rows into a merge, all rows in four interleaved blocks, as a
+// coordinator gathers what it checks: without a view, whose refs
+// ascend, and under a view of about 10⁴ deletes, whose refs the gather
+// sorts first (packed (ref, position) keys, no comparator).
+func BenchmarkGatherView(b *testing.B) {
+	ctx := context.Background()
+	data := workload.Cust(workload.CustConfig{N: 125_000, Seed: 1, ErrRate: 0.01})
+	dir := b.TempDir()
+	if _, err := colstore.WriteRelationDir(dir, data); err != nil {
+		b.Fatal(err)
+	}
+	store, err := OpenStoreSite(0, dir, relation.True())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	sf, attrs := store.frag.(*storeFrag), []string{"CC", "AC", "zip", "city"}
+	run := func(name string) {
+		blocks := make([][]int32, 4)
+		for i := 0; i < sf.Len(); i++ {
+			blocks[i%4] = append(blocks[i%4], int32(i))
+		}
+		var m relation.Merge
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := sf.GatherBlocks(&m, "p", attrs, blocks, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("view-0")
+	var deletes []int
+	for i := 0; i < data.Len()-5; i += 12 {
+		deletes = append(deletes, i)
+	}
+	if _, err := store.ApplyDelta(ctx, relation.Delta{Deletes: deletes}, ""); err != nil {
+		b.Fatal(err)
+	}
+	run("view-10k")
 }
 
 // BenchmarkColdRouting times a cold σ-routing (SigmaStats after the σ

@@ -90,7 +90,7 @@ func TestPropertyMergeWithDeposits(t *testing.T) {
 		for _, d := range deps {
 			all = append(all, d.Tuples()...)
 		}
-		merged, err := mergeWithDeposits(&m, local, deps)
+		merged, err := gatherWithDeposits(&m, frag, rows, deps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,6 +115,20 @@ func TestPropertyMergeWithDeposits(t *testing.T) {
 	}
 }
 
+// gatherWithDeposits is a coordinator's merge of one block: rows of
+// frag gathered into m's window ahead of deps.
+func gatherWithDeposits(m *relation.Merge, frag *relation.Relation, rows []int, deps []*relation.Relation) (*relation.Relation, error) {
+	r32 := make([]int32, len(rows))
+	for k, i := range rows {
+		r32[k] = int32(i)
+	}
+	out, err := memFrag{r: frag}.GatherBlocks(m, "R_ship", frag.Schema().Attrs(), [][]int32{r32}, [][]*relation.Relation{deps})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // TestMergeReuseKeepsEarlierPatterns: the patterns a check returns for
 // one block stay as they were after the next block's merge overwrites
 // the columns the first block was checked over.
@@ -124,12 +138,13 @@ func TestMergeReuseKeepsEarlierPatterns(t *testing.T) {
 	var m relation.Merge
 	var k engine.Kernel
 	check := func(frag *relation.Relation) (got, want *relation.Relation) {
-		local, err := frag.ProjectRows("R_ship", frag.Schema().Attrs(), rng.Perm(frag.Len()))
+		perm := rng.Perm(frag.Len())
+		local, err := frag.ProjectRows("R_ship", frag.Schema().Attrs(), perm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := depositRows(rng, 20)
-		merged, err := mergeWithDeposits(&m, local, []*relation.Relation{depositForm(t, local.Schema(), ts, 1)})
+		merged, err := gatherWithDeposits(&m, frag, perm, []*relation.Relation{depositForm(t, local.Schema(), ts, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,8 +104,8 @@ func (f *parkedFrag) park() {
 	})
 }
 
-func (f *parkedFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
-	out, err := f.memFrag.ProjectBlocks(name, attrs, blocks)
+func (f *parkedFrag) GatherBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, deps [][]*relation.Relation) ([]*relation.Relation, error) {
+	out, err := f.memFrag.GatherBlocks(m, name, attrs, blocks, deps)
 	f.park()
 	return out, err
 }

@@ -328,11 +328,12 @@ type Site struct {
 	pred relation.Predicate
 
 	// kern and merges pool the kernel scratch of every check this site
-	// runs and the relation.Merge its coordinator checks build blocks in;
-	// intraWorkers is the row-shard budget of each such check
-	// (GOMAXPROCS when the site is built, see SetDetectParallelism).
+	// runs and the relation.Merge it gathers what it checks and packs
+	// what it ships in; intraWorkers is the row-shard budget of each
+	// check (GOMAXPROCS when the site is built, see
+	// SetDetectParallelism).
 	kern         engine.Kernel
-	merges       sync.Pool
+	merges       relation.MergePool
 	intraWorkers int
 
 	mu        sync.Mutex
@@ -436,14 +437,15 @@ func (s *Site) assignAll(spec *BlockSpec, blocks ...int) (*sigmaEntry, error) {
 }
 
 // route σ-routes the fragment under spec as BlockSpec.AssignAll does,
-// one ProjectBlocks batch of X (batch rows) at a time: a cold routing
+// one GatherBlocks batch of X (batch rows) at a time: a cold routing
 // holds one batch of columns beside the assignment. An empty fragment
 // still projects once, so an X the schema lacks is always refused.
 func (s *Site) route(spec *BlockSpec, batch int) (assign []int32, counts []int, err error) {
-	n := s.frag.Len()
+	n, m := s.frag.Len(), s.merges.Get()
+	defer s.merges.Put(m)
 	assign, counts = make([]int32, 0, n), make([]int, spec.K())
 	for lo := 0; lo == 0 || lo < n; lo += batch {
-		proj, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_sigma", spec.X, [][]int32{rowSpan(lo, min(lo+batch, n))})
+		proj, err := s.frag.GatherBlocks(m, s.frag.Schema().Name()+"_sigma", spec.X, [][]int32{rowSpan(lo, min(lo+batch, n))}, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -487,7 +489,28 @@ func (s *Site) ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []str
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ent, err := s.assignAll(spec)
+	rows, err := s.localRows(LocalInput{Spec: spec, Block: BlockAllMatching})
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.ship(attrs)([][]int32{rows})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// localRows lists, ascending, the rows of block in.Block of in.Spec, or
+// every σ-assigned row for BlockAllMatching.
+func (s *Site) localRows(in LocalInput) ([]int32, error) {
+	if in.Block != BlockAllMatching {
+		rows, err := s.blockRows(in.Spec, []int{in.Block})
+		if err != nil {
+			return nil, err
+		}
+		return rows[0], nil
+	}
+	ent, err := s.assignAll(in.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -497,13 +520,17 @@ func (s *Site) ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []str
 			rows = append(rows, int32(i))
 		}
 	}
-	// The projection shares the fragment's dictionaries, so shipping and
-	// coordinator checks keep the fragment's interning.
-	out, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_ship", attrs, [][]int32{rows})
-	if err != nil {
-		return nil, err
+	return rows, nil
+}
+
+// ship returns the projection onto attrs in the form a block ships in
+// (siteFragment.ShipBlocks).
+func (s *Site) ship(attrs []string) func(blocks [][]int32) ([]*relation.Relation, error) {
+	return func(blocks [][]int32) ([]*relation.Relation, error) {
+		m := s.merges.Get()
+		defer s.merges.Put(m)
+		return s.frag.ShipBlocks(m, s.frag.Schema().Name()+"_ship", attrs, blocks)
 	}
-	return out[0], nil
 }
 
 // BlockTask derives the deposit key for block l of a run. Injective
@@ -519,7 +546,7 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.fullBlocks(spec, attrs, wanted, s.frag.Schema().Name()+"_ship")
+	return s.fullBlocks(spec, wanted, s.ship(attrs))
 }
 
 // blockRows σ-routes the fragment once (via the maintained cache) and
@@ -541,15 +568,16 @@ func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
 	return rows, nil
 }
 
-// fullBlocks returns every requested block projected onto attrs, empty
-// blocks included as empty relations — the one-shot extraction behind
-// ExtractBlocksBatch and the incremental surface's seed paths.
-func (s *Site) fullBlocks(spec *BlockSpec, attrs []string, blocks []int, name string) (map[int]*relation.Relation, error) {
+// fullBlocks returns every requested block as project projects its
+// rows, empty blocks included as empty relations — the one-shot
+// extraction behind ExtractBlocksBatch and the incremental surface's
+// seed paths.
+func (s *Site) fullBlocks(spec *BlockSpec, blocks []int, project func([][]int32) ([]*relation.Relation, error)) (map[int]*relation.Relation, error) {
 	rows, err := s.blockRows(spec, blocks)
 	if err != nil {
 		return nil, err
 	}
-	rels, err := s.frag.ProjectBlocks(name, attrs, rows)
+	rels, err := project(rows)
 	if err != nil {
 		return nil, err
 	}
@@ -567,12 +595,13 @@ func (s *Site) fullBlocks(spec *BlockSpec, attrs []string, blocks []int, name st
 const gatherBatchRows = 1 << 20
 
 // batchEnd returns the end of the batch that starts at block lo: the
-// longest run of consecutive blocks whose rows fit the budget. A block
-// above the budget is a batch of its own; empty blocks stay in line.
-func batchEnd(rows [][]int32, lo, budget int) int {
-	hi, n := lo+1, len(rows[lo])
-	for hi < len(rows) && n+len(rows[hi]) <= budget {
-		n += len(rows[hi])
+// longest run of consecutive blocks whose sizes (rows) fit the budget.
+// A block above the budget is a batch of its own; empty blocks stay in
+// line.
+func batchEnd(sizes []int, lo, budget int) int {
+	hi, n := lo+1, sizes[lo]
+	for hi < len(sizes) && n+sizes[hi] <= budget {
+		n += sizes[hi]
 		hi++
 	}
 	return hi
@@ -597,10 +626,11 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 	if len(cfds) == 0 {
 		return nil, fmt.Errorf("core: site %d: DetectAssignedSet with no CFDs", s.id)
 	}
-	// The blocks are projected in batches under a fixed row budget, each
-	// one chunk-ordered gather: however many blocks the site coordinates,
-	// the peak is one batch beside the cached routing, which is what lets
-	// a store-backed site check a fragment far bigger than RAM.
+	// The blocks are gathered with their deposits in batches under a
+	// fixed row budget, each one chunk-ordered gather into the merge
+	// windows: however many blocks the site coordinates, the peak is one
+	// batch beside the cached routing, which is what lets a store-backed
+	// site check a fragment far bigger than RAM.
 	rows, err := s.blockRows(spec, blocks)
 	if err != nil {
 		return nil, err
@@ -614,12 +644,18 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 		return nil, err
 	}
 	attrs := taskAttrs(spec, cfds)
-	shipName := s.frag.Schema().Name() + "_ship"
-	merge := s.merges.Get().(*relation.Merge)
-	defer func() { merge.Shrink(); s.merges.Put(merge) }()
+	deps, sizes := make([][]*relation.Relation, len(blocks)), make([]int, len(blocks))
+	for bi, l := range blocks {
+		deps[bi], sizes[bi] = s.takeDeposits(BlockTask(taskPrefix, l)), len(rows[bi])
+		for _, d := range deps[bi] {
+			sizes[bi] += d.Len()
+		}
+	}
+	merge := s.merges.Get()
+	defer s.merges.Put(merge)
 	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
-		hi = batchEnd(rows, lo, gatherBatchRows)
-		locals, err := s.frag.ProjectBlocks(shipName, attrs, rows[lo:hi])
+		hi = batchEnd(sizes, lo, gatherBatchRows)
+		merged, err := s.frag.GatherBlocks(merge, s.frag.Schema().Name()+"_ship", attrs, rows[lo:hi], deps[lo:hi])
 		if err != nil {
 			return nil, err
 		}
@@ -627,16 +663,12 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			merged, err := mergeWithDeposits(merge, locals[bi], s.takeDeposits(BlockTask(taskPrefix, l)))
-			if err != nil {
-				return nil, err
-			}
 			for ci := range cfds {
 				c := inBlock(ci, l)
 				if c == nil {
 					continue
 				}
-				pats, err := s.kern.ViolationPatterns(merged, c, engine.Opts{Workers: s.intraWorkers})
+				pats, err := s.kern.ViolationPatterns(merged[bi], c, engine.Opts{Workers: s.intraWorkers})
 				if err != nil {
 					return nil, err
 				}
@@ -647,17 +679,6 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 		}
 	}
 	return out, nil
-}
-
-// mergeWithDeposits unions the local block with the shipped batches:
-// the local block as it is when nothing was shipped, else m's merge
-// under the local block's dictionaries, valid until m merges again and
-// checked in place, in ID space. Arity mismatches surface here.
-func mergeWithDeposits(m *relation.Merge, local *relation.Relation, deps []*relation.Relation) (*relation.Relation, error) {
-	if len(deps) == 0 {
-		return local, nil
-	}
-	return m.Concat(append([]*relation.Relation{local}, deps...)...)
 }
 
 // taskBase strips a BlockTask suffix: "prefix/b3" → "prefix".
@@ -748,37 +769,34 @@ func (s *Site) DetectTask(ctx context.Context, task string, local LocalInput, cf
 	if len(cfds) == 0 {
 		return nil, fmt.Errorf("core: site %d: DetectTask with no CFDs", s.id)
 	}
-	// The working schema is the shipped projection schema when deposits
-	// exist, else the local projection; all CFD attributes must be in it.
-	var parts []*relation.Relation
+	// The working schema is the local projection, else the shipped one;
+	// all CFD attributes must be in it. The local rows are gathered into
+	// a merge window ahead of the deposits, never packed.
+	m := s.merges.Get()
+	defer s.merges.Put(m)
+	var merged []*relation.Relation
+	var err error
 	if local.Block != BlockNone {
 		if local.Spec == nil {
 			return nil, fmt.Errorf("core: site %d: block %d without spec", s.id, local.Block)
 		}
-		attrs := taskAttrs(local.Spec, cfds)
-		var r *relation.Relation
-		var err error
-		if local.Block == BlockAllMatching {
-			r, err = s.ExtractMatching(ctx, local.Spec, attrs)
-		} else {
-			r, err = s.ExtractBlock(ctx, local.Spec, local.Block, attrs)
-		}
-		if err != nil {
+		var rows []int32
+		if rows, err = s.localRows(local); err != nil {
 			return nil, err
 		}
-		parts = append(parts, r)
-	}
-	parts = append(parts, s.takeDeposits(task)...)
-	if len(parts) == 0 {
+		merged, err = s.frag.GatherBlocks(m, s.frag.Schema().Name()+"_ship", taskAttrs(local.Spec, cfds), [][]int32{rows}, [][]*relation.Relation{s.takeDeposits(task)})
+	} else if deps := s.takeDeposits(task); len(deps) > 0 {
+		merged = make([]*relation.Relation, 1)
+		merged[0], err = m.Concat(deps...)
+	} else {
 		return emptyPatternRelations(s.frag.Schema(), cfds)
 	}
-	merged, err := relation.Concat(parts...)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*relation.Relation, len(cfds))
 	for ci, c := range cfds {
-		pats, err := s.kern.ViolationPatterns(merged, c, engine.Opts{Workers: s.intraWorkers})
+		pats, err := s.kern.ViolationPatterns(merged[0], c, engine.Opts{Workers: s.intraWorkers})
 		if err != nil {
 			return nil, err
 		}
@@ -865,12 +883,14 @@ func (s *Site) buildConstState(c *cfd.CFD) (*engine.IncrementalState, error) {
 
 // MineFrequent mines closed frequent LHS patterns over x with support
 // theta·|Di| at this site, with per-pattern relative supports, over
-// the X-projection of every row (read through ProjectBlocks).
+// the X-projection of every row (read through GatherBlocks).
 func (s *Site) MineFrequent(ctx context.Context, x []string, theta float64) ([]mining.Pattern, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	proj, err := s.frag.ProjectBlocks(s.frag.Schema().Name()+"_mine", x, [][]int32{rowSpan(0, s.frag.Len())})
+	m := s.merges.Get()
+	defer s.merges.Put(m)
+	proj, err := s.frag.GatherBlocks(m, s.frag.Schema().Name()+"_mine", x, [][]int32{rowSpan(0, s.frag.Len())}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -227,7 +227,7 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 	var err error
 	if fromGen < 0 {
 		// Seed: ship the full current blocks as one big insert delta.
-		full, err := s.fullBlocks(spec, attrs, wanted, s.frag.Schema().Name()+"_ship")
+		full, err := s.fullBlocks(spec, wanted, s.ship(attrs))
 		if err != nil {
 			return nil, err
 		}
@@ -358,7 +358,11 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	// before its delete records, which name only tuples it inserted.
 	local := &DeltaBlocks{}
 	if args.Seed {
-		local.Ins, err = s.fullBlocks(args.Spec, attrs, args.Blocks, schema.Name()+"_fold")
+		m := s.merges.Get()
+		defer s.merges.Put(m)
+		local.Ins, err = s.fullBlocks(args.Spec, args.Blocks, func(rows [][]int32) ([]*relation.Relation, error) {
+			return s.frag.GatherBlocks(m, ps.Name(), attrs, rows, nil)
+		})
 	} else {
 		local.Ins, local.Del, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
 	"distcfd/internal/relation"
 )
@@ -15,7 +14,6 @@ func newSiteWith(id int, frag siteFragment, pred relation.Predicate) *Site {
 		frag:         frag,
 		pred:         pred,
 		intraWorkers: runtime.GOMAXPROCS(0),
-		merges:       sync.Pool{New: func() any { return new(relation.Merge) }},
 		deposits:     make(map[string][]*relation.Relation),
 		cancelled:    newFifo[struct{}](cancelledCap),
 		nonces:       newFifo[struct{}](nonceCap),

@@ -679,13 +679,15 @@ func packedBytes(t *testing.T, pr relation.PackedColumnReader) [][]byte {
 	return out
 }
 
-// TestGatherMatchesProjectRows pins the batch projection of a store
+// TestGatherMatchesProjectRows pins both batch projections of a store
 // fragment against relation.ProjectRows on its in-memory mirror, block
-// by block, in every overlay state: same rows in the same order, the
-// fragment's own dictionaries shared by every block, and the packed
-// provider a per-block projection attached — PackBase (the mapping's
-// own bytes) for the in-order full selection, PackColumns otherwise,
-// none once a tail or a view exists.
+// by block, in every overlay state — whole-fragment, scattered, empty,
+// unsorted and multi-chunk blocks, with a tail, a view or both: the
+// gather reads the same rows in the same order under the fragment's
+// own dictionaries, and the shipped block is a packed extract of the
+// same rows whose bytes are those PackColumns makes of the mirror's
+// columns — or, for the in-order whole fragment with no overlay,
+// PackBase's (the mapping's own bytes).
 func TestGatherMatchesProjectRows(t *testing.T) {
 	ctx := context.Background()
 	attrs := []string{"b", "id", "d"}
@@ -744,7 +746,11 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				{int32(n - 1), 5, 20000, 5, 3, int32(n - 1)}, // the seam sorts what a caller did not
 				all[colstore.DefaultChunkRows : 2*colstore.DefaultChunkRows],
 			}
-			got, err := sf.ProjectBlocks("p", attrs, blocks)
+			got, err := gatherInto(sf, attrs, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shipped, err := sf.ShipBlocks(new(relation.Merge), "p", attrs, blocks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -767,18 +773,17 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 						t.Fatalf("block %d column %d does not share the fragment's dictionary", b, j)
 					}
 				}
-				pr, err := got[b].PackedPayload()
-				if err != nil {
-					t.Fatal(err)
+				if pr, _ := got[b].PackedPayload(); pr != nil {
+					t.Fatalf("block %d: a gathered block carries a packed payload", b)
 				}
-				if len(tc.deltas) > 0 {
-					if pr != nil {
-						t.Fatalf("block %d: packed provider attached over an overlay", b)
-					}
-					continue
+				sameRelation(t, tc.name+" shipped", shipped[b], want)
+				pr, adopted := shipped[b].PackedPayload()
+				if pr == nil || adopted {
+					t.Fatalf("block %d: shipped block is not a packed extract (adopted %v)", b, adopted)
 				}
+				whole := b == 4 && len(tc.deltas) == 0
 				var ref relation.PackedColumnReader
-				if b == 4 { // the whole fragment in order ships the stored bytes
+				if whole { // the whole fragment in order ships the stored bytes
 					ref, err = sf.frag.PackBase(idx)
 				} else {
 					e := want.Encoded()
@@ -795,7 +800,7 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				if !reflect.DeepEqual(gb, wb) {
 					t.Fatalf("block %d: packed payload differs from the per-block projection's", b)
 				}
-				if b == 4 && &gb[1][0] != &wb[1][0] {
+				if whole && &gb[1][0] != &wb[1][0] {
 					t.Fatalf("full in-order block re-encoded its chunks instead of taking PackBase")
 				}
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -26,9 +25,10 @@ import (
 // assumptions.
 type storeFrag struct {
 	frag *colstore.Fragment
-	// rd is frag as the chunk reader the gather (ProjectBlocks) decodes
-	// every base column through; tests wrap it to count the reads. Only
-	// Scan and the rows Apply deletes read a row at a time (RowReader).
+	// rd is frag as the chunk reader the gathers (GatherBlocks,
+	// ShipBlocks) decode every base column through; tests wrap it to
+	// count the reads. Only Scan and the rows Apply deletes read a row
+	// at a time (RowReader).
 	rd       relation.PackedColumnReader
 	wal      *colstore.DeltaLog
 	schema   *relation.Schema
@@ -120,122 +120,86 @@ func (f *storeFrag) ref(i int) uint32 {
 	return uint32(i)
 }
 
-// ProjectBlocks gathers the whole batch in one chunk-ordered pass per
-// projected column: the column's chunks are walked once in ascending
-// order, a chunk is decoded only if some block has a row in it, and its
-// hits are scattered into every block's column through one cursor per
-// block. Each (column, chunk) is thus decoded at most once per call,
-// with or without a view.
-func (f *storeFrag) ProjectBlocks(name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
-	idx, err := f.schema.Indices(attrs)
-	if err != nil {
-		return nil, err
+// refs resolves every block's rows to storage refs: the rows
+// themselves until a delete materializes the view.
+func (f *storeFrag) refs(blocks [][]int32) [][]int32 {
+	if f.view == nil {
+		return blocks
 	}
+	refs := make([][]int32, len(blocks))
+	for b, rows := range blocks {
+		refs[b] = make([]int32, len(rows))
+		for k, i := range rows {
+			refs[b][k] = int32(f.view[i])
+		}
+	}
+	return refs
+}
+
+// GatherBlocks gathers the batch (colstore.Gather) straight into m's
+// windows, each block ahead of its deposits.
+func (f *storeFrag) GatherBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, deps [][]*relation.Relation) ([]*relation.Relation, error) {
 	ps, err := f.schema.Project(name, attrs)
 	if err != nil {
 		return nil, err
 	}
-	// refs[b] are block b's storage refs in row order; ord[b] lists its
-	// positions by ascending ref and stays nil while the refs already
-	// ascend strictly (every routed list of a fragment without a view).
-	needBase := false
-	refs, ord := make([][]uint32, len(blocks)), make([][]int32, len(blocks))
+	idx, _ := f.schema.Indices(attrs) // Project checked them
+	locals := make([]int, len(blocks))
 	for b, rows := range blocks {
-		r, asc := make([]uint32, len(rows)), true
-		for k, i := range rows {
-			r[k] = f.ref(int(i))
-			asc = asc && (k == 0 || r[k] > r[k-1])
-			needBase = needBase || r[k] < uint32(f.baseRows)
-		}
-		if refs[b] = r; !asc {
-			ord[b] = make([]int32, len(r))
-			for k := range r {
-				ord[b][k] = int32(k)
-			}
-			slices.SortFunc(ord[b], func(x, y int32) int { return cmp.Compare(r[x], r[y]) })
-		}
+		locals[b] = len(rows)
 	}
-	dicts := make([]*relation.Dict, len(idx))
-	cols := make([][][]uint32, len(blocks)) // cols[b][j]
-	for b := range cols {
-		cols[b] = make([][]uint32, len(idx))
-	}
-	cur, buf := make([]int, len(blocks)), []uint32(nil)
-	for j, c := range idx {
-		if dicts[j], err = f.ovDict(c); err != nil {
+	g := colstore.NewGather(f.rd, f.baseRows, f.tailIDs, f.refs(blocks))
+	return m.Blocks(ps, locals, deps, func(j int, wins [][]uint32) (*relation.Dict, error) {
+		if err := g.Column(idx[j], wins); err != nil {
 			return nil, err
 		}
-		chunks := 0
-		if needBase { // a column no base row is read from is never paged in
-			if chunks, err = f.rd.ColumnChunks(c); err != nil {
+		return f.ovDict(idx[j])
+	})
+}
+
+// ShipBlocks packs every block at extraction, never materializing its
+// columns: the whole fragment, in order and with no overlay, is the
+// fragment's own columns (Fragment.PackBase, no chunk decoded); any
+// other block is gathered a column at a time into m's scratch and
+// packed from there (colstore.Gather.Pack).
+func (f *storeFrag) ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
+	ps, err := f.schema.Project(name, attrs)
+	if err != nil {
+		return nil, err
+	}
+	idx, _ := f.schema.Indices(attrs)
+	refs, whole := slices.Clone(f.refs(blocks)), make([]bool, len(blocks))
+	for b, r := range refs {
+		if whole[b] = f.view == nil && f.tailRows() == 0 && len(r) == f.baseRows && inOrder(r); whole[b] {
+			refs[b] = nil
+		}
+	}
+	packs, err := colstore.NewGather(f.rd, f.baseRows, f.tailIDs, refs).Pack(idx, f.ovDict, m.Scratch)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*relation.Relation, len(blocks))
+	for b, p := range packs {
+		if whole[b] {
+			if p, err = f.frag.PackBase(idx); err != nil {
 				return nil, err
 			}
 		}
-		for b, r := range refs {
-			cols[b][j], cur[b] = make([]uint32, len(r)), 0
-		}
-		for k := 0; k <= chunks; k++ {
-			// Past the last chunk comes the overlay tail: IDs already.
-			lo, hi, ids := f.baseRows, f.baseRows+f.tailRows(), f.tailIDs[c]
-			if k < chunks {
-				lo, hi = f.rd.ChunkSpan(c, k)
-				ids = nil // decoded once some block has a row in it
-			}
-			n := hi - lo
-			for b, r := range refs {
-				col, o, i := cols[b][j], ord[b], cur[b]
-				if k < chunks && ids == nil && o == nil && i+n <= len(r) && r[i] == uint32(lo) && r[i+n-1] == uint32(hi-1) {
-					// The block's next rows are the whole chunk in order:
-					// decode straight into its column.
-					ids, cur[b] = col[i:i+n], i+n
-					if err := f.rd.ReadColumn(c, lo, ids); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				for ; i < len(r); i++ {
-					p := i
-					if o != nil {
-						p = int(o[i])
-					}
-					if r[p] >= uint32(hi) {
-						break
-					}
-					if ids == nil {
-						buf = slices.Grow(buf[:0], n)[:n]
-						ids = buf
-						if err := f.rd.ReadColumn(c, lo, ids); err != nil {
-							return nil, err
-						}
-					}
-					col[p] = ids[r[p]-uint32(lo)]
-				}
-				cur[b] = i
-			}
-		}
-	}
-	out := make([]*relation.Relation, len(blocks))
-	for b, r := range refs {
-		if out[b], err = relation.FromSharedColumns(ps, dicts, cols[b], len(r)); err != nil {
+		if out[b], err = relation.FromPackedExtract(ps, p); err != nil {
 			return nil, err
 		}
-		if f.view != nil || f.tailRows() != 0 {
-			continue
-		}
-		// A pure-base extract (no overlay rows, no view indirection) can ship
-		// in packed form. The provider defers the packing until a
-		// shipping decision actually wants it, so local detection never pays:
-		// a full-fragment selection slices dict sections and chunk payloads
-		// straight off the mmap; a scattered σ-block selection re-encodes the
-		// gathered IDs under compact first-occurrence dictionaries.
-		frag, bcols, n := f.frag, cols[b], len(r)
-		pack := func() (relation.PackedColumnReader, error) { return colstore.PackColumns(dicts, bcols, n) }
-		if ord[b] == nil && n == f.baseRows { // ascending and complete: rows 0..n-1
-			pack = func() (relation.PackedColumnReader, error) { return frag.PackBase(idx) }
-		}
-		out[b].SetPackedProvider(pack)
 	}
 	return out, nil
+}
+
+// inOrder reports whether r lists 0, 1, …, len(r)-1.
+func inOrder(r []int32) bool {
+	for k, ref := range r {
+		if int(ref) != k {
+			return false
+		}
+	}
+	return true
 }
 
 func (f *storeFrag) Scan(fn func(relation.Tuple) error) error {

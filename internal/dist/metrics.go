@@ -305,30 +305,31 @@ const (
 // (ties go to the row form, then dict+ID). It is the only place the
 // forms are compared — remote.ToWire emits the form it names and
 // RelationBytes charges the size it returns, in-process and over RPC
-// alike. A relation whose storage is itself a packed payload (one
-// adopted off the wire, verified on adoption) ships as that payload: the
-// sender already made this choice on the same values, so the relaying
-// driver neither decodes a column nor measures it again. Schema metadata
-// is not charged — the task key identifies it.
+// alike. A payload adopted off the wire (verified on adoption) ships as
+// that payload: the sender already made this choice on the same values,
+// so the relaying driver neither decodes a column nor measures it
+// again. Schema metadata is not charged — the task key identifies it.
 //
 // The row and dict+ID sizes are the integers Encoded.PayloadSizes
-// returns. A relation with a packed payload attached (a store-backed
-// extract) takes them from the payload, which priced its own rows while
-// packing (relation.PackedColumnReader.PayloadSizes); any other
-// relation, or one whose payload cannot be priced, walks its columns.
+// returns. A store site's extract, packed at extraction
+// (relation.FromPackedExtract), takes them from its payload, which
+// priced its own rows while packing (relation.PackedColumnReader.
+// PayloadSizes); any other relation, or one whose payload cannot be
+// priced, walks its columns.
 func ChooseWireForm(r *relation.Relation) (WireForm, int64) {
 	if r == nil {
 		return RowForm, 0
 	}
-	if pr, ok := r.BackingReader().(relation.PackedColumnReader); ok {
+	pr, adopted := r.PackedPayload()
+	if adopted {
 		return PackedForm, pr.PackedSize()
 	}
 	var raw, encoded int64
-	pr, err := r.PackedPayload()
-	if err == nil && pr != nil {
+	var err error
+	if pr != nil {
 		raw, encoded, err = pr.PayloadSizes()
 	}
-	if err != nil || pr == nil {
+	if pr == nil || err != nil {
 		pr = nil // nothing to ship packed, or a payload that cannot price its rows
 		raw, encoded = r.Encoded().PayloadSizes()
 	}

@@ -79,7 +79,7 @@ func Chain(parent *Dict) *Dict {
 }
 
 // overlay returns a fresh layer over parent — a fresh root when parent
-// is nil — without Chain's depth merge. Concat uses it for the values
+// is nil — without Chain's depth merge. Merge uses it for the values
 // a merge's base dictionary lacks: the overlay lives one call, so
 // merging a deep chain's top layers first would copy them on every
 // merge for nothing.

@@ -27,9 +27,9 @@ import (
 // Relation.Encoded.
 type Encoded struct {
 	// tuples is the snapshot the view was built from; nil for views over
-	// lazy relations (ProjectRows/Concat/FromColumns/FromSharedColumns
-	// extracts), which pre-build every column, so the tuple fallback in
-	// Column is never needed there. rows carries the count explicitly.
+	// lazy relations (ProjectRows, Merge windows, FromColumns), which
+	// pre-build every column, so the tuple fallback in Column is never
+	// needed there. rows carries the count explicitly.
 	tuples []Tuple
 	rows   int
 	arity  int

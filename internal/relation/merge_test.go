@@ -194,7 +194,10 @@ func FuzzConcat(f *testing.F) {
 					cols[0][i], _ = d.Lookup(tu[0])
 					cols[1][i], _ = d.Lookup(tu[1])
 				}
-				p, err = FromSharedColumns(s, []*Dict{d, d}, cols, len(ts))
+				var enc *Encoded
+				p, enc = lazyView(s, len(ts))
+				copy(enc.cols, cols)
+				enc.dicts[0], enc.dicts[1] = d, d
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PackedColumnReader is the packed-column seam: a ColumnReader whose
 // storage is chunks of raw encoded bytes (the colstore chunk codec), so
@@ -29,71 +26,49 @@ type PackedColumnReader interface {
 	PayloadSizes() (raw, encoded int64, err error)
 }
 
-// packedState carries a relation's packed-payload attachment: either
-// a lazily-invoked provider (sender side — a store-backed extract
-// that can produce its packed form on demand) or an already-built
-// reader that IS the relation's storage (receiver side — a payload
-// adopted off the wire).
+// packedState is a relation's packed payload, which is also its row
+// storage: the encoded view decodes columns from it on demand, and the
+// detect kernel and Merge read it through its error channel. adopted
+// marks a payload received off the wire (FromPackedReader), which ships
+// onward as it came; one a site packed from its own storage at
+// extraction (FromPackedExtract) still competes with the other two
+// forms (dist.ChooseWireForm).
 type packedState struct {
-	mu       sync.Mutex
-	provider func() (PackedColumnReader, error)
-	pr       PackedColumnReader
-	err      error
-	done     bool
-	// backing marks a relation whose row storage is the packed reader
-	// itself (FromPackedReader): the encoded view decodes columns from
-	// it on demand, and the detect kernel reads it through its error
-	// channel.
-	backing bool
+	pr      PackedColumnReader
+	adopted bool
 }
 
-// SetPackedProvider attaches a deferred packed-payload builder to r:
-// fn runs at most once, on the first PackedPayload call, so a block
-// that is extracted but detected locally never pays for packing. Any
-// mutation of r detaches the provider (see invalidateEncoding).
-func (r *Relation) SetPackedProvider(fn func() (PackedColumnReader, error)) {
-	r.packed.Store(&packedState{provider: fn})
-}
-
-// PackedPayload returns the relation's packed payload, invoking the
-// attached provider on first call (the result, or its error, is
-// cached). It returns (nil, nil) when no packed form is attached —
-// the common case for in-memory relations — and shippers then fall
-// back to the dict+ID wire form.
-func (r *Relation) PackedPayload() (PackedColumnReader, error) {
-	ps := r.packed.Load()
-	if ps == nil {
-		return nil, nil
+// PackedPayload returns the packed payload r ships as, and whether it
+// was adopted off the wire; nil when r has none — the common case for
+// in-memory relations, and for any relation after DropPacked — and
+// shippers then fall back to the row or dict+ID wire form.
+func (r *Relation) PackedPayload() (pr PackedColumnReader, adopted bool) {
+	if ps := r.packed.Load(); ps != nil {
+		return ps.pr, ps.adopted
 	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if !ps.done {
-		ps.pr, ps.err = ps.provider()
-		ps.provider = nil
-		ps.done = true
-	}
-	return ps.pr, ps.err
+	return nil, false
 }
 
-// DropPacked detaches any packed payload or provider, forcing every
-// downstream shipper and accountant back onto the row or dict+ID form.
-// It is the Options.NoPackedShip hook and the explicit form of what
-// mutation does implicitly.
+// DropPacked stops r shipping packed, forcing every downstream shipper
+// and accountant back onto the row or dict+ID form. The payload stays
+// r's storage: its encoded view decodes from it as before. It is the
+// Options.NoPackedShip hook and the explicit form of what mutation does
+// implicitly.
 func (r *Relation) DropPacked() {
 	r.packed.Store(nil)
 }
 
-// BackingReader returns the packed reader that stores r's rows, or
-// nil when r's rows live as tuples or materialized columns. Only
-// relations built by FromPackedReader have one; the detect kernel
-// decodes the columns it reads through it, where a corrupt chunk is an
-// error rather than Column materialization's panic.
+// BackingReader returns the packed reader that stores r's rows, or nil
+// when r's rows live as tuples or materialized columns, or after
+// DropPacked. Only relations built by FromPackedReader or
+// FromPackedExtract have one; the detect kernel and Merge decode the
+// columns they read through it, where a corrupt chunk is an error
+// rather than Column materialization's panic.
 func (r *Relation) BackingReader() ColumnReader {
-	ps := r.packed.Load()
-	if ps == nil || !ps.backing {
-		return nil
+	if ps := r.packed.Load(); ps != nil {
+		return ps.pr
 	}
-	return ps.pr
+	return nil
 }
 
 // FromPackedReader adopts a packed payload as a relation's storage —
@@ -106,12 +81,24 @@ func (r *Relation) BackingReader() ColumnReader {
 // storage corruption). Whoever adopts bytes it did not write verifies
 // them first — colstore.NewPacked does, for the wire.
 func FromPackedReader(s *Schema, pr PackedColumnReader) (*Relation, error) {
+	return fromPacked(s, pr, true)
+}
+
+// FromPackedExtract is FromPackedReader for a payload a site packed
+// from its own storage at extraction — the sender's side. Its storage
+// is the same; it differs in shipping, where it is priced in all three
+// wire forms rather than passed on packed.
+func FromPackedExtract(s *Schema, pr PackedColumnReader) (*Relation, error) {
+	return fromPacked(s, pr, false)
+}
+
+func fromPacked(s *Schema, pr PackedColumnReader, adopted bool) (*Relation, error) {
 	if pr.NumColumns() != s.Arity() {
 		return nil, fmt.Errorf("relation: packed payload has %d columns, schema %s wants %d",
 			pr.NumColumns(), s.Name(), s.Arity())
 	}
 	out, enc := lazyView(s, pr.Rows())
 	enc.reader = pr
-	out.packed.Store(&packedState{pr: pr, done: true, backing: true})
+	out.packed.Store(&packedState{pr: pr, adopted: adopted})
 	return out, nil
 }

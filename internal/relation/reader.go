@@ -48,28 +48,3 @@ func (e *Encoded) ReadColumn(i, lo int, dst []uint32) error {
 }
 
 var _ ColumnReader = (*Encoded)(nil)
-
-// FromSharedColumns builds a relation over already-interned columns:
-// the ID vectors index into the given live dictionaries, which the new
-// relation shares rather than copies (IDs stay valid, merely sparse —
-// the same deal ProjectRows makes). The result is lazy: the check
-// kernels consume it entirely in ID space, so string tuples (sharing
-// the dictionaries' values) materialize only if something asks. This
-// is how a store-backed fragment hands out extracts without re-hashing
-// a single value — or, now, materializing one.
-func FromSharedColumns(s *Schema, dicts []*Dict, cols [][]uint32, rows int) (*Relation, error) {
-	arity := s.Arity()
-	if len(cols) != arity || len(dicts) != arity {
-		return nil, fmt.Errorf("relation: shared-column payload has %d/%d columns, schema %s wants %d",
-			len(cols), len(dicts), s.Name(), arity)
-	}
-	for j := range cols {
-		if len(cols[j]) != rows {
-			return nil, fmt.Errorf("relation: column %d has %d rows, want %d", j, len(cols[j]), rows)
-		}
-	}
-	out, enc := lazyView(s, rows)
-	copy(enc.cols, cols)
-	copy(enc.dicts, dicts)
-	return out, nil
-}

@@ -20,17 +20,16 @@ type Relation struct {
 	// lazy, when non-nil, marks a relation whose rows exist only as the
 	// cached encoded view's columns: tuple materialization is deferred
 	// until something actually asks for []Tuple form. Extracts on the
-	// serving path (ProjectRows, FromSharedColumns, the columnar wire
+	// serving path (ProjectRows, a Merge window, the columnar wire
 	// receive) are consumed almost entirely in ID space, so for them the
 	// O(rows·arity) string-tuple build is pure waste. Single-row access
 	// (Tuple) decodes just that row; Tuples and every mutation
 	// materialize the full slice first.
 	lazy *lazyTuples
 	enc  atomic.Pointer[Encoded]
-	// packed, when non-nil, attaches a packed chunk payload (or a
-	// deferred builder for one) to the relation — the packed shipping
-	// form. See packed.go; mutation detaches it alongside the encoded
-	// view.
+	// packed, when non-nil, is the packed chunk payload that stores the
+	// relation's rows and that it ships in. See packed.go; mutation
+	// detaches it alongside the encoded view.
 	packed atomic.Pointer[packedState]
 }
 

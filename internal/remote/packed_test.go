@@ -13,15 +13,20 @@ import (
 	"distcfd/internal/workload"
 )
 
-// attachPacked gives r a packed provider built from its own encoded
-// columns, the way a store-backed extract would.
-func attachPacked(t *testing.T, r *relation.Relation) {
+// packedExtract returns r's rows packed from its own encoded columns,
+// the way a store-backed extract is.
+func packedExtract(t *testing.T, r *relation.Relation) *relation.Relation {
 	t.Helper()
 	dicts, cols := allColumns(r)
-	n := r.Len()
-	r.SetPackedProvider(func() (relation.PackedColumnReader, error) {
-		return colstore.PackColumns(dicts, cols, n)
-	})
+	p, err := colstore.PackColumns(dicts, cols, r.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := relation.FromPackedExtract(r.Schema(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestWirePackedRoundTrip pins the v6 form end to end: a relation
@@ -29,8 +34,7 @@ func attachPacked(t *testing.T, r *relation.Relation) {
 // ships as WirePackedRelation, round-trips tuple for tuple, and stays
 // chunk-backed on the receiver.
 func TestWirePackedRoundTrip(t *testing.T) {
-	d := workload.Cust(workload.CustConfig{N: 5000, Seed: 7})
-	attachPacked(t, d)
+	d := packedExtract(t, workload.Cust(workload.CustConfig{N: 5000, Seed: 7}))
 	w := ToWire(d)
 	if w.Packed == nil {
 		t.Fatal("repetitive packed-backed relation should ship in the packed form")
@@ -48,8 +52,8 @@ func TestWirePackedRoundTrip(t *testing.T) {
 	if back.BackingReader() == nil {
 		t.Error("receiver should adopt the packed payload as a backing reader")
 	}
-	if pr, err := back.PackedPayload(); err != nil || pr == nil {
-		t.Errorf("adopted payload should re-ship packed (pr=%v err=%v)", pr, err)
+	if pr, adopted := back.PackedPayload(); pr == nil || !adopted {
+		t.Errorf("adopted payload should re-ship packed (pr=%v adopted=%v)", pr, adopted)
 	}
 	if !back.SameTuples(d) || back.Schema().String() != d.Schema().String() {
 		t.Error("packed round trip lost data")

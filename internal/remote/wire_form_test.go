@@ -59,9 +59,7 @@ func wireKinds(t *testing.T, src *relation.Relation) map[string]*relation.Relati
 	}
 	out["FromColumns"] = fromCols
 
-	packCols := src.Clone()
-	attachPacked(t, packCols)
-	out["provider PackColumns"] = packCols
+	out["extract PackColumns"] = packedExtract(t, src)
 
 	path := filepath.Join(t.TempDir(), "fragment.col")
 	if _, err := colstore.WriteRelation(path, src); err != nil {
@@ -76,9 +74,13 @@ func wireKinds(t *testing.T, src *relation.Relation) map[string]*relation.Relati
 	for j := range all {
 		all[j] = j
 	}
-	packBase := src.Clone()
-	packBase.SetPackedProvider(func() (relation.PackedColumnReader, error) { return f.PackBase(all) })
-	out["provider PackBase"] = packBase
+	base, err := f.PackBase(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["extract PackBase"], err = relation.FromPackedExtract(src.Schema(), base); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, name := range []string{"packed-backed", "packed-backed, dropped"} {
 		pd, pc := allColumns(src)
@@ -100,9 +102,10 @@ func wireKinds(t *testing.T, src *relation.Relation) map[string]*relation.Relati
 // way a relation reaches a shipper, the form ToWire emits is the form
 // dist.ChooseWireForm named and dist.RelationBytes is that form's
 // modeled size — computed here from the relation, not from the chooser.
-// A relation that is not itself a packed payload gets the smallest of
-// its forms; one that is ships as the payload it is; and what a sender
-// shipped packed, the receiver re-ships and bills identically.
+// A relation that is not a payload adopted off the wire gets the
+// smallest of its forms, a packed extract's payload among them; an
+// adopted one ships as the payload it is; and what a sender shipped
+// packed, the receiver re-ships and bills identically.
 func TestWireFormChooserAgreement(t *testing.T) {
 	sources := map[string]*relation.Relation{
 		"unique":     uniqueRelation(300),
@@ -125,15 +128,14 @@ func TestWireFormChooserAgreement(t *testing.T) {
 
 			raw, enc := naiveSizes(r)
 			sizes := map[dist.WireForm]int64{dist.RowForm: raw, dist.ColumnForm: enc}
-			if pr, err := r.PackedPayload(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			} else if pr != nil {
+			pr, adopted := r.PackedPayload()
+			if pr != nil {
 				sizes[dist.PackedForm] = pr.PackedSize()
 			}
 			if want, ok := sizes[form]; !ok || n != want {
 				t.Errorf("%s: billed %d for form %d, whose modeled size is %d (attached: %v)", name, n, form, want, ok)
 			}
-			if r.BackingReader() != nil {
+			if adopted {
 				if form != dist.PackedForm {
 					t.Errorf("%s: a packed payload must ship as itself, chooser named %d", name, form)
 				}
