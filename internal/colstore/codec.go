@@ -318,11 +318,11 @@ func (it *runIter) max() (hi uint32) {
 	return hi
 }
 
-// checkChunk verifies a chunk payload that arrived from a peer, without
-// decoding it anywhere: the runs are well-formed, cover exactly rows
-// rows, and hold no ID at or past dictLen. After it passes, DecodeChunk
-// over the same payload cannot fail and cannot produce an ID the
-// column's dictionary lacks.
+// checkChunk verifies a chunk payload this process did not write — a
+// peer's or a file's — without decoding it anywhere: the runs are
+// well-formed, cover exactly rows rows, and hold no ID at or past
+// dictLen. After it passes, DecodeChunk over the same payload cannot
+// fail and cannot produce an ID the column's dictionary lacks.
 func checkChunk(payload []byte, rows, dictLen int) error {
 	it, err := chunkRuns(payload)
 	if err != nil {

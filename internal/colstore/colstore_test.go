@@ -133,16 +133,34 @@ func TestRoundTripSeparatorAdjacentValues(t *testing.T) {
 	}
 	f, _ := writeOpen(t, r)
 	checkEquivalent(t, f, r)
-	rr := f.NewRowReader()
-	for i, want := range ts {
-		got, err := rr.Row(i, nil)
+	for i, got := range fragmentRows(t, f) {
+		if !reflect.DeepEqual(got, ts[i]) {
+			t.Fatalf("row %d: got %q, want %q", i, got, ts[i])
+		}
+	}
+}
+
+// fragmentRows reads every row of f back as values: each column whole
+// (ReadColumn), its IDs mapped through its dictionary.
+func fragmentRows(t *testing.T, f *Fragment) []relation.Tuple {
+	t.Helper()
+	rows, ids := make([]relation.Tuple, f.Rows()), make([]uint32, f.Rows())
+	for i := range rows {
+		rows[i] = make(relation.Tuple, f.NumColumns())
+	}
+	for j := 0; j < f.NumColumns(); j++ {
+		if err := f.ReadColumn(j, 0, ids); err != nil {
+			t.Fatal(err)
+		}
+		d, err := f.Dict(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("row %d: got %q, want %q", i, got, want)
+		for i, id := range ids {
+			rows[i][j] = d.Val(id)
 		}
 	}
+	return rows
 }
 
 func TestRoundTripEmptyRelation(t *testing.T) {
@@ -216,13 +234,8 @@ func TestChainedDictsFlattenedAtPersist(t *testing.T) {
 	// The writer re-interns in current tuple order, so the persisted
 	// dictionaries are flat roots whatever the source chained; decoded
 	// values match the live relation row for row (IDs may differ).
-	rr := f.NewRowReader()
-	for i, want := range r.Tuples() {
-		got, err := rr.Row(i, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+	for i, got := range fragmentRows(t, f) {
+		if want := r.Tuple(i); !reflect.DeepEqual(got, want) {
 			t.Fatalf("row %d: got %q, want %q", i, got, want)
 		}
 	}
@@ -453,8 +466,8 @@ func TestReadAfterCloseErrors(t *testing.T) {
 	if _, err := f.ColumnChunks(1); err == nil {
 		t.Fatal("ColumnChunks after Close succeeded")
 	}
-	if _, err := f.NewRowReader().ID(1, 0); err == nil {
-		t.Fatal("RowReader.ID after Close succeeded")
+	if err := f.ReadColumn(1, 0, got[:1]); err == nil {
+		t.Fatal("ReadColumn of one row after Close succeeded")
 	}
 	if _, err := f.PackBase([]int{1}); err == nil {
 		t.Fatal("PackBase after Close succeeded")

@@ -80,31 +80,22 @@ func (c *column) chunkSpan(k int) (lo, hi int) {
 	return lo, min(lo+c.chunkRows, c.rows)
 }
 
-// readColumn decodes the IDs of rows [lo, lo+len(dst)) into dst.
-func (c *column) readColumn(lo int, dst []uint32) error {
-	if lo < 0 || lo+len(dst) > c.rows {
-		return fmt.Errorf("colstore: ReadColumn rows [%d,%d) out of range [0,%d)", lo, lo+len(dst), c.rows)
+// checkChunks verifies the chunks of a column whose bytes this process
+// did not write — a peer's (NewPacked) or a file's (loadSegment) —
+// against its dictionary, decoding that: every chunk is well-formed,
+// covers exactly its span and holds only IDs the dictionary has
+// (checkChunk). After it passes, no decode of the column can fail or
+// hand out an ID outside the dictionary.
+func (c *column) checkChunks() error {
+	dict, err := c.dictionary()
+	if err != nil {
+		return err
 	}
-	var scratch []uint32
-	for len(dst) > 0 {
-		k := lo / c.chunkRows
-		clo, chi := c.chunkSpan(k)
-		n := min(chi-lo, len(dst))
-		if lo == clo && n == chi-clo {
-			if err := DecodeChunk(c.Chunks[k], dst[:n]); err != nil {
-				return err
-			}
-		} else {
-			if scratch == nil {
-				scratch = make([]uint32, c.chunkRows)
-			}
-			if err := DecodeChunk(c.Chunks[k], scratch[:chi-clo]); err != nil {
-				return err
-			}
-			copy(dst[:n], scratch[lo-clo:lo-clo+n])
+	for k, payload := range c.Chunks {
+		lo, hi := c.chunkSpan(k)
+		if err := checkChunk(payload, hi-lo, dict.Len()); err != nil {
+			return fmt.Errorf("colstore: %s chunk %d: %w", c.name, k, err)
 		}
-		dst = dst[n:]
-		lo += n
 	}
 	return nil
 }
@@ -149,8 +140,9 @@ type columns struct {
 
 // col returns column i with its chunk side readable: as built for a
 // wire column, after the once-only segment load (closed check, checksum,
-// directory parse) for a file column — one nobody reads is never paged
-// in. Every chunk read goes through here: none sees an unloaded directory.
+// directory parse, every chunk checked against the dictionary) for a
+// file column — one nobody reads is never paged in. Every chunk read
+// goes through here: none sees an unloaded directory.
 func (cs *columns) col(i int) (*column, error) {
 	c := cs.cols[i]
 	if c.file == nil {
@@ -243,11 +235,42 @@ func (cs *columns) PayloadSizes() (raw, encoded int64, err error) {
 	return raw, encoded, nil
 }
 
-// ReadColumn decodes column i's IDs for rows [lo, lo+len(dst)) into dst.
+// ReadColumn decodes column i's IDs for rows [lo, lo+len(dst)) into
+// dst: a whole chunk straight into dst, fewer than pointReads rows of
+// one a row at a time (chunkAt), any other part of one through a
+// scratch.
 func (cs *columns) ReadColumn(i, lo int, dst []uint32) error {
 	c, err := cs.col(i)
 	if err != nil {
 		return err
 	}
-	return c.readColumn(lo, dst)
+	if lo < 0 || lo+len(dst) > c.rows {
+		return fmt.Errorf("colstore: ReadColumn rows [%d,%d) out of range [0,%d)", lo, lo+len(dst), c.rows)
+	}
+	var scratch []uint32
+	for len(dst) > 0 {
+		k := lo / c.chunkRows
+		clo, chi := c.chunkSpan(k)
+		n := min(chi-lo, len(dst))
+		switch {
+		case lo == clo && n == chi-clo:
+			err = DecodeChunk(c.Chunks[k], dst[:n])
+		case n < pointReads:
+			for r := 0; r < n && err == nil; r++ {
+				dst[r], err = chunkAt(c.Chunks[k], lo-clo+r)
+			}
+		default:
+			if scratch == nil {
+				scratch = make([]uint32, c.chunkRows)
+			}
+			if err = DecodeChunk(c.Chunks[k], scratch[:chi-clo]); err == nil {
+				copy(dst[:n], scratch[lo-clo:])
+			}
+		}
+		if err != nil {
+			return err
+		}
+		dst, lo = dst[n:], lo+n
+	}
+	return nil
 }

@@ -170,8 +170,10 @@ func (f *Fragment) checkOpen() error {
 	return nil
 }
 
-// loadSegment verifies segment bytes b against the table entry and
-// fills the column's chunk side from its directory:
+// loadSegment verifies segment bytes b against the table entry, fills
+// the column's chunk side from its directory and checks every chunk
+// against the dictionary (checkChunks), so no reader of a file column
+// sees an ID its dictionary lacks:
 //
 //	u32 chunkRows | u32 numChunks | numChunks × u32 length | payloads
 func (c *column) loadSegment(b []byte) error {
@@ -204,96 +206,7 @@ func (c *column) loadSegment(b []byte) error {
 	if len(payload) != 0 {
 		return fmt.Errorf("colstore: %s: %d segment bytes past the last chunk", c.name, len(payload))
 	}
-	return nil
-}
-
-// RowReader decodes single rows through a per-column one-chunk cache —
-// built for the mostly-sequential random access of overlay scans and
-// row projections. Not safe for concurrent use; create one per
-// goroutine.
-type RowReader struct {
-	f    *Fragment
-	bufs [][]uint32
-	cur  []cursor
-}
-
-// cursor is one column's read position: the chunk decoded into bufs and
-// the chunk the last reads found undecoded. A chunk is decoded once
-// pointReads reads in a row land in it — each one before is a chunkAt —
-// so sparse reads (the rows a delta deletes) never decode 8192 IDs for one.
-type cursor struct{ chunk, last, reads int }
-
-const pointReads = 8
-
-// NewRowReader returns a fresh row reader over f.
-func (f *Fragment) NewRowReader() *RowReader {
-	n := f.NumColumns()
-	r := &RowReader{f: f, bufs: make([][]uint32, n), cur: make([]cursor, n)}
-	for i := range r.cur {
-		r.cur[i] = cursor{chunk: -1, last: -1}
-	}
-	return r
-}
-
-// ID returns the dictionary ID at (row, col).
-func (r *RowReader) ID(col, row int) (uint32, error) {
-	c, err := r.f.col(col)
-	if err != nil {
-		return 0, err
-	}
-	k := row / c.chunkRows
-	if cu := &r.cur[col]; cu.chunk != k {
-		if cu.last != k {
-			cu.last, cu.reads = k, 0
-		}
-		if cu.reads++; cu.reads < pointReads {
-			return chunkAt(c.Chunks[k], row%c.chunkRows)
-		}
-		lo, hi := c.chunkSpan(k)
-		if cap(r.bufs[col]) < hi-lo {
-			r.bufs[col] = make([]uint32, c.chunkRows)
-		}
-		r.bufs[col] = r.bufs[col][:hi-lo]
-		if err := DecodeChunk(c.Chunks[k], r.bufs[col]); err != nil {
-			return 0, err
-		}
-		cu.chunk = k
-	}
-	return r.bufs[col][row%c.chunkRows], nil
-}
-
-// Value returns the string value at (row, col).
-func (r *RowReader) Value(col, row int) (string, error) {
-	id, err := r.ID(col, row)
-	if err != nil {
-		return "", err
-	}
-	d, err := r.f.Dict(col)
-	if err != nil {
-		return "", err
-	}
-	// A file's chunks are checksummed, not checked against its
-	// dictionary the way NewPacked checks a peer's: the ID is the
-	// file's word until here.
-	if int64(id) >= int64(d.Len()) {
-		return "", fmt.Errorf("colstore: %s: row %d holds ID %d outside the dictionary of %d values", r.f.cols[col].name, row, id, d.Len())
-	}
-	return d.Val(id), nil
-}
-
-// Row materializes one tuple.
-func (r *RowReader) Row(row int, dst relation.Tuple) (relation.Tuple, error) {
-	if dst == nil {
-		dst = make(relation.Tuple, r.f.NumColumns())
-	}
-	for j := range dst {
-		v, err := r.Value(j, row)
-		if err != nil {
-			return nil, err
-		}
-		dst[j] = v
-	}
-	return dst, nil
+	return c.checkChunks()
 }
 
 // decodeSchema parses the schema section.

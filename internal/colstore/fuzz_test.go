@@ -208,15 +208,14 @@ func fuzzDictSection(t *testing.T, data []byte) {
 
 // FuzzFragmentOpen hands parseFragment arbitrary bytes as a
 // fragment.col — footer, segment table, schema — then asks every column
-// for its dictionary and one ReadColumn, and a row reader for the first
-// rows and the last as values (the IDs mapped through the dictionaries).
-// Each input runs twice: as it
-// is, and resealed, because a corrupted file fails a checksum but a
-// hostile one carries checksums that hold, and only then do the schema,
-// dictionary, chunk-directory and chunk decoders see the bytes. Error
-// or success; never a panic, a read outside the buffer, or an
-// allocation the file's own size does not pay for. The seeds are in
-// testdata/fuzz/FuzzFragmentOpen.
+// for its dictionary and one ReadColumn, and reads its first rows and
+// its last one ID at a time as values (the IDs mapped through the
+// dictionaries). Each input runs twice: as it is, and resealed, because
+// a corrupted file fails a checksum but a hostile one carries checksums
+// that hold, and only then do the schema, dictionary, chunk-directory
+// and chunk decoders see the bytes. Error or success; never a panic, a
+// read outside the buffer, or an allocation the file's own size does
+// not pay for. The seeds are in testdata/fuzz/FuzzFragmentOpen.
 func FuzzFragmentOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzOpenAndRead(data)
@@ -236,12 +235,21 @@ func fuzzOpenAndRead(data []byte) {
 		_, _ = fr.Dict(j)
 		_ = fr.ReadColumn(j, 0, dst)
 	}
-	rr := fr.NewRowReader()
+	// Point reads (chunkAt) of the first rows and the last, as values:
+	// an ID any read hands out indexes its dictionary (Val panics past
+	// its end), because a segment's chunks are checked against it when
+	// the segment loads.
+	rows := []int{fr.Rows() - 1}
 	for row := 0; row < min(fr.Rows(), 2*pointReads); row++ {
-		_, _ = rr.Row(row, nil)
+		rows = append(rows, row)
 	}
-	if fr.Rows() > 0 {
-		_, _ = rr.Row(fr.Rows()-1, nil)
+	for j := 0; j < fr.NumColumns() && fr.Rows() > 0; j++ {
+		d, err := fr.Dict(j)
+		for _, row := range rows {
+			if fr.ReadColumn(j, row, dst[:1]) == nil && err == nil {
+				_ = d.Val(dst[0])
+			}
+		}
 	}
 }
 

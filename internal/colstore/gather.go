@@ -9,12 +9,14 @@ import (
 // Gather reads a batch of row selections — one per block — out of a
 // packed column reader followed by in-memory tail columns, one column
 // at a time and chunk-ordered: the column's chunks are walked once in
-// ascending order, a chunk is decoded only if some block has a row in
-// it, and its hits are scattered into every block's window through one
-// cursor per block. Each (column, chunk) is thus decoded at most once
-// per Column call, whatever order the selections list their rows in.
-// A store site gathers what it checks into merge windows and packs
-// what it ships (Pack). One Gather serves one caller at a time.
+// ascending order, and its hits are scattered into every block's window
+// through one cursor per block. A chunk no block has a row in is never
+// read; one with fewer than pointReads hits has each read as a single
+// ID (ReadColumn answers it with chunkAt); any other is decoded once per
+// Column call, whatever order the selections list their rows in. A
+// store site gathers what it checks into merge windows, packs what it
+// ships (Pack), and reads the rows a delta deletes through one. One
+// Gather serves one caller at a time.
 type Gather struct {
 	rd    relation.PackedColumnReader
 	base  int        // rows rd holds; a ref r ≥ base is row r-base of the tail
@@ -26,15 +28,21 @@ type Gather struct {
 	refs     [][]int32
 	ord      [][]uint64
 	needBase bool
-	cur      []int
+	cur, end []int    // block b's hits in the current chunk are [cur[b], end[b])
 	buf      []uint32 // one chunk's IDs, when no block takes it whole
 }
+
+// pointReads is the fewest hits in one chunk for which a gather decodes
+// the chunk: sparse reads — the rows a delta deletes — never decode
+// 8192 IDs for one.
+const pointReads = 8
 
 // NewGather returns the gather of refs over rd's base rows and the
 // tail rows past them, whose columns tails holds. Its arguments are
 // only read.
 func NewGather(rd relation.PackedColumnReader, base int, tails [][]uint32, refs [][]int32) *Gather {
-	g := &Gather{rd: rd, base: base, tails: tails, refs: refs, ord: make([][]uint64, len(refs)), cur: make([]int, len(refs))}
+	n, ce := len(refs), make([]int, 2*len(refs))
+	g := &Gather{rd: rd, base: base, tails: tails, refs: refs, ord: make([][]uint64, n), cur: ce[:n:n], end: ce[n:]}
 	for b, r := range refs {
 		asc := true
 		for k, ref := range r {
@@ -55,6 +63,18 @@ func NewGather(rd relation.PackedColumnReader, base int, tails [][]uint32, refs 
 	return g
 }
 
+// until returns the end of block b's hits below row hi, from its
+// cursor on.
+func (g *Gather) until(b, hi int) int {
+	i := g.cur[b]
+	if o := g.ord[b]; o != nil {
+		e, _ := slices.BinarySearch(o[i:], uint64(hi)<<32)
+		return i + e
+	}
+	e, _ := slices.BinarySearch(g.refs[b][i:], int32(hi))
+	return i + e
+}
+
 // Column writes column c of every block b into wins[b], as long as
 // refs[b]. A column no base row is read from is never paged in.
 func (g *Gather) Column(c int, wins [][]uint32) error {
@@ -71,30 +91,39 @@ func (g *Gather) Column(c int, wins [][]uint32) error {
 		lo, hi, ids := g.base, g.base+len(tail), tail
 		if k < chunks {
 			lo, hi = g.rd.ChunkSpan(c, k)
-			ids = nil // decoded once some block has a row in it
+			ids = nil // decoded once some block takes it whole or pointReads hits land in it
 		}
-		n := hi - lo
+		hits := 0
+		for b := range g.refs {
+			g.end[b] = g.until(b, hi)
+			hits += g.end[b] - g.cur[b]
+		}
 		for b, r := range g.refs {
-			win, o, i := wins[b], g.ord[b], g.cur[b]
-			if k < chunks && ids == nil && o == nil && i+n <= len(r) && int(r[i]) == lo && int(r[i+n-1]) == hi-1 {
+			win, o, i, e := wins[b], g.ord[b], g.cur[b], g.end[b]
+			g.cur[b] = e
+			if k < chunks && ids == nil && o == nil && e > i && e-i == hi-lo {
 				// The block's next rows are the whole chunk in order:
 				// decode straight into its window.
-				ids, g.cur[b] = win[i:i+n], i+n
+				ids = win[i:e]
 				if err := g.rd.ReadColumn(c, lo, ids); err != nil {
 					return err
 				}
 				continue
 			}
-			for ; i < len(r); i++ {
+			for ; i < e; i++ {
 				p, ref := i, int(r[i])
 				if o != nil {
 					p, ref = int(uint32(o[i])), int(o[i]>>32)
 				}
-				if ref >= hi {
-					break
-				}
-				if ids == nil {
-					g.buf = slices.Grow(g.buf[:0], n)[:n]
+				switch {
+				case ids != nil:
+				case hits < pointReads:
+					if err := g.rd.ReadColumn(c, ref, win[p:p+1]); err != nil {
+						return err
+					}
+					continue
+				default:
+					g.buf = slices.Grow(g.buf[:0], hi-lo)[:hi-lo]
 					ids = g.buf
 					if err := g.rd.ReadColumn(c, lo, ids); err != nil {
 						return err
@@ -102,7 +131,6 @@ func (g *Gather) Column(c int, wins [][]uint32) error {
 				}
 				win[p] = ids[ref-lo]
 			}
-			g.cur[b] = i
 		}
 	}
 	return nil

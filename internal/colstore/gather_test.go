@@ -126,14 +126,95 @@ func TestGatherPackMatchesReference(t *testing.T) {
 	}
 }
 
-// countingPacked counts the chunk reads made through a packed reader,
-// keyed by (column, first row).
+// countingPacked counts the reads made through a packed reader, keyed
+// by (column, first row), and how many of them asked for a chunk's
+// worth of rows — pointReads or more.
 type countingPacked struct {
 	relation.PackedColumnReader
 	reads map[[2]int]int
+	long  int
 }
 
 func (c *countingPacked) ReadColumn(i, lo int, dst []uint32) error {
 	c.reads[[2]int{i, lo}]++
+	if len(dst) >= pointReads {
+		c.long++
+	}
 	return c.PackedColumnReader.ReadColumn(i, lo, dst)
+}
+
+// TestGatherPointReads pins the gather's two regimes over a fragment
+// file and an in-memory tail: refs scattered over the column — fewer
+// than pointReads hits a chunk, in descending order as the rows a delta
+// deletes come — are each read as one ID and decode no chunk; a chunk
+// with pointReads hits or more, however the blocks share them, is
+// decoded once; and both return what the in-memory encoding and the
+// tail hold.
+func TestGatherPointReads(t *testing.T) {
+	const rows, tailRows = 3*DefaultChunkRows + 11, 30
+	rng := rand.New(rand.NewSource(3))
+	r := randomRelation(t, rng, rows, 2)
+	f, _ := writeOpen(t, r)
+	tails := make([][]uint32, 2)
+	for j := range tails {
+		for range tailRows {
+			tails[j] = append(tails[j], uint32(rng.Intn(f.ColumnDict(j).Len())))
+		}
+	}
+	gather := func(refs [][]int32) *countingPacked {
+		t.Helper()
+		cr := &countingPacked{PackedColumnReader: f, reads: map[[2]int]int{}}
+		g := NewGather(cr, rows, tails, refs)
+		for j := range tails {
+			wins := make([][]uint32, len(refs))
+			for b := range refs {
+				wins[b] = make([]uint32, len(refs[b]))
+			}
+			if err := g.Column(j, wins); err != nil {
+				t.Fatal(err)
+			}
+			col, _ := r.Encoded().Column(j)
+			for b, rs := range refs {
+				for k, ref := range rs {
+					want := tails[j][max(int(ref)-rows, 0)]
+					if int(ref) < rows {
+						want = col[ref]
+					}
+					if wins[b][k] != want {
+						t.Fatalf("column %d block %d ref %d: ID %d, want %d", j, b, ref, wins[b][k], want)
+					}
+				}
+			}
+		}
+		return cr
+	}
+
+	var sparse []int32
+	for ref := rows + tailRows - 1; ref >= 0; ref -= DefaultChunkRows/(pointReads-1) + 3 {
+		sparse = append(sparse, int32(ref))
+	}
+	cr := gather([][]int32{sparse})
+	if cr.long != 0 {
+		t.Fatalf("scattered refs decoded %d chunks", cr.long)
+	}
+	if base := len(sparse) - 1; len(cr.reads) != 2*base { // one tail ref
+		t.Fatalf("scattered refs made %d reads, want one per base ref and column (%d)", len(cr.reads), 2*base)
+	}
+
+	// Chunk 1 has pointReads hits between two blocks, chunk 2 one fewer.
+	c1, c2 := int32(DefaultChunkRows), int32(2*DefaultChunkRows)
+	dense := [][]int32{
+		{c1 + 900, c1 + 5, c1 + 77, c2 + 1, c2 + 2, c2 + 3, c2 + 7},
+		{c1, c1 + 6, c1 + 7, c1 + 8000, c1 + 9, c2 + 4, c2 + 5, c2 + 6, int32(rows + 2)},
+	}
+	cr = gather(dense)
+	for j := range tails {
+		if n := cr.reads[[2]int{j, int(c1)}]; n != 1 {
+			t.Fatalf("column %d: chunk 1 read whole %d times, want once", j, n)
+		}
+	}
+	if cr.long != 2 || len(cr.reads) != 2*pointReads {
+		t.Fatalf("%d whole-chunk reads of %d, want chunk 1 once and chunk 2's %d hits one at a time, per column",
+			cr.long, len(cr.reads), pointReads-1)
+	}
 }

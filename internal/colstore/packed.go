@@ -52,15 +52,8 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 		}
 		c := p.cols[j]
 		c.PackedColumn = parts
-		dict, err := c.dictionary()
-		if err != nil {
+		if err := c.checkChunks(); err != nil {
 			return nil, fmt.Errorf("colstore: NewPacked column %d: %w", j, err)
-		}
-		for k, payload := range c.Chunks {
-			lo, hi := c.chunkSpan(k)
-			if err := checkChunk(payload, hi-lo, dict.Len()); err != nil {
-				return nil, fmt.Errorf("colstore: packed column %d chunk %d: %w", j, k, err)
-			}
 		}
 	}
 	return p, nil

@@ -142,42 +142,6 @@ func TestChunkBoundsOnUntouchedColumn(t *testing.T) {
 	}
 }
 
-// TestRowReaderAccessPatterns pins the RowReader's two regimes: reads
-// scattered over a column (the rows a delta deletes, descending) are
-// answered by point lookups and decode no chunk, a scan decodes each
-// chunk once it has read pointReads rows of it, and both return what
-// the in-memory encoding holds.
-func TestRowReaderAccessPatterns(t *testing.T) {
-	const rows = 3*DefaultChunkRows + 11
-	r := randomRelation(t, rand.New(rand.NewSource(3)), rows, 2)
-	f, _ := writeOpen(t, r)
-	check := func(rr *RowReader, col, row int) {
-		t.Helper()
-		want, _ := r.Encoded().Column(col)
-		if id, err := rr.ID(col, row); err != nil || id != want[row] {
-			t.Fatalf("ID(%d, %d) = %d, %v; want %d", col, row, id, err, want[row])
-		}
-	}
-	sparse := f.NewRowReader()
-	for row := rows - 1; row >= 0; row -= DefaultChunkRows/(pointReads-1) + 1 {
-		check(sparse, 0, row)
-		check(sparse, 1, row)
-	}
-	if cu := sparse.cur[0]; cu.chunk != -1 || sparse.bufs[0] != nil {
-		t.Fatalf("scattered reads decoded chunk %d", cu.chunk)
-	}
-	scan := f.NewRowReader()
-	for row := 0; row < rows; row++ {
-		check(scan, 1, row)
-		if k := row / DefaultChunkRows; row%DefaultChunkRows >= pointReads-1 && scan.cur[1].chunk != k {
-			t.Fatalf("row %d: a scan's chunk %d is still undecoded", row, k)
-		}
-	}
-	if _, err := scan.ID(0, rows); err == nil {
-		t.Fatal("ID past the last row succeeded")
-	}
-}
-
 // sectionOffsets reads a fragment file's segment table: the offset and
 // length of every section, schema first, then dictionaries, then
 // column segments.

@@ -13,7 +13,8 @@ import (
 // from a packed colstore fragment plus an in-memory delta overlay, so
 // a site can hold a fragment bigger than RAM. Columns are read two
 // ways: GatherBlocks for what the site reads itself — σ-routing,
-// mining, its own checks — and ShipBlocks for what it ships.
+// mining, the constant-unit state, its own checks — and ShipBlocks for
+// what it ships.
 //
 // Read methods must be safe for concurrent callers. Apply, called only
 // by Site.ApplyDelta, is the one writer of the fragment's rows; the
@@ -36,10 +37,6 @@ type siteFragment interface {
 	// yielding an empty relation. Both take a whole batch so that a
 	// store fragment can decode each chunk once for all of it.
 	ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error)
-	// Scan streams every tuple in row order. The callback must not
-	// retain t — implementations may reuse the buffer between calls
-	// (the strings themselves are stable).
-	Scan(fn func(t relation.Tuple) error) error
 	// Apply applies one delta (deletes by swap-with-last, then inserts
 	// appended), returning the removed tuples in descending pre-delta
 	// index order — the same contract as relation.Apply. The returned
@@ -85,15 +82,6 @@ func (m memFrag) ShipBlocks(_ *relation.Merge, name string, attrs []string, bloc
 		}
 	}
 	return out, nil
-}
-
-func (m memFrag) Scan(fn func(relation.Tuple) error) error {
-	for _, t := range m.r.Tuples() {
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (m memFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {

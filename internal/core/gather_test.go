@@ -19,18 +19,22 @@ import (
 )
 
 // countingReader wraps a store fragment's chunk reader and counts the
-// chunk decodes a gather performs, keyed by (column, first row) — the
+// reads a gather performs, keyed by (column, first row) — the
 // core-side sibling of engine's countingPacked.
 type countingReader struct {
 	relation.PackedColumnReader
 	reads map[[2]int]int
 	into  map[[2]int]*uint32 // where the last read of (column, row) decoded to
 	dirs  int                // ColumnChunks calls: each may load a column segment
+	long  int                // reads of more than one row: a chunk decoded whole
 }
 
 func (c *countingReader) ReadColumn(i, lo int, dst []uint32) error {
 	c.reads[[2]int{i, lo}]++
 	c.into[[2]int{i, lo}] = &dst[0]
+	if len(dst) > 1 {
+		c.long++
+	}
 	return c.PackedColumnReader.ReadColumn(i, lo, dst)
 }
 
@@ -176,7 +180,8 @@ func TestShipWholeFragmentDecodesNothing(t *testing.T) {
 }
 
 // TestGatherSkipsUntouchedChunks pins the other half: a chunk no block
-// of the batch has a row in is never read.
+// of the batch has a row in is never read, and one with fewer than
+// pointReads hits has each read as one ID.
 func TestGatherSkipsUntouchedChunks(t *testing.T) {
 	frag := randomRelation(rand.New(rand.NewSource(9)), gatherRows)
 	store, _ := openStoreSiteFor(t, 0, frag, relation.True())
@@ -187,7 +192,7 @@ func TestGatherSkipsUntouchedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, _ := sf.schema.Index("b")
-	want := map[[2]int]int{{col, int(cr0)}: 1, {col, int(cr3)}: 1}
+	want := map[[2]int]int{{col, int(cr0 + 4)}: 1, {col, int(cr0 + 90)}: 1, {col, int(cr0 + 5)}: 1, {col, int(cr3 + 1)}: 1, {col, int(cr3 + 8000)}: 1}
 	if !maps.Equal(cr.reads, want) {
 		t.Fatalf("reads %v, want %v", cr.reads, want)
 	}

@@ -88,7 +88,7 @@ func TestConstantsCacheKeyUnambiguous(t *testing.T) {
 	}
 }
 
-// parkedFrag holds the first σ-routing projection or constant scan it
+// parkedFrag holds the first σ-routing or constant-state projection it
 // serves until release closes: the rows are read, then the result is
 // held while a delta lands.
 type parkedFrag struct {
@@ -108,12 +108,6 @@ func (f *parkedFrag) GatherBlocks(m *relation.Merge, name string, attrs []string
 	out, err := f.memFrag.GatherBlocks(m, name, attrs, blocks, deps)
 	f.park()
 	return out, err
-}
-
-func (f *parkedFrag) Scan(fn func(t relation.Tuple) error) error {
-	err := f.memFrag.Scan(fn)
-	f.park()
-	return err
 }
 
 // TestServingCacheSkipsBuildAcrossDelta: a cache miss built from the

@@ -437,21 +437,33 @@ func (s *Site) assignAll(spec *BlockSpec, blocks ...int) (*sigmaEntry, error) {
 }
 
 // route σ-routes the fragment under spec as BlockSpec.AssignAll does,
-// one GatherBlocks batch of X (batch rows) at a time: a cold routing
-// holds one batch of columns beside the assignment. An empty fragment
-// still projects once, so an X the schema lacks is always refused.
+// over X projected batch rows at a time (scan).
 func (s *Site) route(spec *BlockSpec, batch int) (assign []int32, counts []int, err error) {
-	n, m := s.frag.Len(), s.merges.Get()
-	defer s.merges.Put(m)
-	assign, counts = make([]int32, 0, n), make([]int, spec.K())
-	for lo := 0; lo == 0 || lo < n; lo += batch {
-		proj, err := s.frag.GatherBlocks(m, s.frag.Schema().Name()+"_sigma", spec.X, [][]int32{rowSpan(lo, min(lo+batch, n))}, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		assign, _ = appendAssign(spec, assign, counts, proj[0]) // proj's schema is X itself
+	assign, counts = make([]int32, 0, s.frag.Len()), make([]int, spec.K())
+	err = s.scan("_sigma", spec.X, batch, func(proj *relation.Relation) {
+		assign, _ = appendAssign(spec, assign, counts, proj) // proj's schema is X itself
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return assign, counts, nil
+}
+
+// scan hands fn every row's projection onto attrs in row order, one
+// GatherBlocks batch of batch rows at a time, so a cold read holds one
+// batch of columns beside what it builds. An empty fragment still
+// projects once, so attrs the schema lacks are always refused.
+func (s *Site) scan(suffix string, attrs []string, batch int, fn func(proj *relation.Relation)) error {
+	n, m := s.frag.Len(), s.merges.Get()
+	defer s.merges.Put(m)
+	for lo := 0; lo == 0 || lo < n; lo += batch {
+		proj, err := s.frag.GatherBlocks(m, s.frag.Schema().Name()+suffix, attrs, [][]int32{rowSpan(lo, min(lo+batch, n))}, nil)
+		if err != nil {
+			return err
+		}
+		fn(proj[0])
+	}
+	return nil
 }
 
 // rowSpan returns the row list lo, lo+1, …, hi-1.
@@ -861,22 +873,33 @@ func (s *Site) DetectConstantsLocal(ctx context.Context, c *cfd.CFD) (*relation.
 	return out, nil
 }
 
-// buildConstState scans the fragment into a fresh constant-unit state.
+// buildConstState folds every row into a fresh constant-unit state,
+// reading only c's X ∪ Y (scan). Each row is set into one reused
+// full-width tuple at those attributes' positions: Insert reads no
+// other and copies what it keeps.
 func (s *Site) buildConstState(c *cfd.CFD) (*engine.IncrementalState, error) {
-	st, err := engine.NewIncrementalState(s.frag.Schema(), c, true)
+	schema := s.frag.Schema()
+	st, err := engine.NewIncrementalState(schema, c, true)
+	if err != nil || !st.HasUnits() {
+		return st, err
+	}
+	attrs := taskAttrs(&BlockSpec{X: c.X}, []*cfd.CFD{c})
+	pos, _ := schema.Indices(attrs) // the state checked them
+	t := make(relation.Tuple, schema.Arity())
+	cols, dicts := make([][]uint32, len(pos)), make([]*relation.Dict, len(pos))
+	err = s.scan("_const", attrs, gatherBatchRows, func(proj *relation.Relation) {
+		for j := range pos {
+			cols[j], dicts[j] = proj.Encoded().Column(j)
+		}
+		for i := range proj.Len() {
+			for j, p := range pos {
+				t[p] = dicts[j].Val(cols[j][i])
+			}
+			st.Insert(t)
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	if st.HasUnits() {
-		// Scan streams tuples (a store-backed fragment decodes them
-		// chunk by chunk); Insert projects what it keeps, so the reused
-		// scan buffer never escapes.
-		if err := s.frag.Scan(func(t relation.Tuple) error {
-			st.Insert(t)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
 	}
 	return st, nil
 }

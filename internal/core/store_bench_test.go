@@ -30,7 +30,7 @@ import (
 func BenchmarkStoreDetect(b *testing.B) {
 	for _, n := range []int{50_000, 500_000} {
 		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
-			plan := storeDetectPlan(b, n)
+			plan := storeDetectPlan(b, n, foldRules())
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := plan.Detect(context.Background()); err != nil {
@@ -42,9 +42,32 @@ func BenchmarkStoreDetect(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreDetectBulk is bulk-store-tcp's Detect without the
+// sockets: BenchmarkStoreDetect's four colstore sites over 5·10⁵ CUST
+// tuples, under that workload's rules (CustPatternCFD(64) and
+// CustStreetCFD). Its in-use heap profile attributes what the
+// workload's sites hold (DESIGN.md, ablation 23):
+//
+//	go test ./internal/core -run '^$' -bench StoreDetectBulk -benchtime 30x -memprofile mem.out -memprofilerate 65536
+//	go tool pprof -sample_index=inuse_space -top mem.out
+func BenchmarkStoreDetectBulk(b *testing.B) {
+	plan := storeDetectPlan(b, 500_000, []*cfd.CFD{workload.CustPatternCFD(64), workload.CustStreetCFD()})
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := plan.Detect(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// foldRules are fold-store-inproc's two constant-free rules.
+func foldRules() []*cfd.CFD {
+	return []*cfd.CFD{cfd.MustParse(`f1: [street, city] -> [zip]`), cfd.MustParse(`f2: [CC, AC] -> [city]`)}
+}
+
 // storeDetectPlan builds BenchmarkStoreDetect's cluster over n tuples,
-// compiles its rules and runs the warm-up Detect.
-func storeDetectPlan(tb testing.TB, n int) *core.Plan {
+// compiles rules and runs the warm-up Detect.
+func storeDetectPlan(tb testing.TB, n int, rules []*cfd.CFD) *core.Plan {
 	ctx := context.Background()
 	const sites = 4
 	data := workload.Cust(workload.CustConfig{N: n, Seed: 42, ErrRate: 0.01})
@@ -72,7 +95,6 @@ func storeDetectPlan(tb testing.TB, n int) *core.Plan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rules := []*cfd.CFD{cfd.MustParse(`f1: [street, city] -> [zip]`), cfd.MustParse(`f2: [CC, AC] -> [city]`)}
 	plan, err := core.CompileSet(ctx, cl, rules, core.PatDetectS, core.Options{Workers: runtime.GOMAXPROCS(0)}, true)
 	if err != nil {
 		tb.Fatal(err)
@@ -102,7 +124,7 @@ func TestStoreDetectAllocRatchet(t *testing.T) {
 		t.Skip("builds a 5·10⁴-tuple store cluster; measures pooled allocation")
 	}
 	const n, runs = 50_000, 5
-	plan := storeDetectPlan(t, n)
+	plan := storeDetectPlan(t, n, foldRules())
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	detect := func() {
 		if _, err := plan.Detect(context.Background()); err != nil {

@@ -25,10 +25,9 @@ import (
 // assumptions.
 type storeFrag struct {
 	frag *colstore.Fragment
-	// rd is frag as the chunk reader the gathers (GatherBlocks,
-	// ShipBlocks) decode every base column through; tests wrap it to
-	// count the reads. Only Scan and the rows Apply deletes read a row
-	// at a time (RowReader).
+	// rd is frag as the chunk reader every base row is read through —
+	// the gathers of GatherBlocks, ShipBlocks and the rows Apply
+	// deletes; tests wrap it to count the reads.
 	rd       relation.PackedColumnReader
 	wal      *colstore.DeltaLog
 	schema   *relation.Schema
@@ -110,14 +109,6 @@ func (f *storeFrag) ovDict(j int) (*relation.Dict, error) {
 		return d, nil
 	}
 	return f.frag.Dict(j)
-}
-
-// ref resolves row i to its storage reference.
-func (f *storeFrag) ref(i int) uint32 {
-	if f.view != nil {
-		return f.view[i]
-	}
-	return uint32(i)
 }
 
 // refs resolves every block's rows to storage refs: the rows
@@ -202,38 +193,6 @@ func inOrder(r []int32) bool {
 	return true
 }
 
-func (f *storeFrag) Scan(fn func(relation.Tuple) error) error {
-	rr := f.frag.NewRowReader()
-	buf := make(relation.Tuple, f.schema.Arity())
-	for i := 0; i < f.Len(); i++ {
-		if _, err := f.tupleAt(rr, i, buf); err != nil {
-			return err
-		}
-		if err := fn(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tupleAt decodes row i into dst (a fresh tuple when nil): a base row
-// through rr, an overlay row through the overlay dictionaries, which
-// every insert-carrying Apply has grown. The strings are shared with
-// the dictionaries, safe to retain.
-func (f *storeFrag) tupleAt(rr *colstore.RowReader, i int, dst relation.Tuple) (relation.Tuple, error) {
-	ref := f.ref(i)
-	if ref < uint32(f.baseRows) {
-		return rr.Row(int(ref), dst)
-	}
-	if dst == nil {
-		dst = make(relation.Tuple, len(f.tailIDs))
-	}
-	for j, ids := range f.tailIDs {
-		dst[j] = f.ovDicts[j].Val(ids[ref-uint32(f.baseRows)])
-	}
-	return dst, nil
-}
-
 func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 	delIdx, err := d.Check(f.schema, f.Len())
 	if err != nil {
@@ -247,13 +206,17 @@ func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {
 	// rows read as they stand.
 	var removed []relation.Tuple
 	if len(delIdx) > 0 {
-		rr := f.frag.NewRowReader()
-		removed = make([]relation.Tuple, len(delIdx))
-		for k, di := range delIdx {
-			if removed[k], err = f.tupleAt(rr, di, nil); err != nil {
-				return nil, err
-			}
+		// One gather of every column (a few rows a chunk are point
+		// reads), materialized as fresh tuples.
+		rows := make([]int32, len(delIdx))
+		for k, i := range delIdx {
+			rows[k] = int32(i)
 		}
+		proj, err := f.GatherBlocks(new(relation.Merge), f.schema.Name(), f.schema.Attrs(), [][]int32{rows}, nil)
+		if err != nil {
+			return nil, err
+		}
+		removed = proj[0].Tuples()
 	}
 	var dicts []*relation.Dict
 	if len(d.Inserts) > 0 {
