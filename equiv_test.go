@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -59,12 +60,28 @@ func (c equivCell) String() string {
 var equivAnchor = equivCell{mode: "mem", packed: true, workers: 1}
 
 // equivFixture is what every cell shares: the partitioned instance, the
-// rules, the delta trace and the site the degraded runs hold down.
+// rules, the delta trace and the site the degraded runs hold down. It
+// counts, per cell, the deposits that arrived counted (a store site's
+// grouped σ-blocks).
 type equivFixture struct {
-	h      *partition.Horizontal
-	rules  []*CFD
-	deltas []map[int]Delta // one Apply per site per round
-	down   int
+	h       *partition.Horizontal
+	rules   []*CFD
+	deltas  []map[int]Delta // one Apply per site per round
+	down    int
+	counted map[equivCell]*atomic.Int64
+}
+
+// countingDeposits counts the counted batches deposited through it.
+type countingDeposits struct {
+	core.SiteAPI
+	counted *atomic.Int64
+}
+
+func (c countingDeposits) Deposit(ctx context.Context, task string, batch *relation.Relation, nonce string) error {
+	if batch.Counts() != nil {
+		c.counted.Add(1)
+	}
+	return c.SiteAPI.Deposit(ctx, task, batch, nonce)
 }
 
 func newEquivFixture(t *testing.T) *equivFixture {
@@ -84,7 +101,8 @@ func newEquivFixture(t *testing.T) *equivFixture {
 		// -race` watches.
 		rules: []*CFD{workload.CustPatternCFD(64), workload.CustStreetCFD(),
 			cfd.MustParse(`p1: [name] -> [phn]`), cfd.MustParse(`p2: [street, city] -> [zip]`)},
-		down: 1,
+		down:    1,
+		counted: map[equivCell]*atomic.Int64{},
 	}
 	// One delta sequence, generated once, replayed into every cell.
 	streams := workload.SplitStreams(h.Fragments,
@@ -147,6 +165,12 @@ func (fix *equivFixture) cluster(t *testing.T, c equivCell, degrade bool) *Clust
 		// Down from its first call on, for good: the fault keys on the
 		// site's call count, which no execution mode changes.
 		sites[fix.down] = faulty.Wrap(sites[fix.down], faulty.Plan{CrashAt: 1})
+	}
+	if fix.counted[c] == nil {
+		fix.counted[c] = new(atomic.Int64)
+	}
+	for i := range sites {
+		sites[i] = countingDeposits{SiteAPI: sites[i], counted: fix.counted[c]}
 	}
 	cl, err := core.NewCluster(fix.h.Schema, sites)
 	if err != nil {
@@ -257,7 +281,8 @@ func assertSameRuns(t *testing.T, got, want []*Result) {
 // runEquivalence runs op in every cell of the table against the anchor.
 // strictlyFewerBytes asks that packing make the modeled bytes of the
 // store-backed cells strictly smaller than their plain control's, not
-// merely no larger.
+// merely no larger, and that those cells ship at least one counted
+// σ-block — the grouped shipment, not a bag the grouping left alone.
 func runEquivalence(t *testing.T, op equivOp, strictlyFewerBytes bool) {
 	fix := newEquivFixture(t)
 	anchor := op(t, fix, equivAnchor)
@@ -276,6 +301,9 @@ func runEquivalence(t *testing.T, op equivOp, strictlyFewerBytes bool) {
 					got := op(t, fix, c)
 					assertSameRuns(t, got, anchor)
 					shipped[c] = got[0].Shipment.TotalBytes
+					if n := fix.counted[c].Load(); strictlyFewerBytes && c.packed && c.mode != "mem" && n == 0 {
+						t.Errorf("no counted σ-block was deposited")
+					}
 				})
 			}
 		}

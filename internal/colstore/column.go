@@ -100,11 +100,11 @@ func (c *column) checkChunks() error {
 	return nil
 }
 
-// payloadSizes returns the column's share of PayloadSizes,
-// renumbering the IDs of its decoded chunks on the first call. Chunks
-// are immutable once a column is built, so the price holds for its
-// life.
-func (c *column) payloadSizes() (raw, encoded int64, err error) {
+// payloadSizes returns the column's share of PayloadSizes, each row
+// weighed by w (nil weighs every row one), renumbering the IDs of its
+// decoded chunks on the first call. Chunks and counts are immutable
+// once a payload is built, so the price holds for its life.
+func (c *column) payloadSizes(w []uint32) (raw, encoded int64, err error) {
 	c.sizeOnce.Do(func() {
 		dict, err := c.dictionary()
 		if err != nil {
@@ -125,6 +125,9 @@ func (c *column) payloadSizes() (raw, encoded int64, err error) {
 				c.sizeErr = fmt.Errorf("colstore: %s chunk %d: %w", c.name, k, err)
 				return
 			}
+			if w != nil {
+				s.Weigh(ids, w[lo:hi])
+			}
 		}
 		c.raw, c.encoded = s.Sizes()
 	})
@@ -132,10 +135,15 @@ func (c *column) payloadSizes() (raw, encoded int64, err error) {
 }
 
 // columns is the reader both containers embed: the
-// relation.PackedColumnReader methods, written once.
+// relation.PackedColumnReader methods, written once. A counted payload
+// (Gather.Pack's grouped blocks, or one adopted with SetCounts) carries
+// its count column decoded and coded (EncodeCounts); a fragment and a
+// plain payload carry neither.
 type columns struct {
-	rows int
-	cols []*column
+	rows         int
+	cols         []*column
+	counts       []uint32
+	countSection []byte
 }
 
 // col returns column i with its chunk side readable: as built for a
@@ -198,8 +206,15 @@ func (cs *columns) ChunkSpan(i, k int) (lo, hi int) {
 	return c.chunkSpan(k)
 }
 
+// Counts returns the payload's count column, nil when it has none.
+func (cs *columns) Counts() []uint32 { return cs.counts }
+
+// CountSection returns the count column as it ships (EncodeCounts), nil
+// when the payload has none.
+func (cs *columns) CountSection() []byte { return cs.countSection }
+
 // PackedSize returns the modeled wire size of all columns — dictionary
-// sections and chunk payloads — which
+// sections and chunk payloads — and of the count column, which
 // dist.RelationBytes charges when packed shipping wins. On a Fragment it
 // loads (and so pages in) every column segment.
 func (cs *columns) PackedSize() int64 {
@@ -212,12 +227,12 @@ func (cs *columns) PackedSize() int64 {
 			}
 		}
 	}
-	return n
+	return n + int64(len(cs.countSection))
 }
 
-// PayloadSizes returns the sizes relation.Encoded.PayloadSizes reports
-// for the same rows — the row form's and the dict+ID form's — without
-// a Dict.Val a cell: a PackColumns payload priced itself while
+// PayloadSizes returns the sizes relation.Relation.PayloadSizes reports
+// for the same rows and counts — the row form's and the dict+ID form's —
+// without a Dict.Val a cell: a PackColumns payload priced itself while
 // encoding; any other column counts its decoded chunks once, and a
 // fragment's count serves every PackBase that shares the column.
 func (cs *columns) PayloadSizes() (raw, encoded int64, err error) {
@@ -226,7 +241,7 @@ func (cs *columns) PayloadSizes() (raw, encoded int64, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		r, e, err := c.payloadSizes()
+		r, e, err := c.payloadSizes(cs.counts)
 		if err != nil {
 			return 0, 0, err
 		}

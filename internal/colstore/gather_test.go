@@ -11,12 +11,14 @@ import (
 )
 
 // TestGatherPackMatchesReference pins Gather.Pack against refPackColumns
-// over the materialized selections: for every block of a batch — the
-// whole base in order, a scattered multi-chunk list, one with tail rows,
-// an unsorted one with repeats, an empty one and a tail-only one — the
-// payload's bytes and prices are those a fresh per-block packing of the
-// block's IDs makes, whatever the other blocks of the batch are, and
-// each (column, chunk) of the base is decoded at most once.
+// over the materialized selections: for every block of a batch — a
+// scattered multi-chunk list, one with tail rows, an unsorted one with
+// repeats, an empty one and a tail-only one — the payload's bytes are
+// those a fresh per-block packing of the block's distinct rows (groupRef)
+// makes, its counts are theirs, and its prices are those of the block's
+// rows, whatever the other blocks of the batch are; the whole base in
+// order is left to the caller; and each (column, chunk) of the base is
+// decoded at most once. Without grouping every block packs its rows.
 func TestGatherPackMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const base, tailRows, arity = 3*DefaultChunkRows + 411, 700, 3
@@ -78,7 +80,6 @@ func TestGatherPackMatchesReference(t *testing.T) {
 	unsorted := []int32{int32(base + 5), 9000, 3, 3, int32(base - 1), 17000, 0, int32(base + tailRows - 1)}
 	refs := [][]int32{all, scattered, withTail, unsorted, {}, tailOnly}
 
-	counted := &countingPacked{PackedColumnReader: rd, reads: map[[2]int]int{}}
 	want := func(b, j int) []uint32 {
 		out := make([]uint32, len(refs[b]))
 		for k, ref := range refs[b] {
@@ -90,40 +91,189 @@ func TestGatherPackMatchesReference(t *testing.T) {
 		}
 		return out
 	}
-	sizes := 0
-	packs, err := NewGather(counted, base, tails, refs).Pack([]int{2, 0}, func(c int) (*relation.Dict, error) {
-		return rdDicts[c], nil
-	}, func(n int) []uint32 {
-		sizes = n
-		return make([]uint32, n)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total := len(all) + len(scattered) + len(withTail) + len(unsorted) + len(tailOnly); sizes != total {
-		t.Fatalf("scratch of %d IDs for a batch of %d rows", sizes, total)
-	}
-	for at, n := range counted.reads {
-		if n != 1 {
-			t.Fatalf("column %d chunk at row %d decoded %d times", at[0], at[1], n)
+	packDicts := []*relation.Dict{rdDicts[2], rdDicts[0]}
+	for _, group := range []bool{true, false} {
+		counted := &countingPacked{PackedColumnReader: rd, reads: map[[2]int]int{}}
+		sizes := 0
+		packs, err := NewGather(counted, base, tails, refs).Pack([]int{2, 0}, func(c int) (*relation.Dict, error) {
+			return rdDicts[c], nil
+		}, func(n int) []uint32 {
+			sizes = n
+			return make([]uint32, n)
+		}, group)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for b, p := range packs {
-		wantCols := [][]uint32{want(b, 2), want(b, 0)}
-		ref, wantRaw, wantEnc := refPackColumns([]*relation.Dict{rdDicts[2], rdDicts[0]}, wantCols, len(refs[b]))
-		if p.Rows() != len(refs[b]) || p.NumColumns() != 2 {
-			t.Fatalf("block %d: %d rows × %d columns, want %d × 2", b, p.Rows(), p.NumColumns(), len(refs[b]))
+		total := len(scattered) + len(withTail) + len(unsorted) + len(tailOnly)
+		if group { // the batch's IDs, its group IDs and the longest block's
+			total = 2*total + max(len(scattered), len(withTail), len(unsorted), len(tailOnly))
 		}
-		for j := range ref {
-			got := p.Column(j)
-			if !bytes.Equal(got.Dict, ref[j].Dict) || !slices.EqualFunc(got.Chunks, ref[j].Chunks, bytes.Equal) {
-				t.Fatalf("block %d column %d: bytes differ from the reference packing", b, j)
+		if sizes != total {
+			t.Fatalf("group %v: scratch of %d IDs for the batch, want %d", group, sizes, total)
+		}
+		for at, n := range counted.reads {
+			if n != 1 {
+				t.Fatalf("group %v: column %d chunk at row %d decoded %d times", group, at[0], at[1], n)
 			}
 		}
-		if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
-			t.Fatalf("block %d: PayloadSizes = %d, %d, %v; the reference prices %d, %d", b, raw, enc, err, wantRaw, wantEnc)
+		if packs[0] != nil {
+			t.Fatal("the whole base in order was packed, not left to the caller")
+		}
+		for b, p := range packs[1:] {
+			b++
+			rows := [][]uint32{want(b, 2), want(b, 0)}
+			_, wantRaw, wantEnc := refPackColumns(packDicts, rows, len(refs[b]))
+			var counts []uint32
+			if group {
+				rows, counts = groupRef(rows)
+			}
+			ref, _, _ := refPackColumns(packDicts, rows, len(rows[0]))
+			if p.Rows() != len(rows[0]) || p.NumColumns() != 2 || !slices.Equal(p.Counts(), counts) {
+				t.Fatalf("group %v block %d: %d rows × %d columns counted %v, want %d × 2 counted %v",
+					group, b, p.Rows(), p.NumColumns(), p.Counts(), len(rows[0]), counts)
+			}
+			for j := range ref {
+				got := p.Column(j)
+				if !bytes.Equal(got.Dict, ref[j].Dict) || !slices.EqualFunc(got.Chunks, ref[j].Chunks, bytes.Equal) {
+					t.Fatalf("group %v block %d column %d: bytes differ from the reference packing", group, b, j)
+				}
+			}
+			if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
+				t.Fatalf("group %v block %d: PayloadSizes = %d, %d, %v; the reference prices %d, %d", group, b, raw, enc, err, wantRaw, wantEnc)
+			}
 		}
 	}
+}
+
+// groupRef is the obvious grouping of parallel columns: their distinct
+// rows in first-occurrence order and each one's count — nil counts when
+// every row is distinct, as Pack ships such a block.
+func groupRef(cols [][]uint32) ([][]uint32, []uint32) {
+	at := map[string]int{}
+	out := make([][]uint32, len(cols))
+	var counts []uint32
+	for i := range cols[0] {
+		key := ""
+		for _, c := range cols {
+			key += fmt.Sprint(c[i], ",")
+		}
+		k, ok := at[key]
+		if !ok {
+			k = len(counts)
+			at[key] = k
+			counts = append(counts, 0)
+			for j, c := range cols {
+				out[j] = append(out[j], c[i])
+			}
+		}
+		counts[k]++
+	}
+	if len(counts) == len(cols[0]) {
+		return cols, nil
+	}
+	return out, counts
+}
+
+// TestGatherPackGroupsRandomBlocks is the grouped packer's property:
+// over random blocks of random columns — low-cardinality ones, and a
+// phn-like key that makes every row distinct — the payload's distinct
+// rows, expanded by their counts, are the block's bag (relation
+// SameTuples), with its X-groups (the first column) in first-occurrence
+// order; Σ counts is the block's row count; and the prices are
+// naiveSizes of the block's rows.
+func TestGatherPackGroupsRandomBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const rows = 2*DefaultChunkRows + 77
+	schema := relation.MustSchema("R", []string{"cc", "city", "phn", "zip"})
+	d := relation.New(schema)
+	for i := 0; i < rows; i++ {
+		d.MustAppend(relation.Tuple{fmt.Sprint("c", rng.Intn(3)), fmt.Sprint("t", rng.Intn(40)),
+			fmt.Sprint("p", i), fmt.Sprint("z", rng.Intn(1+rng.Intn(300)))})
+	}
+	f, _ := writeOpen(t, d)
+	for trial := 0; trial < 40; trial++ {
+		cols := []int{0, 1, 3}
+		if trial%4 == 3 {
+			cols = []int{0, 2, 1} // phn-keyed: every row distinct
+		}
+		blocks := make([][]int32, 1+rng.Intn(4))
+		for b := range blocks {
+			for i := 0; i < rows; i++ {
+				if rng.Intn(1+b*3) == 0 {
+					blocks[b] = append(blocks[b], int32(i))
+				}
+			}
+			rng.Shuffle(len(blocks[b])/7, func(i, j int) { blocks[b][i], blocks[b][j] = blocks[b][j], blocks[b][i] })
+		}
+		packs, err := NewGather(f, rows, make([][]uint32, 4), blocks).Pack(cols, f.Dict, func(n int) []uint32 { return make([]uint32, n) }, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(cols))
+		for j, c := range cols {
+			names[j] = schema.Attrs()[c]
+		}
+		for b, p := range packs {
+			if p == nil {
+				if !slices.Equal(blocks[b], rowRange(rows)) {
+					t.Fatalf("trial %d block %d: left out but not the whole base", trial, b)
+				}
+				continue
+			}
+			wide := make([]int, len(blocks[b]))
+			for k, i := range blocks[b] {
+				wide[k] = int(i)
+			}
+			want, err := d.ProjectRows("p", names, wide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := relation.FromPackedExtract(want.Schema(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.BagLen() != len(blocks[b]) || !got.SameTuples(want) {
+				t.Fatalf("trial %d block %d: %d rows standing for %d, not the block's bag of %d", trial, b, got.Len(), got.BagLen(), want.Len())
+			}
+			if distinct := cols[1] == 2; distinct && p.Counts() != nil {
+				t.Fatalf("trial %d block %d: a block of distinct rows shipped counted", trial, b)
+			}
+			var firsts, gotFirsts []string
+			seen := map[string]bool{}
+			for _, tup := range want.Tuples() {
+				if !seen[tup[0]] {
+					seen[tup[0]] = true
+					firsts = append(firsts, tup[0])
+				}
+			}
+			clear(seen)
+			for _, tup := range got.Tuples() {
+				if !seen[tup[0]] {
+					seen[tup[0]] = true
+					gotFirsts = append(gotFirsts, tup[0])
+				}
+			}
+			if !slices.Equal(firsts, gotFirsts) {
+				t.Fatalf("trial %d block %d: X-groups in order %v, the block's %v", trial, b, gotFirsts, firsts)
+			}
+			wantRaw, wantEnc := naiveSizes(want)
+			if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
+				t.Fatalf("trial %d block %d: PayloadSizes = %d, %d, %v; naive %d, %d", trial, b, raw, enc, err, wantRaw, wantEnc)
+			}
+			if raw, enc := got.PayloadSizes(); raw != wantRaw || enc != wantEnc {
+				t.Fatalf("trial %d block %d: Relation.PayloadSizes = %d, %d; naive %d, %d", trial, b, raw, enc, wantRaw, wantEnc)
+			}
+		}
+	}
+}
+
+// rowRange returns 0, 1, …, n-1.
+func rowRange(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }
 
 // countingPacked counts the reads made through a packed reader, keyed

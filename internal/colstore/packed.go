@@ -1,7 +1,10 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"distcfd/internal/relation"
@@ -61,7 +64,7 @@ func NewPacked(rows, chunkRows int, cols []PackedColumn) (*Packed, error) {
 
 // newPacked returns a payload of n columns (one allocation), parts unset.
 func newPacked(rows, chunkRows, n int) *Packed {
-	p := &Packed{columns{rows, make([]*column, n)}, chunkRows}
+	p := &Packed{columns{rows: rows, cols: make([]*column, n)}, chunkRows}
 	slab := make([]column, n)
 	for j := range slab {
 		slab[j].rows, slab[j].chunkRows, slab[j].name = rows, chunkRows, "packed column"
@@ -83,7 +86,7 @@ func (p *Packed) ChunkRows() int { return p.chunkRows }
 // re-encode — once both sections of each are checksum-verified. It
 // aliases the mapping and must not outlive the Fragment.
 func (f *Fragment) PackBase(cols []int) (*Packed, error) {
-	p := &Packed{columns: columns{f.rows, make([]*column, len(cols))}}
+	p := &Packed{columns: columns{rows: f.rows, cols: make([]*column, len(cols))}}
 	for n, j := range cols {
 		c, err := f.col(j)
 		if err != nil {
@@ -133,6 +136,12 @@ func NewPayload(rows, n int) *Packed { return newPacked(rows, DefaultChunkRows, 
 // pooled scratch: what the payload keeps is copied out once, at its
 // exact size.
 func (p *Packed) PackColumn(j int, dict *relation.Dict, ids []uint32) error {
+	return p.packColumn(j, dict, ids, nil)
+}
+
+// packColumn is PackColumn pricing row i as w[i] copies of itself
+// (relation.Renumber.Weigh); w nil prices every row once.
+func (p *Packed) packColumn(j int, dict *relation.Dict, ids, w []uint32) error {
 	c := p.cols[j]
 	if len(ids) != c.rows {
 		return fmt.Errorf("colstore: packing %d rows into a %d-row column", len(ids), c.rows)
@@ -145,6 +154,9 @@ func (p *Packed) PackColumn(j int, dict *relation.Dict, ids []uint32) error {
 		n := min(c.chunkRows, c.rows-lo)
 		if err := s.Map(s.ids[:n], ids[lo:lo+n]); err != nil {
 			return err
+		}
+		if w != nil {
+			s.Weigh(s.ids[:n], w[lo:lo+n])
 		}
 		s.offs = append(s.offs, len(s.enc))
 		s.enc, _, _ = EncodeChunk(s.enc, s.ids[:n])
@@ -161,6 +173,83 @@ func (p *Packed) PackColumn(j int, dict *relation.Dict, ids []uint32) error {
 	clear(s.vals)
 	raw, encoded := s.Sizes()
 	c.sizeOnce.Do(func() { c.raw, c.encoded = raw, encoded })
+	return nil
+}
+
+// EncodeCounts codes a count column as it ships beside a payload's
+// columns, whatever their chunking: one section of DefaultChunkRows
+// counts a chunk in the chunk codec, each chunk behind its uvarint
+// length, copied out in one allocation.
+func EncodeCounts(counts []uint32) []byte {
+	s := getScratch(0)
+	defer putScratch(s)
+	s.enc = s.enc[:0]
+	for lo := 0; lo < len(counts); lo += DefaultChunkRows {
+		at := len(s.enc)
+		s.enc, _, _ = EncodeChunk(s.enc, counts[lo:min(lo+DefaultChunkRows, len(counts))])
+		var hdr [binary.MaxVarintLen64]byte
+		h := binary.PutUvarint(hdr[:], uint64(len(s.enc)-at))
+		s.enc = append(s.enc, hdr[:h]...)
+		copy(s.enc[at+h:], s.enc[at:len(s.enc)-h])
+		copy(s.enc[at:], hdr[:h])
+	}
+	return slices.Clone(s.enc)
+}
+
+// countChunks calls f with each framed chunk of a count section for
+// rows rows and the rows it covers, and refuses a section that frames
+// fewer chunks, or more bytes, than those rows take.
+func countChunks(section []byte, rows int, f func(payload []byte, lo, hi int) error) error {
+	for lo := 0; lo < rows; lo += DefaultChunkRows {
+		n, w := binary.Uvarint(section)
+		if w <= 0 || n > uint64(len(section)-w) {
+			return fmt.Errorf("colstore: count section truncated at row %d of %d", lo, rows)
+		}
+		if err := f(section[w:w+int(n)], lo, min(lo+DefaultChunkRows, rows)); err != nil {
+			return fmt.Errorf("colstore: count chunk at row %d: %w", lo, err)
+		}
+		section = section[w+int(n):]
+	}
+	if len(section) != 0 {
+		return fmt.Errorf("colstore: count section has %d bytes past its %d rows", len(section), rows)
+	}
+	return nil
+}
+
+// DecodeCounts decodes the count column of rows rows that EncodeCounts
+// coded, verifying what a peer sent: the framing, every chunk well
+// formed and covering its span — all before anything is allocated, as
+// rows is the peer's word — and the counts themselves
+// (relation.CheckCounts: none zero, their sum at most relation.MaxBag).
+func DecodeCounts(section []byte, rows int) ([]uint32, error) {
+	err := countChunks(section, rows, func(payload []byte, lo, hi int) error {
+		return checkChunk(payload, hi-lo, math.MaxInt) // CheckCounts bounds the values
+	})
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]uint32, rows)
+	if err := countChunks(section, rows, func(payload []byte, lo, hi int) error {
+		return DecodeChunk(payload, counts[lo:hi])
+	}); err != nil {
+		return nil, err
+	}
+	if _, err := relation.CheckCounts(counts, rows); err != nil {
+		return nil, fmt.Errorf("colstore: %w", err)
+	}
+	return counts, nil
+}
+
+// SetCounts makes p a counted payload whose count column ships as
+// section (EncodeCounts), decoding and verifying it (DecodeCounts) — the
+// adoption of a peer's count column beside its columns. Call it before
+// p is shared.
+func (p *Packed) SetCounts(section []byte) error {
+	counts, err := DecodeCounts(section, p.rows)
+	if err != nil {
+		return err
+	}
+	p.counts, p.countSection = counts, section
 	return nil
 }
 

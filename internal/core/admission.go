@@ -113,13 +113,6 @@ func (a *Admission) Active() int {
 	return a.active
 }
 
-// Queued returns the number of calls currently waiting for a slot.
-func (a *Admission) Queued() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.waiters
-}
-
 func (a *Admission) drainingErr() error {
 	return NotRun(CodeDraining, "core: site %d draining, not accepting work", a.inner.ID())
 }

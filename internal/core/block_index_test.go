@@ -151,16 +151,21 @@ func TestDetectAssignedSetSharesBlockIndex(t *testing.T) {
 	}
 }
 
-// naiveSizes prices r in the row and dict+ID forms the obvious way,
-// independent of the renumbering the code prices with: per column, a
-// map[string]int over Tuples(); each cell costs its value's length plus
-// one in the row form, and each distinct value its length plus one
-// plus four bytes a cell in the dict+ID form.
+// naiveSizes prices r's bag in the row and dict+ID forms the obvious
+// way, independent of the renumbering the code prices with: per column,
+// a map[string]int over Tuples(), a counted relation's row counted as
+// many times as its count; each cell costs its value's length plus one
+// in the row form, and each distinct value its length plus one plus
+// four bytes a cell in the dict+ID form.
 func naiveSizes(r *relation.Relation) (raw, encoded int64) {
 	for j := 0; j < r.Schema().Arity(); j++ {
 		count := map[string]int{}
-		for _, t := range r.Tuples() {
-			count[t[j]]++
+		for i, t := range r.Tuples() {
+			n := 1
+			if cs := r.Counts(); cs != nil {
+				n = int(cs[i])
+			}
+			count[t[j]] += n
 		}
 		for v, n := range count {
 			raw += int64(n) * int64(len(v)+1)
@@ -191,8 +196,9 @@ func oracleWireForm(r *relation.Relation) (dist.WireForm, int64) {
 // the fragment's shared dictionaries, empty ones, whole-fragment
 // PackBase extracts, and small blocks whose row form is the cheapest —
 // with empty and \x1f-adjacent values and one value
-// in every row, the payload's PayloadSizes and the extract's
-// Encoded().PayloadSizes() equal naiveSizes, and ChooseWireForm returns
+// in every row, and grouped blocks with their counts, the payload's
+// PayloadSizes and the extract's Relation.PayloadSizes equal naiveSizes
+// of its bag, and ChooseWireForm returns
 // the oracle's form and size, also once DropPacked
 // (WithPackedShipping(false)) has detached the payload.
 func TestStoreExtractPricing(t *testing.T) {
@@ -245,8 +251,8 @@ func TestStoreExtractPricing(t *testing.T) {
 				t.Fatalf("trial %d block %d (%d rows): PayloadSizes = %d, %d, %v; the reference prices %d, %d",
 					trial, l, r.Len(), raw, enc, err, wantRaw, wantEnc)
 			}
-			if raw, enc := r.Encoded().PayloadSizes(); raw != wantRaw || enc != wantEnc {
-				t.Fatalf("trial %d block %d: Encoded.PayloadSizes = %d, %d; the reference prices %d, %d",
+			if raw, enc := r.PayloadSizes(); raw != wantRaw || enc != wantEnc {
+				t.Fatalf("trial %d block %d: Relation.PayloadSizes = %d, %d; the reference prices %d, %d",
 					trial, l, raw, enc, wantRaw, wantEnc)
 			}
 			form, n := dist.ChooseWireForm(r)
@@ -264,7 +270,7 @@ func TestStoreExtractPricing(t *testing.T) {
 	// A small block, whose row form is the cheapest, prices as the
 	// parent's rule does too.
 	sf := store.frag.(*storeFrag)
-	small, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"a", "c"}, [][]int32{{5}, {7, 9}, {40, 3, 40}})
+	small, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"a", "c"}, [][]int32{{5}, {7, 9}, {40, 3, 40}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,3 +9,17 @@ func (s *Site) FoldSessions() int {
 	defer s.sessMu.Unlock()
 	return len(s.sessions)
 }
+
+// Queued returns the number of calls currently waiting for a slot.
+func (a *Admission) Queued() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.waiters
+}
+
+// Generation returns the fragment generation.
+func (s *Site) Generation() int64 {
+	s.deltaMu.Lock()
+	defer s.deltaMu.Unlock()
+	return s.gen
+}

@@ -49,8 +49,13 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 	// foldShipped seeds a fold of block 0 (projection [a, b]) that ships
 	// one row as block l over attrs. A rejected fold must not have
 	// touched the site's sessions.
-	foldShipped := func(s *Site, l int, attrs []string) error {
+	foldShipped := func(s *Site, l int, attrs []string, counts ...uint32) error {
 		r := relation.MustFromRows(relation.MustSchema("T_ship", attrs), []string{"x", "p"})
+		if counts != nil {
+			if err := r.SetCounts(counts); err != nil {
+				t.Fatal(err)
+			}
+		}
 		_, err := s.FoldDetect(ctx, FoldArgs{Session: "s", Spec: spec, Blocks: []int{0}, CFDs: []*cfd.CFD{fd}, Seed: true,
 			Shipped: []*DeltaBlocks{{Ins: map[int]*relation.Relation{l: r}}}})
 		if n := s.FoldSessions(); err != nil && n != 0 {
@@ -125,6 +130,10 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 		}},
 		{"fold-shipped-attrs-reordered", func(s *Site) error {
 			return foldShipped(s, 0, []string{"b", "a"})
+		}},
+		// A fold reads every tuple: a counted block would fold once.
+		{"fold-shipped-counted", func(s *Site) error {
+			return foldShipped(s, 0, []string{"a", "b"}, 3)
 		}},
 		{"apply-delta-short-insert", func(s *Site) error {
 			_, err := s.ApplyDelta(ctx, relation.Delta{Inserts: []relation.Tuple{{"x"}}}, "")

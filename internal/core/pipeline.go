@@ -240,7 +240,7 @@ func (u *unit) shipAndDetect(ctx context.Context, fs *faultState, m *dist.Metric
 			if err := fs.sites[coords[l]].Deposit(ctx, BlockTask(task, l), batch, cl.newTask("dep")); err != nil {
 				return err
 			}
-			m.ShipTuples(i, coords[l], batch.Len(), dist.RelationBytes(batch))
+			m.ShipTuples(i, coords[l], batch.BagLen(), dist.RelationBytes(batch))
 		}
 		return nil
 	}); err != nil {
@@ -300,10 +300,11 @@ func checkHeld(j int, blocks []int, lstat [][]int, cfds []*cfd.CFD, sets []*rela
 }
 
 // checkBlockLen refuses, before anything forwards it, an extracted block
-// longer than its σ count (a packed block's Len is what it announces).
+// standing for more tuples than its σ count (a packed block's Len and
+// a counted one's Σ counts are what they announce).
 func checkBlockLen(i, l int, b *relation.Relation, count int) error {
-	if b != nil && b.Len() > count {
-		return fmt.Errorf("core: site %d extracted %d rows for block %d, whose σ count is %d", i, b.Len(), l, count)
+	if b != nil && b.BagLen() > count {
+		return fmt.Errorf("core: site %d extracted %d tuples for block %d, whose σ count is %d", i, b.BagLen(), l, count)
 	}
 	return nil
 }

@@ -62,7 +62,8 @@ type SiteAPI interface {
 	// projected onto attrs (the CTRDetect shipment unit).
 	ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []string) (*relation.Relation, error)
 	// ExtractBlocksBatch returns, in a single pass over the fragment,
-	// the σ-blocks listed in wanted, each projected onto attrs.
+	// the σ-blocks listed in wanted, each projected onto attrs, a store
+	// site's gathered ones counted (relation.Relation.Counts).
 	ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int) (map[int]*relation.Relation, error)
 	// Deposit buffers tuples shipped to this site under a task key.
 	// Deposits for a cancelled task are dropped silently. A non-empty
@@ -505,7 +506,7 @@ func (s *Site) ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []str
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.ship(attrs)([][]int32{rows})
+	out, err := s.ship(attrs, false)([][]int32{rows})
 	if err != nil {
 		return nil, err
 	}
@@ -536,12 +537,12 @@ func (s *Site) localRows(in LocalInput) ([]int32, error) {
 }
 
 // ship returns the projection onto attrs in the form a block ships in
-// (siteFragment.ShipBlocks).
-func (s *Site) ship(attrs []string) func(blocks [][]int32) ([]*relation.Relation, error) {
+// (siteFragment.ShipBlocks), grouped with group.
+func (s *Site) ship(attrs []string, group bool) func(blocks [][]int32) ([]*relation.Relation, error) {
 	return func(blocks [][]int32) ([]*relation.Relation, error) {
 		m := s.merges.Get()
 		defer s.merges.Put(m)
-		return s.frag.ShipBlocks(m, s.frag.Schema().Name()+"_ship", attrs, blocks)
+		return s.frag.ShipBlocks(m, s.frag.Schema().Name()+"_ship", attrs, blocks, group)
 	}
 }
 
@@ -558,7 +559,7 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.fullBlocks(spec, wanted, s.ship(attrs))
+	return s.fullBlocks(spec, wanted, s.ship(attrs, true))
 }
 
 // blockRows σ-routes the fragment once (via the maintained cache) and

@@ -175,13 +175,6 @@ func (s *Site) ApplyDelta(ctx context.Context, d relation.Delta, nonce string) (
 	return info, nil
 }
 
-// Generation returns the fragment generation (for tests and tooling).
-func (s *Site) Generation() int64 {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	return s.gen
-}
-
 // maintainSigma rolls every cached σ-routing entry forward across one
 // delta (see servingCache.maintain).
 func (s *Site) maintainSigma(delIdx []int, ins []relation.Tuple) {
@@ -227,7 +220,7 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 	var err error
 	if fromGen < 0 {
 		// Seed: ship the full current blocks as one big insert delta.
-		full, err := s.fullBlocks(spec, wanted, s.ship(attrs))
+		full, err := s.fullBlocks(spec, wanted, s.ship(attrs, false))
 		if err != nil {
 			return nil, err
 		}
@@ -408,8 +401,8 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 }
 
 // checkShipped rejects, before anything folds, a shipped block the fold
-// would skip or misread: one outside args.Blocks, or one whose
-// attributes are not exactly the fold projection ps (FoldRelation
+// would skip or misread: one outside args.Blocks, a counted one, or one
+// whose attributes are not exactly the fold projection ps (FoldRelation
 // checks only the width, so another order would fold the wrong
 // columns).
 func checkShipped(args FoldArgs, ps *relation.Schema) error {
@@ -421,6 +414,9 @@ func checkShipped(args FoldArgs, ps *relation.Schema) error {
 				}
 				if r != nil && !slices.Equal(r.Schema().Attrs(), ps.Attrs()) {
 					return fmt.Errorf("shipped block %d has attributes %v, the fold projects %v", l, r.Schema().Attrs(), ps.Attrs())
+				}
+				if r != nil && r.Counts() != nil {
+					return fmt.Errorf("shipped block %d is counted; a fold reads every tuple", l)
 				}
 			}
 		}

@@ -45,19 +45,25 @@ func BenchmarkStoreDetect(b *testing.B) {
 // BenchmarkStoreDetectBulk is bulk-store-tcp's Detect without the
 // sockets: BenchmarkStoreDetect's four colstore sites over 5·10⁵ CUST
 // tuples, under that workload's rules (CustPatternCFD(64) and
-// CustStreetCFD). Its in-use heap profile attributes what the
-// workload's sites hold (DESIGN.md, ablation 23):
+// CustStreetCFD). It reports the modeled bytes a Detect ships
+// (Result.Shipment.TotalBytes, the benchmark's dist.modeled_bytes_per_op)
+// beside its time. Its in-use heap profile attributes what the
+// workload's sites hold (DESIGN.md, ablations 23 and 24):
 //
 //	go test ./internal/core -run '^$' -bench StoreDetectBulk -benchtime 30x -memprofile mem.out -memprofilerate 65536
 //	go tool pprof -sample_index=inuse_space -top mem.out
 func BenchmarkStoreDetectBulk(b *testing.B) {
 	plan := storeDetectPlan(b, 500_000, []*cfd.CFD{workload.CustPatternCFD(64), workload.CustStreetCFD()})
 	b.ReportAllocs()
+	var shipped int64
 	for b.Loop() {
-		if _, err := plan.Detect(context.Background()); err != nil {
+		res, err := plan.Detect(context.Background())
+		if err != nil {
 			b.Fatal(err)
 		}
+		shipped += res.Shipment.TotalBytes
 	}
+	b.ReportMetric(float64(shipped)/float64(b.N), "shipped-B/op")
 }
 
 // foldRules are fold-store-inproc's two constant-free rules.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"distcfd/internal/colstore"
 	"distcfd/internal/relation"
@@ -149,29 +148,24 @@ func (f *storeFrag) GatherBlocks(m *relation.Merge, name string, attrs []string,
 }
 
 // ShipBlocks packs every block at extraction, never materializing its
-// columns: the whole fragment, in order and with no overlay, is the
-// fragment's own columns (Fragment.PackBase, no chunk decoded); any
-// other block is gathered a column at a time into m's scratch and
-// packed from there (colstore.Gather.Pack).
-func (f *storeFrag) ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
+// columns: a block that is every base row in order is the fragment's
+// own columns (Fragment.PackBase, no chunk decoded); any other is
+// gathered a column at a time into m's scratch and packed from there,
+// grouped into its distinct rows and their counts with group
+// (colstore.Gather.Pack).
+func (f *storeFrag) ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, group bool) ([]*relation.Relation, error) {
 	ps, err := f.schema.Project(name, attrs)
 	if err != nil {
 		return nil, err
 	}
 	idx, _ := f.schema.Indices(attrs)
-	refs, whole := slices.Clone(f.refs(blocks)), make([]bool, len(blocks))
-	for b, r := range refs {
-		if whole[b] = f.view == nil && f.tailRows() == 0 && len(r) == f.baseRows && inOrder(r); whole[b] {
-			refs[b] = nil
-		}
-	}
-	packs, err := colstore.NewGather(f.rd, f.baseRows, f.tailIDs, refs).Pack(idx, f.ovDict, m.Scratch)
+	packs, err := colstore.NewGather(f.rd, f.baseRows, f.tailIDs, f.refs(blocks)).Pack(idx, f.ovDict, m.Scratch, group)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*relation.Relation, len(blocks))
 	for b, p := range packs {
-		if whole[b] {
+		if p == nil {
 			if p, err = f.frag.PackBase(idx); err != nil {
 				return nil, err
 			}
@@ -181,16 +175,6 @@ func (f *storeFrag) ShipBlocks(m *relation.Merge, name string, attrs []string, b
 		}
 	}
 	return out, nil
-}
-
-// inOrder reports whether r lists 0, 1, …, len(r)-1.
-func inOrder(r []int32) bool {
-	for k, ref := range r {
-		if int(ref) != k {
-			return false
-		}
-	}
-	return true
 }
 
 func (f *storeFrag) Apply(d relation.Delta) ([]relation.Tuple, error) {

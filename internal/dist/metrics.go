@@ -310,8 +310,8 @@ const (
 // so the relaying driver neither decodes a column nor measures it
 // again. Schema metadata is not charged — the task key identifies it.
 //
-// The row and dict+ID sizes are the integers Encoded.PayloadSizes
-// returns. A store site's extract, packed at extraction
+// The row and dict+ID sizes are the integers Relation.PayloadSizes
+// returns: a counted relation's, weighed by its counts, are its bag's. A store site's extract, packed at extraction
 // (relation.FromPackedExtract), takes them from its payload, which
 // priced its own rows while packing (relation.PackedColumnReader.
 // PayloadSizes); any other relation, or one whose payload cannot be
@@ -331,7 +331,7 @@ func ChooseWireForm(r *relation.Relation) (WireForm, int64) {
 	}
 	if pr == nil || err != nil {
 		pr = nil // nothing to ship packed, or a payload that cannot price its rows
-		raw, encoded = r.Encoded().PayloadSizes()
+		raw, encoded = r.PayloadSizes()
 	}
 	form, best := RowForm, raw
 	if encoded < raw {

@@ -38,7 +38,7 @@ import (
 // column source (source.go): pattern constants are resolved to column
 // IDs once per CFD, matching is fixed-width integer comparison, the
 // group-by keys on dense group IDs through the map-free fold of
-// fold.go, and violations accumulate in a row-indexed bitset — sorted
+// relation.Fold, and violations accumulate in a row-indexed bitset — sorted
 // output falls out of iteration order, with no per-call map or sort.
 // The filter, the scans and the mixed-group pass can additionally be
 // sharded across an intra-call worker budget; per-shard group states
@@ -48,9 +48,8 @@ import (
 // Semantics match internal/cfd.NaiveViolations, the test oracle.
 
 // noGroup marks rows excluded from the grouping (no live pattern admits
-// them). Group IDs are dense, bounded by the row count, so the sentinel
-// can never collide.
-const noGroup = math.MaxUint32
+// them): the fold's own sentinel.
+const noGroup = relation.NoGroup
 
 // wildID marks a wildcard position of a resolved pattern, and an X
 // position that more than one ID may occupy. Column IDs are bounded by
@@ -87,7 +86,7 @@ type detectScratch struct {
 	state  []uint8  // per-group: 0 unseen, 1 single A, 2 mixed
 	first  []uint32 // per-group first A id (valid when state≥1)
 	rep    []uint32 // per-group first row, when a mixed group's X is matched
-	fold   foldStage
+	fold   relation.Fold
 
 	// Violation bitset: bit i set ⇔ row i violates. Shared across the
 	// CFDs of one call; ascending iteration replaces the old
@@ -210,7 +209,7 @@ func (sc *detectScratch) shrink() {
 	sc.gids, sc.bits = bounded(sc.gids, n), bounded(sc.bits, words)
 	sc.state, sc.first, sc.rep = bounded(sc.state, n), bounded(sc.first, n), bounded(sc.rep, n)
 	sc.shardState, sc.shardFirst, sc.shardRep = bounded(sc.shardState, n), bounded(sc.shardFirst, n), bounded(sc.shardRep, n)
-	sc.fold.shrink()
+	sc.fold.Shrink()
 }
 
 // bounded returns buf, or nil once its capacity exceeds n.
@@ -451,7 +450,7 @@ func (sc *detectScratch) groupRows(w int) int {
 	num := src.r.ColumnDict(sc.xs[lead].col).Len()
 	for _, x := range sc.xs[lead+1:] {
 		if x.folded() {
-			num = foldColumn(gids, x.ids, num, src.r.ColumnDict(x.col).Len(), &sc.fold)
+			num = sc.fold.Column(gids, x.ids, num, src.r.ColumnDict(x.col).Len())
 		}
 	}
 	return num

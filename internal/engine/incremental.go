@@ -256,10 +256,15 @@ func (st *IncrementalState) Patterns(dst *relation.Relation) {
 
 // FoldRelation folds every tuple of r (Insert with insert=true, Delete
 // otherwise); a nil relation is a no-op. r must be wide enough for
-// every X and Y position of the schema the state was built over.
+// every X and Y position of the schema the state was built over, and
+// plain: a counted relation's rows stand for several tuples each, which
+// the state does not fold, so it is refused.
 func (st *IncrementalState) FoldRelation(r *relation.Relation, insert bool) error {
 	if r == nil {
 		return nil
+	}
+	if r.Counts() != nil {
+		return fmt.Errorf("engine: folded relation %s is counted", r.Schema().Name())
 	}
 	if a := r.Schema().Arity(); a < st.width {
 		return fmt.Errorf("engine: folded relation %s has arity %d, the state reads %d positions",

@@ -324,6 +324,25 @@ func TestFoldRelationTooNarrow(t *testing.T) {
 	}
 }
 
+// TestFoldRelationRefusesCounted pins that a counted relation — rows
+// standing for several tuples each, which the state would fold once —
+// is an error, not a miscount.
+func TestFoldRelationRefusesCounted(t *testing.T) {
+	st, err := NewIncrementalState(relation.MustSchema("R", []string{"a", "c"}), cfd.MustParse(`n: [a] -> [c]`), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := relation.MustFromRows(relation.MustSchema("R", []string{"a", "c"}), []string{"a0", "c0"}, []string{"a0", "c1"})
+	if err := counted.SetCounts([]uint32{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, insert := range []bool{true, false} {
+		if err := st.FoldRelation(counted, insert); err == nil {
+			t.Fatalf("a counted relation folded (insert %v)", insert)
+		}
+	}
+}
+
 // twoRowCFD makes one X-pattern violate under two rows: a variable row
 // and a constant row over the same X.
 var twoRowCFD = cfd.MustNew("two", []string{"a", "b"}, []string{"c"}, []cfd.PatternTuple{

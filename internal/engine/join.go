@@ -16,7 +16,7 @@ type joinIndex struct {
 	num    int        // number of distinct right keys
 	trans  [][]uint32 // per join column: left dict id -> right dict id + 1 (0 = absent)
 	lcols  [][]uint32 // left join-key columns
-	stages []*foldStage
+	stages []*relation.Fold
 }
 
 func newJoinIndex(left, right *relation.Relation, li, ri []int) *joinIndex {
@@ -60,8 +60,8 @@ func newJoinIndex(left, right *relation.Relation, li, ri []int) *joinIndex {
 		ix.num = 0
 	}
 	for j, col := range rcols[1:] {
-		stage := &foldStage{}
-		ix.num = foldColumn(ix.rgids, col, ix.num, rdicts[j+1].Len(), stage)
+		stage := &relation.Fold{}
+		ix.num = stage.Column(ix.rgids, col, ix.num, rdicts[j+1].Len())
 		ix.stages = append(ix.stages, stage)
 	}
 	return ix
@@ -80,7 +80,7 @@ func (ix *joinIndex) probe(i int) (uint32, bool) {
 		if t == 0 {
 			return 0, false
 		}
-		id, ok := stage.lookup(g, t-1)
+		id, ok := stage.Lookup(g, t-1)
 		if !ok {
 			return 0, false
 		}

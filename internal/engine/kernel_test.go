@@ -142,79 +142,6 @@ func TestKernelFailedRunReturnsScratch(t *testing.T) {
 	}
 }
 
-// TestFoldTiersAgree drives the same fold through the direct-index and
-// open-addressing tiers and a map reference; all three must produce
-// identical groupings (as partitions — IDs are assigned in first-seen
-// order, so they match exactly).
-func TestFoldTiersAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(500)
-		num := 1 + rng.Intn(40)
-		card := 1 + rng.Intn(40)
-		gids := make([]uint32, n)
-		col := make([]uint32, n)
-		for i := range gids {
-			if rng.Intn(10) == 0 {
-				gids[i] = noGroup
-			} else {
-				gids[i] = uint32(rng.Intn(num))
-			}
-			col[i] = uint32(rng.Intn(card))
-		}
-
-		// Map reference.
-		ref := append([]uint32(nil), gids...)
-		stage := make(map[uint64]uint32)
-		refNext := uint32(0)
-		for i, g := range ref {
-			if g == noGroup {
-				continue
-			}
-			k := uint64(g)<<32 | uint64(col[i])
-			id, ok := stage[k]
-			if !ok {
-				id = refNext
-				refNext++
-				stage[k] = id
-			}
-			ref[i] = id
-		}
-
-		direct := append([]uint32(nil), gids...)
-		var st1 foldStage
-		nd := st1.foldDirect(direct, col, num, card)
-		open := append([]uint32(nil), gids...)
-		var st2 foldStage
-		no := st2.foldOpen(open, col)
-
-		if nd != int(refNext) || no != int(refNext) {
-			t.Fatalf("trial %d: counts direct=%d open=%d ref=%d", trial, nd, no, refNext)
-		}
-		for i := range ref {
-			if direct[i] != ref[i] || open[i] != ref[i] {
-				t.Fatalf("trial %d row %d: direct=%d open=%d ref=%d", trial, i, direct[i], open[i], ref[i])
-			}
-		}
-		// Retained lookup must replay the fold exactly.
-		for i, g := range gids {
-			if g == noGroup {
-				continue
-			}
-			if id, ok := st1.lookup(g, col[i]); !ok || id != ref[i] {
-				t.Fatalf("direct lookup(%d,%d) = %d,%v want %d", g, col[i], id, ok, ref[i])
-			}
-			if id, ok := st2.lookup(g, col[i]); !ok || id != ref[i] {
-				t.Fatalf("open lookup(%d,%d) = %d,%v want %d", g, col[i], id, ok, ref[i])
-			}
-		}
-		// And absent composites must miss.
-		if _, ok := st2.lookup(uint32(num)+1, uint32(card)+1); ok {
-			t.Fatal("open lookup invented a composite")
-		}
-	}
-}
-
 // TestScratchShrinks pins the retention bound: a scratch inflated by a
 // huge check drops its buffers when returned to the pool, so one
 // outlier cannot pin memory in a long-lived compiled plan.
@@ -232,9 +159,6 @@ func TestScratchShrinks(t *testing.T) {
 		shardFirst: make([]uint32, scratchShrinkRows+1),
 		shardRep:   make([]uint32, scratchShrinkRows+1),
 	}
-	sc.fold.table = make([]uint32, foldShrinkEntries+1)
-	sc.fold.keys = make([]uint64, foldShrinkEntries*2)
-	sc.fold.vals = make([]uint32, foldShrinkEntries*2)
 	sc.shrink()
 	if sc.gids != nil || sc.state != nil || sc.first != nil || sc.rep != nil || sc.bits != nil {
 		t.Error("row/group buffers past the bound were retained")
@@ -244,9 +168,6 @@ func TestScratchShrinks(t *testing.T) {
 	}
 	if sc.shardState != nil || sc.shardFirst != nil || sc.shardRep != nil {
 		t.Error("shard buffers past the bound were retained")
-	}
-	if sc.fold.table != nil || sc.fold.keys != nil || sc.fold.vals != nil {
-		t.Error("fold buffers past the bound were retained")
 	}
 
 	// Each buffer is gated independently: a small-row run whose group
@@ -276,9 +197,8 @@ func TestScratchShrinks(t *testing.T) {
 		live:  make([]int, 128),
 		admit: make([]uint64, 128),
 	}
-	small.fold.table = make([]uint32, 128)
 	small.shrink()
-	if small.gids == nil || small.rep == nil || small.pats == nil || small.live == nil || small.admit == nil || small.fold.table == nil {
+	if small.gids == nil || small.rep == nil || small.pats == nil || small.live == nil || small.admit == nil {
 		t.Error("buffers under the bound were dropped")
 	}
 }

@@ -154,16 +154,24 @@ func (e *Encoded) Column(i int) ([]uint32, *Dict) {
 // charge the same quantity so reported bytes match the wire. Each
 // column is counted through a pooled Renumber, one Dict.Val a distinct
 // value: distinctness runs over IDs, never by re-hashing values.
-func (e *Encoded) PayloadSizes() (raw, encoded int64) {
+func (e *Encoded) PayloadSizes() (raw, encoded int64) { return e.payloadSizes(nil) }
+
+// payloadSizes is PayloadSizes with row i weighed by w[i] (Renumber.Weigh);
+// w nil weighs every row one.
+func (e *Encoded) payloadSizes(w []uint32) (raw, encoded int64) {
 	rn := getRenumber()
 	defer putRenumber(rn)
 	for i := 0; i < e.arity; i++ {
 		col, dict := e.Column(i)
 		rn.Start(dict)
 		for lo := 0; lo < len(col); lo += len(rn.buf) {
-			chunk := col[lo:min(lo+len(rn.buf), len(col))]
-			if err := rn.Map(rn.buf[:len(chunk)], chunk); err != nil {
+			hi := min(lo+len(rn.buf), len(col))
+			ids := rn.buf[:hi-lo]
+			if err := rn.Map(ids, col[lo:hi]); err != nil {
 				panic(err) // a built column holds only its dictionary's IDs
+			}
+			if w != nil {
+				rn.Weigh(ids, w[lo:hi])
 			}
 		}
 		r, en := rn.Sizes()

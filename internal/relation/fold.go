@@ -1,6 +1,9 @@
-package engine
+package relation
 
-// The shared composite-key fold of the execution engine: merging the
+import "math"
+
+// The shared composite-key fold of the execution engine and of a store
+// site's grouped packer: merging the
 // next key column into a running vector of dense group IDs. A Go map
 // (`map[uint64]uint32`) would charge a hash, a bucket walk, and
 // amortized rehash allocations per row — on the check(D, Σ) hot path
@@ -20,26 +23,31 @@ package engine
 // dense ID exactly as a map keyed on the composite would — no
 // truncation, distinct composites never collide — so group counts and
 // memberships do not depend on the tier. A fold takes one whole column
-// in one call, foldColumn; detect.go and the join index both fold
-// through it.
+// in one call, Fold.Column; the engine's kernel and join index and
+// colstore's grouped packer all fold through it.
+
+// NoGroup marks rows a fold leaves out of the grouping (the kernel's
+// rows no live pattern admits). Group IDs are dense, bounded by the row
+// count, so the sentinel can never collide.
+const NoGroup = math.MaxUint32
 
 const (
 	// directFoldBudget is the hard cap on the direct tier's table
 	// (entries, 4 bytes each): 4M entries = 16 MiB.
 	directFoldBudget = 1 << 22
 
-	// foldShrinkEntries bounds the capacity a reusable foldStage may
+	// foldShrinkEntries bounds the capacity a reusable Fold may
 	// retain between uses: past it the buffers are dropped wholesale
 	// (like the sites' serving caches), so one huge unit cannot
 	// permanently inflate a long-lived compiled plan's scratch.
 	foldShrinkEntries = 1 << 20
 )
 
-// foldStage is one materialized fold step. Embedded in the detection
+// Fold is one materialized fold step. Embedded in the detection
 // scratch it is reused (and rezeroed) across folds; the join index
 // retains one per extra key column so probes can replay the fold
-// lookup-only.
-type foldStage struct {
+// lookup-only. The zero value is ready to use.
+type Fold struct {
 	// Direct tier: key = gid·width + colID, table[key] = id+1 (0 =
 	// absent). width > 0 marks the tier in use.
 	width uint64
@@ -59,10 +67,10 @@ func hashFold(k uint64) uint64 {
 	return (k * 0x9E3779B97F4A7C15) >> 32
 }
 
-// lookup resolves a composite without interning; ok=false when the
-// composite was never folded. Valid only after foldColumn filled the
+// Lookup resolves a composite without interning; ok=false when the
+// composite was never folded. Valid only after Column filled the
 // stage.
-func (st *foldStage) lookup(g, c uint32) (uint32, bool) {
+func (st *Fold) Lookup(g, c uint32) (uint32, bool) {
 	if st.width > 0 {
 		v := st.table[uint64(g)*st.width+uint64(c)]
 		return v - 1, v != 0
@@ -79,9 +87,9 @@ func (st *foldStage) lookup(g, c uint32) (uint32, bool) {
 	}
 }
 
-// shrink drops buffers grown past the retention bound; called when the
+// Shrink drops buffers grown past the retention bound; called when the
 // owning scratch is returned to its pool.
-func (st *foldStage) shrink() {
+func (st *Fold) Shrink() {
 	if cap(st.table) > foldShrinkEntries {
 		st.table = nil
 	}
@@ -90,9 +98,10 @@ func (st *foldStage) shrink() {
 	}
 }
 
-// foldColumn merges col into the running group IDs: every row's
-// (gids[i], col[i]) composite is interned to a fresh dense ID, rows
-// whose gid is the noGroup sentinel stay excluded. num bounds the
+// Column merges col into the running group IDs: every row's
+// (gids[i], col[i]) composite is interned to a fresh dense ID, in
+// first-occurrence order; rows whose gid is the NoGroup sentinel stay
+// excluded. num bounds the
 // current distinct gids, card the folded column's ID space (its
 // dictionary cardinality) — both are exact upper bounds, which is what
 // lets the direct tier size its table up front. st's buffers are
@@ -100,9 +109,9 @@ func (st *foldStage) shrink() {
 // the new group count.
 //
 // Group IDs and column IDs are dense dictionary codes bounded by the
-// interning relation's row count, so the noGroup sentinel
-// (math.MaxUint32) can never occur as a real ID.
-func foldColumn(gids, col []uint32, num, card int, st *foldStage) int {
+// interning relation's row count, so the NoGroup sentinel can never
+// occur as a real ID.
+func (st *Fold) Column(gids, col []uint32, num, card int) int {
 	if prod := uint64(num) * uint64(card); num > 0 && card > 0 &&
 		prod <= directFoldBudget && prod <= uint64(8*len(gids)+1024) {
 		return st.foldDirect(gids, col, num, card)
@@ -110,8 +119,8 @@ func foldColumn(gids, col []uint32, num, card int, st *foldStage) int {
 	return st.foldOpen(gids, col)
 }
 
-// foldDirect is foldColumn's direct tier, over a num·card table.
-func (st *foldStage) foldDirect(gids, col []uint32, num, card int) int {
+// foldDirect is Column's direct tier, over a num·card table.
+func (st *Fold) foldDirect(gids, col []uint32, num, card int) int {
 	size := num * card
 	if cap(st.table) < size {
 		st.table = make([]uint32, size)
@@ -126,9 +135,9 @@ func (st *foldStage) foldDirect(gids, col []uint32, num, card int) int {
 	// sorted or low-cardinality column — resolve to the same dense ID, so
 	// a run costs one table access plus per-row compares. Interning is
 	// unaffected: a repeat never interns a fresh ID.
-	lastG, lastC, lastV := uint32(noGroup), uint32(0), uint32(0)
+	lastG, lastC, lastV := uint32(NoGroup), uint32(0), uint32(0)
 	for i, g := range gids {
-		if g == noGroup {
+		if g == NoGroup {
 			continue
 		}
 		c := col[i]
@@ -149,8 +158,8 @@ func (st *foldStage) foldDirect(gids, col []uint32, num, card int) int {
 	return int(next)
 }
 
-// foldOpen is foldColumn's open-addressing tier.
-func (st *foldStage) foldOpen(gids, col []uint32) int {
+// foldOpen is Column's open-addressing tier.
+func (st *Fold) foldOpen(gids, col []uint32) int {
 	// ≤ len(gids) entries can be inserted; double for load factor ≤ ½.
 	slots := 16
 	for slots < 2*len(gids) {
@@ -170,9 +179,9 @@ func (st *foldStage) foldOpen(gids, col []uint32) int {
 	next := uint32(0)
 	// Same run memo as foldDirect: a repeated composite skips the hash
 	// and probe entirely.
-	lastG, lastC, lastV := uint32(noGroup), uint32(0), uint32(0)
+	lastG, lastC, lastV := uint32(NoGroup), uint32(0), uint32(0)
 	for i, g := range gids {
-		if g == noGroup {
+		if g == NoGroup {
 			continue
 		}
 		c := col[i]

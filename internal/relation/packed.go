@@ -21,9 +21,13 @@ type PackedColumnReader interface {
 	ChunkSpan(i, k int) (lo, hi int)
 	// PackedSize returns the payload's modeled wire size.
 	PackedSize() int64
-	// PayloadSizes returns the integers Encoded.PayloadSizes returns
-	// for the same rows: the row form's size and the dict+ID form's.
+	// PayloadSizes returns the integers Relation.PayloadSizes returns
+	// for the same rows and counts: the row form's size and the dict+ID
+	// form's.
 	PayloadSizes() (raw, encoded int64, err error)
+	// Counts returns the payload's count column — row i stands for
+	// Counts()[i] tuples (counted.go) — or nil for a plain payload.
+	Counts() []uint32
 }
 
 // packedState is a relation's packed payload, which is also its row
@@ -51,7 +55,8 @@ func (r *Relation) PackedPayload() (pr PackedColumnReader, adopted bool) {
 
 // DropPacked stops r shipping packed, forcing every downstream shipper
 // and accountant back onto the row or dict+ID form. The payload stays
-// r's storage: its encoded view decodes from it as before. It is the
+// r's storage: its encoded view decodes from it as before, and a
+// counted r keeps its counts. It is the
 // Options.NoPackedShip hook and the explicit form of what mutation does
 // implicitly.
 func (r *Relation) DropPacked() {
@@ -100,5 +105,8 @@ func fromPacked(s *Schema, pr PackedColumnReader, adopted bool) (*Relation, erro
 	out, enc := lazyView(s, pr.Rows())
 	enc.reader = pr
 	out.packed.Store(&packedState{pr: pr, adopted: adopted})
+	if err := out.SetCounts(pr.Counts()); err != nil {
+		return nil, err
+	}
 	return out, nil
 }

@@ -31,6 +31,8 @@ type Relation struct {
 	// relation's rows and that it ships in. See packed.go; mutation
 	// detaches it alongside the encoded view.
 	packed atomic.Pointer[packedState]
+	// counted, when non-nil, makes r a counted relation (counted.go).
+	counted *counted
 }
 
 // lazyTuples carries the deferred state: the row count (the encoded
@@ -72,6 +74,9 @@ func (r *Relation) materialize() {
 // ordinary tuple-backed relation. Mutation already must not race with
 // reads, so clearing the marker needs no synchronization.
 func (r *Relation) materializeForWrite() {
+	if r.counted != nil {
+		panic("relation: mutating a counted relation")
+	}
 	r.materialize()
 	r.lazy = nil
 }
@@ -321,24 +326,32 @@ func compareOn(idx []int, a, b Tuple) int {
 }
 
 // SameTuples reports whether r and o contain the same multiset of tuples,
-// ignoring order. Schemas must have equal arity; attribute names are not
-// compared.
+// ignoring order — a counted relation's row i counted counts[i] times.
+// Schemas must have equal arity; attribute names are not compared.
 func (r *Relation) SameTuples(o *Relation) bool {
-	if r.Len() != o.Len() {
+	if r.BagLen() != o.BagLen() {
 		return false
 	}
 	counts := make(map[string]int, r.Len())
-	for _, t := range r.Tuples() {
-		counts[t.canon()]++
+	for i, t := range r.Tuples() {
+		counts[t.canon()] += r.count(i)
 	}
-	for _, t := range o.Tuples() {
+	for i, t := range o.Tuples() {
 		k := t.canon()
-		counts[k]--
+		counts[k] -= o.count(i)
 		if counts[k] < 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// count returns the tuples row i stands for: 1 in a plain relation.
+func (r *Relation) count(i int) int {
+	if r.counted == nil {
+		return 1
+	}
+	return int(r.counted.counts[i])
 }
 
 // String renders the relation as a small table; intended for examples

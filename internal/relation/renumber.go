@@ -180,6 +180,15 @@ func (rn *Renumber) translateTable(dst, src []uint32, f func(string) uint32) int
 	return -1
 }
 
+// Weigh weighs row i of the column Map just wrote to dst by w[i]
+// instead of one: Sizes then prices each row as w[i] copies of it, the
+// price of a counted column's expanded bag.
+func (rn *Renumber) Weigh(dst, w []uint32) {
+	for i, v := range dst {
+		rn.counts[v] += w[i] - 1
+	}
+}
+
 // Vals returns the compact dictionary, in dst's storage if it has room.
 func (rn *Renumber) Vals(dst []string) []string {
 	dst = sized(dst, len(rn.srcs))

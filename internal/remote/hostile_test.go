@@ -99,7 +99,32 @@ var hostileCases = append([]struct {
 	// Verifies chunk by chunk, then dies (or takes the machine with it)
 	// allocating the first materialized column.
 	{"rle-bomb", rleBomb},
+	// A count column one count short of the rows: the billing would
+	// index past it.
+	{"counts-short", func(w *WireRelation) {
+		w.Counts = colstore.EncodeCounts(counts(w.Rows-1, 2))
+	}},
+	// A zero count: a row standing for no tuple.
+	{"count-zero", func(w *WireRelation) {
+		c := counts(w.Rows, 1)
+		c[7] = 0
+		w.Counts = colstore.EncodeCounts(c)
+	}},
+	// Counts whose sum passes relation.MaxBag: ShippedTuples and the
+	// σ-count check would wrap.
+	{"counts-overflow", func(w *WireRelation) {
+		w.Counts = colstore.EncodeCounts(counts(w.Rows, math.MaxUint32))
+	}},
 }, sectionCases...)
+
+// counts returns a count column of n counts of c each.
+func counts(n int, c uint32) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = c
+	}
+	return out
+}
 
 // sectionCases are malformed values sections (colstore.DecodeDictSection)
 // and payloads that set more than one wire form, as edits of any valid
@@ -546,7 +571,8 @@ func serveRPC(t *testing.T, svc any) string {
 // rewrites one kind of reply on its way out: the σ counts of SigmaStats
 // or of a later round's extract (one too many, one too few, a negative
 // one), a fresh run's or a seed's extracted blocks (one row more than
-// the σ count, as valid packed payloads named "oversized"), a fresh
+// the σ count, as valid packed payloads named "oversized", or its rows
+// counted one tuple past it), a fresh
 // run's coordinator check (no pattern set at all, or more patterns than
 // the fragments hold rows), or a later fold's
 // pattern changes (missing, over more attributes than the CFD's X, over
@@ -584,9 +610,18 @@ func oversized(w *WireRelation) *WireRelation {
 
 func (h hostileReplies) ExtractBlocksBatch(args ExtractArgs, reply *map[int]*WireRelation) error {
 	err := h.SiteService.ExtractBlocksBatch(args, reply)
-	if err == nil && h.mode.Load() == "ship-oversized" {
+	switch {
+	case err != nil:
+	case h.mode.Load() == "ship-oversized":
 		for l, w := range *reply {
 			(*reply)[l] = oversized(w)
+		}
+	case h.mode.Load() == "ship-counted-oversized":
+		// Well-formed counts, one tuple more than the σ count.
+		for _, w := range *reply {
+			c := counts(w.Rows, 1)
+			c[0] = 2
+			w.Name, w.Counts = "oversized", colstore.EncodeCounts(c)
 		}
 	}
 	return err
@@ -697,7 +732,7 @@ func (h hostileReplies) FoldDetect(args FoldArgs, reply *FoldReply) error {
 // extract and pattern-change replies: a count vector of the wrong
 // length or with a negative count — from SigmaStats at the seed or from
 // a later round's extract — an extracted block longer than its σ count
-// — in a fresh run's ExtractBlocksBatch or a seed's ExtractDeltaBlocks,
+// or counted past it — in a fresh run's ExtractBlocksBatch or a seed's ExtractDeltaBlocks,
 // refused before anything forwards it — a coordinator check replying
 // no pattern set or more patterns than its blocks hold tuples, and a
 // fold reply with its
@@ -717,7 +752,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 	modes := []string{
 		"sigma-long", "sigma-short", "sigma-negative",
 		"extract-long", "extract-short", "extract-negative",
-		"ship-oversized", "seed-oversized", "detect-short", "detect-inflated",
+		"ship-oversized", "ship-counted-oversized", "seed-oversized", "detect-short", "detect-inflated",
 		"fold-missing", "fold-wider-than-X", "fold-outside-X", "fold-removes-unheld",
 		"fold-inflated", "fold-duplicate-added",
 	}
@@ -761,7 +796,7 @@ func TestHostileRepliesRefused(t *testing.T) {
 				}
 			}
 			garbled := p.DetectIncremental
-			if mode == "ship-oversized" || strings.HasPrefix(mode, "detect") {
+			if strings.HasPrefix(mode, "ship") || strings.HasPrefix(mode, "detect") {
 				garbled = p.Detect
 			}
 			garbling.Store(mode)
@@ -795,9 +830,12 @@ func TestHostileRepliesRefused(t *testing.T) {
 // edit (op, target, x, y): the vocabulary FuzzWirePacked explores and
 // its checked-in seeds are written in. target picks a column and one
 // of its chunks; positions wrap, so every script applies to any
-// payload with at least one column.
+// payload with at least one column. The one to three bytes a script
+// ends with past its whole edits give the payload a count column
+// (applyCountEdit).
 func applyWireEdits(w *WireRelation, script []byte) {
 	p := w.Packed
+	defer func() { applyCountEdit(w, script[len(script)/4*4:]) }()
 	for ; len(script) >= 4 && len(p.Cols) > 0; script = script[4:] {
 		op, target, x, y := script[0], int(script[1]), script[2], script[3]
 		c := &p.Cols[target%len(p.Cols)]
@@ -868,6 +906,55 @@ func applyWireEdits(w *WireRelation, script []byte) {
 	}
 }
 
+// applyCountEdit gives w, after its edits, a count column when tail
+// holds one to three bytes (kind, c, at): every row counted c+1, one
+// row counted zero, one count short, or counts of 2³²−1 a row, and then
+// byte at of the coded section flipped when tail has three bytes.
+func applyCountEdit(w *WireRelation, tail []byte) {
+	rows := w.Packed.Rows
+	if len(tail) == 0 || rows < 0 || rows > 1<<16 {
+		return
+	}
+	c := uint32(1)
+	if len(tail) > 1 {
+		c += uint32(tail[1])
+	}
+	cs := counts(rows, c)
+	switch tail[0] % 4 {
+	case 1:
+		if rows > 0 {
+			cs[int(c)%rows] = 0
+		}
+	case 2:
+		cs = cs[:max(rows-1, 0)]
+	case 3:
+		cs = counts(rows, math.MaxUint32)
+	}
+	w.Counts = colstore.EncodeCounts(cs)
+	if len(tail) > 2 && len(w.Counts) > 0 {
+		w.Counts[int(tail[2])%len(w.Counts)] ^= tail[2] | 1
+	}
+}
+
+// wireBytes is what a peer sends of w: every section and chunk, the
+// count column's included.
+func wireBytes(w *WireRelation) int {
+	n := len(w.Tuples)
+	for _, b := range w.Dicts {
+		n += len(b)
+	}
+	n += 4 * len(w.Cols) * w.Rows
+	if p := w.Packed; p != nil {
+		for _, c := range p.Cols {
+			n += len(c.Dict)
+			for _, ch := range c.Chunks {
+				n += len(ch)
+			}
+		}
+	}
+	return n + len(w.Counts)
+}
+
 // FuzzWirePacked mutates the bytes of a valid WirePackedRelation —
 // dictionary sections, chunk payloads and the IDs they hold, Rows,
 // ChunkRows, chunk and column counts — and holds everything downstream of
@@ -877,8 +964,13 @@ func applyWireEdits(w *WireRelation, script []byte) {
 // charge (dist.RelationBytes), and detection over the payload and over
 // its materialized copy agree with each other and with the row-path
 // reference over the payload's own tuples — and with the unmutated
-// answer whenever the edit left the tuples intact. Nothing may panic. The seed corpus under
-// testdata/fuzz/FuzzWirePacked holds the confirmed crashers.
+// answer whenever the edit left the tuples intact. A count column the
+// script attaches (applyCountEdit) leaves the patterns as they were,
+// and an adopted one prices and bills the bag it stands for. What
+// FromWire decodes — the rows' IDs and the counts — stays within
+// 8·MaxChunkRows bytes a byte received: no chunk, column or count
+// announces rows it did not pay for. Nothing may panic. The seed corpus
+// under testdata/fuzz/FuzzWirePacked holds the confirmed crashers.
 func FuzzWirePacked(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 2, 0})       // dict-shorter-than-ids
@@ -887,7 +979,14 @@ func FuzzWirePacked(f *testing.F) {
 	f.Add([]byte{6, 0, 200, 0})     // an ID past the dictionary
 	f.Add([]byte{1, 0, 1, 0x0e, 5, 2, 3, 0})
 	f.Add([]byte{7, 0, 99, 0, 8, 0, 33, 0})
-	f.Add([]byte{12, 0, 0, 0}) // rle-bomb
+	f.Add([]byte{12, 0, 0, 0})       // rle-bomb
+	f.Add([]byte{0})                 // every row counted once
+	f.Add([]byte{0, 6})              // every row counted seven times
+	f.Add([]byte{1, 3})              // a zero count
+	f.Add([]byte{2})                 // a count short
+	f.Add([]byte{3})                 // counts past relation.MaxBag
+	f.Add([]byte{0, 1, 5})           // a count chunk's byte flipped
+	f.Add([]byte{10, 0, 0, 1, 0, 4}) // the last chunk dropped, then counted
 	base, _ := hostileBase(f)
 	wantPats, err := engine.ViolationPatterns(base, hostileCFD)
 	if err != nil {
@@ -899,6 +998,22 @@ func FuzzWirePacked(f *testing.F) {
 		rel, err := FromWire(w)
 		if err != nil {
 			return
+		}
+		if decoded, sent := 4*(rel.Len()*rel.Schema().Arity()+len(rel.Counts())), wireBytes(w); decoded > 8*colstore.MaxChunkRows*(sent+1) {
+			t.Fatalf("%d bytes received decode to %d", sent, decoded)
+		}
+		if cs := rel.Counts(); cs != nil {
+			bag := 0
+			for _, c := range cs {
+				bag += int(c)
+			}
+			if rel.BagLen() != bag || bag > relation.MaxBag {
+				t.Fatalf("BagLen %d over counts summing to %d", rel.BagLen(), bag)
+			}
+			wantRaw, wantEnc := naiveSizes(rel)
+			if raw, enc := rel.PayloadSizes(); raw != wantRaw || enc != wantEnc {
+				t.Fatalf("counted payload prices %d, %d; its bag %d, %d", raw, enc, wantRaw, wantEnc)
+			}
 		}
 		var k engine.Kernel
 		packed, err := k.ViolationPatterns(rel, hostileCFD, engine.Opts{})

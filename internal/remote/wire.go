@@ -25,9 +25,9 @@ import (
 // alone could never catch: that check runs in the new driver) and a new
 // driver against an old site both fail loudly, once. One version plus
 // wire.golden is the whole compatibility story.
-const WireVersion = 13
+const WireVersion = 14
 
-const serviceName = "SiteV13"
+const serviceName = "SiteV14"
 
 // WireRelation is the gob-encodable form of relation.Relation. It
 // carries at most one of three payloads: the row form (Tuples), the
@@ -53,6 +53,9 @@ type WireRelation struct {
 	// Packed form: dictionary sections and chunk payloads in the
 	// colstore codec, shipped byte-for-byte.
 	Packed *WirePackedRelation
+	// Counts is a counted relation's count column in any form
+	// (colstore.EncodeCounts); nil for a plain relation.
+	Counts []byte
 }
 
 // WirePackedRelation is the packed payload of a WireRelation.
@@ -84,10 +87,13 @@ func ToWire(r *relation.Relation) *WireRelation {
 		// payload in any other representation ships dict+ID.
 		pr, _ := r.PackedPayload()
 		if p, ok := pr.(*colstore.Packed); ok {
-			w.Rows, w.Packed = r.Len(), packedToWire(p)
+			w.Rows, w.Packed, w.Counts = r.Len(), packedToWire(p), p.CountSection()
 			return w
 		}
 		form = dist.ColumnForm
+	}
+	if r.Counts() != nil {
+		w.Counts = colstore.EncodeCounts(r.Counts())
 	}
 	if w.Rows = r.Len(); form == dist.ColumnForm {
 		dicts, cols := r.Encoded().CompactColumns()
@@ -121,8 +127,10 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 // chunk structure, every ID inside its dictionary), the values
 // sections by colstore.DecodeDictSection, the dict+ID form's IDs and
 // dictionaries by relation.FromColumns, the row form's arity by
-// relation.FromTuples. A payload setting more than one form, or a
-// malformed one, is a plain, non-transient error.
+// relation.FromTuples, a count column by colstore.DecodeCounts (a
+// nonzero count a row, their sum at most relation.MaxBag). A payload
+// setting more than one form, or a malformed one, is a plain,
+// non-transient error.
 func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w == nil {
 		return nil, nil
@@ -143,7 +151,10 @@ func FromWire(w *WireRelation) (*relation.Relation, error) {
 			cols[j] = colstore.PackedColumn(c)
 		}
 		var p *colstore.Packed
-		if p, err = colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols); err == nil {
+		if p, err = colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols); err == nil && w.Counts != nil {
+			err = p.SetCounts(w.Counts)
+		}
+		if err == nil {
 			rel, err = relation.FromPackedReader(schema, p)
 		}
 	case columnar:
@@ -158,6 +169,12 @@ func FromWire(w *WireRelation) (*relation.Relation, error) {
 		var ts []relation.Tuple
 		if ts, err = colstore.DecodeRowSection(w.Tuples, w.Rows); err == nil {
 			rel, err = relation.FromTuples(schema, ts)
+		}
+	}
+	if err == nil && w.Packed == nil && w.Counts != nil {
+		var counts []uint32
+		if counts, err = colstore.DecodeCounts(w.Counts, rel.Len()); err == nil {
+			err = rel.SetCounts(counts)
 		}
 	}
 	if err != nil {

@@ -168,16 +168,21 @@ func TestWireFormChooserAgreement(t *testing.T) {
 	}
 }
 
-// naiveSizes prices r in the row and dict+ID forms the obvious way,
-// independent of the renumbering the code prices with: per column, a
-// map[string]int over Tuples(); each cell costs its value's length plus
+// naiveSizes prices r's bag in the row and dict+ID forms the obvious
+// way, independent of the renumbering the code prices with: per column,
+// a map[string]int over Tuples(), a counted relation's row counted as
+// many times as its count; each cell costs its value's length plus
 // one in the row form, and each distinct value its length plus one
 // plus four bytes a cell in the dict+ID form.
 func naiveSizes(r *relation.Relation) (raw, encoded int64) {
 	for j := 0; j < r.Schema().Arity(); j++ {
 		count := map[string]int{}
-		for _, t := range r.Tuples() {
-			count[t[j]]++
+		for i, t := range r.Tuples() {
+			n := 1
+			if cs := r.Counts(); cs != nil {
+				n = int(cs[i])
+			}
+			count[t[j]] += n
 		}
 		for v, n := range count {
 			raw += int64(n) * int64(len(v)+1)
