@@ -101,11 +101,13 @@ func (c *column) checkChunks() error {
 }
 
 // payloadSizes returns the column's share of PayloadSizes, each row
-// weighed by w (nil weighs every row one), renumbering the IDs of its
-// decoded chunks on the first call. Chunks and counts are immutable
-// once a payload is built, so the price holds for its life.
-func (c *column) payloadSizes(w []uint32) (raw, encoded int64, err error) {
+// weighed by what counts returns (nil weighs every row one),
+// renumbering the IDs of its decoded chunks on the first call. Chunks
+// and counts are immutable once a payload is built, so the price holds
+// for its life.
+func (c *column) payloadSizes(counts func() []uint32) (raw, encoded int64, err error) {
 	c.sizeOnce.Do(func() {
+		w := counts()
 		dict, err := c.dictionary()
 		if err != nil {
 			c.sizeErr = err
@@ -137,13 +139,16 @@ func (c *column) payloadSizes(w []uint32) (raw, encoded int64, err error) {
 // columns is the reader both containers embed: the
 // relation.PackedColumnReader methods, written once. A counted payload
 // (Gather.Pack's grouped blocks, or one adopted with SetCounts) carries
-// its count column decoded and coded (EncodeCounts); a fragment and a
-// plain payload carry neither.
+// its count column as it ships (EncodeCounts) and its sum, and decodes
+// the column only if something asks for it; a fragment and a plain
+// payload carry none.
 type columns struct {
 	rows         int
 	cols         []*column
-	counts       []uint32
 	countSection []byte
+	bag          int
+	countsOnce   sync.Once
+	counts       []uint32
 }
 
 // col returns column i with its chunk side readable: as built for a
@@ -206,8 +211,20 @@ func (cs *columns) ChunkSpan(i, k int) (lo, hi int) {
 	return c.chunkSpan(k)
 }
 
-// Counts returns the payload's count column, nil when it has none.
-func (cs *columns) Counts() []uint32 { return cs.counts }
+// Counts returns the payload's count column, decoding it on the first
+// call; nil when it has none.
+func (cs *columns) Counts() []uint32 {
+	if cs.countSection == nil {
+		return nil
+	}
+	cs.countsOnce.Do(func() {
+		cs.counts, _ = DecodeCounts(cs.countSection, cs.rows) // verified when set
+	})
+	return cs.counts
+}
+
+// CountSum returns the sum of the payload's counts, 0 when it has none.
+func (cs *columns) CountSum() int { return cs.bag }
 
 // CountSection returns the count column as it ships (EncodeCounts), nil
 // when the payload has none.
@@ -241,7 +258,7 @@ func (cs *columns) PayloadSizes() (raw, encoded int64, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		r, e, err := c.payloadSizes(cs.counts)
+		r, e, err := c.payloadSizes(cs.Counts)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -258,6 +258,7 @@ type groupScratch struct {
 	folded []int    // block b folded its first folded[b] columns
 	start  []int    // block b's column j records start at start[b*ncols+j]
 	ncols  int
+	counts []uint32 // the block being packed's, until its count section is coded
 }
 
 var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
@@ -279,6 +280,9 @@ func putGroupScratch(st *groupScratch) {
 	st.fd.Shrink()
 	if cap(st.recs) > groupShrink {
 		st.recs = nil
+	}
+	if cap(st.counts) > groupShrink {
+		st.counts = nil
 	}
 	groupScratches.Put(st)
 }
@@ -316,7 +320,9 @@ func (st *groupScratch) pack(b int, p *Packed, dicts []*relation.Dict, gids, out
 	k := st.num[b]
 	var counts []uint32
 	if k < len(gids) {
-		counts = make([]uint32, k)
+		st.counts = slices.Grow(st.counts[:0], k)[:k]
+		counts = st.counts
+		clear(counts)
 		for _, g := range gids {
 			counts[g]++
 		}
@@ -338,7 +344,7 @@ func (st *groupScratch) pack(b int, p *Packed, dicts []*relation.Dict, gids, out
 		}
 	}
 	if counts != nil {
-		p.counts, p.countSection = counts, EncodeCounts(counts)
+		p.countSection, p.bag = EncodeCounts(counts), len(gids)
 	}
 	return p, nil
 }

@@ -216,40 +216,55 @@ func countChunks(section []byte, rows int, f func(payload []byte, lo, hi int) er
 	return nil
 }
 
-// DecodeCounts decodes the count column of rows rows that EncodeCounts
-// coded, verifying what a peer sent: the framing, every chunk well
-// formed and covering its span — all before anything is allocated, as
-// rows is the peer's word — and the counts themselves
-// (relation.CheckCounts: none zero, their sum at most relation.MaxBag).
-func DecodeCounts(section []byte, rows int) ([]uint32, error) {
-	err := countChunks(section, rows, func(payload []byte, lo, hi int) error {
-		return checkChunk(payload, hi-lo, math.MaxInt) // CheckCounts bounds the values
+// sumCounts verifies a count section of rows rows that a peer sent —
+// the framing, every chunk well formed and covering its span, and the
+// counts themselves (relation.CheckCounts: none zero, their sum at most
+// relation.MaxBag) — and returns the counts' sum. It decodes a chunk at
+// a time into pooled scratch: rows is the peer's word, and nothing is
+// allocated for it.
+func sumCounts(section []byte, rows int) (bag int, err error) {
+	s := getScratch(DefaultChunkRows)
+	defer putScratch(s)
+	err = countChunks(section, rows, func(payload []byte, lo, hi int) error {
+		ids := s.ids[:hi-lo]
+		err := checkChunk(payload, hi-lo, math.MaxInt) // CheckCounts bounds the values
+		if err == nil {
+			err = DecodeChunk(payload, ids)
+		}
+		n := 0
+		if err == nil {
+			n, err = relation.CheckCounts(ids, len(ids))
+		}
+		if bag += n; err == nil && bag > relation.MaxBag {
+			err = fmt.Errorf("counts sum past %d", relation.MaxBag)
+		}
+		return err
 	})
-	if err != nil {
+	return bag, err
+}
+
+// DecodeCounts decodes the count column of rows rows that EncodeCounts
+// coded, once sumCounts has verified it.
+func DecodeCounts(section []byte, rows int) ([]uint32, error) {
+	if _, err := sumCounts(section, rows); err != nil {
 		return nil, err
 	}
 	counts := make([]uint32, rows)
-	if err := countChunks(section, rows, func(payload []byte, lo, hi int) error {
+	return counts, countChunks(section, rows, func(payload []byte, lo, hi int) error {
 		return DecodeChunk(payload, counts[lo:hi])
-	}); err != nil {
-		return nil, err
-	}
-	if _, err := relation.CheckCounts(counts, rows); err != nil {
-		return nil, fmt.Errorf("colstore: %w", err)
-	}
-	return counts, nil
+	})
 }
 
 // SetCounts makes p a counted payload whose count column ships as
-// section (EncodeCounts), decoding and verifying it (DecodeCounts) — the
-// adoption of a peer's count column beside its columns. Call it before
-// p is shared.
+// section (EncodeCounts), verifying it (sumCounts) — the adoption of a
+// peer's count column beside its columns — and decoding it only if
+// something asks (Counts). Call it before p is shared.
 func (p *Packed) SetCounts(section []byte) error {
-	counts, err := DecodeCounts(section, p.rows)
+	bag, err := sumCounts(section, p.rows)
 	if err != nil {
 		return err
 	}
-	p.counts, p.countSection = counts, section
+	p.countSection, p.bag = section, bag
 	return nil
 }
 

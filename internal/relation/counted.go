@@ -17,7 +17,9 @@ import (
 // Consumers that need multiplicities row by row (the incremental fold)
 // refuse a counted relation rather than misread it.
 
-// counted is a counted relation's count column and its sum.
+// counted is the count column SetCounts gave a relation and its sum. A
+// relation stored in a counted packed payload reads its payload's
+// instead (countedPayload), decoded only if something asks.
 type counted struct {
 	counts []uint32
 	bag    int
@@ -47,29 +49,39 @@ func CheckCounts(counts []uint32, rows int) (int, error) {
 }
 
 // SetCounts makes r counted, row i standing for counts[i] tuples
-// (CheckCounts); nil makes it plain again. r keeps counts, which the
-// caller must not change afterwards. A counted relation is not mutated:
-// its mutators panic.
+// (CheckCounts). r keeps counts, which the caller must not change
+// afterwards. A counted relation is not mutated: its mutators panic.
 func (r *Relation) SetCounts(counts []uint32) error {
-	if counts == nil {
-		r.counted = nil
-		return nil
-	}
 	bag, err := CheckCounts(counts, r.Len())
 	if err != nil {
 		return err
 	}
-	r.counted = &counted{counts, bag}
+	r.counted = &counted{counts: counts, bag: bag}
 	return nil
 }
 
 // Counts returns r's count column, nil for a plain relation. The caller
 // must not modify it.
 func (r *Relation) Counts() []uint32 {
-	if r.counted == nil {
-		return nil
+	if r.counted != nil {
+		return r.counted.counts
 	}
-	return r.counted.counts
+	if pr := r.countedPayload(); pr != nil {
+		return pr.Counts()
+	}
+	return nil
+}
+
+// countedPayload returns the packed payload storing r's rows when it is
+// counted, nil otherwise. It stays r's storage after DropPacked, so r
+// stays counted.
+func (r *Relation) countedPayload() PackedColumnReader {
+	if e := r.enc.Load(); e != nil {
+		if pr, ok := e.reader.(PackedColumnReader); ok && pr.CountSum() > 0 {
+			return pr
+		}
+	}
+	return nil
 }
 
 // BagLen returns the tuples r stands for: Σ counts for a counted
@@ -77,6 +89,9 @@ func (r *Relation) Counts() []uint32 {
 func (r *Relation) BagLen() int {
 	if r.counted != nil {
 		return r.counted.bag
+	}
+	if pr := r.countedPayload(); pr != nil {
+		return pr.CountSum()
 	}
 	return r.Len()
 }

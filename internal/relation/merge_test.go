@@ -26,6 +26,7 @@ func (p packedRows) ColumnChunks(int) (int, error) { return 1, nil }
 func (p packedRows) ChunkSpan(int, int) (int, int) { return 0, p.Rows() }
 func (p packedRows) PackedSize() int64             { return 0 }
 func (p packedRows) Counts() []uint32              { return nil }
+func (p packedRows) CountSum() int                 { return 0 }
 func (p packedRows) PayloadSizes() (int64, int64, error) {
 	raw, enc := p.Encoded.PayloadSizes()
 	return raw, enc, nil

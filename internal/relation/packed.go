@@ -28,6 +28,8 @@ type PackedColumnReader interface {
 	// Counts returns the payload's count column — row i stands for
 	// Counts()[i] tuples (counted.go) — or nil for a plain payload.
 	Counts() []uint32
+	// CountSum returns the counts' sum, 0 for a plain payload.
+	CountSum() int
 }
 
 // packedState is a relation's packed payload, which is also its row
@@ -105,8 +107,5 @@ func fromPacked(s *Schema, pr PackedColumnReader, adopted bool) (*Relation, erro
 	out, enc := lazyView(s, pr.Rows())
 	enc.reader = pr
 	out.packed.Store(&packedState{pr: pr, adopted: adopted})
-	if err := out.SetCounts(pr.Counts()); err != nil {
-		return nil, err
-	}
 	return out, nil
 }

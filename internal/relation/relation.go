@@ -31,7 +31,8 @@ type Relation struct {
 	// relation's rows and that it ships in. See packed.go; mutation
 	// detaches it alongside the encoded view.
 	packed atomic.Pointer[packedState]
-	// counted, when non-nil, makes r a counted relation (counted.go).
+	// counted, when non-nil, is the count column SetCounts gave r
+	// (counted.go).
 	counted *counted
 }
 
@@ -74,7 +75,7 @@ func (r *Relation) materialize() {
 // ordinary tuple-backed relation. Mutation already must not race with
 // reads, so clearing the marker needs no synchronization.
 func (r *Relation) materializeForWrite() {
-	if r.counted != nil {
+	if r.counted != nil || r.countedPayload() != nil {
 		panic("relation: mutating a counted relation")
 	}
 	r.materialize()
@@ -348,10 +349,10 @@ func (r *Relation) SameTuples(o *Relation) bool {
 
 // count returns the tuples row i stands for: 1 in a plain relation.
 func (r *Relation) count(i int) int {
-	if r.counted == nil {
-		return 1
+	if cs := r.Counts(); cs != nil {
+		return int(cs[i])
 	}
-	return int(r.counted.counts[i])
+	return 1
 }
 
 // String renders the relation as a small table; intended for examples
