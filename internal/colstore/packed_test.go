@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"distcfd/internal/relation"
@@ -208,6 +210,71 @@ func TestPayloadSizesEveryReader(t *testing.T) {
 			if raw, enc, err := pr.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
 				t.Fatalf("%s: PayloadSizes = %d, %d, %v; the reference prices %d, %d", name, raw, enc, err, wantRaw, wantEnc)
 			}
+		}
+	}
+}
+
+// TestCountSectionAdoptedOnce pins a peer's count column end to end: a
+// section EncodeCounts coded is adopted (SetCounts) with its sum and
+// without decoding, prices into PackedSize, and decodes once, to the
+// counts it coded, however many goroutines ask at once (run it under
+// -race); a section framing one count short, one with a zero count and
+// one summing past relation.MaxBag are refused.
+func TestCountSectionAdoptedOnce(t *testing.T) {
+	const rows = DefaultChunkRows + 300 // two chunks
+	want, bag := make([]uint32, rows), 0
+	ids := make([]uint32, rows)
+	for i := range want {
+		want[i] = uint32(1 + i%7)
+		bag += int(want[i])
+		ids[i] = uint32(i % 5)
+	}
+	dict, err := relation.NewDictFromVals([]string{"a", "b", "c", "d", "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := EncodeCounts(want)
+	for name, bad := range map[string][]byte{
+		"short":    EncodeCounts(want[:rows-1]),
+		"zero":     EncodeCounts(append(append([]uint32(nil), want[:rows-1]...), 0)),
+		"overflow": EncodeCounts(append(append([]uint32(nil), want[:rows-1]...), relation.MaxBag)),
+		"trailing": append(append([]byte(nil), section...), 0),
+	} {
+		p, err := PackColumns([]*relation.Dict{dict}, [][]uint32{ids}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetCounts(bad); err == nil {
+			t.Errorf("%s count section adopted", name)
+		}
+	}
+	p, err := PackColumns([]*relation.Dict{dict}, [][]uint32{ids}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := p.PackedSize()
+	if err := p.SetCounts(section); err != nil {
+		t.Fatal(err)
+	}
+	if p.CountSum() != bag || p.counts != nil {
+		t.Fatalf("adopted sum %d (decoded %v), want %d undecoded", p.CountSum(), p.counts != nil, bag)
+	}
+	if got := p.PackedSize(); got != plain+int64(len(section)) {
+		t.Fatalf("PackedSize %d, want %d + the %d-byte section", got, plain, len(section))
+	}
+	var wg sync.WaitGroup
+	got := make([][]uint32, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = p.Counts()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !slices.Equal(got[g], want) || &got[g][0] != &got[0][0] {
+			t.Fatalf("goroutine %d decoded other counts, or its own copy", g)
 		}
 	}
 }
