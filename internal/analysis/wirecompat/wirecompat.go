@@ -18,8 +18,9 @@
 // its chunk payloads and dictionary sections, the row form
 // (WireRelation.Tuples, WireDelta.Inserts) and the dict+ID form
 // (WireRelation.Dicts) their values sections — so a layout change to
-// that codec (EncodeChunk, or the values section of EncodeDictSection /
-// DecodeDictSection, which moves the row and dict forms too) changes
+// that codec (EncodeChunk, or the values section AppendValues writes
+// and DecodeDict and DecodeDictSection read, which moves the row and
+// dict forms too) changes
 // what travels without touching any Wire* struct and must bump
 // WireVersion AND colstore.FormatVersion by hand — the codec's doc
 // comment restates this from its side.

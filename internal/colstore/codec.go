@@ -352,40 +352,38 @@ func checkChunk(payload []byte, rows, dictLen int) error {
 // and a packed column's dictionary are values sections, and so are the
 // wire's row form (remote.WireRelation.Tuples, row-major), each
 // dictionary of its dict+ID form (.Dicts) and a delta's inserts
-// (remote.WireDelta.Inserts). DecodeDictSection is the one reader of
-// all of them, so a layout change here moves the store format and
-// every wire form at once: bump FormatVersion and remote.WireVersion
-// together.
+// (remote.WireDelta.Inserts). DecodeDict reads the dictionaries and
+// DecodeDictSection the rows, over one framing check (sectionCount),
+// so a layout change here moves the store format and every wire form
+// at once: bump FormatVersion and remote.WireVersion together.
 
 // EncodeDictSection appends vals as one values section to dst.
 func EncodeDictSection(dst []byte, vals []string) []byte {
+	return AppendValues(dst, len(vals), func(k uint32) string { return vals[k] })
+}
+
+// AppendValues appends n values, the k-th val(k), as one values
+// section to dst: a dictionary's (relation.Dict.Val) or a renumbered
+// column's (relation.Renumber.Val) straight from where they live.
+func AppendValues(dst []byte, n int, val func(uint32) string) []byte {
 	size := 0
-	for _, v := range vals {
-		size += uvarintLen(len(v)) + len(v)
+	for k := range n {
+		l := len(val(uint32(k)))
+		size += uvarintLen(l) + l
 	}
-	dst = growSection(dst, len(vals), size)
-	for _, v := range vals {
-		dst = appendValue(dst, v)
+	dst = growSection(dst, n, size)
+	for k := range n {
+		dst = appendValue(dst, val(uint32(k)))
 	}
 	return dst
 }
 
-// EncodeDictSections encodes each of dicts as its own values section:
-// the wire's dict+ID form.
-func EncodeDictSections(dicts [][]string) [][]byte {
-	out := make([][]byte, len(dicts))
-	for j, d := range dicts {
-		out[j] = EncodeDictSection(nil, d)
-	}
-	return out
-}
-
-// DecodeDictSections decodes each section of EncodeDictSections.
-func DecodeDictSections(secs [][]byte) ([][]string, error) {
-	out := make([][]string, len(secs))
+// DecodeDicts decodes each section of a dict+ID form (DecodeDict).
+func DecodeDicts(secs [][]byte) ([]*relation.Dict, error) {
+	out := make([]*relation.Dict, len(secs))
 	for j, b := range secs {
 		var err error
-		if out[j], err = DecodeDictSection(b); err != nil {
+		if out[j], err = DecodeDict(b); err != nil {
 			return nil, fmt.Errorf("column %d: %w", j, err)
 		}
 	}
@@ -431,12 +429,9 @@ func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 // count larger than the bytes could hold, a truncated count or length,
 // a value running past the end and trailing bytes are each an error.
 func DecodeDictSection(b []byte) ([]string, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, fmt.Errorf("colstore: values section count truncated")
-	}
-	if n > uint64(len(b)-off) { // every value takes at least its length byte
-		return nil, fmt.Errorf("colstore: values section counts %d values in %d bytes", n, len(b)-off)
+	n, off, err := sectionCount(b)
+	if err != nil {
+		return nil, err
 	}
 	var vals []string
 	if n > 0 {
@@ -456,6 +451,51 @@ func DecodeDictSection(b []byte) ([]string, error) {
 		return nil, fmt.Errorf("colstore: %d trailing bytes in values section", len(b)-off)
 	}
 	return vals, nil
+}
+
+// DecodeDict parses one values section straight into a dictionary
+// whose IDs follow the section's order: each value is copied into the
+// dictionary's arena as it is read, which is sized once from the
+// section's length, so a section costs three allocations however many
+// values it holds and nothing keeps the section. It checks what
+// DecodeDictSection checks, and a repeated value is an error.
+func DecodeDict(b []byte) (*relation.Dict, error) {
+	n, off, err := sectionCount(b)
+	if err != nil {
+		return nil, err
+	}
+	// Every value takes at least its length byte, so the values' bytes
+	// are at most what is left less one a value.
+	d := relation.NewDictSized(int(n), len(b)-off-int(n))
+	for i := range int(n) {
+		l, k := binary.Uvarint(b[off:])
+		if k <= 0 || l > uint64(len(b)-off-k) {
+			return nil, fmt.Errorf("colstore: values section value %d truncated", i)
+		}
+		off += k
+		v := b[off : off+int(l)]
+		if id, added := d.Add(v); !added {
+			return nil, fmt.Errorf("colstore: values section value %q duplicated at ids %d and %d", v, id, i)
+		}
+		off += int(l)
+	}
+	if off != len(b) {
+		return nil, fmt.Errorf("colstore: %d trailing bytes in values section", len(b)-off)
+	}
+	return d, nil
+}
+
+// sectionCount reads a values section's count, checked against the
+// bytes after it, and returns where the values start.
+func sectionCount(b []byte) (n uint64, off int, err error) {
+	n, off = binary.Uvarint(b)
+	if off <= 0 {
+		return 0, 0, fmt.Errorf("colstore: values section count truncated")
+	}
+	if n > uint64(len(b)-off) { // every value takes at least its length byte
+		return 0, 0, fmt.Errorf("colstore: values section counts %d values in %d bytes", n, len(b)-off)
+	}
+	return n, off, nil
 }
 
 // DecodeRowSection parses a row section (EncodeRowSection) that holds

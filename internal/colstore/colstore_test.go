@@ -555,9 +555,10 @@ func TestNewPackedVerifiesForeignParts(t *testing.T) {
 	}
 }
 
-// TestDecodeDictSectionAllocsFlat pins the section decoder's cost: one
-// string for the section and one slice of values, at 10³ values as at
-// 10⁵, and every value a slice of that one string.
+// TestDecodeDictSectionAllocsFlat pins the section decoders' cost, at
+// 10³ values as at 10⁵: DecodeDictSection's one string for the section
+// and one slice of values, every value a slice of that one string, and
+// DecodeDict's dictionary, its arena and its one index array.
 func TestDecodeDictSectionAllocsFlat(t *testing.T) {
 	section := func(n int) []byte {
 		vals := make([]string, n)
@@ -574,6 +575,13 @@ func TestDecodeDictSectionAllocsFlat(t *testing.T) {
 			}
 		}); allocs != 2 {
 			t.Errorf("decoding %d values allocates %v times, want 2", n, allocs)
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			if _, err := DecodeDict(b); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 3 {
+			t.Errorf("decoding %d values into a dictionary allocates %v times, want 3", n, allocs)
 		}
 	}
 }

@@ -63,11 +63,8 @@ func (c *column) dictionary() (*relation.Dict, error) {
 				return
 			}
 		}
-		vals, err := DecodeDictSection(c.Dict)
-		if err == nil {
-			c.dict, err = relation.NewDictFromVals(vals)
-		}
-		if err != nil {
+		var err error
+		if c.dict, err = DecodeDict(c.Dict); err != nil {
 			c.dictErr = fmt.Errorf("colstore: %s: dictionary: %w", c.name, err)
 		}
 	})

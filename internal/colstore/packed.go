@@ -168,9 +168,7 @@ func (p *Packed) packColumn(j int, dict *relation.Dict, ids, w []uint32) error {
 	for k := range c.Chunks {
 		c.Chunks[k] = enc[s.offs[k]:s.offs[k+1]:s.offs[k+1]]
 	}
-	s.vals = s.Vals(s.vals)
-	c.Dict = EncodeDictSection(nil, s.vals)
-	clear(s.vals)
+	c.Dict = AppendValues(nil, s.Len(), s.Val)
 	raw, encoded := s.Sizes()
 	c.sizeOnce.Do(func() { c.raw, c.encoded = raw, encoded })
 	return nil
@@ -269,8 +267,7 @@ func (p *Packed) SetCounts(section []byte) error {
 }
 
 // scratch is what packing or pricing a column reuses: the renumbering,
-// one chunk's IDs, the column's encoded bytes, its chunk offsets and
-// compact values.
+// one chunk's IDs, the column's encoded bytes and its chunk offsets.
 // Pooled (scratches); putScratch resets it, so the pool pins no
 // dictionary or value.
 type scratch struct {
@@ -278,7 +275,6 @@ type scratch struct {
 	ids  []uint32
 	enc  []byte
 	offs []int
-	vals []string
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}

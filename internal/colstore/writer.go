@@ -239,7 +239,7 @@ func (w *Writer) assemble() (Stats, error) {
 	for _, d := range w.dicts {
 		sw.begin()
 		start = sw.off
-		db = EncodeDictSection(db[:0], d.Vals())
+		db = AppendValues(db[:0], d.Len(), d.Val)
 		if _, err := sw.Write(db); err != nil {
 			return Stats{}, err
 		}

@@ -2,7 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/bits"
+	"strings"
 	"testing"
 )
 
@@ -74,7 +76,7 @@ func TestChainKeepsRoot(t *testing.T) {
 		seen[cur] = true
 		for e := cur.parent; e != nil && !seen[e]; e = e.parent {
 			seen[e] = true
-			copied += len(e.vals)
+			copied += e.local()
 		}
 		b := cur
 		for b.parent != nil {
@@ -103,21 +105,52 @@ func TestChainKeepsRoot(t *testing.T) {
 	t.Logf("%d generations, %d values: %d copied into merged layers", gens, n, copied)
 }
 
-// FuzzDictChain runs a byte script of interns, commits and snapshot
-// captures against a growing dictionary and checks the chain contract:
-// IDs are dense in first-interned order, the depth never passes
-// maxChainDepth, and every captured generation still answers Len, Val
-// and Lookup as it did when captured, however later commits chained,
-// merged or flattened the layers below it. Per byte, b&7 picks:
+// fuzzVal is the value a FuzzDictChain op names by its argument a
+// (0..31) at script position i: the empty value, values of 0x00 and
+// 0xff bytes, values sharing prefixes, or a value fresh at i.
+func fuzzVal(i int, a byte) string {
+	k := int(a >> 3)
+	switch a % 8 {
+	case 0:
+		return ""
+	case 1:
+		return strings.Repeat("\x00", k+1)
+	case 2:
+		return "\xff" + strings.Repeat("\x00", k)
+	case 3:
+		return strings.Repeat("p", k+1)
+	case 4:
+		return fmt.Sprintf("pre%d\xff", k)
+	default:
+		return fmt.Sprintf("f%d", i)
+	}
+}
+
+// FuzzDictChain runs a byte script of interleaved ID, Add,
+// Lookup, Val and Chain calls, batched InternInserts commits and
+// snapshot captures against a map[string]uint32 oracle, over values
+// that are empty, share prefixes or hold 0x00 and 0xff bytes (fuzzVal).
+// It checks the chain contract: IDs are dense in first-interned order,
+// Lookup and Val agree with the oracle after every call, the depth
+// never passes maxChainDepth however many layers Chain merged, a
+// string Val returned reads the same however the arena grew after,
+// and every captured generation still answers Len, Val and Lookup as
+// it did when captured. A captured layer is frozen: ID chains over it
+// first. Per byte b, b&7 picks the op and b>>3 its argument a:
 //
-//	0,1  queue a fresh value
-//	2,3  queue the recurring value k<b>>3> (known after its first commit)
-//	4    commit the queue through InternInserts (chains only when needed)
-//	5    commit it through Chain and ID (always a new layer, even empty)
-//	6,7  capture the current generation
+//	0  ID(fuzzVal(a)) on the top layer
+//	1  Add(fuzzVal(a)): added exactly when the oracle lacks it
+//	2  Lookup(fuzzVal(a))
+//	3  Val of the ID a (mod the values interned), kept for the end
+//	4  Chain a fresh layer (past maxChainDepth it merges)
+//	5  queue fuzzVal(a) for the next commit
+//	6  commit the queue through InternInserts (chains only when needed)
+//	7  capture the current generation
 func FuzzDictChain(f *testing.F) {
-	f.Add([]byte{0, 4, 6, 0, 0, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6})
-	f.Add([]byte{0, 1, 2, 4, 6, 10, 0, 4, 6, 0, 0, 0, 5, 7, 18, 4, 5, 0, 4, 0, 5, 0, 4, 0, 5, 0, 4, 6})
+	f.Add([]byte{0, 7, 5 | 6<<3, 6, 7, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0 | 7<<3, 7})
+	f.Add([]byte{0, 1 << 3, 2 << 3, 3 << 3, 4 << 3, 12 << 3, 7, 4, 1 | 9<<3, 2, 2 | 10<<3, 3, 3 | 5<<3,
+		5, 5 | 1<<3, 5 | 14<<3, 6, 7, 4, 0 | 6<<3, 4, 0 | 7<<3, 4, 0 | 14<<3, 4, 0 | 15<<3, 4, 0 | 22<<3,
+		4, 0 | 23<<3, 4, 0 | 30<<3, 4, 0 | 31<<3, 7, 3 | 31<<3})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]
@@ -128,46 +161,124 @@ func FuzzDictChain(f *testing.F) {
 			pending []Tuple
 			snaps   []*Dict
 			lens    []int
+			taken   []string // Val results, vals[takenID[k]] when taken
+			takenID []uint32
+			frozen  bool
 		)
+		intern := func(i int, v string, id uint32) {
+			want, ok := idOf[v]
+			if !ok {
+				want = uint32(len(vals))
+				idOf[v] = want
+				vals = append(vals, v)
+			}
+			if id != want {
+				t.Fatalf("op %d: %q got id %d, want %d", i, v, id, want)
+			}
+		}
 		cur := NewDict()
 		for i, b := range script {
+			a := b >> 3
+			v := fuzzVal(i, a)
 			switch b & 7 {
-			case 0, 1:
-				pending = append(pending, Tuple{fmt.Sprintf("f%d", i)})
-			case 2, 3:
-				pending = append(pending, Tuple{fmt.Sprintf("k%d", b>>3)})
-			case 4, 5:
-				var ids []uint32
-				if b&7 == 4 {
-					cur, ids = cur.InternInserts(nil, pending, 0)
-				} else {
-					cur = Chain(cur)
-					for _, tu := range pending {
-						ids = append(ids, cur.ID(tu[0]))
+			case 0:
+				if frozen {
+					cur, frozen = Chain(cur), false
+				}
+				intern(i, v, cur.ID(v))
+			case 1:
+				if frozen {
+					cur, frozen = Chain(cur), false
+				}
+				_, had := idOf[v]
+				id, added := cur.Add([]byte(v))
+				if added == had {
+					t.Fatalf("op %d: Add(%q) added=%v, the oracle held it: %v", i, v, added, had)
+				}
+				intern(i, v, id)
+			case 2:
+				want, had := idOf[v]
+				if id, ok := cur.Lookup(v); ok != had || ok && id != want {
+					t.Fatalf("op %d: Lookup(%q) = %d,%v, want %d,%v", i, v, id, ok, want, had)
+				}
+			case 3:
+				if len(vals) > 0 {
+					id := uint32(int(a) % len(vals))
+					got := cur.Val(id)
+					if got != vals[id] {
+						t.Fatalf("op %d: Val(%d) = %q, want %q", i, id, got, vals[id])
 					}
+					taken, takenID = append(taken, got), append(takenID, id)
+				}
+			case 4:
+				cur, frozen = Chain(cur), false
+			case 5:
+				pending = append(pending, Tuple{v})
+			case 6:
+				next, ids := cur.InternInserts(nil, pending, 0)
+				if next != cur {
+					cur, frozen = next, false
 				}
 				for k, tu := range pending {
-					want, ok := idOf[tu[0]]
-					if !ok {
-						want = uint32(len(vals))
-						idOf[tu[0]] = want
-						vals = append(vals, tu[0])
-					}
-					if ids[k] != want {
-						t.Fatalf("op %d: %q got id %d, want %d", i, tu[0], ids[k], want)
-					}
+					intern(i, tu[0], ids[k])
 				}
 				pending = pending[:0]
-				if cur.depth > maxChainDepth {
-					t.Fatalf("op %d: depth %d past %d", i, cur.depth, maxChainDepth)
-				}
-			case 6, 7:
-				snaps, lens = append(snaps, cur), append(lens, len(vals))
+			case 7:
+				snaps, lens, frozen = append(snaps, cur), append(lens, len(vals)), true
+			}
+			if cur.depth > maxChainDepth {
+				t.Fatalf("op %d: depth %d past %d", i, cur.depth, maxChainDepth)
 			}
 		}
 		checkDictPrefix(t, "final", cur, vals, len(vals), 1)
 		for k, s := range snaps {
 			checkDictPrefix(t, fmt.Sprintf("snapshot %d", k), s, vals, lens[k], 1)
 		}
+		for k, v := range taken {
+			if v != vals[takenID[k]] {
+				t.Fatalf("a string Val returned for id %d now reads %q, want %q", takenID[k], v, vals[takenID[k]])
+			}
+		}
 	})
+}
+
+// TestDictLayout pins what the arena layout promises under any hash
+// seed: IDs follow insertion order however the table is laid out,
+// through every growth of a layer and a chain's merges; a string Val
+// returned before the arena grew reads the same after; and
+// NewDictFromVals refuses a repeated value.
+func TestDictLayout(t *testing.T) {
+	const n = 5000
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("%0*d", i%7, i) // lengths 0..6, shared prefixes
+	}
+	vals[0], vals[1] = "", "\x00\xff"
+	for range 8 {
+		d := newDict(maphash.MakeSeed(), 0, 0)
+		early := make([]string, 8)
+		for i, v := range vals {
+			if id := d.ID(v); int(id) != i {
+				t.Fatalf("value %d %q got id %d", i, v, id)
+			}
+			if i < len(early) {
+				early[i] = d.Val(uint32(i))
+			}
+			if i == n/2 {
+				d = Chain(d)
+				for range maxChainDepth + 2 {
+					d = Chain(d) // past maxChainDepth: the empty tops merge
+				}
+			}
+		}
+		for i, v := range early {
+			if v != vals[i] {
+				t.Fatalf("Val(%d) taken before the arena grew now reads %q, want %q", i, v, vals[i])
+			}
+		}
+		checkDictPrefix(t, "layout", d, vals, n, 1)
+	}
+	if _, err := NewDictFromVals([]string{"a", "", "b", ""}); err == nil {
+		t.Fatal("NewDictFromVals accepted a repeated value")
+	}
 }

@@ -135,7 +135,7 @@ func (e *Encoded) Column(i int) ([]uint32, *Dict) {
 			// form must recompact: not dense.
 			e.cols[i], e.dicts[i] = c, e.reader.ColumnDict(i)
 		} else {
-			d := NewDict()
+			d := NewDictSized(min(len(e.tuples), rowHintMax), 0)
 			c := make([]uint32, len(e.tuples))
 			for j, t := range e.tuples {
 				c[j] = d.ID(t[i])
@@ -184,29 +184,58 @@ func (e *Encoded) payloadSizes(w []uint32) (raw, encoded int64) {
 // holding exactly the values present, with the ID vector rewritten
 // accordingly. Columns already dense are passed through unchanged;
 // sparse (shared-dictionary) columns are renumbered here (Renumber),
-// the only place the deferred compaction is paid.
+// the only place the deferred compaction is paid. The values are
+// materialized as strings aliasing the dictionaries; the wire writes
+// them straight from there instead (CompactSections).
 func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
 	dicts = make([][]string, e.arity)
-	cols = make([][]uint32, e.arity)
+	cols = e.compact(func(i, n int, val func(uint32) string) {
+		dicts[i] = make([]string, n)
+		for k := range dicts[i] {
+			dicts[i][k] = val(uint32(k))
+		}
+	})
+	return dicts, cols
+}
+
+// CompactSections is CompactColumns with each column's compact
+// dictionary written by appendVals (colstore.AppendValues) as one
+// section of its n values, the k-th val(k): a dense column's straight
+// from its dictionary, a sparse one's from its renumbering, with no
+// list of the values built on the way.
+func (e *Encoded) CompactSections(appendVals func(dst []byte, n int, val func(uint32) string) []byte) (secs [][]byte, cols [][]uint32) {
+	secs = make([][]byte, e.arity)
+	cols = e.compact(func(i, n int, val func(uint32) string) {
+		secs[i] = appendVals(nil, n, val)
+	})
+	return secs, cols
+}
+
+// compact returns every column's compact IDs and hands dict its
+// compact dictionary as n values, the k-th val(k), valid during the
+// call.
+func (e *Encoded) compact(dict func(i, n int, val func(uint32) string)) [][]uint32 {
+	cols := make([][]uint32, e.arity)
 	rn := getRenumber()
 	defer putRenumber(rn)
 	for i := 0; i < e.arity; i++ {
-		col, dict := e.Column(i)
+		col, d := e.Column(i)
 		e.mu.RLock()
 		dense := e.dense[i]
 		e.mu.RUnlock()
 		if dense {
-			dicts[i], cols[i] = dict.Vals(), col
+			cols[i] = col
+			dict(i, d.Len(), d.Val)
 			continue
 		}
-		rn.Start(dict)
+		rn.Start(d)
 		cols[i] = make([]uint32, len(col))
 		if err := rn.Map(cols[i], col); err != nil {
 			panic(err)
 		}
-		dicts[i] = rn.Vals(nil)
+		dict(i, rn.Len(), rn.Val)
 	}
-	return dicts, cols
+	return cols
 }
 
 // Encoded returns the relation's columnar dictionary-encoded view,
@@ -265,15 +294,30 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 }
 
 // FromColumns builds a relation from per-column dictionaries and ID
-// vectors — the columnar wire form — installing the encoded view
-// directly, so a receiving site keeps working on the sender's
-// interning. The result is lazy: tuples materialize (sharing the
-// dictionary strings) only if something leaves ID space. The columns
+// vectors — the columnar wire form — as FromDicts does, each
+// dictionary given as its values in ID order.
+func FromColumns(s *Schema, dicts [][]string, cols [][]uint32, rows int) (*Relation, error) {
+	ds := make([]*Dict, len(dicts))
+	for j, vals := range dicts {
+		var err error
+		if ds[j], err = NewDictFromVals(vals); err != nil {
+			return nil, err
+		}
+	}
+	return FromDicts(s, ds, cols, rows)
+}
+
+// FromDicts builds a relation from per-column dictionaries and ID
+// vectors — the columnar wire form, each dictionary read straight from
+// its values section (colstore.DecodeDict) — installing the encoded
+// view directly, so a receiving site keeps working on the sender's
+// interning. The result is lazy: tuples materialize (aliasing the
+// dictionaries' values) only if something leaves ID space. The columns
 // are marked dense, so a relay ships the dictionaries as they came and
 // bills only the values present: a column with a dictionary value no
 // row uses (CompactColumns never emits one) is an error, as is an ID
 // outside its dictionary.
-func FromColumns(s *Schema, dicts [][]string, cols [][]uint32, rows int) (*Relation, error) {
+func FromDicts(s *Schema, dicts []*Dict, cols [][]uint32, rows int) (*Relation, error) {
 	arity := s.Arity()
 	if len(cols) != arity || len(dicts) != arity {
 		return nil, fmt.Errorf("relation: columnar payload has %d/%d columns, schema %s wants %d",
@@ -284,29 +328,26 @@ func FromColumns(s *Schema, dicts [][]string, cols [][]uint32, rows int) (*Relat
 		if len(cols[j]) != rows {
 			return nil, fmt.Errorf("relation: column %d has %d rows, header says %d", j, len(cols[j]), rows)
 		}
+		n := dicts[j].Len()
 		// One bit a dictionary value, allocated here rather than pooled:
 		// what a pool holds (and, under the race detector, drops at
 		// random) would make receiving allocate more or less from call to
 		// call (TestReceiveAllocsFlat).
-		seen, used := make([]uint64, (len(dicts[j])+63)/64), 0
+		seen, used := make([]uint64, (n+63)/64), 0
 		for i, id := range cols[j] {
-			if int(id) >= len(dicts[j]) {
+			if int(id) >= n {
 				return nil, fmt.Errorf("relation: column %d row %d: id %d outside dictionary of %d values",
-					j, i, id, len(dicts[j]))
+					j, i, id, n)
 			}
 			if w, b := &seen[id>>6], uint64(1)<<(id&63); *w&b == 0 {
 				*w |= b
 				used++
 			}
 		}
-		if used != len(dicts[j]) {
-			return nil, fmt.Errorf("relation: column %d uses %d of its dictionary's %d values", j, used, len(dicts[j]))
+		if used != n {
+			return nil, fmt.Errorf("relation: column %d uses %d of its dictionary's %d values", j, used, n)
 		}
-		d, err := NewDictFromVals(dicts[j])
-		if err != nil {
-			return nil, err
-		}
-		enc.cols[j], enc.dicts[j], enc.dense[j] = cols[j], d, true
+		enc.cols[j], enc.dicts[j], enc.dense[j] = cols[j], dicts[j], true
 	}
 	return out, nil
 }

@@ -3,7 +3,9 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -123,17 +125,23 @@ func TestConcat(t *testing.T) {
 // order with IDs that look up as their values, keep the first non-empty
 // part's IDs, leave every part's dictionary as it was, price its rows
 // as naiveSizes does and compact to a dict+ID form FromColumns adopts;
-// a part that fails to decode must fail the merge.
+// a part that fails to decode must fail the merge. A counted part
+// (header bit 5, on a row-backed, dict+ID, packed or overlay part)
+// holds its rows' distinct tuples with their multiplicities as counts:
+// the merge reads its distinct rows only (Merge ignores counts), and
+// holds the same tuples, up to duplicates, as a merge with the part's
+// expanded bag in its place.
 //
-// Script: one header byte a part, kind = h%8 and rows = (h>>3)%4, then
-// one byte a row (value v<b%9> in column a, w<b/9%4> in column b; a
-// source row index for an extract).
+// Script: one header byte a part, kind = h%8, rows = (h>>3)%4 and
+// counted = h>>5&1, then one byte a row (value v<b%9> in column a,
+// w<b/9%4> in column b; a source row index for an extract).
 func FuzzConcat(f *testing.F) {
 	f.Add([]byte{0x1a, 1, 2, 3, 0x09, 4, 5, 0x13, 6, 7, 0x1c, 8, 9, 10})
 	f.Add([]byte{0x10, 0x0a, 3, 0x0b, 2, 4})
 	f.Add([]byte{0x19, 0, 1, 2, 0x12, 5, 6, 0x0d, 7, 0x08, 9, 0x1b, 1, 1, 1})
 	f.Add([]byte{0x1e, 3, 20, 35, 0x17, 2, 11, 0x09, 8, 0x1f, 1, 5, 30})
 	f.Add([]byte{0x1f, 4, 5, 6, 0x1e, 7, 8, 9, 0x0b, 1})
+	f.Add([]byte{0x39, 1, 1, 2, 0x3b, 3, 3, 3, 0x14, 1, 2, 0x3c, 5, 14, 5, 0x3e, 0, 0, 9})
 	s := MustSchema("R", []string{"a", "b"})
 	src := MustFromRows(s, []string{"v0", "w0"}, []string{"v1", "w1"}, []string{"v2", "w0"},
 		[]string{"v3", "w2"}, []string{"v4", "w1"}, []string{"v0", "w3"})
@@ -158,8 +166,8 @@ func FuzzConcat(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		var parts []*Relation
-		broken := false
+		var parts, bags []*Relation
+		broken, anyCounted := false, false
 		for len(script) > 0 && len(parts) < 8 {
 			h := script[0]
 			n := min(int(h>>3)%4, len(script)-1)
@@ -170,6 +178,16 @@ func FuzzConcat(f *testing.F) {
 			for _, b := range body {
 				ts = append(ts, Tuple{fmt.Sprintf("v%d", b%9), fmt.Sprintf("w%d", b/9%4)})
 				idx = append(idx, int(b)%src.Len())
+			}
+			bag, err := FromTuples(s, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var counts []uint32
+			counted := h>>5&1 == 1 && len(ts) > 0 && slices.Contains([]byte{1, 3, 4, 6, 7}, h%8)
+			if counted {
+				ts, counts = distinctTuples(ts)
+				anyCounted = true
 			}
 			p, err := FromTuples(s, ts)
 			if err != nil {
@@ -201,16 +219,35 @@ func FuzzConcat(f *testing.F) {
 				copy(enc.cols, cols)
 				enc.dicts[0], enc.dicts[1] = d, d
 			}
+			if err == nil && counted {
+				err = p.SetCounts(counts)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts = append(parts, p)
+			if !counted {
+				bag = p
+			}
+			parts, bags = append(parts, p), append(bags, bag)
 		}
 		if len(parts) == 0 {
 			return
 		}
 		var m Merge
 		checkMerge(t, &m, parts, broken)
+		if anyCounted && !broken {
+			distinct, err := Concat(parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expanded, err := Concat(bags...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := tupleSet(distinct.Tuples()), tupleSet(expanded.Tuples()); !maps.Equal(a, b) {
+				t.Fatalf("a merge with counted parts holds %v; with their bags expanded, %v", a, b)
+			}
+		}
 		rest, restBroken := parts[1:], false
 		for _, p := range rest {
 			if br, ok := p.BackingReader().(packedRows); ok && br.fail && p.Len() > 0 {
@@ -222,6 +259,34 @@ func FuzzConcat(f *testing.F) {
 		}
 		m.Shrink()
 	})
+}
+
+// distinctTuples returns ts's distinct tuples in first-occurrence
+// order and how often each occurs: the count column a store site ships
+// a σ-block with.
+func distinctTuples(ts []Tuple) ([]Tuple, []uint32) {
+	var out []Tuple
+	var counts []uint32
+	at := map[string]int{}
+	for _, tu := range ts {
+		k := strings.Join(tu, "\x00")
+		i, ok := at[k]
+		if !ok {
+			i, at[k] = len(out), len(out)
+			out, counts = append(out, tu), append(counts, 0)
+		}
+		counts[i]++
+	}
+	return out, counts
+}
+
+// tupleSet is the set of ts's tuples, each keyed by its values.
+func tupleSet(ts []Tuple) map[string]bool {
+	set := map[string]bool{}
+	for _, tu := range ts {
+		set[strings.Join(tu, "\x00")] = true
+	}
+	return set
 }
 
 // naiveSizes prices r in the row and dict+ID forms the obvious way,

@@ -17,7 +17,7 @@ const tableMax = 1 << 20
 // IDs over a source dictionary onto dense first-occurrence IDs — the
 // order Encoded assigns building a column, which keeps packed and
 // dict+ID blocks byte-comparable — and counts each, so the same pass
-// yields the compact dictionary (Vals) and the column's price in the
+// yields the compact dictionary (Len, Val) and the column's price in the
 // row and dict+ID wire forms (Sizes); or, in the same pass, onto
 // another dictionary's IDs, looked up once a distinct value
 // (Translate). A dictionary is injective, so no value is hashed twice.
@@ -189,14 +189,11 @@ func (rn *Renumber) Weigh(dst, w []uint32) {
 	}
 }
 
-// Vals returns the compact dictionary, in dst's storage if it has room.
-func (rn *Renumber) Vals(dst []string) []string {
-	dst = sized(dst, len(rn.srcs))
-	for k, s := range rn.srcs {
-		dst[k] = rn.src.Val(s)
-	}
-	return dst
-}
+// Len returns the number of values the compact dictionary holds.
+func (rn *Renumber) Len() int { return len(rn.srcs) }
+
+// Val returns the compact dictionary's value k.
+func (rn *Renumber) Val(k uint32) string { return rn.src.Val(rn.srcs[k]) }
 
 // Sizes prices the column mapped since Start as Encoded.PayloadSizes
 // does: raw is every row's value length plus one separator byte,

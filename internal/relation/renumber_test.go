@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 )
 
@@ -47,8 +46,8 @@ func TestRenumberResetJudgesHighWater(t *testing.T) {
 		t.Fatal("an ID past the dictionary was mapped")
 	}
 	rn.Start(small)
-	if err := rn.Map(ids[:2], []uint32{1, 1}); err != nil || !slices.Equal(rn.Vals(nil), []string{"y"}) {
-		t.Fatalf("small column after the huge one: %v, %v", rn.Vals(nil), err)
+	if err := rn.Map(ids[:2], []uint32{1, 1}); err != nil || rn.Len() != 1 || rn.Val(0) != "y" {
+		t.Fatalf("small column after the huge one: %d values, %v", rn.Len(), err)
 	}
 	rn.Reset()
 	if rn.m != nil || rn.srcs != nil || rn.counts != nil || rn.src != nil {

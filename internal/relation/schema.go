@@ -7,7 +7,10 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Null is the distinguished value used to pad attributes outside the X
@@ -55,6 +58,39 @@ func NewSchema(name string, attrs []string, key ...string) (*Schema, error) {
 		index: idx,
 		key:   append([]string(nil), key...),
 	}, nil
+}
+
+// schemaSlots bounds the schemas InternSchema keeps.
+const schemaSlots = 64
+
+// schemas is InternSchema's cache: one schema a slot, the slot a hash
+// of its name, attributes and key picks.
+var schemas [schemaSlots]atomic.Pointer[Schema]
+
+// InternSchema is NewSchema for a schema that recurs — each relation a
+// site or the driver receives names one of a few. When name,
+// attributes and key repeat a schema it returned before, it returns
+// that schema again without allocating. It keeps at most schemaSlots
+// schemas, one a slot of a hash of the three, and a new schema takes
+// its slot over from what the slot held, so a peer sending ever-new
+// names cannot grow it. Safe for concurrent use.
+func InternSchema(name string, attrs []string, key ...string) (*Schema, error) {
+	h := maphash.String(dictSeed, name)
+	for _, a := range attrs {
+		h = h*31 + maphash.String(dictSeed, a)
+	}
+	for _, k := range key {
+		h = h*37 + maphash.String(dictSeed, k)
+	}
+	slot := &schemas[h%schemaSlots]
+	if s := slot.Load(); s != nil && s.name == name && slices.Equal(s.attrs, attrs) && slices.Equal(s.key, key) {
+		return s, nil
+	}
+	s, err := NewSchema(name, attrs, key...)
+	if err == nil {
+		slot.Store(s)
+	}
+	return s, err
 }
 
 // MustSchema is NewSchema that panics on error; for tests and literals.

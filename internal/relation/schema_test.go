@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -124,5 +126,59 @@ func TestSchemaString(t *testing.T) {
 		if o.String() == str {
 			t.Errorf("%q renders a different schema too", str)
 		}
+	}
+}
+
+// TestInternSchema pins the schema reuse every received relation goes
+// through: a repeated name, attribute list and key return the schema
+// built the first time without allocating, any difference builds
+// another, a rejected schema is an error as NewSchema's, and a shape
+// whose slot ever-new names took over is built afresh, equal to the
+// first (the cache is a fixed array of schemaSlots).
+func TestInternSchema(t *testing.T) {
+	attrs := []string{"a", "b", "c"}
+	s, err := InternSchema("R", attrs, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := InternSchema("R", slices.Clone(attrs), "a")
+	if err != nil || again != s {
+		t.Fatalf("a repeated shape built another schema (%p, %p, %v)", s, again, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = InternSchema("R", attrs, "a") }); allocs != 0 {
+		t.Fatalf("a repeated shape allocates %v times", allocs)
+	}
+	for _, other := range []func() (*Schema, error){
+		func() (*Schema, error) { return InternSchema("S", attrs, "a") },
+		func() (*Schema, error) { return InternSchema("R", attrs[:2], "a") },
+		func() (*Schema, error) { return InternSchema("R", attrs, "b") },
+		func() (*Schema, error) { return InternSchema("R", attrs) },
+	} {
+		o, err := other()
+		if err != nil || o == s || o.String() == s.String() {
+			t.Fatalf("another shape came back as %v (%v)", o, err)
+		}
+	}
+	if _, err := InternSchema("R", []string{"a", "a"}); err == nil {
+		t.Fatal("a duplicate attribute was accepted")
+	}
+	// More shapes than slots, differing in the key alone: some land in a
+	// slot another of them holds, and must still come back keyed right.
+	keyed := make([]string, 2*schemaSlots)
+	for i := range keyed {
+		keyed[i] = fmt.Sprint("k", i)
+	}
+	for _, k := range keyed {
+		if s, err := InternSchema("K", keyed, k); err != nil || !slices.Equal(s.Key(), []string{k}) {
+			t.Fatalf("shape keyed %s came back as %v (%v)", k, s, err)
+		}
+	}
+	for i := range 10 * schemaSlots {
+		if _, err := InternSchema(fmt.Sprint("N", i), attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if back, err := InternSchema("R", attrs, "a"); err != nil || back.String() != s.String() {
+		t.Fatalf("after %d other shapes R came back as %v (%v)", 10*schemaSlots, back, err)
 	}
 }

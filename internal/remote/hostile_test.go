@@ -213,9 +213,8 @@ func asDicts(w *WireRelation) {
 	if err != nil {
 		panic(err)
 	}
-	dicts, cols := rel.Encoded().CompactColumns()
-	w.Packed, w.Tuples, w.Cols, w.Rows = nil, nil, cols, rel.Len()
-	w.Dicts = colstore.EncodeDictSections(dicts)
+	w.Packed, w.Tuples, w.Rows = nil, nil, rel.Len()
+	w.Dicts, w.Cols = rel.Encoded().CompactSections(colstore.AppendValues)
 }
 
 // TestHostilePackedDepositRejected drives each crasher through a live

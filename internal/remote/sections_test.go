@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -38,6 +39,10 @@ func gobTrip(t testing.TB, w *WireRelation) *WireRelation {
 // comes back tuple for tuple from ToWire → gob → FromWire in the form
 // ToWire picks, and from FromWire in both forms forced; and the input
 // read as raw section bytes never panics FromWire or DeltaFromWire.
+// Read as one values section, it never makes colstore.DecodeDict — the
+// parse straight into a dictionary's arena — allocate past
+// decodeDictBytesPerByte times its length plus decodeDictSlack bytes,
+// whatever count it claims.
 func FuzzWireSections(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(2), []byte("\x01a\x00\x01\x1f\x02\xff\xfe\x01a"))
@@ -70,7 +75,54 @@ func FuzzWireSections(f *testing.F) {
 		_, _ = FromWire(&WireRelation{Name: "S", Attrs: attrs[:1], Dicts: [][]byte{data},
 			Cols: [][]uint32{{0, uint32(arity)}}, Rows: 2})
 		_, _ = DeltaFromWire(WireDelta{Inserts: data, Rows: int(arity)})
+		grew := uint64(math.MaxUint64) // the least of three: the fuzzer's own goroutines allocate too
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _ = colstore.DecodeDict(data)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if bound := decodeDictBytesPerByte*uint64(len(data)) + decodeDictSlack; grew > bound {
+			t.Fatalf("DecodeDict of %d bytes allocated %d, past %d", len(data), grew, bound)
+		}
 	})
+}
+
+// A values section of L bytes holds at most L values of at most L bytes
+// in all: the arena takes at most L, the table and offsets at most 24 B
+// a value (a table of under four slots a value, offsets for half the
+// table). decodeDictSlack covers the dictionary itself and what else
+// the process allocates beside it.
+const (
+	decodeDictBytesPerByte = 32
+	decodeDictSlack        = 4096
+)
+
+// TestFromWireReusesSchema pins that receiving a shape again allocates
+// no schema: two payloads of one name, attribute list and key, each
+// decoded from its own gob stream, rebuild relations that share one
+// schema, and a third of another shape does not.
+func TestFromWireReusesSchema(t *testing.T) {
+	rel := relation.MustFromRows(relation.MustSchema("B", []string{"a", "b"}, "a"), []string{"x", "y"}, []string{"z", "y"})
+	first, err := FromWire(gobTrip(t, ToWire(rel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := FromWire(gobTrip(t, ToWire(rel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Schema() != second.Schema() {
+		t.Fatal("the second receipt of a shape built another schema")
+	}
+	other, err := FromWire(gobTrip(t, ToWire(relation.MustFromRows(relation.MustSchema("B", []string{"a", "c"}), []string{"x", "y"}))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Schema() == first.Schema() || other.Schema().String() != "B(a, c)" {
+		t.Fatalf("another shape came back under %v", other.Schema())
+	}
 }
 
 // TestReceiveAllocsFlat pins what receiving a payload allocates — gob

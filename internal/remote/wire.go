@@ -37,8 +37,8 @@ const serviceName = "SiteV14"
 // (Packed); none at all is zero rows. dist.ChooseWireForm picks
 // whichever models smallest on the wire and dist.RelationBytes charges
 // that size, so the shipment metrics match the shipped bytes. Values
-// travel in colstore values sections, each decoded in two allocations
-// however many values it holds (colstore.DecodeDictSection).
+// travel in colstore values sections, each decoded in a fixed number of
+// allocations however many values it holds.
 type WireRelation struct {
 	Name  string
 	Attrs []string
@@ -96,8 +96,7 @@ func ToWire(r *relation.Relation) *WireRelation {
 		w.Counts = colstore.EncodeCounts(r.Counts())
 	}
 	if w.Rows = r.Len(); form == dist.ColumnForm {
-		dicts, cols := r.Encoded().CompactColumns()
-		w.Dicts, w.Cols = colstore.EncodeDictSections(dicts), cols
+		w.Dicts, w.Cols = r.Encoded().CompactSections(colstore.AppendValues)
 	} else if w.Rows > 0 {
 		w.Tuples = colstore.EncodeRowSection(nil, r.Tuples())
 	}
@@ -125,17 +124,18 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 // handlers net/rpc does not recover — so every form is verified here,
 // once: the packed form by colstore.NewPacked (dictionary sections,
 // chunk structure, every ID inside its dictionary), the values
-// sections by colstore.DecodeDictSection, the dict+ID form's IDs and
-// dictionaries by relation.FromColumns, the row form's arity by
+// sections by colstore.DecodeDictSection and DecodeDict, the dict+ID
+// form's IDs by relation.FromDicts, the row form's arity by
 // relation.FromTuples, a count column by colstore.DecodeCounts (a
 // nonzero count a row, their sum at most relation.MaxBag). A payload
 // setting more than one form, or a malformed one, is a plain,
-// non-transient error.
+// non-transient error. A shape received before reuses its schema
+// (relation.InternSchema).
 func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w == nil {
 		return nil, nil
 	}
-	schema, err := relation.NewSchema(w.Name, w.Attrs, w.Key...)
+	schema, err := relation.InternSchema(w.Name, w.Attrs, w.Key...)
 	if err != nil {
 		return nil, fmt.Errorf("remote: rebuilding schema: %w", err)
 	}
@@ -161,9 +161,9 @@ func FromWire(w *WireRelation) (*relation.Relation, error) {
 		// The receiver adopts the shipped dictionaries as the
 		// relation's encoded view: the sender's interning survives the
 		// hop and the coordinator's check never re-hashes the values.
-		var dicts [][]string
-		if dicts, err = colstore.DecodeDictSections(w.Dicts); err == nil {
-			rel, err = relation.FromColumns(schema, dicts, w.Cols, w.Rows)
+		var dicts []*relation.Dict
+		if dicts, err = colstore.DecodeDicts(w.Dicts); err == nil {
+			rel, err = relation.FromDicts(schema, dicts, w.Cols, w.Rows)
 		}
 	default:
 		var ts []relation.Tuple

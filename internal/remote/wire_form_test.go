@@ -209,12 +209,12 @@ func emittedBytes(t *testing.T, w *WireRelation) int64 {
 		}
 		return n
 	case dist.ColumnForm:
-		dicts, err := colstore.DecodeDictSections(w.Dicts)
+		dicts, err := colstore.DecodeDicts(w.Dicts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, d := range dicts {
-			for _, v := range d {
+			for _, v := range d.Vals() {
 				n += int64(len(v)) + 1
 			}
 			n += 4 * int64(len(w.Cols[j]))
@@ -268,8 +268,9 @@ func TestRelayBillsWhatShips(t *testing.T) {
 		t.Errorf("relays shipped forms %v, want all three", seen)
 	}
 	w := ToWire(uniqueRelation(3))
-	w.Tuples, w.Dicts, w.Cols = nil, colstore.EncodeDictSections([][]string{{"a0", "a1", "a2", "spare"}, {"b0", "b1", "b2"}}),
-		[][]uint32{{0, 1, 2}, {0, 1, 2}}
+	w.Tuples, w.Cols = nil, [][]uint32{{0, 1, 2}, {0, 1, 2}}
+	w.Dicts = [][]byte{colstore.EncodeDictSection(nil, []string{"a0", "a1", "a2", "spare"}),
+		colstore.EncodeDictSection(nil, []string{"b0", "b1", "b2"})}
 	if _, err := FromWire(w); err == nil {
 		t.Error("a dict+ID payload with a value no row uses was adopted")
 	}
