@@ -65,12 +65,6 @@ const mergeRatio = 2
 // values before it first grows.
 const minTable = 8
 
-// rowHintMax caps the values a layer is sized for from a row count —
-// an upper bound on the values it will hold, exact for a column of
-// distinct values (a row-form shipment) but far off for a column of a
-// few: past it the layer grows as it fills.
-const rowHintMax = 1 << 16
-
 // dictSeed is the hash seed of every chain a process builds.
 var dictSeed = maphash.MakeSeed()
 
@@ -127,27 +121,23 @@ func NewDictFromVals(vals []string) (*Dict, error) {
 // into one fresh layer (see merge), so lookups never degrade past
 // maxChainDepth layers and the root is copied only once the overlays
 // outgrow it.
-func Chain(parent *Dict) *Dict { return chainSized(parent, 0, 0) }
-
-// chainSized is Chain with the overlay sized for n values of size
-// bytes.
-func chainSized(parent *Dict, n, size int) *Dict {
+func Chain(parent *Dict) *Dict {
 	if parent.depth+1 > maxChainDepth {
 		parent = parent.merge()
 	}
-	return overlay(parent, n, size)
+	return overlay(parent)
 }
 
-// overlay returns a fresh layer over parent, sized for n values of
-// size bytes — a fresh root when parent is nil — without Chain's depth
-// merge. Merge uses it for the values a merge's base dictionary lacks:
-// the overlay lives one call, so merging a deep chain's top layers
-// first would copy them on every merge for nothing.
-func overlay(parent *Dict, n, size int) *Dict {
+// overlay returns a fresh layer over parent — a fresh root when parent
+// is nil — without Chain's depth merge. Merge uses it for the values
+// a merge's base dictionary lacks: the overlay lives one call, so
+// merging a deep chain's top layers first would copy them on every
+// merge for nothing.
+func overlay(parent *Dict) *Dict {
 	if parent == nil {
-		return NewDictSized(n, size)
+		return NewDict()
 	}
-	d := newDict(parent.seed, n, size)
+	d := newDict(parent.seed, 0, 0)
 	d.parent, d.base, d.depth = parent, uint32(parent.Len()), parent.depth+1
 	return d
 }
@@ -357,27 +347,22 @@ func (d *Dict) Vals() []string {
 // InternInserts is the one rule for growing a built column's
 // dictionary under a delta. d is frozen — readers of the previous
 // generation share it — so a value it already holds reuses its ID, and
-// the first unseen value chains a fresh overlay over d (see Chain),
-// sized for the inserts still to come, that interns it and every later
-// one. Column col of ins is appended to ids; the dictionary returned is
-// what the column reads through from now on: d itself when the inserts
-// brought nothing new, so a stream of deltas over known values never
-// deepens the chain. The dictionary copies what it takes in, so it
-// never keeps a string of the inserts (which may share one wire
-// section).
+// the first unseen value chains a fresh overlay over d (see Chain)
+// that interns it and every later one, growing as it fills. Column col
+// of ins is appended to ids; the dictionary returned is what the
+// column reads through from now on: d itself when the inserts brought
+// nothing new, so a stream of deltas over known values never deepens
+// the chain. The dictionary copies what it takes in, so it never keeps
+// a string of the inserts (which may share one wire section).
 func (d *Dict) InternInserts(ids []uint32, ins []Tuple, col int) (*Dict, []uint32) {
 	cur := d
-	for i, t := range ins {
+	for _, t := range ins {
 		v := t[col]
 		h := cur.hash(v)
 		id, ok := cur.lookup(v, h)
 		if !ok {
 			if cur == d {
-				size := 0
-				for _, r := range ins[i:] {
-					size += len(r[col])
-				}
-				cur = chainSized(d, len(ins)-i, size)
+				cur = Chain(d)
 			}
 			id = cur.add(v, h)
 		}

@@ -282,3 +282,49 @@ func TestDictLayout(t *testing.T) {
 		t.Fatal("NewDictFromVals accepted a repeated value")
 	}
 }
+
+// TestRowBuiltLayersStaySmall pins that a layer built from rows is
+// sized by the values it holds, not by the rows: one new value over
+// 2¹⁷ rows — a column encoded from rows, a row-backed part merged over
+// an encoded one, a delta's inserts — leaves a layer of minimal size,
+// since the column reads through it from then on.
+func TestRowBuiltLayersStaySmall(t *testing.T) {
+	s, err := NewSchema("R", []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Tuple, 1<<17)
+	for i := range rows {
+		rows[i] = Tuple{"a"}
+	}
+	rows[0] = Tuple{"new"}
+	small := func(label string, d *Dict, values int) {
+		t.Helper()
+		if d.local() != values || len(d.table) > minTable || cap(d.arena) > 64 {
+			t.Fatalf("%s: layer of %d values keeps a %d-slot table and a %d-byte arena",
+				label, d.local(), len(d.table), cap(d.arena))
+		}
+	}
+	r, err := FromTuples(s, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d := r.Encoded().Column(0)
+	small("column encoded from rows", d, 2)
+
+	base := MustFromRows(s, []string{"a"})
+	base.Encoded().Column(0)
+	if r, err = FromTuples(s, rows); err != nil { // not yet encoded
+		t.Fatal(err)
+	}
+	out, err := Concat(base, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, d = out.Encoded().Column(0)
+	small("merged row-backed part", d, 1)
+
+	_, root := base.Encoded().Column(0)
+	d, _ = root.InternInserts(nil, rows, 0)
+	small("delta's inserts", d, 1)
+}

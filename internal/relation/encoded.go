@@ -135,7 +135,7 @@ func (e *Encoded) Column(i int) ([]uint32, *Dict) {
 			// form must recompact: not dense.
 			e.cols[i], e.dicts[i] = c, e.reader.ColumnDict(i)
 		} else {
-			d := NewDictSized(min(len(e.tuples), rowHintMax), 0)
+			d := NewDict()
 			c := make([]uint32, len(e.tuples))
 			for j, t := range e.tuples {
 				c[j] = d.ID(t[i])
@@ -180,42 +180,29 @@ func (e *Encoded) payloadSizes(w []uint32) (raw, encoded int64) {
 	return raw, encoded
 }
 
-// CompactColumns returns the wire form of every column: a dictionary
-// holding exactly the values present, with the ID vector rewritten
-// accordingly. Columns already dense are passed through unchanged;
-// sparse (shared-dictionary) columns are renumbered here (Renumber),
-// the only place the deferred compaction is paid. The values are
-// materialized as strings aliasing the dictionaries; the wire writes
-// them straight from there instead (CompactSections).
+// CompactColumns is Compact with each compact dictionary materialized
+// as its values, strings aliasing the dictionaries.
 func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
-	dicts = make([][]string, e.arity)
-	cols = e.compact(func(i, n int, val func(uint32) string) {
-		dicts[i] = make([]string, n)
-		for k := range dicts[i] {
-			dicts[i][k] = val(uint32(k))
+	return Compact(e, func(n int, val func(uint32) string) []string {
+		vals := make([]string, n)
+		for k := range vals {
+			vals[k] = val(uint32(k))
 		}
+		return vals
 	})
-	return dicts, cols
 }
 
-// CompactSections is CompactColumns with each column's compact
-// dictionary written by appendVals (colstore.AppendValues) as one
-// section of its n values, the k-th val(k): a dense column's straight
-// from its dictionary, a sparse one's from its renumbering, with no
-// list of the values built on the way.
-func (e *Encoded) CompactSections(appendVals func(dst []byte, n int, val func(uint32) string) []byte) (secs [][]byte, cols [][]uint32) {
-	secs = make([][]byte, e.arity)
-	cols = e.compact(func(i, n int, val func(uint32) string) {
-		secs[i] = appendVals(nil, n, val)
-	})
-	return secs, cols
-}
-
-// compact returns every column's compact IDs and hands dict its
-// compact dictionary as n values, the k-th val(k), valid during the
-// call.
-func (e *Encoded) compact(dict func(i, n int, val func(uint32) string)) [][]uint32 {
-	cols := make([][]uint32, e.arity)
+// Compact returns the wire form of every column of e: its IDs over a
+// dictionary holding exactly the values present, and what dict makes
+// of that dictionary, handed to it as n values, the k-th val(k), valid
+// during the call. Columns already dense are passed through unchanged,
+// their values read straight from their dictionaries; sparse
+// (shared-dictionary) columns are renumbered here (Renumber), the only
+// place the deferred compaction is paid, their values read from the
+// renumbering. So a values section (colstore.AppendValues) is written
+// with no list of the values built on the way.
+func Compact[D any](e *Encoded, dict func(n int, val func(uint32) string) D) (dicts []D, cols [][]uint32) {
+	dicts, cols = make([]D, e.arity), make([][]uint32, e.arity)
 	rn := getRenumber()
 	defer putRenumber(rn)
 	for i := 0; i < e.arity; i++ {
@@ -224,8 +211,7 @@ func (e *Encoded) compact(dict func(i, n int, val func(uint32) string)) [][]uint
 		dense := e.dense[i]
 		e.mu.RUnlock()
 		if dense {
-			cols[i] = col
-			dict(i, d.Len(), d.Val)
+			cols[i], dicts[i] = col, dict(d.Len(), d.Val)
 			continue
 		}
 		rn.Start(d)
@@ -233,9 +219,9 @@ func (e *Encoded) compact(dict func(i, n int, val func(uint32) string)) [][]uint
 		if err := rn.Map(cols[i], col); err != nil {
 			panic(err)
 		}
-		dict(i, rn.Len(), rn.Val)
+		dicts[i] = dict(rn.Len(), rn.Val)
 	}
-	return cols
+	return dicts, cols
 }
 
 // Encoded returns the relation's columnar dictionary-encoded view,

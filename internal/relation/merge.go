@@ -178,20 +178,16 @@ func (m *Merge) Scratch(n int) []uint32 {
 // value it lacks turned up.
 func (m *Merge) column(j int, col []uint32, off int, base *Dict, parts []*Relation) (*Dict, error) {
 	d := base // what col reads through
-	// hint sizes an overlay made in a row-backed part for the rows left:
-	// rows ship as rows when their values are mostly distinct, so most
-	// of them miss the base. An encoded part's misses are unknown.
-	hint := 0
 	intern := func(v string) uint32 {
 		if d == nil {
-			d = NewDictSized(hint, 0)
+			d = NewDict()
 		}
 		h := d.hash(v) // an overlay hashes under its parent's seed
 		if id, ok := d.lookup(v, h); ok {
 			return id
 		}
 		if d == base {
-			d = overlay(base, hint, 0)
+			d = overlay(base)
 		}
 		return d.add(v, h)
 	}
@@ -203,11 +199,9 @@ func (m *Merge) column(j int, col []uint32, off int, base *Dict, parts []*Relati
 		win := col[off : off+n]
 		off += n
 		if p.lazy == nil && p.enc.Load() == nil {
-			hint = min(len(col)-off+n, rowHintMax)
 			for i, t := range p.tuples {
 				win[i] = intern(t[j])
 			}
-			hint = 0
 			continue
 		}
 		var src []uint32

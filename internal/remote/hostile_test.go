@@ -214,7 +214,7 @@ func asDicts(w *WireRelation) {
 		panic(err)
 	}
 	w.Packed, w.Tuples, w.Rows = nil, nil, rel.Len()
-	w.Dicts, w.Cols = rel.Encoded().CompactSections(colstore.AppendValues)
+	w.Dicts, w.Cols = relation.Compact(rel.Encoded(), func(n int, val func(uint32) string) []byte { return colstore.AppendValues(nil, n, val) })
 }
 
 // TestHostilePackedDepositRejected drives each crasher through a live

@@ -30,7 +30,7 @@ import (
 //	go test ./internal/remote -run '^$' -bench MemDetectRPC -benchtime 40x -memprofile mem.out -memprofilerate 65536 -o remote.test
 //	go tool pprof -sample_index=alloc_space -top remote.test mem.out
 //
-// and the same with -bench StoreIncrementalRPC -benchtime 300x.
+// and the same with -bench StoreIncrementalRPC -benchtime 1000x.
 
 // BenchmarkMemDetectRPC is multi-mem-tcp: one compiled PatDetectRT
 // Detect, with as many workers as GOMAXPROCS, over four in-memory sites

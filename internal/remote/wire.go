@@ -96,7 +96,7 @@ func ToWire(r *relation.Relation) *WireRelation {
 		w.Counts = colstore.EncodeCounts(r.Counts())
 	}
 	if w.Rows = r.Len(); form == dist.ColumnForm {
-		w.Dicts, w.Cols = r.Encoded().CompactSections(colstore.AppendValues)
+		w.Dicts, w.Cols = relation.Compact(r.Encoded(), func(n int, val func(uint32) string) []byte { return colstore.AppendValues(nil, n, val) })
 	} else if w.Rows > 0 {
 		w.Tuples = colstore.EncodeRowSection(nil, r.Tuples())
 	}
