@@ -169,7 +169,7 @@ loc:
 # its own result in the same commit, so the target can only be
 # approached. The total non-test count outside bench/ is printed beside
 # it for the record; it is not gated.
-LOC_CEILING = 6816
+LOC_CEILING = 6805
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
 		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } $$2 == "total" { t = $$1 } \

@@ -168,16 +168,16 @@ func (g *Gather) Column(c int, wins [][]uint32) error {
 // block Whole reports is left out, nil, for the caller to ship the
 // base's own columns (Fragment.PackBase).
 //
-// With group, a block ships as its distinct rows over cols, in
-// first-occurrence order, plus a count column (Packed.Counts), priced
-// with every row weighed by its count — the prices of the block's rows.
-// Each gathered column is folded into the block's running group IDs
-// (relation.Fold), recording every composite the fold interns fresh,
-// so the distinct rows are rebuilt from the records without keeping a
-// column. A block whose rows are all distinct by some column packs the
-// columns after it straight from the buffer, and ships as its rows,
-// byte for byte, with no count column: what it ships without group.
-func (g *Gather) Pack(cols []int, dict func(c int) (*relation.Dict, error), scratch func(n int) []uint32, group bool) ([]*Packed, error) {
+// A block ships as its distinct rows over cols, in first-occurrence
+// order, plus a count column (Packed.Counts), priced with every row
+// weighed by its count — the prices of the block's rows. Each gathered
+// column is folded into the block's running group IDs (relation.Fold),
+// recording every composite the fold interns fresh, so the distinct
+// rows are rebuilt from the records without keeping a column. A block
+// whose rows are all distinct by some column packs the columns after it
+// straight from the buffer, and ships as its rows, byte for byte, with
+// no count column.
+func (g *Gather) Pack(cols []int, dict func(c int) (*relation.Dict, error), scratch func(n int) []uint32) ([]*Packed, error) {
 	nb := len(g.refs)
 	packs, skip := make([]*Packed, nb), make([]bool, nb)
 	for b, cloned := 0, false; b < nb; b++ {
@@ -188,31 +188,24 @@ func (g *Gather) Pack(cols []int, dict func(c int) (*relation.Dict, error), scra
 			g.refs[b] = nil
 		}
 	}
-	// One column of the batch (wins) and, grouping, every block's group
-	// IDs (gids) and the longest block's IDs before a fold (prev).
+	// One column of the batch (wins), every block's group IDs (gids)
+	// and the longest block's IDs before a fold (prev).
 	n, longest := 0, 0
 	for _, r := range g.refs {
 		n, longest = n+len(r), max(longest, len(r))
 	}
-	need := n
-	if group {
-		need = 2*n + longest
-	}
-	buf := scratch(need)
-	wins, gids, prev := make([][]uint32, nb), make([][]uint32, nb), buf[n:]
+	buf := scratch(2*n + longest)
+	wins, gids, prev := make([][]uint32, nb), make([][]uint32, nb), buf[2*n:]
 	st := getGroupScratch(nb, len(cols))
 	defer putGroupScratch(st)
 	for b, off := 0, 0; b < nb; b++ {
 		k := len(g.refs[b])
 		wins[b], st.num[b] = buf[off:off+k:off+k], k
-		if group && k > 0 {
+		if k > 0 {
 			gids[b], st.num[b] = buf[n+off:n+off+k:n+off+k], 1
 			clear(gids[b])
 		}
 		off += k
-	}
-	if group {
-		prev = buf[2*n:]
 	}
 	dicts := make([]*relation.Dict, len(cols))
 	for j, c := range cols {

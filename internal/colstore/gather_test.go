@@ -18,7 +18,7 @@ import (
 // makes, its counts are theirs, and its prices are those of the block's
 // rows, whatever the other blocks of the batch are; the whole base in
 // order is left to the caller; and each (column, chunk) of the base is
-// decoded at most once. Without grouping every block packs its rows.
+// decoded at most once.
 func TestGatherPackMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const base, tailRows, arity = 3*DefaultChunkRows + 411, 700, 3
@@ -92,55 +92,48 @@ func TestGatherPackMatchesReference(t *testing.T) {
 		return out
 	}
 	packDicts := []*relation.Dict{rdDicts[2], rdDicts[0]}
-	for _, group := range []bool{true, false} {
-		counted := &countingPacked{PackedColumnReader: rd, reads: map[[2]int]int{}}
-		sizes := 0
-		packs, err := NewGather(counted, base, tails, refs).Pack([]int{2, 0}, func(c int) (*relation.Dict, error) {
-			return rdDicts[c], nil
-		}, func(n int) []uint32 {
-			sizes = n
-			return make([]uint32, n)
-		}, group)
-		if err != nil {
-			t.Fatal(err)
+	counted := &countingPacked{PackedColumnReader: rd, reads: map[[2]int]int{}}
+	sizes := 0
+	packs, err := NewGather(counted, base, tails, refs).Pack([]int{2, 0}, func(c int) (*relation.Dict, error) {
+		return rdDicts[c], nil
+	}, func(n int) []uint32 {
+		sizes = n
+		return make([]uint32, n)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch's IDs, its group IDs and the longest block's.
+	total := len(scattered) + len(withTail) + len(unsorted) + len(tailOnly)
+	if total = 2*total + max(len(scattered), len(withTail), len(unsorted), len(tailOnly)); sizes != total {
+		t.Fatalf("scratch of %d IDs for the batch, want %d", sizes, total)
+	}
+	for at, n := range counted.reads {
+		if n != 1 {
+			t.Fatalf("column %d chunk at row %d decoded %d times", at[0], at[1], n)
 		}
-		total := len(scattered) + len(withTail) + len(unsorted) + len(tailOnly)
-		if group { // the batch's IDs, its group IDs and the longest block's
-			total = 2*total + max(len(scattered), len(withTail), len(unsorted), len(tailOnly))
+	}
+	if packs[0] != nil {
+		t.Fatal("the whole base in order was packed, not left to the caller")
+	}
+	for b, p := range packs[1:] {
+		b++
+		rows := [][]uint32{want(b, 2), want(b, 0)}
+		_, wantRaw, wantEnc := refPackColumns(packDicts, rows, len(refs[b]))
+		rows, counts := groupRef(rows)
+		ref, _, _ := refPackColumns(packDicts, rows, len(rows[0]))
+		if p.Rows() != len(rows[0]) || p.NumColumns() != 2 || !slices.Equal(p.Counts(), counts) {
+			t.Fatalf("block %d: %d rows × %d columns counted %v, want %d × 2 counted %v",
+				b, p.Rows(), p.NumColumns(), p.Counts(), len(rows[0]), counts)
 		}
-		if sizes != total {
-			t.Fatalf("group %v: scratch of %d IDs for the batch, want %d", group, sizes, total)
-		}
-		for at, n := range counted.reads {
-			if n != 1 {
-				t.Fatalf("group %v: column %d chunk at row %d decoded %d times", group, at[0], at[1], n)
+		for j := range ref {
+			got := p.Column(j)
+			if !bytes.Equal(got.Dict, ref[j].Dict) || !slices.EqualFunc(got.Chunks, ref[j].Chunks, bytes.Equal) {
+				t.Fatalf("block %d column %d: bytes differ from the reference packing", b, j)
 			}
 		}
-		if packs[0] != nil {
-			t.Fatal("the whole base in order was packed, not left to the caller")
-		}
-		for b, p := range packs[1:] {
-			b++
-			rows := [][]uint32{want(b, 2), want(b, 0)}
-			_, wantRaw, wantEnc := refPackColumns(packDicts, rows, len(refs[b]))
-			var counts []uint32
-			if group {
-				rows, counts = groupRef(rows)
-			}
-			ref, _, _ := refPackColumns(packDicts, rows, len(rows[0]))
-			if p.Rows() != len(rows[0]) || p.NumColumns() != 2 || !slices.Equal(p.Counts(), counts) {
-				t.Fatalf("group %v block %d: %d rows × %d columns counted %v, want %d × 2 counted %v",
-					group, b, p.Rows(), p.NumColumns(), p.Counts(), len(rows[0]), counts)
-			}
-			for j := range ref {
-				got := p.Column(j)
-				if !bytes.Equal(got.Dict, ref[j].Dict) || !slices.EqualFunc(got.Chunks, ref[j].Chunks, bytes.Equal) {
-					t.Fatalf("group %v block %d column %d: bytes differ from the reference packing", group, b, j)
-				}
-			}
-			if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
-				t.Fatalf("group %v block %d: PayloadSizes = %d, %d, %v; the reference prices %d, %d", group, b, raw, enc, err, wantRaw, wantEnc)
-			}
+		if raw, enc, err := p.PayloadSizes(); err != nil || raw != wantRaw || enc != wantEnc {
+			t.Fatalf("block %d: PayloadSizes = %d, %d, %v; the reference prices %d, %d", b, raw, enc, err, wantRaw, wantEnc)
 		}
 	}
 }
@@ -205,7 +198,7 @@ func TestGatherPackGroupsRandomBlocks(t *testing.T) {
 			}
 			rng.Shuffle(len(blocks[b])/7, func(i, j int) { blocks[b][i], blocks[b][j] = blocks[b][j], blocks[b][i] })
 		}
-		packs, err := NewGather(f, rows, make([][]uint32, 4), blocks).Pack(cols, f.Dict, func(n int) []uint32 { return make([]uint32, n) }, true)
+		packs, err := NewGather(f, rows, make([][]uint32, 4), blocks).Pack(cols, f.Dict, func(n int) []uint32 { return make([]uint32, n) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -270,7 +270,7 @@ func TestStoreExtractPricing(t *testing.T) {
 	// A small block, whose row form is the cheapest, prices as the
 	// parent's rule does too.
 	sf := store.frag.(*storeFrag)
-	small, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"a", "c"}, [][]int32{{5}, {7, 9}, {40, 3, 40}}, false)
+	small, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"a", "c"}, [][]int32{{5}, {7, 9}, {40, 3, 40}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,12 @@ type siteFragment interface {
 	GatherBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, deps [][]*relation.Relation) ([]*relation.Relation, error)
 	// ShipBlocks projects each row list of blocks onto attrs in the
 	// form it ships in: a store fragment packs it at extraction, using
-	// m's scratch, and with group ships a gathered block as its distinct
-	// rows plus their counts (relation.Relation.Counts); a memory
-	// fragment ships plain bags. The result is parallel to blocks, an
-	// empty list yielding an empty relation. Both take a whole batch so
-	// that a store fragment can decode each chunk once for all of it.
-	ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, group bool) ([]*relation.Relation, error)
+	// m's scratch, a gathered block as its distinct rows plus their
+	// counts (relation.Relation.Counts); a memory fragment ships plain
+	// bags. The result is parallel to blocks, an empty list yielding an
+	// empty relation. Both take a whole batch so that a store fragment
+	// can decode each chunk once for all of it.
+	ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error)
 	// Apply applies one delta (deletes by swap-with-last, then inserts
 	// appended), returning the removed tuples in descending pre-delta
 	// index order — the same contract as relation.Apply. The returned
@@ -72,7 +72,7 @@ func (m memFrag) GatherBlocks(mg *relation.Merge, name string, attrs []string, b
 	return mg.ProjectBlocks(m.r, name, attrs, blocks, deps)
 }
 
-func (m memFrag) ShipBlocks(_ *relation.Merge, name string, attrs []string, blocks [][]int32, _ bool) (out []*relation.Relation, err error) {
+func (m memFrag) ShipBlocks(_ *relation.Merge, name string, attrs []string, blocks [][]int32) (out []*relation.Relation, err error) {
 	out = make([]*relation.Relation, len(blocks))
 	for b, idx := range blocks {
 		rows := make([]int, len(idx))

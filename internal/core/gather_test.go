@@ -165,7 +165,7 @@ func TestShipWholeFragmentDecodesNothing(t *testing.T) {
 			every5 = append(every5, i)
 		}
 	}
-	if _, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"c", "d"}, [][]int32{every3, every5}, true); err != nil {
+	if _, err := sf.ShipBlocks(new(relation.Merge), "p", []string{"c", "d"}, [][]int32{every3, every5}); err != nil {
 		t.Fatal(err)
 	}
 	chunks := (gatherRows + colstore.DefaultChunkRows - 1) / colstore.DefaultChunkRows

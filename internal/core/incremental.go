@@ -193,7 +193,7 @@ func (st *unitInc) round(ctx context.Context, u *unit, fs *faultState, m *dist.M
 				if u.opt.NoPackedShip {
 					batch.DropPacked()
 				}
-				m.ShipDelta(i, j, batch.Len(), dist.RelationBytes(batch))
+				m.ShipDelta(i, j, batch.BagLen(), dist.RelationBytes(batch))
 				if out[i][j][k] == nil {
 					out[i][j][k] = map[int]*relation.Relation{}
 				}

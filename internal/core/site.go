@@ -506,7 +506,7 @@ func (s *Site) ExtractMatching(ctx context.Context, spec *BlockSpec, attrs []str
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.ship(attrs, false)([][]int32{rows})
+	out, err := s.ship(attrs, [][]int32{rows})
 	if err != nil {
 		return nil, err
 	}
@@ -536,14 +536,12 @@ func (s *Site) localRows(in LocalInput) ([]int32, error) {
 	return rows, nil
 }
 
-// ship returns the projection onto attrs in the form a block ships in
-// (siteFragment.ShipBlocks), grouped with group.
-func (s *Site) ship(attrs []string, group bool) func(blocks [][]int32) ([]*relation.Relation, error) {
-	return func(blocks [][]int32) ([]*relation.Relation, error) {
-		m := s.merges.Get()
-		defer s.merges.Put(m)
-		return s.frag.ShipBlocks(m, s.frag.Schema().Name()+"_ship", attrs, blocks, group)
-	}
+// ship projects every row list of blocks onto attrs in the form a block
+// ships in (siteFragment.ShipBlocks).
+func (s *Site) ship(attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
+	m := s.merges.Get()
+	defer s.merges.Put(m)
+	return s.frag.ShipBlocks(m, s.frag.Schema().Name()+"_ship", attrs, blocks)
 }
 
 // BlockTask derives the deposit key for block l of a run. Injective
@@ -559,7 +557,7 @@ func (s *Site) ExtractBlocksBatch(ctx context.Context, spec *BlockSpec, attrs []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.fullBlocks(spec, wanted, s.ship(attrs, true))
+	return s.fullBlocks(spec, wanted, attrs)
 }
 
 // blockRows σ-routes the fragment once (via the maintained cache) and
@@ -581,16 +579,15 @@ func (s *Site) blockRows(spec *BlockSpec, blocks []int) ([][]int32, error) {
 	return rows, nil
 }
 
-// fullBlocks returns every requested block as project projects its
-// rows, empty blocks included as empty relations — the one-shot
-// extraction behind ExtractBlocksBatch and the incremental surface's
-// seed paths.
-func (s *Site) fullBlocks(spec *BlockSpec, blocks []int, project func([][]int32) ([]*relation.Relation, error)) (map[int]*relation.Relation, error) {
+// fullBlocks returns every requested block shipped onto attrs (ship),
+// empty blocks included as empty relations — the one-shot extraction
+// behind ExtractBlocksBatch and the incremental surface's seed paths.
+func (s *Site) fullBlocks(spec *BlockSpec, blocks []int, attrs []string) (map[int]*relation.Relation, error) {
 	rows, err := s.blockRows(spec, blocks)
 	if err != nil {
 		return nil, err
 	}
-	rels, err := project(rows)
+	rels, err := s.ship(attrs, rows)
 	if err != nil {
 		return nil, err
 	}

@@ -220,7 +220,7 @@ func (s *Site) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []
 	var err error
 	if fromGen < 0 {
 		// Seed: ship the full current blocks as one big insert delta.
-		full, err := s.fullBlocks(spec, wanted, s.ship(attrs, false))
+		full, err := s.fullBlocks(spec, wanted, attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -351,11 +351,7 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 	// before its delete records, which name only tuples it inserted.
 	local := &DeltaBlocks{}
 	if args.Seed {
-		m := s.merges.Get()
-		defer s.merges.Put(m)
-		local.Ins, err = s.fullBlocks(args.Spec, args.Blocks, func(rows [][]int32) ([]*relation.Relation, error) {
-			return s.frag.GatherBlocks(m, ps.Name(), attrs, rows, nil)
-		})
+		local.Ins, err = s.fullBlocks(args.Spec, args.Blocks, attrs)
 	} else {
 		local.Ins, local.Del, err = s.routeLogSuffix(args.Spec, attrs, args.Blocks, args.FromGen)
 	}
@@ -401,8 +397,8 @@ func (s *Site) FoldDetect(ctx context.Context, args FoldArgs) (*FoldReply, error
 }
 
 // checkShipped rejects, before anything folds, a shipped block the fold
-// would skip or misread: one outside args.Blocks, a counted one, or one
-// whose attributes are not exactly the fold projection ps (FoldRelation
+// would skip or misread: one outside args.Blocks, or one whose
+// attributes are not exactly the fold projection ps (FoldRelation
 // checks only the width, so another order would fold the wrong
 // columns).
 func checkShipped(args FoldArgs, ps *relation.Schema) error {
@@ -414,9 +410,6 @@ func checkShipped(args FoldArgs, ps *relation.Schema) error {
 				}
 				if r != nil && !slices.Equal(r.Schema().Attrs(), ps.Attrs()) {
 					return fmt.Errorf("shipped block %d has attributes %v, the fold projects %v", l, r.Schema().Attrs(), ps.Attrs())
-				}
-				if r != nil && r.Counts() != nil {
-					return fmt.Errorf("shipped block %d is counted; a fold reads every tuple", l)
 				}
 			}
 		}

@@ -229,11 +229,11 @@ func TestHostileStoreFragment(t *testing.T) {
 			return err
 		},
 		"ShipBlocks scattered": func() error {
-			_, err := open().frag.(*storeFrag).ShipBlocks(new(relation.Merge), "p", []string{"id"}, [][]int32{{0, n - 1}}, true)
+			_, err := open().frag.(*storeFrag).ShipBlocks(new(relation.Merge), "p", []string{"id"}, [][]int32{{0, n - 1}})
 			return err
 		},
 		"ShipBlocks whole": func() error {
-			_, err := open().frag.(*storeFrag).ShipBlocks(new(relation.Merge), "p", []string{"id", "a"}, [][]int32{rowSpan(0, int(n))}, true)
+			_, err := open().frag.(*storeFrag).ShipBlocks(new(relation.Merge), "p", []string{"id", "a"}, [][]int32{rowSpan(0, int(n))})
 			return err
 		},
 		"Apply": func() error {

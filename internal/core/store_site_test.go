@@ -10,10 +10,12 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"distcfd/internal/cfd"
 	"distcfd/internal/colstore"
+	"distcfd/internal/partition"
 	"distcfd/internal/relation"
 )
 
@@ -729,9 +731,10 @@ func packedBytes(t *testing.T, pr relation.PackedColumnReader) [][]byte {
 // unsorted and multi-chunk blocks, with a tail, a view or both: the
 // gather reads the same rows in the same order under the fragment's
 // own dictionaries, and the shipped block is a packed extract of the
-// same rows whose bytes are those PackColumns makes of the mirror's
-// columns — or, for the in-order whole fragment with no overlay,
-// PackBase's (the mapping's own bytes).
+// same bag (sameRelation: its distinct rows in first-occurrence order
+// and their counts) whose bytes are those PackColumns makes of the
+// mirror's distinct rows — or, for the in-order whole fragment with no
+// overlay, PackBase's (the mapping's own bytes).
 func TestGatherMatchesProjectRows(t *testing.T) {
 	ctx := context.Background()
 	attrs := []string{"b", "id", "d"}
@@ -794,7 +797,7 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shipped, err := sf.ShipBlocks(new(relation.Merge), "p", attrs, blocks, false)
+			shipped, err := sf.ShipBlocks(new(relation.Merge), "p", attrs, blocks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -830,12 +833,17 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				if whole { // the whole fragment in order ships the stored bytes
 					ref, err = sf.frag.PackBase(idx)
 				} else {
-					e := want.Encoded()
+					distinct, _ := grouped(want)
+					dr, err := relation.FromTuples(want.Schema(), distinct)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := dr.Encoded()
 					dicts, cols := make([]*relation.Dict, len(idx)), make([][]uint32, len(idx))
 					for j := range idx {
 						cols[j], dicts[j] = e.Column(j)
 					}
-					ref, err = colstore.PackColumns(dicts, cols, len(rows))
+					ref, err = colstore.PackColumns(dicts, cols, len(distinct))
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -868,5 +876,82 @@ func TestGatherMatchesProjectRows(t *testing.T) {
 				sameRelation(t, "unsorted wanted", gotB[l], wantB[l])
 			}
 		})
+	}
+}
+
+// countedSeeds counts the counted blocks its site ships from
+// ExtractDeltaBlocks.
+type countedSeeds struct {
+	SiteAPI
+	counted *atomic.Int64
+}
+
+func (c countedSeeds) ExtractDeltaBlocks(ctx context.Context, spec *BlockSpec, attrs []string, wanted []int, fromGen int64) (*DeltaBlocks, error) {
+	out, err := c.SiteAPI.ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen)
+	if err == nil {
+		for _, r := range out.Ins {
+			if r.Counts() != nil {
+				c.counted.Add(1)
+			}
+		}
+	}
+	return out, err
+}
+
+// TestStoreIncrementalSeedShipsCounted pins the incremental seed over
+// store sites, whose blocks ship grouped, against the same seed over
+// memory sites, whose blocks ship as plain bags: at least one seed
+// block ships counted, and the patterns, ShippedTuples and
+// DeltaShippedTuples are the memory cluster's — the coordinators fold
+// each counted row as its count of tuples, and the driver bills the
+// bag.
+func TestStoreIncrementalSeedShipsCounted(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(8))
+	data := relation.New(empSchema())
+	for id := 0; id < 400; id++ {
+		data.MustAppend(randomEMPTuple(rng, id))
+	}
+	h, err := partition.Uniform(data, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := FromHorizontal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counted atomic.Int64
+	sites := make([]SiteAPI, h.N())
+	for i, frag := range h.Fragments {
+		s, _ := openStoreSiteFor(t, i, frag, mem.preds[i])
+		sites[i] = countedSeeds{SiteAPI: s, counted: &counted}
+	}
+	store, err := NewCluster(h.Schema, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfds := []*cfd.CFD{phi1, phi2, phi3}
+	var res [2]*Result
+	for k, cl := range []*Cluster{mem, store} {
+		p, err := CompileSet(ctx, cl, cfds, PatDetectRT, Options{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[k], err = p.DetectIncremental(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counted.Load() == 0 {
+		t.Fatal("no seed block shipped counted: the comparison is vacuous")
+	}
+	want, got := res[0], res[1]
+	for i := range cfds {
+		if g, w := got.PerCFD[i].String(), want.PerCFD[i].String(); g != w || want.PerCFD[i].Len() == 0 {
+			t.Fatalf("cfd %d: the store seed reports\n%s\nthe memory seed\n%s", i, g, w)
+		}
+	}
+	if got.ShippedTuples != want.ShippedTuples || got.DeltaShippedTuples != want.DeltaShippedTuples || want.DeltaShippedTuples == 0 {
+		t.Fatalf("store seed shipped %d tuples, %d on the delta channel; memory seed %d, %d",
+			got.ShippedTuples, got.DeltaShippedTuples, want.ShippedTuples, want.DeltaShippedTuples)
 	}
 }

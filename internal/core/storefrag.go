@@ -151,15 +151,14 @@ func (f *storeFrag) GatherBlocks(m *relation.Merge, name string, attrs []string,
 // columns: a block that is every base row in order is the fragment's
 // own columns (Fragment.PackBase, no chunk decoded); any other is
 // gathered a column at a time into m's scratch and packed from there,
-// grouped into its distinct rows and their counts with group
-// (colstore.Gather.Pack).
-func (f *storeFrag) ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32, group bool) ([]*relation.Relation, error) {
+// grouped into its distinct rows and their counts (colstore.Gather.Pack).
+func (f *storeFrag) ShipBlocks(m *relation.Merge, name string, attrs []string, blocks [][]int32) ([]*relation.Relation, error) {
 	ps, err := f.schema.Project(name, attrs)
 	if err != nil {
 		return nil, err
 	}
 	idx, _ := f.schema.Indices(attrs)
-	packs, err := colstore.NewGather(f.rd, f.baseRows, f.tailIDs, f.refs(blocks)).Pack(idx, f.ovDict, m.Scratch, group)
+	packs, err := colstore.NewGather(f.rd, f.baseRows, f.tailIDs, f.refs(blocks)).Pack(idx, f.ovDict, m.Scratch)
 	if err != nil {
 		return nil, err
 	}

@@ -311,7 +311,8 @@ const (
 // again. Schema metadata is not charged — the task key identifies it.
 //
 // The row and dict+ID sizes are the integers Relation.PayloadSizes
-// returns: a counted relation's, weighed by its counts, are its bag's. A store site's extract, packed at extraction
+// returns: a counted relation's, weighed by its counts, are its bag's.
+// A store site's extract, packed at extraction
 // (relation.FromPackedExtract), takes them from its payload, which
 // priced its own rows while packing (relation.PackedColumnReader.
 // PayloadSizes); any other relation, or one whose payload cannot be

@@ -22,8 +22,9 @@ import (
 //   - a constant a at A, and the group holds a value other than a (the
 //     Qc matched set).
 //
-// Insert and Delete fold one tuple each, so after any insert/delete
-// sequence the state depends only on the current multiset of tuples:
+// Insert and Delete fold one tuple each, and FoldRelation a counted
+// row as its count of them, so after any insert/delete sequence the
+// state depends only on the current multiset of tuples:
 // Patterns() is then equal as a set to re-running ViolationPatterns on
 // that multiset, which the property tests and FuzzIncremental pin. A
 // constant-only state (the Proposition 5 local serving state) keeps a
@@ -118,7 +119,8 @@ func (st *IncrementalState) Insert(t relation.Tuple) { st.fold(t, +1) }
 // from a consistent delta log.
 func (st *IncrementalState) Delete(t relation.Tuple) { st.fold(t, -1) }
 
-func (st *IncrementalState) fold(t relation.Tuple, sign int) {
+// fold folds t in as w tuples, out as −w when w is negative.
+func (st *IncrementalState) fold(t relation.Tuple, w int) {
 	if !st.keeps(t) {
 		return
 	}
@@ -128,7 +130,7 @@ func (st *IncrementalState) fold(t relation.Tuple, sign int) {
 	}
 	g := st.groups[string(st.key)]
 	if g == nil {
-		if sign < 0 {
+		if w < 0 {
 			return
 		}
 		g = st.newGroup()
@@ -137,14 +139,14 @@ func (st *IncrementalState) fold(t relation.Tuple, sign int) {
 		g.touched, g.was = true, st.violates(g)
 		st.touched = append(st.touched, g)
 	}
-	g.n += sign
+	g.n += w
 	for j, vals := range g.vals {
 		a := t[st.yi[j]]
 		switch c, held := vals[a]; {
-		case c+sign > 0 && held:
-			vals[a] = c + sign
-		case c+sign > 0:
-			vals[strings.Clone(a)] = 1
+		case c+w > 0 && held:
+			vals[a] = c + w
+		case c+w > 0:
+			vals[strings.Clone(a)] = w
 		default:
 			delete(vals, a)
 		}
@@ -255,27 +257,28 @@ func (st *IncrementalState) Patterns(dst *relation.Relation) {
 }
 
 // FoldRelation folds every tuple of r (Insert with insert=true, Delete
-// otherwise); a nil relation is a no-op. r must be wide enough for
-// every X and Y position of the schema the state was built over, and
-// plain: a counted relation's rows stand for several tuples each, which
-// the state does not fold, so it is refused.
+// otherwise); a nil relation is a no-op. A counted relation's row i
+// folds as counts[i] tuples. r must be wide enough for every X and Y
+// position of the schema the state was built over.
 func (st *IncrementalState) FoldRelation(r *relation.Relation, insert bool) error {
 	if r == nil {
 		return nil
-	}
-	if r.Counts() != nil {
-		return fmt.Errorf("engine: folded relation %s is counted", r.Schema().Name())
 	}
 	if a := r.Schema().Arity(); a < st.width {
 		return fmt.Errorf("engine: folded relation %s has arity %d, the state reads %d positions",
 			r.Schema().Name(), a, st.width)
 	}
-	for _, t := range r.Tuples() {
-		if insert {
-			st.Insert(t)
-		} else {
-			st.Delete(t)
+	sign := 1
+	if !insert {
+		sign = -1
+	}
+	counts := r.Counts()
+	for i, t := range r.Tuples() {
+		w := 1
+		if counts != nil {
+			w = int(counts[i])
 		}
+		st.fold(t, sign*w)
 	}
 	return nil
 }

@@ -171,6 +171,37 @@ func (k *incrCheck) delete(i int) {
 	k.live = slices.Delete(k.live, i, i+1)
 }
 
+// foldCounted folds n copies of tp as one counted row (FoldRelation):
+// inserted, or deleted from the live copies of tp.
+func (k *incrCheck) foldCounted(tp relation.Tuple, n int, insert bool) {
+	k.t.Helper()
+	r := relation.MustFromRows(k.s, tp)
+	if err := r.SetCounts([]uint32{uint32(n)}); err != nil {
+		k.t.Fatal(err)
+	}
+	if err := k.st.FoldRelation(r, insert); err != nil {
+		k.t.Fatal(err)
+	}
+	for ; insert && n > 0; n-- {
+		k.live = append(k.live, tp)
+	}
+	for ; n > 0; n-- {
+		i := slices.IndexFunc(k.live, tp.Equal)
+		k.live = slices.Delete(k.live, i, i+1)
+	}
+}
+
+// copies counts the live copies of tp.
+func (k *incrCheck) copies(tp relation.Tuple) int {
+	n := 0
+	for _, l := range k.live {
+		if l.Equal(tp) {
+			n++
+		}
+	}
+	return n
+}
+
 // step inserts a random tuple or, one time in three, deletes a live one.
 func (k *incrCheck) step(rng *rand.Rand, doms [][]string) {
 	if n := len(k.live); n > 0 && rng.Intn(3) == 0 {
@@ -324,21 +355,46 @@ func TestFoldRelationTooNarrow(t *testing.T) {
 	}
 }
 
-// TestFoldRelationRefusesCounted pins that a counted relation — rows
-// standing for several tuples each, which the state would fold once —
-// is an error, not a miscount.
-func TestFoldRelationRefusesCounted(t *testing.T) {
-	st, err := NewIncrementalState(relation.MustSchema("R", []string{"a", "c"}), cfd.MustParse(`n: [a] -> [c]`), false)
-	if err != nil {
+// TestFoldRelationCountedMatchesExpanded pins that a counted relation
+// folds as its expanded bag — row i as counts[i] tuples — in both
+// modes, and that the two states stay equal as the bag's copies are
+// deleted one at a time.
+func TestFoldRelationCountedMatchesExpanded(t *testing.T) {
+	s := relation.MustSchema("R", []string{"a", "c"})
+	c := cfd.MustParse(`n: [a] -> [c] : (_ || _), (a1 || c0)`)
+	rows := relation.MustFromRows(s, []string{"a0", "c0"}, []string{"a0", "c1"}, []string{"a1", "c1"}, []string{"a2", "c0"})
+	counts := []uint32{2, 1, 3, 2}
+	if err := rows.SetCounts(counts); err != nil {
 		t.Fatal(err)
 	}
-	counted := relation.MustFromRows(relation.MustSchema("R", []string{"a", "c"}), []string{"a0", "c0"}, []string{"a0", "c1"})
-	if err := counted.SetCounts([]uint32{2, 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, insert := range []bool{true, false} {
-		if err := st.FoldRelation(counted, insert); err == nil {
-			t.Fatalf("a counted relation folded (insert %v)", insert)
+	for _, constantOnly := range []bool{false, true} {
+		counted, expanded := newIncrCheck(t, s, c, constantOnly), newIncrCheck(t, s, c, constantOnly)
+		if err := counted.st.FoldRelation(rows, true); err != nil {
+			t.Fatal(err)
+		}
+		var bag []relation.Tuple
+		for i, tp := range rows.Tuples() {
+			for range counts[i] {
+				bag = append(bag, tp)
+				expanded.insert(tp)
+			}
+		}
+		counted.live = slices.Clone(bag)
+		same := func(at string) []string {
+			t.Helper()
+			got, want := statePatterns(t, s, c, counted.st), statePatterns(t, s, c, expanded.st)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("constantOnly=%v %s: the counted fold holds %q, its expanded bag %q", constantOnly, at, got, want)
+			}
+			return got
+		}
+		if len(same("inserted")) == 0 {
+			t.Fatalf("constantOnly=%v: the bag violates nothing", constantOnly)
+		}
+		for i, tp := range bag {
+			counted.foldCounted(tp, 1, false)
+			expanded.delete(0)
+			same(fmt.Sprintf("after %d deletes", i+1))
 		}
 	}
 }
@@ -422,6 +478,7 @@ func TestIncrementalChangesFlipBack(t *testing.T) {
 }
 
 // FuzzIncremental decodes a tableau and a stream of inserts and deletes
+// — of one tuple, or of several copies of one folded as a counted row —
 // from the fuzz input and, after every operation, checks Patterns and
 // Changes of a full and a constant-only state against the oracles of
 // the property tests. Exhausted input ends the stream.
@@ -429,6 +486,11 @@ func FuzzIncremental(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 0, 7, 1, 1, 2, 3, 4, 0, 0, 3, 0, 1, 2, 3, 3})
 	f.Add([]byte("\x05\x05\x06\x00\x00\x01\x1f wildcards _ and \x1f separators"))
+	// Two copies inserted as one counted row, a second c-value beside
+	// them, then one copy deleted: the group still holds both values.
+	f.Add([]byte{0, 0, 0, 0, 129, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 0})
+	// Three copies inserted as one row, two of them deleted as one.
+	f.Add([]byte{0, 0, 0, 0, 130, 1, 1, 1, 1, 1, 1, 1, 2, 1, 129, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, ops := decodeIncrCase(data)
 		if c == nil {
@@ -439,10 +501,17 @@ func FuzzIncremental(f *testing.F) {
 			k := newIncrCheck(t, s, c, constantOnly)
 			k.track()
 			for i, op := range ops {
-				if op.del >= 0 {
-					k.delete(op.del % len(k.live))
-				} else {
+				switch {
+				case op.del < 0 && op.n == 0:
 					k.insert(op.ins)
+				case op.del < 0:
+					k.foldCounted(op.ins, op.n, true)
+				case len(k.live) == 0: // a counted delete took more than the decoder counted
+				case op.n == 0:
+					k.delete(op.del % len(k.live))
+				default:
+					tp := k.live[op.del%len(k.live)]
+					k.foldCounted(tp, min(op.n, k.copies(tp)), false)
 				}
 				at := fmt.Sprintf("op %d", i)
 				k.checkPatterns(at)
@@ -453,14 +522,18 @@ func FuzzIncremental(f *testing.F) {
 }
 
 // incrOp inserts ins, or deletes the live tuple at del when del ≥ 0.
+// With n > 0 it folds n copies as one counted row: n copies of ins, or
+// up to n live copies of the tuple at del.
 type incrOp struct {
 	ins relation.Tuple
 	del int
+	n   int
 }
 
 // decodeIncrCase reads a tableau over X = [a, b], Y = [c] or [c, d]
 // with 1–8 rows, then up to 64 operations, every value from
-// fuzzPalette.
+// fuzzPalette. An operation byte of 128 or more makes the operation a
+// counted one of 1–4 copies.
 func decodeIncrCase(data []byte) (*cfd.CFD, []incrOp) {
 	next := func() int {
 		if len(data) == 0 {
@@ -492,13 +565,17 @@ func decodeIncrCase(data []byte) (*cfd.CFD, []incrOp) {
 	}
 	var ops []incrOp
 	for live := 0; len(data) > 0 && len(ops) < 64; {
-		if b := next(); b%3 == 0 && live > 0 {
-			ops = append(ops, incrOp{del: next()})
+		b, n := next(), 0
+		if b >= 128 {
+			n = 1 + b%4
+		}
+		if b%3 == 0 && live > 0 {
+			ops = append(ops, incrOp{del: next(), n: n})
 			live--
 			continue
 		}
-		ops = append(ops, incrOp{ins: relation.Tuple{value(next()), value(next()), value(next()), value(next())}, del: -1})
-		live++
+		ops = append(ops, incrOp{ins: relation.Tuple{value(next()), value(next()), value(next()), value(next())}, del: -1, n: n})
+		live += max(n, 1)
 	}
 	return c, ops
 }

@@ -6,16 +6,15 @@ import (
 )
 
 // A counted relation stores a bag as its distinct rows plus one count
-// a row: stored row i stands for counts[i] tuples. A store site ships
-// the σ-blocks it gathers and packs that way (colstore.Gather.Pack), and
-// the one flow that may carry one is that shipment's: the extract, the
-// driver's billing, the deposit and the coordinator's merge. The
-// coordinator's check is set-semantic, so Merge reads the distinct rows
-// and ignores the counts; everything that bills the bag — ShippedTuples,
+// a row: stored row i stands for counts[i] tuples. Every σ-block a store
+// site gathers and ships is packed that way (colstore.Gather.Pack): the
+// extract and the incremental seed alike. The coordinator's fresh check
+// is set-semantic, so Merge reads the distinct rows and ignores the
+// counts; the incremental fold (engine.IncrementalState.FoldRelation)
+// weighs each row by its count, so nothing refuses a counted relation.
+// Everything that bills the bag — ShippedTuples, DeltaShippedTuples,
 // the row and dict+ID prices — reads BagLen and PayloadSizes, which
 // weigh each row by its count and so equal what the expanded bag bills.
-// Consumers that need multiplicities row by row (the incremental fold)
-// refuse a counted relation rather than misread it.
 
 // counted is the count column SetCounts gave a relation and its sum. A
 // relation stored in a counted packed payload reads its payload's

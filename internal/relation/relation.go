@@ -250,16 +250,33 @@ func (r *Relation) DistinctProject(name string, attrs []string) (*Relation, erro
 	return out, nil
 }
 
-// SortBy sorts tuples in place, lexicographically by the given attributes.
+// SortBy sorts tuples in place, lexicographically by the given
+// attributes; tuples equal on them keep their order.
 func (r *Relation) SortBy(attrs ...string) error {
 	idx, err := r.schema.Indices(attrs)
 	if err != nil {
 		return err
 	}
 	r.materializeForWrite()
-	slices.SortStableFunc(r.tuples, func(a, b Tuple) int { return compareOn(idx, a, b) })
+	cmp := func(a, b Tuple) int { return compareOn(idx, a, b) }
+	if namesAll(idx, r.schema.Arity()) {
+		// Ties are identical tuples: any order of them is the stable one.
+		slices.SortFunc(r.tuples, cmp)
+	} else {
+		slices.SortStableFunc(r.tuples, cmp)
+	}
 	r.invalidateEncoding()
 	return nil
+}
+
+// namesAll reports whether idx names every position below arity.
+func namesAll(idx []int, arity int) bool {
+	for j := range arity {
+		if !slices.Contains(idx, j) {
+			return false
+		}
+	}
+	return true
 }
 
 // MergeSorted returns a fresh relation over r's schema holding r's

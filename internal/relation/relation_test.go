@@ -127,7 +127,9 @@ func TestSortBy(t *testing.T) {
 // TestSortByMatchesReflectSort holds SortBy to the order the
 // sort.SliceStable comparator it replaced produced, byte for byte, over
 // random relations whose values collide often, are often prefixes of
-// one another and include empty strings and non-UTF-8 bytes.
+// one another and include empty strings and non-UTF-8 bytes — keyed on
+// some attributes, and on the whole schema, which SortBy sorts
+// unstably.
 func TestSortByMatchesReflectSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	alphabet := []string{"", "a", "ab", "b", "\xff", "a\x00", "\x1f"}
@@ -138,7 +140,7 @@ func TestSortByMatchesReflectSort(t *testing.T) {
 			r.MustAppend(Tuple{alphabet[rng.Intn(len(alphabet))], alphabet[rng.Intn(len(alphabet))],
 				alphabet[rng.Intn(len(alphabet))], strconv.Itoa(i)})
 		}
-		attrs := [][]string{{"a"}, {"b", "a"}, {"c", "a", "b"}}[trial%3]
+		attrs := [][]string{{"a"}, {"b", "a"}, {"c", "a", "b"}, {"a", "b", "c", "id"}}[trial%4]
 		idx, _ := s.Indices(attrs)
 		want := slices.Clone(r.Tuples())
 		sort.SliceStable(want, func(a, b int) bool {
