@@ -150,33 +150,38 @@ func TestSiteRejectsMalformedArgs(t *testing.T) {
 			}
 		})
 	}
-	// A counted shipped block folds as its expanded bag: block 1 holds
-	// (y, p) twice; two (y, q) copies arrive and one is deleted, so y
-	// violates — which it would not if the counted row folded once.
-	ship := relation.MustSchema("T_ship", []string{"a", "b"})
-	counted := relation.MustFromRows(ship, []string{"y", "q"})
-	if err := counted.SetCounts([]uint32{2}); err != nil {
-		t.Fatal(err)
-	}
-	bag := relation.MustFromRows(ship, []string{"y", "q"}, []string{"y", "q"})
-	del := relation.MustFromRows(ship, []string{"y", "q"})
-	for _, b := range argsBackends {
-		// Control: the same row shipped as block 0 over [a, b] folds.
-		if err := foldShipped(b.site(t), 0, []string{"a", "b"}); err != nil {
-			t.Fatalf("%s: a well-formed shipped block was rejected: %v", b.name, err)
+	// A counted shipped block is well formed: it folds as its expanded
+	// bag. Block 1 holds (y, p) twice; two (y, q) copies arrive and one
+	// is deleted, so y violates — which it would not if the counted row
+	// folded once.
+	t.Run("fold-shipped-counted", func(t *testing.T) {
+		ship := relation.MustSchema("T_ship", []string{"a", "b"})
+		counted := relation.MustFromRows(ship, []string{"y", "q"})
+		if err := counted.SetCounts([]uint32{2}); err != nil {
+			t.Fatal(err)
 		}
-		var added [2]*relation.Relation
-		for k, ins := range []*relation.Relation{counted, bag} {
-			rep, err := fold(b.site(t), 1, &DeltaBlocks{Ins: map[int]*relation.Relation{1: ins}, Del: map[int]*relation.Relation{1: del}})
-			if err != nil {
-				t.Fatalf("%s: %v", b.name, err)
-			}
-			added[k] = rep.Added[0]
+		bag := relation.MustFromRows(ship, []string{"y", "q"}, []string{"y", "q"})
+		del := relation.MustFromRows(ship, []string{"y", "q"})
+		for _, b := range argsBackends {
+			t.Run(b.name, func(t *testing.T) {
+				// Control: the same row shipped as block 0 over [a, b] folds.
+				if err := foldShipped(b.site(t), 0, []string{"a", "b"}); err != nil {
+					t.Fatalf("a well-formed shipped block was rejected: %v", err)
+				}
+				var added [2]*relation.Relation
+				for k, ins := range []*relation.Relation{counted, bag} {
+					rep, err := fold(b.site(t), 1, &DeltaBlocks{Ins: map[int]*relation.Relation{1: ins}, Del: map[int]*relation.Relation{1: del}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					added[k] = rep.Added[0]
+				}
+				if added[1].Len() != 1 || !reflect.DeepEqual(added[0].Tuples(), added[1].Tuples()) {
+					t.Fatalf("the counted block folded to %v, its expanded bag to %v", added[0], added[1])
+				}
+			})
 		}
-		if added[1].Len() != 1 || !reflect.DeepEqual(added[0].Tuples(), added[1].Tuples()) {
-			t.Fatalf("%s: the counted block folded to %v, its expanded bag to %v", b.name, added[0], added[1])
-		}
-	}
+	})
 }
 
 // argsBackends builds argsSite in memory and as a store-backed twin
