@@ -112,10 +112,14 @@ bench-build:
 # bench-compare is the repository benchmark against itself: a detached
 # worktree of the merge-base with origin/main (HEAD~1 without that
 # remote; BASE_REF overrides) and this tree each run the whole set at
-# fixed operation counts, and `bench -compare` judges the two result
-# files with BENCHMARK.json's bounds — eight end-to-end metrics on four
-# workloads. Only a `regressed` row (a failed operation on this side is
-# one) fails the target, and CI runs it blocking. About 5 min on 2 vCPUs.
+# fixed operation counts three times (-reps 3, interleaved across the
+# workloads), and `bench -compare` judges the two result files with
+# BENCHMARK.json's bounds — eight end-to-end metrics on four workloads,
+# each a median over the three runs with their spread. One run a side
+# read a shared box's noise as regressions. Only a `regressed` row (a
+# failed operation on this side is one) fails the target, and CI runs
+# it blocking. About 5 min on 2 vCPUs: twelve runs a side of 4-9 s
+# each, plus building both sides (289 s measured).
 # `make bench-compare BASE=<dir>` takes the baseline from a plain copy
 # of it at <dir> (`git archive <ref> | tar -x -C <dir>`, or a `git
 # clone`) instead, which builds and runs in place: no worktree.
@@ -131,9 +135,9 @@ bench-compare:
 		echo "== bench-compare: baseline $$(git rev-parse --short "$$base")"; \
 	fi; \
 	rm -rf .bench_build/compare "$$wt"/.bench_build/compare; \
-	(cd "$$wt" && bash bench/run.sh -scale 0.25 -seconds 0 -out .bench_build/compare); \
+	(cd "$$wt" && bash bench/run.sh -scale 0.25 -seconds 0 -reps 3 -out .bench_build/compare); \
 	echo "== bench-compare: this tree"; \
-	bash bench/run.sh -scale 0.25 -seconds 0 -out .bench_build/compare; \
+	bash bench/run.sh -scale 0.25 -seconds 0 -reps 3 -out .bench_build/compare; \
 	bash bench/run.sh -compare "$$wt"/.bench_build/compare/set-*.json .bench_build/compare/set-*.json
 
 # bench-pairs is the procedure a performance claim is judged by: N
@@ -169,7 +173,7 @@ loc:
 # its own result in the same commit, so the target can only be
 # approached. The total non-test count outside bench/ is printed beside
 # it for the record; it is not gated.
-LOC_CEILING = 6805
+LOC_CEILING = 6798
 loc-check:
 	@$(MAKE) -s --no-print-directory loc | awk -v max=$(LOC_CEILING) \
 		'$$2 ~ /^\.\/internal\/(core|remote|faulty)$$/ { n += $$1 } $$2 == "total" { t = $$1 } \

@@ -4,7 +4,8 @@ package distcfd
 // minimal form): one CUST instance, one rule set, one delta trace and
 // one fault plan, run in every combination of
 //
-//	storage/transport  in-memory | store-backed | store-backed over loopback RPC
+//	storage/transport  in-memory | store-backed | store-backed over loopback RPC |
+//	                   in-memory over loopback RPC
 //	packed shipping    on | off
 //	units overlapped   1 | 4 (WithWorkers)
 //	operation          Detect | DetectIncremental over a delta trace | FailDegrade with a site down
@@ -15,7 +16,10 @@ package distcfd
 // figures or the degraded-result fields. How a run executes may change
 // only its byte accounting and its wall clock — and where sites can
 // serve packed payloads (the store-backed modes), packing must make the
-// modeled bytes smaller, never larger.
+// modeled bytes smaller, never larger. In-memory sites ship rows and
+// dict+ID blocks, never packed ones, so over RPC — where the driver
+// relays every block as it arrived — they bill exactly the bytes the
+// in-memory cell bills.
 //
 // Below the table sit the two representation-equivalence tests that are
 // not cells of it: they compare the dictionary-encoded kernel and σ
@@ -43,7 +47,7 @@ import (
 
 // equivCell is one execution mode of the table.
 type equivCell struct {
-	mode    string // "mem", "store" or "rpc"
+	mode    string // "mem", "store", "rpc" (store-backed) or "rpc-mem"
 	packed  bool
 	workers int
 }
@@ -125,7 +129,7 @@ func (fix *equivFixture) cluster(t *testing.T, c equivCell, degrade bool) *Clust
 	t.Helper()
 	sites := make([]core.SiteAPI, fix.h.N())
 	for i, frag := range fix.h.Fragments {
-		if c.mode == "mem" {
+		if c.mode == "mem" || c.mode == "rpc-mem" {
 			sites[i] = core.NewSite(i, frag.Clone(), relation.True())
 			continue
 		}
@@ -140,7 +144,7 @@ func (fix *equivFixture) cluster(t *testing.T, c equivCell, degrade bool) *Clust
 		t.Cleanup(func() { s.Close() })
 		sites[i] = s
 	}
-	if c.mode == "rpc" {
+	if c.mode == "rpc" || c.mode == "rpc-mem" {
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
 		addrs := make([]string, len(sites))
@@ -293,7 +297,7 @@ func runEquivalence(t *testing.T, op equivOp, strictlyFewerBytes bool) {
 		}
 	}
 	shipped := map[equivCell]int64{} // modeled data-plane bytes of the first result
-	for _, mode := range []string{"mem", "store", "rpc"} {
+	for _, mode := range []string{"mem", "store", "rpc", "rpc-mem"} {
 		for _, packed := range []bool{true, false} {
 			for _, workers := range []int{1, 4} {
 				c := equivCell{mode, packed, workers}
@@ -301,7 +305,7 @@ func runEquivalence(t *testing.T, op equivOp, strictlyFewerBytes bool) {
 					got := op(t, fix, c)
 					assertSameRuns(t, got, anchor)
 					shipped[c] = got[0].Shipment.TotalBytes
-					if n := fix.counted[c].Load(); strictlyFewerBytes && c.packed && c.mode != "mem" && n == 0 {
+					if n := fix.counted[c].Load(); strictlyFewerBytes && c.packed && c.mode != "mem" && c.mode != "rpc-mem" && n == 0 {
 						t.Errorf("no counted σ-block was deposited")
 					}
 				})
@@ -309,9 +313,14 @@ func runEquivalence(t *testing.T, op equivOp, strictlyFewerBytes bool) {
 		}
 	}
 	// Packing is the one thing allowed to move the byte accounting, and
-	// only downwards.
+	// only downwards; sites that never pack bill what in-memory ones do.
 	for c, pb := range shipped {
-		if !c.packed || c.mode == "mem" {
+		if c.mode == "rpc-mem" {
+			if mb := shipped[equivCell{"mem", c.packed, c.workers}]; pb != mb {
+				t.Errorf("%v modeled %d shipped bytes, the in-memory cell %d", c, pb, mb)
+			}
+		}
+		if !c.packed || c.mode == "mem" || c.mode == "rpc-mem" {
 			continue
 		}
 		vb := shipped[equivCell{c.mode, false, c.workers}]

@@ -378,20 +378,8 @@ func AppendValues(dst []byte, n int, val func(uint32) string) []byte {
 	return dst
 }
 
-// DecodeDicts decodes each section of a dict+ID form (DecodeDict).
-func DecodeDicts(secs [][]byte) ([]*relation.Dict, error) {
-	out := make([]*relation.Dict, len(secs))
-	for j, b := range secs {
-		var err error
-		if out[j], err = DecodeDict(b); err != nil {
-			return nil, fmt.Errorf("column %d: %w", j, err)
-		}
-	}
-	return out, nil
-}
-
 // EncodeRowSection appends the values of rows, row-major, as one
-// values section to dst: the wire's row form and a delta's inserts.
+// values section to dst: a delta's inserts, whatever each row's arity.
 func EncodeRowSection(dst []byte, rows []relation.Tuple) []byte {
 	n, size := 0, 0
 	for _, t := range rows {
@@ -403,6 +391,27 @@ func EncodeRowSection(dst []byte, rows []relation.Tuple) []byte {
 	for _, t := range rows {
 		for _, v := range t {
 			dst = appendValue(dst, v)
+		}
+	}
+	return dst
+}
+
+// EncodeRows appends rows rows of arity values, row i's j-th val(i, j),
+// row-major, as one values section to dst: the wire's row form, read
+// straight from a relation's columns (relation.Compaction.Value) with
+// no tuple built on the way.
+func EncodeRows(dst []byte, rows, arity int, val func(i, j int) string) []byte {
+	size := 0
+	for i := range rows {
+		for j := range arity {
+			l := len(val(i, j))
+			size += uvarintLen(l) + l
+		}
+	}
+	dst = growSection(dst, rows*arity, size)
+	for i := range rows {
+		for j := range arity {
+			dst = appendValue(dst, val(i, j))
 		}
 	}
 	return dst

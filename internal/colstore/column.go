@@ -136,16 +136,12 @@ func (c *column) payloadSizes(counts func() []uint32) (raw, encoded int64, err e
 // columns is the reader both containers embed: the
 // relation.PackedColumnReader methods, written once. A counted payload
 // (Gather.Pack's grouped blocks, or one adopted with SetCounts) carries
-// its count column as it ships (EncodeCounts) and its sum, and decodes
-// the column only if something asks for it; a fragment and a plain
-// payload carry none.
+// its count column (countColumn); a fragment and a plain payload carry
+// none.
 type columns struct {
-	rows         int
-	cols         []*column
-	countSection []byte
-	bag          int
-	countsOnce   sync.Once
-	counts       []uint32
+	countColumn
+	rows int
+	cols []*column
 }
 
 // col returns column i with its chunk side readable: as built for a
@@ -207,25 +203,6 @@ func (cs *columns) ChunkSpan(i, k int) (lo, hi int) {
 	}
 	return c.chunkSpan(k)
 }
-
-// Counts returns the payload's count column, decoding it on the first
-// call; nil when it has none.
-func (cs *columns) Counts() []uint32 {
-	if cs.countSection == nil {
-		return nil
-	}
-	cs.countsOnce.Do(func() {
-		cs.counts, _ = DecodeCounts(cs.countSection, cs.rows) // verified when set
-	})
-	return cs.counts
-}
-
-// CountSum returns the sum of the payload's counts, 0 when it has none.
-func (cs *columns) CountSum() int { return cs.bag }
-
-// CountSection returns the count column as it ships (EncodeCounts), nil
-// when the payload has none.
-func (cs *columns) CountSection() []byte { return cs.countSection }
 
 // PackedSize returns the modeled wire size of all columns — dictionary
 // sections and chunk payloads — and of the count column, which

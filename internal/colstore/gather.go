@@ -337,7 +337,7 @@ func (st *groupScratch) pack(b int, p *Packed, dicts []*relation.Dict, gids, out
 		}
 	}
 	if counts != nil {
-		p.countSection, p.bag = EncodeCounts(counts), len(gids)
+		p.countSection, p.countRows, p.bag = EncodeCounts(counts), k, len(gids)
 	}
 	return p, nil
 }

@@ -257,14 +257,48 @@ func DecodeCounts(section []byte, rows int) ([]uint32, error) {
 // section (EncodeCounts), verifying it (sumCounts) — the adoption of a
 // peer's count column beside its columns — and decoding it only if
 // something asks (Counts). Call it before p is shared.
-func (p *Packed) SetCounts(section []byte) error {
-	bag, err := sumCounts(section, p.rows)
+func (p *Packed) SetCounts(section []byte) error { return p.setCounts(section, p.rows) }
+
+// countColumn is a counted payload's count column as it ships
+// (EncodeCounts) and its sum, decoded only if something asks (Counts).
+// Both payload kinds embed it, Packed (through columns) and Sections;
+// a plain payload leaves it empty.
+type countColumn struct {
+	countSection   []byte
+	countRows, bag int
+	countsOnce     sync.Once
+	counts         []uint32
+}
+
+// setCounts adopts section as the count column of rows rows, verifying
+// it (sumCounts).
+func (cc *countColumn) setCounts(section []byte, rows int) error {
+	bag, err := sumCounts(section, rows)
 	if err != nil {
 		return err
 	}
-	p.countSection, p.bag = section, bag
+	cc.countSection, cc.countRows, cc.bag = section, rows, bag
 	return nil
 }
+
+// Counts returns the payload's count column, decoding it on the first
+// call; nil when it has none.
+func (cc *countColumn) Counts() []uint32 {
+	if cc.countSection == nil {
+		return nil
+	}
+	cc.countsOnce.Do(func() {
+		cc.counts, _ = DecodeCounts(cc.countSection, cc.countRows) // verified when set
+	})
+	return cc.counts
+}
+
+// CountSum returns the sum of the payload's counts, 0 when it has none.
+func (cc *countColumn) CountSum() int { return cc.bag }
+
+// CountSection returns the count column as it ships (EncodeCounts), nil
+// when the payload has none.
+func (cc *countColumn) CountSection() []byte { return cc.countSection }
 
 // scratch is what packing or pricing a column reuses: the renumbering,
 // one chunk's IDs, the column's encoded bytes and its chunk offsets.

@@ -74,12 +74,8 @@ func (m memFrag) GatherBlocks(mg *relation.Merge, name string, attrs []string, b
 
 func (m memFrag) ShipBlocks(_ *relation.Merge, name string, attrs []string, blocks [][]int32) (out []*relation.Relation, err error) {
 	out = make([]*relation.Relation, len(blocks))
-	for b, idx := range blocks {
-		rows := make([]int, len(idx))
-		for k, i := range idx {
-			rows[k] = int(i)
-		}
-		if out[b], err = m.r.ProjectRows(name, attrs, rows); err != nil {
+	for b, rows := range blocks {
+		if out[b], err = relation.Project(m.r, name, attrs, rows); err != nil {
 			return nil, err
 		}
 	}

@@ -300,8 +300,8 @@ func checkHeld(j int, blocks []int, lstat [][]int, cfds []*cfd.CFD, sets []*rela
 }
 
 // checkBlockLen refuses, before anything forwards it, an extracted block
-// standing for more tuples than its σ count (a packed block's Len and
-// a counted one's Σ counts are what they announce).
+// standing for more tuples than its σ count, read off its header (Len,
+// or a counted block's Σ counts): a relay decodes no column.
 func checkBlockLen(i, l int, b *relation.Relation, count int) error {
 	if b != nil && b.BagLen() > count {
 		return fmt.Errorf("core: site %d extracted %d tuples for block %d, whose σ count is %d", i, b.BagLen(), l, count)

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distcfd/internal/cfd"
+	"distcfd/internal/partition"
 	"distcfd/internal/relation"
+	"distcfd/internal/workload"
 )
 
 func TestNewBlockSpecSortsAndDedupes(t *testing.T) {
@@ -205,5 +209,57 @@ func TestRestrictCFD(t *testing.T) {
 	}
 	if _, err := outside.Restrict([]*cfd.CFD{c}); err == nil {
 		t.Error("a spec over an attribute outside the CFD's LHS was accepted")
+	}
+}
+
+// TestBulkRulesCompileToOneCCUnit pins what the default clustered
+// compile makes of the bulk workload's two rules (workload.
+// CustPatternCFD(64) over [CC, AC, zip] and workload.CustStreetCFD over
+// [CC, zip]): one unit over X = [CC, zip] whose 16 σ-patterns are
+// (cc, _), one a country code, shipping [CC zip AC city street]. So a
+// σ-pattern fixes CC alone: one of the five columns every shipped and
+// locally gathered block carries is constant across the block, not two.
+func TestBulkRulesCompileToOneCCUnit(t *testing.T) {
+	data := workload.Cust(workload.CustConfig{N: 2_000, Seed: 5})
+	h, err := partition.Uniform(data, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := make([]SiteAPI, h.N())
+	for i, frag := range h.Fragments {
+		sites[i] = NewSite(i, frag, relation.True())
+	}
+	cl, err := NewCluster(h.Schema, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := []*cfd.CFD{workload.CustPatternCFD(64), workload.CustStreetCFD()}
+	p, err := CompileSet(context.Background(), cl, rules, PatDetectS, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Units) != 1 || res.Units[0].Spec == nil {
+		t.Fatalf("%d units, want one σ-partitioned unit", len(res.Units))
+	}
+	spec := res.Units[0].Spec
+	if !slices.Equal(spec.X, []string{"CC", "zip"}) || spec.K() != 16 {
+		t.Fatalf("unit over X = %v with %d patterns, want [CC zip] with 16", spec.X, spec.K())
+	}
+	ccs := map[string]bool{}
+	for _, pat := range spec.Patterns {
+		if pat[0] == cfd.Wildcard || pat[1] != cfd.Wildcard {
+			t.Fatalf("pattern %v, want (cc, _)", pat)
+		}
+		ccs[pat[0]] = true
+	}
+	if len(ccs) != 16 {
+		t.Errorf("patterns name %d country codes, want 16", len(ccs))
+	}
+	if got := taskAttrs(spec, res.CFDs); !slices.Equal(got, []string{"CC", "zip", "AC", "city", "street"}) {
+		t.Errorf("the unit ships %v, want [CC zip AC city street]", got)
 	}
 }

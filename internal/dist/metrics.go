@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"distcfd/internal/colstore"
 	"distcfd/internal/relation"
 )
 
@@ -301,49 +302,50 @@ const (
 )
 
 // ChooseWireForm decides how a relation ships and what the shipment is
-// billed: the smallest of its wire forms and that form's modeled size
-// (ties go to the row form, then dict+ID). It is the only place the
-// forms are compared — remote.ToWire emits the form it names and
-// RelationBytes charges the size it returns, in-process and over RPC
-// alike. A payload adopted off the wire (verified on adoption) ships as
-// that payload: the sender already made this choice on the same values,
-// so the relaying driver neither decodes a column nor measures it
-// again. Schema metadata is not charged — the task key identifies it.
+// billed: the smallest of its wire forms and that form's modeled size.
+// remote.ToWire emits the form it names and RelationBytes charges the
+// size it returns, in-process and over RPC alike. A payload received
+// off the wire ships as it arrived, billed the size of the form it came
+// in, read off its sections: the sender priced and chose it, so a relay
+// neither decodes nor measures it again, and a peer shipping a larger
+// form than the smallest is billed what it shipped. Schema metadata is
+// not charged — the task key identifies it.
 //
-// The row and dict+ID sizes are the integers Relation.PayloadSizes
-// returns: a counted relation's, weighed by its counts, are its bag's.
-// A store site's extract, packed at extraction
-// (relation.FromPackedExtract), takes them from its payload, which
-// priced its own rows while packing (relation.PackedColumnReader.
-// PayloadSizes); any other relation, or one whose payload cannot be
-// priced, walks its columns.
+// The row and dict+ID sizes are Relation.PayloadSizes' integers, a
+// counted relation's its bag's. A store site's packed extract takes
+// them from its payload, priced while packing (PackedColumnReader.
+// PayloadSizes); any other relation walks its columns.
 func ChooseWireForm(r *relation.Relation) (WireForm, int64) {
 	if r == nil {
 		return RowForm, 0
 	}
-	pr, adopted := r.PackedPayload()
-	if adopted {
-		return PackedForm, pr.PackedSize()
+	switch p := r.Received().(type) {
+	case *colstore.Sections:
+		if p.InRows() {
+			return RowForm, p.Size()
+		}
+		return ColumnForm, p.Size()
+	case relation.PackedColumnReader:
+		return PackedForm, p.PackedSize()
 	}
-	var raw, encoded int64
-	var err error
-	if pr != nil {
-		raw, encoded, err = pr.PayloadSizes()
-	}
-	if pr == nil || err != nil {
-		pr = nil // nothing to ship packed, or a payload that cannot price its rows
-		raw, encoded = r.PayloadSizes()
-	}
-	form, best := RowForm, raw
-	if encoded < raw {
-		form, best = ColumnForm, encoded
-	}
-	if pr != nil {
-		if packed := pr.PackedSize(); packed < best {
-			form, best = PackedForm, packed
+	if pr, _ := r.PackedPayload(); pr != nil {
+		if raw, encoded, err := pr.PayloadSizes(); err == nil {
+			if form, n := Smallest(raw, encoded); n <= pr.PackedSize() {
+				return form, n
+			}
+			return PackedForm, pr.PackedSize()
 		}
 	}
-	return form, best
+	return Smallest(r.PayloadSizes())
+}
+
+// Smallest is the row and dict+ID forms compared, ties to the row form:
+// the one comparison of them, the sender's (remote.ToWire) included.
+func Smallest(raw, encoded int64) (WireForm, int64) {
+	if encoded < raw {
+		return ColumnForm, encoded
+	}
+	return RowForm, raw
 }
 
 // RelationBytes is the modeled wire payload of shipping r: the size of

@@ -71,12 +71,12 @@ func (r *Relation) Counts() []uint32 {
 	return nil
 }
 
-// countedPayload returns the packed payload storing r's rows when it is
+// countedPayload returns the payload storing r's rows when it is
 // counted, nil otherwise. It stays r's storage after DropPacked, so r
 // stays counted.
-func (r *Relation) countedPayload() PackedColumnReader {
+func (r *Relation) countedPayload() Payload {
 	if e := r.enc.Load(); e != nil {
-		if pr, ok := e.reader.(PackedColumnReader); ok && pr.CountSum() > 0 {
+		if pr, ok := e.reader.(Payload); ok && pr.CountSum() > 0 {
 			return pr
 		}
 	}

@@ -183,45 +183,104 @@ func (e *Encoded) payloadSizes(w []uint32) (raw, encoded int64) {
 // CompactColumns is Compact with each compact dictionary materialized
 // as its values, strings aliasing the dictionaries.
 func (e *Encoded) CompactColumns() (dicts [][]string, cols [][]uint32) {
-	return Compact(e, func(n int, val func(uint32) string) []string {
-		vals := make([]string, n)
-		for k := range vals {
-			vals[k] = val(uint32(k))
+	c := e.Compact(nil)
+	defer c.Release()
+	dicts = make([][]string, len(c.cols))
+	for j := range dicts {
+		n, val := c.Dict(j)
+		dicts[j] = make([]string, n)
+		for k := range dicts[j] {
+			dicts[j][k] = val(uint32(k))
 		}
-		return vals
-	})
+	}
+	return dicts, c.Cols()
 }
 
-// Compact returns the wire form of every column of e: its IDs over a
-// dictionary holding exactly the values present, and what dict makes
-// of that dictionary, handed to it as n values, the k-th val(k), valid
-// during the call. Columns already dense are passed through unchanged,
-// their values read straight from their dictionaries; sparse
-// (shared-dictionary) columns are renumbered here (Renumber), the only
-// place the deferred compaction is paid, their values read from the
-// renumbering. So a values section (colstore.AppendValues) is written
-// with no list of the values built on the way.
-func Compact[D any](e *Encoded, dict func(n int, val func(uint32) string) D) (dicts []D, cols [][]uint32) {
-	dicts, cols = make([]D, e.arity), make([][]uint32, e.arity)
-	rn := getRenumber()
-	defer putRenumber(rn)
-	for i := 0; i < e.arity; i++ {
+// Compaction is a shipper's one pass over every column of a view: each
+// column is renumbered onto a dictionary holding exactly the values
+// present (Renumber), and the same pass prices the rows in the row and
+// dict+ID wire forms (Sizes) — the integers PayloadSizes returns — so a
+// sender prices a block and then emits either form from it, the row
+// form's values (Value) or the compact columns (Cols, Dict), without a
+// second pricing pass. Dense columns keep their IDs and dictionaries;
+// sparse (shared-dictionary) ones are renumbered, the only place the
+// deferred compaction is paid. Release returns its scratch.
+type Compaction struct {
+	cols         []compactColumn
+	raw, encoded int64
+}
+
+// compactColumn is one column of a Compaction: the view's own IDs and
+// dictionary, and their renumbering.
+type compactColumn struct {
+	src   []uint32
+	dict  *Dict
+	rn    *Renumber
+	dense bool
+}
+
+// Compact renumbers and prices every column of e, row i weighed by
+// w[i] (Renumber.Weigh; nil weighs every row one).
+func (e *Encoded) Compact(w []uint32) *Compaction {
+	c := &Compaction{cols: make([]compactColumn, e.arity)}
+	for i := range c.cols {
 		col, d := e.Column(i)
 		e.mu.RLock()
 		dense := e.dense[i]
 		e.mu.RUnlock()
-		if dense {
-			cols[i], dicts[i] = col, dict(d.Len(), d.Val)
-			continue
-		}
+		rn := getRenumber()
 		rn.Start(d)
-		cols[i] = make([]uint32, len(col))
-		if err := rn.Map(cols[i], col); err != nil {
-			panic(err)
+		c.cols[i] = compactColumn{src: col, dict: d, rn: rn, dense: dense}
+		for lo := 0; lo < len(col); lo += len(rn.buf) {
+			hi := min(lo+len(rn.buf), len(col))
+			ids := rn.buf[:hi-lo]
+			if err := rn.Map(ids, col[lo:hi]); err != nil {
+				panic(err) // a built column holds only its dictionary's IDs
+			}
+			if w != nil {
+				rn.Weigh(ids, w[lo:hi])
+			}
 		}
-		dicts[i] = dict(rn.Len(), rn.Val)
+		r, en := rn.Sizes()
+		c.raw, c.encoded = c.raw+r, c.encoded+en
 	}
-	return dicts, cols
+	return c
+}
+
+// Sizes returns the rows' prices in the row and dict+ID wire forms.
+func (c *Compaction) Sizes() (raw, encoded int64) { return c.raw, c.encoded }
+
+// Cols returns every column's compact IDs: a dense column as it is, a
+// sparse one through its renumbering (Renumber.Remap).
+func (c *Compaction) Cols() [][]uint32 {
+	out := make([][]uint32, len(c.cols))
+	for j, col := range c.cols {
+		if out[j] = col.src; !col.dense {
+			out[j] = make([]uint32, len(col.src))
+			col.rn.Remap(out[j], col.src)
+		}
+	}
+	return out
+}
+
+// Dict returns column j's compact dictionary: n values, the k-th val(k),
+// valid until Release.
+func (c *Compaction) Dict(j int) (n int, val func(uint32) string) {
+	if col := c.cols[j]; !col.dense {
+		return col.rn.Len(), col.rn.Val
+	}
+	return c.cols[j].dict.Len(), c.cols[j].dict.Val
+}
+
+// Value returns row i's value in column j.
+func (c *Compaction) Value(i, j int) string { return c.cols[j].dict.Val(c.cols[j].src[i]) }
+
+// Release returns the renumberings to their pool.
+func (c *Compaction) Release() {
+	for _, col := range c.cols {
+		putRenumber(col.rn)
+	}
+	c.cols = nil
 }
 
 // Encoded returns the relation's columnar dictionary-encoded view,
@@ -258,6 +317,12 @@ func (r *Relation) invalidateEncoding() {
 // single largest allocation site of a whole detection run, and the
 // consumers work in ID space.
 func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relation, error) {
+	return Project(r, name, attrs, rows)
+}
+
+// Project is ProjectRows over row indices of either width: a site's
+// σ-block row lists are int32.
+func Project[I int | int32](r *Relation, name string, attrs []string, rows []I) (*Relation, error) {
 	idx, err := r.schema.Indices(attrs)
 	if err != nil {
 		return nil, err
@@ -279,31 +344,14 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 	return out, nil
 }
 
-// FromColumns builds a relation from per-column dictionaries and ID
-// vectors — the columnar wire form — as FromDicts does, each
-// dictionary given as its values in ID order.
+// FromColumns builds a relation from per-column dictionaries, each
+// given as its values in ID order, and ID vectors — the columnar form —
+// installing the encoded view directly. The result is lazy: tuples
+// materialize (aliasing the dictionaries' values) only if something
+// leaves ID space. The columns are marked dense, so a column with a
+// dictionary value no row uses (CompactColumns never emits one) is an
+// error, as is an ID outside its dictionary.
 func FromColumns(s *Schema, dicts [][]string, cols [][]uint32, rows int) (*Relation, error) {
-	ds := make([]*Dict, len(dicts))
-	for j, vals := range dicts {
-		var err error
-		if ds[j], err = NewDictFromVals(vals); err != nil {
-			return nil, err
-		}
-	}
-	return FromDicts(s, ds, cols, rows)
-}
-
-// FromDicts builds a relation from per-column dictionaries and ID
-// vectors — the columnar wire form, each dictionary read straight from
-// its values section (colstore.DecodeDict) — installing the encoded
-// view directly, so a receiving site keeps working on the sender's
-// interning. The result is lazy: tuples materialize (aliasing the
-// dictionaries' values) only if something leaves ID space. The columns
-// are marked dense, so a relay ships the dictionaries as they came and
-// bills only the values present: a column with a dictionary value no
-// row uses (CompactColumns never emits one) is an error, as is an ID
-// outside its dictionary.
-func FromDicts(s *Schema, dicts []*Dict, cols [][]uint32, rows int) (*Relation, error) {
 	arity := s.Arity()
 	if len(cols) != arity || len(dicts) != arity {
 		return nil, fmt.Errorf("relation: columnar payload has %d/%d columns, schema %s wants %d",
@@ -314,11 +362,11 @@ func FromDicts(s *Schema, dicts []*Dict, cols [][]uint32, rows int) (*Relation, 
 		if len(cols[j]) != rows {
 			return nil, fmt.Errorf("relation: column %d has %d rows, header says %d", j, len(cols[j]), rows)
 		}
-		n := dicts[j].Len()
-		// One bit a dictionary value, allocated here rather than pooled:
-		// what a pool holds (and, under the race detector, drops at
-		// random) would make receiving allocate more or less from call to
-		// call (TestReceiveAllocsFlat).
+		d, err := NewDictFromVals(dicts[j])
+		if err != nil {
+			return nil, err
+		}
+		n := d.Len()
 		seen, used := make([]uint64, (n+63)/64), 0
 		for i, id := range cols[j] {
 			if int(id) >= n {
@@ -333,7 +381,7 @@ func FromDicts(s *Schema, dicts []*Dict, cols [][]uint32, rows int) (*Relation, 
 		if used != n {
 			return nil, fmt.Errorf("relation: column %d uses %d of its dictionary's %d values", j, used, n)
 		}
-		enc.cols[j], enc.dicts[j], enc.dense[j] = cols[j], dicts[j], true
+		enc.cols[j], enc.dicts[j], enc.dense[j] = cols[j], d, true
 	}
 	return out, nil
 }

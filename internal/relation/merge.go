@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // mergeShrinkIDs bounds the ID buffer a pooled Merge may retain: past
@@ -24,6 +25,10 @@ const mergeShrinkIDs = 1 << 23
 type Merge struct {
 	ids []uint32 // every column of the last merge, one window each
 	rn  Renumber // translates a part over another dictionary
+	// The column being merged: the dictionary it reads through (d), its
+	// base, and a section part's window or dictionary IDs, translated.
+	d, base    *Dict
+	win, trans []uint32
 }
 
 // Concat is Merge.Concat into a fresh destination, so its result stays
@@ -38,7 +43,9 @@ func Concat(parts ...*Relation) (*Relation, error) {
 // merges under the first non-empty part's dictionaries: that part keeps
 // its IDs, a part sharing its dictionary is copied as it is, and any
 // other part is translated (Renumber.Translate) once per distinct value
-// by a Lookup there — a row-backed part once per cell — so only values
+// by a Lookup there — a row-backed part, or one received in the row
+// form, once per cell; one received in the dict+ID form once per
+// dictionary value, read from its section — so only values
 // the base dictionary lacks are interned, into an overlay made at the
 // first such value.
 // The base dictionary is never written: the coordinators of one site
@@ -177,20 +184,8 @@ func (m *Merge) Scratch(n int) []uint32 {
 // the first non-empty part's dictionary — or an overlay over it once a
 // value it lacks turned up.
 func (m *Merge) column(j int, col []uint32, off int, base *Dict, parts []*Relation) (*Dict, error) {
-	d := base // what col reads through
-	intern := func(v string) uint32 {
-		if d == nil {
-			d = NewDict()
-		}
-		h := d.hash(v) // an overlay hashes under its parent's seed
-		if id, ok := d.lookup(v, h); ok {
-			return id
-		}
-		if d == base {
-			d = overlay(base)
-		}
-		return d.add(v, h)
-	}
+	m.d, m.base = base, base
+	defer func() { m.d, m.base, m.win = nil, nil, nil }()
 	for _, p := range parts {
 		n := p.Len()
 		if n == 0 {
@@ -200,7 +195,26 @@ func (m *Merge) column(j int, col []uint32, off int, base *Dict, parts []*Relati
 		off += n
 		if p.lazy == nil && p.enc.Load() == nil {
 			for i, t := range p.tuples {
-				win[i] = intern(t[j])
+				win[i] = m.intern(t[j])
+			}
+			continue
+		}
+		if sp := p.sectionPayload(); sp != nil {
+			// Each value interned in place: a row-form part's once a
+			// cell, a dict+ID part's once a dictionary value, its IDs
+			// then mapped.
+			if sp.InRows() {
+				m.win = win
+				sp.ColumnValues(j, (*mergeSink)(m))
+				continue
+			}
+			m.win, m.trans = nil, m.trans[:0]
+			sp.ColumnValues(j, (*mergeSink)(m))
+			if err := sp.ReadColumn(j, 0, win); err != nil {
+				return nil, fmt.Errorf("relation: column %d: %w", j, err)
+			}
+			for i, id := range win {
+				win[i] = m.trans[id]
 			}
 			continue
 		}
@@ -214,19 +228,51 @@ func (m *Merge) column(j int, col []uint32, off int, base *Dict, parts []*Relati
 		} else {
 			src, pd = p.Encoded().Column(j)
 		}
-		if d == nil {
-			base, d = pd, pd
+		if m.d == nil {
+			m.base, m.d = pd, pd
 		}
-		if pd == base {
+		if pd == m.base {
 			copy(win, src)
 			continue
 		}
 		m.rn.Start(pd)
-		if err := m.rn.Translate(win, src, intern); err != nil {
+		if err := m.rn.Translate(win, src, m.intern); err != nil {
 			return nil, fmt.Errorf("relation: column %d: %w", j, err)
 		}
 	}
-	return d, nil
+	return m.d, nil
+}
+
+// intern returns v's ID in the column being merged, adding it to an
+// overlay over the base — made at the first value the base lacks —
+// or, with no base, to a fresh dictionary.
+func (m *Merge) intern(v string) uint32 {
+	if m.d == nil {
+		m.d = NewDict()
+	}
+	h := m.d.hash(v) // an overlay hashes under its parent's seed
+	if id, ok := m.d.lookup(v, h); ok {
+		return id
+	}
+	if m.d == m.base {
+		m.d = overlay(m.base)
+	}
+	return m.d.add(v, h)
+}
+
+// mergeSink is the Merge taking a section part's values
+// (SectionPayload.ColumnValues): a row-form part's row k into the
+// window, a dict+ID part's ID k into the translation.
+type mergeSink Merge
+
+func (s *mergeSink) Value(k int, v []byte) {
+	m := (*Merge)(s)
+	id := m.intern(unsafe.String(unsafe.SliceData(v), len(v)))
+	if m.win != nil {
+		m.win[k] = id
+	} else {
+		m.trans = append(m.trans, id)
+	}
 }
 
 // mergePoolMax bounds the Merges a MergePool keeps: a site runs about
@@ -277,6 +323,9 @@ func (p *MergePool) Put(m *Merge) {
 func (m *Merge) Shrink() {
 	if cap(m.ids) > mergeShrinkIDs {
 		m.ids = nil
+	}
+	if cap(m.trans) > mergeShrinkIDs {
+		m.trans = nil
 	}
 	m.rn.Reset()
 }

@@ -52,6 +52,10 @@ func (r *Relation) materialize() {
 		return
 	}
 	r.lazy.once.Do(func() {
+		if sp := r.sectionPayload(); sp != nil && sp.InRows() {
+			r.tuples = sp.Tuples()
+			return
+		}
 		e := r.enc.Load()
 		arity := r.schema.Arity()
 		rows := r.lazy.rows

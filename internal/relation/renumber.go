@@ -180,6 +180,20 @@ func (rn *Renumber) translateTable(dst, src []uint32, f func(string) uint32) int
 	return -1
 }
 
+// Remap writes to dst the compact ID Map gave each of src's IDs, all
+// of which the column mapped since Start, counting nothing.
+func (rn *Renumber) Remap(dst, src []uint32) {
+	if rn.byMap {
+		for i, s := range src {
+			dst[i] = rn.m[s] - 1
+		}
+		return
+	}
+	for i, s := range src {
+		dst[i] = rn.table[s] - 1
+	}
+}
+
 // Weigh weighs row i of the column Map just wrote to dst by w[i]
 // instead of one: Sizes then prices each row as w[i] copies of it, the
 // price of a counted column's expanded bag.

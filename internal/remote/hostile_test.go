@@ -22,9 +22,9 @@ import (
 	"distcfd/internal/relation"
 )
 
-// Peer-supplied packed bytes: a WirePackedRelation is adopted as a
+// Peer-supplied bytes: a WireRelation in any form is adopted as a
 // relation's storage, so whatever FromWire lets through is decoded
-// later by code with no error channel (Encoded.Column, PayloadSizes)
+// later by code with no error channel (Encoded.Column, a Merge)
 // inside handlers net/rpc does not recover. These tests pin the trust
 // boundary: malformed payloads are a plain error at FromWire, on the
 // site that receives a Deposit and on the driver that relays an
@@ -182,6 +182,20 @@ var sectionCases = []struct {
 		vals, _ := colstore.DecodeDictSection(w.Dicts[0])
 		w.Dicts[0] = colstore.EncodeDictSection(nil, append(vals, "unused"))
 	}},
+	// An ID past its column's dictionary: a relay would forward it, and
+	// the coordinator's read would index past the dictionary.
+	{"dict-id-past-dictionary", func(w *WireRelation) {
+		asDicts(w)
+		n, _ := binary.Uvarint(w.Dicts[0])
+		w.Cols[0] = slices.Clone(w.Cols[0])
+		w.Cols[0][len(w.Cols[0])-1] = uint32(n)
+	}},
+	// A column shorter than the rows the header announces.
+	{"dict-column-short", func(w *WireRelation) {
+		asDicts(w)
+		j := len(w.Cols) - 1
+		w.Cols[j] = w.Cols[j][:w.Rows-1]
+	}},
 	// Both forms set: neither may silently win.
 	{"two-forms", func(w *WireRelation) {
 		asRows(w)
@@ -214,7 +228,14 @@ func asDicts(w *WireRelation) {
 		panic(err)
 	}
 	w.Packed, w.Tuples, w.Rows = nil, nil, rel.Len()
-	w.Dicts, w.Cols = relation.Compact(rel.Encoded(), func(n int, val func(uint32) string) []byte { return colstore.AppendValues(nil, n, val) })
+	c := rel.Encoded().Compact(nil)
+	defer c.Release()
+	w.Cols = c.Cols()
+	w.Dicts = make([][]byte, len(w.Cols))
+	for j := range w.Dicts {
+		n, val := c.Dict(j)
+		w.Dicts[j] = colstore.AppendValues(nil, n, val)
+	}
 }
 
 // TestHostilePackedDepositRejected drives each crasher through a live
@@ -510,10 +531,12 @@ func (h hostileService) ExtractBlocksBatch(_ ExtractArgs, reply *map[int]*WireRe
 }
 
 // TestHostilePackedRelayRejected is the driver side: an
-// ExtractBlocksBatch reply carrying a malformed payload must come back
-// from the proxy as an error — were it adopted, the driver would die in
-// dist.RelationBytes (PayloadSizes has no error channel) the moment it
-// charged the shipment.
+// ExtractBlocksBatch reply carrying a malformed payload, in any wire
+// form, must come back from the proxy as an error. The driver adopts a
+// block as it arrived and forwards it undecoded, billed by its header
+// and sections, so the structural check on receipt is the only one the
+// relay makes: whatever it let through would reach a coordinator, whose
+// reads have no error channel.
 func TestHostilePackedRelayRejected(t *testing.T) {
 	frag := relation.New(relation.MustSchema("R", []string{"a", "b"}))
 	site := core.NewSite(0, frag, relation.True())
@@ -538,6 +561,45 @@ func TestHostilePackedRelayRejected(t *testing.T) {
 				t.Errorf("proxy unusable after the rejected reply: %v", err)
 			}
 		})
+	}
+}
+
+// TestPeerFormBilledAsShipped pins the trust decision of an adopted
+// block: the driver bills the form a peer shipped, read off its
+// sections, and forwards that form. A peer shipping the row form of a
+// block whose dict+ID form is smaller is billed the row size — more
+// than an honest peer's bill, never less.
+func TestPeerFormBilledAsShipped(t *testing.T) {
+	r := relation.New(relation.MustSchema("R_ship", []string{"a", "b"}))
+	for i := 0; i < 200; i++ {
+		r.MustAppend(relation.Tuple{fmt.Sprintf("value-a%03d", i%10), fmt.Sprintf("value-b%03d", i%4)})
+	}
+	raw, encoded := r.PayloadSizes()
+	if form, n := dist.ChooseWireForm(r); form != dist.ColumnForm || n != encoded || encoded >= raw {
+		t.Fatalf("fixture: an honest sender ships form %d at %d bytes (row %d, dict+ID %d)", form, n, raw, encoded)
+	}
+	w := ToWire(r)
+	asRows(w)
+	site := core.NewSite(0, relation.New(relation.MustSchema("R", []string{"a", "b"})), relation.True())
+	addr := serveRPC(t, hostileService{SiteService: NewSiteServiceContext(context.Background(), site, site.Fragment().Schema()), reply: w})
+	sites, _, err := Dial([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sites[0].(*RemoteSite).Close()
+	spec, err := core.NewBlockSpec([]string{"a"}, [][]string{{cfd.Wildcard}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sites[0].ExtractBlocksBatch(context.Background(), spec, []string{"a", "b"}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if form, n := dist.ChooseWireForm(got[0]); form != dist.RowForm || n != raw {
+		t.Errorf("a row-form reply is billed form %d at %d bytes, want the row form's %d", form, n, raw)
+	}
+	if fw := ToWire(got[0]); fw.Tuples == nil || fw.Cols != nil || !got[0].SameTuples(r) {
+		t.Error("the relay did not forward the row form it received")
 	}
 }
 

@@ -38,7 +38,8 @@ func gobTrip(t testing.TB, w *WireRelation) *WireRelation {
 // unit separator and invalid UTF-8 among them, zero rows included —
 // comes back tuple for tuple from ToWire → gob → FromWire in the form
 // ToWire picks, and from FromWire in both forms forced; and the input
-// read as raw section bytes never panics FromWire or DeltaFromWire.
+// read as raw section bytes never panics FromWire or DeltaFromWire, nor
+// a merge or materialization of what FromWire adopts.
 // Read as one values section, it never makes colstore.DecodeDict — the
 // parse straight into a dictionary's arena — allocate past
 // decodeDictBytesPerByte times its length plus decodeDictSlack bytes,
@@ -71,9 +72,21 @@ func FuzzWireSections(f *testing.F) {
 				t.Fatalf("round trip: %q, want %q", got.Tuples(), rel.Tuples())
 			}
 		}
-		_, _ = FromWire(&WireRelation{Name: "S", Attrs: attrs, Tuples: data, Rows: int(arity)})
-		_, _ = FromWire(&WireRelation{Name: "S", Attrs: attrs[:1], Dicts: [][]byte{data},
-			Cols: [][]uint32{{0, uint32(arity)}}, Rows: 2})
+		for _, w := range []*WireRelation{
+			{Name: "S", Attrs: attrs, Tuples: data, Rows: int(arity)},
+			{Name: "S", Attrs: attrs[:1], Dicts: [][]byte{data}, Cols: [][]uint32{{0, uint32(arity)}}, Rows: 2},
+		} {
+			got, err := FromWire(w)
+			if err != nil {
+				continue
+			}
+			// Adopted bytes are read by code with no error channel: a
+			// coordinator's Merge, a materialization, a relay's bill.
+			if _, err := relation.Concat(got, got); err != nil {
+				t.Fatalf("merging an adopted payload: %v", err)
+			}
+			_, _ = got.Tuples(), ToWire(got)
+		}
 		_, _ = DeltaFromWire(WireDelta{Inserts: data, Rows: int(arity)})
 		grew := uint64(math.MaxUint64) // the least of three: the fuzzer's own goroutines allocate too
 		for range 3 {
@@ -128,8 +141,9 @@ func TestFromWireReusesSchema(t *testing.T) {
 // TestReceiveAllocsFlat pins what receiving a payload allocates — gob
 // decode plus FromWire — in the row form and the dict+ID form: the same
 // at 10³ and 10⁵ rows, and fewer than the 1 500 values the dict+ID
-// form's dictionaries hold, because each values section decodes in two
-// allocations however many values it holds.
+// form's dictionaries hold, because each values section is adopted as
+// it arrived and checked in a fixed number of allocations however many
+// values it holds.
 func TestReceiveAllocsFlat(t *testing.T) {
 	payload := func(rows int, form func(*WireRelation)) []byte {
 		r := relation.New(relation.MustSchema("U", []string{"a", "b"}))

@@ -3,8 +3,9 @@
 // the client-side core.SiteAPI proxy, so every algorithm in
 // internal/core works unchanged across processes. Tuple shipments in
 // this mode are relayed through the coordinator driver (source →
-// driver → destination); the shipment metrics still count each tuple
-// once, matching the paper's |M| accounting.
+// driver → destination), which forwards each block as it arrived,
+// decoding none; the shipment metrics still count each tuple once,
+// matching the paper's |M| accounting.
 package remote
 
 import (
@@ -34,11 +35,10 @@ const serviceName = "SiteV14"
 // columnar dictionary-encoded form (Dicts + Cols) — per-column
 // dictionaries with fixed-width ID vectors, which is what repetitive
 // detection shipments compress well under — or the packed form
-// (Packed); none at all is zero rows. dist.ChooseWireForm picks
-// whichever models smallest on the wire and dist.RelationBytes charges
-// that size, so the shipment metrics match the shipped bytes. Values
-// travel in colstore values sections, each decoded in a fixed number of
-// allocations however many values it holds.
+// (Packed); none at all is zero rows. The sender ships whichever models
+// smallest, the receiver keeps it as it came, and dist.RelationBytes
+// charges that form's size, so the shipment metrics match the shipped
+// bytes. Values travel in colstore values sections.
 type WireRelation struct {
 	Name  string
 	Attrs []string
@@ -75,30 +75,43 @@ type WirePackedColumn struct {
 }
 
 // ToWire converts a relation for transport in the form
-// dist.ChooseWireForm names — the form dist.RelationBytes bills.
+// dist.ChooseWireForm names — the form dist.RelationBytes bills: a
+// received one as it arrived, its sections unchanged, any other priced
+// by the pass that compacts it (relation.Compaction).
 func ToWire(r *relation.Relation) *WireRelation {
 	if r == nil {
 		return nil
 	}
-	w := &WireRelation{Name: r.Schema().Name(), Attrs: r.Schema().Attrs(), Key: r.Schema().Key()}
-	form, _ := dist.ChooseWireForm(r)
-	if form == dist.PackedForm {
-		// The packed wire form is the colstore codec byte for byte; a
-		// payload in any other representation ships dict+ID.
-		pr, _ := r.PackedPayload()
-		if p, ok := pr.(*colstore.Packed); ok {
-			w.Rows, w.Packed, w.Counts = r.Len(), packedToWire(p), p.CountSection()
-			return w
+	w := &WireRelation{Name: r.Schema().Name(), Attrs: r.Schema().Attrs(), Key: r.Schema().Key(), Rows: r.Len()}
+	if p, ok := r.Received().(*colstore.Sections); ok {
+		w.Tuples, w.Dicts, w.Cols = p.Parts()
+		w.Counts = p.CountSection()
+		return w
+	}
+	// The packed wire form is the colstore codec byte for byte; a
+	// payload in any other representation ships dict+ID or rows.
+	if pr, _ := r.PackedPayload(); pr != nil {
+		if form, _ := dist.ChooseWireForm(r); form == dist.PackedForm {
+			if p, ok := pr.(*colstore.Packed); ok {
+				w.Packed, w.Counts = packedToWire(p), p.CountSection()
+				return w
+			}
 		}
-		form = dist.ColumnForm
 	}
 	if r.Counts() != nil {
 		w.Counts = colstore.EncodeCounts(r.Counts())
 	}
-	if w.Rows = r.Len(); form == dist.ColumnForm {
-		w.Dicts, w.Cols = relation.Compact(r.Encoded(), func(n int, val func(uint32) string) []byte { return colstore.AppendValues(nil, n, val) })
+	c := r.Encoded().Compact(r.Counts())
+	defer c.Release()
+	if form, _ := dist.Smallest(c.Sizes()); form == dist.ColumnForm {
+		w.Cols = c.Cols()
+		w.Dicts = make([][]byte, len(w.Cols))
+		for j := range w.Dicts {
+			n, val := c.Dict(j)
+			w.Dicts[j] = colstore.AppendValues(nil, n, val)
+		}
 	} else if w.Rows > 0 {
-		w.Tuples = colstore.EncodeRowSection(nil, r.Tuples())
+		w.Tuples = colstore.EncodeRows(nil, w.Rows, r.Schema().Arity(), c.Value)
 	}
 	return w
 }
@@ -115,22 +128,17 @@ func packedToWire(p *colstore.Packed) *WirePackedRelation {
 	return out
 }
 
-// FromWire rebuilds the relation from any wire form. A packed payload
-// is adopted as the relation's backing reader — columns stay in chunk
-// form until (unless) something reads them; the detection kernel
-// decodes each column it binds once. This is where peer bytes enter,
-// on a site (Deposit) and on the driver (a relayed extract), and
-// everything downstream decodes without an error channel inside
-// handlers net/rpc does not recover — so every form is verified here,
-// once: the packed form by colstore.NewPacked (dictionary sections,
-// chunk structure, every ID inside its dictionary), the values
-// sections by colstore.DecodeDictSection and DecodeDict, the dict+ID
-// form's IDs by relation.FromDicts, the row form's arity by
-// relation.FromTuples, a count column by colstore.DecodeCounts (a
-// nonzero count a row, their sum at most relation.MaxBag). A payload
-// setting more than one form, or a malformed one, is a plain,
-// non-transient error. A shape received before reuses its schema
-// (relation.InternSchema).
+// FromWire adopts a relation in the wire form it arrived in, its bytes
+// kept as its storage (relation.FromReceived) and decoded only where
+// something reads a column, so a relay forwards them (ToWire) and bills
+// them (dist.ChooseWireForm) undecoded. Peer bytes enter here, on a
+// site (Deposit) and on the driver (a relayed extract), and nothing
+// downstream has an error channel inside handlers net/rpc does not
+// recover — so every form is verified here, once, in O(bytes):
+// colstore.NewPacked, NewDicts and NewRows check their sections, and
+// SetCounts a count column. A payload setting more than one form, or a
+// malformed one, is a plain, non-transient error. A shape received
+// before reuses its schema (relation.InternSchema).
 func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w == nil {
 		return nil, nil
@@ -143,39 +151,28 @@ func FromWire(w *WireRelation) (*relation.Relation, error) {
 	if w.Packed != nil && (w.Tuples != nil || columnar) || w.Tuples != nil && columnar {
 		return nil, fmt.Errorf("remote: payload sets more than one wire form")
 	}
-	var rel *relation.Relation
+	var p interface {
+		relation.Payload
+		SetCounts([]byte) error
+	}
 	switch {
 	case w.Packed != nil:
 		cols := make([]colstore.PackedColumn, len(w.Packed.Cols))
 		for j, c := range w.Packed.Cols {
 			cols[j] = colstore.PackedColumn(c)
 		}
-		var p *colstore.Packed
-		if p, err = colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols); err == nil && w.Counts != nil {
-			err = p.SetCounts(w.Counts)
-		}
-		if err == nil {
-			rel, err = relation.FromPackedReader(schema, p)
-		}
+		p, err = colstore.NewPacked(w.Packed.Rows, w.Packed.ChunkRows, cols)
 	case columnar:
-		// The receiver adopts the shipped dictionaries as the
-		// relation's encoded view: the sender's interning survives the
-		// hop and the coordinator's check never re-hashes the values.
-		var dicts []*relation.Dict
-		if dicts, err = colstore.DecodeDicts(w.Dicts); err == nil {
-			rel, err = relation.FromDicts(schema, dicts, w.Cols, w.Rows)
-		}
+		p, err = colstore.NewDicts(w.Dicts, w.Cols, w.Rows)
 	default:
-		var ts []relation.Tuple
-		if ts, err = colstore.DecodeRowSection(w.Tuples, w.Rows); err == nil {
-			rel, err = relation.FromTuples(schema, ts)
-		}
+		p, err = colstore.NewRows(w.Tuples, w.Rows, schema.Arity())
 	}
-	if err == nil && w.Packed == nil && w.Counts != nil {
-		var counts []uint32
-		if counts, err = colstore.DecodeCounts(w.Counts, rel.Len()); err == nil {
-			err = rel.SetCounts(counts)
-		}
+	if err == nil && w.Counts != nil {
+		err = p.SetCounts(w.Counts)
+	}
+	var rel *relation.Relation
+	if err == nil {
+		rel, err = relation.FromReceived(schema, p)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("remote: %w", err)

@@ -209,12 +209,12 @@ func emittedBytes(t *testing.T, w *WireRelation) int64 {
 		}
 		return n
 	case dist.ColumnForm:
-		dicts, err := colstore.DecodeDicts(w.Dicts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, d := range dicts {
-			for _, v := range d.Vals() {
+		for j, sec := range w.Dicts {
+			vals, err := colstore.DecodeDictSection(sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vals {
 				n += int64(len(v)) + 1
 			}
 			n += 4 * int64(len(w.Cols[j]))
@@ -338,5 +338,67 @@ func TestRelayShipsPackedWithoutDecoding(t *testing.T) {
 	dropped.DropPacked()
 	if w := ToWire(dropped); w.Packed != nil || w.Cols == nil {
 		t.Error("after DropPacked the relation must ship dict+ID")
+	}
+}
+
+// TestRelayForwardsSectionsWithoutDecoding pins the relay hop of a
+// row-form and a dict+ID block: the driver adopts the received
+// sections (FromWire), bills them (dist.RelationBytes) and forwards
+// them (ToWire) as the byte slices it received, building no dictionary
+// and decoding no column on the way — the same number of allocations
+// for 4 K and 64 K rows, and far less than the four bytes a row one
+// decoded column would take.
+func TestRelayForwardsSectionsWithoutDecoding(t *testing.T) {
+	received := func(rows int, dicts bool) *WireRelation {
+		r := relation.New(relation.MustSchema("U", []string{"a", "b"}))
+		for i := 0; i < rows; i++ {
+			if dicts {
+				r.MustAppend(relation.Tuple{fmt.Sprintf("value-a%04d", i%1000), fmt.Sprintf("value-b%03d", i%300)})
+			} else {
+				r.MustAppend(relation.Tuple{fmt.Sprintf("a%06d", i), fmt.Sprintf("b%06d", i)})
+			}
+		}
+		w := ToWire(r)
+		if got := emittedForm(w); got != map[bool]dist.WireForm{false: dist.RowForm, true: dist.ColumnForm}[dicts] {
+			t.Fatalf("fixture ships form %d", got)
+		}
+		return gobTrip(t, w)
+	}
+	var billed int64
+	relay := func(w *WireRelation) *WireRelation {
+		r, err := FromWire(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		billed = dist.RelationBytes(r)
+		return ToWire(r)
+	}
+	for _, dicts := range []bool{false, true} {
+		small, large := received(4_000, dicts), received(64_000, dicts)
+		out := relay(large)
+		if want := emittedBytes(t, large); billed != want {
+			t.Errorf("dicts=%v: relay billed %d, received %d", dicts, billed, want)
+		}
+		if dicts {
+			for j := range large.Cols {
+				if &out.Cols[j][0] != &large.Cols[j][0] || &out.Dicts[j][0] != &large.Dicts[j][0] {
+					t.Fatalf("dict+ID column %d: forwarded a copy, not the received sections", j)
+				}
+			}
+		} else if &out.Tuples[0] != &large.Tuples[0] {
+			t.Fatal("row form: forwarded a copy, not the received section")
+		}
+		allocsSmall := testing.AllocsPerRun(5, func() { relay(small) })
+		allocsLarge := testing.AllocsPerRun(5, func() { relay(large) })
+		if allocsSmall != allocsLarge {
+			t.Errorf("dicts=%v: relay allocations grow with the row count: %v at 4K rows, %v at 64K", dicts, allocsSmall, allocsLarge)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		relay(large)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64_000 {
+			t.Errorf("dicts=%v: relaying 64K rows allocated %d bytes: a column was decoded", dicts, got)
+		}
 	}
 }
